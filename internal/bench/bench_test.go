@@ -1,10 +1,16 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"testing"
 )
+
+// benchGates enables the gates that compare wall-clock measurements between
+// two runs. They depend on the box being quiet (and fail deterministically
+// under -race), so `go test ./...` skips them; `make bench-gates` runs them.
+var benchGates = flag.Bool("bench-gates", false, "run the wall-clock comparison gates")
 
 // The experiments ARE the reproduction; these tests pin the paper's
 // qualitative claims — who wins, in which direction — at Quick scale, so
@@ -307,14 +313,28 @@ func TestExtraMergeShape(t *testing.T) {
 	})
 }
 
+// TestMaintShape holds the count gates of the maint experiment: both modes
+// evicted, and the background run closed clean (maintRun fails the
+// experiment on any error out of Engine.Close).
 func TestMaintShape(t *testing.T) {
+	checkShape(t, "maint", func(res *Result) error {
+		if syncEv, bgEv := cellOf(res, 0, 6), cellOf(res, 1, 6); syncEv == 0 || bgEv == 0 {
+			return fmt.Errorf("maintenance never triggered: sync=%f bg=%f evictions", syncEv, bgEv)
+		}
+		return nil
+	})
+}
+
+// TestMaintWallClockGates is the experiment's actual claim — background
+// maintenance takes the pauses off the writer — as a wall-clock comparison.
+func TestMaintWallClockGates(t *testing.T) {
+	if !*benchGates {
+		t.Skip("wall-clock comparison; run with -bench-gates (make bench-gates)")
+	}
 	checkShape(t, "maint", func(res *Result) error {
 		syncOps, bgOps := cellOf(res, 0, 1), cellOf(res, 1, 1)
 		syncP99, bgP99 := cellOf(res, 0, 3), cellOf(res, 1, 3)
-		syncEv, bgEv := cellOf(res, 0, 6), cellOf(res, 1, 6)
 		switch {
-		case syncEv == 0 || bgEv == 0:
-			return fmt.Errorf("maintenance never triggered: sync=%f bg=%f evictions", syncEv, bgEv)
 		case bgP99 >= syncP99:
 			return fmt.Errorf("background p99 %fus did not beat sync %fus", bgP99, syncP99)
 		case bgOps <= syncOps:
@@ -324,10 +344,28 @@ func TestMaintShape(t *testing.T) {
 	})
 }
 
+// TestNetShape holds the count gate of the net experiment: with admission
+// control on, the overload phase queued sessions. (Rows 0..8 are the scale
+// phase, shards {1,2,4} x clients {1,8,32}; rows 9..10 the overload phase,
+// admission off, then on.)
 func TestNetShape(t *testing.T) {
 	checkShape(t, "net", func(res *Result) error {
-		// Scale phase rows 0..8 are shards {1,2,4} x clients {1,8,32};
-		// rows 9..10 are the overload phase (admission off, then on).
+		if queued := cellOf(res, 10, 6); queued == 0 {
+			return fmt.Errorf("admission-on run never queued a session")
+		}
+		return nil
+	})
+}
+
+// TestNetWallClockGates is the experiment's two claims — shards scale the
+// I/O-bound write path, admission control bounds p99 under overload — as
+// comparisons of composite (wall + virtual) rates and wall-clock
+// percentiles.
+func TestNetWallClockGates(t *testing.T) {
+	if !*benchGates {
+		t.Skip("wall-clock comparison; run with -bench-gates (make bench-gates)")
+	}
+	checkShape(t, "net", func(res *Result) error {
 		rate1x32, rate4x32 := cellOf(res, 2, 4), cellOf(res, 8, 4)
 		if rate4x32 < 2.5*rate1x32 {
 			return fmt.Errorf("4 shards at 32 clients only %.2fx over 1 shard (%f vs %f ops/s), want >=2.5x",
@@ -336,9 +374,6 @@ func TestNetShape(t *testing.T) {
 		offP99, onP99 := cellOf(res, 9, 5), cellOf(res, 10, 5)
 		if onP99 >= offP99 {
 			return fmt.Errorf("admission control did not improve p99 under overload: on=%.1fus off=%.1fus", onP99, offP99)
-		}
-		if queued := cellOf(res, 10, 6); queued == 0 {
-			return fmt.Errorf("admission-on run never queued a session")
 		}
 		return nil
 	})

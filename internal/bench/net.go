@@ -62,7 +62,9 @@ func netProfile() ssd.Profile {
 // netEngine is the per-shard engine template for the experiment.
 func netEngine(s Scale) db.Config {
 	cfg := engineConfig(s.pick(1024, 4096), 256<<10)
-	cfg.Profile = netProfile()
+	if cfg.Device == (ssd.DeviceSpec{}) { // an explicit -device wins
+		cfg.Device = ssd.DeviceSpec{Profile: netProfile()}
+	}
 	cfg.EnableWAL = true
 	cfg.GroupCommit = db.GroupCommitConfig{Enabled: true, MaxDelay: commitMaxDelay}
 	return cfg

@@ -1,15 +1,10 @@
 package db
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
-	"mvpbt/internal/page"
-	"mvpbt/internal/sfile"
-	"mvpbt/internal/storage"
 	"mvpbt/internal/wal"
 )
 
@@ -17,81 +12,18 @@ import (
 // bound — every committed row operation stays in it forever, and recovery
 // replays all of it. A checkpoint bounds both: it writes a snapshot of the
 // committed visible state as a NEW log generation (CkptBegin / one CkptRow
-// per row / CkptEnd), commits the switch through a dual-slot superblock,
-// and frees the old generation's device pages. Recovery then replays
-// snapshot + suffix instead of history-since-birth, and the device space
-// held by dead log prefix is reclaimed — the reclamation lever the space
-// governor pulls first when the device fills up.
-//
-// Crash safety is the whole game, and it reduces to one atomic step: the
-// superblock write. The superblock is a 2-page file ("walmeta"); slot
-// seq%2 holds {magic, seq, fileID} under a page checksum. A checkpoint
-// writes the complete new generation FIRST, then its superblock slot, then
-// frees the old generation. A crash before the superblock write leaves the
-// old slot authoritative (old log intact, new gen is garbage). A torn
-// superblock write fails the slot's checksum, so the other slot — the old
-// generation — wins. A crash after the superblock write but before the
-// truncation leaves both generations readable and the new slot wins. Only
-// after the old generation's pages are freed does the new one become the
-// sole copy, and by then it is durably complete.
+// per row / CkptEnd) and rotates the log onto it, which frees the old
+// generation's device pages. Recovery then replays snapshot + suffix
+// instead of history-since-birth, and the device space held by dead log
+// prefix is reclaimed — the reclamation lever the space governor pulls
+// first when the device fills up. How a generation is published atomically,
+// and what each crash instant leaves behind, is wal.Log's business
+// (DESIGN.md §10).
 
 // ErrCheckpointBusy is returned by Checkpoint when transactions are active.
 // A checkpoint snapshots the committed state with no writer in flight —
 // callers retry at a quiescent point (the engine's reclamation path does).
 var ErrCheckpointBusy = errors.New("db: checkpoint requires a quiescent engine (active transactions)")
-
-// superblock layout inside a page's client area (36 bytes available):
-// magic(8) | seq(8) | fileID(8). fileID is a storage.FileID widened to 64
-// bits. Pages 0 and 1 of "walmeta" are the two slots; a checkpoint with
-// sequence number s writes slot s%2, so the previous superblock is never
-// overwritten by the write that supersedes it.
-const superMagic = 0x4d56_5042_5457_414c // "MVPBTWAL"
-
-func encodeSuper(buf []byte, seq uint64, id storage.FileID) {
-	p := page.Wrap(buf)
-	p.Init()
-	c := p.Client()
-	binary.LittleEndian.PutUint64(c[0:8], superMagic)
-	binary.LittleEndian.PutUint64(c[8:16], seq)
-	binary.LittleEndian.PutUint64(c[16:24], uint64(id))
-	page.StampChecksum(buf)
-}
-
-// decodeSuper validates one superblock page image. ok is false for a torn
-// or never-written slot.
-func decodeSuper(buf []byte) (seq uint64, id storage.FileID, ok bool) {
-	if !page.VerifyChecksum(buf) {
-		return 0, 0, false
-	}
-	c := page.Wrap(buf).Client()
-	if binary.LittleEndian.Uint64(c[0:8]) != superMagic {
-		return 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(c[8:16]), storage.FileID(binary.LittleEndian.Uint64(c[16:24])), true
-}
-
-// writePageRetry writes one page with bounded retries (transient write
-// faults are the device's normal behaviour under the fault campaigns).
-func writePageRetry(f *sfile.File, pageNo uint64, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = f.WritePage(pageNo, buf); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
-// readPageRetry reads one page with bounded retries.
-func readPageRetry(f *sfile.File, pageNo uint64, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = f.ReadPage(pageNo, buf); err == nil {
-			return nil
-		}
-	}
-	return err
-}
 
 // CheckpointStats reports the effect of the last completed checkpoint.
 type CheckpointStats struct {
@@ -103,152 +35,78 @@ type CheckpointStats struct {
 
 // CheckpointInfo returns checkpoint statistics.
 func (e *Engine) CheckpointInfo() CheckpointStats {
-	e.walMu.RLock()
-	defer e.walMu.RUnlock()
-	return e.ckptStats
+	if e.log == nil {
+		return CheckpointStats{}
+	}
+	st := e.log.Stats()
+	return CheckpointStats{Count: int64(st.Seq), Seq: st.Seq, WALBytesBefore: st.BytesBefore, WALBytesAfter: st.BytesAfter}
 }
 
 // WALDeviceBytes returns the device bytes currently held by the log
 // (current generation plus the superblock file).
 func (e *Engine) WALDeviceBytes() int64 {
-	e.walMu.RLock()
-	defer e.walMu.RUnlock()
-	var n int64
-	if e.walFile != nil {
-		n += int64(e.walFile.NumPages()) * storage.PageSize
+	if e.log == nil {
+		return 0
 	}
-	if e.walMeta != nil {
-		n += int64(e.walMeta.NumPages()) * storage.PageSize
-	}
-	return n
+	return e.log.Stats().DeviceBytes
 }
 
 // Checkpoint writes a snapshot of the committed visible state as a new log
-// generation, switches the superblock to it, and frees the old generation's
+// generation and rotates the log onto it, freeing the old generation's
 // device pages. It requires a quiescent engine: any active transaction makes
 // it return ErrCheckpointBusy (the snapshot must not interleave with
 // writers, and the precondition also rules out lock-order inversions —
 // every in-flight operation holding a table lock belongs to an active
-// transaction, so none can be waiting on the log lock we hold).
+// transaction, so none can be waiting on the log lock the rotation holds).
 //
-// On any failure before the superblock write the old log remains
-// authoritative and the partially written generation is freed — the
-// checkpoint simply did not happen.
+// On any failure the old log remains authoritative — the checkpoint simply
+// did not happen.
 func (e *Engine) Checkpoint() error {
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if e.wal == nil {
+	if e.log == nil {
 		return fmt.Errorf("db: Checkpoint on an engine without EnableWAL")
 	}
+	return e.log.Rotate(0, e.snapshotInto)
+}
+
+// snapshotInto fills log generation seq with every table's and durable KV
+// store's committed visible rows. It runs inside the rotation, with
+// appenders locked out.
+func (e *Engine) snapshotInto(w *wal.Writer, seq uint64) error {
 	if e.Mgr.ActiveCount() != 0 {
 		return ErrCheckpointBusy
 	}
-	bytesBefore := int64(e.walFile.NumPages()) * storage.PageSize
-
-	// Superblock file: two pages, allocated on first use.
-	if e.walMeta.NumPages() < 2 {
-		if _, err := e.walMeta.AllocRun(2); err != nil {
-			return fmt.Errorf("db: checkpoint: superblock alloc: %w", err)
-		}
-	}
-
-	seq := e.ckptStats.Seq + 1
-	newFile := e.FM.Create(fmt.Sprintf("wal.%d", seq), sfile.ClassMeta)
-	newW := wal.NewWriter(newFile)
-	abandon := func() {
-		if n := newFile.NumPages(); n > 0 {
-			newFile.FreeRun(0, int(n))
-		}
-	}
-
-	// Snapshot every table's committed visible rows under a read snapshot.
-	// The transaction is synthetic: opened directly on the manager so no
-	// begin/abort records pollute either log generation. Tables stream in
-	// sorted name order and each scan follows primary-key order, so the
+	// The snapshot transaction is synthetic: opened directly on the manager
+	// so no begin/abort records pollute either log generation. Tables stream
+	// in sorted name order and each scan follows primary-key order, so the
 	// snapshot bytes are a deterministic function of the committed state.
 	tx := e.Mgr.Begin()
 	defer e.Mgr.Abort(tx)
-	newW.Append(&wal.Record{Op: wal.OpCkptBegin, TxID: seq})
-	e.tablesMu.Lock()
-	names := make([]string, 0, len(e.tables))
-	byName := make(map[string]*Table, len(e.tables))
-	for name, t := range e.tables {
-		names = append(names, name)
-		byName[name] = t
-	}
-	kvNames := make([]string, 0, len(e.kvs))
-	kvByName := make(map[string]*MVPBTKV, len(e.kvs))
-	for name, kv := range e.kvs {
-		kvNames = append(kvNames, name)
-		kvByName[name] = kv
-	}
-	e.tablesMu.Unlock()
-	sort.Strings(names)
-	sort.Strings(kvNames)
+	w.Append(&wal.Record{Op: wal.OpCkptBegin, TxID: seq})
+	tables, kvs := e.stores()
 	var rows uint64
-	for _, name := range names {
-		t := byName[name]
+	for _, t := range tables {
 		err := t.Scan(tx, t.indexes[0], nil, nil, true, func(r RowRef) bool {
-			newW.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: name, Key: r.Key, Row: r.Row})
+			w.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: t.name, Key: r.Key, Row: r.Row})
 			rows++
 			return true
 		})
 		if err != nil {
-			abandon()
-			return fmt.Errorf("db: checkpoint: snapshotting %q: %w", name, err)
+			return fmt.Errorf("db: checkpoint: snapshotting %q: %w", t.name, err)
 		}
 	}
 	// Durable KV stores stream their visible pairs into the same snapshot,
 	// keyed by the store's name (replay routes CkptRow records to the store).
-	for _, name := range kvNames {
-		kv := kvByName[name]
+	for _, kv := range kvs {
 		err := kv.ScanTx(tx, nil, math.MaxInt, func(k, v []byte) bool {
-			newW.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: name, Key: k, Row: v})
+			w.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: kv.name, Key: k, Row: v})
 			rows++
 			return true
 		})
 		if err != nil {
-			abandon()
-			return fmt.Errorf("db: checkpoint: snapshotting KV %q: %w", name, err)
+			return fmt.Errorf("db: checkpoint: snapshotting KV %q: %w", kv.name, err)
 		}
 	}
-	newW.Append(&wal.Record{Op: wal.OpCkptEnd, TxID: rows})
-	if err := newW.Flush(); err != nil {
-		abandon()
-		return fmt.Errorf("db: checkpoint: %w", err)
-	}
-	if e.ckptBeforeSuper != nil {
-		e.ckptBeforeSuper()
-	}
-
-	// Commit point: the superblock slot write. Before it, the old log is
-	// authoritative; after it, the new generation is.
-	buf := make([]byte, storage.PageSize)
-	encodeSuper(buf, seq, newFile.ID())
-	if err := writePageRetry(e.walMeta, seq%2, buf); err != nil {
-		abandon()
-		return fmt.Errorf("db: checkpoint: superblock write: %w", err)
-	}
-	if e.ckptAfterSuper != nil {
-		e.ckptAfterSuper()
-	}
-
-	// Truncation: the old generation's pages go back to the device. Failure
-	// past the commit point is not an error for the caller — the checkpoint
-	// IS complete; at worst the old pages leak until the next checkpoint.
-	oldFile := e.walFile
-	if n := oldFile.NumPages(); n > 0 {
-		oldFile.FreeRun(0, int(n))
-	}
-	e.wal, e.walFile = newW, newFile
-	e.walBaseBytes = newW.Written()
-	e.ckptStats.Count++
-	e.ckptStats.Seq = seq
-	e.ckptStats.WALBytesBefore = bytesBefore
-	e.ckptStats.WALBytesAfter = int64(newFile.NumPages())*storage.PageSize + int64(e.walMeta.NumPages())*storage.PageSize
-	if e.ckptAfterTruncate != nil {
-		e.ckptAfterTruncate()
-	}
+	w.Append(&wal.Record{Op: wal.OpCkptEnd, TxID: rows})
 	return nil
 }
 
@@ -257,13 +115,7 @@ func (e *Engine) Checkpoint() error {
 // locks; a busy engine (other active transactions) just means the next
 // commit tries again.
 func (e *Engine) maybeAutoCheckpoint() {
-	if e.cfg.WALCheckpointBytes <= 0 || e.wal == nil {
-		return
-	}
-	e.walMu.RLock()
-	grown := e.wal.Written() - e.walBaseBytes
-	e.walMu.RUnlock()
-	if grown < e.cfg.WALCheckpointBytes {
+	if e.cfg.WALCheckpointBytes <= 0 || e.log == nil || e.log.Grown() < e.cfg.WALCheckpointBytes {
 		return
 	}
 	if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
@@ -271,31 +123,4 @@ func (e *Engine) maybeAutoCheckpoint() {
 		// on failure. Record the error for diagnostics and move on.
 		e.ckptErrs.Add(1)
 	}
-}
-
-// currentLogFile resolves the authoritative log generation from the
-// superblock: the valid slot with the highest sequence number wins; with no
-// valid slot (no checkpoint ever completed) the original "wal" file is the
-// log. Unreadable superblock pages are treated as invalid slots — the
-// other slot, or the fallback, still yields a complete log.
-func (e *Engine) currentLogFile() *sfile.File {
-	if e.walMeta == nil || e.walMeta.NumPages() < 2 {
-		return e.walFile
-	}
-	best := e.walFile
-	var bestSeq uint64
-	buf := make([]byte, storage.PageSize)
-	for slot := uint64(0); slot < 2; slot++ {
-		if err := readPageRetry(e.walMeta, slot, buf); err != nil {
-			continue
-		}
-		seq, id, ok := decodeSuper(buf)
-		if !ok || seq < bestSeq {
-			continue
-		}
-		if f := e.FM.Lookup(id); f != nil {
-			best, bestSeq = f, seq
-		}
-	}
-	return best
 }

@@ -134,7 +134,9 @@ func TestCheckpointSecondGenerationAlternatesSlot(t *testing.T) {
 // but old log not yet freed; old log freed but nothing appended since — and
 // checks the surviving log image recovers to the pre-checkpoint state, for
 // both heap organizations. A "crash" is taking the durable log image at
-// that instant: recovery depends on nothing else.
+// that instant: recovery depends on nothing else. Which generation each
+// instant leaves authoritative is wal.TestLogCrashPoints' half; this one
+// checks the snapshot rows themselves replay to the same state.
 func TestCheckpointCrashPoints(t *testing.T) {
 	bothHeaps(t, func(t *testing.T, hk HeapKind) {
 		for _, point := range []string{"before-super", "after-super", "after-truncate"} {
@@ -144,14 +146,14 @@ func TestCheckpointCrashPoints(t *testing.T) {
 				want := snapshotState(t, e, tbl, ix)
 
 				var img []byte
-				capture := func() { img = e.logImageLocked() }
+				capture := func(b []byte, _ uint64) { img = b }
 				switch point {
 				case "before-super":
-					e.ckptBeforeSuper = capture
+					e.log.BeforeSuper = capture
 				case "after-super":
-					e.ckptAfterSuper = capture
+					e.log.AfterSuper = capture
 				case "after-truncate":
-					e.ckptAfterTruncate = capture
+					e.log.AfterFree = capture
 				}
 				if err := e.Checkpoint(); err != nil {
 					t.Fatal(err)
@@ -191,6 +193,35 @@ func TestCheckpointCrashAfterPostTruncateAppend(t *testing.T) {
 			t.Fatalf("snapshot+suffix recovery diverged:\n got %v\nwant %v", got, want)
 		}
 	})
+}
+
+// TestWALFlushesMonotonicAcrossCheckpoints: WALStats.Flushes counts the
+// log's flushes, not the current generation's — it used to restart at every
+// checkpoint, which made flushes/commit meaningless on any engine with
+// WALCheckpointBytes set.
+func TestWALFlushesMonotonicAcrossCheckpoints(t *testing.T) {
+	e, tbl, _ := walTableKind(t, HeapSIAS, Config{})
+	last := int64(0)
+	for round := 0; round < 3; round++ {
+		insertN(t, e, tbl, round*20, round*20+20)
+		if got := e.WALStatsSnapshot().Flushes; got < last+20 {
+			t.Fatalf("round %d: Flushes = %d after 20 more commits, was %d", round, got, last)
+		}
+		last = e.WALStatsSnapshot().Flushes
+		if round == 2 {
+			break
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.WALStatsSnapshot().Flushes; got != last+1 {
+			t.Fatalf("checkpoint %d: Flushes = %d, want %d (the snapshot flush on top of %d)", round+1, got, last+1, last)
+		}
+		last++
+	}
+	if st := e.WALStatsSnapshot(); st.Commits != 60 || st.Flushes != 62 {
+		t.Fatalf("60 commits and 2 checkpoints: %+v, want 62 flushes", st)
+	}
 }
 
 func TestAutoCheckpoint(t *testing.T) {

@@ -59,11 +59,11 @@ func TestTwoEnginesFromOneConfig(t *testing.T) {
 		t.Fatal("engines built from one Config share substrate components")
 	}
 
-	ka, err := NewMVPBTKV(a, "kv", MVPBTKVOptions{Durable: true})
+	ka, err := NewMVPBTKV(a, "kv", MVPBTKVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := NewMVPBTKV(b, "kv", MVPBTKVOptions{Durable: true})
+	kb, err := NewMVPBTKV(b, "kv", MVPBTKVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

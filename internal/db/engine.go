@@ -13,6 +13,7 @@ package db
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,6 @@ import (
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
-	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
 )
@@ -46,14 +46,11 @@ type Config struct {
 	// PartitionBufferBytes is the shared MV-PBT buffer limit
 	// (default 4 MiB).
 	PartitionBufferBytes int
-	// Profile is the device latency profile (default ssd.IntelP3600).
-	// Superseded by Device when that is set.
-	Profile ssd.Profile
 	// Device selects a zoo device (ssd.Zoo) by full spec: latency profile
 	// plus mode semantics — ZNS append-only zones, cloud IOPS throttling.
-	// The zero value defers to Profile; a zero Profile inside a non-zero
-	// Device still defaults to ssd.IntelP3600. DeviceSpec is itself a pure
-	// value (scalars and a name string), keeping the copy contract intact.
+	// The zero value, and a zero Profile inside a non-zero Device, default
+	// to ssd.IntelP3600. DeviceSpec is itself a pure value (scalars and a
+	// name string), keeping the copy contract intact.
 	Device ssd.DeviceSpec
 	// EnableWAL turns on logical redo logging with per-commit flushes (see
 	// internal/wal). Off by default: the paper's experiments run without
@@ -99,17 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.PartitionBufferBytes <= 0 {
 		c.PartitionBufferBytes = 4 << 20
 	}
-	zero := ssd.Profile{}
-	if c.Profile == zero {
-		c.Profile = ssd.IntelP3600
-	}
-	if c.Device == (ssd.DeviceSpec{}) {
-		c.Device = ssd.DeviceSpec{Profile: c.Profile}
-	} else if c.Device.Profile == zero {
-		// A mode-only spec (e.g. constructed from a name lookup that kept
-		// the default profile) still gets the configured latency table.
-		c.Device.Profile = c.Profile
-	}
 	if c.DeviceCapacityBytes > 0 {
 		if c.SpaceSoftBytes <= 0 {
 			c.SpaceSoftBytes = c.DeviceCapacityBytes * 85 / 100
@@ -132,18 +118,12 @@ type Engine struct {
 	// Maint is the background maintenance service, nil in synchronous mode.
 	Maint *maint.Service
 
-	// walMu orders log access against checkpointing: record appends and
-	// flushes hold it shared, Checkpoint holds it exclusive while it swaps
-	// log generations. Lock-order note: Checkpoint's quiescence precondition
-	// (no active transactions) guarantees no thread holding a table mutex
-	// can be waiting on walMu when the exclusive lock is taken.
-	walMu        sync.RWMutex
-	wal          *wal.Writer
-	walFile      *sfile.File
-	walMeta      *sfile.File // dual-slot checkpoint superblock
-	walBaseBytes int64       // wal.Written() at the current generation's start
-	ckptStats    CheckpointStats
-	ckptErrs     atomic.Int64
+	// log is the write-ahead log, nil unless Config.EnableWAL. Checkpoint
+	// rotates it under its exclusive lock; the quiescence precondition (no
+	// active transactions) guarantees no thread holding a table mutex can be
+	// waiting to append when that lock is taken.
+	log      *wal.Log
+	ckptErrs atomic.Int64
 
 	// gc is the group-commit batcher (nil unless Config.GroupCommit.Enabled
 	// with EnableWAL). walCommits/walROCommits count durable commits that
@@ -161,14 +141,6 @@ type Engine struct {
 	prepares       atomic.Int64
 	resolveCommits atomic.Int64
 	resolveAborts  atomic.Int64
-
-	// Checkpoint crash hooks (tests only): called with walMu held at the
-	// three interesting instants — new generation durable but superblock
-	// not yet written; superblock written but old generation not yet freed;
-	// old generation freed but nothing appended to the new one yet.
-	ckptBeforeSuper   func()
-	ckptAfterSuper    func()
-	ckptAfterTruncate func()
 
 	cfg Config
 
@@ -196,21 +168,19 @@ func NewEngine(cfg Config) *Engine {
 	clk := simclock.New()
 	dev := ssd.NewWithSpec(clk, cfg.Device)
 	e := &Engine{
-		Clock:  clk,
-		Dev:    dev,
-		FM:     sfile.NewManager(dev),
-		Pool:   buffer.New(cfg.BufferPages),
-		Mgr:    txn.NewManager(),
-		PBuf:   part.NewPartitionBuffer(cfg.PartitionBufferBytes),
+		Clock:   clk,
+		Dev:     dev,
+		FM:      sfile.NewManager(dev),
+		Pool:    buffer.New(cfg.BufferPages),
+		Mgr:     txn.NewManager(),
+		PBuf:    part.NewPartitionBuffer(cfg.PartitionBufferBytes),
 		cfg:     cfg,
 		tables:  map[string]*Table{},
 		kvs:     map[string]*MVPBTKV{},
 		inDoubt: map[txn.TxID]*preparedTx{},
 	}
 	if cfg.EnableWAL {
-		e.walFile = e.FM.Create("wal", sfile.ClassMeta)
-		e.wal = wal.NewWriter(e.walFile)
-		e.walMeta = e.FM.Create("walmeta", sfile.ClassMeta)
+		e.log = wal.NewLog(e.FM, "wal")
 		if cfg.GroupCommit.Enabled {
 			e.gc = newGroupCommitter(e, cfg.GroupCommit)
 		}
@@ -275,6 +245,24 @@ func (e *Engine) registerKV(kv *MVPBTKV) error {
 	return nil
 }
 
+// stores lists the engine's tables and durable KV stores, each in name
+// order (checkpoint snapshots must be a deterministic function of the state).
+func (e *Engine) stores() ([]*Table, []*MVPBTKV) {
+	e.tablesMu.Lock()
+	tables := make([]*Table, 0, len(e.tables))
+	for _, t := range e.tables {
+		tables = append(tables, t)
+	}
+	kvs := make([]*MVPBTKV, 0, len(e.kvs))
+	for _, kv := range e.kvs {
+		kvs = append(kvs, kv)
+	}
+	e.tablesMu.Unlock()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].name < tables[j].name })
+	sort.Slice(kvs, func(i, j int) bool { return kvs[i].name < kvs[j].name })
+	return tables, kvs
+}
+
 // AddCloser registers fn to run during Close, after maintenance drains.
 // Closers run in registration order.
 func (e *Engine) AddCloser(fn func() error) {
@@ -310,11 +298,8 @@ func (e *Engine) Close() error {
 			first = err
 		}
 	}
-	if e.wal != nil {
-		e.walMu.RLock()
-		err := e.wal.Flush()
-		e.walMu.RUnlock()
-		if err != nil && first == nil {
+	if e.log != nil {
+		if err := e.log.Flush(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -334,7 +319,7 @@ func (e *Engine) Begin() *txn.Tx {
 // not abort the transaction by itself; the caller still Commits or Aborts.
 func (e *Engine) BeginCtx(ctx context.Context) *txn.Tx {
 	// The transaction's OpBegin record is emitted LAZILY, together with its
-	// first row operation (Table.logOp): a read-only transaction therefore
+	// first row operation (Engine.logOp): a read-only transaction therefore
 	// never touches the log — no begin record, no commit record, no flush.
 	return e.Mgr.BeginCtx(ctx)
 }
@@ -363,22 +348,19 @@ func (e *Engine) Commit(tx *txn.Tx) {
 // by a batch leader on behalf of many committers (see DESIGN.md §11); a
 // commit arriving after Close has fenced the batcher fails with ErrClosed.
 func (e *Engine) CommitDurable(tx *txn.Tx) error {
-	if e.wal != nil && tx.WALLogged() {
+	if e.log != nil && tx.WALLogged() {
 		if e.gc != nil {
 			if err := e.gc.commit(tx); err != nil {
 				return err
 			}
 		} else {
-			e.walMu.RLock()
-			e.wal.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
-			err := e.wal.Flush()
-			e.walMu.RUnlock()
-			if err != nil {
+			e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
+			if err := e.log.Flush(); err != nil {
 				return err
 			}
 		}
 		e.walCommits.Add(1)
-	} else if e.wal != nil {
+	} else if e.log != nil {
 		e.walROCommits.Add(1)
 	}
 	e.Mgr.Commit(tx)
@@ -389,35 +371,9 @@ func (e *Engine) CommitDurable(tx *txn.Tx) error {
 
 // Abort aborts tx. A transaction that never logged needs no abort record.
 func (e *Engine) Abort(tx *txn.Tx) {
-	if e.wal != nil && tx.WALLogged() {
-		e.walMu.RLock()
-		e.wal.Append(&wal.Record{Op: wal.OpAbort, TxID: uint64(tx.ID)})
-		e.walMu.RUnlock()
+	if e.log != nil && tx.WALLogged() {
+		e.log.Append(&wal.Record{Op: wal.OpAbort, TxID: uint64(tx.ID)})
 	}
 	e.Mgr.Abort(tx)
 	e.maybeReclaim()
-}
-
-// readWholeFile concatenates a file's pages (the WAL image). Transient
-// read faults are retried a bounded number of times per page; a page that
-// stays unreadable truncates the image there (recovery semantics: the log
-// beyond an unreadable page is unreachable anyway, since replay stops at
-// the first gap).
-func readWholeFile(f *sfile.File) []byte {
-	n := f.NumPages()
-	out := make([]byte, 0, int(n)*storage.PageSize)
-	buf := make([]byte, storage.PageSize)
-	for i := uint64(0); i < n; i++ {
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if err = f.ReadPage(i, buf); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-		out = append(out, buf...)
-	}
-	return out
 }

@@ -183,23 +183,14 @@ func (e *Engine) maybeReclaim() {
 // above the soft watermark schedules a fresh pass.
 func (e *Engine) reclaimSpace() error {
 	e.reclaims.Add(1)
-	if e.wal != nil {
+	if e.log != nil {
 		if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
 			// Checkpoint failure is survivable (the old log stays
 			// authoritative) but worth surfacing to maintenance stats.
 			e.ckptErrs.Add(1)
 		}
 	}
-	e.tablesMu.Lock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	kvs := make([]*MVPBTKV, 0, len(e.kvs))
-	for _, kv := range e.kvs {
-		kvs = append(kvs, kv)
-	}
-	e.tablesMu.Unlock()
+	tables, kvs := e.stores()
 	var first error
 	for _, kv := range kvs {
 		kv.tree.SweepPN()

@@ -24,9 +24,6 @@ type GroupCommitConfig struct {
 	// committers enqueue their commit record and one leader flushes the
 	// combined log tail for the whole batch.
 	Enabled bool
-	// MaxBatch caps the number of commits acknowledged by one flush
-	// (default 64).
-	MaxBatch int
 	// MaxDelay bounds how long a leader waits for followers to join the
 	// batch before flushing. 0 (the default) flushes immediately; batching
 	// then still emerges naturally, because committers that arrive while a
@@ -35,12 +32,8 @@ type GroupCommitConfig struct {
 	MaxDelay time.Duration
 }
 
-func (c GroupCommitConfig) withDefaults() GroupCommitConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	return c
-}
+// maxCommitBatch caps the number of commits acknowledged by one flush.
+const maxCommitBatch = 64
 
 // commitWaiter is one committer's slot in the batch queue. Waiters are
 // pooled: the WaitGroup is reused across commits (Add(1) on enqueue, Done
@@ -52,7 +45,7 @@ type commitWaiter struct {
 }
 
 // groupCommitter implements WAL group commit (DESIGN.md §11): committers
-// append their commit record under walMu, enqueue themselves, and the
+// append their commit record, enqueue themselves, and the
 // first committer to arrive while no leader is active becomes the leader —
 // it optionally waits up to MaxDelay for the batch to fill, flushes the
 // log ONCE, and broadcasts the flush result to every waiter in the batch.
@@ -68,7 +61,6 @@ type commitWaiter struct {
 // device.
 type groupCommitter struct {
 	e        *Engine
-	maxBatch int
 	maxDelay time.Duration
 
 	mu     sync.Mutex
@@ -86,8 +78,7 @@ type groupCommitter struct {
 }
 
 func newGroupCommitter(e *Engine, cfg GroupCommitConfig) *groupCommitter {
-	cfg = cfg.withDefaults()
-	g := &groupCommitter{e: e, maxBatch: cfg.MaxBatch, maxDelay: cfg.MaxDelay}
+	g := &groupCommitter{e: e, maxDelay: cfg.MaxDelay}
 	g.idle.L = &g.mu
 	g.pool.New = func() any { return new(commitWaiter) }
 	return g
@@ -97,7 +88,6 @@ func newGroupCommitter(e *Engine, cfg GroupCommitConfig) *groupCommitter {
 // it (or reports the batch's shared flush failure). Returns ErrClosed —
 // without appending anything — once the engine is fenced by Close.
 func (g *groupCommitter) commit(tx *txn.Tx) error {
-	e := g.e
 	w := g.pool.Get().(*commitWaiter)
 	g.mu.Lock()
 	if g.closed {
@@ -110,9 +100,7 @@ func (g *groupCommitter) commit(tx *txn.Tx) error {
 	// Append the commit record before joining the queue (both under the
 	// batcher mutex): whichever flush serves the queue entry is then
 	// guaranteed to cover the record.
-	e.walMu.RLock()
-	e.wal.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
-	e.walMu.RUnlock()
+	g.e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
 	g.queue = append(g.queue, w)
 	lead := !g.leader
 	if lead {
@@ -143,22 +131,19 @@ func (g *groupCommitter) commit(tx *txn.Tx) error {
 // queue[0] — see commit/promotion), flush once, broadcast the result, and
 // either abdicate (empty queue) or promote the next leader.
 func (g *groupCommitter) runLeader(own *commitWaiter) {
-	e := g.e
 	g.waitWindow()
 
 	g.mu.Lock()
 	batch := g.queue
 	rest := g.free[:0]
-	if len(batch) > g.maxBatch {
-		rest = append(rest, batch[g.maxBatch:]...)
-		batch = batch[:g.maxBatch]
+	if len(batch) > maxCommitBatch {
+		rest = append(rest, batch[maxCommitBatch:]...)
+		batch = batch[:maxCommitBatch]
 	}
 	g.queue, g.free = rest, batch[:0:cap(batch)]
 	g.mu.Unlock()
 
-	e.walMu.RLock()
-	err := e.wal.Flush()
-	e.walMu.RUnlock()
+	err := g.e.log.Flush()
 
 	g.batches.Add(1)
 	g.commits.Add(int64(len(batch)))
@@ -199,7 +184,7 @@ func (g *groupCommitter) waitWindow() {
 		n := len(g.queue)
 		closed := g.closed
 		g.mu.Unlock()
-		if n >= g.maxBatch || closed || !time.Now().Before(deadline) {
+		if n >= maxCommitBatch || closed || !time.Now().Before(deadline) {
 			return
 		}
 		runtime.Gosched()
@@ -228,7 +213,7 @@ type GroupCommitStats struct {
 
 // WALStats aggregates commit-pipeline counters for inspection.
 type WALStats struct {
-	Flushes         int64 // successful log flushes that wrote the device
+	Flushes         int64 // successful log flushes that wrote the device (monotonic across checkpoints)
 	Commits         int64 // durable commits that appended a commit record
 	ReadOnlyCommits int64 // commits elided entirely (transaction never logged)
 	Group           GroupCommitStats
@@ -251,8 +236,8 @@ func (e *Engine) WALStatsSnapshot() WALStats {
 		Commits:         e.walCommits.Load(),
 		ReadOnlyCommits: e.walROCommits.Load(),
 	}
-	if e.wal != nil {
-		s.Flushes = e.wal.Flushes()
+	if e.log != nil {
+		s.Flushes = e.log.Stats().Flushes
 	}
 	if e.gc != nil {
 		s.Group = GroupCommitStats{
@@ -273,22 +258,18 @@ func (e *Engine) WALStatsSnapshot() WALStats {
 // which is what the fault campaign's torn-batch scenario needs; concurrent
 // committers get the same batching implicitly via Config.GroupCommit.
 func (e *Engine) CommitBatchDurable(txs []*txn.Tx) error {
-	if e.wal != nil {
+	if e.log != nil {
 		logged := 0
-		e.walMu.RLock()
 		for _, tx := range txs {
 			if tx.WALLogged() {
-				e.wal.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
+				e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
 				logged++
 			}
 		}
-		var err error
 		if logged > 0 {
-			err = e.wal.Flush()
-		}
-		e.walMu.RUnlock()
-		if err != nil {
-			return err
+			if err := e.log.Flush(); err != nil {
+				return err
+			}
 		}
 		e.walCommits.Add(int64(logged))
 		e.walROCommits.Add(int64(len(txs) - logged))

@@ -167,11 +167,10 @@ func (l *LSMKV) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error 
 
 // MVPBTKV is the MV-PBT-based KV engine. Safe for concurrent use.
 type MVPBTKV struct {
-	e       *Engine
-	tree    *mvpbt.Tree
-	name    string
-	durable bool
-	rid     atomic.Uint64
+	e    *Engine
+	tree *mvpbt.Tree
+	name string
+	rid  atomic.Uint64
 }
 
 // MVPBTKVOptions tunes the engine.
@@ -179,49 +178,29 @@ type MVPBTKVOptions struct {
 	BloomBits     int
 	DisableGC     bool
 	MaxPartitions int
-	// Durable logs every Put/Delete to the engine's WAL (requires
-	// Config.EnableWAL), so KV commits go through the engine's durable
-	// commit pipeline — per-commit flushes or group commit — exactly like
-	// table row operations, and RecoverAll can replay the store. Engine
-	// checkpoints stream the KV's visible pairs into the snapshot
-	// generation alongside table rows. Off by default, preserving the
-	// historical volatile behaviour of the YCSB comparison engines.
-	Durable bool
 }
 
 // NewMVPBTKV creates a clustered MV-PBT KV engine on the engine's storage.
-// With Durable set, name must be unique among the engine's durable KV
-// stores and tables (it keys WAL records and checkpoint snapshots).
+// On an engine with Config.EnableWAL the store is durable: every Put/Delete
+// is logged, so KV commits go through the engine's durable commit pipeline
+// — per-commit flushes or group commit — exactly like table row operations,
+// RecoverAll can replay the store, and checkpoints stream its visible pairs
+// into the snapshot generation alongside table rows. name must then be
+// unique among the engine's KV stores and tables (it keys WAL records and
+// checkpoint snapshots).
 func NewMVPBTKV(e *Engine, name string, opts MVPBTKVOptions) (*MVPBTKV, error) {
 	t := mvpbt.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), e.PBuf, e.Mgr, mvpbt.Options{
 		Name: name, Unique: true, BloomBits: opts.BloomBits,
 		DisableGC: opts.DisableGC, MaxPartitions: opts.MaxPartitions,
 	})
 	e.wireMaint(name, t)
-	kv := &MVPBTKV{e: e, tree: t, name: name, durable: opts.Durable}
-	if opts.Durable {
-		if e.wal == nil {
-			return nil, fmt.Errorf("db: durable KV %q requires Config.EnableWAL", name)
-		}
+	kv := &MVPBTKV{e: e, tree: t, name: name}
+	if e.log != nil {
 		if err := e.registerKV(kv); err != nil {
 			return nil, err
 		}
 	}
 	return kv, nil
-}
-
-// logKV appends a row-operation record for a durable KV store, emitting the
-// transaction's lazy begin record first (same protocol as Table.logOp).
-func (m *MVPBTKV) logKV(tx *txn.Tx, op wal.Op, key, val []byte) {
-	if !m.durable || m.e.wal == nil {
-		return
-	}
-	m.e.walMu.RLock()
-	if tx.FirstWALOp() {
-		m.e.wal.Append(&wal.Record{Op: wal.OpBegin, TxID: uint64(tx.ID)})
-	}
-	m.e.wal.Append(&wal.Record{Op: op, TxID: uint64(tx.ID), Table: m.name, Key: key, Row: val})
-	m.e.walMu.RUnlock()
 }
 
 // Tree exposes the underlying MV-PBT (statistics, partition counts).
@@ -273,7 +252,7 @@ func (m *MVPBTKV) PutTx(tx *txn.Tx, key, val []byte) error {
 	if err := m.tree.InsertRegularVal(tx, key, m.nextRef(), val); err != nil {
 		return m.e.noteWriteErr(err)
 	}
-	m.logKV(tx, wal.OpInsert, key, val)
+	m.e.logOp(tx, wal.OpInsert, m.name, key, val)
 	return nil
 }
 
@@ -315,7 +294,7 @@ func (m *MVPBTKV) DeleteTx(tx *txn.Tx, key []byte) error {
 	if err := m.tree.InsertTombstone(tx, key, storage.RecordID{}); err != nil {
 		return m.e.noteWriteErr(err)
 	}
-	m.logKV(tx, wal.OpDelete, key, nil)
+	m.e.logOp(tx, wal.OpDelete, m.name, key, nil)
 	return nil
 }
 

@@ -15,7 +15,7 @@ func newDurableKV(t *testing.T, group bool) (*Engine, *MVPBTKV) {
 		EnableWAL:            true,
 		GroupCommit:          GroupCommitConfig{Enabled: group},
 	})
-	kv, err := NewMVPBTKV(e, "kv", MVPBTKVOptions{Durable: true})
+	kv, err := NewMVPBTKV(e, "kv", MVPBTKVOptions{})
 	if err != nil {
 		e.Close()
 		t.Fatal(err)

@@ -14,21 +14,19 @@ import (
 // order through the normal table interfaces into a freshly built engine,
 // reconstructing heaps, indexes and indirection state.
 
-// logOp appends a row-operation record when logging is enabled. The
-// transaction's OpBegin record is emitted lazily here, immediately before
-// its first row record (under the same walMu hold, so no other record can
-// interleave between them): replay requires begin-before-first-op, and
-// read-only transactions never reach this point, leaving the log untouched.
-func (t *Table) logOp(tx *txn.Tx, op wal.Op, key, row []byte) {
-	if t.eng.wal == nil {
+// logOp appends a row-operation record for the table or durable KV store
+// called name when logging is enabled. The transaction's OpBegin record is
+// emitted lazily here, immediately before its first row record: replay
+// requires begin-before-first-op, and read-only transactions never reach
+// this point, leaving the log untouched.
+func (e *Engine) logOp(tx *txn.Tx, op wal.Op, name string, key, row []byte) {
+	if e.log == nil {
 		return
 	}
-	t.eng.walMu.RLock()
 	if tx.FirstWALOp() {
-		t.eng.wal.Append(&wal.Record{Op: wal.OpBegin, TxID: uint64(tx.ID)})
+		e.log.Append(&wal.Record{Op: wal.OpBegin, TxID: uint64(tx.ID)})
 	}
-	t.eng.wal.Append(&wal.Record{Op: op, TxID: uint64(tx.ID), Table: t.name, Key: key, Row: row})
-	t.eng.walMu.RUnlock()
+	e.log.Append(&wal.Record{Op: op, TxID: uint64(tx.ID), Table: name, Key: key, Row: row})
 }
 
 // pkKey extracts the row's primary-key (the first index's key).
@@ -54,7 +52,7 @@ func (e *Engine) Recover(logImage []byte, tables map[string]*Table) (applied int
 // instead of a table. The shard router's per-shard engines recover their
 // KV keyspace through this entry point.
 func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[string]*MVPBTKV) (applied int, err error) {
-	if e.wal == nil {
+	if e.log == nil {
 		return 0, fmt.Errorf("db: Recover on an engine without EnableWAL")
 	}
 	// Pass 1: find committed transactions, and prepared transactions whose
@@ -269,21 +267,11 @@ func (t *Table) replay(tx *txn.Tx, rec wal.Record) error {
 }
 
 // LogImage returns the bytes of the engine's write-ahead log as persisted
-// on the device (what survives a crash). The authoritative generation is
-// resolved through the checkpoint superblock, exactly as recovery after a
-// real restart would: a crash mid-checkpoint yields whichever complete
-// generation the superblock points at.
+// on the device (what survives a crash; see wal.Log.Image), nil without
+// EnableWAL.
 func (e *Engine) LogImage() []byte {
-	e.walMu.RLock()
-	defer e.walMu.RUnlock()
-	return e.logImageLocked()
-}
-
-// logImageLocked is LogImage without the lock — for the checkpoint crash
-// hooks, which run with walMu already held.
-func (e *Engine) logImageLocked() []byte {
-	if e.walFile == nil {
+	if e.log == nil {
 		return nil
 	}
-	return readWholeFile(e.currentLogFile())
+	return e.log.Image()
 }

@@ -211,7 +211,7 @@ func (t *Table) Insert(tx *txn.Tx, row []byte) (uint64, storage.RecordID, error)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.logOp(tx, wal.OpInsert, t.pkKey(row), row)
+	t.eng.logOp(tx, wal.OpInsert, t.name, t.pkKey(row), row)
 	v := t.vids.Alloc()
 	rid, err := t.h.Insert(tx, v, row)
 	if err != nil {
@@ -266,7 +266,7 @@ func (t *Table) Update(tx *txn.Tx, old RowRef, newRow []byte) (storage.RecordID,
 	if err != nil {
 		return storage.RecordID{}, t.eng.noteWriteErr(err)
 	}
-	t.logOp(tx, wal.OpUpdate, t.pkKey(old.Row), newRow)
+	t.eng.logOp(tx, wal.OpUpdate, t.name, t.pkKey(old.Row), newRow)
 	newRID := res.NewRID
 	if t.heapKind == HeapHOT && newRID.Valid() {
 		// Track the newest version for convenience reads by VID.
@@ -314,7 +314,7 @@ func (t *Table) Delete(tx *txn.Tx, old RowRef) error {
 	if _, err := t.h.Delete(tx, old.RID, old.VID); err != nil {
 		return t.eng.noteWriteErr(err)
 	}
-	t.logOp(tx, wal.OpDelete, t.pkKey(old.Row), nil)
+	t.eng.logOp(tx, wal.OpDelete, t.name, t.pkKey(old.Row), nil)
 	for _, ix := range t.indexes {
 		if ix.mv != nil {
 			if err := ix.mv.InsertTombstone(tx, ix.Def.Extract(old.Row), old.RID); err != nil {

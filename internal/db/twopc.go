@@ -53,21 +53,18 @@ type TwoPCStats struct {
 // the transaction is NOT prepared (the caller aborts it; durability of the
 // prepare is in doubt exactly like CommitDurable's contract, and recovery
 // treats a flushed prepare without a decision as in-doubt, never as
-// committed). Requires EnableWAL and a transaction that logged at least one
-// row operation.
+// committed). With a log the transaction must have logged at least one row
+// operation; an engine without a log has nothing to make durable and only
+// parks the handle, exactly as CommitDurable skips its commit record there.
 func (e *Engine) PrepareDurable(tx *txn.Tx, gid uint64) error {
-	if e.wal == nil {
-		return fmt.Errorf("db: PrepareDurable on an engine without EnableWAL")
-	}
-	if !tx.WALLogged() {
-		return fmt.Errorf("db: PrepareDurable on a transaction with no logged writes")
-	}
-	e.walMu.RLock()
-	e.wal.Append(&wal.Record{Op: wal.OpPrepare, TxID: uint64(tx.ID), Key: wal.GroupKey(gid)})
-	err := e.wal.Flush()
-	e.walMu.RUnlock()
-	if err != nil {
-		return err
+	if e.log != nil {
+		if !tx.WALLogged() {
+			return fmt.Errorf("db: PrepareDurable on a transaction with no logged writes")
+		}
+		e.log.Append(&wal.Record{Op: wal.OpPrepare, TxID: uint64(tx.ID), Key: wal.GroupKey(gid)})
+		if err := e.log.Flush(); err != nil {
+			return err
+		}
 	}
 	e.inDoubtMu.Lock()
 	e.inDoubt[tx.ID] = &preparedTx{tx: tx, gid: gid, at: time.Now()}
@@ -116,26 +113,31 @@ func (e *Engine) ResolvePrepared(txid txn.TxID, commit bool) error {
 }
 
 func (e *Engine) resolvePrepared(p *preparedTx, commit bool) error {
+	// The id is captured first: finishing the handle returns it to the pool,
+	// and a concurrent Begin that reuses it rewrites p.tx.ID.
+	id := p.tx.ID
+	op := wal.OpDecideAbort
 	if commit {
-		e.walMu.RLock()
-		e.wal.Append(&wal.Record{Op: wal.OpDecideCommit, TxID: uint64(p.tx.ID), Key: wal.GroupKey(p.gid)})
-		err := e.wal.Flush()
-		e.walMu.RUnlock()
-		if err != nil {
-			return err
+		op = wal.OpDecideCommit
+	}
+	if e.log != nil {
+		e.log.Append(&wal.Record{Op: op, TxID: uint64(id), Key: wal.GroupKey(p.gid)})
+		if commit {
+			if err := e.log.Flush(); err != nil {
+				return err
+			}
+			e.walCommits.Add(1)
 		}
-		e.walCommits.Add(1)
+	}
+	if commit {
 		e.Mgr.Commit(p.tx)
 		e.resolveCommits.Add(1)
 	} else {
-		e.walMu.RLock()
-		e.wal.Append(&wal.Record{Op: wal.OpDecideAbort, TxID: uint64(p.tx.ID), Key: wal.GroupKey(p.gid)})
-		e.walMu.RUnlock()
 		e.Mgr.Abort(p.tx)
 		e.resolveAborts.Add(1)
 	}
 	e.inDoubtMu.Lock()
-	delete(e.inDoubt, p.tx.ID)
+	delete(e.inDoubt, id)
 	e.inDoubtMu.Unlock()
 	e.maybeAutoCheckpoint()
 	e.maybeReclaim()

@@ -2,6 +2,8 @@ package db
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -141,5 +143,53 @@ func TestRecoverInDoubtTwice(t *testing.T) {
 	}
 	if got := snapshotState(t, e3, tbl3, ix3); len(got) != 1 || got["leg"] != "v" {
 		t.Fatalf("state after double recovery + commit: %v", got)
+	}
+}
+
+// TestResolveRacesBegin resolves commit groups while other goroutines begin
+// transactions. Finishing a prepared transaction returns its pooled handle,
+// so a concurrent Begin may rewrite the handle's id at once: the registry
+// entry must be removed under the id the transaction was PREPARED with, or
+// it is left behind (a phantom in InDoubtList) or another prepared
+// transaction's entry is deleted in its place — unreachable by
+// ResolveGroup, InProgress forever, and Checkpoint busy forever. Run under
+// -race: the stale read is a data race as well.
+func TestResolveRacesBegin(t *testing.T) {
+	e, tbl, _ := walTable(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					e.Commit(e.Begin())
+				}
+			}
+		}()
+	}
+	const groups = 300
+	for gid := uint64(1); gid <= groups; gid++ {
+		// Two legs in flight at a time, so that a recycled id can hit a live
+		// neighbour's entry and not only miss its own.
+		prepareOne(t, e, tbl, fmt.Sprintf("a%04d", gid), "v", gid)
+		prepareOne(t, e, tbl, fmt.Sprintf("b%04d", gid), "v", groups+gid)
+		for _, g := range []uint64{gid, groups + gid} {
+			if n, err := e.ResolveGroup(g, g%2 == 0); err != nil || n != 1 {
+				t.Fatalf("ResolveGroup(%d): n=%d err=%v", g, n, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := e.TwoPCInfo(); st.InDoubt != 0 || st.ResolvedCommits+st.ResolvedAborts != 2*groups {
+		t.Fatalf("after resolving every group: %+v, in-doubt list %v", st, e.InDoubtList())
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint on a quiescent engine: %v", err)
 	}
 }

@@ -25,7 +25,10 @@ type Owner interface {
 // a non-empty PN to evict (no owners registered, all PNs empty, or
 // evictions made no progress). Previously this condition was silently
 // swallowed; now it is surfaced via both the error and the NoVictims
-// counter so an undersized buffer or a broken owner is observable.
+// counter so an undersized buffer or a broken owner is observable. An
+// evictor that shrank every PN it was handed and was merely refilled by a
+// faster writer is NOT this condition: that is backpressure, and the next
+// insert over the watermark re-arms eviction.
 var ErrNoVictim = errors.New("partition buffer over limit but no evictable partition")
 
 // PartitionBuffer is the shared MV-PBT buffer of §4.5: all partitioned
@@ -299,10 +302,12 @@ func (b *PartitionBuffer) evictDownTo(target int) error {
 	b.evictMu.Lock()
 	defer b.evictMu.Unlock()
 	// Bound the loop: an owner whose EvictPN makes no progress (PNBytes
-	// unchanged) must not spin us forever.
+	// unchanged) must not spin us forever, and neither must a writer that
+	// refills PN as fast as we drain it.
 	b.mu.RLock()
 	attempts := 2*len(b.owners) + 4
 	b.mu.RUnlock()
+	progressed := false
 	for ; attempts > 0; attempts-- {
 		b.mu.RLock()
 		used := 0
@@ -329,8 +334,14 @@ func (b *PartitionBuffer) evictDownTo(target int) error {
 		}
 		b.evictions.Add(1)
 		b.wakeStalled()
+		progressed = progressed || victim.PNBytes() < max
 	}
-	// No owner made enough progress to reach the target.
+	if progressed {
+		// Evictions drained their PNs and usage is still over target: the
+		// writers outran us. Their next insert re-triggers eviction (inline,
+		// or through the notifier and, past the high watermark, a stall).
+		return nil
+	}
 	b.noVictims.Add(1)
 	return ErrNoVictim
 }

@@ -51,6 +51,39 @@ func TestPartitionBufferNoVictim(t *testing.T) {
 	}
 }
 
+// refillOwner is an owner whose writer outruns the evictor: every EvictPN
+// persists the whole PN, and by the time the evictor looks again the writer
+// has refilled it to just under its old size.
+type refillOwner struct{ size, evicted int }
+
+func (o *refillOwner) Name() string { return "refill" }
+func (o *refillOwner) PNBytes() int { return o.size }
+func (o *refillOwner) EvictPN() error {
+	o.evicted++
+	o.size-- // shrank to 0, then refilled to one byte short
+	return nil
+}
+
+// TestPartitionBufferOutrunIsBackpressure: an evictor that made progress on
+// every attempt but never reached its target was outrun by the writer. That
+// is backpressure — nil, NoVictims untouched — not ErrNoVictim, which
+// maint.Service would keep as its sticky error and Engine.Close would
+// report after all the work succeeded (the TestMaintShape flake).
+func TestPartitionBufferOutrunIsBackpressure(t *testing.T) {
+	b := NewPartitionBuffer(100)
+	o := &refillOwner{size: 500}
+	b.Register(o)
+	if err := b.EvictToLow(); err != nil {
+		t.Fatalf("EvictToLow outrun by the writer = %v, want nil", err)
+	}
+	if o.evicted == 0 || b.Evictions() != int64(o.evicted) {
+		t.Fatalf("evicted %d times, counter %d", o.evicted, b.Evictions())
+	}
+	if b.NoVictims() != 0 {
+		t.Fatalf("NoVictims = %d, want 0 (progress was made)", b.NoVictims())
+	}
+}
+
 func TestPartitionBufferNoVictimCounterAccounting(t *testing.T) {
 	// Pin the counter semantics of the ErrNoVictim path: every failing
 	// MaybeEvict adds exactly one to NoVictims, the no-progress eviction

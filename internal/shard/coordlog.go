@@ -1,16 +1,13 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
-	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
-	"mvpbt/internal/storage"
 	"mvpbt/internal/wal"
 )
 
@@ -28,100 +25,44 @@ import (
 //   - once every leg has durably applied its decision the group is
 //     forgotten (OpForget), letting checkpointing drop it.
 //
-// Like the engines' walmeta, the log is checkpointed through a dual-slot
-// page-checksummed superblock: a checkpoint rewrites the live (unforgotten)
-// decisions as a fresh generation, commits the switch with one superblock
-// page write, and frees the old generation. The superblock also carries the
-// coordinator INCARNATION: recovery bumps it durably before handing out a
+// The log is a wal.Log, like the engines' WAL (DESIGN.md §10): a checkpoint
+// rotates it onto a fresh generation holding only the live (unforgotten)
+// decisions. The superblock's aux word carries the coordinator INCARNATION:
+// recovery bumps it durably, with that same rotation, before handing out a
 // single new group id, so ids from a pre-crash inflight group (which left
 // no trace) can never be reused and mis-resolve a stale in-doubt leg.
 type coordLog struct {
-	mu   sync.Mutex
-	fm   *sfile.Manager
-	file *sfile.File // current generation
-	meta *sfile.File // dual-slot superblock
-	w    *wal.Writer
-	seq  uint64 // checkpoint sequence (superblock slot = seq%2)
-	base int64  // w.Written() at the current generation's start
+	mu  sync.Mutex
+	log *wal.Log // aux = incarnation
 
-	incarnation uint64 // durably bumped on every recovery
 	nextCounter uint64 // low 32 bits of the next group id
 
 	inflight  map[uint64]bool // allocated, undecided (in-memory only)
 	decisions map[uint64]bool // durable commit decisions, unforgotten
 	pending   map[uint64]int  // gid → legs still to acknowledge
 
-	decides, forgets, ckpts, recovers int64
+	decides, forgets, recovers int64
 }
-
-// coordSuper layout inside a page's client area:
-// magic(8) | seq(8) | fileID(8) | incarnation(8).
-const coordMagic = 0x4d56_5042_5432_5043 // "MVPBT2PC"
 
 // coordCkptBytes triggers a coordinator-log checkpoint once the current
 // generation outgrows it.
 const coordCkptBytes = 32 << 10
 
-func encodeCoordSuper(buf []byte, seq uint64, id storage.FileID, incarnation uint64) {
-	p := page.Wrap(buf)
-	p.Init()
-	c := p.Client()
-	binary.LittleEndian.PutUint64(c[0:8], coordMagic)
-	binary.LittleEndian.PutUint64(c[8:16], seq)
-	binary.LittleEndian.PutUint64(c[16:24], uint64(id))
-	binary.LittleEndian.PutUint64(c[24:32], incarnation)
-	page.StampChecksum(buf)
-}
-
-func decodeCoordSuper(buf []byte) (seq uint64, id storage.FileID, incarnation uint64, ok bool) {
-	if !page.VerifyChecksum(buf) {
-		return 0, 0, 0, false
-	}
-	c := page.Wrap(buf).Client()
-	if binary.LittleEndian.Uint64(c[0:8]) != coordMagic {
-		return 0, 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(c[8:16]), storage.FileID(binary.LittleEndian.Uint64(c[16:24])),
-		binary.LittleEndian.Uint64(c[24:32]), true
-}
-
-// newCoordLog builds a coordinator log on a fresh private device and
-// durably stamps incarnation 1 before any group id exists.
+// newCoordLog builds a coordinator log on a fresh private device — no shard
+// engine's faults, capacity or WAL setting reach it — and durably stamps
+// incarnation 1 before any group id exists.
 func newCoordLog() (*coordLog, error) {
-	clk := simclock.New()
-	dev := ssd.NewWithSpec(clk, ssd.DeviceSpec{Profile: ssd.IntelP3600})
+	dev := ssd.NewWithSpec(simclock.New(), ssd.DeviceSpec{})
 	c := &coordLog{
-		fm:          sfile.NewManager(dev),
-		seq:         1,
-		incarnation: 1,
-		inflight:    map[uint64]bool{},
-		decisions:   map[uint64]bool{},
-		pending:     map[uint64]int{},
+		log:       wal.NewLog(sfile.NewManager(dev), "coord"),
+		inflight:  map[uint64]bool{},
+		decisions: map[uint64]bool{},
+		pending:   map[uint64]int{},
 	}
-	c.file = c.fm.Create("coord", sfile.ClassMeta)
-	c.meta = c.fm.Create("coordmeta", sfile.ClassMeta)
-	c.w = wal.NewWriter(c.file)
-	if _, err := c.meta.AllocRun(2); err != nil {
-		return nil, fmt.Errorf("shard: coordinator log superblock alloc: %w", err)
-	}
-	if err := c.writeSuperLocked(); err != nil {
-		return nil, err
+	if err := c.log.Rotate(1, c.fillLive); err != nil {
+		return nil, fmt.Errorf("shard: coordinator log: %w", err)
 	}
 	return c, nil
-}
-
-// writeSuperLocked stamps the current (seq, generation, incarnation) into
-// slot seq%2 with bounded retries.
-func (c *coordLog) writeSuperLocked() error {
-	buf := make([]byte, storage.PageSize)
-	encodeCoordSuper(buf, c.seq, c.file.ID(), c.incarnation)
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = c.meta.WritePage(c.seq%2, buf); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("shard: coordinator log superblock write: %w", err)
 }
 
 // beginGroup allocates a commit-group id. Nothing is durable yet — a crash
@@ -130,7 +71,7 @@ func (c *coordLog) beginGroup() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextCounter++
-	gid := c.incarnation<<32 | c.nextCounter
+	gid := c.log.Stats().Aux<<32 | c.nextCounter
 	c.inflight[gid] = true
 	return gid
 }
@@ -142,8 +83,8 @@ func (c *coordLog) beginGroup() uint64 {
 func (c *coordLog) decideCommit(gid uint64, legs int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Append(&wal.Record{Op: wal.OpDecideCommit, TxID: gid})
-	if err := c.w.Flush(); err != nil {
+	c.log.Append(&wal.Record{Op: wal.OpDecideCommit, TxID: gid})
+	if err := c.log.Flush(); err != nil {
 		delete(c.inflight, gid)
 		return fmt.Errorf("shard: coordinator decision flush: %w", err)
 	}
@@ -182,12 +123,14 @@ func (c *coordLog) ack(gid uint64) {
 	delete(c.pending, gid)
 	delete(c.decisions, gid)
 	c.forgets++
-	c.w.Append(&wal.Record{Op: wal.OpForget, TxID: gid})
+	c.log.Append(&wal.Record{Op: wal.OpForget, TxID: gid})
 	// The forget record need not be durable: losing it only resurrects an
 	// idempotent decision. It reaches the device with the next decision
-	// flush, an image capture, or the checkpoint below.
-	if c.w.Written()-c.base > coordCkptBytes {
-		c.checkpointLocked()
+	// flush or an image capture, or is dropped by the checkpoint below. A
+	// failed checkpoint leaves the old generation authoritative and the next
+	// forget tries again.
+	if c.log.Grown() > coordCkptBytes {
+		c.log.Rotate(c.log.Stats().Aux, c.fillLive) //nolint:errcheck // see above
 	}
 }
 
@@ -201,114 +144,38 @@ func (c *coordLog) decisionOf(gid uint64) (committed, inflight bool) {
 	return c.decisions[gid], c.inflight[gid]
 }
 
-// checkpointLocked rewrites the live decisions as a new generation and
-// swaps the superblock to it (same recipe as the engines' WAL checkpoint:
-// new generation durable first, then the superblock slot, then free the
-// old pages). Failures before the superblock write abandon the new
-// generation; the old log stays authoritative.
-func (c *coordLog) checkpointLocked() {
-	seq := c.seq + 1
-	newFile := c.fm.Create(fmt.Sprintf("coord.%d", seq), sfile.ClassMeta)
-	newW := wal.NewWriter(newFile)
-	abandon := func() {
-		if n := newFile.NumPages(); n > 0 {
-			newFile.FreeRun(0, int(n))
-		}
-	}
+// fillLive opens a new generation with the live decisions, in gid order.
+// Called with c.mu held.
+func (c *coordLog) fillLive(w *wal.Writer, _ uint64) error {
 	gids := make([]uint64, 0, len(c.decisions))
 	for gid := range c.decisions {
 		gids = append(gids, gid)
 	}
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	for _, gid := range gids {
-		newW.Append(&wal.Record{Op: wal.OpDecideCommit, TxID: gid})
+		w.Append(&wal.Record{Op: wal.OpDecideCommit, TxID: gid})
 	}
-	if len(gids) > 0 {
-		if err := newW.Flush(); err != nil {
-			abandon()
-			return
-		}
-	}
-	oldFile, oldSeq := c.file, c.seq
-	c.file, c.seq = newFile, seq
-	if err := c.writeSuperLocked(); err != nil {
-		c.file, c.seq = oldFile, oldSeq
-		abandon()
-		return
-	}
-	if n := oldFile.NumPages(); n > 0 {
-		oldFile.FreeRun(0, int(n))
-	}
-	c.w = newW
-	c.base = newW.Written()
-	c.ckpts++
+	return nil
 }
 
-// image returns the durable bytes of the authoritative generation — what a
-// coordinator crash would leave behind. Unflushed forget records are
-// flushed first so the image is the freshest durable state (a real crash
-// could also lose them; recover tolerates either).
-func (c *coordLog) image() []byte {
+// crashRecover simulates a coordinator crash and restart: the protocol
+// state is rebuilt from the log's durable image alone. Unflushed forget
+// records are flushed first so the image is the freshest durable state (a
+// real crash could also lose them; decisions are idempotent, so recovery
+// tolerates either). Inflight groups vanish — presumed abort — and the
+// incarnation is durably bumped, by rotating onto the live decisions, BEFORE
+// any new group id is handed out, so pre-crash inflight ids can never be
+// reused. If the bump does not reach the device, the id counter carries on
+// inside the old incarnation instead of restarting, which keeps that
+// guarantee.
+func (c *coordLog) crashRecover() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Flush()
-	f := c.currentFileLocked()
-	n := f.NumPages()
-	out := make([]byte, 0, int(n)*storage.PageSize)
-	buf := make([]byte, storage.PageSize)
-	for i := uint64(0); i < n; i++ {
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if err = f.ReadPage(i, buf); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-		out = append(out, buf...)
-	}
-	return out
-}
-
-// currentFileLocked resolves the authoritative generation from the
-// superblock (best valid slot wins; the original file is the fallback).
-func (c *coordLog) currentFileLocked() *sfile.File {
-	best := c.file
-	var bestSeq uint64
-	buf := make([]byte, storage.PageSize)
-	for slot := uint64(0); slot < 2; slot++ {
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if err = c.meta.ReadPage(slot, buf); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			continue
-		}
-		seq, id, _, ok := decodeCoordSuper(buf)
-		if !ok || seq < bestSeq {
-			continue
-		}
-		if f := c.fm.Lookup(id); f != nil {
-			best, bestSeq = f, seq
-		}
-	}
-	return best
-}
-
-// recover rebuilds the coordinator from a durable image (the simulated
-// coordinator crash): inflight groups vanish — presumed abort — and the
-// incarnation is durably bumped via an immediate checkpoint BEFORE any new
-// group id is handed out, so pre-crash inflight ids can never be reused.
-func (c *coordLog) recover(img []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Flush() //nolint:errcheck // see above
 	c.inflight = map[uint64]bool{}
 	c.pending = map[uint64]int{}
 	c.decisions = map[uint64]bool{}
-	r := wal.NewReaderFromBytes(img)
+	r := wal.NewReaderFromBytes(c.log.Image())
 	for {
 		rec, ok := r.Next()
 		if !ok {
@@ -321,10 +188,10 @@ func (c *coordLog) recover(img []byte) {
 			delete(c.decisions, rec.TxID)
 		}
 	}
-	c.incarnation++
-	c.nextCounter = 0
 	c.recovers++
-	c.checkpointLocked()
+	if c.log.Rotate(c.log.Stats().Aux+1, c.fillLive) == nil {
+		c.nextCounter = 0
+	}
 }
 
 // CoordStats is the coordinator log's externally visible state.
@@ -344,14 +211,15 @@ type CoordStats struct {
 func (c *coordLog) stats() CoordStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st := c.log.Stats()
 	return CoordStats{
 		LiveDecisions: len(c.decisions),
 		Inflight:      len(c.inflight),
-		LogBytes:      int64(c.file.NumPages())*storage.PageSize + int64(c.meta.NumPages())*storage.PageSize,
+		LogBytes:      st.DeviceBytes,
 		Decides:       c.decides,
 		Forgets:       c.forgets,
-		Checkpoints:   c.ckpts,
+		Checkpoints:   int64(st.Seq) - 1, // the first rotation stamped incarnation 1
 		Recoveries:    c.recovers,
-		Incarnation:   c.incarnation,
+		Incarnation:   st.Aux,
 	}
 }

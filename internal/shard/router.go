@@ -49,13 +49,8 @@ type Config struct {
 	// Engine templates every shard's db.Config. Each shard gets an
 	// identical, fully independent copy.
 	Engine db.Config
-	// DirPrefix names the per-shard namespaces: shard i lives under
-	// "<DirPrefix><i>" (default "shard-"). On the simulated device this
-	// is the per-shard subdirectory of a real deployment: every file the
-	// shard creates — WAL, heap, index, superblock — is namespaced by it.
-	DirPrefix string
-	// KVOptions tunes each shard's MV-PBT store. Durable is forced on
-	// when the engine template enables the WAL.
+	// KVOptions tunes each shard's MV-PBT store (durable exactly when the
+	// engine template enables the WAL).
 	KVOptions db.MVPBTKVOptions
 	// Supervise enables the per-shard health state machine and automatic
 	// restart-through-recovery of failed shards (supervisor.go). Off by
@@ -92,24 +87,13 @@ type TwoPCHooks struct {
 	BeforeForget func(gid uint64) error
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.DirPrefix == "" {
-		c.DirPrefix = "shard-"
-	}
-	if c.Engine.EnableWAL {
-		c.KVOptions.Durable = true
-	}
-	return c
-}
-
 // Shard is one partition: an engine plus its clustered MV-PBT KV store.
 type Shard struct {
 	// No is the shard's index in the router (also its hash bucket).
 	No int
-	// Dir is the shard's namespace ("<DirPrefix><No>").
+	// Dir is the shard's namespace, "shard-<No>": on the simulated device
+	// the per-shard subdirectory of a real deployment. The shard's KV store
+	// — and with it its WAL records and checkpoint rows — is keyed "<Dir>/kv".
 	Dir string
 	// Engine is the shard's private engine.
 	Engine *db.Engine
@@ -140,7 +124,7 @@ type Router struct {
 	shards []*Shard
 	health []*shardHealth // per-shard supervision state, indexed by shard
 	sup    *supervisor    // nil unless Config.Supervise
-	coord  *coordLog      // 2PC coordinator log; nil unless Engine.EnableWAL
+	coord  *coordLog      // 2PC coordinator log, on its own private device
 
 	// epoch is the snapshot barrier. Multi-shard COMMIT groups hold it
 	// shared for the duration of their per-shard commits; snapshot
@@ -159,11 +143,18 @@ type Router struct {
 
 // New builds a router with cfg.Shards independent engines.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg}
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
+	}
+	coord, err := newCoordLog()
+	if err != nil {
+		return nil, err
+	}
+	r := &Router{cfg: cfg, coord: coord}
 	for i := 0; i < cfg.Shards; i++ {
 		eng := db.NewEngine(cfg.Engine)
-		kv, err := db.NewMVPBTKV(eng, fmt.Sprintf("%s%d/kv", cfg.DirPrefix, i), cfg.KVOptions)
+		dir := fmt.Sprintf("shard-%d", i)
+		kv, err := db.NewMVPBTKV(eng, dir+"/kv", cfg.KVOptions)
 		if err != nil {
 			eng.Close()
 			r.Close()
@@ -171,19 +162,11 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.shards = append(r.shards, &Shard{
 			No:     i,
-			Dir:    fmt.Sprintf("%s%d", cfg.DirPrefix, i),
+			Dir:    dir,
 			Engine: eng,
 			KV:     kv,
 		})
 		r.health = append(r.health, &shardHealth{})
-	}
-	if cfg.Engine.EnableWAL {
-		coord, err := newCoordLog()
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
-		r.coord = coord
 	}
 	if cfg.Supervise {
 		r.sup = newSupervisor(r, cfg.Supervisor)
@@ -397,9 +380,6 @@ type ShardStats struct {
 // the drain fence refuses them before they can touch a closing engine.
 var ErrRouterClosed = errors.New("shard: router closed")
 
-// ErrClosed is the historical name of ErrRouterClosed.
-var ErrClosed = ErrRouterClosed
-
 // ErrTxInDoubt reports a multi-shard commit whose COMMIT decision is
 // durable in the coordinator log but whose legs could not all be resolved
 // synchronously (a participant failed mid-protocol). The transaction WILL
@@ -414,12 +394,7 @@ var ErrTxInDoubt = errors.New("shard: transaction in doubt (commit decision dura
 // and the coordinator log is rebuilt from its durable image, bumping the
 // incarnation. Undecided groups vanish — presumed abort. Test/campaign
 // use only.
-func (r *Router) CrashCoordinator() {
-	if r.coord == nil {
-		return
-	}
-	r.coord.recover(r.coord.image())
-}
+func (r *Router) CrashCoordinator() { r.coord.crashRecover() }
 
 // RouterTwoPCStats aggregates the commit-protocol state across the
 // coordinator log and every reachable shard.
@@ -437,10 +412,7 @@ type RouterTwoPCStats struct {
 // TwoPCInfo snapshots the router's commit-protocol health (mvpbt-inspect
 // and the 2pc campaign's quiescence check).
 func (r *Router) TwoPCInfo() RouterTwoPCStats {
-	var out RouterTwoPCStats
-	if r.coord != nil {
-		out.Coordinator = r.coord.stats()
-	}
+	out := RouterTwoPCStats{Coordinator: r.coord.stats()}
 	if err := r.enter(); err != nil {
 		return out
 	}

@@ -287,8 +287,8 @@ func TestRouterCloseIdempotent(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Begin(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Begin on closed router: %v, want ErrClosed", err)
+	if _, err := r.Begin(); !errors.Is(err, ErrRouterClosed) {
+		t.Fatalf("Begin on closed router: %v, want ErrRouterClosed", err)
 	}
 }
 

@@ -314,13 +314,10 @@ func (s *supervisor) restartShard(i int) error {
 	sh := r.shards[i]
 	h.gate.Lock()
 	defer h.gate.Unlock()
-	var img []byte
-	if r.cfg.Engine.EnableWAL {
-		img = sh.Engine.LogImage()
-	}
+	img := sh.Engine.LogImage() // nil without a WAL: the shard restarts empty
 	sh.Engine.Crash()
 	eng := db.NewEngine(r.cfg.Engine)
-	kvName := fmt.Sprintf("%s%d/kv", r.cfg.DirPrefix, i)
+	kvName := sh.Dir + "/kv"
 	kv, err := db.NewMVPBTKV(eng, kvName, r.cfg.KVOptions)
 	if err != nil {
 		eng.Close()
@@ -339,19 +336,17 @@ func (s *supervisor) restartShard(i int) error {
 		// resolve it), and a group the log does not vouch for is PRESUMED
 		// ABORT — the decision record is the commit point, its absence is
 		// the abort record.
-		if r.coord != nil {
-			for _, d := range eng.InDoubtList() {
-				committed, inflight := r.coord.decisionOf(d.GID)
-				if inflight {
-					continue
-				}
-				if err := eng.ResolvePrepared(d.TxID, committed); err != nil {
-					eng.Close()
-					return fmt.Errorf("shard %d: resolving in-doubt tx %d: %w", i, d.TxID, err)
-				}
-				if committed {
-					r.coord.ack(d.GID)
-				}
+		for _, d := range eng.InDoubtList() {
+			committed, inflight := r.coord.decisionOf(d.GID)
+			if inflight {
+				continue
+			}
+			if err := eng.ResolvePrepared(d.TxID, committed); err != nil {
+				eng.Close()
+				return fmt.Errorf("shard %d: resolving in-doubt tx %d: %w", i, d.TxID, err)
+			}
+			if committed {
+				r.coord.ack(d.GID)
 			}
 		}
 	}

@@ -252,7 +252,7 @@ func TestRouterCloseRacesTwoPC(t *testing.T) {
 		for i := 0; i < r.NumShards(); i++ {
 			img := r.Shard(i).Engine.LogImage()
 			eng := db.NewEngine(r.cfg.Engine)
-			kvName := fmt.Sprintf("%s%d/kv", r.cfg.DirPrefix, i)
+			kvName := r.Shard(i).Dir + "/kv"
 			kv, err := db.NewMVPBTKV(eng, kvName, r.cfg.KVOptions)
 			if err != nil {
 				t.Fatal(err)
@@ -284,6 +284,66 @@ func TestRouterCloseRacesTwoPC(t *testing.T) {
 			if a.acked.Load() && !okA {
 				t.Fatalf("acknowledged commit %q/%q lost", a.kA, a.kB)
 			}
+		}
+	}
+}
+
+// TestWALLessGroupIsAllOrNothing: a router without a WAL has the same single
+// multi-shard commit path as a durable one. The second leg of a two-shard
+// group is invalidated between Put and Commit (its shard restarts — empty,
+// there is no log to recover from); the commit must fail as a whole. The
+// pre-2PC per-leg path committed leg 1 before it found leg 2 dead.
+func TestWALLessGroupIsAllOrNothing(t *testing.T) {
+	r, err := New(Config{
+		Shards:    2,
+		Engine:    db.Config{BufferPages: 256, PartitionBufferBytes: 64 << 10},
+		Supervise: true,
+		Supervisor: SupervisorConfig{
+			RestartBackoff: time.Millisecond,
+			MaxBackoff:     10 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	kA, kB := keyOnShard(t, r, 0, "aon-a"), keyOnShard(t, r, 1, "aon-b")
+
+	tx, err := r.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(kA, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(kB, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.FailShard(1, errors.New("test: shard 1 dies under the open transaction")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "shard 1 restarted", func() bool {
+		h := r.Health(1)
+		return h.State == Healthy && h.Restarts == 1
+	})
+	if err := tx.Commit(); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("commit with a superseded leg: %v, want ErrShardUnavailable", err)
+	}
+	for _, k := range [][]byte{kA, kB} {
+		if v, ok, err := r.Get(k); err != nil || ok {
+			t.Fatalf("aborted group left %q = %q (found=%v err=%v)", k, v, ok, err)
+		}
+	}
+	if st := r.TwoPCInfo(); st.InDoubt != 0 || st.ResolvedAborts != 1 || st.Coordinator.Decides != 0 {
+		t.Fatalf("after the aborted group: %+v", st)
+	}
+	// The same router still commits groups, atomically and without a log.
+	if err := crossShardCommit(t, r, kA, kB, []byte("v2")); err != nil {
+		t.Fatalf("WAL-less cross-shard commit: %v", err)
+	}
+	for _, k := range [][]byte{kA, kB} {
+		if v, ok, err := r.Get(k); err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
+			t.Fatalf("committed group lost %q: %q %v %v", k, v, ok, err)
 		}
 	}
 }

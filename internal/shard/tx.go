@@ -284,44 +284,28 @@ func (t *Tx) Commit() error {
 	if len(written) == 0 {
 		return nil
 	}
-	if len(written) > 1 && t.r.coord != nil {
+	if len(written) > 1 {
 		return t.commit2PC(written)
 	}
-	// Single written shard — or a router without a WAL (no coordinator
-	// log, nothing is durable anyway): per-leg unilateral commits.
-	if len(written) > 1 {
-		t.r.epoch.RLock()
-		defer t.r.epoch.RUnlock()
+	i := written[0]
+	release, err := t.leg(i)
+	if err != nil {
+		t.engines[i].Abort(t.txs[i]) // superseded incarnation; harmless
+		return &ShardError{Shard: i, Err: err}
 	}
-	var firstErr error
-	for _, i := range written {
-		if firstErr != nil {
-			// A prior leg failed: roll the rest back instead of widening
-			// the partial commit.
-			t.engines[i].Abort(t.txs[i])
-			continue
-		}
-		release, err := t.leg(i)
-		if err != nil {
-			t.engines[i].Abort(t.txs[i]) // superseded incarnation; harmless
-			firstErr = &ShardError{Shard: i, Err: err}
-			continue
-		}
-		err = t.engines[i].CommitDurable(t.txs[i])
-		if err != nil {
-			// Not committed in memory (durability in doubt, see
-			// CommitDurable): abort the handle so the leg cannot pin the
-			// shard's GC horizon. A supervisor restart resolves the doubt
-			// from the log.
-			t.engines[i].Abort(t.txs[i])
-		}
-		release()
-		t.r.observe(i, err)
-		if err != nil {
-			firstErr = &ShardError{Shard: i, Err: err}
-		}
+	err = t.engines[i].CommitDurable(t.txs[i])
+	if err != nil {
+		// Not committed in memory (durability in doubt, see CommitDurable):
+		// abort the handle so the leg cannot pin the shard's GC horizon. A
+		// supervisor restart resolves the doubt from the log.
+		t.engines[i].Abort(t.txs[i])
 	}
-	return firstErr
+	release()
+	t.r.observe(i, err)
+	if err != nil {
+		return &ShardError{Shard: i, Err: err}
+	}
+	return nil
 }
 
 // commit2PC commits a multi-shard group atomically: every written leg

@@ -1,0 +1,199 @@
+package wal
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/simclock"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
+)
+
+func newTestLog() (*Log, *sfile.Manager, *ssd.Device) {
+	dev := ssd.New(simclock.New(), ssd.IntelP3600)
+	fm := sfile.NewManager(dev)
+	return NewLog(fm, "log"), fm, dev
+}
+
+// txids decodes an image into the TxIDs of its records — the tests tell
+// generations apart by the ids they hold.
+func txids(t *testing.T, img []byte) []uint64 {
+	t.Helper()
+	var out []uint64
+	r := NewReaderFromBytes(img)
+	for {
+		rec, ok := r.Next()
+		if !ok {
+			break
+		}
+		out = append(out, rec.TxID)
+	}
+	if r.Stopped() {
+		t.Fatalf("image ends at an unreadable record after %v", out)
+	}
+	return out
+}
+
+func appendFlush(t *testing.T, l *Log, ids ...uint64) {
+	t.Helper()
+	for _, id := range ids {
+		l.Append(&Record{Op: OpCommit, TxID: id})
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fillWith(ids ...uint64) func(*Writer, uint64) error {
+	return func(w *Writer, _ uint64) error {
+		for _, id := range ids {
+			w.Append(&Record{Op: OpCkptRow, TxID: id})
+		}
+		return nil
+	}
+}
+
+// TestLogCrashPoints crashes a rotation at each of its three instants and
+// tears its superblock write, for an engine-style log (aux stays 0) and a
+// coordinator-style log (aux counts up), on the log's first rotation (no
+// superblock yet: the fallback is the generation in memory) and on a later
+// one (the fallback is the other slot). A "crash" is the durable image and
+// aux at that instant — recovery depends on nothing else. Before the
+// superblock write, and after a torn one, the old generation and the old aux
+// are authoritative; after it the new ones are, whether or not the old
+// pages are freed yet.
+func TestLogCrashPoints(t *testing.T) {
+	for _, style := range []struct {
+		name string
+		aux  func(seq uint64) uint64
+	}{
+		{"engine", func(uint64) uint64 { return 0 }},
+		{"coordinator", func(seq uint64) uint64 { return 40 + seq }},
+	} {
+		for _, prior := range []uint64{0, 1, 2} {
+			for _, point := range []string{"before-super", "after-super", "after-free", "torn-super"} {
+				t.Run(fmt.Sprintf("%s/rotation-%d/%s", style.name, prior+1, point), func(t *testing.T) {
+					l, fm, dev := newTestLog()
+					oldAux := uint64(0)
+					old := []uint64{1, 2, 3}
+					appendFlush(t, l, old...)
+					for seq := uint64(1); seq <= prior; seq++ {
+						oldAux = style.aux(seq)
+						old = []uint64{100 * seq, 100*seq + 1}
+						if err := l.Rotate(oldAux, fillWith(old...)); err != nil {
+							t.Fatal(err)
+						}
+						old = append(old, 100*seq+2)
+						appendFlush(t, l, 100*seq+2)
+					}
+					next := []uint64{9000, 9001, 9002, 9003}
+					newAux := style.aux(prior + 1)
+
+					var img []byte
+					var aux uint64
+					fired := false
+					capture := func(b []byte, a uint64) { img, aux, fired = b, a, true }
+					want, wantAux := next, newAux
+					switch point {
+					case "before-super":
+						l.BeforeSuper = capture
+						want, wantAux = old, oldAux
+					case "after-super":
+						l.AfterSuper = capture
+					case "after-free":
+						l.AfterFree = capture
+					case "torn-super":
+						// Every attempt at the superblock page persists its
+						// first sector — all the fields — and then fails.
+						l.BeforeSuper = func([]byte, uint64) {
+							dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultTornWrite, Class: ssd.AnyClass, Sticky: true, TornSectors: 1})
+						}
+					}
+					err := l.Rotate(newAux, fillWith(next...))
+					if point != "torn-super" {
+						if err != nil || !fired {
+							t.Fatalf("Rotate: err=%v, hook fired=%v", err, fired)
+						}
+						if got := txids(t, img); !reflect.DeepEqual(got, want) || aux != wantAux {
+							t.Fatalf("crash image holds %v aux %d, want %v aux %d", got, aux, want, wantAux)
+						}
+						// The rotation itself completed.
+						if got := txids(t, l.Image()); !reflect.DeepEqual(got, next) || l.Stats().Aux != newAux || l.Stats().Seq != prior+1 {
+							t.Fatalf("after Rotate: image %v aux %d seq %d", got, l.Stats().Aux, l.Stats().Seq)
+						}
+						return
+					}
+
+					if !errors.Is(err, storage.ErrIOFault) {
+						t.Fatalf("Rotate with a torn superblock write: %v, want ErrIOFault", err)
+					}
+					dev.DisarmAllFaults()
+					l.BeforeSuper = nil
+					// The rotation did not happen: on the device and in memory
+					// the old generation and aux stand, and the log still works.
+					if got := txids(t, l.Image()); !reflect.DeepEqual(got, old) || l.Stats().Aux != oldAux || l.Stats().Seq != prior {
+						t.Fatalf("after the torn write: image %v aux %d seq %d, want %v aux %d seq %d",
+							got, l.Stats().Aux, l.Stats().Seq, old, oldAux, prior)
+					}
+					appendFlush(t, l, 7)
+					if got := txids(t, l.Image()); !reflect.DeepEqual(got, append(old, 7)) {
+						t.Fatalf("append after the torn write: image %v", got)
+					}
+					// The abandoned generation was given back, and the retry
+					// reuses the torn slot.
+					live := fm.LiveBytes()
+					if err := l.Rotate(newAux, fillWith(next...)); err != nil {
+						t.Fatalf("retry: %v", err)
+					}
+					if got := txids(t, l.Image()); !reflect.DeepEqual(got, next) || l.Stats().Aux != newAux {
+						t.Fatalf("after the retry: image %v aux %d", got, l.Stats().Aux)
+					}
+					if fm.LiveBytes() > live {
+						t.Fatalf("live bytes grew %d -> %d across a rotation onto a smaller generation", live, fm.LiveBytes())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLogFillErrorTouchesNothing: a fill that refuses (the engine's
+// quiescence check) leaves no trace — no file, no superblock allocation, no
+// sequence number spent.
+func TestLogFillErrorTouchesNothing(t *testing.T) {
+	l, fm, dev := newTestLog()
+	appendFlush(t, l, 1)
+	live, writes := fm.LiveBytes(), dev.Stats().Writes
+	busy := errors.New("busy")
+	if err := l.Rotate(0, func(*Writer, uint64) error { return busy }); err != busy {
+		t.Fatalf("Rotate = %v, want the fill's error as is", err)
+	}
+	if fm.LiveBytes() != live || dev.Stats().Writes != writes || l.Stats().Seq != 0 {
+		t.Fatalf("refused rotation left a trace: live %d->%d writes %d->%d seq %d",
+			live, fm.LiveBytes(), writes, dev.Stats().Writes, l.Stats().Seq)
+	}
+}
+
+// TestLogFlushesSurviveRotation: the flush counter belongs to the log, not
+// to the generation's writer.
+func TestLogFlushesSurviveRotation(t *testing.T) {
+	l, _, _ := newTestLog()
+	appendFlush(t, l, 1)
+	appendFlush(t, l, 2)
+	if err := l.Rotate(0, fillWith(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Flushes; got != 3 { // two appends and the fill
+		t.Fatalf("Flushes = %d after a rotation, want 3", got)
+	}
+	if l.Grown() != 0 {
+		t.Fatalf("Grown = %d right after a rotation, want 0 (the fill is not growth)", l.Grown())
+	}
+	appendFlush(t, l, 4)
+	if got := l.Stats().Flushes; got != 4 {
+		t.Fatalf("Flushes = %d, want 4", got)
+	}
+}

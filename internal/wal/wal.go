@@ -123,14 +123,16 @@ func encodeBody(scratch []byte, r *Record) []byte {
 	return body
 }
 
-// encode renders a record with a leading length and trailing checksum:
-// [len varint][body][fnv64(body) 8B].
-func encode(dst []byte, r *Record) []byte {
-	body := encodeBody(nil, r)
+// frame appends a record body with its leading length and trailing
+// checksum: [len varint][body][fnv64(body) 8B].
+func frame(dst, body []byte) []byte {
 	dst = util.PutUvarint(dst, uint64(len(body)))
 	dst = append(dst, body...)
 	return util.EncodeUint64(dst, checksum(body))
 }
+
+// encode renders one framed record.
+func encode(dst []byte, r *Record) []byte { return frame(dst, encodeBody(nil, r)) }
 
 func checksum(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -143,10 +145,13 @@ func checksum(b []byte) uint64 {
 }
 
 // decode parses one record from src, returning it and the bytes consumed.
-// ok is false at a torn, truncated or corrupt record.
+// ok is false at a torn, truncated or corrupt record. The bytes are
+// untrusted even after the checksum matches — FNV-1a is not a MAC, and a
+// mis-framed read can land on a self-consistent region — so every inner
+// length is bounds-checked against the body before it is used.
 func decode(src []byte) (rec Record, n int, ok bool) {
 	l, c := binary.Uvarint(src)
-	if c <= 0 || int(l) <= 0 || c+int(l)+8 > len(src) {
+	if c <= 0 || l == 0 || l > uint64(len(src)) || c+int(l)+8 > len(src) {
 		return Record{}, 0, false
 	}
 	body := src[c : c+int(l)]
@@ -157,18 +162,23 @@ func decode(src []byte) (rec Record, n int, ok bool) {
 	if rec.Op < OpBegin || rec.Op > opMax {
 		return Record{}, 0, false
 	}
-	i := 1
-	tx, m := util.Uvarint(body[i:])
-	i += m
+	tx, m := binary.Uvarint(body[1:])
+	if m <= 0 {
+		return Record{}, 0, false
+	}
 	rec.TxID = tx
-	tbl, m := util.GetBytes(body[i:])
-	i += m
-	rec.Table = string(tbl)
-	key, m := util.GetBytes(body[i:])
-	i += m
-	rec.Key = append([]byte(nil), key...)
-	row, _ := util.GetBytes(body[i:])
-	rec.Row = append([]byte(nil), row...)
+	var fields [3][]byte // table, key, row
+	rest := body[1+m:]
+	for i := range fields {
+		fl, fc := binary.Uvarint(rest)
+		if fc <= 0 || fl > uint64(len(rest)-fc) {
+			return Record{}, 0, false
+		}
+		fields[i], rest = rest[fc:fc+int(fl)], rest[fc+int(fl):]
+	}
+	rec.Table = string(fields[0])
+	rec.Key = append([]byte(nil), fields[1]...)
+	rec.Row = append([]byte(nil), fields[2]...)
 	return rec, c + int(l) + 8, true
 }
 
@@ -207,9 +217,7 @@ func (w *Writer) Append(r *Record) {
 	defer w.mu.Unlock()
 	w.enc = encodeBody(w.enc, r)
 	before := len(w.pending)
-	w.pending = util.PutUvarint(w.pending, uint64(len(w.enc)))
-	w.pending = append(w.pending, w.enc...)
-	w.pending = util.EncodeUint64(w.pending, checksum(w.enc))
+	w.pending = frame(w.pending, w.enc)
 	w.written += int64(len(w.pending) - before)
 }
 
@@ -255,7 +263,7 @@ func (w *Writer) Flush() error {
 	w.stream = stream[:0]
 	w.tail, w.pending = w.tail[:0], w.pending[:0]
 	for len(stream) > storage.PageSize {
-		if err := w.writePageRetry(w.tailPage, stream[:storage.PageSize]); err != nil {
+		if err := writePage(w.file, w.tailPage, stream[:storage.PageSize]); err != nil {
 			w.pending = append(w.pending[:0], stream...)
 			w.tail = w.tail[:0]
 			return fmt.Errorf("wal: flush: %w", err)
@@ -277,7 +285,7 @@ func (w *Writer) Flush() error {
 	}
 	copy(w.page, stream)
 	clear(w.page[len(stream):])
-	if err := w.writePageRetry(w.tailPage, w.page); err != nil {
+	if err := writePage(w.file, w.tailPage, w.page); err != nil {
 		w.pending = append(w.pending[:0], stream...)
 		w.tail = w.tail[:0]
 		return fmt.Errorf("wal: flush: %w", err)
@@ -287,44 +295,11 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-func (w *Writer) writePageRetry(pageNo uint64, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = w.file.WritePage(pageNo, buf); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 // Reader iterates a log image.
 type Reader struct {
 	data    []byte
 	off     int
 	stopped bool // Next hit an unreadable record (not clean end-of-data)
-}
-
-// NewReader reads the log from the file's pages. Pages are concatenated in
-// order; decode stops at the first invalid record. Page reads are retried
-// a bounded number of times; a persistently unreadable page fails the
-// whole read (recovery cannot safely skip log pages).
-func NewReader(file *sfile.File) (*Reader, error) {
-	n := file.NumPages()
-	data := make([]byte, 0, int(n)*storage.PageSize)
-	buf := make([]byte, storage.PageSize)
-	for i := uint64(0); i < n; i++ {
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if err = file.ReadPage(i, buf); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wal: reading log page %d: %w", i, err)
-		}
-		data = append(data, buf...)
-	}
-	return &Reader{data: data}, nil
 }
 
 // NewReaderFromBytes reads a raw log image.

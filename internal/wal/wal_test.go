@@ -14,11 +14,11 @@ import (
 
 func mustReader(t *testing.T, f *sfile.File) *Reader {
 	t.Helper()
-	r, err := NewReader(f)
-	if err != nil {
-		t.Fatal(err)
+	img := readImage(f)
+	if want := int(f.NumPages()) * storage.PageSize; len(img) != want {
+		t.Fatalf("log image truncated at an unreadable page: %d of %d bytes", len(img), want)
 	}
-	return r
+	return NewReaderFromBytes(img)
 }
 
 func newFile() *sfile.File {
