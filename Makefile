@@ -90,13 +90,17 @@ bench:
 	go test -bench=. -benchmem
 
 # Commit-pipeline benchmarks: the group-commit experiment table, the
-# write-hot-path alloc benchmarks, and the allocs/op regression gate
-# (TestHotPathAllocGate fails the build on a regression). Output lands in
-# bench-commit.txt for publishing as a build artifact.
+# write-hot-path alloc benchmarks, the log's own flush benchmark (device
+# bytes and virtual time per flush), and the two regression gates
+# (TestHotPathAllocGate on allocs/op, TestFlushCostGate on the flush's device
+# cost; either fails the build). Output lands in bench-commit.txt for
+# publishing as a build artifact.
 bench-commit:
 	go test ./internal/bench/ -run TestHotPathAllocGate -count 1
+	go test ./internal/wal/ -run TestFlushCostGate -count 1
 	go test -bench BenchmarkCommit_GroupCommit -benchtime 1x -run xxx . | tee bench-commit.txt
 	go test -bench BenchmarkAlloc -benchmem -benchtime 2000x -run xxx ./internal/bench/ | tee -a bench-commit.txt
+	go test -bench BenchmarkWriterFlush -benchmem -benchtime 2000x -run xxx ./internal/wal/ | tee -a bench-commit.txt
 
 # Sharded network front-end experiment: clients x shards scaling curve and
 # p99 under overload with admission control on/off. Output lands in

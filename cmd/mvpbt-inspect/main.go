@@ -142,6 +142,8 @@ func main() {
 	fmt.Printf("\n== commit pipeline ==\n")
 	fmt.Printf("wal: flushes=%d commits=%d read-only-commits=%d flushes/commit=%.2f\n",
 		ws.Flushes, ws.Commits, ws.ReadOnlyCommits, ws.FlushesPerCommit())
+	fmt.Printf("wal: device-bytes=%d logical-bytes=%d device-bytes/log-byte=%.2f checkpoint-errors=%d\n",
+		ws.DeviceBytes, ws.LogicalBytes, ws.DeviceBytesPerLogByte(), eng.CheckpointInfo().Errors)
 	if *groupCommit {
 		fmt.Printf("group commit: batches=%d commits=%d max-batched=%d\n",
 			ws.Group.Batches, ws.Group.Commits, ws.Group.MaxBatched)
@@ -261,6 +263,9 @@ func inspectShards(n, tuples, updates, pbuf int, capacity int64) {
 	row("wal flushes", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Flushes) })
 	row("wal commits", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Commits) })
 	row("flushes/commit", func(i int) string { return fmt.Sprintf("%.2f", stats[i].WAL.FlushesPerCommit()) })
+	row("devB/logB ckpt-err", func(i int) string {
+		return fmt.Sprintf("%.2f %d", stats[i].WAL.DeviceBytesPerLogByte(), stats[i].Checkpoint.Errors)
+	})
 	row("group batches", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Group.Batches) })
 	row("max batched", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Group.MaxBatched) })
 	row("health", func(i int) string { return stats[i].Health.State.String() })

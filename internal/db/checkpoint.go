@@ -31,6 +31,7 @@ type CheckpointStats struct {
 	Seq            uint64
 	WALBytesBefore int64 // device bytes held by the log before the last checkpoint
 	WALBytesAfter  int64 // device bytes held by the log after it
+	Errors         int64 // checkpoints that failed for a reason other than ErrCheckpointBusy
 }
 
 // CheckpointInfo returns checkpoint statistics.
@@ -39,7 +40,8 @@ func (e *Engine) CheckpointInfo() CheckpointStats {
 		return CheckpointStats{}
 	}
 	st := e.log.Stats()
-	return CheckpointStats{Count: int64(st.Seq), Seq: st.Seq, WALBytesBefore: st.BytesBefore, WALBytesAfter: st.BytesAfter}
+	return CheckpointStats{Count: int64(st.Seq), Seq: st.Seq, WALBytesBefore: st.BytesBefore, WALBytesAfter: st.BytesAfter,
+		Errors: e.ckptErrs.Load()}
 }
 
 // WALDeviceBytes returns the device bytes currently held by the log
@@ -113,9 +115,16 @@ func (e *Engine) snapshotInto(w *wal.Writer, seq uint64) error {
 // maybeAutoCheckpoint runs a checkpoint when the current log generation has
 // grown past the configured threshold. Called after commit, outside all
 // locks; a busy engine (other active transactions) just means the next
-// commit tries again.
+// commit tries again. Single-flight: committers that pass the growth check
+// together queue on autoCkptMu and check again once they hold it, so one
+// threshold crossing rotates the log once.
 func (e *Engine) maybeAutoCheckpoint() {
 	if e.cfg.WALCheckpointBytes <= 0 || e.log == nil || e.log.Grown() < e.cfg.WALCheckpointBytes {
+		return
+	}
+	e.autoCkptMu.Lock()
+	defer e.autoCkptMu.Unlock()
+	if e.log.Grown() < e.cfg.WALCheckpointBytes {
 		return
 	}
 	if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {

@@ -3,7 +3,13 @@ package db
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
+
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/txn"
 )
 
 // walTableKind is walTable with a selectable heap organization — the
@@ -236,6 +242,81 @@ func TestAutoCheckpoint(t *testing.T) {
 	if got := snapshotState(t, tbl2.eng, tbl2, ix2); !mapsEqual(got, want) {
 		t.Fatalf("auto-checkpointed log diverged:\n got %v\nwant %v", got, want)
 	}
+}
+
+// TestAutoCheckpointSingleFlight: committers that cross the threshold
+// together rotate the log once. Every round opens and writes all its
+// transactions before the first one commits, so no checkpoint can run until
+// the last has committed (ErrCheckpointBusy) and then every committer still
+// inside maybeAutoCheckpoint finds the engine quiescent and the log grown.
+// A round logs ~9 KB against a 20 KiB threshold: exactly every third round
+// crosses it, and must leave exactly one more rotation behind. Without the
+// flight, two of a crossing round's committers could both pass the growth
+// check and checkpoint back to back.
+func TestAutoCheckpointSingleFlight(t *testing.T) {
+	const clients, rounds = 8, 12
+	e, tbl, _ := walTableKind(t, HeapSIAS, Config{WALCheckpointBytes: 20 << 10})
+	val := strings.Repeat("v", 1<<10)
+	for round := 0; round < rounds; round++ {
+		txs := make([]*txn.Tx, clients)
+		for c := range txs {
+			txs[c] = e.Begin()
+			if _, _, err := tbl.Insert(txs[c], row(fmt.Sprintf("k%02d-%02d", round, c), val)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, tx := range txs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := e.CommitDurable(tx); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := e.CheckpointInfo().Count, int64(round+1)/3; got != want {
+			t.Fatalf("after round %d: %d checkpoints, want %d (one per threshold crossing)", round+1, got, want)
+		}
+	}
+}
+
+// TestLogTrafficAndCheckpointErrorsAreVisible: WALStats.DeviceBytes is what
+// the log's flushes wrote to the device — whole sectors, at least every
+// logical byte once, carried across checkpoints like Flushes — and a
+// checkpoint that fails for any reason but a busy engine shows up in
+// CheckpointStats.Errors, the only trace it leaves.
+func TestLogTrafficAndCheckpointErrorsAreVisible(t *testing.T) {
+	e, tbl, _ := walTableKind(t, HeapSIAS, Config{})
+	insertN(t, e, tbl, 0, 40)
+	ws := e.WALStatsSnapshot()
+	if ws.DeviceBytes%ssd.SectorSize != 0 || ws.DeviceBytes < ws.LogicalBytes || ws.LogicalBytes == 0 ||
+		ws.DeviceBytes > ws.LogicalBytes+2*ssd.SectorSize*ws.Flushes {
+		t.Fatalf("40 small commits: %+v, want whole sectors, at most two partial ones per flush", ws)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := e.WALStatsSnapshot()
+	if after.DeviceBytes <= ws.DeviceBytes || after.LogicalBytes <= ws.LogicalBytes {
+		t.Fatalf("checkpoint restarted the traffic counters: %+v -> %+v", ws, after)
+	}
+
+	// Busy is not an error; a device that refuses the new generation is.
+	tx := e.Begin()
+	e.reclaimSpace() //nolint:errcheck // only the checkpoint lever is under test
+	e.Abort(tx)
+	if got := e.CheckpointInfo().Errors; got != 0 {
+		t.Fatalf("a busy checkpoint counted as %d errors", got)
+	}
+	id := e.Dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: int(sfile.ClassMeta), Sticky: true})
+	e.reclaimSpace() //nolint:errcheck
+	e.Dev.DisarmFault(id)
+	if st := e.CheckpointInfo(); st.Errors != 1 || st.Count != 1 {
+		t.Fatalf("failed checkpoint: %+v, want 1 error and still 1 completed checkpoint", st)
+	}
+	insertN(t, e, tbl, 40, 45) // the old generation stayed authoritative and writable
 }
 
 // TestCheckpointReplayIsRecoverable: recovering a checkpointed log re-logs

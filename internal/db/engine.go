@@ -122,8 +122,9 @@ type Engine struct {
 	// rotates it under its exclusive lock; the quiescence precondition (no
 	// active transactions) guarantees no thread holding a table mutex can be
 	// waiting to append when that lock is taken.
-	log      *wal.Log
-	ckptErrs atomic.Int64
+	log        *wal.Log
+	ckptErrs   atomic.Int64
+	autoCkptMu sync.Mutex // the auto-checkpoint flight, see maybeAutoCheckpoint
 
 	// gc is the group-commit batcher (nil unless Config.GroupCommit.Enabled
 	// with EnableWAL). walCommits/walROCommits count durable commits that

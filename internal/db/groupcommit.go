@@ -214,6 +214,8 @@ type GroupCommitStats struct {
 // WALStats aggregates commit-pipeline counters for inspection.
 type WALStats struct {
 	Flushes         int64 // successful log flushes that wrote the device (monotonic across checkpoints)
+	DeviceBytes     int64 // device bytes those flushes wrote, checkpoint generations included
+	LogicalBytes    int64 // record bytes appended to the log, checkpoint generations included
 	Commits         int64 // durable commits that appended a commit record
 	ReadOnlyCommits int64 // commits elided entirely (transaction never logged)
 	Group           GroupCommitStats
@@ -237,7 +239,8 @@ func (e *Engine) WALStatsSnapshot() WALStats {
 		ReadOnlyCommits: e.walROCommits.Load(),
 	}
 	if e.log != nil {
-		s.Flushes = e.log.Stats().Flushes
+		st := e.log.Stats()
+		s.Flushes, s.DeviceBytes, s.LogicalBytes = st.Flushes, st.FlushedBytes, st.Written
 	}
 	if e.gc != nil {
 		s.Group = GroupCommitStats{
@@ -247,6 +250,16 @@ func (e *Engine) WALStatsSnapshot() WALStats {
 		}
 	}
 	return s
+}
+
+// DeviceBytesPerLogByte is the log's own write amplification: device bytes
+// flushed per record byte appended (1.0 is a pure append; the sector-run
+// flush sits a partial sector above it per commit).
+func (s WALStats) DeviceBytesPerLogByte() float64 {
+	if s.LogicalBytes == 0 {
+		return 0
+	}
+	return float64(s.DeviceBytes) / float64(s.LogicalBytes)
 }
 
 // CommitBatchDurable durably commits txs together under a single log

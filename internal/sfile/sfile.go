@@ -384,6 +384,22 @@ func (f *File) WritePage(pageNo uint64, buf []byte) error {
 	return f.m.dev.WriteAt(buf, off)
 }
 
+// WriteSectors writes buf into page pageNo starting at in-page byte offset
+// off. The range must be a non-empty run of whole device sectors that stays
+// inside the page: the sector is the unit a torn write preserves, so this is
+// the smallest write that cannot damage neighbouring bytes. Errors mirror
+// WritePage.
+func (f *File) WriteSectors(pageNo uint64, off int, buf []byte) error {
+	if off < 0 || len(buf) == 0 || off%ssd.SectorSize != 0 || len(buf)%ssd.SectorSize != 0 || off+len(buf) > storage.PageSize {
+		return fmt.Errorf("sfile: page %d of file %q: range [%d,%d) is not a sector run inside the page", pageNo, f.name, off, off+len(buf))
+	}
+	base, err := f.offsetOf(pageNo)
+	if err != nil {
+		return err
+	}
+	return f.m.dev.WriteAt(buf, base+int64(off))
+}
+
 // PageID returns the global page id of pageNo in this file.
 func (f *File) PageID(pageNo uint64) storage.PageID {
 	return storage.NewPageID(f.id, pageNo)

@@ -154,6 +154,70 @@ func TestAccessFreedRunReturnsTypedError(t *testing.T) {
 	}
 }
 
+// TestWriteSectors: a sector run lands at its in-page offset, costs the
+// device exactly its own bytes and leaves the rest of the page and its
+// neighbours alone; a range that is not whole sectors inside one page is
+// refused before it reaches the device; a freed run reports the same typed
+// error WritePage does.
+func TestWriteSectors(t *testing.T) {
+	m := newMgr()
+	f := m.Create("log", ClassMeta)
+	for i := 0; i < 3; i++ {
+		no := mustAllocPage(t, f)
+		if err := f.WritePage(no, bytes.Repeat([]byte{byte(0xA0 + i)}, storage.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.Device().Stats()
+	run := bytes.Repeat([]byte{0x5C}, 3*ssd.SectorSize)
+	if err := f.WriteSectors(1, 2*ssd.SectorSize, run); err != nil {
+		t.Fatal(err)
+	}
+	if io := m.Device().Stats().Sub(before); io.Writes != 1 || io.BytesWritten != int64(len(run)) {
+		t.Fatalf("sector run cost %d writes, %d B, want 1 write of %d B", io.Writes, io.BytesWritten, len(run))
+	}
+	buf := make([]byte, storage.PageSize)
+	for no := uint64(0); no < 3; no++ {
+		want := bytes.Repeat([]byte{byte(0xA0 + no)}, storage.PageSize)
+		if no == 1 {
+			copy(want[2*ssd.SectorSize:], run)
+		}
+		if err := f.ReadPage(no, buf); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("page %d after the sector run: err=%v, content differs", no, err)
+		}
+	}
+
+	before = m.Device().Stats()
+	for _, bad := range []struct {
+		name     string
+		off, len int
+	}{
+		{"offset off a sector boundary", 100, ssd.SectorSize},
+		{"length not whole sectors", ssd.SectorSize, 700},
+		{"run past the end of the page", storage.PageSize - ssd.SectorSize, 2 * ssd.SectorSize},
+		{"offset past the page", storage.PageSize, ssd.SectorSize},
+		{"negative offset", -ssd.SectorSize, ssd.SectorSize},
+		{"empty run", 0, 0},
+	} {
+		if err := f.WriteSectors(1, bad.off, make([]byte, bad.len)); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
+	}
+	if io := m.Device().Stats().Sub(before); io.Writes != 0 {
+		t.Fatalf("%d refused ranges reached the device", io.Writes)
+	}
+	if err := f.WriteSectors(1, storage.PageSize-ssd.SectorSize, run[:ssd.SectorSize]); err != nil {
+		t.Fatalf("the page's last sector: %v", err)
+	}
+
+	g := m.Create("idx", ClassIndex)
+	start := mustAllocRun(t, g, ExtentPages)
+	g.FreeRun(start, ExtentPages)
+	if err := g.WriteSectors(start, 0, run); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("sector run into a freed page: got %v, want ErrFreedPage", err)
+	}
+}
+
 func TestClassifierScopesFaultsByFileClass(t *testing.T) {
 	m := newMgr()
 	tbl := m.Create("t", ClassTable)

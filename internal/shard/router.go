@@ -360,6 +360,7 @@ func (r *Router) Stats() []ShardStats {
 		}
 		out[i].Space = s.Engine.SpaceInfo()
 		out[i].WAL = s.Engine.WALStatsSnapshot()
+		out[i].Checkpoint = s.Engine.CheckpointInfo()
 		out[i].Device = s.Engine.Dev.Stats().String()
 		release()
 	}
@@ -368,12 +369,15 @@ func (r *Router) Stats() []ShardStats {
 
 // ShardStats is one shard's externally visible health.
 type ShardStats struct {
-	Shard  int
-	Dir    string
-	Space  db.SpaceStats
-	WAL    db.WALStats
-	Device string
-	Health HealthInfo
+	Shard int
+	Dir   string
+	Space db.SpaceStats
+	WAL   db.WALStats
+	// Checkpoint is the shard's log-checkpoint view; its Errors count is the
+	// only trace a failed background checkpoint leaves.
+	Checkpoint db.CheckpointStats
+	Device     string
+	Health     HealthInfo
 }
 
 // ErrRouterClosed is returned by operations that arrive at or after Close:

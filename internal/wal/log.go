@@ -66,14 +66,15 @@ func decodeSuper(buf []byte) (seq uint64, id storage.FileID, aux uint64, ok bool
 	return seq, storage.FileID(file), binary.LittleEndian.Uint64(c[24:32]), true
 }
 
-// ioAttempts bounds the retries of one page read or write: transient
-// faults are the device's normal behaviour under the fault campaigns.
+// ioAttempts bounds the retries of one page read or sector-run write:
+// transient faults are the device's normal behaviour under the fault
+// campaigns.
 const ioAttempts = 3
 
-func writePage(f *sfile.File, pageNo uint64, buf []byte) error {
+func writeSectors(f *sfile.File, pageNo uint64, off int, buf []byte) error {
 	var err error
 	for attempt := 0; attempt < ioAttempts; attempt++ {
-		if err = f.WritePage(pageNo, buf); err == nil {
+		if err = f.WriteSectors(pageNo, off, buf); err == nil {
 			return nil
 		}
 	}
@@ -111,10 +112,12 @@ func freePages(f *sfile.File) {
 
 // LogStats is a point-in-time view of a Log.
 type LogStats struct {
-	Seq         uint64 // rotations completed; the live superblock slot is Seq%2
-	Aux         uint64 // client word published with the current generation (0 before the first rotation)
-	Flushes     int64  // successful device flushes, across all generations
-	DeviceBytes int64  // current generation plus the superblock file
+	Seq          uint64 // rotations completed; the live superblock slot is Seq%2
+	Aux          uint64 // client word published with the current generation (0 before the first rotation)
+	Flushes      int64  // successful device flushes, across all generations
+	FlushedBytes int64  // device bytes those flushes wrote, across all generations
+	Written      int64  // logical bytes appended (Writer.Written), across all generations
+	DeviceBytes  int64  // current generation plus the superblock file
 	// BytesBefore and BytesAfter are DeviceBytes on either side of the last
 	// completed rotation.
 	BytesBefore, BytesAfter int64
@@ -181,6 +184,8 @@ func (l *Log) Stats() LogStats {
 	defer l.mu.RUnlock()
 	st := l.st
 	st.Flushes += l.w.Flushes()
+	st.FlushedBytes += l.w.FlushedBytes()
+	st.Written += l.w.Written()
 	st.DeviceBytes = l.deviceBytes()
 	return st
 }
@@ -222,7 +227,7 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 
 	buf := make([]byte, storage.PageSize)
 	encodeSuper(buf, seq, w.file.ID(), aux)
-	if err := writePage(l.meta, seq%2, buf); err != nil {
+	if err := writeSectors(l.meta, seq%2, 0, buf); err != nil {
 		freePages(w.file)
 		return fmt.Errorf("wal: rotate: superblock write: %w", err)
 	}
@@ -232,6 +237,8 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 	// pages leak until the device is rebuilt.
 	freePages(l.w.file)
 	l.st.Flushes += l.w.Flushes()
+	l.st.FlushedBytes += l.w.FlushedBytes()
+	l.st.Written += l.w.Written()
 	l.w, l.base = w, w.Written()
 	l.st.Seq, l.st.Aux, l.st.BytesBefore, l.st.BytesAfter = seq, aux, before, l.deviceBytes()
 	l.hook(l.AfterFree)

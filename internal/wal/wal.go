@@ -12,6 +12,11 @@
 // Replay stops at the first torn or corrupt record, so a crash during a
 // log flush loses at most the unflushed suffix — never committed state
 // that reached the device.
+//
+// On the device the log is that byte stream cut into pages, appended to in
+// units of device sectors: a flush writes the sectors it dirtied and nothing
+// else (see Writer), because flash rewards small appends and punishes
+// in-place page rewrites.
 package wal
 
 import (
@@ -22,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
@@ -182,28 +188,41 @@ func decode(src []byte) (rec Record, n int, ok bool) {
 	return rec, c + int(l) + 8, true
 }
 
-// Writer appends records to a log file. Records buffer in memory and
-// reach the device on Flush (called at commit): the log is a byte stream
-// split into pages, full pages are written once, and the tail page is
-// rewritten as it fills — standard group-commit WAL behaviour.
+// Writer appends records to a log file. Records buffer in memory and reach
+// the device on Flush (called at commit). The log is a byte stream split
+// into pages, and the flush unit is the device sector: in each page it
+// touches, a flush writes only the run of ssd.SectorSize sectors that holds
+// not-yet-durable bytes, from the sector containing the first unflushed byte
+// to the zero-padded end of the sector containing the last. A commit pays
+// for the sectors it dirtied, not for its whole tail page. Three invariants
+// carry this (DESIGN.md §10):
+//
+//  1. Fresh pages read as zeros. Nothing zero-fills the rest of a new tail
+//     page; the Reader sees clean padding there because sfile discards every
+//     extent it recycles and the device reads discarded blocks as zeros.
+//  2. A torn flush never damages acknowledged bytes. The run starts at the
+//     sector holding the last durable byte and rewrites that sector's durable
+//     head identically; a torn write persists leading sectors only.
+//  3. A failed flush leaves the writer resumable: the unflushed suffix stays
+//     buffered from the failed page's first non-durable sector on.
 type Writer struct {
-	mu       sync.Mutex
-	file     *sfile.File
-	pending  []byte // appended since the last flush
-	tail     []byte // bytes of the current (partially filled) tail page
+	mu   sync.Mutex
+	file *sfile.File
+	// buf holds the log bytes from the last sector boundary at or below the
+	// durable frontier: buf[:durable] is the already durable head of a
+	// partially filled sector, buf[durable:] what Append added since. buf[0]
+	// sits at offset tailOff (a sector multiple) of page tailPage.
+	buf      []byte
+	durable  int
 	tailPage uint64
+	tailOff  int
 	haveTail bool
 	written  int64 // total logical bytes appended
 
-	// Reused scratch (all owned by w, guarded by mu): enc is the record-body
-	// encode buffer, page the device write buffer, stream the flush staging
-	// buffer. They grow once and make steady-state Append/Flush allocation
-	// free.
-	enc    []byte
-	page   []byte
-	stream []byte
+	enc []byte // reused record-body encode buffer, guarded by mu
 
-	flushes atomic.Int64 // successful Flush calls that reached the device
+	flushes      atomic.Int64 // successful Flush calls that reached the device
+	flushedBytes atomic.Int64 // device bytes those flushes' sector runs wrote
 }
 
 // NewWriter creates a writer logging to file.
@@ -216,9 +235,9 @@ func (w *Writer) Append(r *Record) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.enc = encodeBody(w.enc, r)
-	before := len(w.pending)
-	w.pending = frame(w.pending, w.enc)
-	w.written += int64(len(w.pending) - before)
+	before := len(w.buf)
+	w.buf = frame(w.buf, w.enc)
+	w.written += int64(len(w.buf) - before)
 }
 
 // Written returns the total logical log bytes appended so far.
@@ -232,65 +251,55 @@ func (w *Writer) Written() int64 {
 // and succeeded (flushes of an empty buffer are not counted).
 func (w *Writer) Flushes() int64 { return w.flushes.Load() }
 
-// Flush forces buffered records to the device. Each page write is retried
-// a bounded number of times; if a write still fails, the unflushed suffix
-// stays buffered and the error (wrapping the device fault) is returned —
-// a later Flush resumes at exactly the failed page, reusing its page
-// number, so no unreadable gap pages are ever left in the log. A page
-// allocation failure (device at capacity) likewise leaves the suffix
-// buffered; a later Flush — after reclamation — retries the allocation.
+// FlushedBytes returns the device bytes written by successful sector-run
+// writes: the log's physical traffic, to set against Written.
+func (w *Writer) FlushedBytes() int64 { return w.flushedBytes.Load() }
+
+var zeroSector [ssd.SectorSize]byte
+
+// Flush forces buffered records to the device, one sector-run write per
+// page touched. Each write is retried a bounded number of times; if it still
+// fails, the unflushed suffix stays buffered and the error (wrapping the
+// device fault) is returned — a later Flush resumes at exactly the failed
+// page, reusing its page number, so no unreadable gap pages are ever left in
+// the log. A page allocation failure (device at capacity) likewise leaves
+// the suffix buffered; a later Flush — after reclamation — retries the
+// allocation.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.pending) == 0 {
+	end := len(w.buf)
+	if end == w.durable {
 		return nil
 	}
-	if !w.haveTail {
-		// Allocate before cutting tail/pending so a failure leaves the
-		// writer state exactly as it was.
-		no, err := w.file.AllocPage()
-		if err != nil {
-			return fmt.Errorf("wal: flush: %w", err)
+	// Zero-pad the last sector in place, past the end of the buffered bytes,
+	// so every run is written straight out of buf.
+	w.buf = append(w.buf, zeroSector[:-end&(ssd.SectorSize-1)]...)
+	var err error
+	pos := 0 // buf[pos] is the first byte of the first non-durable sector
+	for end-pos > w.durable {
+		if !w.haveTail {
+			// Allocated only once there are bytes for the page, so a failure
+			// leaves no gap page behind.
+			if w.tailPage, err = w.file.AllocPage(); err != nil {
+				break
+			}
+			w.haveTail, w.tailOff = true, 0
 		}
-		w.tailPage = no
-		w.haveTail = true
-	}
-	// Stage tail+pending in the reusable stream buffer; on failure the
-	// unwritten remainder is copied back into pending (the buffers are
-	// distinct, so the copy is safe), exactly as before.
-	stream := append(w.stream[:0], w.tail...)
-	stream = append(stream, w.pending...)
-	w.stream = stream[:0]
-	w.tail, w.pending = w.tail[:0], w.pending[:0]
-	for len(stream) > storage.PageSize {
-		if err := writePage(w.file, w.tailPage, stream[:storage.PageSize]); err != nil {
-			w.pending = append(w.pending[:0], stream...)
-			w.tail = w.tail[:0]
-			return fmt.Errorf("wal: flush: %w", err)
+		n := min(end-pos, storage.PageSize-w.tailOff) // log bytes this page takes
+		run := (n + ssd.SectorSize - 1) &^ (ssd.SectorSize - 1)
+		if err = writeSectors(w.file, w.tailPage, w.tailOff, w.buf[pos:pos+run]); err != nil {
+			break
 		}
-		stream = stream[storage.PageSize:]
-		no, err := w.file.AllocPage()
-		if err != nil {
-			// The filled page was written; the rest stays buffered and the
-			// next Flush allocates a fresh tail page for it.
-			w.pending = append(w.pending[:0], stream...)
-			w.tail = w.tail[:0]
-			w.haveTail = false
-			return fmt.Errorf("wal: flush: %w", err)
-		}
-		w.tailPage = no
+		w.flushedBytes.Add(int64(run))
+		whole := n &^ (ssd.SectorSize - 1) // the partial last sector stays buffered
+		pos, w.tailOff, w.durable = pos+whole, w.tailOff+whole, n-whole
+		w.haveTail = w.tailOff < storage.PageSize
 	}
-	if w.page == nil {
-		w.page = make([]byte, storage.PageSize)
-	}
-	copy(w.page, stream)
-	clear(w.page[len(stream):])
-	if err := writePage(w.file, w.tailPage, w.page); err != nil {
-		w.pending = append(w.pending[:0], stream...)
-		w.tail = w.tail[:0]
+	w.buf = append(w.buf[:0], w.buf[pos:end]...)
+	if err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	w.tail = append(w.tail[:0], stream...)
 	w.flushes.Add(1)
 	return nil
 }

@@ -22,8 +22,8 @@ func mustReader(t *testing.T, f *sfile.File) *Reader {
 }
 
 func newFile() *sfile.File {
-	m := sfile.NewManager(ssd.New(simclock.New(), ssd.IntelP3600))
-	return m.Create("wal", sfile.ClassMeta)
+	_, f := newDevFile(ssd.DeviceSpec{})
+	return f
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -130,9 +130,10 @@ func TestCorruptChecksumRejected(t *testing.T) {
 }
 
 func TestTailPageRewrite(t *testing.T) {
-	// Many small flushes must keep rewriting the same tail page, not
-	// allocate a page per commit.
-	f := newFile()
+	// Many small flushes must keep extending the same tail page, not
+	// allocate a page per commit — and what each rewrites of it is the one
+	// sector it dirtied, not the page.
+	dev, f := newDevFile(ssd.DeviceSpec{})
 	w := NewWriter(f)
 	for i := 0; i < 20; i++ {
 		w.Append(&Record{Op: OpCommit, TxID: uint64(i)})
@@ -140,6 +141,9 @@ func TestTailPageRewrite(t *testing.T) {
 	}
 	if n := f.NumPages(); n > 2 {
 		t.Fatalf("20 tiny commits used %d pages", n)
+	}
+	if st := dev.Stats(); st.Writes != 20 || st.BytesWritten != 20*ssd.SectorSize {
+		t.Fatalf("20 tiny commits within one sector: %d writes, %d B, want 20 one-sector writes", st.Writes, st.BytesWritten)
 	}
 	r := mustReader(t, f)
 	count := 0
