@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal check check-nightly check-faults check-exhaust check-scenarios check-chaos check-2pc check-all bench bench-commit bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal check check-nightly check-faults check-exhaust check-scenarios check-chaos check-2pc check-all bench bench-commit bench-evict bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -101,6 +101,18 @@ bench-commit:
 	go test -bench BenchmarkCommit_GroupCommit -benchtime 1x -run xxx . | tee bench-commit.txt
 	go test -bench BenchmarkAlloc -benchmem -benchtime 2000x -run xxx ./internal/bench/ | tee -a bench-commit.txt
 	go test -bench BenchmarkWriterFlush -benchmem -benchtime 2000x -run xxx ./internal/wal/ | tee -a bench-commit.txt
+
+# Partition write-path benchmarks, a layer measured without the stack above
+# it: the bounded-memory gate (TestBoundedMemoryGate: an eviction and a
+# 10-way merge hold one page, one key's records and an extent per input, not
+# the partition; it fails the build), then the segment builder, one P_N
+# eviction and one 10-way merge with -benchmem and their device cost
+# (dev-writes/op, dev-reads/op, virtual-ms/op; counts, so they repeat).
+# Output lands in bench-evict.txt for publishing as a build artifact.
+bench-evict:
+	go test ./internal/index/mvpbt/ -run TestBoundedMemoryGate -count 1
+	go test -bench BenchmarkBuilder -benchmem -benchtime 200x -run xxx ./internal/index/part/ | tee bench-evict.txt
+	go test -bench 'BenchmarkEvictPN|BenchmarkMergePartitions' -benchmem -benchtime 50x -run xxx ./internal/index/mvpbt/ | tee -a bench-evict.txt
 
 # Sharded network front-end experiment: clients x shards scaling curve and
 # p99 under overload with admission control on/off. Output lands in

@@ -5,12 +5,26 @@
 // attributes — to skip partitions too).
 package bloom
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
+
+// Hash is the pair of independent 64-bit hashes a key probes a filter with.
+// A bulk builder that learns the filter's size only after its last key
+// keeps these 16 bytes per key instead of the keys.
+type Hash struct{ h1, h2 uint64 }
+
+// HashKey hashes a key for AddHash.
+func HashKey(b []byte) Hash {
+	h1, h2 := hash2(b)
+	return Hash{h1, h2}
+}
 
 // hash2 computes two independent 64-bit hashes of b for double hashing.
 func hash2(b []byte) (uint64, uint64) {
@@ -62,10 +76,12 @@ func New(n int, bitsPerKey int) *Filter {
 }
 
 // Add inserts key.
-func (f *Filter) Add(key []byte) {
-	h1, h2 := hash2(key)
+func (f *Filter) Add(key []byte) { f.AddHash(HashKey(key)) }
+
+// AddHash inserts the key that hashed to h.
+func (f *Filter) AddHash(h Hash) {
 	for i := uint32(0); i < f.k; i++ {
-		bit := (h1 + uint64(i)*h2) % f.m
+		bit := (h.h1 + uint64(i)*h.h2) % f.m
 		f.bits[bit/64] |= 1 << (bit % 64)
 	}
 }
@@ -115,6 +131,10 @@ func (p *PrefixFilter) Add(key []byte) {
 	p.f.Add(key[:p.prefixLen])
 }
 
+// AddHash inserts the prefix that hashed to h: HashKey of the key's first
+// PrefixLen bytes, or of all of a shorter key.
+func (p *PrefixFilter) AddHash(h Hash) { p.f.AddHash(h) }
+
 // MayContainRange reports whether any key in [lo, hi] might be present.
 // When the bounds do not share PrefixLen bytes the filter cannot decide
 // and answers true.
@@ -146,19 +166,29 @@ func (f *Filter) MarshalBinary() []byte {
 	return out
 }
 
-// UnmarshalFilter reconstructs a filter serialized by MarshalBinary,
-// returning the bytes consumed.
-func UnmarshalFilter(b []byte) (*Filter, int) {
+// ErrCorrupt is returned when serialized filter bytes are truncated or
+// describe an impossible filter.
+var ErrCorrupt = errors.New("bloom: corrupt serialized filter")
+
+// UnmarshalFilter reconstructs a filter serialized by MarshalBinary; b must
+// hold exactly that encoding.
+func UnmarshalFilter(b []byte) (*Filter, error) {
+	if len(b) < 17 {
+		return nil, ErrCorrupt
+	}
 	f := &Filter{k: uint32(b[0])}
 	i := 1
 	f.m, i = readU64(b, i)
 	var n uint64
 	n, i = readU64(b, i)
+	if f.k < 1 || f.k > 30 || n != uint64(len(b)-i)/8 || uint64(len(b)-i)%8 != 0 || f.m == 0 || (f.m+63)/64 != n {
+		return nil, ErrCorrupt
+	}
 	f.bits = make([]uint64, n)
 	for j := range f.bits {
 		f.bits[j], i = readU64(b, i)
 	}
-	return f, i
+	return f, nil
 }
 
 // MarshalBinary serializes the prefix filter.
@@ -167,12 +197,18 @@ func (p *PrefixFilter) MarshalBinary() []byte {
 	return append(out, p.f.MarshalBinary()...)
 }
 
-// UnmarshalPrefixFilter reconstructs a prefix filter, returning the bytes
-// consumed.
-func UnmarshalPrefixFilter(b []byte) (*PrefixFilter, int) {
+// UnmarshalPrefixFilter reconstructs a prefix filter serialized by its
+// MarshalBinary.
+func UnmarshalPrefixFilter(b []byte) (*PrefixFilter, error) {
+	if len(b) < 8 {
+		return nil, ErrCorrupt
+	}
 	l, i := readU64(b, 0)
-	f, n := UnmarshalFilter(b[i:])
-	return &PrefixFilter{f: f, prefixLen: int(l)}, i + n
+	f, err := UnmarshalFilter(b[i:])
+	if err != nil || l < 1 || l > math.MaxInt32 {
+		return nil, ErrCorrupt
+	}
+	return &PrefixFilter{f: f, prefixLen: int(l)}, nil
 }
 
 func appendU64(dst []byte, v uint64) []byte {

@@ -282,6 +282,20 @@ func (p *Pool) readPageChecked(ctx context.Context, f *sfile.File, pageNo uint64
 	return err
 }
 
+// NoteRead adds the outcome of one checked read made around the frames (a
+// sequential reader of immutable pages, see part.Reader) to the counters
+// readPageChecked keeps: the retries it took, whether it failed in the end,
+// and whether a page failed its checksum.
+func (p *Pool) NoteRead(retries int, failed, corrupt bool) {
+	p.readRetries.Add(int64(retries))
+	if failed {
+		p.readFailures.Add(1)
+	}
+	if corrupt {
+		p.checksumFails.Add(1)
+	}
+}
+
 // writePageChecked stamps the page checksum and writes with bounded retries.
 func (p *Pool) writePageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
 	page.StampChecksum(buf)

@@ -55,14 +55,14 @@ type memEntry struct {
 }
 
 // Body encoding in runs: [seq varint][flags 1B][value...].
-func encodeBody(e memEntry) []byte {
-	out := util.PutUvarint(nil, e.seq)
+func encodeBody(dst []byte, e memEntry) []byte {
+	dst = util.PutUvarint(dst, e.seq)
 	var f byte
 	if e.tomb {
 		f = 1
 	}
-	out = append(out, f)
-	return append(out, e.val...)
+	dst = append(dst, f)
+	return append(dst, e.val...)
 }
 
 func decodeBody(b []byte) memEntry {
@@ -470,11 +470,15 @@ func (t *Tree) flushLocked() error {
 // path calls it WITHOUT mu: the source is frozen (no further inserts)
 // and the builder touches only thread-safe state (pool, file).
 func (t *Tree) buildRun(mem *skiplist.List[[]byte, memEntry], no int) (*part.Segment, error) {
-	kvs := make([]part.KV, 0, mem.Len())
+	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	var body []byte
 	for it := mem.Min(); it.Valid(); it.Next() {
-		kvs = append(kvs, part.KV{Key: it.Key(), Body: encodeBody(it.Value())})
+		body = encodeBody(body[:0], it.Value())
+		if err := b.Add(it.Key(), body); err != nil {
+			return nil, err
+		}
 	}
-	return part.Build(t.pool, t.file, no, kvs, 0, 0, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	return b.Finish(0, 0)
 }
 
 // FlushPending builds runs for all frozen memtables, oldest first, then
@@ -632,41 +636,44 @@ func (t *Tree) bottomEmpty(i int) bool {
 // per key winning; dropTombs drops tombstones (safe only at the bottom).
 // Touches no locked state: callable with or without mu.
 func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Segment, error) {
-	its := make([]*part.Iterator, len(runs))
+	// Streamed through the same sequential readers and builder as MV-PBT's
+	// merges (Figure 15 compares the structures, not two write-out paths). A
+	// reader's key and body are only valid until it advances, so the winner
+	// goes to the builder (which copies) and its key is saved before any
+	// source moves.
+	rds := make([]*part.Reader, len(runs))
 	for i, r := range runs {
-		its[i] = r.Min()
+		rds[i] = r.NewReader()
 	}
-	var out []part.KV
+	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	defer b.Abort()
+	var minKey []byte
 	for {
-		var minKey []byte
 		best := -1
-		for i, it := range its {
-			if !it.Valid() {
-				continue
-			}
-			k := it.Record().Key
-			if best < 0 || bytes.Compare(k, minKey) < 0 {
-				minKey, best = k, i
+		for i, rd := range rds {
+			if rd.Valid() && (best < 0 || bytes.Compare(rd.Key(), rds[best].Key()) < 0) {
+				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		rec := its[best].Record()
-		e := decodeBody(rec.Body)
-		if !(dropTombs && e.tomb) {
-			out = append(out, part.KV{Key: rec.Key, Body: rec.Body})
+		if body := rds[best].Body(); !(dropTombs && decodeBody(body).tomb) {
+			if err := b.Add(rds[best].Key(), body); err != nil {
+				return nil, err
+			}
 		}
-		for _, it := range its {
-			if it.Valid() && bytes.Equal(it.Record().Key, minKey) {
-				it.Next()
+		minKey = append(minKey[:0], rds[best].Key()...)
+		for _, rd := range rds {
+			if rd.Valid() && bytes.Equal(rd.Key(), minKey) {
+				rd.Next()
 			}
 		}
 	}
-	for _, it := range its {
-		if it.Err() != nil {
-			return nil, it.Err()
+	for _, rd := range rds {
+		if rd.Err() != nil {
+			return nil, rd.Err()
 		}
 	}
-	return part.Build(t.pool, t.file, no, out, 0, 0, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	return b.Finish(0, 0)
 }

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +91,62 @@ func TestStatsAccumulate(t *testing.T) {
 	st := tr.Stats()
 	if st.Flushes == 0 || st.Compactions == 0 {
 		t.Fatalf("stats flat: %+v", st)
+	}
+}
+
+// TestCompactionBufferReuse: a record a run's reader yields is only valid
+// until that reader advances, and mergeRuns advances every run holding the
+// winning key — here every key lives in all three runs, with 1 KiB values so
+// that the runs' leaf boundaries fall on different keys. If the merge
+// compared against the winner's recycled key buffer, shadowed versions would
+// survive or keys vanish. Tombstoned keys are dropped at the bottom.
+func TestCompactionBufferReuse(t *testing.T) {
+	tr, _ := newTree(256, Options{MemtableBytes: 1 << 30, L0Runs: 3, BloomBits: 10})
+	const keys = 200
+	want := map[string]string{}
+	for run := 0; run < 3; run++ {
+		for i := run; i < keys; i++ { // run r lacks the first r keys: the runs' leaves are staggered
+			k := fmt.Sprintf("key-%04d", i)
+			switch {
+			case run == 2 && i%7 == 0:
+				if err := tr.Delete([]byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, k)
+			default:
+				v := fmt.Sprintf("%d-%s-%s", run, k, strings.Repeat("x", 1000))
+				if err := tr.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = v
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := tr.Stats(); st.Compactions != 1 || tr.NumRuns() != 1 {
+		t.Fatalf("%d compactions, %d runs: want the three L0 runs merged into one", st.Compactions, tr.NumRuns())
+	}
+	got := map[string]string{}
+	var prev string
+	err := tr.ScanRawAll(nil, nil, func(k []byte, _ uint64, tomb bool, v []byte) bool {
+		if tomb || string(k) <= prev {
+			t.Fatalf("raw record %q after %q, tombstone %v: the merged run holds one live record per key", k, prev, tomb)
+		}
+		prev = string(k)
+		got[string(k)] = string(v)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merged run holds %d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("key %s: merged run holds %.20q, want %.20q", k, got[k], v)
+		}
 	}
 }

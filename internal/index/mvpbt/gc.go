@@ -39,12 +39,6 @@ func (t *Tree) SweepPN() error {
 	return nil
 }
 
-// pnEntry pairs a PN key with its record during eviction.
-type pnEntry struct {
-	key pnKey
-	rec *Record
-}
-
 // EvictPN implements part.Owner — the partition eviction pipeline of
 // Algorithm 4, restructured so the expensive build never holds the
 // tree's write lock:
@@ -140,80 +134,151 @@ func (t *Tree) buildFrozen() error {
 // copies, and txn.Manager, the segment builder and the stats counters are
 // all thread-safe. Returns (nil, nil) when GC leaves nothing to persist.
 func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, error) {
-	// Value-copy every record: the frozen PN stays readable through the
-	// current view while GC below rewrites anti-matter chains (OldRID
-	// inheritance), so the mutation must happen on private copies.
-	entries := make([]pnEntry, 0, src.Len())
-	recs := make([]Record, 0, src.Len())
+	w := t.newPartWriter(no, false)
+	defer w.b.Abort()
 	for it := src.Min(); it.Valid(); it.Next() {
-		recs = append(recs, it.Value().snapshot())
-		entries = append(entries, pnEntry{key: it.Key(), rec: &recs[len(recs)-1]})
-	}
-	if !t.opts.DisableGC {
-		if t.opts.Unique {
-			entries = t.uniqueEvictGC(entries, false)
-		} else {
-			entries = t.evictGC(entries)
+		// Value-copy every record: the frozen PN stays readable through the
+		// current view while GC rewrites anti-matter chains (OldRID
+		// inheritance), so the mutation must happen on private copies.
+		if err := w.add(it.Key().key, it.Value().snapshot(), nil); err != nil {
+			return nil, err
 		}
 	}
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	kvs := make([]part.KV, len(entries))
-	minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
-	for i, e := range entries {
-		kvs[i] = part.KV{Key: e.key.key, Body: encodeRecord(nil, e.rec)}
-		if e.rec.TS < minTS {
-			minTS = e.rec.TS
-		}
-		if e.rec.TS > maxTS {
-			maxTS = e.rec.TS
-		}
-	}
-	return part.Build(t.pool, t.file, no, kvs, uint64(minTS), uint64(maxTS), part.BuildOptions{
-		BloomBitsPerKey: t.opts.BloomBits,
-		PrefixLen:       t.opts.PrefixLen,
-	})
+	return w.finish()
 }
 
-// evictGC is phase 3: chain-collapsing garbage collection over the frozen
-// PN contents. entries are in (key asc, ts desc) order; the returned slice
-// preserves that order.
-func (t *Tree) evictGC(entries []pnEntry) []pnEntry {
-	horizon := t.mgr.Horizon()
-	drop := make([]bool, len(entries))
+// partWriter is the one path by which records become a persisted
+// partition: evictions feed it a frozen PN, merges the k-way merge of their
+// inputs, both in (key asc, ts desc, newer source first) order. Every GC
+// rule looks only within one key, so it holds the records of ONE key,
+// collects their garbage when the next key arrives, and streams the
+// survivors into the segment builder (DESIGN.md §7).
+type partWriter struct {
+	t       *Tree
+	b       *part.Builder
+	horizon txn.TxID
+	// complete: the input is the complete persisted state (a merge), so a
+	// missing anti-matter target exists nowhere.
+	complete bool
 
-	// committedBelow reports whether the record is committed with a
-	// timestamp below the horizon — i.e. visible to (or superseded for)
-	// every present and future snapshot.
-	committedBelow := func(rec *Record) bool {
-		return rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
+	key   []byte     // the current key (a copy)
+	recs  []groupRec // its records, newest first
+	arena []byte     // backs the bodies (and through them the Vals) in recs
+	enc   []byte
+
+	minTS, maxTS txn.TxID
+}
+
+// groupRec is one record of the current key. body is its encoding as read
+// from a merge input, passed through to the output; nil (an eviction, or a
+// record GC rewrote) means encode rec.
+type groupRec struct {
+	rec  Record
+	body []byte
+	drop bool
+}
+
+func (t *Tree) newPartWriter(no int, complete bool) *partWriter {
+	return &partWriter{t: t, b: t.newBuilder(no), horizon: t.mgr.Horizon(), complete: complete, minTS: ^txn.TxID(0)}
+}
+
+// add takes the next record in order; body is its encoding if the caller
+// has it. key, body and rec.Val may be recycled once add returns — except a
+// Val handed over without a body, which must stay valid until the next key.
+func (w *partWriter) add(key []byte, rec Record, body []byte) error {
+	if len(w.recs) > 0 && !bytes.Equal(key, w.key) {
+		if err := w.flush(); err != nil {
+			return err
+		}
 	}
+	if len(w.recs) == 0 {
+		w.key = append(w.key[:0], key...)
+	}
+	if body != nil {
+		// Appending may move the arena; slices into its old backing array
+		// stay intact, since the arena is only reset between keys.
+		off := len(w.arena)
+		w.arena = append(w.arena, body...)
+		body = w.arena[off:len(w.arena):len(w.arena)]
+		if rec.Val != nil {
+			rec.Val = body[len(body)-len(rec.Val):] // the encoding ends with Val
+		}
+	}
+	w.recs = append(w.recs, groupRec{rec: rec, body: body})
+	return nil
+}
+
+// flush garbage-collects the current key's records and hands the survivors
+// to the builder.
+func (w *partWriter) flush() error {
+	if !w.t.opts.DisableGC {
+		if w.t.opts.Unique {
+			w.uniqueGC()
+		} else {
+			w.chainGC()
+		}
+	}
+	for i := range w.recs {
+		g := &w.recs[i]
+		if g.drop {
+			w.t.stats.gcEvict.Add(1)
+			continue
+		}
+		if g.body == nil {
+			w.enc = encodeRecord(w.enc[:0], &g.rec)
+			g.body = w.enc
+		}
+		if err := w.b.Add(w.key, g.body); err != nil {
+			return err
+		}
+		w.minTS, w.maxTS = min(w.minTS, g.rec.TS), max(w.maxTS, g.rec.TS)
+	}
+	w.recs, w.arena = w.recs[:0], w.arena[:0]
+	return nil
+}
+
+func (w *partWriter) finish() (*part.Segment, error) {
+	if err := w.flush(); err != nil {
+		return nil, err
+	}
+	return w.b.Finish(uint64(w.minTS), uint64(w.maxTS))
+}
+
+// committedBelow reports whether the record is committed with a timestamp
+// below the horizon — i.e. visible to (or superseded for) every present and
+// future snapshot.
+func (w *partWriter) committedBelow(r *Record) bool {
+	return r.TS < w.horizon && w.t.mgr.StatusOf(r.TS) == txn.Committed
+}
+
+// chainGC is phase 3 for the records of one key (ts desc): the
+// chain-collapsing garbage collection of partition eviction, and — when the
+// input is the complete persisted state — the removal of dangling pure
+// anti-matter on top.
+func (w *partWriter) chainGC() {
+	recs, mgr := w.recs, w.t.mgr
 
 	// Aborted and phase-1-flagged records are dropped outright.
-	for i, e := range entries {
-		if e.rec.GCMarked() || t.mgr.StatusOf(e.rec.TS) == txn.Aborted {
-			drop[i] = true
+	for i := range recs {
+		if r := &recs[i].rec; r.GCMarked() || mgr.StatusOf(r.TS) == txn.Aborted {
+			recs[i].drop = true
 		}
 	}
 
-	// matchAfter resolves an anti-matter record's OldRID to the entry it
-	// suppresses: the first matter record after position from (entries are
-	// ts desc within a key, so "after" = newest among strictly older) under
-	// entry i's key whose validated version is rid. Both scopes are
-	// load-bearing: heap vacuum recycles slots, so a bare RecordID may alias
-	// records of a different key, or of the same key at a different chain
-	// position — a tombstone whose deleted version's slot was reused by a
-	// later re-insert must not consume its own successor. Positional
+	// matchAfter resolves an anti-matter record's OldRID to the record it
+	// suppresses: the first matter record after position from (records are
+	// ts desc, so "after" = newest among strictly older) whose validated
+	// version is rid. Both scopes — this key only, this position onward —
+	// are load-bearing: heap vacuum recycles slots, so a bare RecordID may
+	// alias records of a different key, or of the same key at a different
+	// chain position — a tombstone whose deleted version's slot was reused
+	// by a later re-insert must not consume its own successor. Positional
 	// matching is exact because slot reuse follows creation order: the
 	// newest matter record older than the anti record with that rid IS its
 	// predecessor (or an aborted aliased generation, which callers skip).
-	matchAfter := func(from, i int, rid storage.RecordID) int {
-		for k := from + 1; k < len(entries); k++ {
-			if !bytes.Equal(entries[k].key.key, entries[i].key.key) {
-				return -1
-			}
-			if entries[k].rec.Matter() && entries[k].rec.Ref.RID == rid {
+	matchAfter := func(from int, rid storage.RecordID) int {
+		for k := from + 1; k < len(recs); k++ {
+			if r := &recs[k].rec; r.Matter() && r.Ref.RID == rid {
 				return k
 			}
 		}
@@ -223,26 +288,26 @@ func (t *Tree) evictGC(entries []pnEntry) []pnEntry {
 	// Chain collapse. Only predecessors under the SAME key are collapsed:
 	// a key update's replacement record must not consume the old-key chain
 	// (the simultaneously inserted anti-record owns that suppression).
-	for i := range entries {
-		r := entries[i].rec
-		if drop[i] || !r.AntiMatter() || !committedBelow(r) {
+	for i := range recs {
+		r := &recs[i].rec
+		if recs[i].drop || !r.AntiMatter() || !w.committedBelow(r) {
 			continue
 		}
 		from := i
 		for r.OldRID.Valid() {
-			j := matchAfter(from, i, r.OldRID)
+			j := matchAfter(from, r.OldRID)
 			if j < 0 {
 				break
 			}
-			pred := entries[j].rec
-			if t.mgr.StatusOf(pred.TS) == txn.Aborted {
+			pred := &recs[j].rec
+			if mgr.StatusOf(pred.TS) == txn.Aborted {
 				// An aborted record that reused the slot of the true
 				// predecessor's version — a different chain generation,
-				// not the suppression target. Keep scanning older entries.
+				// not the suppression target. Keep scanning older records.
 				from = j
 				continue
 			}
-			if !committedBelow(pred) {
+			if !w.committedBelow(pred) {
 				break
 			}
 			// The collapsing record inherits the predecessor's anti-matter
@@ -250,31 +315,33 @@ func (t *Tree) evictGC(entries []pnEntry) []pnEntry {
 			// records is preserved. Inherit even when the predecessor is
 			// already dropped (phase-1 flagged): breaking here would leave
 			// an OldRID pointing at a freed — and possibly reused — slot.
-			drop[j] = true
+			recs[j].drop = true
 			r.OldRID = pred.OldRID
+			recs[i].body = nil // rewritten: the encoding as read is stale
 			from = j
 		}
 	}
 
-	// Pure anti-matter whose whole chain lived in PN has nothing left to
-	// extinguish: the tombstone/anti record itself vanishes.
-	for i := range entries {
-		r := entries[i].rec
-		if drop[i] {
+	// Pure anti-matter with nothing left to extinguish vanishes: its whole
+	// chain was consumed above or, in a merge, its target exists nowhere.
+	for i := range recs {
+		r := &recs[i].rec
+		if recs[i].drop || r.Matter() || !w.committedBelow(r) {
 			continue
 		}
-		if (r.Type == Tombstone || r.Type == Anti) && !r.OldRID.Valid() && committedBelow(r) {
-			drop[i] = true
-		}
-	}
-
-	out := entries[:0]
-	for i := range entries {
-		if drop[i] {
-			t.stats.gcEvict.Add(1)
+		if !r.OldRID.Valid() {
+			recs[i].drop = true
 			continue
 		}
-		out = append(out, entries[i])
+		if !w.complete {
+			continue // the target may be in an older partition
+		}
+		j := matchAfter(i, r.OldRID)
+		for j >= 0 && mgr.StatusOf(recs[j].rec.TS) == txn.Aborted {
+			j = matchAfter(j, r.OldRID)
+		}
+		if j < 0 || recs[j].drop {
+			recs[i].drop = true
+		}
 	}
-	return out
 }

@@ -107,9 +107,11 @@ func (t *Tree) applyVisFault(ts txn.TxID, visible bool) bool {
 }
 
 // SetMergeTestHook installs fn to run in the middle of every partition
-// merge — after the merge inputs are read, before the merged partition is
-// built and installed. Recovery tests use it as a deterministic crash
-// point "during an in-flight background merge". Never set outside tests.
+// merge — the inputs are consumed while the output is written, so: after
+// the last input record is read and the merged leaves are on the device,
+// before the partition is completed (internal levels, filters) and
+// installed. Recovery tests use it as a deterministic crash point "during
+// an in-flight background merge". Never set outside tests.
 func (t *Tree) SetMergeTestHook(fn func()) {
 	if fn == nil {
 		t.mergeHook.Store(nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/page"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
@@ -18,9 +19,15 @@ import (
 
 const manifestMagic = 0x4D56504254 // "MVPBT"
 
+// A manifest page is a slotted page holding one record — the next
+// page.MaxRecordLen bytes of the framed manifest — under the page checksum.
+
 // SaveManifest persists the current partition metadata and returns the
-// page run holding it.
+// page run holding it. On error the run is given back.
 func (t *Tree) SaveManifest() (startPage uint64, numPages int, err error) {
+	// bgMu: a partition build grows its run in the same file.
+	t.bgMu.Lock()
+	defer t.bgMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.view.Load()
@@ -30,25 +37,24 @@ func (t *Tree) SaveManifest() (startPage uint64, numPages int, err error) {
 	for _, s := range v.parts {
 		body = part.EncodeMeta(body, s)
 	}
-	n := (len(body) + 8 + storage.PageSize - 1) / storage.PageSize
+	framed := util.EncodeUint64(nil, uint64(len(body)))
+	framed = append(framed, body...)
+	n := (len(framed) + page.MaxRecordLen - 1) / page.MaxRecordLen
 	start, err := t.file.AllocRun(n)
 	if err != nil {
 		return 0, 0, fmt.Errorf("mvpbt: manifest alloc: %w", err)
 	}
-	framed := util.EncodeUint64(nil, uint64(len(body)))
-	framed = append(framed, body...)
-	page := make([]byte, storage.PageSize)
+	buf := make([]byte, storage.PageSize)
 	for i := 0; i < n; i++ {
-		lo := i * storage.PageSize
-		hi := lo + storage.PageSize
-		if hi > len(framed) {
-			hi = len(framed)
+		clear(buf)
+		p := page.Wrap(buf)
+		p.Init()
+		p.Insert(framed[i*page.MaxRecordLen : min((i+1)*page.MaxRecordLen, len(framed))])
+		page.StampChecksum(buf)
+		if err := t.file.WritePage(start+uint64(i), buf); err != nil {
+			t.file.FreeRun(start, n)
+			return 0, 0, fmt.Errorf("mvpbt: manifest write: %w", err)
 		}
-		copy(page, framed[lo:hi])
-		for j := hi - lo; j < storage.PageSize; j++ {
-			page[j] = 0
-		}
-		t.file.WritePage(start+uint64(i), page)
 	}
 	return start, n, nil
 }
@@ -68,11 +74,19 @@ func (t *Tree) LoadManifest(startPage uint64, numPages int) (err error) {
 	if len(v.parts) != 0 || v.pn.Len() != 0 {
 		return fmt.Errorf("mvpbt: LoadManifest on a non-empty tree")
 	}
-	framed := make([]byte, 0, numPages*storage.PageSize)
+	var framed []byte
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < numPages; i++ {
-		t.file.ReadPage(startPage+uint64(i), buf)
-		framed = append(framed, buf...)
+		if err := t.file.ReadPage(startPage+uint64(i), buf); err != nil {
+			return fmt.Errorf("mvpbt: manifest read: %w", err)
+		}
+		// An all-zero page passes VerifyChecksum (a fresh page); here it is
+		// as wrong as a rotted one, and holds no record.
+		p := page.Wrap(buf)
+		if !page.VerifyChecksum(buf) || p.NumSlots() != 1 {
+			return fmt.Errorf("mvpbt: manifest page %d: %w", startPage+uint64(i), storage.ErrCorruptPage)
+		}
+		framed = append(framed, p.Get(0)...)
 	}
 	if len(framed) < 8 {
 		return fmt.Errorf("mvpbt: manifest too short")

@@ -1,10 +1,18 @@
 package mvpbt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
+	"mvpbt/internal/bloom"
 	"mvpbt/internal/index"
+	"mvpbt/internal/page"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 )
 
@@ -75,17 +83,105 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestRejectsGarbage(t *testing.T) {
 	e := newEnv(256, 1<<22)
-	tr := e.tree(Options{})
-	// Write junk pages and try to load them.
+	tr := e.tree(Options{BloomBits: 10, PrefixLen: 4})
+	reopen := func(start uint64, n int) error {
+		return New(e.pool, tr.file, e.pbuf, e.mgr, Options{BloomBits: 10, PrefixLen: 4}).LoadManifest(start, n)
+	}
+	// Junk pages.
 	start, _ := tr.file.AllocRun(1)
-	junk := make([]byte, 8192)
+	junk := make([]byte, storage.PageSize)
 	for i := range junk {
 		junk[i] = byte(i * 13)
 	}
 	tr.file.WritePage(start, junk)
-	tr2 := New(e.pool, tr.file, e.pbuf, e.mgr, Options{})
-	if err := tr2.LoadManifest(start, 1); err == nil {
+	if err := reopen(start, 1); err == nil {
 		t.Fatal("garbage manifest accepted")
+	}
+	// A never-written page: all zeros pass a page checksum, not a manifest.
+	start, _ = tr.file.AllocRun(1)
+	if err := reopen(start, 1); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("blank manifest page: %v", err)
+	}
+
+	e.commit(func(tx *txn.Tx) {
+		for k := 0; k < 4000; k++ { // filters big enough for a two-page manifest
+			tr.InsertRegular(tx, []byte(fmt.Sprintf("key-%04d", k)), e.ref())
+		}
+	})
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	index := func(kind ssd.FaultKind, ops ...uint64) {
+		e.dev.ArmFault(ssd.FaultRule{Kind: kind, Class: int(sfile.ClassIndex), Ops: ops, ByteOffset: 4000, BitMask: 0x10})
+	}
+
+	// A failed write: the error, and the run given back.
+	live, pages := e.fm.LiveBytes(), tr.file.NumPages()
+	index(ssd.FaultWriteErr, 2)
+	if _, _, err := tr.SaveManifest(); !errors.Is(err, storage.ErrIOFault) {
+		t.Fatalf("SaveManifest on a failing device: %v", err)
+	}
+	if e.fm.LiveBytes() != live {
+		t.Fatalf("failed SaveManifest holds space: live %d -> %d", live, e.fm.LiveBytes())
+	}
+	if err := reopen(pages+sfile.ExtentPages-pages%sfile.ExtentPages, 2); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("loading the abandoned manifest: %v", err)
+	}
+	start, n, err := tr.SaveManifest()
+	if err != nil || n != 2 {
+		t.Fatalf("SaveManifest = %d pages, %v; want 2", n, err)
+	}
+	if err := reopen(start, n); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed read.
+	index(ssd.FaultReadErr, 2)
+	if err := reopen(start, n); !errors.Is(err, storage.ErrIOFault) {
+		t.Fatalf("LoadManifest on a failing device: %v", err)
+	}
+
+	// Rot: one flipped bit in a manifest page.
+	index(ssd.FaultBitFlip, 2)
+	if err := reopen(start, n); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("manifest with a flipped bit: %v", err)
+	}
+
+	// A filter cut short inside an intact page (a one-page manifest, so that
+	// the frame's length is the page's): the partition must not load
+	// filterless.
+	small := e.tree(Options{Name: "small", BloomBits: 10})
+	e.commit(func(tx *txn.Tx) { small.InsertRegular(tx, []byte("k"), e.ref()) })
+	if err := small.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	start, n, err = small.SaveManifest()
+	if err != nil || n != 1 {
+		t.Fatalf("SaveManifest = %d pages, %v; want 1", n, err)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := small.file.ReadPage(start, buf); err != nil {
+		t.Fatal(err)
+	}
+	p := page.Wrap(buf)
+	framed := bytes.Clone(p.Get(0))
+	filter := small.Partitions()[0].Filter.MarshalBinary()
+	at := bytes.Index(framed, filter)
+	if at < 0 {
+		t.Fatal("the filter's encoding is not in the manifest page")
+	}
+	framed[at-1]--                                            // the filter's length prefix,
+	framed = append(framed[:at], framed[at+1:]...)            // its first byte gone,
+	binary.BigEndian.PutUint64(framed, uint64(len(framed)-8)) // and the frame still adds up
+	clear(buf)
+	p.Init()
+	p.Insert(framed)
+	page.StampChecksum(buf)
+	if err := small.file.WritePage(start, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(e.pool, small.file, e.pbuf, e.mgr, Options{}).LoadManifest(start, n); !errors.Is(err, bloom.ErrCorrupt) {
+		t.Fatalf("manifest with a truncated filter: %v", err)
 	}
 }
 

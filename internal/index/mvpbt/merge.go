@@ -4,8 +4,6 @@ import (
 	"bytes"
 
 	"mvpbt/internal/index/part"
-	"mvpbt/internal/storage"
-	"mvpbt/internal/txn"
 )
 
 // MergePartitions reorganizes ALL persisted partitions into one (the
@@ -27,12 +25,29 @@ func (t *Tree) MergePartitions() error {
 	return t.mergeBG()
 }
 
-// mergeBG is the merge body; called with bgMu held. The GC reasoning
-// below requires the merge input to be the COMPLETE persisted state:
-// bgMu guarantees that (only bgMu holders append to or replace parts),
-// and records in PN or frozen PNs are strictly newer than any persisted
-// record, so they can only suppress, never be required by, the merged
-// partition.
+// mergeSource is one merge input: a sequential reader over a partition,
+// with its head record decoded once per advance. rec.Val aliases the
+// reader's buffer, like the head's key and body.
+type mergeSource struct {
+	rd  *part.Reader
+	rec Record
+}
+
+// load decodes the head record, if there is one.
+func (s *mergeSource) load() (err error) {
+	if !s.rd.Valid() {
+		return s.rd.Err()
+	}
+	s.rec, err = decodeRecord(s.rd.Body())
+	return err
+}
+
+// mergeBG is the merge body; called with bgMu held. The cross-partition GC
+// (dangling anti-matter, see partWriter) requires the merge input to be the
+// COMPLETE persisted state: bgMu guarantees that (only bgMu holders append
+// to or replace parts), and records in PN or frozen PNs are strictly newer
+// than any persisted record, so they can only suppress, never be required
+// by, the merged partition.
 func (t *Tree) mergeBG() error {
 	t.mu.Lock()
 	v := t.view.Load()
@@ -43,191 +58,61 @@ func (t *Tree) mergeBG() error {
 	no := t.nextNo
 	t.nextNo++
 	t.mu.Unlock()
-	horizon := t.mgr.Horizon()
-	committedBelow := func(rec *Record) bool {
-		return rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
-	}
 
-	// K-way merge in (key asc, ts desc, newer partition first) order.
-	type src struct {
-		it   *part.Iterator
-		prio int
-	}
-	srcs := make([]*src, 0, len(v.parts))
+	// K-way merge in (key asc, ts desc, newer partition first) order,
+	// streamed: the inputs are read an extent at a time while the output is
+	// written a page at a time. On any error the output run is given back
+	// and the inputs stay installed.
+	w := t.newPartWriter(no, true)
+	defer w.b.Abort()
+	srcs := make([]*mergeSource, 0, len(v.parts))
 	for i := len(v.parts) - 1; i >= 0; i-- {
-		srcs = append(srcs, &src{it: v.parts[i].Min(), prio: len(v.parts) - i})
-	}
-	type entry struct {
-		key []byte
-		rec Record
-	}
-	var entries []entry
-	for {
-		best := -1
-		var bestKey []byte
-		var bestTS txn.TxID
-		for i, s := range srcs {
-			if !s.it.Valid() {
-				continue
-			}
-			r := s.it.Record()
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
-				return err
-			}
-			if best < 0 {
-				best, bestKey, bestTS = i, r.Key, rec.TS
-				continue
-			}
-			if c := bytes.Compare(r.Key, bestKey); c < 0 || (c == 0 && rec.TS > bestTS) {
-				best, bestKey, bestTS = i, r.Key, rec.TS
-			}
-		}
-		if best < 0 {
-			break
-		}
-		r := srcs[best].it.Record()
-		rec, err := decodeRecord(r.Body)
-		if err != nil {
+		srcs = append(srcs, &mergeSource{rd: v.parts[i].NewReader()})
+		if err := srcs[len(srcs)-1].load(); err != nil {
 			return err
 		}
-		entries = append(entries, entry{key: r.Key, rec: rec})
-		srcs[best].it.Next()
 	}
-	for _, s := range srcs {
-		if err := s.it.Err(); err != nil {
+	for {
+		var best *mergeSource
+		for _, s := range srcs {
+			if !s.rd.Valid() {
+				continue
+			}
+			if best == nil {
+				best = s
+				continue
+			}
+			// Ties go to the earlier source: the newer partition.
+			if c := bytes.Compare(s.rd.Key(), best.rd.Key()); c < 0 || (c == 0 && s.rec.TS > best.rec.TS) {
+				best = s
+			}
+		}
+		if best == nil {
+			break
+		}
+		if err := w.add(best.rd.Key(), best.rec, best.rd.Body()); err != nil {
+			return err
+		}
+		best.rd.Next()
+		if err := best.load(); err != nil {
 			return err
 		}
 	}
 	if hook := t.mergeHook.Load(); hook != nil {
 		// Deterministic crash point for recovery tests: the inputs are
-		// consumed but the merged partition is neither built nor installed.
+		// consumed and the merged leaves written, but the partition is
+		// neither complete nor installed.
 		(*hook)()
 	}
-
-	var out []entry
-	if t.opts.DisableGC {
-		out = entries
-	} else if t.opts.Unique {
-		// Unique-mode key-based GC. Tombstone deciders are still kept: PN
-		// may hold an older-timestamp record of the key from a
-		// long-running writer, which must stay extinguished.
-		pn := make([]pnEntry, len(entries))
-		for i := range entries {
-			pn[i] = pnEntry{key: pnKey{key: entries[i].key, ts: entries[i].rec.TS}, rec: &entries[i].rec}
-		}
-		kept := t.uniqueEvictGC(pn, false)
-		out = make([]entry, len(kept))
-		for i := range kept {
-			out[i] = entry{key: kept[i].key.key, rec: *kept[i].rec}
-		}
-	} else {
-		// Cross-partition GC: same chain collapse as eviction, plus
-		// removal of dangling pure anti-matter (the input is the complete
-		// persisted state, so a missing target cannot exist elsewhere —
-		// only PN holds strictly newer records).
-		drop := make([]bool, len(entries))
-		for i := range entries {
-			rec := &entries[i].rec
-			if rec.GCMarked() || t.mgr.StatusOf(rec.TS) == txn.Aborted {
-				drop[i] = true
-			}
-		}
-		// Positional predecessor resolution, exactly as in evictGC: heap
-		// slot reuse means a bare RecordID may alias records of a different
-		// key or a different chain position, so an anti record's target is
-		// the first matter record AFTER it (= newest strictly older, since
-		// entries are ts desc within a key) under the same key with that
-		// rid, skipping aborted aliased generations.
-		matchAfter := func(from, i int, rid storage.RecordID) int {
-			for k := from + 1; k < len(entries); k++ {
-				if !bytes.Equal(entries[k].key, entries[i].key) {
-					return -1
-				}
-				if entries[k].rec.Matter() && entries[k].rec.Ref.RID == rid {
-					return k
-				}
-			}
-			return -1
-		}
-		for i := range entries {
-			r := &entries[i].rec
-			if drop[i] || !r.AntiMatter() || !committedBelow(r) {
-				continue
-			}
-			from := i
-			for r.OldRID.Valid() {
-				j := matchAfter(from, i, r.OldRID)
-				if j < 0 {
-					break
-				}
-				pred := &entries[j].rec
-				if t.mgr.StatusOf(pred.TS) == txn.Aborted {
-					from = j // aliased generation, not the target
-					continue
-				}
-				if !committedBelow(pred) {
-					break
-				}
-				// Inherit even from an already-dropped predecessor: breaking
-				// would leave OldRID aimed at a freed (possibly reused) slot.
-				drop[j] = true
-				r.OldRID = pred.OldRID
-				from = j
-			}
-		}
-		for i := range entries {
-			r := &entries[i].rec
-			if drop[i] || r.Matter() || !committedBelow(r) {
-				continue
-			}
-			if !r.OldRID.Valid() {
-				drop[i] = true // chain fully consumed
-				continue
-			}
-			j := matchAfter(i, i, r.OldRID)
-			for j >= 0 && t.mgr.StatusOf(entries[j].rec.TS) == txn.Aborted {
-				j = matchAfter(j, i, r.OldRID)
-			}
-			if j < 0 || drop[j] {
-				drop[i] = true // dangling: the target exists nowhere
-			}
-		}
-		out = entries[:0]
-		for i := range entries {
-			if drop[i] {
-				t.stats.gcEvict.Add(1)
-				continue
-			}
-			out = append(out, entries[i])
-		}
+	seg, err := w.finish()
+	if err != nil {
+		// Nothing was published: readers and future operations keep
+		// the previous, still-intact view.
+		return err
 	}
-
 	var merged []*part.Segment
-	if len(out) > 0 {
-		kvs := make([]part.KV, len(out))
-		minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
-		for i := range out {
-			kvs[i] = part.KV{Key: out[i].key, Body: encodeRecord(nil, &out[i].rec)}
-			if ts := out[i].rec.TS; ts < minTS {
-				minTS = ts
-			}
-			if ts := out[i].rec.TS; ts > maxTS {
-				maxTS = ts
-			}
-		}
-		seg, err := part.Build(t.pool, t.file, no, kvs, uint64(minTS), uint64(maxTS), part.BuildOptions{
-			BloomBitsPerKey: t.opts.BloomBits,
-			PrefixLen:       t.opts.PrefixLen,
-		})
-		if err != nil {
-			// Nothing was published: readers and future operations keep
-			// the previous, still-intact view.
-			return err
-		}
-		if seg != nil {
-			merged = []*part.Segment{seg}
-		}
+	if seg != nil {
+		merged = []*part.Segment{seg}
 	}
 	// Install: re-read the view — PN inserts and freezes may have
 	// published since the snapshot (they don't touch parts; bgMu excludes

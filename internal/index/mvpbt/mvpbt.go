@@ -352,18 +352,19 @@ func (t *Tree) BulkLoad(tx *txn.Tx, entries []index.Entry) error {
 	defer t.bgMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kvs := make([]part.KV, len(entries))
+	b := t.newBuilder(t.nextNo)
+	defer b.Abort()
+	var enc []byte
 	for i, e := range entries {
 		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) > 0 {
 			return errNotSorted
 		}
-		rec := Record{Type: Regular, TS: tx.ID, Ref: e.Ref, Val: e.Val}
-		kvs[i] = part.KV{Key: e.Key, Body: encodeRecord(nil, &rec)}
+		enc = encodeRecord(enc[:0], &Record{Type: Regular, TS: tx.ID, Ref: e.Ref, Val: e.Val})
+		if err := b.Add(e.Key, enc); err != nil {
+			return err
+		}
 	}
-	seg, err := part.Build(t.pool, t.file, t.nextNo, kvs, uint64(tx.ID), uint64(tx.ID), part.BuildOptions{
-		BloomBitsPerKey: t.opts.BloomBits,
-		PrefixLen:       t.opts.PrefixLen,
-	})
+	seg, err := b.Finish(uint64(tx.ID), uint64(tx.ID))
 	if err != nil {
 		return err
 	}
@@ -376,6 +377,14 @@ func (t *Tree) BulkLoad(tx *txn.Tx, entries []index.Entry) error {
 		t.view.Store(&treeView{pn: v.pn, frozen: v.frozen, parts: parts})
 	}
 	return nil
+}
+
+// newBuilder starts partition number no in the tree's file.
+func (t *Tree) newBuilder(no int) *part.Builder {
+	return part.NewBuilder(t.pool, t.file, no, part.BuildOptions{
+		BloomBitsPerKey: t.opts.BloomBits,
+		PrefixLen:       t.opts.PrefixLen,
+	})
 }
 
 type mvpbtError string

@@ -147,39 +147,22 @@ func nextSource(srcs []*scanSource) *scanSource {
 	return srcs[best]
 }
 
-// uniqueEvictGC is the unique-mode phase-3 GC: per key (entries arrive in
-// key asc, ts desc order) keep every record down to and INCLUDING the
-// first committed-below-horizon one — the all-visible decider — and drop
-// the rest. Tombstone deciders are kept: they may still extinguish the
-// key in older partitions. Aborted records are dropped anywhere.
-func (t *Tree) uniqueEvictGC(entries []pnEntry, dropDecidedTombstones bool) []pnEntry {
-	horizon := t.mgr.Horizon()
-	out := entries[:0]
-	var curKey []byte
+// uniqueGC is the unique-mode phase-3 GC for the records of one key (ts
+// desc): keep every record down to and INCLUDING the first
+// committed-below-horizon one — the all-visible decider — and drop the
+// rest. Tombstone deciders are kept, in evictions and merges alike: they may
+// still extinguish the key in older partitions, or in PN, which may hold an
+// older-timestamp record of the key from a long-running writer. Aborted and
+// flagged records are dropped anywhere.
+func (w *partWriter) uniqueGC() {
 	anchored := false
-	for i := range entries {
-		rec := entries[i].rec
-		if !bytes.Equal(entries[i].key.key, curKey) {
-			curKey = entries[i].key.key
-			anchored = false
-		}
+	for i := range w.recs {
+		r := &w.recs[i].rec
 		switch {
-		case anchored:
-			t.stats.gcEvict.Add(1)
-			continue
-		case rec.GCMarked() || t.mgr.StatusOf(rec.TS) == txn.Aborted:
-			t.stats.gcEvict.Add(1)
-			continue
-		case rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed:
+		case anchored, r.GCMarked(), w.t.mgr.StatusOf(r.TS) == txn.Aborted:
+			w.recs[i].drop = true
+		case w.committedBelow(r):
 			anchored = true
-			if dropDecidedTombstones && !rec.Matter() {
-				// Safe only when the GC input is the complete key history
-				// (a full merge with no older records of the key in PN).
-				t.stats.gcEvict.Add(1)
-				continue
-			}
 		}
-		out = append(out, entries[i])
 	}
-	return out
 }

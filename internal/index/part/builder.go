@@ -1,0 +1,303 @@
+package part
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+
+	"mvpbt/internal/bloom"
+	"mvpbt/internal/buffer"
+	"mvpbt/internal/page"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/storage"
+	"mvpbt/internal/util"
+)
+
+// BuildOptions tunes segment construction.
+type BuildOptions struct {
+	// BloomBitsPerKey sizes the partition bloom filter; 0 disables it.
+	BloomBitsPerKey int
+	// PrefixLen enables a prefix bloom filter over the leading PrefixLen
+	// key bytes; 0 disables it.
+	PrefixLen int
+	// FillFraction is the leaf fill target (1.0 = dense-packed, the
+	// default; in-memory B-tree nodes use ~0.67 per §4.7).
+	FillFraction float64
+}
+
+// writeAttempts bounds the tries of one page write: transient device faults
+// are worth retrying before the build fails.
+const writeAttempts = 3
+
+// childRef names one page to its parent level: the first key of its subtree
+// and its page number relative to the segment start.
+type childRef struct {
+	firstKey []byte
+	rel      int
+}
+
+// hashList collects key hashes in fixed-size chunks, so a long build never
+// re-copies what it has collected. A hash equal to its predecessor (another
+// version of the key, another key of the prefix) is dropped: a filter bit is
+// set or not.
+type hashList [][]bloom.Hash
+
+func (l *hashList) add(h bloom.Hash) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1]) == cap((*l)[n-1]) {
+		*l = append(*l, make([]bloom.Hash, 0, 512))
+		n++
+	}
+	last := &(*l)[n-1]
+	if k := len(*last); k == 0 || (*last)[k-1] != h {
+		*last = append(*last, h)
+	}
+}
+
+func (l hashList) each(fn func(bloom.Hash)) {
+	for _, c := range l {
+		for _, h := range c {
+			fn(h)
+		}
+	}
+}
+
+// Builder writes one segment from records handed to Add in final sort
+// order, in bounded memory (paper §4.5/§4.7, Algorithm 4: one sorted pass
+// that dense-packs leaves and writes them sequentially). Records are
+// front-coded straight into one page image, which is checksummed and written
+// the moment it fills — one WritePage each, never batched: the Fig. 8 device
+// charges a 64 KiB sequential write more than eight 8 KiB ones. Only the
+// leaves' separators and the keys' filter hashes are kept, from which Finish
+// produces the internal levels (bottom-up, root last) and the filters. A
+// build that fails or is aborted returns its extents; it is over at the
+// first error.
+//
+// The run's extents are taken one at a time as it advances (AllocRun of one
+// extent each), never ahead of it: the size is unknown until the last
+// record, and reserving a bound would charge live bytes — and risk
+// ErrNoSpace — for pages the segment never has. The builder must be the only
+// allocator on the file while it runs (the index structures serialize their
+// builds per file; an allocation in between is reported, not built around).
+// The extents are adjacent on the device, as one AllocRun of the final size
+// would make them, only while no OTHER file of the manager allocates in
+// between: each is taken at the frontier, under its own lock hold.
+type Builder struct {
+	pool   *buffer.Pool
+	file   *sfile.File
+	no     int
+	opts   BuildOptions
+	budget int // leaf bytes (records + slots) the fill fraction allows
+
+	start  uint64    // first page of the run, once backed > 0
+	backed int       // pages of the run backed by extents; 0 once done
+	nPages int       // pages written: the rel of the page under construction
+	node   page.Page // the one page image, leaf or internal
+	used   int       // of budget, in the current leaf
+
+	lastKey, minKey []byte     // copies of the previous and the first record's key
+	leaves          []childRef // one per leaf started
+	keys, prefixes  hashList   // for the bloom and the prefix filter, if enabled
+	n, size         int        // records added, and their encoded bytes
+}
+
+// NewBuilder starts segment number no in file. Nothing touches the file
+// until the first page fills.
+func NewBuilder(pool *buffer.Pool, file *sfile.File, no int, opts BuildOptions) *Builder {
+	fill := opts.FillFraction
+	if fill <= 0 || fill > 1 {
+		fill = 1.0
+	}
+	b := &Builder{pool: pool, file: file, no: no, opts: opts,
+		budget: int(float64(storage.PageSize-64) * fill),
+		node:   page.Wrap(make([]byte, storage.PageSize))}
+	b.startNode(0)
+	return b
+}
+
+// startNode formats the page image as an empty node of the given level. The
+// whole image is cleared, not just the header: a page's bytes are a function
+// of its records alone.
+func (b *Builder) startNode(level int) {
+	clear(b.node.Bytes())
+	b.node.Init()
+	b.node.Client()[0] = byte(level)
+	b.used = 0
+}
+
+// Add appends one record. key and body are copied before Add returns. On
+// error the build is already rolled back.
+func (b *Builder) Add(key, body []byte) error {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	encode := func(shared int) (h, n int) {
+		h = binary.PutUvarint(hdr[:], uint64(shared))
+		h += binary.PutUvarint(hdr[h:], uint64(len(key)-shared))
+		return h, h + len(key) - shared + len(body)
+	}
+	shared := 0
+	if b.node.NumSlots() > 0 {
+		shared = util.CommonPrefix(b.lastKey, key)
+	}
+	h, n := encode(shared)
+	if b.used+n+4 > b.budget && b.node.NumSlots() > 0 {
+		if err := b.writeNode(); err != nil {
+			return b.fail(err)
+		}
+		b.startNode(0)
+		shared = 0
+		h, n = encode(0)
+	}
+	if b.node.NumSlots() == 0 {
+		b.leaves = append(b.leaves, childRef{firstKey: bytes.Clone(key), rel: b.nPages})
+	}
+	rec := b.node.Append(n)
+	if rec == nil {
+		return b.fail(fmt.Errorf("part: record too large for leaf (%d bytes)", n))
+	}
+	copy(rec, hdr[:h])
+	copy(rec[h:], key[shared:])
+	copy(rec[h+len(key)-shared:], body)
+	b.used += n + 4
+	b.size += n
+
+	if b.opts.BloomBitsPerKey > 0 {
+		b.keys.add(bloom.HashKey(key))
+	}
+	if p := b.opts.PrefixLen; p > 0 {
+		b.prefixes.add(bloom.HashKey(key[:min(p, len(key))]))
+	}
+	if b.n == 0 {
+		b.minKey = bytes.Clone(key)
+	}
+	b.lastKey = append(b.lastKey[:0], key...)
+	b.n++
+	return nil
+}
+
+// writeNode stamps the page image and writes it as the run's next page,
+// taking the run's next extent first if the page opens one.
+func (b *Builder) writeNode() error {
+	if b.nPages == b.backed {
+		start, err := b.file.AllocRun(sfile.ExtentPages)
+		if err != nil {
+			return fmt.Errorf("part: segment alloc: %w", err)
+		}
+		if b.backed == 0 {
+			b.start = start
+		} else if start != b.start+uint64(b.backed) {
+			b.file.FreeRun(start, sfile.ExtentPages)
+			return fmt.Errorf("part: segment alloc: pages allocated in %q behind the run under construction", b.file.Name())
+		}
+		b.backed += sfile.ExtentPages
+	}
+	buf := b.node.Bytes()
+	page.StampChecksum(buf)
+	var err error
+	for attempt := 0; attempt < writeAttempts; attempt++ {
+		if err = b.file.WritePage(b.start+uint64(b.nPages), buf); err == nil {
+			b.nPages++
+			return nil
+		}
+	}
+	return fmt.Errorf("part: segment write-out: %w", err)
+}
+
+// fail rolls the build back.
+func (b *Builder) fail(err error) error {
+	b.Abort()
+	return err
+}
+
+// Abort abandons the build and returns its extents to the file. It is a
+// no-op after Finish or a failed Add, so callers may defer it.
+func (b *Builder) Abort() {
+	if b.backed > 0 {
+		b.file.FreeRun(b.start, b.backed)
+		b.backed = 0
+	}
+}
+
+// Finish writes the last leaf and the internal levels and returns the
+// segment, or nil if no record was added.
+//
+// minTS/maxTS are caller-provided timestamp bounds of the records (the
+// Minimum Transaction Timestamp partition filter of §4.2); pass 0,0 if
+// unused.
+func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
+	if b.n == 0 {
+		return nil, nil
+	}
+	if err := b.writeNode(); err != nil {
+		return nil, b.fail(err)
+	}
+	numLeaves := b.nPages
+
+	// Internal levels bottom-up until a single root remains. Each node is
+	// written as it fills, so the run stays in page order: leaves, then
+	// level by level, root last.
+	height := 1
+	var enc []byte
+	for refs := b.leaves; len(refs) > 1; height++ {
+		var up []childRef
+		b.startNode(height)
+		up = append(up, childRef{firstKey: refs[0].firstKey, rel: b.nPages})
+		for _, r := range refs {
+			enc = util.PutUvarint(util.PutBytes(enc[:0], r.firstKey), uint64(r.rel))
+			if b.node.InsertAt(b.node.NumSlots(), enc) {
+				continue
+			}
+			if err := b.writeNode(); err != nil {
+				return nil, b.fail(err)
+			}
+			b.startNode(height)
+			up = append(up, childRef{firstKey: r.firstKey, rel: b.nPages})
+			if !b.node.InsertAt(0, enc) {
+				return nil, b.fail(fmt.Errorf("part: separator too large"))
+			}
+		}
+		if err := b.writeNode(); err != nil {
+			return nil, b.fail(err)
+		}
+		refs = up
+	}
+
+	seg := &Segment{
+		No:         b.no,
+		pool:       b.pool,
+		file:       b.file,
+		StartPage:  b.start,
+		NumPages:   b.nPages,
+		NumLeaves:  numLeaves,
+		rootRel:    b.nPages - 1,
+		height:     height,
+		MinKey:     b.minKey,
+		MaxKey:     b.lastKey,
+		MinTS:      minTS,
+		MaxTS:      maxTS,
+		NumRecords: b.n,
+		SizeBytes:  b.size,
+	}
+	if bits := b.opts.BloomBitsPerKey; bits > 0 {
+		seg.Filter = bloom.New(b.n, bits)
+		b.keys.each(seg.Filter.AddHash)
+	}
+	if p := b.opts.PrefixLen; p > 0 {
+		seg.PFilter = bloom.NewPrefix(b.n, b.opts.BloomBitsPerKey+2, p)
+		b.prefixes.each(seg.PFilter.AddHash)
+	}
+	seg.initCache()
+	b.backed = 0 // the segment owns the run now
+	return seg, nil
+}
+
+// Build writes a segment from sorted records: NewBuilder, Add each, Finish.
+// It returns nil for an empty record set.
+func Build(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS, maxTS uint64, opts BuildOptions) (*Segment, error) {
+	b := NewBuilder(pool, file, no, opts)
+	for i := range kvs {
+		if err := b.Add(kvs[i].Key, kvs[i].Body); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish(minTS, maxTS)
+}

@@ -1,0 +1,404 @@
+package part
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"mvpbt/internal/buffer"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
+	"mvpbt/internal/util"
+)
+
+// randomKVs returns n sorted records with bodyLen-byte bodies. Every key is
+// repeated 1..maxDup times (duplicates are adjacent and, with enough of
+// them, span leaf boundaries).
+func randomKVs(seed uint64, n, bodyLen, maxDup int) []KV {
+	r := util.NewRand(seed)
+	kvs := make([]KV, 0, n)
+	for k := 0; len(kvs) < n; k++ {
+		key := []byte(fmt.Sprintf("user%010d", k*7))
+		for d := 1 + r.Intn(maxDup); d > 0 && len(kvs) < n; d-- {
+			body := make([]byte, bodyLen)
+			r.Letters(body)
+			kvs = append(kvs, KV{Key: key, Body: body})
+		}
+	}
+	return kvs
+}
+
+// image is everything a build leaves behind: the run's device pages and the
+// segment's metadata encoding, which carries the filter bits.
+func image(t *testing.T, e *env, seg *Segment) (pages, meta []byte) {
+	t.Helper()
+	buf := make([]byte, storage.PageSize)
+	for i := 0; i < seg.NumPages; i++ {
+		if err := e.file.ReadPage(seg.StartPage+uint64(i), buf); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, buf...)
+	}
+	return pages, EncodeMeta(nil, seg)
+}
+
+// TestBuilderMatchesReference: the streaming builder's device pages,
+// metadata and filter bits equal the materialising reference build's, on
+// twin devices.
+func TestBuilderMatchesReference(t *testing.T) {
+	oneLeaf := randomKVs(5, 1000, 40, 1)
+	for n := 1; n <= len(oneLeaf); n++ { // the longest prefix that fills one leaf and no more
+		e := newEnv(16)
+		if seg, err := referenceBuild(e.pool, e.file, 1, oneLeaf[:n], 0, 0, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		} else if seg.NumLeaves > 1 {
+			oneLeaf = oneLeaf[:n-1]
+		}
+	}
+	short := []KV{{Key: []byte("a"), Body: []byte("1")}, {Key: []byte("ab"), Body: []byte("2")}, {Key: []byte("abcdef"), Body: []byte("3")}}
+	for _, c := range []struct {
+		name string
+		kvs  []KV
+		opts BuildOptions
+	}{
+		{"1KiB-values/multi-level", randomKVs(1, 3000, 1024, 1), BuildOptions{BloomBitsPerKey: 10}},
+		{"1KiB-values/versions", randomKVs(2, 1500, 1024, 20), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 8}},
+		{"index-records/duplicates-span-leaves", randomKVs(3, 20000, 40, 600), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 12}},
+		{"index-records/no-filters", randomKVs(4, 20000, 40, 3), BuildOptions{}},
+		{"index-records/fill-0.67", randomKVs(4, 20000, 40, 3), BuildOptions{BloomBitsPerKey: 7, FillFraction: 0.67}},
+		{"one-record", randomKVs(6, 1, 1024, 1), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 4}},
+		{"exactly-one-leaf", oneLeaf, BuildOptions{BloomBitsPerKey: 10}},
+		{"keys-shorter-than-prefix", short, BuildOptions{BloomBitsPerKey: 10, PrefixLen: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, got := newEnv(16), newEnv(16)
+			want, err := referenceBuild(ref.pool, ref.file, 7, c.kvs, 3, 9, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBuilder(got.pool, got.file, 7, c.opts)
+			var key, body []byte // recycled between Adds, as a merge's buffers are
+			for _, kv := range c.kvs {
+				key, body = append(key[:0], kv.Key...), append(body[:0], kv.Body...)
+				if err := b.Add(key, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seg, err := b.Finish(3, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPages, wantMeta := image(t, ref, want)
+			gotPages, gotMeta := image(t, got, seg)
+			if !bytes.Equal(gotPages, wantPages) {
+				t.Errorf("device pages differ (%d pages, reference %d)", seg.NumPages, want.NumPages)
+			}
+			if !bytes.Equal(gotMeta, wantMeta) {
+				t.Errorf("metadata or filter bits differ: %d leaves height %d, reference %d leaves height %d",
+					seg.NumLeaves, seg.height, want.NumLeaves, want.height)
+			}
+			// Same space, and the next run lands on the same page: the builder
+			// leaves the file at the end of its last extent, where a run
+			// starts anyway.
+			a, _ := ref.file.AllocRun(1)
+			n, _ := got.file.AllocRun(1)
+			if ref.fm.LiveBytes() != got.fm.LiveBytes() || ref.fm.HighWaterBytes() != got.fm.HighWaterBytes() || a != n {
+				t.Errorf("space differs: live %d high water %d next run at %d, reference %d %d %d",
+					got.fm.LiveBytes(), got.fm.HighWaterBytes(), n, ref.fm.LiveBytes(), ref.fm.HighWaterBytes(), a)
+			}
+			if c.name == "1KiB-values/multi-level" && seg.height < 3 {
+				t.Errorf("height %d, want a multi-level tree", seg.height)
+			}
+		})
+	}
+}
+
+// TestBuilderFailureReturnsExtents: whichever page write fails for good —
+// the first, one in the middle, the last leaf, an internal page — and
+// whenever the device runs out of space half-way through the run, the build
+// reports the error, gives back every extent it took, and the next build on
+// the file succeeds.
+func TestBuilderFailureReturnsExtents(t *testing.T) {
+	kvs := randomKVs(1, 600, 1024, 1) // 86 leaves and a root: three extents
+	probe := newEnv(16)
+	whole, err := Build(probe.pool, probe.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.NumPages != whole.NumLeaves+1 || whole.NumLeaves < 2*sfile.ExtentPages {
+		t.Fatalf("probe build: %d pages, %d leaves", whole.NumPages, whole.NumLeaves)
+	}
+	for _, c := range []struct {
+		name string
+		arm  func(e *env)
+		want error
+	}{
+		{"first-page", failWrite(1), storage.ErrIOFault},
+		{"middle-page", failWrite(whole.NumLeaves / 2), storage.ErrIOFault},
+		{"last-leaf", failWrite(whole.NumLeaves), storage.ErrIOFault},
+		{"internal-page", failWrite(whole.NumPages), storage.ErrIOFault},
+		{"no-space-mid-run", func(e *env) { e.fm.SetCapacity(e.fm.LiveBytes() + 2*sfile.ExtentBytes) }, storage.ErrNoSpace},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(16)
+			if _, err := Build(e.pool, e.file, 1, kvs[:10], 0, 0, BuildOptions{}); err != nil { // the file is in use
+				t.Fatal(err)
+			}
+			live := e.fm.LiveBytes()
+			c.arm(e)
+			seg, err := Build(e.pool, e.file, 2, kvs, 0, 0, BuildOptions{BloomBitsPerKey: 10})
+			if seg != nil || !errors.Is(err, c.want) {
+				t.Fatalf("Build = %v, %v; want %v", seg, err, c.want)
+			}
+			if e.fm.LiveBytes() != live {
+				t.Fatalf("failed build holds space: live %d -> %d", live, e.fm.LiveBytes())
+			}
+			e.dev.DisarmAllFaults()
+			e.fm.SetCapacity(0)
+			seg, err = Build(e.pool, e.file, 2, kvs, 0, 0, BuildOptions{BloomBitsPerKey: 10})
+			if err != nil {
+				t.Fatalf("build after the failed one: %v", err)
+			}
+			n := 0
+			for it := seg.Min(); it.Valid(); it.Next() {
+				if !bytes.Equal(it.Record().Key, kvs[n].Key) || !bytes.Equal(it.Record().Body, kvs[n].Body) {
+					t.Fatalf("record %d differs after the retry", n)
+				}
+				n++
+			}
+			if n != len(kvs) {
+				t.Fatalf("retry holds %d of %d records", n, len(kvs))
+			}
+		})
+	}
+}
+
+// failWrite arms a write fault on every attempt at the n-th page of the next
+// build (earlier pages take one write each).
+func failWrite(n int) func(*env) {
+	return func(e *env) {
+		ops := make([]uint64, writeAttempts)
+		for i := range ops {
+			ops[i] = uint64(n + i)
+		}
+		e.dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: ssd.AnyClass, Ops: ops})
+	}
+}
+
+func TestBuilderAbort(t *testing.T) {
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
+	for _, kv := range randomKVs(1, 400, 1024, 1) {
+		if err := b.Add(kv.Key, kv.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.fm.LiveBytes() == 0 {
+		t.Fatal("400 KiB added and nothing written yet")
+	}
+	b.Abort()
+	b.Abort()
+	if e.fm.LiveBytes() != 0 {
+		t.Fatalf("abort left %d bytes live", e.fm.LiveBytes())
+	}
+}
+
+// TestBuilderRefusesForeignAllocation: pages allocated in the file while a
+// build is under way would leave its run with a hole. The build fails at its
+// next extent and gives back every extent it took — the ones before the
+// foreign pages and the one behind them — but not the foreign ones.
+func TestBuilderRefusesForeignAllocation(t *testing.T) {
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
+	var err error
+	for i, kv := range randomKVs(1, 600, 1024, 1) {
+		if i == 100 { // the first extent is taken, the second is not
+			if e.fm.LiveBytes() != sfile.ExtentBytes {
+				t.Fatalf("%d bytes live after 100 KiB", e.fm.LiveBytes())
+			}
+			if _, err := e.file.AllocRun(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err = b.Add(kv.Key, kv.Body); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		t.Fatal("the build went on past a foreign allocation")
+	}
+	if e.fm.LiveBytes() != sfile.ExtentBytes {
+		t.Fatalf("%d bytes live after the failed build, want the foreign extent only", e.fm.LiveBytes())
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := e.file.ReadPage(sfile.ExtentPages, buf); err != nil {
+		t.Fatalf("the foreign page was freed with the run: %v", err)
+	}
+	b.Abort()
+	if e.fm.LiveBytes() != sfile.ExtentBytes {
+		t.Fatal("Abort after the failure freed again")
+	}
+}
+
+func TestBuilderRecordTooLarge(t *testing.T) {
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
+	if err := b.Add([]byte("k"), make([]byte, storage.PageSize)); err == nil {
+		t.Fatal("a page-sized record fit a leaf")
+	}
+	if e.fm.LiveBytes() != 0 {
+		t.Fatal("the failed build holds space")
+	}
+}
+
+// TestReaderMatchesIterator: the sequential reader yields what the pool-side
+// iterator yields, across leaf and extent boundaries, without touching the
+// pool.
+func TestReaderMatchesIterator(t *testing.T) {
+	e := newEnv(64)
+	seg, err := Build(e.pool, e.file, 1, randomKVs(9, 40000, 40, 300), 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.NumLeaves <= 2*sfile.ExtentPages {
+		t.Fatalf("%d leaves: want more than two extents", seg.NumLeaves)
+	}
+	e.dev.ResetStats()
+	requests := e.pool.Stats()[sfile.ClassIndex].Requests
+	rd := seg.NewReader()
+	var keys, bodies [][]byte
+	for ; rd.Valid(); rd.Next() {
+		keys, bodies = append(keys, bytes.Clone(rd.Key())), append(bodies, bytes.Clone(rd.Body()))
+	}
+	if rd.Err() != nil {
+		t.Fatal(rd.Err())
+	}
+	wantReads := int64((seg.NumLeaves + sfile.ExtentPages - 1) / sfile.ExtentPages)
+	if st := e.dev.Stats(); st.Reads != wantReads || st.BytesRead != int64(seg.NumLeaves)*storage.PageSize {
+		t.Fatalf("%d device reads of %d bytes, want one per extent of leaves: %d of %d", st.Reads, st.BytesRead, wantReads, seg.NumLeaves*storage.PageSize)
+	}
+	if got := e.pool.Stats()[sfile.ClassIndex].Requests; got != requests {
+		t.Fatalf("the reader made %d buffer-pool requests", got-requests)
+	}
+	n := 0
+	for it := seg.Min(); it.Valid(); it.Next() {
+		if n >= len(keys) || !bytes.Equal(it.Record().Key, keys[n]) || !bytes.Equal(it.Record().Body, bodies[n]) {
+			t.Fatalf("record %d differs", n)
+		}
+		n++
+	}
+	if n != len(keys) || n != seg.NumRecords {
+		t.Fatalf("reader yielded %d records, iterator %d, segment holds %d", len(keys), n, seg.NumRecords)
+	}
+}
+
+// TestReaderFaults: a chunk read is retried like a buffer-pool page fetch,
+// and what outlasts the retries, a rotted page, or a freed run surfaces as
+// the error the pool would return.
+func TestReaderFaults(t *testing.T) {
+	drain := func(seg *Segment) (int, error) {
+		n := 0
+		rd := seg.NewReader()
+		for ; rd.Valid(); rd.Next() {
+			n++
+		}
+		return n, rd.Err()
+	}
+	for _, c := range []struct {
+		name string
+		rule ssd.FaultRule
+		want error
+	}{
+		{"transient", ssd.FaultRule{Kind: ssd.FaultReadErr, Ops: []uint64{2}}, nil},
+		{"persistent", ssd.FaultRule{Kind: ssd.FaultReadErr, Ops: []uint64{2, 3, 4}}, storage.ErrIOFault},
+		{"bit-flip", ssd.FaultRule{Kind: ssd.FaultBitFlip, Ops: []uint64{2}, ByteOffset: 5*storage.PageSize + 100}, storage.ErrCorruptPage},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(16)
+			seg, err := Build(e.pool, e.file, 1, randomKVs(1, 400, 1024, 1), 0, 0, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.rule.Class = ssd.AnyClass
+			e.dev.ArmFault(c.rule)
+			e.dev.ResetStats()
+			n, err := drain(seg)
+			if !errors.Is(err, c.want) || (c.want == nil && (err != nil || n != seg.NumRecords)) {
+				t.Fatalf("read %d of %d records, err %v; want %v", n, seg.NumRecords, err, c.want)
+			}
+			wantReads := int64(2) // two extents of leaves
+			switch c.name {
+			case "transient":
+				wantReads = 3
+			case "persistent":
+				wantReads = 1 + readAttempts
+			}
+			if got := e.dev.Stats().Reads; got != wantReads {
+				t.Fatalf("%d device reads, want %d", got, wantReads)
+			}
+			// The pool's counters see the reader's faults as they see its own.
+			got := e.pool.IOStats()
+			want := buffer.IOStats{}
+			switch c.name {
+			case "transient":
+				want.ReadRetries = 1
+			case "persistent":
+				want.ReadRetries, want.ReadFailures = readAttempts-1, 1
+			case "bit-flip":
+				want.ChecksumFailures, want.ReadFailures = 1, 1
+			}
+			if got != want {
+				t.Fatalf("pool I/O counters %+v, want %+v", got, want)
+			}
+		})
+	}
+	t.Run("freed", func(t *testing.T) {
+		e := newEnv(16)
+		seg, err := Build(e.pool, e.file, 1, randomKVs(1, 400, 1024, 1), 0, 0, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Free()
+		e.dev.ResetStats()
+		if _, err := drain(seg); !errors.Is(err, storage.ErrFreedPage) {
+			t.Fatalf("reading a freed segment: %v", err)
+		}
+		if got := e.dev.Stats().Reads; got != 0 {
+			t.Fatalf("%d device reads of a freed run", got)
+		}
+	})
+}
+
+// buildCost is one Builder run over kvs on a fresh device: what
+// BenchmarkBuilder reports per op.
+func buildCost(tb testing.TB, kvs []KV) ssd.Stats {
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{BloomBitsPerKey: 10})
+	for i := range kvs {
+		if err := b.Add(kvs[i].Key, kvs[i].Body); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(1, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return e.dev.Stats()
+}
+
+// BenchmarkBuilder streams one P_N's worth (256 KiB) of sorted 1 KiB records
+// into a partition. Allocation includes the fresh device's blocks, 8 KiB per
+// page written.
+func BenchmarkBuilder(b *testing.B) {
+	kvs := randomKVs(1, 230, 1024, 1)
+	var st ssd.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st = buildCost(b, kvs)
+	}
+	b.ReportMetric(float64(st.Writes), "dev-writes/op")
+	b.ReportMetric(float64(st.Reads), "dev-reads/op")
+	b.ReportMetric(float64(st.IOTime())/1e6, "virtual-ms/op")
+}

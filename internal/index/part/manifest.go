@@ -49,6 +49,7 @@ func EncodeMeta(dst []byte, s *Segment) []byte {
 // produced by EncodeMeta, returning the segment and the bytes consumed.
 func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, error) {
 	s := &Segment{pool: pool, file: file}
+	var err error
 	i := 0
 	read := func() uint64 {
 		v, n := util.Uvarint(b[i:])
@@ -78,8 +79,9 @@ func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, e
 		i++
 		fb, n := util.GetBytes(b[i:])
 		i += n
-		f, _ := bloom.UnmarshalFilter(fb)
-		s.Filter = f
+		if s.Filter, err = bloom.UnmarshalFilter(fb); err != nil {
+			return nil, 0, fmt.Errorf("part: segment %d bloom filter: %w", s.No, err)
+		}
 	} else {
 		i++
 	}
@@ -87,8 +89,9 @@ func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, e
 		i++
 		pb, n := util.GetBytes(b[i:])
 		i += n
-		p, _ := bloom.UnmarshalPrefixFilter(pb)
-		s.PFilter = p
+		if s.PFilter, err = bloom.UnmarshalPrefixFilter(pb); err != nil {
+			return nil, 0, fmt.Errorf("part: segment %d prefix filter: %w", s.No, err)
+		}
 	} else {
 		i++
 	}

@@ -1,0 +1,120 @@
+package part
+
+import (
+	"errors"
+	"fmt"
+
+	"mvpbt/internal/page"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/storage"
+	"mvpbt/internal/util"
+)
+
+// readAttempts bounds the tries of one chunk read, like the buffer pool's
+// page fetch: transient faults are retried, freed pages and checksum
+// mismatches are not.
+const readAttempts = 3
+
+// Reader streams all of a segment's records in order, for merges. It walks
+// the leaves with one device read per extent into its own buffer and decodes
+// in place, bypassing the buffer pool's frames and the decoded-leaf caches: a
+// merge reads every input page exactly once and frees it right after, so
+// caching them would only evict pages someone will read again. The pages are
+// immutable and were written around the pool, so the device copy is the
+// truth; each is checksum-verified as the pool would, and the outcome lands
+// in the pool's read counters.
+//
+// Key and Body alias the reader's buffers and are valid only until the next
+// call to Next.
+type Reader struct {
+	seg   *Segment
+	buf   []byte    // room for the leaf pages of one extent
+	chunk []byte    // the leaf pages of the current extent, in buf
+	first int       // rel of chunk's first leaf
+	leaf  int       // rel of the current leaf
+	pg    page.Page // the current leaf, inside chunk
+	slot  int
+	key   []byte
+	body  []byte
+	valid bool
+	err   error
+}
+
+// NewReader returns a reader positioned on the segment's first record.
+func (s *Segment) NewReader() *Reader {
+	r := &Reader{seg: s, leaf: -1, buf: make([]byte, min(sfile.ExtentPages, s.NumLeaves)*storage.PageSize)}
+	r.Next()
+	return r
+}
+
+// Valid reports whether the reader is on a record.
+func (r *Reader) Valid() bool { return r.valid }
+
+// Err returns the error that ended the stream early, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Key returns the current record's key.
+func (r *Reader) Key() []byte { return r.key }
+
+// Body returns the current record's body.
+func (r *Reader) Body() []byte { return r.body }
+
+// Next advances to the following record.
+func (r *Reader) Next() {
+	r.valid = false
+	if r.err != nil {
+		return
+	}
+	r.slot++
+	for r.leaf < 0 || r.slot >= r.pg.NumSlots() {
+		r.leaf++
+		r.slot = 0
+		if r.leaf >= r.seg.NumLeaves {
+			return
+		}
+		if r.leaf%sfile.ExtentPages == 0 {
+			if r.err = r.fill(); r.err != nil {
+				return
+			}
+		}
+		off := (r.leaf - r.first) * storage.PageSize
+		r.pg = page.Wrap(r.chunk[off : off+storage.PageSize])
+	}
+	rec := r.pg.Get(r.slot)
+	shared, c := util.Uvarint(rec)
+	sl, c2 := util.Uvarint(rec[c:])
+	rec = rec[c+c2:]
+	r.key = append(r.key[:shared], rec[:sl]...)
+	r.body = rec[sl:]
+	r.valid = true
+}
+
+// fill reads the leaves of the extent starting at r.leaf into chunk and
+// verifies every page.
+func (r *Reader) fill() error {
+	s := r.seg
+	n := min(sfile.ExtentPages, s.NumLeaves-r.leaf)
+	r.chunk = r.buf[:n*storage.PageSize]
+	first := s.StartPage + uint64(r.leaf)
+	var err error
+	retries := 0
+	for ; ; retries++ {
+		err = s.file.ReadRun(first, r.chunk)
+		if err == nil || errors.Is(err, storage.ErrFreedPage) || retries == readAttempts-1 {
+			break
+		}
+	}
+	corrupt := false
+	for i := 0; i < n && err == nil; i++ {
+		if !page.VerifyChecksum(r.chunk[i*storage.PageSize : (i+1)*storage.PageSize]) {
+			corrupt = true
+			err = fmt.Errorf("part: page %d of %q: %w", first+uint64(i), s.file.Name(), storage.ErrCorruptPage)
+		}
+	}
+	s.pool.NoteRead(retries, err != nil, corrupt)
+	if err != nil {
+		return err
+	}
+	r.first = r.leaf
+	return nil
+}

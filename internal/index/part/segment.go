@@ -8,34 +8,19 @@ package part
 
 import (
 	"bytes"
-	"fmt"
 	"sync/atomic"
 
 	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
-	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
 
-// KV is one index record for bulk building: an opaque body under a search
-// key. Records must be handed to Build in final sort order.
+// KV is one index record: an opaque body under a search key.
 type KV struct {
 	Key  []byte
 	Body []byte
-}
-
-// BuildOptions tunes segment construction.
-type BuildOptions struct {
-	// BloomBitsPerKey sizes the partition bloom filter; 0 disables it.
-	BloomBitsPerKey int
-	// PrefixLen enables a prefix bloom filter over the leading PrefixLen
-	// key bytes; 0 disables it.
-	PrefixLen int
-	// FillFraction is the leaf fill target (1.0 = dense-packed, the
-	// default; in-memory B-tree nodes use ~0.67 per §4.7).
-	FillFraction float64
 }
 
 // Leaf records are front-coded against their predecessor within the page:
@@ -104,175 +89,6 @@ func (s *Segment) dropDecoded(rel int) {
 	} else if slot := rel - s.NumLeaves; slot >= 0 && slot < len(s.inner) {
 		s.inner[slot].Store(nil)
 	}
-}
-
-// Build writes a segment from sorted records and returns its metadata. The
-// page writes form one sequential run. Build returns nil for an empty
-// record set.
-//
-// minTS/maxTS are caller-provided timestamp bounds of the records (the
-// Minimum Transaction Timestamp partition filter of §4.2); pass 0,0 if
-// unused.
-func Build(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS, maxTS uint64, opts BuildOptions) (*Segment, error) {
-	if len(kvs) == 0 {
-		return nil, nil
-	}
-	fill := opts.FillFraction
-	if fill <= 0 || fill > 1 {
-		fill = 1.0
-	}
-	// ---- Pack leaves (in memory first: page numbers of internal levels
-	// depend on the leaf count, and the final write-out must be one
-	// sequential pass in page order).
-	var pages [][]byte
-	newNode := func(level int) page.Page {
-		buf := make([]byte, storage.PageSize)
-		p := page.Wrap(buf)
-		p.Init()
-		p.Client()[0] = byte(level)
-		pages = append(pages, buf)
-		return p
-	}
-
-	type childRef struct {
-		firstKey []byte
-		rel      int
-	}
-	var leafRefs []childRef
-
-	leaf := newNode(0)
-	var prevKey []byte
-	budget := int(float64(storage.PageSize-64) * fill)
-	used := 0
-	size := 0
-	for i := range kvs {
-		rec := encodeLeafRec(prevKey, kvs[i].Key, kvs[i].Body)
-		if used+len(rec)+4 > budget && leaf.NumSlots() > 0 {
-			leaf = newNode(0)
-			leafRefs = append(leafRefs, childRef{firstKey: kvs[i].Key, rel: len(pages) - 1})
-			prevKey = nil
-			used = 0
-			rec = encodeLeafRec(nil, kvs[i].Key, kvs[i].Body)
-		} else if leaf.NumSlots() == 0 {
-			if len(leafRefs) == 0 || leafRefs[len(leafRefs)-1].rel != len(pages)-1 {
-				leafRefs = append(leafRefs, childRef{firstKey: kvs[i].Key, rel: len(pages) - 1})
-			}
-		}
-		if !leaf.InsertAt(leaf.NumSlots(), rec) {
-			return nil, fmt.Errorf("part: record too large for leaf (%d bytes)", len(rec))
-		}
-		used += len(rec) + 4
-		size += len(rec)
-		prevKey = kvs[i].Key
-	}
-	numLeaves := len(pages)
-
-	// ---- Build internal levels bottom-up until a single root remains.
-	height := 1
-	refs := leafRefs
-	for len(refs) > 1 {
-		height++
-		var up []childRef
-		node := newNode(height - 1)
-		up = append(up, childRef{firstKey: refs[0].firstKey, rel: len(pages) - 1})
-		for _, r := range refs {
-			rec := encodeInternalRec(r.firstKey, r.rel)
-			if !node.InsertAt(node.NumSlots(), rec) {
-				node = newNode(height - 1)
-				up = append(up, childRef{firstKey: r.firstKey, rel: len(pages) - 1})
-				if !node.InsertAt(node.NumSlots(), rec) {
-					return nil, fmt.Errorf("part: separator too large")
-				}
-			}
-		}
-		refs = up
-	}
-
-	// ---- Filters are computed concurrently with the sequential
-	// write-out, like Algorithm 4's worker pair (worker1 loadAndFlush,
-	// worker2 createFilters).
-	type filters struct {
-		bloom  *bloom.Filter
-		prefix *bloom.PrefixFilter
-	}
-	fch := make(chan filters, 1)
-	go func() {
-		var f filters
-		if opts.BloomBitsPerKey > 0 {
-			f.bloom = bloom.New(len(kvs), opts.BloomBitsPerKey)
-			for i := range kvs {
-				f.bloom.Add(kvs[i].Key)
-			}
-		}
-		if opts.PrefixLen > 0 {
-			f.prefix = bloom.NewPrefix(len(kvs), opts.BloomBitsPerKey+2, opts.PrefixLen)
-			for i := range kvs {
-				f.prefix.Add(kvs[i].Key)
-			}
-		}
-		fch <- f
-	}()
-
-	// ---- Sequential write-out. Pages are stamped with their checksum (the
-	// buffer pool verifies them on every later fetch) and transient write
-	// faults are retried a bounded number of times before the build fails.
-	start, err := file.AllocRun(len(pages))
-	if err != nil {
-		<-fch // the filter goroutine sends exactly once; drain it
-		return nil, fmt.Errorf("part: segment alloc: %w", err)
-	}
-	var werr error
-	for i, buf := range pages {
-		page.StampChecksum(buf)
-		for attempt := 0; ; attempt++ {
-			werr = file.WritePage(start+uint64(i), buf)
-			if werr == nil || attempt >= 2 {
-				break
-			}
-		}
-		if werr != nil {
-			break
-		}
-	}
-	flt := <-fch
-	if werr != nil {
-		return nil, fmt.Errorf("part: segment write-out: %w", werr)
-	}
-
-	seg := &Segment{
-		No:         no,
-		pool:       pool,
-		file:       file,
-		StartPage:  start,
-		NumPages:   len(pages),
-		NumLeaves:  numLeaves,
-		rootRel:    len(pages) - 1,
-		height:     height,
-		MinKey:     append([]byte(nil), kvs[0].Key...),
-		MaxKey:     append([]byte(nil), kvs[len(kvs)-1].Key...),
-		MinTS:      minTS,
-		MaxTS:      maxTS,
-		NumRecords: len(kvs),
-		SizeBytes:  size,
-	}
-	seg.Filter = flt.bloom
-	seg.PFilter = flt.prefix
-	seg.initCache()
-	return seg, nil
-}
-
-func encodeLeafRec(prevKey, key, body []byte) []byte {
-	shared := util.CommonPrefix(prevKey, key)
-	out := util.PutUvarint(nil, uint64(shared))
-	out = util.PutUvarint(out, uint64(len(key)-shared))
-	out = append(out, key[shared:]...)
-	return append(out, body...)
-}
-
-func encodeInternalRec(key []byte, rel int) []byte {
-	out := util.PutUvarint(nil, uint64(len(key)))
-	out = append(out, key...)
-	return util.PutUvarint(out, uint64(rel))
 }
 
 func decodeInternalRec(rec []byte) (key []byte, rel int) {

@@ -114,14 +114,16 @@ func (t *Tree) EvictPN() error {
 	if t.pn.Len() == 0 {
 		return nil
 	}
-	kvs := make([]part.KV, 0, t.pn.Len())
-	for it := t.pn.Min(); it.Valid(); it.Next() {
-		kvs = append(kvs, part.KV{Key: it.Key().key, Body: it.Value()})
-	}
-	seg, err := part.Build(t.pool, t.file, t.nextNo, kvs, 0, 0, part.BuildOptions{
+	b := part.NewBuilder(t.pool, t.file, t.nextNo, part.BuildOptions{
 		BloomBitsPerKey: t.opts.BloomBits,
 		PrefixLen:       t.opts.PrefixLen,
 	})
+	for it := t.pn.Min(); it.Valid(); it.Next() {
+		if err := b.Add(it.Key().key, it.Value()); err != nil {
+			return err
+		}
+	}
+	seg, err := b.Finish(0, 0)
 	if err != nil {
 		return err
 	}

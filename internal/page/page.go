@@ -283,30 +283,47 @@ func (p Page) Replace(i int, rec []byte) bool {
 // order and nothing points at slots from outside.
 func (p Page) InsertAt(i int, rec []byte) bool {
 	n := p.numSlots()
-	if i < 0 || i > n || len(rec) == 0 || len(rec) > MaxRecordLen {
+	if i < 0 || i > n {
 		return false
 	}
-	need := len(rec) + slotSize
-	contig := p.freeHi() - p.slotEnd()
-	if contig < need {
-		if p.FreeSpace() < need {
-			return false
-		}
-		p.Compact()
-		if p.freeHi()-p.slotEnd() < need {
-			return false
-		}
+	dst := p.Append(len(rec))
+	if dst == nil {
+		return false
 	}
-	// Shift the slot directory entries [i, n) up by one slot.
+	copy(dst, rec)
+	// Move the new slot from the end of the directory to position i.
+	off, l := p.slot(n)
 	base := slotBase + i*slotSize
 	end := slotBase + n*slotSize
 	copy(p.b[base+slotSize:end+slotSize], p.b[base:end])
-	p.setNumSlots(n + 1)
-	off := p.freeHi() - len(rec)
-	copy(p.b[off:], rec)
-	p.setFreeHi(off)
-	p.setSlot(i, off, len(rec))
+	p.setSlot(i, off, l)
 	return true
+}
+
+// Append reserves an n-byte record as the page's new last slot and returns
+// it for the caller to fill in: InsertAt(NumSlots(), rec) without the
+// staging copy, for bulk builders that encode each record in place. It
+// returns nil if the record does not fit (the page is left unchanged).
+func (p Page) Append(n int) []byte {
+	slots := p.numSlots()
+	if n <= 0 || n > MaxRecordLen {
+		return nil
+	}
+	need := n + slotSize
+	if p.freeHi()-p.slotEnd() < need {
+		if p.FreeSpace() < need {
+			return nil
+		}
+		p.Compact()
+		if p.freeHi()-p.slotEnd() < need {
+			return nil
+		}
+	}
+	p.setNumSlots(slots + 1)
+	off := p.freeHi() - n
+	p.setFreeHi(off)
+	p.setSlot(slots, off, n)
+	return p.b[off : off+n : off+n]
 }
 
 // DeleteAt removes slot i entirely, shifting slots [i+1, n) down by one.

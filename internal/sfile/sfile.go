@@ -375,6 +375,23 @@ func (f *File) ReadPage(pageNo uint64, buf []byte) error {
 	return f.m.dev.ReadAt(buf, off)
 }
 
+// ReadRun reads the len(buf)/PageSize pages starting at pageNo with ONE
+// device read — the sequential-scan counterpart of ReadPage (a 256 KiB read
+// costs about half of thirty-two 8 KiB ones on the Fig. 8 profile). Only an
+// extent is contiguous on the device, so a run crossing an extent boundary
+// is refused. Errors mirror ReadPage.
+func (f *File) ReadRun(pageNo uint64, buf []byte) error {
+	n := uint64(len(buf) / storage.PageSize)
+	if n == 0 || len(buf)%storage.PageSize != 0 || pageNo/ExtentPages != (pageNo+n-1)/ExtentPages {
+		return fmt.Errorf("sfile: pages [%d,%d) of file %q: %d bytes are not a page run inside one extent", pageNo, pageNo+n, f.name, len(buf))
+	}
+	off, err := f.offsetOf(pageNo)
+	if err != nil {
+		return err
+	}
+	return f.m.dev.ReadAt(buf, off)
+}
+
 // WritePage writes buf to page pageNo. Errors mirror ReadPage.
 func (f *File) WritePage(pageNo uint64, buf []byte) error {
 	off, err := f.offsetOf(pageNo)

@@ -376,3 +376,54 @@ func TestSpaceNotifierFiresOutsideLocks(t *testing.T) {
 		t.Fatal("notifier fired after removal")
 	}
 }
+
+// TestReadRun: one device read for a page run inside an extent; a run that
+// crosses an extent boundary (not contiguous on the device) is refused.
+func TestReadRun(t *testing.T) {
+	m := newMgr()
+	other := m.Create("other", ClassTable)
+	f := m.Create("idx", ClassIndex)
+	start := mustAllocRun(t, f, ExtentPages)
+	mustAllocPage(t, other) // the file's two extents are not adjacent
+	mustAllocRun(t, f, ExtentPages)
+	page := make([]byte, storage.PageSize)
+	for p := 0; p < 2*ExtentPages; p++ {
+		page[0], page[storage.PageSize-1] = byte(p), byte(p)
+		if err := f.WritePage(start+uint64(p), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Device().ResetStats()
+	buf := make([]byte, 5*storage.PageSize)
+	if err := f.ReadRun(start+ExtentPages-5, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if p := buf[i*storage.PageSize:][:storage.PageSize]; p[0] != byte(ExtentPages-5+i) || p[storage.PageSize-1] != p[0] {
+			t.Fatalf("page %d of the run holds %d", i, p[0])
+		}
+	}
+	if st := m.Device().Stats(); st.Reads != 1 || st.BytesRead != int64(len(buf)) {
+		t.Fatalf("%d device reads of %d bytes, want 1 of %d", st.Reads, st.BytesRead, len(buf))
+	}
+	for _, c := range []struct {
+		name  string
+		start uint64
+		buf   []byte
+	}{
+		{"across an extent boundary", start + ExtentPages - 2, buf},
+		{"not whole pages", start, buf[:storage.PageSize+1]},
+		{"empty", start, nil},
+	} {
+		if err := f.ReadRun(c.start, c.buf); err == nil {
+			t.Errorf("ReadRun %s accepted", c.name)
+		}
+	}
+	if st := m.Device().Stats(); st.Reads != 1 {
+		t.Fatalf("refused runs reached the device: %d reads", st.Reads)
+	}
+	f.FreeRun(start, ExtentPages)
+	if err := f.ReadRun(start, buf); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("ReadRun of a freed extent: %v", err)
+	}
+}

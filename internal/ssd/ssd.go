@@ -140,6 +140,7 @@ type Device struct {
 	prof      Profile
 	spec      DeviceSpec
 	blocks    map[int64][]byte
+	spare     [][]byte // blocks Discard released, reused by copyIn; at most len(blocks)
 	lastRdEnd int64
 	lastWrEnd int64
 	stats     Stats
@@ -294,7 +295,16 @@ func (d *Device) Discard(off, n int64) {
 	first := (off + storeBlock - 1) / storeBlock
 	last := (off + n) / storeBlock
 	for b := first; b < last; b++ {
-		delete(d.blocks, b)
+		if blk, ok := d.blocks[b]; ok {
+			delete(d.blocks, b)
+			d.spare = append(d.spare, blk)
+		}
+	}
+	// Never more spare blocks than stored ones: an append-and-trim cycle
+	// recycles everything, a discard of most of the device does not pin it.
+	if n := len(d.blocks); len(d.spare) > n {
+		clear(d.spare[n:])
+		d.spare = d.spare[:n]
 	}
 	if d.spec.Mode == ModeZNS {
 		d.znsDiscard(off, n)
@@ -331,13 +341,31 @@ func (d *Device) copyIn(p []byte, off int64) {
 		}
 		blk, ok := d.blocks[b]
 		if !ok {
-			blk = make([]byte, storeBlock)
+			blk = d.newBlock(n == storeBlock)
 			d.blocks[b] = blk
 		}
 		copy(blk[bo:bo+n], p[:n])
 		p = p[n:]
 		off += int64(n)
 	}
+}
+
+// newBlock returns a storage block for copyIn, recycling one that Discard
+// released: an append-and-trim workload (log rotation, partition merges)
+// otherwise turns the whole device over into garbage for the Go collector.
+// A recycled block still holds its old contents, so it is zeroed unless the
+// caller is about to overwrite all of it.
+func (d *Device) newBlock(overwritten bool) []byte {
+	n := len(d.spare)
+	if n == 0 {
+		return make([]byte, storeBlock)
+	}
+	blk := d.spare[n-1]
+	d.spare = d.spare[:n-1]
+	if !overwritten {
+		clear(blk)
+	}
+	return blk
 }
 
 // Stats returns a snapshot of the device counters.

@@ -230,3 +230,79 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("concurrent counters wrong: %+v", s)
 	}
 }
+
+// TestDiscardedBlocksAreRecycledZeroed: Discard keeps the released blocks for
+// reuse, and a recycled block that a write covers only partly still reads
+// zeros everywhere else — on the device, not just in the block it used to be.
+func TestDiscardedBlocksAreRecycledZeroed(t *testing.T) {
+	d := newDev()
+	full := bytes.Repeat([]byte{0xAB}, 4*storeBlock)
+	d.WriteAt(full, 0)
+	d.WriteAt(full, 50*storeBlock) // stays: as many blocks are kept for reuse as are stored
+	d.Discard(0, 4*storeBlock)
+	if len(d.spare) != 4 {
+		t.Fatalf("%d blocks kept for reuse, want 4", len(d.spare))
+	}
+	part := bytes.Repeat([]byte{0xCD}, 1000)
+	d.WriteAt(part, 10*storeBlock+500) // a recycled block, partly written, at another address
+	d.WriteAt(full[:storeBlock], 20*storeBlock)
+	d.WriteAt(part, 30*storeBlock+storeBlock-500) // straddles two blocks
+	got := make([]byte, 2*storeBlock)
+	for _, c := range []struct {
+		off    int64
+		lo, hi int // got[lo:hi] holds fill, the rest zeros
+		fill   byte
+		what   string
+	}{
+		{0, 0, 0, 0, "discarded range"},
+		{10 * storeBlock, 500, 1500, 0xCD, "partly rewritten recycled block"},
+		{20 * storeBlock, 0, storeBlock, 0xAB, "fully rewritten recycled block"},
+		{30 * storeBlock, storeBlock - 500, storeBlock + 500, 0xCD, "write straddling two blocks"},
+	} {
+		d.ReadAt(got, c.off)
+		for i, b := range got {
+			want := byte(0)
+			if i >= c.lo && i < c.hi {
+				want = c.fill
+			}
+			if b != want {
+				t.Fatalf("%s: byte %d reads %#x, want %#x", c.what, i, b, want)
+			}
+		}
+	}
+}
+
+// TestWriteDiscardCycleAllocatesNothing: a steady write→discard cycle (log
+// rotation, partition merges) next to data that stays runs out of the
+// device's recycled blocks.
+func TestWriteDiscardCycleAllocatesNothing(t *testing.T) {
+	d := newDev()
+	buf := make([]byte, 4*storeBlock)
+	d.WriteAt(buf, 100*storeBlock)
+	d.WriteAt(buf, 104*storeBlock)
+	cycle := func() {
+		d.WriteAt(buf, 0)
+		d.WriteAt(buf[:100], 8*storeBlock+7)
+		d.Discard(0, 16*storeBlock)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("%.1f allocs per write→discard cycle, want 0", got)
+	}
+}
+
+// TestSpareBlocksBounded: the recycling list holds no more blocks than the
+// device stores, so discarding most of a device releases most of its memory.
+func TestSpareBlocksBounded(t *testing.T) {
+	d := newDev()
+	buf := make([]byte, 64*storeBlock)
+	d.WriteAt(buf, 0)
+	d.Discard(8*storeBlock, 56*storeBlock)
+	if len(d.blocks) != 8 || len(d.spare) != 8 {
+		t.Fatalf("%d blocks stored, %d spare; want 8 and 8", len(d.blocks), len(d.spare))
+	}
+	d.Discard(0, 8*storeBlock)
+	if len(d.spare) != 0 {
+		t.Fatalf("%d spare blocks on an empty device", len(d.spare))
+	}
+}

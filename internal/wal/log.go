@@ -196,19 +196,29 @@ func (l *Log) deviceBytes() int64 {
 
 // Rotate replaces the log's content: fill appends the new generation's
 // opening records to w (seq is the generation's number; fill must not
-// flush), the generation is flushed, ONE superblock page write carrying aux
+// flush — w writes itself out an extent at a time as it is filled), the
+// rest of the generation is flushed, ONE superblock page write carrying aux
 // publishes it — the commit point — and the old generation's pages go back
 // to the device. Appenders wait out the whole call and continue in the new
 // generation.
 //
-// An error from fill is returned as is, before anything is created. Any
-// later error before the superblock write abandons the new generation and
-// leaves the old one authoritative: the rotation simply did not happen.
+// An error from fill is returned as is. That or any later error before the
+// superblock write abandons the new generation — whatever of it reached the
+// device is given back — and leaves the old one authoritative: the rotation
+// simply did not happen.
 func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq := l.st.Seq + 1
-	w := &Writer{} // buffers only; it gets its file once fill has succeeded
+	w := &Writer{spill: true, open: func() *sfile.File {
+		return l.fm.Create(fmt.Sprintf("%s.%d", l.name, seq), sfile.ClassMeta)
+	}}
+	published := false
+	defer func() {
+		if !published && w.file != nil {
+			freePages(w.file)
+		}
+	}()
 	if err := fill(w, seq); err != nil {
 		return err
 	}
@@ -218,19 +228,21 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 			return fmt.Errorf("wal: rotate: superblock alloc: %w", err)
 		}
 	}
-	w.file = l.fm.Create(fmt.Sprintf("%s.%d", l.name, seq), sfile.ClassMeta)
 	if err := w.Flush(); err != nil {
-		freePages(w.file)
 		return fmt.Errorf("wal: rotate: %w", err)
 	}
+	if w.file == nil {
+		w.file = w.open() // an empty generation still needs its (empty) file
+	}
+	w.spill = false // a published generation flushes at commit, like any log
 	l.hook(l.BeforeSuper)
 
 	buf := make([]byte, storage.PageSize)
 	encodeSuper(buf, seq, w.file.ID(), aux)
 	if err := writeSectors(l.meta, seq%2, 0, buf); err != nil {
-		freePages(w.file)
 		return fmt.Errorf("wal: rotate: superblock write: %w", err)
 	}
+	published = true
 	l.hook(l.AfterSuper)
 
 	// Past the commit point nothing can fail the rotation; at worst the old

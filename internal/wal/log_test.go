@@ -56,15 +56,16 @@ func fillWith(ids ...uint64) func(*Writer, uint64) error {
 	}
 }
 
-// TestLogCrashPoints crashes a rotation at each of its three instants and
+// TestLogCrashPoints crashes a rotation at each of its three instants and in
+// the middle of a fill large enough to be reaching the device already, and
 // tears its superblock write, for an engine-style log (aux stays 0) and a
 // coordinator-style log (aux counts up), on the log's first rotation (no
 // superblock yet: the fallback is the generation in memory) and on a later
 // one (the fallback is the other slot). A "crash" is the durable image and
-// aux at that instant — recovery depends on nothing else. Before the
-// superblock write, and after a torn one, the old generation and the old aux
-// are authoritative; after it the new ones are, whether or not the old
-// pages are freed yet.
+// aux at that instant — recovery depends on nothing else. During the fill,
+// before the superblock write, and after a torn one, the old generation and
+// the old aux are authoritative, intact; after it the new ones are, whether
+// or not the old pages are freed yet.
 func TestLogCrashPoints(t *testing.T) {
 	for _, style := range []struct {
 		name string
@@ -74,7 +75,7 @@ func TestLogCrashPoints(t *testing.T) {
 		{"coordinator", func(seq uint64) uint64 { return 40 + seq }},
 	} {
 		for _, prior := range []uint64{0, 1, 2} {
-			for _, point := range []string{"before-super", "after-super", "after-free", "torn-super"} {
+			for _, point := range []string{"mid-fill", "before-super", "after-super", "after-free", "torn-super"} {
 				t.Run(fmt.Sprintf("%s/rotation-%d/%s", style.name, prior+1, point), func(t *testing.T) {
 					l, fm, dev := newTestLog()
 					oldAux := uint64(0)
@@ -97,7 +98,21 @@ func TestLogCrashPoints(t *testing.T) {
 					fired := false
 					capture := func(b []byte, a uint64) { img, aux, fired = b, a, true }
 					want, wantAux := next, newAux
+					fill := fillWith(next...)
 					switch point {
+					case "mid-fill":
+						fill = func(w *Writer, _ uint64) error {
+							live, row := fm.LiveBytes(), make([]byte, 100<<10)
+							for _, id := range next {
+								w.Append(&Record{Op: OpCkptRow, TxID: id, Row: row})
+							}
+							if fm.LiveBytes() == live {
+								t.Error("400 KiB into the fill, none of it is on the device")
+							}
+							capture(l.durable())
+							return nil
+						}
+						want, wantAux = old, oldAux
 					case "before-super":
 						l.BeforeSuper = capture
 						want, wantAux = old, oldAux
@@ -112,7 +127,7 @@ func TestLogCrashPoints(t *testing.T) {
 							dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultTornWrite, Class: ssd.AnyClass, Sticky: true, TornSectors: 1})
 						}
 					}
-					err := l.Rotate(newAux, fillWith(next...))
+					err := l.Rotate(newAux, fill)
 					if point != "torn-super" {
 						if err != nil || !fired {
 							t.Fatalf("Rotate: err=%v, hook fired=%v", err, fired)
@@ -174,6 +189,91 @@ func TestLogFillErrorTouchesNothing(t *testing.T) {
 	if fm.LiveBytes() != live || dev.Stats().Writes != writes || l.Stats().Seq != 0 {
 		t.Fatalf("refused rotation left a trace: live %d->%d writes %d->%d seq %d",
 			live, fm.LiveBytes(), writes, dev.Stats().Writes, l.Stats().Seq)
+	}
+}
+
+// TestLogFillSpills: a fill writes itself out as it goes. It holds an
+// extent, not the generation; the device sees the page writes one flush at
+// the end would have issued, one sequential run; and if the fill then fails,
+// or the rotation after it, everything it wrote is given back and the old
+// generation stands.
+func TestLogFillSpills(t *testing.T) {
+	row := make([]byte, 1<<10)
+	const rows = 2000 // ~2 MiB
+	healthy := true   // the writer spills and the device takes it
+	big := func(fail error) func(*Writer, uint64) error {
+		return func(w *Writer, _ uint64) error {
+			for id := uint64(0); id < rows; id++ {
+				w.Append(&Record{Op: OpCkptRow, TxID: id, Row: row})
+				if healthy && cap(w.buf) > 3*sfile.ExtentBytes {
+					t.Fatalf("row %d: the writer buffers %d bytes", id, cap(w.buf))
+				}
+			}
+			return fail
+		}
+	}
+	l, fm, dev := newTestLog()
+	if err := l.Rotate(0, fillWith(1, 2, 3)); err != nil { // the superblock file exists from here on
+		t.Fatal(err)
+	}
+	live := fm.LiveBytes()
+
+	busy := errors.New("busy")
+	if err := l.Rotate(0, big(busy)); err != busy {
+		t.Fatalf("Rotate = %v, want the fill's error as is", err)
+	}
+	healthy = false
+	dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: ssd.AnyClass, Ops: []uint64{40, 41, 42, 43, 44, 45}}) // the spill's, then the flush's, tries at one page
+	if err := l.Rotate(0, big(nil)); !errors.Is(err, storage.ErrIOFault) {
+		t.Fatalf("Rotate on a failing device: %v", err)
+	}
+	if st := dev.FaultCounters(); st.Injected[ssd.FaultWriteErr] != 6 {
+		t.Fatalf("%d write faults injected, want the spill's three tries and the flush's three", st.Injected[ssd.FaultWriteErr])
+	}
+	healthy = true
+	if got := txids(t, l.Image()); !reflect.DeepEqual(got, []uint64{1, 2, 3}) || fm.LiveBytes() != live || l.Stats().Seq != 1 {
+		t.Fatalf("failed rotations left image %v, live %d -> %d, seq %d", got, live, fm.LiveBytes(), l.Stats().Seq)
+	}
+
+	dev.ResetStats()
+	dev.SetTracing(true)
+	flushes := l.Stats().Flushes
+	if err := l.Rotate(0, big(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// The same records through a writer that only flushes at the end, on a
+	// device of its own: the same writes, in the same order.
+	_, fm2, dev2 := newTestLog()
+	w2 := NewWriter(fm2.Create("unspilled", sfile.ClassMeta))
+	healthy = false // this one is meant to buffer it all
+	if err := big(nil)(w2, 0); err != nil {
+		t.Fatal(err)
+	}
+	dev2.SetTracing(true)
+	if err := w2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spilled, atOnce := dev.Trace(), dev2.Trace()
+	if len(spilled) != len(atOnce)+1 { // and the superblock
+		t.Fatalf("%d writes, want the %d of one flush and the superblock", len(spilled), len(atOnce))
+	}
+	for i, w := range atOnce {
+		if spilled[i].Op != w.Op || spilled[i].Len != w.Len {
+			t.Fatalf("write %d: %v of %d bytes, one flush issues %v of %d", i, spilled[i].Op, spilled[i].Len, w.Op, w.Len)
+		}
+	}
+	if got := txids(t, l.Image()); len(got) != rows || got[rows-1] != rows-1 {
+		t.Fatalf("image holds %d records", len(got))
+	}
+	// One write per page of the generation, the last one a sector run, plus
+	// the superblock; sequential but for each (recycled) extent's first.
+	st, pages := dev.Stats(), int64(l.w.file.NumPages())
+	extents := (pages + sfile.ExtentPages - 1) / sfile.ExtentPages
+	if st.Writes != pages+1 || st.SeqWrites < pages-extents || st.BytesWritten <= (pages-1)*storage.PageSize || st.BytesWritten > pages*storage.PageSize+storage.PageSize {
+		t.Fatalf("%d writes (%d sequential) of %d bytes for a generation of %d pages", st.Writes, st.SeqWrites, st.BytesWritten, pages)
+	}
+	if got := l.Stats().Flushes - flushes; got != 1 {
+		t.Fatalf("the fill counted as %d flushes, want 1", got)
 	}
 }
 

@@ -205,9 +205,19 @@ func decode(src []byte) (rec Record, n int, ok bool) {
 //     head identically; a torn write persists leading sectors only.
 //  3. A failed flush leaves the writer resumable: the unflushed suffix stays
 //     buffered from the failed page's first non-durable sector on.
+//
+// The writer of a log generation under construction (Log.Rotate) is created
+// with open instead of file, and spills. It owns no device space until it
+// has bytes to put there, and it does not wait for Flush to put them:
+// whenever an extent's worth is buffered, Append writes out the whole pages
+// among them. A checkpoint therefore stages an extent, not the snapshot, and
+// because a page boundary is a sector boundary the device sees the same
+// sequence of page writes as one Flush at the end would issue.
 type Writer struct {
-	mu   sync.Mutex
-	file *sfile.File
+	mu    sync.Mutex
+	file  *sfile.File
+	open  func() *sfile.File // creates file at the first flush, when file is nil
+	spill bool               // Append flushes whole pages, an extent at a time
 	// buf holds the log bytes from the last sector boundary at or below the
 	// durable frontier: buf[:durable] is the already durable head of a
 	// partially filled sector, buf[durable:] what Append added since. buf[0]
@@ -238,6 +248,11 @@ func (w *Writer) Append(r *Record) {
 	before := len(w.buf)
 	w.buf = frame(w.buf, w.enc)
 	w.written += int64(len(w.buf) - before)
+	if w.spill && len(w.buf) >= sfile.ExtentBytes {
+		// An error leaves the bytes buffered for Flush to meet it again, and
+		// ends the spilling: the owner hears of a fault once, from Flush.
+		w.spill = w.flushTo(len(w.buf)-(w.tailOff+len(w.buf))%storage.PageSize) == nil
+	}
 }
 
 // Written returns the total logical log bytes appended so far.
@@ -268,13 +283,26 @@ var zeroSector [ssd.SectorSize]byte
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	end := len(w.buf)
-	if end == w.durable {
+	if len(w.buf) == w.durable {
 		return nil
+	}
+	if err := w.flushTo(len(w.buf)); err != nil {
+		return err
+	}
+	w.flushes.Add(1)
+	return nil
+}
+
+// flushTo writes buf[:end] to the device: everything buffered, or a prefix
+// that ends on a page boundary. Called with mu held.
+func (w *Writer) flushTo(end int) error {
+	if w.file == nil {
+		w.file = w.open()
 	}
 	// Zero-pad the last sector in place, past the end of the buffered bytes,
 	// so every run is written straight out of buf.
-	w.buf = append(w.buf, zeroSector[:-end&(ssd.SectorSize-1)]...)
+	buffered := len(w.buf)
+	w.buf = append(w.buf, zeroSector[:-buffered&(ssd.SectorSize-1)]...)
 	var err error
 	pos := 0 // buf[pos] is the first byte of the first non-durable sector
 	for end-pos > w.durable {
@@ -296,11 +324,10 @@ func (w *Writer) Flush() error {
 		pos, w.tailOff, w.durable = pos+whole, w.tailOff+whole, n-whole
 		w.haveTail = w.tailOff < storage.PageSize
 	}
-	w.buf = append(w.buf[:0], w.buf[pos:end]...)
+	w.buf = append(w.buf[:0], w.buf[pos:buffered]...)
 	if err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	w.flushes.Add(1)
 	return nil
 }
 
