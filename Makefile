@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal check check-nightly check-faults check-exhaust check-scenarios check-chaos check-2pc check-all bench bench-commit bench-evict bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly check-faults check-exhaust check-scenarios check-chaos check-2pc check-all bench bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -37,6 +37,13 @@ fuzz-wire:
 fuzz-wal:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
+
+# And for the two that read partition pages where they lie: the leaf cursor
+# behind part.Iterator and part.Reader, and the internal-page search.
+# Crashers land in internal/index/part/testdata/fuzz/.
+fuzz-part:
+	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
+	go test -fuzz=FuzzInnerSearch -fuzztime=10s ./internal/index/part/
 
 # Differential correctness harness: short smoke (CI) and nightly-length.
 check:
@@ -102,17 +109,27 @@ bench-commit:
 	go test -bench BenchmarkAlloc -benchmem -benchtime 2000x -run xxx ./internal/bench/ | tee -a bench-commit.txt
 	go test -bench BenchmarkWriterFlush -benchmem -benchtime 2000x -run xxx ./internal/wal/ | tee -a bench-commit.txt
 
-# Partition write-path benchmarks, a layer measured without the stack above
-# it: the bounded-memory gate (TestBoundedMemoryGate: an eviction and a
-# 10-way merge hold one page, one key's records and an extent per input, not
-# the partition; it fails the build), then the segment builder, one P_N
-# eviction and one 10-way merge with -benchmem and their device cost
-# (dev-writes/op, dev-reads/op, virtual-ms/op; counts, so they repeat).
+# Partition benchmarks, a layer measured without the stack above it: the
+# bounded-memory gate (TestBoundedMemoryGate: an eviction and a 10-way merge
+# hold one page, one key's records and an extent per input, not the
+# partition; it fails the build), then the segment builder, one P_N eviction
+# and one 10-way merge with -benchmem and their device cost (dev-writes/op,
+# dev-reads/op, virtual-ms/op; counts, so they repeat), and a reused
+# iterator's Seek into a resident segment and through a pool a third its size.
 # Output lands in bench-evict.txt for publishing as a build artifact.
 bench-evict:
 	go test ./internal/index/mvpbt/ -run TestBoundedMemoryGate -count 1
 	go test -bench BenchmarkBuilder -benchmem -benchtime 200x -run xxx ./internal/index/part/ | tee bench-evict.txt
+	go test -bench BenchmarkSegmentSeek -benchmem -benchtime 20000x -run xxx ./internal/index/part/ | tee -a bench-evict.txt
 	go test -bench 'BenchmarkEvictPN|BenchmarkMergePartitions' -benchmem -benchtime 50x -run xxx ./internal/index/mvpbt/ | tee -a bench-evict.txt
+
+# The repository benchmark's own smoke test (benchmarks/: every workload at
+# a fraction of its scale, every declared metric present, outputs checked).
+# The numbers themselves come from `sh benchmarks/run.sh`; each PR that claims
+# or risks a performance change commits its `-all -seed 1` document as
+# BENCH_<pr>.json.
+bench-ledger:
+	go test ./benchmarks
 
 # Sharded network front-end experiment: clients x shards scaling curve and
 # p99 under overload with admission control on/off. Output lands in

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/storage"
 )
 
 // Write-hot-path allocation tracking. The benchmarks report allocs/op for
@@ -163,6 +165,69 @@ func TestHotPathAllocGate(t *testing.T) {
 	})
 	if got > 3.5 {
 		t.Errorf("KV Put with WAL: %.2f allocs/op, want <=3 (logging and flushing the put must add nothing to the unlogged path)", got)
+	}
+
+	t.Run("persisted", func(t *testing.T) { persistedReadAllocs(t, runs) })
+}
+
+// persistedReadAllocs gates the read path below P_N: five persisted
+// partitions, each spanning the whole key range, behind a pool a quarter of
+// their size, so that most reads fetch pages and many miss. Records are read
+// where they lie in a reused page buffer: a Get allocates the value it
+// returns and a Scan nothing that grows with the leaves it visits. That
+// buffer comes from a sync.Pool, which the race detector empties at random
+// on purpose, so these cases (and only these) say nothing under -race.
+func persistedReadAllocs(t *testing.T, runs int) {
+	if raceEnabled {
+		t.Skip("the read path recycles its state through a sync.Pool, which -race drops at random")
+	}
+	ep := db.NewEngine(db.Config{BufferPages: 64})
+	kvp, err := db.NewMVPBTKV(ep, "persisted", db.MVPBTKVOptions{BloomBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, parts = 8000, 5
+	pkeys := make([][]byte, keys)
+	for i := range pkeys {
+		pkeys[i] = []byte(fmt.Sprintf("user%08d", i))
+	}
+	pkey := func(i int) []byte { return pkeys[i%keys] }
+	big := bytes.Repeat([]byte("v"), 200)
+	for p := 0; p < parts; p++ {
+		for i := p; i < keys; i += parts {
+			if err := kvp.Put(pkey(i), big); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := kvp.Tree().EvictPN(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, pages := kvp.Tree().NumPartitions(), ep.FM.LiveBytes()/storage.PageSize; n != parts || pages < 4*64 {
+		t.Fatalf("%d partitions in %d pages: want %d and at least %d pages", n, pages, parts, 4*64)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		next += 997
+		if _, ok, err := kvp.Get(pkey(next)); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	})
+	if got > 1.5 {
+		t.Errorf("KV Get from a persisted partition: %.2f allocs/op, want <=1 (the returned value copy)", got)
+	}
+	scan := func(limit int) float64 {
+		return testing.AllocsPerRun(runs/10, func() {
+			next += 997
+			n := 0
+			if err := kvp.Scan(pkey(next), limit, func(k, v []byte) bool { n++; return true }); err != nil || n == 0 {
+				t.Fatal(n, err)
+			}
+		})
+	}
+	short, long := scan(50), scan(1000) // under one leaf of each partition, and about six
+	if short > 0.5 || long > 0.5 {
+		t.Errorf("KV Scan over %d partitions: %.2f allocs for 50 pairs, %.2f for 1000; want 0 for either", parts, short, long)
 	}
 }
 

@@ -296,3 +296,65 @@ func TestDropPinnedPagePanics(t *testing.T) {
 	}()
 	p.DropFilePages(f, start, 1)
 }
+
+// TestGetNoRefCountsHitButDoesNotPromote: a hit through GetNoRef is a request
+// and a hit in the class counters, yet the page keeps the reference bit it
+// had, so the clock sweep takes it exactly when it would have had the hit
+// never reached the pool; the same hit through Get buys the page another
+// round.
+func TestGetNoRefCountsHitButDoesNotPromote(t *testing.T) {
+	for _, promote := range []bool{false, true} {
+		p, m := setup(3)
+		f := m.Create("i", sfile.ClassIndex)
+		var nos []uint64
+		for i := 0; i < 5; i++ { // A B C D E, on the device
+			fr, no, err := p.NewPage(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(fr, true)
+			nos = append(nos, no)
+		}
+		if err := p.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		get := func(no uint64, noRef bool) (hit bool) {
+			before := p.Stats()[sfile.ClassIndex]
+			fetch := p.Get
+			if noRef {
+				fetch = p.GetNoRef
+			}
+			fr, err := fetch(f, no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(fr, false)
+			d := p.Stats()[sfile.ClassIndex].Sub(before)
+			if d.Requests != 1 {
+				t.Fatalf("fetch counted %d requests", d.Requests)
+			}
+			return d.Hits == 1
+		}
+		// A, B, C fill the frames, all referenced. D's sweep clears the
+		// three bits and takes A's frame: D referenced, B and C not, hand
+		// on B.
+		for _, no := range nos[:4] {
+			if get(no, false) {
+				t.Fatalf("page %d cached after EvictAll", no)
+			}
+		}
+		if !get(nos[1], !promote) {
+			t.Fatal("B not cached: the hit was not counted as one")
+		}
+		get(nos[4], false) // E needs a frame
+		// The page expected in the pool is probed first: a miss would
+		// take a frame itself.
+		if promote {
+			if bCached, cCached := get(nos[1], true), get(nos[2], true); !bCached || cCached {
+				t.Fatalf("Get hit: B cached %v, C cached %v; want the referenced B kept and C taken", bCached, cCached)
+			}
+		} else if cCached, bCached := get(nos[2], true), get(nos[1], true); bCached || !cCached {
+			t.Fatalf("GetNoRef hit: B cached %v, C cached %v; want B taken by the second sweep as if never hit", bCached, cCached)
+		}
+	}
+}

@@ -22,7 +22,9 @@ type KV interface {
 	Put(key, val []byte) error
 	Get(key []byte) ([]byte, bool, error)
 	Delete(key []byte) error
-	// Scan streams up to limit live pairs with key >= lo in key order.
+	// Scan streams up to limit live pairs with key >= lo in key order. key
+	// and val are valid only until fn returns (index.Entry's lifetime rule):
+	// a callback that keeps either copies it.
 	Scan(lo []byte, limit int, fn func(key, val []byte) bool) error
 }
 

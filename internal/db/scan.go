@@ -34,7 +34,8 @@ func ctxCheck(tx *txn.Tx, stop *error) func() bool {
 // Scan streams the rows visible to tx whose index key is in [lo, hi)
 // through fn. withRows controls whether Row payloads are fetched from the
 // heap (counting/existence queries over MV-PBT can skip that entirely —
-// the index-only path of §4.4).
+// the index-only path of §4.4). The RowRef's Key is valid only until fn
+// returns (see RowRef.Key); everything else in it may be kept.
 //
 // The visibility-check strategy follows the index kind:
 //   - MV-PBT (unless NoIdxVC): the index returns visible entries.

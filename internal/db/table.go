@@ -193,12 +193,19 @@ func (t *Table) ref(rid storage.RecordID, v uint64) index.Ref {
 }
 
 // RowRef identifies a visible row: its location, tuple identity, index
-// key and (when requested) payload.
+// key and (when requested) payload. RID, VID and Row may be kept: Row is a
+// copy made from the heap for this RowRef.
 type RowRef struct {
 	RID storage.RecordID
 	VID uint64
 	// Key is the index key of the entry that produced this row; available
 	// on scans and lookups even when Row is not fetched (index-only reads).
+	//
+	// LIFETIME: the Key a Scan hands to its callback is the index's own
+	// (index.Entry.Key): it points into a buffer the scan reuses for the
+	// next entry and is valid only until the callback returns. A RowRef kept
+	// past that must copy it. The Key of a Lookup or LookupOne is the key
+	// slice the caller passed in.
 	Key []byte
 	Row []byte
 }

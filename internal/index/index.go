@@ -50,6 +50,12 @@ func DecodeRef(src []byte) Ref {
 }
 
 // Entry is one index result.
+//
+// LIFETIME: an Entry is handed to a callback, and its Key and Val are valid
+// only until that callback returns. They may point into a buffer the index
+// reads persisted pages through (part.Iterator) and reuses for the next
+// record, the next leaf and the next call; a callback that keeps either
+// copies it. Ref is a value and may be kept.
 type Entry struct {
 	Key []byte
 	Ref Ref

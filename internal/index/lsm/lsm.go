@@ -108,6 +108,7 @@ type Tree struct {
 	lower []*part.Segment // levels[i] = L(i+1); nil slots allowed
 	runNo int
 	stats Stats
+	getIt part.Iterator // Get's segment iterator, reused; guarded by mu
 
 	onFlush func() // guarded by mu; nil = synchronous flush
 
@@ -227,20 +228,26 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 			return append([]byte(nil), e.val...), true, nil
 		}
 	}
+	// probe reads through the tree's one iterator (runs are probed one after
+	// another, under mu), so a value found is copied before the next move.
 	probe := func(seg *part.Segment) (memEntry, bool, error) {
 		if !seg.MayContainKey(key) {
 			t.stats.BloomNegatives++
 			return memEntry{}, false, nil
 		}
-		it := seg.Seek(key)
+		it := &t.getIt
+		it.Seek(seg, key)
 		if it.Err() != nil {
 			return memEntry{}, false, it.Err()
 		}
 		if it.Valid() && bytes.Equal(it.Record().Key, key) {
-			return decodeBody(it.Record().Body), true, nil
+			e := decodeBody(it.Record().Body)
+			e.val = append([]byte(nil), e.val...)
+			return e, true, nil
 		}
 		return memEntry{}, false, nil
 	}
+	defer t.getIt.Close()
 	for _, seg := range t.l0 {
 		e, ok, err := probe(seg)
 		if err != nil {
@@ -272,7 +279,8 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 }
 
 // source is one input to the merge: the memtable or a run, with rank 0 =
-// newest.
+// newest. A run's key and entry point into its iterator and are good until
+// the source moves.
 type source struct {
 	// memtable cursor
 	memIt *skiplist.Iterator[[]byte, memEntry]
@@ -334,18 +342,17 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 		if best < 0 {
 			return nil
 		}
+		// The winner is handed out before any source moves: its value lies
+		// in its source's buffers.
 		e := srcs[best].entry()
 		key := append([]byte(nil), minKey...)
+		if !e.tomb && !fn(key, e.val) {
+			return nil
+		}
 		for i := range srcs {
 			if srcs[i].valid() && bytes.Equal(srcs[i].key(), key) {
 				srcs[i].next()
 			}
-		}
-		if e.tomb {
-			continue
-		}
-		if !fn(key, e.val) {
-			return nil
 		}
 	}
 }
@@ -403,12 +410,12 @@ func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bo
 		}
 		key := append([]byte(nil), minKey...)
 		// Each source holds at most one record per key; collect them all
-		// and emit by descending sequence number.
+		// and emit by descending sequence number, before any of them moves
+		// (a run's value lies in its source's buffers).
 		var recs []raw
 		for i := range srcs {
 			if srcs[i].valid() && bytes.Equal(srcs[i].key(), key) {
 				recs = append(recs, raw{e: srcs[i].entry(), src: i})
-				srcs[i].next()
 			}
 		}
 		for j := 1; j < len(recs); j++ {
@@ -420,6 +427,9 @@ func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bo
 			if !fn(key, r.e.seq, r.e.tomb, r.e.val) {
 				return nil
 			}
+		}
+		for _, r := range recs {
+			srcs[r.src].next()
 		}
 	}
 }

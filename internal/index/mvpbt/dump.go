@@ -35,6 +35,9 @@ func (t *Tree) DumpKey(key []byte) []DumpEntry {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
+	rs := t.newReadState(nil)
+	defer rs.release()
+	segIt := &rs.it
 	var out []DumpEntry
 	for it := v.pn.Seek(pnKey{key: key, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
 		if !bytes.Equal(it.Key().key, key) {
@@ -52,8 +55,8 @@ func (t *Tree) DumpKey(key []byte) []DumpEntry {
 	}
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
-		for it := seg.Seek(key); it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !bytes.Equal(r.Key, key) {
 				break
 			}
@@ -61,6 +64,7 @@ func (t *Tree) DumpKey(key []byte) []DumpEntry {
 			if err != nil {
 				continue
 			}
+			rec.Val = bytes.Clone(rec.Val) // kept past the iterator's next move
 			out = append(out, DumpEntry{Where: fmt.Sprintf("P%d", seg.No), Key: string(key), Rec: rec})
 		}
 	}

@@ -16,7 +16,9 @@ import (
 // hook lets the harness verify its own teeth: a deliberately corrupted
 // visibility decision must be caught and shrunk to a minimal history.
 
-// RawEntry is one physical index record as stored, with its source.
+// RawEntry is one physical index record as stored, with its source. Key and
+// Rec.Val follow index.Entry's lifetime rule: good until the callback
+// returns.
 type RawEntry struct {
 	// Source is "PN" for the main-memory partition, "F<i>" for frozen
 	// (eviction-pending) PNs newest first, and "P<no>" for persisted
@@ -36,6 +38,9 @@ func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
+	rs := t.newReadState(nil)
+	defer rs.release()
+	segIt := &rs.it
 	dumpPN := func(src string, pn *skiplist.List[pnKey, *Record]) bool {
 		for it := pn.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
 			if !index.KeyInRange(it.Key().key, lo, hi) {
@@ -58,9 +63,8 @@ func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
 		src := fmt.Sprintf("P%d", seg.No)
-		it := seg.Seek(lo)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !index.KeyInRange(r.Key, lo, hi) {
 				break
 			}
@@ -72,7 +76,7 @@ func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
 				return nil
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 	}

@@ -427,30 +427,74 @@ func (v *visCheck) atKey(key []byte) {
 	}
 }
 
-// visPool recycles visCheck scratch (struct, anti-matter map, key buffer)
-// across lookups and scans: the per-read allocation cost of the visibility
-// check drops to zero in steady state.
-var visPool = sync.Pool{
-	New: func() any { return &visCheck{anti: make(map[storage.RecordID]txn.TxID)} },
+// readState is what one Lookup or Scan needs beyond its arguments, recycled
+// through readPool so that a read allocates nothing in steady state: the
+// visibility check with its anti-matter map and key buffer, ONE segment
+// iterator for point lookups (partitions are probed one after another), and
+// one merge source per scan input, whose segment iterators keep their page
+// and key buffers from scan to scan.
+type readState struct {
+	vis     visCheck
+	it      part.Iterator
+	srcs    []scanSource
+	decided []byte // uniqueScan: the key whose deciding record it has passed
 }
 
-func (t *Tree) newVisCheck(tx *txn.Tx) *visCheck {
-	v := visPool.Get().(*visCheck)
+// maxKeptSources is how many scan sources keep their segment iterator's page
+// buffer (8 KiB each) in a pooled readState: a scan over every partition of
+// an aged tree (hundreds) must not leave megabytes behind in each pooled
+// state, which the point lookups draw too.
+const maxKeptSources = 128
+
+var readPool = sync.Pool{
+	New: func() any { return &readState{vis: visCheck{anti: make(map[storage.RecordID]txn.TxID)}} },
+}
+
+func (t *Tree) newReadState(tx *txn.Tx) *readState {
+	rs := readPool.Get().(*readState)
+	v := &rs.vis
 	v.t, v.tree, v.horizon = tx, t, t.mgr.Horizon()
 	v.haveKey = false
 	v.key = v.key[:0]
 	if len(v.anti) > 0 {
 		clear(v.anti)
 	}
-	return v
+	return rs
 }
 
-// release returns v to the pool. The transaction and tree references are
-// dropped: Tx handles are themselves pooled by the txn manager and must
-// not be retained past the read that borrowed them.
-func (v *visCheck) release() {
-	v.t, v.tree = nil, nil
-	visPool.Put(v)
+// release returns rs to the pool. Everything it borrowed is dropped: Tx
+// handles are themselves pooled by the txn manager and must not be retained
+// past the read that borrowed them, and an iterator or a decoded record left
+// standing would keep a merged-away segment or a frozen PN alive. Closing
+// the iterators is also where the lifetime of every Entry.Key and Entry.Val
+// handed to the caller's callback ends (see index.Entry).
+func (rs *readState) release() {
+	rs.vis.t, rs.vis.tree = nil, nil
+	rs.it.Close()
+	for i := range rs.srcs {
+		s := &rs.srcs[i]
+		s.segIt.Close()
+		s.pnIt, s.rec, s.key = skiplist.Iterator[pnKey, *Record]{}, Record{}, nil
+	}
+	if all := rs.srcs[:cap(rs.srcs)]; len(all) > maxKeptSources {
+		clear(all[maxKeptSources:])
+	}
+	rs.srcs = rs.srcs[:0]
+	readPool.Put(rs)
+}
+
+// addSource appends one merge source, reusing the struct (and its iterator's
+// buffers) left there by an earlier scan. The pointer is good until the next
+// addSource.
+func (rs *readState) addSource(prio int) *scanSource {
+	if n := len(rs.srcs); n < cap(rs.srcs) {
+		rs.srcs = rs.srcs[:n+1]
+	} else {
+		rs.srcs = append(rs.srcs, scanSource{})
+	}
+	s := &rs.srcs[len(rs.srcs)-1]
+	s.prio, s.inPN, s.valid = prio, false, false
+	return s
 }
 
 // check classifies one record. inPN enables cooperative GC phase-1 marking
@@ -528,8 +572,9 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 	if t.opts.Unique {
 		return t.uniqueLookup(tx, v, key, fn)
 	}
-	vis := t.newVisCheck(tx)
-	defer vis.release()
+	rs := t.newReadState(tx)
+	defer rs.release()
+	vis, segIt := &rs.vis, &rs.it
 	stop := false
 	emit := func(rec *Record) bool {
 		if !fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val}) {
@@ -570,9 +615,8 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 			continue
 		}
 		found := false
-		it := seg.Seek(key)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !bytes.Equal(r.Key, key) {
 				break
 			}
@@ -586,7 +630,7 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 				return nil
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 		t.countBloom(found)
@@ -603,11 +647,14 @@ func (t *Tree) countBloom(found bool) {
 }
 
 // scanSource is one merge input: the main-memory partition or a persisted
-// partition, both already ordered (key asc, ts desc).
+// partition, both already ordered (key asc, ts desc). key — and, for a
+// segment source, rec.Val — point into the source's iterator and are good
+// until the source advances.
 type scanSource struct {
-	prio  int // lower = newer (0 = PN)
-	pnIt  *skiplist.Iterator[pnKey, *Record]
-	segIt *part.Iterator
+	prio  int  // lower = newer (0 = PN)
+	inPN  bool // pnIt is the input, not segIt
+	pnIt  skiplist.Iterator[pnKey, *Record]
+	segIt part.Iterator
 	// decoded current record for segment sources
 	rec   Record
 	key   []byte
@@ -615,7 +662,7 @@ type scanSource struct {
 }
 
 func (s *scanSource) load(hi []byte) error {
-	if s.pnIt != nil {
+	if s.inPN {
 		if !s.pnIt.Valid() || !index.KeyInRange(s.pnIt.Key().key, nil, hi) {
 			s.valid = false
 			return nil
@@ -644,21 +691,21 @@ func (s *scanSource) load(hi []byte) error {
 }
 
 func (s *scanSource) record() *Record {
-	if s.pnIt != nil {
+	if s.inPN {
 		return s.pnIt.Value()
 	}
 	return &s.rec
 }
 
 func (s *scanSource) ts() txn.TxID {
-	if s.pnIt != nil {
+	if s.inPN {
 		return s.pnIt.Key().ts
 	}
 	return s.rec.TS
 }
 
 func (s *scanSource) next(hi []byte) error {
-	if s.pnIt != nil {
+	if s.inPN {
 		s.pnIt.Next()
 	} else {
 		s.segIt.Next()
@@ -678,23 +725,23 @@ func (t *Tree) Scan(tx *txn.Tx, lo, hi []byte, fn func(index.Entry) bool) error 
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
-	if t.opts.Unique {
-		return t.uniqueScan(tx, v, lo, hi, fn)
-	}
-	vis := t.newVisCheck(tx)
-	defer vis.release()
-	srcs, err := t.scanSources(tx, v, lo, hi)
-	if err != nil {
+	rs := t.newReadState(tx)
+	defer rs.release()
+	if err := t.scanSources(rs, tx, v, lo, hi); err != nil {
 		return err
 	}
+	if t.opts.Unique {
+		return t.uniqueScan(tx, rs, hi, fn)
+	}
+	vis := &rs.vis
 	for {
-		s := nextSource(srcs)
+		s := nextSource(rs.srcs)
 		if s == nil {
 			return nil
 		}
 		rec := s.record()
 		vis.atKey(s.key)
-		if vis.check(rec, s.pnIt != nil) {
+		if vis.check(rec, s.inPN) {
 			if !fn(index.Entry{Key: s.key, Ref: rec.Ref, Val: rec.Val}) {
 				return nil
 			}
@@ -705,8 +752,6 @@ func (t *Tree) Scan(tx *txn.Tx, lo, hi []byte, fn func(index.Entry) bool) error 
 	}
 }
 
-// scanSources builds the merge inputs for [lo, hi) over one view: the PN
-// iterator plus one iterator per partition surviving the timestamp and
 // segInvisible is the Minimum Transaction Timestamp filter (§4.2): the
 // partition can be skipped when every record in it was created at or after
 // the snapshot's Xmax — unless the reader's OWN id falls inside the
@@ -721,14 +766,16 @@ func segInvisible(tx *txn.Tx, seg *part.Segment) bool {
 	return own < seg.MinTS || own > seg.MaxTS
 }
 
-// range filters, all positioned at lo.
-func (t *Tree) scanSources(tx *txn.Tx, v *treeView, lo, hi []byte) ([]*scanSource, error) {
-	var srcs []*scanSource
-	pnIt := v.pn.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)})
-	srcs = append(srcs, &scanSource{prio: 0, pnIt: &pnIt})
+// scanSources builds the merge inputs for [lo, hi) over one view: the PN
+// iterator plus one iterator per partition surviving the timestamp and
+// range filters, all positioned at lo — into rs.srcs.
+func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte) error {
+	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
+	s := rs.addSource(0)
+	s.inPN, s.pnIt = true, v.pn.Seek(from)
 	for fi, fz := range v.frozen {
-		it := fz.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)})
-		srcs = append(srcs, &scanSource{prio: fi + 1, pnIt: &it})
+		s = rs.addSource(fi + 1)
+		s.inPN, s.pnIt = true, fz.Seek(from)
 	}
 	base := len(v.frozen) + 1
 	for i := len(v.parts) - 1; i >= 0; i-- {
@@ -741,14 +788,14 @@ func (t *Tree) scanSources(tx *txn.Tx, v *treeView, lo, hi []byte) ([]*scanSourc
 			continue
 		}
 		t.stats.prefix.positives.Add(1)
-		srcs = append(srcs, &scanSource{prio: base + len(v.parts) - 1 - i, segIt: seg.Seek(lo)})
+		rs.addSource(base+len(v.parts)-1-i).segIt.Seek(seg, lo)
 	}
-	for _, s := range srcs {
-		if err := s.load(hi); err != nil {
-			return nil, err
+	for i := range rs.srcs {
+		if err := rs.srcs[i].load(hi); err != nil {
+			return err
 		}
 	}
-	return srcs, nil
+	return nil
 }
 
 // ScanAllMatter returns every matter record in [lo, hi) WITHOUT the
@@ -758,6 +805,9 @@ func (t *Tree) ScanAllMatter(lo, hi []byte, fn func(index.Entry) bool) error {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
+	rs := t.newReadState(nil)
+	defer rs.release()
+	segIt := &rs.it
 	for it := v.pn.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
 		if !index.KeyInRange(it.Key().key, lo, hi) {
 			break
@@ -785,9 +835,8 @@ func (t *Tree) ScanAllMatter(lo, hi []byte, fn func(index.Entry) bool) error {
 		if !seg.MayContainRange(lo, hi) {
 			continue
 		}
-		it := seg.Seek(lo)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !index.KeyInRange(r.Key, lo, hi) {
 				break
 			}
@@ -801,7 +850,7 @@ func (t *Tree) ScanAllMatter(lo, hi []byte, fn func(index.Entry) bool) error {
 				}
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 	}

@@ -61,7 +61,7 @@ func TestPersistedPartitionOrderingInvariant(t *testing.T) {
 		var prevKey []byte
 		var prevTS txn.TxID
 		n := 0
-		for it := seg.Min(); it.Valid(); it.Next() {
+		for it := seg.Seek(nil); it.Valid(); it.Next() {
 			rec, err := decodeRecord(it.Record().Body)
 			if err != nil {
 				t.Fatal(err)

@@ -272,7 +272,7 @@ func (t *Tree) refMerge() error {
 	}
 	srcs := make([]*src, 0, len(v.parts))
 	for i := len(v.parts) - 1; i >= 0; i-- {
-		srcs = append(srcs, &src{it: v.parts[i].Min(), prio: len(v.parts) - i})
+		srcs = append(srcs, &src{it: v.parts[i].Seek(nil), prio: len(v.parts) - i})
 	}
 	type entry struct {
 		key []byte
@@ -308,7 +308,9 @@ func (t *Tree) refMerge() error {
 		if err != nil {
 			return err
 		}
-		entries = append(entries, entry{key: r.Key, rec: rec})
+		// Copied: the iterator reuses the record's bytes once it moves.
+		rec.Val = bytes.Clone(rec.Val)
+		entries = append(entries, entry{key: bytes.Clone(r.Key), rec: rec})
 		srcs[best].it.Next()
 	}
 	for _, s := range srcs {

@@ -51,6 +51,13 @@ func (t *Tree) uniqueLookup(tx *txn.Tx, v *treeView, key []byte, fn func(index.E
 			}
 		}
 	}
+	if len(v.parts) == 0 {
+		return nil
+	}
+	// Only now the pooled read state: a key decided in P_N never pays for it.
+	rs := t.newReadState(tx)
+	defer rs.release()
+	segIt := &rs.it
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
 		if segInvisible(tx, seg) {
@@ -61,9 +68,8 @@ func (t *Tree) uniqueLookup(tx *txn.Tx, v *treeView, key []byte, fn func(index.E
 			continue
 		}
 		found := false
-		it := seg.Seek(key)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !bytes.Equal(r.Key, key) {
 				break
 			}
@@ -77,7 +83,7 @@ func (t *Tree) uniqueLookup(tx *txn.Tx, v *treeView, key []byte, fn func(index.E
 				return nil
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 		t.countBloom(found)
@@ -88,20 +94,15 @@ func (t *Tree) uniqueLookup(tx *txn.Tx, v *treeView, key []byte, fn func(index.E
 // uniqueScan is the range-scan path for unique indexes: the merged
 // (key asc, ts desc) stream with per-key decisions; once a key is decided
 // its remaining records are skipped without visibility checks. Runs
-// lock-free over one view.
-func (t *Tree) uniqueScan(tx *txn.Tx, v *treeView, lo, hi []byte, fn func(index.Entry) bool) error {
-	srcs, err := t.scanSources(tx, v, lo, hi)
-	if err != nil {
-		return err
-	}
-	var decided []byte
+// lock-free over the merge inputs scanSources positioned in rs.
+func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.Entry) bool) error {
 	haveDecided := false
 	for {
-		s := nextSource(srcs)
+		s := nextSource(rs.srcs)
 		if s == nil {
 			return nil
 		}
-		if haveDecided && bytes.Equal(s.key, decided) {
+		if haveDecided && bytes.Equal(s.key, rs.decided) {
 			if err := s.next(hi); err != nil {
 				return err
 			}
@@ -109,7 +110,7 @@ func (t *Tree) uniqueScan(tx *txn.Tx, v *treeView, lo, hi []byte, fn func(index.
 		}
 		rec := s.record()
 		if !rec.GCMarked() && t.applyVisFault(rec.TS, tx.Sees(rec.TS)) {
-			decided = append(decided[:0], s.key...)
+			rs.decided = append(rs.decided[:0], s.key...)
 			haveDecided = true
 			if rec.Matter() {
 				if !fn(index.Entry{Key: s.key, Ref: rec.Ref, Val: rec.Val}) {
@@ -125,9 +126,10 @@ func (t *Tree) uniqueScan(tx *txn.Tx, v *treeView, lo, hi []byte, fn func(index.
 
 // nextSource picks the source with the smallest (key, ts desc, prio)
 // position, or nil when all are exhausted.
-func nextSource(srcs []*scanSource) *scanSource {
+func nextSource(srcs []scanSource) *scanSource {
 	best := -1
-	for i, s := range srcs {
+	for i := range srcs {
+		s := &srcs[i]
 		if !s.valid {
 			continue
 		}
@@ -135,7 +137,7 @@ func nextSource(srcs []*scanSource) *scanSource {
 			best = i
 			continue
 		}
-		b := srcs[best]
+		b := &srcs[best]
 		if c := bytes.Compare(s.key, b.key); c < 0 ||
 			(c == 0 && (s.ts() > b.ts() || (s.ts() == b.ts() && s.prio < b.prio))) {
 			best = i
@@ -144,7 +146,7 @@ func nextSource(srcs []*scanSource) *scanSource {
 	if best < 0 {
 		return nil
 	}
-	return srcs[best]
+	return &srcs[best]
 }
 
 // uniqueGC is the unique-mode phase-3 GC for the records of one key (ts

@@ -285,7 +285,6 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 		seg.PFilter = bloom.NewPrefix(b.n, b.opts.BloomBitsPerKey+2, p)
 		b.prefixes.each(seg.PFilter.AddHash)
 	}
-	seg.initCache()
 	b.backed = 0 // the segment owns the run now
 	return seg, nil
 }

@@ -1,0 +1,408 @@
+package part
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sort"
+	"testing"
+
+	"mvpbt/internal/buffer"
+	"mvpbt/internal/page"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/storage"
+	"mvpbt/internal/util"
+)
+
+// The leaf cursor and the internal-page search read device bytes where they
+// lie, behind a checksum that is not a MAC and with no decoded copy to fall
+// back on. Both must walk an arbitrary page image without panicking or
+// slicing outside it, and report a varint or length that overruns its slot
+// as storage.ErrCorruptPage.
+//
+// Run the full fuzzers with:
+//
+//	go test -fuzz=FuzzLeafCursor -fuzztime=30s ./internal/index/part/
+//	go test -fuzz=FuzzInnerSearch -fuzztime=30s ./internal/index/part/
+
+// pageOf lays head over the front of a zeroed page image (header and slot
+// directory) and tail over its end (the record area). The two ends are the
+// fuzz inputs, so that an interesting page stays a few hundred bytes: the
+// minimizer crawls on 8 KiB inputs.
+func pageOf(head, tail []byte) page.Page {
+	b := make([]byte, storage.PageSize)
+	copy(b, head)
+	copy(b[storage.PageSize-min(len(tail), storage.PageSize):], tail)
+	return page.Wrap(b)
+}
+
+// endsOf cuts a built page image into the inputs of pageOf.
+func endsOf(img []byte) (head, tail []byte) {
+	slots, freeHi := binary.LittleEndian.Uint16(img[0:2]), binary.LittleEndian.Uint16(img[2:4])
+	return bytes.Clone(img[:48+4*int(slots)]), bytes.Clone(img[freeHi:])
+}
+
+// fuzzSeeds builds a small two-level segment and returns the ends of its
+// first leaf and of its root.
+func fuzzSeeds(f *testing.F) (leafHead, leafTail, rootHead, rootTail []byte) {
+	e := newEnv(16)
+	var kvs []KV
+	for i := 0; i < 40; i++ { // ~430-byte records: 3 leaves under one root
+		kvs = append(kvs, KV{Key: []byte(fmt.Sprintf("user%06d", i*3)), Body: bytes.Repeat([]byte{byte('a' + i%26)}, 420)})
+	}
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil || seg.height != 2 {
+		f.Fatalf("seed segment: height %d, %v", seg.height, err)
+	}
+	buf := make([]byte, storage.PageSize)
+	read := func(rel int) (head, tail []byte) {
+		if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
+			f.Fatal(err)
+		}
+		return endsOf(buf)
+	}
+	leafHead, leafTail = read(0)
+	rootHead, rootTail = read(seg.rootRel)
+	return
+}
+
+func FuzzLeafCursor(f *testing.F) {
+	leafHead, leafTail, rootHead, rootTail := fuzzSeeds(f)
+	f.Add(leafHead, leafTail, []byte("user000030"))
+	f.Add(leafHead, leafTail, []byte(nil))
+	f.Add(leafHead, leafTail, []byte("zzz"))
+	f.Add(rootHead, rootTail, []byte("user000030")) // an internal page read as a leaf
+	// Hostile shapes: a slot count the page cannot hold, a slot past the
+	// page end, a shared length with no previous key, a suffix length past
+	// the record, varints that do not end.
+	f.Add([]byte{0xFF, 0xFF}, []byte{}, []byte("k"))
+	f.Add(append(make([]byte, 48), 0xFE, 0x1F, 0x10, 0x00), []byte{}, []byte("k"))
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{5, 1, 'k'}, []byte("k"))
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{0, 9, 'k'}, []byte("k"))
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{0x80, 0x80, 0x80}, []byte("k"))
+	f.Add([]byte{}, []byte{}, []byte{})
+
+	f.Fuzz(func(t *testing.T, head, tail, key []byte) {
+		pg := pageOf(head, tail)
+		// To exhaustion. A read outside the page image would be an index out
+		// of range, which the fuzzer reports like any other panic.
+		type rec struct{ key, body []byte }
+		var walk []rec
+		var c leafCursor
+		c.reset(pg)
+		for {
+			ok, err := c.next()
+			if err != nil {
+				if !errors.Is(err, storage.ErrCorruptPage) {
+					t.Fatalf("walk: %v does not wrap ErrCorruptPage", err)
+				}
+				walk = nil
+				break
+			}
+			if !ok {
+				break
+			}
+			walk = append(walk, rec{bytes.Clone(c.key), c.body})
+		}
+		// Seek: the first record of that walk at or above key, on a cursor
+		// that has seen other pages.
+		c.reset(pg)
+		ok, err := c.next()
+		if len(key) > 0 {
+			c.reset(pg)
+			ok, err = c.seek(key)
+		}
+		if err != nil {
+			if !errors.Is(err, storage.ErrCorruptPage) {
+				t.Fatalf("seek: %v does not wrap ErrCorruptPage", err)
+			}
+			return
+		}
+		if walk == nil {
+			return // the damage lies behind the record the seek stopped at
+		}
+		for _, w := range walk {
+			if bytes.Compare(w.key, key) >= 0 {
+				if !ok || !bytes.Equal(c.key, w.key) || !bytes.Equal(c.body, w.body) {
+					t.Fatalf("seek %q: on %q (%v), the walk's first is %q", key, c.key, ok, w.key)
+				}
+				return
+			}
+		}
+		if ok {
+			t.Fatalf("seek %q: on %q, the walk has no such record", key, c.key)
+		}
+	})
+}
+
+func FuzzInnerSearch(f *testing.F) {
+	leafHead, leafTail, rootHead, rootTail := fuzzSeeds(f)
+	f.Add(rootHead, rootTail, []byte("user000030"))
+	f.Add(rootHead, rootTail, []byte(nil))
+	f.Add(rootHead, rootTail, []byte("zzz"))
+	f.Add(leafHead, leafTail, []byte("user000030")) // a leaf read as an internal page
+	f.Add([]byte{0xFF, 0xFF}, []byte{}, []byte("k"))
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{9, 'k', 1}, []byte("k"))                                               // key length past the record
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{1, 'k', 0x80}, []byte("k"))                                            // child varint runs off the end
+	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xF6, 0x1F, 10, 0), []byte{1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, []byte("k")) // child near 2^56
+	f.Add([]byte{}, []byte{}, []byte{})
+
+	f.Fuzz(func(t *testing.T, head, tail, key []byte) {
+		child, err := innerSearch(pageOf(head, tail), key)
+		if err != nil && !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("%v does not wrap ErrCorruptPage", err)
+		}
+		if err == nil && child < 0 {
+			t.Fatalf("child %d", child)
+		}
+	})
+}
+
+// TestCorruptPageSurfacesThroughIterator: damage that passes the checksum
+// reaches the caller as ErrCorruptPage naming the page, from the descent as
+// from the leaf walk and the sequential reader.
+func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, randomKVs(3, 60, 420, 1), 0, 0, BuildOptions{})
+	if err != nil || seg.height != 2 {
+		t.Fatalf("height %d, %v", seg.height, err)
+	}
+	// Overwrite the first varint of a page's first record with one that
+	// does not end, under a fresh checksum.
+	smash := func(rel int) {
+		buf := make([]byte, storage.PageSize)
+		if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
+			t.Fatal(err)
+		}
+		rec := page.Wrap(buf).Get(0)
+		for i := range rec {
+			rec[i] = 0x80
+		}
+		page.StampChecksum(buf)
+		if err := e.file.WritePage(seg.StartPage+uint64(rel), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smash(1)
+	it := seg.Seek(nil)
+	n := 0
+	for ; it.Valid(); it.Next() {
+		n++
+	}
+	if !errors.Is(it.Err(), storage.ErrCorruptPage) || n == 0 {
+		t.Fatalf("leaf walk: %d records, then %v", n, it.Err())
+	}
+	rd := seg.NewReader()
+	for ; rd.Valid(); rd.Next() {
+	}
+	if !errors.Is(rd.Err(), storage.ErrCorruptPage) {
+		t.Fatalf("reader: %v", rd.Err())
+	}
+	if err := e.pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	smash(seg.rootRel)
+	if it := seg.Seek([]byte("user")); it.Valid() || !errors.Is(it.Err(), storage.ErrCorruptPage) {
+		t.Fatalf("descent: valid %v, %v", it.Valid(), it.Err())
+	}
+}
+
+// TestScanOverManyPartitionsHoldsNoPin: one open iterator per partition, a
+// hundred of them over a 64-frame pool (two shards of 32), all standing
+// mid-leaf at once as a scan's merge holds them: no fetch fails for want of
+// a frame, and no iterator holds a frame between calls.
+func TestScanOverManyPartitionsHoldsNoPin(t *testing.T) {
+	e := newEnv(64)
+	const parts = 100
+	segs := make([]*Segment, parts)
+	for i := range segs {
+		var err error
+		if segs[i], err = Build(e.pool, e.file, i, randomKVs(uint64(i+1), 50, 420, 1), 0, 0, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if segs[i].NumLeaves < 3 {
+			t.Fatalf("partition %d has %d leaves", i, segs[i].NumLeaves)
+		}
+	}
+	its := make([]Iterator, parts)
+	for i := range its {
+		its[i].Seek(segs[i], nil)
+	}
+	total := 0
+	for step := 0; ; step++ {
+		live := 0
+		for i := range its {
+			it := &its[i]
+			if err := it.Err(); err != nil {
+				t.Fatalf("partition %d: %v", i, err)
+			}
+			if it.Valid() {
+				live++
+				total++
+				it.Next()
+			}
+		}
+		if live == 0 {
+			break
+		}
+		if step == 25 { // every iterator is inside its second leaf
+			// EvictAll drops every unpinned page, so a page still cached
+			// afterwards is pinned by someone.
+			if err := e.pool.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			before := e.pool.Stats()[sfile.ClassIndex]
+			for i := range its {
+				fr, err := e.pool.Get(e.file, segs[i].StartPage+uint64(its[i].leaf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.pool.Unpin(fr, false)
+			}
+			if d := e.pool.Stats()[sfile.ClassIndex].Sub(before); d.Hits != 0 {
+				t.Fatalf("%d of %d iterators hold their leaf's frame pinned", d.Hits, parts)
+			}
+		}
+	}
+	if total != parts*50 {
+		t.Fatalf("iterated %d records, built %d", total, parts*50)
+	}
+}
+
+// TestPoisonMakesAKeptRecordLoud: under SetPoison a Key or Body kept past
+// the iterator's move into another leaf, or past Close, reads 0xDB.
+func TestPoisonMakesAKeptRecordLoud(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, randomKVs(5, 60, 420, 1), 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allDB := func(b []byte) bool { return len(b) > 0 && bytes.Count(b, []byte{0xDB}) == len(b) }
+	var it Iterator
+	it.Seek(seg, nil)
+	kept := it.Record()
+	for leaf := it.leaf; it.Valid() && it.leaf == leaf; it.Next() {
+	}
+	if !it.Valid() || !allDB(kept.Key) || !allDB(kept.Body) {
+		t.Fatalf("after leaving the leaf: kept key %q, body %q...", kept.Key, kept.Body[:8])
+	}
+	kept = it.Record()
+	it.Close()
+	if !allDB(kept.Key) || !allDB(kept.Body) {
+		t.Fatalf("after Close: kept key %q, body %q...", kept.Key, kept.Body[:8])
+	}
+	it.Seek(seg, kept.Key[:0])
+	if !it.Valid() || allDB(it.Record().Key) {
+		t.Fatal("a closed iterator must be reusable")
+	}
+}
+
+// BenchmarkSegmentSeek seeks a reused iterator to random present keys of one
+// segment, with the segment resident in the pool and with a pool a third its
+// size.
+func BenchmarkSegmentSeek(b *testing.B) {
+	kvs := randomKVs(1, 20000, 100, 1)
+	for _, c := range []struct {
+		name   string
+		frames func(pages int) int
+	}{
+		{"resident", func(pages int) int { return 2 * pages }},
+		{"pool=pages/3", func(pages int) int { return pages / 3 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e := newEnv(16)
+			seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			seg.pool = buffer.New(c.frames(seg.NumPages)) // builds write around the pool: it starts cold
+			var it Iterator
+			for i := range kvs { // warm the pool as far as it goes
+				it.Seek(seg, kvs[i].Key)
+			}
+			seg.pool.ResetStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := kvs[(i*7919)%len(kvs)].Key
+				if it.Seek(seg, k); !it.Valid() || !bytes.Equal(it.Record().Key, k) {
+					b.Fatalf("seek %q: %v", k, it.Err())
+				}
+			}
+			b.StopTimer()
+			st := seg.pool.Stats()[sfile.ClassIndex]
+			b.ReportMetric(float64(st.Hits)/float64(st.Requests), "pool-hit-rate")
+		})
+	}
+}
+
+// TestSeekThenWalkMatchesModel: over keys that are prefixes of one another,
+// repeat, and share every length of prefix (a two-letter alphabet), with
+// probes present and absent, Seek lands on the model's lower bound and the
+// walk from there yields the rest — the key Seek puts together from the
+// probe and one record is the key the following records build on.
+func TestSeekThenWalkMatchesModel(t *testing.T) {
+	r := util.NewRand(5)
+	word := func() []byte {
+		w := make([]byte, r.Intn(9))
+		for i := range w {
+			w[i] = "ab"[r.Intn(2)]
+		}
+		return w
+	}
+	var kvs []KV
+	for i := 0; i < 1500; i++ {
+		kvs = append(kvs, KV{Key: word()})
+	}
+	sort.SliceStable(kvs, func(i, j int) bool { return bytes.Compare(kvs[i].Key, kvs[j].Key) < 0 })
+	for i := range kvs {
+		kvs[i].Body = []byte(fmt.Sprintf("%04d-%s", i, bytes.Repeat([]byte{'x'}, r.Intn(40))))
+	}
+	e := newEnv(64)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil || seg.NumLeaves < 4 {
+		t.Fatalf("%d leaves, %v", seg.NumLeaves, err)
+	}
+	var it Iterator
+	for probe := 0; probe < 600; probe++ {
+		key := word()
+		want := sort.Search(len(kvs), func(i int) bool { return bytes.Compare(kvs[i].Key, key) >= 0 })
+		it.Seek(seg, key)
+		for n := 0; n < 70 && want < len(kvs); n, want = n+1, want+1 { // across a leaf boundary
+			if !it.Valid() || !bytes.Equal(it.Record().Key, kvs[want].Key) || !bytes.Equal(it.Record().Body, kvs[want].Body) {
+				t.Fatalf("seek %q, %d records on: valid %v at %q %q, want %q %q", key, n, it.Valid(), it.Record().Key, it.Record().Body, kvs[want].Key, kvs[want].Body)
+			}
+			it.Next()
+		}
+		if want == len(kvs) && it.Valid() {
+			t.Fatalf("seek %q: valid past the last record", key)
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+	}
+}
+
+// TestNextOnUnpositionedIterator: Next on an iterator that was never
+// positioned, or was closed, is a no-op that leaves it invalid.
+func TestNextOnUnpositionedIterator(t *testing.T) {
+	var it Iterator
+	if it.Next(); it.Valid() || it.Err() != nil {
+		t.Fatalf("zero iterator after Next: valid=%v err=%v", it.Valid(), it.Err())
+	}
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, randomKVs(1, 50, 10, 1), 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.Seek(seg, nil); !it.Valid() {
+		t.Fatal(it.Err())
+	}
+	it.Close()
+	if it.Next(); it.Valid() || it.Err() != nil {
+		t.Fatalf("closed iterator after Next: valid=%v err=%v", it.Valid(), it.Err())
+	}
+}

@@ -95,6 +95,5 @@ func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, e
 	} else {
 		i++
 	}
-	s.initCache()
 	return s, i, nil
 }

@@ -25,6 +25,9 @@ func newEnv(frames int) *env {
 	return &env{dev: dev, pool: buffer.New(frames), file: fm.Create("part", sfile.ClassIndex), fm: fm}
 }
 
+// Min positions a new iterator at the segment's first record.
+func (s *Segment) Min() *Iterator { return s.Seek(nil) }
+
 func sortedKVs(n int) []KV {
 	kvs := make([]KV, n)
 	for i := 0; i < n; i++ {

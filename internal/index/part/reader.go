@@ -7,7 +7,6 @@ import (
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
-	"mvpbt/internal/util"
 )
 
 // readAttempts bounds the tries of one chunk read, like the buffer pool's
@@ -16,26 +15,23 @@ import (
 const readAttempts = 3
 
 // Reader streams all of a segment's records in order, for merges. It walks
-// the leaves with one device read per extent into its own buffer and decodes
-// in place, bypassing the buffer pool's frames and the decoded-leaf caches: a
-// merge reads every input page exactly once and frees it right after, so
-// caching them would only evict pages someone will read again. The pages are
-// immutable and were written around the pool, so the device copy is the
-// truth; each is checksum-verified as the pool would, and the outcome lands
-// in the pool's read counters.
+// the leaves with one device read per extent into its own buffer and reads the
+// records where they lie in it (the Iterator's leafCursor), around the buffer
+// pool's frames: a merge reads every input page exactly once and frees it
+// right after, so caching them would only evict pages someone will read
+// again. The pages are immutable and were written around the pool, so the
+// device copy is the truth; each is checksum-verified as the pool would, and
+// the outcome lands in the pool's read counters.
 //
 // Key and Body alias the reader's buffers and are valid only until the next
 // call to Next.
 type Reader struct {
 	seg   *Segment
-	buf   []byte    // room for the leaf pages of one extent
-	chunk []byte    // the leaf pages of the current extent, in buf
-	first int       // rel of chunk's first leaf
-	leaf  int       // rel of the current leaf
-	pg    page.Page // the current leaf, inside chunk
-	slot  int
-	key   []byte
-	body  []byte
+	buf   []byte // room for the leaf pages of one extent
+	chunk []byte // the leaf pages of the current extent, in buf
+	first int    // rel of chunk's first leaf
+	leaf  int    // rel of the current leaf
+	cur   leafCursor
 	valid bool
 	err   error
 }
@@ -54,22 +50,25 @@ func (r *Reader) Valid() bool { return r.valid }
 func (r *Reader) Err() error { return r.err }
 
 // Key returns the current record's key.
-func (r *Reader) Key() []byte { return r.key }
+func (r *Reader) Key() []byte { return r.cur.key }
 
 // Body returns the current record's body.
-func (r *Reader) Body() []byte { return r.body }
+func (r *Reader) Body() []byte { return r.cur.body }
 
 // Next advances to the following record.
 func (r *Reader) Next() {
 	r.valid = false
-	if r.err != nil {
-		return
-	}
-	r.slot++
-	for r.leaf < 0 || r.slot >= r.pg.NumSlots() {
-		r.leaf++
-		r.slot = 0
-		if r.leaf >= r.seg.NumLeaves {
+	for r.err == nil && r.leaf < r.seg.NumLeaves {
+		ok, err := r.cur.next()
+		if err != nil {
+			r.err = r.seg.corrupt(r.leaf, err)
+			return
+		}
+		if ok {
+			r.valid = true
+			return
+		}
+		if r.leaf++; r.leaf >= r.seg.NumLeaves {
 			return
 		}
 		if r.leaf%sfile.ExtentPages == 0 {
@@ -78,15 +77,8 @@ func (r *Reader) Next() {
 			}
 		}
 		off := (r.leaf - r.first) * storage.PageSize
-		r.pg = page.Wrap(r.chunk[off : off+storage.PageSize])
+		r.cur.reset(page.Wrap(r.chunk[off : off+storage.PageSize]))
 	}
-	rec := r.pg.Get(r.slot)
-	shared, c := util.Uvarint(rec)
-	sl, c2 := util.Uvarint(rec[c:])
-	rec = rec[c+c2:]
-	r.key = append(r.key[:shared], rec[:sl]...)
-	r.body = rec[sl:]
-	r.valid = true
 }
 
 // fill reads the leaves of the extent starting at r.leaf into chunk and

@@ -160,7 +160,6 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 	}
 	seg.Filter = flt.bloom
 	seg.PFilter = flt.prefix
-	seg.initCache()
 	return seg, nil
 }
 

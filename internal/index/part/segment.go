@@ -8,13 +8,14 @@ package part
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 
 	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
-	"mvpbt/internal/util"
+	"mvpbt/internal/storage"
 )
 
 // KV is one index record: an opaque body under a search key.
@@ -49,53 +50,6 @@ type Segment struct {
 	SizeBytes  int
 	Filter     *bloom.Filter
 	PFilter    *bloom.PrefixFilter
-
-	// Decoded-page caches, filled lazily on first access. Segments are
-	// immutable, so any published decode stays valid; entries are atomic
-	// pointers because segment readers run lock-free under the index's
-	// snapshot protocol. Concurrent readers may race to decode the same
-	// page — wasted work, never an inconsistent read. While a page is
-	// cached, reads of it bypass the buffer pool (and its shard latches)
-	// entirely; a pool eviction hook drops the decoded form when the
-	// backing page leaves the pool, so the cache saves decode CPU without
-	// changing the pool's I/O behavior.
-	leaves []atomic.Pointer[[]KV]    // by leaf page rel: decoded records
-	inner  []atomic.Pointer[sepNode] // by rel-NumLeaves: decoded separators
-	hookID int                       // pool eviction-hook handle
-}
-
-// sepNode is one decoded internal node: child separator keys (first key of
-// each child subtree) and relative child page numbers, in slot order.
-type sepNode struct {
-	keys  [][]byte
-	child []int
-}
-
-// initCache sizes the decoded-page caches and couples them to buffer
-// residency; called once at construction.
-func (s *Segment) initCache() {
-	s.leaves = make([]atomic.Pointer[[]KV], s.NumLeaves)
-	if n := s.NumPages - s.NumLeaves; n > 0 {
-		s.inner = make([]atomic.Pointer[sepNode], n)
-	}
-	s.hookID = s.pool.AddEvictHook(s.file, s.StartPage, s.NumPages, s.dropDecoded)
-}
-
-// dropDecoded discards the decoded form of relative page rel. Runs under a
-// pool shard latch (eviction hook): atomic stores only.
-func (s *Segment) dropDecoded(rel int) {
-	if rel < len(s.leaves) {
-		s.leaves[rel].Store(nil)
-	} else if slot := rel - s.NumLeaves; slot >= 0 && slot < len(s.inner) {
-		s.inner[slot].Store(nil)
-	}
-}
-
-func decodeInternalRec(rec []byte) (key []byte, rel int) {
-	kl, n := util.Uvarint(rec)
-	key = rec[n : n+int(kl)]
-	r, _ := util.Uvarint(rec[n+int(kl):])
-	return key, int(r)
 }
 
 // MayContainKey consults the bloom filter (true when absent or filters are
@@ -128,182 +82,175 @@ func (s *Segment) MayContainRange(lo, hi []byte) bool {
 	return true
 }
 
-// readLeaf decodes all records of relative leaf page rel. Decoded leaves
-// are memoized per page (segments are immutable, so any published decode
-// is valid forever), which makes repeated seeks into a hot partition
-// cheap and latch-free. Safe for concurrent readers.
-func (s *Segment) readLeaf(rel int) ([]KV, error) {
-	if rel < len(s.leaves) {
-		if p := s.leaves[rel].Load(); p != nil {
-			return *p, nil
-		}
-	}
-	fr, err := s.pool.Get(s.file, s.StartPage+uint64(rel))
-	if err != nil {
-		return nil, err
-	}
-	p := page.Wrap(fr.Data())
-	n := p.NumSlots()
-	out := make([]KV, 0, n)
-	// Single backing buffer for all decoded keys and bodies: two passes,
-	// first to size it (front-coding means decoded keys are larger than
-	// their stored suffixes).
-	total := 0
-	for i := 0; i < n; i++ {
-		rec := p.Get(i)
-		shared, c := util.Uvarint(rec)
-		_, c2 := util.Uvarint(rec[c:])
-		total += int(shared) + len(rec) - c - c2
-	}
-	buf := make([]byte, 0, total)
-	var prev []byte
-	for i := 0; i < n; i++ {
-		rec := p.Get(i)
-		shared, c := util.Uvarint(rec)
-		sl, c2 := util.Uvarint(rec[c:])
-		kStart := len(buf)
-		buf = append(buf, prev[:shared]...)
-		buf = append(buf, rec[c+c2:c+c2+int(sl)]...)
-		key := buf[kStart:len(buf):len(buf)]
-		bStart := len(buf)
-		buf = append(buf, rec[c+c2+int(sl):]...)
-		body := buf[bStart:len(buf):len(buf)]
-		out = append(out, KV{Key: key, Body: body})
-		prev = key
-	}
-	// Publish before Unpin: while pinned the page cannot be evicted, so the
-	// eviction hook cannot fire between the store and the pin release.
-	if rel < len(s.leaves) {
-		s.leaves[rel].Store(&out)
-	}
-	s.pool.Unpin(fr, false)
-	return out, nil
-}
-
-// readInner decodes the separators of relative internal page rel, memoized
-// like readLeaf.
-func (s *Segment) readInner(rel int) (*sepNode, error) {
-	slot := rel - s.NumLeaves
-	if slot >= 0 && slot < len(s.inner) {
-		if p := s.inner[slot].Load(); p != nil {
-			return p, nil
-		}
-	}
-	fr, err := s.pool.Get(s.file, s.StartPage+uint64(rel))
-	if err != nil {
-		return nil, err
-	}
-	p := page.Wrap(fr.Data())
-	n := p.NumSlots()
-	node := &sepNode{keys: make([][]byte, n), child: make([]int, n)}
-	for i := 0; i < n; i++ {
-		k, c := decodeInternalRec(p.Get(i))
-		node.keys[i] = append([]byte(nil), k...)
-		node.child[i] = c
-	}
-	if slot >= 0 && slot < len(s.inner) {
-		s.inner[slot].Store(node)
-	}
-	s.pool.Unpin(fr, false)
-	return node, nil
+// corrupt names one page of the segment in an error wrapping
+// storage.ErrCorruptPage.
+func (s *Segment) corrupt(rel int, cause error) error {
+	return fmt.Errorf("part: page %d of %q: %w", s.StartPage+uint64(rel), s.file.Name(), cause)
 }
 
 // findLeaf descends to the first relative leaf page that could contain
-// key. Because duplicate keys may span leaf boundaries, the descent picks
-// the LAST child whose first key is strictly below key — a run of equal
-// keys beginning at a leaf boundary is then entered from its first record
-// (the iterator skips the preceding leaf's smaller keys).
+// key (see innerSearch), searching each internal page in its pinned frame.
 func (s *Segment) findLeaf(key []byte) (int, error) {
 	rel := s.rootRel
 	for level := s.height - 1; level >= 1; level-- {
-		node, err := s.readInner(rel)
+		fr, err := s.pool.GetNoRef(s.file, s.StartPage+uint64(rel))
 		if err != nil {
 			return 0, err
 		}
-		// First child whose first key >= key; descend into its
-		// predecessor (default: the first child).
-		lo, hi := 0, len(node.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if bytes.Compare(node.keys[mid], key) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		child, err := innerSearch(page.Wrap(fr.Data()), key)
+		s.pool.Unpin(fr, false)
+		if err != nil {
+			return 0, s.corrupt(rel, err)
 		}
-		idx := lo - 1
-		if idx < 0 {
-			idx = 0
+		// Children are written before their parent: a child at or behind it
+		// is not one, and following it could leave the segment or loop.
+		if child >= rel {
+			return 0, s.corrupt(rel, errBadRecord)
 		}
-		rel = node.child[idx]
+		rel = child
+	}
+	if rel >= s.NumLeaves {
+		return 0, s.corrupt(rel, errBadRecord)
 	}
 	return rel, nil
 }
 
-// Iterator walks a segment's records in key order.
+// Iterator walks a segment's records in key order, reading them where they
+// lie in the page image. On entering a leaf it copies the page out of its
+// pool frame (outside the shard latch) into a page buffer of its own and
+// unpins the frame at once: a scan holds one iterator per partition across
+// its whole merge, and with a pin each would exhaust a pool shard
+// (ErrNoFrames). The fetch is GetNoRef (see there).
+//
+// The zero Iterator is ready for Seek and may be repositioned any number of
+// times, on any segment; its buffers are reused, so a caller that keeps or
+// pools one reads without allocating. Close it when done with a segment.
+//
+// LIFETIME: Record's Key and Body point into the iterator's buffers. They
+// are valid until the iterator moves — Next, Seek or Close — and must be
+// copied to outlive that.
 type Iterator struct {
 	seg  *Segment
 	leaf int
-	recs []KV
-	pos  int
+	buf  []byte // the current leaf's image; allocated on first use
+	cur  leafCursor
+	ok   bool
 	err  error
 }
 
-// Seek positions an iterator at the first record with key >= key.
+// Seek returns a new iterator at the first record with key >= key: the
+// allocating form of Iterator.Seek, for callers off the hot paths.
 func (s *Segment) Seek(key []byte) *Iterator {
-	it := &Iterator{seg: s}
+	it := new(Iterator)
+	it.Seek(s, key)
+	return it
+}
+
+// Seek positions the iterator at s's first record with key >= key (a nil key
+// is the segment's first record).
+func (it *Iterator) Seek(s *Segment, key []byte) {
+	it.seg, it.ok, it.err = s, false, nil
 	rel, err := s.findLeaf(key)
 	if err != nil {
 		it.err = err
-		return it
-	}
-	it.leaf = rel
-	it.recs, it.err = s.readLeaf(rel)
-	for it.Valid() && bytes.Compare(it.recs[it.pos].Key, key) < 0 {
-		it.Next()
-	}
-	return it
-}
-
-// Min positions an iterator at the segment's first record.
-func (s *Segment) Min() *Iterator {
-	it := &Iterator{seg: s}
-	it.recs, it.err = s.readLeaf(0)
-	return it
-}
-
-func (it *Iterator) advanceLeaf() {
-	it.leaf++
-	it.pos = 0
-	if it.leaf >= it.seg.NumLeaves {
-		it.recs = nil
 		return
 	}
-	it.recs, it.err = it.seg.readLeaf(it.leaf)
+	it.enter(rel)
+	it.forward(key)
+}
+
+// Next advances to the following record.
+func (it *Iterator) Next() { it.forward(nil) }
+
+// forward moves to the following record — given a min, and only from before
+// a leaf's first record, to the first with key >= min — through the end of
+// the current leaf into the leaves after it.
+func (it *Iterator) forward(min []byte) {
+	if it.seg == nil { // never positioned, or closed: there is no next record
+		return
+	}
+	for it.ok = false; it.err == nil && it.leaf < it.seg.NumLeaves; it.enter(it.leaf + 1) {
+		var err error
+		if len(min) > 0 {
+			it.ok, err = it.cur.seek(min)
+		} else {
+			it.ok, err = it.cur.next()
+		}
+		if err != nil {
+			it.err = it.seg.corrupt(it.leaf, err)
+		}
+		if it.ok || err != nil {
+			return
+		}
+	}
+}
+
+// enter makes relative leaf page rel the current leaf, before its first
+// record; past the last leaf it only records the position.
+func (it *Iterator) enter(rel int) {
+	s := it.seg
+	it.leaf = rel
+	if rel >= s.NumLeaves {
+		return
+	}
+	if it.buf == nil || poison.Load() {
+		it.scribble()
+		it.buf = make([]byte, storage.PageSize)
+	}
+	fr, err := s.pool.GetNoRef(s.file, s.StartPage+uint64(rel))
+	if err != nil {
+		it.err = err
+		return
+	}
+	copy(it.buf, fr.Data())
+	s.pool.Unpin(fr, false)
+	it.cur.reset(page.Wrap(it.buf))
 }
 
 // Valid reports whether the iterator is on a record.
-func (it *Iterator) Valid() bool { return it.err == nil && it.pos < len(it.recs) }
+func (it *Iterator) Valid() bool { return it.ok }
 
 // Err returns the first error the iterator hit.
 func (it *Iterator) Err() error { return it.err }
 
-// Record returns the current record.
-func (it *Iterator) Record() KV { return it.recs[it.pos] }
+// Record returns the current record; see the lifetime rule on Iterator.
+func (it *Iterator) Record() KV { return KV{Key: it.cur.key, Body: it.cur.body} }
 
-// Next advances to the following record.
-func (it *Iterator) Next() {
-	it.pos++
-	if it.pos >= len(it.recs) {
-		it.advanceLeaf()
+// Close ends the iterator's use of its segment, so that a kept or pooled
+// iterator does not keep a merged-away segment and its filters alive. The
+// iterator stays reusable.
+func (it *Iterator) Close() {
+	it.seg, it.ok = nil, false
+	it.cur = leafCursor{key: it.cur.key[:0]}
+	if poison.Load() {
+		it.scribble()
 	}
+}
+
+// poison makes every iterator abandon its buffers, overwritten with 0xDB,
+// whenever the lifetime rule says their contents are gone (on entering
+// another leaf and on Close): a Key or Body kept too long then reads 0xDB for
+// good, not the plausible bytes of whatever a reused buffer holds next.
+var poison atomic.Bool
+
+// SetPoison switches poison on or off. For tests, of this package and of
+// those above it, only.
+func SetPoison(on bool) { poison.Store(on) }
+
+// scribble poisons and drops the iterator's buffers.
+func (it *Iterator) scribble() {
+	for _, b := range [][]byte{it.buf, it.cur.key[:cap(it.cur.key)]} {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	it.buf, it.cur.key = nil, nil
 }
 
 // Free releases the segment's pages: the extents return to the space
 // manager and any cached pages are dropped. The segment must not be used
 // afterwards.
 func (s *Segment) Free() {
-	s.pool.RemoveEvictHook(s.hookID)
 	s.pool.DropFilePages(s.file, s.StartPage, s.NumPages)
 	s.file.FreeRun(s.StartPage, s.NumPages)
 }

@@ -60,6 +60,7 @@ type Tree struct {
 	pnSeq  uint64
 	parts  []*part.Segment
 	nextNo int
+	it     part.Iterator // the readers' segment iterator, reused; guarded by mu
 }
 
 // New creates an empty PBT storing partitions in file and registering its
@@ -140,6 +141,8 @@ func (t *Tree) EvictPN() error {
 func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	segIt := &t.it
+	defer segIt.Close()
 	for it := t.pn.Seek(pnKey{key: key}); it.Valid(); it.Next() {
 		if !bytes.Equal(it.Key().key, key) {
 			break
@@ -153,9 +156,8 @@ func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 		if !seg.MayContainKey(key) {
 			continue
 		}
-		it := seg.Seek(key)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !bytes.Equal(r.Key, key) {
 				break
 			}
@@ -163,7 +165,7 @@ func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 				return nil
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 	}
@@ -177,6 +179,8 @@ func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	segIt := &t.it
+	defer segIt.Close()
 	for it := t.pn.Seek(pnKey{key: lo}); it.Valid(); it.Next() {
 		if !index.KeyInRange(it.Key().key, lo, hi) {
 			break
@@ -190,9 +194,8 @@ func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 		if !seg.MayContainRange(lo, hi) {
 			continue
 		}
-		it := seg.Seek(lo)
-		for ; it.Valid(); it.Next() {
-			r := it.Record()
+		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
+			r := segIt.Record()
 			if !index.KeyInRange(r.Key, lo, hi) {
 				break
 			}
@@ -200,7 +203,7 @@ func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 				return nil
 			}
 		}
-		if err := it.Err(); err != nil {
+		if err := segIt.Err(); err != nil {
 			return err
 		}
 	}

@@ -152,15 +152,18 @@ func (p Page) setSlot(i, off, length int) {
 
 func (p Page) slotEnd() int { return slotBase + p.numSlots()*slotSize }
 
-// Get returns the record in slot i, or nil if the slot is dead. The
-// returned slice aliases the page buffer; callers must not hold it across
-// page modifications.
+// Get returns the record in slot i, or nil if the slot is dead — or, on a
+// damaged page, if the slot or its record would lie outside the page: a slot
+// count and a directory entry are device bytes, and readers of immutable
+// pages walk them without a decoded copy to fall back on. The returned slice
+// aliases the page buffer; callers must not hold it across page
+// modifications.
 func (p Page) Get(i int) []byte {
-	if i < 0 || i >= p.numSlots() {
+	if i < 0 || i >= p.numSlots() || slotBase+(i+1)*slotSize > len(p.b) {
 		return nil
 	}
 	off, l := p.slot(i)
-	if l == 0 {
+	if l == 0 || off+l > len(p.b) {
 		return nil
 	}
 	return p.b[off : off+l]

@@ -14,6 +14,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -324,11 +325,19 @@ type session struct {
 	// carried (absent for token-less Begins).
 	tokens map[uint32]uint64
 	nextTx uint32
+	// scanReply is the buffer SCAN replies are assembled in, reset rather
+	// than reallocated between requests; the request loop is its only user.
+	scanReply []byte
 	// forcedDL is a drain-imposed read deadline (unix nanos; 0 = none).
 	// The request loop clamps its idle deadline to it so a slow session
 	// cannot extend its life past the drain grace.
 	forcedDL atomic.Int64
 }
+
+// maxKeptScanReply is the largest SCAN reply buffer a session holds on to
+// between requests: one frame-sized reply must not pin 16 MiB per idle
+// session.
+const maxKeptScanReply = 1 << 20
 
 // readDeadline computes the next request's read deadline from the idle
 // timeout and any drain-forced deadline.
@@ -583,12 +592,15 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 		if err != nil {
 			return wire.WriteFrame(bw, wire.StatusErr, []byte("malformed SCAN"))
 		}
+		// The reply is assembled in the session's buffer, which keeps its
+		// capacity from one SCAN to the next; a session answers one request
+		// at a time.
 		var n uint32
-		var body []byte
+		body := sess.scanReply[:0]
 		collect := func(k, v []byte) bool {
-			body = append(body, wire.U32(uint32(len(k)))...)
+			body = binary.BigEndian.AppendUint32(body, uint32(len(k)))
 			body = append(body, k...)
-			body = append(body, wire.U32(uint32(len(v)))...)
+			body = binary.BigEndian.AppendUint32(body, uint32(len(v)))
 			body = append(body, v...)
 			n++
 			return len(body) < wire.MaxFrame-64
@@ -597,6 +609,10 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 			err = s.r.Scan(lo, int(limit), collect)
 		} else {
 			err = tx.Scan(lo, int(limit), collect)
+		}
+		sess.scanReply = body
+		if cap(body) > maxKeptScanReply {
+			sess.scanReply = nil
 		}
 		if err != nil {
 			return fail(bw, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"mvpbt/internal/db"
@@ -178,15 +179,39 @@ func (t *Tx) Delete(key []byte) error {
 	return nil
 }
 
-// scanPair is one collected entry of a per-shard scan.
-type scanPair struct{ k, v []byte }
+// scanStream is one shard's share of a Scan: its pairs copied back to back
+// into one arena and found again by their end offsets.
+type scanStream struct {
+	arena []byte
+	ends  []int // pair i's key ends at ends[2i], its value at ends[2i+1]
+	next  int   // first pair the merge has not handed out
+}
+
+func (s *scanStream) add(k, v []byte) {
+	s.arena = append(append(s.arena, k...), v...)
+	s.ends = append(s.ends, len(s.arena)-len(v), len(s.arena))
+}
+
+func (s *scanStream) pair(i int) (k, v []byte) {
+	start := 0
+	if i > 0 {
+		start = s.ends[2*i-1]
+	}
+	return s.arena[start:s.ends[2*i]], s.arena[s.ends[2*i]:s.ends[2*i+1]]
+}
+
+// scanPool recycles the streams of finished Scans, arenas included, so a scan
+// in steady state allocates none of what it collects. (A sync.Pool is emptied
+// by the collector, so one huge scan's arena is not kept for long.)
+var scanPool = sync.Pool{New: func() any { return new([]scanStream) }}
 
 // Scan streams up to limit live pairs with key >= lo in global key order
 // at the transaction's snapshot. Hash partitioning scatters the key order
 // across shards, so each shard contributes up to limit pairs and the
 // router merges the sorted streams. A shard without a live leg fails the
 // scan with ErrShardUnavailable — a partial scan would silently drop that
-// shard's keyspace.
+// shard's keyspace. key and val are valid only until fn returns (db.KV's
+// rule): they lie in an arena the next Scan reuses.
 func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 	if limit <= 0 {
 		return nil
@@ -195,19 +220,25 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 		return err
 	}
 	defer t.r.exit()
-	streams := make([][]scanPair, len(t.txs))
+	kept := scanPool.Get().(*[]scanStream)
+	defer scanPool.Put(kept)
+	if len(*kept) < len(t.txs) {
+		*kept = make([]scanStream, len(t.txs))
+	}
+	streams := (*kept)[:len(t.txs)]
 	for i := range t.r.shards {
+		s := &streams[i]
+		s.arena, s.ends, s.next = s.arena[:0], s.ends[:0], 0
 		release, err := t.leg(i)
 		if err != nil {
 			return wrap(i, lo, err)
 		}
-		pairs := make([]scanPair, 0, min(limit, 64))
+		// The copy is required, not a precaution: k and v lie in the page
+		// and key buffers of the shard's segment iterators, which overwrite
+		// them as the shard's scan moves on and hand them to the next reader
+		// when it returns — long before the merge below looks at them.
 		err = t.kvs[i].ScanTx(t.txs[i], lo, limit, func(k, v []byte) bool {
-			// Copy out: entry bytes may alias per-page decode buffers.
-			pairs = append(pairs, scanPair{
-				k: append([]byte(nil), k...),
-				v: append([]byte(nil), v...),
-			})
+			s.add(k, v)
 			return true
 		})
 		release()
@@ -215,27 +246,26 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 		if err != nil {
 			return wrap(i, lo, err)
 		}
-		streams[i] = pairs
 	}
 	// K-way merge; keys are unique across shards (each key hashes to
 	// exactly one), so no tie-breaking is needed.
-	idx := make([]int, len(streams))
 	for n := 0; n < limit; n++ {
+		var bestK, bestV []byte
 		best := -1
-		for i, s := range streams {
-			if idx[i] >= len(s) {
+		for i := range streams {
+			s := &streams[i]
+			if 2*s.next >= len(s.ends) {
 				continue
 			}
-			if best < 0 || bytes.Compare(s[idx[i]].k, streams[best][idx[best]].k) < 0 {
-				best = i
+			if k, v := s.pair(s.next); best < 0 || bytes.Compare(k, bestK) < 0 {
+				best, bestK, bestV = i, k, v
 			}
 		}
 		if best < 0 {
 			return nil
 		}
-		p := streams[best][idx[best]]
-		idx[best]++
-		if !fn(p.k, p.v) {
+		streams[best].next++
+		if !fn(bestK, bestV) {
 			return nil
 		}
 	}

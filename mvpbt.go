@@ -56,7 +56,9 @@ type Index = db.Index
 // IndexDef declares an index.
 type IndexDef = db.IndexDef
 
-// RowRef identifies a visible row version.
+// RowRef identifies a visible row version. Its Key, when it comes from a
+// Scan, is valid only until the scan's callback returns; the rest may be
+// kept.
 type RowRef = db.RowRef
 
 // Heap organizations (paper §3).
