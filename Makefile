@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly check-faults check-exhaust check-scenarios check-chaos check-2pc check-all bench bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -38,59 +38,31 @@ fuzz-wal:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
 
-# And for the two that read partition pages where they lie: the leaf cursor
-# behind part.Iterator and part.Reader, and the internal-page search.
-# Crashers land in internal/index/part/testdata/fuzz/.
+# And for the partition layer's decoders of device bytes: the leaf cursor
+# behind part.Iterator and part.Reader and the internal-page search, which
+# read pages where they lie; the segment metadata read back from a manifest
+# page; and the MV-PBT record body inside a leaf. Crashers land in
+# internal/index/{part,mvpbt}/testdata/fuzz/.
 fuzz-part:
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzInnerSearch -fuzztime=10s ./internal/index/part/
+	go test -fuzz=FuzzDecodeMeta -fuzztime=10s ./internal/index/part/
+	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
 
 # Differential correctness harness: short smoke (CI) and nightly-length.
 check:
-	go run ./cmd/mvpbt-check -seed 1 -ops 6000 -clients 4 -crashes 2
+	go run ./cmd/mvpbt-check diff
 
 check-nightly:
-	go run ./cmd/mvpbt-check -seed 1 -ops 50000 -clients 4 -crashes 3
+	go run ./cmd/mvpbt-check diff -ops 50000 -crashes 3
 
-# Seeded fault campaign: 8 seeds x {read-err, write-err, torn-write,
-# bit-flip} schedules on both heap layouts, every history replayed twice
-# to pin fault determinism (same counters, same final state hash).
-check-faults:
-	go run ./cmd/mvpbt-check -faults -seed 1 -seeds 8 -ops 1500
-
-# Resource-exhaustion campaign: fill a capacity-bounded device to its hard
-# watermark on both heaps, assert read-only degradation with oracle-correct
-# reads, reclamation (WAL truncation, GC, vacuum) back under the soft
-# watermark, write resume, crash-recovery, and byte-identical double replay.
-check-exhaust:
-	go run ./cmd/mvpbt-check -exhaust -seed 1 -seeds 4
-
-# Hostile-scenario campaign: every device-zoo spec x every hostile
-# scenario x 2 seeds (32 cells), each cell run twice and its full
-# fingerprint diffed — scenario invariants (p99 bound, sawtooth
-# reclamation, pinned-snapshot correctness, admission oscillation) plus
-# byte-identical replay on every device.
-check-scenarios:
-	go run ./cmd/mvpbt-check -scenarios -seed 1 -seeds 2
-
-# Network-chaos campaign: 8 seeds x {reset, truncate, stall, mixed}
-# schedules against the real TCP server with a self-healing client, each
-# run replayed twice — zero acked-write loss, every in-doubt commit
-# resolved via its idempotent token, byte-identical fingerprints.
-check-chaos:
-	go run ./cmd/mvpbt-check -chaos -seed 1 -seeds 8
-
-# Atomic cross-shard commit campaign: 8 seeds, the coordinator and each
-# participant crashed at every 2PC protocol step (before/after prepare,
-# before/after decide, before forget), every run replayed twice — zero
-# half-applied groups, zero acked-commit loss, every in-doubt leg resolved
-# per the coordinator log, byte-identical fingerprints.
-check-2pc:
-	go run ./cmd/mvpbt-check -2pc -seed 1 -seeds 8
-
-# Every seeded campaign back to back: faults, exhaustion, hostile
-# scenarios, network chaos, and cross-shard 2PC crashes.
-check-all: check-faults check-exhaust check-scenarios check-chaos check-2pc
+# The seeded verification campaigns, one mvpbt-check subcommand each
+# (DESIGN.md "Verification campaigns" says what each holds): check-faults,
+# check-exhaust, check-scenarios, check-chaos, check-2pc, and check-all for
+# the five back to back. Every cell is run twice and must replay
+# byte-identically; a failing cell prints the command that reruns it alone.
+check-%:
+	go run ./cmd/mvpbt-check $*
 
 # One testing.B benchmark per paper figure (quick scale).
 bench:

@@ -1,343 +1,183 @@
-// Command mvpbt-check runs the differential correctness harness
-// (internal/check): a randomized multi-client history generated from
-// -seed is executed against the real engine and a naive MVCC oracle in
-// lockstep, with invariant audits along the way and WAL crash-restarts
-// injected. On a violation the failing history is shrunk to a minimal
-// reproducer and the exact repro command line is printed.
+// Command mvpbt-check runs the verification arsenal of internal/check:
 //
-// Typical smoke run (CI):
+//	mvpbt-check diff       differential harness: a randomized multi-client
+//	                       history against the engine and a naive MVCC oracle
+//	                       in lockstep, crash-restarts injected; a violation
+//	                       is shrunk to a minimal reproducer
+//	mvpbt-check faults     device faults under the same harness, both heaps
+//	mvpbt-check exhaust    fill to read-only, reclaim, resume, recover
+//	mvpbt-check scenarios  hostile workloads across the device zoo
+//	mvpbt-check chaos      connection resets, truncations, stalls over TCP
+//	mvpbt-check 2pc        crashes at every step of the cross-shard commit
+//	mvpbt-check all        the five campaigns above, back to back
 //
-//	go run ./cmd/mvpbt-check -seed 1 -ops 6000 -clients 4 -crashes 2
-//
-// Nightly-length run: raise -ops (the budget knob), e.g. -ops 50000.
-// Reproduce a reported failure: rerun with the printed flags verbatim.
-//
-// Fault campaign (`make check-faults`): -faults switches to campaign
-// mode — -seeds consecutive seeds starting at -seed, each a
-// fault-punctuated history (read errors, write errors, torn commit
-// flushes, bit rot) replayed twice on both heap layouts; every run must
-// hold oracle lockstep and the two replays must agree byte-for-byte on
-// fault counters and final state (the determinism contract):
-//
-//	go run ./cmd/mvpbt-check -faults -seed 1 -seeds 8 -ops 1500
-//
-// Exhaustion campaign (`make check-exhaust`): -exhaust fills a
-// capacity-bounded device to its hard watermark on both heap layouts,
-// asserting read-only degradation with oracle-correct reads, reclamation
-// (WAL checkpoint/truncation, GC, vacuum) back under the soft watermark,
-// write resume, crash-recovery, and byte-identical double replay — plus a
-// context-deadline bound on writes wedged in a partition-buffer stall:
-//
-//	go run ./cmd/mvpbt-check -exhaust -seed 1 -seeds 2
-//
-// Hostile-scenario campaign (`make check-scenarios`): -scenarios runs the
-// hostile-workload catalogue (hot-key storms, sawtooth load/delete cycles,
-// GC-pinning analytical snapshots, tenant-skewed admission-controlled
-// mixes) across a device-zoo subset chosen with -devices, each cell
-// replayed twice for byte-identical fingerprints:
-//
-//	go run ./cmd/mvpbt-check -scenarios -devices enterprise-nvme,cloud-block
-//
-// Network-chaos campaign (`make check-chaos`): -chaos drives a seeded
-// history through the real TCP server under a deterministic schedule of
-// connection resets, mid-frame truncations and read/write stalls, with a
-// self-healing client (reconnect, idempotent retries, commit tokens).
-// Every run is replayed twice and must produce a byte-identical
-// fingerprint; every acked write must survive to the post-chaos scan and
-// every in-doubt commit must resolve one way:
-//
-//	go run ./cmd/mvpbt-check -chaos -seed 1 -seeds 8
-//
-// 2PC crash campaign (`make check-2pc`): -2pc drives multi-shard
-// transactions through presumed-abort two-phase commit while a
-// deterministic plan crashes the coordinator or a participant at every
-// protocol step (before/after prepare per shard, before/after the
-// decision, before forget), plus standalone coordinator crashes. Every
-// seed is replayed twice for a byte-identical fingerprint; every group
-// must apply or abort atomically, every in-doubt leg must resolve, and no
-// acked commit may be lost:
-//
-//	go run ./cmd/mvpbt-check -2pc -seed 1 -seeds 8
+// Every campaign cell is run twice and must replay byte-identically
+// (DESIGN.md "Verification campaigns"). With no flags a subcommand runs what
+// `make check-<name>` runs (`diff`: what `make check` runs); `<subcommand>
+// -h` lists the flags that mean something to it. A failing cell prints the
+// command that reruns exactly that cell.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"mvpbt/internal/check"
 	"mvpbt/internal/db"
-	"mvpbt/internal/ssd"
 )
 
-func main() {
-	var (
-		seed       = flag.Uint64("seed", 1, "history seed (printed on failure; reruns are deterministic)")
-		ops        = flag.Int("ops", 10000, "history length — the run-length budget knob")
-		clients    = flag.Int("clients", 4, "logical clients interleaved in the history")
-		keys       = flag.Int("keys", 200, "key-space size")
-		crashes    = flag.Int("crashes", 3, "crash-restart points injected into the history")
-		heapSel    = flag.String("heap", "both", "heap layout: hot, sias or both")
-		background = flag.Bool("background", true, "run maintenance on background workers (false = synchronous)")
-		auditEvery = flag.Int("audit-every", 250, "full audit cadence in ops")
-		fault      = flag.Int("inject-fault", 0, "TEST the harness: invert visibility for tx ids divisible by N")
-		noShrink   = flag.Bool("no-shrink", false, "skip shrinking on failure")
-		verbose    = flag.Bool("v", false, "progress output")
-		faults     = flag.Bool("faults", false, "fault-campaign mode: seeded device faults on both heaps, each history replayed twice for determinism")
-		seeds      = flag.Int("seeds", 8, "campaign seed count (seeds -seed..-seed+N-1); only with -faults or -exhaust")
-		exhaust    = flag.Bool("exhaust", false, "exhaustion-campaign mode: fill a capacity-bounded device to read-only, reclaim, resume, recover, replay twice for determinism")
-		scenarios  = flag.Bool("scenarios", false, "hostile-scenario campaign: every hostile workload on each -devices device, replayed twice for determinism")
-		devices    = flag.String("devices", "", "comma-separated device-zoo names for -scenarios (empty = whole zoo; see ssd.ZooNames)")
-		chaosMode  = flag.Bool("chaos", false, "network-chaos campaign: seeded histories through real TCP under injected resets/truncations/stalls with a self-healing client, replayed twice for determinism")
-		chaosKinds = flag.String("chaos-kinds", "", "comma-separated chaos kinds for -chaos (empty = reset,truncate,stall,mixed)")
-		twoPCMode  = flag.Bool("2pc", false, "2PC crash campaign: coordinator/participant crashes at every commit-protocol step, replayed twice for determinism")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *twoPCMode {
-		os.Exit(run2PC(*seed, *seeds))
-	}
-	if *chaosMode {
-		os.Exit(runChaos(*seed, *seeds, *chaosKinds))
-	}
-	if *scenarios {
-		os.Exit(runScenarios(*seed, *seeds, *devices))
-	}
-	if *exhaust {
-		os.Exit(runExhaust(*seed, *seeds))
-	}
-	if *faults {
-		os.Exit(runCampaign(*seed, *seeds, *ops, *clients, *keys, *crashes))
-	}
-
-	var heaps []db.HeapKind
-	switch *heapSel {
-	case "hot":
-		heaps = []db.HeapKind{db.HeapHOT}
-	case "sias":
-		heaps = []db.HeapKind{db.HeapSIAS}
-	case "both":
-		heaps = []db.HeapKind{db.HeapHOT, db.HeapSIAS}
+// run executes one subcommand and returns the process exit code: 0 pass,
+// 1 a violation or nondeterministic replay, 2 usage.
+func run(args []string, out, errw io.Writer) int {
+	var campaigns []*check.Campaign
+	switch {
+	case len(args) == 0:
+	case args[0] == "diff":
+		return runDiff(args[1:], out, errw)
+	case args[0] == "all" && len(args) == 1:
+		campaigns = check.Campaigns
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -heap %q (want hot, sias or both)\n", *heapSel)
-		os.Exit(2)
+		if c := check.CampaignByName(args[0]); c != nil {
+			campaigns = []*check.Campaign{c}
+		}
 	}
-	heapName := map[db.HeapKind]string{db.HeapHOT: "hot", db.HeapSIAS: "sias"}
+	if campaigns == nil {
+		names := []string{"diff"}
+		for _, c := range check.Campaigns {
+			names = append(names, c.Name)
+		}
+		fmt.Fprintf(errw, "usage: mvpbt-check <%s|all> [flags]   (all takes none)\n", strings.Join(names, "|"))
+		return 2
+	}
+	code := 0
+	for _, c := range campaigns {
+		sel, ok := selection(c, args[1:], errw)
+		if !ok {
+			return 2
+		}
+		if _, failed := c.Run(sel, out); failed {
+			code = 1
+		}
+	}
+	return code
+}
 
-	for _, hk := range heaps {
+// selection parses the flags c's grid gives meaning to: a list flag per axis
+// its cells have a coordinate on, a size flag per history size it uses.
+func selection(c *check.Campaign, args []string, errw io.Writer) (sel check.Selection, ok bool) {
+	fs := flag.NewFlagSet("mvpbt-check "+c.Name, flag.ContinueOnError)
+	fs.SetOutput(errw)
+	seed := fs.Uint64("seed", 1, "first seed (reruns are deterministic)")
+	seeds := fs.Int("seeds", c.Seeds, "seed count (seeds -seed..-seed+N-1)")
+
+	values := map[string][]string{} // axis → the values the default grid has on it
+	for _, cell := range c.Select(check.Selection{}) {
+		for _, co := range cell.Coords {
+			if !slices.Contains(values[co.Axis], co.Value) {
+				values[co.Axis] = append(values[co.Axis], co.Value)
+			}
+		}
+	}
+	csv := map[string]*string{}
+	for axis, name := range check.AxisFlags {
+		if len(values[axis]) > 0 {
+			csv[axis] = fs.String(name, "", "comma-separated subset of "+strings.Join(values[axis], ", ")+" (empty = all)")
+		}
+	}
+	for i, def := range c.Size {
+		if def > 0 {
+			fs.IntVar(&sel.Size[i], check.SizeFlags[i], def, "history size")
+		}
+	}
+	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+		return sel, false
+	}
+	for i := 0; i < *seeds; i++ {
+		sel.Seeds = append(sel.Seeds, *seed+uint64(i))
+	}
+	sel.Filter = map[string][]string{}
+	for axis, list := range csv {
+		for _, v := range strings.FieldsFunc(*list, func(r rune) bool { return r == ',' || r == ' ' }) {
+			if !slices.Contains(values[axis], v) {
+				fmt.Fprintf(errw, "unknown -%s value %q (want %s)\n", check.AxisFlags[axis], v, strings.Join(values[axis], ", "))
+				return sel, false
+			}
+			sel.Filter[axis] = append(sel.Filter[axis], v)
+		}
+	}
+	return sel, true
+}
+
+// runDiff drives the differential harness on each selected heap; on a
+// violation it shrinks the history and prints the exact repro command.
+func runDiff(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("mvpbt-check diff", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		seed       = fs.Uint64("seed", 1, "history seed (printed on failure; reruns are deterministic)")
+		ops        = fs.Int("ops", 6000, "history length — the run-length budget knob (nightly: 50000)")
+		clients    = fs.Int("clients", 4, "logical clients interleaved in the history")
+		keys       = fs.Int("keys", 200, "key-space size")
+		crashes    = fs.Int("crashes", 2, "crash-restart points injected into the history")
+		heapSel    = fs.String("heap", "both", "heap layout: hot, sias or both")
+		background = fs.Bool("background", true, "run maintenance on background workers (false = synchronous)")
+		auditEvery = fs.Int("audit-every", 250, "full audit cadence in ops")
+		fault      = fs.Int("inject-fault", 0, "TEST the harness: invert visibility for tx ids divisible by N")
+		noShrink   = fs.Bool("no-shrink", false, "skip shrinking on failure")
+		verbose    = fs.Bool("v", false, "progress output")
+	)
+	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+		return 2
+	}
+	if *heapSel != "both" && *heapSel != "hot" && *heapSel != "sias" {
+		fmt.Fprintf(errw, "unknown -heap %q (want hot, sias or both)\n", *heapSel)
+		return 2
+	}
+	for _, hk := range []db.HeapKind{db.HeapHOT, db.HeapSIAS} {
+		if *heapSel != "both" && *heapSel != hk.String() {
+			continue
+		}
 		cfg := check.RunConfig{
 			Heap: hk, Seed: *seed, Ops: *ops, Clients: *clients, Keys: *keys,
 			Crashes: *crashes, Background: *background, AuditEvery: *auditEvery,
 			FaultEvery: *fault,
 		}
 		if *verbose {
-			cfg.Log = func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			}
+			cfg.Log = func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
 		}
-		fmt.Printf("heap=%-4s seed=%d ops=%d clients=%d keys=%d crashes=%d background=%v\n",
-			heapName[hk], *seed, *ops, *clients, *keys, *crashes, *background)
+		fmt.Fprintf(out, "heap=%-4s seed=%d ops=%d clients=%d keys=%d crashes=%d background=%v\n",
+			hk, *seed, *ops, *clients, *keys, *crashes, *background)
 		res := check.Run(cfg)
 		if res.Violation == nil {
-			fmt.Printf("  OK: %d ops, %d audits, %d crash-recoveries, %d write conflicts — zero invariant violations\n",
+			fmt.Fprintf(out, "  OK: %d ops, %d audits, %d crash-recoveries, %d write conflicts — zero invariant violations\n",
 				res.Ops, res.Audits, res.Crashes, res.Conflicts)
 			continue
 		}
-		fmt.Printf("  VIOLATION: %v\n", res.Violation)
-		history := check.History(cfg)
+		fmt.Fprintf(out, "  VIOLATION: %v\n", res.Violation)
 		if !*noShrink {
-			fmt.Printf("  shrinking (%d-op history)...\n", len(history))
+			history := check.History(cfg)
+			fmt.Fprintf(out, "  shrinking (%d-op history)...\n", len(history))
 			min := check.Shrink(cfg, history, 0)
-			fmt.Printf("  minimal failing history (%d ops):\n%s", len(min), check.FormatOps(min))
-			if r := check.Replay(stepAudit(cfg), min); r.Violation != nil {
-				fmt.Printf("  violation: %v\n", r.Violation)
+			fmt.Fprintf(out, "  minimal failing history (%d ops):\n%s", len(min), check.FormatOps(min))
+			step := cfg
+			step.StepAudit, step.Log = true, nil
+			if r := check.Replay(step, min); r.Violation != nil {
+				fmt.Fprintf(out, "  violation: %v\n", r.Violation)
 			}
 		}
-		fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -seed %d -ops %d -clients %d -keys %d -crashes %d -heap %s -background=%v -audit-every %d",
-			*seed, *ops, *clients, *keys, *crashes, heapName[hk], *background, *auditEvery)
+		fmt.Fprintf(out, "  reproduce: go run ./cmd/mvpbt-check diff -seed %d -ops %d -clients %d -keys %d -crashes %d -heap %s -background=%v -audit-every %d",
+			*seed, *ops, *clients, *keys, *crashes, hk, *background, *auditEvery)
 		if *fault > 0 {
-			fmt.Printf(" -inject-fault %d", *fault)
+			fmt.Fprintf(out, " -inject-fault %d", *fault)
 		}
-		fmt.Println()
-		os.Exit(1)
-	}
-}
-
-func stepAudit(cfg check.RunConfig) check.RunConfig {
-	cfg.StepAudit = true
-	cfg.Log = nil
-	return cfg
-}
-
-// runCampaign drives check.FaultCampaign and reports it: per-run progress
-// lines, the aggregate per-kind injection counters, and a pass/fail verdict.
-// Returns the process exit code.
-func runCampaign(seed uint64, n, ops, clients, keys, crashes int) int {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	fmt.Printf("fault campaign: %d seeds (%d..%d) x both heaps, ops=%d clients=%d keys=%d crashes=%d\n",
-		n, seed, seed+uint64(n)-1, ops, clients, keys, crashes)
-	res := check.FaultCampaign(check.CampaignConfig{
-		Seeds: seedList, Ops: ops, Clients: clients, Keys: keys, Crashes: crashes,
-		Log: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-	})
-	fmt.Printf("injected: %v across %d runs; %d fault recoveries, %d quarantine-rebuilds\n",
-		res.Faults, len(res.Runs), res.Recoveries, res.Rebuilds)
-	if res.Failed() {
-		fmt.Printf("FAIL: %d invariant violations, %d nondeterministic replays\n",
-			res.Violations, res.Mismatches)
-		for _, r := range res.Runs {
-			if r.Res.Violation != nil || r.Mismatch != "" {
-				fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -faults -seed %d -seeds 1 -ops %d -clients %d -keys %d -crashes %d\n",
-					r.Seed, ops, clients, keys, crashes)
-			}
-		}
+		fmt.Fprintln(out)
 		return 1
 	}
-	fmt.Println("OK: every fault masked or recovered, all replays deterministic")
-	return 0
-}
-
-// runScenarios drives check.ScenarioCampaign and reports it. Returns the
-// process exit code.
-func runScenarios(seed uint64, n int, deviceCSV string) int {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	var devs []ssd.DeviceSpec
-	names := "whole zoo"
-	if deviceCSV != "" {
-		for _, name := range strings.Split(deviceCSV, ",") {
-			name = strings.TrimSpace(name)
-			spec, ok := ssd.SpecByName(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown device %q (zoo: %s)\n", name, strings.Join(ssd.ZooNames(), ", "))
-				return 2
-			}
-			devs = append(devs, spec)
-		}
-		names = deviceCSV
-	}
-	fmt.Printf("hostile-scenario campaign: %d seeds (%d..%d) x devices [%s] x all scenarios\n",
-		n, seed, seed+uint64(n)-1, names)
-	res := check.ScenarioCampaign(check.ScenarioConfig{
-		Seeds:   seedList,
-		Devices: devs,
-		Log:     func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-	})
-	if res.Failed() {
-		fmt.Printf("FAIL: %d violations, %d nondeterministic replays\n", res.Violations, res.Mismatches)
-		for _, r := range res.Runs {
-			if r.Violation != nil || r.Mismatch != "" {
-				fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -scenarios -seed %d -seeds 1 -devices %s\n",
-					r.Seed, r.Device)
-			}
-		}
-		return 1
-	}
-	fmt.Printf("OK: %d cells, every scenario invariant held, all replays byte-identical\n", len(res.Runs))
-	return 0
-}
-
-// runChaos drives check.ChaosCampaign and reports it. Returns the process
-// exit code.
-func runChaos(seed uint64, n int, kindCSV string) int {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	var kinds []string
-	if kindCSV != "" {
-		for _, k := range strings.Split(kindCSV, ",") {
-			kinds = append(kinds, strings.TrimSpace(k))
-		}
-	}
-	kindNames := kinds
-	if kindNames == nil {
-		kindNames = check.ChaosKinds
-	}
-	fmt.Printf("network-chaos campaign: %d seeds (%d..%d) x kinds [%s], each replayed twice\n",
-		n, seed, seed+uint64(n)-1, strings.Join(kindNames, ", "))
-	res := check.ChaosCampaign(check.ChaosConfig{
-		Seeds: seedList,
-		Kinds: kinds,
-		Log:   func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-	})
-	fmt.Printf("injected: %d cuts, %d truncations, %d stalls across %d runs; %d reconnects, %d commit resolutions\n",
-		res.Cuts, res.Truncs, res.Stalls, len(res.Runs), res.Reconnects, res.Resolves)
-	if res.Failed() {
-		fmt.Printf("FAIL: %d violations (acked-write loss or unresolved commits), %d nondeterministic replays\n",
-			res.Violations, res.Mismatches)
-		for _, r := range res.Runs {
-			if r.Violation != "" || r.Mismatch != "" {
-				fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -chaos -seed %d -seeds 1 -chaos-kinds %s\n",
-					r.Seed, r.Kind)
-			}
-		}
-		return 1
-	}
-	fmt.Println("OK: every acked write survived, every in-doubt commit resolved, all replays byte-identical")
-	return 0
-}
-
-// run2PC drives check.TwoPCCampaign and reports it. Returns the process
-// exit code.
-func run2PC(seed uint64, n int) int {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	fmt.Printf("2pc crash campaign: %d seeds (%d..%d), crashes at every protocol step, each replayed twice\n",
-		n, seed, seed+uint64(n)-1)
-	res := check.TwoPCCampaign(check.TwoPCConfig{
-		Seeds: seedList,
-		Log:   func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-	})
-	fmt.Printf("injected: %d protocol-step crashes, %d coordinator crashes across %d commit groups in %d runs\n",
-		res.Crashes, res.CoordCrashes, res.Groups, len(res.Runs))
-	if res.Failed() {
-		fmt.Printf("FAIL: %d violations (half-applied groups, acked-commit loss, or unresolved legs), %d nondeterministic replays\n",
-			res.Violations, res.Mismatches)
-		for _, r := range res.Runs {
-			if r.Violation != "" || r.Mismatch != "" {
-				fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -2pc -seed %d -seeds 1\n", r.Seed)
-			}
-		}
-		return 1
-	}
-	fmt.Println("OK: every group atomic, every in-doubt leg resolved, no acked commit lost, all replays byte-identical")
-	return 0
-}
-
-// runExhaust drives check.ExhaustCampaign and reports it. Returns the
-// process exit code.
-func runExhaust(seed uint64, n int) int {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	fmt.Printf("exhaustion campaign: %d seeds (%d..%d) x both heaps\n", n, seed, seed+uint64(n)-1)
-	res := check.ExhaustCampaign(check.ExhaustConfig{
-		Seeds: seedList,
-		Log:   func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-	})
-	if res.Failed() {
-		fmt.Printf("FAIL: %d violations, %d nondeterministic replays", res.Violations, res.Mismatches)
-		if res.StallViolation != nil {
-			fmt.Printf(", stall probe: %v", res.StallViolation)
-		}
-		fmt.Println()
-		for _, r := range res.Runs {
-			if r.Violation != nil || r.Mismatch != "" {
-				fmt.Printf("  reproduce: go run ./cmd/mvpbt-check -exhaust -seed %d -seeds 1\n", r.Seed)
-			}
-		}
-		return 1
-	}
-	fmt.Println("OK: degraded read-only under fill, reads oracle-correct, reclamation re-opened writes, replays deterministic, stalls cancellable")
 	return 0
 }

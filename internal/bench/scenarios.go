@@ -60,7 +60,7 @@ func runScenarioMatrix(s Scale) (*Result, error) {
 			}
 		}
 	}
-	res.Note("seed %d, scale %d; every cell replays byte-identically from its seed (go run ./cmd/mvpbt-check -scenarios)", seed, scale)
+	res.Note("seed %d, scale %d; every cell replays byte-identically from its seed (go run ./cmd/mvpbt-check scenarios)", seed, scale)
 	res.Note("detail: hot-key p99 unrelated-key lookup before->during storm; sawtooth live-bytes peak->final; snapshot-pin read-only entries/exits under the pin; tenant-skew admission queued/shed/resumed")
 	return res, nil
 }

@@ -1,0 +1,207 @@
+package check
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/workload/hostile"
+)
+
+// TestCampaignSmoke is the tier-1 slice of every registered campaign
+// (`mvpbt-check <name>` runs each at more seeds): every cell holds its
+// invariants and replays byte-identically, and each campaign actually
+// exercised what it exists to exercise — a campaign that injects nothing
+// proves nothing. A campaign registered without a slice here fails the test.
+func TestCampaignSmoke(t *testing.T) {
+	slices := map[string]struct {
+		sel   Selection
+		long  bool // skipped under -short
+		check func(t *testing.T, cells []CellResult)
+	}{
+		// Fault-punctuated histories on both heap layouts: every injected
+		// read error, write error, torn commit flush and bit rot either
+		// masked (retry, checksum quarantine-rebuild) or absorbed by a
+		// crash-recovery, never silent corruption.
+		"faults": {
+			sel: Selection{Seeds: []uint64{1, 2, 3}, Size: Size{Ops: 700, Clients: 3, Keys: 60, Crashes: 1}},
+			check: func(t *testing.T, cells []CellResult) {
+				sum := sumFaults(cells)
+				for k := 0; k < ssd.NumFaultKinds; k++ {
+					if ssd.FaultKind(k) == ssd.FaultNoSpace {
+						continue // ENOSPC is exercised by the exhaustion campaign
+					}
+					if sum.Faults.Injected[k] == 0 {
+						t.Errorf("fault kind %v never injected: [%v]", ssd.FaultKind(k), sum.Faults)
+					}
+				}
+				if sum.FaultRecoveries == 0 {
+					t.Error("no fault ever escalated to a crash-recovery")
+				}
+				if sum.Rebuilds == 0 {
+					t.Error("no index rot was ever quarantined and rebuilt")
+				}
+			},
+		},
+		// On both heap layouts: degrade to read-only under fill, recover the
+		// soft-watermark headroom, resume, recover from the checkpointed log;
+		// the stall probe holds the context-deadline bound.
+		"exhaust": {
+			sel: Selection{Seeds: []uint64{1}},
+			check: func(t *testing.T, cells []CellResult) {
+				fills := 0
+				for _, c := range cells {
+					fp, ok := c.Fp.(ExhaustFingerprint)
+					if !ok {
+						continue // the stall probe
+					}
+					fills++
+					if fp.NoSpaceInjected == 0 {
+						t.Errorf("FaultNoSpace never injected: %+v", fp)
+					}
+					// One read-only entry from the ENOSPC probe, one from the fill.
+					if fp.ROEntries < 2 || fp.ROExits < 2 {
+						t.Errorf("read-only entry/exit counters too low: %+v", fp)
+					}
+					if fp.FillTxs == 0 {
+						t.Errorf("fill committed no transactions: %+v", fp)
+					}
+					if fp.WALAfter >= fp.WALAtRO {
+						t.Errorf("WAL never truncated: %d -> %d", fp.WALAtRO, fp.WALAfter)
+					}
+					if fp.RecoveredTxs == 0 || fp.StateHash == 0 {
+						t.Errorf("recovery fingerprint empty: %+v", fp)
+					}
+				}
+				if fills != 2 || len(cells) != 3 {
+					t.Errorf("%d fill cells of %d, want 2 of 3 (both heaps plus the stall probe)", fills, len(cells))
+				}
+			},
+		},
+		"scenarios": {
+			sel:  Selection{Seeds: []uint64{1}, Filter: map[string][]string{"device": {ssd.ZNSAppend.Name}}},
+			long: true,
+			check: func(t *testing.T, cells []CellResult) {
+				for _, c := range cells {
+					if fp := c.Fp.(hostile.Fingerprint); fp.Committed == 0 || fp.StateHash == 0 {
+						t.Errorf("%v committed nothing or hashed nothing: %+v", fp.Kind, fp)
+					}
+				}
+				if len(cells) != hostile.NumKinds {
+					t.Errorf("%d cells, want one per scenario kind", len(cells))
+				}
+			},
+		},
+		"chaos": {
+			sel:  Selection{Seeds: []uint64{1, 2}, Size: Size{Ops: 120, Keys: 60}},
+			long: true,
+			check: func(t *testing.T, cells []CellResult) {
+				var injected, reconnects uint64
+				for _, c := range cells {
+					fp := c.Fp.(ChaosFingerprint)
+					injected += fp.Chaos.Cuts + fp.Chaos.Truncations + fp.Chaos.Stalls
+					reconnects += fp.Client.Reconnects
+				}
+				if injected == 0 {
+					t.Error("no chaos was injected across the whole campaign")
+				}
+				if reconnects == 0 {
+					t.Error("client never reconnected: cuts were not exercised")
+				}
+			},
+		},
+		"2pc": {
+			sel:  Selection{Seeds: []uint64{2}},
+			long: true,
+			check: func(t *testing.T, cells []CellResult) {
+				if fp := cells[0].Fp.(TwoPCFingerprint); fp.GroupsApplied == 0 || fp.GroupsAborted == 0 || fp.CoordCrashes == 0 {
+					t.Errorf("plan not exercised: %+v", fp)
+				}
+			},
+		},
+	}
+	for _, c := range Campaigns {
+		t.Run(c.Name, func(t *testing.T) {
+			slice, ok := slices[c.Name]
+			if !ok {
+				t.Fatal("registered campaign has no smoke slice")
+			}
+			if slice.long && testing.Short() {
+				t.Skip("seconds-long")
+			}
+			var out strings.Builder
+			results, failed := c.Run(slice.sel, &out)
+			if failed {
+				t.Fatalf("campaign failed:\n%s", out.String())
+			}
+			slice.check(t, results)
+		})
+	}
+}
+
+type testFingerprint int
+
+func (fp testFingerprint) String() string { return fmt.Sprint(int(fp)) }
+
+// TestRunnerVerdicts drives the runner with synthetic cells, one per verdict:
+// a deterministic cell passes; a fingerprint that differs on replay is a
+// mismatch; an error in the first run is a violation and skips the replay; an
+// error in the replay alone is a violation too. Each failing cell, and only
+// those, gets a reproduce command made of its own coordinates.
+func TestRunnerVerdicts(t *testing.T) {
+	runs := map[string]int{}
+	cell := func(kind string, run func(n int) (Fingerprint, error)) Cell {
+		return Cell{Coords: []Coord{{"kind", kind}, seedCoord(7)}, Run: func() (Fingerprint, error) {
+			runs[kind]++
+			return run(runs[kind])
+		}}
+	}
+	c := &Campaign{
+		Name: "synthetic", Seeds: 1, Size: Size{Ops: 10},
+		Cells: func([]uint64, Size) []Cell {
+			return []Cell{
+				cell("steady", func(int) (Fingerprint, error) { return testFingerprint(1), nil }),
+				cell("drifting", func(n int) (Fingerprint, error) { return testFingerprint(n), nil }),
+				cell("broken", func(int) (Fingerprint, error) { return testFingerprint(0), errors.New("boom") }),
+				cell("flaky", func(n int) (Fingerprint, error) {
+					if n == 2 {
+						return testFingerprint(1), errors.New("late boom")
+					}
+					return testFingerprint(1), nil
+				}),
+			}
+		},
+	}
+	var out strings.Builder
+	results, failed := c.Run(Selection{Size: Size{Ops: 20}}, &out)
+	if !failed {
+		t.Fatalf("campaign with failing cells passed:\n%s", out.String())
+	}
+	want := []struct {
+		kind                string
+		runs                int
+		violation, mismatch bool
+	}{{"steady", 2, false, false}, {"drifting", 2, false, true}, {"broken", 1, true, false}, {"flaky", 2, true, false}}
+	for i, w := range want {
+		r := results[i]
+		if runs[w.kind] != w.runs || (r.Violation != nil) != w.violation || (r.Mismatch != "") != w.mismatch {
+			t.Errorf("%s: %d runs, violation %v, mismatch %q; want %d runs, violation=%v mismatch=%v",
+				w.kind, runs[w.kind], r.Violation, r.Mismatch, w.runs, w.violation, w.mismatch)
+		}
+		repro := fmt.Sprintf("  reproduce: go run ./cmd/mvpbt-check synthetic -kinds %s -seed 7 -seeds 1 -ops 20\n", w.kind)
+		if got := strings.Contains(out.String(), repro); got != (w.violation || w.mismatch) {
+			t.Errorf("%s: reproduce line present=%v:\n%s", w.kind, got, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "FAIL: 2 violations, 1 nondeterministic replays\n") {
+		t.Errorf("summary miscounts:\n%s", out.String())
+	}
+	if _, failed := c.Run(Selection{Filter: map[string][]string{"kind": {"steady"}}}, &out); failed {
+		t.Errorf("the one steady cell failed:\n%s", out.String())
+	}
+	if _, failed := c.Run(Selection{Filter: map[string][]string{"heap": {"hot"}}}, &out); !failed {
+		t.Error("a selection that matches no cell passed")
+	}
+}

@@ -1,27 +1,20 @@
 package check
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"net"
-	"sort"
 	"time"
 
-	"mvpbt/internal/db"
-	"mvpbt/internal/server"
 	"mvpbt/internal/server/chaos"
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
 	"mvpbt/internal/util"
 )
 
-// ChaosCampaign drives the network-resilience acceptance criterion
-// (DESIGN.md §14): for every seed × chaos kind, a seeded history is run by
-// a self-healing client through a REAL TCP server whose listener injects a
-// deterministic schedule of connection resets, mid-frame truncations and
-// read/write stalls. The run passes when
+// The network-chaos campaign: for every chaos kind × seed, a seeded history
+// is run by a self-healing client through the served fixture while its
+// listener injects a deterministic schedule of connection resets, mid-frame
+// truncations and read/write stalls. A cell passes when
 //
 //   - every acknowledged operation survives: after the schedule is
 //     disarmed, a clean client's full scan matches the client-side oracle
@@ -30,136 +23,62 @@ import (
 //     only exist if its retry later acked it, which the oracle records);
 //   - every unacked COMMIT resolves one way: a commit whose connection died
 //     mid-decision is driven to CommitResolvedApplied or CommitNotApplied
-//     via its idempotent token, and the split is reported;
+//     via its idempotent token, and the split is reported.
 //
-// and the (kind, seed) pair passes determinism when a second full replay —
-// fresh router, fresh server, fresh schedule, same seed — produces a
-// byte-identical fingerprint: same final state hash, same per-action
-// injection counters, same reconnect/retry/resolution counts. Chaos rules
-// are keyed by protocol frame index (see package chaos), which is what
-// makes the injection points a pure function of the logical history rather
-// than of kernel scheduling.
-
-// ChaosKinds are the chaos flavors a campaign cycles through.
-var ChaosKinds = []string{"reset", "truncate", "stall", "mixed"}
-
-// ChaosConfig parameterizes a chaos campaign.
-type ChaosConfig struct {
-	Seeds []uint64
-	// Ops is the per-run history length (default 240).
-	Ops int
-	// Keys is the key-space size (default 120).
-	Keys int
-	// Kinds selects chaos flavors (default ChaosKinds).
-	Kinds []string
-	// Log, when set, receives one progress line per run pair.
-	Log func(format string, args ...any)
+// Chaos rules are keyed by protocol frame index (see package chaos), which is
+// what makes the injection points — and with them the fingerprint — a pure
+// function of the logical history rather than of kernel scheduling.
+var chaosCampaign = &Campaign{
+	Name:  "chaos",
+	Seeds: 8,
+	Size:  Size{Ops: 240, Keys: 120},
+	Cells: func(seeds []uint64, sz Size) []Cell {
+		var cells []Cell
+		for _, kind := range []string{"reset", "truncate", "stall", "mixed"} {
+			for _, seed := range seeds {
+				cells = append(cells, Cell{
+					Coords: []Coord{{"kind", kind}, seedCoord(seed)},
+					Run:    func() (Fingerprint, error) { return chaosCell(kind, seed, sz) },
+				})
+			}
+		}
+		return cells
+	},
+	Totals: func(cells []CellResult) string {
+		var sum ChaosFingerprint
+		for _, c := range cells {
+			f := c.Fp.(ChaosFingerprint)
+			sum.Chaos.Cuts += f.Chaos.Cuts
+			sum.Chaos.Truncations += f.Chaos.Truncations
+			sum.Chaos.Stalls += f.Chaos.Stalls
+			sum.Client.Reconnects += f.Client.Reconnects
+			sum.Client.Resolves += f.Client.Resolves
+		}
+		return fmt.Sprintf("injected: %d cuts, %d truncations, %d stalls across %d runs; %d reconnects, %d commit resolutions",
+			sum.Chaos.Cuts, sum.Chaos.Truncations, sum.Chaos.Stalls, len(cells), sum.Client.Reconnects, sum.Client.Resolves)
+	},
 }
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Ops <= 0 {
-		c.Ops = 240
-	}
-	if c.Keys <= 0 {
-		c.Keys = 120
-	}
-	if len(c.Kinds) == 0 {
-		c.Kinds = ChaosKinds
-	}
-	return c
-}
-
-// ChaosFingerprint is everything two replays of one (kind, seed) must agree
-// on, byte for byte. Every field is a pure function of the logical history
-// and the schedule — no wall-clock, no port numbers, no syscall counts.
+// ChaosFingerprint is everything two runs of one (kind, seed) must agree on.
 type ChaosFingerprint struct {
-	// StateHash fingerprints the post-chaos full scan (FNV-1a over the
-	// sorted key/value pairs); LiveKeys is its length.
-	StateHash uint64
-	LiveKeys  int
-	// Acknowledged operations (these define what the oracle holds).
-	SetsAcked, DelsAcked, GetsOK, Scans uint64
+	servedFingerprint
+	Scans uint64
 	// Transaction outcomes: directly acked, resolved-as-applied after a
 	// lost ack, resolved-as-lost after a lost request, and lost before the
 	// commit was ever issued (deterministically not applied).
 	TxApplied, TxResolvedApplied, TxResolvedLost, TxLost uint64
 	// Chaos counts what the schedule injected and how many frames flowed.
 	Chaos chaos.Stats
-	// Client self-healing counters.
-	Dials, Reconnects, RetriedOps, Resolves uint64
+	// Client counts the client's self-healing: dials, reconnects, retried
+	// operations, commit-token resolutions.
+	Client shardclient.RStats
 }
 
-// ChaosRun is the outcome of one (kind, seed) pair.
-type ChaosRun struct {
-	Kind string
-	Seed uint64
-	Fp   ChaosFingerprint
-	// Violation is the first acked-durability or verification failure ("" = ok).
-	Violation string
-	// Mismatch describes how the two replays diverged ("" = deterministic).
-	Mismatch string
-}
-
-// ChaosResult aggregates a campaign.
-type ChaosResult struct {
-	Runs       []ChaosRun
-	Cuts       uint64
-	Truncs     uint64
-	Stalls     uint64
-	Reconnects uint64
-	Resolves   uint64
-	Violations int
-	Mismatches int
-}
-
-// Failed reports whether any run lost an acked write, left a commit
-// unresolved, or replayed nondeterministically.
-func (c *ChaosResult) Failed() bool { return c.Violations > 0 || c.Mismatches > 0 }
-
-// ChaosCampaign runs the campaign over every kind × seed.
-func ChaosCampaign(cfg ChaosConfig) ChaosResult {
-	cfg = cfg.withDefaults()
-	var out ChaosResult
-	for _, kind := range cfg.Kinds {
-		for _, seed := range cfg.Seeds {
-			fp1, v1 := chaosRun(kind, seed, cfg)
-			fp2, v2 := chaosRun(kind, seed, cfg)
-			run := ChaosRun{Kind: kind, Seed: seed, Fp: fp1, Violation: v1}
-			if v1 == "" && v2 != "" {
-				run.Violation = "(2nd replay) " + v2
-			}
-			if fp1 != fp2 {
-				run.Mismatch = fmt.Sprintf("%+v vs %+v", fp1, fp2)
-			}
-			out.Runs = append(out.Runs, run)
-			out.Cuts += fp1.Chaos.Cuts
-			out.Truncs += fp1.Chaos.Truncations
-			out.Stalls += fp1.Chaos.Stalls
-			out.Reconnects += fp1.Reconnects
-			out.Resolves += fp1.Resolves
-			if run.Violation != "" {
-				out.Violations++
-			}
-			if run.Mismatch != "" {
-				out.Mismatches++
-			}
-			if cfg.Log != nil {
-				status := "ok"
-				switch {
-				case run.Violation != "":
-					status = "VIOLATION: " + run.Violation
-				case run.Mismatch != "":
-					status = "NONDETERMINISTIC: " + run.Mismatch
-				}
-				cfg.Log("  kind=%-8s seed=%d: cuts=%d truncs=%d stalls=%d reconnects=%d "+
-					"tx[acked=%d resolved-applied=%d resolved-lost=%d lost=%d] live=%d hash=%016x — %s",
-					kind, seed, fp1.Chaos.Cuts, fp1.Chaos.Truncations, fp1.Chaos.Stalls,
-					fp1.Reconnects, fp1.TxApplied, fp1.TxResolvedApplied, fp1.TxResolvedLost,
-					fp1.TxLost, fp1.LiveKeys, fp1.StateHash, status)
-			}
-		}
-	}
-	return out
+func (fp ChaosFingerprint) String() string {
+	return fmt.Sprintf("cuts=%d truncs=%d stalls=%d reconnects=%d "+
+		"tx[acked=%d resolved-applied=%d resolved-lost=%d lost=%d] live=%d hash=%016x",
+		fp.Chaos.Cuts, fp.Chaos.Truncations, fp.Chaos.Stalls, fp.Client.Reconnects, fp.TxApplied,
+		fp.TxResolvedApplied, fp.TxResolvedLost, fp.TxLost, fp.LiveKeys, fp.StateHash)
 }
 
 // chaosRules builds kind's seeded schedule. Frame indices start past the
@@ -197,241 +116,79 @@ func chaosRules(kind string, rng *util.Rand) []chaos.Rule {
 	return rules
 }
 
-// chaosRun executes one seeded history under one seeded schedule and
-// returns its fingerprint plus the first violation.
-func chaosRun(kind string, seed uint64, cfg ChaosConfig) (fp ChaosFingerprint, violation string) {
-	salt := fnv.New64a()
-	salt.Write([]byte(kind))
-	rng := util.NewRand(seed ^ salt.Sum64())
-
-	r, err := shard.New(shard.Config{
-		Shards: 2,
-		Engine: db.Config{
-			BufferPages:          256,
-			PartitionBufferBytes: 64 << 10,
-			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
-		},
-		Supervise: true,
-	})
+// chaosCell runs one seeded history under one seeded schedule.
+func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err error) {
+	seed = saltSeed(seed, kind)
+	rng := util.NewRand(seed)
+	s, err := serve("chaos", seed, rng, sz[Keys], chaosRules(kind, rng), shard.TwoPCHooks{})
 	if err != nil {
-		return fp, fmt.Sprintf("router: %v", err)
+		return fp, err
 	}
-	defer r.Close()
-
-	sched := chaos.NewSchedule(chaosRules(kind, rng))
-	srv := server.New(r, server.Config{
-		// Timing knobs sized so no injected stall (≤3ms) can flip a
-		// deadline outcome: determinism must not hinge on scheduler luck.
-		IdleTimeout:  30 * time.Second,
-		WriteTimeout: 10 * time.Second,
-		WrapListener: func(ln net.Listener) net.Listener { return chaos.Wrap(ln, sched) },
-	})
-	addr, err := srv.Listen()
-	if err != nil {
-		return fp, fmt.Sprintf("listen: %v", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Drain(ctx)
-		<-serveDone
+		fp.servedFingerprint = s.fp
+		fp.Chaos = s.sched.Stats()
+		fp.Client = s.client.Stats()
+		if cerr := s.close(); err == nil {
+			err = cerr
+		}
 	}()
 
-	rc := shardclient.NewRClient(shardclient.RConfig{
-		Addr:   addr.String(),
-		Tenant: "chaos",
-		Seed:   seed ^ salt.Sum64(),
-		// The retry budget must outlast the worst contiguous injection
-		// burst one operation can see (every rule fires at most once).
-		MaxAttempts: 12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  8 * time.Millisecond,
-		DialTimeout: 5 * time.Second,
-		RetryWrites: true, // this client owns every key it writes
-	})
-	defer rc.Close()
-
-	// oracle is what the client has been ACKED: exactly the state the
-	// post-chaos scan must show.
-	oracle := map[string]string{}
-	fail := func(format string, args ...any) {
-		if violation == "" {
-			violation = fmt.Sprintf(format, args...)
-		}
-	}
-	key := func() string { return fmt.Sprintf("c-%04d", rng.Intn(cfg.Keys)) }
-
-	for op := 0; op < cfg.Ops && violation == ""; op++ {
+	for op := 0; op < sz[Ops]; op++ {
 		switch roll := rng.Intn(100); {
-		case roll < 50: // SET
-			k, v := key(), fmt.Sprintf("v-%d-%04x", op, rng.Uint64()&0xffff)
-			if err := rc.Set([]byte(k), []byte(v)); err != nil {
-				fail("op %d: SET %s exhausted retries: %v", op, k, err)
-				break
-			}
-			oracle[k] = v
-			fp.SetsAcked++
-		case roll < 65: // GET, verified against the oracle
-			k := key()
-			v, ok, err := rc.Get([]byte(k))
-			if err != nil {
-				fail("op %d: GET %s exhausted retries: %v", op, k, err)
-				break
-			}
-			want, wantOK := oracle[k]
-			if ok != wantOK || (ok && string(v) != want) {
-				fail("op %d: GET %s = %q,%v, oracle %q,%v", op, k, v, ok, want, wantOK)
-				break
-			}
-			if ok {
-				fp.GetsOK++
-			}
+		case roll < 50:
+			err = s.set(op)
+		case roll < 65:
+			err = s.get(op)
 		case roll < 75: // SCAN, verified against the oracle
-			lo := key()
-			got, err := rc.Scan([]byte(lo), 20)
-			if err != nil {
-				fail("op %d: SCAN %s exhausted retries: %v", op, lo, err)
-				break
+			lo := s.key()
+			got, serr := s.client.Scan([]byte(lo), 20)
+			if serr != nil {
+				return fp, fmt.Errorf("op %d: SCAN %s exhausted retries: %w", op, lo, serr)
 			}
-			want := oracleSlice(oracle, lo, 20)
-			if len(got) != len(want) {
-				fail("op %d: SCAN %s: %d pairs, oracle %d", op, lo, len(got), len(want))
-				break
-			}
-			for i := range got {
-				if string(got[i].Key) != want[i][0] || string(got[i].Val) != want[i][1] {
-					fail("op %d: SCAN %s[%d] = %s=%s, oracle %s=%s",
-						op, lo, i, got[i].Key, got[i].Val, want[i][0], want[i][1])
-					break
-				}
+			if err := matchOracle(got, s.oracleSlice(lo, 20)); err != nil {
+				return fp, fmt.Errorf("op %d: SCAN %s: %w", op, lo, err)
 			}
 			fp.Scans++
-		case roll < 80: // DEL
-			k := key()
-			if err := rc.Del([]byte(k)); err != nil {
-				fail("op %d: DEL %s exhausted retries: %v", op, k, err)
-				break
-			}
-			delete(oracle, k)
-			fp.DelsAcked++
+		case roll < 80:
+			err = s.del(op)
 		default: // transaction: 2-4 SETs under one token commit
-			n := 2 + rng.Intn(3)
-			pending := make([][2]string, 0, n)
-			for i := 0; i < n; i++ {
-				pending = append(pending,
-					[2]string{key(), fmt.Sprintf("t-%d-%d-%04x", op, i, rng.Uint64()&0xffff)})
+			pending := make([][2]string, 2+rng.Intn(3))
+			for i := range pending {
+				pending[i] = [2]string{s.key(), fmt.Sprintf("t-%d-%d-%04x", op, i, rng.Uint64()&0xffff)}
 			}
-			tx, err := rc.BeginTx()
-			if err != nil {
-				fail("op %d: BEGIN exhausted retries: %v", op, err)
-				break
-			}
-			lost := false
-			for _, p := range pending {
-				if err := tx.Set([]byte(p[0]), []byte(p[1])); err != nil {
-					if errors.Is(err, shardclient.ErrTxLost) {
-						// The server aborts the orphan with the session:
-						// deterministically not applied.
-						fp.TxLost++
-						lost = true
-						break
-					}
-					fail("op %d: tx SET %s: %v", op, p[0], err)
-					lost = true
-					break
-				}
+			tx, lost, serr := s.stage(op, pending)
+			if serr != nil {
+				return fp, serr
 			}
 			if lost {
+				fp.TxLost++
 				break
 			}
-			outcome, err := tx.Commit()
+			outcome, cerr := tx.Commit()
 			switch {
-			case err == nil && outcome == shardclient.CommitApplied:
+			case cerr == nil && outcome == shardclient.CommitApplied:
 				fp.TxApplied++
-			case err == nil && outcome == shardclient.CommitResolvedApplied:
+			case cerr == nil && outcome == shardclient.CommitResolvedApplied:
 				fp.TxResolvedApplied++
-			case err == nil && outcome == shardclient.CommitNotApplied:
+			case cerr == nil && outcome == shardclient.CommitNotApplied:
 				fp.TxResolvedLost++
-			case errors.Is(err, shardclient.ErrTxLost):
+			case errors.Is(cerr, shardclient.ErrTxLost):
 				fp.TxLost++
 			default:
 				// An unresolved in-doubt commit is exactly what the token
 				// machinery exists to prevent.
-				fail("op %d: COMMIT unresolved: %v", op, err)
+				return fp, fmt.Errorf("op %d: COMMIT unresolved: outcome=%v err=%v", op, outcome, cerr)
 			}
-			if err == nil && (outcome == shardclient.CommitApplied || outcome == shardclient.CommitResolvedApplied) {
+			if applied(outcome, cerr) {
 				for _, p := range pending {
-					oracle[p[0]] = p[1]
+					s.oracle[p[0]] = p[1]
 				}
 			}
 		}
+		if err != nil {
+			return fp, err
+		}
 	}
-
 	// Chaos over: verify every acked write survived, on a clean connection.
-	sched.Disarm()
-	rc.Close()
-	cc, err := shardclient.Dial(addr.String(), "verify")
-	if err != nil {
-		return fp, firstOf(violation, fmt.Sprintf("clean dial: %v", err))
-	}
-	defer cc.Close()
-	got, err := cc.Scan(0, nil, cfg.Keys*4)
-	if err != nil {
-		return fp, firstOf(violation, fmt.Sprintf("clean scan: %v", err))
-	}
-	want := oracleSlice(oracle, "", len(oracle)+1)
-	if len(got) != len(want) {
-		fail("final state: %d live keys, oracle %d", len(got), len(want))
-	} else {
-		for i := range got {
-			if string(got[i].Key) != want[i][0] || string(got[i].Val) != want[i][1] {
-				fail("final state[%d]: %s=%s, oracle %s=%s",
-					i, got[i].Key, got[i].Val, want[i][0], want[i][1])
-				break
-			}
-		}
-	}
-	h := fnv.New64a()
-	for _, kv := range got {
-		h.Write(kv.Key)
-		h.Write([]byte{0})
-		h.Write(kv.Val)
-		h.Write([]byte{0})
-	}
-	fp.StateHash = h.Sum64()
-	fp.LiveKeys = len(got)
-	fp.Chaos = sched.Stats()
-	st := rc.Stats()
-	fp.Dials, fp.Reconnects, fp.RetriedOps, fp.Resolves =
-		st.Dials, st.Reconnects, st.RetriedOps, st.Resolves
-	return fp, violation
-}
-
-// oracleSlice returns up to limit oracle pairs with key >= lo in key order.
-func oracleSlice(oracle map[string]string, lo string, limit int) [][2]string {
-	keys := make([]string, 0, len(oracle))
-	for k := range oracle {
-		if k >= lo {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) > limit {
-		keys = keys[:limit]
-	}
-	out := make([][2]string, len(keys))
-	for i, k := range keys {
-		out[i] = [2]string{k, oracle[k]}
-	}
-	return out
-}
-
-func firstOf(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
+	return fp, s.verify()
 }

@@ -2,11 +2,9 @@ package check
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"mvpbt/internal/db"
-	"mvpbt/internal/ssd"
 )
 
 // TestHarnessSmoke replays a moderately long generated history on every
@@ -71,40 +69,6 @@ func TestSeededVisibilityFaultCaughtAndShrunk(t *testing.T) {
 	sc.StepAudit = true
 	if r := Replay(sc, min); r.Violation == nil {
 		t.Fatalf("shrunk history no longer fails:\n%s", FormatOps(min))
-	}
-}
-
-// TestFaultCampaignSmoke is the tier-1 slice of the fault campaign
-// (cmd/mvpbt-check -faults runs it at ≥8 seeds): fault-punctuated
-// histories on both heap layouts must hold oracle lockstep — every
-// injected read error, write error, torn commit flush and bit rot either
-// masked (retry, checksum quarantine-rebuild) or absorbed by a
-// crash-recovery, never silent corruption — and replay 100%
-// deterministically. The campaign must also have actually exercised all
-// four fault kinds and both recovery mechanisms.
-func TestFaultCampaignSmoke(t *testing.T) {
-	var lines []string
-	res := FaultCampaign(CampaignConfig{
-		Seeds: []uint64{1, 2, 3}, Ops: 700, Clients: 3, Keys: 60, Crashes: 1,
-		Log: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) },
-	})
-	if res.Failed() {
-		t.Fatalf("campaign failed (%d violations, %d nondeterministic):\n%s",
-			res.Violations, res.Mismatches, strings.Join(lines, "\n"))
-	}
-	for k := 0; k < ssd.NumFaultKinds; k++ {
-		if ssd.FaultKind(k) == ssd.FaultNoSpace {
-			continue // ENOSPC is exercised by the exhaustion campaign
-		}
-		if res.Faults.Injected[k] == 0 {
-			t.Fatalf("fault kind %v never injected: [%v]", ssd.FaultKind(k), res.Faults)
-		}
-	}
-	if res.Recoveries == 0 {
-		t.Fatal("no fault ever escalated to a crash-recovery")
-	}
-	if res.Rebuilds == 0 {
-		t.Fatal("no index rot was ever quarantined and rebuilt")
 	}
 }
 

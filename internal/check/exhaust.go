@@ -4,72 +4,54 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
+	"mvpbt/internal/workload/hostile"
 )
 
-// ExhaustCampaign drives the resource-exhaustion acceptance criterion: on a
-// capacity-bounded device, filling to the hard watermark must flip the
-// engine into degraded read-only mode WITHOUT losing read correctness
-// (every read while degraded is held to the oracle), reclamation — WAL
-// checkpoint/truncation, garbage collection, heap vacuum — must recover at
-// least the soft-watermark headroom so writes resume by themselves, and the
-// whole scenario replayed from the same seed must be byte-identical
-// (fingerprint comparison, state hash included). A deterministic ENOSPC is
-// also injected through the fault-rule machinery (FaultNoSpace on a heap
-// extent allocation) to prove the typed-error path degrades and recovers
-// too — this is the injection TestFaultCampaignSmoke deliberately leaves to
-// this campaign. Maintenance runs synchronously: background timing would
-// make the fill/reclaim interleaving, and with it the fingerprint, racy.
-
-// ExhaustConfig parameterizes an exhaustion campaign.
-type ExhaustConfig struct {
-	Seeds []uint64
-	// Keys is the live key-space churned during the fill (default 48).
-	Keys int
-	// CapacityBytes bounds the device (default 16 MiB); SoftBytes and
-	// HardBytes are the governor watermarks (default 3 MiB / 4 MiB —
-	// far below capacity so the watermarks, not raw ENOSPC, decide).
-	CapacityBytes int64
-	SoftBytes     int64
-	HardBytes     int64
-	// MaxTx bounds the fill loop (default 30000 update transactions).
-	MaxTx int
-	// Log, when set, receives one progress line per run.
-	Log func(format string, args ...any)
+// The exhaustion campaign: on a capacity-bounded device, filling to the hard
+// watermark must flip the engine into degraded read-only mode WITHOUT losing
+// read correctness (every read while degraded is held to the oracle),
+// reclamation — WAL checkpoint/truncation, garbage collection, heap vacuum —
+// must recover at least the soft-watermark headroom so writes resume by
+// themselves, and the recovered state must equal the oracle's. A
+// deterministic ENOSPC is also injected through the fault-rule machinery
+// (FaultNoSpace on a heap extent allocation) to prove the typed-error path
+// degrades and recovers too — this is the injection the fault campaign
+// deliberately leaves to this one. Maintenance runs synchronously: background
+// timing would make the fill/reclaim interleaving, and with it the
+// fingerprint, racy. One more cell, the stall probe, holds the
+// context-deadline bound on a write wedged in a partition-buffer stall.
+var exhaustCampaign = &Campaign{
+	Name:  "exhaust",
+	Seeds: 4,
+	Cells: func(seeds []uint64, _ Size) []Cell {
+		var cells []Cell
+		for _, hk := range []db.HeapKind{db.HeapHOT, db.HeapSIAS} {
+			for _, seed := range seeds {
+				cells = append(cells, Cell{
+					Coords: []Coord{{"heap", hk.String()}, seedCoord(seed)},
+					Run:    func() (Fingerprint, error) { return exhaustCell(hk, seed) },
+				})
+			}
+		}
+		return append(cells, Cell{Coords: []Coord{{"kind", "stall-probe"}}, Run: stallProbe})
+	},
 }
 
-func (c ExhaustConfig) withDefaults() ExhaustConfig {
-	if len(c.Seeds) == 0 {
-		c.Seeds = []uint64{1}
-	}
-	if c.Keys <= 0 {
-		c.Keys = 48
-	}
-	if c.CapacityBytes <= 0 {
-		c.CapacityBytes = 16 << 20
-	}
-	if c.SoftBytes <= 0 {
-		c.SoftBytes = 3 << 20
-	}
-	if c.HardBytes <= 0 {
-		c.HardBytes = 4 << 20
-	}
-	if c.MaxTx <= 0 {
-		c.MaxTx = 30000
-	}
-	return c
-}
+const (
+	// exhaustKeys is the live key-space churned during the fill.
+	exhaustKeys = 48
+	// exhaustMaxTx bounds the fill loop.
+	exhaustMaxTx = 30000
+)
 
-// ExhaustFingerprint is the determinism-relevant outcome of one scenario:
-// two replays of the same (heap, seed) must agree on every field.
+// ExhaustFingerprint is the determinism-relevant outcome of one fill cell.
 type ExhaustFingerprint struct {
 	// FillTxs is the number of committed update transactions it took to
 	// degrade the engine.
@@ -88,218 +70,45 @@ type ExhaustFingerprint struct {
 	StateHash uint64
 }
 
-// ExhaustRun is the outcome of one (heap, seed) scenario pair.
-type ExhaustRun struct {
-	Heap db.HeapKind
-	Seed uint64
-	Fp   ExhaustFingerprint
-	// Mismatch describes how the two replays diverged ("" = deterministic).
-	Mismatch  string
-	Violation *Violation
+func (fp ExhaustFingerprint) String() string {
+	return fmt.Sprintf("%d fill txs, ro %d/%d, %d reclaims, wal %d->%d, live %d->%d, %d enospc, hash %016x",
+		fp.FillTxs, fp.ROEntries, fp.ROExits, fp.Reclaims, fp.WALAtRO, fp.WALAfter,
+		fp.LiveAtRO, fp.LiveAfter, fp.NoSpaceInjected, fp.StateHash)
 }
 
-// ExhaustResult aggregates an exhaustion campaign.
-type ExhaustResult struct {
-	Runs       []ExhaustRun
-	Violations int
-	Mismatches int
-	// StallViolation is the context-deadline probe's verdict (nil = pass):
-	// an operation blocked in a partition-buffer write stall, and the scan
-	// issued under the same deadline, must surface
-	// context.DeadlineExceeded within 2x the deadline.
-	StallViolation *Violation
-}
-
-// Failed reports whether any scenario violated an invariant, replayed
-// nondeterministically, or the stall probe missed its deadline bound.
-func (r *ExhaustResult) Failed() bool {
-	return r.Violations > 0 || r.Mismatches > 0 || r.StallViolation != nil
-}
-
-// ExhaustCampaign runs the campaign over both heap layouts.
-func ExhaustCampaign(cfg ExhaustConfig) ExhaustResult {
-	cfg = cfg.withDefaults()
-	var out ExhaustResult
-	for _, hk := range []db.HeapKind{db.HeapHOT, db.HeapSIAS} {
-		for _, seed := range cfg.Seeds {
-			fp1, v1 := exhaustScenario(cfg, hk, seed)
-			run := ExhaustRun{Heap: hk, Seed: seed, Fp: fp1, Violation: v1}
-			if v1 == nil {
-				fp2, v2 := exhaustScenario(cfg, hk, seed)
-				if v2 != nil {
-					run.Violation = v2 // a replay-only failure is still a failure
-				} else {
-					run.Mismatch = diffExhaust(fp1, fp2)
-				}
-			}
-			out.Runs = append(out.Runs, run)
-			if run.Violation != nil {
-				out.Violations++
-			}
-			if run.Mismatch != "" {
-				out.Mismatches++
-			}
-			if cfg.Log != nil {
-				status := "ok"
-				switch {
-				case run.Violation != nil:
-					status = "VIOLATION: " + run.Violation.Error()
-				case run.Mismatch != "":
-					status = "NONDETERMINISTIC: " + run.Mismatch
-				}
-				cfg.Log("  heap=%v seed=%d: %d fill txs, ro %d/%d, %d reclaims, wal %d->%d, live %d->%d, %d enospc, hash %016x — %s",
-					hk, seed, fp1.FillTxs, fp1.ROEntries, fp1.ROExits, fp1.Reclaims,
-					fp1.WALAtRO, fp1.WALAfter, fp1.LiveAtRO, fp1.LiveAfter,
-					fp1.NoSpaceInjected, fp1.StateHash, status)
-			}
-		}
-	}
-	out.StallViolation = exhaustStallProbe()
-	if cfg.Log != nil && out.StallViolation != nil {
-		cfg.Log("  stall probe: VIOLATION: %v", out.StallViolation.Error())
-	}
-	return out
-}
-
-// diffExhaust compares two fingerprints of the same scenario.
-func diffExhaust(a, b ExhaustFingerprint) string {
-	if a == b {
-		return ""
-	}
-	return fmt.Sprintf("fingerprints differ: %+v vs %+v", a, b)
-}
-
-// exRow builds a row in the harness layout ([len][key][val]) so keyExtract
-// applies unchanged.
-func exRow(key, val string) []byte {
-	row := make([]byte, 0, 1+len(key)+len(val))
-	row = append(row, byte(len(key)))
-	row = append(row, key...)
-	return append(row, val...)
-}
-
-// exhauster is one scenario's state: a capacity-bounded engine plus the
-// expected committed state (the oracle — single-client histories make a
-// last-committed-row map a complete one).
-type exhauster struct {
-	cfg    ExhaustConfig
-	eng    *db.Engine
-	tbl    *db.Table
-	expect map[string]string
-}
-
-func (x *exhauster) build(hk db.HeapKind) error {
-	x.eng = db.NewEngine(db.Config{
+// exhaustTable builds the fill cell's engine: a 16 MiB device with the
+// governor watermarks at 3 and 4 MiB — far below capacity, so the
+// watermarks, not raw ENOSPC, decide.
+func exhaustTable(hk db.HeapKind) (*hostile.Table, error) {
+	return hostile.NewTable(db.Config{
 		BufferPages:          2048,
 		PartitionBufferBytes: 1 << 22,
 		EnableWAL:            true,
 		// Commits run through the group-commit batcher (deterministic
-		// batches of one: the exhauster is single-threaded, MaxDelay 0) so
+		// batches of one: the cell is single-threaded, MaxDelay 0) so
 		// exhaustion testing covers the production commit pipeline.
 		GroupCommit:         db.GroupCommitConfig{Enabled: true},
-		DeviceCapacityBytes: x.cfg.CapacityBytes,
-		SpaceSoftBytes:      x.cfg.SoftBytes,
-		SpaceHardBytes:      x.cfg.HardBytes,
-	})
-	tbl, err := x.eng.NewTable("t", hk, db.IndexDef{
-		Name: "pk", Kind: db.IdxMVPBT, RefMode: db.RefPhysical, Unique: true,
-		Extract: keyExtract, BloomBits: 10, MaxPartitions: 4,
-	})
-	x.tbl = tbl
-	return err
+		DeviceCapacityBytes: 16 << 20,
+		SpaceSoftBytes:      3 << 20,
+		SpaceHardBytes:      4 << 20,
+	}, hk, 4)
 }
 
-// put inserts or updates key to val in one committed transaction and
-// mirrors it into the expected state. A write error aborts the transaction
-// and is returned untouched.
-func (x *exhauster) put(key, val string) error {
-	row := exRow(key, val)
-	tx := x.eng.Begin()
-	if _, ok := x.expect[key]; ok {
-		cur, err := x.tbl.LookupOne(tx, x.tbl.Indexes()[0], []byte(key), true)
-		if err == nil && cur == nil {
-			err = fmt.Errorf("committed key %q not visible to a fresh transaction", key)
-		}
-		if err == nil {
-			_, err = x.tbl.Update(tx, *cur, row)
-		}
-		if err != nil {
-			x.eng.Abort(tx)
-			return err
-		}
-	} else if _, _, err := x.tbl.Insert(tx, row); err != nil {
-		x.eng.Abort(tx)
-		return err
-	}
-	if err := x.eng.CommitDurable(tx); err != nil {
-		x.eng.Abort(tx)
-		return err
-	}
-	x.expect[key] = string(row)
-	return nil
-}
-
-// checkState holds the engine to the oracle: a fresh snapshot's full scan
-// over the primary index must yield exactly the expected committed rows.
-func (x *exhauster) checkState(phase string) *Violation {
-	tx := x.eng.Begin()
-	defer x.eng.Abort(tx)
-	got := map[string]string{}
-	err := x.tbl.Scan(tx, x.tbl.Indexes()[0], nil, nil, true, func(rr db.RowRef) bool {
-		got[string(rr.Key)] = string(rr.Row)
-		return true
-	})
+// exhaustCell is one full pass: seed rows, prove the injected-ENOSPC path,
+// fill to read-only under a pinning reader, hold degraded reads to the
+// oracle, reclaim, resume writes, crash-recover, fingerprint.
+func exhaustCell(hk db.HeapKind, seed uint64) (fp ExhaustFingerprint, err error) {
+	x, err := exhaustTable(hk)
 	if err != nil {
-		return &Violation{Op: phase, Msg: fmt.Sprintf("scan: %v", err), Err: err}
+		return fp, fmt.Errorf("setup: %w", err)
 	}
-	if len(got) != len(x.expect) {
-		return &Violation{Op: phase, Msg: fmt.Sprintf("engine has %d rows, oracle %d", len(got), len(x.expect))}
-	}
-	for k, w := range x.expect {
-		if g, ok := got[k]; !ok || g != w {
-			return &Violation{Op: phase, Msg: fmt.Sprintf("row %q: engine %q, oracle %q", k, g, w)}
-		}
-	}
-	return nil
-}
-
-// stateHash fingerprints the engine's visible rows in key order.
-func (x *exhauster) stateHash() uint64 {
-	keys := make([]string, 0, len(x.expect))
-	for k := range x.expect {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fh := fnv.New64a()
-	for _, k := range keys {
-		fh.Write([]byte(k))
-		fh.Write([]byte{0})
-		fh.Write([]byte(x.expect[k]))
-		fh.Write([]byte{0})
-	}
-	return fh.Sum64()
-}
-
-// exhaustScenario is one full pass: seed rows, prove the injected-ENOSPC
-// path, fill to read-only under a pinning reader, hold degraded reads to
-// the oracle, reclaim, resume writes, crash-recover, fingerprint.
-func exhaustScenario(cfg ExhaustConfig, hk db.HeapKind, seed uint64) (ExhaustFingerprint, *Violation) {
-	var fp ExhaustFingerprint
-	x := &exhauster{cfg: cfg, expect: map[string]string{}}
-	if err := x.build(hk); err != nil {
-		return fp, &Violation{Op: "setup", Msg: err.Error(), Err: err}
-	}
-	defer func() {
-		if x.eng != nil {
-			x.eng.Close()
-		}
-	}()
+	defer func() { x.Eng.Close() }() // x is rebound across the crash below
 	rng := rand.New(rand.NewSource(int64(seed)))
 
 	// Seed the live key-space.
-	for i := 0; i < cfg.Keys; i++ {
-		if err := x.put(fmt.Sprintf("k%04d", i), fmt.Sprintf("s%d.%d", seed, i)); err != nil {
-			return fp, &Violation{Op: "seed", Msg: err.Error(), Err: err}
+	for i := 0; i < exhaustKeys; i++ {
+		if err := x.Put(fmt.Sprintf("k%04d", i), fmt.Sprintf("s%d.%d", seed, i)); err != nil {
+			return fp, fmt.Errorf("seed: %w", err)
 		}
 	}
 
@@ -311,153 +120,148 @@ func exhaustScenario(cfg ExhaustConfig, hk db.HeapKind, seed uint64) (ExhaustFin
 	// abort-boundary reclamation re-opens it (live bytes are far below soft
 	// here). Class scoping would not help: a fresh-frontier allocation has
 	// no class registered yet, so only AnyClass rules can match it.
-	faultID := x.eng.Dev.ArmFault(ssd.FaultRule{
+	faultID := x.Eng.Dev.ArmFault(ssd.FaultRule{
 		Kind: ssd.FaultNoSpace, Class: ssd.AnyClass, Ops: []uint64{1},
 	})
-	probeTx := x.eng.Begin()
+	probeTx := x.Eng.Begin()
 	var nospace error
 	for i := 0; i < 500 && nospace == nil; i++ {
 		// Fat rows force a fresh heap extent within a few inserts.
-		_, _, err := x.tbl.Insert(probeTx, exRow(fmt.Sprintf("p%04d", i), strings.Repeat("y", 4000)))
-		nospace = err
+		_, _, nospace = x.Tbl.Insert(probeTx, hostile.Row(fmt.Sprintf("p%04d", i), strings.Repeat("y", 4000)))
 	}
-	x.eng.Dev.DisarmFault(faultID)
-	x.eng.Abort(probeTx)
-	if nospace == nil {
-		return fp, &Violation{Op: "enospc-probe", Msg: "armed FaultNoSpace never fired within 500 inserts"}
+	x.Eng.Dev.DisarmFault(faultID)
+	x.Eng.Abort(probeTx)
+	fp.NoSpaceInjected = x.Eng.Dev.FaultCounters().Injected[ssd.FaultNoSpace]
+	switch {
+	case nospace == nil:
+		return fp, errors.New("enospc-probe: armed FaultNoSpace never fired within 500 inserts")
+	case !errors.Is(nospace, storage.ErrNoSpace):
+		return fp, fmt.Errorf("enospc-probe: injected allocation failure surfaced as %w, want storage.ErrNoSpace", nospace)
+	case fp.NoSpaceInjected == 0:
+		return fp, errors.New("enospc-probe: FaultNoSpace counter did not advance")
+	case x.Eng.ReadOnly():
+		return fp, errors.New("enospc-probe: engine still read-only after the injected ENOSPC was reclaimed away")
+	case x.Eng.SpaceInfo().ROEntries == 0:
+		return fp, errors.New("enospc-probe: injected ENOSPC never degraded the engine")
 	}
-	if !errors.Is(nospace, storage.ErrNoSpace) {
-		return fp, &Violation{Op: "enospc-probe", Err: nospace,
-			Msg: fmt.Sprintf("injected allocation failure surfaced as %v, want storage.ErrNoSpace", nospace)}
-	}
-	fp.NoSpaceInjected = x.eng.Dev.FaultCounters().Injected[ssd.FaultNoSpace]
-	if fp.NoSpaceInjected == 0 {
-		return fp, &Violation{Op: "enospc-probe", Msg: "FaultNoSpace counter did not advance"}
-	}
-	if x.eng.ReadOnly() {
-		return fp, &Violation{Op: "enospc-probe",
-			Msg: "engine still read-only after the injected ENOSPC was reclaimed away"}
-	}
-	if st := x.eng.SpaceInfo(); st.ROEntries == 0 {
-		return fp, &Violation{Op: "enospc-probe", Msg: "injected ENOSPC never degraded the engine"}
-	}
-	if v := x.checkState("enospc-probe"); v != nil {
-		return fp, v
+	if err := x.CheckState("enospc-probe"); err != nil {
+		return fp, err
 	}
 
 	// Fill to the hard watermark. The long-running reader pins the garbage
 	// horizon and keeps the checkpoint busy, so the soft-watermark
 	// reclamation passes cannot free anything — degradation is guaranteed.
-	reader := x.eng.Begin()
+	reader := x.Eng.Begin()
 	readerOpen := true
 	defer func() {
 		if readerOpen {
-			x.eng.Abort(reader)
+			x.Eng.Abort(reader)
 		}
 	}()
-	for fp.FillTxs = 0; fp.FillTxs < cfg.MaxTx && !x.eng.ReadOnly(); fp.FillTxs++ {
-		key := fmt.Sprintf("k%04d", fp.FillTxs%cfg.Keys)
+	for fp.FillTxs = 0; fp.FillTxs < exhaustMaxTx && !x.Eng.ReadOnly(); fp.FillTxs++ {
+		key := fmt.Sprintf("k%04d", fp.FillTxs%exhaustKeys)
 		val := fmt.Sprintf("u%d.%s", fp.FillTxs, strings.Repeat("x", 200+rng.Intn(120)))
-		if err := x.put(key, val); err != nil {
+		if err := x.Put(key, val); err != nil {
 			if errors.Is(err, db.ErrReadOnly) || errors.Is(err, storage.ErrNoSpace) {
 				break
 			}
-			return fp, &Violation{Op: "fill", Msg: err.Error(), Err: err}
+			return fp, fmt.Errorf("fill: %w", err)
 		}
 	}
-	if !x.eng.ReadOnly() {
-		return fp, &Violation{Op: "fill",
-			Msg: fmt.Sprintf("engine never degraded after %d update transactions (live=%d)", fp.FillTxs, x.eng.FM.LiveBytes())}
+	if !x.Eng.ReadOnly() {
+		return fp, fmt.Errorf("fill: engine never degraded after %d update transactions (live=%d)", fp.FillTxs, x.Eng.FM.LiveBytes())
 	}
-	fp.LiveAtRO = x.eng.SpaceInfo().Live
-	fp.WALAtRO = x.eng.WALDeviceBytes()
+	fp.LiveAtRO = x.Eng.SpaceInfo().Live
+	fp.WALAtRO = x.Eng.WALDeviceBytes()
 
 	// Degraded: writes fail fast with the typed error, reads stay
 	// oracle-correct.
-	tx := x.eng.Begin()
-	if _, _, err := x.tbl.Insert(tx, exRow("nope", "x")); !errors.Is(err, db.ErrReadOnly) {
-		x.eng.Abort(tx)
-		return fp, &Violation{Op: "degraded", Err: err,
-			Msg: fmt.Sprintf("insert while degraded returned %v, want db.ErrReadOnly", err)}
+	tx := x.Eng.Begin()
+	_, _, err = x.Tbl.Insert(tx, hostile.Row("nope", "x"))
+	x.Eng.Abort(tx)
+	if !errors.Is(err, db.ErrReadOnly) {
+		return fp, fmt.Errorf("degraded: insert while degraded returned %v, want db.ErrReadOnly", err)
 	}
-	x.eng.Abort(tx)
-	if v := x.checkState("degraded"); v != nil {
-		return fp, v
+	if err := x.CheckState("degraded"); err != nil {
+		return fp, err
 	}
-	if st := x.eng.SpaceInfo(); !st.ReadOnly {
-		return fp, &Violation{Op: "degraded", Msg: fmt.Sprintf("space stats disagree with ReadOnly(): %+v", st)}
+	if st := x.Eng.SpaceInfo(); !st.ReadOnly {
+		return fp, fmt.Errorf("degraded: space stats disagree with ReadOnly(): %+v", st)
 	}
 
 	// Ending the reader unpins the horizon; its abort boundary retries
 	// reclamation (checkpoint truncation, GC, vacuum) and the engine must
 	// re-open with at least the soft-watermark headroom recovered.
 	readerOpen = false
-	x.eng.Abort(reader)
-	st := x.eng.SpaceInfo()
+	x.Eng.Abort(reader)
+	st := x.Eng.SpaceInfo()
 	if st.ReadOnly {
-		return fp, &Violation{Op: "reclaim", Msg: fmt.Sprintf("engine still read-only after reclamation: %+v", st)}
+		return fp, fmt.Errorf("reclaim: engine still read-only after reclamation: %+v", st)
 	}
 	if st.Live >= st.Soft {
-		return fp, &Violation{Op: "reclaim",
-			Msg: fmt.Sprintf("reclamation left live=%d at or above soft=%d", st.Live, st.Soft)}
+		return fp, fmt.Errorf("reclaim: reclamation left live=%d at or above soft=%d", st.Live, st.Soft)
 	}
 	fp.LiveAfter = st.Live
-	fp.WALAfter = x.eng.WALDeviceBytes()
+	fp.WALAfter = x.Eng.WALDeviceBytes()
 	if fp.WALAfter >= fp.WALAtRO {
-		return fp, &Violation{Op: "reclaim",
-			Msg: fmt.Sprintf("checkpoint did not truncate the log: %d -> %d bytes", fp.WALAtRO, fp.WALAfter)}
+		return fp, fmt.Errorf("reclaim: checkpoint did not truncate the log: %d -> %d bytes", fp.WALAtRO, fp.WALAfter)
 	}
 
 	// Writes resume.
 	for i := 0; i < 5; i++ {
-		if err := x.put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
-			return fp, &Violation{Op: "resume", Msg: err.Error(), Err: err}
+		if err := x.Put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
+			return fp, fmt.Errorf("resume: %w", err)
 		}
 	}
-	if v := x.checkState("resume"); v != nil {
-		return fp, v
+	if err := x.CheckState("resume"); err != nil {
+		return fp, err
 	}
-	fp.ROEntries = x.eng.SpaceInfo().ROEntries
-	fp.ROExits = x.eng.SpaceInfo().ROExits
-	fp.Reclaims = x.eng.SpaceInfo().Reclaims
+	st = x.Eng.SpaceInfo()
+	fp.ROEntries, fp.ROExits, fp.Reclaims = st.ROEntries, st.ROExits, st.Reclaims
 
 	// Crash and recover from the checkpointed log: the snapshot fence plus
 	// the post-checkpoint tail must rebuild exactly the oracle state.
-	img := x.eng.LogImage()
-	x.eng.Crash()
-	x.eng = nil
-	if err := x.build(hk); err != nil {
-		return fp, &Violation{Op: "recover", Msg: "rebuild: " + err.Error(), Err: err}
-	}
-	applied, err := x.eng.Recover(img, map[string]*db.Table{"t": x.tbl})
+	img := x.Eng.LogImage()
+	x.Eng.Crash()
+	recovered, err := exhaustTable(hk)
 	if err != nil {
-		return fp, &Violation{Op: "recover", Msg: err.Error(), Err: err}
+		return fp, fmt.Errorf("recover: rebuild: %w", err)
 	}
-	fp.RecoveredTxs = applied
-	if v := x.checkState("recover"); v != nil {
-		return fp, v
+	recovered.Expect, x = x.Expect, recovered
+	if fp.RecoveredTxs, err = x.Eng.Recover(img, map[string]*db.Table{"t": x.Tbl}); err != nil {
+		return fp, fmt.Errorf("recover: %w", err)
 	}
-	fp.StateHash = x.stateHash()
+	if err := x.CheckState("recover"); err != nil {
+		return fp, err
+	}
+	// The hash covers whole rows, as it has since the campaign's first run.
+	rows := make(map[string]string, len(x.Expect))
+	for k, v := range x.Expect {
+		rows[k] = string(hostile.Row(k, v))
+	}
+	fp.StateHash = hostile.HashState(rows)
 	return fp, nil
 }
 
-// exhaustStallProbe asserts the cancellable-stall contract: with the
-// partition buffer wedged above its high watermark and eviction never
-// catching up (a no-op background notifier), a write blocked in
-// stallWait must return context.DeadlineExceeded when its transaction's
-// deadline expires, and a Scan issued under that same spent deadline must
-// surface the same error — the whole sequence bounded by 2x the deadline,
-// i.e. the stall wake-up is prompt, not polled.
-func exhaustStallProbe() *Violation {
-	e := db.NewEngine(db.Config{BufferPages: 512, PartitionBufferBytes: 64 << 10})
-	defer e.Close()
-	tbl, err := e.NewTable("t", db.HeapHOT, db.IndexDef{
-		Name: "pk", Kind: db.IdxMVPBT, RefMode: db.RefPhysical, Unique: true,
-		Extract: keyExtract, BloomBits: 10,
-	})
+// noFingerprint is the fingerprint of a cell that only holds invariants.
+type noFingerprint struct{}
+
+func (noFingerprint) String() string { return "no fingerprint" }
+
+// stallProbe asserts the cancellable-stall contract: with the partition
+// buffer wedged above its high watermark and eviction never catching up (a
+// no-op background notifier), a write blocked in stallWait must return
+// context.DeadlineExceeded when its transaction's deadline expires, and a
+// Scan issued under that same spent deadline must surface the same error —
+// the whole sequence bounded by 2x the deadline, i.e. the stall wake-up is
+// prompt, not polled.
+func stallProbe() (Fingerprint, error) {
+	t, err := hostile.NewTable(db.Config{BufferPages: 512, PartitionBufferBytes: 64 << 10}, db.HeapHOT, 0)
 	if err != nil {
-		return &Violation{Op: "stall", Msg: err.Error(), Err: err}
+		return noFingerprint{}, err
 	}
+	e := t.Eng
+	defer e.Close()
 	// Background mode whose eviction never runs: once usage crosses the
 	// high watermark every insert stalls. Short stall timeouts let the fill
 	// phase push past the watermark; the probe then raises the timeout so
@@ -467,14 +271,14 @@ func exhaustStallProbe() *Violation {
 	val := strings.Repeat("w", 512)
 	for i := 0; e.PBuf.Used() < e.PBuf.High() && i < 10000; i++ {
 		tx := e.Begin()
-		if _, _, err := tbl.Insert(tx, exRow(fmt.Sprintf("k%05d", i), val)); err != nil {
+		if _, _, err := t.Tbl.Insert(tx, hostile.Row(fmt.Sprintf("k%05d", i), val)); err != nil {
 			e.Abort(tx)
-			return &Violation{Op: "stall", Msg: "fill: " + err.Error(), Err: err}
+			return noFingerprint{}, fmt.Errorf("fill: %w", err)
 		}
 		e.Commit(tx)
 	}
 	if e.PBuf.Used() < e.PBuf.High() {
-		return &Violation{Op: "stall", Msg: "could not push the partition buffer past its high watermark"}
+		return noFingerprint{}, errors.New("could not push the partition buffer past its high watermark")
 	}
 	e.PBuf.SetStallTimeout(time.Minute)
 
@@ -484,18 +288,14 @@ func exhaustStallProbe() *Violation {
 	start := time.Now()
 	tx := e.BeginCtx(ctx)
 	defer e.Abort(tx)
-	_, _, err = tbl.Insert(tx, exRow("stalled", "z"))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		return &Violation{Op: "stall", Err: err,
-			Msg: fmt.Sprintf("stalled write returned %v, want context.DeadlineExceeded", err)}
+	if _, _, err := t.Tbl.Insert(tx, hostile.Row("stalled", "z")); !errors.Is(err, context.DeadlineExceeded) {
+		return noFingerprint{}, fmt.Errorf("stalled write returned %v, want context.DeadlineExceeded", err)
 	}
-	if err := tbl.Scan(tx, tbl.Indexes()[0], nil, nil, false, func(db.RowRef) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
-		return &Violation{Op: "stall", Err: err,
-			Msg: fmt.Sprintf("scan under the spent deadline returned %v, want context.DeadlineExceeded", err)}
+	if err := t.Tbl.Scan(tx, t.Tbl.Indexes()[0], nil, nil, false, func(db.RowRef) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+		return noFingerprint{}, fmt.Errorf("scan under the spent deadline returned %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*deadline {
-		return &Violation{Op: "stall",
-			Msg: fmt.Sprintf("stall + scan took %v, want <= 2x the %v deadline", elapsed, deadline)}
+		return noFingerprint{}, fmt.Errorf("stall + scan took %v, want <= 2x the %v deadline", elapsed, deadline)
 	}
-	return nil
+	return noFingerprint{}, nil
 }

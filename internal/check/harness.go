@@ -14,6 +14,7 @@ import (
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
+	"mvpbt/internal/workload/hostile"
 )
 
 // RunConfig parameterizes one harness run.
@@ -79,8 +80,10 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("step %d (%s): %s", v.Step, v.Op, v.Msg)
 }
 
-// Result summarizes a run.
-type Result struct {
+// Counters is what a run did. It is the fault campaign's fingerprint: two
+// runs of the same fault-punctuated history must agree on every field
+// (maintenance is synchronous there, so the audit count is fixed too).
+type Counters struct {
 	Ops       int // ops executed (≤ len(history) when a violation stopped the run)
 	Audits    int
 	Crashes   int
@@ -98,9 +101,18 @@ type Result struct {
 	// from the base table, invisibly to the op that hit it.
 	Rebuilds int64
 	// StateHash fingerprints the oracle's final committed state (FNV-1a
-	// over rows and tuple ids). Two runs of the same history must agree on
-	// it AND on Faults — the fault-determinism contract.
+	// over rows and tuple ids).
 	StateHash uint64
+}
+
+func (c Counters) String() string {
+	return fmt.Sprintf("%d ops, %d crashes, %d recoveries, %d rebuilds, faults[%v]",
+		c.Ops, c.Crashes, c.FaultRecoveries, c.Rebuilds, c.Faults)
+}
+
+// Result summarizes a run.
+type Result struct {
+	Counters
 	Violation *Violation
 }
 
@@ -148,11 +160,7 @@ func keyBytes(ord int) []byte { return []byte(fmt.Sprintf("k%04d", ord)) }
 // uniqueness lets the harness map any engine row back to its oracle tuple,
 // including across crash-recovery, which reassigns VIDs.
 func rowBytes(key []byte, step, cl int) []byte {
-	val := fmt.Sprintf("s%d.c%d", step, cl)
-	row := make([]byte, 0, 1+len(key)+len(val))
-	row = append(row, byte(len(key)))
-	row = append(row, key...)
-	return append(row, val...)
+	return hostile.Row(string(key), fmt.Sprintf("s%d.c%d", step, cl))
 }
 
 // tidKey is the LSM mirror's key for an oracle tuple.

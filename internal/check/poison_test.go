@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"mvpbt/internal/db"
@@ -22,22 +23,23 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCampaignSeedsUnderPoison is one seed of the two campaigns that have no
-// smoke test here (the hostile scenarios on one device of the zoo, and the
-// 2PC crash campaign), at the size `make check-scenarios` and `make
-// check-2pc` run them; the fault, exhaustion and chaos smokes and
-// TestHarnessSmoke are poisoned with the rest of the package.
+// TestCampaignSeedsUnderPoison is one seed of the two campaigns whose cells
+// have no size to reduce (the hostile scenarios on one device of the zoo, and
+// the 2PC crash campaign), exactly as `make check-scenarios` and `make
+// check-2pc` run it; TestCampaignSmoke's slices and TestHarnessSmoke are
+// poisoned with the rest of the package.
 func TestCampaignSeedsUnderPoison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign seeds are seconds-long")
 	}
-	sc := ScenarioCampaign(ScenarioConfig{Seeds: []uint64{1}, Devices: ssd.Zoo()[:1], Log: t.Logf})
-	if sc.Failed() {
-		t.Errorf("scenario campaign: %d violations, %d nondeterministic replays", sc.Violations, sc.Mismatches)
-	}
-	tp := TwoPCCampaign(TwoPCConfig{Seeds: []uint64{1}, Log: t.Logf})
-	if tp.Failed() {
-		t.Errorf("2pc campaign: %d violations, %d nondeterministic replays", tp.Violations, tp.Mismatches)
+	for name, sel := range map[string]Selection{
+		"scenarios": {Seeds: []uint64{1}, Filter: map[string][]string{"device": {ssd.Zoo()[0].Name}}},
+		"2pc":       {Seeds: []uint64{1}},
+	} {
+		var out strings.Builder
+		if _, failed := CampaignByName(name).Run(sel, &out); failed {
+			t.Errorf("%s", out.String())
+		}
 	}
 }
 

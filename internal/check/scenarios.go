@@ -1,129 +1,34 @@
 package check
 
 import (
-	"fmt"
-
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/workload/hostile"
 )
 
-// ScenarioCampaign drives the hostile-workload acceptance criterion: every
-// scenario in the hostile generator's catalogue — hot-key version storms,
-// sawtooth bulk load/delete cycles, GC-horizon-pinning analytical
-// snapshots, tenant-skewed admission-controlled mixes — must run to
-// completion on every requested device in the zoo, hold its own embedded
-// invariants (those are errors inside hostile.Run), and replay
-// byte-identically from the same seed: each (device, scenario, seed) cell
-// is executed twice and the two fingerprints are diffed field by field.
-// This is the same double-replay discipline as the fault and exhaustion
-// campaigns; the scenarios are deterministic functions of their
-// parameters, so any divergence is a nondeterminism bug.
-
-// ScenarioConfig parameterizes a hostile-scenario campaign.
-type ScenarioConfig struct {
-	Seeds []uint64
-	// Devices is the device-zoo subset to run on (default: the whole zoo).
-	Devices []ssd.DeviceSpec
-	// Kinds is the scenario subset (default: every scenario).
-	Kinds []hostile.Kind
-	// Scale multiplies scenario run length (default 1).
-	Scale int
-	// Log, when set, receives one progress line per cell.
-	Log func(format string, args ...any)
-}
-
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if len(c.Seeds) == 0 {
-		c.Seeds = []uint64{1}
-	}
-	if len(c.Devices) == 0 {
-		c.Devices = ssd.Zoo()
-	}
-	if len(c.Kinds) == 0 {
-		c.Kinds = hostile.Kinds()
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	return c
-}
-
-// ScenarioRun is the outcome of one (device, scenario, seed) cell.
-type ScenarioRun struct {
-	Device string
-	Kind   hostile.Kind
-	Seed   uint64
-	Fp     hostile.Fingerprint
-	// Mismatch describes how the two replays diverged ("" = deterministic).
-	Mismatch  string
-	Violation *Violation
-}
-
-// ScenarioResult aggregates a hostile-scenario campaign.
-type ScenarioResult struct {
-	Runs       []ScenarioRun
-	Violations int
-	Mismatches int
-}
-
-// Failed reports whether any cell broke a scenario invariant or replayed
-// nondeterministically.
-func (r *ScenarioResult) Failed() bool {
-	return r.Violations > 0 || r.Mismatches > 0
-}
-
-// ScenarioCampaign runs the scenario × device × seed cross-product.
-func ScenarioCampaign(cfg ScenarioConfig) ScenarioResult {
-	cfg = cfg.withDefaults()
-	var out ScenarioResult
-	for _, dev := range cfg.Devices {
-		for _, kind := range cfg.Kinds {
-			for _, seed := range cfg.Seeds {
-				run := scenarioCell(kind, dev, seed, cfg.Scale)
-				out.Runs = append(out.Runs, run)
-				if run.Violation != nil {
-					out.Violations++
-				}
-				if run.Mismatch != "" {
-					out.Mismatches++
-				}
-				if cfg.Log != nil {
-					status := "ok"
-					switch {
-					case run.Violation != nil:
-						status = "VIOLATION: " + run.Violation.Error()
-					case run.Mismatch != "":
-						status = "NONDETERMINISTIC: " + run.Mismatch
-					}
-					fp := run.Fp
-					cfg.Log("  device=%-15s scenario=%-13s seed=%d: %d commits, %d typed errs, io %d ops / %.1fms, hash %016x — %s",
-						run.Device, kind, seed, fp.Committed, fp.TypedErrs,
-						fp.Reads+fp.Writes, float64(fp.IOTimeNS)/1e6, fp.StateHash, status)
+// The hostile-scenario campaign: every scenario in the hostile generator's
+// catalogue — hot-key version storms, sawtooth bulk load/delete cycles,
+// GC-horizon-pinning analytical snapshots, tenant-skewed admission-controlled
+// mixes — must run to completion on every device in the zoo and hold its own
+// embedded invariants (those are errors inside hostile.Run). The scenarios
+// are deterministic functions of (device, kind, seed), so any divergence on
+// replay is a nondeterminism bug.
+var scenarioCampaign = &Campaign{
+	Name:  "scenarios",
+	Seeds: 2,
+	Cells: func(seeds []uint64, _ Size) []Cell {
+		var cells []Cell
+		for _, dev := range ssd.Zoo() {
+			for _, kind := range hostile.Kinds() {
+				for _, seed := range seeds {
+					cells = append(cells, Cell{
+						Coords: []Coord{{"device", dev.Name}, {"kind", kind.String()}, seedCoord(seed)},
+						Run: func() (Fingerprint, error) {
+							return hostile.Run(kind, hostile.Config{Device: dev, Seed: seed})
+						},
+					})
 				}
 			}
 		}
-	}
-	return out
-}
-
-// scenarioCell runs one cell twice and diffs the fingerprints.
-func scenarioCell(kind hostile.Kind, dev ssd.DeviceSpec, seed uint64, scale int) ScenarioRun {
-	run := ScenarioRun{Device: dev.Name, Kind: kind, Seed: seed}
-	cfg := hostile.Config{Device: dev, Seed: seed, Scale: scale}
-	fp1, err := hostile.Run(kind, cfg)
-	run.Fp = fp1
-	if err != nil {
-		run.Violation = &Violation{Op: fmt.Sprintf("%s on %s", kind, dev.Name), Msg: err.Error(), Err: err}
-		return run
-	}
-	fp2, err := hostile.Run(kind, cfg)
-	if err != nil {
-		// A replay-only failure is still a failure (and a determinism bug).
-		run.Violation = &Violation{Op: fmt.Sprintf("%s on %s (replay)", kind, dev.Name), Msg: err.Error(), Err: err}
-		return run
-	}
-	if diff := hostile.Diff(fp1, fp2); diff != "" {
-		run.Mismatch = "replay diverged: " + diff
-	}
-	return run
+		return cells
+	},
 }

@@ -1,0 +1,259 @@
+package check
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"net"
+	"runtime"
+	"sort"
+	"time"
+
+	"mvpbt/internal/db"
+	"mvpbt/internal/server"
+	"mvpbt/internal/server/chaos"
+	"mvpbt/internal/server/shardclient"
+	"mvpbt/internal/shard"
+	"mvpbt/internal/util"
+)
+
+// served is the system under test the chaos and 2PC campaigns share: a
+// 2-shard supervised router behind the REAL TCP server, whose listener
+// injects a chaos schedule, driven by one self-healing client — plus the
+// oracle of what that client has been ACKED, which is exactly the state the
+// final clean scan must show.
+type served struct {
+	router    *shard.Router
+	sched     *chaos.Schedule
+	srv       *server.Server
+	serveDone chan error
+	addr      string
+	client    *shardclient.RClient
+	rng       *util.Rand
+	keys      int
+	oracle    map[string]string
+	fp        servedFingerprint
+	// goroutines is runtime.NumGoroutine() before setup: close must get
+	// back down to it.
+	goroutines int
+}
+
+// servedFingerprint is the part of a fingerprint the fixture fills in.
+type servedFingerprint struct {
+	// StateHash fingerprints the final clean scan (FNV-1a over the sorted
+	// key/value pairs); LiveKeys is its length.
+	StateHash uint64
+	LiveKeys  int
+	// Acknowledged single-key operations (these define what the oracle holds).
+	SetsAcked, DelsAcked, GetsOK uint64
+}
+
+// saltSeed derives a campaign's stream from the user's seed, so the same
+// seed number drives unrelated histories in different campaigns and kinds.
+func saltSeed(seed uint64, salt string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(salt))
+	return seed ^ h.Sum64()
+}
+
+// serve starts the fixture. rng draws the history's keys and values over a
+// key space of the given size; seed (already salted) drives the client's
+// backoff jitter and commit tokens.
+func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.Rule, hooks shard.TwoPCHooks) (*served, error) {
+	s := &served{rng: rng, keys: keys, oracle: map[string]string{}, goroutines: runtime.NumGoroutine()}
+	var err error
+	s.router, err = shard.New(shard.Config{
+		Shards: 2,
+		Engine: db.Config{
+			BufferPages:          256,
+			PartitionBufferBytes: 64 << 10,
+			EnableWAL:            true,
+			GroupCommit:          db.GroupCommitConfig{Enabled: true},
+		},
+		Supervise: true,
+		TwoPC:     hooks,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("router: %w", err)
+	}
+	s.sched = chaos.NewSchedule(rules)
+	s.srv = server.New(s.router, server.Config{
+		// Timing knobs sized so no injected stall (≤3ms) can flip a
+		// deadline outcome: determinism must not hinge on scheduler luck.
+		IdleTimeout:  30 * time.Second,
+		WriteTimeout: 10 * time.Second,
+		WrapListener: func(ln net.Listener) net.Listener { return chaos.Wrap(ln, s.sched) },
+	})
+	addr, err := s.srv.Listen()
+	if err != nil {
+		s.router.Close()
+		return nil, fmt.Errorf("listen: %w", err)
+	}
+	s.addr = addr.String()
+	s.serveDone = make(chan error, 1)
+	go func() { s.serveDone <- s.srv.Serve() }()
+	s.client = shardclient.NewRClient(shardclient.RConfig{
+		Addr:   s.addr,
+		Tenant: tenant,
+		Seed:   seed,
+		// The retry budget must outlast the worst contiguous injection
+		// burst one operation can see (every rule fires at most once).
+		MaxAttempts: 12,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  8 * time.Millisecond,
+		DialTimeout: 5 * time.Second,
+		RetryWrites: true, // this client owns every key it writes
+	})
+	return s, nil
+}
+
+// close tears the fixture down — client, drain, router — and fails if that
+// leaves goroutines behind. The wait is a failure deadline only: a clean
+// teardown returns as soon as the count is back at its pre-setup level.
+func (s *served) close() error {
+	s.client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	drainErr := s.srv.Drain(ctx)
+	<-s.serveDone
+	s.router.Close()
+	if drainErr != nil {
+		return fmt.Errorf("teardown: drain: %w", drainErr)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > s.goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			return fmt.Errorf("teardown leaked goroutines: %d before setup, %d after:\n%s",
+				s.goroutines, runtime.NumGoroutine(), stacks)
+		}
+	}
+	return nil
+}
+
+func (s *served) key() string { return fmt.Sprintf("c-%04d", s.rng.Intn(s.keys)) }
+
+// set, get and del are the single-key steps of a history: one operation
+// through the self-healing client, mirrored into (or verified against) the
+// oracle once it is acknowledged.
+func (s *served) set(op int) error {
+	k, v := s.key(), fmt.Sprintf("v-%d-%04x", op, s.rng.Uint64()&0xffff)
+	if err := s.client.Set([]byte(k), []byte(v)); err != nil {
+		return fmt.Errorf("op %d: SET %s exhausted retries: %w", op, k, err)
+	}
+	s.oracle[k] = v
+	s.fp.SetsAcked++
+	return nil
+}
+
+func (s *served) get(op int) error {
+	k := s.key()
+	v, ok, err := s.client.Get([]byte(k))
+	if err != nil {
+		return fmt.Errorf("op %d: GET %s exhausted retries: %w", op, k, err)
+	}
+	want, wantOK := s.oracle[k]
+	if ok != wantOK || (ok && string(v) != want) {
+		return fmt.Errorf("op %d: GET %s = %q,%v, oracle %q,%v", op, k, v, ok, want, wantOK)
+	}
+	if ok {
+		s.fp.GetsOK++
+	}
+	return nil
+}
+
+func (s *served) del(op int) error {
+	k := s.key()
+	if err := s.client.Del([]byte(k)); err != nil {
+		return fmt.Errorf("op %d: DEL %s exhausted retries: %w", op, k, err)
+	}
+	delete(s.oracle, k)
+	s.fp.DelsAcked++
+	return nil
+}
+
+// stage opens a transaction and writes pairs into it. lost means its
+// connection died before the commit was issued: the server aborts the orphan
+// with the session, so it deterministically did not apply.
+func (s *served) stage(op int, pairs [][2]string) (tx *shardclient.RTx, lost bool, err error) {
+	if tx, err = s.client.BeginTx(); err != nil {
+		return nil, false, fmt.Errorf("op %d: BEGIN exhausted retries: %w", op, err)
+	}
+	for _, p := range pairs {
+		if err := tx.Set([]byte(p[0]), []byte(p[1])); err != nil {
+			if errors.Is(err, shardclient.ErrTxLost) {
+				return nil, true, nil
+			}
+			return nil, false, fmt.Errorf("op %d: tx SET %s: %w", op, p[0], err)
+		}
+	}
+	return tx, false, nil
+}
+
+// applied reports whether a commit landed, directly or resolved through its
+// token after a lost ack.
+func applied(outcome shardclient.CommitOutcome, err error) bool {
+	return err == nil && (outcome == shardclient.CommitApplied || outcome == shardclient.CommitResolvedApplied)
+}
+
+// verify ends the history: with the schedule disarmed, a clean connection's
+// full scan must show exactly the oracle — no acked write lost, no group
+// half applied, nothing the oracle doesn't know about leaked in.
+func (s *served) verify() error {
+	s.sched.Disarm()
+	s.client.Close()
+	cc, err := shardclient.Dial(s.addr, "verify")
+	if err != nil {
+		return fmt.Errorf("clean dial: %w", err)
+	}
+	defer cc.Close()
+	got, err := cc.Scan(0, nil, len(s.oracle)+16)
+	if err != nil {
+		return fmt.Errorf("clean scan: %w", err)
+	}
+	h := fnv.New64a()
+	for _, kv := range got {
+		h.Write(kv.Key)
+		h.Write([]byte{0})
+		h.Write(kv.Val)
+		h.Write([]byte{0})
+	}
+	s.fp.StateHash, s.fp.LiveKeys = h.Sum64(), len(got)
+	if err := matchOracle(got, s.oracleSlice("", len(s.oracle)+1)); err != nil {
+		return fmt.Errorf("final state: %w", err)
+	}
+	return nil
+}
+
+// oracleSlice returns up to limit oracle pairs with key >= lo in key order.
+func (s *served) oracleSlice(lo string, limit int) [][2]string {
+	keys := make([]string, 0, len(s.oracle))
+	for k := range s.oracle {
+		if k >= lo {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	if len(keys) > limit {
+		keys = keys[:limit]
+	}
+	out := make([][2]string, len(keys))
+	for i, k := range keys {
+		out[i] = [2]string{k, s.oracle[k]}
+	}
+	return out
+}
+
+// matchOracle holds a scan result to the oracle's pairs.
+func matchOracle(got []shardclient.KV, want [][2]string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d pairs, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if string(got[i].Key) != want[i][0] || string(got[i].Val) != want[i][1] {
+			return fmt.Errorf("pair %d: %s=%s, oracle %s=%s", i, got[i].Key, got[i].Val, want[i][0], want[i][1])
+		}
+	}
+	return nil
+}

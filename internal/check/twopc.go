@@ -1,27 +1,21 @@
 package check
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"net"
 	"sync"
 	"time"
 
-	"mvpbt/internal/db"
-	"mvpbt/internal/server"
 	"mvpbt/internal/server/chaos"
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
 	"mvpbt/internal/util"
 )
 
-// TwoPCCampaign drives the atomic cross-shard commit acceptance criterion
-// (DESIGN.md §15): for every seed, a seeded history of single-key traffic
-// and multi-shard transactions runs through a real TCP server whose router
-// commits cross-shard groups via presumed-abort two-phase commit — and a
-// deterministic crash PLAN kills the coordinator or a participant at every
+// The 2PC crash campaign: for every seed, a seeded history of single-key
+// traffic and multi-shard transactions runs through the served fixture, whose
+// router commits cross-shard groups via presumed-abort two-phase commit — and
+// a deterministic crash PLAN kills the coordinator or a participant at every
 // protocol step, rotating through
 //
 //	before-prepare (each shard)  — participant dies before voting
@@ -32,7 +26,7 @@ import (
 //	before-forget                — coordinator dies before retiring the group
 //
 // plus standalone coordinator crashes between operations, all under the
-// chaos listener. The run passes when
+// chaos listener. A cell passes when
 //
 //   - every group is ATOMIC: the final clean scan matches the client-side
 //     oracle exactly, so a group's keys are present both-or-neither — no
@@ -40,14 +34,47 @@ import (
 //   - a group whose crash step precedes the decision NEVER applies
 //     (presumed abort), and a group whose commit decision became durable
 //     ALWAYS applies, however many participants died after voting;
-//   - every in-doubt leg resolves: after each crash the campaign waits for
-//     the restarted shards to finish coordinator-log resolution, and the
-//     run ends with zero in-doubt transactions;
+//   - every in-doubt leg resolves: after each crash the cell waits for the
+//     restarted shards to finish coordinator-log resolution, and the run
+//     ends with zero in-doubt transactions;
 //   - the coordinator log retires exactly the groups whose forget step ran
-//     (a before-forget crash leaves its — idempotent — decision live);
-//
-// and the seed passes determinism when a second full replay produces a
-// byte-identical fingerprint.
+//     (a before-forget crash leaves its — idempotent — decision live).
+var twoPCCampaign = &Campaign{
+	Name:  "2pc",
+	Seeds: 8,
+	Cells: func(seeds []uint64, _ Size) []Cell {
+		var cells []Cell
+		for _, seed := range seeds {
+			cells = append(cells, Cell{
+				Coords: []Coord{seedCoord(seed)},
+				Run:    func() (Fingerprint, error) { return twoPCCell(seed) },
+			})
+		}
+		return cells
+	},
+	Totals: func(cells []CellResult) string {
+		var groups, crashes, coord uint64
+		for _, c := range cells {
+			f := c.Fp.(TwoPCFingerprint)
+			groups += f.GroupsApplied + f.GroupsAborted
+			for _, n := range f.Crashes {
+				crashes += n
+			}
+			coord += f.CoordCrashes
+		}
+		return fmt.Sprintf("injected: %d protocol-step crashes, %d coordinator crashes across %d commit groups in %d runs",
+			crashes, coord, groups, len(cells))
+	},
+}
+
+const (
+	// twoPCOps is the history length; roughly a quarter are multi-shard
+	// transactions, so it covers the 10-entry crash plan about four times over.
+	twoPCOps = 160
+	// twoPCKeys sizes the single-key background keyspace. Group keys are
+	// fresh per group and live outside it.
+	twoPCKeys = 96
+)
 
 // twoPCStep is one crash-injection point in the commit protocol.
 type twoPCStep int
@@ -63,21 +90,7 @@ const (
 )
 
 func (s twoPCStep) String() string {
-	switch s {
-	case stepNone:
-		return "none"
-	case stepBeforePrepare:
-		return "before-prepare"
-	case stepAfterPrepare:
-		return "after-prepare"
-	case stepBeforeDecide:
-		return "before-decide"
-	case stepAfterDecide:
-		return "after-decide"
-	case stepBeforeForget:
-		return "before-forget"
-	}
-	return fmt.Sprintf("twoPCStep(%d)", int(s))
+	return [numTwoPCSteps]string{"none", "before-prepare", "after-prepare", "before-decide", "after-decide", "before-forget"}[s]
 }
 
 // twoPCPlanEntry assigns one commit group its crash step (and, for the
@@ -103,41 +116,13 @@ var twoPCPlan = []twoPCPlanEntry{
 	{stepBeforePrepare, 1},
 }
 
-// TwoPCConfig parameterizes a 2pc crash campaign.
-type TwoPCConfig struct {
-	Seeds []uint64
-	// Ops is the per-run history length (default 160); roughly a quarter
-	// are multi-shard transactions, so the default covers the 10-entry
-	// crash plan about four times over.
-	Ops int
-	// Keys sizes the single-key background keyspace (default 96). Group
-	// keys are fresh per group and live outside it.
-	Keys int
-	// Log, when set, receives one progress line per run pair.
-	Log func(format string, args ...any)
-}
-
-func (c TwoPCConfig) withDefaults() TwoPCConfig {
-	if c.Ops <= 0 {
-		c.Ops = 160
-	}
-	if c.Keys <= 0 {
-		c.Keys = 96
-	}
-	return c
-}
-
 // TwoPCFingerprint is everything two replays of one seed must agree on.
 // Deliberately a pure function of the logical history and the crash plan:
 // timing-sensitive counters (retries, reconnect totals, restart counts)
 // are excluded, group OUTCOMES are not — a group that applied in one
 // replay and aborted in the other is a mismatch.
 type TwoPCFingerprint struct {
-	// StateHash fingerprints the final clean scan; LiveKeys is its length.
-	StateHash uint64
-	LiveKeys  int
-	// Acknowledged single-key traffic.
-	SetsAcked, DelsAcked, GetsOK uint64
+	servedFingerprint
 	// Multi-shard group outcomes: applied (directly or resolved through
 	// the commit token), aborted by a pre-decision crash, lost before the
 	// commit was issued.
@@ -155,80 +140,20 @@ type TwoPCFingerprint struct {
 	InDoubtFinal int
 }
 
-// TwoPCRun is the outcome of one seed.
-type TwoPCRun struct {
-	Seed      uint64
-	Fp        TwoPCFingerprint
-	Violation string // first atomicity/durability/resolution failure ("" = ok)
-	Mismatch  string // how the two replays diverged ("" = deterministic)
-}
-
-// TwoPCResult aggregates a campaign.
-type TwoPCResult struct {
-	Runs         []TwoPCRun
-	Groups       uint64
-	Crashes      uint64
-	CoordCrashes uint64
-	Violations   int
-	Mismatches   int
-}
-
-// Failed reports whether any run broke atomicity, lost an acked commit,
-// left a leg in doubt, or replayed nondeterministically.
-func (c *TwoPCResult) Failed() bool { return c.Violations > 0 || c.Mismatches > 0 }
-
-// TwoPCCampaign runs the campaign over every seed, twice per seed.
-func TwoPCCampaign(cfg TwoPCConfig) TwoPCResult {
-	cfg = cfg.withDefaults()
-	var out TwoPCResult
-	for _, seed := range cfg.Seeds {
-		fp1, v1 := twoPCRun(seed, cfg)
-		fp2, v2 := twoPCRun(seed, cfg)
-		run := TwoPCRun{Seed: seed, Fp: fp1, Violation: v1}
-		if v1 == "" && v2 != "" {
-			run.Violation = "(2nd replay) " + v2
-		}
-		if fp1 != fp2 {
-			run.Mismatch = fmt.Sprintf("%+v vs %+v", fp1, fp2)
-		}
-		out.Runs = append(out.Runs, run)
-		out.Groups += fp1.GroupsApplied + fp1.GroupsAborted
-		for _, n := range fp1.Crashes {
-			out.Crashes += n
-		}
-		out.CoordCrashes += fp1.CoordCrashes
-		if run.Violation != "" {
-			out.Violations++
-		}
-		if run.Mismatch != "" {
-			out.Mismatches++
-		}
-		if cfg.Log != nil {
-			status := "ok"
-			switch {
-			case run.Violation != "":
-				status = "VIOLATION: " + run.Violation
-			case run.Mismatch != "":
-				status = "NONDETERMINISTIC: " + run.Mismatch
-			}
-			cfg.Log("  seed=%d: groups[applied=%d aborted=%d lost=%d] crashes=%v coord-crashes=%d "+
-				"live-decisions=%d live=%d hash=%016x — %s",
-				seed, fp1.GroupsApplied, fp1.GroupsAborted, fp1.GroupsLost, fp1.Crashes,
-				fp1.CoordCrashes, fp1.LiveDecisions, fp1.LiveKeys, fp1.StateHash, status)
-		}
-	}
-	return out
+func (fp TwoPCFingerprint) String() string {
+	return fmt.Sprintf("groups[applied=%d aborted=%d lost=%d] crashes=%v coord-crashes=%d "+
+		"live-decisions=%d live=%d hash=%016x",
+		fp.GroupsApplied, fp.GroupsAborted, fp.GroupsLost, fp.Crashes,
+		fp.CoordCrashes, fp.LiveDecisions, fp.LiveKeys, fp.StateHash)
 }
 
 // errSimCrash is the injected failure every crash hook returns.
 var errSimCrash = errors.New("2pc campaign: simulated crash")
 
-// twoPCRun executes one seeded history under the crash plan and returns
-// its fingerprint plus the first violation.
-func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation string) {
-	salt := fnv.New64a()
-	salt.Write([]byte("2pc"))
-	rng := util.NewRand(seed ^ salt.Sum64())
+// twoPCCell runs one seeded history under the crash plan.
+func twoPCCell(seed uint64) (fp TwoPCFingerprint, err error) {
+	seed = saltSeed(seed, "2pc")
+	rng := util.NewRand(seed)
 
 	// The crash hooks run on server goroutines, so everything they touch —
 	// the router pointer, the gid→ordinal map, the per-step crash counters —
@@ -242,25 +167,39 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 		nGroups int
 		crashes [numTwoPCSteps]uint64
 	)
-	// entryOf maps gid to its plan entry, assigning the ordinal on first
+	// crashAt is the body of every hook: if gid's plan entry crashes at this
+	// step (on this shard, for the per-participant steps; sh < 0 otherwise),
+	// count the injection, do what the protocol will not do by itself, and
+	// return the error the hook reports. The ordinal is assigned on first
 	// sight (BeforePrepare is the first hook every group fires).
-	entryOf := func(gid uint64) (twoPCPlanEntry, *shard.Router) {
+	crashAt := func(step twoPCStep, gid uint64, sh int) error {
 		mu.Lock()
-		defer mu.Unlock()
 		o, ok := ordOf[gid]
 		if !ok {
 			o = nGroups
 			ordOf[gid] = o
 			nGroups++
 		}
-		return twoPCPlan[o%len(twoPCPlan)], rt
-	}
-	// crash records one injection at step s and returns the error the hook
-	// reports to the protocol.
-	crash := func(s twoPCStep) error {
-		mu.Lock()
-		crashes[s]++
+		e := twoPCPlan[o%len(twoPCPlan)]
+		hit := e.step == step && (sh < 0 || e.shard == sh)
+		if hit {
+			crashes[step]++
+		}
+		router := rt
 		mu.Unlock()
+		if !hit {
+			return nil
+		}
+		switch step {
+		case stepBeforePrepare:
+			router.FailShard(sh, errSimCrash)
+		case stepBeforeDecide:
+			router.CrashCoordinator() // undecided groups vanish: presumed abort
+		}
+		// The other steps need no help: commit2PC fails the shard itself
+		// (after-prepare) or every prepared leg (after-decide), and a
+		// before-forget crash just leaves the decision live in the
+		// coordinator log.
 		return errSimCrash
 	}
 	groupCount := func() int {
@@ -269,104 +208,35 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 		return nGroups
 	}
 	hooks := shard.TwoPCHooks{
-		BeforePrepare: func(gid uint64, sh int) error {
-			if e, router := entryOf(gid); e.step == stepBeforePrepare && e.shard == sh {
-				router.FailShard(sh, errSimCrash)
-				return crash(stepBeforePrepare)
-			}
-			return nil
-		},
-		AfterPrepare: func(gid uint64, sh int) error {
-			if e, _ := entryOf(gid); e.step == stepAfterPrepare && e.shard == sh {
-				return crash(stepAfterPrepare) // commit2PC fails the shard itself
-			}
-			return nil
-		},
-		BeforeDecide: func(gid uint64) error {
-			if e, router := entryOf(gid); e.step == stepBeforeDecide {
-				router.CrashCoordinator() // undecided groups vanish: presumed abort
-				return crash(stepBeforeDecide)
-			}
-			return nil
-		},
-		AfterDecide: func(gid uint64) error {
-			if e, _ := entryOf(gid); e.step == stepAfterDecide {
-				return crash(stepAfterDecide) // commit2PC fails every prepared leg
-			}
-			return nil
-		},
-		BeforeForget: func(gid uint64) error {
-			if e, _ := entryOf(gid); e.step == stepBeforeForget {
-				return crash(stepBeforeForget) // decision stays live in the coordinator log
-			}
-			return nil
-		},
+		BeforePrepare: func(gid uint64, sh int) error { return crashAt(stepBeforePrepare, gid, sh) },
+		AfterPrepare:  func(gid uint64, sh int) error { return crashAt(stepAfterPrepare, gid, sh) },
+		BeforeDecide:  func(gid uint64) error { return crashAt(stepBeforeDecide, gid, -1) },
+		AfterDecide:   func(gid uint64) error { return crashAt(stepAfterDecide, gid, -1) },
+		BeforeForget:  func(gid uint64) error { return crashAt(stepBeforeForget, gid, -1) },
 	}
-
-	r, err := shard.New(shard.Config{
-		Shards: 2,
-		Engine: db.Config{
-			BufferPages:          256,
-			PartitionBufferBytes: 64 << 10,
-			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
-		},
-		Supervise: true,
-		TwoPC:     hooks,
-	})
-	if err != nil {
-		return fp, fmt.Sprintf("router: %v", err)
-	}
-	mu.Lock()
-	rt = r
-	mu.Unlock()
-	defer r.Close()
 
 	// A light chaos schedule keeps the wire layer honest without drowning
 	// the crash plan: a few connection cuts, far apart, keyed by frame
 	// index (deterministic against the serial history).
-	sched := chaos.NewSchedule([]chaos.Rule{
+	s, err := serve("2pc", seed, rng, twoPCKeys, []chaos.Rule{
 		{Dir: chaos.Out, Frame: 23, Action: chaos.Cut},
 		{Dir: chaos.In, Frame: 101, Action: chaos.Cut},
 		{Dir: chaos.Out, Frame: 211, Action: chaos.Cut},
-	})
-	srv := server.New(r, server.Config{
-		IdleTimeout:  30 * time.Second,
-		WriteTimeout: 10 * time.Second,
-		WrapListener: func(ln net.Listener) net.Listener { return chaos.Wrap(ln, sched) },
-	})
-	addr, err := srv.Listen()
+	}, hooks)
 	if err != nil {
-		return fp, fmt.Sprintf("listen: %v", err)
+		return fp, err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
+	r := s.router
+	mu.Lock()
+	rt = r
+	mu.Unlock()
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Drain(ctx)
-		<-serveDone
+		fp.servedFingerprint = s.fp
+		if cerr := s.close(); err == nil {
+			err = cerr
+		}
 	}()
 
-	rc := shardclient.NewRClient(shardclient.RConfig{
-		Addr:        addr.String(),
-		Tenant:      "2pc",
-		Seed:        seed ^ salt.Sum64(),
-		MaxAttempts: 12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  8 * time.Millisecond,
-		DialTimeout: 5 * time.Second,
-		RetryWrites: true,
-	})
-	defer rc.Close()
-
-	oracle := map[string]string{}
-	fail := func(format string, args ...any) {
-		if violation == "" {
-			violation = fmt.Sprintf(format, args...)
-		}
-	}
-	key := func() string { return fmt.Sprintf("c-%04d", rng.Intn(cfg.Keys)) }
 	// groupKey mints a fresh key owned by the given shard: group keys are
 	// never reused, so an atomicity breach shows up as a key that exists
 	// when its group aborted (or half of a group that committed).
@@ -379,28 +249,20 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 		}
 	}
 	// quiesce waits for every shard to be healthy with zero in-doubt legs —
-	// the campaign's "recovery finished" barrier after each injected crash.
+	// the cell's "recovery finished" barrier after each injected crash.
 	quiesce := func() bool {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			ok := true
-			for i := 0; i < r.NumShards(); i++ {
-				if r.Health(i).State != shard.Healthy {
-					ok = false
-					break
-				}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			settled := r.TwoPCInfo().InDoubt == 0
+			for i := 0; settled && i < r.NumShards(); i++ {
+				settled = r.Health(i).State == shard.Healthy
 			}
-			if ok && r.TwoPCInfo().InDoubt == 0 {
-				return true
+			if settled || time.Now().After(deadline) {
+				return settled
 			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 
-	for op := 0; op < cfg.Ops && violation == ""; op++ {
+	for op := 0; op < twoPCOps; op++ {
 		if op%40 == 20 {
 			// Standalone coordinator crash between operations: durable
 			// decisions and retired groups must survive it, and the bumped
@@ -409,75 +271,36 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 			fp.CoordCrashes++
 		}
 		switch roll := rng.Intn(100); {
-		case roll < 45: // SET
-			k, v := key(), fmt.Sprintf("v-%d-%04x", op, rng.Uint64()&0xffff)
-			if err := rc.Set([]byte(k), []byte(v)); err != nil {
-				fail("op %d: SET %s exhausted retries: %v", op, k, err)
-				break
-			}
-			oracle[k] = v
-			fp.SetsAcked++
-		case roll < 65: // GET, verified against the oracle
-			k := key()
-			v, ok, err := rc.Get([]byte(k))
-			if err != nil {
-				fail("op %d: GET %s exhausted retries: %v", op, k, err)
-				break
-			}
-			want, wantOK := oracle[k]
-			if ok != wantOK || (ok && string(v) != want) {
-				fail("op %d: GET %s = %q,%v, oracle %q,%v", op, k, v, ok, want, wantOK)
-				break
-			}
-			if ok {
-				fp.GetsOK++
-			}
-		case roll < 75: // DEL
-			k := key()
-			if err := rc.Del([]byte(k)); err != nil {
-				fail("op %d: DEL %s exhausted retries: %v", op, k, err)
-				break
-			}
-			delete(oracle, k)
-			fp.DelsAcked++
+		case roll < 45:
+			err = s.set(op)
+		case roll < 65:
+			err = s.get(op)
+		case roll < 75:
+			err = s.del(op)
 		default: // multi-shard transaction: one fresh key on each shard
 			k0, v0 := groupKey(op, 0), fmt.Sprintf("t0-%d-%04x", op, rng.Uint64()&0xffff)
 			k1, v1 := groupKey(op, 1), fmt.Sprintf("t1-%d-%04x", op, rng.Uint64()&0xffff)
 			before := groupCount()
-			tx, err := rc.BeginTx()
-			if err != nil {
-				fail("op %d: BEGIN exhausted retries: %v", op, err)
-				break
-			}
-			lost := false
-			for _, p := range [][2]string{{k0, v0}, {k1, v1}} {
-				if err := tx.Set([]byte(p[0]), []byte(p[1])); err != nil {
-					if errors.Is(err, shardclient.ErrTxLost) {
-						fp.GroupsLost++
-						lost = true
-						break
-					}
-					fail("op %d: tx SET %s: %v", op, p[0], err)
-					lost = true
-					break
-				}
+			tx, lost, serr := s.stage(op, [][2]string{{k0, v0}, {k1, v1}})
+			if serr != nil {
+				return fp, serr
 			}
 			if lost {
-				break
-			}
-			outcome, err := tx.Commit()
-			applied := err == nil &&
-				(outcome == shardclient.CommitApplied || outcome == shardclient.CommitResolvedApplied)
-			if err != nil && errors.Is(err, shardclient.ErrTxLost) {
 				fp.GroupsLost++
 				break
 			}
+			outcome, cerr := tx.Commit()
+			if errors.Is(cerr, shardclient.ErrTxLost) {
+				fp.GroupsLost++
+				break
+			}
+			landed := applied(outcome, cerr)
 			if groupCount() == before {
 				// The commit never reached 2PC (connection cut before the
 				// server processed it, or a leg failed at Put time): no
 				// group, no plan entry consumed — it must not have applied.
-				if applied {
-					fail("op %d: commit applied without a 2PC group", op)
+				if landed {
+					return fp, fmt.Errorf("op %d: commit applied without a 2PC group", op)
 				}
 				fp.GroupsLost++
 				break
@@ -486,74 +309,45 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 			switch entry.step {
 			case stepBeforePrepare, stepBeforeDecide:
 				// Crash before the decision: presumed abort, must never apply.
-				if applied {
-					fail("op %d: group %d applied despite %v crash", op, before, entry.step)
-					break
+				if landed {
+					return fp, fmt.Errorf("op %d: group %d applied despite %v crash", op, before, entry.step)
 				}
 				fp.GroupsAborted++
 			case stepAfterPrepare, stepAfterDecide, stepBeforeForget:
 				// The commit decision becomes durable: must always apply,
 				// however many participants died after voting.
-				if !applied {
-					fail("op %d: group %d lost despite durable commit decision (%v crash): outcome=%v err=%v",
-						op, before, entry.step, outcome, err)
-					break
+				if !landed {
+					return fp, fmt.Errorf("op %d: group %d lost despite durable commit decision (%v crash): outcome=%v err=%v",
+						op, before, entry.step, outcome, cerr)
 				}
 				fp.GroupsApplied++
-				oracle[k0], oracle[k1] = v0, v1
+				s.oracle[k0], s.oracle[k1] = v0, v1
 			default: // clean group: whatever the wire decided, atomically
-				if applied {
+				if landed {
 					fp.GroupsApplied++
-					oracle[k0], oracle[k1] = v0, v1
+					s.oracle[k0], s.oracle[k1] = v0, v1
 				} else {
 					fp.GroupsAborted++
 				}
 			}
 			if entry.step != stepNone && !quiesce() {
-				fail("op %d: shards did not quiesce after %v crash (in-doubt=%d)",
+				return fp, fmt.Errorf("op %d: shards did not quiesce after %v crash (in-doubt=%d)",
 					op, entry.step, r.TwoPCInfo().InDoubt)
 			}
+		}
+		if err != nil {
+			return fp, err
 		}
 	}
 
 	// History over: let every restart and in-doubt resolution finish, then
 	// verify on a clean connection that exactly the oracle survived.
-	if violation == "" && !quiesce() {
-		fail("final quiescence timeout (in-doubt=%d)", r.TwoPCInfo().InDoubt)
+	if !quiesce() {
+		return fp, fmt.Errorf("final quiescence timeout (in-doubt=%d)", r.TwoPCInfo().InDoubt)
 	}
-	sched.Disarm()
-	rc.Close()
-	cc, err := shardclient.Dial(addr.String(), "verify")
-	if err != nil {
-		return fp, firstOf(violation, fmt.Sprintf("clean dial: %v", err))
+	if err := s.verify(); err != nil {
+		return fp, err
 	}
-	defer cc.Close()
-	got, err := cc.Scan(0, nil, len(oracle)+16)
-	if err != nil {
-		return fp, firstOf(violation, fmt.Sprintf("clean scan: %v", err))
-	}
-	want := oracleSlice(oracle, "", len(oracle)+1)
-	if len(got) != len(want) {
-		fail("final state: %d live keys, oracle %d — a group applied partially or an acked write was lost",
-			len(got), len(want))
-	} else {
-		for i := range got {
-			if string(got[i].Key) != want[i][0] || string(got[i].Val) != want[i][1] {
-				fail("final state[%d]: %s=%s, oracle %s=%s",
-					i, got[i].Key, got[i].Val, want[i][0], want[i][1])
-				break
-			}
-		}
-	}
-	h := fnv.New64a()
-	for _, kv := range got {
-		h.Write(kv.Key)
-		h.Write([]byte{0})
-		h.Write(kv.Val)
-		h.Write([]byte{0})
-	}
-	fp.StateHash = h.Sum64()
-	fp.LiveKeys = len(got)
 	mu.Lock()
 	fp.Crashes = crashes
 	mu.Unlock()
@@ -563,19 +357,19 @@ func twoPCRun(seed uint64, cfg TwoPCConfig) (fp TwoPCFingerprint, violation stri
 	fp.Incarnation = info.Coordinator.Incarnation
 	fp.InDoubtFinal = info.InDoubt
 	if fp.InDoubtFinal != 0 {
-		fail("final state: %d transaction(s) still in doubt", fp.InDoubtFinal)
+		return fp, fmt.Errorf("final state: %d transaction(s) still in doubt", fp.InDoubtFinal)
 	}
 	if uint64(fp.LiveDecisions) != fp.Crashes[stepBeforeForget] {
-		fail("coordinator log holds %d live decisions, want %d (one per before-forget crash)",
+		return fp, fmt.Errorf("coordinator log holds %d live decisions, want %d (one per before-forget crash)",
 			fp.LiveDecisions, fp.Crashes[stepBeforeForget])
 	}
 	if want := 1 + fp.CoordCrashes + fp.Crashes[stepBeforeDecide]; fp.Incarnation != want {
-		fail("coordinator incarnation %d, want %d (one bump per crash)", fp.Incarnation, want)
+		return fp, fmt.Errorf("coordinator incarnation %d, want %d (one bump per crash)", fp.Incarnation, want)
 	}
-	for s := stepBeforePrepare; s < numTwoPCSteps; s++ {
-		if fp.Crashes[s] < 2 {
-			fail("crash step %v exercised %d time(s), want >= 2 (history too short?)", s, fp.Crashes[s])
+	for st := stepBeforePrepare; st < numTwoPCSteps; st++ {
+		if fp.Crashes[st] < 2 {
+			return fp, fmt.Errorf("crash step %v exercised %d time(s), want >= 2 (history too short?)", st, fp.Crashes[st])
 		}
 	}
-	return fp, violation
+	return fp, nil
 }

@@ -596,33 +596,69 @@ func TestPartitionBufferDrivesEviction(t *testing.T) {
 	}
 }
 
-func TestRecordCodecRoundTrip(t *testing.T) {
-	rids := []storage.RecordID{
-		{},
-		{Page: storage.NewPageID(7, 99), Slot: 3},
-	}
+// codecRecords is every record shape the codec has: each type, marked and
+// not, with and without an anti-matter RID; matter records carry a value.
+func codecRecords() []Record {
+	var out []Record
 	for _, typ := range []RecType{Regular, Replacement, Anti, Tombstone} {
 		for _, gc := range []bool{false, true} {
-			for _, old := range rids {
+			for _, old := range []storage.RecordID{{}, {Page: storage.NewPageID(7, 99), Slot: 3}} {
 				r := Record{Type: typ, TS: 123456, OldRID: old}
 				r.SetGC(gc)
 				if r.Matter() {
 					r.Ref = index.Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 5), Slot: 9}, VID: 42}
-				}
-				if r.Matter() {
 					r.Val = []byte("inline-value")
 				}
-				got, err := decodeRecord(encodeRecord(nil, &r))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Type != r.Type || got.GCMarked() != r.GCMarked() || got.TS != r.TS ||
-					got.Ref != r.Ref || got.OldRID != r.OldRID || !bytes.Equal(got.Val, r.Val) {
-					t.Fatalf("round trip: %+v != %+v", got, r)
-				}
+				out = append(out, r)
 			}
 		}
 	}
+	return out
+}
+
+// TestRecordCodecRoundTrip: an encoded record decodes to itself, and —
+// bodies are read where they lie in a page image — every truncation of it,
+// and a value length rewritten to run past its end, is an error.
+func TestRecordCodecRoundTrip(t *testing.T) {
+	for _, r := range codecRecords() {
+		enc := encodeRecord(nil, &r)
+		got, err := decodeRecord(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != r.Type || got.GCMarked() != r.GCMarked() || got.TS != r.TS ||
+			got.Ref != r.Ref || got.OldRID != r.OldRID || !bytes.Equal(got.Val, r.Val) {
+			t.Fatalf("round trip: %+v != %+v", got, r)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := decodeRecord(enc[:cut]); err == nil {
+				t.Fatalf("%+v: accepted the body cut to %d of %d bytes", r, cut, len(enc))
+			}
+		}
+		if r.Val != nil {
+			long := bytes.Clone(enc)
+			long[len(long)-len(r.Val)-1] = 0x7f // the value's one-byte length prefix
+			if _, err := decodeRecord(long); err == nil {
+				t.Fatalf("%+v: accepted a value length past the end of the body", r)
+			}
+		}
+	}
+}
+
+// FuzzDecodeRecord: any byte string is a record or an error, never a panic.
+//
+//	go test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/index/mvpbt/
+func FuzzDecodeRecord(f *testing.F) {
+	for _, r := range codecRecords() {
+		f.Add(encodeRecord(nil, &r))
+	}
+	f.Add([]byte{byte(Regular) | flagVal, 1, 0x80})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeRecord(b)
+		if err == nil && len(r.Val) > len(b) {
+			t.Fatalf("value of %d bytes out of a %d-byte body", len(r.Val), len(b))
+		}
+	})
 }
 
 // TestRandomizedModel drives MV-PBT with a random committed history of

@@ -8,7 +8,7 @@
 package mvpbt
 
 import (
-	"fmt"
+	"errors"
 	"sync/atomic"
 
 	"mvpbt/internal/index"
@@ -137,10 +137,14 @@ func encodeRecord(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// decodeRecord parses a body produced by encodeRecord.
+var errTruncatedRecord = errors.New("mvpbt: truncated record")
+
+// decodeRecord parses a body produced by encodeRecord. The body is read where
+// it lies in a page image, so every field is bounds-checked: a body cut short
+// or a value length past its end is an error, not a panic.
 func decodeRecord(src []byte) (Record, error) {
 	if len(src) < 2 {
-		return Record{}, fmt.Errorf("mvpbt: truncated record")
+		return Record{}, errTruncatedRecord
 	}
 	var r Record
 	flags := src[0]
@@ -150,20 +154,31 @@ func decodeRecord(src []byte) (Record, error) {
 	}
 	i := 1
 	ts, n := util.Uvarint(src[i:])
+	if n <= 0 {
+		return Record{}, errTruncatedRecord
+	}
 	i += n
 	r.TS = txn.TxID(ts)
 	if r.Matter() {
+		if len(src)-i < index.RefLen {
+			return Record{}, errTruncatedRecord
+		}
 		r.Ref = index.DecodeRef(src[i:])
 		i += index.RefLen
 	}
 	if flags&flagOldRID != 0 {
+		if len(src)-i < storage.RecordIDLen {
+			return Record{}, errTruncatedRecord
+		}
 		r.OldRID = storage.DecodeRecordID(src[i:])
 		i += storage.RecordIDLen
 	}
 	if flags&flagVal != 0 {
-		v, n := util.GetBytes(src[i:])
+		v, _, ok := util.GetBytes(src[i:])
+		if !ok {
+			return Record{}, errTruncatedRecord
+		}
 		r.Val = v
-		i += n
 	}
 	return r, nil
 }

@@ -50,11 +50,32 @@ func EncodeMeta(dst []byte, s *Segment) []byte {
 func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, error) {
 	s := &Segment{pool: pool, file: file}
 	var err error
-	i := 0
+	// The three readers stop consuming at the first field that is cut short
+	// or over-long; short is checked once the fixed fields are read and once
+	// at the end.
+	i, short := 0, false
 	read := func() uint64 {
 		v, n := util.Uvarint(b[i:])
+		if n <= 0 {
+			short = true
+			return 0
+		}
 		i += n
 		return v
+	}
+	readBytes := func() []byte {
+		v, n, ok := util.GetBytes(b[i:])
+		short = short || !ok
+		i += n
+		return v
+	}
+	readFlag := func() bool {
+		if i >= len(b) {
+			short = true
+			return false
+		}
+		i++
+		return b[i-1] == 1
 	}
 	s.No = int(read())
 	s.StartPage = read()
@@ -62,38 +83,27 @@ func DecodeMeta(pool *buffer.Pool, file *sfile.File, b []byte) (*Segment, int, e
 	s.NumLeaves = int(read())
 	s.rootRel = int(read())
 	s.height = int(read())
-	mk, n := util.GetBytes(b[i:])
-	i += n
-	s.MinKey = append([]byte(nil), mk...)
-	xk, n := util.GetBytes(b[i:])
-	i += n
-	s.MaxKey = append([]byte(nil), xk...)
+	s.MinKey = append([]byte(nil), readBytes()...)
+	s.MaxKey = append([]byte(nil), readBytes()...)
 	s.MinTS = read()
 	s.MaxTS = read()
 	s.NumRecords = int(read())
 	s.SizeBytes = int(read())
-	if s.NumPages <= 0 || s.NumLeaves <= 0 || s.rootRel >= s.NumPages {
+	if short || s.NumPages <= 0 || s.NumLeaves <= 0 || s.rootRel < 0 || s.rootRel >= s.NumPages {
 		return nil, 0, fmt.Errorf("part: corrupt segment metadata")
 	}
-	if b[i] == 1 {
-		i++
-		fb, n := util.GetBytes(b[i:])
-		i += n
-		if s.Filter, err = bloom.UnmarshalFilter(fb); err != nil {
+	if readFlag() {
+		if s.Filter, err = bloom.UnmarshalFilter(readBytes()); err != nil {
 			return nil, 0, fmt.Errorf("part: segment %d bloom filter: %w", s.No, err)
 		}
-	} else {
-		i++
 	}
-	if b[i] == 1 {
-		i++
-		pb, n := util.GetBytes(b[i:])
-		i += n
-		if s.PFilter, err = bloom.UnmarshalPrefixFilter(pb); err != nil {
+	if readFlag() {
+		if s.PFilter, err = bloom.UnmarshalPrefixFilter(readBytes()); err != nil {
 			return nil, 0, fmt.Errorf("part: segment %d prefix filter: %w", s.No, err)
 		}
-	} else {
-		i++
+	}
+	if short {
+		return nil, 0, fmt.Errorf("part: truncated segment metadata")
 	}
 	return s, i, nil
 }

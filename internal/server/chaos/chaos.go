@@ -15,7 +15,7 @@
 // logical history, so two runs of the same seeded history against the same
 // schedule cut, truncate and stall at exactly the same logical points —
 // regardless of how the kernel chunks the stream. That is what lets
-// check.ChaosCampaign replay a chaotic history twice and demand identical
+// the chaos campaign (internal/check) replay a chaotic history twice and demand identical
 // fingerprints.
 package chaos
 

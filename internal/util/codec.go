@@ -60,10 +60,15 @@ func PutBytes(dst, b []byte) []byte {
 }
 
 // GetBytes reads a length-prefixed byte string, returning the string (a
-// sub-slice of src, not a copy) and the total byte count consumed.
-func GetBytes(src []byte) ([]byte, int) {
+// sub-slice of src, not a copy) and the total byte count consumed. ok is
+// false when the length prefix is cut short or promises more bytes than src
+// holds: src may come straight off a device.
+func GetBytes(src []byte) (b []byte, n int, ok bool) {
 	l, n := Uvarint(src)
-	return src[n : n+int(l)], n + int(l)
+	if n <= 0 || l > uint64(len(src)-n) {
+		return nil, 0, false
+	}
+	return src[n : n+int(l)], n + int(l), true
 }
 
 // CommonPrefix returns the length of the longest common prefix of a and b.

@@ -192,11 +192,21 @@ func TestPutGetBytes(t *testing.T) {
 	f := func(b []byte, trailer []byte) bool {
 		enc := PutBytes(nil, b)
 		enc = append(enc, trailer...)
-		got, n := GetBytes(enc)
-		return bytes.Equal(got, b) && n == len(enc)-len(trailer)
+		got, n, ok := GetBytes(enc)
+		return ok && bytes.Equal(got, b) && n == len(enc)-len(trailer)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Bytes off a device: a prefix cut short, a string cut short, a length
+	// past the end of the buffer and a varint that overflows are all refused.
+	for _, bad := range [][]byte{
+		nil, {0x80}, {3, 'a', 'b'}, {0xff, 0xff, 0xff, 0xff, 0x0f, 'a'},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		if got, n, ok := GetBytes(bad); ok || n != 0 || got != nil {
+			t.Errorf("GetBytes(%x) = %x, %d, %v; want refused", bad, got, n, ok)
+		}
 	}
 }
 

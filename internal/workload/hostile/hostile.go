@@ -11,10 +11,10 @@
 // with synchronous maintenance and group commit in its deterministic
 // batches-of-one regime, and condenses its outcome into a comparable
 // Fingerprint. Replaying the same scenario twice and comparing
-// fingerprints with == is the whole determinism check — the same
-// double-replay discipline as the fault and exhaustion campaigns
-// (internal/check). The scenario campaign and the bench matrix both build
-// on Run.
+// fingerprints with == is the whole determinism check, and the campaign
+// runner (internal/check) does it for every cell. The scenario campaign and
+// the bench matrix both build on Run; Table, the single-table oracle
+// fixture the scenarios stand on, also carries the exhaustion campaign.
 package hostile
 
 import (
@@ -54,18 +54,13 @@ const (
 	NumKinds = 4
 )
 
+var kindNames = [NumKinds]string{"hot-key-storm", "sawtooth", "snapshot-pin", "tenant-skew"}
+
 func (k Kind) String() string {
-	switch k {
-	case HotKeyStorm:
-		return "hot-key-storm"
-	case Sawtooth:
-		return "sawtooth"
-	case SnapshotPin:
-		return "snapshot-pin"
-	case TenantSkew:
-		return "tenant-skew"
+	if k < 0 || k >= NumKinds {
+		return "?"
 	}
-	return "?"
+	return kindNames[k]
 }
 
 // Kinds returns all scenarios in canonical order.
@@ -73,9 +68,9 @@ func Kinds() []Kind { return []Kind{HotKeyStorm, Sawtooth, SnapshotPin, TenantSk
 
 // KindByName resolves a scenario by its String name.
 func KindByName(name string) (Kind, bool) {
-	for _, k := range Kinds() {
-		if k.String() == name {
-			return k, true
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
 		}
 	}
 	return 0, false
@@ -92,13 +87,6 @@ type Config struct {
 	Heap db.HeapKind
 	// Scale multiplies operation counts (default 1, the CI size).
 	Scale int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	return c
 }
 
 // Fingerprint condenses one scenario run into a comparable value: two
@@ -155,20 +143,19 @@ type Fingerprint struct {
 	ResumedCommits int64
 }
 
-// Diff describes how two fingerprints of the same scenario diverge
-// ("" = byte-identical replay).
-func Diff(a, b Fingerprint) string {
-	if a == b {
-		return ""
-	}
-	return fmt.Sprintf("fingerprints differ:\n  run1: %+v\n  run2: %+v", a, b)
+// String is the one-line rendering the campaign runner prints per cell.
+func (fp Fingerprint) String() string {
+	return fmt.Sprintf("%d commits, %d typed errs, io %d ops / %.1fms, hash %016x",
+		fp.Committed, fp.TypedErrs, fp.Reads+fp.Writes, float64(fp.IOTimeNS)/1e6, fp.StateHash)
 }
 
 // Run executes one scenario and returns its fingerprint. A non-nil error
 // means the scenario itself failed an invariant (not a determinism
 // mismatch — that is the caller's double-replay comparison).
 func Run(kind Kind, cfg Config) (Fingerprint, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
 	switch kind {
 	case HotKeyStorm:
 		return runHotKey(cfg)
@@ -184,8 +171,8 @@ func Run(kind Kind, cfg Config) (Fingerprint, error) {
 
 // ---- shared helpers ----
 
-// row builds the harness row layout [len(key)][key][val].
-func row(key, val string) []byte {
+// Row builds the harness row layout [len(key)][key][val].
+func Row(key, val string) []byte {
 	r := make([]byte, 0, 1+len(key)+len(val))
 	r = append(r, byte(len(key)))
 	r = append(r, key...)
@@ -208,15 +195,20 @@ func p99(samples []int64) int64 {
 	return s[idx]
 }
 
-// hashState fingerprints an oracle map in key order.
-func hashState(expect map[string]string) uint64 {
-	keys := make([]string, 0, len(expect))
-	for k := range expect {
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// HashState fingerprints an oracle map in key order (FNV-1a).
+func HashState(expect map[string]string) uint64 {
 	h := fnv.New64a()
-	for _, k := range keys {
+	for _, k := range sortedKeys(expect) {
 		h.Write([]byte(k))
 		h.Write([]byte{0})
 		h.Write([]byte(expect[k]))
@@ -247,128 +239,134 @@ func (fp *Fingerprint) captureEngine(e *db.Engine) {
 	fp.Reclaims += sp.Reclaims
 }
 
-// table is a single-engine scenario fixture: an engine, one table with a
-// unique MV-PBT primary index, and the expected committed state (the
-// oracle — single-client histories make a last-committed-row map
-// complete).
-type table struct {
-	eng    *db.Engine
-	tbl    *db.Table
+// Table is the single-table oracle fixture: an engine, one table with a
+// unique MV-PBT primary index, and the expected committed key → value state
+// (the oracle — single-client histories make a last-committed map complete).
+type Table struct {
+	Eng    *db.Engine
+	Tbl    *db.Table
+	Expect map[string]string
 	ix     *db.Index
-	expect map[string]string
 }
 
-func newTable(cfg Config, ec db.Config) (*table, error) {
-	ec.Device = cfg.Device
-	ec.EnableWAL = true
-	// Group commit in its deterministic single-threaded regime (batches
-	// of one), so scenarios exercise the production commit pipeline.
-	ec.GroupCommit = db.GroupCommitConfig{Enabled: true}
+// NewTable builds the fixture on a fresh engine configured by ec.
+func NewTable(ec db.Config, heap db.HeapKind, maxPartitions int) (*Table, error) {
 	eng := db.NewEngine(ec)
-	tbl, err := eng.NewTable("t", cfg.Heap, db.IndexDef{
+	tbl, err := eng.NewTable("t", heap, db.IndexDef{
 		Name: "pk", Kind: db.IdxMVPBT, RefMode: db.RefPhysical, Unique: true,
-		Extract: extractKey, BloomBits: 10, MaxPartitions: 6,
+		Extract: extractKey, BloomBits: 10, MaxPartitions: maxPartitions,
 	})
 	if err != nil {
 		eng.Close()
 		return nil, err
 	}
-	return &table{eng: eng, tbl: tbl, ix: tbl.Indexes()[0], expect: map[string]string{}}, nil
+	return &Table{Eng: eng, Tbl: tbl, ix: tbl.Indexes()[0], Expect: map[string]string{}}, nil
 }
 
-// put upserts key=val in one committed transaction, mirroring the oracle.
+// newTable is NewTable for a scenario: on cfg's device, with the WAL on and
+// group commit in its deterministic single-threaded regime (batches of one),
+// so scenarios exercise the production commit pipeline.
+func newTable(cfg Config, ec db.Config) (*Table, error) {
+	ec.Device = cfg.Device
+	ec.EnableWAL = true
+	ec.GroupCommit = db.GroupCommitConfig{Enabled: true}
+	return NewTable(ec, cfg.Heap, 6)
+}
+
+// Put upserts key=val in one committed transaction, mirroring the oracle.
 // Typed write failures (read-only degradation, exhaustion) are returned
 // untouched for the caller's control flow.
-func (t *table) put(key, val string) error {
-	r := row(key, val)
-	tx := t.eng.Begin()
-	if _, ok := t.expect[key]; ok {
-		cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
+func (t *Table) Put(key, val string) error {
+	r := Row(key, val)
+	tx := t.Eng.Begin()
+	if _, ok := t.Expect[key]; ok {
+		cur, err := t.Tbl.LookupOne(tx, t.ix, []byte(key), true)
 		if err == nil && cur == nil {
 			err = fmt.Errorf("hostile: committed key %q not visible", key)
 		}
 		if err == nil {
-			_, err = t.tbl.Update(tx, *cur, r)
+			_, err = t.Tbl.Update(tx, *cur, r)
 		}
 		if err != nil {
-			t.eng.Abort(tx)
+			t.Eng.Abort(tx)
 			return err
 		}
-	} else if _, _, err := t.tbl.Insert(tx, r); err != nil {
-		t.eng.Abort(tx)
+	} else if _, _, err := t.Tbl.Insert(tx, r); err != nil {
+		t.Eng.Abort(tx)
 		return err
 	}
-	if err := t.eng.CommitDurable(tx); err != nil {
-		t.eng.Abort(tx)
+	if err := t.Eng.CommitDurable(tx); err != nil {
+		t.Eng.Abort(tx)
 		return err
 	}
-	t.expect[key] = val
+	t.Expect[key] = val
 	return nil
 }
 
 // del removes key in one committed transaction, mirroring the oracle.
-func (t *table) del(key string) error {
-	tx := t.eng.Begin()
-	cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
+func (t *Table) del(key string) error {
+	tx := t.Eng.Begin()
+	cur, err := t.Tbl.LookupOne(tx, t.ix, []byte(key), true)
 	if err == nil && cur == nil {
 		err = fmt.Errorf("hostile: committed key %q not visible for delete", key)
 	}
 	if err == nil {
-		err = t.tbl.Delete(tx, *cur)
+		err = t.Tbl.Delete(tx, *cur)
 	}
 	if err != nil {
-		t.eng.Abort(tx)
+		t.Eng.Abort(tx)
 		return err
 	}
-	if err := t.eng.CommitDurable(tx); err != nil {
-		t.eng.Abort(tx)
+	if err := t.Eng.CommitDurable(tx); err != nil {
+		t.Eng.Abort(tx)
 		return err
 	}
-	delete(t.expect, key)
+	delete(t.Expect, key)
 	return nil
 }
 
 // lookupNS reads key at a fresh snapshot and returns the virtual time the
 // lookup cost. The value is held to the oracle.
-func (t *table) lookupNS(key string) (int64, error) {
-	tx := t.eng.Begin()
-	defer t.eng.Abort(tx)
-	before := t.eng.Clock.Now()
-	cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
-	elapsed := int64(t.eng.Clock.Now() - before)
+func (t *Table) lookupNS(key string) (int64, error) {
+	tx := t.Eng.Begin()
+	defer t.Eng.Abort(tx)
+	before := t.Eng.Clock.Now()
+	cur, err := t.Tbl.LookupOne(tx, t.ix, []byte(key), true)
+	elapsed := int64(t.Eng.Clock.Now() - before)
 	if err != nil {
 		return elapsed, err
 	}
-	want, ok := t.expect[key]
+	want, ok := t.Expect[key]
 	switch {
 	case !ok && cur != nil:
 		return elapsed, fmt.Errorf("hostile: deleted key %q still visible", key)
 	case ok && cur == nil:
 		return elapsed, fmt.Errorf("hostile: committed key %q not visible", key)
-	case ok && string(cur.Row) != string(row(key, want)):
-		return elapsed, fmt.Errorf("hostile: key %q: got %q, want %q", key, cur.Row, row(key, want))
+	case ok && string(cur.Row) != string(Row(key, want)):
+		return elapsed, fmt.Errorf("hostile: key %q: got %q, want %q", key, cur.Row, Row(key, want))
 	}
 	return elapsed, nil
 }
 
-// checkState holds a full scan to the oracle.
-func (t *table) checkState(phase string) error {
-	tx := t.eng.Begin()
-	defer t.eng.Abort(tx)
+// CheckState holds the engine to the oracle: a fresh snapshot's full scan
+// over the primary index must yield exactly the expected committed rows.
+func (t *Table) CheckState(phase string) error {
+	tx := t.Eng.Begin()
+	defer t.Eng.Abort(tx)
 	got := map[string]string{}
-	err := t.tbl.Scan(tx, t.ix, nil, nil, true, func(rr db.RowRef) bool {
+	err := t.Tbl.Scan(tx, t.ix, nil, nil, true, func(rr db.RowRef) bool {
 		got[string(rr.Key)] = string(rr.Row)
 		return true
 	})
 	if err != nil {
 		return fmt.Errorf("hostile: %s: scan: %w", phase, err)
 	}
-	if len(got) != len(t.expect) {
-		return fmt.Errorf("hostile: %s: engine has %d rows, oracle %d", phase, len(got), len(t.expect))
+	if len(got) != len(t.Expect) {
+		return fmt.Errorf("hostile: %s: engine has %d rows, oracle %d", phase, len(got), len(t.Expect))
 	}
-	for k, w := range t.expect {
-		if g, ok := got[k]; !ok || g != string(row(k, w)) {
-			return fmt.Errorf("hostile: %s: row %q: engine %q, oracle %q", phase, k, g, row(k, w))
+	for k, w := range t.Expect {
+		if g, ok := got[k]; !ok || g != string(Row(k, w)) {
+			return fmt.Errorf("hostile: %s: row %q: engine %q, oracle %q", phase, k, g, Row(k, w))
 		}
 	}
 	return nil
@@ -402,18 +400,18 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 	if err != nil {
 		return fp, err
 	}
-	defer t.eng.Close()
+	defer t.Eng.Close()
 	rng := util.NewRand(cfg.Seed)
 
 	keys := 1500 * cfg.Scale
 	for i := 0; i < keys; i++ {
-		if err := t.put(fmt.Sprintf("k%05d", i), randVal(rng, 500+rng.Intn(300))); err != nil {
+		if err := t.Put(fmt.Sprintf("k%05d", i), randVal(rng, 500+rng.Intn(300))); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
 	const hot = "hot"
-	if err := t.put(hot, randVal(rng, 64)); err != nil {
+	if err := t.Put(hot, randVal(rng, 64)); err != nil {
 		return fp, err
 	}
 	fp.Committed++
@@ -442,7 +440,7 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 	// chain through partition after partition (merges and GC absorb it).
 	storms := 1200 * cfg.Scale
 	for i := 0; i < storms; i++ {
-		if err := t.put(hot, randVal(rng, 64+rng.Intn(64))); err != nil {
+		if err := t.Put(hot, randVal(rng, 64+rng.Intn(64))); err != nil {
 			return fp, err
 		}
 		fp.Committed++
@@ -455,8 +453,8 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 	if _, err := t.lookupNS(hot); err != nil {
 		return fp, err
 	}
-	fp.StateHash = hashState(t.expect)
-	fp.captureEngine(t.eng)
+	fp.StateHash = HashState(t.Expect)
+	fp.captureEngine(t.Eng)
 	return fp, nil
 }
 
@@ -479,14 +477,14 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 	if err != nil {
 		return fp, err
 	}
-	defer t.eng.Close()
+	defer t.Eng.Close()
 	rng := util.NewRand(cfg.Seed)
 
 	const cycles = 3
 	keysPerCycle := 600 * cfg.Scale
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < keysPerCycle; i++ {
-			err := t.put(fmt.Sprintf("c%d-k%04d", c, i), randVal(rng, 800+rng.Intn(400)))
+			err := t.Put(fmt.Sprintf("c%d-k%04d", c, i), randVal(rng, 800+rng.Intn(400)))
 			if err != nil {
 				if isSpacePressure(err) {
 					// The governor shed the write; the trough below will
@@ -498,16 +496,11 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 			}
 			fp.Committed++
 		}
-		if live := t.eng.SpaceInfo().Live; live > fp.PeakLive {
+		if live := t.Eng.SpaceInfo().Live; live > fp.PeakLive {
 			fp.PeakLive = live
 		}
 		// The trough: delete everything this crest loaded.
-		keys := make([]string, 0, len(t.expect))
-		for k := range t.expect {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(t.Expect) {
 			if err := t.del(k); err != nil {
 				return fp, err
 			}
@@ -518,31 +511,31 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 		// vacuum), run synchronously. The governor's automatic passes are
 		// edge-triggered on soft-watermark crossings and so fire during
 		// the crests; the window is the scheduled off-peak complement.
-		if err := t.eng.ReclaimNow(); err != nil {
+		if err := t.Eng.ReclaimNow(); err != nil {
 			return fp, fmt.Errorf("hostile: sawtooth trough reclaim: %w", err)
 		}
 	}
-	if err := t.checkState("after-final-trough"); err != nil {
+	if err := t.CheckState("after-final-trough"); err != nil {
 		return fp, err
 	}
 	// A handful of sentinel writes prove the engine still takes load in
 	// its settled footprint.
 	for i := 0; i < 5; i++ {
-		if err := t.put(fmt.Sprintf("sentinel%d", i), "s"); err != nil {
+		if err := t.Put(fmt.Sprintf("sentinel%d", i), "s"); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
-	fp.FinalLive = t.eng.SpaceInfo().Live
-	if fp.PeakLive <= t.eng.SpaceInfo().Soft {
+	fp.FinalLive = t.Eng.SpaceInfo().Live
+	if fp.PeakLive <= t.Eng.SpaceInfo().Soft {
 		return fp, fmt.Errorf("hostile: sawtooth crests never crossed the soft watermark (peak=%d soft=%d)",
-			fp.PeakLive, t.eng.SpaceInfo().Soft)
+			fp.PeakLive, t.Eng.SpaceInfo().Soft)
 	}
 	if fp.FinalLive >= fp.PeakLive {
 		return fp, fmt.Errorf("hostile: sawtooth ratcheted: final live %d >= peak %d", fp.FinalLive, fp.PeakLive)
 	}
-	fp.StateHash = hashState(t.expect)
-	fp.captureEngine(t.eng)
+	fp.StateHash = HashState(t.Expect)
+	fp.captureEngine(t.Eng)
 	return fp, nil
 }
 
@@ -567,29 +560,29 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 	if err != nil {
 		return fp, err
 	}
-	defer t.eng.Close()
+	defer t.Eng.Close()
 	rng := util.NewRand(cfg.Seed)
 
 	const keys = 48
 	for i := 0; i < keys; i++ {
-		if err := t.put(fmt.Sprintf("k%04d", i), fmt.Sprintf("seed%d", i)); err != nil {
+		if err := t.Put(fmt.Sprintf("k%04d", i), fmt.Sprintf("seed%d", i)); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
 	// The analytical snapshot: sees exactly the seed state, forever.
-	pinned := t.eng.Begin()
+	pinned := t.Eng.Begin()
 	pinnedOpen := true
 	defer func() {
 		if pinnedOpen {
-			t.eng.Abort(pinned)
+			t.Eng.Abort(pinned)
 		}
 	}()
 
 	maxTx := 30000 * cfg.Scale
-	for i := 0; i < maxTx && !t.eng.ReadOnly(); i++ {
+	for i := 0; i < maxTx && !t.Eng.ReadOnly(); i++ {
 		key := fmt.Sprintf("k%04d", i%keys)
-		if err := t.put(key, randVal(rng, 200+rng.Intn(120))); err != nil {
+		if err := t.Put(key, randVal(rng, 200+rng.Intn(120))); err != nil {
 			if isSpacePressure(err) {
 				fp.TypedErrs++
 				break
@@ -599,62 +592,62 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 		fp.Committed++
 		fp.PinTxs++
 	}
-	if !t.eng.ReadOnly() {
+	if !t.Eng.ReadOnly() {
 		return fp, fmt.Errorf("hostile: snapshot-pin: engine never degraded after %d churn txs (live=%d)",
-			fp.PinTxs, t.eng.SpaceInfo().Live)
+			fp.PinTxs, t.Eng.SpaceInfo().Live)
 	}
-	fp.PinnedLive = t.eng.SpaceInfo().Live
+	fp.PinnedLive = t.Eng.SpaceInfo().Live
 
 	// Degraded: writes fail fast with the typed error…
-	tx := t.eng.Begin()
-	if _, _, err := t.tbl.Insert(tx, row("nope", "x")); !errors.Is(err, db.ErrReadOnly) {
-		t.eng.Abort(tx)
+	tx := t.Eng.Begin()
+	if _, _, err := t.Tbl.Insert(tx, Row("nope", "x")); !errors.Is(err, db.ErrReadOnly) {
+		t.Eng.Abort(tx)
 		return fp, fmt.Errorf("hostile: snapshot-pin: degraded insert returned %v, want db.ErrReadOnly", err)
 	}
-	t.eng.Abort(tx)
+	t.Eng.Abort(tx)
 	fp.TypedErrs++
 	// …the pinned snapshot still sees exactly the seed state…
 	for i := 0; i < keys; i += 7 {
 		key := fmt.Sprintf("k%04d", i)
-		cur, err := t.tbl.LookupOne(pinned, t.ix, []byte(key), true)
+		cur, err := t.Tbl.LookupOne(pinned, t.ix, []byte(key), true)
 		if err != nil {
 			return fp, fmt.Errorf("hostile: snapshot-pin: pinned read: %w", err)
 		}
-		want := string(row(key, fmt.Sprintf("seed%d", i)))
+		want := string(Row(key, fmt.Sprintf("seed%d", i)))
 		if cur == nil || string(cur.Row) != want {
 			return fp, fmt.Errorf("hostile: snapshot-pin: pinned snapshot drifted on %q", key)
 		}
 	}
 	// …and a fresh snapshot sees the newest committed state.
-	if err := t.checkState("degraded"); err != nil {
+	if err := t.CheckState("degraded"); err != nil {
 		return fp, err
 	}
 
 	// Release the snapshot: the abort boundary retries reclamation with
 	// the horizon unpinned, and the engine must re-open for writes.
 	pinnedOpen = false
-	t.eng.Abort(pinned)
+	t.Eng.Abort(pinned)
 	// The governor retries reclamation at every commit/abort boundary
 	// while degraded; a few no-op boundaries bound the healing time.
-	for i := 0; i < 5 && t.eng.ReadOnly(); i++ {
-		t.eng.Abort(t.eng.Begin())
+	for i := 0; i < 5 && t.Eng.ReadOnly(); i++ {
+		t.Eng.Abort(t.Eng.Begin())
 	}
-	if t.eng.ReadOnly() {
+	if t.Eng.ReadOnly() {
 		return fp, fmt.Errorf("hostile: snapshot-pin: engine still read-only after snapshot release: %+v",
-			t.eng.SpaceInfo())
+			t.Eng.SpaceInfo())
 	}
-	fp.ReleasedLive = t.eng.SpaceInfo().Live
+	fp.ReleasedLive = t.Eng.SpaceInfo().Live
 	for i := 0; i < 5; i++ {
-		if err := t.put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
+		if err := t.Put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
-	if err := t.checkState("resumed"); err != nil {
+	if err := t.CheckState("resumed"); err != nil {
 		return fp, err
 	}
-	fp.StateHash = hashState(t.expect)
-	fp.captureEngine(t.eng)
+	fp.StateHash = HashState(t.Expect)
+	fp.captureEngine(t.Eng)
 	return fp, nil
 }
 
@@ -834,11 +827,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 		// keys (a TTL purge), then every shard runs a reclamation pass —
 		// tombstone-merging GC, heap vacuum, WAL truncation — so the next
 		// burst starts from a reclaimed footprint.
-		keys := make([]string, 0, len(expect))
-		for k := range expect {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // per-tenant prefixes: sorted = grouped, oldest first
+		keys := sortedKeys(expect) // per-tenant prefixes: sorted = grouped, oldest first
 		for ten := 0; ten < 4; ten++ {
 			prefix := fmt.Sprintf("t%d-", ten)
 			var mine []string
@@ -888,11 +877,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 	}
 
 	// Hold a sample of the oracle to the router's reads.
-	keys := make([]string, 0, len(expect))
-	for k := range expect {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(expect)
 	for i := 0; i < len(keys); i += 17 {
 		v, ok, err := r.Get([]byte(keys[i]))
 		if err != nil {
@@ -903,7 +888,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 				keys[i], v, ok, expect[keys[i]])
 		}
 	}
-	fp.StateHash = hashState(expect)
+	fp.StateHash = HashState(expect)
 	for i := 0; i < r.NumShards(); i++ {
 		fp.captureEngine(r.Shard(i).Engine)
 	}

@@ -7,11 +7,10 @@ import (
 )
 
 // Every hostile scenario must replay byte-identically from its seed on
-// every device in the zoo: run twice, demand fingerprint equality. This
-// is the same double-replay discipline as the fault-injection and
-// exhaustion campaigns — the workloads are deterministic functions of
-// (kind, device, seed), so any divergence is a nondeterminism bug in the
-// engine, the device model, or the generator itself.
+// every device in the zoo: run twice, demand fingerprint equality. The
+// workloads are deterministic functions of (kind, device, seed), so any
+// divergence is a nondeterminism bug in the engine, the device model, or
+// the generator itself.
 func TestScenariosReplayOnZoo(t *testing.T) {
 	for _, spec := range ssd.Zoo() {
 		spec := spec
@@ -28,8 +27,8 @@ func TestScenariosReplayOnZoo(t *testing.T) {
 					if err != nil {
 						t.Fatalf("run 2: %v", err)
 					}
-					if diffs := Diff(a, b); len(diffs) != 0 {
-						t.Fatalf("replay diverged: %v", diffs)
+					if a != b {
+						t.Fatalf("replay diverged:\n  run1: %+v\n  run2: %+v", a, b)
 					}
 					if a.Committed == 0 {
 						t.Fatal("scenario committed nothing")
@@ -59,7 +58,7 @@ func TestSeedsDiverge(t *testing.T) {
 		// sawtooth deliberately ends at a near-empty trough whose
 		// contents are seed-independent, but the trajectory (I/O mix,
 		// virtual time) must still differ.
-		if len(Diff(a, b)) == 0 {
+		if a == b {
 			t.Fatalf("%v: seeds 1 and 2 produced identical fingerprints", kind)
 		}
 	}
