@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -64,9 +64,17 @@ check-nightly:
 check-%:
 	go run ./cmd/mvpbt-check $*
 
-# One testing.B benchmark per paper figure (quick scale).
+# Every experiment under testing.B (BenchmarkExperiment/<id>, quick scale,
+# reporting the headline metrics the experiment declares).
 bench:
 	go test -bench=. -benchmem
+
+# All twenty experiments at quick scale (~12 s) as one JSON document: every
+# cell's value, precision and count-or-clock kind, and the headline metrics
+# with units. CI publishes it; a PR that may move a figure commits it as
+# FIGURES_<pr>.json so the next can diff count cells exactly.
+bench-figures:
+	go run ./cmd/mvpbt-bench -all -json > bench-figures.json
 
 # Commit-pipeline benchmarks: the group-commit experiment table, the
 # write-hot-path alloc benchmarks, the log's own flush benchmark (device
@@ -77,7 +85,7 @@ bench:
 bench-commit:
 	go test ./internal/bench/ -run TestHotPathAllocGate -count 1
 	go test ./internal/wal/ -run TestFlushCostGate -count 1
-	go test -bench BenchmarkCommit_GroupCommit -benchtime 1x -run xxx . | tee bench-commit.txt
+	go test -bench 'BenchmarkExperiment/commit$$' -benchtime 1x -run xxx . | tee bench-commit.txt
 	go test -bench BenchmarkAlloc -benchmem -benchtime 2000x -run xxx ./internal/bench/ | tee -a bench-commit.txt
 	go test -bench BenchmarkWriterFlush -benchmem -benchtime 2000x -run xxx ./internal/wal/ | tee -a bench-commit.txt
 
@@ -104,14 +112,14 @@ bench-ledger:
 	go test ./benchmarks
 
 # Sharded network front-end experiment: clients x shards scaling curve and
-# p99 under overload with admission control on/off. Output lands in
-# bench-net.txt for publishing as a build artifact.
+# p99 under overload with admission control on/off, into bench-net.txt (a
+# local convenience; CI publishes bench-figures.json).
 bench-net:
 	go run ./cmd/mvpbt-bench -run net | tee bench-net.txt
 
 # Hostile-scenario matrix: device zoo x scenario x heap layout, one
-# state-hash-stamped row per cell. Output lands in scenarios.txt for
-# publishing as a build artifact.
+# state-hash-stamped row per cell, into scenarios.txt (a local convenience;
+# CI publishes bench-figures.json and check-all replays every cell).
 bench-scenarios:
 	go run ./cmd/mvpbt-bench -run scenarios | tee scenarios.txt
 

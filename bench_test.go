@@ -1,140 +1,38 @@
 package mvpbt_test
 
-// One testing.B benchmark per table/figure of the paper's evaluation.
-// Each benchmark runs the corresponding experiment from internal/bench at
-// Quick scale and reports the headline figure as custom metrics, printing
-// the full paper-style table in verbose mode. Regenerate everything with:
+// The paper's evaluation as testing.B benchmarks. BenchmarkExperiment runs
+// every experiment of internal/bench at Quick scale under its id and reports
+// the headline metrics the experiment declares (bench.Result.Headlines),
+// printing the full paper-style table in verbose mode. Regenerate everything
+// with:
 //
 //	go test -bench=. -benchmem
 //
-// or run individual experiments at full scale with cmd/mvpbt-bench.
+// one figure with -bench 'BenchmarkExperiment/fig12a$', or run individual
+// experiments at full scale with cmd/mvpbt-bench.
 
 import (
-	"strconv"
 	"testing"
 
 	"mvpbt/internal/bench"
 )
 
-// runExperiment executes the experiment once per benchmark iteration and
-// logs the rendered result table.
-func runExperimentHelper(b *testing.B, id string) *bench.Result {
-	b.Helper()
-	e, ok := bench.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var res *bench.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = e.Run(bench.Quick); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + res.String())
+			for _, m := range res.Headlines {
+				b.ReportMetric(m.Value, m.Name)
+			}
+		})
 	}
-	var res *bench.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = e.Run(bench.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + res.String())
-	return res
-}
-
-// cell parses the numeric cell at (row, col) of a result.
-func cell(b *testing.B, res *bench.Result, row, col int) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(res.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("cell %d/%d: %v", row, col, err)
-	}
-	return v
-}
-
-func BenchmarkFig03_ChainLength(b *testing.B) {
-	res := runExperimentHelper(b, "fig3")
-	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 1), "btree_tx/s@50")
-	b.ReportMetric(cell(b, res, last, 2), "pbt_tx/s@50")
-	b.ReportMetric(cell(b, res, last, 3), "mvpbt_tx/s@50")
-}
-
-func BenchmarkFig08_DeviceIO(b *testing.B) {
-	res := runExperimentHelper(b, "fig8")
-	b.ReportMetric(cell(b, res, 0, 3), "seqread8k_iops")
-	b.ReportMetric(cell(b, res, 6, 3), "randwrite8k_iops")
-}
-
-func BenchmarkFig12a_CHThroughput(b *testing.B) {
-	res := runExperimentHelper(b, "fig12a")
-	b.ReportMetric(cell(b, res, 0, 2), "btree_olap_q/min")
-	b.ReportMetric(cell(b, res, 2, 2), "mvpbt_olap_q/min")
-	b.ReportMetric(cell(b, res, 2, 1), "mvpbt_oltp_tx/min")
-}
-
-func BenchmarkFig12b_VisibilityCheck(b *testing.B) {
-	res := runExperimentHelper(b, "fig12b")
-	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 1), "pbt_vc_ms@120")
-	b.ReportMetric(cell(b, res, last, 3), "mvpbt_gc_ms@120")
-}
-
-func BenchmarkFig12c_WritePattern(b *testing.B) {
-	runExperimentHelper(b, "fig12c")
-}
-
-func BenchmarkFig12d_BufferEfficiency(b *testing.B) {
-	res := runExperimentHelper(b, "fig12d")
-	// base-table requests: physical-reference B-Tree vs MV-PBT.
-	b.ReportMetric(cell(b, res, 2, 3), "btree_pr_tbl_req")
-	b.ReportMetric(cell(b, res, 4, 3), "mvpbt_tbl_req")
-}
-
-func BenchmarkFig13_PartitionFilters(b *testing.B) {
-	res := runExperimentHelper(b, "fig13")
-	b.ReportMetric(cell(b, res, 0, 1), "bloom_negatives_pct")
-	b.ReportMetric(cell(b, res, 0, 3), "bloom_falsepos_pct")
-}
-
-func BenchmarkFig14a_BTreeAlternatives(b *testing.B) {
-	res := runExperimentHelper(b, "fig14a")
-	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 2), "sias_pr_tx/min")
-	b.ReportMetric(cell(b, res, last, 3), "sias_lr_tx/min")
-}
-
-func BenchmarkFig14b_IndexApproaches(b *testing.B) {
-	res := runExperimentHelper(b, "fig14b")
-	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 2), "pbt_pr_tx/min")
-	b.ReportMetric(cell(b, res, last, 4), "mvpbt_tx/min")
-}
-
-func BenchmarkFig14c_FilterThroughput(b *testing.B) {
-	res := runExperimentHelper(b, "fig14c")
-	b.ReportMetric(cell(b, res, 0, 1), "nofilter_tx/min")
-	b.ReportMetric(cell(b, res, 2, 1), "bloom_prefix_tx/min")
-}
-
-func BenchmarkFig14d_GarbageCollection(b *testing.B) {
-	res := runExperimentHelper(b, "fig14d")
-	b.ReportMetric(cell(b, res, 0, 1), "gc_tx/min")
-	b.ReportMetric(cell(b, res, 1, 1), "nogc_tx/min")
-}
-
-func BenchmarkFig15a_YCSB(b *testing.B) {
-	res := runExperimentHelper(b, "fig15a")
-	b.ReportMetric(cell(b, res, 0, 2), "lsm_A_kops")
-	b.ReportMetric(cell(b, res, 0, 3), "mvpbt_A_kops")
-}
-
-func BenchmarkFig15b_PartitionsOverTime(b *testing.B) {
-	res := runExperimentHelper(b, "fig15b")
-	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 2), "partitions")
-}
-
-func BenchmarkCommit_GroupCommit(b *testing.B) {
-	res := runExperimentHelper(b, "commit")
-	// Rows: off×{1,8,64} then on×{1,8,64}; headline is the 64-committer pair.
-	b.ReportMetric(cell(b, res, 2, 2), "off_commits/s@64")
-	b.ReportMetric(cell(b, res, 5, 2), "on_commits/s@64")
-	b.ReportMetric(cell(b, res, 5, 4), "on_flushes/commit@64")
 }
 
 // parallelHarness builds the shared read-path scaling fixture once per
@@ -184,16 +82,4 @@ func BenchmarkParallelScan(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkExtraWA_WriteAmplification(b *testing.B) {
-	res := runExperimentHelper(b, "extra-wa")
-	b.ReportMetric(cell(b, res, 1, 3), "lsm_write_amp")
-	b.ReportMetric(cell(b, res, 2, 3), "mvpbt_write_amp")
-}
-
-func BenchmarkExtraMerge_PartitionMerging(b *testing.B) {
-	res := runExperimentHelper(b, "extra-merge")
-	b.ReportMetric(cell(b, res, 0, 1), "partitions_no_merge")
-	b.ReportMetric(cell(b, res, 1, 1), "partitions_merged")
 }

@@ -8,9 +8,13 @@
 //	mvpbt-bench -run parallel -cpuprofile cpu.pprof -memprofile mem.pprof
 //	mvpbt-bench -run fig12a -device consumer-tlc
 //	mvpbt-bench -run scenarios
+//	mvpbt-bench -all -json > bench-figures.json
 //
 // Every experiment prints the same rows/series the corresponding figure of
-// the paper reports; EXPERIMENTS.md records paper-vs-measured values. The
+// the paper reports; EXPERIMENTS.md records paper-vs-measured values. -csv
+// prints the tables as comma-separated values; -json prints one JSON array
+// of typed results (every cell's value, precision and kind, and the headline
+// metrics with units) for programs that diff figures. The
 // -cpuprofile/-memprofile flags write standard pprof profiles covering the
 // experiment run (inspect with `go tool pprof`).
 package main
@@ -41,6 +45,7 @@ func run() int {
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.String("scale", "quick", "experiment scale: quick | full")
 		csv        = flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
+		asJSON     = flag.Bool("json", false, "emit one JSON array of typed results instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
 		maintWk    = flag.Int("maint-workers", bench.MaintWorkers, "maintenance worker pool size (maint experiment)")
@@ -106,46 +111,55 @@ func run() int {
 		return 2
 	}
 
+	var run []bench.Experiment
 	switch {
 	case *list:
 		for _, e := range bench.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
+		return 0
 	case *runID != "":
 		e, ok := bench.Lookup(*runID)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *runID)
 			return 2
 		}
-		if err := runOne(e, s, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+		run = []bench.Experiment{e}
 	case *all:
-		for _, e := range bench.All() {
-			if err := runOne(e, s, *csv); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
+		run = bench.All()
 	default:
 		flag.Usage()
 		return 2
 	}
+	for i, e := range run {
+		start := time.Now()
+		res, err := e.Run(s)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			return 1
+		}
+		switch {
+		case *asJSON:
+			doc, err := res.JSON()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+				return 1
+			}
+			// One array, one result a line.
+			open, end := "[", ","
+			if i > 0 {
+				open = " "
+			}
+			if i == len(run)-1 {
+				end = "]"
+			}
+			fmt.Printf("%s%s%s\n", open, doc, end)
+		case *csv:
+			fmt.Printf("# %s: %s\n%s\n", res.ID, res.Title, res.CSV())
+		default:
+			fmt.Print(res.String())
+			fmt.Printf("# completed in %v (real time)\n\n", time.Since(start).Round(time.Millisecond))
+		}
+	}
 	return 0
-}
-
-func runOne(e bench.Experiment, s bench.Scale, csv bool) error {
-	start := time.Now()
-	res, err := e.Run(s)
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	if csv {
-		fmt.Printf("# %s: %s\n%s\n", res.ID, res.Title, res.CSV())
-		return nil
-	}
-	fmt.Print(res.String())
-	fmt.Printf("# completed in %v (real time)\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
 }

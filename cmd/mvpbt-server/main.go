@@ -92,30 +92,27 @@ func main() {
 	}
 
 	srv := server.New(r, cfg)
-	bound, err := srv.Listen()
+	bound, err := srv.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "listen: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("mvpbt-server: %d shards on %s (admission=%s)\n", *shards, bound, *admission)
 
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	failed := false
 	select {
 	case s := <-sig:
 		fmt.Printf("mvpbt-server: %v, draining (up to %v)\n", s, *drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := srv.Drain(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "drain: %v\n", err)
-		}
-		<-serveDone
-	case err := <-serveDone:
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+	case <-srv.Done(): // accepting failed; Stop reports why
+		failed = true
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	defer cancel()
+	if err := srv.Stop(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if failed {
 			os.Exit(1)
 		}
 	}
@@ -130,12 +127,10 @@ func main() {
 // drained commit durable.
 func runSmoke(r *shard.Router, cfg server.Config) error {
 	srv := server.New(r, cfg)
-	bound, err := srv.Listen()
+	bound, err := srv.Start()
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
 
 	c, err := shardclient.Dial(bound.String(), "smoke")
 	if err != nil {
@@ -204,8 +199,8 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 	if err := <-drainDone; err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	if err := <-serveDone; err != nil {
-		return fmt.Errorf("serve: %w", err)
+	if err := srv.Stop(context.Background()); err != nil { // drained already: Serve's verdict
+		return err
 	}
 	// The drained commit is durable in the router.
 	for _, k := range []string{"pair-a", "pair-b"} {

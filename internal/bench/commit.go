@@ -3,21 +3,12 @@ package bench
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/util"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "commit",
-		Title: "Commit pipeline: WAL group commit off vs on (closed-loop committers)",
-		Run:   runCommit,
-	})
-}
 
 // The commit experiment measures the durable-commit pipeline in isolation:
 // closed-loop committer goroutines each run begin → one small insert →
@@ -59,96 +50,57 @@ func newCommitEngine(s Scale, group bool) (*db.Engine, *db.Table, error) {
 	return e, tbl, nil
 }
 
-// commitMetrics is one cell of the commit experiment table.
-type commitMetrics struct {
-	rate     float64       // commits/s in composite time
-	p99      time.Duration // wall-clock p99 of begin→insert→commit
-	fpc      float64       // log flushes per durable commit
-	avgBatch float64       // mean commits acknowledged per leader flush
-	maxBatch int64         // largest batch one flush acknowledged
-	allocs   float64       // heap allocations per commit (process-wide)
-}
-
 // commitRun drives `clients` closed-loop committers for ~total commits on
-// a fresh engine and collects the cell's metrics. Throughput uses
-// composite time (wall + simulated device time: the flush I/O is virtual);
-// per-commit latency is wall clock, so the group-commit batching window
-// shows up honestly as added latency.
-func commitRun(s Scale, group bool, clients, total int) (commitMetrics, error) {
-	e, tbl, err := newCommitEngine(s, group)
+// a fresh engine and adds the run's row to res. Throughput uses composite
+// time (wall + simulated device time: the flush I/O is virtual); per-commit
+// latency is the wall-clock p99 of begin→insert→commit, so the group-commit
+// batching window shows up honestly as added latency.
+func commitRun(s Scale, res *Result, mode string, clients, total int) error {
+	e, tbl, err := newCommitEngine(s, mode == "on")
 	if err != nil {
-		return commitMetrics{}, err
+		return err
 	}
 	defer e.Close()
 
 	per := total / clients
 	total = per * clients
-	lats := make([][]time.Duration, clients)
-	var (
-		seq      atomic.Uint64
-		firstErr atomic.Pointer[error]
-	)
+	rows := make([][]byte, clients)
+	for g := range rows {
+		rows[g] = make([]byte, commitRowLen)
+	}
+	var seq atomic.Uint64
 
 	before := e.WALStatsSnapshot()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	el, err := measure(e.Clock, func() error {
-		var wg sync.WaitGroup
-		for g := 0; g < clients; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				l := make([]time.Duration, 0, per)
-				row := make([]byte, commitRowLen)
-				for i := 0; i < per; i++ {
-					binary.BigEndian.PutUint64(row, seq.Add(1))
-					st := time.Now()
-					tx := e.Begin()
-					if _, _, err := tbl.Insert(tx, row); err != nil {
-						e.Abort(tx)
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-					if err := e.CommitDurable(tx); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-					l = append(l, time.Since(st))
-				}
-				lats[g] = l
-			}(g)
-		}
-		wg.Wait()
-		if p := firstErr.Load(); p != nil {
-			return *p
-		}
-		return nil
-	})
+	all, el, err := drive(clients, per, nil,
+		func(g, _ int) error {
+			binary.BigEndian.PutUint64(rows[g], seq.Add(1))
+			tx := e.Begin()
+			if _, _, err := tbl.Insert(tx, rows[g]); err != nil {
+				e.Abort(tx)
+				return err
+			}
+			return e.CommitDurable(tx)
+		}, e.Clock)
 	runtime.ReadMemStats(&ms1)
 	if err != nil {
-		return commitMetrics{}, err
+		return err
 	}
 	after := e.WALStatsSnapshot()
 
-	all := make([]time.Duration, 0, total)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	m := commitMetrics{
-		rate:   perSecond(total, el),
-		p99:    all[len(all)*99/100],
-		fpc:    float64(after.Flushes-before.Flushes) / float64(total),
-		allocs: float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-	}
+	// Mean and largest number of commits one leader flush acknowledged.
+	avgBatch, maxBatch := 1.0, int64(1)
 	if batches := after.Group.Batches - before.Group.Batches; batches > 0 {
-		m.avgBatch = float64(after.Group.Commits-before.Group.Commits) / float64(batches)
-		m.maxBatch = after.Group.MaxBatched
-	} else {
-		m.avgBatch = 1
-		m.maxBatch = 1
+		avgBatch = float64(after.Group.Commits-before.Group.Commits) / float64(batches)
+		maxBatch = after.Group.MaxBatched
 	}
-	return m, nil
+	res.Add(label(mode), count(clients, 0),
+		timed(perSecond(total, el), 1), timed(us(util.Quantile(all, 0.99)), 1),
+		count(float64(after.Flushes-before.Flushes)/float64(total), 2),
+		count(avgBatch, 1), count(maxBatch, 0),
+		count(float64(ms1.Mallocs-ms0.Mallocs)/float64(total), 1))
+	return nil
 }
 
 // runCommit produces the commit-pipeline table: group commit {off, on} ×
@@ -161,25 +113,20 @@ func runCommit(s Scale) (*Result, error) {
 			"flushes/commit", "avg_batch", "max_batch", "allocs/commit"},
 	}
 	total := s.pick(4096, 65536)
-	rates := map[bool]map[int]float64{false: {}, true: {}}
-	for _, group := range []bool{false, true} {
+	for _, mode := range []string{"off", "on"} {
 		for _, clients := range []int{1, 8, 64} {
-			m, err := commitRun(s, group, clients, total)
-			if err != nil {
+			if err := commitRun(s, res, mode, clients, total); err != nil {
 				return nil, err
 			}
-			rates[group][clients] = m.rate
-			mode := "off"
-			if group {
-				mode = "on"
-			}
-			res.Add(mode, fi(int64(clients)),
-				f1(m.rate), f1(float64(m.p99.Nanoseconds())/1e3),
-				f2(m.fpc), f1(m.avgBatch), fi(m.maxBatch), f1(m.allocs))
 		}
 	}
+	// The headline is the 64-committer pair.
+	off64, on64 := must(res.Val("off 64", "commits/s")), must(res.Val("on 64", "commits/s"))
 	res.Note("throughput in composite time (wall + simulated device I/O); p99 latency is wall clock and includes the %v batching window", commitMaxDelay)
-	res.Note("group commit speedup at 64 committers: %.1fx", rates[true][64]/rates[false][64])
+	res.Note("group commit speedup at 64 committers: %.1fx", on64/off64)
 	res.Note("allocs/commit is the process-wide heap allocation delta over the run divided by commits")
+	res.Headline("off_commits/s@64", "1/s", off64)
+	res.Headline("on_commits/s@64", "1/s", on64)
+	res.Headline("on_flushes/commit@64", "ratio", must(res.Val("on 64", "flushes/commit")))
 	return res, nil
 }

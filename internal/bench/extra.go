@@ -7,19 +7,6 @@ import (
 	"mvpbt/internal/workload/ycsb"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "extra-wa",
-		Title: "Write amplification under YCSB A: device bytes written / logical bytes (paper contribution: MV-PBT has much lower write amplification than LSM-Trees)",
-		Run:   runExtraWA,
-	})
-	register(Experiment{
-		ID:    "extra-merge",
-		Title: "Ablation: on-line partition merging — point-lookup and scan cost vs partition count (merging off / on)",
-		Run:   runExtraMerge,
-	})
-}
-
 // runExtraWA quantifies the §1 contribution bullet "MV-PBT supports
 // append-based write-behavior and exhibits much lower write-amplification
 // compared to LSM-Trees": run the same update-heavy workload on all three
@@ -65,10 +52,12 @@ func runExtraWA(s Scale) (*Result, error) {
 		device := float64(d.BytesWritten) / (1 << 20)
 		seq := 100 * float64(d.SeqWrites) / float64(max64(d.Writes, 1))
 		wa := device / logical
-		res.Add(kind, f2(logical), f2(device), f2(wa), f1(seq))
+		res.Add(label(kind), count(logical, 2), count(device, 2), count(wa, 2), count(seq, 1))
 	}
 	res.Note("logical = updated keys x (value + record header); write amp = device/logical")
 	res.Note("the B-Tree pays in-place page writes, the LSM pays compaction rewrites, MV-PBT writes each record once per eviction (plus rare merges)")
+	res.Headline("lsm_write_amp", "ratio", must(res.Val("lsm", "write amp")))
+	res.Headline("mvpbt_write_amp", "ratio", must(res.Val("mvpbt", "write amp")))
 	return res, nil
 }
 
@@ -130,8 +119,10 @@ func runExtraMerge(s Scale) (*Result, error) {
 			return nil, err
 		}
 		scanUS := el.Seconds() * 1e6 / float64(scans)
-		res.Add(fmt.Sprintf("%v", merging), fi(int64(parts)), f2(lookupUS), f2(scanUS))
+		res.Add(label(fmt.Sprintf("%v", merging)), count(parts, 0), timed(lookupUS, 2), timed(scanUS, 2))
 	}
 	res.Note("merging bounds the partitions a scan must merge and garbage-collects across partition boundaries")
+	res.Headline("partitions_no_merge", "count", must(res.Val("false", "partitions")))
+	res.Headline("partitions_merged", "count", must(res.Val("true", "partitions")))
 	return res, nil
 }

@@ -8,14 +8,6 @@ import (
 	"mvpbt/internal/util"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig3",
-		Title: "Throughput vs version-chain length (YCSB-style mix + point query on a growing chain; B-Tree vs PBT vs MV-PBT)",
-		Run:   runFig3,
-	})
-}
-
 // fig3Engine is one storage configuration under test.
 type fig3Engine struct {
 	name    string
@@ -111,7 +103,7 @@ func runFig3(s Scale) (*Result, error) {
 	}
 	chain := 1 // the initial insert is version 1
 	for _, target := range lengths {
-		row := []string{fi(int64(target))}
+		row := []Cell{count(target, 0)}
 		for _, fe := range engines {
 			// Grow the hot tuple's chain to the target length. The growth
 			// interleaves with unrelated updates (as in the combined
@@ -132,9 +124,9 @@ func runFig3(s Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f1(tput))
+			row = append(row, timed(tput, 1))
 		}
-		res.Rows = append(res.Rows, row)
+		res.Add(row...)
 		chain = target
 	}
 	_ = chain
@@ -142,6 +134,9 @@ func runFig3(s Scale) (*Result, error) {
 		fe.eng.Commit(fe.long)
 	}
 	res.Note("long-running reader keeps all versions alive; chain = versions of the hot tuple")
+	res.Headline("btree_tx/s@50", "tx/s", must(res.Last("BTree")))
+	res.Headline("pbt_tx/s@50", "tx/s", must(res.Last("PBT")))
+	res.Headline("mvpbt_tx/s@50", "tx/s", must(res.Last("MVPBT")))
 	return res, nil
 }
 

@@ -8,14 +8,6 @@ import (
 	"mvpbt/internal/storage"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig8",
-		Title: "I/O characteristics of the simulated Intel DC P3600 SSD (IOPS and MB/s; seq/rand x read/write x 8K/64K)",
-		Run:   runFig8,
-	})
-}
-
 // runFig8 measures the device model itself, regenerating the paper's
 // Figure 8 table. This validates that the simulator exposes the
 // read/write asymmetry every other experiment depends on.
@@ -69,9 +61,11 @@ func runFig8(s Scale) (*Result, error) {
 		el := clock.Now()
 		iops := perSecond(n, el)
 		mbps := float64(n) * float64(c.block) / (1 << 20) / el.Seconds()
-		res.Add(c.pattern, c.op, fmt.Sprintf("%dK", c.block>>10), f1(iops), f1(mbps))
+		res.Add(label(c.pattern), label(c.op), label(fmt.Sprintf("%dK", c.block>>10)), count(iops, 1), count(mbps, 1))
 	}
 	res.Note("latencies derive from the paper's measured IOPS; the table validates the model round-trips them")
+	res.Headline("seqread8k_iops", "1/s", must(res.Val("sequential read 8K", "IOPS")))
+	res.Headline("randwrite8k_iops", "1/s", must(res.Val("random write 8K", "IOPS")))
 	return res, nil
 }
 

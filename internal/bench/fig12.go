@@ -11,29 +11,6 @@ import (
 	"mvpbt/internal/workload/tpcc"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig12a",
-		Title: "CH-benchmark mixed-workload throughput (OLTP tx/min + OLAP queries/min) for B-Tree, PBT, MV-PBT and the MV-PBT ablation without GC and index-only visibility check",
-		Run:   runFig12a,
-	})
-	register(Experiment{
-		ID:    "fig12b",
-		Title: "Standard vs index-only visibility check: analytical scan time vs simulated query pause (version-chain build-up)",
-		Run:   runFig12b,
-	})
-	register(Experiment{
-		ID:    "fig12c",
-		Title: "Sequential write pattern of a single MV-PBT partition eviction (LBA trace)",
-		Run:   runFig12c,
-	})
-	register(Experiment{
-		ID:    "fig12d",
-		Title: "Buffer requests and cache hit-rate on index vs base-table nodes (HOT, logical and physical references, PBT, MV-PBT)",
-		Run:   runFig12d,
-	})
-}
-
 // chConfig builds a CH-benchmark instance for one engine configuration.
 func chConfig(s Scale, hk db.HeapKind, ik db.IndexKind, noVC, noGC bool) (*chbench.Bench, error) {
 	eng := db.NewEngine(engineConfig(s.pick(128, 512), 128<<10))
@@ -134,9 +111,12 @@ func runFig12a(s Scale) (*Result, error) {
 			olap++
 			b.Engine().Commit(snap)
 		}
-		res.Add(c.name, f1(perMinute(oltp, oltpTime)), f2(perMinute(olap, olapTime)))
+		res.Add(label(c.name), timed(perMinute(oltp, oltpTime), 1), timed(perMinute(olap, olapTime), 2))
 	}
 	res.Note("paper: MV-PBT 2x OLAP (0.29 -> 0.61 q/min) and +15%% OLTP vs B-Tree; ablation drops OLAP by 75%%")
+	res.Headline("btree_olap_q/min", "q/min", must(res.Val("BTree", "OLAP q/min")))
+	res.Headline("mvpbt_olap_q/min", "q/min", must(res.Val("MV-PBT", "OLAP q/min")))
+	res.Headline("mvpbt_oltp_tx/min", "tx/min", must(res.Val("MV-PBT", "OLTP tx/min")))
 	return res, nil
 }
 
@@ -165,7 +145,7 @@ func runFig12b(s Scale) (*Result, error) {
 	}
 	engines := []eng{{"pbt", pbt}, {"mv-nogc", mvNoGC}, {"mv-gc", mvGC}}
 	for _, pause := range []int{30, 60, 90, 120} {
-		row := []string{fi(int64(pause))}
+		row := []Cell{count(pause, 0)}
 		for _, e := range engines {
 			// pg_sleep construction: snapshot first, then OLTP churn while
 			// it is open, then the query under the old snapshot.
@@ -189,11 +169,13 @@ func runFig12b(s Scale) (*Result, error) {
 				total += el
 			}
 			e.b.Engine().Commit(snap)
-			row = append(row, f2(total.Seconds()*1000/reps))
+			row = append(row, timed(total.Seconds()*1000/reps, 2))
 		}
-		res.Rows = append(res.Rows, row)
+		res.Add(row...)
 	}
 	res.Note("paper: PBT+VC degrades ~10x with pause; MV-PBT w/ GC stays near-constant")
+	res.Headline("pbt_vc_ms@120", "ms", must(res.Last("PBT+VC ms")))
+	res.Headline("mvpbt_gc_ms@120", "ms", must(res.Last("MV-PBT w/ GC ms")))
 	return res, nil
 }
 
@@ -244,10 +226,12 @@ func runFig12c(s Scale) (*Result, error) {
 			seq++
 		}
 		if i < 8 || i >= len(trace)-4 {
-			res.Add(f2(te.Time.Seconds()*1000), te.Op.String(), fi(te.LBA), fi(int64(te.Len)), fmt.Sprintf("%v", te.Seq))
+			res.Add(count(te.Time.Seconds()*1000, 2), label(te.Op.String()), count(te.LBA, 0), count(te.Len, 0), label(fmt.Sprintf("%v", te.Seq)))
 		}
 	}
 	res.Note("writes=%d sequential=%d (%.1f%%)", writes, seq, 100*float64(seq)/float64(writes))
+	res.Headline("evict_writes", "count", float64(writes))
+	res.Headline("evict_seq_writes", "count", float64(seq))
 	res.Note("LBA span %d..%d, strictly ascending append into fresh extents (the paper's horizontal-line pattern)", first.LBA, last.LBA)
 	return res, nil
 }
@@ -293,9 +277,12 @@ func runFig12d(s Scale) (*Result, error) {
 		tbl := st[sfile.ClassTable]
 		idxHit := 100 * float64(idx.Hits) / float64(max64(idx.Requests, 1))
 		tblHit := 100 * float64(tbl.Hits) / float64(max64(tbl.Requests, 1))
-		res.Add(c.name, fi(idx.Requests), f1(idxHit), fi(tbl.Requests), f1(tblHit))
+		res.Add(label(c.name), count(idx.Requests, 0), count(idxHit, 1), count(tbl.Requests, 0), count(tblHit, 1))
 	}
 	res.Note("paper: PBT/MV-PBT issue more index-node requests (mostly buffered); MV-PBT cuts base-table requests by up to 40%%")
+	// base-table requests: physical-reference B-Tree vs MV-PBT.
+	res.Headline("btree_pr_tbl_req", "count", must(res.Val("BTree(SIAS/PR)", "tbl req")))
+	res.Headline("mvpbt_tbl_req", "count", must(res.Val("MV-PBT", "tbl req")))
 	return res, nil
 }
 

@@ -6,14 +6,6 @@ import (
 	"mvpbt/internal/workload/tpcc"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig13",
-		Title: "Effectiveness and size of MV-PBT partition filters (bloom and prefix-bloom)",
-		Run:   runFig13,
-	})
-}
-
 func runFig13(s Scale) (*Result, error) {
 	eng := db.NewEngine(engineConfig(s.pick(256, 1024), 48<<10))
 	b, err := tpcc.New(eng, tpcc.Config{
@@ -64,16 +56,15 @@ func runFig13(s Scale) (*Result, error) {
 		Title:  "Partition filter effectiveness and size",
 		Header: []string{"filter", "negatives%", "positives%", "false-pos%", "consults"},
 	}
-	pct := func(part, total int64) string {
-		if total == 0 {
-			return "0.0"
-		}
-		return f1(100 * float64(part) / float64(total))
+	pct := func(part, total int64) Cell {
+		return count(100*float64(part)/float64(max64(total, 1)), 1)
 	}
 	bt := bloom.Negatives + bloom.Positives + bloom.FalsePositives
 	pt := prefix.Negatives + prefix.Positives + prefix.FalsePositives
-	res.Add("bloom", pct(bloom.Negatives, bt), pct(bloom.Positives, bt), pct(bloom.FalsePositives, bt), fi(bt))
-	res.Add("prefix-bloom", pct(prefix.Negatives, pt), pct(prefix.Positives, pt), pct(prefix.FalsePositives, pt), fi(pt))
+	res.Add(label("bloom"), pct(bloom.Negatives, bt), pct(bloom.Positives, bt), pct(bloom.FalsePositives, bt), count(bt, 0))
+	res.Add(label("prefix-bloom"), pct(prefix.Negatives, pt), pct(prefix.Positives, pt), pct(prefix.FalsePositives, pt), count(pt, 0))
+	res.Headline("bloom_negatives_pct", "%", must(res.Val("bloom", "negatives%")))
+	res.Headline("bloom_falsepos_pct", "%", must(res.Val("bloom", "false-pos%")))
 	if nParts > 0 {
 		res.Note("avg partition %.2f KB; avg bloom %.2f KB (%.1f%% of partition); avg prefix-bloom %.2f KB",
 			float64(partBytes)/float64(nParts)/1024,

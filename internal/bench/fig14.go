@@ -7,29 +7,6 @@ import (
 	"mvpbt/internal/workload/tpcc"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig14a",
-		Title: "TPC-C throughput vs dataset size: B-Tree(PG/HOT) vs B-Tree(SIAS, physical) vs B-Tree(SIAS, indirection)",
-		Run:   runFig14a,
-	})
-	register(Experiment{
-		ID:    "fig14b",
-		Title: "TPC-C throughput vs dataset size: B-Tree(indirection) vs PBT(PR) vs PBT(LR) vs MV-PBT",
-		Run:   runFig14b,
-	})
-	register(Experiment{
-		ID:    "fig14c",
-		Title: "Influence of partition filters on MV-PBT TPC-C throughput (none, bloom, bloom+prefix)",
-		Run:   runFig14c,
-	})
-	register(Experiment{
-		ID:    "fig14d",
-		Title: "MV-PBT partition garbage collection on/off under TPC-C",
-		Run:   runFig14d,
-	})
-}
-
 // tpccThroughput loads a TPC-C database and measures the mix in tx/min
 // (composite time). The buffer is FIXED while the dataset grows with the
 // warehouse count — the paper's Figure 14a/b regime: small datasets fit
@@ -89,7 +66,7 @@ func runFig14a(s Scale) (*Result, error) {
 		Header: []string{"warehouses", "BTree(PG/HOT)", "BTree(SIAS/PR)", "BTree(SIAS/LR)"},
 	}
 	for _, w := range warehouseSweep(s) {
-		row := []string{fi(int64(w))}
+		row := []Cell{count(w, 0)}
 		for _, cfg := range []tpcc.Config{
 			{Heap: db.HeapHOT, Index: db.IdxBTree, RefMode: db.RefPhysical},
 			{Heap: db.HeapSIAS, Index: db.IdxBTree, RefMode: db.RefPhysical},
@@ -99,11 +76,13 @@ func runFig14a(s Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f1(tput))
+			row = append(row, timed(tput, 1))
 		}
-		res.Rows = append(res.Rows, row)
+		res.Add(row...)
 	}
 	res.Note("paper: HOT wins while the buffer holds the working set; with growing datasets the indirection layer wins (+30%% over physical refs)")
+	res.Headline("sias_pr_tx/min", "tx/min", must(res.Last("BTree(SIAS/PR)")))
+	res.Headline("sias_lr_tx/min", "tx/min", must(res.Last("BTree(SIAS/LR)")))
 	return res, nil
 }
 
@@ -114,7 +93,7 @@ func runFig14b(s Scale) (*Result, error) {
 		Header: []string{"warehouses", "BTree(LR)", "PBT(PR)", "PBT(LR)", "MV-PBT"},
 	}
 	for _, w := range warehouseSweep(s) {
-		row := []string{fi(int64(w))}
+		row := []Cell{count(w, 0)}
 		for _, cfg := range []tpcc.Config{
 			{Heap: db.HeapSIAS, Index: db.IdxBTree, RefMode: db.RefLogical},
 			{Heap: db.HeapSIAS, Index: db.IdxPBT, RefMode: db.RefPhysical, BloomBits: 10, PrefixLen: 12},
@@ -125,11 +104,13 @@ func runFig14b(s Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f1(tput))
+			row = append(row, timed(tput, 1))
 		}
-		res.Rows = append(res.Rows, row)
+		res.Add(row...)
 	}
 	res.Note("paper: PBT robust and best; MV-PBT ~6%% below PBT under pure OLTP (short chains, larger records)")
+	res.Headline("pbt_pr_tx/min", "tx/min", must(res.Last("PBT(PR)")))
+	res.Headline("mvpbt_tx/min", "tx/min", must(res.Last("MV-PBT")))
 	return res, nil
 }
 
@@ -156,9 +137,11 @@ func runFig14c(s Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Add(c.name, f1(tput))
+		res.Add(label(c.name), timed(tput, 1))
 	}
 	res.Note("paper: bloom filters +10%%, prefix bloom another +10%%")
+	res.Headline("nofilter_tx/min", "tx/min", must(res.Val("none", "tx/min")))
+	res.Headline("bloom_prefix_tx/min", "tx/min", must(res.Val("bloom+prefix", "tx/min")))
 	return res, nil
 }
 
@@ -179,8 +162,10 @@ func runFig14d(s Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Add(c.name, f1(tput))
+		res.Add(label(c.name), timed(tput, 1))
 	}
 	res.Note("paper: GC improves throughput by 5-17%% (limited by TPC-C's short chains)")
+	res.Headline("gc_tx/min", "tx/min", must(res.Val("with GC", "tx/min")))
+	res.Headline("nogc_tx/min", "tx/min", must(res.Val("without GC", "tx/min")))
 	return res, nil
 }

@@ -8,19 +8,6 @@ import (
 	"mvpbt/internal/workload/ycsb"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig15a",
-		Title: "YCSB workloads A/B/D/E: B-Tree vs LSM-Tree vs MV-PBT (thousand ops/s)",
-		Run:   runFig15a,
-	})
-	register(Experiment{
-		ID:    "fig15b",
-		Title: "YCSB workload A throughput over time vs number of MV-PBT partitions",
-		Run:   runFig15b,
-	})
-}
-
 // ycsbEngine builds a fresh KV engine of the given kind.
 func ycsbEngine(s Scale, kind string) (db.KV, *db.Engine, error) {
 	switch kind {
@@ -63,7 +50,7 @@ func runFig15a(s Scale) (*Result, error) {
 		}
 	}
 	for _, w := range []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadB, ycsb.WorkloadD, ycsb.WorkloadE} {
-		row := []string{string(w)}
+		row := []Cell{label(string(w))}
 		for _, kind := range []string{"btree", "lsm", "mvpbt"} {
 			kv, eng, err := ycsbEngine(s, kind)
 			if err != nil {
@@ -79,11 +66,13 @@ func runFig15a(s Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f2(perSecond(ops, el)/1000))
+			row = append(row, timed(perSecond(ops, el)/1000, 2))
 		}
-		res.Rows = append(res.Rows, row)
+		res.Add(row...)
 	}
 	res.Note("paper: A: MV-PBT ~42%% over LSM; B/D: comparable; E: MV-PBT > LSM > BTree collapse")
+	res.Headline("lsm_A_kops", "kops/s", must(res.Val("A", "LSM")))
+	res.Headline("mvpbt_A_kops", "kops/s", must(res.Val("A", "MV-PBT")))
 	return res, nil
 }
 
@@ -114,8 +103,9 @@ func runFig15b(s Scale) (*Result, error) {
 			return nil, err
 		}
 		parts := mv.Tree().NumPartitions()
-		res.Add(fi(int64(wdw)), f1(perSecond(opsPerWindow, el)), fi(int64(parts)))
+		res.Add(count(wdw, 0), timed(perSecond(opsPerWindow, el), 1), count(parts, 0))
 	}
 	res.Note("paper: throughput stays stable while the number of partitions grows")
+	res.Headline("partitions", "count", must(res.Last("partitions")))
 	return res, nil
 }

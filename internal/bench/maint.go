@@ -2,22 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/util"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "maint",
-		Title: "Background maintenance: foreground write latency, sync vs async eviction/merge/GC",
-		Run:   runMaint,
-	})
-}
 
 // MaintWorkers and MaintRateMBps are the maintenance-service knobs for the
 // "maint" experiment, settable from cmd/mvpbt-bench (-maint-workers,
@@ -52,6 +41,10 @@ func runMaint(s Scale) (*Result, error) {
 	}
 	res.Note("wall-clock per-op latency: simulated device time is charged to the virtual clock equally in both modes; the difference is whose goroutine pays the maintenance CPU")
 	res.Note("background mode: %d workers, rate limit %d MiB/s (0 = unthrottled), stall only above the high watermark", MaintWorkers, MaintRateMBps)
+	res.Headline("sync_p99_us", "us", must(res.Val("sync", "p99_us")))
+	res.Headline("bg_p99_us", "us", must(res.Val("background", "p99_us")))
+	res.Headline("sync_ops/s", "1/s", must(res.Val("sync", "ops/s")))
+	res.Headline("bg_ops/s", "1/s", must(res.Val("background", "ops/s")))
 	return res, nil
 }
 
@@ -75,51 +68,26 @@ func maintRun(s Scale, bg bool, res *Result) error {
 	if err != nil {
 		return err
 	}
-	const writers = 1
 	const keyspace = 20000
 	totalOps := s.pick(20000, 200000)
-	per := totalOps / writers
 	val := make([]byte, 256)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
-	lat := make([][]time.Duration, writers)
-	var (
-		wg    sync.WaitGroup
-		first atomic.Pointer[error]
-	)
-	start := time.Now()
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := util.NewRand(uint64(0xFACADE + g*0x9E3779B9))
-			ds := make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				key := []byte(fmt.Sprintf("user%08d", r.Intn(keyspace)))
-				t0 := time.Now()
-				if err := kv.Put(key, val); err != nil {
-					first.CompareAndSwap(nil, &err)
-					return
-				}
-				ds = append(ds, time.Since(t0))
-			}
-			lat[g] = ds
-		}(g)
-	}
-	wg.Wait()
-	el := time.Since(start)
-	if e := first.Load(); e != nil {
-		return *e
+	r := util.NewRand(0xFACADE)
+	var key []byte
+	all, el, err := drive(1, totalOps,
+		func(_, _ int) error {
+			key = []byte(fmt.Sprintf("user%08d", r.Intn(keyspace)))
+			return nil
+		},
+		func(_, _ int) error { return kv.Put(key, val) })
+	if err != nil {
+		return err
 	}
 	if err := eng.Close(); err != nil {
 		return err
 	}
-	var all []time.Duration
-	for _, ds := range lat {
-		all = append(all, ds...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	stalls, stallTime := eng.PBuf.Stalls()
 	var throttle time.Duration
 	if eng.Maint != nil {
@@ -129,22 +97,11 @@ func maintRun(s Scale, bg bool, res *Result) error {
 	if bg {
 		mode = "background"
 	}
-	res.Add(mode,
-		f1(perSecond(len(all), el)),
-		f1(us(pctile(all, 0.50))), f1(us(pctile(all, 0.99))),
-		f1(us(pctile(all, 0.999))), f1(us(all[len(all)-1])),
-		fi(eng.PBuf.Evictions()), fi(kv.Tree().Stats().Merges),
-		fi(stalls), f1(stallTime.Seconds()*1e3), f1(throttle.Seconds()*1e3))
+	res.Add(label(mode),
+		timed(perSecond(len(all), el), 1),
+		timed(us(util.Quantile(all, 0.50)), 1), timed(us(util.Quantile(all, 0.99)), 1),
+		timed(us(util.Quantile(all, 0.999)), 1), timed(us(all[len(all)-1]), 1),
+		count(eng.PBuf.Evictions(), 0), count(kv.Tree().Stats().Merges, 0),
+		count(stalls, 0), timed(stallTime.Seconds()*1e3, 1), timed(throttle.Seconds()*1e3, 1))
 	return nil
 }
-
-// pctile reads the p-quantile from a sorted duration slice.
-func pctile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

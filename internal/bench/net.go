@@ -4,25 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/server"
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
+	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
+	"mvpbt/internal/util"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "net",
-		Title: "Sharded network front-end: clients x shards scaling, admission control under overload",
-		Run:   runNet,
-	})
-}
 
 // The net experiment measures the sharding tentpole end to end: closed-loop
 // TCP clients issue durable autocommit SETs through mvpbt-server's wire
@@ -70,232 +61,77 @@ func netEngine(s Scale) db.Config {
 	return cfg
 }
 
-// netHarness is one served router plus the bookkeeping to measure it.
-type netHarness struct {
-	r         *shard.Router
-	srv       *server.Server
-	addr      string
-	serveDone chan error
-	wallStart time.Time
-	simStart  []time.Duration
-}
-
-func startNetHarness(s Scale, shards int, cfg server.Config) (*netHarness, error) {
+// netRun serves a fresh router of the given shard count under cfg and
+// drives workers closed-loop TCP clients, per durable SETs each, against it.
+// A client holds one session for batch consecutive ops, then disconnects and
+// dials anew (untimed, waiting out admission rejects); key names each op's
+// key. It returns composite ops/s — the stopwatch watches every shard's
+// clock, and the shards' devices are independent, so the slowest shard's
+// simulated I/O time is charged, not the sum — the wall-clock p99 per op,
+// and the server's admission counters.
+func netRun(s Scale, shards int, cfg server.Config, workers, per, batch int, key func(g, i int) string) (rate float64, p99 time.Duration, m server.Metrics, err error) {
 	r, err := shard.New(shard.Config{Shards: shards, Engine: netEngine(s)})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Addr = "127.0.0.1:0"
-	srv := server.New(r, cfg)
-	addr, err := srv.Listen()
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	h := &netHarness{r: r, srv: srv, addr: addr.String(), serveDone: make(chan error, 1)}
-	go func() { h.serveDone <- srv.Serve() }()
-	return h, nil
-}
-
-// start begins the composite-time measurement.
-func (h *netHarness) start() {
-	h.wallStart = time.Now()
-	h.simStart = make([]time.Duration, h.r.NumShards())
-	for i := range h.simStart {
-		h.simStart[i] = h.r.Shard(i).Engine.Clock.Now()
-	}
-}
-
-// elapsed returns wall time plus the maximum per-shard simulated I/O time
-// since start: the shards' devices are independent, so their virtual time
-// passes in parallel and the slowest shard sets the pace.
-func (h *netHarness) elapsed() time.Duration {
-	wall := time.Since(h.wallStart)
-	var maxSim time.Duration
-	for i := range h.simStart {
-		if d := h.r.Shard(i).Engine.Clock.Now() - h.simStart[i]; d > maxSim {
-			maxSim = d
-		}
-	}
-	return wall + maxSim
-}
-
-// stop drains the server and closes the router.
-func (h *netHarness) stop() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := h.srv.Drain(ctx); err != nil {
-		return err
-	}
-	if err := <-h.serveDone; err != nil {
-		return err
-	}
-	return h.r.Close()
-}
-
-// p99of sorts and returns the 99th percentile.
-func p99of(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[len(lats)*99/100]
-}
-
-// netScaleRun drives `clients` persistent closed-loop sessions for total
-// SETs and returns composite ops/s plus wall-clock p99 per op.
-func netScaleRun(s Scale, shards, clients, total int) (rate float64, p99 time.Duration, err error) {
-	h, err := startNetHarness(s, shards, server.Config{
-		MaxSessions:          clients + 8,
-		MaxSessionsPerTenant: clients + 8,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() {
-		if serr := h.stop(); err == nil {
-			err = serr
-		}
-	}()
-
-	per := total / clients
-	total = per * clients
-	val := make([]byte, netValLen)
-	for i := range val {
-		val[i] = byte(i)
-	}
-	lats := make([][]time.Duration, clients)
-	var firstErr atomic.Pointer[error]
-
-	h.start()
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := shardclient.Dial(h.addr, "bench")
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				return
-			}
-			defer c.Close()
-			l := make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				key := []byte(fmt.Sprintf("net-%02d-%06d", g, i))
-				st := time.Now()
-				if err := c.Set(0, key, val); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				l = append(l, time.Since(st))
-			}
-			lats[g] = l
-		}(g)
-	}
-	wg.Wait()
-	el := h.elapsed()
-	if p := firstErr.Load(); p != nil {
-		return 0, 0, *p
-	}
-	all := make([]time.Duration, 0, total)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	return perSecond(total, el), p99of(all), nil
-}
-
-// netOverloadRun drives `workers` session-per-batch clients (connect,
-// netBatchOps SETs, disconnect) against ONE shard until total ops are
-// done. Admission on = queue new sessions past a cap of `cap` concurrent
-// sessions; admission off = admit everything at once.
-func netOverloadRun(s Scale, workers, cap, total int, admission bool) (rate float64, p99 time.Duration, m server.Metrics, err error) {
-	cfg := server.Config{
-		MaxSessions:          workers + 8,
-		MaxSessionsPerTenant: workers + 8,
-	}
-	if admission {
-		cfg.MaxSessions = cap
-		cfg.MaxSessionsPerTenant = cap
-		cfg.Admission = server.AdmitQueue
-		cfg.QueueTimeout = 30 * time.Second
-	}
-	h, err := startNetHarness(s, 1, cfg)
 	if err != nil {
 		return 0, 0, m, err
 	}
 	defer func() {
-		if serr := h.stop(); err == nil {
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	cfg.Addr = "127.0.0.1:0"
+	srv := server.New(r, cfg)
+	addr, err := srv.Start()
+	if err != nil {
+		return 0, 0, m, err
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if serr := srv.Stop(ctx); err == nil {
 			err = serr
 		}
 	}()
+	clocks := make([]*simclock.Clock, shards)
+	for i := range clocks {
+		clocks[i] = r.Shard(i).Engine.Clock
+	}
 
 	val := make([]byte, netValLen)
-	var (
-		seq      atomic.Int64
-		done     atomic.Int64
-		firstErr atomic.Pointer[error]
-	)
-	lats := make([][]time.Duration, workers)
-
-	h.start()
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var l []time.Duration
-			for {
-				batch := make([]int64, 0, netBatchOps)
-				for len(batch) < netBatchOps {
-					n := seq.Add(1)
-					if n > int64(total) {
-						break
-					}
-					batch = append(batch, n)
-				}
-				if len(batch) == 0 {
-					lats[g] = l
-					return
-				}
-				c, err := shardclient.Dial(h.addr, "bench")
-				if err != nil {
-					// Return the unissued ops and retry after a beat (the
-					// reject path of admission control).
-					if errors.Is(err, shardclient.ErrAdmission) {
-						seq.Add(int64(-len(batch)))
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					firstErr.CompareAndSwap(nil, &err)
-					lats[g] = l
-					return
-				}
-				for _, n := range batch {
-					key := []byte(fmt.Sprintf("ov-%08d", n))
-					st := time.Now()
-					if err := c.Set(0, key, val); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						c.Close()
-						lats[g] = l
-						return
-					}
-					l = append(l, time.Since(st))
-					done.Add(1)
-				}
-				c.Close()
+	for i := range val {
+		val[i] = byte(i)
+	}
+	conns := make([]*shardclient.Client, workers)
+	keys := make([][]byte, workers)
+	all, el, err := drive(workers, per,
+		func(g, i int) error {
+			keys[g] = []byte(key(g, i))
+			if i%batch != 0 {
+				return nil
 			}
-		}(g)
+			for {
+				c, err := shardclient.Dial(addr.String(), "bench")
+				if errors.Is(err, shardclient.ErrAdmission) {
+					time.Sleep(time.Millisecond) // rejected: retry after a beat
+					continue
+				}
+				conns[g] = c
+				return err
+			}
+		},
+		func(g, i int) error {
+			err := conns[g].Set(0, keys[g], val)
+			if err != nil || (i+1)%batch == 0 {
+				// Hang up with the session's last op, not before the next
+				// dial: a finished client must not sit on an admission slot.
+				conns[g].Close()
+			}
+			return err
+		}, clocks...)
+	if err != nil {
+		return 0, 0, m, err
 	}
-	wg.Wait()
-	el := h.elapsed()
-	if p := firstErr.Load(); p != nil {
-		return 0, 0, m, *p
-	}
-	all := make([]time.Duration, 0, total)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	return perSecond(int(done.Load()), el), p99of(all), h.srv.Metrics(), nil
+	return perSecond(len(all), el), util.Quantile(all, 0.99), srv.Metrics(), nil
 }
 
 // runNet produces the two-phase table. Columns that do not apply to a
@@ -309,40 +145,54 @@ func runNet(s Scale) (*Result, error) {
 	}
 	total := s.pick(3072, 16384)
 
-	rates := map[[2]int]float64{}
 	for _, shards := range []int{1, 2, 4} {
 		for _, clients := range []int{1, 8, 32} {
-			rate, p99, err := netScaleRun(s, shards, clients, total)
+			per := total / clients
+			rate, p99, _, err := netRun(s, shards, server.Config{
+				MaxSessions:          clients + 8,
+				MaxSessionsPerTenant: clients + 8,
+			}, clients, per, per, func(g, i int) string { return fmt.Sprintf("net-%02d-%06d", g, i) })
 			if err != nil {
 				return nil, fmt.Errorf("scale %d shards %d clients: %w", shards, clients, err)
 			}
-			rates[[2]int{shards, clients}] = rate
-			res.Add("scale", fi(int64(shards)), fi(int64(clients)), "-",
-				f1(rate), f1(float64(p99.Nanoseconds())/1e3), "-", "-")
+			res.Add(label("scale"), count(shards, 0), count(clients, 0), label("-"),
+				timed(rate, 1), timed(us(p99), 1), label("-"), label("-"))
 		}
 	}
 
+	// Overload: session-per-batch workers against ONE shard. Admission on =
+	// queue new sessions past a cap of `cap` concurrent sessions; admission
+	// off = admit everything at once.
 	const workers = 48
 	const cap = 8
-	ovTotal := s.pick(3072, 12288)
-	for _, admission := range []bool{false, true} {
-		rate, p99, m, err := netOverloadRun(s, workers, cap, ovTotal, admission)
+	per := s.pick(3072, 12288) / workers
+	for _, mode := range []string{"off", "on"} {
+		cfg := server.Config{
+			MaxSessions:          workers + 8,
+			MaxSessionsPerTenant: workers + 8,
+		}
+		if mode == "on" {
+			cfg.MaxSessions = cap
+			cfg.MaxSessionsPerTenant = cap
+			cfg.Admission = server.AdmitQueue
+			cfg.QueueTimeout = 30 * time.Second
+		}
+		rate, p99, m, err := netRun(s, 1, cfg, workers, per, netBatchOps,
+			func(g, i int) string { return fmt.Sprintf("ov-%08d", g*per+i+1) })
 		if err != nil {
-			return nil, fmt.Errorf("overload admission=%v: %w", admission, err)
+			return nil, fmt.Errorf("overload admission=%s: %w", mode, err)
 		}
-		mode := "off"
-		if admission {
-			mode = "on"
-		}
-		res.Add("overload", "1", fi(int64(workers)), mode,
-			f1(rate), f1(float64(p99.Nanoseconds())/1e3),
-			fi(int64(m.Queued)), fi(int64(m.Rejected)))
+		res.Add(label("overload"), count(1, 0), count(workers, 0), label(mode),
+			timed(rate, 1), timed(us(p99), 1), count(m.Queued, 0), count(m.Rejected, 0))
 	}
 
 	res.Note("scale: ops/s in composite time = wall + max per-shard simulated I/O (shard devices run in parallel); p99 is wall clock per op")
-	res.Note("scale speedup at 32 clients: 4 shards = %.2fx, 2 shards = %.2fx over 1 shard",
-		rates[[2]int{4, 32}]/rates[[2]int{1, 32}],
-		rates[[2]int{2, 32}]/rates[[2]int{1, 32}])
+	at32 := func(shards int) float64 { return must(res.Val(fmt.Sprintf("scale %d 32", shards), "ops/s")) }
+	res.Note("scale speedup at 32 clients: 4 shards = %.2fx, 2 shards = %.2fx over 1 shard", at32(4)/at32(1), at32(2)/at32(1))
 	res.Note("overload: %d session-per-batch workers (%d ops/session) on 1 shard; admission on = queue sessions past a cap of %d concurrent", workers, netBatchOps, cap)
+	res.Headline("ops/s@1x32", "1/s", at32(1))
+	res.Headline("ops/s@4x32", "1/s", at32(4))
+	res.Headline("overload_p99_us_admission_off", "us", must(res.Val("overload 1 48 off", "p99_us")))
+	res.Headline("overload_p99_us_admission_on", "us", must(res.Val("overload 1 48 on", "p99_us")))
 	return res, nil
 }

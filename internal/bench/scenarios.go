@@ -8,14 +8,6 @@ import (
 	"mvpbt/internal/workload/hostile"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "scenarios",
-		Title: "Hostile-workload scenario matrix: device zoo x scenario x heap layout, each cell a seeded deterministic replay",
-		Run:   runScenarioMatrix,
-	})
-}
-
 // runScenarioMatrix runs the hostile-workload catalogue (hot-key version
 // storms, sawtooth bulk load/delete cycles, GC-horizon-pinning analytical
 // snapshots, tenant-skewed admission-controlled mixes) across every device
@@ -35,6 +27,7 @@ func runScenarioMatrix(s Scale) (*Result, error) {
 		Header: []string{"device", "scenario", "heap", "commits", "typed",
 			"io ops", "io ms", "detail", "hash"},
 	}
+	var commits int64
 	heapName := map[db.HeapKind]string{db.HeapHOT: "hot", db.HeapSIAS: "sias"}
 	for _, dev := range ssd.Zoo() {
 		for _, kind := range hostile.Kinds() {
@@ -53,15 +46,18 @@ func runScenarioMatrix(s Scale) (*Result, error) {
 				if kind == hostile.TenantSkew {
 					hn = "-"
 				}
-				res.Add(dev.Name, kind.String(), hn,
-					fi(fp.Committed), fi(fp.TypedErrs),
-					fi(fp.Reads+fp.Writes), f1(float64(fp.IOTimeNS)/1e6),
-					scenarioDetail(fp), fmt.Sprintf("%016x", fp.StateHash))
+				res.Add(label(dev.Name), label(kind.String()), label(hn),
+					count(fp.Committed, 0), count(fp.TypedErrs, 0),
+					count(fp.Reads+fp.Writes, 0), count(float64(fp.IOTimeNS)/1e6, 1),
+					label(scenarioDetail(fp)), label(fmt.Sprintf("%016x", fp.StateHash)))
+				commits += fp.Committed
 			}
 		}
 	}
 	res.Note("seed %d, scale %d; every cell replays byte-identically from its seed (go run ./cmd/mvpbt-check scenarios)", seed, scale)
 	res.Note("detail: hot-key p99 unrelated-key lookup before->during storm; sawtooth live-bytes peak->final; snapshot-pin read-only entries/exits under the pin; tenant-skew admission queued/shed/resumed")
+	res.Headline("cells", "count", float64(len(res.Rows)))
+	res.Headline("commits", "count", float64(commits))
 	return res, nil
 }
 

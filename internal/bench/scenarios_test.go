@@ -86,15 +86,19 @@ func TestScenarioMatrix(t *testing.T) {
 // The matrix experiment itself must cover the full zoo cross-product and
 // render one row per cell.
 func TestScenarioMatrixExperiment(t *testing.T) {
-	res := runQ(t, "scenarios")
+	res := cachedQ(t, "scenarios") // every cell replays: any run will do
 	// 4 devices x (3 table scenarios x 2 heaps + tenant-skew once).
 	want := len(ssd.Zoo()) * (3*2 + 1)
 	if len(res.Rows) != want {
 		t.Fatalf("matrix has %d rows, want %d", len(res.Rows), want)
 	}
-	for _, row := range res.Rows {
-		if row[len(row)-1] == "0000000000000000" {
-			t.Errorf("cell %v has a zero state hash", row[:3])
+	hashes, err := res.Column("hash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hashes {
+		if h == label("0000000000000000") {
+			t.Errorf("row %d has a zero state hash", i)
 		}
 	}
 }

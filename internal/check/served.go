@@ -24,16 +24,15 @@ import (
 // oracle of what that client has been ACKED, which is exactly the state the
 // final clean scan must show.
 type served struct {
-	router    *shard.Router
-	sched     *chaos.Schedule
-	srv       *server.Server
-	serveDone chan error
-	addr      string
-	client    *shardclient.RClient
-	rng       *util.Rand
-	keys      int
-	oracle    map[string]string
-	fp        servedFingerprint
+	router *shard.Router
+	sched  *chaos.Schedule
+	srv    *server.Server
+	addr   string
+	client *shardclient.RClient
+	rng    *util.Rand
+	keys   int
+	oracle map[string]string
+	fp     servedFingerprint
 	// goroutines is runtime.NumGoroutine() before setup: close must get
 	// back down to it.
 	goroutines int
@@ -85,14 +84,12 @@ func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.R
 		WriteTimeout: 10 * time.Second,
 		WrapListener: func(ln net.Listener) net.Listener { return chaos.Wrap(ln, s.sched) },
 	})
-	addr, err := s.srv.Listen()
+	addr, err := s.srv.Start()
 	if err != nil {
 		s.router.Close()
 		return nil, fmt.Errorf("listen: %w", err)
 	}
 	s.addr = addr.String()
-	s.serveDone = make(chan error, 1)
-	go func() { s.serveDone <- s.srv.Serve() }()
 	s.client = shardclient.NewRClient(shardclient.RConfig{
 		Addr:   s.addr,
 		Tenant: tenant,
@@ -115,11 +112,10 @@ func (s *served) close() error {
 	s.client.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	drainErr := s.srv.Drain(ctx)
-	<-s.serveDone
+	stopErr := s.srv.Stop(ctx)
 	s.router.Close()
-	if drainErr != nil {
-		return fmt.Errorf("teardown: drain: %w", drainErr)
+	if stopErr != nil {
+		return fmt.Errorf("teardown: %w", stopErr)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > s.goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

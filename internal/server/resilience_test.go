@@ -26,19 +26,16 @@ func startServerWith(t *testing.T, scfg shard.Config, cfg server.Config) (*shard
 		t.Fatal(err)
 	}
 	srv := server.New(r, cfg)
-	addr, err := srv.Listen()
+	addr, err := srv.Start()
 	if err != nil {
 		r.Close()
 		t.Fatal(err)
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		srv.Drain(ctx)
-		if err := <-serveDone; err != nil {
-			t.Errorf("Serve: %v", err)
+		if err := srv.Stop(ctx); err != nil {
+			t.Errorf("Stop: %v", err)
 		}
 		r.Close()
 	})

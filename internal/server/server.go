@@ -145,6 +145,11 @@ type Server struct {
 
 	wg sync.WaitGroup
 
+	// served is closed, after serveErr is set, when the Serve goroutine
+	// that Start launched returns.
+	served   chan struct{}
+	serveErr error
+
 	// tokens is the commit-token dedup table: tokens of committed
 	// transactions, recorded BEFORE the commit's OK is written, so a
 	// client that lost the ack can resolve the outcome by token. TTL- and
@@ -158,7 +163,7 @@ type Server struct {
 	drained  atomic.Uint64
 }
 
-// New builds a server over r. Call Listen then Serve.
+// New builds a server over r. Call Start, or Listen then Serve.
 func New(r *shard.Router, cfg Config) *Server {
 	return &Server{
 		r:        r,
@@ -261,6 +266,39 @@ func (s *Server) Serve() error {
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
+}
+
+// Start binds the configured address and serves it on a goroutine that
+// Stop waits for: Listen, then go Serve.
+func (s *Server) Start() (net.Addr, error) {
+	addr, err := s.Listen()
+	if err != nil {
+		return nil, err
+	}
+	s.served = make(chan struct{})
+	go func() {
+		s.serveErr = s.Serve()
+		close(s.served)
+	}()
+	return addr, nil
+}
+
+// Done is closed once the Serve goroutine of a started server has returned
+// — after a drain, or early because accepting failed; Stop then reports why.
+func (s *Server) Done() <-chan struct{} { return s.served }
+
+// Stop shuts a started server down: Drain under ctx, then wait for the
+// Serve goroutine. It returns Drain's error and Serve's.
+func (s *Server) Stop(ctx context.Context) error {
+	err := s.Drain(ctx)
+	<-s.served
+	if err != nil {
+		err = fmt.Errorf("drain: %w", err)
+	}
+	if s.serveErr != nil {
+		err = errors.Join(err, fmt.Errorf("serve: %w", s.serveErr))
+	}
+	return err
 }
 
 // Metrics returns a snapshot of the admission counters.

@@ -18,36 +18,7 @@ import (
 // port, returning the address for clients.
 func startServer(t *testing.T, n int, cfg server.Config) (*shard.Router, *server.Server, string) {
 	t.Helper()
-	r, err := shard.New(shard.Config{
-		Shards: n,
-		Engine: db.Config{
-			BufferPages:          256,
-			PartitionBufferBytes: 64 << 10,
-			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(r, cfg)
-	addr, err := srv.Listen()
-	if err != nil {
-		r.Close()
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Drain(ctx)
-		if err := <-serveDone; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		r.Close()
-	})
-	return r, srv, addr.String()
+	return startServerWith(t, defaultShardConfig(n), cfg)
 }
 
 func TestServerEndToEnd(t *testing.T) {

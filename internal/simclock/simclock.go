@@ -28,25 +28,40 @@ func (c *Clock) Now() time.Duration { return time.Duration(c.ns.Load()) }
 func (c *Clock) Reset() { c.ns.Store(0) }
 
 // Stopwatch measures a composite elapsed time: real (CPU) wall time plus
-// virtual I/O time accumulated on a Clock since Start. This is the time base
-// for all reported throughputs.
+// the virtual I/O time accumulated since Start on the clocks it watches.
+// This is the time base for all reported throughputs. Devices on separate
+// clocks (one per shard) run in parallel, so the slowest sets the pace and
+// the virtual part is the MAXIMUM of the per-clock deltas; with no clock
+// the stopwatch reads wall time alone.
 type Stopwatch struct {
-	clock     *Clock
+	clocks    []*Clock
 	wallStart time.Time
-	simStart  time.Duration
+	simStart  []time.Duration
 }
 
-// StartStopwatch begins measuring against clock.
-func StartStopwatch(clock *Clock) *Stopwatch {
-	return &Stopwatch{clock: clock, wallStart: time.Now(), simStart: clock.Now()}
+// StartStopwatch begins measuring against clocks.
+func StartStopwatch(clocks ...*Clock) *Stopwatch {
+	s := &Stopwatch{clocks: clocks, simStart: make([]time.Duration, len(clocks))}
+	for i, c := range clocks {
+		s.simStart[i] = c.Now()
+	}
+	s.wallStart = time.Now()
+	return s
 }
 
 // Elapsed returns CPU wall time plus virtual I/O time since Start.
 func (s *Stopwatch) Elapsed() time.Duration {
-	return time.Since(s.wallStart) + (s.clock.Now() - s.simStart)
+	return time.Since(s.wallStart) + s.SimElapsed()
 }
 
-// SimElapsed returns only the virtual I/O time since Start.
+// SimElapsed returns only the virtual I/O time since Start: the largest
+// delta over the watched clocks.
 func (s *Stopwatch) SimElapsed() time.Duration {
-	return s.clock.Now() - s.simStart
+	var slowest time.Duration
+	for i, c := range s.clocks {
+		if d := c.Now() - s.simStart[i]; d > slowest {
+			slowest = d
+		}
+	}
+	return slowest
 }

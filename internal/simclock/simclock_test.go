@@ -58,3 +58,22 @@ func TestStopwatchCombinesWallAndSim(t *testing.T) {
 		t.Fatalf("second stopwatch SimElapsed %v want 1ms", sw2.SimElapsed())
 	}
 }
+
+// Clocks of independent devices pass virtual time in parallel: the
+// stopwatch charges the slowest, not the sum; with none it is a wall clock.
+func TestStopwatchTakesMaxOverClocks(t *testing.T) {
+	a, b := New(), New()
+	a.Advance(time.Second) // before Start: not counted
+	sw := StartStopwatch(a, b)
+	a.Advance(10 * time.Millisecond)
+	b.Advance(30 * time.Millisecond)
+	if got := sw.SimElapsed(); got != 30*time.Millisecond {
+		t.Fatalf("SimElapsed %v want 30ms (the slower clock)", got)
+	}
+	if el := sw.Elapsed(); el < 30*time.Millisecond || el > time.Second {
+		t.Fatalf("Elapsed %v want wall + 30ms", el)
+	}
+	if got := StartStopwatch().SimElapsed(); got != 0 {
+		t.Fatalf("clockless stopwatch SimElapsed %v want 0", got)
+	}
+}

@@ -249,3 +249,39 @@ func TestFNV64aDisperses(t *testing.T) {
 		t.Fatalf("FNV64a collided on sequential inputs: %d unique", len(seen))
 	}
 }
+
+// TestQuantileNearestRank pins the one percentile rule: the sample at rank
+// ceil(p·n). Samples are 1..n, so the value read is the rank itself.
+func TestQuantileNearestRank(t *testing.T) {
+	seq := func(n int) []int64 {
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = int64(i + 1)
+		}
+		return s
+	}
+	cases := []struct {
+		n    int
+		p    float64
+		want int64
+	}{
+		{0, 0.99, 0},
+		{1, 0.5, 1}, {1, 0.99, 1}, {1, 0.999, 1},
+		{2, 0.5, 1}, {2, 0.99, 2}, {2, 0.999, 2},
+		{100, 0.5, 50}, {100, 0.99, 99}, {100, 0.999, 100}, // p99 of 100 is the 99th, not the maximum
+		{101, 0.5, 51}, {101, 0.99, 100}, {101, 0.999, 101},
+		{100, 0, 1}, {100, 1, 100},
+	}
+	for _, c := range cases {
+		if got := Quantile(seq(c.n), c.p); got != c.want {
+			t.Errorf("Quantile(1..%d, %v) = %d, want %d", c.n, c.p, got, c.want)
+		}
+	}
+	// The float rank agrees with the integer formula the scenario
+	// fingerprints were recorded under, for every sample count.
+	for n := 1; n <= 5000; n++ {
+		if got, want := Quantile(seq(n), 0.99), int64((n*99+99)/100); got != want {
+			t.Fatalf("n=%d: p99 rank %d, integer formula %d", n, got, want)
+		}
+	}
+}

@@ -181,20 +181,6 @@ func Row(key, val string) []byte {
 
 func extractKey(r []byte) []byte { return r[1 : 1+r[0]] }
 
-// p99 returns the 99th-percentile of durations in ns (0 for no samples).
-func p99(samples []int64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s)*99+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
-}
-
 // sortedKeys returns m's keys in order.
 func sortedKeys(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
@@ -430,7 +416,8 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 			}
 			durs = append(durs, d)
 		}
-		return p99(durs), nil
+		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+		return util.Quantile(durs, 0.99), nil
 	}
 	if fp.BaseP99NS, err = measure(); err != nil {
 		return fp, err
