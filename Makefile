@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race loc bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -16,6 +16,12 @@ test:
 race:
 	go vet ./...
 	go test -race ./...
+
+# The size ROADMAP tracks (aim 2, open item 5): non-test Go lines outside
+# benchmarks/, and the test lines beside them.
+loc:
+	@echo "non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l)"
+	@echo "test:     $$(find . -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l)"
 
 # Gates that compare wall-clock measurements between two runs: the maint
 # experiment's background-vs-sync p99 and throughput, the net experiment's

@@ -49,13 +49,11 @@ func run() int {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
 		maintWk    = flag.Int("maint-workers", bench.MaintWorkers, "maintenance worker pool size (maint experiment)")
-		maintRate  = flag.Int("maint-rate-mb", bench.MaintRateMBps, "maintenance I/O rate limit in MiB/s, 0 = unthrottled (maint experiment)")
 		device     = flag.String("device", "", "device-zoo name every engine-backed experiment runs on (default: calibrated enterprise NVMe); see -list-devices")
 		listDev    = flag.Bool("list-devices", false, "list the device zoo and exit")
 	)
 	flag.Parse()
 	bench.MaintWorkers = *maintWk
-	bench.MaintRateMBps = *maintRate
 
 	if *listDev {
 		for _, spec := range ssd.Zoo() {

@@ -106,8 +106,8 @@ func main() {
 	if eng.Maint != nil {
 		ms := eng.Maint.Stats()
 		stalls, stallTime := eng.PBuf.Stalls()
-		fmt.Printf("maintenance: submitted=%d deduped=%d throttle=%v stalls=%d stall_time=%v\n",
-			ms.Submitted, ms.Deduped, ms.Throttle, stalls, stallTime)
+		fmt.Printf("maintenance: submitted=%d deduped=%d stalls=%d stall_time=%v\n",
+			ms.Submitted, ms.Deduped, stalls, stallTime)
 		for k, js := range ms.Jobs {
 			if js.Runs > 0 {
 				fmt.Printf("  %-7s runs=%-4d errors=%-2d bytes=%-8d busy=%v\n",
@@ -118,8 +118,12 @@ func main() {
 	fmt.Println()
 
 	fmt.Printf("== index records for %q (PN first, partitions newest to oldest) ==\n", *key)
-	for _, d := range mv.DumpKey([]byte(*key)) {
+	dump, err := mv.DumpKey([]byte(*key))
+	for _, d := range dump {
 		fmt.Println(d)
+	}
+	if err != nil {
+		fmt.Println("dump stopped:", err)
 	}
 
 	fresh := eng.Begin()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/index"
 	"mvpbt/internal/storage"
 )
 
@@ -229,6 +230,64 @@ func persistedReadAllocs(t *testing.T, runs int) {
 	if short > 0.5 || long > 0.5 {
 		t.Errorf("KV Scan over %d partitions: %.2f allocs for 50 pairs, %.2f for 1000; want 0 for either", parts, short, long)
 	}
+
+	// The same below a table's non-unique index: the walk behind Tree.Lookup,
+	// ScanAllMatter and Table.Lookup hands its visitor a record decoded into
+	// the pooled read state, so the walk allocates nothing per read (a record
+	// decoded into a local and passed by address would: one each), and the
+	// table calls the index it dispatches to statically, so its caller's
+	// callback stays on the stack (through an interface: two more).
+	tbl, err := ep.NewTable("rows", db.HeapSIAS, db.IndexDef{
+		Name: "k", Kind: db.IdxMVPBT, BloomBits: 10,
+		Extract: func(row []byte) []byte { return row[:len(pkeys[0])] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := tbl.Index("k")
+	for p := 0; p < parts; p++ {
+		tx := ep.Begin()
+		for i := p; i < keys; i += parts {
+			if _, _, err := tbl.Insert(tx, append(bytes.Clone(pkey(i)), big...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep.Commit(tx)
+		if err := ix.MV().EvictPN(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ix.MV().NumPartitions(); n != parts {
+		t.Fatalf("%d index partitions, want %d", n, parts)
+	}
+	tx := ep.Begin()
+	defer ep.Commit(tx)
+	// Each read stops after a few entries, as a LIMIT would. Called directly:
+	// through a func value the callbacks themselves would escape.
+	gate := func(name string, want float64, read func()) {
+		if got := testing.AllocsPerRun(runs, read); got > want+0.5 {
+			t.Errorf("%s on persisted partitions: %.2f allocs/op, want %.0f", name, got, want)
+		}
+	}
+	n := 0
+	gate("Tree.Lookup", 0, func() {
+		next, n = next+997, 0
+		if err := ix.MV().Lookup(tx, pkey(next), func(index.Entry) bool { n++; return n < 20 }); err != nil || n == 0 {
+			t.Fatal(n, err)
+		}
+	})
+	gate("Tree.ScanAllMatter", 0, func() {
+		next, n = next+997, 0
+		if err := ix.MV().ScanAllMatter(pkey(next), nil, func(index.Entry) bool { n++; return n < 20 }); err != nil || n == 0 {
+			t.Fatal(n, err)
+		}
+	})
+	gate("Table.Lookup", 1, func() { // the cell ctxCheck keeps a context error in
+		next, n = next+997, 0
+		if err := tbl.Lookup(tx, ix, pkey(next), false, func(db.RowRef) bool { n++; return n < 20 }); err != nil || n == 0 {
+			t.Fatal(n, err)
+		}
+	})
 }
 
 func newAllocKVT(t *testing.T, wal bool) (*db.Engine, *db.MVPBTKV) {

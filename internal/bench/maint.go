@@ -2,19 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/util"
 )
 
-// MaintWorkers and MaintRateMBps are the maintenance-service knobs for the
-// "maint" experiment, settable from cmd/mvpbt-bench (-maint-workers,
-// -maint-rate-mb). Rate 0 means unthrottled.
-var (
-	MaintWorkers  = 2
-	MaintRateMBps = 0
-)
+// MaintWorkers is the maintenance-service pool size for the "maint"
+// experiment, settable from cmd/mvpbt-bench (-maint-workers).
+var MaintWorkers = 2
 
 // runMaint drives a foreground blind-upsert writer against a clustered
 // MV-PBT KV with a deliberately small partition buffer, once with all
@@ -32,7 +27,7 @@ func runMaint(s Scale) (*Result, error) {
 		ID:    "maint",
 		Title: "Foreground write latency: synchronous vs background maintenance",
 		Header: []string{"mode", "ops/s", "p50_us", "p99_us", "p999_us", "max_us",
-			"evictions", "merges", "stalls", "stall_ms", "throttle_ms"},
+			"evictions", "merges", "stalls", "stall_ms"},
 	}
 	for _, bg := range []bool{false, true} {
 		if err := maintRun(s, bg, res); err != nil {
@@ -40,7 +35,7 @@ func runMaint(s Scale) (*Result, error) {
 		}
 	}
 	res.Note("wall-clock per-op latency: simulated device time is charged to the virtual clock equally in both modes; the difference is whose goroutine pays the maintenance CPU")
-	res.Note("background mode: %d workers, rate limit %d MiB/s (0 = unthrottled), stall only above the high watermark", MaintWorkers, MaintRateMBps)
+	res.Note("background mode: %d workers, stall only above the high watermark", MaintWorkers)
 	res.Headline("sync_p99_us", "us", must(res.Val("sync", "p99_us")))
 	res.Headline("bg_p99_us", "us", must(res.Val("background", "p99_us")))
 	res.Headline("sync_ops/s", "1/s", must(res.Val("sync", "ops/s")))
@@ -54,7 +49,6 @@ func maintRun(s Scale, bg bool, res *Result) error {
 	cfg := engineConfig(4096, 24<<10)
 	cfg.BackgroundMaint = bg
 	cfg.MaintWorkers = MaintWorkers
-	cfg.MaintBytesPerSec = int64(MaintRateMBps) << 20
 	eng := db.NewEngine(cfg)
 	if bg {
 		// The default high watermark (limit+25%) gives the writer only a few
@@ -89,10 +83,6 @@ func maintRun(s Scale, bg bool, res *Result) error {
 		return err
 	}
 	stalls, stallTime := eng.PBuf.Stalls()
-	var throttle time.Duration
-	if eng.Maint != nil {
-		throttle = eng.Maint.Stats().Throttle
-	}
 	mode := "sync"
 	if bg {
 		mode = "background"
@@ -102,6 +92,6 @@ func maintRun(s Scale, bg bool, res *Result) error {
 		timed(us(util.Quantile(all, 0.50)), 1), timed(us(util.Quantile(all, 0.99)), 1),
 		timed(us(util.Quantile(all, 0.999)), 1), timed(us(all[len(all)-1]), 1),
 		count(eng.PBuf.Evictions(), 0), count(kv.Tree().Stats().Merges, 0),
-		count(stalls, 0), timed(stallTime.Seconds()*1e3, 1), timed(throttle.Seconds()*1e3, 1))
+		count(stalls, 0), timed(stallTime.Seconds()*1e3, 1))
 	return nil
 }

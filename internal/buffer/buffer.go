@@ -11,7 +11,6 @@
 package buffer
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -26,12 +25,6 @@ import (
 // ErrNoFrames is returned when every frame (of the page's shard) is pinned
 // and none can be evicted.
 var ErrNoFrames = errors.New("buffer: all frames pinned")
-
-// maxIORetries is how many times a failing page read or write is retried
-// in-line before the error is surfaced (total attempts = 1 + maxIORetries).
-// Transient device faults (storage.ErrIOFault) are worth retrying; freed-page
-// references are not.
-const maxIORetries = 2
 
 // IOStats counts the pool's error-path activity: checksum verification
 // failures on fetch, in-line retries, and operations that failed even after
@@ -146,15 +139,6 @@ func New(nFrames int) *Pool {
 	return p
 }
 
-// NumFrames returns the pool capacity in pages.
-func (p *Pool) NumFrames() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += len(sh.frames)
-	}
-	return n
-}
-
 // NumShards returns the number of latch domains the frames are split into.
 func (p *Pool) NumShards() int { return len(p.shards) }
 
@@ -181,16 +165,7 @@ func (p *Pool) unlockAll() {
 // Get fetches page pageNo of file f, pinning it. The returned frame must be
 // released with Unpin.
 func (p *Pool) Get(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(context.Background(), f, pageNo, true)
-}
-
-// GetCtx is Get with a cancellation point: a done ctx fails the fetch
-// before any device I/O and between I/O retry attempts (an in-flight
-// device operation itself is never interrupted — the simulated I/O is
-// atomic). Cache hits always succeed; a pinned frame is returned even
-// under a canceled context because the caller must Unpin it regardless.
-func (p *Pool) GetCtx(ctx context.Context, f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(ctx, f, pageNo, true)
+	return p.fetch(f, pageNo, true)
 }
 
 // GetNoRef is Get for a reader whose hits must not count as references: the
@@ -203,12 +178,12 @@ func (p *Pool) GetCtx(ctx context.Context, f *sfile.File, pageNo uint64) (*Frame
 // more write amplification). Whether that trade is wanted is a replacement-
 // policy decision (ROADMAP); until it is made, a page ages by its loads.
 func (p *Pool) GetNoRef(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(context.Background(), f, pageNo, false)
+	return p.fetch(f, pageNo, false)
 }
 
 // fetch is the one page fetch; refHit says whether a hit sets the frame's
 // reference bit.
-func (p *Pool) fetch(ctx context.Context, f *sfile.File, pageNo uint64, refHit bool) (*Frame, error) {
+func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool) (*Frame, error) {
 	pid := f.PageID(pageNo)
 	p.stats[f.Class()].requests.Add(1)
 	sh := p.shardOf(pid)
@@ -222,10 +197,6 @@ func (p *Pool) fetch(ctx context.Context, f *sfile.File, pageNo uint64, refHit b
 		sh.mu.Unlock()
 		return fr, nil
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("buffer: page %d of %q: %w", pageNo, f.Name(), cerr)
-	}
 	fr, err := sh.victimLocked(p)
 	if err != nil {
 		sh.mu.Unlock()
@@ -236,7 +207,7 @@ func (p *Pool) fetch(ctx context.Context, f *sfile.File, pageNo uint64, refHit b
 	// so holding the latch across the "I/O" costs nothing real. The frame is
 	// installed in the page table only once the read verified, so a failed
 	// fetch leaves it free for the next victim search.
-	if err := p.readPageChecked(ctx, f, pageNo, fr.data); err != nil {
+	if err := p.readPageChecked(f, pageNo, fr.data); err != nil {
 		fr.ref = false
 		sh.mu.Unlock()
 		return nil, err
@@ -251,39 +222,27 @@ func (p *Pool) fetch(ctx context.Context, f *sfile.File, pageNo uint64, refHit b
 	return fr, nil
 }
 
-// readPageChecked reads a page with bounded retries and verifies its
-// checksum. Checksum mismatches count as corrupt pages (re-reads are still
-// attempted: controllers do recover marginal reads) and I/O faults as
-// transient; freed-page references fail immediately.
-func (p *Pool) readPageChecked(ctx context.Context, f *sfile.File, pageNo uint64, buf []byte) error {
-	var err error
-	for attempt := 0; attempt <= maxIORetries; attempt++ {
-		if attempt > 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				// Cancelled between retries: give the caller its deadline
-				// back instead of burning the remaining attempts.
-				p.readFailures.Add(1)
-				return fmt.Errorf("buffer: page %d of %q: %w (after %v)", pageNo, f.Name(), cerr, err)
-			}
-			p.readRetries.Add(1)
-		}
-		if err = f.ReadPage(pageNo, buf); err != nil {
-			if errors.Is(err, storage.ErrFreedPage) {
-				break
-			}
-			continue
+// readPageChecked reads a page with bounded retries (storage.Retry: I/O
+// faults are transient, freed-page references fail immediately) and verifies
+// its checksum.
+func (p *Pool) readPageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
+	retries, err := storage.Retry(func() error {
+		if err := f.ReadPage(pageNo, buf); err != nil {
+			return err
 		}
 		if page.VerifyChecksum(buf) {
 			return nil
 		}
-		p.checksumFails.Add(1)
-		err = fmt.Errorf("buffer: page %d of %q: %w", pageNo, f.Name(), storage.ErrCorruptPage)
 		// A checksum mismatch is media rot, not a transient transfer
 		// failure: re-reading returns the same rotted bytes. Surface it
 		// immediately so the caller can quarantine the page.
-		break
+		p.checksumFails.Add(1)
+		return fmt.Errorf("buffer: page %d of %q: %w", pageNo, f.Name(), storage.ErrCorruptPage)
+	})
+	p.readRetries.Add(int64(retries))
+	if err != nil {
+		p.readFailures.Add(1)
 	}
-	p.readFailures.Add(1)
 	return err
 }
 
@@ -304,19 +263,11 @@ func (p *Pool) NoteRead(retries int, failed, corrupt bool) {
 // writePageChecked stamps the page checksum and writes with bounded retries.
 func (p *Pool) writePageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
 	page.StampChecksum(buf)
-	var err error
-	for attempt := 0; attempt <= maxIORetries; attempt++ {
-		if attempt > 0 {
-			p.writeRetries.Add(1)
-		}
-		if err = f.WritePage(pageNo, buf); err == nil {
-			return nil
-		}
-		if errors.Is(err, storage.ErrFreedPage) {
-			break
-		}
+	retries, err := storage.Retry(func() error { return f.WritePage(pageNo, buf) })
+	p.writeRetries.Add(int64(retries))
+	if err != nil {
+		p.writeFailures.Add(1)
 	}
-	p.writeFailures.Add(1)
 	return err
 }
 

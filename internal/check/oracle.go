@@ -342,6 +342,3 @@ func (o *Oracle) Restart() {
 	}
 	o.snaps = make(map[txn.TxID]*oSnap)
 }
-
-// Tuples returns the live tuple map (read-only use by the harness).
-func (o *Oracle) Tuples() map[uint64]*Tuple { return o.tuples }

@@ -67,9 +67,6 @@ type Config struct {
 	BackgroundMaint bool
 	// MaintWorkers sizes the maintenance worker pool (default 2).
 	MaintWorkers int
-	// MaintBytesPerSec caps background device writes via a token bucket
-	// (0 = unthrottled).
-	MaintBytesPerSec int64
 	// WALCheckpointBytes triggers an automatic checkpoint (snapshot + log
 	// truncation, see Engine.Checkpoint) once the current log generation
 	// grows past this many bytes (0 = no automatic checkpoints).
@@ -193,7 +190,6 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.BackgroundMaint {
 		e.Maint = maint.New(maint.Config{
 			Workers:      cfg.MaintWorkers,
-			BytesPerSec:  cfg.MaintBytesPerSec,
 			WrittenBytes: func() int64 { return dev.Stats().BytesWritten },
 		})
 		// Partition-buffer pressure drives eviction asynchronously: at the

@@ -151,13 +151,15 @@ func TestGovernorBackgroundUrgentReclaim(t *testing.T) {
 		SpaceSoftBytes:      3 << 20,
 		SpaceHardBytes:      4 << 20,
 		BackgroundMaint:     true,
-		// Starve the normal lane so only the urgent lane can possibly keep
-		// up — reclamation must not sit behind the rate limiter.
-		MaintBytesPerSec: 1,
 	})
 	defer e.Close()
 	insertN(t, e, tbl, 0, 50)
+	// The workers are held back while the churn runs, or a pass at the soft
+	// watermark can keep the engine from ever reaching the hard one; once the
+	// engine has degraded, the queued reclamation is what has to re-open it.
+	e.Maint.Pause()
 	churnUntilReadOnly(t, e, tbl, ix, 50, 20000)
+	e.Maint.Resume()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for e.ReadOnly() && time.Now().Before(deadline) {

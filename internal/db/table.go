@@ -12,6 +12,7 @@ import (
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/btree"
 	"mvpbt/internal/index/mvpbt"
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/index/pbt"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
@@ -85,11 +86,13 @@ type IndexDef struct {
 	NoIdxVC bool
 }
 
-// Index is one materialized index of a table.
+// Index is one materialized index of a table: a version-oblivious tree
+// (B-Tree or PBT) behind index.Candidates, or an MV-PBT — exactly one of
+// cand and mv is set. Which tree cand holds matters to its constructor
+// (newIndex) and to the one read dispatch (Index.candidates) only.
 type Index struct {
 	Def  IndexDef
-	bt   *btree.Tree
-	pb   *pbt.Tree
+	cand index.Candidates
 	mv   *mvpbt.Tree
 	file *sfile.File
 	gen  int // rebuild generation (0 = original build)
@@ -99,11 +102,43 @@ type Index struct {
 // metadata/statistics access.
 func (ix *Index) MV() *mvpbt.Tree { return ix.mv }
 
-// BT returns the underlying B-Tree (nil for other kinds).
-func (ix *Index) BT() *btree.Tree { return ix.bt }
-
 // PB returns the underlying PBT (nil for other kinds).
-func (ix *Index) PB() *pbt.Tree { return ix.pb }
+func (ix *Index) PB() *pbt.Tree {
+	pb, _ := ix.cand.(*pbt.Tree)
+	return pb
+}
+
+// newIndex creates generation gen of one index of table: its file and an
+// empty tree over it (a rebuild's files are named <table>.<index>.r<gen>).
+func (e *Engine) newIndex(table string, def IndexDef, gen int) (*Index, error) {
+	name := table + "." + def.Name
+	if gen > 0 {
+		name = fmt.Sprintf("%s.r%d", name, gen)
+	}
+	ix := &Index{Def: def, file: e.FM.Create(name, sfile.ClassIndex), gen: gen}
+	switch def.Kind {
+	case IdxBTree:
+		bt, err := btree.New(e.Pool, ix.file)
+		if err != nil {
+			return nil, err
+		}
+		ix.cand = bt
+	case IdxPBT:
+		ix.cand = pbt.New(e.Pool, ix.file, e.PBuf, pbt.Options{
+			Name: name, BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
+		})
+	case IdxMVPBT:
+		ix.mv = mvpbt.New(e.Pool, ix.file, e.PBuf, e.Mgr, mvpbt.Options{
+			Name: name, Unique: def.Unique,
+			BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
+			DisableGC: def.DisableGC, MaxPartitions: def.MaxPartitions,
+		})
+		e.wireMaint(name, ix.mv)
+	default:
+		return nil, fmt.Errorf("db: unknown index kind %d", def.Kind)
+	}
+	return ix, nil
+}
 
 // Table binds a heap to its indexes.
 type Table struct {
@@ -140,29 +175,9 @@ func (e *Engine) NewTable(name string, hk HeapKind, defs ...IndexDef) (*Table, e
 		return nil, fmt.Errorf("db: unknown heap kind %d", hk)
 	}
 	for _, def := range defs {
-		ix := &Index{Def: def}
-		f := e.FM.Create(name+"."+def.Name, sfile.ClassIndex)
-		ix.file = f
-		switch def.Kind {
-		case IdxBTree:
-			bt, err := btree.New(e.Pool, f)
-			if err != nil {
-				return nil, err
-			}
-			ix.bt = bt
-		case IdxPBT:
-			ix.pb = pbt.New(e.Pool, f, e.PBuf, pbt.Options{
-				Name: name + "." + def.Name, BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
-			})
-		case IdxMVPBT:
-			ix.mv = mvpbt.New(e.Pool, f, e.PBuf, e.Mgr, mvpbt.Options{
-				Name: name + "." + def.Name, Unique: def.Unique,
-				BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
-				DisableGC: def.DisableGC, MaxPartitions: def.MaxPartitions,
-			})
-			e.wireMaint(name+"."+def.Name, ix.mv)
-		default:
-			return nil, fmt.Errorf("db: unknown index kind %d", def.Kind)
+		ix, err := e.newIndex(name, def, 0)
+		if err != nil {
+			return nil, err
 		}
 		t.indexes = append(t.indexes, ix)
 	}
@@ -231,13 +246,10 @@ func (t *Table) Insert(tx *txn.Tx, row []byte) (uint64, storage.RecordID, error)
 		key := ix.Def.Extract(row)
 		ref := t.ref(rid, v)
 		var ierr error
-		switch {
-		case ix.bt != nil:
-			ierr = ix.bt.Insert(key, ref)
-		case ix.pb != nil:
-			ierr = ix.pb.Insert(key, ref)
-		case ix.mv != nil:
+		if ix.mv != nil {
 			ierr = ix.mv.InsertRegular(tx, key, ref)
+		} else {
+			ierr = ix.cand.Insert(key, ref)
 		}
 		if ierr != nil {
 			return 0, storage.RecordID{}, t.eng.noteWriteErr(ierr)
@@ -284,25 +296,16 @@ func (t *Table) Update(tx *txn.Tx, old RowRef, newRow []byte) (storage.RecordID,
 		ref := t.ref(newRID, old.VID)
 		var ierr error
 		switch {
+		case ix.mv != nil && p.changed:
+			ierr = ix.mv.InsertKeyUpdate(tx, p.oldKey, p.newKey, ref, old.RID)
 		case ix.mv != nil:
-			if p.changed {
-				ierr = ix.mv.InsertKeyUpdate(tx, p.oldKey, p.newKey, ref, old.RID)
-			} else {
-				ierr = ix.mv.InsertReplacement(tx, p.oldKey, ref, old.RID)
-			}
-		case ix.bt != nil || ix.pb != nil:
+			ierr = ix.mv.InsertReplacement(tx, p.oldKey, ref, old.RID)
+		case p.changed || (ix.Def.RefMode == RefPhysical && res.NeedsIndexUpdate):
 			// Version-oblivious maintenance: a new entry is needed when
 			// the key changed, or — with physical references — whenever
 			// the entry-point moved (SIAS: every update; HOT: non-HOT
 			// updates). Logical references ride the indirection layer.
-			need := p.changed || (ix.Def.RefMode == RefPhysical && res.NeedsIndexUpdate)
-			if need {
-				if ix.bt != nil {
-					ierr = ix.bt.Insert(p.newKey, ref)
-				} else {
-					ierr = ix.pb.Insert(p.newKey, ref)
-				}
-			}
+			ierr = ix.cand.Insert(p.newKey, ref)
 		}
 		if ierr != nil {
 			return storage.RecordID{}, t.eng.noteWriteErr(ierr)
@@ -354,31 +357,17 @@ func (t *Table) Vacuum() (int, error) {
 func (t *Table) RebuildIndex(ix *Index) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ix.bt == nil && ix.pb == nil {
+	if ix.cand == nil {
 		return fmt.Errorf("db: index %s.%s is not version-oblivious and cannot be rebuilt from the base table", t.name, ix.Def.Name)
 	}
 	e := t.eng
-	gen := ix.gen + 1
-	f := e.FM.Create(fmt.Sprintf("%s.%s.r%d", t.name, ix.Def.Name, gen), sfile.ClassIndex)
-	var nbt *btree.Tree
-	var npb *pbt.Tree
-	var insert func(key []byte, ref index.Ref) error
-	if ix.bt != nil {
-		var err error
-		if nbt, err = btree.New(e.Pool, f); err != nil {
-			return err
-		}
-		insert = nbt.Insert
-	} else {
-		npb = pbt.New(e.Pool, f, e.PBuf, pbt.Options{
-			Name:      fmt.Sprintf("%s.%s.r%d", t.name, ix.Def.Name, gen),
-			BloomBits: ix.Def.BloomBits, PrefixLen: ix.Def.PrefixLen,
-		})
-		insert = npb.Insert
+	fresh, err := e.newIndex(t.name, ix.Def, ix.gen+1)
+	if err != nil {
+		return err
 	}
 	var ierr error
-	err := t.h.ScanVersions(func(rid storage.RecordID, v heap.Version) bool {
-		ierr = insert(ix.Def.Extract(v.Data), index.Ref{RID: rid, VID: v.VID})
+	err = t.h.ScanVersions(func(rid storage.RecordID, v heap.Version) bool {
+		ierr = fresh.cand.Insert(ix.Def.Extract(v.Data), index.Ref{RID: rid, VID: v.VID})
 		return ierr == nil
 	})
 	if err != nil {
@@ -387,10 +376,10 @@ func (t *Table) RebuildIndex(ix *Index) error {
 	if ierr != nil {
 		return ierr
 	}
-	old, oldPB := ix.file, ix.pb
-	ix.bt, ix.pb, ix.file, ix.gen = nbt, npb, f, gen
-	if oldPB != nil {
-		e.PBuf.Unregister(oldPB)
+	old, oldCand := ix.file, ix.cand
+	ix.cand, ix.file, ix.gen = fresh.cand, fresh.file, fresh.gen
+	if owner, ok := oldCand.(part.Owner); ok {
+		e.PBuf.Unregister(owner)
 	}
 	if n := old.NumPages(); n > 0 {
 		e.Pool.DropFilePages(old, 0, int(n))

@@ -505,20 +505,4 @@ func (t *Tree) Height() int {
 	return t.h
 }
 
-// Insert of index.Candidates requires this adapter signature; assert it.
-var _ index.Candidates = (*candidateAdapter)(nil)
-
-// candidateAdapter binds Tree to index.Candidates (the raw Tree exposes
-// richer signatures).
-type candidateAdapter struct{ t *Tree }
-
-// AsCandidates returns the tree as a version-oblivious index.
-func (t *Tree) AsCandidates() index.Candidates { return &candidateAdapter{t: t} }
-
-func (a *candidateAdapter) Insert(key []byte, ref index.Ref) error { return a.t.Insert(key, ref) }
-func (a *candidateAdapter) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
-	return a.t.LookupCandidates(key, fn)
-}
-func (a *candidateAdapter) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
-	return a.t.ScanCandidates(lo, hi, fn)
-}
+var _ index.Candidates = (*Tree)(nil)

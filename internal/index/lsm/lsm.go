@@ -88,14 +88,14 @@ const maxPendingImm = 4
 
 // Tree is an LSM tree. Safe for concurrent use.
 //
-// Two flush modes: synchronously (default) the writer that fills the
-// memtable builds the run inline under mu — the seed behavior. With
-// SetFlushNotify installed, the full memtable is frozen onto the imm list
-// (an O(1) pointer swap) and the notifier schedules FlushPending on the
-// maintenance service; reads cover mem + imm + runs throughout. The
-// expensive run build and compaction merges then run under compactMu
-// only, so foreground writes never wait on device I/O unless the imm
-// backlog exceeds maxPendingImm.
+// One flush path: the write that fills the memtable freezes it onto the imm
+// list (an O(1) pointer swap) and FlushPending builds the run and runs any
+// due compaction under compactMu only, never holding mu across device I/O;
+// reads cover mem + imm + runs throughout. Who calls FlushPending is the
+// one difference between the two modes: by default the writer itself,
+// inline (the inserting client pays); with SetFlushNotify installed the
+// notifier schedules it on the maintenance service, and a foreground write
+// waits on device I/O only when the imm backlog exceeds maxPendingImm.
 type Tree struct {
 	mu    sync.Mutex
 	opts  Options
@@ -110,7 +110,7 @@ type Tree struct {
 	stats Stats
 	getIt part.Iterator // Get's segment iterator, reused; guarded by mu
 
-	onFlush func() // guarded by mu; nil = synchronous flush
+	onFlush func() // guarded by mu; nil = the filling writer flushes inline
 
 	// compactMu serializes run builds and compactions (FlushPending,
 	// Compact, Close) without holding mu across the merge I/O.
@@ -170,27 +170,30 @@ func (t *Tree) write(key []byte, e memEntry) error {
 		t.mu.Unlock()
 		return nil
 	}
-	if t.onFlush == nil {
-		err := t.flushLocked()
-		t.mu.Unlock()
-		return err
-	}
 	onFlush := t.onFlush
-	t.imm = append([]*skiplist.List[[]byte, memEntry]{t.mem}, t.imm...)
-	t.mem = newMem()
-	stall := len(t.imm) > maxPendingImm
+	t.freezeLocked()
+	stall := onFlush != nil && len(t.imm) > maxPendingImm
 	if stall {
 		t.stats.Stalls++
 	}
 	t.mu.Unlock()
-	onFlush()
-	if stall {
+	if onFlush != nil {
+		onFlush()
+		if !stall {
+			return nil
+		}
 		// Flushing has fallen behind the write rate: this writer drains
 		// the backlog itself (compactMu serializes with the background
 		// worker, so the work happens exactly once).
-		return t.FlushPending()
 	}
-	return nil
+	return t.FlushPending()
+}
+
+// freezeLocked moves the memtable onto the imm list, newest first, and
+// starts an empty one. Requires mu.
+func (t *Tree) freezeLocked() {
+	t.imm = append([]*skiplist.List[[]byte, memEntry]{t.mem}, t.imm...)
+	t.mem = newMem()
 }
 
 // SetFlushNotify switches the tree to background-flush mode: fn is
@@ -214,68 +217,49 @@ func (t *Tree) PendingMemtables() int {
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.mem.Get(key); ok {
-		if e.tomb {
-			return nil, false, nil
-		}
-		return append([]byte(nil), e.val...), true, nil
+	// A value found in a run lies in the tree's one iterator (runs are probed
+	// one after another, under mu): it is copied before the iterator closes.
+	defer t.getIt.Close()
+	e, ok, err := t.newestLocked(key)
+	if err != nil || !ok || e.tomb {
+		return nil, false, err
 	}
-	for _, im := range t.imm {
-		if e, ok := im.Get(key); ok {
-			if e.tomb {
-				return nil, false, nil
-			}
-			return append([]byte(nil), e.val...), true, nil
+	return append([]byte(nil), e.val...), true, nil
+}
+
+// newestLocked finds key's newest entry, tombstones included: the memtable,
+// the frozen memtables newest first, then L0 newest first and the levels
+// below (bloom filters skip runs). Requires mu.
+func (t *Tree) newestLocked(key []byte) (memEntry, bool, error) {
+	for i := -1; i < len(t.imm); i++ {
+		m := t.mem
+		if i >= 0 {
+			m = t.imm[i]
 		}
-	}
-	// probe reads through the tree's one iterator (runs are probed one after
-	// another, under mu), so a value found is copied before the next move.
-	probe := func(seg *part.Segment) (memEntry, bool, error) {
-		if !seg.MayContainKey(key) {
-			t.stats.BloomNegatives++
-			return memEntry{}, false, nil
-		}
-		it := &t.getIt
-		it.Seek(seg, key)
-		if it.Err() != nil {
-			return memEntry{}, false, it.Err()
-		}
-		if it.Valid() && bytes.Equal(it.Record().Key, key) {
-			e := decodeBody(it.Record().Body)
-			e.val = append([]byte(nil), e.val...)
+		if e, ok := m.Get(key); ok {
 			return e, true, nil
 		}
-		return memEntry{}, false, nil
 	}
-	defer t.getIt.Close()
-	for _, seg := range t.l0 {
-		e, ok, err := probe(seg)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if e.tomb {
-				return nil, false, nil
+	it := &t.getIt
+	for _, level := range [...][]*part.Segment{t.l0, t.lower} {
+		for _, seg := range level {
+			if seg == nil {
+				continue
 			}
-			return e.val, true, nil
-		}
-	}
-	for _, seg := range t.lower {
-		if seg == nil {
-			continue
-		}
-		e, ok, err := probe(seg)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if e.tomb {
-				return nil, false, nil
+			if !seg.MayContainKey(key) {
+				t.stats.BloomNegatives++
+				continue
 			}
-			return e.val, true, nil
+			it.Seek(seg, key)
+			if it.Err() != nil {
+				return memEntry{}, false, it.Err()
+			}
+			if it.Valid() && bytes.Equal(it.Record().Key, key) {
+				return decodeBody(it.Record().Body), true, nil
+			}
 		}
 	}
-	return nil, false, nil
+	return memEntry{}, false, nil
 }
 
 // source is one input to the merge: the memtable or a run, with rank 0 =
@@ -434,19 +418,12 @@ func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bo
 	}
 }
 
-// Flush forces everything in memory out (tests and shutdown). In
-// background mode (or with a flush backlog) it freezes the current
-// memtable and drains the whole pipeline via FlushPending.
+// Flush forces everything in memory out (tests and shutdown): it freezes
+// the current memtable and drains the whole pipeline via FlushPending.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
-	if t.onFlush == nil && len(t.imm) == 0 {
-		err := t.flushLocked()
-		t.mu.Unlock()
-		return err
-	}
 	if t.mem.Len() > 0 {
-		t.imm = append([]*skiplist.List[[]byte, memEntry]{t.mem}, t.imm...)
-		t.mem = newMem()
+		t.freezeLocked()
 	}
 	t.mu.Unlock()
 	return t.FlushPending()
@@ -459,26 +436,9 @@ func (t *Tree) Close() error {
 	return t.Flush()
 }
 
-// flushLocked is the synchronous path: build the run inline under mu.
-func (t *Tree) flushLocked() error {
-	if t.mem.Len() == 0 {
-		return nil
-	}
-	no := t.runNo
-	t.runNo++
-	seg, err := t.buildRun(t.mem, no)
-	if err != nil {
-		return err
-	}
-	t.l0 = append([]*part.Segment{seg}, t.l0...)
-	t.mem = newMem()
-	t.stats.Flushes++
-	return t.maybeCompactLocked()
-}
-
-// buildRun serializes one memtable into run number no. The background
-// path calls it WITHOUT mu: the source is frozen (no further inserts)
-// and the builder touches only thread-safe state (pool, file).
+// buildRun serializes one memtable into run number no. Called WITHOUT mu:
+// the source is frozen (no further inserts) and the builder touches only
+// thread-safe state (pool, file).
 func (t *Tree) buildRun(mem *skiplist.List[[]byte, memEntry], no int) (*part.Segment, error) {
 	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
 	var body []byte
@@ -492,7 +452,7 @@ func (t *Tree) buildRun(mem *skiplist.List[[]byte, memEntry], no int) (*part.Seg
 }
 
 // FlushPending builds runs for all frozen memtables, oldest first, then
-// runs any due compactions — the background flush job. Serialized by
+// runs any due compactions — the flush job. Serialized by
 // compactMu; mu is held only to pick sources and install results, never
 // across the build I/O.
 func (t *Tree) FlushPending() error {
@@ -546,25 +506,6 @@ func (t *Tree) compactPending() error {
 		t.mu.Lock()
 		t.installCompactionLocked(inputs, srcLevel, merged)
 		t.mu.Unlock()
-		for _, s := range inputs {
-			s.Free()
-		}
-	}
-}
-
-// maybeCompactLocked is the synchronous equivalent: plan/merge/install
-// entirely under mu (the seed behavior — the inserting client pays).
-func (t *Tree) maybeCompactLocked() error {
-	for {
-		inputs, srcLevel, dropTombs, no, ok := t.planCompactionLocked()
-		if !ok {
-			return nil
-		}
-		merged, err := t.mergeRuns(inputs, dropTombs, no)
-		if err != nil {
-			return err
-		}
-		t.installCompactionLocked(inputs, srcLevel, merged)
 		for _, s := range inputs {
 			s.Free()
 		}
@@ -644,7 +585,7 @@ func (t *Tree) bottomEmpty(i int) bool {
 
 // mergeRuns merges runs (newest first) into run number no, newest entry
 // per key winning; dropTombs drops tombstones (safe only at the bottom).
-// Touches no locked state: callable with or without mu.
+// Touches no locked state: called without mu.
 func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Segment, error) {
 	// Streamed through the same sequential readers and builder as MV-PBT's
 	// merges (Figure 15 compares the structures, not two write-out paths). A

@@ -167,7 +167,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 							report(err)
 						}
 					default:
-						tr.DumpKey(k)
+						if _, err := tr.DumpKey(k); err != nil {
+							report(err)
+						}
 					}
 				}
 				env.mgr.Commit(tx)

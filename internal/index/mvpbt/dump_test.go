@@ -1,9 +1,13 @@
 package mvpbt
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 )
 
@@ -17,9 +21,9 @@ func TestDumpKeyShowsAllLocations(t *testing.T) {
 	tr.EvictPN()
 	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("k"), v2, v1.RID) })
 
-	dump := tr.DumpKey([]byte("k"))
-	if len(dump) != 3 {
-		t.Fatalf("dump has %d entries, want 3", len(dump))
+	dump, err := tr.DumpKey([]byte("k"))
+	if err != nil || len(dump) != 3 {
+		t.Fatalf("dump has %d entries (%v), want 3", len(dump), err)
 	}
 	if dump[0].Where != "PN" {
 		t.Fatalf("newest record not in PN: %+v", dump[0])
@@ -38,8 +42,17 @@ func TestDumpKeyShowsAllLocations(t *testing.T) {
 	if dump[2].Rec.Type != Regular {
 		t.Fatalf("oldest record should be the regular insert: %v", dump[2].Rec.Type)
 	}
-	if len(tr.DumpKey([]byte("absent"))) != 0 {
-		t.Fatal("dump of absent key returned records")
+	if dump, err := tr.DumpKey([]byte("absent")); err != nil || len(dump) != 0 {
+		t.Fatalf("dump of absent key returned %d records (%v)", len(dump), err)
+	}
+
+	// A partition that cannot be read is an error, not a shorter dump.
+	for _, seg := range tr.Partitions() {
+		e.pool.DropFilePages(tr.file, seg.StartPage, seg.NumPages)
+	}
+	e.dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultBitFlip, Class: int(sfile.ClassIndex), ByteOffset: 777, Sticky: true})
+	if dump, err := tr.DumpKey([]byte("k")); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("dump through a rotted partition: %d entries, %v; want ErrCorruptPage", len(dump), err)
 	}
 }
 

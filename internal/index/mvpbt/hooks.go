@@ -1,12 +1,6 @@
 package mvpbt
 
-import (
-	"fmt"
-
-	"mvpbt/internal/index"
-	"mvpbt/internal/skiplist"
-	"mvpbt/internal/txn"
-)
+import "mvpbt/internal/txn"
 
 // Raw-record enumeration and test-only mutation hooks for the differential
 // correctness harness (internal/check). DumpRange exposes every physical
@@ -35,52 +29,13 @@ type RawEntry struct {
 // side effects; fn returning false stops. Safe to run concurrently with
 // readers and writers — it sees the view current at call time.
 func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	v := t.view.Load()
-	rs := t.newReadState(nil)
-	defer rs.release()
-	segIt := &rs.it
-	dumpPN := func(src string, pn *skiplist.List[pnKey, *Record]) bool {
-		for it := pn.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-			if !index.KeyInRange(it.Key().key, lo, hi) {
-				break
-			}
-			if !fn(RawEntry{Source: src, Key: it.Key().key, Rec: it.Value().snapshot()}) {
-				return false
-			}
+	at, name := walkSrc{n: -1}, "" // the source being dumped and its name, made once per source
+	return t.walk(nil, nil, lo, hi, false, filterNone, func(src walkSrc, key []byte, rec *Record) bool {
+		if src != at {
+			at, name = src, src.String()
 		}
-		return true
-	}
-	if !dumpPN("PN", v.pn) {
-		return nil
-	}
-	for fi, fz := range v.frozen {
-		if !dumpPN(fmt.Sprintf("F%d", fi), fz) {
-			return nil
-		}
-	}
-	for i := len(v.parts) - 1; i >= 0; i-- {
-		seg := v.parts[i]
-		src := fmt.Sprintf("P%d", seg.No)
-		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
-			r := segIt.Record()
-			if !index.KeyInRange(r.Key, lo, hi) {
-				break
-			}
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
-				return err
-			}
-			if !fn(RawEntry{Source: src, Key: r.Key, Rec: rec}) {
-				return nil
-			}
-		}
-		if err := segIt.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(RawEntry{Source: name, Key: key, Rec: rec.snapshot()})
+	})
 }
 
 // VisFaultFn post-processes an index-only visibility decision: it receives

@@ -2,6 +2,7 @@ package mvpbt
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -436,6 +437,7 @@ func (v *visCheck) atKey(key []byte) {
 type readState struct {
 	vis     visCheck
 	it      part.Iterator
+	rec     Record // walk: the partition record being visited
 	srcs    []scanSource
 	decided []byte // uniqueScan: the key whose deciding record it has passed
 }
@@ -471,6 +473,7 @@ func (t *Tree) newReadState(tx *txn.Tx) *readState {
 func (rs *readState) release() {
 	rs.vis.t, rs.vis.tree = nil, nil
 	rs.it.Close()
+	rs.rec = Record{}
 	for i := range rs.srcs {
 		s := &rs.srcs[i]
 		s.segIt.Close()
@@ -504,7 +507,7 @@ func (rs *readState) addSource(prio int) *scanSource {
 // Deviation from the paper's Algorithm 3 as printed: anti-matter is
 // registered for every committed snapshot-visible record BEFORE the
 // suppression test, which makes suppression transitive across chains of
-// three and more versions (see DESIGN.md §4).
+// three and more versions (see DESIGN.md "Read path").
 func (v *visCheck) check(rec *Record, inPN bool) bool {
 	return v.tree.applyVisFault(rec.TS, v.checkInner(rec, inPN))
 }
@@ -561,89 +564,153 @@ func (v *visCheck) mark(rec *Record) {
 	}
 }
 
-// Lookup implements index.VersionAware (Algorithm 1): visible entries for
-// exactly this key, newest version first, PN before persisted partitions.
-// Lock-free against other readers and PN inserts; it sees the view
-// current at call time.
-func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
+// walkSrc names the source a walk is in: P_N, a frozen (eviction-pending)
+// PN or a persisted partition.
+type walkSrc struct {
+	inPN bool // a main-memory partition: its records are shared and may be GC-marked
+	n    int  // 0 = P_N and i+1 = frozen PN i when inPN, the partition number otherwise
+}
+
+func (s walkSrc) String() string {
+	switch {
+	case !s.inPN:
+		return fmt.Sprintf("P%d", s.n)
+	case s.n == 0:
+		return "PN"
+	}
+	return fmt.Sprintf("F%d", s.n-1)
+}
+
+// partFilter selects which persisted partitions a walk enters.
+type partFilter int
+
+const (
+	// filterNone: every partition (the dumps show what is there).
+	filterNone partFilter = iota
+	// filterRange: the partition's key-range and prefix filter, uncounted
+	// (ScanAllMatter; Stats().Prefix counts Scan's merge inputs only).
+	filterRange
+	// filterLookup: the Minimum Transaction Timestamp filter (§4.2), then
+	// the bloom filter on the key with the Stats().Bloom counters.
+	filterLookup
+)
+
+// walk is the read of Algorithms 1–3 that needs no merge (DESIGN.md "Read
+// path"): every record with key == lo (point) or lo <= key < hi (hi nil =
+// +inf), source by source in §4.3 processing order, each source in its own
+// (key asc, ts desc) order, until visit returns false. All records of ONE
+// key are met newest first this way; a range must interleave its sources
+// per key, which is Scan's k-way merge. Lock-free against other readers and
+// PN inserts; it sees the view current at call time.
+//
+// The visited record is good until visit returns. A partition's record is
+// decoded into the pooled read state — a local handed to visit by address
+// would escape, one heap allocation per read — which is the caller's rs or,
+// when rs is nil, drawn only if the walk reaches a partition: a read decided
+// in P_N never pays for it.
+func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter partFilter, visit func(src walkSrc, key []byte, rec *Record) bool) error {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
-	if t.opts.Unique {
-		return t.uniqueLookup(tx, v, key, fn)
-	}
-	rs := t.newReadState(tx)
-	defer rs.release()
-	vis, segIt := &rs.vis, &rs.it
-	stop := false
-	emit := func(rec *Record) bool {
-		if !fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val}) {
-			stop = true
+	has := func(key []byte) bool {
+		if point {
+			return bytes.Equal(key, lo)
 		}
-		return !stop
+		return index.KeyInRange(key, lo, hi)
 	}
-	for it := v.pn.Seek(pnKey{key: key, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-		if !bytes.Equal(it.Key().key, key) {
-			break
+	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
+	// Frozen PNs are strictly newer than any persisted partition and
+	// strictly older than P_N — §4.3 ordering holds.
+	for i := -1; i < len(v.frozen); i++ {
+		pn := v.pn
+		if i >= 0 {
+			pn = v.frozen[i]
 		}
-		if vis.check(it.Value(), true) && !emit(it.Value()) {
-			return nil
-		}
-	}
-	// Frozen PNs: eviction-pending, newest first, strictly newer than any
-	// persisted partition — §4.3 ordering holds.
-	for _, fz := range v.frozen {
-		for it := fz.Seek(pnKey{key: key, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-			if !bytes.Equal(it.Key().key, key) {
-				break
-			}
-			if vis.check(it.Value(), true) && !emit(it.Value()) {
+		for it := pn.Seek(from); it.Valid() && has(it.Key().key); it.Next() {
+			if !visit(walkSrc{inPN: true, n: i + 1}, it.Key().key, it.Value()) {
 				return nil
 			}
 		}
+	}
+	if len(v.parts) == 0 {
+		return nil
+	}
+	if rs == nil {
+		rs = t.newReadState(tx)
+		defer rs.release()
 	}
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
-		if segInvisible(tx, seg) {
-			// Minimum Transaction Timestamp filter (§4.2): nothing in this
-			// partition can be visible — but newer partitions cannot
-			// suppress older ones we still need, so just skip this one.
-			continue
+		switch filter {
+		case filterLookup:
+			if segInvisible(tx, seg) {
+				// Nothing in this partition can be visible — but newer
+				// partitions cannot suppress older ones we still need, so
+				// just skip this one.
+				continue
+			}
+			if !seg.MayContainKey(lo) {
+				t.stats.bloom.negatives.Add(1)
+				continue
+			}
+		case filterRange:
+			if !seg.MayContainRange(lo, hi) {
+				continue
+			}
 		}
-		if !seg.MayContainKey(key) {
-			t.stats.bloom.negatives.Add(1)
-			continue
-		}
-		found := false
-		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
-			r := segIt.Record()
-			if !bytes.Equal(r.Key, key) {
+		found, more := false, true
+		for rs.it.Seek(seg, lo); rs.it.Valid(); rs.it.Next() {
+			r := rs.it.Record()
+			if !has(r.Key) {
 				break
 			}
 			found = true
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
+			var err error
+			if rs.rec, err = decodeRecord(r.Body); err != nil {
 				return err
 			}
-			if vis.check(&rec, false) && !emit(&rec) {
-				t.countBloom(true)
-				return nil
+			if more = visit(walkSrc{n: seg.No}, r.Key, &rs.rec); !more {
+				break
 			}
 		}
-		if err := segIt.Err(); err != nil {
+		if err := rs.it.Err(); err != nil {
 			return err
 		}
-		t.countBloom(found)
+		if filter == filterLookup {
+			if found {
+				t.stats.bloom.positives.Add(1)
+			} else {
+				t.stats.bloom.falsePositives.Add(1)
+			}
+		}
+		if !more {
+			return nil
+		}
 	}
 	return nil
 }
 
-func (t *Tree) countBloom(found bool) {
-	if found {
-		t.stats.bloom.positives.Add(1)
-	} else {
-		t.stats.bloom.falsePositives.Add(1)
+// Lookup implements index.VersionAware (Algorithm 1): visible entries for
+// exactly this key, newest version first, PN before persisted partitions.
+// A unique index stops at the record that decides the key (see unique.go).
+func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
+	if t.opts.Unique {
+		return t.walk(tx, nil, key, nil, true, filterLookup, func(_ walkSrc, _ []byte, rec *Record) bool {
+			if !t.decides(tx, rec) {
+				return true
+			}
+			if rec.Matter() {
+				fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val})
+			}
+			return false
+		})
 	}
+	rs := t.newReadState(tx)
+	defer rs.release()
+	vis := &rs.vis
+	return t.walk(tx, rs, key, nil, true, filterLookup, func(src walkSrc, _ []byte, rec *Record) bool {
+		return !vis.check(rec, src.inPN) || fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val})
+	})
 }
 
 // scanSource is one merge input: the main-memory partition or a persisted
@@ -801,60 +868,11 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 // ScanAllMatter returns every matter record in [lo, hi) WITHOUT the
 // index-only visibility check — the "MV-PBT w/o idxVC" ablation of Figure
 // 12a, where the caller must verify candidates against the base table.
+// Entries arrive grouped by source in processing order, not merged.
 func (t *Tree) ScanAllMatter(lo, hi []byte, fn func(index.Entry) bool) error {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	v := t.view.Load()
-	rs := t.newReadState(nil)
-	defer rs.release()
-	segIt := &rs.it
-	for it := v.pn.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-		if !index.KeyInRange(it.Key().key, lo, hi) {
-			break
-		}
-		if rec := it.Value(); rec.Matter() {
-			if !fn(index.Entry{Key: it.Key().key, Ref: rec.Ref}) {
-				return nil
-			}
-		}
-	}
-	for _, fz := range v.frozen {
-		for it := fz.Seek(pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-			if !index.KeyInRange(it.Key().key, lo, hi) {
-				break
-			}
-			if rec := it.Value(); rec.Matter() {
-				if !fn(index.Entry{Key: it.Key().key, Ref: rec.Ref}) {
-					return nil
-				}
-			}
-		}
-	}
-	for i := len(v.parts) - 1; i >= 0; i-- {
-		seg := v.parts[i]
-		if !seg.MayContainRange(lo, hi) {
-			continue
-		}
-		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
-			r := segIt.Record()
-			if !index.KeyInRange(r.Key, lo, hi) {
-				break
-			}
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
-				return err
-			}
-			if rec.Matter() {
-				if !fn(index.Entry{Key: r.Key, Ref: rec.Ref}) {
-					return nil
-				}
-			}
-		}
-		if err := segIt.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.walk(nil, nil, lo, hi, false, filterRange, func(_ walkSrc, key []byte, rec *Record) bool {
+		return !rec.Matter() || fn(index.Entry{Key: key, Ref: rec.Ref})
+	})
 }
 
 var _ index.VersionAware = (*Tree)(nil)

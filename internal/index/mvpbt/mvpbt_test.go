@@ -59,6 +59,29 @@ func (e *env) commit(fn func(tx *txn.Tx)) *txn.Tx {
 	return tx
 }
 
+// lookupIsPointScan asserts that a lookup is the range scan of its one key:
+// Lookup(key) and Scan(key, key+"\x00") hand out the same entries in the same
+// order.
+func lookupIsPointScan(t *testing.T, tr *Tree, tx *txn.Tx, key []byte) {
+	t.Helper()
+	var point, ranged []string
+	collect := func(out *[]string) func(index.Entry) bool {
+		return func(e index.Entry) bool {
+			*out = append(*out, fmt.Sprintf("%s %v %q", e.Key, e.Ref, e.Val))
+			return true
+		}
+	}
+	if err := tr.Lookup(tx, key, collect(&point)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Scan(tx, key, append(bytes.Clone(key), 0), collect(&ranged)); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(point) != fmt.Sprint(ranged) {
+		t.Fatalf("key %q: Lookup sees %v, Scan of [key, key+\"\\x00\") sees %v", key, point, ranged)
+	}
+}
+
 // lookupRIDs collects the rids visible for key.
 func lookupRIDs(t *testing.T, tr *Tree, tx *txn.Tx, key []byte) []storage.RecordID {
 	t.Helper()
@@ -717,6 +740,9 @@ func TestRandomizedModel(t *testing.T) {
 					hist[id] = append(h, version{ts: tx.ID, key: last.key, ref: ref})
 				}
 				e.mgr.Commit(tx)
+				rd := e.mgr.Begin()
+				lookupIsPointScan(t, tr, rd, []byte(keyOf(id)))
+				e.mgr.Commit(rd)
 
 				if r.Intn(200) == 0 && len(snaps) < 6 {
 					snaps = append(snaps, snap{tx: e.mgr.Begin()})

@@ -20,75 +20,12 @@ import (
 // partition and across partitions, newer records of a key are always
 // encountered before older ones.
 
-// uniqueLookup is the point-lookup path for unique indexes: PN first,
-// then partitions newest to oldest with bloom skipping, stopping at the
-// first record the transaction sees. Runs lock-free over one view.
-func (t *Tree) uniqueLookup(tx *txn.Tx, v *treeView, key []byte, fn func(index.Entry) bool) error {
-	decide := func(rec *Record) (done bool) {
-		if rec.GCMarked() || !t.applyVisFault(rec.TS, tx.Sees(rec.TS)) {
-			return false
-		}
-		if rec.Matter() {
-			fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val})
-		}
-		return true
-	}
-	for it := v.pn.Seek(pnKey{key: key, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-		if !bytes.Equal(it.Key().key, key) {
-			break
-		}
-		if decide(it.Value()) {
-			return nil
-		}
-	}
-	for _, fz := range v.frozen {
-		for it := fz.Seek(pnKey{key: key, ts: ^txn.TxID(0), seq: ^uint64(0)}); it.Valid(); it.Next() {
-			if !bytes.Equal(it.Key().key, key) {
-				break
-			}
-			if decide(it.Value()) {
-				return nil
-			}
-		}
-	}
-	if len(v.parts) == 0 {
-		return nil
-	}
-	// Only now the pooled read state: a key decided in P_N never pays for it.
-	rs := t.newReadState(tx)
-	defer rs.release()
-	segIt := &rs.it
-	for i := len(v.parts) - 1; i >= 0; i-- {
-		seg := v.parts[i]
-		if segInvisible(tx, seg) {
-			continue
-		}
-		if !seg.MayContainKey(key) {
-			t.stats.bloom.negatives.Add(1)
-			continue
-		}
-		found := false
-		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
-			r := segIt.Record()
-			if !bytes.Equal(r.Key, key) {
-				break
-			}
-			found = true
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
-				return err
-			}
-			if decide(&rec) {
-				t.countBloom(true)
-				return nil
-			}
-		}
-		if err := segIt.Err(); err != nil {
-			return err
-		}
-		t.countBloom(found)
-	}
-	return nil
+// decides is the unique-index decision rule, for the point path (Lookup's
+// visitor, which stops the walk there) and the range path (uniqueScan)
+// alike: the first record of a key, in processing order, that is not
+// flagged garbage and whose transaction tx sees decides the key.
+func (t *Tree) decides(tx *txn.Tx, rec *Record) bool {
+	return !rec.GCMarked() && t.applyVisFault(rec.TS, tx.Sees(rec.TS))
 }
 
 // uniqueScan is the range-scan path for unique indexes: the merged
@@ -108,8 +45,7 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 			}
 			continue
 		}
-		rec := s.record()
-		if !rec.GCMarked() && t.applyVisFault(rec.TS, tx.Sees(rec.TS)) {
+		if rec := s.record(); t.decides(tx, rec) {
 			rs.decided = append(rs.decided[:0], s.key...)
 			haveDecided = true
 			if rec.Matter() {

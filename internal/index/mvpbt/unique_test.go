@@ -229,6 +229,9 @@ func TestUniqueRandomizedModel(t *testing.T) {
 			blindPut(e, tr, k, v)
 			model[k] = v
 		}
+		rd := e.mgr.Begin()
+		lookupIsPointScan(t, tr, rd, []byte(k))
+		e.mgr.Commit(rd)
 		if r.Intn(500) == 0 {
 			tr.EvictPN()
 		}

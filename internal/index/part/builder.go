@@ -25,10 +25,6 @@ type BuildOptions struct {
 	FillFraction float64
 }
 
-// writeAttempts bounds the tries of one page write: transient device faults
-// are worth retrying before the build fails.
-const writeAttempts = 3
-
 // childRef names one page to its parent level: the first key of its subtree
 // and its page number relative to the segment start.
 type childRef struct {
@@ -192,14 +188,12 @@ func (b *Builder) writeNode() error {
 	}
 	buf := b.node.Bytes()
 	page.StampChecksum(buf)
-	var err error
-	for attempt := 0; attempt < writeAttempts; attempt++ {
-		if err = b.file.WritePage(b.start+uint64(b.nPages), buf); err == nil {
-			b.nPages++
-			return nil
-		}
+	// Transient device faults are worth retrying before the build fails.
+	if _, err := storage.Retry(func() error { return b.file.WritePage(b.start+uint64(b.nPages), buf) }); err != nil {
+		return fmt.Errorf("part: segment write-out: %w", err)
 	}
-	return fmt.Errorf("part: segment write-out: %w", err)
+	b.nPages++
+	return nil
 }
 
 // fail rolls the build back.

@@ -179,7 +179,7 @@ func TestBuilderFailureReturnsExtents(t *testing.T) {
 // build (earlier pages take one write each).
 func failWrite(n int) func(*env) {
 	return func(e *env) {
-		ops := make([]uint64, writeAttempts)
+		ops := make([]uint64, storage.IOAttempts)
 		for i := range ops {
 			ops[i] = uint64(n + i)
 		}
@@ -333,7 +333,7 @@ func TestReaderFaults(t *testing.T) {
 			case "transient":
 				wantReads = 3
 			case "persistent":
-				wantReads = 1 + readAttempts
+				wantReads = 1 + storage.IOAttempts
 			}
 			if got := e.dev.Stats().Reads; got != wantReads {
 				t.Fatalf("%d device reads, want %d", got, wantReads)
@@ -345,7 +345,7 @@ func TestReaderFaults(t *testing.T) {
 			case "transient":
 				want.ReadRetries = 1
 			case "persistent":
-				want.ReadRetries, want.ReadFailures = readAttempts-1, 1
+				want.ReadRetries, want.ReadFailures = storage.IOAttempts-1, 1
 			case "bit-flip":
 				want.ChecksumFailures, want.ReadFailures = 1, 1
 			}

@@ -1,18 +1,12 @@
 package part
 
 import (
-	"errors"
 	"fmt"
 
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
 )
-
-// readAttempts bounds the tries of one chunk read, like the buffer pool's
-// page fetch: transient faults are retried, freed pages and checksum
-// mismatches are not.
-const readAttempts = 3
 
 // Reader streams all of a segment's records in order, for merges. It walks
 // the leaves with one device read per extent into its own buffer and reads the
@@ -82,20 +76,14 @@ func (r *Reader) Next() {
 }
 
 // fill reads the leaves of the extent starting at r.leaf into chunk and
-// verifies every page.
+// verifies every page. Like the buffer pool's page fetch: transient faults
+// are retried, freed pages and checksum mismatches are not.
 func (r *Reader) fill() error {
 	s := r.seg
 	n := min(sfile.ExtentPages, s.NumLeaves-r.leaf)
 	r.chunk = r.buf[:n*storage.PageSize]
 	first := s.StartPage + uint64(r.leaf)
-	var err error
-	retries := 0
-	for ; ; retries++ {
-		err = s.file.ReadRun(first, r.chunk)
-		if err == nil || errors.Is(err, storage.ErrFreedPage) || retries == readAttempts-1 {
-			break
-		}
-	}
+	retries, err := storage.Retry(func() error { return s.file.ReadRun(first, r.chunk) })
 	corrupt := false
 	for i := 0; i < n && err == nil; i++ {
 		if !page.VerifyChecksum(r.chunk[i*storage.PageSize : (i+1)*storage.PageSize]) {

@@ -139,64 +139,49 @@ func (t *Tree) EvictPN() error {
 // LookupCandidates implements index.Candidates: all entries for key, PN
 // first, then partitions newest to oldest (bloom filters skip partitions).
 func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	segIt := &t.it
-	defer segIt.Close()
-	for it := t.pn.Seek(pnKey{key: key}); it.Valid(); it.Next() {
-		if !bytes.Equal(it.Key().key, key) {
-			break
-		}
-		if !fn(index.Entry{Key: it.Key().key, Ref: index.DecodeRef(it.Value())}) {
-			return nil
-		}
-	}
-	for i := len(t.parts) - 1; i >= 0; i-- {
-		seg := t.parts[i]
-		if !seg.MayContainKey(key) {
-			continue
-		}
-		for segIt.Seek(seg, key); segIt.Valid(); segIt.Next() {
-			r := segIt.Record()
-			if !bytes.Equal(r.Key, key) {
-				break
-			}
-			if !fn(index.Entry{Key: r.Key, Ref: index.DecodeRef(r.Body)}) {
-				return nil
-			}
-		}
-		if err := segIt.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.walk(key, nil, true, fn)
 }
 
 // ScanCandidates implements index.Candidates: every entry in [lo, hi)
-// across PN and all partitions. Entries arrive grouped by partition
-// (newest first), each group in key order — the caller's visibility check
-// does not depend on global ordering for candidates.
+// across PN and all partitions (prefix filters skip partitions). Entries
+// arrive grouped by partition (newest first), each group in key order — the
+// caller's visibility check does not depend on global ordering for
+// candidates.
 func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
+	return t.walk(lo, hi, false, fn)
+}
+
+// walk is the read behind both: the entries with key == lo (point) or
+// lo <= key < hi, PN first, then the partitions newest to oldest that their
+// filter — bloom for a point, key range and prefix for a range — lets in.
+func (t *Tree) walk(lo, hi []byte, point bool, fn func(index.Entry) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	segIt := &t.it
-	defer segIt.Close()
-	for it := t.pn.Seek(pnKey{key: lo}); it.Valid(); it.Next() {
-		if !index.KeyInRange(it.Key().key, lo, hi) {
-			break
+	has := func(key []byte) bool {
+		if point {
+			return bytes.Equal(key, lo)
 		}
+		return index.KeyInRange(key, lo, hi)
+	}
+	for it := t.pn.Seek(pnKey{key: lo}); it.Valid() && has(it.Key().key); it.Next() {
 		if !fn(index.Entry{Key: it.Key().key, Ref: index.DecodeRef(it.Value())}) {
 			return nil
 		}
 	}
+	segIt := &t.it
+	defer segIt.Close()
 	for i := len(t.parts) - 1; i >= 0; i-- {
 		seg := t.parts[i]
-		if !seg.MayContainRange(lo, hi) {
+		if point {
+			if !seg.MayContainKey(lo) {
+				continue
+			}
+		} else if !seg.MayContainRange(lo, hi) {
 			continue
 		}
 		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
 			r := segIt.Record()
-			if !index.KeyInRange(r.Key, lo, hi) {
+			if !has(r.Key) {
 				break
 			}
 			if !fn(index.Entry{Key: r.Key, Ref: index.DecodeRef(r.Body)}) {

@@ -66,6 +66,27 @@ func TestInsertLookupAcrossPartitions(t *testing.T) {
 	if vids[0] != 2042 || vids[2] != 42 {
 		t.Fatalf("partition order wrong: %v", vids)
 	}
+	// A lookup is the range [k, k+"\x00"): same entries, same order, with an
+	// entry in P_N too.
+	tr.Insert([]byte("k0042"), ref(3042))
+	for _, k := range []string{"k0042", "k0499", "k0500", ""} {
+		var point, ranged []uint64
+		if err := tr.LookupCandidates([]byte(k), func(e index.Entry) bool {
+			point = append(point, e.Ref.VID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.ScanCandidates([]byte(k), []byte(k+"\x00"), func(e index.Entry) bool {
+			ranged = append(ranged, e.Ref.VID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(point) != fmt.Sprint(ranged) {
+			t.Fatalf("key %q: lookup %v, scan of its one-key range %v", k, point, ranged)
+		}
+	}
 }
 
 func TestPNServedBeforePartitions(t *testing.T) {

@@ -1,7 +1,13 @@
+// Package maint is the background maintenance subsystem: a small worker
+// pool that runs the reorganizations the paper describes as background
+// work — MV-PBT partition eviction (Algorithm 4, §4.5), partition merges,
+// PN garbage sweeps (§4.6) and LSM flush/compaction — asynchronously, off
+// the foreground write path. The producer side (internal/index/part's
+// partition buffer) applies RocksDB-style write stalls when maintenance
+// falls behind.
 package maint
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,13 +52,9 @@ type Config struct {
 	// Workers is the pool size; defaults to 2 (one heavy job — an
 	// eviction build or a merge — plus one light one can overlap).
 	Workers int
-	// BytesPerSec caps the background write bandwidth; 0 = unlimited.
-	BytesPerSec int64
-	// Burst is the limiter bucket size; 0 picks a default.
-	Burst int64
 	// WrittenBytes reports cumulative device bytes written; the service
-	// charges each job's before/after delta to the limiter. Nil disables
-	// byte accounting (jobs still run, limiter never charged).
+	// accounts each job's before/after delta to the job's kind
+	// (JobStats.Bytes). Nil disables byte accounting.
 	WrittenBytes func() int64
 
 	// MaxRetries bounds how often a job failing with a TRANSIENT error
@@ -65,16 +67,14 @@ type Config struct {
 	// doubles it (exponential backoff). Defaults to 1ms.
 	RetryBase time.Duration
 
-	// test seams for the limiter clock and the retry backoff.
-	Now   func() time.Time
+	// Sleep is the test seam for the retry backoff.
 	Sleep func(time.Duration)
 }
 
 type task struct {
-	kind   Kind
-	key    string
-	run    func() error
-	urgent bool
+	kind Kind
+	key  string
+	run  func() error
 }
 
 // JobStats aggregates one job kind's lifetime counters.
@@ -84,7 +84,7 @@ type JobStats struct {
 	Retries int64         // transient-fault re-runs (not counted in Runs)
 	GiveUps int64         // jobs abandoned after exhausting the retry budget
 	Bytes   int64         // device bytes written while jobs of this kind ran
-	Busy    time.Duration // wall time spent running (excludes queue + throttle)
+	Busy    time.Duration // wall time spent running (excludes queueing)
 }
 
 // Stats is a snapshot of the service's counters.
@@ -93,7 +93,6 @@ type Stats struct {
 	Submitted int64 // Submit calls accepted (enqueued)
 	Deduped   int64 // Submit calls coalesced into an already-pending task
 	Urgent    int64 // SubmitUrgent calls accepted (also counted in Submitted)
-	Throttle  time.Duration
 }
 
 // Service owns the worker pool. Jobs are closures submitted with a
@@ -102,7 +101,6 @@ type Stats struct {
 // instance of it is RUNNING is enqueued again — the running instance
 // observed state from before the new trigger.
 type Service struct {
-	limiter    *Limiter
 	written    func() int64
 	maxRetries int
 	retryBase  time.Duration
@@ -137,7 +135,6 @@ func New(cfg Config) *Service {
 		cfg.RetryBase = time.Millisecond
 	}
 	s := &Service{
-		limiter:    NewLimiter(cfg.BytesPerSec, cfg.Burst),
 		written:    cfg.WrittenBytes,
 		maxRetries: cfg.MaxRetries,
 		retryBase:  cfg.RetryBase,
@@ -146,9 +143,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.Sleep != nil {
 		s.sleep = cfg.Sleep
-	}
-	if cfg.Now != nil && cfg.Sleep != nil {
-		s.limiter.setClock(cfg.Now, cfg.Sleep)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -166,11 +160,10 @@ func (s *Service) Submit(kind Kind, key string, run func() error) bool {
 }
 
 // SubmitUrgent enqueues a job on the priority lane: it goes to the FRONT
-// of the queue and its run bypasses the background rate limiter — this is
-// the path the engine's space governor uses, because throttling the work
-// that frees space behind the writes that need it would be a priority
-// inversion. An already-pending job with the same identity is promoted to
-// the front and made urgent instead of being queued twice.
+// of the queue — this is the path the engine's space governor uses,
+// because queueing the work that frees space behind the writes that need
+// it would be a priority inversion. An already-pending job with the same
+// identity is promoted to the front instead of being queued twice.
 func (s *Service) SubmitUrgent(kind Kind, key string, run func() error) bool {
 	return s.submit(kind, key, run, true)
 }
@@ -184,11 +177,10 @@ func (s *Service) submit(kind Kind, key string, run func() error, urgent bool) b
 	}
 	if s.pending[id] {
 		if urgent {
-			// Promote the queued instance: urgent + front of the queue.
+			// Promote the queued instance to the front of the queue.
 			for i := range s.queue {
 				if s.queue[i].kind == kind && s.queue[i].key == key {
 					t := s.queue[i]
-					t.urgent = true
 					copy(s.queue[1:i+1], s.queue[:i])
 					s.queue[0] = t
 					break
@@ -201,7 +193,7 @@ func (s *Service) submit(kind Kind, key string, run func() error, urgent bool) b
 		return false
 	}
 	s.pending[id] = true
-	t := task{kind: kind, key: key, run: run, urgent: urgent}
+	t := task{kind: kind, key: key, run: run}
 	if urgent {
 		s.queue = append([]task{t}, s.queue...)
 		s.urgent.Add(1)
@@ -257,9 +249,6 @@ func (s *Service) worker() {
 		s.active.Add(1)
 		s.mu.Unlock()
 
-		if !t.urgent {
-			s.limiter.Wait()
-		}
 		var before int64
 		if s.written != nil {
 			before = s.written()
@@ -271,9 +260,9 @@ func (s *Service) worker() {
 		// backoff: the job closure is idempotent (it re-reads current state),
 		// so re-running it after the fault clears is safe. Permanent errors
 		// (corrupt pages, freed pages, logic bugs) skip the loop entirely.
-		if err != nil && errors.Is(err, storage.ErrIOFault) && s.maxRetries > 0 {
+		if storage.Transient(err) && s.maxRetries > 0 {
 			delay := s.retryBase
-			for attempt := 0; attempt < s.maxRetries && err != nil && errors.Is(err, storage.ErrIOFault); attempt++ {
+			for attempt := 0; attempt < s.maxRetries && storage.Transient(err); attempt++ {
 				if !s.backoff(delay) {
 					// The service is being killed/closed; abandon the retry
 					// loop instead of sleeping through the shutdown.
@@ -283,7 +272,7 @@ func (s *Service) worker() {
 				st.retries.Add(1)
 				err = t.run()
 			}
-			if err != nil && errors.Is(err, storage.ErrIOFault) {
+			if storage.Transient(err) {
 				st.giveUps.Add(1)
 			}
 		}
@@ -292,7 +281,6 @@ func (s *Service) worker() {
 		if s.written != nil {
 			if delta := s.written() - before; delta > 0 {
 				st.bytes.Add(delta)
-				s.limiter.Charge(delta)
 			}
 		}
 		if err != nil {
@@ -430,6 +418,5 @@ func (s *Service) Stats() Stats {
 	out.Submitted = s.submitted.Load()
 	out.Deduped = s.deduped.Load()
 	out.Urgent = s.urgent.Load()
-	out.Throttle = s.limiter.ThrottleTime()
 	return out
 }

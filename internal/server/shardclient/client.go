@@ -89,10 +89,9 @@ type KV struct {
 
 // Client is one protocol session. Not safe for concurrent use.
 type Client struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	maxTx uint32
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
 // Dial connects, performs the HELLO handshake as tenant, and returns an
@@ -120,17 +119,11 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 		conn.Close()
 		return nil, statusErr(status, payload)
 	}
-	if mt, _, err := wire.TakeU32(payload); err == nil {
-		c.maxTx = mt
-	}
 	return c, nil
 }
 
 // Close tears the session down. Open transactions are aborted server-side.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// MaxOpenTx is the server's per-session open-transaction cap.
-func (c *Client) MaxOpenTx() int { return int(c.maxTx) }
 
 // call sends one frame and reads the response.
 func (c *Client) call(op byte, segs ...[]byte) (status byte, payload []byte, err error) {

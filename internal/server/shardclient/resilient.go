@@ -243,15 +243,6 @@ func (r *RClient) Scan(lo []byte, limit int) (out []KV, err error) {
 	return out, err
 }
 
-// Stats0 fetches the server's stats text (idempotent; always retried).
-func (r *RClient) Stats0() (s string, err error) {
-	err = r.do(true, func(c *Client) error {
-		s, err = c.Stats()
-		return err
-	})
-	return s, err
-}
-
 // Set upserts key (autocommit). Retried across transport errors only when
 // RetryWrites is set.
 func (r *RClient) Set(key, val []byte) error {
@@ -316,9 +307,6 @@ func (r *RClient) BeginTx() (*RTx, error) {
 	}
 	return tx, nil
 }
-
-// Token exposes the transaction's commit token (tests, logging).
-func (t *RTx) Token() uint64 { return t.token }
 
 // Set buffers an upsert in the transaction. A transport error marks the
 // transaction lost: the server aborts it with the session, so it is

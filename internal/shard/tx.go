@@ -48,7 +48,7 @@ type Tx struct {
 // begins happen under the epoch barrier's exclusive lock — a few atomic
 // operations per shard, no I/O — giving the snapshot vector its
 // consistency. The context is consulted at every per-shard blocking point
-// (write stalls, scans, I/O retries). Failed/recovering shards are
+// (write stalls, scans). Failed/recovering shards are
 // skipped; their keys fail per-key with ErrShardUnavailable.
 func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 	if err := r.enter(); err != nil {

@@ -9,8 +9,7 @@ import "errors"
 var (
 	// ErrIOFault marks a device-level I/O failure (an injected or simulated
 	// media error). It is transient from the caller's point of view: retrying
-	// the operation may succeed, and the retry loops in buffer, wal and maint
-	// treat it as retryable.
+	// the operation may succeed (see Transient and Retry).
 	ErrIOFault = errors.New("storage: device I/O fault")
 
 	// ErrCorruptPage marks a page whose checksum did not match its contents
@@ -35,3 +34,29 @@ var (
 	// usage back under its soft watermark.
 	ErrNoSpace = errors.New("storage: device capacity exhausted")
 )
+
+// Transient reports whether the operation that returned err may succeed if
+// it is issued again: true for ErrIOFault only. A freed page, a corrupt page
+// and an exhausted device answer a second try the way they answered the
+// first.
+func Transient(err error) bool { return errors.Is(err, ErrIOFault) }
+
+// IOAttempts bounds the tries of one device I/O: transient faults are the
+// device's normal behaviour under the fault campaigns and worth re-issuing
+// in line before the error is surfaced.
+const IOAttempts = 3
+
+// Retry is the one in-line retry rule for a device I/O — a page fetch or
+// write-back of the buffer pool, a sector run or page of the log, a page of
+// a partition under construction, an extent read of a merge: op is issued
+// until it succeeds, fails with an error that is not Transient, or has been
+// tried IOAttempts times. It returns how many times op was re-issued and
+// op's last error.
+func Retry(op func() error) (retries int, err error) {
+	for {
+		if err = op(); err == nil || !Transient(err) || retries == IOAttempts-1 {
+			return retries, err
+		}
+		retries++
+	}
+}

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -41,5 +43,39 @@ func TestRecordIDCodec(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetryRule: one device I/O is re-issued only while its error is
+// Transient, and at most IOAttempts times. A write to a freed page — the
+// log's, a partition builder's or the pool's, they all go through Retry — is
+// attempted once.
+func TestRetryRule(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		errs      []error // what successive attempts return; the last repeats
+		wantCalls int
+		wantErr   error
+	}{
+		{"success", []error{nil}, 1, nil},
+		{"freed page", []error{fmt.Errorf("sfile: page 7: %w", ErrFreedPage)}, 1, ErrFreedPage},
+		{"corrupt page", []error{ErrCorruptPage}, 1, ErrCorruptPage},
+		{"no space", []error{ErrNoSpace}, 1, ErrNoSpace},
+		{"fault that clears", []error{fmt.Errorf("ssd: %w", ErrIOFault), nil}, 2, nil},
+		{"fault that stays", []error{ErrIOFault}, IOAttempts, ErrIOFault},
+		{"fault, then freed", []error{ErrIOFault, ErrFreedPage}, 2, ErrFreedPage},
+	} {
+		calls := 0
+		retries, err := Retry(func() error {
+			e := c.errs[min(calls, len(c.errs)-1)]
+			calls++
+			return e
+		})
+		if calls != c.wantCalls || retries != calls-1 || !errors.Is(err, c.wantErr) {
+			t.Errorf("%s: %d attempts, %d retries, err %v; want %d attempts and %v", c.name, calls, retries, err, c.wantCalls, c.wantErr)
+		}
+		if Transient(err) != (c.wantErr == ErrIOFault) {
+			t.Errorf("%s: Transient(%v) = %v", c.name, err, Transient(err))
+		}
 	}
 }

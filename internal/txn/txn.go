@@ -100,7 +100,7 @@ func (t *Tx) WALLogged() bool { return t.walLogged }
 
 // Context returns the context the transaction was begun with (never nil).
 // Operations issued through the transaction consult it at their blocking
-// points — write stalls, I/O retries — so a deadline or cancellation on the
+// points — write stalls, scan entries — so a deadline or cancellation on the
 // caller's context bounds how long any single operation can block.
 func (t *Tx) Context() context.Context {
 	if t.ctx == nil {

@@ -66,28 +66,16 @@ func decodeSuper(buf []byte) (seq uint64, id storage.FileID, aux uint64, ok bool
 	return seq, storage.FileID(file), binary.LittleEndian.Uint64(c[24:32]), true
 }
 
-// ioAttempts bounds the retries of one page read or sector-run write:
-// transient faults are the device's normal behaviour under the fault
-// campaigns.
-const ioAttempts = 3
+// The log's device I/O goes through storage.Retry: transient faults are the
+// device's normal behaviour under the fault campaigns.
 
 func writeSectors(f *sfile.File, pageNo uint64, off int, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < ioAttempts; attempt++ {
-		if err = f.WriteSectors(pageNo, off, buf); err == nil {
-			return nil
-		}
-	}
+	_, err := storage.Retry(func() error { return f.WriteSectors(pageNo, off, buf) })
 	return err
 }
 
 func readPage(f *sfile.File, pageNo uint64, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < ioAttempts; attempt++ {
-		if err = f.ReadPage(pageNo, buf); err == nil {
-			return nil
-		}
-	}
+	_, err := storage.Retry(func() error { return f.ReadPage(pageNo, buf) })
 	return err
 }
 

@@ -102,12 +102,6 @@ func (y *Runner) Load() error {
 	return nil
 }
 
-// SetLoaded marks the dataset as externally loaded (shared dataset runs).
-func (y *Runner) SetLoaded() {
-	y.inserted = uint64(y.cfg.Records)
-	y.latest = util.NewLatest(util.NewRand(y.cfg.Seed+2), y.inserted)
-}
-
 func (y *Runner) nextKeyZipf() []byte { return Key(y.zipf.Next()) }
 
 func (y *Runner) nextKeyLatest() []byte { return Key(y.latest.Next()) }
