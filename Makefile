@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race loc bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race loc bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -47,13 +47,15 @@ fuzz-wal:
 # And for the partition layer's decoders of device bytes: the leaf cursor
 # behind part.Iterator and part.Reader and the internal-page search, which
 # read pages where they lie; the segment metadata read back from a manifest
-# page; and the MV-PBT record body inside a leaf. Crashers land in
+# page; the MV-PBT record body inside a leaf; and the index manifest that
+# names the partitions. Crashers land in
 # internal/index/{part,mvpbt}/testdata/fuzz/.
 fuzz-part:
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzInnerSearch -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzDecodeMeta -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
+	go test -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/index/mvpbt/
 
 # Differential correctness harness: short smoke (CI) and nightly-length.
 check:
@@ -109,6 +111,19 @@ bench-evict:
 	go test -bench BenchmarkSegmentSeek -benchmem -benchtime 20000x -run xxx ./internal/index/part/ | tee -a bench-evict.txt
 	go test -bench 'BenchmarkEvictPN|BenchmarkMergePartitions' -benchmem -benchtime 50x -run xxx ./internal/index/mvpbt/ | tee -a bench-evict.txt
 
+# Range scans, the tree on its own: the read-ahead gates (TestScanReadAhead*:
+# a cold SCAN(50) over 1 KiB values takes its leaves in runs — device reads
+# per partition, pages read beyond those used, none when resident, fallback
+# and typed errors under device faults; they fail the build) and the pool's
+# GetRun tests, then BenchmarkScanLimit — SCAN(50) against one partition
+# through a pool an eighth of the leaves and resident — with -benchmem and
+# its device cost (dev-reads/op, virtual-us/op; counts, so they repeat).
+# Output lands in bench-scan.txt for publishing as a build artifact.
+bench-scan:
+	go test ./internal/index/mvpbt/ -run TestScanReadAhead -count 1
+	go test ./internal/buffer/ -run TestGetRun -count 1
+	go test -bench BenchmarkScanLimit -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
+
 # The repository benchmark's own smoke test (benchmarks/: every workload at
 # a fraction of its scale, every declared metric present, outputs checked).
 # The numbers themselves come from `sh benchmarks/run.sh`; each PR that claims
@@ -130,7 +145,10 @@ bench-scenarios:
 	go run ./cmd/mvpbt-bench -run scenarios | tee scenarios.txt
 
 # mvpbt-server end-to-end smoke: start, run client ops over TCP via
-# shardclient, drain, verify clean shutdown. Exits non-zero on failure.
+# shardclient — twelve partition buffers of SETs into one shard among them,
+# which must leave it evicted with bloom filters and merged back under ten
+# partitions, the configuration the server ships — drain, verify clean
+# shutdown. Exits non-zero on failure.
 smoke-server:
 	go run ./cmd/mvpbt-server -smoke
 

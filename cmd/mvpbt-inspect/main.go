@@ -136,6 +136,8 @@ func main() {
 
 	fmt.Printf("\n== device ==\n%v\n", eng.Dev.Stats())
 	io := eng.Pool.IOStats()
+	fmt.Printf("buffer pool: %d pages in %d device reads (%.2f pages/read)\n",
+		io.PagesRead, io.Reads, float64(io.PagesRead)/float64(max(io.Reads, 1)))
 	fmt.Printf("faults injected: [%v]\n", eng.Dev.FaultCounters())
 	fmt.Printf("error path: checksum_failures=%d read_retries=%d write_retries=%d read_failures=%d write_failures=%d\n",
 		io.ChecksumFailures, io.ReadRetries, io.WriteRetries, io.ReadFailures, io.WriteFailures)

@@ -7,10 +7,14 @@
 // protocol/concurrency testbed rather than a persistent database: state
 // lives for the process lifetime.
 //
+// Every shard's store is built as the repository's benchmark measures it
+// (kvOptions: bloom filters, merges bounding the partitions a read meets);
+// neither is a flag.
+//
 // -smoke runs the full lifecycle in-process — start, run client
-// operations through shardclient, drain, verify clean shutdown — and
-// exits non-zero on any failure; CI uses it as the server's end-to-end
-// gate.
+// operations through shardclient, enough writes to see the shards evict,
+// filter and merge, drain, verify clean shutdown — and exits non-zero on
+// any failure; CI uses it as the server's end-to-end gate.
 package main
 
 import (
@@ -27,6 +31,12 @@ import (
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
 )
+
+// kvOptions is the one configuration of a shard's MV-PBT store: the paper's
+// Fig. 15 KV setting, which benchmarks/ serves and fig15, extra-wa and
+// extra-merge measure — not the zero options (no filters, every partition
+// ever evicted under every GET and SCAN).
+var kvOptions = db.MVPBTKVOptions{BloomBits: 10, MaxPartitions: 10}
 
 func main() {
 	var (
@@ -65,6 +75,7 @@ func main() {
 			DeviceCapacityBytes:  *capacity,
 			GroupCommit:          db.GroupCommitConfig{Enabled: *groupCommit},
 		},
+		KVOptions: kvOptions,
 		Supervise: *supervise,
 	})
 	if err != nil {
@@ -178,6 +189,22 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 	}
 	if st, err := c.Stats(); err != nil || st == "" {
 		return fmt.Errorf("stats: %q %v", st, err)
+	}
+
+	// Twelve partition buffers of 1 KiB values per shard: each shard must have
+	// evicted with bloom filters and merged back under the partition bound.
+	val := make([]byte, 1<<10)
+	for i := 12 * r.NumShards() * r.Shard(0).Engine.PBuf.Limit() / len(val); i > 0; i-- {
+		if err := c.Set(0, []byte(fmt.Sprintf("bulk-%06d", i)), val); err != nil {
+			return fmt.Errorf("bulk set %d: %w", i, err)
+		}
+	}
+	for i := 0; i < r.NumShards(); i++ {
+		tree := r.Shard(i).KV.Tree()
+		if parts := tree.Partitions(); tree.Stats().Merges == 0 || len(parts) == 0 || len(parts) > kvOptions.MaxPartitions || parts[0].Filter == nil {
+			return fmt.Errorf("shard %d after the bulk sets: %+v, %d partitions: want filters, and merges holding the partitions at %d",
+				i, tree.Stats(), len(parts), kvOptions.MaxPartitions)
+		}
 	}
 
 	// Drain while the transaction is open: the in-flight commit must

@@ -26,10 +26,12 @@ import (
 // and none can be evicted.
 var ErrNoFrames = errors.New("buffer: all frames pinned")
 
-// IOStats counts the pool's error-path activity: checksum verification
+// IOStats counts the pool's error-path activity — checksum verification
 // failures on fetch, in-line retries, and operations that failed even after
-// retrying.
+// retrying — and the device reads that succeeded with the pages they brought
+// in (PagesRead/Reads is 1 without run reads).
 type IOStats struct {
+	Reads, PagesRead int64
 	ChecksumFailures int64
 	ReadRetries      int64
 	WriteRetries     int64
@@ -67,6 +69,7 @@ type Frame struct {
 	pin   int
 	dirty bool
 	ref   bool
+	ahead bool // installed by a run read and not yet fetched: its first fetch is the miss
 }
 
 // Data returns the frame's page buffer.
@@ -106,6 +109,10 @@ type Pool struct {
 	writeRetries  atomic.Int64
 	readFailures  atomic.Int64
 	writeFailures atomic.Int64
+
+	// Device reads that brought pages in, and the pages they brought: equal
+	// but for run reads (GetRun).
+	reads, pagesRead atomic.Int64
 }
 
 // New returns a pool with the given number of page frames.
@@ -144,8 +151,10 @@ func (p *Pool) NumShards() int { return len(p.shards) }
 
 // shardOf picks the shard for a page id (Fibonacci hash of the full id, so
 // consecutive pages of one file spread across shards).
-func (p *Pool) shardOf(pid storage.PageID) *shard {
-	return p.shards[(uint64(pid)*0x9E3779B97F4A7C15)>>32&p.mask]
+func (p *Pool) shardOf(pid storage.PageID) *shard { return p.shards[p.shardIndex(pid)] }
+
+func (p *Pool) shardIndex(pid storage.PageID) uint64 {
+	return (uint64(pid) * 0x9E3779B97F4A7C15) >> 32 & p.mask
 }
 
 // lockAll acquires every shard latch in index order (the only multi-shard
@@ -165,7 +174,7 @@ func (p *Pool) unlockAll() {
 // Get fetches page pageNo of file f, pinning it. The returned frame must be
 // released with Unpin.
 func (p *Pool) Get(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(f, pageNo, true)
+	return p.fetch(f, pageNo, true, 1)
 }
 
 // GetNoRef is Get for a reader whose hits must not count as references: the
@@ -178,18 +187,37 @@ func (p *Pool) Get(f *sfile.File, pageNo uint64) (*Frame, error) {
 // more write amplification). Whether that trade is wanted is a replacement-
 // policy decision (ROADMAP); until it is made, a page ages by its loads.
 func (p *Pool) GetNoRef(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(f, pageNo, false)
+	return p.fetch(f, pageNo, false, 1)
+}
+
+// MaxRun is the most pages one device read brings in (GetRun): 64 KiB, the
+// second calibration point of the device profiles.
+const MaxRun = 8
+
+// GetRun is GetNoRef by a sequential reader that expects to read the n pages
+// starting at pageNo: when pageNo misses, the non-resident pages after it
+// come in with the same device read — up to MaxRun in all, to the end of the
+// extent, stopping at the first page that is resident or finds no frame — and
+// wait unpinned for their own fetch, which counts as the miss it would have
+// been. A run that fails or holds a corrupt page installs nothing, and pageNo
+// is fetched alone as by GetNoRef, which retries and reports.
+func (p *Pool) GetRun(f *sfile.File, pageNo uint64, n int) (*Frame, error) {
+	return p.fetch(f, pageNo, false, min(n, MaxRun, sfile.ExtentPages-int(pageNo%sfile.ExtentPages)))
 }
 
 // fetch is the one page fetch; refHit says whether a hit sets the frame's
-// reference bit.
-func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool) (*Frame, error) {
+// reference bit, run how many pages from pageNo on a miss may read at once.
+func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool, run int) (*Frame, error) {
 	pid := f.PageID(pageNo)
 	p.stats[f.Class()].requests.Add(1)
 	sh := p.shardOf(pid)
 	sh.mu.Lock()
 	if fr, ok := sh.table[pid]; ok {
-		p.stats[f.Class()].hits.Add(1)
+		if fr.ahead {
+			fr.ahead = false
+		} else {
+			p.stats[f.Class()].hits.Add(1)
+		}
 		fr.pin++
 		if refHit {
 			fr.ref = true
@@ -207,19 +235,88 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool) (*Frame, error) 
 	// so holding the latch across the "I/O" costs nothing real. The frame is
 	// installed in the page table only once the read verified, so a failed
 	// fetch leaves it free for the next victim search.
-	if err := p.readPageChecked(f, pageNo, fr.data); err != nil {
-		fr.ref = false
-		sh.mu.Unlock()
-		return nil, err
-	}
-	fr.pid = pid
-	fr.file = f
 	fr.pin = 1
-	fr.ref = true
-	fr.dirty = false
-	sh.table[pid] = fr
+	n := p.readRun(f, pageNo, run, fr)
+	if n == 0 {
+		if err := p.readPageChecked(f, pageNo, fr.data); err != nil {
+			fr.pin, fr.ref = 0, false
+			sh.mu.Unlock()
+			return nil, err
+		}
+		n = 1
+	}
+	p.reads.Add(1)
+	p.pagesRead.Add(int64(n))
+	fr.install(f, pid)
 	sh.mu.Unlock()
 	return fr, nil
+}
+
+// install enters a frame holding a verified, clean page in its shard's table.
+func (fr *Frame) install(f *sfile.File, pid storage.PageID) {
+	fr.pid, fr.file = pid, f
+	fr.ref, fr.dirty = true, false
+	fr.sh.table[pid] = fr
+}
+
+// readRun reads page pageNo into first — a victim of its latched shard — and
+// up to run-1 following pages into victims of their own shards with ONE device
+// read, and installs the followers unpinned. It returns the pages read: 0,
+// with nothing installed, when the run failed, held a corrupt page or found
+// no second frame. A follower's shard is latched by TryLock only — the caller
+// holds a latch already, and waiting for a second in no fixed order could
+// deadlock — so a busy shard ends the run; held has a bit per latch taken.
+func (p *Pool) readRun(f *sfile.File, pageNo uint64, run int, first *Frame) int {
+	if run < 2 {
+		return 0
+	}
+	var frames [MaxRun]*Frame
+	var bufs [MaxRun][]byte
+	frames[0], bufs[0] = first, first.data
+	held, n := uint(0), 1
+	for ; n < run; n++ {
+		pid := f.PageID(pageNo + uint64(n))
+		i := p.shardIndex(pid)
+		sh := p.shards[i]
+		if sh != first.sh && held&(1<<i) == 0 {
+			if !sh.mu.TryLock() {
+				break
+			}
+			held |= 1 << i
+		}
+		if _, resident := sh.table[pid]; resident {
+			break
+		}
+		fr, err := sh.victimLocked(p)
+		if err != nil { // no frame, or its write-back failed
+			break
+		}
+		fr.pin = 1 // reserved: the next victim search of this shard passes it
+		frames[n], bufs[n] = fr, fr.data
+	}
+	ok := n > 1 && f.ReadPages(pageNo, bufs[:n]) == nil
+	for i := 0; i < n && ok; i++ {
+		ok = page.VerifyChecksum(bufs[i])
+	}
+	for i, fr := range frames[1:n] {
+		fr.pin = 0
+		if ok {
+			fr.install(f, f.PageID(pageNo+uint64(i+1)))
+			fr.ahead = true
+		}
+	}
+	for i, sh := range p.shards {
+		if held&(1<<i) != 0 {
+			sh.mu.Unlock()
+		}
+	}
+	if ok {
+		return n
+	}
+	if n > 1 {
+		p.NoteRead(1, false, false) // the fetch of pageNo alone that follows is the retry
+	}
+	return 0
 }
 
 // readPageChecked reads a page with bounded retries (storage.Retry: I/O
@@ -466,9 +563,11 @@ func (p *Pool) Evictions() int64 {
 	return p.evictions.Load()
 }
 
-// IOStats returns a snapshot of the error-path counters.
+// IOStats returns a snapshot of the read and error-path counters.
 func (p *Pool) IOStats() IOStats {
 	return IOStats{
+		Reads:            p.reads.Load(),
+		PagesRead:        p.pagesRead.Load(),
 		ChecksumFailures: p.checksumFails.Load(),
 		ReadRetries:      p.readRetries.Load(),
 		WriteRetries:     p.writeRetries.Load(),

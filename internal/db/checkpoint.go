@@ -115,21 +115,29 @@ func (e *Engine) snapshotInto(w *wal.Writer, seq uint64) error {
 // maybeAutoCheckpoint runs a checkpoint when the current log generation has
 // grown past the configured threshold. Called after commit, outside all
 // locks; a busy engine (other active transactions) just means the next
-// commit tries again. Single-flight: committers that pass the growth check
-// together queue on autoCkptMu and check again once they hold it, so one
-// threshold crossing rotates the log once.
+// commit tries again.
 func (e *Engine) maybeAutoCheckpoint() {
 	if e.cfg.WALCheckpointBytes <= 0 || e.log == nil || e.log.Grown() < e.cfg.WALCheckpointBytes {
 		return
 	}
+	e.checkpointFlight(e.cfg.WALCheckpointBytes)
+}
+
+// checkpointFlight is every checkpoint the engine decides on by itself: a
+// committer's past the growth threshold, a reclamation pass's. Single-flight:
+// callers that decide together queue on autoCkptMu and ask again, once they
+// hold it, whether the log generation has grown by min bytes, so one
+// threshold crossing — raced by a reclamation pass or not — rotates the log
+// once. Checkpointing is an optimization and the old log stays authoritative
+// on failure: an error is recorded for diagnostics, a busy engine not even
+// that.
+func (e *Engine) checkpointFlight(min int64) {
 	e.autoCkptMu.Lock()
 	defer e.autoCkptMu.Unlock()
-	if e.log.Grown() < e.cfg.WALCheckpointBytes {
+	if e.log.Grown() < min {
 		return
 	}
 	if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
-		// Checkpointing is an optimization; the old log stays authoritative
-		// on failure. Record the error for diagnostics and move on.
 		e.ckptErrs.Add(1)
 	}
 }

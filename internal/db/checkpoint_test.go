@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -254,30 +255,69 @@ func TestAutoCheckpoint(t *testing.T) {
 // flight, two of a crossing round's committers could both pass the growth
 // check and checkpoint back to back.
 func TestAutoCheckpointSingleFlight(t *testing.T) {
-	const clients, rounds = 8, 12
+	const rounds = 12
 	e, tbl, _ := walTableKind(t, HeapSIAS, Config{WALCheckpointBytes: 20 << 10})
-	val := strings.Repeat("v", 1<<10)
 	for round := 0; round < rounds; round++ {
-		txs := make([]*txn.Tx, clients)
-		for c := range txs {
-			txs[c] = e.Begin()
-			if _, _, err := tbl.Insert(txs[c], row(fmt.Sprintf("k%02d-%02d", round, c), val)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		for _, tx := range txs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := e.CommitDurable(tx); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
+		commitTogether(t, e, tbl, round, nil)
 		if got, want := e.CheckpointInfo().Count, int64(round+1)/3; got != want {
 			t.Fatalf("after round %d: %d checkpoints, want %d (one per threshold crossing)", round+1, got, want)
+		}
+	}
+}
+
+// commitTogether opens eight transactions, has each log ~1 KB, and then
+// commits them all at once, with also running beside the commits if not nil.
+func commitTogether(t *testing.T, e *Engine, tbl *Table, round int, also func()) {
+	t.Helper()
+	val := strings.Repeat("v", 1<<10)
+	txs := make([]*txn.Tx, 8)
+	for c := range txs {
+		txs[c] = e.Begin()
+		if _, _, err := tbl.Insert(txs[c], row(fmt.Sprintf("k%02d-%02d", round, c), val)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	if also != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			also()
+		}()
+	}
+	for _, tx := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.CommitDurable(tx); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReclaimJoinsCheckpointFlight: a reclamation pass racing a threshold
+// crossing rotates the log once, whichever gets there first. Every round
+// crosses the 4 KiB threshold and, as above, can checkpoint only once its
+// last transaction has committed, which the pass waits for. It then either
+// checkpoints first — and the committers queued behind it find the log short
+// again — or queues behind a committer's checkpoint and finds nothing
+// appended since. Outside the flight it rotated a second time in the second
+// case, and in the first whenever a committer had re-checked already.
+func TestReclaimJoinsCheckpointFlight(t *testing.T) {
+	e, tbl, _ := walTableKind(t, HeapSIAS, Config{WALCheckpointBytes: 4 << 10})
+	for round := 0; round < 40; round++ {
+		commitTogether(t, e, tbl, round, func() {
+			for e.Mgr.ActiveCount() != 0 { // a pass on a busy engine skips its checkpoint
+				runtime.Gosched()
+			}
+			if err := e.ReclaimNow(); err != nil {
+				t.Error(err)
+			}
+		})
+		if got := e.CheckpointInfo().Count; got != int64(round+1) {
+			t.Fatalf("after round %d: %d checkpoints, want one per round", round+1, got)
 		}
 	}
 }
@@ -303,7 +343,9 @@ func TestLogTrafficAndCheckpointErrorsAreVisible(t *testing.T) {
 		t.Fatalf("checkpoint restarted the traffic counters: %+v -> %+v", ws, after)
 	}
 
-	// Busy is not an error; a device that refuses the new generation is.
+	// Busy is not an error; a device that refuses the new generation is. (A
+	// pass checkpoints only a generation something was appended to.)
+	insertN(t, e, tbl, 40, 42)
 	tx := e.Begin()
 	e.reclaimSpace() //nolint:errcheck // only the checkpoint lever is under test
 	e.Abort(tx)
@@ -316,7 +358,7 @@ func TestLogTrafficAndCheckpointErrorsAreVisible(t *testing.T) {
 	if st := e.CheckpointInfo(); st.Errors != 1 || st.Count != 1 {
 		t.Fatalf("failed checkpoint: %+v, want 1 error and still 1 completed checkpoint", st)
 	}
-	insertN(t, e, tbl, 40, 45) // the old generation stayed authoritative and writable
+	insertN(t, e, tbl, 42, 45) // the old generation stayed authoritative and writable
 }
 
 // TestCheckpointReplayIsRecoverable: recovering a checkpointed log re-logs

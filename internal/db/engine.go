@@ -121,7 +121,7 @@ type Engine struct {
 	// waiting to append when that lock is taken.
 	log        *wal.Log
 	ckptErrs   atomic.Int64
-	autoCkptMu sync.Mutex // the auto-checkpoint flight, see maybeAutoCheckpoint
+	autoCkptMu sync.Mutex // the engine's own checkpoints, one at a time: see checkpointFlight
 
 	// gc is the group-commit batcher (nil unless Config.GroupCommit.Enabled
 	// with EnableWAL). walCommits/walROCommits count durable commits that

@@ -172,7 +172,8 @@ func (e *Engine) maybeReclaim() {
 //
 //  1. WAL checkpoint — truncating the log frees whole extents of dead
 //     history and is usually the largest single win. Skipped (not failed)
-//     when transactions are active or the WAL is off.
+//     when transactions are active, when nothing was logged since the last
+//     one, or when the WAL is off; it shares the auto-checkpoint's flight.
 //  2. MV-PBT garbage collection and partition merges — dropping
 //     out-of-snapshot versions and merge duplicates.
 //  3. Heap vacuum — reclaiming dead row versions.
@@ -184,11 +185,7 @@ func (e *Engine) maybeReclaim() {
 func (e *Engine) reclaimSpace() error {
 	e.reclaims.Add(1)
 	if e.log != nil {
-		if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
-			// Checkpoint failure is survivable (the old log stays
-			// authoritative) but worth surfacing to maintenance stats.
-			e.ckptErrs.Add(1)
-		}
+		e.checkpointFlight(1) // a generation nothing was appended to has nothing to free
 	}
 	tables, kvs := e.stores()
 	var first error

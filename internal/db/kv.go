@@ -151,7 +151,7 @@ func (l *LSMKV) Delete(key []byte) error {
 // Scan implements KV.
 func (l *LSMKV) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 	n := 0
-	return l.t.Scan(lo, nil, func(k, v []byte) bool {
+	return l.t.ScanLimit(lo, nil, limit, func(k, v []byte) bool {
 		if n >= limit {
 			return false
 		}
@@ -310,7 +310,7 @@ func (m *MVPBTKV) Scan(lo []byte, limit int, fn func(key, val []byte) bool) erro
 // ScanTx is Scan at the snapshot of a caller-owned transaction.
 func (m *MVPBTKV) ScanTx(tx *txn.Tx, lo []byte, limit int, fn func(key, val []byte) bool) error {
 	n := 0
-	return m.tree.Scan(tx, lo, nil, func(e index.Entry) bool {
+	return m.tree.ScanLimit(tx, lo, nil, limit, func(e index.Entry) bool {
 		if n >= limit {
 			return false
 		}

@@ -303,9 +303,16 @@ func (s *source) next() {
 // Scan calls fn for every live key in [lo, hi) in key order, newest value
 // per key, skipping tombstoned keys. Returning false stops.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
+	return t.ScanLimit(lo, hi, 0, fn)
+}
+
+// ScanLimit is Scan by a caller that will stop after about rows keys (0 =
+// unknown): the runs' leaves are read in runs sized for that
+// (part.Iterator.SeekScan), as MV-PBT's are.
+func (t *Tree) ScanLimit(lo, hi []byte, rows int, fn func(key, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	srcs := t.sources(lo)
+	srcs := t.sources(lo, hi, rows)
 	for {
 		// Pick the smallest key; among equals the lowest-rank (newest)
 		// source wins, the rest are shadowed.
@@ -341,8 +348,9 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 	}
 }
 
-// sources builds merge inputs positioned at lo, newest first.
-func (t *Tree) sources(lo []byte) []*source {
+// sources builds merge inputs positioned at lo, newest first, for a scan to
+// hi expected to take rows keys (part.Iterator.SeekScan).
+func (t *Tree) sources(lo, hi []byte, rows int) []*source {
 	var srcs []*source
 	mit := t.mem.Seek(lo)
 	srcs = append(srcs, &source{memIt: &mit})
@@ -350,12 +358,18 @@ func (t *Tree) sources(lo []byte) []*source {
 		iit := im.Seek(lo)
 		srcs = append(srcs, &source{memIt: &iit})
 	}
-	for _, seg := range t.l0 {
-		srcs = append(srcs, &source{segIt: seg.Seek(lo)})
-	}
-	for _, seg := range t.lower {
+	runs := append(append([]*part.Segment(nil), t.l0...), t.lower...)
+	records := 0
+	for _, seg := range runs {
 		if seg != nil {
-			srcs = append(srcs, &source{segIt: seg.Seek(lo)})
+			records += seg.NumRecords
+		}
+	}
+	for _, seg := range runs {
+		if seg != nil {
+			it := new(part.Iterator)
+			it.SeekScan(seg, lo, hi, rows, records)
+			srcs = append(srcs, &source{segIt: it})
 		}
 	}
 	return srcs
@@ -369,7 +383,7 @@ func (t *Tree) sources(lo []byte) []*source {
 func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bool, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	srcs := t.sources(lo)
+	srcs := t.sources(lo, hi, 0)
 	type raw struct {
 		e   memEntry
 		src int

@@ -107,6 +107,9 @@ func (t *Tree) LoadManifest(startPage uint64, numPages int) (err error) {
 	}
 	t.nextNo = int(read())
 	count := int(read())
+	if count < 0 || count > len(body)-i { // a partition's metadata is many bytes
+		return fmt.Errorf("mvpbt: manifest of %d bytes claims %d partitions", len(body), count)
+	}
 	parts := make([]*part.Segment, 0, count)
 	for j := 0; j < count; j++ {
 		seg, n, err := part.DecodeMeta(t.pool, t.file, body[i:])

@@ -14,6 +14,7 @@ import (
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
+	"mvpbt/internal/util"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -183,6 +184,58 @@ func TestManifestRejectsGarbage(t *testing.T) {
 	if err := New(e.pool, small.file, e.pbuf, e.mgr, Options{}).LoadManifest(start, n); !errors.Is(err, bloom.ErrCorrupt) {
 		t.Fatalf("manifest with a truncated filter: %v", err)
 	}
+}
+
+// FuzzLoadManifest: whatever bytes an intact manifest page carries, loading it
+// is an error or a partition list — never a panic past LoadManifest, and never
+// an allocation sized by a count the bytes merely claim. The input is the
+// page's record, not the page: the minimizer crawls on 8 KiB inputs.
+//
+//	go test -fuzz=FuzzLoadManifest -fuzztime=30s ./internal/index/mvpbt/
+func FuzzLoadManifest(f *testing.F) {
+	e := newEnv(16, 1<<22)
+	tr := e.tree(Options{BloomBits: 4})
+	e.commit(func(tx *txn.Tx) { tr.InsertRegular(tx, []byte("k"), e.ref()) })
+	if err := tr.EvictPN(); err != nil {
+		f.Fatal(err)
+	}
+	start, n, err := tr.SaveManifest()
+	if err != nil || n != 1 {
+		f.Fatalf("SaveManifest = %d pages, %v; want 1", n, err)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := tr.file.ReadPage(start, buf); err != nil {
+		f.Fatal(err)
+	}
+	framed := bytes.Clone(page.Wrap(buf).Get(0))
+	f.Add(framed)
+	f.Add(framed[:len(framed)/2])
+	f.Add([]byte{})
+	// A frame that adds up around a body claiming 2^24 partitions.
+	claim := util.PutUvarint(util.PutUvarint(util.PutUvarint(nil, manifestMagic), 1), 1<<24)
+	f.Add(append(util.EncodeUint64(nil, uint64(len(claim))), claim...))
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		if len(rec) > page.MaxRecordLen {
+			return
+		}
+		clear(buf)
+		p := page.Wrap(buf)
+		p.Init()
+		p.Insert(rec)
+		page.StampChecksum(buf)
+		if err := tr.file.WritePage(start, buf); err != nil {
+			t.Fatal(err)
+		}
+		tr2 := New(e.pool, tr.file, e.pbuf, e.mgr, Options{})
+		if err := tr2.LoadManifest(start, 1); err != nil {
+			return
+		}
+		for _, seg := range tr2.Partitions() {
+			if seg == nil || seg.NumPages <= 0 {
+				t.Fatalf("loaded %+v out of %x", seg, rec)
+			}
+		}
+	})
 }
 
 func TestManifestOnNonEmptyTreeRejected(t *testing.T) {

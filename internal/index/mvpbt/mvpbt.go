@@ -659,7 +659,7 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 			}
 		}
 		found, more := false, true
-		for rs.it.Seek(seg, lo); rs.it.Valid(); rs.it.Next() {
+		for rs.it.SeekScan(seg, lo, hi, 0, 0); rs.it.Valid(); rs.it.Next() {
 			r := rs.it.Record()
 			if !has(r.Key) {
 				break
@@ -789,12 +789,19 @@ func (s *scanSource) next(hi []byte) error {
 // the per-key decision rule instead of the anti-matter map (see
 // unique.go). Lock-free against other readers and PN inserts.
 func (t *Tree) Scan(tx *txn.Tx, lo, hi []byte, fn func(index.Entry) bool) error {
+	return t.ScanLimit(tx, lo, hi, 0, fn)
+}
+
+// ScanLimit is Scan by a caller that will stop after about rows entries (0 =
+// unknown). The scan does not stop by itself; it reads the partitions' leaves
+// in runs sized for rows (part.Iterator.SeekScan).
+func (t *Tree) ScanLimit(tx *txn.Tx, lo, hi []byte, rows int, fn func(index.Entry) bool) error {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	v := t.view.Load()
 	rs := t.newReadState(tx)
 	defer rs.release()
-	if err := t.scanSources(rs, tx, v, lo, hi); err != nil {
+	if err := t.scanSources(rs, tx, v, lo, hi, rows); err != nil {
 		return err
 	}
 	if t.opts.Unique {
@@ -835,8 +842,18 @@ func segInvisible(tx *txn.Tx, seg *part.Segment) bool {
 
 // scanSources builds the merge inputs for [lo, hi) over one view: the PN
 // iterator plus one iterator per partition surviving the timestamp and
-// range filters, all positioned at lo — into rs.srcs.
-func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte) error {
+// range filters, all positioned at lo — into rs.srcs. rows (0 = unknown) is
+// how many entries the scan is expected to take; each partition's share of
+// them, by its share of the records under the scan, sizes its leaf reads.
+func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte, rows int) error {
+	records := 0
+	if rows > 0 {
+		for _, seg := range v.parts {
+			if !segInvisible(tx, seg) && seg.MayContainRange(lo, hi) {
+				records += seg.NumRecords
+			}
+		}
+	}
 	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
 	s := rs.addSource(0)
 	s.inPN, s.pnIt = true, v.pn.Seek(from)
@@ -855,7 +872,7 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 			continue
 		}
 		t.stats.prefix.positives.Add(1)
-		rs.addSource(base+len(v.parts)-1-i).segIt.Seek(seg, lo)
+		rs.addSource(base+len(v.parts)-1-i).segIt.SeekScan(seg, lo, hi, rows, records)
 	}
 	for i := range rs.srcs {
 		if err := rs.srcs[i].load(hi); err != nil {

@@ -39,7 +39,7 @@ func TestReleaseBoundsKeptSources(t *testing.T) {
 	tx := e.mgr.Begin()
 	defer e.mgr.Commit(tx)
 	rs := tr.newReadState(tx)
-	if err := tr.scanSources(rs, tx, tr.view.Load(), nil, nil); err != nil {
+	if err := tr.scanSources(rs, tx, tr.view.Load(), nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.srcs) != parts+1 {

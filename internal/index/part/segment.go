@@ -90,29 +90,37 @@ func (s *Segment) corrupt(rel int, cause error) error {
 
 // findLeaf descends to the first relative leaf page that could contain
 // key (see innerSearch), searching each internal page in its pinned frame.
-func (s *Segment) findLeaf(key []byte) (int, error) {
-	rel := s.rootRel
+// With a hi, end is the leaf that could contain hi, or the last leaf under
+// the same lowest internal page when hi lies beyond it: searched for in the
+// frame the descent has pinned anyway, and only a hint (a corrupt page may
+// make it anything).
+func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
+	rel = s.rootRel
 	for level := s.height - 1; level >= 1; level-- {
 		fr, err := s.pool.GetNoRef(s.file, s.StartPage+uint64(rel))
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		child, err := innerSearch(page.Wrap(fr.Data()), key)
+		pg := page.Wrap(fr.Data())
+		child, err := innerSearch(pg, key)
+		if level == 1 && hi != nil && err == nil {
+			end, _ = innerSearch(pg, hi)
+		}
 		s.pool.Unpin(fr, false)
 		if err != nil {
-			return 0, s.corrupt(rel, err)
+			return 0, 0, s.corrupt(rel, err)
 		}
 		// Children are written before their parent: a child at or behind it
 		// is not one, and following it could leave the segment or loop.
 		if child >= rel {
-			return 0, s.corrupt(rel, errBadRecord)
+			return 0, 0, s.corrupt(rel, errBadRecord)
 		}
 		rel = child
 	}
 	if rel >= s.NumLeaves {
-		return 0, s.corrupt(rel, errBadRecord)
+		return 0, 0, s.corrupt(rel, errBadRecord)
 	}
-	return rel, nil
+	return rel, end, nil
 }
 
 // Iterator walks a segment's records in key order, reading them where they
@@ -120,7 +128,9 @@ func (s *Segment) findLeaf(key []byte) (int, error) {
 // pool frame (outside the shard latch) into a page buffer of its own and
 // unpins the frame at once: a scan holds one iterator per partition across
 // its whole merge, and with a pin each would exhaust a pool shard
-// (ErrNoFrames). The fetch is GetNoRef (see there).
+// (ErrNoFrames). The fetch is the pool's GetRun (see there) over the leaves
+// the scan is still expected to read, which SeekScan works out; after a plain
+// Seek, and past an estimate that fell short, it is GetNoRef's single page.
 //
 // The zero Iterator is ready for Seek and may be repositioned any number of
 // times, on any segment; its buffers are reused, so a caller that keeps or
@@ -132,6 +142,7 @@ func (s *Segment) findLeaf(key []byte) (int, error) {
 type Iterator struct {
 	seg  *Segment
 	leaf int
+	left int    // leaves from the next one entered on that the scan expects to read; < 2 = unknown
 	buf  []byte // the current leaf's image; allocated on first use
 	cur  leafCursor
 	ok   bool
@@ -148,15 +159,33 @@ func (s *Segment) Seek(key []byte) *Iterator {
 
 // Seek positions the iterator at s's first record with key >= key (a nil key
 // is the segment's first record).
-func (it *Iterator) Seek(s *Segment, key []byte) {
-	it.seg, it.ok, it.err = s, false, nil
-	rel, err := s.findLeaf(key)
+func (it *Iterator) Seek(s *Segment, key []byte) { it.SeekScan(s, key, nil, 0, 0) }
+
+// SeekScan is Seek(s, lo) by a scan that says how far it will go, so that the
+// leaves it needs come in by runs: to the leaf holding hi (nil = unbounded),
+// as far as the internal page above lo's leaf tells, and for as many leaves
+// as rows records (0 = unknown) make up as s's share of a scan over segments
+// holding records in all — rows x NumLeaves / records to the nearest leaf,
+// plus one for starting inside a leaf. With neither known, leaves are fetched
+// one at a time.
+func (it *Iterator) SeekScan(s *Segment, lo, hi []byte, rows, records int) {
+	it.seg, it.ok, it.err, it.left = s, false, nil, 0
+	rel, end, err := s.findLeaf(lo, hi)
 	if err != nil {
 		it.err = err
 		return
 	}
+	if hi != nil || rows > 0 {
+		it.left = s.NumLeaves - rel
+		if rows > 0 && rows < records {
+			it.left = min(it.left, int((int64(rows)*int64(s.NumLeaves)+int64(records)/2)/int64(records))+1)
+		}
+		if hi != nil {
+			it.left = min(it.left, end-rel+1)
+		}
+	}
 	it.enter(rel)
-	it.forward(key)
+	it.forward(lo)
 }
 
 // Next advances to the following record.
@@ -197,7 +226,9 @@ func (it *Iterator) enter(rel int) {
 		it.scribble()
 		it.buf = make([]byte, storage.PageSize)
 	}
-	fr, err := s.pool.GetNoRef(s.file, s.StartPage+uint64(rel))
+	// left never exceeds the leaves the segment has from rel on (SeekScan).
+	fr, err := s.pool.GetRun(s.file, s.StartPage+uint64(rel), it.left)
+	it.left--
 	if err != nil {
 		it.err = err
 		return

@@ -179,7 +179,7 @@ func (t *Tree) walk(lo, hi []byte, point bool, fn func(index.Entry) bool) error 
 		} else if !seg.MayContainRange(lo, hi) {
 			continue
 		}
-		for segIt.Seek(seg, lo); segIt.Valid(); segIt.Next() {
+		for segIt.SeekScan(seg, lo, hi, 0, 0); segIt.Valid(); segIt.Next() {
 			r := segIt.Record()
 			if !has(r.Key) {
 				break

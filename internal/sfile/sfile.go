@@ -381,15 +381,34 @@ func (f *File) ReadPage(pageNo uint64, buf []byte) error {
 // extent is contiguous on the device, so a run crossing an extent boundary
 // is refused. Errors mirror ReadPage.
 func (f *File) ReadRun(pageNo uint64, buf []byte) error {
-	n := uint64(len(buf) / storage.PageSize)
-	if n == 0 || len(buf)%storage.PageSize != 0 || pageNo/ExtentPages != (pageNo+n-1)/ExtentPages {
-		return fmt.Errorf("sfile: pages [%d,%d) of file %q: %d bytes are not a page run inside one extent", pageNo, pageNo+n, f.name, len(buf))
+	n := len(buf) / storage.PageSize
+	if len(buf)%storage.PageSize != 0 {
+		n = 0
 	}
-	off, err := f.offsetOf(pageNo)
+	off, err := f.runOffset(pageNo, n)
 	if err != nil {
 		return err
 	}
 	return f.m.dev.ReadAt(buf, off)
+}
+
+// ReadPages is ReadRun scattered: the len(pages) pages starting at pageNo,
+// each into its own PageSize buffer, still with one device read.
+func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
+	off, err := f.runOffset(pageNo, len(pages))
+	if err != nil {
+		return err
+	}
+	return f.m.dev.ReadvAt(pages, off)
+}
+
+// runOffset is the device offset of the n-page run at pageNo, which must lie
+// inside one extent.
+func (f *File) runOffset(pageNo uint64, n int) (int64, error) {
+	if n <= 0 || pageNo/ExtentPages != (pageNo+uint64(n)-1)/ExtentPages {
+		return 0, fmt.Errorf("sfile: file %q: %d pages at %d are not a page run inside one extent", f.name, n, pageNo)
+	}
+	return f.offsetOf(pageNo)
 }
 
 // WritePage writes buf to page pageNo. Errors mirror ReadPage.

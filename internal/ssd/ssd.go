@@ -195,39 +195,51 @@ func (d *Device) Clock() *simclock.Clock { return d.clock }
 // failed I/O is not a free I/O); an armed bit-flip fault corrupts the
 // stored media under the range and the read succeeds.
 func (d *Device) ReadAt(p []byte, off int64) error {
-	if len(p) == 0 {
+	return d.ReadvAt([][]byte{p}, off)
+}
+
+// ReadvAt is ReadAt scattered: ONE device read of the contiguous bytes at off,
+// delivered into the buffers of ps in order (preadv) — what lets a run of pages
+// land in separate buffer-pool frames without a transfer buffer between.
+func (d *Device) ReadvAt(ps [][]byte, off int64) error {
+	n := 0
+	for _, b := range ps {
+		n += len(b)
+	}
+	if n == 0 {
 		return nil
 	}
 	d.mu.Lock()
 	seq := off == d.lastRdEnd
-	d.lastRdEnd = off + int64(len(p))
+	d.lastRdEnd = off + int64(n)
 	var lat time.Duration
 	if seq {
-		lat = latency(d.prof.ReadSeq8, d.prof.ReadSeq64, len(p))
+		lat = latency(d.prof.ReadSeq8, d.prof.ReadSeq64, n)
 		d.stats.SeqReads++
 	} else {
-		lat = latency(d.prof.ReadRand8, d.prof.ReadRand64, len(p))
+		lat = latency(d.prof.ReadRand8, d.prof.ReadRand64, n)
 		d.stats.RandReads++
 	}
 	if d.spec.Mode == ModeCloud {
 		lat = d.cloudCharge(lat)
 	}
 	d.stats.Reads++
-	d.stats.BytesRead += int64(len(p))
+	d.stats.BytesRead += int64(n)
 	d.stats.ReadTime += lat
 	var ioErr error
-	if f := d.matchFault(OpRead, off, len(p)); f != nil {
+	if f := d.matchFault(OpRead, off, n); f != nil {
 		if f.rule.Kind == FaultBitFlip {
-			d.flipBit(f, off, len(p))
+			d.flipBit(f, off, n)
 		} else {
-			ioErr = faultErr(f.rule.Kind, off, len(p))
+			ioErr = faultErr(f.rule.Kind, off, n)
 		}
 	}
-	if ioErr == nil {
-		d.copyOut(p, off)
+	for at := off; ioErr == nil && len(ps) > 0; ps = ps[1:] {
+		d.copyOut(ps[0], at)
+		at += int64(len(ps[0]))
 	}
 	if d.tracing {
-		d.trace = append(d.trace, TraceEntry{Time: d.clock.Now() + lat, Op: OpRead, LBA: off / SectorSize, Len: len(p), Seq: seq})
+		d.trace = append(d.trace, TraceEntry{Time: d.clock.Now() + lat, Op: OpRead, LBA: off / SectorSize, Len: n, Seq: seq})
 	}
 	d.mu.Unlock()
 	d.clock.Advance(lat)
