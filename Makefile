@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race loc bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race loc bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -123,6 +123,18 @@ bench-scan:
 	go test ./internal/index/mvpbt/ -run TestScanReadAhead -count 1
 	go test ./internal/buffer/ -run TestGetRun -count 1
 	go test -bench BenchmarkScanLimit -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
+
+# The buffer pool's replacement policy on its own: the policy tests
+# (TestPolicy*: what a hit buys, the dirty pass, a victim with every frame at
+# the cap, the domain sizes, the skewed trace against the parent's counts;
+# they fail the build), then BenchmarkPoolTrace — scrambled-zipfian fetches
+# over four times a 512-frame pool, dirtying either a twentieth of the pages
+# or any page on a twentieth of the fetches — with its device cost
+# (dev-reads/op, write-backs/op; counts, so they repeat). Output lands in
+# bench-pool.txt for publishing as a build artifact.
+bench-pool:
+	go test ./internal/buffer/ -run TestPolicy -count 1
+	go test -bench BenchmarkPoolTrace -benchtime 200000x -run xxx ./internal/buffer/ | tee bench-pool.txt
 
 # The repository benchmark's own smoke test (benchmarks/: every workload at
 # a fraction of its scale, every declared metric present, outputs checked).

@@ -1,13 +1,13 @@
 // Package buffer implements the shared database buffer pool: a fixed set
-// of page frames with clock-sweep replacement, pin counts, dirty
+// of page frames with usage-count clock replacement, pin counts, dirty
 // write-back, and per-class request/hit statistics (the paper's Figure 12d
 // compares index-node against base-table-node buffer traffic).
 //
 // The frame set is split into shards addressed by a hash of the page id,
 // each with its own latch, page table, and clock hand, so page fetches
-// from parallel clients do not contend on one pool-wide lock. Small pools
-// (under 64 frames) collapse to a single shard and behave exactly like
-// the unsharded pool, including its eviction order.
+// from parallel clients do not contend on one pool-wide lock. A shard is
+// also a replacement domain, so it is never small (minFramesPerShard): pools
+// under 256 frames are a single shard.
 package buffer
 
 import (
@@ -68,8 +68,8 @@ type Frame struct {
 	data  []byte
 	pin   int
 	dirty bool
-	ref   bool
-	ahead bool // installed by a run read and not yet fetched: its first fetch is the miss
+	use   uint8 // usage count: 1 when loaded, +1 per hit up to maxUse, -1 per pass of the clock hand
+	ahead bool  // installed by a run read and not yet fetched: its first fetch is the miss
 }
 
 // Data returns the frame's page buffer.
@@ -87,12 +87,14 @@ type shard struct {
 	hand   int
 }
 
-// Sharding bounds: never fewer than minFramesPerShard frames per shard
-// (tiny test pools keep exact single-shard eviction semantics), never more
-// than maxShards shards.
+// Sharding bounds: never fewer than minFramesPerShard frames per shard — page
+// ids hash unevenly over small clocks, and a hot page in a crowded one leaves
+// as fast as a cold leaf — and never more than maxShards shards. maxUse caps
+// the usage count: how many passes of the hand a page's hits can buy it.
 const (
-	minFramesPerShard = 32
+	minFramesPerShard = 128
 	maxShards         = 16
+	maxUse            = 3
 )
 
 // Pool is the shared buffer pool. All methods are safe for concurrent use.
@@ -174,40 +176,27 @@ func (p *Pool) unlockAll() {
 // Get fetches page pageNo of file f, pinning it. The returned frame must be
 // released with Unpin.
 func (p *Pool) Get(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(f, pageNo, true, 1)
-}
-
-// GetNoRef is Get for a reader whose hits must not count as references: the
-// request and the hit are counted and the frame is pinned, but a cached
-// page's reference bit stays as it is, so the clock sweep takes the page
-// when it would have had the hit not happened; a miss is Get's. Segment
-// readers use it: they re-read an immutable index page thousands of times
-// per residency, and promoting it on each keeps it over the dirty heap pages
-// beside it (measured on the htap benchmark: 11 % less read time for 4.9 %
-// more write amplification). Whether that trade is wanted is a replacement-
-// policy decision (ROADMAP); until it is made, a page ages by its loads.
-func (p *Pool) GetNoRef(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(f, pageNo, false, 1)
+	return p.fetch(f, pageNo, 1)
 }
 
 // MaxRun is the most pages one device read brings in (GetRun): 64 KiB, the
 // second calibration point of the device profiles.
 const MaxRun = 8
 
-// GetRun is GetNoRef by a sequential reader that expects to read the n pages
+// GetRun is Get by a sequential reader that expects to read the n pages
 // starting at pageNo: when pageNo misses, the non-resident pages after it
 // come in with the same device read — up to MaxRun in all, to the end of the
 // extent, stopping at the first page that is resident or finds no frame — and
 // wait unpinned for their own fetch, which counts as the miss it would have
 // been. A run that fails or holds a corrupt page installs nothing, and pageNo
-// is fetched alone as by GetNoRef, which retries and reports.
+// is fetched alone as by Get, which retries and reports.
 func (p *Pool) GetRun(f *sfile.File, pageNo uint64, n int) (*Frame, error) {
-	return p.fetch(f, pageNo, false, min(n, MaxRun, sfile.ExtentPages-int(pageNo%sfile.ExtentPages)))
+	return p.fetch(f, pageNo, min(n, MaxRun, sfile.ExtentPages-int(pageNo%sfile.ExtentPages)))
 }
 
-// fetch is the one page fetch; refHit says whether a hit sets the frame's
-// reference bit, run how many pages from pageNo on a miss may read at once.
-func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool, run int) (*Frame, error) {
+// fetch is the one page fetch; run says how many pages from pageNo on a miss
+// may read at once.
+func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 	pid := f.PageID(pageNo)
 	p.stats[f.Class()].requests.Add(1)
 	sh := p.shardOf(pid)
@@ -217,11 +206,11 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool, run int) (*Frame
 			fr.ahead = false
 		} else {
 			p.stats[f.Class()].hits.Add(1)
+			if fr.use < maxUse {
+				fr.use++
+			}
 		}
 		fr.pin++
-		if refHit {
-			fr.ref = true
-		}
 		sh.mu.Unlock()
 		return fr, nil
 	}
@@ -239,7 +228,7 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool, run int) (*Frame
 	n := p.readRun(f, pageNo, run, fr)
 	if n == 0 {
 		if err := p.readPageChecked(f, pageNo, fr.data); err != nil {
-			fr.pin, fr.ref = 0, false
+			fr.pin = 0
 			sh.mu.Unlock()
 			return nil, err
 		}
@@ -255,7 +244,7 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, refHit bool, run int) (*Frame
 // install enters a frame holding a verified, clean page in its shard's table.
 func (fr *Frame) install(f *sfile.File, pid storage.PageID) {
 	fr.pid, fr.file = pid, f
-	fr.ref, fr.dirty = true, false
+	fr.use, fr.dirty = 1, false
 	fr.sh.table[pid] = fr
 }
 
@@ -388,30 +377,37 @@ func (p *Pool) NewPage(f *sfile.File) (*Frame, uint64, error) {
 	fr.pid = pid
 	fr.file = f
 	fr.pin = 1
-	fr.ref = true
+	fr.use = 1
 	fr.dirty = true
-	for i := range fr.data {
-		fr.data[i] = 0
-	}
+	clear(fr.data)
 	sh.table[pid] = fr
 	return fr, pageNo, nil
 }
 
-// victimLocked finds a free or evictable frame in the shard, writing it
-// back if dirty.
+// victimLocked finds a free or evictable frame in the shard: the hand
+// lowers the usage count of each unpinned frame it passes and takes one it
+// finds at 0. A dirty frame at 0 is passed during the first revolution and
+// written back only when that found no clean victim: a random page write
+// costs the device about 16 random reads (paper Fig. 8), so evicting a dirty
+// page is dearer than the misses of any clean one. The sweep is bounded by
+// maxUse revolutions, which bring every unpinned frame to 0, and one more,
+// which takes the first of them, dirty or not.
 func (sh *shard) victimLocked(p *Pool) (*Frame, error) {
 	n := len(sh.frames)
-	for sweep := 0; sweep < 2*n; sweep++ {
+	for sweep := 0; sweep < (maxUse+1)*n; sweep++ {
 		fr := sh.frames[sh.hand]
 		sh.hand = (sh.hand + 1) % n
 		if fr.pin > 0 {
 			continue
 		}
-		if fr.ref {
-			fr.ref = false
+		if fr.use > 0 {
+			fr.use--
 			continue
 		}
 		if fr.dirty {
+			if sweep < n {
+				continue
+			}
 			if err := p.writePageChecked(fr.file, fr.pid.PageNo(), fr.data); err != nil {
 				// Write-back failed even after retries: keep the frame dirty
 				// (the data is still only in memory) and surface the fault.
@@ -516,7 +512,7 @@ func (p *Pool) EvictAll() error {
 			if fr.pid.Valid() && fr.pin == 0 && !fr.dirty {
 				delete(sh.table, fr.pid)
 				fr.pid = storage.InvalidPageID
-				fr.ref = false
+				fr.use = 0
 			}
 		}
 	}
@@ -539,7 +535,7 @@ func (p *Pool) DropFilePages(f *sfile.File, start uint64, n int) {
 			delete(sh.table, pid)
 			fr.pid = storage.InvalidPageID
 			fr.dirty = false
-			fr.ref = false
+			fr.use = 0
 		}
 		sh.mu.Unlock()
 	}
@@ -576,11 +572,14 @@ func (p *Pool) IOStats() IOStats {
 	}
 }
 
-// ResetStats zeroes the per-class counters.
+// ResetStats zeroes the per-class counters, the eviction count and the
+// device-read counters, so every ratio of two of them covers one epoch.
 func (p *Pool) ResetStats() {
 	for i := range p.stats {
 		p.stats[i].requests.Store(0)
 		p.stats[i].hits.Store(0)
 	}
 	p.evictions.Store(0)
+	p.reads.Store(0)
+	p.pagesRead.Store(0)
 }

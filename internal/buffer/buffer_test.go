@@ -297,64 +297,32 @@ func TestDropPinnedPagePanics(t *testing.T) {
 	p.DropFilePages(f, start, 1)
 }
 
-// TestGetNoRefCountsHitButDoesNotPromote: a hit through GetNoRef is a request
-// and a hit in the class counters, yet the page keeps the reference bit it
-// had, so the clock sweep takes it exactly when it would have had the hit
-// never reached the pool; the same hit through Get buys the page another
-// round.
-func TestGetNoRefCountsHitButDoesNotPromote(t *testing.T) {
-	for _, promote := range []bool{false, true} {
-		p, m := setup(3)
-		f := m.Create("i", sfile.ClassIndex)
-		var nos []uint64
-		for i := 0; i < 5; i++ { // A B C D E, on the device
-			fr, no, err := p.NewPage(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Unpin(fr, true)
-			nos = append(nos, no)
-		}
-		if err := p.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
-		get := func(no uint64, noRef bool) (hit bool) {
-			before := p.Stats()[sfile.ClassIndex]
-			fetch := p.Get
-			if noRef {
-				fetch = p.GetNoRef
-			}
-			fr, err := fetch(f, no)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Unpin(fr, false)
-			d := p.Stats()[sfile.ClassIndex].Sub(before)
-			if d.Requests != 1 {
-				t.Fatalf("fetch counted %d requests", d.Requests)
-			}
-			return d.Hits == 1
-		}
-		// A, B, C fill the frames, all referenced. D's sweep clears the
-		// three bits and takes A's frame: D referenced, B and C not, hand
-		// on B.
-		for _, no := range nos[:4] {
-			if get(no, false) {
-				t.Fatalf("page %d cached after EvictAll", no)
-			}
-		}
-		if !get(nos[1], !promote) {
-			t.Fatal("B not cached: the hit was not counted as one")
-		}
-		get(nos[4], false) // E needs a frame
-		// The page expected in the pool is probed first: a miss would
-		// take a frame itself.
-		if promote {
-			if bCached, cCached := get(nos[1], true), get(nos[2], true); !bCached || cCached {
-				t.Fatalf("Get hit: B cached %v, C cached %v; want the referenced B kept and C taken", bCached, cCached)
-			}
-		} else if cCached, bCached := get(nos[2], true), get(nos[1], true); bCached || !cCached {
-			t.Fatalf("GetNoRef hit: B cached %v, C cached %v; want B taken by the second sweep as if never hit", bCached, cCached)
-		}
+// TestResetStatsResetsEveryCounter: requests, hits, write-backs and the
+// device-read counters start one epoch together, so PagesRead/Reads after a
+// reset describes the reads since it and nothing before.
+func TestResetStatsResetsEveryCounter(t *testing.T) {
+	p, m := setup(4)
+	f, start := runFile(t, m, 16)
+	for i := 0; i < 8; i++ { // eight single-page reads
+		getRun(t, p, f, start, i, 1)
+	}
+	fr, _, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	for i := 0; i < 4; i++ { // push the dirty page out: one write-back
+		getRun(t, p, f, start, i, 1)
+	}
+	if io := p.IOStats(); io.Reads != 12 || io.PagesRead != 12 || p.Evictions() != 1 {
+		t.Fatalf("before the reset: %+v, %d write-backs", io, p.Evictions())
+	}
+	p.ResetStats()
+	if io, st := p.IOStats(), p.Stats()[sfile.ClassIndex]; io.Reads != 0 || io.PagesRead != 0 || p.Evictions() != 0 || st != (ClassStats{}) {
+		t.Fatalf("after the reset: %+v, %+v, %d write-backs, want all zero", io, st, p.Evictions())
+	}
+	getRun(t, p, f, start, 8, 4) // one read of four pages
+	if io := p.IOStats(); io.Reads != 1 || io.PagesRead != 4 {
+		t.Fatalf("one run of 4 after the reset: %+v, want 4 pages per device read", io)
 	}
 }

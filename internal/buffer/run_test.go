@@ -137,7 +137,7 @@ func TestGetRunNoFrames(t *testing.T) {
 
 // TestGetRunFaults: a run that fails or carries a rotted page installs
 // nothing; the page asked for is then fetched alone, which retries and
-// reports as GetNoRef does.
+// reports as Get does.
 func TestGetRunFaults(t *testing.T) {
 	p, m := setup(64)
 	f, start := runFile(t, m, 16)
@@ -187,8 +187,8 @@ func TestGetRunFaults(t *testing.T) {
 // sharded pool too small for the file, serve every page intact and leave no
 // frame pinned (run under -race).
 func TestGetRunConcurrent(t *testing.T) {
-	p, m := setup(128)
-	const pages = 8 * sfile.ExtentPages
+	p, m := setup(512)
+	const pages = 24 * sfile.ExtentPages
 	f, start := runFile(t, m, pages)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

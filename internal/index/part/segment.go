@@ -97,7 +97,7 @@ func (s *Segment) corrupt(rel int, cause error) error {
 func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
 	rel = s.rootRel
 	for level := s.height - 1; level >= 1; level-- {
-		fr, err := s.pool.GetNoRef(s.file, s.StartPage+uint64(rel))
+		fr, err := s.pool.Get(s.file, s.StartPage+uint64(rel))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -130,7 +130,7 @@ func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
 // its whole merge, and with a pin each would exhaust a pool shard
 // (ErrNoFrames). The fetch is the pool's GetRun (see there) over the leaves
 // the scan is still expected to read, which SeekScan works out; after a plain
-// Seek, and past an estimate that fell short, it is GetNoRef's single page.
+// Seek, and past an estimate that fell short, it is Get's single page.
 //
 // The zero Iterator is ready for Seek and may be repositioned any number of
 // times, on any segment; its buffers are reused, so a caller that keeps or
