@@ -23,11 +23,10 @@ loc:
 	@echo "non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l)"
 	@echo "test:     $$(find . -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l)"
 
-# Gates that compare wall-clock measurements between two runs: the maint
-# experiment's background-vs-sync p99 and throughput, the net experiment's
-# shard speedup and admission p99. They need a quiet box and fail
-# deterministically under -race, so `go test ./...` skips them; the count
-# gates of the same experiments stay in tier-1.
+# Gates that compare wall-clock measurements between two runs: the net
+# experiment's shard speedup and admission p99. They need a quiet box and
+# fail deterministically under -race, so `go test ./...` skips them; the
+# count gate of the same experiment stays in tier-1.
 bench-gates:
 	go test ./internal/bench/ -run 'WallClockGates' -count 1 -bench-gates
 
@@ -77,7 +76,7 @@ check-%:
 bench:
 	go test -bench=. -benchmem
 
-# All twenty experiments at quick scale (~12 s) as one JSON document: every
+# All nineteen experiments at quick scale (~12 s) as one JSON document: every
 # cell's value, precision and count-or-clock kind, and the headline metrics
 # with units. CI publishes it; a PR that may move a figure commits it as
 # FIGURES_<pr>.json so the next can diff count cells exactly.

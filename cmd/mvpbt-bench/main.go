@@ -48,12 +48,10 @@ func run() int {
 		asJSON     = flag.Bool("json", false, "emit one JSON array of typed results instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
-		maintWk    = flag.Int("maint-workers", bench.MaintWorkers, "maintenance worker pool size (maint experiment)")
 		device     = flag.String("device", "", "device-zoo name every engine-backed experiment runs on (default: calibrated enterprise NVMe); see -list-devices")
 		listDev    = flag.Bool("list-devices", false, "list the device zoo and exit")
 	)
 	flag.Parse()
-	bench.MaintWorkers = *maintWk
 
 	if *listDev {
 		for _, spec := range ssd.Zoo() {

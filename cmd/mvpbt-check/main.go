@@ -126,7 +126,6 @@ func runDiff(args []string, out, errw io.Writer) int {
 		keys       = fs.Int("keys", 200, "key-space size")
 		crashes    = fs.Int("crashes", 2, "crash-restart points injected into the history")
 		heapSel    = fs.String("heap", "both", "heap layout: hot, sias or both")
-		background = fs.Bool("background", true, "run maintenance on background workers (false = synchronous)")
 		auditEvery = fs.Int("audit-every", 250, "full audit cadence in ops")
 		fault      = fs.Int("inject-fault", 0, "TEST the harness: invert visibility for tx ids divisible by N")
 		noShrink   = fs.Bool("no-shrink", false, "skip shrinking on failure")
@@ -145,14 +144,14 @@ func runDiff(args []string, out, errw io.Writer) int {
 		}
 		cfg := check.RunConfig{
 			Heap: hk, Seed: *seed, Ops: *ops, Clients: *clients, Keys: *keys,
-			Crashes: *crashes, Background: *background, AuditEvery: *auditEvery,
+			Crashes: *crashes, AuditEvery: *auditEvery,
 			FaultEvery: *fault,
 		}
 		if *verbose {
 			cfg.Log = func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
 		}
-		fmt.Fprintf(out, "heap=%-4s seed=%d ops=%d clients=%d keys=%d crashes=%d background=%v\n",
-			hk, *seed, *ops, *clients, *keys, *crashes, *background)
+		fmt.Fprintf(out, "heap=%-4s seed=%d ops=%d clients=%d keys=%d crashes=%d\n",
+			hk, *seed, *ops, *clients, *keys, *crashes)
 		res := check.Run(cfg)
 		if res.Violation == nil {
 			fmt.Fprintf(out, "  OK: %d ops, %d audits, %d crash-recoveries, %d write conflicts — zero invariant violations\n",
@@ -171,8 +170,8 @@ func runDiff(args []string, out, errw io.Writer) int {
 				fmt.Fprintf(out, "  violation: %v\n", r.Violation)
 			}
 		}
-		fmt.Fprintf(out, "  reproduce: go run ./cmd/mvpbt-check diff -seed %d -ops %d -clients %d -keys %d -crashes %d -heap %s -background=%v -audit-every %d",
-			*seed, *ops, *clients, *keys, *crashes, hk, *background, *auditEvery)
+		fmt.Fprintf(out, "  reproduce: go run ./cmd/mvpbt-check diff -seed %d -ops %d -clients %d -keys %d -crashes %d -heap %s -audit-every %d",
+			*seed, *ops, *clients, *keys, *crashes, hk, *auditEvery)
 		if *fault > 0 {
 			fmt.Fprintf(out, " -inject-fault %d", *fault)
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mvpbt/internal/db"
-	"mvpbt/internal/maint"
 	"mvpbt/internal/shard"
 	"mvpbt/internal/txn"
 )
@@ -23,7 +22,6 @@ func main() {
 		updates     = flag.Int("updates", 5, "updates per tuple")
 		pbuf        = flag.Int("pbuf", 32<<10, "partition buffer bytes")
 		key         = flag.String("key", "key-000", "key whose index records to dump")
-		bgMaint     = flag.Bool("maint", false, "run eviction/merge/GC on the background maintenance service")
 		capacity    = flag.Int64("capacity", 64<<20, "device capacity budget in bytes (0 = unbounded)")
 		groupCommit = flag.Bool("group-commit", false, "route commits through the WAL group-commit batcher")
 		shards      = flag.Int("shards", 0, "inspect a sharded deployment with this many engines instead of one engine")
@@ -36,7 +34,7 @@ func main() {
 	}
 
 	eng := db.NewEngine(db.Config{
-		BufferPages: 1024, PartitionBufferBytes: *pbuf, BackgroundMaint: *bgMaint,
+		BufferPages: 1024, PartitionBufferBytes: *pbuf,
 		EnableWAL: true, DeviceCapacityBytes: *capacity,
 		GroupCommit: db.GroupCommitConfig{Enabled: *groupCommit},
 	})
@@ -83,10 +81,6 @@ func main() {
 		}
 	}
 
-	if eng.Maint != nil {
-		eng.Maint.Drain() // settle in-flight evictions/merges before dumping
-	}
-
 	mv := ix.MV()
 	fmt.Printf("== MV-PBT structure after %d tuples x %d updates ==\n", *tuples, *updates)
 	fmt.Printf("PN: %d bytes in memory\n", mv.PNBytes())
@@ -103,18 +97,6 @@ func main() {
 		st.Evictions, st.Merges, st.GCMarked, st.GCSweptPN, st.GCEvict)
 	fmt.Printf("bloom: neg=%d pos=%d falsepos=%d\n",
 		st.Bloom.Negatives, st.Bloom.Positives, st.Bloom.FalsePositives)
-	if eng.Maint != nil {
-		ms := eng.Maint.Stats()
-		stalls, stallTime := eng.PBuf.Stalls()
-		fmt.Printf("maintenance: submitted=%d deduped=%d stalls=%d stall_time=%v\n",
-			ms.Submitted, ms.Deduped, stalls, stallTime)
-		for k, js := range ms.Jobs {
-			if js.Runs > 0 {
-				fmt.Printf("  %-7s runs=%-4d errors=%-2d bytes=%-8d busy=%v\n",
-					maint.Kind(k), js.Runs, js.Errors, js.Bytes, js.Busy)
-			}
-		}
-	}
 	fmt.Println()
 
 	fmt.Printf("== index records for %q (PN first, partitions newest to oldest) ==\n", *key)

@@ -106,7 +106,7 @@ func checkShape(t *testing.T, id string, assert func(s *shape) error) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "fig8", "fig12a", "fig12b", "fig12c", "fig12d",
 		"fig13", "fig14a", "fig14b", "fig14c", "fig14d", "fig15a", "fig15b",
-		"extra-wa", "extra-merge", "parallel", "maint", "commit", "net",
+		"extra-wa", "extra-merge", "parallel", "commit", "net",
 		"scenarios"}
 	all := All()
 	if len(all) != len(want) {
@@ -311,37 +311,6 @@ func TestExtraMergeShape(t *testing.T) {
 	})
 }
 
-// TestMaintShape holds the count gates of the maint experiment: both modes
-// evicted, and the background run closed clean (maintRun fails the
-// experiment on any error out of Engine.Close).
-func TestMaintShape(t *testing.T) {
-	checkShape(t, "maint", func(s *shape) error {
-		if syncEv, bgEv := s.val("sync", "evictions"), s.val("background", "evictions"); syncEv == 0 || bgEv == 0 {
-			return fmt.Errorf("maintenance never triggered: sync=%f bg=%f evictions", syncEv, bgEv)
-		}
-		return nil
-	})
-}
-
-// TestMaintWallClockGates is the experiment's actual claim — background
-// maintenance takes the pauses off the writer — as a wall-clock comparison.
-func TestMaintWallClockGates(t *testing.T) {
-	if !*benchGates {
-		t.Skip("wall-clock comparison; run with -bench-gates (make bench-gates)")
-	}
-	checkShape(t, "maint", func(s *shape) error {
-		syncOps, bgOps := s.val("sync", "ops/s"), s.val("background", "ops/s")
-		syncP99, bgP99 := s.val("sync", "p99_us"), s.val("background", "p99_us")
-		switch {
-		case bgP99 >= syncP99:
-			return fmt.Errorf("background p99 %fus did not beat sync %fus", bgP99, syncP99)
-		case bgOps <= syncOps:
-			return fmt.Errorf("background throughput %f did not beat sync %f", bgOps, syncOps)
-		}
-		return nil
-	})
-}
-
 // TestNetShape holds the count gate of the net experiment: with admission
 // control on, the overload phase queued sessions. (Net rows are labelled
 // phase, shards, clients, admission.)
@@ -429,7 +398,7 @@ func TestShapeLookupIsLoud(t *testing.T) {
 
 // concurrent names the experiments whose clients run on several goroutines:
 // scheduling decides their counts (batch sizes, evictions, queued sessions).
-var concurrent = map[string]bool{"commit": true, "maint": true, "net": true, "parallel": true}
+var concurrent = map[string]bool{"commit": true, "net": true, "parallel": true}
 
 // TestDeterministicExperimentsReplay pins, by running twice, what the shape
 // tests over counts rely on. fig8, fig12c, fig12d, fig13, extra-wa and

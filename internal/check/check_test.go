@@ -8,38 +8,35 @@ import (
 )
 
 // TestHarnessSmoke replays a moderately long generated history on every
-// heap-layout × maintenance-mode combination and expects zero invariant
+// heap layout and expects zero invariant
 // violations. This is the tier-1 entry point for the differential harness;
 // cmd/mvpbt-check runs the same machinery at much larger op counts.
 func TestHarnessSmoke(t *testing.T) {
 	for _, heap := range []db.HeapKind{db.HeapHOT, db.HeapSIAS} {
-		for _, bg := range []bool{false, true} {
-			heap, bg := heap, bg
-			t.Run(fmt.Sprintf("heap=%v/background=%v", heap, bg), func(t *testing.T) {
-				t.Parallel()
-				res := Run(RunConfig{
-					Heap:       heap,
-					Seed:       1,
-					Ops:        1500,
-					Clients:    3,
-					Keys:       60,
-					Crashes:    2,
-					Background: bg,
-				})
-				if res.Violation != nil {
-					t.Fatalf("violation: %v", res.Violation)
-				}
-				if res.Ops != 1500 {
-					t.Fatalf("executed %d ops, want 1500", res.Ops)
-				}
-				if res.Crashes != 2 {
-					t.Fatalf("executed %d crash-recoveries, want 2", res.Crashes)
-				}
-				if res.Audits == 0 || res.Conflicts == 0 {
-					t.Fatalf("run exercised nothing: %d audits, %d conflicts", res.Audits, res.Conflicts)
-				}
+		heap := heap
+		t.Run(fmt.Sprintf("heap=%v", heap), func(t *testing.T) {
+			t.Parallel()
+			res := Run(RunConfig{
+				Heap:    heap,
+				Seed:    1,
+				Ops:     1500,
+				Clients: 3,
+				Keys:    60,
+				Crashes: 2,
 			})
-		}
+			if res.Violation != nil {
+				t.Fatalf("violation: %v", res.Violation)
+			}
+			if res.Ops != 1500 {
+				t.Fatalf("executed %d ops, want 1500", res.Ops)
+			}
+			if res.Crashes != 2 {
+				t.Fatalf("executed %d crash-recoveries, want 2", res.Crashes)
+			}
+			if res.Audits == 0 || res.Conflicts == 0 {
+				t.Fatalf("run exercised nothing: %d audits, %d conflicts", res.Audits, res.Conflicts)
+			}
+		})
 	}
 }
 

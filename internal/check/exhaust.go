@@ -1,12 +1,10 @@
 package check
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/ssd"
@@ -23,10 +21,7 @@ import (
 // deterministic ENOSPC is also injected through the fault-rule machinery
 // (FaultNoSpace on a heap extent allocation) to prove the typed-error path
 // degrades and recovers too — this is the injection the fault campaign
-// deliberately leaves to this one. Maintenance runs synchronously: background
-// timing would make the fill/reclaim interleaving, and with it the
-// fingerprint, racy. One more cell, the stall probe, holds the
-// context-deadline bound on a write wedged in a partition-buffer stall.
+// deliberately leaves to this one.
 var exhaustCampaign = &Campaign{
 	Name:  "exhaust",
 	Seeds: 4,
@@ -40,7 +35,7 @@ var exhaustCampaign = &Campaign{
 				})
 			}
 		}
-		return append(cells, Cell{Coords: []Coord{{"kind", "stall-probe"}}, Run: stallProbe})
+		return cells
 	},
 }
 
@@ -241,61 +236,4 @@ func exhaustCell(hk db.HeapKind, seed uint64) (fp ExhaustFingerprint, err error)
 	}
 	fp.StateHash = hostile.HashState(rows)
 	return fp, nil
-}
-
-// noFingerprint is the fingerprint of a cell that only holds invariants.
-type noFingerprint struct{}
-
-func (noFingerprint) String() string { return "no fingerprint" }
-
-// stallProbe asserts the cancellable-stall contract: with the partition
-// buffer wedged above its high watermark and eviction never catching up (a
-// no-op background notifier), a write blocked in stallWait must return
-// context.DeadlineExceeded when its transaction's deadline expires, and a
-// Scan issued under that same spent deadline must surface the same error —
-// the whole sequence bounded by 2x the deadline, i.e. the stall wake-up is
-// prompt, not polled.
-func stallProbe() (Fingerprint, error) {
-	t, err := hostile.NewTable(db.Config{BufferPages: 512, PartitionBufferBytes: 64 << 10}, db.HeapHOT, 0)
-	if err != nil {
-		return noFingerprint{}, err
-	}
-	e := t.Eng
-	defer e.Close()
-	// Background mode whose eviction never runs: once usage crosses the
-	// high watermark every insert stalls. Short stall timeouts let the fill
-	// phase push past the watermark; the probe then raises the timeout so
-	// only the context can end the stall.
-	e.PBuf.SetNotifier(func() {})
-	e.PBuf.SetStallTimeout(time.Millisecond)
-	val := strings.Repeat("w", 512)
-	for i := 0; e.PBuf.Used() < e.PBuf.High() && i < 10000; i++ {
-		tx := e.Begin()
-		if _, _, err := t.Tbl.Insert(tx, hostile.Row(fmt.Sprintf("k%05d", i), val)); err != nil {
-			e.Abort(tx)
-			return noFingerprint{}, fmt.Errorf("fill: %w", err)
-		}
-		e.Commit(tx)
-	}
-	if e.PBuf.Used() < e.PBuf.High() {
-		return noFingerprint{}, errors.New("could not push the partition buffer past its high watermark")
-	}
-	e.PBuf.SetStallTimeout(time.Minute)
-
-	const deadline = 150 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start := time.Now()
-	tx := e.BeginCtx(ctx)
-	defer e.Abort(tx)
-	if _, _, err := t.Tbl.Insert(tx, hostile.Row("stalled", "z")); !errors.Is(err, context.DeadlineExceeded) {
-		return noFingerprint{}, fmt.Errorf("stalled write returned %v, want context.DeadlineExceeded", err)
-	}
-	if err := t.Tbl.Scan(tx, t.Tbl.Indexes()[0], nil, nil, false, func(db.RowRef) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
-		return noFingerprint{}, fmt.Errorf("scan under the spent deadline returned %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*deadline {
-		return noFingerprint{}, fmt.Errorf("stall + scan took %v, want <= 2x the %v deadline", elapsed, deadline)
-	}
-	return noFingerprint{}, nil
 }

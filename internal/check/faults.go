@@ -10,9 +10,7 @@ import (
 // history (read errors, write errors, torn commit flushes, bit rot) must hold
 // lockstep with the oracle under every injected fault — masked or recovered,
 // never silent corruption — and both runs must observe byte-for-byte
-// identical fault behaviour. Maintenance runs synchronously: background
-// timing would make the I/O interleaving, and with it the fault schedule,
-// racy.
+// identical fault behaviour.
 var faultCampaign = &Campaign{
 	Name:  "faults",
 	Seeds: 8,

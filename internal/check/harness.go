@@ -25,9 +25,6 @@ type RunConfig struct {
 	Clients int
 	Keys    int
 	Crashes int
-	// Background runs maintenance on the engine's worker pool (the
-	// concurrency under test); false keeps everything synchronous.
-	Background bool
 	// AuditEvery runs a full audit (every index × every open snapshot vs
 	// the oracle, plus raw-record invariants) every N ops (default 250).
 	AuditEvery int
@@ -199,9 +196,7 @@ func (h *harness) buildEngine() error {
 		// single-threaded, so each commit is a deterministic batch of one
 		// (MaxDelay 0); multi-member batches are driven explicitly by
 		// OpTornBatch via CommitBatchDurable.
-		GroupCommit:     db.GroupCommitConfig{Enabled: true},
-		BackgroundMaint: h.cfg.Background,
-		MaintWorkers:    2,
+		GroupCommit: db.GroupCommitConfig{Enabled: true},
 	})
 	pbRef := db.RefPhysical
 	if h.cfg.Heap == db.HeapSIAS {
@@ -408,16 +403,7 @@ func (h *harness) step(i int, op Op) *Violation {
 				return h.violE(i, op.String(), err, "merge %s: %v", name, err)
 			}
 		}
-	case OpPause:
-		if h.eng.Maint != nil {
-			h.eng.Maint.Pause()
-		}
-	case OpResume:
-		if h.eng.Maint != nil {
-			h.eng.Maint.Resume()
-		}
 	case OpBarrier:
-		h.eng.Quiesce()
 		return h.audit(i, op.String())
 	case OpCrash:
 		return h.crash(i)
@@ -781,7 +767,6 @@ func Replay(cfg RunConfig, ops []Op) (res Result) {
 	h.res.Ops = len(ops)
 	// Armed-but-unfired rules must not leak into the shutdown flushes.
 	h.eng.Dev.DisarmAllFaults()
-	h.eng.Quiesce()
 	h.res.Violation = h.audit(len(ops), "final audit")
 	return h.finish()
 }

@@ -27,9 +27,7 @@ const (
 	OpVacuum                  // heap vacuum at the current horizon
 	OpEvict                   // force a partition-buffer eviction pass
 	OpMerge                   // force an MV-PBT partition merge
-	OpPause                   // pause background maintenance
-	OpResume                  // resume background maintenance
-	OpBarrier                 // quiesce maintenance, then audit everything
+	OpBarrier                 // audit everything
 	OpCrash                   // crash the engine, recover from the WAL, re-audit
 	// Fault ops (generated only with GenConfig.Faults). Every fault is
 	// armed as a deterministic ssd.FaultRule whose parameters derive from
@@ -46,7 +44,7 @@ const (
 
 var opNames = [nOpKinds]string{
 	"insert", "update", "updatekey", "delete", "lookup", "scan", "count",
-	"commit", "abort", "vacuum", "evict", "merge", "pause", "resume",
+	"commit", "abort", "vacuum", "evict", "merge",
 	"barrier", "crash", "fault-read", "fault-write", "fault-flip",
 	"torn-commit", "torn-batch",
 }
@@ -123,11 +121,10 @@ func (c GenConfig) withDefaults() GenConfig {
 
 // Generate produces a deterministic randomized history from the seed:
 // a mixed read/write workload across Clients logical clients with
-// commit/abort decisions, maintenance control (pause/resume windows,
-// forced evictions and merges, quiesce barriers), heap vacuums, and
-// Crashes crash-restart points spread evenly through the run. The same
-// (seed, ops, clients, keys, crashes) tuple always yields the same
-// history.
+// commit/abort decisions, forced evictions and merges, audit barriers,
+// heap vacuums, and Crashes crash-restart points spread evenly through the
+// run. The same (seed, ops, clients, keys, crashes) tuple always yields the
+// same history.
 func Generate(cfg GenConfig) []Op {
 	cfg = cfg.withDefaults()
 	r := util.NewRand(cfg.Seed)
@@ -136,24 +133,11 @@ func Generate(cfg GenConfig) []Op {
 		crashAt[i*cfg.Ops/(cfg.Crashes+1)] = true
 	}
 	ops := make([]Op, 0, cfg.Ops)
-	pausedFor := 0 // steps until the matching resume
 	for len(ops) < cfg.Ops {
 		if crashAt[len(ops)] {
 			delete(crashAt, len(ops))
-			if pausedFor > 0 {
-				// Crash clears the pause with the engine; keep the
-				// bookkeeping consistent.
-				pausedFor = 0
-			}
 			ops = append(ops, Op{Kind: OpCrash})
 			continue
-		}
-		if pausedFor > 0 {
-			pausedFor--
-			if pausedFor == 0 {
-				ops = append(ops, Op{Kind: OpResume})
-				continue
-			}
 		}
 		c := r.Intn(cfg.Clients)
 		key := r.Intn(cfg.Keys)
@@ -207,11 +191,8 @@ func Generate(cfg GenConfig) []Op {
 			op.Kind = OpEvict
 		case roll < 989:
 			op.Kind = OpMerge
-		case roll < 995:
-			op.Kind = OpBarrier
 		default:
-			op.Kind = OpPause
-			pausedFor = 5 + r.Intn(25)
+			op.Kind = OpBarrier
 		}
 		ops = append(ops, op)
 	}

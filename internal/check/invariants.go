@@ -173,7 +173,7 @@ func (h *harness) checkMirror(step int, opStr string) *Violation {
 //  3. the visible scan emits each (key, rid) at most once across
 //     PN/frozen/partitions (anti-matter suppression works).
 //
-// The visible scan runs FIRST: concurrent background eviction/merge may
+// The visible scan runs FIRST: an eviction or merge may
 // garbage-collect invisible records between the two passes but can never
 // remove a record visible to the still-open tx — so a visible entry
 // missing from the later dump is a genuine GC-safety violation.

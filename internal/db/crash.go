@@ -1,17 +1,14 @@
 package db
 
 // Crash-restart support for the correctness harness (internal/check) and
-// recovery tests: a crash is a failure stop — background maintenance is
-// killed with its queue discarded, closers do NOT run (no LSM memtable
-// flush), and the WAL tail is NOT flushed. Exactly the bytes already on
-// the device (per-commit flushes, the durability points) survive into
-// LogImage; everything else is lost, like power failure.
+// recovery tests: a crash is a failure stop — closers do NOT run (no LSM
+// memtable flush), and the WAL tail is NOT flushed. Exactly the bytes
+// already on the device (per-commit flushes, the durability points) survive
+// into LogImage; everything else is lost, like power failure.
 
-// Crash fails the engine: queued maintenance is discarded, running jobs
-// finish (a crash cannot stop a DMA in flight, and partial in-memory
-// publishes would violate the simulation's atomicity), and nothing is
-// flushed. The engine is left closed — a later Close is a no-op returning
-// nil. Take LogImage BEFORE or AFTER Crash; both see the same bytes.
+// Crash fails the engine: nothing is flushed. The engine is left closed —
+// a later Close is a no-op returning nil. Take LogImage BEFORE or AFTER
+// Crash; both see the same bytes.
 func (e *Engine) Crash() {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -19,17 +16,4 @@ func (e *Engine) Crash() {
 		return
 	}
 	e.closed = true
-	if e.Maint != nil {
-		e.Maint.Kill()
-	}
-}
-
-// Quiesce is the engine-level checkpoint barrier: it blocks until the
-// maintenance queue is empty and no background job is running, so every
-// eviction, merge, sweep, flush and compaction triggered so far has
-// published its result. No-op in synchronous mode.
-func (e *Engine) Quiesce() {
-	if e.Maint != nil {
-		e.Maint.Quiesce()
-	}
 }

@@ -18,9 +18,7 @@ import (
 	"sync/atomic"
 
 	"mvpbt/internal/buffer"
-	"mvpbt/internal/index/mvpbt"
 	"mvpbt/internal/index/part"
-	"mvpbt/internal/maint"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
@@ -60,13 +58,6 @@ type Config struct {
 	// flushes (see GroupCommitConfig and DESIGN.md §11). Only meaningful
 	// with EnableWAL; disabled by default, preserving per-commit flushes.
 	GroupCommit GroupCommitConfig
-	// BackgroundMaint runs partition eviction, merges, garbage sweeps and
-	// LSM flush/compaction on a background maintenance service instead of
-	// inline on the writer. Off by default: the synchronous mode is the
-	// baseline the experiments compare against.
-	BackgroundMaint bool
-	// MaintWorkers sizes the maintenance worker pool (default 2).
-	MaintWorkers int
 	// WALCheckpointBytes triggers an automatic checkpoint (snapshot + log
 	// truncation, see Engine.Checkpoint) once the current log generation
 	// grows past this many bytes (0 = no automatic checkpoints).
@@ -112,8 +103,6 @@ type Engine struct {
 	Pool  *buffer.Pool
 	Mgr   *txn.Manager
 	PBuf  *part.PartitionBuffer
-	// Maint is the background maintenance service, nil in synchronous mode.
-	Maint *maint.Service
 
 	// log is the write-ahead log, nil unless Config.EnableWAL. Checkpoint
 	// rotates it under its exclusive lock; the quiescence precondition (no
@@ -152,7 +141,7 @@ type Engine struct {
 	roEntries      atomic.Int64
 	roExits        atomic.Int64
 	reclaims       atomic.Int64
-	reclaimPending atomic.Bool // synchronous mode: pass due at next commit/abort
+	reclaimPending atomic.Bool // pass due at next commit/abort
 
 	closeMu  sync.Mutex
 	closed   bool
@@ -187,43 +176,7 @@ func NewEngine(cfg Config) *Engine {
 		e.FM.SetCapacity(cfg.DeviceCapacityBytes)
 		e.FM.SetSpaceNotifier(e.onSpace)
 	}
-	if cfg.BackgroundMaint {
-		e.Maint = maint.New(maint.Config{
-			Workers:      cfg.MaintWorkers,
-			WrittenBytes: func() int64 { return dev.Stats().BytesWritten },
-		})
-		// Partition-buffer pressure drives eviction asynchronously: at the
-		// low watermark the writer submits this job and carries on; only at
-		// the high watermark does it stall (briefly) for eviction to catch up.
-		e.PBuf.SetNotifier(func() {
-			e.Maint.Submit(maint.Evict, "pbuf", e.PBuf.EvictToLow)
-		})
-	}
 	return e
-}
-
-// wireMaint installs the background merge and GC triggers on an MV-PBT.
-// No-op in synchronous mode (the tree then merges and sweeps inline).
-func (e *Engine) wireMaint(name string, t *mvpbt.Tree) {
-	if e.Maint == nil {
-		return
-	}
-	t.SetMaintHooks(
-		func() {
-			e.Maint.Submit(maint.Merge, name, func() error {
-				if !t.NeedsMerge() {
-					return nil
-				}
-				return t.MergePartitions()
-			})
-		},
-		func() {
-			e.Maint.Submit(maint.GC, name, func() error {
-				t.SweepPN()
-				return nil
-			})
-		},
-	)
 }
 
 // registerKV records a durable KV store for WAL recovery and checkpoint
@@ -260,17 +213,17 @@ func (e *Engine) stores() ([]*Table, []*MVPBTKV) {
 	return tables, kvs
 }
 
-// AddCloser registers fn to run during Close, after maintenance drains.
-// Closers run in registration order.
+// AddCloser registers fn to run during Close. Closers run in registration
+// order.
 func (e *Engine) AddCloser(fn func() error) {
 	e.closeMu.Lock()
 	e.closers = append(e.closers, fn)
 	e.closeMu.Unlock()
 }
 
-// Close shuts the engine down cleanly: the maintenance service drains its
-// queue and stops, registered closers run (flushing LSM memtables), and the
-// WAL tail is flushed to the device. Idempotent; returns the first error.
+// Close shuts the engine down cleanly: the commit pipeline is fenced,
+// registered closers run (flushing LSM memtables), and the WAL tail is
+// flushed to the device. Idempotent; returns the first error.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -284,11 +237,6 @@ func (e *Engine) Close() error {
 		// drained (their leaders flush as usual), later arrivals fail with
 		// ErrClosed instead of racing the final flush below.
 		e.gc.close()
-	}
-	if e.Maint != nil {
-		if err := e.Maint.Close(); err != nil && first == nil {
-			first = err
-		}
 	}
 	for _, fn := range e.closers {
 		if err := fn(); err != nil && first == nil {
@@ -309,11 +257,12 @@ func (e *Engine) Begin() *txn.Tx {
 	return e.BeginCtx(context.Background())
 }
 
-// BeginCtx starts a transaction carrying ctx. Operations issued through
-// the transaction — writes that hit a partition-buffer stall, scans, I/O
-// retries — consult the context at their blocking points, so a deadline or
-// cancellation bounds how long any single call can block. The context does
-// not abort the transaction by itself; the caller still Commits or Aborts.
+// BeginCtx starts a transaction carrying ctx. Scans issued through the
+// transaction consult the context at every entry, so a deadline or
+// cancellation bounds how long one can run; writes do not wait on anything
+// a context could cancel (maintenance runs inline on the writer). The
+// context does not abort the transaction by itself; the caller still
+// Commits or Aborts.
 func (e *Engine) BeginCtx(ctx context.Context) *txn.Tx {
 	// The transaction's OpBegin record is emitted LAZILY, together with its
 	// first row operation (Engine.logOp): a read-only transaction therefore

@@ -4,22 +4,19 @@ import (
 	"errors"
 	"fmt"
 
-	"mvpbt/internal/maint"
 	"mvpbt/internal/storage"
 )
 
 // Space governance. A bounded device (Config.DeviceCapacityBytes) gets two
 // watermarks. Crossing the SOFT watermark triggers urgent reclamation — WAL
 // checkpoint/truncation first (frees whole extents of dead log), then
-// partition garbage collection, merges and heap vacuum — on the maintenance
-// service's urgent lane (bypassing the background rate limiter) or, in
-// synchronous mode, at the next commit/abort boundary. Crossing the HARD
-// watermark additionally degrades the engine to READ-ONLY: new row writes
-// fail fast with ErrReadOnly while reads, scans, commits and aborts keep
-// working, so the engine stays queryable instead of grinding into ENOSPC
-// failures mid-transaction. The degradation heals itself: once reclamation
-// (or external deletes) brings live bytes back under the soft watermark the
-// engine re-opens for writes.
+// partition garbage collection, merges and heap vacuum — at the next
+// commit/abort boundary. Crossing the HARD watermark additionally degrades
+// the engine to READ-ONLY: new row writes fail fast with ErrReadOnly while
+// reads, scans, commits and aborts keep working, so the engine stays
+// queryable instead of grinding into ENOSPC failures mid-transaction. The
+// degradation heals itself: once reclamation (or external deletes) brings
+// live bytes back under the soft watermark the engine re-opens for writes.
 //
 // The wiring: sfile.Manager calls Engine.onSpace with the live byte count
 // after every extent allocation and free (outside all sfile locks), and a
@@ -135,34 +132,24 @@ func (e *Engine) enterReadOnly() {
 // are active.
 func (e *Engine) ReclaimNow() error { return e.reclaimSpace() }
 
-// requestReclaim schedules an urgent reclamation pass. With background
-// maintenance it rides the urgent lane (front of queue, no rate limiting,
-// deduplicated while one is already pending). In synchronous mode the
-// notifier may be firing from inside a write path that holds table or tree
-// locks, so the pass is deferred to the next commit/abort boundary.
+// requestReclaim schedules a reclamation pass. The notifier may be firing
+// from inside a write path that holds table or tree locks, so the pass is
+// deferred to the next commit/abort boundary.
 func (e *Engine) requestReclaim() {
-	if e.Maint != nil {
-		e.Maint.SubmitUrgent(maint.Reclaim, "space", e.reclaimSpace)
-		return
-	}
 	e.reclaimPending.Store(true)
 }
 
 // maybeReclaim runs due reclamation at a commit/abort boundary — the point
 // where no table locks are held and the calling transaction is no longer
 // active (so the WAL checkpoint can proceed when the engine is otherwise
-// quiescent). A pass is due when one is pending (synchronous mode), or
-// whenever the engine is read-only: reclamation while degraded may have
-// been impotent — a long-running reader pinning the GC horizon and holding
-// the checkpoint busy — and the boundary that ends such a transaction is
-// precisely the moment a retry can finally make progress.
+// quiescent). A pass is due when one is pending, or whenever the engine is
+// read-only: reclamation while degraded may have been impotent — a
+// long-running reader pinning the GC horizon and holding the checkpoint
+// busy — and the boundary that ends such a transaction is precisely the
+// moment a retry can finally make progress.
 func (e *Engine) maybeReclaim() {
 	pending := e.reclaimPending.CompareAndSwap(true, false)
 	if !pending && !e.readOnly.Load() {
-		return
-	}
-	if e.Maint != nil {
-		e.Maint.SubmitUrgent(maint.Reclaim, "space", e.reclaimSpace)
 		return
 	}
 	e.reclaimSpace() //nolint:errcheck // best-effort; watermarks re-evaluated inside

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"mvpbt/internal/storage"
 )
@@ -143,34 +142,4 @@ func TestGovernorLateENOSPCFlipsReadOnly(t *testing.T) {
 	if _, _, err := tbl.Insert(tx, row("x", "y")); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write after degradation: got %v, want ErrReadOnly", err)
 	}
-}
-
-func TestGovernorBackgroundUrgentReclaim(t *testing.T) {
-	e, tbl, ix := walTableKind(t, HeapSIAS, Config{
-		DeviceCapacityBytes: 16 << 20,
-		SpaceSoftBytes:      3 << 20,
-		SpaceHardBytes:      4 << 20,
-		BackgroundMaint:     true,
-	})
-	defer e.Close()
-	insertN(t, e, tbl, 0, 50)
-	// The workers are held back while the churn runs, or a pass at the soft
-	// watermark can keep the engine from ever reaching the hard one; once the
-	// engine has degraded, the queued reclamation is what has to re-open it.
-	e.Maint.Pause()
-	churnUntilReadOnly(t, e, tbl, ix, 50, 20000)
-	e.Maint.Resume()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for e.ReadOnly() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := e.SpaceInfo()
-	if st.ReadOnly {
-		t.Fatalf("urgent reclamation never re-opened the engine: %+v", st)
-	}
-	if got := e.Maint.Stats().Urgent; got == 0 {
-		t.Fatal("reclamation did not use the urgent lane")
-	}
-	insertN(t, e, tbl, 50, 52)
 }

@@ -8,7 +8,6 @@ import (
 	"mvpbt/internal/index/btree"
 	"mvpbt/internal/index/lsm"
 	"mvpbt/internal/index/mvpbt"
-	"mvpbt/internal/maint"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
@@ -111,18 +110,12 @@ type LSMKV struct {
 	t *lsm.Tree
 }
 
-// NewLSMKV creates an LSM KV engine on the engine's storage. With background
-// maintenance enabled, memtable flushes and compactions run on the engine's
-// maintenance service and Engine.Close drains them.
+// NewLSMKV creates an LSM KV engine on the engine's storage; Engine.Close
+// flushes its memtable.
 func NewLSMKV(e *Engine, name string, opts lsm.Options) *LSMKV {
 	opts.Name = name
 	t := lsm.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), opts)
-	if e.Maint != nil {
-		t.SetFlushNotify(func() {
-			e.Maint.Submit(maint.Flush, name, t.FlushPending)
-		})
-		e.AddCloser(t.Close)
-	}
+	e.AddCloser(t.Close)
 	return &LSMKV{e: e, t: t}
 }
 
@@ -195,7 +188,6 @@ func NewMVPBTKV(e *Engine, name string, opts MVPBTKVOptions) (*MVPBTKV, error) {
 		Name: name, Unique: true, BloomBits: opts.BloomBits,
 		DisableGC: opts.DisableGC, MaxPartitions: opts.MaxPartitions,
 	})
-	e.wireMaint(name, t)
 	kv := &MVPBTKV{e: e, tree: t, name: name}
 	if e.log != nil {
 		if err := e.registerKV(kv); err != nil {

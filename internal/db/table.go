@@ -133,7 +133,6 @@ func (e *Engine) newIndex(table string, def IndexDef, gen int) (*Index, error) {
 			BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
 			DisableGC: def.DisableGC, MaxPartitions: def.MaxPartitions,
 		})
-		e.wireMaint(name, ix.mv)
 	default:
 		return nil, fmt.Errorf("db: unknown index kind %d", def.Kind)
 	}

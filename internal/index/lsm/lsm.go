@@ -76,26 +76,15 @@ type Stats struct {
 	Compactions int64
 	// BloomNegatives counts runs skipped during gets.
 	BloomNegatives int64
-	// Stalls counts writes that blocked on a backed-up flush pipeline
-	// (background mode only: too many immutable memtables pending).
-	Stalls int64
 }
-
-// maxPendingImm bounds the immutable-memtable backlog in background mode;
-// a write that freezes memtable number maxPendingImm+1 flushes the
-// backlog itself (write stall) instead of letting memory grow unbounded.
-const maxPendingImm = 4
 
 // Tree is an LSM tree. Safe for concurrent use.
 //
 // One flush path: the write that fills the memtable freezes it onto the imm
 // list (an O(1) pointer swap) and FlushPending builds the run and runs any
 // due compaction under compactMu only, never holding mu across device I/O;
-// reads cover mem + imm + runs throughout. Who calls FlushPending is the
-// one difference between the two modes: by default the writer itself,
-// inline (the inserting client pays); with SetFlushNotify installed the
-// notifier schedules it on the maintenance service, and a foreground write
-// waits on device I/O only when the imm backlog exceeds maxPendingImm.
+// reads cover mem + imm + runs throughout. The writer that filled the
+// memtable calls FlushPending itself, inline (the inserting client pays).
 type Tree struct {
 	mu    sync.Mutex
 	opts  Options
@@ -110,10 +99,8 @@ type Tree struct {
 	stats Stats
 	getIt part.Iterator // Get's segment iterator, reused; guarded by mu
 
-	onFlush func() // guarded by mu; nil = the filling writer flushes inline
-
 	// compactMu serializes run builds and compactions (FlushPending,
-	// Compact, Close) without holding mu across the merge I/O.
+	// Close) without holding mu across the merge I/O.
 	compactMu sync.Mutex
 }
 
@@ -170,22 +157,8 @@ func (t *Tree) write(key []byte, e memEntry) error {
 		t.mu.Unlock()
 		return nil
 	}
-	onFlush := t.onFlush
 	t.freezeLocked()
-	stall := onFlush != nil && len(t.imm) > maxPendingImm
-	if stall {
-		t.stats.Stalls++
-	}
 	t.mu.Unlock()
-	if onFlush != nil {
-		onFlush()
-		if !stall {
-			return nil
-		}
-		// Flushing has fallen behind the write rate: this writer drains
-		// the backlog itself (compactMu serializes with the background
-		// worker, so the work happens exactly once).
-	}
 	return t.FlushPending()
 }
 
@@ -194,15 +167,6 @@ func (t *Tree) write(key []byte, e memEntry) error {
 func (t *Tree) freezeLocked() {
 	t.imm = append([]*skiplist.List[[]byte, memEntry]{t.mem}, t.imm...)
 	t.mem = newMem()
-}
-
-// SetFlushNotify switches the tree to background-flush mode: fn is
-// invoked (without locks held) whenever a full memtable is frozen and a
-// flush should be scheduled. Pass nil to restore synchronous flushing.
-func (t *Tree) SetFlushNotify(fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onFlush = fn
 }
 
 // PendingMemtables returns the number of frozen memtables awaiting flush.
@@ -443,9 +407,7 @@ func (t *Tree) Flush() error {
 	return t.FlushPending()
 }
 
-// Close flushes all in-memory state to disk. The caller is responsible
-// for draining any maintenance service first so no flush job races the
-// shutdown (compactMu makes such a race safe, just wasteful).
+// Close flushes all in-memory state to disk.
 func (t *Tree) Close() error {
 	return t.Flush()
 }
@@ -493,13 +455,6 @@ func (t *Tree) FlushPending() error {
 		t.stats.Flushes++
 		t.mu.Unlock()
 	}
-	return t.compactPending()
-}
-
-// Compact runs any due compactions (the background compaction job).
-func (t *Tree) Compact() error {
-	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
 	return t.compactPending()
 }
 
@@ -562,8 +517,8 @@ func (t *Tree) planCompactionLocked() (inputs []*part.Segment, srcLevel int, dro
 func (t *Tree) installCompactionLocked(inputs []*part.Segment, srcLevel int, merged *part.Segment) {
 	dest := 0
 	if srcLevel < 0 {
-		// Remove exactly the consumed runs; background flushes cannot have
-		// prepended new ones (compactMu), but filter defensively.
+		// Remove exactly the consumed runs; another writer's flush cannot
+		// have prepended new ones (compactMu), but filter defensively.
 		consumed := make(map[*part.Segment]bool, len(inputs))
 		for _, s := range inputs {
 			consumed[s] = true

@@ -4,32 +4,36 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"mvpbt/internal/maint"
 )
 
-// Background-flush mode: memtables freeze onto the imm list, a
-// maintenance service builds the runs, reads cover mem + imm + runs
-// throughout, and Close leaves nothing in memory.
+// The freeze → FlushPending pipeline: a full memtable is frozen onto the imm
+// list and its run is built without holding mu, so reads must cover mem +
+// imm + runs at every point in between, concurrent writers may freeze while
+// another flushes, and Close leaves nothing in memory.
 
-func newAsyncTree(t *testing.T, opts Options) (*Tree, *maint.Service) {
-	t.Helper()
-	tr, _ := newTree(512, opts)
-	svc := maint.New(maint.Config{Workers: 2})
-	tr.SetFlushNotify(func() {
-		svc.Submit(maint.Flush, "lsm", tr.FlushPending)
-	})
-	t.Cleanup(func() { svc.Close() })
-	return tr, svc
+// freeze moves the live memtable onto the imm list without flushing it,
+// the state a reader sees while another writer is inside FlushPending.
+func freeze(tr *Tree) {
+	tr.mu.Lock()
+	tr.freezeLocked()
+	tr.mu.Unlock()
 }
 
 func TestAsyncFlushReadsCoverImm(t *testing.T) {
-	tr, svc := newAsyncTree(t, Options{MemtableBytes: 4 << 10})
+	tr, _ := newTree(512, Options{MemtableBytes: 1 << 20})
 	val := make([]byte, 64)
 	n := 500
 	for i := 0; i < n; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
 			t.Fatal(err)
+		}
+		switch {
+		case i%100 == 99:
+			freeze(tr) // frozen memtables pile up unflushed
+		case i == 250:
+			if err := tr.FlushPending(); err != nil { // some become runs
+				t.Fatal(err)
+			}
 		}
 		// Interleave reads: keys must be visible whether they sit in mem,
 		// a frozen imm, or an already-flushed run.
@@ -40,9 +44,9 @@ func TestAsyncFlushReadsCoverImm(t *testing.T) {
 			}
 		}
 	}
-	svc.Drain()
-	if tr.Stats().Flushes == 0 {
-		t.Fatal("no background flush happened")
+	if tr.PendingMemtables() == 0 || tr.Stats().Flushes == 0 {
+		t.Fatalf("want both frozen memtables and runs: pending=%d flushes=%d",
+			tr.PendingMemtables(), tr.Stats().Flushes)
 	}
 	// Every key still readable, and a scan sees all of them exactly once.
 	got := 0
@@ -53,14 +57,13 @@ func TestAsyncFlushReadsCoverImm(t *testing.T) {
 }
 
 func TestAsyncFlushCompacts(t *testing.T) {
-	tr, svc := newAsyncTree(t, Options{MemtableBytes: 2 << 10, L0Runs: 2})
+	tr, _ := newTree(512, Options{MemtableBytes: 2 << 10, L0Runs: 2})
 	val := make([]byte, 128)
 	for i := 0; i < 2000; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%06d", i%300)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc.Drain()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,33 +81,9 @@ func TestAsyncFlushCompacts(t *testing.T) {
 	}
 }
 
-func TestAsyncFlushStallsWhenBehind(t *testing.T) {
-	// A notifier that never flushes forces the writer to hit the
-	// maxPendingImm bound and drain the backlog itself.
-	tr, _ := newTree(512, Options{MemtableBytes: 1 << 10})
-	tr.SetFlushNotify(func() {}) // flushes never scheduled
-	val := make([]byte, 64)
-	for i := 0; i < 2000; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := tr.Stats()
-	if st.Stalls == 0 {
-		t.Fatal("writer never stalled despite no background flushing")
-	}
-	if st.Flushes == 0 {
-		t.Fatal("stalled writer did not drain the backlog")
-	}
-	if n := tr.PendingMemtables(); n > maxPendingImm {
-		t.Fatalf("imm backlog %d exceeds bound %d", n, maxPendingImm)
-	}
-}
-
 func TestAsyncCloseFlushesMemtable(t *testing.T) {
-	tr, svc := newAsyncTree(t, Options{MemtableBytes: 1 << 20})
+	tr, _ := newTree(512, Options{MemtableBytes: 1 << 20})
 	tr.Put([]byte("only"), []byte("v"))
-	svc.Drain()
 	if tr.Stats().Flushes != 0 {
 		t.Fatal("small memtable flushed early")
 	}
@@ -120,7 +99,7 @@ func TestAsyncCloseFlushesMemtable(t *testing.T) {
 }
 
 func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
-	tr, svc := newAsyncTree(t, Options{MemtableBytes: 8 << 10, L0Runs: 3})
+	tr, _ := newTree(512, Options{MemtableBytes: 8 << 10, L0Runs: 3})
 	val := make([]byte, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -143,7 +122,6 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	svc.Drain()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

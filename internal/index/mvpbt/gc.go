@@ -29,9 +29,9 @@ func (t *Tree) sweepPNLocked(v *treeView) {
 	t.pnGarbage.Store(0)
 }
 
-// SweepPN runs garbage-collection phase 2 on demand — the maintenance
-// service's GC job (scheduled via the onGC hook instead of sweeping on
-// the inserting writer's critical path).
+// SweepPN runs garbage-collection phase 2 on demand (the space
+// governor's reclaim pass; inserts sweep by themselves once the PN garbage
+// ratio trips).
 func (t *Tree) SweepPN() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -80,8 +80,8 @@ func (t *Tree) EvictPN() error {
 // buildFrozen drains the frozen list oldest-first, building one partition
 // per frozen PN. Only bgMu is held across a build; mu is taken briefly to
 // pick the next source and to publish the result. When the partition
-// count crosses MaxPartitions afterwards, the merge either runs inline
-// (synchronous mode) or is handed to the maintenance service (onMerge).
+// count crosses MaxPartitions afterwards, the merge runs inline, still
+// under bgMu.
 func (t *Tree) buildFrozen() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -89,14 +89,9 @@ func (t *Tree) buildFrozen() error {
 		t.mu.Lock()
 		v := t.view.Load()
 		if len(v.frozen) == 0 {
-			onMerge := t.onMerge
 			needMerge := t.opts.MaxPartitions > 0 && len(v.parts) > t.opts.MaxPartitions
 			t.mu.Unlock()
 			if !needMerge {
-				return nil
-			}
-			if onMerge != nil {
-				onMerge()
 				return nil
 			}
 			return t.mergeBG()

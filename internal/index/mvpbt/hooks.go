@@ -70,7 +70,8 @@ func (t *Tree) applyVisFault(ts txn.TxID, visible bool) bool {
 // the last input record is read and the merged leaves are on the device,
 // before the partition is completed (internal levels, filters) and
 // installed. Recovery tests use it as a deterministic crash point "during
-// an in-flight background merge". Never set outside tests.
+// an in-flight merge", concurrency tests to hold a writer inside its inline
+// merge. Never set outside tests.
 func (t *Tree) SetMergeTestHook(fn func()) {
 	if fn == nil {
 		t.mergeHook.Store(nil)

@@ -160,12 +160,6 @@ type Tree struct {
 	// is always bgMu before mu.
 	bgMu sync.Mutex
 
-	// onMerge/onGC, when set (guarded by mu), defer partition merging and
-	// PN sweeping to the maintenance service instead of running them
-	// inline on whichever caller tripped the threshold.
-	onMerge func()
-	onGC    func()
-
 	// gate tracks readers for segment reclamation: every reader holds the
 	// read side for its whole operation; MergePartitions — the only writer
 	// that destroys segments — acquires the write side after publishing
@@ -221,17 +215,6 @@ func (t *Tree) FrozenPNs() int {
 	return len(t.view.Load().frozen)
 }
 
-// SetMaintHooks installs the maintenance triggers: onMerge fires when the
-// partition count exceeds MaxPartitions after an eviction (instead of
-// merging inline), onGC when the PN garbage ratio trips (instead of
-// sweeping on the inserting writer). Either may be nil to keep the
-// synchronous behavior.
-func (t *Tree) SetMaintHooks(onMerge, onGC func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onMerge, t.onGC = onMerge, onGC
-}
-
 // NeedsMerge reports whether the persisted partition count exceeds the
 // configured MaxPartitions threshold.
 func (t *Tree) NeedsMerge() bool {
@@ -267,7 +250,7 @@ func (t *Tree) Stats() Stats {
 
 // ---- Modification operations (§4.2): all writes go to PN only.
 
-func (t *Tree) pnPut(tx *txn.Tx, key []byte, rec *Record) error {
+func (t *Tree) pnPut(key []byte, rec *Record) error {
 	// The record owns copies of the caller's key and inline value; both
 	// live until the partition is evicted, so they are carved from ONE
 	// allocation rather than two (callers pass Val uncopied).
@@ -284,56 +267,48 @@ func (t *Tree) pnPut(tx *txn.Tx, key []byte, rec *Record) error {
 	k := pnKey{key: kc, ts: rec.TS, seq: t.pnSeq}
 	t.pnSeq++
 	v.pn.Set(k, rec)
-	var needGC func()
 	if !t.opts.DisableGC {
 		if g := t.pnGarbage.Load(); g > 64 && g > int64(v.pn.Len()/8) {
-			if t.onGC != nil {
-				needGC = t.onGC
-			} else {
-				t.sweepPNLocked(v)
-			}
+			t.sweepPNLocked(v)
 		}
 	}
 	t.mu.Unlock()
-	if needGC != nil {
-		needGC()
-	}
-	return t.pbuf.DidInsert(tx.Context())
+	return t.pbuf.MaybeEvict()
 }
 
 // InsertRegular implements index.VersionAware.
 func (t *Tree) InsertRegular(tx *txn.Tx, key []byte, ref index.Ref) error {
-	return t.pnPut(tx, key, &Record{Type: Regular, TS: tx.ID, Ref: ref})
+	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref})
 }
 
 // InsertRegularVal is InsertRegular with an inline payload — MV-PBT as a
 // clustered multi-version store (the WiredTiger integration of §5).
 func (t *Tree) InsertRegularVal(tx *txn.Tx, key []byte, ref index.Ref, val []byte) error {
-	return t.pnPut(tx, key, &Record{Type: Regular, TS: tx.ID, Ref: ref, Val: val})
+	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref, Val: val})
 }
 
 // InsertReplacement implements index.VersionAware.
 func (t *Tree) InsertReplacement(tx *txn.Tx, key []byte, newRef index.Ref, oldRID storage.RecordID) error {
-	return t.pnPut(tx, key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
+	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
 // InsertReplacementVal is InsertReplacement with an inline payload.
 func (t *Tree) InsertReplacementVal(tx *txn.Tx, key []byte, newRef index.Ref, oldRID storage.RecordID, val []byte) error {
-	return t.pnPut(tx, key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID, Val: val})
+	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID, Val: val})
 }
 
 // InsertKeyUpdate implements index.VersionAware: an anti-record under the
 // old key plus a replacement record under the new key (§4.1).
 func (t *Tree) InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef index.Ref, oldRID storage.RecordID) error {
-	if err := t.pnPut(tx, oldKey, &Record{Type: Anti, TS: tx.ID, OldRID: oldRID}); err != nil {
+	if err := t.pnPut(oldKey, &Record{Type: Anti, TS: tx.ID, OldRID: oldRID}); err != nil {
 		return err
 	}
-	return t.pnPut(tx, newKey, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
+	return t.pnPut(newKey, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
 // InsertTombstone implements index.VersionAware.
 func (t *Tree) InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) error {
-	return t.pnPut(tx, key, &Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
+	return t.pnPut(key, &Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
 }
 
 // BulkLoad builds one immutable partition directly from pre-sorted

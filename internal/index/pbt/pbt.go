@@ -10,7 +10,6 @@ package pbt
 
 import (
 	"bytes"
-	"context"
 	"sync"
 
 	"mvpbt/internal/buffer"
@@ -103,7 +102,7 @@ func (t *Tree) Insert(key []byte, ref index.Ref) error {
 	t.pnSeq++
 	t.pn.Set(k, index.EncodeRef(nil, ref))
 	t.mu.Unlock()
-	return t.pbuf.DidInsert(context.Background())
+	return t.pbuf.MaybeEvict()
 }
 
 // EvictPN implements part.Owner (Algorithm 4, without the version steps):

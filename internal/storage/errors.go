@@ -4,7 +4,7 @@ import "errors"
 
 // Typed storage errors. They live in package storage — the one package every
 // storage-layer component already imports — so that ssd, sfile, buffer, heap,
-// the indexes, wal, db and maint can all wrap and test for them without
+// the indexes, wal and db can all wrap and test for them without
 // import cycles. Callers classify with errors.Is.
 var (
 	// ErrIOFault marks a device-level I/O failure (an injected or simulated

@@ -99,9 +99,8 @@ func (t *Tx) FirstWALOp() bool {
 func (t *Tx) WALLogged() bool { return t.walLogged }
 
 // Context returns the context the transaction was begun with (never nil).
-// Operations issued through the transaction consult it at their blocking
-// points — write stalls, scan entries — so a deadline or cancellation on the
-// caller's context bounds how long any single operation can block.
+// Scans issued through the transaction consult it at every entry, so a
+// deadline or cancellation on the caller's context bounds how long one runs.
 func (t *Tx) Context() context.Context {
 	if t.ctx == nil {
 		return context.Background()

@@ -665,7 +665,7 @@ func tenantWeights(rng *util.Rand) [4]int {
 // model mirrors the TCP front-end's policy deterministically: an op
 // arriving while any shard is past its soft watermark is QUEUED; a queued
 // op waits bounded "ticks" — each tick gives the overloaded shards a
-// reclamation pass, mirroring the governor's urgent lane — and is
+// reclamation pass, mirroring the governor's pass at a commit boundary — and is
 // REJECTED (load shed) if the overload outlasts the queue. Each burst
 // runs under a tenant's pinned analytical snapshot, so mid-burst
 // reclamation is structurally impotent (the checkpoint skips while the
@@ -728,7 +728,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 
 	// reclaimOverloaded gives every shard past its soft watermark one
 	// reclamation pass — the deterministic stand-in for the governor's
-	// urgent lane running concurrently in a threaded deployment.
+	// pass at the commit boundaries of a threaded deployment.
 	reclaimOverloaded := func() error {
 		for s := 0; s < r.NumShards(); s++ {
 			eng := r.Shard(s).Engine
@@ -749,7 +749,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 		// transaction pinned on every shard for the burst's duration. The
 		// pin is what makes the burst hostile — while it lives, the WAL
 		// checkpoint skips (transactions active) and the GC horizon is
-		// stuck, so the governor's urgent pass cannot reclaim mid-burst
+		// stuck, so the governor's pass cannot reclaim mid-burst
 		// and pressure genuinely accumulates until the off-peak window.
 		pins := make([]*txn.Tx, r.NumShards())
 		for s := range pins {
