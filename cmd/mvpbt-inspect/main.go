@@ -18,13 +18,12 @@ import (
 
 func main() {
 	var (
-		tuples      = flag.Int("tuples", 200, "number of tuples")
-		updates     = flag.Int("updates", 5, "updates per tuple")
-		pbuf        = flag.Int("pbuf", 32<<10, "partition buffer bytes")
-		key         = flag.String("key", "key-000", "key whose index records to dump")
-		capacity    = flag.Int64("capacity", 64<<20, "device capacity budget in bytes (0 = unbounded)")
-		groupCommit = flag.Bool("group-commit", false, "route commits through the WAL group-commit batcher")
-		shards      = flag.Int("shards", 0, "inspect a sharded deployment with this many engines instead of one engine")
+		tuples   = flag.Int("tuples", 200, "number of tuples")
+		updates  = flag.Int("updates", 5, "updates per tuple")
+		pbuf     = flag.Int("pbuf", 32<<10, "partition buffer bytes")
+		key      = flag.String("key", "key-000", "key whose index records to dump")
+		capacity = flag.Int64("capacity", 64<<20, "device capacity budget in bytes (0 = unbounded)")
+		shards   = flag.Int("shards", 0, "inspect a sharded deployment with this many engines instead of one engine")
 	)
 	flag.Parse()
 
@@ -36,7 +35,7 @@ func main() {
 	eng := db.NewEngine(db.Config{
 		BufferPages: 1024, PartitionBufferBytes: *pbuf,
 		EnableWAL: true, DeviceCapacityBytes: *capacity,
-		GroupCommit: db.GroupCommitConfig{Enabled: *groupCommit},
+		GroupCommit: db.GroupCommitConfig{Enabled: true},
 	})
 	defer eng.Close()
 	tbl, err := eng.NewTable("demo", db.HeapSIAS, db.IndexDef{
@@ -125,17 +124,15 @@ func main() {
 		io.ChecksumFailures, io.ReadRetries, io.WriteRetries, io.ReadFailures, io.WriteFailures)
 
 	// Commit pipeline: flushes vs commits shows the lazy-begin/read-only
-	// elision and (with -group-commit) the batcher's amortization.
+	// elision and the group-commit batcher's amortization.
 	ws := eng.WALStatsSnapshot()
 	fmt.Printf("\n== commit pipeline ==\n")
 	fmt.Printf("wal: flushes=%d commits=%d read-only-commits=%d flushes/commit=%.2f\n",
 		ws.Flushes, ws.Commits, ws.ReadOnlyCommits, ws.FlushesPerCommit())
 	fmt.Printf("wal: device-bytes=%d logical-bytes=%d device-bytes/log-byte=%.2f checkpoint-errors=%d\n",
 		ws.DeviceBytes, ws.LogicalBytes, ws.DeviceBytesPerLogByte(), eng.CheckpointInfo().Errors)
-	if *groupCommit {
-		fmt.Printf("group commit: batches=%d commits=%d max-batched=%d\n",
-			ws.Group.Batches, ws.Group.Commits, ws.Group.MaxBatched)
-	}
+	fmt.Printf("group commit: batches=%d commits=%d max-batched=%d\n",
+		ws.Group.Batches, ws.Group.Commits, ws.Group.MaxBatched)
 
 	// Space governance: the capacity budget, the governor's counters, and
 	// the effect of a WAL checkpoint on log size (all transactions are done

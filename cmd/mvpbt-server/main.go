@@ -7,14 +7,14 @@
 // protocol/concurrency testbed rather than a persistent database: state
 // lives for the process lifetime.
 //
-// Every shard's store is built as the repository's benchmark measures it
-// (kvOptions: bloom filters, merges bounding the partitions a read meets);
-// neither is a flag.
+// Every shard is built as the repository's benchmark measures it (kvOptions:
+// bloom filters, merges bounding the partitions a read meets;
+// walCheckpointBytes: the log truncated every 12 MiB); none is a flag.
 //
 // -smoke runs the full lifecycle in-process — start, run client
 // operations through shardclient, enough writes to see the shards evict,
-// filter and merge, drain, verify clean shutdown — and exits non-zero on
-// any failure; CI uses it as the server's end-to-end gate.
+// filter, merge and checkpoint, drain, verify clean shutdown — and exits
+// non-zero on any failure; CI uses it as the server's end-to-end gate.
 package main
 
 import (
@@ -37,6 +37,12 @@ import (
 // extra-merge measure — not the zero options (no filters, every partition
 // ever evicted under every GET and SCAN).
 var kvOptions = db.MVPBTKVOptions{BloomBits: 10, MaxPartitions: 10}
+
+// walCheckpointBytes is the log growth after which a shard checkpoints and
+// truncates its log, as benchmarks/ serves it. Left at 0 the log is first
+// cut when the space governor trips (85 % of -capacity), and a restart
+// replays up to that much.
+const walCheckpointBytes = 12 << 20
 
 func main() {
 	var (
@@ -73,6 +79,7 @@ func main() {
 			PartitionBufferBytes: *pbuf,
 			EnableWAL:            true,
 			DeviceCapacityBytes:  *capacity,
+			WALCheckpointBytes:   walCheckpointBytes,
 			GroupCommit:          db.GroupCommitConfig{Enabled: *groupCommit},
 		},
 		KVOptions: kvOptions,
@@ -102,6 +109,10 @@ func main() {
 		return
 	}
 
+	// Signals are caught before the address is printed, so whoever waits
+	// for that line (traffic.sh) may send SIGTERM the moment it appears.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	srv := server.New(r, cfg)
 	bound, err := srv.Start()
 	if err != nil {
@@ -110,8 +121,6 @@ func main() {
 	}
 	fmt.Printf("mvpbt-server: %d shards on %s (admission=%s)\n", *shards, bound, *admission)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	failed := false
 	select {
 	case s := <-sig:
@@ -133,9 +142,9 @@ func main() {
 }
 
 // runSmoke exercises the whole stack end to end: serve, run a client
-// workload (autocommit, cross-shard transaction, scan, stats), drain with
-// a session still connected, and verify the shutdown is clean and the
-// drained commit durable.
+// workload (autocommit, a checkpoint interval of log, an aborted and a
+// committed cross-shard transaction, scan, stats), drain with sessions still
+// connected, and verify the shutdown is clean and the drained commit durable.
 func runSmoke(r *shard.Router, cfg server.Config) error {
 	srv := server.New(r, cfg)
 	bound, err := srv.Start()
@@ -162,7 +171,48 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 		return fmt.Errorf("del: %w", err)
 	}
 
-	// Cross-shard transaction committed during drain.
+	// One checkpoint interval of log into one shard, before any transaction
+	// is held open (a checkpoint needs the engine quiescent): the commit that
+	// crosses the interval must have checkpointed and truncated that log.
+	big := make([]byte, 4<<10)
+	ckptShard := r.ShardOf([]byte("ckpt-000000"))
+	for i, wrote := 0, 0; wrote <= walCheckpointBytes; i++ {
+		k := []byte(fmt.Sprintf("ckpt-%06d", i))
+		if r.ShardOf(k) != ckptShard {
+			continue
+		}
+		if err := c.Set(0, k, big); err != nil {
+			return fmt.Errorf("checkpoint set %d: %w", i, err)
+		}
+		wrote += len(big)
+	}
+	if ck := r.Shard(ckptShard).Engine.CheckpointInfo(); ck.Count < 1 {
+		return fmt.Errorf("shard %d after %d MiB of log: %+v, want a checkpoint", ckptShard, walCheckpointBytes>>20, ck)
+	}
+
+	// An aborted transaction leaves no trace.
+	ghost, err := c.Begin()
+	if err != nil {
+		return fmt.Errorf("begin: %w", err)
+	}
+	if err := c.Set(ghost, []byte("ghost"), []byte("gv")); err != nil {
+		return fmt.Errorf("tx set: %w", err)
+	}
+	if err := c.Del(ghost, []byte("smoke-002")); err != nil {
+		return fmt.Errorf("tx del: %w", err)
+	}
+	if err := c.Abort(ghost); err != nil {
+		return fmt.Errorf("abort: %w", err)
+	}
+	if _, ok, err := c.Get(0, []byte("ghost")); err != nil || ok {
+		return fmt.Errorf("aborted write visible: %v %v", ok, err)
+	}
+	if v, ok, err := c.Get(0, []byte("smoke-002")); err != nil || !ok || string(v) != "v2" {
+		return fmt.Errorf("aborted delete took effect: %q %v %v", v, ok, err)
+	}
+
+	// Cross-shard transaction committed during drain: it reads its own
+	// uncommitted write and deletes a preloaded key.
 	tx, err := c.Begin()
 	if err != nil {
 		return fmt.Errorf("begin: %w", err)
@@ -172,6 +222,12 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 	}
 	if err := c.Set(tx, []byte("pair-b"), []byte("pv")); err != nil {
 		return fmt.Errorf("tx set: %w", err)
+	}
+	if v, ok, err := c.Get(tx, []byte("pair-a")); err != nil || !ok || string(v) != "pv" {
+		return fmt.Errorf("tx get of its own write: %q %v %v", v, ok, err)
+	}
+	if err := c.Del(tx, []byte("smoke-001")); err != nil {
+		return fmt.Errorf("tx del: %w", err)
 	}
 
 	// Scan in global order.
@@ -208,7 +264,13 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 	}
 
 	// Drain while the transaction is open: the in-flight commit must
-	// succeed, new sessions must be refused, and Serve must return nil.
+	// succeed and show on a second session admitted before the drain, new
+	// sessions must be refused, and Serve must return nil.
+	c2, err := shardclient.Dial(bound.String(), "smoke")
+	if err != nil {
+		return fmt.Errorf("second dial: %w", err)
+	}
+	defer c2.Close()
 	drainDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -222,7 +284,14 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 	if err := c.Commit(tx); err != nil {
 		return fmt.Errorf("commit during drain: %w", err)
 	}
+	if v, ok, err := c2.Get(0, []byte("pair-b")); err != nil || !ok || string(v) != "pv" {
+		return fmt.Errorf("committed write on a second session: %q %v %v", v, ok, err)
+	}
+	if _, ok, err := c2.Get(0, []byte("smoke-001")); err != nil || ok {
+		return fmt.Errorf("committed delete on a second session: %v %v", ok, err)
+	}
 	c.Close()
+	c2.Close()
 	if err := <-drainDone; err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
@@ -236,8 +305,8 @@ func runSmoke(r *shard.Router, cfg server.Config) error {
 		}
 	}
 	m := srv.Metrics()
-	if m.Admitted != 1 {
-		return fmt.Errorf("metrics %+v, want exactly 1 admitted session", m)
+	if m.Admitted != 2 {
+		return fmt.Errorf("metrics %+v, want exactly 2 admitted sessions", m)
 	}
 	return nil
 }

@@ -5,10 +5,7 @@
 // attributes — to skip partitions too).
 package bloom
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 const (
 	fnvOffset = 14695981039346656037
@@ -103,7 +100,7 @@ func (f *Filter) MayContain(key []byte) bool {
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
 // PrefixFilter is a bloom filter over fixed-length key prefixes. A range
-// scan whose bounds share at least PrefixLen leading bytes can consult it
+// scan whose bounds share at least the prefix length in leading bytes can consult it
 // to skip partitions (§4.7 "prefix Bloom Filters").
 type PrefixFilter struct {
 	f         *Filter
@@ -119,24 +116,12 @@ func NewPrefix(n, bitsPerKey, prefixLen int) *PrefixFilter {
 	return &PrefixFilter{f: New(n, bitsPerKey), prefixLen: prefixLen}
 }
 
-// PrefixLen returns the indexed prefix length.
-func (p *PrefixFilter) PrefixLen() int { return p.prefixLen }
-
-// Add inserts key's prefix.
-func (p *PrefixFilter) Add(key []byte) {
-	if len(key) < p.prefixLen {
-		p.f.Add(key)
-		return
-	}
-	p.f.Add(key[:p.prefixLen])
-}
-
 // AddHash inserts the prefix that hashed to h: HashKey of the key's first
-// PrefixLen bytes, or of all of a shorter key.
+// prefix-length bytes, or of all of a shorter key.
 func (p *PrefixFilter) AddHash(h Hash) { p.f.AddHash(h) }
 
 // MayContainRange reports whether any key in [lo, hi] might be present.
-// When the bounds do not share PrefixLen bytes the filter cannot decide
+// When the bounds do not share a whole prefix the filter cannot decide
 // and answers true.
 func (p *PrefixFilter) MayContainRange(lo, hi []byte) bool {
 	if len(lo) < p.prefixLen || len(hi) < p.prefixLen {
@@ -153,75 +138,3 @@ func (p *PrefixFilter) MayContainRange(lo, hi []byte) bool {
 
 // SizeBytes returns the memory footprint of the bit array.
 func (p *PrefixFilter) SizeBytes() int { return p.f.SizeBytes() }
-
-// MarshalBinary serializes the filter (bit array plus parameters).
-func (f *Filter) MarshalBinary() []byte {
-	out := make([]byte, 0, 12+len(f.bits)*8)
-	out = append(out, byte(f.k))
-	out = appendU64(out, f.m)
-	out = appendU64(out, uint64(len(f.bits)))
-	for _, w := range f.bits {
-		out = appendU64(out, w)
-	}
-	return out
-}
-
-// ErrCorrupt is returned when serialized filter bytes are truncated or
-// describe an impossible filter.
-var ErrCorrupt = errors.New("bloom: corrupt serialized filter")
-
-// UnmarshalFilter reconstructs a filter serialized by MarshalBinary; b must
-// hold exactly that encoding.
-func UnmarshalFilter(b []byte) (*Filter, error) {
-	if len(b) < 17 {
-		return nil, ErrCorrupt
-	}
-	f := &Filter{k: uint32(b[0])}
-	i := 1
-	f.m, i = readU64(b, i)
-	var n uint64
-	n, i = readU64(b, i)
-	if f.k < 1 || f.k > 30 || n != uint64(len(b)-i)/8 || uint64(len(b)-i)%8 != 0 || f.m == 0 || (f.m+63)/64 != n {
-		return nil, ErrCorrupt
-	}
-	f.bits = make([]uint64, n)
-	for j := range f.bits {
-		f.bits[j], i = readU64(b, i)
-	}
-	return f, nil
-}
-
-// MarshalBinary serializes the prefix filter.
-func (p *PrefixFilter) MarshalBinary() []byte {
-	out := appendU64(nil, uint64(p.prefixLen))
-	return append(out, p.f.MarshalBinary()...)
-}
-
-// UnmarshalPrefixFilter reconstructs a prefix filter serialized by its
-// MarshalBinary.
-func UnmarshalPrefixFilter(b []byte) (*PrefixFilter, error) {
-	if len(b) < 8 {
-		return nil, ErrCorrupt
-	}
-	l, i := readU64(b, 0)
-	f, err := UnmarshalFilter(b[i:])
-	if err != nil || l < 1 || l > math.MaxInt32 {
-		return nil, ErrCorrupt
-	}
-	return &PrefixFilter{f: f, prefixLen: int(l)}, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	for i := 56; i >= 0; i -= 8 {
-		dst = append(dst, byte(v>>uint(i)))
-	}
-	return dst
-}
-
-func readU64(b []byte, i int) (uint64, int) {
-	var v uint64
-	for j := 0; j < 8; j++ {
-		v = v<<8 | uint64(b[i+j])
-	}
-	return v, i + 8
-}

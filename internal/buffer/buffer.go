@@ -45,14 +45,6 @@ type ClassStats struct {
 	Hits     int64 // served without device I/O
 }
 
-// Misses returns Requests - Hits.
-func (c ClassStats) Misses() int64 { return c.Requests - c.Hits }
-
-// Sub returns c - o.
-func (c ClassStats) Sub(o ClassStats) ClassStats {
-	return ClassStats{Requests: c.Requests - o.Requests, Hits: c.Hits - o.Hits}
-}
-
 // classCounter is the internal atomic form of ClassStats.
 type classCounter struct {
 	requests atomic.Int64
@@ -74,9 +66,6 @@ type Frame struct {
 
 // Data returns the frame's page buffer.
 func (fr *Frame) Data() []byte { return fr.data }
-
-// PageID returns the id of the page held by the frame.
-func (fr *Frame) PageID() storage.PageID { return fr.pid }
 
 // shard is one latch domain: a slice of the pool's frames with its own
 // page table and clock hand.
@@ -147,9 +136,6 @@ func New(nFrames int) *Pool {
 	}
 	return p
 }
-
-// NumShards returns the number of latch domains the frames are split into.
-func (p *Pool) NumShards() int { return len(p.shards) }
 
 // shardOf picks the shard for a page id (Fibonacci hash of the full id, so
 // consecutive pages of one file spread across shards).

@@ -170,7 +170,7 @@ func TestPolicyVictimWhenAllAtTheCap(t *testing.T) {
 // minFramesPerShard frames, and big pools keep all maxShards latches.
 func TestPolicyReplacementDomains(t *testing.T) {
 	for _, c := range []struct{ frames, shards int }{{255, 1}, {512, 4}, {1024, 8}, {2048, 16}, {4096, 16}} {
-		if got := New(c.frames).NumShards(); got != c.shards {
+		if got := len(New(c.frames).shards); got != c.shards {
 			t.Fatalf("%d frames: %d shards, want %d", c.frames, got, c.shards)
 		}
 	}

@@ -272,20 +272,6 @@ func (o *Oracle) Write(self txn.TxID, t *Tuple, newRow []byte) (ok bool) {
 	return false
 }
 
-// TupleByRow finds the tuple one of whose versions carries exactly row.
-// The harness keeps all row payloads globally unique, so the mapping is
-// unambiguous; nil when unknown.
-func (o *Oracle) TupleByRow(row []byte) *Tuple {
-	for _, t := range o.tuples {
-		for i := range t.versions {
-			if bytes.Equal(t.versions[i].row, row) {
-				return t
-			}
-		}
-	}
-	return nil
-}
-
 // committedRow returns the row of t visible to a fresh post-crash
 // snapshot: the newest version with a committed creator, unless a
 // committed invalidation killed it.

@@ -43,7 +43,7 @@ func TestOracleSnapshotVisibility(t *testing.T) {
 	}
 
 	// T3 updates k1 but has not committed: T4 must still see v1, T3 its own v2.
-	tup := o.TupleByRow(row("k1", "v1"))
+	tup := tupleByRow(o, row("k1", "v1"))
 	if tup == nil {
 		t.Fatal("tuple not found")
 	}
@@ -167,7 +167,7 @@ func TestOracleRestart(t *testing.T) {
 		t.Fatalf("fresh snapshot sees %v, want both survivors", got)
 	}
 	// The uncommitted update and insert are gone for good.
-	if o.TupleByRow(row("k2", "v2")) != nil || o.TupleByRow(row("k3", "v1")) != nil {
+	if tupleByRow(o, row("k2", "v2")) != nil || tupleByRow(o, row("k3", "v1")) != nil {
 		t.Fatal("in-flight writes survived the restart")
 	}
 }
@@ -196,4 +196,18 @@ func TestUniquePerKey(t *testing.T) {
 	if out := UniquePerKey(keyExtract, nil); out != nil {
 		t.Fatalf("empty input should stay empty, got %v", out)
 	}
+}
+
+// tupleByRow finds the tuple one of whose versions carries exactly row.
+// The harness keeps all row payloads globally unique, so the mapping is
+// unambiguous; nil when unknown.
+func tupleByRow(o *Oracle, row []byte) *Tuple {
+	for _, t := range o.tuples {
+		for i := range t.versions {
+			if bytes.Equal(t.versions[i].row, row) {
+				return t
+			}
+		}
+	}
+	return nil
 }

@@ -113,7 +113,6 @@ type LSMKV struct {
 // NewLSMKV creates an LSM KV engine on the engine's storage; Engine.Close
 // flushes its memtable.
 func NewLSMKV(e *Engine, name string, opts lsm.Options) *LSMKV {
-	opts.Name = name
 	t := lsm.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), opts)
 	e.AddCloser(t.Close)
 	return &LSMKV{e: e, t: t}
@@ -171,7 +170,6 @@ type MVPBTKV struct {
 // MVPBTKVOptions tunes the engine.
 type MVPBTKVOptions struct {
 	BloomBits     int
-	DisableGC     bool
 	MaxPartitions int
 }
 
@@ -185,8 +183,7 @@ type MVPBTKVOptions struct {
 // checkpoint snapshots).
 func NewMVPBTKV(e *Engine, name string, opts MVPBTKVOptions) (*MVPBTKV, error) {
 	t := mvpbt.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), e.PBuf, e.Mgr, mvpbt.Options{
-		Name: name, Unique: true, BloomBits: opts.BloomBits,
-		DisableGC: opts.DisableGC, MaxPartitions: opts.MaxPartitions,
+		Name: name, Unique: true, BloomBits: opts.BloomBits, MaxPartitions: opts.MaxPartitions,
 	})
 	kv := &MVPBTKV{e: e, tree: t, name: name}
 	if e.log != nil {

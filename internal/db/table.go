@@ -125,7 +125,7 @@ func (e *Engine) newIndex(table string, def IndexDef, gen int) (*Index, error) {
 		ix.cand = bt
 	case IdxPBT:
 		ix.cand = pbt.New(e.Pool, ix.file, e.PBuf, pbt.Options{
-			Name: name, BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
+			BloomBits: def.BloomBits, PrefixLen: def.PrefixLen,
 		})
 	case IdxMVPBT:
 		ix.mv = mvpbt.New(e.Pool, ix.file, e.PBuf, e.Mgr, mvpbt.Options{

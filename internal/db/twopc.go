@@ -8,7 +8,7 @@ import (
 	"mvpbt/internal/wal"
 )
 
-// Two-phase commit, participant side (DESIGN.md §15). A cross-shard
+// Two-phase commit, participant side (DESIGN.md §12). A cross-shard
 // coordinator drives each written leg through PREPARE (this file) instead
 // of a unilateral commit: PrepareDurable flushes an OpPrepare record — the
 // leg's vote — and parks the transaction handle in the engine's in-doubt

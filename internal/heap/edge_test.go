@@ -109,7 +109,7 @@ func TestHotVacuumReusesFreedPages(t *testing.T) {
 	if _, err := h.Vacuum(e.mgr.Horizon()); err != nil {
 		t.Fatal(err)
 	}
-	before := h.File().NumPages()
+	before := h.file.NumPages()
 	e.commit(func(tx *txn.Tx) {
 		for i := 0; i < 30; i++ {
 			if _, err := h.Insert(tx, uint64(1000+i), bytes.Repeat([]byte("c"), 300)); err != nil {
@@ -117,7 +117,7 @@ func TestHotVacuumReusesFreedPages(t *testing.T) {
 			}
 		}
 	})
-	after := h.File().NumPages()
+	after := h.file.NumPages()
 	if after > before+2 {
 		t.Fatalf("vacuumed space not reused: %d -> %d pages", before, after)
 	}

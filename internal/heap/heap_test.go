@@ -374,7 +374,7 @@ func TestSiasEntryPointMovesOnUpdate(t *testing.T) {
 	h := e.sias()
 	var rid storage.RecordID
 	e.commit(func(tx *txn.Tx) { rid, _ = h.Insert(tx, 5, []byte("v0")) })
-	ep, ok := h.EntryPoint(5)
+	ep, ok := h.vids.Get(5)
 	if !ok || ep != rid {
 		t.Fatal("entry point not set on insert")
 	}
@@ -383,7 +383,7 @@ func TestSiasEntryPointMovesOnUpdate(t *testing.T) {
 	if !res.NeedsIndexUpdate {
 		t.Fatal("SIAS update must always require index maintenance")
 	}
-	ep, _ = h.EntryPoint(5)
+	ep, _ = h.vids.Get(5)
 	if ep != res.NewRID {
 		t.Fatal("entry point did not move to new version")
 	}

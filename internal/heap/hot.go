@@ -39,9 +39,6 @@ func NewHotHeap(pool *buffer.Pool, file *sfile.File, mgr *txn.Manager) *HotHeap 
 	return &HotHeap{pool: pool, file: file, mgr: mgr}
 }
 
-// File returns the heap's storage file.
-func (h *HotHeap) File() *sfile.File { return h.file }
-
 // placeRecord inserts rec into a page with space (the current insert
 // target, a vacuumed page, or a fresh page) and returns its record id.
 func (h *HotHeap) placeRecord(rec []byte) (storage.RecordID, error) {

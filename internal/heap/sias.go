@@ -44,11 +44,6 @@ func (h *SiasHeap) File() *sfile.File { return h.file }
 // through it).
 func (h *SiasHeap) VIDs() *vid.Table { return h.vids }
 
-// EntryPoint resolves a VID to the current chain entry-point.
-func (h *SiasHeap) EntryPoint(v uint64) (storage.RecordID, bool) {
-	return h.vids.Get(v)
-}
-
 // append places rec on the tail page, flushing full tails (sequential
 // write) and starting a new one as needed.
 func (h *SiasHeap) append(rec []byte) (storage.RecordID, error) {

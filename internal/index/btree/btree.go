@@ -39,7 +39,6 @@ type Tree struct {
 	file *sfile.File
 	root uint64
 	h    int // height: 1 = root is a leaf
-	n    int // live entries
 }
 
 // New creates an empty tree stored in file.
@@ -245,7 +244,6 @@ func (t *Tree) insertLeaf(fr *buffer.Frame, p page.Page, pageNo uint64, key, bod
 	rec := encodeLeaf(key, body)
 	if p.InsertAt(pos, rec) {
 		t.pool.Unpin(fr, true)
-		t.n++
 		return nil
 	}
 	// Split, then insert into the proper half.
@@ -276,7 +274,6 @@ func (t *Tree) insertLeaf(fr *buffer.Frame, p page.Page, pageNo uint64, key, bod
 	if !ok {
 		return fmt.Errorf("btree: insert failed after split (page %d)", targetNo)
 	}
-	t.n++
 	return t.insertSeparator(path, sepKey, sepBody, rightNo)
 }
 
@@ -483,26 +480,11 @@ func (t *Tree) Delete(key, body []byte) (bool, error) {
 		if cmpEntry(k, b, key, body) == 0 {
 			p.DeleteAt(pos)
 			t.pool.Unpin(fr, true)
-			t.n--
 			return true, nil
 		}
 	}
 	t.pool.Unpin(fr, false)
 	return false, nil
-}
-
-// Len returns the number of live entries.
-func (t *Tree) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Height returns the number of levels.
-func (t *Tree) Height() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h
 }
 
 var _ index.Candidates = (*Tree)(nil)

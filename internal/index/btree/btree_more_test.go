@@ -34,8 +34,8 @@ func TestInsertDeleteRandomizedModel(t *testing.T) {
 			delete(model, id)
 		}
 	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len=%d model=%d", tr.Len(), len(model))
+	if entries(t, tr) != len(model) {
+		t.Fatalf("Len=%d model=%d", entries(t, tr), len(model))
 	}
 	// Full scan matches the model exactly, in order.
 	var prevKey, prevBody []byte
@@ -67,7 +67,7 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h := tr.Height(); h < 3 || h > 6 {
+	if h := tr.h; h < 3 || h > 6 {
 		t.Fatalf("height %d for 60k sorted inserts (expected 3..6)", h)
 	}
 }

@@ -26,6 +26,16 @@ func newTree(t *testing.T, frames int) (*Tree, *ssd.Device) {
 	return tr, dev
 }
 
+// entries counts the tree's live entries.
+func entries(t *testing.T, tr *Tree) int {
+	t.Helper()
+	n := 0
+	if err := tr.ScanRaw(nil, nil, func(_, _ []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func ik(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
 func ref(i int) index.Ref {
@@ -79,11 +89,11 @@ func TestSplitsAndHeight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("tree never split: height=%d", tr.Height())
+	if tr.h < 2 {
+		t.Fatalf("tree never split: height=%d", tr.h)
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len=%d want %d", tr.Len(), n)
+	if entries(t, tr) != n {
+		t.Fatalf("Len=%d want %d", entries(t, tr), n)
 	}
 	// Every key still findable.
 	for i := 0; i < n; i += 997 {
@@ -183,8 +193,8 @@ func TestDuplicateInsertIgnored(t *testing.T) {
 	tr, _ := newTree(t, 64)
 	tr.Insert(ik(1), ref(1))
 	tr.Insert(ik(1), ref(1))
-	if tr.Len() != 1 {
-		t.Fatalf("duplicate not ignored: Len=%d", tr.Len())
+	if entries(t, tr) != 1 {
+		t.Fatalf("duplicate not ignored: Len=%d", entries(t, tr))
 	}
 }
 
@@ -207,8 +217,8 @@ func TestDelete(t *testing.T) {
 	if found {
 		t.Fatal("deleted entry still visible")
 	}
-	if tr.Len() != 99 {
-		t.Fatalf("Len=%d want 99", tr.Len())
+	if entries(t, tr) != 99 {
+		t.Fatalf("Len=%d want 99", entries(t, tr))
 	}
 }
 
@@ -253,8 +263,8 @@ func TestModelComparison(t *testing.T) {
 	for _, vs := range model {
 		total += len(vs)
 	}
-	if tr.Len() != total {
-		t.Fatalf("Len=%d model=%d", tr.Len(), total)
+	if entries(t, tr) != total {
+		t.Fatalf("Len=%d model=%d", entries(t, tr), total)
 	}
 	for k, vs := range model {
 		var got []uint64

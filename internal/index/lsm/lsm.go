@@ -21,7 +21,6 @@ import (
 
 // Options configures an LSM tree.
 type Options struct {
-	Name string
 	// MemtableBytes is the flush threshold (default 1 MiB).
 	MemtableBytes int
 	// L0Runs is the number of L0 runs that triggers compaction into L1

@@ -15,10 +15,7 @@ import (
 func newTree(frames int, opts Options) (*Tree, *ssd.Device) {
 	dev := ssd.New(simclock.New(), ssd.IntelP3600)
 	fm := sfile.NewManager(dev)
-	if opts.Name == "" {
-		opts.Name = "lsm"
-	}
-	return New(buffer.New(frames), fm.Create(opts.Name, sfile.ClassIndex), opts), dev
+	return New(buffer.New(frames), fm.Create("lsm", sfile.ClassIndex), opts), dev
 }
 
 func TestPutGet(t *testing.T) {

@@ -121,7 +121,9 @@ func TestMergeWithValuesPreserved(t *testing.T) {
 		return out
 	}()
 	e.mgr.Commit(r0)
-	e.commit(func(tx *txn.Tx) { tr.InsertReplacementVal(tx, []byte("k"), e.ref(), prevRID.RID, []byte("v2")) })
+	e.commit(func(tx *txn.Tx) {
+		tr.pnPut([]byte("k"), &Record{Type: Replacement, TS: tx.ID, Ref: e.ref(), OldRID: prevRID.RID, Val: []byte("v2")})
+	})
 	tr.EvictPN()
 	if err := tr.MergePartitions(); err != nil {
 		t.Fatal(err)

@@ -48,6 +48,8 @@ func cmpPNKey(a, b pnKey) int {
 
 // Options configures an MV-PBT.
 type Options struct {
+	// Name labels the index; nothing reads it (benchmarks/sut.go sets it, so
+	// it goes in a benchmark-scoped PR).
 	Name string
 	// Unique lets point lookups stop at the first visible match (§4.2).
 	Unique bool
@@ -194,9 +196,6 @@ func newPN() *skiplist.List[pnKey, *Record] {
 	})
 }
 
-// Name implements part.Owner.
-func (t *Tree) Name() string { return t.opts.Name }
-
 // PNBytes implements part.Owner. Frozen PNs still occupy buffer memory
 // until their partition build publishes, so they count too.
 func (t *Tree) PNBytes() int {
@@ -292,11 +291,6 @@ func (t *Tree) InsertReplacement(tx *txn.Tx, key []byte, newRef index.Ref, oldRI
 	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
-// InsertReplacementVal is InsertReplacement with an inline payload.
-func (t *Tree) InsertReplacementVal(tx *txn.Tx, key []byte, newRef index.Ref, oldRID storage.RecordID, val []byte) error {
-	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID, Val: val})
-}
-
 // InsertKeyUpdate implements index.VersionAware: an anti-record under the
 // old key plus a replacement record under the new key (§4.1).
 func (t *Tree) InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef index.Ref, oldRID storage.RecordID) error {
@@ -311,50 +305,6 @@ func (t *Tree) InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) 
 	return t.pnPut(key, &Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
 }
 
-// BulkLoad builds one immutable partition directly from pre-sorted
-// entries, bypassing PN — the bulk-load functionality the paper
-// attributes to partitions (§4: "Partitions can support additional
-// functionalities, like bulk loads"). Entries must be sorted by key
-// ascending; every entry becomes a regular record stamped with tx. The
-// partition is placed as the OLDEST (searched last): a bulk load may only
-// introduce keys that have no newer records yet.
-func (t *Tree) BulkLoad(tx *txn.Tx, entries []index.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	// bgMu keeps the partition list stable against concurrent frozen-PN
-	// builds and merges (lock order: bgMu before mu).
-	t.bgMu.Lock()
-	defer t.bgMu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.newBuilder(t.nextNo)
-	defer b.Abort()
-	var enc []byte
-	for i, e := range entries {
-		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) > 0 {
-			return errNotSorted
-		}
-		enc = encodeRecord(enc[:0], &Record{Type: Regular, TS: tx.ID, Ref: e.Ref, Val: e.Val})
-		if err := b.Add(e.Key, enc); err != nil {
-			return err
-		}
-	}
-	seg, err := b.Finish(uint64(tx.ID), uint64(tx.ID))
-	if err != nil {
-		return err
-	}
-	t.nextNo++
-	if seg != nil {
-		v := t.view.Load()
-		parts := make([]*part.Segment, 0, len(v.parts)+1)
-		parts = append(parts, seg)
-		parts = append(parts, v.parts...)
-		t.view.Store(&treeView{pn: v.pn, frozen: v.frozen, parts: parts})
-	}
-	return nil
-}
-
 // newBuilder starts partition number no in the tree's file.
 func (t *Tree) newBuilder(no int) *part.Builder {
 	return part.NewBuilder(t.pool, t.file, no, part.BuildOptions{
@@ -362,12 +312,6 @@ func (t *Tree) newBuilder(no int) *part.Builder {
 		PrefixLen:       t.opts.PrefixLen,
 	})
 }
-
-type mvpbtError string
-
-func (e mvpbtError) Error() string { return string(e) }
-
-const errNotSorted = mvpbtError("mvpbt: bulk load entries not sorted by key")
 
 // ---- Index-only visibility check (§4.4, Algorithm 3).
 

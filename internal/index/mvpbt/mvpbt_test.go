@@ -627,7 +627,9 @@ func codecRecords() []Record {
 		for _, gc := range []bool{false, true} {
 			for _, old := range []storage.RecordID{{}, {Page: storage.NewPageID(7, 99), Slot: 3}} {
 				r := Record{Type: typ, TS: 123456, OldRID: old}
-				r.SetGC(gc)
+				if gc {
+					r.MarkGC()
+				}
 				if r.Matter() {
 					r.Ref = index.Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 5), Slot: 9}, VID: 42}
 					r.Val = []byte("inline-value")

@@ -70,8 +70,9 @@ func measureReads(t testing.TB, e *env, fn func() error) readCost {
 	if err := fn(); err != nil {
 		t.Fatal(err)
 	}
-	d, p, io := e.dev.Stats().Sub(d0), e.pool.Stats()[sfile.ClassIndex].Sub(p0), e.pool.IOStats()
-	return readCost{reads: d.Reads, pages: d.BytesRead / storage.PageSize, misses: p.Misses(), retries: io.ReadRetries - io0.ReadRetries}
+	d, p, io := e.dev.Stats().Sub(d0), e.pool.Stats()[sfile.ClassIndex], e.pool.IOStats()
+	misses := (p.Requests - p0.Requests) - (p.Hits - p0.Hits)
+	return readCost{reads: d.Reads, pages: d.BytesRead / storage.PageSize, misses: misses, retries: io.ReadRetries - io0.ReadRetries}
 }
 
 // TestScanReadAheadGate pins the device cost of a SCAN(50) over 1 KiB values

@@ -79,16 +79,6 @@ func (r *Record) GCMarked() bool { return atomic.LoadUint32(&r.gc) != 0 }
 // one that flipped the flag (so concurrent markers account it once).
 func (r *Record) MarkGC() bool { return atomic.CompareAndSwapUint32(&r.gc, 0, 1) }
 
-// SetGC forces the flag to v. Only for tests and decoding; not safe
-// against concurrent markers.
-func (r *Record) SetGC(v bool) {
-	if v {
-		atomic.StoreUint32(&r.gc, 1)
-	} else {
-		atomic.StoreUint32(&r.gc, 0)
-	}
-}
-
 // snapshot returns a value copy that is safe to take while concurrent
 // readers may be marking the record.
 func (r *Record) snapshot() Record {

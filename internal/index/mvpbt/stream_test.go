@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,18 +20,18 @@ import (
 )
 
 // partImage is everything a persisted partition is: its device pages and
-// its metadata encoding, filter bits included.
-func partImage(t *testing.T, tr *Tree, seg *part.Segment) []byte {
+// its metadata, filter bits included.
+func partImage(t *testing.T, tr *Tree, seg *part.Segment) (pages []byte, meta []any) {
 	t.Helper()
-	img := part.EncodeMeta(nil, seg)
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < seg.NumPages; i++ {
 		if err := tr.file.ReadPage(seg.StartPage+uint64(i), buf); err != nil {
 			t.Fatal(err)
 		}
-		img = append(img, buf...)
+		pages = append(pages, buf...)
 	}
-	return img
+	return pages, []any{seg.No, seg.StartPage, seg.NumPages, seg.NumLeaves, seg.MinKey, seg.MaxKey,
+		seg.MinTS, seg.MaxTS, seg.NumRecords, seg.SizeBytes, seg.Filter, seg.PFilter}
 }
 
 // sameParts fails the test unless both trees hold as many partitions, the
@@ -46,7 +47,9 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 		n = len(pg)
 	}
 	for i := len(pg) - n; i < len(pg); i++ {
-		if !bytes.Equal(partImage(t, got, pg[i]), partImage(t, want, pw[i])) {
+		gotPages, gotMeta := partImage(t, got, pg[i])
+		wantPages, wantMeta := partImage(t, want, pw[i])
+		if !bytes.Equal(gotPages, wantPages) || !reflect.DeepEqual(gotMeta, wantMeta) {
 			t.Fatalf("%s: partition P%d (%d records, %d pages) differs from the reference's (%d records, %d pages)",
 				when, pg[i].No, pg[i].NumRecords, pg[i].NumPages, pw[i].NumRecords, pw[i].NumPages)
 		}
@@ -121,7 +124,9 @@ func TestStreamingMatchesReference(t *testing.T) {
 						default:
 							old := tp
 							next.key = tp.key
-							apply = func(tr *Tree, tx *txn.Tx) error { return tr.InsertReplacementVal(tx, old.key, ref, old.rid, val) }
+							apply = func(tr *Tree, tx *txn.Tx) error {
+								return tr.pnPut(old.key, &Record{Type: Replacement, TS: tx.ID, Ref: ref, OldRID: old.rid, Val: val})
+							}
 							freed = tp.rid
 						}
 						for i, tr := range trees {
@@ -219,7 +224,7 @@ func hotKeyTree(t *testing.T, e *env, parts, versions int) (tr *Tree, pin *txn.T
 				ref := e.ref()
 				var err error
 				if prev.Valid() {
-					err = tr.InsertReplacementVal(tx, []byte("hot"), ref, prev, val)
+					err = tr.pnPut([]byte("hot"), &Record{Type: Replacement, TS: tx.ID, Ref: ref, OldRID: prev, Val: val})
 				} else {
 					err = tr.InsertRegularVal(tx, []byte("hot"), ref, val)
 				}

@@ -20,10 +20,11 @@ type BuildOptions struct {
 	// PrefixLen enables a prefix bloom filter over the leading PrefixLen
 	// key bytes; 0 disables it.
 	PrefixLen int
-	// FillFraction is the leaf fill target (1.0 = dense-packed, the
-	// default; in-memory B-tree nodes use ~0.67 per §4.7).
-	FillFraction float64
 }
+
+// leafBudget is the bytes (records + slots) a leaf takes before the next is
+// started: leaves are dense-packed (§4.7).
+const leafBudget = storage.PageSize - 64
 
 // childRef names one page to its parent level: the first key of its subtree
 // and its page number relative to the segment start.
@@ -79,17 +80,16 @@ func (l hashList) each(fn func(bloom.Hash)) {
 // would make them, only while no OTHER file of the manager allocates in
 // between: each is taken at the frontier, under its own lock hold.
 type Builder struct {
-	pool   *buffer.Pool
-	file   *sfile.File
-	no     int
-	opts   BuildOptions
-	budget int // leaf bytes (records + slots) the fill fraction allows
+	pool *buffer.Pool
+	file *sfile.File
+	no   int
+	opts BuildOptions
 
 	start  uint64    // first page of the run, once backed > 0
 	backed int       // pages of the run backed by extents; 0 once done
 	nPages int       // pages written: the rel of the page under construction
 	node   page.Page // the one page image, leaf or internal
-	used   int       // of budget, in the current leaf
+	used   int       // of leafBudget, in the current leaf
 
 	lastKey, minKey []byte     // copies of the previous and the first record's key
 	leaves          []childRef // one per leaf started
@@ -100,13 +100,8 @@ type Builder struct {
 // NewBuilder starts segment number no in file. Nothing touches the file
 // until the first page fills.
 func NewBuilder(pool *buffer.Pool, file *sfile.File, no int, opts BuildOptions) *Builder {
-	fill := opts.FillFraction
-	if fill <= 0 || fill > 1 {
-		fill = 1.0
-	}
 	b := &Builder{pool: pool, file: file, no: no, opts: opts,
-		budget: int(float64(storage.PageSize-64) * fill),
-		node:   page.Wrap(make([]byte, storage.PageSize))}
+		node: page.Wrap(make([]byte, storage.PageSize))}
 	b.startNode(0)
 	return b
 }
@@ -135,7 +130,7 @@ func (b *Builder) Add(key, body []byte) error {
 		shared = util.CommonPrefix(b.lastKey, key)
 	}
 	h, n := encode(shared)
-	if b.used+n+4 > b.budget && b.node.NumSlots() > 0 {
+	if b.used+n+4 > leafBudget && b.node.NumSlots() > 0 {
 		if err := b.writeNode(); err != nil {
 			return b.fail(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mvpbt/internal/buffer"
@@ -31,8 +32,9 @@ func randomKVs(seed uint64, n, bodyLen, maxDup int) []KV {
 }
 
 // image is everything a build leaves behind: the run's device pages and the
-// segment's metadata encoding, which carries the filter bits.
-func image(t *testing.T, e *env, seg *Segment) (pages, meta []byte) {
+// segment's metadata, filter bits included, without the pool and file it
+// reads through.
+func image(t *testing.T, e *env, seg *Segment) (pages []byte, meta Segment) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < seg.NumPages; i++ {
@@ -41,7 +43,9 @@ func image(t *testing.T, e *env, seg *Segment) (pages, meta []byte) {
 		}
 		pages = append(pages, buf...)
 	}
-	return pages, EncodeMeta(nil, seg)
+	meta = *seg
+	meta.pool, meta.file = nil, nil
+	return pages, meta
 }
 
 // TestBuilderMatchesReference: the streaming builder's device pages,
@@ -67,7 +71,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 		{"1KiB-values/versions", randomKVs(2, 1500, 1024, 20), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 8}},
 		{"index-records/duplicates-span-leaves", randomKVs(3, 20000, 40, 600), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 12}},
 		{"index-records/no-filters", randomKVs(4, 20000, 40, 3), BuildOptions{}},
-		{"index-records/fill-0.67", randomKVs(4, 20000, 40, 3), BuildOptions{BloomBitsPerKey: 7, FillFraction: 0.67}},
+		{"index-records/7-bit-filter", randomKVs(4, 20000, 40, 3), BuildOptions{BloomBitsPerKey: 7}},
 		{"one-record", randomKVs(6, 1, 1024, 1), BuildOptions{BloomBitsPerKey: 10, PrefixLen: 4}},
 		{"exactly-one-leaf", oneLeaf, BuildOptions{BloomBitsPerKey: 10}},
 		{"keys-shorter-than-prefix", short, BuildOptions{BloomBitsPerKey: 10, PrefixLen: 4}},
@@ -95,7 +99,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 			if !bytes.Equal(gotPages, wantPages) {
 				t.Errorf("device pages differ (%d pages, reference %d)", seg.NumPages, want.NumPages)
 			}
-			if !bytes.Equal(gotMeta, wantMeta) {
+			if !reflect.DeepEqual(gotMeta, wantMeta) {
 				t.Errorf("metadata or filter bits differ: %d leaves height %d, reference %d leaves height %d",
 					seg.NumLeaves, seg.height, want.NumLeaves, want.height)
 			}

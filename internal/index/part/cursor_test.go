@@ -260,8 +260,8 @@ func TestScanOverManyPartitionsHoldsNoPin(t *testing.T) {
 				}
 				e.pool.Unpin(fr, false)
 			}
-			if d := e.pool.Stats()[sfile.ClassIndex].Sub(before); d.Hits != 0 {
-				t.Fatalf("%d of %d iterators hold their leaf's frame pinned", d.Hits, parts)
+			if hits := e.pool.Stats()[sfile.ClassIndex].Hits - before.Hits; hits != 0 {
+				t.Fatalf("%d of %d iterators hold their leaf's frame pinned", hits, parts)
 			}
 		}
 	}

@@ -10,8 +10,6 @@ import (
 // Owner is an index holding a main-memory partition PN inside the shared
 // MV-PBT buffer.
 type Owner interface {
-	// Name identifies the index in diagnostics.
-	Name() string
 	// PNBytes returns the current size of the index's main-memory
 	// partition.
 	PNBytes() int

@@ -17,7 +17,6 @@ type atomicOwner struct {
 	noop     bool // EvictPN succeeds but frees nothing
 }
 
-func (o *atomicOwner) Name() string { return o.name }
 func (o *atomicOwner) PNBytes() int { return int(o.size.Load()) }
 func (o *atomicOwner) Grow(n int)   { o.size.Add(int64(n)) }
 func (o *atomicOwner) EvictPN() error {
@@ -52,7 +51,6 @@ func TestPartitionBufferNoVictim(t *testing.T) {
 // has refilled it to just under its old size.
 type refillOwner struct{ size, evicted int }
 
-func (o *refillOwner) Name() string { return "refill" }
 func (o *refillOwner) PNBytes() int { return o.size }
 func (o *refillOwner) EvictPN() error {
 	o.evicted++

@@ -20,10 +20,6 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	fill := opts.FillFraction
-	if fill <= 0 || fill > 1 {
-		fill = 1.0
-	}
 	// ---- Pack leaves (in memory first: page numbers of internal levels
 	// depend on the leaf count, and the final write-out must be one
 	// sequential pass in page order).
@@ -45,7 +41,7 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 
 	leaf := newNode(0)
 	var prevKey []byte
-	budget := int(float64(storage.PageSize-64) * fill)
+	budget := storage.PageSize - 64
 	used := 0
 	size := 0
 	for i := range kvs {
@@ -110,7 +106,7 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		if opts.PrefixLen > 0 {
 			f.prefix = bloom.NewPrefix(len(kvs), opts.BloomBitsPerKey+2, opts.PrefixLen)
 			for i := range kvs {
-				f.prefix.Add(kvs[i].Key)
+				f.prefix.AddHash(bloom.HashKey(kvs[i].Key[:min(opts.PrefixLen, len(kvs[i].Key))]))
 			}
 		}
 		fch <- f

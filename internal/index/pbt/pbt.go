@@ -41,7 +41,6 @@ func cmpPNKey(a, b pnKey) int {
 
 // Options configures a PBT.
 type Options struct {
-	Name string
 	// BloomBits enables per-partition bloom filters (bits per key).
 	BloomBits int
 	// PrefixLen enables prefix bloom filters for range scans.
@@ -76,9 +75,6 @@ func newPN() *skiplist.List[pnKey, []byte] {
 		return len(k.key) + 12 + len(v)
 	})
 }
-
-// Name implements part.Owner.
-func (t *Tree) Name() string { return t.opts.Name }
 
 // PNBytes implements part.Owner.
 func (t *Tree) PNBytes() int {

@@ -26,10 +26,7 @@ func newEnv(frames, limit int) *env {
 }
 
 func (e *env) tree(opts Options) *Tree {
-	if opts.Name == "" {
-		opts.Name = "pbt"
-	}
-	return New(e.pool, e.fm.Create(opts.Name, sfile.ClassIndex), e.pbuf, opts)
+	return New(e.pool, e.fm.Create("pbt", sfile.ClassIndex), e.pbuf, opts)
 }
 
 func ref(i int) index.Ref {

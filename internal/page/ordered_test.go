@@ -131,23 +131,3 @@ func TestOrderedModelProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestHasRoomFor(t *testing.T) {
-	p := newPage()
-	if !p.HasRoomFor(100) {
-		t.Fatal("fresh page has no room")
-	}
-	for {
-		if _, ok := p.Insert(bytes.Repeat([]byte("z"), 500)); !ok {
-			break
-		}
-	}
-	if p.HasRoomFor(500) {
-		t.Fatal("full page reports room")
-	}
-	// A dead slot frees record space without needing a new slot entry.
-	p.Delete(0)
-	if !p.HasRoomFor(500) {
-		t.Fatal("reclaimable space not reported")
-	}
-}

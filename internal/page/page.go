@@ -7,7 +7,7 @@
 //
 //	[0:2)   number of slots
 //	[2:4)   freeHi — offset where the record area begins (grows downward)
-//	[4:6)   page flags (e.g. FlagHasGarbage, §4.6 of the paper)
+//	[4:6)   reserved (a flag word no user of the page sets; zero)
 //	[6:8)   garbage bytes reclaimable by compaction
 //	[8:12)  CRC32C checksum of the rest of the page, stamped at write-back
 //	        and verified on every buffer-pool fetch (zero on never-stamped
@@ -74,14 +74,6 @@ func VerifyChecksum(b []byte) bool {
 	return true
 }
 
-// Page flags. The low byte is reserved for this package's users (the heap
-// and index node implementations define their own bits there).
-const (
-	// FlagHasGarbage marks pages containing index records eligible for
-	// cooperative garbage collection (paper §4.6, phase 1).
-	FlagHasGarbage uint16 = 1 << 15
-)
-
 // Page is a view over an 8 KiB buffer-pool frame. The zero Page is invalid;
 // construct with Wrap.
 type Page struct {
@@ -119,21 +111,6 @@ func (p Page) freeHi() int       { return int(binary.LittleEndian.Uint16(p.b[2:4
 func (p Page) setFreeHi(v int)   { binary.LittleEndian.PutUint16(p.b[2:4], uint16(v)) }
 func (p Page) garbage() int      { return int(binary.LittleEndian.Uint16(p.b[6:8])) }
 func (p Page) setGarbage(v int)  { binary.LittleEndian.PutUint16(p.b[6:8], uint16(v)) }
-
-// Flags returns the page flag word.
-func (p Page) Flags() uint16 { return binary.LittleEndian.Uint16(p.b[4:6]) }
-
-// SetFlags stores the page flag word.
-func (p Page) SetFlags(f uint16) { binary.LittleEndian.PutUint16(p.b[4:6], f) }
-
-// SetFlag sets the given flag bits.
-func (p Page) SetFlag(f uint16) { p.SetFlags(p.Flags() | f) }
-
-// ClearFlag clears the given flag bits.
-func (p Page) ClearFlag(f uint16) { p.SetFlags(p.Flags() &^ f) }
-
-// HasFlag reports whether all given flag bits are set.
-func (p Page) HasFlag(f uint16) bool { return p.Flags()&f == f }
 
 // NumSlots returns the size of the slot directory, including dead slots.
 func (p Page) NumSlots() int { return p.numSlots() }
@@ -182,16 +159,6 @@ func (p Page) Live(i int) bool {
 // not counting slot-directory overhead for new slots.
 func (p Page) FreeSpace() int {
 	return p.freeHi() - p.slotEnd() + p.garbage()
-}
-
-// HasRoomFor reports whether a record of n bytes can be inserted
-// (accounting for a possibly needed new directory slot).
-func (p Page) HasRoomFor(n int) bool {
-	need := n
-	if p.deadSlot() < 0 {
-		need += slotSize
-	}
-	return p.FreeSpace() >= need
 }
 
 // deadSlot returns the index of a reusable dead slot, or -1.

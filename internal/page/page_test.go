@@ -142,18 +142,6 @@ func TestInsertRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestFlags(t *testing.T) {
-	p := newPage()
-	p.SetFlag(FlagHasGarbage)
-	if !p.HasFlag(FlagHasGarbage) {
-		t.Fatal("flag not set")
-	}
-	p.ClearFlag(FlagHasGarbage)
-	if p.HasFlag(FlagHasGarbage) {
-		t.Fatal("flag not cleared")
-	}
-}
-
 func TestClientHeaderPersists(t *testing.T) {
 	p := newPage()
 	copy(p.Client(), "btree-node-header")

@@ -3,7 +3,7 @@
 // Schedule of rules scoped by DIRECTION and FRAME INDEX — connection cuts
 // at a frame boundary, mid-frame byte truncation, and read/write stalls —
 // applied by a net.Listener/net.Conn wrapper on the server side
-// (DESIGN.md §14).
+// (DESIGN.md §12).
 //
 // Determinism contract. TCP segmentation makes raw Read/Write call counts
 // nondeterministic, so rules are keyed by the only stable coordinate the

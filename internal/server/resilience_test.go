@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func poll(t *testing.T, what string, cond func() bool) {
 // zero), releases the session slot (a new session fits under a cap of 1),
 // and the orphan's writes are invisible.
 func TestOrphanedTxAbortOnDisconnect(t *testing.T) {
-	r, srv, addr := startServerWith(t, defaultShardConfig(2), server.Config{
+	r, _, addr := startServerWith(t, defaultShardConfig(2), server.Config{
 		MaxSessionsPerTenant: 1,
 	})
 	c, err := shardclient.Dial(addr, "t1")
@@ -97,7 +98,13 @@ func TestOrphanedTxAbortOnDisconnect(t *testing.T) {
 	// Sever the connection with the transaction open.
 	c.Close()
 
-	poll(t, "session reaped", func() bool { return srv.SessionCount() == 0 })
+	// Slot released: a new session fits under MaxSessionsPerTenant=1.
+	var c2 *shardclient.Client
+	poll(t, "session reaped", func() bool {
+		c2, err = shardclient.Dial(addr, "t1")
+		return err == nil
+	})
+	defer c2.Close()
 	poll(t, "orphan aborted on every shard", func() bool {
 		for i := 0; i < r.NumShards(); i++ {
 			if r.Shard(i).Engine.Mgr.ActiveCount() != 0 {
@@ -107,13 +114,7 @@ func TestOrphanedTxAbortOnDisconnect(t *testing.T) {
 		return true
 	})
 
-	// Slot released: a new session fits under MaxSessionsPerTenant=1, and
-	// the orphan's write never became visible.
-	c2, err := shardclient.Dial(addr, "t1")
-	if err != nil {
-		t.Fatalf("re-dial under cap 1: %v", err)
-	}
-	defer c2.Close()
+	// The orphan's write never became visible.
 	if _, ok, _ := c2.Get(0, []byte("orphan-key")); ok {
 		t.Fatal("orphaned transaction's write is visible")
 	}
@@ -186,8 +187,8 @@ func TestVersionNegotiation(t *testing.T) {
 // TestIdleSessionReaped: a session that goes quiet past IdleTimeout is
 // reaped — its slot freed and its connection dead.
 func TestIdleSessionReaped(t *testing.T) {
-	_, srv, addr := startServerWith(t, defaultShardConfig(1), server.Config{
-		IdleTimeout: 50 * time.Millisecond,
+	_, _, addr := startServerWith(t, defaultShardConfig(1), server.Config{
+		IdleTimeout: 50 * time.Millisecond, MaxSessionsPerTenant: 1,
 	})
 	c, err := shardclient.Dial(addr, "t1")
 	if err != nil {
@@ -197,7 +198,13 @@ func TestIdleSessionReaped(t *testing.T) {
 	if err := c.Set(0, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	poll(t, "idle session reaped", func() bool { return srv.SessionCount() == 0 })
+	poll(t, "idle session reaped", func() bool { // its slot under the cap of 1 is free again
+		c2, err := shardclient.Dial(addr, "t1")
+		if err == nil {
+			c2.Close()
+		}
+		return err == nil
+	})
 	if err := c.Set(0, []byte("k2"), []byte("v")); err == nil {
 		t.Fatal("write on a reaped session succeeded")
 	}
@@ -352,6 +359,70 @@ func TestRTxExactlyOnceCounter(t *testing.T) {
 	got, _, err := rc.Get([]byte("ctr"))
 	if err != nil || string(got) != "11" {
 		t.Fatalf("counter = %q (%v), want 11 — increment applied other than exactly once", got, err)
+	}
+}
+
+// TestResolveWaitsForCommitInFlight: a connection that dies under its COMMIT
+// sends the client straight to a new one to resolve the token, while the
+// server may still be executing that commit. The resolution must wait for
+// it — "not recorded" would report not-applied for a commit that then lands.
+func TestResolveWaitsForCommitInFlight(t *testing.T) {
+	entered, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	scfg := defaultShardConfig(2)
+	scfg.TwoPC.BeforeDecide = func(uint64) error { close(entered); <-held; return nil }
+	r, _, addr := startServerWith(t, scfg, server.Config{})
+	t.Cleanup(release) // before the server stops: a failed test must not leave the commit held
+	c, err := shardclient.Dial(addr, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const token = 0xC0FFEE
+	tx, err := c.BeginToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := map[int]bool{}
+	for i := 0; i < 8; i++ {
+		k := []byte(fmt.Sprintf("inflight-%d", i))
+		if err := c.Set(tx, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		shards[r.ShardOf(k)] = true
+	}
+	if len(shards) != 2 {
+		t.Fatal("keys on one shard: the commit is not two-phase and never meets the hook")
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- c.Commit(tx) }()
+	<-entered
+
+	c2, err := shardclient.Dial(addr, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	type answer struct {
+		applied bool
+		err     error
+	}
+	resolved := make(chan answer, 1)
+	go func() {
+		applied, err := c2.ResolveCommit(token)
+		resolved <- answer{applied, err}
+	}()
+	select {
+	case a := <-resolved:
+		t.Fatalf("resolved (%v, %v) while the commit was in flight", a.applied, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if a := <-resolved; a.err != nil || !a.applied {
+		t.Fatalf("ResolveCommit = %v, %v after the commit landed; want applied", a.applied, a.err)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,15 @@ const (
 	AdmitQueue
 )
 
+const (
+	// maxTxPerSession caps a session's open transaction table.
+	maxTxPerSession = 64
+	// commitTokenCap bounds the commit-token dedup table. At the cap expired
+	// tokens are swept and, if that frees less than an eighth, the oldest go
+	// too (the staleness caveat of Config.CommitTokenTTL applies to them).
+	commitTokenCap = 1 << 16
+)
+
 // Config tunes the server. The zero value serves on a random port with
 // reject-on-overload admission.
 type Config struct {
@@ -53,8 +63,6 @@ type Config struct {
 	MaxSessions int
 	// MaxSessionsPerTenant caps sessions per tenant name (default 64).
 	MaxSessionsPerTenant int
-	// MaxTxPerSession caps a session's open transaction table (default 64).
-	MaxTxPerSession int
 	// Admission picks reject-vs-queue behavior under overload.
 	Admission AdmissionPolicy
 	// QueueTimeout bounds how long AdmitQueue holds a HELLO (default 2s).
@@ -80,10 +88,6 @@ type Config struct {
 	// TTL may see StatusNotCommitted for a commit that applied — the
 	// documented staleness bound clients must resolve within.
 	CommitTokenTTL time.Duration
-	// CommitTokenCap bounds the dedup table size (default 65536). At the
-	// cap, expired entries are swept; if none are expired the oldest
-	// entries are evicted (same staleness caveat as the TTL).
-	CommitTokenCap int
 	// WrapListener, if set, wraps the bound listener before Serve uses
 	// it — the seam chaos testing (internal/server/chaos) and, later,
 	// TLS plug into.
@@ -100,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessionsPerTenant <= 0 {
 		c.MaxSessionsPerTenant = 64
 	}
-	if c.MaxTxPerSession <= 0 {
-		c.MaxTxPerSession = 64
-	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 2 * time.Second
 	}
@@ -117,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CommitTokenTTL <= 0 {
 		c.CommitTokenTTL = 5 * time.Minute
-	}
-	if c.CommitTokenCap <= 0 {
-		c.CommitTokenCap = 1 << 16
 	}
 	return c
 }
@@ -152,10 +150,16 @@ type Server struct {
 
 	// tokens is the commit-token dedup table: tokens of committed
 	// transactions, recorded BEFORE the commit's OK is written, so a
-	// client that lost the ack can resolve the outcome by token. TTL- and
-	// size-bounded (Config.CommitTokenTTL/Cap).
-	tokMu  sync.Mutex
-	tokens map[uint64]time.Time
+	// client that lost the ack can resolve the outcome by token. Bounded by
+	// Config.CommitTokenTTL and tokenCap (commitTokenCap; a test lowers it).
+	// committing counts, per token, the COMMITs executing right now (a
+	// retry on a second connection can overlap the first); a resolution of
+	// one of them waits on tokDone until none is left.
+	tokMu      sync.Mutex
+	tokDone    sync.Cond
+	tokens     map[uint64]time.Time
+	tokenCap   int
+	committing map[uint64]int
 
 	admitted atomic.Uint64
 	rejected atomic.Uint64
@@ -165,57 +169,90 @@ type Server struct {
 
 // New builds a server over r. Call Start, or Listen then Serve.
 func New(r *shard.Router, cfg Config) *Server {
-	return &Server{
-		r:        r,
-		cfg:      cfg.withDefaults(),
-		sessions: map[*session]struct{}{},
-		tenants:  map[string]int{},
-		tokens:   map[uint64]time.Time{},
+	s := &Server{
+		r:          r,
+		cfg:        cfg.withDefaults(),
+		sessions:   map[*session]struct{}{},
+		tenants:    map[string]int{},
+		tokens:     map[uint64]time.Time{},
+		tokenCap:   commitTokenCap,
+		committing: map[uint64]int{},
 	}
+	s.tokDone.L = &s.tokMu
+	return s
 }
 
-// SessionCount returns the number of currently admitted sessions.
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
-// recordToken marks a commit token as applied. Called after the commit
-// succeeds and before its OK frame is written: a lost ack therefore always
-// finds its token here. The table is TTL-swept and size-bounded.
+// recordToken marks a commit token as applied; tokMu is held. It runs after
+// the commit succeeds and before its OK frame is written: a lost ack
+// therefore always finds its token here. The table is TTL-swept and
+// size-bounded.
 func (s *Server) recordToken(tok uint64) {
 	now := time.Now()
-	s.tokMu.Lock()
-	defer s.tokMu.Unlock()
-	if len(s.tokens) >= s.cfg.CommitTokenCap {
-		for t, at := range s.tokens {
-			if now.Sub(at) > s.cfg.CommitTokenTTL {
-				delete(s.tokens, t)
-			}
-		}
-		// Still at the cap with nothing expired: evict oldest entries —
-		// bounded memory beats completeness, per the documented staleness
-		// caveat.
-		for len(s.tokens) >= s.cfg.CommitTokenCap {
-			var oldT uint64
-			var oldAt time.Time
-			first := true
-			for t, at := range s.tokens {
-				if first || at.Before(oldAt) {
-					oldT, oldAt, first = t, at, false
-				}
-			}
-			delete(s.tokens, oldT)
-		}
+	if len(s.tokens) >= s.tokenCap {
+		s.evictTokens(now)
 	}
 	s.tokens[tok] = now
 }
 
-// tokenCommitted resolves a commit token, lazily expiring it.
+// beginCommit marks tok's COMMIT as executing, endCommit ends that and
+// records the token if the transaction is applied. In between, a resolution
+// of tok waits: the client of a connection that died under its COMMIT
+// reconnects and resolves at once, and "not recorded" would be a false "not
+// applied" for a commit still on its way. The wait has no deadline of its
+// own: RESOLVE and a tokened BEGIN block for as long as that commit runs.
+func (s *Server) beginCommit(tok uint64) {
+	s.tokMu.Lock()
+	s.committing[tok]++
+	s.tokMu.Unlock()
+}
+
+func (s *Server) endCommit(tok uint64, applied bool) {
+	s.tokMu.Lock()
+	if applied {
+		s.recordToken(tok)
+	}
+	if s.committing[tok]--; s.committing[tok] == 0 {
+		delete(s.committing, tok)
+	}
+	s.tokMu.Unlock()
+	s.tokDone.Broadcast()
+}
+
+// evictTokens makes room in a full dedup table: expired tokens go, and if
+// more than 7/8 of the cap are left, so do the oldest beyond that — bounded
+// memory beats completeness, per the documented staleness caveat. Evicting
+// an eighth at a time keeps the two scans an eighth of the cap commits
+// apart; evicting one entry would run them on every commit.
+func (s *Server) evictTokens(now time.Time) {
+	keep := s.tokenCap - s.tokenCap/8
+	live := make([]time.Time, 0, len(s.tokens))
+	for t, at := range s.tokens {
+		if now.Sub(at) > s.cfg.CommitTokenTTL {
+			delete(s.tokens, t)
+		} else {
+			live = append(live, at)
+		}
+	}
+	if len(live) <= keep {
+		return
+	}
+	slices.SortFunc(live, time.Time.Compare)
+	newestEvicted := live[len(live)-keep-1]
+	for t, at := range s.tokens {
+		if !at.After(newestEvicted) {
+			delete(s.tokens, t)
+		}
+	}
+}
+
+// tokenCommitted resolves a commit token, lazily expiring it. A token whose
+// COMMIT is executing resolves when that ends.
 func (s *Server) tokenCommitted(tok uint64) bool {
 	s.tokMu.Lock()
 	defer s.tokMu.Unlock()
+	for s.committing[tok] > 0 {
+		s.tokDone.Wait()
+	}
 	at, ok := s.tokens[tok]
 	if !ok {
 		return false
@@ -442,7 +479,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	defer s.release(sess)
-	if err := wire.WriteFrame(bw, wire.StatusOK, wire.U32(uint32(s.cfg.MaxTxPerSession))); err != nil {
+	if err := wire.WriteFrame(bw, wire.StatusOK, wire.U32(maxTxPerSession)); err != nil {
 		return
 	}
 	if err := flush(); err != nil {
@@ -672,7 +709,7 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 			return wire.WriteFrame(bw, wire.StatusAlreadyCommitted,
 				[]byte(fmt.Sprintf("commit token %d already applied", token)))
 		}
-		if len(sess.txs) >= s.cfg.MaxTxPerSession {
+		if len(sess.txs) >= maxTxPerSession {
 			return wire.WriteFrame(bw, wire.StatusNoTx, []byte("transaction table full"))
 		}
 		tx, err := s.r.Begin()
@@ -716,22 +753,24 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 			tx.Abort()
 			return wire.WriteFrame(bw, wire.StatusOK)
 		}
-		if err := tx.Commit(); err != nil {
-			if errors.Is(err, shard.ErrTxInDoubt) {
-				// The COMMIT decision is durable; only leg resolution is
-				// pending. The transaction WILL commit, so record the token
-				// first — the client confirms the outcome by resolving it.
-				if token != 0 {
-					s.recordToken(token)
-				}
-				return wire.WriteFrame(bw, wire.StatusInDoubt, []byte(err.Error()))
-			}
-			return fail(bw, err)
-		}
 		if token != 0 {
-			// Record BEFORE writing the OK: if the connection dies under the
-			// response, the client's token retry must find the commit.
-			s.recordToken(token)
+			s.beginCommit(token)
+		}
+		err = tx.Commit()
+		// In doubt, the COMMIT decision is durable and only leg resolution is
+		// pending: the transaction WILL commit, and the client confirms the
+		// outcome by resolving the token. Either way the token is recorded
+		// BEFORE the reply is written: if the connection dies under the
+		// response, the client's token retry must find the commit.
+		inDoubt := errors.Is(err, shard.ErrTxInDoubt)
+		if token != 0 {
+			s.endCommit(token, err == nil || inDoubt)
+		}
+		switch {
+		case inDoubt:
+			return wire.WriteFrame(bw, wire.StatusInDoubt, []byte(err.Error()))
+		case err != nil:
+			return fail(bw, err)
 		}
 		return wire.WriteFrame(bw, wire.StatusOK)
 

@@ -1,7 +1,7 @@
 // resilient.go: RClient, the self-healing layer over Client — automatic
 // reconnect with capped exponential backoff and seeded jitter, retry of
 // idempotent operations, and exactly-once commits across connection loss
-// via idempotent commit tokens (DESIGN.md §14).
+// via idempotent commit tokens (DESIGN.md §12).
 //
 // Error taxonomy. Every failure an operation can see falls in one of three
 // classes, and the class decides the reaction:
@@ -277,7 +277,10 @@ const (
 // dies with the session. What survives is the commit DECISION, via the
 // token. A transport error before Commit returns ErrTxLost (deterministically
 // not applied — the server aborts orphans); a transport error during Commit
-// triggers token resolution.
+// triggers token resolution. There is no Abort: a transaction abandoned
+// after a non-transport error (ReadOnlyError, ServerError) stays in its
+// session's table, which holds 64, until RClient.Close or a reconnect ends
+// the session and the server aborts it.
 type RTx struct {
 	r     *RClient
 	id    uint32
@@ -406,15 +409,4 @@ func (t *RTx) resolveToken() (CommitOutcome, error) {
 	}
 	t.r.stats.ResolvedLost++
 	return CommitNotApplied, nil
-}
-
-// Abort discards the transaction. Best-effort: if the connection is gone
-// the server has already aborted it.
-func (t *RTx) Abort() {
-	if t.lost || t.r.c == nil {
-		return
-	}
-	if err := t.r.c.Abort(t.id); transport(err) {
-		t.r.drop()
-	}
 }

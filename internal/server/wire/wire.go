@@ -38,7 +38,7 @@
 // resolves against the dedup table: OK if the commit was applied (it is
 // NOT applied again), StatusNotCommitted if it never was. A Begin reusing
 // a committed token is refused with StatusAlreadyCommitted. Dedup entries
-// live for the server's configured TTL (bounded table; see DESIGN.md §14):
+// live for the server's configured TTL (bounded table; see DESIGN.md §12):
 // a token older than the TTL may resolve StatusNotCommitted even though
 // the commit applied, so clients resolve promptly or re-read.
 //

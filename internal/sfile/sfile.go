@@ -208,15 +208,6 @@ func (m *Manager) freeExtent(off int64) {
 	m.live.Add(-ExtentBytes)
 }
 
-// AllocatedBytes returns the high-water mark of device space handed out.
-// It is an alias for HighWaterBytes, kept for older callers; use LiveBytes
-// for current usage.
-func (m *Manager) AllocatedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.frontier
-}
-
 // FreeExtents returns the number of recyclable extents.
 func (m *Manager) FreeExtents() int {
 	m.mu.Lock()

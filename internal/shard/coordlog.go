@@ -12,7 +12,7 @@ import (
 )
 
 // coordLog is the router's two-phase-commit coordinator log (DESIGN.md
-// §15): the durable record of every COMMIT decision for a multi-shard
+// §12): the durable record of every COMMIT decision for a multi-shard
 // commit group, on its own device, independent of every shard. The
 // protocol is presumed abort, so the log is small and write-once-per-group:
 //

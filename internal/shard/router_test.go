@@ -204,13 +204,12 @@ func TestSnapshotVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Commit()
-	ts := tx.Timestamps()
-	if len(ts) != 3 {
-		t.Fatalf("snapshot vector has %d entries, want 3", len(ts))
+	if len(tx.txs) != 3 {
+		t.Fatalf("snapshot vector has %d entries, want 3", len(tx.txs))
 	}
-	for i, id := range ts {
-		if id == 0 {
-			t.Fatalf("shard %d begin timestamp is zero", i)
+	for i, leg := range tx.txs {
+		if leg == nil || leg.ID == 0 {
+			t.Fatalf("shard %d has no begin timestamp", i)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // errors the engine already surfaces (storage.ErrIOFault storms,
 // storage.ErrCorruptPage, failed WAL flushes), automatic restart of a
 // failed shard through WAL crash recovery on its own goroutine, and a
-// circuit breaker bounding restart churn (DESIGN.md §14).
+// circuit breaker bounding restart churn (DESIGN.md §12).
 //
 // The supervisor never blocks the router's data path: health observation
 // is a handful of atomics on the existing error-return path, and the only

@@ -85,19 +85,6 @@ func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 // Begin is BeginCtx with a background context.
 func (r *Router) Begin() (*Tx, error) { return r.BeginCtx(context.Background()) }
 
-// Timestamps returns the snapshot vector: shard i's begin timestamp (its
-// per-shard transaction id; 0 for a shard that was unavailable at Begin).
-// Diagnostic; the ids are only meaningful within their own shard's engine.
-func (t *Tx) Timestamps() []txn.TxID {
-	out := make([]txn.TxID, len(t.txs))
-	for i, tx := range t.txs {
-		if tx != nil {
-			out[i] = tx.ID
-		}
-	}
-	return out
-}
-
 // leg admits one operation on shard i's leg: the shard must have
 // contributed a leg at Begin, and its engine must still be the same
 // incarnation (a restarted shard invalidates the leg). On success the
@@ -276,7 +263,7 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 // Shards the transaction never wrote finish as read-only commits (no log
 // record, no flush). A single written shard commits through its engine's
 // ordinary durable path. Several written shards commit ATOMICALLY through
-// presumed-abort two-phase commit (commit2PC, DESIGN.md §15) under a
+// presumed-abort two-phase commit (commit2PC, DESIGN.md §12) under a
 // shared hold of the epoch barrier, so every snapshot observes the group
 // both-or-neither and no crash can leave it half-applied.
 //

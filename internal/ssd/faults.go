@@ -113,15 +113,6 @@ type FaultCounters struct {
 	Injected [NumFaultKinds]int64
 }
 
-// Total sums the per-kind counters.
-func (c FaultCounters) Total() int64 {
-	var t int64
-	for _, n := range c.Injected {
-		t += n
-	}
-	return t
-}
-
 func (c FaultCounters) String() string {
 	return fmt.Sprintf("read-err=%d write-err=%d torn-write=%d bit-flip=%d no-space=%d",
 		c.Injected[FaultReadErr], c.Injected[FaultWriteErr],

@@ -186,9 +186,6 @@ func NewWithSpec(clock *simclock.Clock, spec DeviceSpec) *Device {
 	return d
 }
 
-// Clock returns the virtual clock the device charges.
-func (d *Device) Clock() *simclock.Clock { return d.clock }
-
 // ReadAt reads len(p) bytes at byte offset off. Unwritten regions read as
 // zeros (like a trimmed SSD). An armed read-error fault fails the read with
 // an error wrapping storage.ErrIOFault (the latency is still charged — a
@@ -265,17 +262,17 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 		lat = latency(d.prof.WriteRand8, d.prof.WriteRand64, len(p))
 		d.stats.RandWrites++
 	}
-	var ioErr error
 	switch d.spec.Mode {
 	case ModeZNS:
-		lat, ioErr = d.znsWrite(off, len(p), lat)
+		lat = d.znsWrite(off, len(p))
 	case ModeCloud:
 		lat = d.cloudCharge(lat)
 	}
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(len(p))
 	d.stats.WriteTime += lat
-	if f := d.matchFault(OpWrite, off, len(p)); ioErr == nil && f != nil {
+	var ioErr error
+	if f := d.matchFault(OpWrite, off, len(p)); f != nil {
 		if f.rule.Kind == FaultTornWrite {
 			n := f.rule.TornSectors * SectorSize
 			if n > len(p) {

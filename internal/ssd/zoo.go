@@ -30,10 +30,7 @@ package ssd
 // A DeviceSpec is a pure value (scalars only), so it can ride inside
 // db.Config under the Config copy contract and template N shard engines.
 
-import (
-	"errors"
-	"time"
-)
+import "time"
 
 // Mode selects a device's write-path semantics beyond the latency profile.
 type Mode uint8
@@ -47,8 +44,8 @@ const (
 	// ModeZNS is an append-only zoned device: each ZoneBytes-sized zone has
 	// a write pointer, writes at the pointer append, writes below it are
 	// in-place overwrites the media rejects — absorbed by the built-in
-	// translation shim (counted + charged) unless ZNSStrict surfaces them
-	// as ErrZoneOverwrite. Discarding a whole zone resets its pointer.
+	// translation shim (counted + charged). Discarding a whole zone resets
+	// its pointer.
 	ModeZNS
 	// ModeCloud is network-attached block storage: PerOpOverhead is added
 	// to every I/O and a token bucket throttles sustained IOPS to BaseIOPS
@@ -68,11 +65,6 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// ErrZoneOverwrite is returned by a strict ZNS device for a write that is
-// not positioned at its zone's write pointer. The latency of the rejected
-// I/O is still charged — a bounced command is not a free command.
-var ErrZoneOverwrite = errors.New("ssd: zns: write not at zone write pointer")
-
 // DeviceSpec names one zoo device: a latency profile plus mode parameters.
 //
 // COPY CONTRACT: DeviceSpec is a pure value type (scalars and structs of
@@ -90,9 +82,6 @@ type DeviceSpec struct {
 
 	// ZoneBytes sizes ZNS zones (default 4 MiB). ModeZNS only.
 	ZoneBytes int64
-	// ZNSStrict rejects in-place overwrites with ErrZoneOverwrite instead
-	// of absorbing them in the translation shim. ModeZNS only.
-	ZNSStrict bool
 
 	// BaseIOPS is the sustained token refill rate (default 4000) and
 	// BurstOps the bucket capacity in ops (default 8000). ModeCloud only.
@@ -224,15 +213,13 @@ func SpecByName(name string) (DeviceSpec, bool) {
 
 // ZNSStats counts zoned-device activity. Appends are writes that landed on
 // a zone write pointer; Redirects are in-place overwrites the translation
-// shim absorbed (each also charged one mapping-block append); Rejects are
-// overwrites a strict device bounced with ErrZoneOverwrite; Resets counts
+// shim absorbed (each also charged one mapping-block append); Resets counts
 // zones whose write pointer a whole-zone discard rewound.
 type ZNSStats struct {
 	Appends       int64
 	AppendBytes   int64
 	Redirects     int64
 	RedirectBytes int64
-	Rejects       int64
 	Resets        int64
 }
 
@@ -265,8 +252,7 @@ func (d *Device) CloudCounters() CloudStats {
 }
 
 // znsWrite applies zoned-device semantics to a write of n bytes at off,
-// returning the adjusted latency charge and ErrZoneOverwrite for a strict
-// rejection. Called with d.mu held.
+// returning its latency charge. Called with d.mu held.
 //
 // A write at (or beyond) the zone's write pointer is an append: it charges
 // the sequential-write latency regardless of global LBA adjacency (the
@@ -277,7 +263,7 @@ func (d *Device) CloudCounters() CloudStats {
 // block. Writes that cross a zone boundary are accounted to the zone of
 // their first byte (zones are orders of magnitude larger than any single
 // engine I/O).
-func (d *Device) znsWrite(off int64, n int, lat time.Duration) (time.Duration, error) {
+func (d *Device) znsWrite(off int64, n int) time.Duration {
 	zone := off / d.spec.ZoneBytes
 	wp, ok := d.zoneWP[zone]
 	if !ok {
@@ -290,11 +276,7 @@ func (d *Device) znsWrite(off int64, n int, lat time.Duration) (time.Duration, e
 		d.zoneWP[zone] = off + int64(n)
 		d.zns.Appends++
 		d.zns.AppendBytes += int64(n)
-		return latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, n), nil
-	}
-	if d.spec.ZNSStrict {
-		d.zns.Rejects++
-		return lat, ErrZoneOverwrite
+		return latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, n)
 	}
 	d.zns.Redirects++
 	d.zns.RedirectBytes += int64(n)
@@ -302,7 +284,7 @@ func (d *Device) znsWrite(off int64, n int, lat time.Duration) (time.Duration, e
 	// zone; the stale copy under the old offset becomes zone garbage a
 	// future reset reclaims.
 	return latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, n) +
-		latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, storeBlock), nil
+		latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, storeBlock)
 }
 
 // cloudCharge applies the network overhead and the IOPS token bucket to

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -102,34 +101,13 @@ func TestZNSShimAppendRedirectReset(t *testing.T) {
 	if z := d.ZNSCounters(); z.Resets != 1 {
 		t.Fatalf("partial discard reset a zone: %+v", z)
 	}
-}
 
-func TestZNSStrictRejectsOverwrite(t *testing.T) {
-	spec := ZNSAppend
-	spec.ZNSStrict = true
-	d := NewWithSpec(simclock.New(), spec)
-	buf := bytes.Repeat([]byte{0x11}, 4096)
-	if err := d.WriteAt(buf, 0); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	err := d.WriteAt(bytes.Repeat([]byte{0x22}, 4096), 0)
-	if !errors.Is(err, ErrZoneOverwrite) {
-		t.Fatalf("in-place overwrite: err = %v, want ErrZoneOverwrite", err)
-	}
-	if z := d.ZNSCounters(); z.Rejects != 1 {
-		t.Fatalf("counters after reject: %+v", z)
-	}
-	// The rejected write must not have persisted.
-	got := make([]byte, 4096)
-	if err := d.ReadAt(got, 0); err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	if !bytes.Equal(got, buf) {
-		t.Fatal("rejected overwrite mutated the media")
-	}
-	// Writes in different zones are independent appends.
-	if err := d.WriteAt(buf, spec.ZoneBytes); err != nil {
+	// Zones are independent: the first write into the next zone is an append.
+	if err := d.WriteAt(buf, zb); err != nil {
 		t.Fatalf("append in second zone: %v", err)
+	}
+	if z := d.ZNSCounters(); z.Appends != 4 || z.Redirects != 1 {
+		t.Fatalf("after second-zone append: %+v", z)
 	}
 }
 

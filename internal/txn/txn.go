@@ -305,8 +305,3 @@ func (m *Manager) ActiveCount() int {
 	defer m.mu.Unlock()
 	return len(m.active)
 }
-
-// NextID returns the id the next transaction will receive.
-func (m *Manager) NextID() TxID {
-	return TxID(m.next.Load())
-}

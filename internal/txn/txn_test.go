@@ -187,8 +187,8 @@ func TestConcurrentBeginCommit(t *testing.T) {
 	if m.ActiveCount() != 0 {
 		t.Fatalf("leaked active txs: %d", m.ActiveCount())
 	}
-	if m.NextID() != 4001 {
-		t.Fatalf("ids not dense: next=%d", m.NextID())
+	if next := m.next.Load(); next != 4001 {
+		t.Fatalf("ids not dense: next=%d", next)
 	}
 }
 

@@ -30,17 +30,6 @@ func DecodeUint32(src []byte) uint32 {
 	return binary.BigEndian.Uint32(src)
 }
 
-// EncodeInt64 appends an order-preserving encoding of a signed value: the
-// sign bit is flipped so negative values sort before positive ones.
-func EncodeInt64(dst []byte, v int64) []byte {
-	return EncodeUint64(dst, uint64(v)^(1<<63))
-}
-
-// DecodeInt64 reads a value encoded by EncodeInt64.
-func DecodeInt64(src []byte) int64 {
-	return int64(DecodeUint64(src) ^ (1 << 63))
-}
-
 // PutUvarint appends v as a varint to dst.
 func PutUvarint(dst []byte, v uint64) []byte {
 	var b [binary.MaxVarintLen64]byte

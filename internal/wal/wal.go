@@ -57,7 +57,7 @@ const (
 	OpCkptBegin
 	OpCkptRow
 	OpCkptEnd
-	// Two-phase-commit records (presumed abort, see DESIGN.md §15).
+	// Two-phase-commit records (presumed abort, see DESIGN.md §12).
 	// OpPrepare marks the transaction PREPARED: its row operations are
 	// durable but the commit decision belongs to a cross-shard coordinator
 	// (Key carries the commit-group id, see GroupKey). A prepared
@@ -136,9 +136,6 @@ func frame(dst, body []byte) []byte {
 	dst = append(dst, body...)
 	return util.EncodeUint64(dst, checksum(body))
 }
-
-// encode renders one framed record.
-func encode(dst []byte, r *Record) []byte { return frame(dst, encodeBody(nil, r)) }
 
 func checksum(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211

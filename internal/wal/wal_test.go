@@ -12,6 +12,9 @@ import (
 	"mvpbt/internal/storage"
 )
 
+// encode renders one framed record, the way Writer.Append lays it out.
+func encode(dst []byte, r *Record) []byte { return frame(dst, encodeBody(nil, r)) }
+
 func mustReader(t *testing.T, f *sfile.File) *Reader {
 	t.Helper()
 	img := readImage(f)

@@ -78,14 +78,6 @@ func (b *Bench) Q6RevenueFilter(tx *txn.Tx) (QueryResult, error) {
 	return res, err
 }
 
-// CountOrderLines is the paper's Figure 2 COUNT(*) shape: over MV-PBT it
-// runs index-only, never touching the base table.
-func (b *Bench) CountOrderLines(tx *txn.Tx) (int, error) {
-	lo, hi := fullRange()
-	tbl := b.OrderLineTable()
-	return tbl.Count(tx, tbl.Indexes()[0], lo, hi)
-}
-
 // StockBelowThreshold scans all stock rows counting low inventory.
 func (b *Bench) StockBelowThreshold(tx *txn.Tx, threshold uint32) (QueryResult, error) {
 	lo, hi := fullRange()
@@ -126,29 +118,4 @@ func (b *Bench) AnalyticalQuery(tx *txn.Tx, i int) (QueryResult, error) {
 	default:
 		return b.CustomerBalanceAggregate(tx)
 	}
-}
-
-// MixedRun interleaves the paper's pg_sleep construction (§5, Figure
-// 12b): take a snapshot, run `sleepTxns` OLTP transactions while it stays
-// open (building transient versions), then execute one analytical query
-// under the old snapshot. It returns the number of OLTP transactions and
-// analytical queries completed.
-func (b *Bench) MixedRun(rounds, sleepTxns int) (oltp int, olap int, err error) {
-	for round := 0; round < rounds; round++ {
-		snap := b.Engine().Begin()
-		for i := 0; i < sleepTxns; i++ {
-			if err := b.Tx(); err != nil {
-				b.Engine().Abort(snap)
-				return oltp, olap, err
-			}
-			oltp++
-		}
-		if _, err := b.AnalyticalQuery(snap, round); err != nil {
-			b.Engine().Abort(snap)
-			return oltp, olap, err
-		}
-		olap++
-		b.Engine().Commit(snap)
-	}
-	return oltp, olap, nil
 }

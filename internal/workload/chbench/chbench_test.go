@@ -23,17 +23,6 @@ func build(t *testing.T, idx db.IndexKind) *Bench {
 	return b
 }
 
-func TestMixedRunCompletes(t *testing.T) {
-	b := build(t, db.IdxMVPBT)
-	oltp, olap, err := b.MixedRun(4, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oltp != 160 || olap != 4 {
-		t.Fatalf("oltp=%d olap=%d", oltp, olap)
-	}
-}
-
 func TestQueriesConsistentAcrossEngines(t *testing.T) {
 	// Same seeded history on MV-PBT and B-Tree engines must produce
 	// identical analytical answers.
@@ -90,28 +79,5 @@ func TestSnapshotStableDuringOLTP(t *testing.T) {
 	b.Engine().Commit(fresh)
 	if now.Rows <= before.Rows {
 		t.Fatalf("fresh snapshot should see new order lines: %d <= %d", now.Rows, before.Rows)
-	}
-}
-
-func TestCountOrderLinesMatchesAggregate(t *testing.T) {
-	b := build(t, db.IdxMVPBT)
-	if err := b.Run(150); err != nil {
-		t.Fatal(err)
-	}
-	tx := b.Engine().Begin()
-	defer b.Engine().Commit(tx)
-	n, err := b.CountOrderLines(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := b.Q1OrderLineAggregate(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != agg.Rows {
-		t.Fatalf("count=%d aggregate rows=%d", n, agg.Rows)
-	}
-	if n == 0 {
-		t.Fatal("no order lines after 150 transactions")
 	}
 }

@@ -66,16 +66,6 @@ func (k Kind) String() string {
 // Kinds returns all scenarios in canonical order.
 func Kinds() []Kind { return []Kind{HotKeyStorm, Sawtooth, SnapshotPin, TenantSkew} }
 
-// KindByName resolves a scenario by its String name.
-func KindByName(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Config parameterizes one scenario run.
 type Config struct {
 	// Device is the zoo device to run on (zero = enterprise-nvme).

@@ -123,7 +123,6 @@ func (b *Bench) Engine() *db.Engine { return b.eng }
 func (b *Bench) OrderLineTable() *db.Table { return b.orderline }
 func (b *Bench) StockTable() *db.Table     { return b.stock }
 func (b *Bench) CustomerTable() *db.Table  { return b.customer }
-func (b *Bench) OrdersTable() *db.Table    { return b.orders }
 func (b *Bench) DistrictTable() *db.Table  { return b.district }
 
 // AllTables returns every table of the schema.
@@ -131,9 +130,6 @@ func (b *Bench) AllTables() []*db.Table {
 	return []*db.Table{b.warehouse, b.district, b.customer, b.orders,
 		b.neworder, b.orderline, b.item, b.stock, b.history}
 }
-
-// Config returns the effective configuration.
-func (b *Bench) Config() Config { return b.cfg }
 
 // lastNames per the TPC-C syllable table.
 var syllables = []string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}

@@ -119,16 +119,7 @@ func CustomerKey(w, d, c uint32) []byte {
 	return util.EncodeUint32(k, c)
 }
 
-// CustomerNameKey is the (w, d, last, c) secondary key.
-func CustomerNameKey(w, d uint32, last string, c uint32) []byte {
-	k := util.EncodeUint32(nil, w)
-	k = util.EncodeUint32(k, d)
-	k = append(k, last...)
-	k = append(k, 0)
-	return util.EncodeUint32(k, c)
-}
-
-// CustomerNameExtract derives the secondary key from a row.
+// CustomerNameExtract derives the (w, d, last, 0, c) secondary key from a row.
 func CustomerNameExtract(row []byte) []byte {
 	ll := int(row[32])
 	k := make([]byte, 0, 13+ll)

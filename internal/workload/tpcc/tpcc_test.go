@@ -218,9 +218,9 @@ func TestLastNames(t *testing.T) {
 func TestKeyExtractorsMatchBuilders(t *testing.T) {
 	c := Customer{W: 1, D: 2, C: 3, Last: "ABLEPRIESE"}
 	row := c.Encode()
-	want := CustomerNameKey(1, 2, "ABLEPRIESE", 3)
-	if string(CustomerNameExtract(row)) != string(want) {
-		t.Fatal("customer name extractor diverges from key builder")
+	want := "\x00\x00\x00\x01\x00\x00\x00\x02ABLEPRIESE\x00\x00\x00\x00\x03"
+	if string(CustomerNameExtract(row)) != want {
+		t.Fatal("customer name extractor diverges from the (w, d, last, 0, c) key")
 	}
 	o := Order{W: 1, D: 2, O: 9, C: 5}
 	if string(OrderCustomerExtract(o.Encode())) != string(OrderCustomerKey(1, 2, 5, 9)) {

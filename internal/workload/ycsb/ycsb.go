@@ -7,7 +7,6 @@ package ycsb
 
 import (
 	"fmt"
-	"sync"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/util"
@@ -61,9 +60,7 @@ type Runner struct {
 	zipf     *util.ScrambledZipfian
 	latest   *util.Latest
 	inserted uint64
-	// insertStep spaces insert keys for parallel workers (0/1 = dense).
-	insertStep uint64
-	val        []byte
+	val      []byte
 	// Ops counts executed operations by kind.
 	Reads, Updates, Inserts, Scans int64
 }
@@ -120,11 +117,7 @@ func (y *Runner) update(key []byte) error {
 
 func (y *Runner) insert() error {
 	k := Key(y.inserted)
-	step := y.insertStep
-	if step == 0 {
-		step = 1
-	}
-	y.inserted += step
+	y.inserted++
 	if y.latest != nil {
 		y.latest.SetMax(y.inserted)
 	}
@@ -175,62 +168,4 @@ func (y *Runner) Run(w Workload, n int) error {
 		}
 	}
 	return nil
-}
-
-// RunParallel executes n total operations of workload w across `workers`
-// goroutines, each with its own request-distribution state (the engines
-// are safe for concurrent use). Inserts partition the key frontier so
-// workers never collide on new keys. Per-kind operation counts accumulate
-// into the parent runner.
-func (y *Runner) RunParallel(w Workload, n, workers int) error {
-	if workers <= 1 {
-		return y.Run(w, n)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	subs := make([]*Runner, workers)
-	for i := 0; i < workers; i++ {
-		sub := &Runner{
-			kv:   y.kv,
-			cfg:  y.cfg,
-			r:    util.NewRand(y.cfg.Seed + uint64(i)*7919),
-			val:  make([]byte, y.cfg.ValueLen),
-			zipf: util.NewScrambledZipfian(util.NewRand(y.cfg.Seed+uint64(i)*104729), uint64(y.cfg.Records)),
-		}
-		// Disjoint insert frontiers: worker i appends keys at
-		// inserted + i, stepping by the worker count.
-		sub.inserted = y.inserted + uint64(i)
-		sub.insertStep = uint64(workers)
-		sub.latest = util.NewLatest(util.NewRand(y.cfg.Seed+3+uint64(i)), maxU64(y.inserted, 1))
-		subs[i] = sub
-		wg.Add(1)
-		go func(sub *Runner, ops int) {
-			defer wg.Done()
-			if err := sub.Run(w, ops); err != nil {
-				errs <- err
-			}
-		}(sub, n/workers)
-	}
-	wg.Wait()
-	close(errs)
-	for _, sub := range subs {
-		y.Reads += sub.Reads
-		y.Updates += sub.Updates
-		y.Inserts += sub.Inserts
-		y.Scans += sub.Scans
-		if sub.inserted > y.inserted {
-			y.inserted = sub.inserted
-		}
-	}
-	if y.latest != nil {
-		y.latest.SetMax(y.inserted)
-	}
-	return <-errs
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

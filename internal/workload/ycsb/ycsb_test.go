@@ -88,45 +88,3 @@ func TestKeyStableAndUnique(t *testing.T) {
 		t.Fatal("keys not deterministic")
 	}
 }
-
-func TestRunParallel(t *testing.T) {
-	for name, kv := range kvs(t) {
-		t.Run(name, func(t *testing.T) {
-			y := NewRunner(kv, Config{Records: 400, ValueLen: 32, Seed: 12})
-			if err := y.Load(); err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []Workload{WorkloadA, WorkloadD, WorkloadE} {
-				if err := y.RunParallel(w, 1200, 4); err != nil {
-					t.Fatalf("workload %c: %v", w, err)
-				}
-			}
-			if y.Reads == 0 || y.Updates == 0 || y.Inserts == 0 || y.Scans == 0 {
-				t.Fatalf("parallel op mix incomplete: %+v", y)
-			}
-			// The store survived concurrent traffic: full scan works and the
-			// original keys are still present.
-			n := 0
-			if err := kv.Scan([]byte("user"), 1<<30, func(k, v []byte) bool { n++; return true }); err != nil {
-				t.Fatal(err)
-			}
-			if n < 400 {
-				t.Fatalf("dataset shrank under parallel load: %d", n)
-			}
-		})
-	}
-}
-
-func TestRunParallelSingleWorkerFallsBack(t *testing.T) {
-	kv := kvs(t)["lsm"]
-	y := NewRunner(kv, Config{Records: 100, ValueLen: 16, Seed: 2})
-	if err := y.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := y.RunParallel(WorkloadB, 200, 1); err != nil {
-		t.Fatal(err)
-	}
-	if y.Reads+y.Updates != 200 {
-		t.Fatalf("ops=%d want 200", y.Reads+y.Updates)
-	}
-}
