@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race loc traffic bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -33,6 +33,20 @@ loc:
 traffic:
 	sh traffic.sh
 
+# The folds stay folded (ROADMAP item 7), the way traffic keeps dead code
+# out. A page is checked — stamped, verified, retried — by the buffer pool
+# and nowhere around it: outside internal/buffer, the packages that define
+# the three calls (internal/page, internal/storage) and internal/wal/log.go
+# (the log's superblock and sector writes keep their own retry), no non-test
+# file calls them. And the names the folds deleted stay deleted.
+seams:
+	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
+		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: checked page I/O outside internal/buffer:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'RecoverAll|NoteRead|ReadRun\(|DumpEntry' --include='*.go' .); \
+	if [ -n "$$bad" ]; then echo "seams: a folded name is back:"; echo "$$bad"; exit 1; fi
+	@echo "seams: ok"
+
 # Gates that compare wall-clock measurements between two runs: the net
 # experiment's shard speedup and admission p99. They need a quiet box and
 # fail deterministically under -race, so `go test ./...` skips them; the
@@ -40,11 +54,13 @@ traffic:
 bench-gates:
 	go test ./internal/bench/ -run 'WallClockGates' -count 1 -bench-gates
 
-# Ten-second fuzz smoke over the wire frame decoder — the first code that
-# touches untrusted network bytes. The full fuzzer runs with -fuzztime
+# Ten-second fuzz smokes over the wire decoders — the first code that
+# touches untrusted network bytes: the frame decoder on both sides, the Scan
+# reply's pair decoder on the client's. The full fuzzer runs with -fuzztime
 # raised; crashers land in internal/server/wire/testdata/fuzz/.
 fuzz-wire:
 	go test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/server/wire/
+	go test -fuzz=FuzzTakePairs -fuzztime=10s ./internal/server/wire/
 
 # The same for the two decoders that read log bytes off a device: WAL
 # records (every op, incl. prepare/decide/forget) and the wal.Log

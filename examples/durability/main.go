@@ -56,7 +56,7 @@ func main() {
 
 	// Recovery: rebuild the schema, replay the log.
 	eng2, ledger2, pk2 := newEngine()
-	applied, err := eng2.Recover(img, map[string]*mvpbt.Table{"ledger": ledger2})
+	applied, err := eng2.Recover(img)
 	if err != nil {
 		panic(err)
 	}

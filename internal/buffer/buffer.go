@@ -213,7 +213,7 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 	fr.pin = 1
 	n := p.readRun(f, pageNo, run, fr)
 	if n == 0 {
-		if err := p.readPageChecked(f, pageNo, fr.data); err != nil {
+		if err := p.ReadPages(f, pageNo, [][]byte{fr.data}); err != nil {
 			fr.pin = 0
 			sh.mu.Unlock()
 			return nil, err
@@ -227,7 +227,8 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 	return fr, nil
 }
 
-// install enters a frame holding a verified, clean page in its shard's table.
+// install enters a frame holding a clean page — verified, or new and about
+// to be marked dirty — in its shard's table.
 func (fr *Frame) install(f *sfile.File, pid storage.PageID) {
 	fr.pid, fr.file = pid, f
 	fr.use, fr.dirty = 1, false
@@ -289,27 +290,32 @@ func (p *Pool) readRun(f *sfile.File, pageNo uint64, run int, first *Frame) int 
 		return n
 	}
 	if n > 1 {
-		p.NoteRead(1, false, false) // the fetch of pageNo alone that follows is the retry
+		p.readRetries.Add(1) // the fetch of pageNo alone that follows is the retry
 	}
 	return 0
 }
 
-// readPageChecked reads a page with bounded retries (storage.Retry: I/O
-// faults are transient, freed-page references fail immediately) and verifies
-// its checksum.
-func (p *Pool) readPageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
+// ReadPages is the one checked read, for the frames and around them (a
+// sequential reader of immutable pages, see part.Reader): the len(bufs)
+// pages of f from pageNo on, which lie in one extent, with one device read a
+// try, each page verified against its checksum. Tries are bounded
+// (storage.Retry: I/O faults are transient, freed-page references fail
+// immediately), and the outcome lands in IOStats.
+func (p *Pool) ReadPages(f *sfile.File, pageNo uint64, bufs [][]byte) error {
 	retries, err := storage.Retry(func() error {
-		if err := f.ReadPage(pageNo, buf); err != nil {
+		if err := f.ReadPages(pageNo, bufs); err != nil {
 			return err
 		}
-		if page.VerifyChecksum(buf) {
-			return nil
+		for i, buf := range bufs {
+			if !page.VerifyChecksum(buf) {
+				// A checksum mismatch is media rot, not a transient transfer
+				// failure: re-reading returns the same rotted bytes. Surface it
+				// immediately so the caller can quarantine the page.
+				p.checksumFails.Add(1)
+				return fmt.Errorf("buffer: page %d of %q: %w", pageNo+uint64(i), f.Name(), storage.ErrCorruptPage)
+			}
 		}
-		// A checksum mismatch is media rot, not a transient transfer
-		// failure: re-reading returns the same rotted bytes. Surface it
-		// immediately so the caller can quarantine the page.
-		p.checksumFails.Add(1)
-		return fmt.Errorf("buffer: page %d of %q: %w", pageNo, f.Name(), storage.ErrCorruptPage)
+		return nil
 	})
 	p.readRetries.Add(int64(retries))
 	if err != nil {
@@ -318,22 +324,11 @@ func (p *Pool) readPageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
 	return err
 }
 
-// NoteRead adds the outcome of one checked read made around the frames (a
-// sequential reader of immutable pages, see part.Reader) to the counters
-// readPageChecked keeps: the retries it took, whether it failed in the end,
-// and whether a page failed its checksum.
-func (p *Pool) NoteRead(retries int, failed, corrupt bool) {
-	p.readRetries.Add(int64(retries))
-	if failed {
-		p.readFailures.Add(1)
-	}
-	if corrupt {
-		p.checksumFails.Add(1)
-	}
-}
-
-// writePageChecked stamps the page checksum and writes with bounded retries.
-func (p *Pool) writePageChecked(f *sfile.File, pageNo uint64, buf []byte) error {
+// WritePage is the one checked write, for the frames and around them (a
+// partition under construction, see part.Builder): buf gets its checksum
+// stamped and goes to page pageNo of f with bounded tries, and the outcome
+// lands in IOStats.
+func (p *Pool) WritePage(f *sfile.File, pageNo uint64, buf []byte) error {
 	page.StampChecksum(buf)
 	retries, err := storage.Retry(func() error { return f.WritePage(pageNo, buf) })
 	p.writeRetries.Add(int64(retries))
@@ -360,13 +355,10 @@ func (p *Pool) NewPage(f *sfile.File) (*Frame, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	fr.pid = pid
-	fr.file = f
 	fr.pin = 1
-	fr.use = 1
-	fr.dirty = true
 	clear(fr.data)
-	sh.table[pid] = fr
+	fr.install(f, pid)
+	fr.dirty = true
 	return fr, pageNo, nil
 }
 
@@ -394,12 +386,9 @@ func (sh *shard) victimLocked(p *Pool) (*Frame, error) {
 			if sweep < n {
 				continue
 			}
-			if err := p.writePageChecked(fr.file, fr.pid.PageNo(), fr.data); err != nil {
-				// Write-back failed even after retries: keep the frame dirty
-				// (the data is still only in memory) and surface the fault.
+			if err := p.writeBack(fr); err != nil {
 				return nil, err
 			}
-			fr.dirty = false
 			p.evictions.Add(1)
 		}
 		if fr.pid.Valid() {
@@ -436,12 +425,18 @@ func (p *Pool) FlushPage(f *sfile.File, pageNo uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if fr, ok := sh.table[pid]; ok && fr.dirty {
-		if err := p.writePageChecked(fr.file, pageNo, fr.data); err != nil {
-			return err
-		}
-		fr.dirty = false
+		return p.writeBack(fr)
 	}
 	return nil
+}
+
+// writeBack writes a dirty frame's page to the device. If that fails even
+// after retries the frame stays dirty — the data is still only in memory —
+// and the fault is surfaced.
+func (p *Pool) writeBack(fr *Frame) error {
+	err := p.WritePage(fr.file, fr.pid.PageNo(), fr.data)
+	fr.dirty = err != nil
+	return err
 }
 
 // FlushAll writes back every dirty page. It keeps going past individual
@@ -453,13 +448,9 @@ func (p *Pool) FlushAll() error {
 	for _, sh := range p.shards {
 		for _, fr := range sh.frames {
 			if fr.pid.Valid() && fr.dirty {
-				if err := p.writePageChecked(fr.file, fr.pid.PageNo(), fr.data); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
+				if err := p.writeBack(fr); err != nil && firstErr == nil {
+					firstErr = err
 				}
-				fr.dirty = false
 			}
 		}
 	}
@@ -484,13 +475,9 @@ func (p *Pool) EvictAll() error {
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].pid < dirty[j].pid })
 	var firstErr error
 	for _, fr := range dirty {
-		if err := p.writePageChecked(fr.file, fr.pid.PageNo(), fr.data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err := p.writeBack(fr); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		fr.dirty = false
 	}
 	for _, sh := range p.shards {
 		for _, fr := range sh.frames {

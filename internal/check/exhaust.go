@@ -223,7 +223,7 @@ func exhaustCell(hk db.HeapKind, seed uint64) (fp ExhaustFingerprint, err error)
 		return fp, fmt.Errorf("recover: rebuild: %w", err)
 	}
 	recovered.Expect, x = x.Expect, recovered
-	if fp.RecoveredTxs, err = x.Eng.Recover(img, map[string]*db.Table{"t": x.Tbl}); err != nil {
+	if fp.RecoveredTxs, err = x.Eng.Recover(img); err != nil {
 		return fp, fmt.Errorf("recover: %w", err)
 	}
 	if err := x.CheckState("recover"); err != nil {

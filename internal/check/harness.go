@@ -641,7 +641,7 @@ func (h *harness) crash(i int) *Violation {
 	if err := h.buildEngine(); err != nil {
 		return h.viol(i, "crash", "rebuild: %v", err)
 	}
-	if _, err := h.eng.Recover(img, map[string]*db.Table{"t": h.tbl}); err != nil {
+	if _, err := h.eng.Recover(img); err != nil {
 		return h.viol(i, "crash", "recover: %v", err)
 	}
 	h.ora.Restart()

@@ -3,7 +3,6 @@ package db
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"mvpbt/internal/wal"
 )
@@ -78,34 +77,22 @@ func (e *Engine) snapshotInto(w *wal.Writer, seq uint64) error {
 		return ErrCheckpointBusy
 	}
 	// The snapshot transaction is synthetic: opened directly on the manager
-	// so no begin/abort records pollute either log generation. Tables stream
-	// in sorted name order and each scan follows primary-key order, so the
+	// so no begin/abort records pollute either log generation. Stores stream
+	// in sorted name order and each follows its primary-key order, so the
 	// snapshot bytes are a deterministic function of the committed state.
 	tx := e.Mgr.Begin()
 	defer e.Mgr.Abort(tx)
 	w.Append(&wal.Record{Op: wal.OpCkptBegin, TxID: seq})
-	tables, kvs := e.stores()
 	var rows uint64
-	for _, t := range tables {
-		err := t.Scan(tx, t.indexes[0], nil, nil, true, func(r RowRef) bool {
-			w.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: t.name, Key: r.Key, Row: r.Row})
+	for _, st := range e.storeList() {
+		name := st.storeName()
+		err := st.snapshot(tx, func(key, row []byte) bool {
+			w.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: name, Key: key, Row: row})
 			rows++
 			return true
 		})
 		if err != nil {
-			return fmt.Errorf("db: checkpoint: snapshotting %q: %w", t.name, err)
-		}
-	}
-	// Durable KV stores stream their visible pairs into the same snapshot,
-	// keyed by the store's name (replay routes CkptRow records to the store).
-	for _, kv := range kvs {
-		err := kv.ScanTx(tx, nil, math.MaxInt, func(k, v []byte) bool {
-			w.Append(&wal.Record{Op: wal.OpCkptRow, TxID: seq, Table: kv.name, Key: k, Row: v})
-			rows++
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("db: checkpoint: snapshotting KV %q: %w", kv.name, err)
+			return fmt.Errorf("db: checkpoint: snapshotting %q: %w", name, err)
 		}
 	}
 	w.Append(&wal.Record{Op: wal.OpCkptEnd, TxID: rows})

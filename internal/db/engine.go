@@ -131,9 +131,8 @@ type Engine struct {
 
 	cfg Config
 
-	tablesMu sync.Mutex
-	tables   map[string]*Table
-	kvs      map[string]*MVPBTKV // durable KV stores (WAL-logged, checkpointed)
+	storesMu sync.Mutex
+	stores   map[string]store // every table, and the KV stores of an engine with a log
 
 	// Space governor state (see governor.go).
 	readOnly       atomic.Bool
@@ -162,8 +161,7 @@ func NewEngine(cfg Config) *Engine {
 		Mgr:     txn.NewManager(),
 		PBuf:    part.NewPartitionBuffer(cfg.PartitionBufferBytes),
 		cfg:     cfg,
-		tables:  map[string]*Table{},
-		kvs:     map[string]*MVPBTKV{},
+		stores:  map[string]store{},
 		inDoubt: map[txn.TxID]*preparedTx{},
 	}
 	if cfg.EnableWAL {
@@ -179,38 +177,47 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// registerKV records a durable KV store for WAL recovery and checkpoint
-// snapshots. Names share a namespace with tables: a WAL row record's Table
-// field must resolve to exactly one replay target.
-func (e *Engine) registerKV(kv *MVPBTKV) error {
-	e.tablesMu.Lock()
-	defer e.tablesMu.Unlock()
-	if _, dup := e.kvs[kv.name]; dup {
-		return fmt.Errorf("db: duplicate durable KV %q", kv.name)
+// store is what a table or a durable KV store owes the engine that logs,
+// checkpoints, recovers and reclaims it. Names are one namespace: a log
+// record's Table field must resolve to exactly one store.
+type store interface {
+	storeName() string
+	// replay applies one logged row operation or checkpoint row (OpInsert,
+	// OpUpdate, OpDelete, OpCkptRow) inside tx through the store's ordinary
+	// write path. Replay deliberately re-logs: the recovered engine ends up
+	// with a fresh, self-contained log of the recovered state, so recovery
+	// can itself be recovered from.
+	replay(tx *txn.Tx, rec wal.Record) error
+	// snapshot streams the rows visible to tx in primary-key order, while
+	// emit returns true; key and row are good until it returns.
+	snapshot(tx *txn.Tx, emit func(key, row []byte) bool) error
+	// reclaim is the store's share of a reclamation pass (reclaimSpace).
+	reclaim() error
+}
+
+// register enters s under its name, which no other store of the engine may
+// have taken.
+func (e *Engine) register(s store) error {
+	e.storesMu.Lock()
+	defer e.storesMu.Unlock()
+	if _, dup := e.stores[s.storeName()]; dup {
+		return fmt.Errorf("db: duplicate store name %q (tables and durable KV stores share one namespace)", s.storeName())
 	}
-	if _, dup := e.tables[kv.name]; dup {
-		return fmt.Errorf("db: durable KV %q collides with a table of that name", kv.name)
-	}
-	e.kvs[kv.name] = kv
+	e.stores[s.storeName()] = s
 	return nil
 }
 
-// stores lists the engine's tables and durable KV stores, each in name
-// order (checkpoint snapshots must be a deterministic function of the state).
-func (e *Engine) stores() ([]*Table, []*MVPBTKV) {
-	e.tablesMu.Lock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
+// storeList lists the engine's stores in name order (checkpoint snapshots
+// must be a deterministic function of the state).
+func (e *Engine) storeList() []store {
+	e.storesMu.Lock()
+	out := make([]store, 0, len(e.stores))
+	for _, s := range e.stores {
+		out = append(out, s)
 	}
-	kvs := make([]*MVPBTKV, 0, len(e.kvs))
-	for _, kv := range e.kvs {
-		kvs = append(kvs, kv)
-	}
-	e.tablesMu.Unlock()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].name < tables[j].name })
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].name < kvs[j].name })
-	return tables, kvs
+	e.storesMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].storeName() < out[j].storeName() })
+	return out
 }
 
 // AddCloser registers fn to run during Close. Closers run in registration

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mvpbt/internal/index/mvpbt"
 	"mvpbt/internal/storage"
 )
 
@@ -174,34 +175,24 @@ func (e *Engine) reclaimSpace() error {
 	if e.log != nil {
 		e.checkpointFlight(1) // a generation nothing was appended to has nothing to free
 	}
-	tables, kvs := e.stores()
-	var first error
-	for _, kv := range kvs {
-		kv.tree.SweepPN()
-		if kv.tree.NeedsMerge() {
-			if err := kv.tree.MergePartitions(); err != nil && first == nil {
-				first = fmt.Errorf("db: reclaim: merging KV %s: %w", kv.name, err)
-			}
-		}
-	}
-	for _, t := range tables {
-		for _, ix := range t.indexes {
-			if ix.mv == nil {
-				continue
-			}
-			ix.mv.SweepPN()
-			if ix.mv.NeedsMerge() {
-				if err := ix.mv.MergePartitions(); err != nil && first == nil {
-					first = fmt.Errorf("db: reclaim: merging %s.%s: %w", t.name, ix.Def.Name, err)
-				}
-			}
-		}
-		if _, err := t.Vacuum(); err != nil && first == nil {
-			first = fmt.Errorf("db: reclaim: vacuuming %s: %w", t.name, err)
-		}
+	var errs error
+	for _, st := range e.storeList() {
+		errs = errors.Join(errs, st.reclaim())
 	}
 	e.evalSpace(e.FM.LiveBytes())
-	return first
+	return errs
+}
+
+// reclaimTree is one MV-PBT's share of a reclamation pass: garbage in P_N is
+// swept and a due partition merge runs.
+func reclaimTree(t *mvpbt.Tree, name string) error {
+	t.SweepPN()
+	if t.NeedsMerge() {
+		if err := t.MergePartitions(); err != nil {
+			return fmt.Errorf("db: reclaim: merging %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // writeGate is the fast-path admission check at the head of every row

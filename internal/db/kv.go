@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"mvpbt/internal/index"
@@ -177,8 +178,8 @@ type MVPBTKVOptions struct {
 // On an engine with Config.EnableWAL the store is durable: every Put/Delete
 // is logged, so KV commits go through the engine's durable commit pipeline
 // — per-commit flushes or group commit — exactly like table row operations,
-// RecoverAll can replay the store, and checkpoints stream its visible pairs
-// into the snapshot generation alongside table rows. name must then be
+// Recover replays the store, and checkpoints stream its visible pairs into
+// the snapshot generation alongside table rows. name must then be
 // unique among the engine's KV stores and tables (it keys WAL records and
 // checkpoint snapshots).
 func NewMVPBTKV(e *Engine, name string, opts MVPBTKVOptions) (*MVPBTKV, error) {
@@ -187,12 +188,20 @@ func NewMVPBTKV(e *Engine, name string, opts MVPBTKVOptions) (*MVPBTKV, error) {
 	})
 	kv := &MVPBTKV{e: e, tree: t, name: name}
 	if e.log != nil {
-		if err := e.registerKV(kv); err != nil {
+		if err := e.register(kv); err != nil {
 			return nil, err
 		}
 	}
 	return kv, nil
 }
+
+// snapshot implements store.
+func (m *MVPBTKV) snapshot(tx *txn.Tx, emit func(key, row []byte) bool) error {
+	return m.ScanTx(tx, nil, math.MaxInt, emit)
+}
+
+// reclaim implements store: garbage collection and a due partition merge.
+func (m *MVPBTKV) reclaim() error { return reclaimTree(m.tree, m.name) }
 
 // Tree exposes the underlying MV-PBT (statistics, partition counts).
 func (m *MVPBTKV) Tree() *mvpbt.Tree { return m.tree }
@@ -209,23 +218,23 @@ func (m *MVPBTKV) nextRef() index.Ref {
 // reference unnecessary; this is the LSM-like write path of §5: "Updates
 // in MV-PBT hit PN".
 func (m *MVPBTKV) Put(key, val []byte) error {
+	return m.autocommit(func(tx *txn.Tx) error { return m.PutTx(tx, key, val) })
+}
+
+// autocommit runs a Put's or Delete's write in a transaction of its own and
+// finishes it through the durable pipeline, surfacing a WAL flush failure as
+// a typed error (wrapping storage.ErrIOFault or ErrClosed) instead of
+// panicking the process: a persistent device fault on one shard must degrade
+// that shard — observable by the supervisor — not take the server down. The
+// handle is aborted so it cannot pin the GC horizon; durability stays in
+// doubt per the CommitDurable contract (restart recovery resolves it from
+// the log).
+func (m *MVPBTKV) autocommit(write func(tx *txn.Tx) error) error {
 	tx := m.e.Begin()
-	if err := m.PutTx(tx, key, val); err != nil {
+	if err := write(tx); err != nil {
 		m.e.Abort(tx)
 		return err
 	}
-	return m.autocommit(tx)
-}
-
-// autocommit finishes a Put/Delete's implicit transaction through the
-// durable pipeline, surfacing a WAL flush failure as a typed error
-// (wrapping storage.ErrIOFault or ErrClosed) instead of panicking the
-// process: a persistent device fault on one shard must degrade that shard
-// — observable by the supervisor — not take the server down. The handle
-// is aborted so it cannot pin the GC horizon; durability stays in doubt
-// per the CommitDurable contract (restart recovery resolves it from the
-// log).
-func (m *MVPBTKV) autocommit(tx *txn.Tx) error {
 	if err := m.e.CommitDurable(tx); err != nil {
 		m.e.Abort(tx)
 		return fmt.Errorf("db: autocommit: %w", err)
@@ -269,12 +278,7 @@ func (m *MVPBTKV) GetTx(tx *txn.Tx, key []byte) ([]byte, bool, error) {
 // Delete implements KV: a blind tombstone (no predecessor reference
 // needed under unique-index visibility).
 func (m *MVPBTKV) Delete(key []byte) error {
-	tx := m.e.Begin()
-	if err := m.DeleteTx(tx, key); err != nil {
-		m.e.Abort(tx)
-		return err
-	}
-	return m.autocommit(tx)
+	return m.autocommit(func(tx *txn.Tx) error { return m.DeleteTx(tx, key) })
 }
 
 // DeleteTx is Delete inside a caller-owned transaction.

@@ -53,7 +53,7 @@ func TestDurableKVRecovery(t *testing.T) {
 	img := e.LogImage()
 	e2, kv2 := newDurableKV(t, true)
 	defer e2.Close()
-	applied, err := e2.RecoverAll(img, nil, map[string]*MVPBTKV{"kv": kv2})
+	applied, err := e2.Recover(img)
 	if err != nil {
 		t.Fatalf("recover: %v (applied %d)", err, applied)
 	}
@@ -94,7 +94,7 @@ func TestDurableKVCheckpointRecovery(t *testing.T) {
 	img := e.LogImage()
 	e2, kv2 := newDurableKV(t, false)
 	defer e2.Close()
-	if _, err := e2.RecoverAll(img, nil, map[string]*MVPBTKV{"kv": kv2}); err != nil {
+	if _, err := e2.Recover(img); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	verifyKVState(t, kv2, n)

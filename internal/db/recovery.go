@@ -37,21 +37,14 @@ func (t *Table) pkKey(row []byte) []byte {
 	return t.indexes[0].Def.Extract(row)
 }
 
-// Recover replays the engine's write-ahead log into the engine. Call it
-// on a FRESHLY CONSTRUCTED engine whose tables have been re-created (with
-// NewTable, same names and definitions) but hold no data: the caller owns
-// the schema, the log holds the data. Only transactions with a commit
-// record are applied, in log order; everything else is discarded.
-func (e *Engine) Recover(logImage []byte, tables map[string]*Table) (applied int, err error) {
-	return e.RecoverAll(logImage, tables, nil)
-}
-
-// RecoverAll is Recover extended with durable KV stores: a row or
-// checkpoint record whose Table field names an entry in kvs replays
-// through that store (OpInsert/CkptRow → PutTx, OpDelete → DeleteTx)
-// instead of a table. The shard router's per-shard engines recover their
-// KV keyspace through this entry point.
-func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[string]*MVPBTKV) (applied int, err error) {
+// Recover replays a write-ahead log image into the engine. Call it on a
+// FRESHLY CONSTRUCTED engine whose tables and durable KV stores have been
+// re-created (NewTable and NewMVPBTKV, same names and definitions) but hold
+// no data: the caller owns the schema, the log holds the data, and a record
+// finds its store by name among those the engine registered. Only
+// transactions with a commit record are applied, in log order; everything
+// else is discarded.
+func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 	if e.log == nil {
 		return 0, fmt.Errorf("db: Recover on an engine without EnableWAL")
 	}
@@ -119,11 +112,9 @@ func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[s
 		}
 		switch rec.Op {
 		case wal.OpBegin:
-			if committed[rec.TxID] {
-				open[rec.TxID] = e.Begin()
-			} else if _, isPrepared := prepared[rec.TxID]; isPrepared {
-				// Prepared-undecided: replay its operations too; the prepare
-				// record below re-parks it in doubt.
+			// Prepared-undecided: replay its operations too; the prepare
+			// record below re-parks it in doubt.
+			if _, isPrepared := prepared[rec.TxID]; isPrepared || committed[rec.TxID] {
 				open[rec.TxID] = e.Begin()
 			}
 		case wal.OpCommit, wal.OpDecideCommit:
@@ -151,22 +142,24 @@ func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[s
 			// Aborted/decided-abort transactions were never opened.
 		case wal.OpForget:
 			// Coordinator-side bookkeeping; nothing to replay.
-		case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
+		case wal.OpInsert, wal.OpUpdate, wal.OpDelete, wal.OpCkptRow:
 			tx := open[rec.TxID]
-			if tx == nil {
+			if rec.Op == wal.OpCkptRow {
+				if ckptTx == nil {
+					return applied, fmt.Errorf("db: checkpoint row outside a snapshot: %w", wal.ErrWALCorrupt)
+				}
+				tx = ckptTx
+				ckptRows++
+			} else if tx == nil {
 				continue // uncommitted: skip
 			}
-			if kv := kvs[rec.Table]; kv != nil {
-				if err := kv.replay(tx, rec); err != nil {
-					return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
-				}
-				continue
-			}
-			tbl := tables[rec.Table]
-			if tbl == nil {
+			e.storesMu.Lock()
+			st := e.stores[rec.Table]
+			e.storesMu.Unlock()
+			if st == nil {
 				return applied, fmt.Errorf("db: log references unknown table %q", rec.Table)
 			}
-			if err := tbl.replay(tx, rec); err != nil {
+			if err := st.replay(tx, rec); err != nil {
 				return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
 			}
 		case wal.OpCkptBegin:
@@ -174,25 +167,6 @@ func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[s
 				return applied, fmt.Errorf("db: nested checkpoint begin (seq %d): %w", rec.TxID, wal.ErrWALCorrupt)
 			}
 			ckptTx, ckptRows = e.Begin(), 0
-		case wal.OpCkptRow:
-			if ckptTx == nil {
-				return applied, fmt.Errorf("db: checkpoint row outside a snapshot: %w", wal.ErrWALCorrupt)
-			}
-			if kv := kvs[rec.Table]; kv != nil {
-				if err := kv.PutTx(ckptTx, rec.Key, rec.Row); err != nil {
-					return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
-				}
-				ckptRows++
-				continue
-			}
-			tbl := tables[rec.Table]
-			if tbl == nil {
-				return applied, fmt.Errorf("db: checkpoint references unknown table %q", rec.Table)
-			}
-			if _, _, err := tbl.Insert(ckptTx, rec.Row); err != nil {
-				return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
-			}
-			ckptRows++
 		case wal.OpCkptEnd:
 			if ckptTx == nil {
 				return applied, fmt.Errorf("db: checkpoint end without begin: %w", wal.ErrWALCorrupt)
@@ -221,49 +195,37 @@ func (e *Engine) RecoverAll(logImage []byte, tables map[string]*Table, kvs map[s
 	return applied, corruptErr
 }
 
-// replay applies one logged KV operation inside tx through the normal
-// store interfaces (re-logging, like table replay: the recovered engine
-// carries a fresh self-contained log).
+func (m *MVPBTKV) storeName() string { return m.name }
+
+// replay implements store: an upsert or a tombstone.
 func (m *MVPBTKV) replay(tx *txn.Tx, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert, wal.OpUpdate:
-		return m.PutTx(tx, rec.Key, rec.Row)
-	case wal.OpDelete:
+	if rec.Op == wal.OpDelete {
 		return m.DeleteTx(tx, rec.Key)
 	}
-	return fmt.Errorf("unexpected KV op %v", rec.Op)
+	return m.PutTx(tx, rec.Key, rec.Row)
 }
 
-// replay applies one logged row operation inside tx through the normal
-// table interfaces. Replay deliberately re-logs: the recovered engine ends
-// up with a fresh, self-contained log of the recovered state, so recovery
-// can itself be recovered from.
+func (t *Table) storeName() string { return t.name }
+
+// replay implements store: updates and deletes find their target by the
+// logged primary key.
 func (t *Table) replay(tx *txn.Tx, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert:
+	if rec.Op == wal.OpInsert || rec.Op == wal.OpCkptRow {
 		_, _, err := t.Insert(tx, rec.Row)
 		return err
-	case wal.OpUpdate:
-		cur, err := t.LookupOne(tx, t.indexes[0], rec.Key, true)
-		if err != nil {
-			return err
-		}
-		if cur == nil {
-			return fmt.Errorf("update target %x missing", rec.Key)
-		}
-		_, err = t.Update(tx, *cur, rec.Row)
+	}
+	cur, err := t.LookupOne(tx, t.indexes[0], rec.Key, true)
+	if err != nil {
 		return err
-	case wal.OpDelete:
-		cur, err := t.LookupOne(tx, t.indexes[0], rec.Key, true)
-		if err != nil {
-			return err
-		}
-		if cur == nil {
-			return fmt.Errorf("delete target %x missing", rec.Key)
-		}
+	}
+	if cur == nil {
+		return fmt.Errorf("%v target %x missing", rec.Op, rec.Key)
+	}
+	if rec.Op == wal.OpDelete {
 		return t.Delete(tx, *cur)
 	}
-	return fmt.Errorf("unexpected op %v", rec.Op)
+	_, err = t.Update(tx, *cur, rec.Row)
+	return err
 }
 
 // LogImage returns the bytes of the engine's write-ahead log as persisted

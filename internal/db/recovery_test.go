@@ -27,7 +27,7 @@ func walTable(t *testing.T) (*Engine, *Table, *Index) {
 func recoverInto(t *testing.T, logImage []byte) (*Engine, *Table, *Index, int) {
 	t.Helper()
 	e, tbl, ix := walTable(t)
-	applied, err := e.Recover(logImage, map[string]*Table{"accounts": tbl})
+	applied, err := e.Recover(logImage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestWALDisabledByDefault(t *testing.T) {
 	if e.LogImage() != nil {
 		t.Fatal("log exists without EnableWAL")
 	}
-	if _, err := e.Recover(nil, nil); err == nil {
+	if _, err := e.Recover(nil); err == nil {
 		t.Fatal("Recover should fail without EnableWAL")
 	}
 }
@@ -407,7 +407,7 @@ func TestRecoverMidLogCorruption(t *testing.T) {
 	img[cut+3] ^= 0x08
 
 	e2, tbl2, ix2 := walTable(t)
-	applied, err := e2.Recover(img, map[string]*Table{"accounts": tbl2})
+	applied, err := e2.Recover(img)
 	if !errors.Is(err, wal.ErrWALCorrupt) {
 		t.Fatalf("want ErrWALCorrupt, got %v", err)
 	}
@@ -443,7 +443,7 @@ func TestRecoverTornTailIsNotCorruption(t *testing.T) {
 	copy(img[r.Offset():], []byte{0x17, 0x99, 0x42})
 
 	e2, tbl2, ix2 := walTable(t)
-	applied, err := e2.Recover(img, map[string]*Table{"accounts": tbl2})
+	applied, err := e2.Recover(img)
 	if err != nil {
 		t.Fatalf("torn tail must not be an error: %v", err)
 	}

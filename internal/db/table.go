@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -143,11 +144,9 @@ func (e *Engine) newIndex(table string, def IndexDef, gen int) (*Index, error) {
 type Table struct {
 	eng      *Engine
 	name     string
-	heapKind HeapKind
-	hot      *heap.HotHeap
-	sias     *heap.SiasHeap
+	sias     *heap.SiasHeap // nil for a HOT heap
 	h        heap.Heap
-	vids     *vid.Table
+	vids     *vid.Table // allocates tuple identities; only a SIAS heap maps them to versions
 	indexes  []*Index
 	mu       sync.Mutex
 	rebuilds atomic.Int64 // corrupt-index quarantine rebuilds
@@ -159,12 +158,11 @@ func (t *Table) Rebuilds() int64 { return t.rebuilds.Load() }
 
 // NewTable creates a table with the given heap organization and indexes.
 func (e *Engine) NewTable(name string, hk HeapKind, defs ...IndexDef) (*Table, error) {
-	t := &Table{eng: e, name: name, heapKind: hk}
+	t := &Table{eng: e, name: name}
 	hf := e.FM.Create(name+".heap", sfile.ClassTable)
 	switch hk {
 	case HeapHOT:
-		t.hot = heap.NewHotHeap(e.Pool, hf, e.Mgr)
-		t.h = t.hot
+		t.h = heap.NewHotHeap(e.Pool, hf, e.Mgr)
 		t.vids = vid.NewTable()
 	case HeapSIAS:
 		t.sias = heap.NewSiasHeap(e.Pool, hf, e.Mgr)
@@ -180,10 +178,30 @@ func (e *Engine) NewTable(name string, hk HeapKind, defs ...IndexDef) (*Table, e
 		}
 		t.indexes = append(t.indexes, ix)
 	}
-	e.tablesMu.Lock()
-	e.tables[name] = t
-	e.tablesMu.Unlock()
+	if err := e.register(t); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// snapshot implements store.
+func (t *Table) snapshot(tx *txn.Tx, emit func(key, row []byte) bool) error {
+	return t.Scan(tx, t.indexes[0], nil, nil, true, func(r RowRef) bool { return emit(r.Key, r.Row) })
+}
+
+// reclaim implements store: garbage collection and due merges of the MV-PBT
+// indexes, then a heap vacuum.
+func (t *Table) reclaim() error {
+	var errs error
+	for _, ix := range t.indexes {
+		if ix.mv != nil {
+			errs = errors.Join(errs, reclaimTree(ix.mv, t.name+"."+ix.Def.Name))
+		}
+	}
+	if _, err := t.Vacuum(); err != nil {
+		errs = errors.Join(errs, fmt.Errorf("db: reclaim: vacuuming %s: %w", t.name, err))
+	}
+	return errs
 }
 
 // Indexes returns the table's indexes in definition order.
@@ -238,9 +256,6 @@ func (t *Table) Insert(tx *txn.Tx, row []byte) (uint64, storage.RecordID, error)
 	if err != nil {
 		return 0, storage.RecordID{}, t.eng.noteWriteErr(err)
 	}
-	if t.heapKind == HeapHOT {
-		t.vids.Set(v, rid)
-	}
 	for _, ix := range t.indexes {
 		key := ix.Def.Extract(row)
 		ref := t.ref(rid, v)
@@ -286,10 +301,6 @@ func (t *Table) Update(tx *txn.Tx, old RowRef, newRow []byte) (storage.RecordID,
 	}
 	t.eng.logOp(tx, wal.OpUpdate, t.name, t.pkKey(old.Row), newRow)
 	newRID := res.NewRID
-	if t.heapKind == HeapHOT && newRID.Valid() {
-		// Track the newest version for convenience reads by VID.
-		t.vids.Set(old.VID, newRID)
-	}
 	for i, ix := range t.indexes {
 		p := pairs[i]
 		ref := t.ref(newRID, old.VID)

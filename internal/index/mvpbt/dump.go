@@ -5,15 +5,21 @@ import (
 	"fmt"
 )
 
-// DumpEntry describes one index record for diagnostics (cmd/mvpbt-inspect).
-type DumpEntry struct {
-	Where string // "PN" or "P<n>"
-	Key   string
-	Rec   Record
+// RawEntry is one physical index record as stored, with its source. In a
+// DumpRange callback Key and Rec.Val follow index.Entry's lifetime rule:
+// good until the callback returns.
+type RawEntry struct {
+	// Source is "PN" for the main-memory partition, "F<i>" for frozen
+	// (eviction-pending) PNs newest first, and "P<no>" for persisted
+	// partitions, newest first — the §4.3 processing order.
+	Source string
+	Key    []byte
+	Rec    Record
 }
 
-func (d DumpEntry) String() string {
-	s := fmt.Sprintf("%-4s key=%q %s ts=%d", d.Where, d.Key, d.Rec.Type, d.Rec.TS)
+// String renders the entry for diagnostics (cmd/mvpbt-inspect).
+func (d RawEntry) String() string {
+	s := fmt.Sprintf("%-4s key=%q %s ts=%d", d.Source, d.Key, d.Rec.Type, d.Rec.TS)
 	if d.Rec.Matter() {
 		s += fmt.Sprintf(" rid=%v vid=%d", d.Rec.Ref.RID, d.Rec.Ref.VID)
 	}
@@ -26,17 +32,37 @@ func (d DumpEntry) String() string {
 	return s
 }
 
-// DumpKey returns every index record for key, in processing order (PN
-// first, then frozen eviction-pending PNs newest first as F<i>, then
-// partitions newest to oldest). A partition it cannot read or decode is an
-// error, not a shorter dump.
-func (t *Tree) DumpKey(key []byte) ([]DumpEntry, error) {
-	var out []DumpEntry
-	err := t.walk(nil, nil, key, nil, true, filterNone, func(src walkSrc, _ []byte, rec *Record) bool {
-		r := rec.snapshot()
-		r.Val = bytes.Clone(r.Val) // kept past the walk
-		out = append(out, DumpEntry{Where: src.String(), Key: string(key), Rec: r})
+// DumpRange streams every index record with lo <= key < hi (hi nil =
+// +inf), source by source in processing order (PN, frozen PNs newest
+// first, partitions newest to oldest), each source in its internal
+// (key asc, ts desc, seq desc) order. No visibility filtering and no GC
+// side effects; fn returning false stops. Safe to run concurrently with
+// readers and writers — it sees the view current at call time. A partition
+// it cannot read or decode is an error, not a shorter dump.
+func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
+	return t.dump(lo, hi, false, fn)
+}
+
+// DumpKey is DumpRange's point case, collected: every index record for key,
+// copied so that it may be kept.
+func (t *Tree) DumpKey(key []byte) ([]RawEntry, error) {
+	var out []RawEntry
+	err := t.dump(key, nil, true, func(e RawEntry) bool {
+		e.Key, e.Rec.Val = bytes.Clone(e.Key), bytes.Clone(e.Rec.Val)
+		out = append(out, e)
 		return true
 	})
 	return out, err
+}
+
+// dump is the walk behind both, with no partition filter: the dumps show
+// what is there.
+func (t *Tree) dump(lo, hi []byte, point bool, fn func(RawEntry) bool) error {
+	at, name := walkSrc{n: -1}, "" // the source being dumped and its name, made once per source
+	return t.walk(nil, nil, lo, hi, point, filterNone, func(src walkSrc, key []byte, rec *Record) bool {
+		if src != at {
+			at, name = src, src.String()
+		}
+		return fn(RawEntry{Source: name, Key: key, Rec: rec.snapshot()})
+	})
 }

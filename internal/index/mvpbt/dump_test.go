@@ -25,7 +25,7 @@ func TestDumpKeyShowsAllLocations(t *testing.T) {
 	if err != nil || len(dump) != 3 {
 		t.Fatalf("dump has %d entries (%v), want 3", len(dump), err)
 	}
-	if dump[0].Where != "PN" {
+	if dump[0].Source != "PN" {
 		t.Fatalf("newest record not in PN: %+v", dump[0])
 	}
 	// Rendering mentions the record type and location.
@@ -36,8 +36,8 @@ func TestDumpKeyShowsAllLocations(t *testing.T) {
 		}
 	}
 	// Partitions newest to oldest.
-	if dump[1].Where != "P1" || dump[2].Where != "P0" {
-		t.Fatalf("partition order wrong: %s then %s", dump[1].Where, dump[2].Where)
+	if dump[1].Source != "P1" || dump[2].Source != "P0" {
+		t.Fatalf("partition order wrong: %s then %s", dump[1].Source, dump[2].Source)
 	}
 	if dump[2].Rec.Type != Regular {
 		t.Fatalf("oldest record should be the regular insert: %v", dump[2].Rec.Type)

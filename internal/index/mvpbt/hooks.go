@@ -2,41 +2,12 @@ package mvpbt
 
 import "mvpbt/internal/txn"
 
-// Raw-record enumeration and test-only mutation hooks for the differential
-// correctness harness (internal/check). DumpRange exposes every physical
-// index record so the harness can assert the structural invariants —
-// per-source key ordering, ts-descending within a key, and that the
-// visible result set is a subset of the raw matter records. The fault
+// Test-only mutation hooks for the differential correctness harness
+// (internal/check), which asserts the structural invariants — per-source key
+// ordering, ts-descending within a key, and that the visible result set is a
+// subset of the raw matter records — over DumpRange (dump.go). The fault
 // hook lets the harness verify its own teeth: a deliberately corrupted
 // visibility decision must be caught and shrunk to a minimal history.
-
-// RawEntry is one physical index record as stored, with its source. Key and
-// Rec.Val follow index.Entry's lifetime rule: good until the callback
-// returns.
-type RawEntry struct {
-	// Source is "PN" for the main-memory partition, "F<i>" for frozen
-	// (eviction-pending) PNs newest first, and "P<no>" for persisted
-	// partitions, newest first — the §4.3 processing order.
-	Source string
-	Key    []byte
-	Rec    Record
-}
-
-// DumpRange streams every index record with lo <= key < hi (hi nil =
-// +inf), source by source in processing order (PN, frozen PNs newest
-// first, partitions newest to oldest), each source in its internal
-// (key asc, ts desc, seq desc) order. No visibility filtering and no GC
-// side effects; fn returning false stops. Safe to run concurrently with
-// readers and writers — it sees the view current at call time.
-func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
-	at, name := walkSrc{n: -1}, "" // the source being dumped and its name, made once per source
-	return t.walk(nil, nil, lo, hi, false, filterNone, func(src walkSrc, key []byte, rec *Record) bool {
-		if src != at {
-			at, name = src, src.String()
-		}
-		return fn(RawEntry{Source: name, Key: key, Rec: rec.snapshot()})
-	})
-}
 
 // VisFaultFn post-processes an index-only visibility decision: it receives
 // the record's timestamp and the correct answer and returns the answer to

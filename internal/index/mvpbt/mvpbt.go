@@ -142,11 +142,10 @@ type treeView struct {
 
 // Tree is a Multi-Version Partitioned B-Tree. Safe for concurrent use:
 // readers (Lookup, Scan, ScanAllMatter, DumpKey) run in parallel against
-// the current view; writers (inserts, eviction, merge, bulk load)
-// serialize on mu and publish new views. See DESIGN.md "Concurrency
-// model".
+// the current view; writers (inserts, eviction, merge) serialize on mu and
+// publish new views. See DESIGN.md "Concurrency model".
 type Tree struct {
-	mu   sync.Mutex // serializes all mutation: PN inserts, eviction, merge, bulk load
+	mu   sync.Mutex // serializes all mutation: PN inserts, eviction, merge
 	opts Options
 	pool *buffer.Pool
 	file *sfile.File
@@ -166,9 +165,9 @@ type Tree struct {
 	// read side for its whole operation; MergePartitions — the only writer
 	// that destroys segments — acquires the write side after publishing
 	// the merged view and before freeing the inputs, so no reader can
-	// still hold the freed segments. Eviction and bulk load publish new
-	// views without the gate: their superseded views are reclaimed by the
-	// garbage collector, not destroyed.
+	// still hold the freed segments. Eviction publishes new views without
+	// the gate: its superseded views are reclaimed by the garbage collector,
+	// not destroyed.
 	gate sync.RWMutex
 
 	pnSeq     uint64 // guarded by mu

@@ -305,7 +305,8 @@ func TestMergeBufferReuse(t *testing.T) {
 // TestFailedBuildPublishesNothing: an eviction or a merge whose write-out
 // fails for good, or whose input has rotted, returns the error with nothing
 // published, nothing leaked and its inputs still in place; once the device
-// behaves, the same call goes through.
+// behaves — or misbehaves only transiently, which the pool's counters show —
+// the same call goes through.
 func TestFailedBuildPublishesNothing(t *testing.T) {
 	e := newEnv(64, 1<<30)
 	tr, pin, newest := hotKeyTree(t, e, 2, 40)
@@ -343,9 +344,13 @@ func TestFailedBuildPublishesNothing(t *testing.T) {
 	if tr.FrozenPNs() != 1 {
 		t.Fatalf("%d frozen PNs after the failed eviction", tr.FrozenPNs())
 	}
+	// The retry meets one transient write fault: retried in line, and counted.
+	retries := e.pool.IOStats().WriteRetries
+	index(ssd.FaultWriteErr, 5)
 	check("eviction retried", tr.EvictPN, nil, 3)
-	if tr.FrozenPNs() != 0 || tr.Stats().Evictions != 3 {
-		t.Fatalf("after the retry: %d frozen PNs, %d evictions", tr.FrozenPNs(), tr.Stats().Evictions)
+	if io := e.pool.IOStats(); tr.FrozenPNs() != 0 || tr.Stats().Evictions != 3 || io.WriteRetries != retries+1 {
+		t.Fatalf("after the retry: %d frozen PNs, %d evictions, the pool's WriteRetries %d -> %d",
+			tr.FrozenPNs(), tr.Stats().Evictions, retries, io.WriteRetries)
 	}
 
 	index(ssd.FaultWriteErr, 35, 36, 37) // in the merged run's second extent

@@ -165,8 +165,9 @@ func (b *Builder) Add(key, body []byte) error {
 	return nil
 }
 
-// writeNode stamps the page image and writes it as the run's next page,
-// taking the run's next extent first if the page opens one.
+// writeNode writes the page image as the run's next page — around the pool's
+// frames, through its checked write — taking the run's next extent first if
+// the page opens one.
 func (b *Builder) writeNode() error {
 	if b.nPages == b.backed {
 		start, err := b.file.AllocRun(sfile.ExtentPages)
@@ -181,10 +182,7 @@ func (b *Builder) writeNode() error {
 		}
 		b.backed += sfile.ExtentPages
 	}
-	buf := b.node.Bytes()
-	page.StampChecksum(buf)
-	// Transient device faults are worth retrying before the build fails.
-	if _, err := storage.Retry(func() error { return b.file.WritePage(b.start+uint64(b.nPages), buf) }); err != nil {
+	if err := b.pool.WritePage(b.file, b.start+uint64(b.nPages), b.node.Bytes()); err != nil {
 		return fmt.Errorf("part: segment write-out: %w", err)
 	}
 	b.nPages++

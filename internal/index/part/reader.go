@@ -1,8 +1,6 @@
 package part
 
 import (
-	"fmt"
-
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
@@ -14,16 +12,14 @@ import (
 // pool's frames: a merge reads every input page exactly once and frees it
 // right after, so caching them would only evict pages someone will read
 // again. The pages are immutable and were written around the pool, so the
-// device copy is the truth; each is checksum-verified as the pool would, and
-// the outcome lands in the pool's read counters.
+// device copy is the truth; the read is the pool's checked one all the same
+// (Pool.ReadPages: retried, verified, counted).
 //
 // Key and Body alias the reader's buffers and are valid only until the next
 // call to Next.
 type Reader struct {
 	seg   *Segment
-	buf   []byte // room for the leaf pages of one extent
-	chunk []byte // the leaf pages of the current extent, in buf
-	first int    // rel of chunk's first leaf
+	buf   []byte // the leaf pages of the current leaf's extent (room for one extent's)
 	leaf  int    // rel of the current leaf
 	cur   leafCursor
 	valid bool
@@ -70,31 +66,18 @@ func (r *Reader) Next() {
 				return
 			}
 		}
-		off := (r.leaf - r.first) * storage.PageSize
-		r.cur.reset(page.Wrap(r.chunk[off : off+storage.PageSize]))
+		off := r.leaf % sfile.ExtentPages * storage.PageSize
+		r.cur.reset(page.Wrap(r.buf[off : off+storage.PageSize]))
 	}
 }
 
-// fill reads the leaves of the extent starting at r.leaf into chunk and
-// verifies every page. Like the buffer pool's page fetch: transient faults
-// are retried, freed pages and checksum mismatches are not.
+// fill reads the leaves of the extent starting at r.leaf into buf.
 func (r *Reader) fill() error {
 	s := r.seg
+	var pages [sfile.ExtentPages][]byte // on the stack: the read keeps none of them
 	n := min(sfile.ExtentPages, s.NumLeaves-r.leaf)
-	r.chunk = r.buf[:n*storage.PageSize]
-	first := s.StartPage + uint64(r.leaf)
-	retries, err := storage.Retry(func() error { return s.file.ReadRun(first, r.chunk) })
-	corrupt := false
-	for i := 0; i < n && err == nil; i++ {
-		if !page.VerifyChecksum(r.chunk[i*storage.PageSize : (i+1)*storage.PageSize]) {
-			corrupt = true
-			err = fmt.Errorf("part: page %d of %q: %w", first+uint64(i), s.file.Name(), storage.ErrCorruptPage)
-		}
+	for i := range pages[:n] {
+		pages[i] = r.buf[i*storage.PageSize : (i+1)*storage.PageSize]
 	}
-	s.pool.NoteRead(retries, err != nil, corrupt)
-	if err != nil {
-		return err
-	}
-	r.first = r.leaf
-	return nil
+	return s.pool.ReadPages(s.file, s.StartPage+uint64(r.leaf), pages[:n])
 }

@@ -14,7 +14,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -69,7 +68,7 @@ type Config struct {
 	QueueTimeout time.Duration
 	// Overloaded overrides the overload probe; nil means the router's
 	// PastSoftWatermark (any shard past its soft space watermark). Tests
-	// and benchmarks inject synthetic overload here.
+	// inject synthetic overload here.
 	Overloaded func() bool
 	// DrainGrace is how long Drain lets admitted sessions keep issuing
 	// requests before their connections are deadlined out (default 1s).
@@ -401,8 +400,13 @@ type session struct {
 	tokens map[uint32]uint64
 	nextTx uint32
 	// scanReply is the buffer SCAN replies are assembled in, reset rather
-	// than reallocated between requests; the request loop is its only user.
+	// than reallocated between requests, and scanPairs the pairs in it; the
+	// request loop is their only user. collect is appendPair bound once: a
+	// callback goes to its target through an interface, where a closure made
+	// per request would escape to the heap with everything it captures.
 	scanReply []byte
+	scanPairs uint32
+	collect   func(k, v []byte) bool
 	// forcedDL is a drain-imposed read deadline (unix nanos; 0 = none).
 	// The request loop clamps its idle deadline to it so a slow session
 	// cannot extend its life past the drain grace.
@@ -472,6 +476,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	sess := &session{conn: conn, tenant: tenant, txs: map[uint32]*shard.Tx{}, tokens: map[uint32]uint64{}}
+	sess.collect = sess.appendPair
 	status := s.admit(sess)
 	if status != wire.StatusOK {
 		wire.WriteFrame(bw, byte(status))
@@ -579,40 +584,37 @@ func fail(bw *bufio.Writer, err error) error {
 	return wire.WriteFrame(bw, wire.StatusErr, []byte(err.Error()))
 }
 
+// target is what GET, SET, DEL and SCAN run against: the router itself for
+// tx 0 (autocommit), the session's open transaction otherwise.
+type target interface {
+	Get(key []byte) ([]byte, bool, error)
+	Put(key, val []byte) error
+	Delete(key []byte) error
+	Scan(lo []byte, limit int, fn func(key, val []byte) bool) error
+}
+
 // dispatch handles one request frame. A returned error kills the
 // connection (protocol-level damage); per-operation failures go back to
 // the client as status frames.
 func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []byte) error {
-	// txFor resolves the leading transaction id: nil Tx means autocommit.
-	txFor := func(p []byte) (uint32, *shard.Tx, []byte, bool) {
-		id, rest, err := wire.TakeU32(p)
-		if err != nil {
-			return 0, nil, nil, false
+	// GET, SET, DEL and SCAN lead with a transaction id, which picks their
+	// target, once for the four; rest is the payload after it.
+	var t target = s.r
+	var rest []byte
+	switch op {
+	case wire.OpGet, wire.OpSet, wire.OpDel, wire.OpScan:
+		id, p, err := wire.TakeU32(payload)
+		if tx, ok := sess.txs[id]; ok {
+			t = tx
+		} else if err != nil || id != 0 {
+			return wire.WriteFrame(bw, wire.StatusNoTx, []byte(fmt.Sprintf("no transaction %d", id)))
 		}
-		if id == 0 {
-			return 0, nil, rest, true
-		}
-		tx, ok := sess.txs[id]
-		if !ok {
-			return id, nil, rest, false
-		}
-		return id, tx, rest, true
+		rest = p
 	}
 
 	switch op {
 	case wire.OpGet:
-		id, tx, key, ok := txFor(payload)
-		if !ok {
-			return wire.WriteFrame(bw, wire.StatusNoTx, []byte(fmt.Sprintf("no transaction %d", id)))
-		}
-		var v []byte
-		var found bool
-		var err error
-		if tx == nil {
-			v, found, err = s.r.Get(key)
-		} else {
-			v, found, err = tx.Get(key)
-		}
+		v, found, err := t.Get(rest)
 		if err != nil {
 			return fail(bw, err)
 		}
@@ -623,46 +625,22 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 		return wire.WriteFrame(bw, wire.StatusOK, f, v)
 
 	case wire.OpSet:
-		id, tx, rest, ok := txFor(payload)
-		if !ok {
-			return wire.WriteFrame(bw, wire.StatusNoTx, []byte(fmt.Sprintf("no transaction %d", id)))
-		}
-		klen, rest, err := wire.TakeU32(rest)
-		if err != nil || int(klen) > len(rest) {
+		key, val, err := wire.TakeBytes(rest)
+		if err != nil {
 			return wire.WriteFrame(bw, wire.StatusErr, []byte("malformed SET"))
 		}
-		key, val := rest[:klen], rest[klen:]
-		if tx == nil {
-			err = s.r.Put(key, val)
-		} else {
-			err = tx.Put(key, val)
-		}
-		if err != nil {
+		if err := t.Put(key, val); err != nil {
 			return fail(bw, err)
 		}
 		return wire.WriteFrame(bw, wire.StatusOK)
 
 	case wire.OpDel:
-		id, tx, key, ok := txFor(payload)
-		if !ok {
-			return wire.WriteFrame(bw, wire.StatusNoTx, []byte(fmt.Sprintf("no transaction %d", id)))
-		}
-		var err error
-		if tx == nil {
-			err = s.r.Delete(key)
-		} else {
-			err = tx.Delete(key)
-		}
-		if err != nil {
+		if err := t.Delete(rest); err != nil {
 			return fail(bw, err)
 		}
 		return wire.WriteFrame(bw, wire.StatusOK)
 
 	case wire.OpScan:
-		id, tx, rest, ok := txFor(payload)
-		if !ok {
-			return wire.WriteFrame(bw, wire.StatusNoTx, []byte(fmt.Sprintf("no transaction %d", id)))
-		}
 		limit, lo, err := wire.TakeU32(rest)
 		if err != nil {
 			return wire.WriteFrame(bw, wire.StatusErr, []byte("malformed SCAN"))
@@ -670,22 +648,9 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 		// The reply is assembled in the session's buffer, which keeps its
 		// capacity from one SCAN to the next; a session answers one request
 		// at a time.
-		var n uint32
-		body := sess.scanReply[:0]
-		collect := func(k, v []byte) bool {
-			body = binary.BigEndian.AppendUint32(body, uint32(len(k)))
-			body = append(body, k...)
-			body = binary.BigEndian.AppendUint32(body, uint32(len(v)))
-			body = append(body, v...)
-			n++
-			return len(body) < wire.MaxFrame-64
-		}
-		if tx == nil {
-			err = s.r.Scan(lo, int(limit), collect)
-		} else {
-			err = tx.Scan(lo, int(limit), collect)
-		}
-		sess.scanReply = body
+		sess.scanPairs, sess.scanReply = 0, sess.scanReply[:0]
+		err = t.Scan(lo, int(limit), sess.collect)
+		n, body := sess.scanPairs, sess.scanReply
 		if cap(body) > maxKeptScanReply {
 			sess.scanReply = nil
 		}
@@ -786,4 +751,12 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 	default:
 		return wire.WriteFrame(bw, wire.StatusErr, []byte(fmt.Sprintf("unknown opcode %d", op)))
 	}
+}
+
+// appendPair is the SCAN callback: one more pair in the reply, until the
+// frame is full.
+func (sess *session) appendPair(k, v []byte) bool {
+	sess.scanReply = wire.AppendPair(sess.scanReply, k, v)
+	sess.scanPairs++
+	return len(sess.scanReply) < wire.MaxFrame-64
 }

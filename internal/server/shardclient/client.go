@@ -82,10 +82,7 @@ type ServerError struct{ Msg string }
 func (e *ServerError) Error() string { return "shardclient: server error: " + e.Msg }
 
 // KV is one scan result pair.
-type KV struct {
-	Key []byte
-	Val []byte
-}
+type KV = wire.Pair
 
 // Client is one protocol session. Not safe for concurrent use.
 type Client struct {
@@ -109,15 +106,11 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 	}
 	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	conn.SetDeadline(time.Now().Add(timeout))
-	status, payload, err := c.call(wire.OpHello, wire.U32(wire.ProtoVersion), []byte(tenant))
+	_, err = c.call(wire.OpHello, wire.U32(wire.ProtoVersion), []byte(tenant))
 	conn.SetDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	if status != wire.StatusOK {
-		conn.Close()
-		return nil, statusErr(status, payload)
 	}
 	return c, nil
 }
@@ -125,15 +118,23 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 // Close tears the session down. Open transactions are aborted server-side.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// call sends one frame and reads the response.
-func (c *Client) call(op byte, segs ...[]byte) (status byte, payload []byte, err error) {
+// call is the one request: it sends a frame, reads the response and returns
+// the payload of an OK, or the typed error of any other status.
+func (c *Client) call(op byte, segs ...[]byte) ([]byte, error) {
 	if err := wire.WriteFrame(c.bw, op, segs...); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return wire.ReadFrame(c.br)
+	status, payload, err := wire.ReadFrame(c.br)
+	if err != nil {
+		return nil, err
+	}
+	if status != wire.StatusOK {
+		return nil, statusErr(status, payload)
+	}
+	return payload, nil
 }
 
 // statusErr maps a non-OK status frame to a typed error.
@@ -177,12 +178,9 @@ func statusErr(status byte, payload []byte) error {
 // Get reads key. tx 0 is an autocommit read of the newest committed
 // version; tx > 0 reads at that transaction's cross-shard snapshot.
 func (c *Client) Get(tx uint32, key []byte) ([]byte, bool, error) {
-	status, payload, err := c.call(wire.OpGet, wire.U32(tx), key)
+	payload, err := c.call(wire.OpGet, wire.U32(tx), key)
 	if err != nil {
 		return nil, false, err
-	}
-	if status != wire.StatusOK {
-		return nil, false, statusErr(status, payload)
 	}
 	if len(payload) < 1 {
 		return nil, false, fmt.Errorf("shardclient: short GET response")
@@ -196,84 +194,41 @@ func (c *Client) Get(tx uint32, key []byte) ([]byte, bool, error) {
 // Set upserts key=val under tx (0 = autocommit through the owning shard's
 // durable path).
 func (c *Client) Set(tx uint32, key, val []byte) error {
-	status, payload, err := c.call(wire.OpSet, wire.U32(tx), wire.U32(uint32(len(key))), key, val)
-	if err != nil {
-		return err
-	}
-	if status != wire.StatusOK {
-		return statusErr(status, payload)
-	}
-	return nil
+	_, err := c.call(wire.OpSet, wire.U32(tx), wire.U32(uint32(len(key))), key, val)
+	return err
 }
 
 // Del tombstones key under tx (0 = autocommit).
 func (c *Client) Del(tx uint32, key []byte) error {
-	status, payload, err := c.call(wire.OpDel, wire.U32(tx), key)
-	if err != nil {
-		return err
-	}
-	if status != wire.StatusOK {
-		return statusErr(status, payload)
-	}
-	return nil
+	_, err := c.call(wire.OpDel, wire.U32(tx), key)
+	return err
 }
 
 // Scan returns up to limit pairs with key >= lo in global key order, at
 // tx's snapshot (tx 0 takes a fresh consistent snapshot for the scan).
 func (c *Client) Scan(tx uint32, lo []byte, limit int) ([]KV, error) {
-	status, payload, err := c.call(wire.OpScan, wire.U32(tx), wire.U32(uint32(limit)), lo)
+	payload, err := c.call(wire.OpScan, wire.U32(tx), wire.U32(uint32(limit)), lo)
 	if err != nil {
 		return nil, err
 	}
-	if status != wire.StatusOK {
-		return nil, statusErr(status, payload)
-	}
-	n, rest, err := wire.TakeU32(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var klen, vlen uint32
-		if klen, rest, err = wire.TakeU32(rest); err != nil || int(klen) > len(rest) {
-			return nil, fmt.Errorf("shardclient: malformed SCAN response")
-		}
-		k := rest[:klen]
-		rest = rest[klen:]
-		if vlen, rest, err = wire.TakeU32(rest); err != nil || int(vlen) > len(rest) {
-			return nil, fmt.Errorf("shardclient: malformed SCAN response")
-		}
-		v := rest[:vlen]
-		rest = rest[vlen:]
-		out = append(out, KV{Key: k, Val: v})
-	}
-	return out, nil
+	return wire.TakePairs(payload)
 }
 
 // Begin opens a cross-shard transaction and returns its session-local id.
-func (c *Client) Begin() (uint32, error) {
-	status, payload, err := c.call(wire.OpBegin)
-	if err != nil {
-		return 0, err
-	}
-	if status != wire.StatusOK {
-		return 0, statusErr(status, payload)
-	}
-	id, _, err := wire.TakeU32(payload)
-	return id, err
-}
+func (c *Client) Begin() (uint32, error) { return c.BeginToken(0) }
 
-// BeginToken is Begin with a client-generated idempotent commit token
-// (nonzero). If the server has already recorded token as committed — a
-// previous attempt's COMMIT applied but its ack was lost — the error is
+// BeginToken is Begin with a client-generated idempotent commit token (0 =
+// none). If the server has already recorded token as committed — a previous
+// attempt's COMMIT applied but its ack was lost — the error is
 // ErrAlreadyCommitted, which the caller should treat as success.
 func (c *Client) BeginToken(token uint64) (uint32, error) {
-	status, payload, err := c.call(wire.OpBegin, wire.U64(token))
+	var tok []byte // absent for token 0, as the protocol has it
+	if token != 0 {
+		tok = wire.U64(token)
+	}
+	payload, err := c.call(wire.OpBegin, tok)
 	if err != nil {
 		return 0, err
-	}
-	if status != wire.StatusOK {
-		return 0, statusErr(status, payload)
 	}
 	id, _, err := wire.TakeU32(payload)
 	return id, err
@@ -281,14 +236,8 @@ func (c *Client) BeginToken(token uint64) (uint32, error) {
 
 // Commit durably commits tx.
 func (c *Client) Commit(tx uint32) error {
-	status, payload, err := c.call(wire.OpCommit, wire.U32(tx))
-	if err != nil {
-		return err
-	}
-	if status != wire.StatusOK {
-		return statusErr(status, payload)
-	}
-	return nil
+	_, err := c.call(wire.OpCommit, wire.U32(tx))
+	return err
 }
 
 // ResolveCommit asks the server whether the commit identified by token
@@ -296,40 +245,21 @@ func (c *Client) Commit(tx uint32) error {
 // (false, nil) if not (the transaction was aborted server-side or never
 // committed — within the server's dedup TTL this is authoritative).
 func (c *Client) ResolveCommit(token uint64) (bool, error) {
-	status, payload, err := c.call(wire.OpCommit, wire.U32(0), wire.U64(token))
-	if err != nil {
-		return false, err
-	}
-	switch status {
-	case wire.StatusOK:
-		return true, nil
-	case wire.StatusNotCommitted:
+	_, err := c.call(wire.OpCommit, wire.U32(0), wire.U64(token))
+	if errors.Is(err, ErrNotCommitted) {
 		return false, nil
-	default:
-		return false, statusErr(status, payload)
 	}
+	return err == nil, err
 }
 
 // Abort discards tx.
 func (c *Client) Abort(tx uint32) error {
-	status, payload, err := c.call(wire.OpAbort, wire.U32(tx))
-	if err != nil {
-		return err
-	}
-	if status != wire.StatusOK {
-		return statusErr(status, payload)
-	}
-	return nil
+	_, err := c.call(wire.OpAbort, wire.U32(tx))
+	return err
 }
 
 // Stats returns the server's per-shard health text.
 func (c *Client) Stats() (string, error) {
-	status, payload, err := c.call(wire.OpStats)
-	if err != nil {
-		return "", err
-	}
-	if status != wire.StatusOK {
-		return "", statusErr(status, payload)
-	}
-	return string(payload), nil
+	payload, err := c.call(wire.OpStats)
+	return string(payload), err
 }

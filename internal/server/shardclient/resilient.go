@@ -292,37 +292,29 @@ type RTx struct {
 func (r *RClient) BeginTx() (*RTx, error) {
 	token := r.rng.Uint64() | 1 // nonzero
 	tx := &RTx{r: r, token: token}
-	err := r.do(true, func(c *Client) error {
-		id, err := c.BeginToken(token)
-		if err != nil {
-			return err
-		}
-		tx.id = id
-		return nil
+	err := r.do(true, func(c *Client) (err error) {
+		tx.id, err = c.BeginToken(token)
+		return err
 	})
-	if errors.Is(err, ErrAlreadyCommitted) {
-		// Possible only if the caller reuses a seed across committed
-		// histories; surface it rather than silently reopening.
-		return nil, err
-	}
 	if err != nil {
+		// ErrAlreadyCommitted among them: possible only if the caller reuses
+		// a seed across committed histories; surfaced rather than silently
+		// reopening.
 		return nil, err
 	}
 	return tx, nil
 }
 
-// Set buffers an upsert in the transaction. A transport error marks the
-// transaction lost: the server aborts it with the session, so it is
+// on runs one operation of the transaction on the session it was begun on.
+// Without that session — gone before the call or dying under it — the
+// transaction is lost: the server aborts it with the session, so it is
 // guaranteed not to apply.
-func (t *RTx) Set(key, val []byte) error {
-	if t.lost {
-		return ErrTxLost
-	}
-	if t.r.c == nil {
+func (t *RTx) on(op func(c *Client) error) error {
+	if t.lost || t.r.c == nil {
 		t.lost = true
 		return ErrTxLost
 	}
-	err := t.r.c.Set(t.id, key, val)
+	err := op(t.r.c)
 	if transport(err) {
 		t.r.drop()
 		t.lost = true
@@ -331,21 +323,17 @@ func (t *RTx) Set(key, val []byte) error {
 	return err
 }
 
+// Set buffers an upsert in the transaction (ErrTxLost: see on).
+func (t *RTx) Set(key, val []byte) error {
+	return t.on(func(c *Client) error { return c.Set(t.id, key, val) })
+}
+
 // Get reads key at the transaction's snapshot.
-func (t *RTx) Get(key []byte) ([]byte, bool, error) {
-	if t.lost {
-		return nil, false, ErrTxLost
-	}
-	if t.r.c == nil {
-		t.lost = true
-		return nil, false, ErrTxLost
-	}
-	v, ok, err := t.r.c.Get(t.id, key)
-	if transport(err) {
-		t.r.drop()
-		t.lost = true
-		return nil, false, ErrTxLost
-	}
+func (t *RTx) Get(key []byte) (v []byte, ok bool, err error) {
+	err = t.on(func(c *Client) (err error) {
+		v, ok, err = c.Get(t.id, key)
+		return err
+	})
 	return v, ok, err
 }
 
@@ -358,10 +346,7 @@ func (t *RTx) Get(key []byte) ([]byte, bool, error) {
 // reconnects; only if every attempt fails does Commit return an error with
 // outcome CommitNotApplied and the truth unknown.
 func (t *RTx) Commit() (CommitOutcome, error) {
-	if t.lost {
-		return CommitNotApplied, ErrTxLost
-	}
-	if t.r.c == nil {
+	if t.lost || t.r.c == nil {
 		t.lost = true
 		return CommitNotApplied, ErrTxLost
 	}
@@ -392,13 +377,9 @@ func (t *RTx) Commit() (CommitOutcome, error) {
 // a 2PC participant failure).
 func (t *RTx) resolveToken() (CommitOutcome, error) {
 	var applied bool
-	rerr := t.r.do(true, func(c *Client) error {
-		a, err := c.ResolveCommit(t.token)
-		if err != nil {
-			return err
-		}
-		applied = a
-		return nil
+	rerr := t.r.do(true, func(c *Client) (err error) {
+		applied, err = c.ResolveCommit(t.token)
+		return err
 	})
 	if rerr != nil {
 		return CommitNotApplied, fmt.Errorf("shardclient: commit in doubt, resolution failed: %w", rerr)

@@ -17,7 +17,7 @@
 //	Get    | u32 tx | key…                    → OK | u8 found | val…
 //	Set    | u32 tx | u32 klen | key | val…   → OK
 //	Del    | u32 tx | key…                    → OK
-//	Scan   | u32 tx | u32 limit | lo…         → OK | u32 n | n×(u32 klen|key|u32 vlen|val)
+//	Scan   | u32 tx | u32 limit | lo…         → OK | u32 n | n×(u32 klen|key|u32 vlen|val)  (AppendPair, TakePairs)
 //	Begin  | [u64 token]                      → OK | u32 tx
 //	Commit | u32 tx | [u64 token]             → OK
 //	Abort  | u32 tx                           → OK
@@ -199,4 +199,53 @@ func TakeU64(p []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w (need u64, have %d bytes)", ErrTruncatedFrame, len(p))
 	}
 	return binary.BigEndian.Uint64(p[:8]), p[8:], nil
+}
+
+// TakeBytes splits a u32-length-prefixed byte string off the front of p.
+func TakeBytes(p []byte) (b, rest []byte, err error) {
+	n, rest, err := TakeU32(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(n) > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w (field of %d bytes, %d follow)", ErrTruncatedFrame, n, len(rest))
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// Pair is one key-value pair of a Scan reply.
+type Pair struct {
+	Key []byte
+	Val []byte
+}
+
+// AppendPair appends one pair in the Scan reply's layout, u32 klen | key |
+// u32 vlen | val, to body.
+func AppendPair(body, key, val []byte) []byte {
+	body = append(binary.BigEndian.AppendUint32(body, uint32(len(key))), key...)
+	return append(binary.BigEndian.AppendUint32(body, uint32(len(val))), val...)
+}
+
+// TakePairs decodes a Scan reply's payload, u32 n | n pairs; the pairs alias
+// p. The count is untrusted: a pair takes at least its two length fields, so
+// an n the remaining bytes cannot hold is refused before anything is
+// allocated for it.
+func TakePairs(p []byte) ([]Pair, error) {
+	n, rest, err := TakeU32(p)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(n)*8 > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w (%d pairs declared, %d bytes follow)", ErrTruncatedFrame, n, len(rest))
+	}
+	out := make([]Pair, n)
+	for i := range out {
+		if out[i].Key, rest, err = TakeBytes(rest); err != nil {
+			return nil, err
+		}
+		if out[i].Val, rest, err = TakeBytes(rest); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -359,47 +359,23 @@ func (f *File) offsetOf(pageNo uint64) (int64, error) {
 // Accessing a freed or never-allocated run returns storage.ErrFreedPage;
 // device-level failures wrap storage.ErrIOFault.
 func (f *File) ReadPage(pageNo uint64, buf []byte) error {
+	return f.ReadPages(pageNo, [][]byte{buf})
+}
+
+// ReadPages reads the len(pages) pages starting at pageNo, each into its own
+// PageSize buffer, with ONE device read — the sequential-scan counterpart of
+// ReadPage (a 256 KiB read costs about half of thirty-two 8 KiB ones on the
+// Fig. 8 profile). Only an extent is contiguous on the device, so a run
+// crossing an extent boundary is refused. Errors mirror ReadPage.
+func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
+	if n := len(pages); n == 0 || pageNo/ExtentPages != (pageNo+uint64(n)-1)/ExtentPages {
+		return fmt.Errorf("sfile: file %q: %d pages at %d are not a page run inside one extent", f.name, n, pageNo)
+	}
 	off, err := f.offsetOf(pageNo)
 	if err != nil {
 		return err
 	}
-	return f.m.dev.ReadAt(buf, off)
-}
-
-// ReadRun reads the len(buf)/PageSize pages starting at pageNo with ONE
-// device read — the sequential-scan counterpart of ReadPage (a 256 KiB read
-// costs about half of thirty-two 8 KiB ones on the Fig. 8 profile). Only an
-// extent is contiguous on the device, so a run crossing an extent boundary
-// is refused. Errors mirror ReadPage.
-func (f *File) ReadRun(pageNo uint64, buf []byte) error {
-	n := len(buf) / storage.PageSize
-	if len(buf)%storage.PageSize != 0 {
-		n = 0
-	}
-	off, err := f.runOffset(pageNo, n)
-	if err != nil {
-		return err
-	}
-	return f.m.dev.ReadAt(buf, off)
-}
-
-// ReadPages is ReadRun scattered: the len(pages) pages starting at pageNo,
-// each into its own PageSize buffer, still with one device read.
-func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
-	off, err := f.runOffset(pageNo, len(pages))
-	if err != nil {
-		return err
-	}
 	return f.m.dev.ReadvAt(pages, off)
-}
-
-// runOffset is the device offset of the n-page run at pageNo, which must lie
-// inside one extent.
-func (f *File) runOffset(pageNo uint64, n int) (int64, error) {
-	if n <= 0 || pageNo/ExtentPages != (pageNo+uint64(n)-1)/ExtentPages {
-		return 0, fmt.Errorf("sfile: file %q: %d pages at %d are not a page run inside one extent", f.name, n, pageNo)
-	}
-	return f.offsetOf(pageNo)
 }
 
 // WritePage writes buf to page pageNo. Errors mirror ReadPage.

@@ -374,9 +374,9 @@ func TestSpaceNotifierFiresOutsideLocks(t *testing.T) {
 	}
 }
 
-// TestReadRun: one device read for a page run inside an extent; a run that
+// TestReadPages: one device read for a page run inside an extent; a run that
 // crosses an extent boundary (not contiguous on the device) is refused.
-func TestReadRun(t *testing.T) {
+func TestReadPages(t *testing.T) {
 	m := newMgr()
 	other := m.Create("other", ClassTable)
 	f := m.Create("idx", ClassIndex)
@@ -391,36 +391,32 @@ func TestReadRun(t *testing.T) {
 		}
 	}
 	m.Device().ResetStats()
-	buf := make([]byte, 5*storage.PageSize)
-	if err := f.ReadRun(start+ExtentPages-5, buf); err != nil {
+	pages := make([][]byte, 5)
+	for i := range pages {
+		pages[i] = make([]byte, storage.PageSize)
+	}
+	if err := f.ReadPages(start+ExtentPages-5, pages); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if p := buf[i*storage.PageSize:][:storage.PageSize]; p[0] != byte(ExtentPages-5+i) || p[storage.PageSize-1] != p[0] {
+	for i, p := range pages {
+		if p[0] != byte(ExtentPages-5+i) || p[storage.PageSize-1] != p[0] {
 			t.Fatalf("page %d of the run holds %d", i, p[0])
 		}
 	}
-	if st := m.Device().Stats(); st.Reads != 1 || st.BytesRead != int64(len(buf)) {
-		t.Fatalf("%d device reads of %d bytes, want 1 of %d", st.Reads, st.BytesRead, len(buf))
+	if st := m.Device().Stats(); st.Reads != 1 || st.BytesRead != 5*storage.PageSize {
+		t.Fatalf("%d device reads of %d bytes, want 1 of %d", st.Reads, st.BytesRead, 5*storage.PageSize)
 	}
-	for _, c := range []struct {
-		name  string
-		start uint64
-		buf   []byte
-	}{
-		{"across an extent boundary", start + ExtentPages - 2, buf},
-		{"not whole pages", start, buf[:storage.PageSize+1]},
-		{"empty", start, nil},
-	} {
-		if err := f.ReadRun(c.start, c.buf); err == nil {
-			t.Errorf("ReadRun %s accepted", c.name)
-		}
+	if err := f.ReadPages(start+ExtentPages-2, pages); err == nil {
+		t.Error("ReadPages across an extent boundary accepted")
+	}
+	if err := f.ReadPages(start, nil); err == nil {
+		t.Error("ReadPages of no pages accepted")
 	}
 	if st := m.Device().Stats(); st.Reads != 1 {
 		t.Fatalf("refused runs reached the device: %d reads", st.Reads)
 	}
 	f.FreeRun(start, ExtentPages)
-	if err := f.ReadRun(start, buf); !errors.Is(err, storage.ErrFreedPage) {
-		t.Fatalf("ReadRun of a freed extent: %v", err)
+	if err := f.ReadPages(start, pages); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("ReadPages of a freed extent: %v", err)
 	}
 }

@@ -29,7 +29,6 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -248,21 +247,34 @@ func wrap(shard int, key []byte, err error) error {
 	return &ShardError{Shard: shard, Key: append([]byte(nil), key...), Err: err}
 }
 
-// Get reads the newest committed version of key (single-shard autocommit).
-func (r *Router) Get(key []byte) ([]byte, bool, error) {
+// routed is the one single-key operation, autocommit or inside a
+// transaction: through the close fence to the shard that owns key, through
+// that shard's gate — its health for the router's own operations (acquire),
+// the leg's engine incarnation for a transaction's (Tx.leg) — then the engine
+// call, whose outcome the supervisor observes and the caller gets as a
+// ShardError naming shard and key.
+func (r *Router) routed(key []byte, gate func(i int) (func(), error), call func(i int) error) error {
 	if err := r.enter(); err != nil {
-		return nil, false, err
+		return err
 	}
 	defer r.exit()
 	i := r.ShardOf(key)
-	release, err := r.acquire(i)
-	if err != nil {
-		return nil, false, wrap(i, key, err)
+	release, err := gate(i)
+	if err == nil {
+		err = call(i)
+		release()
+		r.observe(i, err)
 	}
-	v, ok, err := r.shards[i].KV.Get(key)
-	release()
-	r.observe(i, err)
-	return v, ok, wrap(i, key, err)
+	return wrap(i, key, err)
+}
+
+// Get reads the newest committed version of key (single-shard autocommit).
+func (r *Router) Get(key []byte) (v []byte, ok bool, err error) {
+	err = r.routed(key, r.acquire, func(i int) (err error) {
+		v, ok, err = r.shards[i].KV.Get(key)
+		return err
+	})
+	return v, ok, err
 }
 
 // Put upserts key (single-shard autocommit through the owning engine's
@@ -270,42 +282,18 @@ func (r *Router) Get(key []byte) ([]byte, bool, error) {
 // db.ErrReadOnly; a failed shard one wrapping ErrShardUnavailable; other
 // shards are unaffected.
 func (r *Router) Put(key, val []byte) error {
-	if err := r.enter(); err != nil {
-		return err
-	}
-	defer r.exit()
-	i := r.ShardOf(key)
-	release, err := r.acquire(i)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	err = r.shards[i].KV.Put(key, val)
-	release()
-	r.observe(i, err)
-	return wrap(i, key, err)
+	return r.routed(key, r.acquire, func(i int) error { return r.shards[i].KV.Put(key, val) })
 }
 
 // Delete tombstones key (single-shard autocommit).
 func (r *Router) Delete(key []byte) error {
-	if err := r.enter(); err != nil {
-		return err
-	}
-	defer r.exit()
-	i := r.ShardOf(key)
-	release, err := r.acquire(i)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	err = r.shards[i].KV.Delete(key)
-	release()
-	r.observe(i, err)
-	return wrap(i, key, err)
+	return r.routed(key, r.acquire, func(i int) error { return r.shards[i].KV.Delete(key) })
 }
 
 // Scan streams up to limit live pairs with key >= lo in global key order,
 // merging the per-shard streams at one consistent snapshot.
 func (r *Router) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
-	tx, err := r.BeginCtx(context.Background())
+	tx, err := r.Begin()
 	if err != nil {
 		return err
 	}
@@ -313,20 +301,30 @@ func (r *Router) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error
 	return tx.Scan(lo, limit, fn)
 }
 
+// reachable calls fn on every shard that is not failed or recovering, each
+// under its health gate: what a router-wide reading, or a transaction's
+// begin, covers. (acquire by hand: its release func would cost an allocation
+// a shard.)
+func (r *Router) reachable(fn func(i int, s *Shard)) {
+	for i, s := range r.shards {
+		h := r.health[i]
+		h.gate.RLock()
+		if !h.unavailable() {
+			fn(i, s)
+		}
+		h.gate.RUnlock()
+	}
+}
+
 // Degraded returns the indexes of shards currently degraded to read-only.
 // Failed/recovering shards are not listed (see Health for those).
 func (r *Router) Degraded() []int {
 	var out []int
-	for i, s := range r.shards {
-		release, err := r.acquire(i)
-		if err != nil {
-			continue
-		}
+	r.reachable(func(_ int, s *Shard) {
 		if s.Engine.ReadOnly() {
 			out = append(out, s.No)
 		}
-		release()
-	}
+	})
 	return out
 }
 
@@ -334,18 +332,12 @@ func (r *Router) Degraded() []int {
 // its soft space watermark — the overload signal the server's admission
 // control gates new sessions on.
 func (r *Router) PastSoftWatermark() bool {
-	for i, s := range r.shards {
-		release, err := r.acquire(i)
-		if err != nil {
-			continue
-		}
+	past := false
+	r.reachable(func(_ int, s *Shard) {
 		sp := s.Engine.SpaceInfo()
-		release()
-		if sp.Soft > 0 && sp.Live >= sp.Soft {
-			return true
-		}
-	}
-	return false
+		past = past || sp.Soft > 0 && sp.Live >= sp.Soft
+	})
+	return past
 }
 
 // Stats returns one entry per shard. A failed/recovering shard reports its
@@ -354,16 +346,13 @@ func (r *Router) Stats() []ShardStats {
 	out := make([]ShardStats, len(r.shards))
 	for i, s := range r.shards {
 		out[i] = ShardStats{Shard: s.No, Dir: s.Dir, Health: r.Health(i)}
-		release, err := r.acquire(i)
-		if err != nil {
-			continue
-		}
+	}
+	r.reachable(func(i int, s *Shard) {
 		out[i].Space = s.Engine.SpaceInfo()
 		out[i].WAL = s.Engine.WALStatsSnapshot()
 		out[i].Checkpoint = s.Engine.CheckpointInfo()
 		out[i].Device = s.Engine.Dev.Stats().String()
-		release()
-	}
+	})
 	return out
 }
 
@@ -421,20 +410,13 @@ func (r *Router) TwoPCInfo() RouterTwoPCStats {
 		return out
 	}
 	defer r.exit()
-	for i, s := range r.shards {
-		release, err := r.acquire(i)
-		if err != nil {
-			continue
-		}
+	r.reachable(func(_ int, s *Shard) {
 		st := s.Engine.TwoPCInfo()
-		release()
 		out.Prepares += st.Prepares
 		out.ResolvedCommits += st.ResolvedCommits
 		out.ResolvedAborts += st.ResolvedAborts
 		out.InDoubt += st.InDoubt
-		if st.OldestAge > out.OldestAge {
-			out.OldestAge = st.OldestAge
-		}
-	}
+		out.OldestAge = max(out.OldestAge, st.OldestAge)
+	})
 	return out
 }

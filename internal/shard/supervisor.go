@@ -317,14 +317,13 @@ func (s *supervisor) restartShard(i int) error {
 	img := sh.Engine.LogImage() // nil without a WAL: the shard restarts empty
 	sh.Engine.Crash()
 	eng := db.NewEngine(r.cfg.Engine)
-	kvName := sh.Dir + "/kv"
-	kv, err := db.NewMVPBTKV(eng, kvName, r.cfg.KVOptions)
+	kv, err := db.NewMVPBTKV(eng, sh.Dir+"/kv", r.cfg.KVOptions)
 	if err != nil {
 		eng.Close()
 		return fmt.Errorf("shard %d: rebuild: %w", i, err)
 	}
 	if img != nil {
-		if _, err := eng.RecoverAll(img, nil, map[string]*db.MVPBTKV{kvName: kv}); err != nil {
+		if _, err := eng.Recover(img); err != nil {
 			eng.Close()
 			return fmt.Errorf("shard %d: recovery: %w", i, err)
 		}

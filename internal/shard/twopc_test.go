@@ -252,12 +252,11 @@ func TestRouterCloseRacesTwoPC(t *testing.T) {
 		for i := 0; i < r.NumShards(); i++ {
 			img := r.Shard(i).Engine.LogImage()
 			eng := db.NewEngine(r.cfg.Engine)
-			kvName := r.Shard(i).Dir + "/kv"
-			kv, err := db.NewMVPBTKV(eng, kvName, r.cfg.KVOptions)
+			kv, err := db.NewMVPBTKV(eng, r.Shard(i).Dir+"/kv", r.cfg.KVOptions)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.RecoverAll(img, nil, map[string]*db.MVPBTKV{kvName: kv}); err != nil {
+			if _, err := eng.Recover(img); err != nil {
 				t.Fatalf("shard %d: post-close recovery: %v", i, err)
 			}
 			for _, d := range eng.InDoubtList() {

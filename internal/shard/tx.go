@@ -47,9 +47,9 @@ type Tx struct {
 // BeginCtx starts a multi-shard transaction carrying ctx: the per-shard
 // begins happen under the epoch barrier's exclusive lock — a few atomic
 // operations per shard, no I/O — giving the snapshot vector its
-// consistency. The context is consulted at every per-shard blocking point
-// (write stalls, scans). Failed/recovering shards are
-// skipped; their keys fail per-key with ErrShardUnavailable.
+// consistency. The context is consulted where a leg can run long: at every
+// entry of its scans. Failed/recovering shards are skipped; their keys fail
+// per-key with ErrShardUnavailable.
 func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 	if err := r.enter(); err != nil {
 		return nil, err
@@ -65,19 +65,12 @@ func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 		dirty:   make([]bool, n),
 	}
 	r.epoch.Lock()
-	for i, s := range r.shards {
-		h := r.health[i]
-		h.gate.RLock()
-		if h.unavailable() {
-			h.gate.RUnlock()
-			continue
-		}
+	r.reachable(func(i int, s *Shard) {
 		t.txs[i] = s.Engine.BeginCtx(ctx)
 		t.engines[i] = s.Engine
 		t.kvs[i] = s.KV
-		t.epochs[i] = h.epoch.Load()
-		h.gate.RUnlock()
-	}
+		t.epochs[i] = r.health[i].epoch.Load()
+	})
 	r.epoch.Unlock()
 	return t, nil
 }
@@ -104,20 +97,12 @@ func (t *Tx) leg(i int) (func(), error) {
 }
 
 // Get reads key at the transaction's snapshot (plus its own writes).
-func (t *Tx) Get(key []byte) ([]byte, bool, error) {
-	if err := t.r.enter(); err != nil {
-		return nil, false, err
-	}
-	defer t.r.exit()
-	i := t.r.ShardOf(key)
-	release, err := t.leg(i)
-	if err != nil {
-		return nil, false, wrap(i, key, err)
-	}
-	v, ok, err := t.kvs[i].GetTx(t.txs[i], key)
-	release()
-	t.r.observe(i, err)
-	return v, ok, wrap(i, key, err)
+func (t *Tx) Get(key []byte) (v []byte, ok bool, err error) {
+	err = t.r.routed(key, t.leg, func(i int) (err error) {
+		v, ok, err = t.kvs[i].GetTx(t.txs[i], key)
+		return err
+	})
+	return v, ok, err
 }
 
 // Put upserts key inside the transaction. The write is invisible to other
@@ -126,44 +111,23 @@ func (t *Tx) Get(key []byte) ([]byte, bool, error) {
 // ErrShardUnavailable; the transaction remains usable — the caller
 // chooses between continuing without that key and aborting.
 func (t *Tx) Put(key, val []byte) error {
-	if err := t.r.enter(); err != nil {
-		return err
-	}
-	defer t.r.exit()
-	i := t.r.ShardOf(key)
-	release, err := t.leg(i)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	err = t.kvs[i].PutTx(t.txs[i], key, val)
-	release()
-	t.r.observe(i, err)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	t.dirty[i] = true
-	return nil
+	return t.r.routed(key, t.leg, func(i int) error {
+		return t.wrote(i, t.kvs[i].PutTx(t.txs[i], key, val))
+	})
 }
 
 // Delete tombstones key inside the transaction.
 func (t *Tx) Delete(key []byte) error {
-	if err := t.r.enter(); err != nil {
-		return err
-	}
-	defer t.r.exit()
-	i := t.r.ShardOf(key)
-	release, err := t.leg(i)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	err = t.kvs[i].DeleteTx(t.txs[i], key)
-	release()
-	t.r.observe(i, err)
-	if err != nil {
-		return wrap(i, key, err)
-	}
-	t.dirty[i] = true
-	return nil
+	return t.r.routed(key, t.leg, func(i int) error {
+		return t.wrote(i, t.kvs[i].DeleteTx(t.txs[i], key))
+	})
+}
+
+// wrote marks shard i's leg written if the write returned no error, which
+// it passes on.
+func (t *Tx) wrote(i int, err error) error {
+	t.dirty[i] = t.dirty[i] || err == nil
+	return err
 }
 
 // scanStream is one shard's share of a Scan: its pairs copied back to back
