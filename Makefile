@@ -124,7 +124,9 @@ bench-commit:
 # partition; it fails the build), then the segment builder, one P_N eviction
 # and one 10-way merge with -benchmem and their device cost (dev-writes/op,
 # dev-reads/op, virtual-ms/op; counts, so they repeat), and a reused
-# iterator's Seek into a resident segment and through a pool a third its size.
+# iterator's Seek into a resident segment and through a pool a third its size,
+# for 100-byte bodies and for the TPC-C index shape (~180 records a leaf, the
+# leaves whose restart slots a seek binary-searches).
 # Output lands in bench-evict.txt for publishing as a build artifact.
 bench-evict:
 	go test ./internal/index/mvpbt/ -run TestBoundedMemoryGate -count 1

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mvpbt/internal/buffer"
+	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
@@ -116,6 +117,28 @@ func TestBuilderMatchesReference(t *testing.T) {
 				t.Errorf("height %d, want a multi-level tree", seg.height)
 			}
 		})
+	}
+}
+
+// TestKVLeavesEncodeAsBefore: a leaf of 1 KiB values holds fewer records
+// than the restart interval, so restart slots leave it as it was: the page
+// checksums of such a segment, versions and filters included, are the ones
+// recorded at PR 24, before leaves had restart slots. It is why the kv_*
+// workloads' partitions do not move.
+func TestKVLeavesEncodeAsBefore(t *testing.T) {
+	want := []uint32{0xad8e3279, 0xe7d5321a, 0x99ec68e5, 0x8ecd5b71, 0x6b10337e, 0xb92be863, 0x3c1ad165, 0x2f254fc6, 0x2b66b1f5, 0xb22b4eb}
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, randomKVs(8, 60, 1024, 4), 0, 0, BuildOptions{BloomBitsPerKey: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, _ := image(t, e, seg)
+	var got []uint32
+	for p := 0; p < len(pages); p += storage.PageSize {
+		got = append(got, page.Checksum(pages[p:p+storage.PageSize]))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("page checksums %#x, at PR 24 %#x", got, want)
 	}
 }
 

@@ -24,6 +24,9 @@ var errBadRecord = fmt.Errorf("part: malformed record: %w", storage.ErrCorruptPa
 // Iterator runs it over its copy of a pool page, the Reader over its extent
 // buffer.
 //
+// Every restartEvery-th record carries its whole key, which lets seek start
+// inside the page (see there); next reads it as any other record.
+//
 // The page is device input: a slot outside the page, a varint that does not
 // end, a shared length above the previous key's or a suffix longer than the
 // record end the walk with errBadRecord, never with a panic.
@@ -76,14 +79,37 @@ func (c *leafCursor) next() (bool, error) {
 
 // seek moves a cursor that stands before the first record (reset) to the
 // first record whose key is >= min, and reports whether the page has one.
-// Front-coding pays for the walk. While the records are below min, matched is
-// how many leading bytes the last one has in common with min; a record that
-// takes more than that from its predecessor differs from min where the
-// predecessor did, the same way, and is passed over unread. Any other is
-// compared from its first own byte on, and as what it took from its
-// predecessor it shares with min, the key the walk ends on is min's prefix
-// plus that record's own bytes: no key is rebuilt along the way.
+//
+// It starts at the last restart slot (see restartEvery) whose key is
+// strictly below min, found by binary search over the restart slots alone,
+// so a seek decodes about log2(n/R) + R/2 records, not n/2. Strictly: the
+// versions of a key lie side by side and may run across a restart slot, and
+// the seek must land on the first of them. A restart record that takes bytes
+// from a predecessor is not one the builder writes, and fails as such.
+//
+// From there front-coding pays for the walk. While the records are below
+// min, matched is how many leading bytes the last one has in common with
+// min; a record that takes more than that from its predecessor differs from
+// min where the predecessor did, the same way, and is passed over unread.
+// Any other is compared from its first own byte on, and as what it took from
+// its predecessor it shares with min, the key the walk ends on is min's
+// prefix plus that record's own bytes: no key is rebuilt along the way.
 func (c *leafCursor) seek(min []byte) (bool, error) {
+	lo, hi := 1, (c.n-1)/restartEvery+1 // the restart slots after slot 0, by index
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c.slot = mid * restartEvery
+		_, key, _, err := c.record(0)
+		if err != nil {
+			return false, err
+		}
+		if bytes.Compare(key, min) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c.slot = (lo-1)*restartEvery - 1
 	matched, have := 0, 0 // have: the length of the previous record's key
 	for c.slot+1 < c.n {
 		c.slot++

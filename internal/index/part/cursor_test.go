@@ -43,6 +43,20 @@ func endsOf(img []byte) (head, tail []byte) {
 	return bytes.Clone(img[:48+4*int(slots)]), bytes.Clone(img[freeHi:])
 }
 
+// leafImage builds kvs into a segment and returns a copy of its leaf rel.
+func leafImage(tb testing.TB, kvs []KV, rel int) []byte {
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
 // fuzzSeeds builds a small two-level segment and returns the ends of its
 // first leaf and of its root.
 func fuzzSeeds(f *testing.F) (leafHead, leafTail, rootHead, rootTail []byte) {
@@ -67,12 +81,39 @@ func fuzzSeeds(f *testing.F) (leafHead, leafTail, rootHead, rootTail []byte) {
 	return
 }
 
+// restartSeeds returns the ends of a one-leaf segment of 3R+4 small records
+// (six-byte records, so the input stays small), of the same leaf with slot
+// R's shared length set to 1, and with the keys of slots R and 2R swapped.
+func restartSeeds(f *testing.F) (ends [3][2][]byte) {
+	var kvs []KV
+	for i := 0; i < 3*restartEvery+4; i++ {
+		kvs = append(kvs, KV{Key: []byte(fmt.Sprintf("user%06d", i*3)), Body: []byte{byte('a' + i%26)}})
+	}
+	img := leafImage(f, kvs, 0)
+	ends[0][0], ends[0][1] = endsOf(img)
+	pg := page.Wrap(bytes.Clone(img))
+	pg.Get(restartEvery)[0] = 1
+	ends[1][0], ends[1][1] = endsOf(pg.Bytes())
+	pg = page.Wrap(bytes.Clone(img))
+	a, b := pg.Get(restartEvery)[2:12], pg.Get(2 * restartEvery)[2:12] // [0][10][key][body]
+	for i := range a {
+		a[i], b[i] = b[i], a[i]
+	}
+	ends[2][0], ends[2][1] = endsOf(pg.Bytes())
+	return ends
+}
+
 func FuzzLeafCursor(f *testing.F) {
 	leafHead, leafTail, rootHead, rootTail := fuzzSeeds(f)
 	f.Add(leafHead, leafTail, []byte("user000030"))
 	f.Add(leafHead, leafTail, []byte(nil))
 	f.Add(leafHead, leafTail, []byte("zzz"))
 	f.Add(rootHead, rootTail, []byte("user000030")) // an internal page read as a leaf
+	// A leaf past two restart slots: whole, with a restart record that takes
+	// a byte from its predecessor, and with two restart keys swapped.
+	for _, e := range restartSeeds(f) {
+		f.Add(e[0], e[1], []byte("user000150"))
+	}
 	// Hostile shapes: a slot count the page cannot hold, a slot past the
 	// page end, a shared length with no previous key, a suffix length past
 	// the record, varints that do not end.
@@ -120,7 +161,18 @@ func FuzzLeafCursor(f *testing.F) {
 			return
 		}
 		if walk == nil {
-			return // the damage lies behind the record the seek stopped at
+			return // the seek may start behind the damage, or stop before it
+		}
+		// A page whose keys go down is none a builder writes, and binary
+		// search over its restart slots has no lower bound to find: the seek
+		// only has to land on a record of the walk, the one in its slot.
+		for i := 1; i < len(walk); i++ {
+			if bytes.Compare(walk[i-1].key, walk[i].key) > 0 {
+				if ok && (c.slot >= len(walk) || !bytes.Equal(c.key, walk[c.slot].key) || !bytes.Equal(c.body, walk[c.slot].body)) {
+					t.Fatalf("seek %q: on %q in slot %d, not the walk's record there", key, c.key, c.slot)
+				}
+				return
+			}
 		}
 		for _, w := range walk {
 			if bytes.Compare(w.key, key) >= 0 {
@@ -209,9 +261,10 @@ func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
 }
 
 // TestScanOverManyPartitionsHoldsNoPin: one open iterator per partition, a
-// hundred of them over a 64-frame pool (two shards of 32), all standing
-// mid-leaf at once as a scan's merge holds them: no fetch fails for want of
-// a frame, and no iterator holds a frame between calls.
+// hundred of them over a 64-frame pool (one replacement domain: a domain has
+// at least 128 frames since PR 21), all standing mid-leaf at once as a scan's
+// merge holds them: no fetch fails for want of a frame, and no iterator holds
+// a frame between calls.
 func TestScanOverManyPartitionsHoldsNoPin(t *testing.T) {
 	e := newEnv(64)
 	const parts = 100
@@ -301,10 +354,22 @@ func TestPoisonMakesAKeptRecordLoud(t *testing.T) {
 }
 
 // BenchmarkSegmentSeek seeks a reused iterator to random present keys of one
-// segment, with the segment resident in the pool and with a pool a third its
-// size.
+// segment, of 100-byte bodies (~70 records a leaf) and of the TPC-C index
+// shape (~180), with the segment resident in the pool and with a pool a third
+// its size.
 func BenchmarkSegmentSeek(b *testing.B) {
-	kvs := randomKVs(1, 20000, 100, 1)
+	for _, shape := range []struct {
+		name string
+		kvs  []KV
+	}{
+		{"body=100B", randomKVs(1, 20000, 100, 1)},
+		{"tpcc-index", indexKVs(1, 60000)},
+	} {
+		b.Run(shape.name, func(b *testing.B) { benchmarkSeek(b, shape.kvs) })
+	}
+}
+
+func benchmarkSeek(b *testing.B, kvs []KV) {
 	for _, c := range []struct {
 		name   string
 		frames func(pages int) int
@@ -382,6 +447,121 @@ func TestSeekThenWalkMatchesModel(t *testing.T) {
 		}
 		if it.Err() != nil {
 			t.Fatal(it.Err())
+		}
+	}
+}
+
+// indexKVs returns n sorted records of the TPC-C index shape: 16-byte keys
+// that share a few leading bytes with their neighbours and 24-byte bodies,
+// about 180 to a leaf.
+func indexKVs(seed uint64, n int) []KV {
+	r := util.NewRand(seed)
+	kvs := make([]KV, n)
+	for i := range kvs {
+		body := make([]byte, 24)
+		r.Letters(body)
+		kvs[i] = KV{Key: []byte(fmt.Sprintf("%016x", r.Uint64())), Body: body}
+	}
+	sort.Slice(kvs, func(i, j int) bool { return bytes.Compare(kvs[i].Key, kvs[j].Key) < 0 })
+	return kvs
+}
+
+// TestSeekLandsOnFirstVersion: one key's 3R versions run past two restart
+// slots — which then hold the key itself — and across a leaf boundary. A
+// seek to the key lands on its first version and walks all of them in order;
+// a seek past it lands on the record after the last.
+func TestSeekLandsOnFirstVersion(t *testing.T) {
+	var kvs []KV
+	filler := func(p string, i int) KV {
+		return KV{Key: []byte(fmt.Sprintf("%s%03d", p, i)), Body: bytes.Repeat([]byte{'f'}, 100)}
+	}
+	for i := 0; i < 40; i++ {
+		kvs = append(kvs, filler("a", i))
+	}
+	hot := []byte("hot")
+	for v := 0; v < 3*restartEvery; v++ {
+		kvs = append(kvs, KV{Key: hot, Body: []byte(fmt.Sprintf("%03d%s", v, bytes.Repeat([]byte{'v'}, 97)))})
+	}
+	for i := 0; i < 40; i++ {
+		kvs = append(kvs, filler("z", i))
+	}
+	e := newEnv(16)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var it Iterator
+	restarts, leaves := 0, map[int]bool{}
+	it.Seek(seg, hot)
+	for v := 0; v < 3*restartEvery; v++ {
+		if !it.Valid() || !bytes.Equal(it.Record().Key, hot) || !bytes.Equal(it.Record().Body, kvs[40+v].Body) {
+			t.Fatalf("version %d: valid %v on %q %.3q", v, it.Valid(), it.Record().Key, it.Record().Body)
+		}
+		if v > 0 && it.cur.slot > 0 && it.cur.slot%restartEvery == 0 {
+			restarts++
+		}
+		leaves[it.leaf] = true
+		it.Next()
+	}
+	if restarts < 2 || len(leaves) < 2 {
+		t.Fatalf("the versions cross %d restart slots inside a leaf and %d leaves; want 2 and 2", restarts, len(leaves))
+	}
+	if !it.Valid() || !bytes.Equal(it.Record().Key, []byte("z000")) {
+		t.Fatalf("after the versions: %q", it.Record().Key)
+	}
+	if it.Seek(seg, []byte("hot\x00")); !it.Valid() || !bytes.Equal(it.Record().Key, []byte("z000")) {
+		t.Fatalf("seek past the versions: %q", it.Record().Key)
+	}
+}
+
+// TestSeekSkipsOtherGroups: in a leaf of ~180 index records, every record
+// that is neither a restart record nor in the probe's restart group — the
+// slots from the last restart strictly below the probe up to the next — is
+// made undecodable. Every probe, present or absent, still seeks to its lower
+// bound: a seek reads only the restart records and its own group.
+func TestSeekSkipsOtherGroups(t *testing.T) {
+	img := leafImage(t, indexKVs(3, 400), 0)
+	var c leafCursor
+	c.reset(page.Wrap(img))
+	if c.n < 5*restartEvery {
+		t.Fatalf("%d records in the leaf", c.n)
+	}
+	var keys [][]byte
+	for {
+		ok, err := c.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		keys = append(keys, bytes.Clone(c.key))
+	}
+	probes := [][]byte{[]byte("!"), []byte("~")}
+	for _, k := range keys {
+		probes = append(probes, k, append(bytes.Clone(k), 0))
+	}
+	smashed := make([]byte, len(img))
+	for _, probe := range probes {
+		group := 0 // the last restart slot whose key is strictly below probe
+		for s := restartEvery; s < len(keys) && bytes.Compare(keys[s], probe) < 0; s += restartEvery {
+			group = s
+		}
+		copy(smashed, img)
+		pg := page.Wrap(smashed)
+		for s := range keys {
+			if s%restartEvery != 0 && (s < group || s >= group+restartEvery) {
+				rec := pg.Get(s)
+				for i := range rec {
+					rec[i] = 0x80 // a varint that does not end
+				}
+			}
+		}
+		want := sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], probe) >= 0 })
+		c.reset(pg)
+		ok, err := c.seek(probe)
+		if err != nil || ok != (want < len(keys)) || (ok && (c.slot != want || !bytes.Equal(c.key, keys[want]))) {
+			t.Fatalf("seek %q: ok %v in slot %d on %q, %v; want slot %d", probe, ok, c.slot, c.key, err, want)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // referenceBuild is the materialising build that Builder replaced, kept
-// verbatim as the reference the byte-identity tests compare against: every
+// verbatim (but for the leaves' restart slots, PR 25) as the reference the
+// byte-identity tests compare against: every
 // record encoded and every page image held in memory, internal levels built
 // over them, filters filled from the record slice on a second goroutine,
 // then one AllocRun of the final size and a page-by-page write-out.
@@ -45,6 +46,9 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 	used := 0
 	size := 0
 	for i := range kvs {
+		if leaf.NumSlots()%restartEvery == 0 { // a restart slot: the whole key
+			prevKey = nil
+		}
 		rec := refEncodeLeafRec(prevKey, kvs[i].Key, kvs[i].Body)
 		if used+len(rec)+4 > budget && leaf.NumSlots() > 0 {
 			leaf = newNode(0)
