@@ -71,11 +71,13 @@ fuzz-wal:
 
 # And for the partition layer's decoders of device bytes: the leaf cursor
 # behind part.Iterator and part.Reader and the internal-page search, which
-# read pages where they lie, and the MV-PBT record body inside a leaf.
+# read pages where they lie, and the MV-PBT record body inside a leaf; plus
+# the prefix filter, which must never skip a range that holds a key.
 # Crashers land in internal/index/{part,mvpbt}/testdata/fuzz/.
 fuzz-part:
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzInnerSearch -fuzztime=10s ./internal/index/part/
+	go test -fuzz=FuzzPrefixFilter -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
 
 # Differential correctness harness: short smoke (CI) and nightly-length.
@@ -139,13 +141,16 @@ bench-evict:
 # per partition, pages read beyond those used, none when resident, fallback
 # and typed errors under device faults; they fail the build) and the pool's
 # GetRun tests, then BenchmarkScanLimit — SCAN(50) against one partition
-# through a pool an eighth of the leaves and resident — with -benchmem and
-# its device cost (dev-reads/op, virtual-us/op; counts, so they repeat).
+# through a pool an eighth of the leaves and resident — and
+# BenchmarkScanOrderLine — one order's lines over 50 partitions that each
+# hold every district, through a pool a quarter of their pages and resident
+# — with -benchmem and their device cost (dev-reads/op, virtual-us/op,
+# partitions/op entered past the prefix filter; counts, so they repeat).
 # Output lands in bench-scan.txt for publishing as a build artifact.
 bench-scan:
 	go test ./internal/index/mvpbt/ -run TestScanReadAhead -count 1
 	go test ./internal/buffer/ -run TestGetRun -count 1
-	go test -bench BenchmarkScanLimit -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
+	go test -bench 'BenchmarkScanLimit|BenchmarkScanOrderLine' -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
 
 # The buffer pool's replacement policy on its own: the policy tests
 # (TestPolicy*: what a hit buys, the dirty pass, a victim with every frame at

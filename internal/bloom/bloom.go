@@ -1,11 +1,15 @@
 // Package bloom implements the partition filters of §4.7: a standard bloom
 // filter over full search keys (accelerating point lookups by skipping
-// partitions) and a prefix bloom filter over fixed-length key prefixes
-// (allowing range scans with a shared prefix — e.g. a fixed set of scan
-// attributes — to skip partitions too).
+// partitions) and a prefix bloom filter over key prefixes of a minimum
+// length (allowing range scans with a shared prefix — e.g. a fixed set of
+// scan attributes — to skip partitions too).
 package bloom
 
-import "math"
+import (
+	"math"
+
+	"mvpbt/internal/util"
+)
 
 const (
 	fnvOffset = 14695981039346656037
@@ -99,16 +103,17 @@ func (f *Filter) MayContain(key []byte) bool {
 // SizeBytes returns the memory footprint of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
-// PrefixFilter is a bloom filter over fixed-length key prefixes. A range
-// scan whose bounds share at least the prefix length in leading bytes can consult it
-// to skip partitions (§4.7 "prefix Bloom Filters").
+// PrefixFilter is a bloom filter over key prefixes at least the prefix
+// length long. A range scan whose bounds share that many leading bytes or
+// more can consult it to skip partitions (§4.7 "prefix Bloom Filters"): it
+// answers for the longest prefix the bounds share.
 type PrefixFilter struct {
 	f         *Filter
 	prefixLen int
 }
 
-// NewPrefix returns a prefix filter for n keys with the given prefix
-// length.
+// NewPrefix returns a prefix filter for n prefix hashes with the given
+// prefix length.
 func NewPrefix(n, bitsPerKey, prefixLen int) *PrefixFilter {
 	if prefixLen < 1 {
 		prefixLen = 1
@@ -116,24 +121,19 @@ func NewPrefix(n, bitsPerKey, prefixLen int) *PrefixFilter {
 	return &PrefixFilter{f: New(n, bitsPerKey), prefixLen: prefixLen}
 }
 
-// AddHash inserts the prefix that hashed to h: HashKey of the key's first
-// prefix-length bytes, or of all of a shorter key.
+// AddHash inserts the prefix that hashed to h. Every key must be given as
+// HashKey of each of its prefixes of prefix length or more, the whole key
+// included; a prefix already given for an earlier key need not be given
+// again, and a key shorter than the prefix length gives none.
 func (p *PrefixFilter) AddHash(h Hash) { p.f.AddHash(h) }
 
-// MayContainRange reports whether any key in [lo, hi] might be present.
-// When the bounds do not share a whole prefix the filter cannot decide
-// and answers true.
+// MayContainRange reports whether any key in [lo, hi) might be present. It
+// probes the longest prefix lo and hi share, which every key between them
+// carries; bounds that share less than the prefix length leave it unable to
+// decide, and it answers true.
 func (p *PrefixFilter) MayContainRange(lo, hi []byte) bool {
-	if len(lo) < p.prefixLen || len(hi) < p.prefixLen {
-		return true
-	}
-	pre := lo[:p.prefixLen]
-	for i := 0; i < p.prefixLen; i++ {
-		if lo[i] != hi[i] {
-			return true
-		}
-	}
-	return p.f.MayContain(pre)
+	l := util.CommonPrefix(lo, hi)
+	return l < p.prefixLen || p.f.MayContain(lo[:l])
 }
 
 // SizeBytes returns the memory footprint of the bit array.

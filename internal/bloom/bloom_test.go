@@ -77,17 +77,37 @@ func TestSizeScalesWithKeys(t *testing.T) {
 }
 
 func TestPrefixFilterRangeSkipping(t *testing.T) {
-	p := NewPrefix(1000, 10, 4)
-	// Keys are grouped under 4-byte prefixes "aaaa", "bbbb".
-	for i := 0; i < 500; i++ {
-		p.AddHash(HashKey([]byte(fmt.Sprintf("aaaa-%04d", i))[:4]))
-		p.AddHash(HashKey([]byte(fmt.Sprintf("bbbb-%04d", i))[:4]))
+	// Keys are grouped under 4-byte prefixes "aaaa", "bbbb", added in sort
+	// order by the insertion rule of AddHash: each prefix of four bytes or
+	// more that the previous key does not share.
+	var keys [][]byte
+	for _, g := range []string{"aaaa", "bbbb"} {
+		for i := 0; i < 500; i++ {
+			keys = append(keys, []byte(fmt.Sprintf("%s-%04d", g, i)))
+		}
 	}
-	if !p.MayContainRange([]byte("aaaa-0000"), []byte("aaaa-9999")) {
+	var hs []Hash
+	var prev []byte
+	for _, k := range keys {
+		for l := max(4, util.CommonPrefix(prev, k)+1); l <= len(k); l++ {
+			hs = append(hs, HashKey(k[:l]))
+		}
+		prev = k
+	}
+	p := NewPrefix(len(hs), 10, 4)
+	for _, h := range hs {
+		p.AddHash(h)
+	}
+	if !p.MayContainRange([]byte("aaaa-0000"), []byte("aaaa-9999")) || !p.MayContainRange([]byte("bbbb-0120"), []byte("bbbb-0125")) {
 		t.Fatal("false negative on present prefix range")
 	}
 	if p.MayContainRange([]byte("cccc-0000"), []byte("cccc-9999")) {
 		t.Fatal("absent prefix range not skipped (could be a false positive, but with 2 prefixes it must not)")
+	}
+	// The bounds share "aaaa-07", longer than the prefix length and held by
+	// no key: skipped too.
+	if p.MayContainRange([]byte("aaaa-0700"), []byte("aaaa-0799")) {
+		t.Fatal("absent longer prefix range not skipped")
 	}
 	// Bounds with different prefixes: cannot decide, must answer true.
 	if !p.MayContainRange([]byte("cccc-0000"), []byte("dddd-9999")) {

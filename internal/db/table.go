@@ -73,7 +73,10 @@ type IndexDef struct {
 	Unique  bool
 	// Extract derives the index key from a row payload.
 	Extract func(row []byte) []byte
-	// BloomBits / PrefixLen configure partition filters (PBT, MV-PBT).
+	// BloomBits / PrefixLen configure partition filters (PBT, MV-PBT). The
+	// prefix filter holds every key prefix of PrefixLen bytes or more, and
+	// a range scan whose bounds share at least PrefixLen bytes asks it for
+	// the longest prefix they share.
 	BloomBits int
 	PrefixLen int
 	// DisableGC turns off MV-PBT partition garbage collection.

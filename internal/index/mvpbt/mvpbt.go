@@ -56,8 +56,10 @@ type Options struct {
 	// BloomBits enables per-partition bloom filters (bits per key);
 	// 0 disables them (Figure 14c's "no filters" configuration).
 	BloomBits int
-	// PrefixLen enables prefix bloom filters of that prefix length for
-	// range scans; 0 disables them.
+	// PrefixLen enables prefix bloom filters for range scans, over every
+	// key prefix of at least PrefixLen bytes: a scan whose bounds share that
+	// many leading bytes or more skips the partitions that hold no key with
+	// the longest prefix they share. 0 disables them.
 	PrefixLen int
 	// DisableGC turns off partition garbage collection (§4.6) for the
 	// ablations of Figures 12a/12b/14d.
@@ -72,7 +74,8 @@ type Options struct {
 type FilterStats struct {
 	// Negatives: partitions skipped (key/range cannot be present).
 	Negatives int64
-	// Positives: filter said yes and the partition had a match.
+	// Positives: filter said yes and the partition had a match (a scan's:
+	// a record in [lo, hi) where its source was positioned).
 	Positives int64
 	// FalsePositives: filter said yes but the search found nothing.
 	FalsePositives int64
@@ -760,7 +763,8 @@ func segInvisible(tx *txn.Tx, seg *part.Segment) bool {
 
 // scanSources builds the merge inputs for [lo, hi) over one view: the PN
 // iterator plus one iterator per partition surviving the timestamp and
-// range filters, all positioned at lo — into rs.srcs. rows (0 = unknown) is
+// range filters, all positioned at lo — into rs.srcs, counting each partition
+// in Stats().Prefix once its source is positioned. rows (0 = unknown) is
 // how many entries the scan is expected to take; each partition's share of
 // them, by its share of the records under the scan, sizes its leaf reads.
 func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte, rows int) error {
@@ -789,12 +793,19 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 			t.stats.prefix.negatives.Add(1)
 			continue
 		}
-		t.stats.prefix.positives.Add(1)
 		rs.addSource(base+len(v.parts)-1-i).segIt.SeekScan(seg, lo, hi, rows, records)
 	}
 	for i := range rs.srcs {
-		if err := rs.srcs[i].load(hi); err != nil {
+		s := &rs.srcs[i]
+		if err := s.load(hi); err != nil {
 			return err
+		}
+		switch {
+		case s.inPN: // no filter was asked
+		case s.valid:
+			t.stats.prefix.positives.Add(1)
+		default:
+			t.stats.prefix.falsePositives.Add(1)
 		}
 	}
 	return nil

@@ -17,8 +17,10 @@ import (
 type BuildOptions struct {
 	// BloomBitsPerKey sizes the partition bloom filter; 0 disables it.
 	BloomBitsPerKey int
-	// PrefixLen enables a prefix bloom filter over the leading PrefixLen
-	// key bytes; 0 disables it.
+	// PrefixLen enables a prefix bloom filter over every key prefix of at
+	// least PrefixLen bytes; a range scan whose bounds share that many
+	// leading bytes or more asks it for the longest prefix they share. 0
+	// disables it.
 	PrefixLen int
 }
 
@@ -42,8 +44,7 @@ type childRef struct {
 
 // hashList collects key hashes in fixed-size chunks, so a long build never
 // re-copies what it has collected. A hash equal to its predecessor (another
-// version of the key, another key of the prefix) is dropped: a filter bit is
-// set or not.
+// version of the key) is dropped: a filter bit is set or not.
 type hashList [][]bloom.Hash
 
 func (l *hashList) add(h bloom.Hash) {
@@ -56,6 +57,13 @@ func (l *hashList) add(h bloom.Hash) {
 	if k := len(*last); k == 0 || (*last)[k-1] != h {
 		*last = append(*last, h)
 	}
+}
+
+func (l hashList) len() (n int) {
+	for _, c := range l {
+		n += len(c)
+	}
+	return n
 }
 
 func (l hashList) each(fn func(bloom.Hash)) {
@@ -132,9 +140,10 @@ func (b *Builder) Add(key, body []byte) error {
 		h += binary.PutUvarint(hdr[h:], uint64(len(key)-shared))
 		return h, h + len(key) - shared + len(body)
 	}
+	common := util.CommonPrefix(b.lastKey, key)
 	shared := 0
 	if b.node.NumSlots()%restartEvery != 0 {
-		shared = util.CommonPrefix(b.lastKey, key)
+		shared = common
 	}
 	h, n := encode(shared)
 	if b.used+n+4 > leafBudget && b.node.NumSlots() > 0 {
@@ -162,7 +171,11 @@ func (b *Builder) Add(key, body []byte) error {
 		b.keys.add(bloom.HashKey(key))
 	}
 	if p := b.opts.PrefixLen; p > 0 {
-		b.prefixes.add(bloom.HashKey(key[:min(p, len(key))]))
+		// Every prefix of PrefixLen bytes or more that the previous key
+		// does not share (see bloom.PrefixFilter.AddHash).
+		for l := max(p, common+1); l <= len(key); l++ {
+			b.prefixes.add(bloom.HashKey(key[:l]))
+		}
 	}
 	if b.n == 0 {
 		b.minKey = bytes.Clone(key)
@@ -276,7 +289,7 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 		b.keys.each(seg.Filter.AddHash)
 	}
 	if p := b.opts.PrefixLen; p > 0 {
-		seg.PFilter = bloom.NewPrefix(b.n, b.opts.BloomBitsPerKey+2, p)
+		seg.PFilter = bloom.NewPrefix(b.prefixes.len(), b.opts.BloomBitsPerKey+2, p)
 		b.prefixes.each(seg.PFilter.AddHash)
 	}
 	b.backed = 0 // the segment owns the run now

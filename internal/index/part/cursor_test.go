@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -216,26 +217,12 @@ func FuzzInnerSearch(f *testing.F) {
 // from the leaf walk and the sequential reader.
 func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
 	e := newEnv(16)
-	seg, err := Build(e.pool, e.file, 1, randomKVs(3, 60, 420, 1), 0, 0, BuildOptions{})
+	kvs := randomKVs(3, 60, 420, 1)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
 	if err != nil || seg.height != 2 {
 		t.Fatalf("height %d, %v", seg.height, err)
 	}
-	// Overwrite the first varint of a page's first record with one that
-	// does not end, under a fresh checksum.
-	smash := func(rel int) {
-		buf := make([]byte, storage.PageSize)
-		if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
-			t.Fatal(err)
-		}
-		rec := page.Wrap(buf).Get(0)
-		for i := range rec {
-			rec[i] = 0x80
-		}
-		page.StampChecksum(buf)
-		if err := e.file.WritePage(seg.StartPage+uint64(rel), buf); err != nil {
-			t.Fatal(err)
-		}
-	}
+	smash := func(rel int) { smashFirstRecord(t, e, seg, rel) }
 	smash(1)
 	it := seg.Seek(nil)
 	n := 0
@@ -255,8 +242,80 @@ func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
 		t.Fatal(err)
 	}
 	smash(seg.rootRel)
-	if it := seg.Seek([]byte("user")); it.Valid() || !errors.Is(it.Err(), storage.ErrCorruptPage) {
+	// A key strictly inside the segment: a seek at or below its first key
+	// starts at leaf 0 without a descent (see SeekScan).
+	if it := seg.Seek(kvs[30].Key); it.Valid() || !errors.Is(it.Err(), storage.ErrCorruptPage) {
 		t.Fatalf("descent: valid %v, %v", it.Valid(), it.Err())
+	}
+}
+
+// TestWholeSegmentScanSkipsDescent: a SeekScan that covers the whole segment
+// — from nil or its first key, to nil or past its last — asks the pool for
+// its leaves alone, one request each, and yields what the descending path
+// (the same scan bounded by the last key) yields. With a corrupt root it
+// still reads every record.
+func TestWholeSegmentScanSkipsDescent(t *testing.T) {
+	e := newEnv(64)
+	kvs := randomKVs(4, 20000, 40, 3)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil || seg.height < 2 {
+		t.Fatalf("height %d, %v", seg.height, err)
+	}
+	past := append(bytes.Clone(seg.MaxKey), 0)
+	drain := func(lo, hi []byte) (recs []KV, requests int64) {
+		t.Helper()
+		before := e.pool.Stats()[sfile.ClassIndex].Requests
+		var it Iterator
+		for it.SeekScan(seg, lo, hi, 0, 0); it.Valid(); it.Next() {
+			recs = append(recs, KV{bytes.Clone(it.Record().Key), bytes.Clone(it.Record().Body)})
+		}
+		if it.Err() != nil {
+			t.Fatalf("scan [%q, %q): %v", lo, hi, it.Err())
+		}
+		return recs, e.pool.Stats()[sfile.ClassIndex].Requests - before
+	}
+	want, descended := drain(seg.MinKey, seg.MaxKey)
+	if descended != int64(seg.NumLeaves+seg.height-1) {
+		t.Fatalf("the descending scan made %d requests, want %d leaves and %d internal pages", descended, seg.NumLeaves, seg.height-1)
+	}
+	if !reflect.DeepEqual(want, kvs) {
+		t.Fatal("the descending scan does not yield the segment's records")
+	}
+	check := func(what string) {
+		t.Helper()
+		for _, b := range []struct{ lo, hi []byte }{{seg.MinKey, past}, {nil, nil}, {[]byte("a"), nil}} {
+			got, requests := drain(b.lo, b.hi)
+			if requests != int64(seg.NumLeaves) {
+				t.Errorf("%s: scan [%q, %q) made %d pool requests for %d leaves", what, b.lo, b.hi, requests, seg.NumLeaves)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: scan [%q, %q) yields %d records, the descending scan %d", what, b.lo, b.hi, len(got), len(want))
+			}
+		}
+	}
+	check("intact")
+	smashFirstRecord(t, e, seg, seg.rootRel)
+	if err := e.pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("corrupt root")
+}
+
+// smashFirstRecord overwrites the first varint of page rel's first record
+// with one that does not end, under a fresh checksum.
+func smashFirstRecord(t *testing.T, e *env, seg *Segment, rel int) {
+	t.Helper()
+	buf := make([]byte, storage.PageSize)
+	if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
+		t.Fatal(err)
+	}
+	rec := page.Wrap(buf).Get(0)
+	for i := range rec {
+		rec[i] = 0x80
+	}
+	page.StampChecksum(buf)
+	if err := e.file.WritePage(seg.StartPage+uint64(rel), buf); err != nil {
+		t.Fatal(err)
 	}
 }
 

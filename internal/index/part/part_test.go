@@ -3,6 +3,7 @@ package part
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 
 	"mvpbt/internal/buffer"
@@ -216,6 +217,116 @@ func TestPrefixFilterRange(t *testing.T) {
 	if seg.MayContainRange([]byte("ZZZZ0"), []byte("ZZZZ9")) {
 		t.Fatal("out-of-bounds range not skipped")
 	}
+	// Bounds sharing more than the prefix length: the filter answers for
+	// all they share, and no key starts "AAAA0010".
+	if seg.MayContainRange([]byte("AAAA001000"), []byte("AAAA001099")) {
+		t.Fatal("absent longer prefix range not skipped")
+	}
+}
+
+// prefixSegment builds keys, sorted, each under an empty body, into a
+// segment with a prefix filter of length p.
+func prefixSegment(keys [][]byte, p int) (*Segment, error) {
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{BloomBitsPerKey: 10, PrefixLen: p})
+	for _, k := range keys {
+		if err := b.Add(k, nil); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish(0, 0)
+}
+
+// heldInRange reports whether one of keys lies in [lo, hi).
+func heldInRange(keys [][]byte, lo, hi []byte) bool {
+	for _, k := range keys {
+		if bytes.Compare(lo, k) <= 0 && bytes.Compare(k, hi) < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPrefixFilterHoldsEveryKeyInRange: keys over a two-letter alphabet that
+// share prefixes of every length, are prefixes of one another, repeat (a
+// key's versions) and are shorter than the prefix length, for prefix lengths
+// 1 to 6. Whenever brute force finds a key in [lo, hi), the filter says the
+// range may hold one: for bounds where lo is a prefix of hi, for bounds
+// sharing fewer than p bytes (always true), and for random ones. Ranges it
+// skips exist too.
+func TestPrefixFilterHoldsEveryKeyInRange(t *testing.T) {
+	r := util.NewRand(11)
+	word := func(n int) []byte {
+		w := make([]byte, n)
+		for i := range w {
+			w[i] = "ab"[r.Intn(2)]
+		}
+		return w
+	}
+	for p := 1; p <= 6; p++ {
+		var keys [][]byte
+		for i := 0; i < 300; i++ {
+			k := word(r.Intn(10))
+			for v := r.Intn(3); v >= 0; v-- {
+				keys = append(keys, k)
+			}
+		}
+		seg, err := prefixSegment(keys, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, skipped := 0, 0
+		for probe := 0; probe < 3000; probe++ {
+			lo := word(r.Intn(10))
+			var hi []byte
+			switch probe % 3 {
+			case 0: // lo a prefix of hi
+				hi = append(bytes.Clone(lo), word(1+r.Intn(4))...)
+			case 1: // bounds sharing fewer than p bytes
+				hi = append(bytes.Clone(lo[:min(len(lo), r.Intn(p))]), 'c')
+			default:
+				hi = word(r.Intn(10))
+			}
+			may := seg.PFilter.MayContainRange(lo, hi)
+			switch {
+			case heldInRange(keys, lo, hi) && (!may || !seg.MayContainRange(lo, hi)):
+				t.Fatalf("p=%d: [%q, %q) holds a key and is skipped", p, lo, hi)
+			case util.CommonPrefix(lo, hi) < p && !may:
+				t.Fatalf("p=%d: [%q, %q) shares fewer than p bytes and is skipped", p, lo, hi)
+			case may && util.CommonPrefix(lo, hi) >= p:
+				held++
+			case !may:
+				skipped++
+			}
+		}
+		if held == 0 || skipped == 0 {
+			t.Fatalf("p=%d: %d ranges the filter was asked about and let in, %d skipped; want some of both", p, held, skipped)
+		}
+	}
+}
+
+// FuzzPrefixFilter: any key set (the first input split at zero bytes), any
+// bounds and prefix length: a range [lo, hi) that holds a key is never
+// skipped.
+//
+//	go test -fuzz=FuzzPrefixFilter -fuzztime=30s ./internal/index/part/
+func FuzzPrefixFilter(f *testing.F) {
+	f.Add([]byte("ab\x00abc\x00abc\x00abd\x00b"), []byte("abc"), []byte("abc\x00"), byte(2))
+	f.Add([]byte("ab\x00abc\x00abc\x00abd\x00b"), []byte("ab"), []byte("abcd"), byte(2))
+	f.Add([]byte("a\x00aaaa\x00aaab\x00ab"), []byte("aaa"), []byte("aab"), byte(4))
+	f.Add([]byte("w1d1o1l1\x00w1d1o1l2\x00w1d1o2l1\x00w1d2o1l1"), []byte("w1d1o2"), []byte("w1d1o3"), byte(4))
+	f.Add([]byte{}, []byte{}, []byte{}, byte(0))
+	f.Fuzz(func(t *testing.T, keys, lo, hi []byte, p byte) {
+		set := bytes.Split(keys, []byte{0})
+		seg, err := prefixSegment(set, 1+int(p%8))
+		if err != nil {
+			return // a key too large for a leaf
+		}
+		if heldInRange(set, lo, hi) && (!seg.PFilter.MayContainRange(lo, hi) || !seg.MayContainRange(lo, hi)) {
+			t.Fatalf("[%q, %q) holds a key and is skipped, prefix length %d", lo, hi, 1+int(p%8))
+		}
+	})
 }
 
 func TestFreeReleasesExtents(t *testing.T) {

@@ -12,8 +12,9 @@ import (
 )
 
 // referenceBuild is the materialising build that Builder replaced, kept
-// verbatim (but for the leaves' restart slots, PR 25) as the reference the
-// byte-identity tests compare against: every
+// verbatim (but for the leaves' restart slots and the prefix filter holding
+// every prefix of PrefixLen bytes or more, each added later in its own loop)
+// as the reference the byte-identity tests compare against: every
 // record encoded and every page image held in memory, internal levels built
 // over them, filters filled from the record slice on a second goroutine,
 // then one AllocRun of the final size and a page-by-page write-out.
@@ -108,9 +109,21 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 			}
 		}
 		if opts.PrefixLen > 0 {
-			f.prefix = bloom.NewPrefix(len(kvs), opts.BloomBitsPerKey+2, opts.PrefixLen)
+			// Each prefix of PrefixLen bytes or more, once: the lengths a key
+			// does not share with its predecessor.
+			var hs []bloom.Hash
 			for i := range kvs {
-				f.prefix.AddHash(bloom.HashKey(kvs[i].Key[:min(opts.PrefixLen, len(kvs[i].Key))]))
+				var prev []byte
+				if i > 0 {
+					prev = kvs[i-1].Key
+				}
+				for l := max(opts.PrefixLen, util.CommonPrefix(prev, kvs[i].Key)+1); l <= len(kvs[i].Key); l++ {
+					hs = append(hs, bloom.HashKey(kvs[i].Key[:l]))
+				}
+			}
+			f.prefix = bloom.NewPrefix(len(hs), opts.BloomBitsPerKey+2, opts.PrefixLen)
+			for _, h := range hs {
+				f.prefix.AddHash(h)
 			}
 		}
 		fch <- f

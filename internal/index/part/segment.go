@@ -79,9 +79,8 @@ func (s *Segment) MayContainRange(lo, hi []byte) bool {
 		return false
 	}
 	if s.PFilter != nil && hi != nil {
-		// The prefix filter needs an inclusive upper bound sharing the
-		// prefix; approximate with hi itself (conservative: extra trues
-		// only when hi is exactly on a prefix boundary).
+		// Every key of [lo, hi) carries the prefix lo and hi share: a
+		// partition without it holds nothing of the range.
 		return s.PFilter.MayContainRange(lo, hi)
 	}
 	return true
@@ -172,13 +171,18 @@ func (it *Iterator) Seek(s *Segment, key []byte) { it.SeekScan(s, key, nil, 0, 0
 // as rows records (0 = unknown) make up as s's share of a scan over segments
 // holding records in all — rows x NumLeaves / records to the nearest leaf,
 // plus one for starting inside a leaf. With neither known, leaves are fetched
-// one at a time.
+// one at a time. A scan that covers the whole segment (lo at or below
+// MinKey, hi nil or above MaxKey) reads no internal page: leaves are the
+// run's first NumLeaves pages, so it starts at leaf 0 and may go to the last.
 func (it *Iterator) SeekScan(s *Segment, lo, hi []byte, rows, records int) {
 	it.seg, it.ok, it.err, it.left = s, false, nil, 0
-	rel, end, err := s.findLeaf(lo, hi)
-	if err != nil {
-		it.err = err
-		return
+	rel, end := 0, s.NumLeaves-1
+	if bytes.Compare(lo, s.MinKey) > 0 || (hi != nil && bytes.Compare(hi, s.MaxKey) <= 0) {
+		var err error
+		if rel, end, err = s.findLeaf(lo, hi); err != nil {
+			it.err = err
+			return
+		}
 	}
 	if hi != nil || rows > 0 {
 		it.left = s.NumLeaves - rel
