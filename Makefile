@@ -150,7 +150,7 @@ bench-evict:
 bench-scan:
 	go test ./internal/index/mvpbt/ -run TestScanReadAhead -count 1
 	go test ./internal/buffer/ -run TestGetRun -count 1
-	go test -bench 'BenchmarkScanLimit|BenchmarkScanOrderLine' -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
+	go test -bench 'BenchmarkScanLimit|BenchmarkScanSweep|BenchmarkScanOrderLine' -benchmem -benchtime 20000x -run xxx ./internal/index/mvpbt/ | tee bench-scan.txt
 
 # The buffer pool's replacement policy on its own: the policy tests
 # (TestPolicy*: what a hit buys, the dirty pass, a victim with every frame at

@@ -162,7 +162,8 @@ func (p *Pool) unlockAll() {
 // Get fetches page pageNo of file f, pinning it. The returned frame must be
 // released with Unpin.
 func (p *Pool) Get(f *sfile.File, pageNo uint64) (*Frame, error) {
-	return p.fetch(f, pageNo, 1)
+	fr, _, err := p.fetch(f, pageNo, 1)
+	return fr, err
 }
 
 // MaxRun is the most pages one device read brings in (GetRun): 64 KiB, the
@@ -175,14 +176,15 @@ const MaxRun = 8
 // extent, stopping at the first page that is resident or finds no frame — and
 // wait unpinned for their own fetch, which counts as the miss it would have
 // been. A run that fails or holds a corrupt page installs nothing, and pageNo
-// is fetched alone as by Get, which retries and reports.
-func (p *Pool) GetRun(f *sfile.File, pageNo uint64, n int) (*Frame, error) {
+// is fetched alone as by Get, which retries and reports. read is how many
+// pages this fetch brought in from the device: 0 when pageNo was resident.
+func (p *Pool) GetRun(f *sfile.File, pageNo uint64, n int) (fr *Frame, read int, err error) {
 	return p.fetch(f, pageNo, min(n, MaxRun, sfile.ExtentPages-int(pageNo%sfile.ExtentPages)))
 }
 
 // fetch is the one page fetch; run says how many pages from pageNo on a miss
-// may read at once.
-func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
+// may read at once, and read how many it did.
+func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, int, error) {
 	pid := f.PageID(pageNo)
 	p.stats[f.Class()].requests.Add(1)
 	sh := p.shardOf(pid)
@@ -198,12 +200,12 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 		}
 		fr.pin++
 		sh.mu.Unlock()
-		return fr, nil
+		return fr, 0, nil
 	}
 	fr, err := sh.victimLocked(p)
 	if err != nil {
 		sh.mu.Unlock()
-		return nil, err
+		return nil, 0, err
 	}
 	// The read happens under the shard latch so a concurrent Get for the
 	// same page cannot observe a half-filled frame. The device is simulated,
@@ -216,7 +218,7 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 		if err := p.ReadPages(f, pageNo, [][]byte{fr.data}); err != nil {
 			fr.pin = 0
 			sh.mu.Unlock()
-			return nil, err
+			return nil, 0, err
 		}
 		n = 1
 	}
@@ -224,7 +226,7 @@ func (p *Pool) fetch(f *sfile.File, pageNo uint64, run int) (*Frame, error) {
 	p.pagesRead.Add(int64(n))
 	fr.install(f, pid)
 	sh.mu.Unlock()
-	return fr, nil
+	return fr, n, nil
 }
 
 // install enters a frame holding a clean page — verified, or new and about

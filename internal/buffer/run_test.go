@@ -33,10 +33,10 @@ func runFile(t *testing.T, m *sfile.Manager, n int) (*sfile.File, uint64) {
 }
 
 // getRun fetches page start+i expecting n pages from there on, checks its
-// content and unpins it.
-func getRun(t *testing.T, p *Pool, f *sfile.File, start uint64, i, n int) {
+// content and unpins it. It returns the pages the fetch says it read.
+func getRun(t *testing.T, p *Pool, f *sfile.File, start uint64, i, n int) int {
 	t.Helper()
-	fr, err := p.GetRun(f, start+uint64(i), n)
+	fr, read, err := p.GetRun(f, start+uint64(i), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,7 @@ func getRun(t *testing.T, p *Pool, f *sfile.File, start uint64, i, n int) {
 		t.Fatalf("page %d holds page %d", i, fr.Data()[100])
 	}
 	p.Unpin(fr, false)
+	return read
 }
 
 // TestGetRun: one device read per run, for both a one-shard and a sharded
@@ -58,12 +59,16 @@ func TestGetRun(t *testing.T) {
 		reads := func() int64 { return dev.Stats().Reads }
 		idx := func() ClassStats { return p.Stats()[sfile.ClassIndex] }
 
-		getRun(t, p, f, start, 0, 4)
+		if read := getRun(t, p, f, start, 0, 4); read != 4 {
+			t.Fatalf("%d frames: run of 4 says it read %d pages", frames, read)
+		}
 		if r, io, st := reads(), p.IOStats(), idx(); r != 1 || dev.Stats().BytesRead != 4*storage.PageSize || io.Reads != 1 || io.PagesRead != 4 || st.Requests != 1 || st.Hits != 0 {
 			t.Fatalf("%d frames: run of 4: %d device reads, %+v, %+v", frames, r, io, st)
 		}
 		for i := 1; i < 4; i++ { // brought in by the run: the first fetch is the miss it would have been
-			getRun(t, p, f, start, i, 4-i)
+			if read := getRun(t, p, f, start, i, 4-i); read != 0 {
+				t.Fatalf("%d frames: page %d of the run says it read %d pages", frames, i, read)
+			}
 		}
 		if r, st := reads(), idx(); r != 1 || st.Requests != 4 || st.Hits != 0 {
 			t.Fatalf("%d frames: first use of run pages: %d device reads, %+v, want none more and no hit", frames, r, st)
@@ -76,8 +81,8 @@ func TestGetRun(t *testing.T) {
 		// Page 6 is resident: a run from 4 stops before it.
 		getRun(t, p, f, start, 6, 1)
 		before := dev.Stats()
-		getRun(t, p, f, start, 4, 8)
-		if d := dev.Stats().Sub(before); d.Reads != 1 || d.BytesRead != 2*storage.PageSize {
+		read := getRun(t, p, f, start, 4, 8)
+		if d := dev.Stats().Sub(before); d.Reads != 1 || d.BytesRead != 2*storage.PageSize || read != 2 {
 			t.Fatalf("%d frames: run into a resident page: %+v, want one read of 2 pages", frames, d)
 		}
 		// No run is longer than MaxRun, whatever is asked for.
@@ -163,7 +168,7 @@ func TestGetRunFaults(t *testing.T) {
 	}
 	getRun(t, p, f, start, 5, 3)
 	for i := 0; i < 2; i++ {
-		if _, err := p.GetRun(f, start+6, 2); !errors.Is(err, storage.ErrCorruptPage) {
+		if _, _, err := p.GetRun(f, start+6, 2); !errors.Is(err, storage.ErrCorruptPage) {
 			t.Fatalf("fetch %d of the rotted page: %v, want ErrCorruptPage", i, err)
 		}
 	}
@@ -174,7 +179,7 @@ func TestGetRunFaults(t *testing.T) {
 
 	// A dead device surfaces the typed error and leaves every frame free.
 	dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultReadErr, Class: ssd.AnyClass, Sticky: true})
-	if _, err := p.GetRun(f, start+8, 8); !errors.Is(err, storage.ErrIOFault) {
+	if _, _, err := p.GetRun(f, start+8, 8); !errors.Is(err, storage.ErrIOFault) {
 		t.Fatalf("run on a dead device: %v, want ErrIOFault", err)
 	}
 	dev.DisarmAllFaults()
@@ -197,7 +202,7 @@ func TestGetRunConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*pages; i++ {
 				no := (i*7 + g*61) % pages
-				fr, err := p.GetRun(f, start+uint64(no), 1+i%MaxRun)
+				fr, _, err := p.GetRun(f, start+uint64(no), 1+i%MaxRun)
 				if err != nil {
 					t.Error(err)
 					return

@@ -170,7 +170,9 @@ type MVPBTKV struct {
 
 // MVPBTKVOptions tunes the engine.
 type MVPBTKVOptions struct {
-	BloomBits     int
+	BloomBits int
+	// MaxPartitions: above this many partitions, merge the newer ones or
+	// all of them (0 = never; mvpbt.Options.MaxPartitions).
 	MaxPartitions int
 }
 

@@ -81,7 +81,7 @@ func (t *Tree) EvictPN() error {
 // per frozen PN. Only bgMu is held across a build; mu is taken briefly to
 // pick the next source and to publish the result. When the partition
 // count crosses MaxPartitions afterwards, the merge runs inline, still
-// under bgMu.
+// under bgMu, over the newer partitions or all of them (mergeFrom).
 func (t *Tree) buildFrozen() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -94,7 +94,7 @@ func (t *Tree) buildFrozen() error {
 			if !needMerge {
 				return nil
 			}
-			return t.mergeBG()
+			return t.mergeBG(mergeFrom(v.parts))
 		}
 		src := v.frozen[len(v.frozen)-1] // oldest; new freezes prepend
 		no := t.nextNo
@@ -152,8 +152,8 @@ type partWriter struct {
 	t       *Tree
 	b       *part.Builder
 	horizon txn.TxID
-	// complete: the input is the complete persisted state (a merge), so a
-	// missing anti-matter target exists nowhere.
+	// complete: the input is the complete persisted state (a merge of every
+	// partition), so a missing anti-matter target exists nowhere.
 	complete bool
 
 	key   []byte     // the current key (a copy)

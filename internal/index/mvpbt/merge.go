@@ -14,7 +14,8 @@ import (
 // partition eviction, and pure anti-matter whose target no longer exists
 // anywhere is dropped. The merged partition is dense-packed, filtered and
 // written sequentially; the inputs are freed once every in-flight reader
-// has moved past the old view (see the gate in Tree).
+// has moved past the old view (see the gate in Tree). MaxPartitions's
+// merge may take only the newer partitions instead (mergeFrom).
 //
 // The k-way merge and the build run under bgMu only — foreground inserts,
 // freezes and readers proceed throughout; mu is taken briefly to snapshot
@@ -22,7 +23,24 @@ import (
 func (t *Tree) MergePartitions() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
-	return t.mergeBG()
+	return t.mergeBG(0)
+}
+
+// mergeFrom is where the merge MaxPartitions triggers starts, size-tiered:
+// at 1, past the oldest partition, while the newer ones are at least two and
+// hold less than a tierRatio-th of its bytes, else at 0. An evicted record is
+// then rewritten about tierRatio times before it joins the oldest, not once
+// per merge of every partition.
+func mergeFrom(parts []*part.Segment) int {
+	const tierRatio = 5
+	newer := 0
+	for _, p := range parts[1:] {
+		newer += p.SizeBytes
+	}
+	if len(parts) < 3 || tierRatio*newer >= parts[0].SizeBytes {
+		return 0
+	}
+	return 1
 }
 
 // mergeSource is one merge input: a sequential reader over a partition,
@@ -42,16 +60,17 @@ func (s *mergeSource) load() (err error) {
 	return err
 }
 
-// mergeBG is the merge body; called with bgMu held. The cross-partition GC
-// (dangling anti-matter, see partWriter) requires the merge input to be the
-// COMPLETE persisted state: bgMu guarantees that (only bgMu holders append
-// to or replace parts), and records in PN or frozen PNs are strictly newer
-// than any persisted record, so they can only suppress, never be required
-// by, the merged partition.
-func (t *Tree) mergeBG() error {
+// mergeBG is the merge body; called with bgMu held. It merges parts[from:],
+// the newest, into one partition in their place, so newer records still come
+// first (§4.3). Dangling anti-matter (see partWriter) is dropped only when
+// from is 0: the input is then the COMPLETE persisted state — bgMu guarantees
+// that only bgMu holders append to or replace parts, and records in PN or
+// frozen PNs are strictly newer than any persisted record, so they can only
+// suppress, never be required by, the merged partition.
+func (t *Tree) mergeBG(from int) error {
 	t.mu.Lock()
 	v := t.view.Load()
-	if len(v.parts) < 2 {
+	if len(v.parts)-from < 2 {
 		t.mu.Unlock()
 		return nil
 	}
@@ -63,10 +82,10 @@ func (t *Tree) mergeBG() error {
 	// streamed: the inputs are read an extent at a time while the output is
 	// written a page at a time. On any error the output run is given back
 	// and the inputs stay installed.
-	w := t.newPartWriter(no, true)
+	w := t.newPartWriter(no, from == 0)
 	defer w.b.Abort()
-	srcs := make([]*mergeSource, 0, len(v.parts))
-	for i := len(v.parts) - 1; i >= 0; i-- {
+	srcs := make([]*mergeSource, 0, len(v.parts)-from)
+	for i := len(v.parts) - 1; i >= from; i-- {
 		srcs = append(srcs, &mergeSource{rd: v.parts[i].NewReader()})
 		if err := srcs[len(srcs)-1].load(); err != nil {
 			return err
@@ -110,20 +129,17 @@ func (t *Tree) mergeBG() error {
 		// the previous, still-intact view.
 		return err
 	}
-	var merged []*part.Segment
-	if seg != nil {
-		merged = []*part.Segment{seg}
-	}
 	// Install: re-read the view — PN inserts and freezes may have
 	// published since the snapshot (they don't touch parts; bgMu excludes
 	// every parts mutator for the whole merge), so carry the current
-	// pn/frozen and rebase defensively around the inputs prefix.
+	// pn/frozen and rebase defensively around the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
-	parts := merged
-	if extra := v2.parts[len(v.parts):]; len(extra) > 0 {
-		parts = append(append([]*part.Segment(nil), merged...), extra...)
+	parts := append([]*part.Segment(nil), v2.parts[:from]...)
+	if seg != nil {
+		parts = append(parts, seg)
 	}
+	parts = append(parts, v2.parts[len(v.parts):]...)
 	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts})
 	t.mu.Unlock()
 	// Grace period: in-flight readers may still hold the old view with the
@@ -132,7 +148,7 @@ func (t *Tree) mergeBG() error {
 	// is freeing the inputs safe.
 	t.gate.Lock()
 	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period
-	for _, p := range v.parts {
+	for _, p := range v.parts[from:] {
 		p.Free()
 	}
 	t.stats.merges.Add(1)

@@ -2,9 +2,11 @@ package mvpbt
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mvpbt/internal/index"
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/txn"
 )
 
@@ -163,41 +165,49 @@ func TestAutoMergeTriggered(t *testing.T) {
 	}
 }
 
+// TestMergeRandomizedModelEquivalence: a random history with interleaved
+// evictions and merges must match the no-merge tree exactly — merges called
+// for (all partitions), and merges MaxPartitions triggers on a tree evicting
+// small partitions often (all of them, or the newer ones).
 func TestMergeRandomizedModelEquivalence(t *testing.T) {
-	// Random history with interleaved evictions AND merges must match the
-	// no-merge tree exactly.
 	e1 := newEnv(2048, 1<<26)
 	e2 := newEnv(2048, 1<<26)
+	e3 := newEnv(2048, 1<<26)
 	a := e1.tree(Options{Name: "merged", BloomBits: 10})
 	b := e2.tree(Options{Name: "plain", BloomBits: 10})
+	c := e3.tree(Options{Name: "tiered", BloomBits: 10, MaxPartitions: 3})
 	// Mirror rid sequences.
 	r := newTestRand()
 	cur := map[int]index.Ref{}
+	partial, full := 0, 0
 	for step := 0; step < 2500; step++ {
 		k := r.Intn(80)
 		key := []byte(fmt.Sprintf("key-%03d", k))
-		ref1 := e1.ref()
-		ref2 := index.Ref{RID: ref1.RID} // identical synthetic rid
-		e2.rid = e1.rid
-		tx1 := e1.mgr.Begin()
-		tx2 := e2.mgr.Begin()
+		ref := e1.ref()
+		e2.rid, e3.rid = e1.rid, e1.rid // identical synthetic rids
+		txs := []*txn.Tx{e1.mgr.Begin(), e2.mgr.Begin(), e3.mgr.Begin()}
+		trees := []*Tree{a, b, c}
 		if p, ok := cur[k]; ok {
 			if r.Intn(12) == 0 {
-				a.InsertTombstone(tx1, key, p.RID)
-				b.InsertTombstone(tx2, key, p.RID)
+				for i, tr := range trees {
+					tr.InsertTombstone(txs[i], key, p.RID)
+				}
 				delete(cur, k)
 			} else {
-				a.InsertReplacement(tx1, key, ref1, p.RID)
-				b.InsertReplacement(tx2, key, ref2, p.RID)
-				cur[k] = ref1
+				for i, tr := range trees {
+					tr.InsertReplacement(txs[i], key, ref, p.RID)
+				}
+				cur[k] = ref
 			}
 		} else {
-			a.InsertRegular(tx1, key, ref1)
-			b.InsertRegular(tx2, key, ref2)
-			cur[k] = ref1
+			for i, tr := range trees {
+				tr.InsertRegular(txs[i], key, ref)
+			}
+			cur[k] = ref
 		}
-		e1.mgr.Commit(tx1)
-		e2.mgr.Commit(tx2)
+		for i, e := range []*env{e1, e2, e3} {
+			e.mgr.Commit(txs[i])
+		}
 		if r.Intn(200) == 0 {
 			if err := a.EvictPN(); err != nil {
 				t.Fatal(err)
@@ -211,22 +221,98 @@ func TestMergeRandomizedModelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if step%4 == 3 {
+			merges := c.Stats().Merges
+			if err := c.EvictPN(); err != nil {
+				t.Fatal(err)
+			}
+			// A merge of every partition leaves one; of the newer ones, two.
+			switch n := c.NumPartitions(); {
+			case c.Stats().Merges == merges:
+			case n == 1:
+				full++
+			case n == 2:
+				partial++
+			default:
+				t.Fatalf("step %d: %d partitions after a merge", step, n)
+			}
+		}
 	}
-	r1 := e1.mgr.Begin()
-	r2 := e2.mgr.Begin()
-	defer e1.mgr.Commit(r1)
-	defer e2.mgr.Commit(r2)
+	if partial == 0 || full == 0 {
+		t.Fatalf("%d partial and %d full merges: want both", partial, full)
+	}
+	snaps := []*txn.Tx{e1.mgr.Begin(), e2.mgr.Begin(), e3.mgr.Begin()}
+	defer e1.mgr.Commit(snaps[0])
+	defer e2.mgr.Commit(snaps[1])
+	defer e3.mgr.Commit(snaps[2])
 	for k := 0; k < 80; k++ {
 		key := []byte(fmt.Sprintf("key-%03d", k))
-		ra := lookupRIDs(t, a, r1, key)
-		rb := lookupRIDs(t, b, r2, key)
-		if len(ra) != len(rb) {
-			t.Fatalf("key %d: merged=%v plain=%v", k, ra, rb)
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("key %d: merged=%v plain=%v", k, ra, rb)
+		rb := lookupRIDs(t, b, snaps[1], key)
+		for i, tr := range []*Tree{a, c} {
+			if got := lookupRIDs(t, tr, snaps[2*i], key); !slices.Equal(got, rb) {
+				t.Fatalf("key %d: %s=%v plain=%v", k, tr.opts.Name, got, rb)
 			}
+		}
+	}
+}
+
+// TestPartialMergeKeepsAntiMatter: a tombstone whose target lies in the
+// oldest partition must survive a merge of the newer ones — only a merge of
+// every partition may decide that a target exists nowhere.
+func TestPartialMergeKeepsAntiMatter(t *testing.T) {
+	e := newEnv(1024, 1<<26)
+	tr := e.tree(Options{BloomBits: 10})
+	old := e.ref()
+	e.commit(func(tx *txn.Tx) { tr.InsertRegular(tx, []byte("t"), old) })
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(func(tx *txn.Tx) { tr.InsertTombstone(tx, []byte("t"), old.RID) })
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(func(tx *txn.Tx) { tr.InsertRegular(tx, []byte("u"), e.ref()) })
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.mergeSuffix(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.NumPartitions(); n != 2 {
+		t.Fatalf("%d partitions after merging the newer two, want 2", n)
+	}
+	r := e.mgr.Begin()
+	defer e.mgr.Commit(r)
+	if rids := lookupRIDs(t, tr, r, []byte("t")); len(rids) != 0 {
+		t.Fatalf("deleted tuple visible after a partial merge: %v", rids)
+	}
+	if got := tr.Partitions()[1].NumRecords; got != 2 {
+		t.Fatalf("merged partition holds %d records, want the tombstone and u's", got)
+	}
+}
+
+// TestMergeFrom pins the size-tiered rule at its boundaries.
+func TestMergeFrom(t *testing.T) {
+	parts := func(sizes ...int) []*part.Segment {
+		var out []*part.Segment
+		for _, n := range sizes {
+			out = append(out, &part.Segment{SizeBytes: n})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		sizes []int
+		want  int
+	}{
+		{[]int{1000, 1}, 0},              // fewer than 3: merge both
+		{[]int{1000}, 0},                 //
+		{[]int{1000, 100, 99}, 1},        // 5 x 199 < 1000
+		{[]int{1000, 100, 100}, 0},       // exactly ratio 5
+		{[]int{1000, 101, 99}, 0},        // past it
+		{[]int{1000, 50, 50, 50, 49}, 1}, //
+	} {
+		if got := mergeFrom(parts(c.sizes...)); got != c.want {
+			t.Errorf("mergeFrom(%v) = %d, want %d", c.sizes, got, c.want)
 		}
 	}
 }

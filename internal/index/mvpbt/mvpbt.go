@@ -64,8 +64,9 @@ type Options struct {
 	// DisableGC turns off partition garbage collection (§4.6) for the
 	// ablations of Figures 12a/12b/14d.
 	DisableGC bool
-	// MaxPartitions triggers an on-line merge of all persisted partitions
-	// when their count exceeds it (0 disables merging). See
+	// MaxPartitions triggers an on-line merge when the persisted partition
+	// count exceeds it (0 disables merging): of the newer partitions while
+	// they are small beside the oldest, else of all of them. See
 	// MergePartitions.
 	MaxPartitions int
 }
@@ -93,7 +94,8 @@ type Stats struct {
 	GCEvict int64
 	// Evictions counts partition evictions.
 	Evictions int64
-	// Merges counts partition reorganizations (MergePartitions).
+	// Merges counts partition reorganizations (MergePartitions, and the
+	// merges MaxPartitions triggers, of all partitions or the newer ones).
 	Merges int64
 }
 

@@ -3,8 +3,10 @@ package mvpbt
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"mvpbt/internal/buffer"
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
@@ -236,4 +238,94 @@ func BenchmarkScanLimit(b *testing.B) {
 			b.ReportMetric(float64(st.ReadTime)/float64(b.N)/1e3, "virtual-us/op")
 		})
 	}
+}
+
+// sweep runs successive SCAN(limit)s from scanKey(from) on, each continuing
+// just after the last key of the one before, until the key range is read.
+func sweep(e *env, tr *Tree, from, keys, limit int) error {
+	for ; from < keys; from += limit {
+		if n, err := scanFrom(e, tr, from, limit); err != nil || n != min(limit, keys-from) {
+			return fmt.Errorf("scan from %d: %d entries, %v", from, n, err)
+		}
+	}
+	return nil
+}
+
+// TestScanReadAheadSweep: a client paging through the key space with
+// successive SCAN(k)s reads a cold segment in runs of MaxRun leaves — about
+// one device read per MaxRun leaves, whatever k is.
+func TestScanReadAheadSweep(t *testing.T) {
+	const keys = 2000
+	for _, limit := range []int{5, 20, 50} {
+		e := newEnv(1024, 1<<30)
+		tr := scanTree(t, e, 1, keys)
+		leaves := tr.Partitions()[0].NumLeaves
+		if err := e.pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		// The root stays out of the count (see TestScanReadAheadGate).
+		if _, err := scanFrom(e, tr, keys-1, 1); err != nil {
+			t.Fatal(err)
+		}
+		// The first scan's own run, then MaxRun leaves a read.
+		want := int64((leaves+buffer.MaxRun-1)/buffer.MaxRun + 1)
+		c := measureReads(t, e, func() error { return sweep(e, tr, 0, keys, limit) })
+		if c.reads > want || c.pages != c.misses || c.retries != 0 {
+			t.Errorf("SCAN(%d) sweep over %d cold leaves: %+v, want <= %d device reads and no page unused", limit, leaves, c, want)
+		}
+	}
+}
+
+// TestScanReadAheadSweepConcurrent: two readers paging through the same
+// segments at once, through a pool that holds an eighth of the leaves, both
+// see every key.
+func TestScanReadAheadSweepConcurrent(t *testing.T) {
+	const keys = 2000
+	e := newEnv(64, 1<<30)
+	tr := scanTree(t, e, 2, keys)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = sweep(e, tr, g*keys/4, keys, 20+g*30)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkScanSweep is a client paging through the key space: consecutive
+// SCAN(50)s, each from just after the last key of the one before, over four
+// partitions that each span the key range, through a pool an eighth of their
+// leaves. The device cost is in counts, so it repeats.
+func BenchmarkScanSweep(b *testing.B) {
+	const keys, parts, limit, frames = 8000, 4, 50, 143
+	part.SetPoison(false) // as in BenchmarkScanLimit
+	defer part.SetPoison(true)
+	e := newEnv(frames, 1<<30)
+	tr := scanTree(b, e, parts, keys)
+	leaves := 0
+	for _, s := range tr.Partitions() {
+		leaves += s.NumLeaves
+	}
+	if leaves/8 != frames {
+		b.Fatalf("%d leaves, want eight times the pool's %d frames", leaves, frames)
+	}
+	tx := e.mgr.Begin()
+	defer e.mgr.Commit(tx)
+	st := e.dev.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scanLimit(tr, tx, scanKey(i*limit%keys), limit, limit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st = e.dev.Stats().Sub(st)
+	b.ReportMetric(float64(st.Reads)/float64(b.N), "dev-reads/op")
+	b.ReportMetric(float64(st.ReadTime)/float64(b.N)/1e3, "virtual-us/op")
 }

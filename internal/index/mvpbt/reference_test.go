@@ -242,18 +242,18 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, dropDecidedTombstones bool) 
 	return out
 }
 
-// refMerge is the merge body, with bgMu taken here. The GC reasoning
-// below requires the merge input to be the COMPLETE persisted state:
-// bgMu guarantees that (only bgMu holders append to or replace parts),
-// and records in PN or frozen PNs are strictly newer than any persisted
-// record, so they can only suppress, never be required by, the merged
-// partition.
-func (t *Tree) refMerge() error {
+// refMerge is the merge body over the persisted partitions from from on,
+// with bgMu taken here. Dangling anti-matter is dropped only when from is
+// 0: the merge input is then the COMPLETE persisted state, since bgMu
+// guarantees that only bgMu holders append to or replace parts, and records
+// in PN or frozen PNs are strictly newer than any persisted record, so they
+// can only suppress, never be required by, the merged partition.
+func (t *Tree) refMerge(from int) error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
 	t.mu.Lock()
 	v := t.view.Load()
-	if len(v.parts) < 2 {
+	if len(v.parts)-from < 2 {
 		t.mu.Unlock()
 		return nil
 	}
@@ -270,8 +270,8 @@ func (t *Tree) refMerge() error {
 		it   *part.Iterator
 		prio int
 	}
-	srcs := make([]*src, 0, len(v.parts))
-	for i := len(v.parts) - 1; i >= 0; i-- {
+	srcs := make([]*src, 0, len(v.parts)-from)
+	for i := len(v.parts) - 1; i >= from; i-- {
 		srcs = append(srcs, &src{it: v.parts[i].Seek(nil), prio: len(v.parts) - i})
 	}
 	type entry struct {
@@ -341,10 +341,10 @@ func (t *Tree) refMerge() error {
 			out[i] = entry{key: kept[i].key.key, rec: *kept[i].rec}
 		}
 	} else {
-		// Cross-partition GC: same chain collapse as eviction, plus
-		// removal of dangling pure anti-matter (the input is the complete
-		// persisted state, so a missing target cannot exist elsewhere —
-		// only PN holds strictly newer records).
+		// Cross-partition GC: same chain collapse as eviction, plus, in a
+		// merge of every partition, removal of dangling pure anti-matter
+		// (the input is the complete persisted state, so a missing target
+		// cannot exist elsewhere — only PN holds strictly newer records).
 		drop := make([]bool, len(entries))
 		for i := range entries {
 			rec := &entries[i].rec
@@ -404,6 +404,9 @@ func (t *Tree) refMerge() error {
 				drop[i] = true // chain fully consumed
 				continue
 			}
+			if from > 0 {
+				continue // the target may lie in an older partition
+			}
 			j := matchAfter(i, i, r.OldRID)
 			for j >= 0 && t.mgr.StatusOf(entries[j].rec.TS) == txn.Aborted {
 				j = matchAfter(j, i, r.OldRID)
@@ -448,25 +451,15 @@ func (t *Tree) refMerge() error {
 			merged = []*part.Segment{seg}
 		}
 	}
-	// Install: re-read the view — PN inserts and freezes may have
-	// published since the snapshot (they don't touch parts; bgMu excludes
-	// every parts mutator for the whole merge), so carry the current
-	// pn/frozen and rebase defensively around the inputs prefix.
+	// Install the merged partition in place of the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
-	parts := merged
-	if extra := v2.parts[len(v.parts):]; len(extra) > 0 {
-		parts = append(append([]*part.Segment(nil), merged...), extra...)
-	}
+	parts := append(append(append([]*part.Segment(nil), v2.parts[:from]...), merged...), v2.parts[len(v.parts):]...)
 	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts})
 	t.mu.Unlock()
-	// Grace period: in-flight readers may still hold the old view with the
-	// input segments. Taking the gate's write side waits them out; new
-	// readers entering afterwards can only load the merged view. Only then
-	// is freeing the inputs safe.
 	t.gate.Lock()
 	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period
-	for _, p := range v.parts {
+	for _, p := range v.parts[from:] {
 		p.Free()
 	}
 	t.stats.merges.Add(1)

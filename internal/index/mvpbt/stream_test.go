@@ -59,13 +59,21 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	}
 }
 
+// mergeSuffix is mergeBG(from) with bgMu taken, as buildFrozen runs it.
+func (t *Tree) mergeSuffix(from int) error {
+	t.bgMu.Lock()
+	defer t.bgMu.Unlock()
+	return t.mergeBG(from)
+}
+
 // TestStreamingMatchesReference drives twin trees through one seeded random
 // history — updates, key updates, tombstones, re-inserts into recycled
 // RecordIDs, several operations on a key in one transaction, aborted
 // transactions, scans that flag garbage, a long reader pinning the horizon
 // on and off — evicting and merging one through the streaming path and the
-// other through the materialising reference. Every partition either writes
-// must equal the other's byte for byte.
+// other through the materialising reference; merges take every partition or
+// a random suffix of them. Every partition either writes must equal the
+// other's byte for byte.
 func TestStreamingMatchesReference(t *testing.T) {
 	for _, opts := range []Options{
 		{Name: "non-unique", BloomBits: 10, PrefixLen: 4},
@@ -86,7 +94,7 @@ func TestStreamingMatchesReference(t *testing.T) {
 				live := map[int]*tuple{}
 				var recycled []storage.RecordID
 				var readers [2]*txn.Tx
-				merges := 0
+				merges, partial := 0, 0
 				for step := 0; step < 4000; step++ {
 					id := r.Intn(150)
 					abort := r.Intn(10) == 0
@@ -179,19 +187,24 @@ func TestStreamingMatchesReference(t *testing.T) {
 						sameParts(t, fmt.Sprintf("eviction at step %d", step), got, want, 1)
 					}
 					if r.Intn(700) == 0 && got.NumPartitions() > 1 {
-						if err := errors.Join(got.MergePartitions(), want.refMerge()); err != nil {
+						// Of every partition, or of a suffix of two or more.
+						from := r.Intn(got.NumPartitions() - 1)
+						if err := errors.Join(got.mergeSuffix(from), want.refMerge(from)); err != nil {
 							t.Fatal(err)
 						}
-						sameParts(t, fmt.Sprintf("merge at step %d", step), got, want, 0)
+						sameParts(t, fmt.Sprintf("merge from P[%d] at step %d", from, step), got, want, 0)
 						merges++
+						if from > 0 {
+							partial++
+						}
 					}
 				}
-				if err := errors.Join(got.EvictPN(), want.refEvictPN(), got.MergePartitions(), want.refMerge()); err != nil {
+				if err := errors.Join(got.EvictPN(), want.refEvictPN(), got.MergePartitions(), want.refMerge(0)); err != nil {
 					t.Fatal(err)
 				}
 				sameParts(t, "final merge", got, want, 0)
-				if merges == 0 || got.NumPartitions() != 1 || got.Partitions()[0].NumLeaves < 3 {
-					t.Fatalf("%d merges, %d partitions at the end: the history exercised too little", merges, got.NumPartitions())
+				if partial == 0 || merges == partial || got.NumPartitions() != 1 || got.Partitions()[0].NumLeaves < 3 {
+					t.Fatalf("%d merges (%d partial), %d partitions at the end: the history exercised too little", merges, partial, got.NumPartitions())
 				}
 				if opts.DisableGC != (got.Stats().GCEvict == 0) {
 					t.Fatalf("GCEvict = %d with DisableGC = %v", got.Stats().GCEvict, opts.DisableGC)
@@ -290,7 +303,7 @@ func TestMergeBufferReuse(t *testing.T) {
 	err := tr.MergePartitions()
 	close(stop)
 	wg.Wait()
-	if err := errors.Join(err, ref.refMerge()); err != nil {
+	if err := errors.Join(err, ref.refMerge(0)); err != nil {
 		t.Fatal(err)
 	}
 	sameParts(t, "merge of three partitions sharing a hot key", tr, ref, 0)

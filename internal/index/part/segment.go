@@ -55,6 +55,9 @@ type Segment struct {
 	SizeBytes  int
 	Filter     *bloom.Filter
 	PFilter    *bloom.PrefixFilter
+	// sweepEnd is the leaf after the last sweep fetch (Iterator.enter), 0
+	// before any; atomic, yet a plain field so that a Segment copies.
+	sweepEnd int32
 }
 
 // MayContainKey consults the bloom filter (true when absent or filters are
@@ -134,7 +137,8 @@ func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
 // its whole merge, and with a pin each would exhaust a pool shard
 // (ErrNoFrames). The fetch is the pool's GetRun (see there) over the leaves
 // the scan is still expected to read, which SeekScan works out; after a plain
-// Seek, and past an estimate that fell short, it is Get's single page.
+// Seek, and past an estimate that fell short, it is Get's single page; a
+// sweep of successive unbounded scans reads MaxRun leaves (see enter).
 //
 // The zero Iterator is ready for Seek and may be repositioned any number of
 // times, on any segment; its buffers are reused, so a caller that keeps or
@@ -144,13 +148,14 @@ func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
 // are valid until the iterator moves — Next, Seek or Close — and must be
 // copied to outlive that.
 type Iterator struct {
-	seg  *Segment
-	leaf int
-	left int    // leaves from the next one entered on that the scan expects to read; < 2 = unknown
-	buf  []byte // the current leaf's image; allocated on first use
-	cur  leafCursor
-	ok   bool
-	err  error
+	seg   *Segment
+	leaf  int
+	left  int    // leaves from the next one entered on that the scan expects to read; < 2 = unknown
+	sweep bool   // an unbounded scan of known rows before its first device fetch
+	buf   []byte // the current leaf's image; allocated on first use
+	cur   leafCursor
+	ok    bool
+	err   error
 }
 
 // Seek returns a new iterator at the first record with key >= key: the
@@ -175,7 +180,7 @@ func (it *Iterator) Seek(s *Segment, key []byte) { it.SeekScan(s, key, nil, 0, 0
 // MinKey, hi nil or above MaxKey) reads no internal page: leaves are the
 // run's first NumLeaves pages, so it starts at leaf 0 and may go to the last.
 func (it *Iterator) SeekScan(s *Segment, lo, hi []byte, rows, records int) {
-	it.seg, it.ok, it.err, it.left = s, false, nil, 0
+	it.seg, it.ok, it.err, it.left, it.sweep = s, false, nil, 0, hi == nil && rows > 0
 	rel, end := 0, s.NumLeaves-1
 	if bytes.Compare(lo, s.MinKey) > 0 || (hi != nil && bytes.Compare(hi, s.MaxKey) <= 0) {
 		var err error
@@ -236,11 +241,22 @@ func (it *Iterator) enter(rel int) {
 		it.buf = make([]byte, storage.PageSize)
 	}
 	// left never exceeds the leaves the segment has from rel on (SeekScan).
-	fr, err := s.pool.GetRun(s.file, s.StartPage+uint64(rel), it.left)
+	// An unbounded scan whose first device fetch starts where the last one
+	// ended continues a sweep: it reads MaxRun leaves (GetRun's cap). Only
+	// the fetch knows it went to the device; other readers move counters.
+	n := it.left
+	if it.sweep && rel > 0 && int32(rel) == atomic.LoadInt32(&s.sweepEnd) {
+		n = s.NumLeaves - rel
+	}
+	fr, read, err := s.pool.GetRun(s.file, s.StartPage+uint64(rel), n)
 	it.left--
 	if err != nil {
 		it.err = err
 		return
+	}
+	if it.sweep && read > 0 {
+		it.sweep = false
+		atomic.StoreInt32(&s.sweepEnd, int32(rel+read))
 	}
 	copy(it.buf, fr.Data())
 	s.pool.Unpin(fr, false)

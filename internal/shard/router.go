@@ -138,6 +138,9 @@ type Router struct {
 	// engine that Close has started tearing down.
 	opGate sync.RWMutex
 	closed atomic.Bool
+
+	// onShardScan, set by tests, sees each shard scan: shard, pairs asked.
+	onShardScan func(shard, want int)
 }
 
 // New builds a router with cfg.Shards independent engines.

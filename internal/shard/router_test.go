@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -310,6 +312,47 @@ func TestRouterStats(t *testing.T) {
 	}
 }
 
+// TestScanAsksEachShardItsShare: a SCAN(50) over two shards asks each for
+// ⌈50/2⌉ + ⌈√50⌉ = 33 pairs, and asks a shard again — once, for the pairs
+// still missing — only when its share ran dry.
+func TestScanAsksEachShardItsShare(t *testing.T) {
+	r := newRouter(t, 2)
+	for i := 0; i < 1000; i++ {
+		k := []byte(fmt.Sprintf("k%04d", i))
+		if err := r.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 60 keys past every other, all on shard 0.
+	for i, n := 0, 0; n < 60; i++ {
+		if k := []byte(fmt.Sprintf("~%04d", i)); r.ShardOf(k) == 0 {
+			if err := r.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	type ask struct{ shard, want int }
+	var asks []ask
+	r.onShardScan = func(shard, want int) { asks = append(asks, ask{shard, want}) }
+	for _, c := range []struct {
+		lo   string
+		want []ask
+	}{
+		{"k0400", []ask{{0, 33}, {1, 33}}},
+		{"~", []ask{{0, 33}, {1, 33}, {0, 17}}},
+	} {
+		asks = asks[:0]
+		n := 0
+		if err := r.Scan([]byte(c.lo), 50, func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 50 || !slices.Equal(asks, c.want) {
+			t.Errorf("SCAN(50) from %q: %d pairs, shard scans %v; want 50 pairs, %v", c.lo, n, asks, c.want)
+		}
+	}
+}
+
 // TestScanPropertyVsSingleShardOracle is the k-way-merge property test:
 // for random shard counts and random key sets (with overwrites and
 // deletes), a cross-shard scan must yield a globally sorted,
@@ -376,14 +419,38 @@ func TestScanPropertyVsSingleShardOracle(t *testing.T) {
 				return ks, vs
 			}
 
-			// Full scan plus random windows (random lo, random limit).
+			// A tail of the key space on one shard: a scan from its start
+			// drains that shard's share and must ask it for the rest.
+			tail := 40 + rng.Intn(40)
+			for i, owner := 0, rng.Intn(shards); tail > 0; i++ {
+				k := []byte(fmt.Sprintf("~%05d", i))
+				if r.ShardOf(k) != owner {
+					continue
+				}
+				for _, rt := range []*Router{r, oracle} {
+					if err := rt.Put(k, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tail--
+			}
+
+			// Full scan plus random windows (random lo, random limit), and
+			// the windows at the edges of the per-shard share: the tail,
+			// limit 1, a limit below the shard count, the wire's largest.
 			type window struct {
 				lo    []byte
 				limit int
 			}
-			windows := []window{{nil, 1 << 30}}
+			windows := []window{{nil, 1 << 30}, {[]byte("~"), 1 << 30}, {[]byte("~"), 41}, {[]byte("~0"), 80}}
 			for i := 0; i < 8; i++ {
 				windows = append(windows, window{keys[rng.Intn(keyspace)], 1 + rng.Intn(keyspace)})
+			}
+			for i := 0; i < 2; i++ {
+				windows = append(windows,
+					window{keys[rng.Intn(keyspace)], 1},
+					window{keys[rng.Intn(keyspace)], 1 + rng.Intn(shards-1)},
+					window{keys[rng.Intn(keyspace)], math.MaxInt32})
 			}
 			for _, w := range windows {
 				gotK, gotV := collect(r, w.lo, w.limit)

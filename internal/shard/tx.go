@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -136,6 +137,7 @@ type scanStream struct {
 	arena []byte
 	ends  []int // pair i's key ends at ends[2i], its value at ends[2i+1]
 	next  int   // first pair the merge has not handed out
+	more  bool  // the shard returned every pair it was asked for: it may hold more
 }
 
 func (s *scanStream) add(k, v []byte) {
@@ -156,13 +158,23 @@ func (s *scanStream) pair(i int) (k, v []byte) {
 // by the collector, so one huge scan's arena is not kept for long.)
 var scanPool = sync.Pool{New: func() any { return new([]scanStream) }}
 
+// shardShare is how many pairs a Scan of limit asks each of n shards for:
+// ⌈limit/n⌉, a hashed shard's expected share, plus ⌈√limit⌉ for its spread
+// (σ ≤ √limit/2), at most limit, and no overflow at the wire's u32 limit.
+func shardShare(limit, n int) int {
+	q := (limit-1)/n + 1
+	return q + min(int(math.Ceil(math.Sqrt(float64(limit)))), limit-q)
+}
+
 // Scan streams up to limit live pairs with key >= lo in global key order
 // at the transaction's snapshot. Hash partitioning scatters the key order
-// across shards, so each shard contributes up to limit pairs and the
-// router merges the sorted streams. A shard without a live leg fails the
-// scan with ErrShardUnavailable — a partial scan would silently drop that
-// shard's keyspace. key and val are valid only until fn returns (db.KV's
-// rule): they lie in an arena the next Scan reuses.
+// across shards, so each shard is asked for its share (shardShare) and the
+// router merges the sorted streams; a shard that runs dry after handing out
+// all it was asked for is asked again, on the same leg and snapshot, for the
+// rest of the scan from just after its last key. A shard without a live leg
+// fails the scan with ErrShardUnavailable — a partial scan would silently
+// drop that shard's keyspace. key and val are valid only until fn returns
+// (db.KV's rule): they lie in an arena the next Scan reuses.
 func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 	if limit <= 0 {
 		return nil
@@ -177,25 +189,10 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 		*kept = make([]scanStream, len(t.txs))
 	}
 	streams := (*kept)[:len(t.txs)]
-	for i := range t.r.shards {
-		s := &streams[i]
-		s.arena, s.ends, s.next = s.arena[:0], s.ends[:0], 0
-		release, err := t.leg(i)
-		if err != nil {
-			return wrap(i, lo, err)
-		}
-		// The copy is required, not a precaution: k and v lie in the page
-		// and key buffers of the shard's segment iterators, which overwrite
-		// them as the shard's scan moves on and hand them to the next reader
-		// when it returns — long before the merge below looks at them.
-		err = t.kvs[i].ScanTx(t.txs[i], lo, limit, func(k, v []byte) bool {
-			s.add(k, v)
-			return true
-		})
-		release()
-		t.r.observe(i, err)
-		if err != nil {
-			return wrap(i, lo, err)
+	share := shardShare(limit, len(streams))
+	for i := range streams {
+		if err := t.scanShard(i, &streams[i], lo, share); err != nil {
+			return err
 		}
 	}
 	// K-way merge; keys are unique across shards (each key hashes to
@@ -206,7 +203,17 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 		for i := range streams {
 			s := &streams[i]
 			if 2*s.next >= len(s.ends) {
-				continue
+				if !s.more {
+					continue
+				}
+				// Resume after the last key, copied: its arena is refilled.
+				last, _ := s.pair(s.next - 1)
+				if err := t.scanShard(i, s, append(bytes.Clone(last), 0), limit-n); err != nil {
+					return err
+				}
+				if len(s.ends) == 0 {
+					continue
+				}
 			}
 			if k, v := s.pair(s.next); best < 0 || bytes.Compare(k, bestK) < 0 {
 				best, bestK, bestV = i, k, v
@@ -220,6 +227,33 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 			return nil
 		}
 	}
+	return nil
+}
+
+// scanShard fills s with up to want pairs of shard i with key >= lo.
+func (t *Tx) scanShard(i int, s *scanStream, lo []byte, want int) error {
+	s.arena, s.ends, s.next = s.arena[:0], s.ends[:0], 0
+	if t.r.onShardScan != nil {
+		t.r.onShardScan(i, want)
+	}
+	release, err := t.leg(i)
+	if err != nil {
+		return wrap(i, lo, err)
+	}
+	// The copy is required, not a precaution: k and v lie in the page and
+	// key buffers of the shard's segment iterators, which overwrite them as
+	// the shard's scan moves on and hand them to the next reader when it
+	// returns — long before the merge looks at them.
+	err = t.kvs[i].ScanTx(t.txs[i], lo, want, func(k, v []byte) bool {
+		s.add(k, v)
+		return true
+	})
+	release()
+	t.r.observe(i, err)
+	if err != nil {
+		return wrap(i, lo, err)
+	}
+	s.more = len(s.ends) == 2*want
 	return nil
 }
 
