@@ -70,13 +70,14 @@ fuzz-wal:
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
 
 # And for the partition layer's decoders of device bytes: the leaf cursor
-# behind part.Iterator and part.Reader and the internal-page search, which
-# read pages where they lie, and the MV-PBT record body inside a leaf; plus
-# the prefix filter, which must never skip a range that holds a key.
-# Crashers land in internal/index/{part,mvpbt}/testdata/fuzz/.
+# behind part.Iterator and part.Reader, which reads pages where they lie, and
+# the MV-PBT record body inside a leaf; plus the fence search, which must
+# pick the leaf the linear rule picks and seek to the first record at or
+# above the probe, and the prefix filter, which must never skip a range that
+# holds a key. Crashers land in internal/index/{part,mvpbt}/testdata/fuzz/.
 fuzz-part:
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
-	go test -fuzz=FuzzInnerSearch -fuzztime=10s ./internal/index/part/
+	go test -fuzz=FuzzFenceSearch -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzPrefixFilter -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
 

@@ -84,8 +84,8 @@ func main() {
 	fmt.Printf("== MV-PBT structure after %d tuples x %d updates ==\n", *tuples, *updates)
 	fmt.Printf("PN: %d bytes in memory\n", mv.PNBytes())
 	for _, p := range mv.Partitions() {
-		fmt.Printf("P%-3d pages=%-4d leaves=%-4d records=%-6d keys [%q .. %q] ts [%d..%d]",
-			p.No, p.NumPages, p.NumLeaves, p.NumRecords, p.MinKey, p.MaxKey, p.MinTS, p.MaxTS)
+		fmt.Printf("P%-3d leaves=%-4d fenceB=%-5d records=%-6d keys [%q .. %q] ts [%d..%d]",
+			p.No, p.NumLeaves, p.FenceBytes(), p.NumRecords, p.MinKey, p.MaxKey, p.MinTS, p.MaxTS)
 		if p.Filter != nil {
 			fmt.Printf(" bloom=%dB", p.Filter.SizeBytes())
 		}

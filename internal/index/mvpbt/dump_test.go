@@ -48,7 +48,7 @@ func TestDumpKeyShowsAllLocations(t *testing.T) {
 
 	// A partition that cannot be read is an error, not a shorter dump.
 	for _, seg := range tr.Partitions() {
-		e.pool.DropFilePages(tr.file, seg.StartPage, seg.NumPages)
+		e.pool.DropFilePages(tr.file, seg.StartPage, seg.NumLeaves)
 	}
 	e.dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultBitFlip, Class: int(sfile.ClassIndex), ByteOffset: 777, Sticky: true})
 	if dump, err := tr.DumpKey([]byte("k")); !errors.Is(err, storage.ErrCorruptPage) {

@@ -116,7 +116,7 @@ func BenchmarkScanOrderLine(b *testing.B) {
 	defer part.SetPoison(true)
 	pages := 0
 	for _, seg := range orderLineTree(b, newEnv(1024, 1<<30), parts).Partitions() {
-		pages += seg.NumPages
+		pages += seg.NumLeaves
 	}
 	for _, c := range []struct {
 		name   string

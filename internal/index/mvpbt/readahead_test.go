@@ -85,8 +85,8 @@ func TestScanReadAheadGate(t *testing.T) {
 		e := newEnv(1024, 1<<30)
 		tr := scanTree(t, e, parts, keys)
 		segs := tr.Partitions()
-		if len(segs) != parts || segs[0].NumLeaves < 2*sfile.ExtentPages || segs[0].NumPages > segs[0].NumLeaves+1 {
-			t.Fatalf("%d partitions, the first of %d leaves in %d pages: want several extents under one root", len(segs), segs[0].NumLeaves, segs[0].NumPages)
+		if len(segs) != parts || segs[0].NumLeaves < 2*sfile.ExtentPages {
+			t.Fatalf("%d partitions, the first of %d leaves: want several extents", len(segs), segs[0].NumLeaves)
 		}
 		var scans, reads int64
 		// Starts all over the key range, so that some scans begin just before
@@ -95,8 +95,10 @@ func TestScanReadAheadGate(t *testing.T) {
 			if err := e.pool.EvictAll(); err != nil {
 				t.Fatal(err)
 			}
-			// The inner pages stay out of the count: a scan of one entry from
-			// the far end of the key range brings every partition's root in.
+			// A scan of one entry from the far end of the key range first, so
+			// that this one does not continue the last one's sweep (see
+			// part.Iterator.enter): it starts about where that one's fetch
+			// ended.
 			if _, err := scanFrom(e, tr, (from+keys/2)%keys, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -119,6 +121,7 @@ func TestScanReadAheadGate(t *testing.T) {
 				t.Errorf("%d partitions, resident SCAN(%d) from %d: %+v, want no device read and no miss", parts, limit, from, warm)
 			}
 		}
+		t.Logf("%d partitions: %d cold SCAN(%d) took %d device reads", parts, scans, limit, reads)
 		if reads > scans*int64(2*parts) {
 			t.Errorf("%d partitions: %d cold SCAN(%d) took %d device reads, want <= %d each on average", parts, scans, limit, reads, 2*parts)
 		}
@@ -126,17 +129,11 @@ func TestScanReadAheadGate(t *testing.T) {
 		if err := e.pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scanFrom(e, tr, keys/2, 1); err != nil {
-			t.Fatal(err)
-		}
 		if one := measureReads(t, e, func() error { _, err := scanFrom(e, tr, 0, 2); return err }); one.reads != int64(parts) || one.pages != one.reads {
 			t.Errorf("%d partitions, SCAN(2) from the first key: %+v, want one single-page read each", parts, one)
 		}
 		// A bounded scan is sized by the leaf holding hi, without a limit.
 		if err := e.pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scanFrom(e, tr, keys/2, 1); err != nil {
 			t.Fatal(err)
 		}
 		bounded := measureReads(t, e, func() error {
@@ -261,10 +258,6 @@ func TestScanReadAheadSweep(t *testing.T) {
 		tr := scanTree(t, e, 1, keys)
 		leaves := tr.Partitions()[0].NumLeaves
 		if err := e.pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
-		// The root stays out of the count (see TestScanReadAheadGate).
-		if _, err := scanFrom(e, tr, keys-1, 1); err != nil {
 			t.Fatal(err)
 		}
 		// The first scan's own run, then MaxRun leaves a read.

@@ -24,13 +24,13 @@ import (
 func partImage(t *testing.T, tr *Tree, seg *part.Segment) (pages []byte, meta []any) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
-	for i := 0; i < seg.NumPages; i++ {
+	for i := 0; i < seg.NumLeaves; i++ {
 		if err := tr.file.ReadPage(seg.StartPage+uint64(i), buf); err != nil {
 			t.Fatal(err)
 		}
 		pages = append(pages, buf...)
 	}
-	return pages, []any{seg.No, seg.StartPage, seg.NumPages, seg.NumLeaves, seg.MinKey, seg.MaxKey,
+	return pages, []any{seg.No, seg.StartPage, seg.NumLeaves, seg.MinKey, seg.MaxKey,
 		seg.MinTS, seg.MaxTS, seg.NumRecords, seg.SizeBytes, seg.Filter, seg.PFilter}
 }
 
@@ -51,7 +51,7 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 		wantPages, wantMeta := partImage(t, want, pw[i])
 		if !bytes.Equal(gotPages, wantPages) || !reflect.DeepEqual(gotMeta, wantMeta) {
 			t.Fatalf("%s: partition P%d (%d records, %d pages) differs from the reference's (%d records, %d pages)",
-				when, pg[i].No, pg[i].NumRecords, pg[i].NumPages, pw[i].NumRecords, pw[i].NumPages)
+				when, pg[i].No, pg[i].NumRecords, pg[i].NumLeaves, pw[i].NumRecords, pw[i].NumLeaves)
 		}
 	}
 	if g, w := got.Stats().GCEvict, want.Stats().GCEvict; g != w {
@@ -471,7 +471,7 @@ func TestBoundedMemoryGate(t *testing.T) {
 		}
 		input := 0
 		for _, seg := range tr.Partitions() {
-			input += seg.NumPages * storage.PageSize
+			input += seg.NumLeaves * storage.PageSize
 		}
 		got := allocated(t, tr.MergePartitions)
 		t.Logf("merging %d partitions, %d KiB, allocated %d KiB", k, input>>10, got>>10)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
@@ -34,13 +35,6 @@ const leafBudget = storage.PageSize - 64
 // fast on htap at half the bytes (write_amp +0.25 % against +0.6 %), and a
 // leaf of at most 32 records, every 1 KiB-value leaf, encodes as without.
 const restartEvery = 32
-
-// childRef names one page to its parent level: the first key of its subtree
-// and its page number relative to the segment start.
-type childRef struct {
-	firstKey []byte
-	rel      int
-}
 
 // hashList collects key hashes in fixed-size chunks, so a long build never
 // re-copies what it has collected. A hash equal to its predecessor (another
@@ -79,11 +73,11 @@ func (l hashList) each(fn func(bloom.Hash)) {
 // that dense-packs leaves and writes them sequentially). Records are
 // front-coded straight into one page image, which is checksummed and written
 // the moment it fills — one WritePage each, never batched: the Fig. 8 device
-// charges a 64 KiB sequential write more than eight 8 KiB ones. Only the
-// leaves' separators and the keys' filter hashes are kept, from which Finish
-// produces the internal levels (bottom-up, root last) and the filters. A
-// build that fails or is aborted returns its extents; it is over at the
-// first error.
+// charges a 64 KiB sequential write more than eight 8 KiB ones. Only each
+// leaf's first key and the keys' filter hashes are kept: the first keys
+// become the segment's fences and the hashes its filters, and no page but a
+// leaf is written. A build that fails or is aborted returns its extents; it
+// is over at the first error.
 //
 // The run's extents are taken one at a time as it advances (AllocRun of one
 // extent each), never ahead of it: the size is unknown until the last
@@ -102,14 +96,14 @@ type Builder struct {
 
 	start  uint64    // first page of the run, once backed > 0
 	backed int       // pages of the run backed by extents; 0 once done
-	nPages int       // pages written: the rel of the page under construction
-	node   page.Page // the one page image, leaf or internal
+	nPages int       // leaves written: the rel of the leaf under construction
+	node   page.Page // the one leaf image
 	used   int       // of leafBudget, in the current leaf
 
-	lastKey, minKey []byte     // copies of the previous and the first record's key
-	leaves          []childRef // one per leaf started
-	keys, prefixes  hashList   // for the bloom and the prefix filter, if enabled
-	n, size         int        // records added, and their encoded bytes
+	lastKey        []byte   // a copy of the previous record's key
+	fences         fences   // each leaf's first key, as it is started
+	keys, prefixes hashList // for the bloom and the prefix filter, if enabled
+	n, size        int      // records added, and their encoded bytes
 }
 
 // NewBuilder starts segment number no in file. Nothing touches the file
@@ -117,17 +111,16 @@ type Builder struct {
 func NewBuilder(pool *buffer.Pool, file *sfile.File, no int, opts BuildOptions) *Builder {
 	b := &Builder{pool: pool, file: file, no: no, opts: opts,
 		node: page.Wrap(make([]byte, storage.PageSize))}
-	b.startNode(0)
+	b.startLeaf()
 	return b
 }
 
-// startNode formats the page image as an empty node of the given level. The
-// whole image is cleared, not just the header: a page's bytes are a function
-// of its records alone.
-func (b *Builder) startNode(level int) {
+// startLeaf formats the page image as an empty leaf. The whole image is
+// cleared, not just the header: a page's bytes are a function of its records
+// alone.
+func (b *Builder) startLeaf() {
 	clear(b.node.Bytes())
 	b.node.Init()
-	b.node.Client()[0] = byte(level)
 	b.used = 0
 }
 
@@ -147,15 +140,15 @@ func (b *Builder) Add(key, body []byte) error {
 	}
 	h, n := encode(shared)
 	if b.used+n+4 > leafBudget && b.node.NumSlots() > 0 {
-		if err := b.writeNode(); err != nil {
+		if err := b.writeLeaf(); err != nil {
 			return b.fail(err)
 		}
-		b.startNode(0)
+		b.startLeaf()
 		shared = 0
 		h, n = encode(0)
 	}
 	if b.node.NumSlots() == 0 {
-		b.leaves = append(b.leaves, childRef{firstKey: bytes.Clone(key), rel: b.nPages})
+		b.fences.add(key)
 	}
 	rec := b.node.Append(n)
 	if rec == nil {
@@ -177,18 +170,15 @@ func (b *Builder) Add(key, body []byte) error {
 			b.prefixes.add(bloom.HashKey(key[:l]))
 		}
 	}
-	if b.n == 0 {
-		b.minKey = bytes.Clone(key)
-	}
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.n++
 	return nil
 }
 
-// writeNode writes the page image as the run's next page — around the pool's
+// writeLeaf writes the page image as the run's next page — around the pool's
 // frames, through its checked write — taking the run's next extent first if
 // the page opens one.
-func (b *Builder) writeNode() error {
+func (b *Builder) writeLeaf() error {
 	if b.nPages == b.backed {
 		start, err := b.file.AllocRun(sfile.ExtentPages)
 		if err != nil {
@@ -224,8 +214,8 @@ func (b *Builder) Abort() {
 	}
 }
 
-// Finish writes the last leaf and the internal levels and returns the
-// segment, or nil if no record was added.
+// Finish writes the last leaf and returns the segment, or nil if no record
+// was added.
 //
 // minTS/maxTS are caller-provided timestamp bounds of the records (the
 // Minimum Transaction Timestamp partition filter of §4.2); pass 0,0 if
@@ -234,50 +224,19 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 	if b.n == 0 {
 		return nil, nil
 	}
-	if err := b.writeNode(); err != nil {
+	if err := b.writeLeaf(); err != nil {
 		return nil, b.fail(err)
 	}
-	numLeaves := b.nPages
-
-	// Internal levels bottom-up until a single root remains. Each node is
-	// written as it fills, so the run stays in page order: leaves, then
-	// level by level, root last.
-	height := 1
-	var enc []byte
-	for refs := b.leaves; len(refs) > 1; height++ {
-		var up []childRef
-		b.startNode(height)
-		up = append(up, childRef{firstKey: refs[0].firstKey, rel: b.nPages})
-		for _, r := range refs {
-			enc = util.PutUvarint(util.PutBytes(enc[:0], r.firstKey), uint64(r.rel))
-			if b.node.InsertAt(b.node.NumSlots(), enc) {
-				continue
-			}
-			if err := b.writeNode(); err != nil {
-				return nil, b.fail(err)
-			}
-			b.startNode(height)
-			up = append(up, childRef{firstKey: r.firstKey, rel: b.nPages})
-			if !b.node.InsertAt(0, enc) {
-				return nil, b.fail(fmt.Errorf("part: separator too large"))
-			}
-		}
-		if err := b.writeNode(); err != nil {
-			return nil, b.fail(err)
-		}
-		refs = up
-	}
-
+	// Held at their size: the builder's arena grew by doubling.
+	f := fences{keys: bytes.Clone(b.fences.keys), ends: slices.Clone(b.fences.ends)}
 	seg := &Segment{
 		No:         b.no,
 		pool:       b.pool,
 		file:       b.file,
 		StartPage:  b.start,
-		NumPages:   b.nPages,
-		NumLeaves:  numLeaves,
-		rootRel:    b.nPages - 1,
-		height:     height,
-		MinKey:     b.minKey,
+		NumLeaves:  b.nPages,
+		fences:     f,
+		MinKey:     f.key(0),
 		MaxKey:     b.lastKey,
 		MinTS:      minTS,
 		MaxTS:      maxTS,

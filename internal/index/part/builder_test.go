@@ -38,7 +38,7 @@ func randomKVs(seed uint64, n, bodyLen, maxDup int) []KV {
 func image(t *testing.T, e *env, seg *Segment) (pages []byte, meta Segment) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
-	for i := 0; i < seg.NumPages; i++ {
+	for i := 0; i < seg.NumLeaves; i++ {
 		if err := e.file.ReadPage(seg.StartPage+uint64(i), buf); err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +50,8 @@ func image(t *testing.T, e *env, seg *Segment) (pages []byte, meta Segment) {
 }
 
 // TestBuilderMatchesReference: the streaming builder's device pages,
-// metadata and filter bits equal the materialising reference build's, on
-// twin devices.
+// metadata, fences and filter bits equal the materialising reference
+// build's, on twin devices.
 func TestBuilderMatchesReference(t *testing.T) {
 	oneLeaf := randomKVs(5, 1000, 40, 1)
 	for n := 1; n <= len(oneLeaf); n++ { // the longest prefix that fills one leaf and no more
@@ -98,11 +98,11 @@ func TestBuilderMatchesReference(t *testing.T) {
 			wantPages, wantMeta := image(t, ref, want)
 			gotPages, gotMeta := image(t, got, seg)
 			if !bytes.Equal(gotPages, wantPages) {
-				t.Errorf("device pages differ (%d pages, reference %d)", seg.NumPages, want.NumPages)
+				t.Errorf("device pages differ (%d leaves, reference %d)", seg.NumLeaves, want.NumLeaves)
 			}
 			if !reflect.DeepEqual(gotMeta, wantMeta) {
-				t.Errorf("metadata or filter bits differ: %d leaves height %d, reference %d leaves height %d",
-					seg.NumLeaves, seg.height, want.NumLeaves, want.height)
+				t.Errorf("metadata, fences or filter bits differ: %d leaves, %d fence bytes; reference %d, %d",
+					seg.NumLeaves, seg.FenceBytes(), want.NumLeaves, want.FenceBytes())
 			}
 			// Same space, and the next run lands on the same page: the builder
 			// leaves the file at the end of its last extent, where a run
@@ -113,8 +113,9 @@ func TestBuilderMatchesReference(t *testing.T) {
 				t.Errorf("space differs: live %d high water %d next run at %d, reference %d %d %d",
 					got.fm.LiveBytes(), got.fm.HighWaterBytes(), n, ref.fm.LiveBytes(), ref.fm.HighWaterBytes(), a)
 			}
-			if c.name == "1KiB-values/multi-level" && seg.height < 3 {
-				t.Errorf("height %d, want a multi-level tree", seg.height)
+			// As many leaves as once took internal levels over them.
+			if c.name == "1KiB-values/multi-level" && seg.NumLeaves < 400 {
+				t.Errorf("%d leaves, want more than an internal page indexed", seg.NumLeaves)
 			}
 		})
 	}
@@ -122,11 +123,12 @@ func TestBuilderMatchesReference(t *testing.T) {
 
 // TestKVLeavesEncodeAsBefore: a leaf of 1 KiB values holds fewer records
 // than the restart interval, so restart slots leave it as it was: the page
-// checksums of such a segment, versions and filters included, are the ones
-// recorded at PR 24, before leaves had restart slots. It is why the kv_*
-// workloads' partitions do not move.
+// checksums of such a segment's leaves, versions and filters included, are
+// the ones recorded before leaves had restart slots, and the run ends after
+// the leaves (the root recorded then, 0xb22b4eb, is gone with the internal
+// levels). It is why the kv_* workloads' leaves do not move.
 func TestKVLeavesEncodeAsBefore(t *testing.T) {
-	want := []uint32{0xad8e3279, 0xe7d5321a, 0x99ec68e5, 0x8ecd5b71, 0x6b10337e, 0xb92be863, 0x3c1ad165, 0x2f254fc6, 0x2b66b1f5, 0xb22b4eb}
+	want := []uint32{0xad8e3279, 0xe7d5321a, 0x99ec68e5, 0x8ecd5b71, 0x6b10337e, 0xb92be863, 0x3c1ad165, 0x2f254fc6, 0x2b66b1f5}
 	e := newEnv(16)
 	seg, err := Build(e.pool, e.file, 1, randomKVs(8, 60, 1024, 4), 0, 0, BuildOptions{BloomBitsPerKey: 10})
 	if err != nil {
@@ -138,24 +140,24 @@ func TestKVLeavesEncodeAsBefore(t *testing.T) {
 		got = append(got, page.Checksum(pages[p:p+storage.PageSize]))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("page checksums %#x, at PR 24 %#x", got, want)
+		t.Fatalf("leaf checksums %#x, recorded %#x", got, want)
 	}
 }
 
 // TestBuilderFailureReturnsExtents: whichever page write fails for good —
-// the first, one in the middle, the last leaf, an internal page — and
-// whenever the device runs out of space half-way through the run, the build
-// reports the error, gives back every extent it took, and the next build on
-// the file succeeds.
+// the first, one in the middle, the last leaf — and whenever the device runs
+// out of space half-way through the run, the build reports the error, gives
+// back every extent it took, and the next build on the file succeeds.
 func TestBuilderFailureReturnsExtents(t *testing.T) {
-	kvs := randomKVs(1, 600, 1024, 1) // 86 leaves and a root: three extents
+	kvs := randomKVs(1, 600, 1024, 1) // 86 leaves: three extents
 	probe := newEnv(16)
 	whole, err := Build(probe.pool, probe.file, 1, kvs, 0, 0, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.NumPages != whole.NumLeaves+1 || whole.NumLeaves < 2*sfile.ExtentPages {
-		t.Fatalf("probe build: %d pages, %d leaves", whole.NumPages, whole.NumLeaves)
+	// The last leaf is the run's last page: the build writes nothing else.
+	if w := probe.dev.Stats().Writes; w != int64(whole.NumLeaves) || whole.NumLeaves < 2*sfile.ExtentPages {
+		t.Fatalf("probe build: %d page writes, %d leaves", w, whole.NumLeaves)
 	}
 	for _, c := range []struct {
 		name string
@@ -165,7 +167,6 @@ func TestBuilderFailureReturnsExtents(t *testing.T) {
 		{"first-page", failWrite(1), storage.ErrIOFault},
 		{"middle-page", failWrite(whole.NumLeaves / 2), storage.ErrIOFault},
 		{"last-leaf", failWrite(whole.NumLeaves), storage.ErrIOFault},
-		{"internal-page", failWrite(whole.NumPages), storage.ErrIOFault},
 		{"no-space-mid-run", func(e *env) { e.fm.SetCapacity(e.fm.LiveBytes() + 2*sfile.ExtentBytes) }, storage.ErrNoSpace},
 	} {
 		t.Run(c.name, func(t *testing.T) {

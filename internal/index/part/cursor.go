@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"mvpbt/internal/page"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
 
-// errBadRecord reports a leaf or internal record whose varints or lengths
-// overrun its slot: device bytes that passed their checksum and still are
-// not a segment page. Callers add the page.
+// errBadRecord reports a leaf record whose varints or lengths overrun its
+// slot: device bytes that passed their checksum and still are not a segment
+// page. Callers add the page.
 var errBadRecord = fmt.Errorf("part: malformed record: %w", storage.ErrCorruptPage)
 
 // leafCursor walks the front-coded records of one leaf page image where they
@@ -130,43 +129,4 @@ func (c *leafCursor) seek(min []byte) (bool, error) {
 	}
 	c.slot = c.n
 	return false, nil
-}
-
-// innerRecord splits one internal record (the formats are in segment.go).
-func innerRecord(rec []byte) (key []byte, child int, err error) {
-	kl, a := binary.Uvarint(rec)
-	if a <= 0 || kl > uint64(len(rec)-a) {
-		return nil, 0, errBadRecord
-	}
-	key = rec[a : a+int(kl)]
-	c, b := binary.Uvarint(rec[a+int(kl):])
-	if b <= 0 || c > math.MaxInt32 {
-		return nil, 0, errBadRecord
-	}
-	return key, int(c), nil
-}
-
-// innerSearch picks the child of internal page pg to descend into for key,
-// by binary search over the slots as they lie (internal records are not
-// front-coded). Because duplicate keys may span leaf boundaries it is the
-// LAST child whose first key is strictly below key — a run of equal keys
-// beginning at a leaf boundary is then entered from its first record (the
-// iterator skips the preceding leaf's smaller keys) — and the first child
-// when there is none.
-func innerSearch(pg page.Page, key []byte) (int, error) {
-	lo, hi := 0, pg.NumSlots()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		k, _, err := innerRecord(pg.Get(mid))
-		if err != nil {
-			return 0, err
-		}
-		if bytes.Compare(k, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	_, child, err := innerRecord(pg.Get(max(lo-1, 0)))
-	return child, err
 }

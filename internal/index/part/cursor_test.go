@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"mvpbt/internal/buffer"
@@ -16,16 +17,16 @@ import (
 	"mvpbt/internal/util"
 )
 
-// The leaf cursor and the internal-page search read device bytes where they
-// lie, behind a checksum that is not a MAC and with no decoded copy to fall
-// back on. Both must walk an arbitrary page image without panicking or
-// slicing outside it, and report a varint or length that overruns its slot
-// as storage.ErrCorruptPage.
+// The leaf cursor reads device bytes where they lie, behind a checksum that
+// is not a MAC and with no decoded copy to fall back on. It must walk an
+// arbitrary page image without panicking or slicing outside it, and report a
+// varint or length that overruns its slot as storage.ErrCorruptPage. The
+// fence search that picks the leaf must agree with the leaves it indexes.
 //
 // Run the full fuzzers with:
 //
 //	go test -fuzz=FuzzLeafCursor -fuzztime=30s ./internal/index/part/
-//	go test -fuzz=FuzzInnerSearch -fuzztime=30s ./internal/index/part/
+//	go test -fuzz=FuzzFenceSearch -fuzztime=30s ./internal/index/part/
 
 // pageOf lays head over the front of a zeroed page image (header and slot
 // directory) and tail over its end (the record area). The two ends are the
@@ -58,27 +59,15 @@ func leafImage(tb testing.TB, kvs []KV, rel int) []byte {
 	return buf
 }
 
-// fuzzSeeds builds a small two-level segment and returns the ends of its
-// first leaf and of its root.
-func fuzzSeeds(f *testing.F) (leafHead, leafTail, rootHead, rootTail []byte) {
-	e := newEnv(16)
+// fuzzSeeds builds a small segment of three leaves and returns the ends of
+// its first and of its last leaf.
+func fuzzSeeds(f *testing.F) (firstHead, firstTail, lastHead, lastTail []byte) {
 	var kvs []KV
-	for i := 0; i < 40; i++ { // ~430-byte records: 3 leaves under one root
+	for i := 0; i < 40; i++ { // ~430-byte records: 3 leaves
 		kvs = append(kvs, KV{Key: []byte(fmt.Sprintf("user%06d", i*3)), Body: bytes.Repeat([]byte{byte('a' + i%26)}, 420)})
 	}
-	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
-	if err != nil || seg.height != 2 {
-		f.Fatalf("seed segment: height %d, %v", seg.height, err)
-	}
-	buf := make([]byte, storage.PageSize)
-	read := func(rel int) (head, tail []byte) {
-		if err := e.file.ReadPage(seg.StartPage+uint64(rel), buf); err != nil {
-			f.Fatal(err)
-		}
-		return endsOf(buf)
-	}
-	leafHead, leafTail = read(0)
-	rootHead, rootTail = read(seg.rootRel)
+	firstHead, firstTail = endsOf(leafImage(f, kvs, 0))
+	lastHead, lastTail = endsOf(leafImage(f, kvs, 2))
 	return
 }
 
@@ -105,11 +94,11 @@ func restartSeeds(f *testing.F) (ends [3][2][]byte) {
 }
 
 func FuzzLeafCursor(f *testing.F) {
-	leafHead, leafTail, rootHead, rootTail := fuzzSeeds(f)
+	leafHead, leafTail, lastHead, lastTail := fuzzSeeds(f)
 	f.Add(leafHead, leafTail, []byte("user000030"))
 	f.Add(leafHead, leafTail, []byte(nil))
 	f.Add(leafHead, leafTail, []byte("zzz"))
-	f.Add(rootHead, rootTail, []byte("user000030")) // an internal page read as a leaf
+	f.Add(lastHead, lastTail, []byte("user000030")) // a probe below the leaf's first key
 	// A leaf past two restart slots: whole, with a restart record that takes
 	// a byte from its predecessor, and with two restart keys swapped.
 	for _, e := range restartSeeds(f) {
@@ -189,41 +178,17 @@ func FuzzLeafCursor(f *testing.F) {
 	})
 }
 
-func FuzzInnerSearch(f *testing.F) {
-	leafHead, leafTail, rootHead, rootTail := fuzzSeeds(f)
-	f.Add(rootHead, rootTail, []byte("user000030"))
-	f.Add(rootHead, rootTail, []byte(nil))
-	f.Add(rootHead, rootTail, []byte("zzz"))
-	f.Add(leafHead, leafTail, []byte("user000030")) // a leaf read as an internal page
-	f.Add([]byte{0xFF, 0xFF}, []byte{}, []byte("k"))
-	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{9, 'k', 1}, []byte("k"))                                               // key length past the record
-	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xFD, 0x1F, 3, 0), []byte{1, 'k', 0x80}, []byte("k"))                                            // child varint runs off the end
-	f.Add(append(append([]byte{1, 0}, make([]byte, 46)...), 0xF6, 0x1F, 10, 0), []byte{1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, []byte("k")) // child near 2^56
-	f.Add([]byte{}, []byte{}, []byte{})
-
-	f.Fuzz(func(t *testing.T, head, tail, key []byte) {
-		child, err := innerSearch(pageOf(head, tail), key)
-		if err != nil && !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("%v does not wrap ErrCorruptPage", err)
-		}
-		if err == nil && child < 0 {
-			t.Fatalf("child %d", child)
-		}
-	})
-}
-
 // TestCorruptPageSurfacesThroughIterator: damage that passes the checksum
-// reaches the caller as ErrCorruptPage naming the page, from the descent as
-// from the leaf walk and the sequential reader.
+// reaches the caller as ErrCorruptPage naming the page, from a seek into the
+// leaf as from the leaf walk and the sequential reader.
 func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
 	e := newEnv(16)
 	kvs := randomKVs(3, 60, 420, 1)
 	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
-	if err != nil || seg.height != 2 {
-		t.Fatalf("height %d, %v", seg.height, err)
+	if err != nil || seg.NumLeaves < 3 {
+		t.Fatalf("%d leaves, %v", seg.NumLeaves, err)
 	}
-	smash := func(rel int) { smashFirstRecord(t, e, seg, rel) }
-	smash(1)
+	smashFirstRecord(t, e, seg, 1)
 	it := seg.Seek(nil)
 	n := 0
 	for ; it.Valid(); it.Next() {
@@ -241,27 +206,26 @@ func TestCorruptPageSurfacesThroughIterator(t *testing.T) {
 	if err := e.pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	smash(seg.rootRel)
-	// A key strictly inside the segment: a seek at or below its first key
-	// starts at leaf 0 without a descent (see SeekScan).
-	if it := seg.Seek(kvs[30].Key); it.Valid() || !errors.Is(it.Err(), storage.ErrCorruptPage) {
-		t.Fatalf("descent: valid %v, %v", it.Valid(), it.Err())
+	key := seg.fences.key(1)
+	name := fmt.Sprintf("page %d ", seg.StartPage+1)
+	if it := seg.Seek(key); it.Valid() || !errors.Is(it.Err(), storage.ErrCorruptPage) || !strings.Contains(it.Err().Error(), name) {
+		t.Fatalf("seek into the leaf: valid %v, %v; want ErrCorruptPage naming %s", it.Valid(), it.Err(), name)
 	}
 }
 
-// TestWholeSegmentScanSkipsDescent: a SeekScan that covers the whole segment
-// — from nil or its first key, to nil or past its last — asks the pool for
-// its leaves alone, one request each, and yields what the descending path
-// (the same scan bounded by the last key) yields. With a corrupt root it
-// still reads every record.
-func TestWholeSegmentScanSkipsDescent(t *testing.T) {
+// TestProbesRequestOnlyLeaves: fences stand in for internal pages, so a
+// probe asks the pool for the leaves it enters and for nothing else — a
+// point seek into a cold pool for one page in one device read, a scan for
+// each leaf from the one its lo enters to the last — whatever its bounds.
+func TestProbesRequestOnlyLeaves(t *testing.T) {
 	e := newEnv(64)
 	kvs := randomKVs(4, 20000, 40, 3)
 	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
-	if err != nil || seg.height < 2 {
-		t.Fatalf("height %d, %v", seg.height, err)
+	if err != nil || seg.NumLeaves < 2*sfile.ExtentPages {
+		t.Fatalf("%d leaves, %v", seg.NumLeaves, err)
 	}
 	past := append(bytes.Clone(seg.MaxKey), 0)
+	// drain counts the pool requests of a scan from lo to the segment's end.
 	drain := func(lo, hi []byte) (recs []KV, requests int64) {
 		t.Helper()
 		before := e.pool.Stats()[sfile.ClassIndex].Requests
@@ -274,31 +238,108 @@ func TestWholeSegmentScanSkipsDescent(t *testing.T) {
 		}
 		return recs, e.pool.Stats()[sfile.ClassIndex].Requests - before
 	}
-	want, descended := drain(seg.MinKey, seg.MaxKey)
-	if descended != int64(seg.NumLeaves+seg.height-1) {
-		t.Fatalf("the descending scan made %d requests, want %d leaves and %d internal pages", descended, seg.NumLeaves, seg.height-1)
-	}
-	if !reflect.DeepEqual(want, kvs) {
-		t.Fatal("the descending scan does not yield the segment's records")
-	}
-	check := func(what string) {
-		t.Helper()
-		for _, b := range []struct{ lo, hi []byte }{{seg.MinKey, past}, {nil, nil}, {[]byte("a"), nil}} {
-			got, requests := drain(b.lo, b.hi)
-			if requests != int64(seg.NumLeaves) {
-				t.Errorf("%s: scan [%q, %q) made %d pool requests for %d leaves", what, b.lo, b.hi, requests, seg.NumLeaves)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: scan [%q, %q) yields %d records, the descending scan %d", what, b.lo, b.hi, len(got), len(want))
-			}
+	for _, b := range []struct{ lo, hi []byte }{{seg.MinKey, past}, {nil, nil}, {[]byte("a"), nil}, {seg.MinKey, seg.MaxKey}} {
+		got, requests := drain(b.lo, b.hi)
+		if requests != int64(seg.NumLeaves) || !reflect.DeepEqual(got, kvs) {
+			t.Errorf("whole-segment scan [%q, %q): %d pool requests for %d leaves, %d of %d records", b.lo, b.hi, requests, seg.NumLeaves, len(got), len(kvs))
 		}
 	}
-	check("intact")
-	smashFirstRecord(t, e, seg, seg.rootRel)
-	if err := e.pool.EvictAll(); err != nil {
+	for i := 0; i < len(kvs); i += 997 {
+		lo := kvs[i].Key
+		want := sort.Search(len(kvs), func(j int) bool { return bytes.Compare(kvs[j].Key, lo) >= 0 })
+		got, requests := drain(lo, kvs[min(i+500, len(kvs)-1)].Key)
+		if leaves := int64(seg.NumLeaves - linearLeaf(seg, lo)); requests != leaves || !reflect.DeepEqual(got, kvs[want:]) {
+			t.Errorf("scan from %q: %d pool requests for %d leaves entered, %d records, want %d", lo, requests, leaves, len(got), len(kvs)-want)
+		}
+		if err := e.pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		d0, p0 := e.dev.Stats().Reads, e.pool.Stats()[sfile.ClassIndex].Requests
+		it := seg.Seek(lo)
+		if d, p := e.dev.Stats().Reads-d0, e.pool.Stats()[sfile.ClassIndex].Requests-p0; !it.Valid() || d != 1 || p != 1 {
+			t.Errorf("cold point seek %q: %d pool requests, %d device reads, valid %v; want one of each", lo, p, d, it.Valid())
+		}
+	}
+}
+
+// TestBoundedScanBudgetReachesHi: a scan bounded by a hi hundreds of leaves
+// past lo — more than one internal page would index — expects to read to
+// hi's leaf exactly, the last whose first key is below hi.
+func TestBoundedScanBudgetReachesHi(t *testing.T) {
+	e := newEnv(64)
+	kvs := randomKVs(6, 8000, 1024, 1)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("corrupt root")
+	for _, c := range []struct{ lo, hi int }{{10, 7000}, {3, 2600}, {100, 7999}} {
+		lo, hi := kvs[c.lo].Key, kvs[c.hi].Key
+		from, to := linearLeaf(seg, lo), linearLeaf(seg, hi)
+		if to-from <= 300 {
+			t.Fatalf("[%d, %d): leaves %d to %d, want more than 300 apart", c.lo, c.hi, from, to)
+		}
+		var it Iterator
+		it.SeekScan(seg, lo, hi, 0, 0)
+		// The budget is to-from+1 leaves, and enter has taken the first.
+		if !it.Valid() || it.leaf != from || it.left != to-from {
+			t.Errorf("scan [%q, %q): in leaf %d with %d more leaves budgeted; want leaf %d and %d", lo, hi, it.leaf, it.left, from, to-from)
+		}
+	}
+}
+
+// linearLeaf is findLeaf's rule read off the leaves one by one: the last
+// leaf whose first record's key is strictly below key, or leaf 0.
+func linearLeaf(seg *Segment, key []byte) int {
+	leaf := 0
+	for i := 1; i < seg.NumLeaves; i++ {
+		if bytes.Compare(seg.fences.key(i), key) < 0 {
+			leaf = i
+		}
+	}
+	return leaf
+}
+
+// FuzzFenceSearch: over sorted keys whose versions run across leaves, the
+// fences are the leaves' first keys, findLeaf is the linear rule, and a seek
+// lands on the first record at or above the probe — the first version of a
+// key — as a sorted slice has it.
+func FuzzFenceSearch(f *testing.F) {
+	f.Add(uint64(1), uint16(3000), uint8(200), []byte("user0000000700"))
+	f.Add(uint64(2), uint16(3000), uint8(1), []byte("user"))
+	f.Add(uint64(3), uint16(1), uint8(1), []byte(nil))
+	f.Add(uint64(4), uint16(800), uint8(255), []byte("\xff"))
+	f.Add(uint64(5), uint16(60), uint8(60), []byte("user00000000"))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, maxDup uint8, probe []byte) {
+		kvs := randomKVs(seed, 1+int(n)%4000, 100, 1+int(maxDup))
+		e := newEnv(16)
+		seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, storage.PageSize)
+		var c leafCursor
+		for i := 0; i < seg.NumLeaves; i++ {
+			if err := e.file.ReadPage(seg.StartPage+uint64(i), buf); err != nil {
+				t.Fatal(err)
+			}
+			c.reset(page.Wrap(buf))
+			if ok, err := c.next(); !ok || err != nil || !bytes.Equal(c.key, seg.fences.key(i)) {
+				t.Fatalf("leaf %d starts with %q (%v, %v), fence %q", i, c.key, ok, err, seg.fences.key(i))
+			}
+		}
+		pick := kvs[int(seed%uint64(len(kvs)))].Key
+		for _, key := range [][]byte{probe, pick, append(bytes.Clone(pick), probe...), pick[:len(pick)/2]} {
+			if got, want := seg.findLeaf(key), linearLeaf(seg, key); got != want {
+				t.Fatalf("findLeaf(%q) = %d, the linear rule %d", key, got, want)
+			}
+			want := sort.Search(len(kvs), func(i int) bool { return bytes.Compare(kvs[i].Key, key) >= 0 })
+			it := seg.Seek(key)
+			if it.Err() != nil || it.Valid() != (want < len(kvs)) ||
+				(it.Valid() && (!bytes.Equal(it.Record().Key, kvs[want].Key) || !bytes.Equal(it.Record().Body, kvs[want].Body))) {
+				t.Fatalf("seek %q: valid %v on %q, %v; want record %d", key, it.Valid(), it.Record().Key, it.Err(), want)
+			}
+		}
+	})
 }
 
 // smashFirstRecord overwrites the first varint of page rel's first record
@@ -442,7 +483,7 @@ func benchmarkSeek(b *testing.B, kvs []KV) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			seg.pool = buffer.New(c.frames(seg.NumPages)) // builds write around the pool: it starts cold
+			seg.pool = buffer.New(c.frames(seg.NumLeaves)) // builds write around the pool: it starts cold
 			var it Iterator
 			for i := range kvs { // warm the pool as far as it goes
 				it.Seek(seg, kvs[i].Key)

@@ -12,25 +12,24 @@ import (
 )
 
 // referenceBuild is the materialising build that Builder replaced, kept
-// verbatim (but for the leaves' restart slots and the prefix filter holding
-// every prefix of PrefixLen bytes or more, each added later in its own loop)
-// as the reference the byte-identity tests compare against: every
-// record encoded and every page image held in memory, internal levels built
-// over them, filters filled from the record slice on a second goroutine,
-// then one AllocRun of the final size and a page-by-page write-out.
+// verbatim (but for the leaves' restart slots, the prefix filter holding
+// every prefix of PrefixLen bytes or more, and the internal levels given up
+// for in-memory fences, each changed later in its own loop) as the reference
+// the byte-identity tests compare against: every record encoded and every
+// page image held in memory, filters filled from the record slice on a
+// second goroutine, then one AllocRun of the final size and a page-by-page
+// write-out.
 func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS, maxTS uint64, opts BuildOptions) (*Segment, error) {
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	// ---- Pack leaves (in memory first: page numbers of internal levels
-	// depend on the leaf count, and the final write-out must be one
+	// ---- Pack leaves (in memory first: the final write-out must be one
 	// sequential pass in page order).
 	var pages [][]byte
-	newNode := func(level int) page.Page {
+	newNode := func() page.Page {
 		buf := make([]byte, storage.PageSize)
 		p := page.Wrap(buf)
 		p.Init()
-		p.Client()[0] = byte(level)
 		pages = append(pages, buf)
 		return p
 	}
@@ -41,7 +40,7 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 	}
 	var leafRefs []childRef
 
-	leaf := newNode(0)
+	leaf := newNode()
 	var prevKey []byte
 	budget := storage.PageSize - 64
 	used := 0
@@ -52,7 +51,7 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		}
 		rec := refEncodeLeafRec(prevKey, kvs[i].Key, kvs[i].Body)
 		if used+len(rec)+4 > budget && leaf.NumSlots() > 0 {
-			leaf = newNode(0)
+			leaf = newNode()
 			leafRefs = append(leafRefs, childRef{firstKey: kvs[i].Key, rel: len(pages) - 1})
 			prevKey = nil
 			used = 0
@@ -69,27 +68,9 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		size += len(rec)
 		prevKey = kvs[i].Key
 	}
-	numLeaves := len(pages)
-
-	// ---- Build internal levels bottom-up until a single root remains.
-	height := 1
-	refs := leafRefs
-	for len(refs) > 1 {
-		height++
-		var up []childRef
-		node := newNode(height - 1)
-		up = append(up, childRef{firstKey: refs[0].firstKey, rel: len(pages) - 1})
-		for _, r := range refs {
-			rec := refEncodeInternalRec(r.firstKey, r.rel)
-			if !node.InsertAt(node.NumSlots(), rec) {
-				node = newNode(height - 1)
-				up = append(up, childRef{firstKey: r.firstKey, rel: len(pages) - 1})
-				if !node.InsertAt(node.NumSlots(), rec) {
-					return nil, fmt.Errorf("part: separator too large")
-				}
-			}
-		}
-		refs = up
+	var fs fences
+	for _, r := range leafRefs {
+		fs.add(r.firstKey)
 	}
 
 	// ---- Filters are computed concurrently with the sequential
@@ -160,10 +141,8 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		pool:       pool,
 		file:       file,
 		StartPage:  start,
-		NumPages:   len(pages),
-		NumLeaves:  numLeaves,
-		rootRel:    len(pages) - 1,
-		height:     height,
+		NumLeaves:  len(pages),
+		fences:     fs,
 		MinKey:     append([]byte(nil), kvs[0].Key...),
 		MaxKey:     append([]byte(nil), kvs[len(kvs)-1].Key...),
 		MinTS:      minTS,
@@ -182,10 +161,4 @@ func refEncodeLeafRec(prevKey, key, body []byte) []byte {
 	out = util.PutUvarint(out, uint64(len(key)-shared))
 	out = append(out, key[shared:]...)
 	return append(out, body...)
-}
-
-func refEncodeInternalRec(key []byte, rel int) []byte {
-	out := util.PutUvarint(nil, uint64(len(key)))
-	out = append(out, key...)
-	return util.PutUvarint(out, uint64(rel))
 }

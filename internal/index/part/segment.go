@@ -1,9 +1,10 @@
 // Package part provides the partition machinery shared by the Partitioned
 // B-Tree and the Multi-Version Partitioned B-Tree: immutable, bulk-built
-// B-Tree segments (dense-packed prefix-truncated leaves, bottom-up internal
-// levels, strictly sequential write-out — paper §4.5/4.7), per-partition
-// bloom and prefix-bloom filters, and the shared MV-PBT buffer that evicts
-// whole main-memory partitions, largest victim first.
+// segments (dense-packed prefix-truncated leaves written strictly
+// sequentially — paper §4.5/4.7 — under fences, each leaf's first key, held
+// in memory in place of internal levels), per-partition bloom and
+// prefix-bloom filters, and the shared MV-PBT buffer that evicts whole
+// main-memory partitions, largest victim first.
 package part
 
 import (
@@ -30,23 +31,20 @@ type KV struct {
 // sharedLen 0, their whole key: a seek binary-searches them and decodes one
 // interval (leafCursor.seek). A restart record pays the key bytes it would
 // have shared (htap write_amp +0.3 %); a leaf of at most 32 records, every
-// leaf of 1 KiB values, is encoded as if there were none. Internal records:
-// [keyLen varint][key][child varint] with child page numbers RELATIVE to
-// the segment start, so pages can be written sequentially without
-// patching.
+// leaf of 1 KiB values, is encoded as if there were none. A segment's run is
+// its leaves and nothing else.
 
-// Segment is one immutable on-disk partition: a dense B-Tree over sorted
-// records, plus filters and metadata. Reads go through the shared buffer
-// pool; the segment itself is read-only.
+// Segment is one immutable partition: sorted records in a run of leaves on
+// the device, and in memory their fences, filters and metadata, as an
+// SSTable keeps its index block pinned. Leaves are read through the shared
+// buffer pool; the segment itself is read-only.
 type Segment struct {
 	No         int // partition number
 	pool       *buffer.Pool
 	file       *sfile.File
 	StartPage  uint64
-	NumPages   int
-	NumLeaves  int
-	rootRel    int // page number of the root, relative to StartPage
-	height     int
+	NumLeaves  int // the run's pages, all of them leaves
+	fences     fences
 	MinKey     []byte
 	MaxKey     []byte
 	MinTS      uint64
@@ -95,40 +93,49 @@ func (s *Segment) corrupt(rel int, cause error) error {
 	return fmt.Errorf("part: page %d of %q: %w", s.StartPage+uint64(rel), s.file.Name(), cause)
 }
 
-// findLeaf descends to the first relative leaf page that could contain
-// key (see innerSearch), searching each internal page in its pinned frame.
-// With a hi, end is the leaf that could contain hi, or the last leaf under
-// the same lowest internal page when hi lies beyond it: searched for in the
-// frame the descent has pinned anyway, and only a hint (a corrupt page may
-// make it anything).
-func (s *Segment) findLeaf(key, hi []byte) (rel, end int, err error) {
-	rel = s.rootRel
-	for level := s.height - 1; level >= 1; level-- {
-		fr, err := s.pool.Get(s.file, s.StartPage+uint64(rel))
-		if err != nil {
-			return 0, 0, err
-		}
-		pg := page.Wrap(fr.Data())
-		child, err := innerSearch(pg, key)
-		if level == 1 && hi != nil && err == nil {
-			end, _ = innerSearch(pg, hi)
-		}
-		s.pool.Unpin(fr, false)
-		if err != nil {
-			return 0, 0, s.corrupt(rel, err)
-		}
-		// Children are written before their parent: a child at or behind it
-		// is not one, and following it could leave the segment or loop.
-		if child >= rel {
-			return 0, 0, s.corrupt(rel, errBadRecord)
-		}
-		rel = child
-	}
-	if rel >= s.NumLeaves {
-		return 0, 0, s.corrupt(rel, errBadRecord)
-	}
-	return rel, end, nil
+// fences are a segment's leaves' first keys in leaf order, in one arena: the
+// keys back to back, and where each ends. A segment writes no internal
+// levels: no partition is ever reopened from the device (recovery is
+// logical), so finding a leaf is all they would be read for, and a search
+// over the fences does that without a page.
+type fences struct {
+	keys []byte
+	ends []uint32
 }
+
+func (f *fences) add(key []byte) {
+	f.keys = append(f.keys, key...)
+	f.ends = append(f.ends, uint32(len(f.keys)))
+}
+
+// key returns leaf i's first key.
+func (f fences) key(i int) []byte {
+	lo := uint32(0)
+	if i > 0 {
+		lo = f.ends[i-1]
+	}
+	return f.keys[lo:f.ends[i]:f.ends[i]]
+}
+
+// findLeaf returns the leaf a seek to key enters: the last whose first key is
+// strictly below key, or leaf 0. Strictly: the versions of a key lie side by
+// side and may run across a leaf boundary, and the seek must land on the
+// first of them (the iterator passes over the leaf's smaller keys).
+func (s *Segment) findLeaf(key []byte) int {
+	lo, hi := 1, s.NumLeaves
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(s.fences.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// FenceBytes is the memory the segment's fences take.
+func (s *Segment) FenceBytes() int { return len(s.fences.keys) + 4*len(s.fences.ends) }
 
 // Iterator walks a segment's records in key order, reading them where they
 // lie in the page image. On entering a leaf it copies the page out of its
@@ -172,30 +179,20 @@ func (it *Iterator) Seek(s *Segment, key []byte) { it.SeekScan(s, key, nil, 0, 0
 
 // SeekScan is Seek(s, lo) by a scan that says how far it will go, so that the
 // leaves it needs come in by runs: to the leaf holding hi (nil = unbounded),
-// as far as the internal page above lo's leaf tells, and for as many leaves
-// as rows records (0 = unknown) make up as s's share of a scan over segments
-// holding records in all — rows x NumLeaves / records to the nearest leaf,
-// plus one for starting inside a leaf. With neither known, leaves are fetched
-// one at a time. A scan that covers the whole segment (lo at or below
-// MinKey, hi nil or above MaxKey) reads no internal page: leaves are the
-// run's first NumLeaves pages, so it starts at leaf 0 and may go to the last.
+// and for as many leaves as rows records (0 = unknown) make up as s's share
+// of a scan over segments holding records in all — rows x NumLeaves / records
+// to the nearest leaf, plus one for starting inside a leaf. With neither
+// known, leaves are fetched one at a time.
 func (it *Iterator) SeekScan(s *Segment, lo, hi []byte, rows, records int) {
 	it.seg, it.ok, it.err, it.left, it.sweep = s, false, nil, 0, hi == nil && rows > 0
-	rel, end := 0, s.NumLeaves-1
-	if bytes.Compare(lo, s.MinKey) > 0 || (hi != nil && bytes.Compare(hi, s.MaxKey) <= 0) {
-		var err error
-		if rel, end, err = s.findLeaf(lo, hi); err != nil {
-			it.err = err
-			return
-		}
-	}
+	rel := s.findLeaf(lo)
 	if hi != nil || rows > 0 {
 		it.left = s.NumLeaves - rel
 		if rows > 0 && rows < records {
 			it.left = min(it.left, int((int64(rows)*int64(s.NumLeaves)+int64(records)/2)/int64(records))+1)
 		}
 		if hi != nil {
-			it.left = min(it.left, end-rel+1)
+			it.left = min(it.left, s.findLeaf(hi)-rel+1)
 		}
 	}
 	it.enter(rel)
@@ -307,6 +304,6 @@ func (it *Iterator) scribble() {
 // manager and any cached pages are dropped. The segment must not be used
 // afterwards.
 func (s *Segment) Free() {
-	s.pool.DropFilePages(s.file, s.StartPage, s.NumPages)
-	s.file.FreeRun(s.StartPage, s.NumPages)
+	s.pool.DropFilePages(s.file, s.StartPage, s.NumLeaves)
+	s.file.FreeRun(s.StartPage, s.NumLeaves)
 }
