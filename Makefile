@@ -38,13 +38,17 @@ traffic:
 # and nowhere around it: outside internal/buffer, the packages that define
 # the three calls (internal/page, internal/storage) and internal/wal/log.go
 # (the log's superblock and sector writes keep their own retry), no non-test
-# file calls them. And the names the folds deleted stay deleted.
+# file calls them. The names the folds deleted stay deleted. And every k-way
+# merge is util.LoserTree: no non-test file under internal/ picks a merge's
+# next source by hand (mvpbt's reference_test.go keeps its own, the oracle).
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: checked page I/O outside internal/buffer:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'RecoverAll|NoteRead|ReadRun\(|DumpEntry' --include='*.go' .); \
 	if [ -n "$$bad" ]; then echo "seams: a folded name is back:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'best := -1|var best \*' --include='*.go' internal | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a k-way merge outside util.LoserTree:"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -74,12 +78,15 @@ fuzz-wal:
 # the MV-PBT record body inside a leaf; plus the fence search, which must
 # pick the leaf the linear rule picks and seek to the first record at or
 # above the probe, and the prefix filter, which must never skip a range that
-# holds a key. Crashers land in internal/index/{part,mvpbt}/testdata/fuzz/.
+# holds a key; plus the loser tree every k-way merge runs on, which must emit
+# what a stable sort by (key, source) does. Crashers land in
+# internal/index/{part,mvpbt}/testdata/fuzz/ and internal/util/testdata/fuzz/.
 fuzz-part:
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzFenceSearch -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzPrefixFilter -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
+	go test -fuzz=FuzzLoserTree -fuzztime=10s ./internal/util/
 
 # Differential correctness harness: short smoke (CI) and nightly-length.
 check:

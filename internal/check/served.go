@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/leakcheck"
 	"mvpbt/internal/server"
 	"mvpbt/internal/server/chaos"
 	"mvpbt/internal/server/shardclient"
@@ -117,13 +118,8 @@ func (s *served) close() error {
 	if stopErr != nil {
 		return fmt.Errorf("teardown: %w", stopErr)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > s.goroutines; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			stacks := make([]byte, 1<<20)
-			stacks = stacks[:runtime.Stack(stacks, true)]
-			return fmt.Errorf("teardown leaked goroutines: %d before setup, %d after:\n%s",
-				s.goroutines, runtime.NumGoroutine(), stacks)
-		}
+	if err := leakcheck.Wait(s.goroutines); err != nil {
+		return fmt.Errorf("teardown: %w", err)
 	}
 	return nil
 }

@@ -225,9 +225,8 @@ func (t *Tree) newestLocked(key []byte) (memEntry, bool, error) {
 	return memEntry{}, false, nil
 }
 
-// source is one input to the merge: the memtable or a run, with rank 0 =
-// newest. A run's key and entry point into its iterator and are good until
-// the source moves.
+// source is one input to a scan: the memtable or a run. A run's key and
+// entry point into its iterator and are good until the source moves.
 type source struct {
 	// memtable cursor
 	memIt *skiplist.Iterator[[]byte, memEntry]
@@ -255,12 +254,37 @@ func (s *source) entry() memEntry {
 	return decodeBody(s.segIt.Record().Body)
 }
 
-func (s *source) next() {
+// next moves the source on. A run that fails to read its next leaf ends,
+// and its error ends the scan: the keys it did not hand out are missing.
+func (s *source) next() error {
 	if s.memIt != nil {
 		s.memIt.Next()
-	} else {
-		s.segIt.Next()
+		return nil
 	}
+	s.segIt.Next()
+	return s.segIt.Err()
+}
+
+// scanMerge is a scan's sources, newest first, merged by key up to hi: a
+// source at or past hi is exhausted. Among equal keys the loser tree puts
+// the lowest index, the newest source, first — unless bySeq orders them by
+// descending sequence number, by what each record says rather than by which
+// source holds it (ScanRawAll, so that checkRawLSM compares Scan's
+// rank-ordered shadowing against an order it does not share).
+type scanMerge struct {
+	srcs  []*source
+	hi    []byte
+	bySeq bool
+}
+
+func (m scanMerge) Len() int { return len(m.srcs) }
+func (m scanMerge) Exhausted(i int) bool {
+	s := m.srcs[i]
+	return !s.valid() || m.hi != nil && bytes.Compare(s.key(), m.hi) >= 0
+}
+func (m scanMerge) Less(i, j int) bool {
+	c := bytes.Compare(m.srcs[i].key(), m.srcs[j].key())
+	return c < 0 || c == 0 && m.bySeq && m.srcs[i].entry().seq > m.srcs[j].entry().seq
 }
 
 // Scan calls fn for every live key in [lo, hi) in key order, newest value
@@ -275,51 +299,41 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 func (t *Tree) ScanLimit(lo, hi []byte, rows int, fn func(key, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	srcs := t.sources(lo, hi, rows)
-	for {
-		// Pick the smallest key; among equals the lowest-rank (newest)
-		// source wins, the rest are shadowed.
-		var minKey []byte
-		best := -1
-		for i := range srcs {
-			if !srcs[i].valid() {
-				continue
-			}
-			k := srcs[i].key()
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				continue
-			}
-			if best < 0 || bytes.Compare(k, minKey) < 0 {
-				minKey, best = k, i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
+	m, err := t.sources(lo, hi, rows)
+	if err != nil {
+		return err
+	}
+	var merge util.LoserTree[scanMerge]
+	merge.Build(m)
+	for w := merge.Winner(); w >= 0; {
 		// The winner is handed out before any source moves: its value lies
 		// in its source's buffers.
-		e := srcs[best].entry()
-		key := append([]byte(nil), minKey...)
+		e := m.srcs[w].entry()
+		key := append([]byte(nil), m.srcs[w].key()...)
 		if !e.tomb && !fn(key, e.val) {
 			return nil
 		}
-		for i := range srcs {
-			if srcs[i].valid() && bytes.Equal(srcs[i].key(), key) {
-				srcs[i].next()
+		// The older sources on the key are shadowed: they win next, and
+		// move on.
+		for ; w >= 0 && bytes.Equal(m.srcs[w].key(), key); w = merge.Winner() {
+			if err := m.srcs[w].next(); err != nil {
+				return err
 			}
+			merge.Fix(m)
 		}
 	}
+	return nil
 }
 
 // sources builds merge inputs positioned at lo, newest first, for a scan to
 // hi expected to take rows keys (part.Iterator.SeekScan).
-func (t *Tree) sources(lo, hi []byte, rows int) []*source {
-	var srcs []*source
+func (t *Tree) sources(lo, hi []byte, rows int) (scanMerge, error) {
+	m := scanMerge{hi: hi}
 	mit := t.mem.Seek(lo)
-	srcs = append(srcs, &source{memIt: &mit})
+	m.srcs = append(m.srcs, &source{memIt: &mit})
 	for _, im := range t.imm {
 		iit := im.Seek(lo)
-		srcs = append(srcs, &source{memIt: &iit})
+		m.srcs = append(m.srcs, &source{memIt: &iit})
 	}
 	runs := append(append([]*part.Segment(nil), t.l0...), t.lower...)
 	records := 0
@@ -331,11 +345,13 @@ func (t *Tree) sources(lo, hi []byte, rows int) []*source {
 	for _, seg := range runs {
 		if seg != nil {
 			it := new(part.Iterator)
-			it.SeekScan(seg, lo, hi, rows, records)
-			srcs = append(srcs, &source{segIt: it})
+			if it.SeekScan(seg, lo, hi, rows, records); it.Err() != nil {
+				return m, it.Err()
+			}
+			m.srcs = append(m.srcs, &source{segIt: it})
 		}
 	}
-	return srcs
+	return m, nil
 }
 
 // ScanRawAll streams EVERY stored record in [lo, hi) — shadowed versions
@@ -346,53 +362,23 @@ func (t *Tree) sources(lo, hi []byte, rows int) []*source {
 func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bool, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	srcs := t.sources(lo, hi, 0)
-	type raw struct {
-		e   memEntry
-		src int
+	m, err := t.sources(lo, hi, 0)
+	if err != nil {
+		return err
 	}
-	for {
-		var minKey []byte
-		best := -1
-		for i := range srcs {
-			if !srcs[i].valid() {
-				continue
-			}
-			k := srcs[i].key()
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				continue
-			}
-			if best < 0 || bytes.Compare(k, minKey) < 0 {
-				minKey, best = k, i
-			}
-		}
-		if best < 0 {
+	m.bySeq = true
+	var merge util.LoserTree[scanMerge]
+	for merge.Build(m); merge.Winner() >= 0; merge.Fix(m) {
+		s := m.srcs[merge.Winner()]
+		e := s.entry()
+		if !fn(append([]byte(nil), s.key()...), e.seq, e.tomb, e.val) {
 			return nil
 		}
-		key := append([]byte(nil), minKey...)
-		// Each source holds at most one record per key; collect them all
-		// and emit by descending sequence number, before any of them moves
-		// (a run's value lies in its source's buffers).
-		var recs []raw
-		for i := range srcs {
-			if srcs[i].valid() && bytes.Equal(srcs[i].key(), key) {
-				recs = append(recs, raw{e: srcs[i].entry(), src: i})
-			}
-		}
-		for j := 1; j < len(recs); j++ {
-			for k := j; k > 0 && recs[k].e.seq > recs[k-1].e.seq; k-- {
-				recs[k], recs[k-1] = recs[k-1], recs[k]
-			}
-		}
-		for _, r := range recs {
-			if !fn(key, r.e.seq, r.e.tomb, r.e.val) {
-				return nil
-			}
-		}
-		for _, r := range recs {
-			srcs[r.src].next()
+		if err := s.next(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // Flush forces everything in memory out (tests and shutdown): it freezes
@@ -551,6 +537,14 @@ func (t *Tree) bottomEmpty(i int) bool {
 	return true
 }
 
+// runMerge is a compaction's inputs, newest first, merged by key; among
+// equal keys the loser tree puts the newest first.
+type runMerge []*part.Reader
+
+func (m runMerge) Len() int             { return len(m) }
+func (m runMerge) Exhausted(i int) bool { return !m[i].Valid() }
+func (m runMerge) Less(i, j int) bool   { return bytes.Compare(m[i].Key(), m[j].Key()) < 0 }
+
 // mergeRuns merges runs (newest first) into run number no, newest entry
 // per key winning; dropTombs drops tombstones (safe only at the bottom).
 // Touches no locked state: called without mu.
@@ -560,33 +554,25 @@ func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Se
 	// reader's key and body are only valid until it advances, so the winner
 	// goes to the builder (which copies) and its key is saved before any
 	// source moves.
-	rds := make([]*part.Reader, len(runs))
+	rds := make(runMerge, len(runs))
 	for i, r := range runs {
 		rds[i] = r.NewReader()
 	}
 	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
 	defer b.Abort()
+	var merge util.LoserTree[runMerge]
 	var minKey []byte
-	for {
-		best := -1
-		for i, rd := range rds {
-			if rd.Valid() && (best < 0 || bytes.Compare(rd.Key(), rds[best].Key()) < 0) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if body := rds[best].Body(); !(dropTombs && decodeBody(body).tomb) {
-			if err := b.Add(rds[best].Key(), body); err != nil {
+	merge.Build(rds)
+	for w := merge.Winner(); w >= 0; {
+		if body := rds[w].Body(); !(dropTombs && decodeBody(body).tomb) {
+			if err := b.Add(rds[w].Key(), body); err != nil {
 				return nil, err
 			}
 		}
-		minKey = append(minKey[:0], rds[best].Key()...)
-		for _, rd := range rds {
-			if rd.Valid() && bytes.Equal(rd.Key(), minKey) {
-				rd.Next()
-			}
+		minKey = append(minKey[:0], rds[w].Key()...)
+		for ; w >= 0 && bytes.Equal(rds[w].Key(), minKey); w = merge.Winner() {
+			rds[w].Next()
+			merge.Fix(rds)
 		}
 	}
 	for _, rd := range rds {

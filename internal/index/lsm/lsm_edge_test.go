@@ -1,9 +1,14 @@
 package lsm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 )
 
 func TestGetFromEveryLevel(t *testing.T) {
@@ -147,6 +152,53 @@ func TestCompactionBufferReuse(t *testing.T) {
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("key %s: merged run holds %.20q, want %.20q", k, got[k], v)
+		}
+	}
+}
+
+// TestScanReturnsReadErrors: a run whose leaf cannot be read fails the scan
+// — when its first leaf is read, where the scan positions it, and when a
+// later one is, mid-merge — instead of ending it early as if the run had no
+// more keys. Two runs of 10 000 keys through a 16-frame pool, under a sticky
+// read fault armed before the scan or after its 100th record.
+func TestScanReturnsReadErrors(t *testing.T) {
+	scans := map[string]func(tr *Tree, each func()) error{
+		"Scan": func(tr *Tree, each func()) error {
+			return tr.Scan(nil, nil, func(_, _ []byte) bool { each(); return true })
+		},
+		"ScanRawAll": func(tr *Tree, each func()) error {
+			return tr.ScanRawAll(nil, nil, func(_ []byte, _ uint64, _ bool, _ []byte) bool { each(); return true })
+		},
+	}
+	for name, scan := range scans {
+		for _, armAt := range []int{0, 100} {
+			tr, dev := newTree(16, Options{MemtableBytes: 1 << 30})
+			for run := 0; run < 2; run++ {
+				for i := run; i < 20000; i += 2 {
+					if err := tr.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.NumRuns() != 2 {
+				t.Fatalf("%d runs, want 2", tr.NumRuns())
+			}
+			arm := func() { dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultReadErr, Class: ssd.AnyClass, Sticky: true}) }
+			if armAt == 0 {
+				arm()
+			}
+			n := 0
+			err := scan(tr, func() {
+				if n++; n == armAt {
+					arm()
+				}
+			})
+			if !errors.Is(err, storage.ErrIOFault) {
+				t.Errorf("%s, fault armed after %d records: %d records and error %v, want an I/O fault", name, armAt, n, err)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/util"
 )
 
 // MergePartitions reorganizes ALL persisted partitions into one (the
@@ -51,6 +52,20 @@ type mergeSource struct {
 	rec Record
 }
 
+// mergeSources are a merge's inputs, newest partition first: they merge on
+// (key asc, ts desc), and the loser tree's tie rule puts the newer
+// partition's record first.
+type mergeSources []*mergeSource
+
+func (s mergeSources) Len() int             { return len(s) }
+func (s mergeSources) Exhausted(i int) bool { return !s[i].rd.Valid() }
+func (s mergeSources) Less(i, j int) bool {
+	if c := bytes.Compare(s[i].rd.Key(), s[j].rd.Key()); c != 0 {
+		return c < 0
+	}
+	return s[i].rec.TS > s[j].rec.TS
+}
+
 // load decodes the head record, if there is one.
 func (s *mergeSource) load() (err error) {
 	if !s.rd.Valid() {
@@ -84,31 +99,16 @@ func (t *Tree) mergeBG(from int) error {
 	// and the inputs stay installed.
 	w := t.newPartWriter(no, from == 0)
 	defer w.b.Abort()
-	srcs := make([]*mergeSource, 0, len(v.parts)-from)
+	srcs := make(mergeSources, 0, len(v.parts)-from)
 	for i := len(v.parts) - 1; i >= from; i-- {
 		srcs = append(srcs, &mergeSource{rd: v.parts[i].NewReader()})
 		if err := srcs[len(srcs)-1].load(); err != nil {
 			return err
 		}
 	}
-	for {
-		var best *mergeSource
-		for _, s := range srcs {
-			if !s.rd.Valid() {
-				continue
-			}
-			if best == nil {
-				best = s
-				continue
-			}
-			// Ties go to the earlier source: the newer partition.
-			if c := bytes.Compare(s.rd.Key(), best.rd.Key()); c < 0 || (c == 0 && s.rec.TS > best.rec.TS) {
-				best = s
-			}
-		}
-		if best == nil {
-			break
-		}
+	var merge util.LoserTree[mergeSources]
+	for merge.Build(srcs); merge.Winner() >= 0; merge.Fix(srcs) {
+		best := srcs[merge.Winner()]
 		if err := w.add(best.rd.Key(), best.rec, best.rd.Body()); err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"mvpbt/internal/skiplist"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
+	"mvpbt/internal/util"
 )
 
 // pnKey orders PN records per §4.3: primary sort on the search key
@@ -361,7 +362,8 @@ type readState struct {
 	vis     visCheck
 	it      part.Iterator
 	rec     Record // walk: the partition record being visited
-	srcs    []scanSource
+	srcs    scanMerge
+	merge   util.LoserTree[scanMerge]
 	decided []byte // uniqueScan: the key whose deciding record it has passed
 }
 
@@ -412,14 +414,14 @@ func (rs *readState) release() {
 // addSource appends one merge source, reusing the struct (and its iterator's
 // buffers) left there by an earlier scan. The pointer is good until the next
 // addSource.
-func (rs *readState) addSource(prio int) *scanSource {
+func (rs *readState) addSource() *scanSource {
 	if n := len(rs.srcs); n < cap(rs.srcs) {
 		rs.srcs = rs.srcs[:n+1]
 	} else {
 		rs.srcs = append(rs.srcs, scanSource{})
 	}
 	s := &rs.srcs[len(rs.srcs)-1]
-	s.prio, s.inPN, s.valid = prio, false, false
+	s.inPN, s.valid = false, false
 	return s
 }
 
@@ -641,7 +643,6 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 // segment source, rec.Val — point into the source's iterator and are good
 // until the source advances.
 type scanSource struct {
-	prio  int  // lower = newer (0 = PN)
 	inPN  bool // pnIt is the input, not segIt
 	pnIt  skiplist.Iterator[pnKey, *Record]
 	segIt part.Iterator
@@ -649,6 +650,21 @@ type scanSource struct {
 	rec   Record
 	key   []byte
 	valid bool
+}
+
+// scanMerge is a scan's merge inputs in the order scanSources adds them:
+// P_N, the frozen P_Ns, then the partitions, each newer than the next. They
+// merge on (key asc, ts desc), and the loser tree's tie rule — the lower
+// index first — puts a newer source's record before an older one's.
+type scanMerge []scanSource
+
+func (s scanMerge) Len() int             { return len(s) }
+func (s scanMerge) Exhausted(i int) bool { return !s[i].valid }
+func (s scanMerge) Less(i, j int) bool {
+	if c := bytes.Compare(s[i].key, s[j].key); c != 0 {
+		return c < 0
+	}
+	return s[i].ts() > s[j].ts()
 }
 
 func (s *scanSource) load(hi []byte) error {
@@ -731,11 +747,8 @@ func (t *Tree) ScanLimit(tx *txn.Tx, lo, hi []byte, rows int, fn func(index.Entr
 		return t.uniqueScan(tx, rs, hi, fn)
 	}
 	vis := &rs.vis
-	for {
-		s := nextSource(rs.srcs)
-		if s == nil {
-			return nil
-		}
+	for w := rs.merge.Winner(); w >= 0; w = rs.merge.Winner() {
+		s := &rs.srcs[w]
 		rec := s.record()
 		vis.atKey(s.key)
 		if vis.check(rec, s.inPN) {
@@ -746,7 +759,9 @@ func (t *Tree) ScanLimit(tx *txn.Tx, lo, hi []byte, rows int, fn func(index.Entr
 		if err := s.next(hi); err != nil {
 			return err
 		}
+		rs.merge.Fix(rs.srcs)
 	}
+	return nil
 }
 
 // segInvisible is the Minimum Transaction Timestamp filter (§4.2): the
@@ -779,13 +794,12 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 		}
 	}
 	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
-	s := rs.addSource(0)
+	s := rs.addSource()
 	s.inPN, s.pnIt = true, v.pn.Seek(from)
-	for fi, fz := range v.frozen {
-		s = rs.addSource(fi + 1)
+	for _, fz := range v.frozen {
+		s = rs.addSource()
 		s.inPN, s.pnIt = true, fz.Seek(from)
 	}
-	base := len(v.frozen) + 1
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
 		if segInvisible(tx, seg) {
@@ -795,7 +809,7 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 			t.stats.prefix.negatives.Add(1)
 			continue
 		}
-		rs.addSource(base+len(v.parts)-1-i).segIt.SeekScan(seg, lo, hi, rows, records)
+		rs.addSource().segIt.SeekScan(seg, lo, hi, rows, records)
 	}
 	for i := range rs.srcs {
 		s := &rs.srcs[i]
@@ -810,6 +824,7 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 			t.stats.prefix.falsePositives.Add(1)
 		}
 	}
+	rs.merge.Build(rs.srcs)
 	return nil
 }
 

@@ -2,11 +2,11 @@ package mvpbt
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/leakcheck"
 	"mvpbt/internal/txn"
 )
 
@@ -14,10 +14,11 @@ import (
 // (TestMergeRandomizedModelEquivalence among them), the concurrent readers,
 // the dumps — with part.SetPoison on: a record read from a partition and
 // kept past the lifetime index.Entry grants it reads 0xDB, not whatever the
-// reused buffer holds.
+// reused buffer holds — and fails the package when goroutines outlive its
+// tests.
 func TestMain(m *testing.M) {
 	part.SetPoison(true)
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // TestReleaseBoundsKeptSources: a scan over more partitions than

@@ -34,55 +34,25 @@ func (t *Tree) decides(tx *txn.Tx, rec *Record) bool {
 // lock-free over the merge inputs scanSources positioned in rs.
 func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.Entry) bool) error {
 	haveDecided := false
-	for {
-		s := nextSource(rs.srcs)
-		if s == nil {
-			return nil
-		}
-		if haveDecided && bytes.Equal(s.key, rs.decided) {
-			if err := s.next(hi); err != nil {
-				return err
-			}
-			continue
-		}
-		if rec := s.record(); t.decides(tx, rec) {
-			rs.decided = append(rs.decided[:0], s.key...)
-			haveDecided = true
-			if rec.Matter() {
-				if !fn(index.Entry{Key: s.key, Ref: rec.Ref, Val: rec.Val}) {
-					return nil
+	for w := rs.merge.Winner(); w >= 0; w = rs.merge.Winner() {
+		s := &rs.srcs[w]
+		if !haveDecided || !bytes.Equal(s.key, rs.decided) {
+			if rec := s.record(); t.decides(tx, rec) {
+				rs.decided = append(rs.decided[:0], s.key...)
+				haveDecided = true
+				if rec.Matter() {
+					if !fn(index.Entry{Key: s.key, Ref: rec.Ref, Val: rec.Val}) {
+						return nil
+					}
 				}
 			}
 		}
 		if err := s.next(hi); err != nil {
 			return err
 		}
+		rs.merge.Fix(rs.srcs)
 	}
-}
-
-// nextSource picks the source with the smallest (key, ts desc, prio)
-// position, or nil when all are exhausted.
-func nextSource(srcs []scanSource) *scanSource {
-	best := -1
-	for i := range srcs {
-		s := &srcs[i]
-		if !s.valid {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := &srcs[best]
-		if c := bytes.Compare(s.key, b.key); c < 0 ||
-			(c == 0 && (s.ts() > b.ts() || (s.ts() == b.ts() && s.prio < b.prio))) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return &srcs[best]
+	return nil
 }
 
 // uniqueGC is the unique-mode phase-3 GC for the records of one key (ts

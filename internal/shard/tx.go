@@ -10,6 +10,7 @@ import (
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/txn"
+	"mvpbt/internal/util"
 )
 
 // Tx is a multi-shard transaction: a vector of per-shard transactions,
@@ -153,10 +154,28 @@ func (s *scanStream) pair(i int) (k, v []byte) {
 	return s.arena[start:s.ends[2*i]], s.arena[s.ends[2*i]:s.ends[2*i+1]]
 }
 
-// scanPool recycles the streams of finished Scans, arenas included, so a scan
+// scanStreams are a Scan's streams, one a shard, merged by key. Keys are
+// unique across shards (each hashes to exactly one), so no tie is broken.
+type scanStreams []scanStream
+
+func (s scanStreams) Len() int             { return len(s) }
+func (s scanStreams) Exhausted(i int) bool { return 2*s[i].next >= len(s[i].ends) }
+func (s scanStreams) Less(i, j int) bool {
+	ki, _ := s[i].pair(s[i].next)
+	kj, _ := s[j].pair(s[j].next)
+	return bytes.Compare(ki, kj) < 0
+}
+
+// scanState is what a Scan keeps between scans: its streams and their merge.
+type scanState struct {
+	streams scanStreams
+	merge   util.LoserTree[scanStreams]
+}
+
+// scanPool recycles the state of finished Scans, arenas included, so a scan
 // in steady state allocates none of what it collects. (A sync.Pool is emptied
 // by the collector, so one huge scan's arena is not kept for long.)
-var scanPool = sync.Pool{New: func() any { return new([]scanStream) }}
+var scanPool = sync.Pool{New: func() any { return new(scanState) }}
 
 // shardShare is how many pairs a Scan of limit asks each of n shards for:
 // ⌈limit/n⌉, a hashed shard's expected share, plus ⌈√limit⌉ for its spread
@@ -183,49 +202,36 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 		return err
 	}
 	defer t.r.exit()
-	kept := scanPool.Get().(*[]scanStream)
-	defer scanPool.Put(kept)
-	if len(*kept) < len(t.txs) {
-		*kept = make([]scanStream, len(t.txs))
+	st := scanPool.Get().(*scanState)
+	defer scanPool.Put(st)
+	if len(st.streams) < len(t.txs) {
+		st.streams = make(scanStreams, len(t.txs))
 	}
-	streams := (*kept)[:len(t.txs)]
+	streams := st.streams[:len(t.txs)]
 	share := shardShare(limit, len(streams))
 	for i := range streams {
 		if err := t.scanShard(i, &streams[i], lo, share); err != nil {
 			return err
 		}
 	}
-	// K-way merge; keys are unique across shards (each key hashes to
-	// exactly one), so no tie-breaking is needed.
-	for n := 0; n < limit; n++ {
-		var bestK, bestV []byte
-		best := -1
-		for i := range streams {
-			s := &streams[i]
-			if 2*s.next >= len(s.ends) {
-				if !s.more {
-					continue
-				}
-				// Resume after the last key, copied: its arena is refilled.
-				last, _ := s.pair(s.next - 1)
-				if err := t.scanShard(i, s, append(bytes.Clone(last), 0), limit-n); err != nil {
-					return err
-				}
-				if len(s.ends) == 0 {
-					continue
-				}
-			}
-			if k, v := s.pair(s.next); best < 0 || bytes.Compare(k, bestK) < 0 {
-				best, bestK, bestV = i, k, v
-			}
-		}
-		if best < 0 {
+	st.merge.Build(streams)
+	for n := 1; st.merge.Winner() >= 0; n++ {
+		w := st.merge.Winner()
+		s := &streams[w]
+		// fn sees the pair before a refill can overwrite the arena it lies in.
+		k, v := s.pair(s.next)
+		s.next++
+		if !fn(k, v) || n == limit {
 			return nil
 		}
-		streams[best].next++
-		if !fn(bestK, bestV) {
-			return nil
+		if streams.Exhausted(w) && s.more {
+			// Resume after the last key, copied: its arena is refilled.
+			last, _ := s.pair(s.next - 1)
+			if err := t.scanShard(w, s, append(bytes.Clone(last), 0), limit-n); err != nil {
+				return err
+			}
 		}
+		st.merge.Fix(streams)
 	}
 	return nil
 }
