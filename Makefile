@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
 all: build vet test
 
@@ -16,6 +16,13 @@ test:
 race:
 	go vet ./...
 	go test -race ./...
+
+# The packages whose TestMain runs leakcheck.Main, twenty times over: a
+# goroutine that outlives its test only now and then, or a test that fails
+# only in some interleavings, shows here before it shows in a PR. Nightly
+# in CI, not per push: ~3 min on 2 cores.
+stress:
+	go test -count=20 ./internal/db/ ./internal/shard/ ./internal/server/ ./internal/buffer/ ./internal/index/mvpbt/
 
 # The size ROADMAP tracks (aim 2, open item 5): non-test Go lines outside
 # benchmarks/, and the test lines beside them.
@@ -163,13 +170,17 @@ bench-scan:
 # The buffer pool's replacement policy on its own: the policy tests
 # (TestPolicy*: what a hit buys, the dirty pass, a victim with every frame at
 # the cap, the domain sizes, the skewed trace against the parent's counts;
-# they fail the build), then BenchmarkPoolTrace — scrambled-zipfian fetches
-# over four times a 512-frame pool, dirtying either a twentieth of the pages
+# they fail the build) and the sealed-page gate (TestSiasTablesAppendInRuns:
+# five SIAS tables appending at once reach the device at least 0.7
+# sequential, each sealed tail written before an extent's worth of further
+# seals; it fails the build), then BenchmarkPoolTrace — scrambled-zipfian
+# fetches over four times a 512-frame pool, dirtying either a twentieth of the pages
 # or any page on a twentieth of the fetches — with its device cost
 # (dev-reads/op, write-backs/op; counts, so they repeat). Output lands in
 # bench-pool.txt for publishing as a build artifact.
 bench-pool:
 	go test ./internal/buffer/ -run TestPolicy -count 1
+	go test ./internal/heap/ -run TestSiasTablesAppendInRuns -count 1
 	go test -bench BenchmarkPoolTrace -benchtime 200000x -run xxx ./internal/buffer/ | tee bench-pool.txt
 
 # The repository benchmark's own smoke test (benchmarks/: every workload at

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"testing"
 
+	"mvpbt/internal/buffer"
 	"mvpbt/internal/db"
 	"mvpbt/internal/index"
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/simclock"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 )
 
@@ -169,6 +173,49 @@ func TestHotPathAllocGate(t *testing.T) {
 	}
 
 	t.Run("persisted", func(t *testing.T) { persistedReadAllocs(t, runs) })
+}
+
+// TestSealWriteOutAllocGate: the pool's write-out of a full seal queue —
+// sfile.ExtentPages pages of four tables sorted and written back — allocates
+// nothing, so base-table appends pay no garbage for reaching the device in
+// runs.
+func TestSealWriteOutAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurements under -short")
+	}
+	fm := sfile.NewManager(ssd.New(simclock.New(), ssd.IntelP3600))
+	pool := buffer.New(256)
+	files := make([]*sfile.File, 4)
+	for i := range files {
+		files[i] = fm.Create(fmt.Sprintf("t%d", i), sfile.ClassTable)
+	}
+	nos := make([]uint64, sfile.ExtentPages)
+	for i := range nos {
+		fr, no, err := pool.NewPage(files[i%len(files)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(fr, true)
+		nos[i] = no
+	}
+	writes := fm.Device().Stats().Writes
+	got := testing.AllocsPerRun(100, func() {
+		for i, no := range nos {
+			f := files[i%len(files)]
+			fr, err := pool.Get(f, no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Unpin(fr, true)
+			pool.Seal(f, no)
+		}
+	})
+	if n := fm.Device().Stats().Writes - writes; n != 101*sfile.ExtentPages {
+		t.Fatalf("%d device writes, want %d: a write-out per run", n, 101*sfile.ExtentPages)
+	}
+	if got != 0 {
+		t.Errorf("seal write-out: %.2f allocs per %d pages, want 0", got, sfile.ExtentPages)
+	}
 }
 
 // persistedReadAllocs gates the read path below P_N: five persisted

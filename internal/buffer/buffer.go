@@ -13,6 +13,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,11 @@ type Pool struct {
 	// Device reads that brought pages in, and the pages they brought: equal
 	// but for run reads (GetRun).
 	reads, pagesRead atomic.Int64
+
+	// sealed queues full append pages for write-back in runs (Seal). sealMu
+	// is taken before any shard latch.
+	sealMu sync.Mutex
+	sealed []storage.PageID
 }
 
 // New returns a pool with the given number of page frames.
@@ -118,6 +124,7 @@ func New(nFrames int) *Pool {
 	p := &Pool{
 		shards: make([]*shard, nShards),
 		mask:   uint64(nShards - 1),
+		sealed: make([]storage.PageID, 0, sfile.ExtentPages),
 	}
 	for i := range p.shards {
 		// Spread the remainder over the first shards.
@@ -417,19 +424,41 @@ func (p *Pool) Unpin(fr *Frame, dirty bool) {
 	}
 }
 
-// FlushPage writes the page back immediately if it is cached dirty,
-// leaving it cached clean. Used by the append heaps to emit sequential
-// writes as tail pages fill. On a persistent write fault the page stays
-// dirty and the error is returned.
-func (p *Pool) FlushPage(f *sfile.File, pageNo uint64) error {
-	pid := f.PageID(pageNo)
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if fr, ok := sh.table[pid]; ok && fr.dirty {
-		return p.writeBack(fr)
+// Seal queues page pageNo of f — a full append page (see heap.SiasHeap) —
+// for write-back. Written alone the moment it fills, each such page would
+// follow another file's write and cost a random one; instead, once
+// sfile.ExtentPages pages are queued, they are written back together in
+// page-id order, the elevator order of EvictAll, so each file's pages reach
+// the device as a run. Until then a queued page is an ordinary dirty frame:
+// replacement writes it as any other, and FlushAll and EvictAll write the
+// queue first, in the same order.
+func (p *Pool) Seal(f *sfile.File, pageNo uint64) {
+	p.sealMu.Lock()
+	defer p.sealMu.Unlock()
+	p.sealed = append(p.sealed, f.PageID(pageNo))
+	if len(p.sealed) == sfile.ExtentPages {
+		p.writeSealed()
 	}
-	return nil
+}
+
+// writeSealed writes the queued pages that are still resident, dirty and
+// unpinned back in page-id order and empties the queue; sealMu is held. A
+// pinned page is being read or changed, and a page dropped since it was
+// queued (an extent vacuum freed, see DropFilePages) is gone: both are
+// skipped. A page whose write fails even after retries stays dirty for
+// replacement or a flush to retry: no fault of the batch reaches the
+// appender whose seal ran it, whose own page may not even be in it.
+func (p *Pool) writeSealed() {
+	slices.Sort(p.sealed)
+	for _, pid := range p.sealed {
+		sh := p.shardOf(pid)
+		sh.mu.Lock()
+		if fr, ok := sh.table[pid]; ok && fr.dirty && fr.pin == 0 {
+			p.writeBack(fr)
+		}
+		sh.mu.Unlock()
+	}
+	p.sealed = p.sealed[:0]
 }
 
 // writeBack writes a dirty frame's page to the device. If that fails even
@@ -441,9 +470,13 @@ func (p *Pool) writeBack(fr *Frame) error {
 	return err
 }
 
-// FlushAll writes back every dirty page. It keeps going past individual
-// failures (those pages stay dirty) and returns the first error.
+// FlushAll writes back every dirty page, the sealed ones first (Seal). It
+// keeps going past individual failures (those pages stay dirty) and returns
+// the first error.
 func (p *Pool) FlushAll() error {
+	p.sealMu.Lock()
+	defer p.sealMu.Unlock()
+	p.writeSealed()
 	p.lockAll()
 	defer p.unlockAll()
 	var firstErr error
@@ -464,6 +497,9 @@ func (p *Pool) FlushAll() error {
 // Experiments use it to reproduce the paper's methodology of cleaning the
 // OS page cache every second (§5 "Experimental Setup").
 func (p *Pool) EvictAll() error {
+	p.sealMu.Lock()
+	defer p.sealMu.Unlock()
+	p.writeSealed()
 	p.lockAll()
 	defer p.unlockAll()
 	var dirty []*Frame

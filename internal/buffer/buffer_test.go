@@ -143,21 +143,6 @@ func TestMissCountsAfterEviction(t *testing.T) {
 	}
 }
 
-func TestFlushPage(t *testing.T) {
-	p, m := setup(4)
-	f := m.Create("t", sfile.ClassTable)
-	fr, no, _ := p.NewPage(f)
-	fr.Data()[7] = 0x77
-	p.Unpin(fr, true)
-	p.FlushPage(f, no)
-	// Read directly from the device, bypassing the pool.
-	buf := make([]byte, storage.PageSize)
-	f.ReadPage(no, buf)
-	if buf[7] != 0x77 {
-		t.Fatal("FlushPage did not persist")
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	p, m := setup(8)
 	f := m.Create("t", sfile.ClassTable)

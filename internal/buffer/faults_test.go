@@ -10,7 +10,7 @@ import (
 )
 
 // writeEvict creates a page with recognizable content and pushes it to the
-// device (via FlushPage), then drops it from the cache so the next Get does
+// device (via FlushAll), then drops it from the cache so the next Get does
 // real I/O.
 func writeEvict(t *testing.T, p *Pool, f *sfile.File) uint64 {
 	t.Helper()
@@ -20,7 +20,7 @@ func writeEvict(t *testing.T, p *Pool, f *sfile.File) uint64 {
 	}
 	fr.Data()[100] = 0xC7
 	p.Unpin(fr, true)
-	if err := p.FlushPage(f, no); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	p.DropFilePages(f, no, 1)
@@ -93,7 +93,7 @@ func TestFlushRetriesAndKeepsDirtyOnFailure(t *testing.T) {
 	fr.Data()[0] = 0x11
 	p.Unpin(fr, true)
 	m.Device().ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: ssd.AnyClass, Sticky: true})
-	if err := p.FlushPage(f, no); !errors.Is(err, storage.ErrIOFault) {
+	if err := p.FlushAll(); !errors.Is(err, storage.ErrIOFault) {
 		t.Fatalf("want ErrIOFault, got %v", err)
 	}
 	if st := p.IOStats(); st.WriteRetries == 0 || st.WriteFailures != 1 {
@@ -101,7 +101,7 @@ func TestFlushRetriesAndKeepsDirtyOnFailure(t *testing.T) {
 	}
 	m.Device().DisarmAllFaults()
 	// The page stayed dirty, so a later flush persists it.
-	if err := p.FlushPage(f, no); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	p.DropFilePages(f, no, 1)

@@ -135,7 +135,7 @@ func TestPolicyVictimWhenAllAtTheCap(t *testing.T) {
 			}
 			p.Unpin(fr, true)
 			if !dirty {
-				if err := p.FlushPage(f, no); err != nil {
+				if err := p.FlushAll(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,9 +3,11 @@ package heap
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"mvpbt/internal/buffer"
+	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
@@ -366,6 +368,62 @@ func TestSiasAppendSequentialWrites(t *testing.T) {
 	}
 	if s.SeqWrites < s.RandWrites {
 		t.Fatalf("SIAS writes not predominantly sequential: seq=%d rand=%d", s.SeqWrites, s.RandWrites)
+	}
+}
+
+// TestSiasTablesAppendInRuns: several SIAS tables appending at once share the
+// pool's seal queue, so their full tails reach the device an extent's worth at
+// a time in page order — a run per table, not one random write per page —
+// and every sealed page is on the device before sfile.ExtentPages further
+// seals.
+func TestSiasTablesAppendInRuns(t *testing.T) {
+	const tables = 5
+	e := newEnv(1024)
+	e.dev.SetTracing(true)
+	heaps := make([]*SiasHeap, tables)
+	tails := make([]storage.PageID, tables)
+	for i := range heaps {
+		heaps[i] = NewSiasHeap(e.pool, e.fm.Create(fmt.Sprintf("t%d", i), sfile.ClassTable), e.mgr)
+	}
+	type sealed struct {
+		h  *SiasHeap
+		no uint64
+	}
+	var seals []sealed
+	rng := rand.New(rand.NewPCG(1, 2))
+	payload := make([]byte, 300)
+	buf := make([]byte, storage.PageSize)
+	e.commit(func(tx *txn.Tx) {
+		for v := uint64(1); len(seals) < 12*sfile.ExtentPages; v++ {
+			i := rng.IntN(tables)
+			rid, err := heaps[i].Insert(tx, v, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tails[i].Valid() && rid.Page != tails[i] {
+				seals = append(seals, sealed{heaps[i], tails[i].PageNo()})
+				if n := len(seals) - sfile.ExtentPages; n >= 0 {
+					s := seals[n]
+					if err := s.h.File().ReadPage(s.no, buf); err != nil || page.Wrap(buf).NumSlots() == 0 {
+						t.Fatalf("seal %d not on the device after %d more: %v", n, sfile.ExtentPages-1, err)
+					}
+				}
+			}
+			tails[i] = rid.Page
+		}
+	})
+	var writes, seq int
+	for _, te := range e.dev.Trace() {
+		if te.Op == ssd.OpWrite {
+			writes++
+			if te.Seq {
+				seq++
+			}
+		}
+	}
+	if writes < len(seals)-sfile.ExtentPages || float64(seq) < 0.7*float64(writes) {
+		t.Fatalf("%d tails sealed, %d written, %d of them sequential: want at least %d written, 0.7 sequential",
+			len(seals), writes, seq, len(seals)-sfile.ExtentPages)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // are chained new-to-old, invalidation is one-point (the existence of a
 // successor invalidates the predecessor — no in-place timestamp writes),
 // and an intrinsic VID indirection table maps each tuple to its chain
-// entry-point (the newest version). Tail pages are flushed as they fill,
-// producing the sequential base-table write pattern the paper's storage
-// tradeoffs call for (§3.7).
+// entry-point (the newest version). A tail page that fills is sealed
+// (buffer.Pool.Seal): the pool writes sealed pages back an extent's worth at
+// a time in page order, so each table's appends reach the device as a run —
+// the sequential base-table write pattern the paper's storage tradeoffs call
+// for (§3.7), kept when several tables append at once.
 type SiasHeap struct {
 	// mu serializes page mutations against readers (see HotHeap.mu).
 	mu   sync.RWMutex
@@ -44,8 +46,8 @@ func (h *SiasHeap) File() *sfile.File { return h.file }
 // through it).
 func (h *SiasHeap) VIDs() *vid.Table { return h.vids }
 
-// append places rec on the tail page, flushing full tails (sequential
-// write) and starting a new one as needed.
+// append places rec on the tail page, sealing a full tail for write-back in
+// page order with the pool's other sealed pages and starting a new one.
 func (h *SiasHeap) append(rec []byte) (storage.RecordID, error) {
 	if h.hasTail {
 		fr, err := h.pool.Get(h.file, h.tail)
@@ -58,13 +60,7 @@ func (h *SiasHeap) append(rec []byte) (storage.RecordID, error) {
 			return storage.RecordID{Page: h.file.PageID(h.tail), Slot: uint16(slot)}, nil
 		}
 		h.pool.Unpin(fr, false)
-		// Tail is full: write it out now — appends reach the device in
-		// page order, i.e. sequentially. A flush fault is not fatal to the
-		// append (the page stays dirty in the pool and will be retried at
-		// eviction); only freed-page errors indicate real breakage.
-		if err := h.pool.FlushPage(h.file, h.tail); err != nil && errors.Is(err, storage.ErrFreedPage) {
-			return storage.RecordID{}, err
-		}
+		h.pool.Seal(h.file, h.tail)
 	}
 	fr, pageNo, err := h.pool.NewPage(h.file)
 	if err != nil {
