@@ -1,11 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
 
-all: build vet test
+all: build fmt vet test
 
 build:
 	go build ./...
+
+# Every .go file is gofmt-clean: gofmt -l lists the ones that are not.
+fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then echo "fmt: not gofmt-clean (run gofmt -w):"; echo "$$bad"; exit 1; fi
 
 vet:
 	go vet ./...
@@ -48,6 +53,9 @@ traffic:
 # file calls them. The names the folds deleted stay deleted. And every k-way
 # merge is util.LoserTree: no non-test file under internal/ picks a merge's
 # next source by hand (mvpbt's reference_test.go keeps its own, the oracle).
+# And the settings that only one value ever took stay constants: none of the
+# removed fields (supervisor, self-healing client, server, workloads) or
+# mvpbt-server flags is back in a non-test file.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -56,6 +64,9 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a folded name is back:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'best := -1|var best \*' --include='*.go' internal | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: a k-way merge outside util.LoserTree:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE '\b(FaultThreshold|RestartBackoff|MaxBackoff|BreakerThreshold|MaxAttempts|BaseBackoff|DialTimeout|RetryWrites|WriteTimeout|DrainGrace|CommitTokenTTL|Districts|MaxScanLen)\b([^(]|$$)|"(group-commit|supervise)"' --include='*.go' . \
+		| grep -vE '_test\.go:|^[^:]+:[0-9]+:\s*//'); \
+	if [ -n "$$bad" ]; then echo "seams: a removed setting is back (it is a constant):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -148,8 +148,8 @@ func main() {
 		fmt.Printf("checkpoint: %v\n", err)
 	}
 	ck := eng.CheckpointInfo()
-	fmt.Printf("wal: checkpoints=%d seq=%d size before last checkpoint=%dB after=%dB (device now %dB, was %dB)\n",
-		ck.Count, ck.Seq, ck.WALBytesBefore, ck.WALBytesAfter, eng.WALDeviceBytes(), walBefore)
+	fmt.Printf("wal: checkpoints=%d size before last checkpoint=%dB after=%dB (device now %dB, was %dB)\n",
+		ck.Count, ck.WALBytesBefore, ck.WALBytesAfter, eng.WALDeviceBytes(), walBefore)
 }
 
 func val(rr *db.RowRef) string {

@@ -7,9 +7,11 @@
 // protocol/concurrency testbed rather than a persistent database: state
 // lives for the process lifetime.
 //
-// Every shard is built as the repository's benchmark measures it (kvOptions:
-// bloom filters, merges bounding the partitions a read meets;
-// walCheckpointBytes: the log truncated every 12 MiB); none is a flag.
+// Every shard is built as the repository's benchmark measures it: commits
+// go through the WAL group-commit batcher, a supervisor restarts a failed
+// shard through WAL recovery, kvOptions gives bloom filters and merges
+// bounding the partitions a read meets, and walCheckpointBytes truncates the
+// log every 12 MiB. None of these is a flag.
 //
 // -smoke runs the full lifecycle in-process — start, run client
 // operations through shardclient, enough writes to see the shards evict,
@@ -50,13 +52,11 @@ func main() {
 		shards       = flag.Int("shards", 4, "number of independent engine shards")
 		capacity     = flag.Int64("capacity", 256<<20, "per-shard device capacity budget in bytes (0 = unbounded)")
 		pbuf         = flag.Int("pbuf", 256<<10, "per-shard partition buffer bytes")
-		groupCommit  = flag.Bool("group-commit", true, "route commits through the WAL group-commit batcher")
 		admission    = flag.String("admission", "reject", "admission policy under overload: reject | queue")
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "how long queued sessions wait for admission")
 		maxSessions  = flag.Int("max-sessions", 256, "global concurrent session cap")
 		maxPerTenant = flag.Int("max-per-tenant", 64, "per-tenant concurrent session cap")
 		drainWait    = flag.Duration("drain-wait", 10*time.Second, "how long shutdown waits for sessions to finish")
-		supervise    = flag.Bool("supervise", true, "per-shard health supervision: auto-restart failed shards through WAL recovery")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "reap sessions idle this long (0 = default, <0 = never)")
 		smoke        = flag.Bool("smoke", false, "run the in-process smoke test and exit")
 	)
@@ -80,10 +80,10 @@ func main() {
 			EnableWAL:            true,
 			DeviceCapacityBytes:  *capacity,
 			WALCheckpointBytes:   walCheckpointBytes,
-			GroupCommit:          db.GroupCommitConfig{Enabled: *groupCommit},
+			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		KVOptions: kvOptions,
-		Supervise: *supervise,
+		Supervise: true,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "router: %v\n", err)

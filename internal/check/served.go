@@ -79,10 +79,10 @@ func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.R
 	}
 	s.sched = chaos.NewSchedule(rules)
 	s.srv = server.New(s.router, server.Config{
-		// Timing knobs sized so no injected stall (≤3ms) can flip a
-		// deadline outcome: determinism must not hinge on scheduler luck.
+		// Sized, like the server's write timeout, so no injected stall
+		// (≤3ms) can flip a deadline outcome: determinism must not hinge on
+		// scheduler luck.
 		IdleTimeout:  30 * time.Second,
-		WriteTimeout: 10 * time.Second,
 		WrapListener: func(ln net.Listener) net.Listener { return chaos.Wrap(ln, s.sched) },
 	})
 	addr, err := s.srv.Start()
@@ -91,18 +91,10 @@ func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.R
 		return nil, fmt.Errorf("listen: %w", err)
 	}
 	s.addr = addr.String()
-	s.client = shardclient.NewRClient(shardclient.RConfig{
-		Addr:   s.addr,
-		Tenant: tenant,
-		Seed:   seed,
-		// The retry budget must outlast the worst contiguous injection
-		// burst one operation can see (every rule fires at most once).
-		MaxAttempts: 12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  8 * time.Millisecond,
-		DialTimeout: 5 * time.Second,
-		RetryWrites: true, // this client owns every key it writes
-	})
+	// The client's retry budget (12 attempts) outlasts the worst contiguous
+	// injection burst one operation can see (every rule fires at most once),
+	// and it owns every key it writes, as RClient requires.
+	s.client = shardclient.NewRClient(shardclient.RConfig{Addr: s.addr, Tenant: tenant, Seed: seed})
 	return s, nil
 }
 

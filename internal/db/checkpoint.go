@@ -27,10 +27,9 @@ var ErrCheckpointBusy = errors.New("db: checkpoint requires a quiescent engine (
 // CheckpointStats reports the effect of the last completed checkpoint.
 type CheckpointStats struct {
 	Count          int64 // completed checkpoints
-	Seq            uint64
 	WALBytesBefore int64 // device bytes held by the log before the last checkpoint
 	WALBytesAfter  int64 // device bytes held by the log after it
-	Errors         int64 // checkpoints that failed for a reason other than ErrCheckpointBusy
+	Errors         int64 // checkpoints that failed for a reason other than ErrCheckpointBusy or ErrClosed
 }
 
 // CheckpointInfo returns checkpoint statistics.
@@ -39,7 +38,7 @@ func (e *Engine) CheckpointInfo() CheckpointStats {
 		return CheckpointStats{}
 	}
 	st := e.log.Stats()
-	return CheckpointStats{Count: int64(st.Seq), Seq: st.Seq, WALBytesBefore: st.BytesBefore, WALBytesAfter: st.BytesAfter,
+	return CheckpointStats{Count: int64(st.Seq), WALBytesBefore: st.BytesBefore, WALBytesAfter: st.BytesAfter,
 		Errors: e.ckptErrs.Load()}
 }
 
@@ -116,15 +115,15 @@ func (e *Engine) maybeAutoCheckpoint() {
 // hold it, whether the log generation has grown by min bytes, so one
 // threshold crossing — raced by a reclamation pass or not — rotates the log
 // once. Checkpointing is an optimization and the old log stays authoritative
-// on failure: an error is recorded for diagnostics, a busy engine not even
-// that.
+// on failure: an error is recorded for diagnostics, a busy or closed engine
+// not even that.
 func (e *Engine) checkpointFlight(min int64) {
 	e.autoCkptMu.Lock()
 	defer e.autoCkptMu.Unlock()
 	if e.log.Grown() < min {
 		return
 	}
-	if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
+	if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) && !errors.Is(err, ErrClosed) {
 		e.ckptErrs.Add(1)
 	}
 }

@@ -1,12 +1,15 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mvpbt/internal/txn"
 )
 
 // TestEngineCloseConcurrent races Close from several goroutines: every
@@ -109,4 +112,71 @@ func TestEngineCloseAfterCrash(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Fatalf("closer ran after a crash: flush on a failed engine")
 	}
+}
+
+// TestCloseAndCrashFenceTheLog: once Close or Crash has returned, no
+// durable write may reach the device. Every call that would make a
+// transaction durable — a commit, a batch commit, a prepare, a
+// commit-resolving decision — must return ErrClosed and leave the log image
+// byte for byte as the fence left it, with group commit on and off.
+func TestCloseAndCrashFenceTheLog(t *testing.T) {
+	// Each case writes its rows before the fence and returns the durable
+	// call to make after it.
+	calls := []struct {
+		name  string
+		setup func(e *Engine, tbl *Table) func() error
+	}{
+		{"CommitDurable", func(e *Engine, tbl *Table) func() error {
+			tx := insertOpen(t, e, tbl, "c")
+			return func() error { return e.CommitDurable(tx) }
+		}},
+		{"CommitBatchDurable", func(e *Engine, tbl *Table) func() error {
+			txs := []*txn.Tx{insertOpen(t, e, tbl, "b1"), insertOpen(t, e, tbl, "b2")}
+			return func() error { return e.CommitBatchDurable(txs) }
+		}},
+		{"PrepareDurable", func(e *Engine, tbl *Table) func() error {
+			tx := insertOpen(t, e, tbl, "p")
+			return func() error { return e.PrepareDurable(tx, 7) }
+		}},
+		{"ResolveGroup", func(e *Engine, tbl *Table) func() error {
+			prepareOne(t, e, tbl, "leg", "v", 8)
+			return func() error { _, err := e.ResolveGroup(8, true); return err }
+		}},
+	}
+	fences := []struct {
+		name  string
+		fence func(e *Engine)
+	}{
+		{"Close", func(e *Engine) { e.Close() }},
+		{"Crash", (*Engine).Crash},
+	}
+	for _, c := range calls {
+		for _, f := range fences {
+			for _, group := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/group=%v", c.name, f.name, group), func(t *testing.T) {
+					e, tbl, _ := walTableKind(t, HeapSIAS, Config{GroupCommit: GroupCommitConfig{Enabled: group}})
+					e.Commit(insertOpen(t, e, tbl, "base"))
+					call := c.setup(e, tbl)
+					f.fence(e)
+					before := e.LogImage()
+					if err := call(); !errors.Is(err, ErrClosed) {
+						t.Fatalf("%s after %s = %v, want ErrClosed", c.name, f.name, err)
+					}
+					if after := e.LogImage(); !bytes.Equal(after, before) {
+						t.Fatalf("%s after %s changed the log image: %d -> %d bytes", c.name, f.name, len(before), len(after))
+					}
+				})
+			}
+		}
+	}
+}
+
+// insertOpen begins a transaction and inserts key into tbl, leaving it open.
+func insertOpen(t *testing.T, e *Engine, tbl *Table, key string) *txn.Tx {
+	t.Helper()
+	tx := e.Begin()
+	if _, _, err := tbl.Insert(tx, row(key, "v")); err != nil {
+		t.Fatal(err)
+	}
+	return tx
 }

@@ -230,7 +230,8 @@ func (e *Engine) AddCloser(fn func() error) {
 
 // Close shuts the engine down cleanly: the commit pipeline is fenced,
 // registered closers run (flushing LSM memtables), and the WAL tail is
-// flushed to the device. Idempotent; returns the first error.
+// flushed to the device and the log fenced — a later commit, prepare or
+// commit decision fails with ErrClosed. Idempotent; returns the first error.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -254,6 +255,7 @@ func (e *Engine) Close() error {
 		if err := e.log.Flush(); err != nil && first == nil {
 			first = err
 		}
+		e.log.Close()
 	}
 	e.closeErr = first
 	return first
@@ -298,8 +300,8 @@ func (e *Engine) Commit(tx *txn.Tx) {
 //
 // A read-only transaction (no logged row operations) commits without
 // touching the log at all. With Config.GroupCommit the flush is performed
-// by a batch leader on behalf of many committers (see DESIGN.md §11); a
-// commit arriving after Close has fenced the batcher fails with ErrClosed.
+// by a batch leader on behalf of many committers (see DESIGN.md §11). A
+// commit arriving after Close or Crash fails with ErrClosed.
 func (e *Engine) CommitDurable(tx *txn.Tx) error {
 	if e.log != nil && tx.WALLogged() {
 		if e.gc != nil {

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,10 +10,11 @@ import (
 	"mvpbt/internal/wal"
 )
 
-// ErrClosed is returned by a durable commit that reaches the engine after
-// Close has fenced the commit pipeline: the transaction was NOT committed
-// (in memory or on the device) and the caller must not acknowledge it.
-var ErrClosed = errors.New("db: engine closed")
+// ErrClosed is returned by a durable commit, prepare or commit decision that
+// reaches the engine after Close or Crash has fenced its log: the
+// transaction was NOT committed (in memory or on the device) and the caller
+// must not acknowledge it.
+var ErrClosed = wal.ErrClosed
 
 // GroupCommitConfig tunes WAL group commit (Config.GroupCommit). Disabled
 // by default, which preserves the historical behaviour: every durable

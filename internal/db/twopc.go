@@ -99,19 +99,6 @@ func (e *Engine) ResolveGroup(gid uint64, commit bool) (int, error) {
 	return n, nil
 }
 
-// ResolvePrepared finishes one in-doubt transaction by id (recovery-side
-// resolution, where the caller walks InDoubtList). No-op when txid is not
-// in doubt.
-func (e *Engine) ResolvePrepared(txid txn.TxID, commit bool) error {
-	e.inDoubtMu.Lock()
-	p := e.inDoubt[txid]
-	e.inDoubtMu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return e.resolvePrepared(p, commit)
-}
-
 func (e *Engine) resolvePrepared(p *preparedTx, commit bool) error {
 	// The id is captured first: finishing the handle returns it to the pool,
 	// and a concurrent Begin that reuses it rewrites p.tx.ID.

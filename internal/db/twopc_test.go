@@ -108,8 +108,8 @@ func TestRecoverInDoubt(t *testing.T) {
 				t.Fatalf("in-doubt row visible after recovery: %v", got)
 			}
 
-			if err := e2.ResolvePrepared(doubts[0].TxID, commit); err != nil {
-				t.Fatalf("ResolvePrepared: %v", err)
+			if n, err := e2.ResolveGroup(doubts[0].GID, commit); err != nil || n != 1 {
+				t.Fatalf("ResolveGroup: n=%d err=%v", n, err)
 			}
 			got := snapshotState(t, e2, tbl2, ix2)
 			if commit {
@@ -138,8 +138,8 @@ func TestRecoverInDoubtTwice(t *testing.T) {
 	if len(doubts) != 1 || doubts[0].GID != 5 {
 		t.Fatalf("in-doubt after double recovery: %v", doubts)
 	}
-	if err := e3.ResolvePrepared(doubts[0].TxID, true); err != nil {
-		t.Fatal(err)
+	if n, err := e3.ResolveGroup(doubts[0].GID, true); err != nil || n != 1 {
+		t.Fatalf("ResolveGroup: n=%d err=%v", n, err)
 	}
 	if got := snapshotState(t, e3, tbl3, ix3); len(got) != 1 || got["leg"] != "v" {
 		t.Fatalf("state after double recovery + commit: %v", got)

@@ -48,7 +48,7 @@ func TestRefCodecBoundaries(t *testing.T) {
 		{"max everything", Ref{RID: maxRID, VID: ^uint64(0)}},
 		{"min valid rid", Ref{RID: storage.RecordID{Page: storage.NewPageID(1, 0)}, VID: 1}},
 		{"slot only", Ref{RID: storage.RecordID{Slot: 7}}},
-		{"page number overflow masked", Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 1 << 39)}, VID: 42}},
+		{"page number overflow masked", Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 1<<39)}, VID: 42}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

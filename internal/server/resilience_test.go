@@ -327,10 +327,7 @@ func TestRTxExactlyOnceCounter(t *testing.T) {
 	// Out frame 5 is the COMMIT ack: HELLO=0, SET(seed)=1, BEGIN=2, GET=3,
 	// SET=4, COMMIT=5.
 	addr, _ := tokenDedupServer(t, []chaos.Rule{{Dir: chaos.Out, Frame: 5, Action: chaos.Cut}})
-	rc := shardclient.NewRClient(shardclient.RConfig{
-		Addr: addr, Tenant: "t1", Seed: 7, RetryWrites: true,
-		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-	})
+	rc := shardclient.NewRClient(shardclient.RConfig{Addr: addr, Tenant: "t1", Seed: 7})
 	defer rc.Close()
 
 	if err := rc.Set([]byte("ctr"), []byte("10")); err != nil {
@@ -426,38 +423,6 @@ func TestResolveWaitsForCommitInFlight(t *testing.T) {
 	}
 }
 
-// TestCommitTokenTTLExpiry: past CommitTokenTTL the dedup table forgets a
-// token, so resolution honestly reports not-committed (the documented
-// staleness bound) rather than pretending to remember.
-func TestCommitTokenTTLExpiry(t *testing.T) {
-	_, _, addr := startServerWith(t, defaultShardConfig(1), server.Config{
-		CommitTokenTTL: 30 * time.Millisecond,
-	})
-	c, err := shardclient.Dial(addr, "t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const token = 0xABCD
-	tx, err := c.BeginToken(token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Set(tx, []byte("ttl-k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if applied, err := c.ResolveCommit(token); err != nil || !applied {
-		t.Fatalf("fresh token: ResolveCommit = %v, %v", applied, err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if applied, err := c.ResolveCommit(token); err != nil || applied {
-		t.Fatalf("expired token: ResolveCommit = %v, %v; want false", applied, err)
-	}
-}
-
 // TestUnavailableStatusTyped: an operation routed to a failed shard comes
 // back as StatusUnavailable and surfaces client-side as UnavailableError
 // naming the shard, while the other shard keeps serving; once the
@@ -476,9 +441,7 @@ func TestUnavailableStatusTyped(t *testing.T) {
 	scfg := defaultShardConfig(2)
 	scfg.Supervise = true
 	scfg.Supervisor = shard.SupervisorConfig{
-		RestartBackoff: time.Millisecond,
-		MaxBackoff:     10 * time.Millisecond,
-		RestartHook:    func(int) error { <-block; return nil },
+		RestartHook: func(int) error { <-block; return nil },
 	}
 	r, _, addr := startServerWith(t, scfg, server.Config{})
 	c, err := shardclient.Dial(addr, "t1")

@@ -49,8 +49,20 @@ const (
 	maxTxPerSession = 64
 	// commitTokenCap bounds the commit-token dedup table. At the cap expired
 	// tokens are swept and, if that frees less than an eighth, the oldest go
-	// too (the staleness caveat of Config.CommitTokenTTL applies to them).
+	// too (the staleness caveat of commitTokenTTL applies to them).
 	commitTokenCap = 1 << 16
+	// commitTokenTTL bounds how long a committed commit token stays in the
+	// dedup table. A retried COMMIT resolving after the TTL may see
+	// StatusNotCommitted for a commit that applied — the documented
+	// staleness bound clients must resolve within.
+	commitTokenTTL = 5 * time.Minute
+	// drainGrace is how long Drain lets admitted sessions keep issuing
+	// requests before their connections are deadlined out. A Drain context
+	// with an earlier deadline shortens it.
+	drainGrace = time.Second
+	// writeTimeout bounds each response write: a peer that stops draining
+	// its socket cannot wedge the connection goroutine.
+	writeTimeout = 30 * time.Second
 )
 
 // Config tunes the server. The zero value serves on a random port with
@@ -70,23 +82,11 @@ type Config struct {
 	// PastSoftWatermark (any shard past its soft space watermark). Tests
 	// inject synthetic overload here.
 	Overloaded func() bool
-	// DrainGrace is how long Drain lets admitted sessions keep issuing
-	// requests before their connections are deadlined out (default 1s).
-	// A Drain context with an earlier deadline shortens it.
-	DrainGrace time.Duration
 	// IdleTimeout reaps sessions that go this long without sending a
 	// request (default 5m; negative disables). A reaped session's open
 	// transactions are aborted like any disconnect's, so an abandoned
 	// connection can neither pin the GC horizon nor hold admission slots.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write (default 30s): a peer that
-	// stops draining its socket cannot wedge the connection goroutine.
-	WriteTimeout time.Duration
-	// CommitTokenTTL bounds how long a committed commit token stays in
-	// the dedup table (default 5m). A retried COMMIT resolving after the
-	// TTL may see StatusNotCommitted for a commit that applied — the
-	// documented staleness bound clients must resolve within.
-	CommitTokenTTL time.Duration
 	// WrapListener, if set, wraps the bound listener before Serve uses
 	// it — the seam chaos testing (internal/server/chaos) and, later,
 	// TLS plug into.
@@ -106,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 2 * time.Second
 	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = time.Second
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.CommitTokenTTL <= 0 {
-		c.CommitTokenTTL = 5 * time.Minute
 	}
 	return c
 }
@@ -150,7 +141,8 @@ type Server struct {
 	// tokens is the commit-token dedup table: tokens of committed
 	// transactions, recorded BEFORE the commit's OK is written, so a
 	// client that lost the ack can resolve the outcome by token. Bounded by
-	// Config.CommitTokenTTL and tokenCap (commitTokenCap; a test lowers it).
+	// tokenTTL and tokenCap (commitTokenTTL and commitTokenCap; tests lower
+	// them).
 	// committing counts, per token, the COMMITs executing right now (a
 	// retry on a second connection can overlap the first); a resolution of
 	// one of them waits on tokDone until none is left.
@@ -158,6 +150,7 @@ type Server struct {
 	tokDone    sync.Cond
 	tokens     map[uint64]time.Time
 	tokenCap   int
+	tokenTTL   time.Duration
 	committing map[uint64]int
 
 	admitted atomic.Uint64
@@ -175,6 +168,7 @@ func New(r *shard.Router, cfg Config) *Server {
 		tenants:    map[string]int{},
 		tokens:     map[uint64]time.Time{},
 		tokenCap:   commitTokenCap,
+		tokenTTL:   commitTokenTTL,
 		committing: map[uint64]int{},
 	}
 	s.tokDone.L = &s.tokMu
@@ -226,7 +220,7 @@ func (s *Server) evictTokens(now time.Time) {
 	keep := s.tokenCap - s.tokenCap/8
 	live := make([]time.Time, 0, len(s.tokens))
 	for t, at := range s.tokens {
-		if now.Sub(at) > s.cfg.CommitTokenTTL {
+		if now.Sub(at) > s.tokenTTL {
 			delete(s.tokens, t)
 		} else {
 			live = append(live, at)
@@ -256,7 +250,7 @@ func (s *Server) tokenCommitted(tok uint64) bool {
 	if !ok {
 		return false
 	}
-	if time.Since(at) > s.cfg.CommitTokenTTL {
+	if time.Since(at) > s.tokenTTL {
 		delete(s.tokens, tok)
 		return false
 	}
@@ -357,7 +351,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	already := s.draining
 	s.draining = true
 	ln := s.ln
-	grace := s.cfg.DrainGrace
+	grace := drainGrace
 	if dl, ok := ctx.Deadline(); ok {
 		if until := time.Until(dl); until < grace {
 			grace = until
@@ -446,7 +440,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// flush writes the buffered response under the write deadline: a peer
 	// that stops draining its socket gets cut off, not waited on forever.
 	flush := func() error {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err := bw.Flush()
 		conn.SetWriteDeadline(time.Time{})
 		return err

@@ -272,7 +272,7 @@ func TestServerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	srv := server.New(r, server.Config{DrainGrace: 500 * time.Millisecond})
+	srv := server.New(r, server.Config{})
 	addr, err := srv.Listen()
 	if err != nil {
 		t.Fatal(err)

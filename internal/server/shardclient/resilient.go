@@ -15,14 +15,14 @@
 //   - everything else (ReadOnlyError, ErrNoTx, validation errors): the
 //     server answered; retrying would return the same answer. Fail fast.
 //
-// GET, SCAN and STATS are naturally idempotent and always retried. SET and
-// DEL are state-idempotent blind upserts (applying one twice yields the
-// same state), but a retry can double-apply next to a concurrent writer of
-// the same key; RConfig.RetryWrites opts in (correct whenever the client
-// owns its keys, as the chaos campaign's clients do). Transactions are the
-// hard case: the commit decision must survive the connection dying at any
-// point, including between the server applying COMMIT and the client
-// reading the ack. RTx solves it with a client-generated commit token the
+// GET, SCAN and STATS are naturally idempotent. SET and DEL are
+// state-idempotent blind upserts (applying one twice yields the same
+// state), so every one of them is retried too — which is why an RClient
+// must own the keys it writes: a retry can re-apply over a concurrent
+// writer's value of the same key. Transactions are the hard case: the
+// commit decision must survive the connection dying at any point,
+// including between the server applying COMMIT and the client reading the
+// ack. RTx solves it with a client-generated commit token the
 // server records atomically with the commit — after any mid-commit
 // transport error, ResolveCommit(token) asks the server which side of the
 // decision the transaction landed on.
@@ -36,7 +36,7 @@ import (
 	"mvpbt/internal/util"
 )
 
-// RConfig tunes an RClient.
+// RConfig names an RClient's server and seeds it.
 type RConfig struct {
 	Addr   string
 	Tenant string
@@ -44,37 +44,19 @@ type RConfig struct {
 	// with the same seed and the same logical history make identical
 	// decisions — the chaos campaign's determinism hinges on it.
 	Seed uint64
-	// MaxAttempts bounds tries per operation, reconnects included
-	// (default 8).
-	MaxAttempts int
-	// BaseBackoff is the first retry's sleep (default 2ms); doubled per
-	// attempt up to MaxBackoff (default 100ms), plus up to 50% jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// DialTimeout bounds each connect + handshake (default 5s).
-	DialTimeout time.Duration
-	// RetryWrites retries Set/Del after transport errors. Safe when the
-	// client owns its keys (blind upserts are state-idempotent); off by
-	// default because a retried Set can re-apply over a concurrent
-	// writer's value.
-	RetryWrites bool
 }
 
-func (c RConfig) withDefaults() RConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 2 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 100 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	return c
-}
+// The self-healing tuning, one value each.
+const (
+	// maxAttempts bounds tries per operation, reconnects included.
+	maxAttempts = 12
+	// baseBackoff is the first retry's sleep, doubled per attempt up to
+	// maxBackoff, plus up to 50% jitter.
+	baseBackoff = time.Millisecond
+	maxBackoff  = 8 * time.Millisecond
+	// dialTimeout bounds each connect + handshake.
+	dialTimeout = 5 * time.Second
+)
 
 // RStats counts the client's self-healing activity.
 type RStats struct {
@@ -95,6 +77,10 @@ var ErrTxLost = errors.New("shardclient: transaction lost before commit (not app
 
 // RClient is a self-healing client: one logical session that transparently
 // spans physical connections. Not safe for concurrent use (like Client).
+//
+// An RClient must be the only writer of the keys it writes: its SET and DEL
+// are retried after a transport error, and a retry can land after — and
+// overwrite — another writer's value of the same key.
 type RClient struct {
 	cfg   RConfig
 	rng   *util.Rand
@@ -104,7 +90,6 @@ type RClient struct {
 
 // NewRClient returns a disconnected RClient; the first operation dials.
 func NewRClient(cfg RConfig) *RClient {
-	cfg = cfg.withDefaults()
 	return &RClient{cfg: cfg, rng: util.NewRand(cfg.Seed | 1)}
 }
 
@@ -155,10 +140,7 @@ func retriable(err error) bool {
 
 // backoff sleeps for attempt's capped-exponential delay with seeded jitter.
 func (r *RClient) backoff(attempt int) {
-	d := r.cfg.BaseBackoff << uint(attempt)
-	if d > r.cfg.MaxBackoff || d <= 0 {
-		d = r.cfg.MaxBackoff
-	}
+	d := min(baseBackoff<<attempt, maxBackoff)
 	// Up to 50% seeded jitter, so retry storms from many clients decohere
 	// while one seed's delays replay exactly.
 	d += time.Duration(r.rng.Uint64() % uint64(d/2+1))
@@ -170,7 +152,7 @@ func (r *RClient) ensure() (*Client, error) {
 	if r.c != nil {
 		return r.c, nil
 	}
-	c, err := DialTimeout(r.cfg.Addr, r.cfg.Tenant, r.cfg.DialTimeout)
+	c, err := DialTimeout(r.cfg.Addr, r.cfg.Tenant, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -190,12 +172,12 @@ func (r *RClient) drop() {
 	}
 }
 
-// do runs op with reconnect/retry per the error taxonomy. retryOp says the
-// operation may be re-sent after a transport error (idempotent or
-// state-idempotent ops only).
-func (r *RClient) do(retryOp bool, op func(c *Client) error) error {
+// do runs op with reconnect/retry per the error taxonomy. Every op it runs
+// is idempotent or state-idempotent, so it may be re-sent after a transport
+// error.
+func (r *RClient) do(op func(c *Client) error) error {
 	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.backoff(attempt - 1)
 		}
@@ -214,20 +196,17 @@ func (r *RClient) do(retryOp bool, op func(c *Client) error) error {
 		lastErr = err
 		if transport(err) {
 			r.drop()
-			if !retryOp {
-				return err
-			}
 		} else if !retriable(err) {
 			return err
 		}
 		r.stats.RetriedOps++
 	}
-	return fmt.Errorf("shardclient: gave up after %d attempts: %w", r.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("shardclient: gave up after %d attempts: %w", maxAttempts, lastErr)
 }
 
 // Get reads key (idempotent; always retried).
 func (r *RClient) Get(key []byte) (val []byte, ok bool, err error) {
-	err = r.do(true, func(c *Client) error {
+	err = r.do(func(c *Client) error {
 		val, ok, err = c.Get(0, key)
 		return err
 	})
@@ -236,24 +215,23 @@ func (r *RClient) Get(key []byte) (val []byte, ok bool, err error) {
 
 // Scan reads up to limit pairs with key >= lo (idempotent; always retried).
 func (r *RClient) Scan(lo []byte, limit int) (out []KV, err error) {
-	err = r.do(true, func(c *Client) error {
+	err = r.do(func(c *Client) error {
 		out, err = c.Scan(0, lo, limit)
 		return err
 	})
 	return out, err
 }
 
-// Set upserts key (autocommit). Retried across transport errors only when
-// RetryWrites is set.
+// Set upserts key (autocommit; retried, see RClient).
 func (r *RClient) Set(key, val []byte) error {
-	return r.do(r.cfg.RetryWrites, func(c *Client) error {
+	return r.do(func(c *Client) error {
 		return c.Set(0, key, val)
 	})
 }
 
 // Del tombstones key (autocommit). Retried like Set.
 func (r *RClient) Del(key []byte) error {
-	return r.do(r.cfg.RetryWrites, func(c *Client) error {
+	return r.do(func(c *Client) error {
 		return c.Del(0, key)
 	})
 }
@@ -292,7 +270,7 @@ type RTx struct {
 func (r *RClient) BeginTx() (*RTx, error) {
 	token := r.rng.Uint64() | 1 // nonzero
 	tx := &RTx{r: r, token: token}
-	err := r.do(true, func(c *Client) (err error) {
+	err := r.do(func(c *Client) (err error) {
 		tx.id, err = c.BeginToken(token)
 		return err
 	})
@@ -377,7 +355,7 @@ func (t *RTx) Commit() (CommitOutcome, error) {
 // a 2PC participant failure).
 func (t *RTx) resolveToken() (CommitOutcome, error) {
 	var applied bool
-	rerr := t.r.do(true, func(c *Client) (err error) {
+	rerr := t.r.do(func(c *Client) (err error) {
 		applied, err = c.ResolveCommit(t.token)
 		return err
 	})

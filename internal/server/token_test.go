@@ -1,8 +1,13 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"mvpbt/internal/db"
+	"mvpbt/internal/server/shardclient"
+	"mvpbt/internal/shard"
 )
 
 // TestCommitTokenEvictionAmortized: a full dedup table with nothing expired
@@ -59,5 +64,57 @@ func TestResolveWaitsForEveryCommitOfToken(t *testing.T) {
 	}
 	if len(s.committing) != 0 {
 		t.Fatalf("committing keeps %d entries with no COMMIT executing", len(s.committing))
+	}
+}
+
+// TestCommitTokenTTLExpiry: past the token TTL the dedup table forgets a
+// token, so resolution honestly reports not-committed (the documented
+// staleness bound) rather than pretending to remember.
+func TestCommitTokenTTLExpiry(t *testing.T) {
+	r, err := shard.New(shard.Config{Engine: db.Config{
+		BufferPages:          256,
+		PartitionBufferBytes: 64 << 10,
+		EnableWAL:            true,
+		GroupCommit:          db.GroupCommitConfig{Enabled: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s := New(r, Config{})
+	s.tokenTTL = 30 * time.Millisecond
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Stop(ctx); err != nil {
+			t.Errorf("Stop: %v", err)
+		}
+	}()
+	c, err := shardclient.Dial(addr.String(), "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const token = 0xABCD
+	tx, err := c.BeginToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set(tx, []byte("ttl-k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := c.ResolveCommit(token); err != nil || !applied {
+		t.Fatalf("fresh token: ResolveCommit = %v, %v", applied, err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if applied, err := c.ResolveCommit(token); err != nil || applied {
+		t.Fatalf("expired token: ResolveCommit = %v, %v; want false", applied, err)
 	}
 }

@@ -67,26 +67,29 @@ func (s HealthState) String() string {
 // supervisor is restarting the shard, and every other shard keeps serving.
 var ErrShardUnavailable = errors.New("shard: unavailable (failed, restart in progress)")
 
-// SupervisorConfig tunes the shard supervisor (Config.Supervise enables it).
+// The supervisor's tuning, one value each.
+const (
+	// faultThreshold is how many consecutive fault-class errors
+	// (storage.ErrIOFault, db.ErrClosed) an otherwise-live shard may return
+	// before it is failed and restarted. A storage.ErrCorruptPage fails the
+	// shard immediately — corruption does not heal with retries.
+	faultThreshold = 3
+	// restartBackoff is the delay before the second restart attempt; later
+	// attempts back off exponentially. The first attempt runs immediately.
+	restartBackoff = 10 * time.Millisecond
+	// maxBackoff caps the exponential backoff and sets the half-open probe
+	// cadence once the breaker is open.
+	maxBackoff = time.Second
+	// breakerThreshold is how many consecutive failed restart attempts open
+	// the circuit breaker. An open breaker stops the exponential escalation
+	// and probes half-open at maxBackoff cadence; the first successful probe
+	// closes it again.
+	breakerThreshold = 4
+)
+
+// SupervisorConfig holds the supervisor's test hooks (Config.Supervise
+// enables it; its tuning is the constants above).
 type SupervisorConfig struct {
-	// FaultThreshold is how many consecutive fault-class errors
-	// (storage.ErrIOFault, db.ErrClosed) an otherwise-live shard may
-	// return before it is failed and restarted (default 3). A
-	// storage.ErrCorruptPage fails the shard immediately — corruption
-	// does not heal with retries.
-	FaultThreshold int
-	// RestartBackoff is the delay before the second restart attempt;
-	// later attempts back off exponentially (default 10ms). The first
-	// attempt runs immediately.
-	RestartBackoff time.Duration
-	// MaxBackoff caps the exponential backoff and sets the half-open
-	// probe cadence once the breaker is open (default 1s).
-	MaxBackoff time.Duration
-	// BreakerThreshold is how many consecutive failed restart attempts
-	// open the circuit breaker (default 4). An open breaker stops the
-	// exponential escalation and probes half-open at MaxBackoff cadence;
-	// the first successful probe closes it again.
-	BreakerThreshold int
 	// OnTransition, if set, observes every state transition. Called from
 	// supervisor goroutines and the data path; keep it fast.
 	OnTransition func(shard int, from, to HealthState)
@@ -94,22 +97,6 @@ type SupervisorConfig struct {
 	// (before the old engine is crashed). An error fails the attempt —
 	// the test seam for driving the breaker.
 	RestartHook func(shard int) error
-}
-
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.FaultThreshold <= 0 {
-		c.FaultThreshold = 3
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 4
-	}
-	return c
 }
 
 // HealthInfo is one shard's externally visible supervision state.
@@ -124,8 +111,8 @@ type HealthInfo struct {
 	// successful one.
 	RestartFailures uint64
 	// BreakerOpen reports an open circuit breaker: restart attempts have
-	// failed BreakerThreshold times in a row and the supervisor is down
-	// to half-open probes at MaxBackoff cadence.
+	// failed breakerThreshold times in a row and the supervisor is down
+	// to half-open probes at maxBackoff cadence.
 	BreakerOpen bool
 	// LastError is the most recent error that failed the shard or a
 	// restart attempt ("" when none).
@@ -182,7 +169,7 @@ type supervisor struct {
 }
 
 func newSupervisor(r *Router, cfg SupervisorConfig) *supervisor {
-	return &supervisor{r: r, cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	return &supervisor{r: r, cfg: cfg, stop: make(chan struct{})}
 }
 
 // shutdown stops the supervisor and waits for in-flight restarts to
@@ -221,7 +208,7 @@ func (s *supervisor) observe(i int, err error) {
 		s.fail(i)
 	case errors.Is(err, storage.ErrIOFault), errors.Is(err, db.ErrClosed):
 		h.setLastErr(err)
-		if int(h.consec.Add(1)) >= s.cfg.FaultThreshold {
+		if h.consec.Add(1) >= faultThreshold {
 			s.fail(i)
 		}
 	case errors.Is(err, db.ErrReadOnly):
@@ -247,20 +234,17 @@ func (s *supervisor) fail(i int) {
 
 // restartLoop drives shard i failed → recovering → healthy: immediate
 // first attempt, exponential backoff between failures, breaker after
-// BreakerThreshold consecutive failures (half-open probes at MaxBackoff
+// breakerThreshold consecutive failures (half-open probes at maxBackoff
 // cadence), until an attempt succeeds or the router closes.
 func (s *supervisor) restartLoop(i int) {
 	defer s.wg.Done()
 	h := s.r.health[i]
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			d := s.cfg.RestartBackoff << (attempt - 1)
-			if d > s.cfg.MaxBackoff || d <= 0 {
-				d = s.cfg.MaxBackoff
-			}
-			if attempt >= s.cfg.BreakerThreshold {
+			d := min(restartBackoff<<(attempt-1), maxBackoff)
+			if attempt >= breakerThreshold {
 				h.breakerOpen.Store(true)
-				d = s.cfg.MaxBackoff
+				d = maxBackoff
 			}
 			select {
 			case <-s.stop:
@@ -340,9 +324,9 @@ func (s *supervisor) restartShard(i int) error {
 			if inflight {
 				continue
 			}
-			if err := eng.ResolvePrepared(d.TxID, committed); err != nil {
+			if _, err := eng.ResolveGroup(d.GID, committed); err != nil {
 				eng.Close()
-				return fmt.Errorf("shard %d: resolving in-doubt tx %d: %w", i, d.TxID, err)
+				return fmt.Errorf("shard %d: resolving in-doubt group %d: %w", i, d.GID, err)
 			}
 			if committed {
 				r.coord.ack(d.GID)

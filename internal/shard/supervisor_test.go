@@ -13,15 +13,9 @@ import (
 	"mvpbt/internal/storage"
 )
 
-// newSupervisedRouter builds a supervised router with fast restart timing.
+// newSupervisedRouter builds a supervised router with the given hooks.
 func newSupervisedRouter(t *testing.T, shards int, sup SupervisorConfig) *Router {
 	t.Helper()
-	if sup.RestartBackoff == 0 {
-		sup.RestartBackoff = time.Millisecond
-	}
-	if sup.MaxBackoff == 0 {
-		sup.MaxBackoff = 10 * time.Millisecond
-	}
 	r, err := New(Config{
 		Shards: shards,
 		Engine: db.Config{
@@ -62,7 +56,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestSupervisorRestartUnderFaultStorm(t *testing.T) {
 	var transitions sync.Map // "from→to" -> count
 	r := newSupervisedRouter(t, 3, SupervisorConfig{
-		FaultThreshold: 3,
 		OnTransition: func(shard int, from, to HealthState) {
 			k := fmt.Sprintf("%v→%v", from, to)
 			v, _ := transitions.LoadOrStore(k, new(atomic.Int64))
@@ -164,13 +157,13 @@ func TestSupervisorRestartUnderFaultStorm(t *testing.T) {
 }
 
 // TestSupervisorBreaker drives restart failures through the RestartHook
-// seam: the breaker opens after BreakerThreshold consecutive failed
-// attempts and closes on the first successful half-open probe.
+// seam: the breaker opens after breakerThreshold consecutive failed
+// attempts and closes on the first successful half-open probe, maxBackoff
+// later.
 func TestSupervisorBreaker(t *testing.T) {
 	var allow atomic.Bool
 	var attempts atomic.Int64
 	r := newSupervisedRouter(t, 2, SupervisorConfig{
-		BreakerThreshold: 3,
 		RestartHook: func(shard int) error {
 			attempts.Add(1)
 			if !allow.Load() {
@@ -185,7 +178,7 @@ func TestSupervisorBreaker(t *testing.T) {
 	}
 	waitFor(t, "breaker open", func() bool {
 		h := r.Health(0)
-		return h.BreakerOpen && h.RestartFailures >= 3
+		return h.BreakerOpen && h.RestartFailures >= breakerThreshold
 	})
 	if st := r.Health(0).State; st != Failed && st != Recovering {
 		t.Fatalf("breaker-open shard state = %v", st)
@@ -210,7 +203,7 @@ func TestSupervisorBreaker(t *testing.T) {
 	if err := r.Put(k, []byte("healed")); err != nil {
 		t.Fatalf("post-heal write: %v", err)
 	}
-	if attempts.Load() < 4 {
+	if attempts.Load() <= breakerThreshold {
 		t.Fatalf("only %d restart attempts recorded", attempts.Load())
 	}
 }

@@ -25,11 +25,7 @@ func newTwoPCRouter(t *testing.T, shards int, hooks TwoPCHooks) *Router {
 			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		Supervise: true,
-		Supervisor: SupervisorConfig{
-			RestartBackoff: time.Millisecond,
-			MaxBackoff:     10 * time.Millisecond,
-		},
-		TwoPC: hooks,
+		TwoPC:     hooks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +260,8 @@ func TestRouterCloseRacesTwoPC(t *testing.T) {
 				if inflight {
 					t.Fatalf("shard %d: group %d still inflight after close", i, d.GID)
 				}
-				if err := eng.ResolvePrepared(d.TxID, committed); err != nil {
-					t.Fatal(err)
+				if n, err := eng.ResolveGroup(d.GID, committed); err != nil || n != 1 {
+					t.Fatalf("shard %d: resolving group %d: n=%d err=%v", i, d.GID, n, err)
 				}
 			}
 			kvs[i] = kv
@@ -297,10 +293,6 @@ func TestWALLessGroupIsAllOrNothing(t *testing.T) {
 		Shards:    2,
 		Engine:    db.Config{BufferPages: 256, PartitionBufferBytes: 64 << 10},
 		Supervise: true,
-		Supervisor: SupervisorConfig{
-			RestartBackoff: time.Millisecond,
-			MaxBackoff:     10 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

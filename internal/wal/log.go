@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -30,6 +31,10 @@ import (
 // generation is freed leaves both readable and the new slot wins. Only once
 // the old pages are freed is the new generation the sole copy, and by then
 // it is durably complete.
+
+// ErrClosed is returned by Flush and Rotate once the log is fenced: nothing
+// more reaches the device. A commit that meets it did not happen.
+var ErrClosed = errors.New("wal: log closed")
 
 // superMagic opens every superblock: "MVPBTWAL".
 const superMagic = 0x4d56_5042_5457_414c
@@ -121,11 +126,12 @@ type Log struct {
 	// generations. A client that fills the new generation from state its
 	// appenders also mutate must make sure none of them can be blocked on mu
 	// while holding what the fill needs (the engine's quiescence check does).
-	mu   sync.RWMutex
-	w    *Writer     // of the current generation
-	meta *sfile.File // dual-slot superblock, allocated at the first rotation
-	base int64       // w.Written() once the fill was in: Grown counts from here
-	st   LogStats    // as Stats returns it, less what lives elsewhere: w's flushes, DeviceBytes
+	mu     sync.RWMutex
+	w      *Writer     // of the current generation
+	meta   *sfile.File // dual-slot superblock, allocated at the first rotation
+	base   int64       // w.Written() once the fill was in: Grown counts from here
+	st     LogStats    // as Stats returns it, less what lives elsewhere: w's flushes, DeviceBytes
+	closed bool        // fenced by Close: Flush and Rotate return ErrClosed
 
 	// BeforeSuper, AfterSuper and AfterFree are crash-instant test seams
 	// inside Rotate. Each, when set, runs with the log locked and receives
@@ -154,7 +160,19 @@ func (l *Log) Append(r *Record) {
 func (l *Log) Flush() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	if l.closed {
+		return ErrClosed
+	}
 	return l.w.Flush()
+}
+
+// Close fences the log: once it returns, no Flush or Rotate writes the
+// device, so Image is what it will stay. Buffered records are not flushed;
+// Flush first to keep them. Appends are still buffered, and lost.
+func (l *Log) Close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
 }
 
 // Grown returns the logical bytes appended to the current generation since
@@ -197,6 +215,9 @@ func (l *Log) deviceBytes() int64 {
 func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
 	seq := l.st.Seq + 1
 	w := &Writer{spill: true, open: func() *sfile.File {
 		return l.fm.Create(fmt.Sprintf("%s.%d", l.name, seq), sfile.ClassMeta)

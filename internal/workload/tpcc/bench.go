@@ -8,11 +8,13 @@ import (
 	"mvpbt/internal/util"
 )
 
+// districts is the number of districts per warehouse, fixed by the TPC-C
+// specification.
+const districts = 10
+
 // Config scales the benchmark and selects the storage engine under test.
 type Config struct {
 	Warehouses int
-	// Districts per warehouse (TPC-C: 10).
-	Districts int
 	// CustomersPerDistrict (TPC-C: 3000; scaled down by default).
 	CustomersPerDistrict int
 	// Items in the catalog (TPC-C: 100000; scaled down by default).
@@ -35,9 +37,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Warehouses <= 0 {
 		c.Warehouses = 1
-	}
-	if c.Districts <= 0 {
-		c.Districts = 10
 	}
 	if c.CustomersPerDistrict <= 0 {
 		c.CustomersPerDistrict = 100
@@ -176,7 +175,7 @@ func (b *Bench) Load() error {
 			}
 		}
 		b.eng.Commit(tx)
-		for d := uint32(1); d <= uint32(c.Districts); d++ {
+		for d := uint32(1); d <= districts; d++ {
 			tx := b.eng.Begin()
 			dist := District{W: w, D: d, Tax: int64(b.r.Intn(2000)), NextOID: 1}
 			if _, _, err := b.district.Insert(tx, dist.Encode()); err != nil {

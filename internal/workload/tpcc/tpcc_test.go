@@ -67,7 +67,7 @@ func TestMoneyConservation(t *testing.T) {
 			}
 			wYTD := DecodeWarehouse(whRef.Row).YTD
 			var dYTD int64
-			for d := uint32(1); d <= uint32(b.cfg.Districts); d++ {
+			for d := uint32(1); d <= districts; d++ {
 				dr, err := b.lookup(tx, b.district, DistrictKey(1, d))
 				if err != nil {
 					t.Fatal(err)
@@ -92,7 +92,7 @@ func TestOrderChainConsistency(t *testing.T) {
 			}
 			tx := b.eng.Begin()
 			defer b.eng.Commit(tx)
-			for d := uint32(1); d <= uint32(b.cfg.Districts); d++ {
+			for d := uint32(1); d <= districts; d++ {
 				dr, err := b.lookup(tx, b.district, DistrictKey(1, d))
 				if err != nil {
 					t.Fatal(err)

@@ -21,7 +21,7 @@ func (b *Bench) lookup(tx *txn.Tx, t *db.Table, key []byte) (*db.RowRef, error) 
 }
 
 func (b *Bench) randWH() uint32 { return uint32(1 + b.r.Intn(b.cfg.Warehouses)) }
-func (b *Bench) randD() uint32  { return uint32(1 + b.r.Intn(b.cfg.Districts)) }
+func (b *Bench) randD() uint32  { return uint32(1 + b.r.Intn(districts)) }
 
 var clockTick int64
 
@@ -225,7 +225,7 @@ func (b *Bench) DeliveryTx() error {
 		b.eng.Abort(tx)
 		return err
 	}
-	for d := uint32(1); d <= uint32(b.cfg.Districts); d++ {
+	for d := uint32(1); d <= districts; d++ {
 		lo := OrderKey(w, d, 0)
 		hi := OrderKey(w, d, ^uint32(0))
 		var oldest *db.RowRef

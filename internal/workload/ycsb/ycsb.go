@@ -23,6 +23,9 @@ const (
 	WorkloadE Workload = 'E'
 )
 
+// maxScanLen bounds workload E scans, as YCSB's default does.
+const maxScanLen = 100
+
 // Config scales the benchmark.
 type Config struct {
 	// Records is the initial dataset size (the paper loads 100M keys ≈
@@ -31,9 +34,7 @@ type Config struct {
 	// ValueLen is the value size in bytes (the paper's 10×100 B fields,
 	// scaled).
 	ValueLen int
-	// MaxScanLen bounds workload E scans (YCSB default 100).
-	MaxScanLen int
-	Seed       uint64
+	Seed     uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -42,9 +43,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ValueLen <= 0 {
 		c.ValueLen = 256
-	}
-	if c.MaxScanLen <= 0 {
-		c.MaxScanLen = 100
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -127,7 +125,7 @@ func (y *Runner) insert() error {
 }
 
 func (y *Runner) scan(start []byte) error {
-	n := 1 + y.r.Intn(y.cfg.MaxScanLen)
+	n := 1 + y.r.Intn(maxScanLen)
 	y.Scans++
 	return y.kv.Scan(start, n, func(k, v []byte) bool { return true })
 }
