@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-scenarios bench-full smoke-server examples cover
+.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
 
 all: build fmt vet test
 
@@ -55,7 +55,9 @@ traffic:
 # next source by hand (mvpbt's reference_test.go keeps its own, the oracle).
 # And the settings that only one value ever took stay constants: none of the
 # removed fields (supervisor, self-healing client, server, workloads) or
-# mvpbt-server flags is back in a non-test file.
+# mvpbt-server flags is back in a non-test file. And the hostile catalogue
+# has one driver, the scenarios campaign: neither the exhaustion campaign
+# (folded into snapshot-pin) nor the bench's copy of the matrix is back.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -67,6 +69,8 @@ seams:
 	@bad=$$(grep -rnE '\b(FaultThreshold|RestartBackoff|MaxBackoff|BreakerThreshold|MaxAttempts|BaseBackoff|DialTimeout|RetryWrites|WriteTimeout|DrainGrace|CommitTokenTTL|Districts|MaxScanLen)\b([^(]|$$)|"(group-commit|supervise)"' --include='*.go' . \
 		| grep -vE '_test\.go:|^[^:]+:[0-9]+:\s*//'); \
 	if [ -n "$$bad" ]; then echo "seams: a removed setting is back (it is a constant):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'exhaustCampaign|ExhaustFingerprint|runScenarioMatrix' --include='*.go' .; grep -nE '^bench-scenario[s]:' Makefile); \
+	if [ -n "$$bad" ]; then echo "seams: a second driver of the hostile catalogue is back:"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -115,8 +119,8 @@ check-nightly:
 
 # The seeded verification campaigns, one mvpbt-check subcommand each
 # (DESIGN.md "Verification campaigns" says what each holds): check-faults,
-# check-exhaust, check-scenarios, check-chaos, check-2pc, and check-all for
-# the five back to back. Every cell is run twice and must replay
+# check-scenarios, check-chaos, check-2pc, and check-all for the four back
+# to back. Every cell is run twice and must replay
 # byte-identically; a failing cell prints the command that reruns it alone.
 check-%:
 	go run ./cmd/mvpbt-check $*
@@ -126,7 +130,7 @@ check-%:
 bench:
 	go test -bench=. -benchmem
 
-# All nineteen experiments at quick scale (~12 s) as one JSON document: every
+# All eighteen experiments at quick scale (~12 s) as one JSON document: every
 # cell's value, precision and count-or-clock kind, and the headline metrics
 # with units. CI publishes it; a PR that may move a figure commits it as
 # FIGURES_<pr>.json so the next can diff count cells exactly.
@@ -207,12 +211,6 @@ bench-ledger:
 # local convenience; CI publishes bench-figures.json).
 bench-net:
 	go run ./cmd/mvpbt-bench -run net | tee bench-net.txt
-
-# Hostile-scenario matrix: device zoo x scenario x heap layout, one
-# state-hash-stamped row per cell, into scenarios.txt (a local convenience;
-# CI publishes bench-figures.json and check-all replays every cell).
-bench-scenarios:
-	go run ./cmd/mvpbt-bench -run scenarios | tee scenarios.txt
 
 # mvpbt-server end-to-end smoke: start, run client ops over TCP via
 # shardclient — twelve partition buffers of SETs into one shard among them,

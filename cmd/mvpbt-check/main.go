@@ -5,11 +5,12 @@
 //	                       in lockstep, crash-restarts injected; a violation
 //	                       is shrunk to a minimal reproducer
 //	mvpbt-check faults     device faults under the same harness, both heaps
-//	mvpbt-check exhaust    fill to read-only, reclaim, resume, recover
-//	mvpbt-check scenarios  hostile workloads across the device zoo
+//	mvpbt-check scenarios  hostile workloads across the device zoo and both
+//	                       heaps; snapshot-pin fills to read-only, reclaims,
+//	                       resumes, injects ENOSPC and recovers
 //	mvpbt-check chaos      connection resets, truncations, stalls over TCP
 //	mvpbt-check 2pc        crashes at every step of the cross-shard commit
-//	mvpbt-check all        the five campaigns above, back to back
+//	mvpbt-check all        the four campaigns above, back to back
 //
 // Every campaign cell is run twice and must replay byte-identically
 // (DESIGN.md "Verification campaigns"). With no flags a subcommand runs what

@@ -301,7 +301,6 @@ var experiments = []Experiment{
 	{ID: "parallel", Title: "Concurrent read path: lookup/scan throughput vs client goroutines (one background writer)", Run: runParallel},
 	{ID: "commit", Title: "Commit pipeline: WAL group commit off vs on (closed-loop committers)", Run: runCommit},
 	{ID: "net", Title: "Sharded network front-end: clients x shards scaling, admission control under overload", Run: runNet},
-	{ID: "scenarios", Title: "Hostile-workload scenario matrix: device zoo x scenario x heap layout, each cell a seeded deterministic replay", Run: runScenarioMatrix},
 }
 
 // Lookup returns the experiment with the given id.

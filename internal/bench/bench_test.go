@@ -106,8 +106,7 @@ func checkShape(t *testing.T, id string, assert func(s *shape) error) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "fig8", "fig12a", "fig12b", "fig12c", "fig12d",
 		"fig13", "fig14a", "fig14b", "fig14c", "fig14d", "fig15a", "fig15b",
-		"extra-wa", "extra-merge", "parallel", "commit", "net",
-		"scenarios"}
+		"extra-wa", "extra-merge", "parallel", "commit", "net"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
@@ -401,15 +400,15 @@ func TestShapeLookupIsLoud(t *testing.T) {
 var concurrent = map[string]bool{"commit": true, "net": true, "parallel": true}
 
 // TestDeterministicExperimentsReplay pins, by running twice, what the shape
-// tests over counts rely on. fig8, fig12c, fig12d, fig13, extra-wa and
-// scenarios hold no clock-derived cell and print byte-identical tables; in
-// every other single-goroutine experiment each cell not marked Clock prints
-// the same in both runs. Cells are compared as printed: fig12d's hit rates
+// tests over counts rely on. fig8, fig12c, fig12d, fig13 and extra-wa hold
+// no clock-derived cell and print byte-identical tables; in every other
+// single-goroutine experiment each cell not marked Clock prints the same in
+// both runs. Cells are compared as printed: fig12d's hit rates
 // move by one hit in 25 000 with the Go map order TPC-C's Stock-Level
 // iterates in, far below their one decimal.
 func TestDeterministicExperimentsReplay(t *testing.T) {
 	pinned := map[string]bool{"fig8": true, "fig12c": true, "fig12d": true,
-		"fig13": true, "extra-wa": true, "scenarios": true}
+		"fig13": true, "extra-wa": true}
 	for _, e := range All() {
 		if concurrent[e.ID] {
 			continue

@@ -100,7 +100,7 @@ type Campaign struct {
 }
 
 // Campaigns is the registry, in `mvpbt-check all` order.
-var Campaigns = []*Campaign{faultCampaign, exhaustCampaign, scenarioCampaign, chaosCampaign, twoPCCampaign}
+var Campaigns = []*Campaign{faultCampaign, scenarioCampaign, chaosCampaign, twoPCCampaign}
 
 // CampaignByName resolves a registered campaign.
 func CampaignByName(name string) *Campaign {

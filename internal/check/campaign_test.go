@@ -16,11 +16,12 @@ import (
 // exercised what it exists to exercise — a campaign that injects nothing
 // proves nothing. A campaign registered without a slice here fails the test.
 func TestCampaignSmoke(t *testing.T) {
-	slices := map[string]struct {
+	type smokeSlice struct {
 		sel   Selection
 		long  bool // skipped under -short
 		check func(t *testing.T, cells []CellResult)
-	}{
+	}
+	slices := map[string]smokeSlice{
 		// Fault-punctuated histories on both heap layouts: every injected
 		// read error, write error, torn commit flush and bit rot either
 		// masked (retry, checksum quarantine-rebuild) or absorbed by a
@@ -31,7 +32,7 @@ func TestCampaignSmoke(t *testing.T) {
 				sum := sumFaults(cells)
 				for k := 0; k < ssd.NumFaultKinds; k++ {
 					if ssd.FaultKind(k) == ssd.FaultNoSpace {
-						continue // ENOSPC is exercised by the exhaustion campaign
+						continue // ENOSPC is exercised by the snapshot-pin scenario
 					}
 					if sum.Faults.Injected[k] == 0 {
 						t.Errorf("fault kind %v never injected: [%v]", ssd.FaultKind(k), sum.Faults)
@@ -45,46 +46,17 @@ func TestCampaignSmoke(t *testing.T) {
 				}
 			},
 		},
-		// On both heap layouts: degrade to read-only under fill, recover the
-		// soft-watermark headroom, resume, recover from the checkpointed log.
-		"exhaust": {
-			sel: Selection{Seeds: []uint64{1}},
-			check: func(t *testing.T, cells []CellResult) {
-				for _, c := range cells {
-					fp := c.Fp.(ExhaustFingerprint)
-					if fp.NoSpaceInjected == 0 {
-						t.Errorf("FaultNoSpace never injected: %+v", fp)
-					}
-					// One read-only entry from the ENOSPC probe, one from the fill.
-					if fp.ROEntries < 2 || fp.ROExits < 2 {
-						t.Errorf("read-only entry/exit counters too low: %+v", fp)
-					}
-					if fp.FillTxs == 0 {
-						t.Errorf("fill committed no transactions: %+v", fp)
-					}
-					if fp.WALAfter >= fp.WALAtRO {
-						t.Errorf("WAL never truncated: %d -> %d", fp.WALAtRO, fp.WALAfter)
-					}
-					if fp.RecoveredTxs == 0 || fp.StateHash == 0 {
-						t.Errorf("recovery fingerprint empty: %+v", fp)
-					}
-				}
-				if len(cells) != 2 {
-					t.Errorf("%d cells, want 2 (both heaps)", len(cells))
-				}
-			},
-		},
 		"scenarios": {
 			sel:  Selection{Seeds: []uint64{1}, Filter: map[string][]string{"device": {ssd.ZNSAppend.Name}}},
 			long: true,
 			check: func(t *testing.T, cells []CellResult) {
 				for _, c := range cells {
 					if fp := c.Fp.(hostile.Fingerprint); fp.Committed == 0 || fp.StateHash == 0 {
-						t.Errorf("%v committed nothing or hashed nothing: %+v", fp.Kind, fp)
+						t.Errorf("%v committed nothing or hashed nothing: %+v", c.Cell, fp)
 					}
 				}
-				if len(cells) != hostile.NumKinds {
-					t.Errorf("%d cells, want one per scenario kind", len(cells))
+				if want := 3*2 + 1; len(cells) != want {
+					t.Errorf("%d cells, want %d (table scenarios on both heaps, tenant-skew once)", len(cells), want)
 				}
 			},
 		},
@@ -116,22 +88,75 @@ func TestCampaignSmoke(t *testing.T) {
 			},
 		},
 	}
+	// The former exhaust campaign's assertions, held by the snapshot-pin
+	// scenario on both heap layouts and every device: degrade to read-only
+	// under the pinning snapshot, recover the soft-watermark headroom and
+	// truncate the log on release, resume, degrade and heal again on an
+	// injected ENOSPC, recover from the checkpointed log.
+	exhaust := smokeSlice{
+		sel: Selection{Seeds: []uint64{1}, Filter: map[string][]string{"kind": {hostile.SnapshotPin.String()}}},
+		check: func(t *testing.T, cells []CellResult) {
+			heaps := map[string]int{}
+			for _, c := range cells {
+				for _, co := range c.Cell.Coords {
+					if co.Axis == "heap" {
+						heaps[co.Value]++
+					}
+				}
+				fp := c.Fp.(hostile.Fingerprint)
+				if fp.NoSpaceInjected == 0 {
+					t.Errorf("%v: FaultNoSpace never injected: %+v", c.Cell, fp)
+				}
+				// One read-only entry from the pin, one from the ENOSPC probe.
+				if fp.ROEntries < 2 || fp.ROExits < 2 {
+					t.Errorf("%v: read-only entry/exit counters too low: %+v", c.Cell, fp)
+				}
+				if fp.PinTxs == 0 {
+					t.Errorf("%v: churn committed no transactions: %+v", c.Cell, fp)
+				}
+				if fp.WALAfter >= fp.WALAtRO {
+					t.Errorf("%v: WAL never truncated: %d -> %d", c.Cell, fp.WALAtRO, fp.WALAfter)
+				}
+				if fp.RecoveredTxs == 0 || fp.StateHash == 0 {
+					t.Errorf("%v: recovery fingerprint empty: %+v", c.Cell, fp)
+				}
+			}
+			if n := len(ssd.Zoo()); heaps["hot"] != n || heaps["sias"] != n {
+				t.Errorf("cells per heap %v, want %d on each (the zoo)", heaps, n)
+			}
+		},
+	}
+	run := func(t *testing.T, c *Campaign, slice smokeSlice) {
+		if slice.long && testing.Short() {
+			t.Skip("seconds-long")
+		}
+		var out strings.Builder
+		results, failed := c.Run(slice.sel, &out)
+		if failed {
+			t.Fatalf("campaign failed:\n%s", out.String())
+		}
+		slice.check(t, results)
+	}
 	for _, c := range Campaigns {
 		t.Run(c.Name, func(t *testing.T) {
 			slice, ok := slices[c.Name]
 			if !ok {
 				t.Fatal("registered campaign has no smoke slice")
 			}
-			if slice.long && testing.Short() {
-				t.Skip("seconds-long")
-			}
-			var out strings.Builder
-			results, failed := c.Run(slice.sel, &out)
-			if failed {
-				t.Fatalf("campaign failed:\n%s", out.String())
-			}
-			slice.check(t, results)
+			run(t, c, slice)
 		})
+	}
+	t.Run("exhaust", func(t *testing.T) { run(t, scenarioCampaign, exhaust) })
+}
+
+// The scenario campaign's grid is the zoo × catalogue cross-product — the
+// three table scenarios on both heap layouts, tenant-skew once — at every
+// seed (TestReproSelectsOneCell in cmd/mvpbt-check holds each cell
+// selectable alone).
+func TestScenarioCampaignGrid(t *testing.T) {
+	cells := scenarioCampaign.Select(Selection{})
+	if want := len(ssd.Zoo()) * (3*2 + 1) * scenarioCampaign.Seeds; len(cells) != want {
+		t.Fatalf("%d cells, want %d", len(cells), want)
 	}
 }
 

@@ -11,10 +11,8 @@
 // with synchronous maintenance and group commit in its deterministic
 // batches-of-one regime, and condenses its outcome into a comparable
 // Fingerprint. Replaying the same scenario twice and comparing
-// fingerprints with == is the whole determinism check, and the campaign
-// runner (internal/check) does it for every cell. The scenario campaign and
-// the bench matrix both build on Run; Table, the single-table oracle
-// fixture the scenarios stand on, also carries the exhaustion campaign.
+// fingerprints with == is the whole determinism check, and the scenario
+// campaign (internal/check) does it for every cell.
 package hostile
 
 import (
@@ -22,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/shard"
@@ -75,8 +74,6 @@ type Config struct {
 	// Heap is the base-table layout for the table-backed scenarios
 	// (ignored by TenantSkew, which runs on the clustered KV).
 	Heap db.HeapKind
-	// Scale multiplies operation counts (default 1, the CI size).
-	Scale int
 }
 
 // Fingerprint condenses one scenario run into a comparable value: two
@@ -118,11 +115,16 @@ type Fingerprint struct {
 	PeakLive  int64
 	FinalLive int64
 
-	// SnapshotPin: churn transactions it took to degrade the engine, live
-	// bytes at degradation and after the snapshot's release healed it.
-	PinTxs       int64
-	PinnedLive   int64
-	ReleasedLive int64
+	// SnapshotPin: churn transactions it took to degrade the engine; live
+	// and WAL device bytes at degradation and after the snapshot's release
+	// healed it; the ENOSPC probe's FaultNoSpace injections; and the
+	// transactions crash recovery replayed from the final log.
+	PinTxs            int64
+	PinnedLive        int64
+	ReleasedLive      int64
+	WALAtRO, WALAfter int64
+	NoSpaceInjected   int64
+	RecoveredTxs      int
 
 	// TenantSkew: committed ops per tenant, the admission model's
 	// queue/shed counts, and the commits that landed after the first
@@ -133,19 +135,29 @@ type Fingerprint struct {
 	ResumedCommits int64
 }
 
-// String is the one-line rendering the campaign runner prints per cell.
+// String is the one-line rendering the campaign runner prints per cell:
+// the common counts, then what the scenario exists to show.
 func (fp Fingerprint) String() string {
-	return fmt.Sprintf("%d commits, %d typed errs, io %d ops / %.1fms, hash %016x",
-		fp.Committed, fp.TypedErrs, fp.Reads+fp.Writes, float64(fp.IOTimeNS)/1e6, fp.StateHash)
+	var detail string
+	switch fp.Kind {
+	case HotKeyStorm:
+		detail = fmt.Sprintf("p99 %.0fus->%.0fus", float64(fp.BaseP99NS)/1e3, float64(fp.StormP99NS)/1e3)
+	case Sawtooth:
+		detail = fmt.Sprintf("live %.1fMiB->%.1fMiB", float64(fp.PeakLive)/(1<<20), float64(fp.FinalLive)/(1<<20))
+	case SnapshotPin:
+		detail = fmt.Sprintf("ro %d/%d pin %d tx, wal %d->%d, %d enospc, %d replayed",
+			fp.ROEntries, fp.ROExits, fp.PinTxs, fp.WALAtRO, fp.WALAfter, fp.NoSpaceInjected, fp.RecoveredTxs)
+	case TenantSkew:
+		detail = fmt.Sprintf("queued %d shed %d resumed %d", fp.Queued, fp.Rejected, fp.ResumedCommits)
+	}
+	return fmt.Sprintf("%d commits, %d typed errs, io %d ops / %.1fms, %s, hash %016x",
+		fp.Committed, fp.TypedErrs, fp.Reads+fp.Writes, float64(fp.IOTimeNS)/1e6, detail, fp.StateHash)
 }
 
 // Run executes one scenario and returns its fingerprint. A non-nil error
 // means the scenario itself failed an invariant (not a determinism
 // mismatch — that is the caller's double-replay comparison).
 func Run(kind Kind, cfg Config) (Fingerprint, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
 	switch kind {
 	case HotKeyStorm:
 		return runHotKey(cfg)
@@ -181,8 +193,8 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-// HashState fingerprints an oracle map in key order (FNV-1a).
-func HashState(expect map[string]string) uint64 {
+// hashState fingerprints an oracle map in key order (FNV-1a).
+func hashState(expect map[string]string) uint64 {
 	h := fnv.New64a()
 	for _, k := range sortedKeys(expect) {
 		h.Write([]byte(k))
@@ -215,44 +227,40 @@ func (fp *Fingerprint) captureEngine(e *db.Engine) {
 	fp.Reclaims += sp.Reclaims
 }
 
-// Table is the single-table oracle fixture: an engine, one table with a
+// table is the single-table oracle fixture: an engine, one table with a
 // unique MV-PBT primary index, and the expected committed key → value state
 // (the oracle — single-client histories make a last-committed map complete).
-type Table struct {
+type table struct {
 	Eng    *db.Engine
 	Tbl    *db.Table
 	Expect map[string]string
 	ix     *db.Index
 }
 
-// NewTable builds the fixture on a fresh engine configured by ec.
-func NewTable(ec db.Config, heap db.HeapKind, maxPartitions int) (*Table, error) {
+// newTable builds the fixture on a fresh engine configured by ec, on cfg's
+// device and heap, with the WAL on and group commit in its deterministic
+// single-threaded regime (batches of one), so scenarios exercise the
+// production commit pipeline.
+func newTable(cfg Config, ec db.Config) (*table, error) {
+	ec.Device = cfg.Device
+	ec.EnableWAL = true
+	ec.GroupCommit = db.GroupCommitConfig{Enabled: true}
 	eng := db.NewEngine(ec)
-	tbl, err := eng.NewTable("t", heap, db.IndexDef{
+	tbl, err := eng.NewTable("t", cfg.Heap, db.IndexDef{
 		Name: "pk", Kind: db.IdxMVPBT, RefMode: db.RefPhysical, Unique: true,
-		Extract: extractKey, BloomBits: 10, MaxPartitions: maxPartitions,
+		Extract: extractKey, BloomBits: 10, MaxPartitions: 6,
 	})
 	if err != nil {
 		eng.Close()
 		return nil, err
 	}
-	return &Table{Eng: eng, Tbl: tbl, ix: tbl.Indexes()[0], Expect: map[string]string{}}, nil
+	return &table{Eng: eng, Tbl: tbl, ix: tbl.Indexes()[0], Expect: map[string]string{}}, nil
 }
 
-// newTable is NewTable for a scenario: on cfg's device, with the WAL on and
-// group commit in its deterministic single-threaded regime (batches of one),
-// so scenarios exercise the production commit pipeline.
-func newTable(cfg Config, ec db.Config) (*Table, error) {
-	ec.Device = cfg.Device
-	ec.EnableWAL = true
-	ec.GroupCommit = db.GroupCommitConfig{Enabled: true}
-	return NewTable(ec, cfg.Heap, 6)
-}
-
-// Put upserts key=val in one committed transaction, mirroring the oracle.
+// put upserts key=val in one committed transaction, mirroring the oracle.
 // Typed write failures (read-only degradation, exhaustion) are returned
 // untouched for the caller's control flow.
-func (t *Table) Put(key, val string) error {
+func (t *table) put(key, val string) error {
 	r := Row(key, val)
 	tx := t.Eng.Begin()
 	if _, ok := t.Expect[key]; ok {
@@ -280,7 +288,7 @@ func (t *Table) Put(key, val string) error {
 }
 
 // del removes key in one committed transaction, mirroring the oracle.
-func (t *Table) del(key string) error {
+func (t *table) del(key string) error {
 	tx := t.Eng.Begin()
 	cur, err := t.Tbl.LookupOne(tx, t.ix, []byte(key), true)
 	if err == nil && cur == nil {
@@ -303,7 +311,7 @@ func (t *Table) del(key string) error {
 
 // lookupNS reads key at a fresh snapshot and returns the virtual time the
 // lookup cost. The value is held to the oracle.
-func (t *Table) lookupNS(key string) (int64, error) {
+func (t *table) lookupNS(key string) (int64, error) {
 	tx := t.Eng.Begin()
 	defer t.Eng.Abort(tx)
 	before := t.Eng.Clock.Now()
@@ -324,9 +332,9 @@ func (t *Table) lookupNS(key string) (int64, error) {
 	return elapsed, nil
 }
 
-// CheckState holds the engine to the oracle: a fresh snapshot's full scan
+// checkState holds the engine to the oracle: a fresh snapshot's full scan
 // over the primary index must yield exactly the expected committed rows.
-func (t *Table) CheckState(phase string) error {
+func (t *table) checkState(phase string) error {
 	tx := t.Eng.Begin()
 	defer t.Eng.Abort(tx)
 	got := map[string]string{}
@@ -379,15 +387,15 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 	defer t.Eng.Close()
 	rng := util.NewRand(cfg.Seed)
 
-	keys := 1500 * cfg.Scale
+	const keys = 1500
 	for i := 0; i < keys; i++ {
-		if err := t.Put(fmt.Sprintf("k%05d", i), randVal(rng, 500+rng.Intn(300))); err != nil {
+		if err := t.put(fmt.Sprintf("k%05d", i), randVal(rng, 500+rng.Intn(300))); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
 	const hot = "hot"
-	if err := t.Put(hot, randVal(rng, 64)); err != nil {
+	if err := t.put(hot, randVal(rng, 64)); err != nil {
 		return fp, err
 	}
 	fp.Committed++
@@ -415,9 +423,9 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 
 	// The storm: every update lands on the same key, growing its version
 	// chain through partition after partition (merges and GC absorb it).
-	storms := 1200 * cfg.Scale
+	const storms = 1200
 	for i := 0; i < storms; i++ {
-		if err := t.Put(hot, randVal(rng, 64+rng.Intn(64))); err != nil {
+		if err := t.put(hot, randVal(rng, 64+rng.Intn(64))); err != nil {
 			return fp, err
 		}
 		fp.Committed++
@@ -430,7 +438,7 @@ func runHotKey(cfg Config) (Fingerprint, error) {
 	if _, err := t.lookupNS(hot); err != nil {
 		return fp, err
 	}
-	fp.StateHash = HashState(t.Expect)
+	fp.StateHash = hashState(t.Expect)
 	fp.captureEngine(t.Eng)
 	return fp, nil
 }
@@ -458,10 +466,10 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 	rng := util.NewRand(cfg.Seed)
 
 	const cycles = 3
-	keysPerCycle := 600 * cfg.Scale
+	const keysPerCycle = 600
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < keysPerCycle; i++ {
-			err := t.Put(fmt.Sprintf("c%d-k%04d", c, i), randVal(rng, 800+rng.Intn(400)))
+			err := t.put(fmt.Sprintf("c%d-k%04d", c, i), randVal(rng, 800+rng.Intn(400)))
 			if err != nil {
 				if isSpacePressure(err) {
 					// The governor shed the write; the trough below will
@@ -492,13 +500,13 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 			return fp, fmt.Errorf("hostile: sawtooth trough reclaim: %w", err)
 		}
 	}
-	if err := t.CheckState("after-final-trough"); err != nil {
+	if err := t.checkState("after-final-trough"); err != nil {
 		return fp, err
 	}
 	// A handful of sentinel writes prove the engine still takes load in
 	// its settled footprint.
 	for i := 0; i < 5; i++ {
-		if err := t.Put(fmt.Sprintf("sentinel%d", i), "s"); err != nil {
+		if err := t.put(fmt.Sprintf("sentinel%d", i), "s"); err != nil {
 			return fp, err
 		}
 		fp.Committed++
@@ -511,7 +519,7 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 	if fp.FinalLive >= fp.PeakLive {
 		return fp, fmt.Errorf("hostile: sawtooth ratcheted: final live %d >= peak %d", fp.FinalLive, fp.PeakLive)
 	}
-	fp.StateHash = HashState(t.Expect)
+	fp.StateHash = hashState(t.Expect)
 	fp.captureEngine(t.Eng)
 	return fp, nil
 }
@@ -524,25 +532,31 @@ func runSawtooth(cfg Config) (Fingerprint, error) {
 // the engine must degrade to read-only at the hard watermark; degraded
 // reads must stay correct at both the pinned and fresh snapshots; and
 // releasing the snapshot must heal the engine through the abort-boundary
-// reclamation retry.
+// reclamation retry, with live bytes under the soft watermark and the log
+// truncated. Writes then resume, an injected ENOSPC must degrade and heal
+// the same way, and crash recovery from the checkpointed log must rebuild
+// exactly the oracle state.
 func runSnapshotPin(cfg Config) (Fingerprint, error) {
 	fp := Fingerprint{Kind: SnapshotPin}
-	t, err := newTable(cfg, db.Config{
+	// A 16 MiB device with the watermarks at 3 and 4 MiB: far below
+	// capacity, so the governor's watermarks decide, not raw ENOSPC.
+	ec := db.Config{
 		BufferPages:          1024,
 		PartitionBufferBytes: 1 << 22,
 		DeviceCapacityBytes:  16 << 20,
 		SpaceSoftBytes:       3 << 20,
 		SpaceHardBytes:       4 << 20,
-	})
+	}
+	t, err := newTable(cfg, ec)
 	if err != nil {
 		return fp, err
 	}
-	defer t.Eng.Close()
+	defer func() { t.Eng.Close() }() // t is rebound to the recovered engine below
 	rng := util.NewRand(cfg.Seed)
 
 	const keys = 48
 	for i := 0; i < keys; i++ {
-		if err := t.Put(fmt.Sprintf("k%04d", i), fmt.Sprintf("seed%d", i)); err != nil {
+		if err := t.put(fmt.Sprintf("k%04d", i), fmt.Sprintf("seed%d", i)); err != nil {
 			return fp, err
 		}
 		fp.Committed++
@@ -556,10 +570,10 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 		}
 	}()
 
-	maxTx := 30000 * cfg.Scale
+	const maxTx = 30000
 	for i := 0; i < maxTx && !t.Eng.ReadOnly(); i++ {
 		key := fmt.Sprintf("k%04d", i%keys)
-		if err := t.Put(key, randVal(rng, 200+rng.Intn(120))); err != nil {
+		if err := t.put(key, randVal(rng, 200+rng.Intn(120))); err != nil {
 			if isSpacePressure(err) {
 				fp.TypedErrs++
 				break
@@ -574,6 +588,7 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 			fp.PinTxs, t.Eng.SpaceInfo().Live)
 	}
 	fp.PinnedLive = t.Eng.SpaceInfo().Live
+	fp.WALAtRO = t.Eng.WALDeviceBytes()
 
 	// Degraded: writes fail fast with the typed error…
 	tx := t.Eng.Begin()
@@ -596,7 +611,7 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 		}
 	}
 	// …and a fresh snapshot sees the newest committed state.
-	if err := t.CheckState("degraded"); err != nil {
+	if err := t.checkState("degraded"); err != nil {
 		return fp, err
 	}
 
@@ -609,23 +624,70 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 	for i := 0; i < 5 && t.Eng.ReadOnly(); i++ {
 		t.Eng.Abort(t.Eng.Begin())
 	}
-	if t.Eng.ReadOnly() {
-		return fp, fmt.Errorf("hostile: snapshot-pin: engine still read-only after snapshot release: %+v",
-			t.Eng.SpaceInfo())
+	st := t.Eng.SpaceInfo()
+	if st.ReadOnly || st.Live >= st.Soft {
+		return fp, fmt.Errorf("hostile: snapshot-pin: snapshot release left the engine read-only or at live >= soft: %+v", st)
 	}
-	fp.ReleasedLive = t.Eng.SpaceInfo().Live
+	fp.ReleasedLive = st.Live
+	fp.WALAfter = t.Eng.WALDeviceBytes()
+	if fp.WALAfter >= fp.WALAtRO {
+		return fp, fmt.Errorf("hostile: snapshot-pin: checkpoint did not truncate the log: %d -> %d bytes", fp.WALAtRO, fp.WALAfter)
+	}
 	for i := 0; i < 5; i++ {
-		if err := t.Put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
+		if err := t.put(fmt.Sprintf("r%04d", i), fmt.Sprintf("resume%d", i)); err != nil {
 			return fp, err
 		}
 		fp.Committed++
 	}
-	if err := t.CheckState("resumed"); err != nil {
+	if err := t.checkState("resumed"); err != nil {
 		return fp, err
 	}
-	fp.StateHash = HashState(t.Expect)
+
+	// An injected ENOSPC: the next extent allocation fails with
+	// storage.ErrNoSpace. Every probe insert rides one uncommitted
+	// transaction, so no WAL flush runs while the rule is armed, and fat rows
+	// force a fresh heap extent within a few inserts. Only an AnyClass rule
+	// matches a fresh-frontier allocation, which has no class yet. The typed
+	// error must degrade the engine, and the abort's reclamation must re-open
+	// it (live is under soft).
+	roEntries := t.Eng.SpaceInfo().ROEntries
+	rule := t.Eng.Dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultNoSpace, Class: ssd.AnyClass, Ops: []uint64{1}})
+	probe := t.Eng.Begin()
+	var nospace error
+	for i := 0; i < 500 && nospace == nil; i++ {
+		_, _, nospace = t.Tbl.Insert(probe, Row(fmt.Sprintf("p%04d", i), strings.Repeat("y", 4000)))
+	}
+	t.Eng.Dev.DisarmFault(rule)
+	t.Eng.Abort(probe)
+	fp.NoSpaceInjected = t.Eng.Dev.FaultCounters().Injected[ssd.FaultNoSpace]
+	switch {
+	case !errors.Is(nospace, storage.ErrNoSpace):
+		return fp, fmt.Errorf("hostile: snapshot-pin: armed FaultNoSpace surfaced as %v, want storage.ErrNoSpace", nospace)
+	case fp.NoSpaceInjected == 0 || t.Eng.SpaceInfo().ROEntries == roEntries:
+		return fp, fmt.Errorf("hostile: snapshot-pin: injected ENOSPC went uncounted or never degraded the engine: %d injected, %+v",
+			fp.NoSpaceInjected, t.Eng.SpaceInfo())
+	case t.Eng.ReadOnly():
+		return fp, errors.New("hostile: snapshot-pin: the probe's abort did not re-open the engine")
+	}
+	if err := t.checkState("enospc-probe"); err != nil {
+		return fp, err
+	}
+	fp.StateHash = hashState(t.Expect)
 	fp.captureEngine(t.Eng)
-	return fp, nil
+
+	// Crash and recover from the checkpointed log: the snapshot fence plus
+	// the post-checkpoint tail must rebuild exactly the oracle state.
+	img := t.Eng.LogImage()
+	t.Eng.Crash()
+	recovered, err := newTable(cfg, ec)
+	if err != nil {
+		return fp, fmt.Errorf("hostile: snapshot-pin: recover: %w", err)
+	}
+	recovered.Expect, t = t.Expect, recovered
+	if fp.RecoveredTxs, err = t.Eng.Recover(img); err != nil {
+		return fp, fmt.Errorf("hostile: snapshot-pin: recover: %w", err)
+	}
+	return fp, t.checkState("recovered")
 }
 
 // ---- scenario: tenant-skewed mix through the shard router ----
@@ -663,11 +725,6 @@ func tenantWeights(rng *util.Rand) [4]int {
 // The invariants: the soft-watermark gate must engage under the bursts,
 // commits must resume after the first load-shed (a maintenance window
 // genuinely reopened the gate), and minority tenants must not starve.
-// skewTrace, when set (tests only), receives per-burst crest and
-// per-window floor telemetry from runTenantSkew — the calibration seam
-// for choosing the soft watermark inside the burst/floor envelope.
-var skewTrace func(string, ...any)
-
 func runTenantSkew(cfg Config) (Fingerprint, error) {
 	fp := Fingerprint{Kind: TenantSkew}
 	r, err := shard.New(shard.Config{
@@ -733,7 +790,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 
 	const bursts = 5
 	const queueTicks = 3
-	opsPerBurst := 600 * cfg.Scale
+	const opsPerBurst = 600
 	for b := 0; b < bursts; b++ {
 		// Each burst runs under a tenant's analytical snapshot: a read
 		// transaction pinned on every shard for the burst's duration. The
@@ -753,7 +810,6 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 				}
 			}
 		}
-		var burstCommits int64
 		for i := 0; i < opsPerBurst; i++ {
 			ten := pickTenant()
 			key := fmt.Sprintf("t%d-k%04d", ten, rng.Intn(192))
@@ -781,7 +837,6 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 			}
 			fp.Committed++
 			fp.Tenants[ten]++
-			burstCommits++
 			if fp.Rejected > 0 {
 				// Service resumed after load shedding: the proof the
 				// admission gate is an oscillator, not a one-way door.
@@ -792,11 +847,6 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 		// The analytical snapshot ends with the burst; only then can the
 		// maintenance window's reclamation actually make progress.
 		unpin()
-		if skewTrace != nil {
-			skewTrace("burst %d: commits=%d queued=%d rejected=%d live=[%d %d]",
-				b, burstCommits, fp.Queued, fp.Rejected,
-				r.Shard(0).Engine.SpaceInfo().Live, r.Shard(1).Engine.SpaceInfo().Live)
-		}
 		if b == bursts-1 {
 			break
 		}
@@ -830,11 +880,6 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 				}
 			}
 		}
-		if skewTrace != nil {
-			skewTrace("window %d: floor=[%d %d] wal=[%d %d]",
-				b, r.Shard(0).Engine.SpaceInfo().Live, r.Shard(1).Engine.SpaceInfo().Live,
-				r.Shard(0).Engine.WALDeviceBytes(), r.Shard(1).Engine.WALDeviceBytes())
-		}
 	}
 
 	// The soft-watermark gate must have engaged under the bursts, commits
@@ -865,7 +910,7 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 				keys[i], v, ok, expect[keys[i]])
 		}
 	}
-	fp.StateHash = HashState(expect)
+	fp.StateHash = hashState(expect)
 	for i := 0; i < r.NumShards(); i++ {
 		fp.captureEngine(r.Shard(i).Engine)
 	}

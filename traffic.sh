@@ -48,7 +48,7 @@ run mvpbt-bench -run fig3 -csv
 run mvpbt-bench -run fig3 -json
 run mvpbt-bench -run fig14d -device zns
 refuses mvpbt-bench -run fig3 -device floppy
-# The verification arsenal: five campaigns, the differential harness on its
+# The verification arsenal: four campaigns, the differential harness on its
 # own, one cell by its repro line, and the harness's self-test (it injects a
 # visibility fault, must find and shrink it, and exits 1).
 run mvpbt-check all
