@@ -58,6 +58,9 @@ traffic:
 # mvpbt-server flags is back in a non-test file. And the hostile catalogue
 # has one driver, the scenarios campaign: neither the exhaustion campaign
 # (folded into snapshot-pin) nor the bench's copy of the matrix is back.
+# And partitions pack their file's extents: no non-test file under
+# internal/index/ takes a run with AllocRun, and sfile does not round a
+# file's size up to an extent boundary.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -71,6 +74,8 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a removed setting is back (it is a constant):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'exhaustCampaign|ExhaustFingerprint|runScenarioMatrix' --include='*.go' .; grep -nE '^bench-scenario[s]:' Makefile); \
 	if [ -n "$$bad" ]; then echo "seams: a second driver of the hostile catalogue is back:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rn 'AllocRun(' --include='*.go' internal/index | grep -v '_test\.go:'; grep -nE 'nPages ?(%|\+=|\+ ?ExtentPages)' internal/sfile/sfile.go); \
+	if [ -n "$$bad" ]; then echo "seams: partition runs are extent-aligned again:"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

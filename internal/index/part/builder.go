@@ -76,27 +76,25 @@ func (l hashList) each(fn func(bloom.Hash)) {
 // charges a 64 KiB sequential write more than eight 8 KiB ones. Only each
 // leaf's first key and the keys' filter hashes are kept: the first keys
 // become the segment's fences and the hashes its filters, and no page but a
-// leaf is written. A build that fails or is aborted returns its extents; it
-// is over at the first error.
+// leaf is written. A build that fails or is aborted frees its pages; it is
+// over at the first error.
 //
-// The run's extents are taken one at a time as it advances (AllocRun of one
-// extent each), never ahead of it: the size is unknown until the last
-// record, and reserving a bound would charge live bytes — and risk
-// ErrNoSpace — for pages the segment never has. The builder must be the only
-// allocator on the file while it runs (the index structures serialize their
-// builds per file; an allocation in between is reported, not built around).
-// The extents are adjacent on the device, as one AllocRun of the final size
-// would make them, only while no OTHER file of the manager allocates in
-// between: each is taken at the frontier, under its own lock hold.
+// Each leaf takes the file's next page (AllocPage) as it is written, never
+// ahead: the size is unknown until the last record, and reserving a bound
+// would charge live bytes — and risk ErrNoSpace — for pages the segment
+// never has. So a run starts in the file's open extent, where the previous
+// segment ended, and partitions pack the file's extents (§4.7) rather than
+// each rounding up to whole ones. The builder must be the only allocator on
+// the file while it runs (the index structures serialize their builds per
+// file; an allocation in between is reported, not built around).
 type Builder struct {
 	pool *buffer.Pool
 	file *sfile.File
 	no   int
 	opts BuildOptions
 
-	start  uint64    // first page of the run, once backed > 0
-	backed int       // pages of the run backed by extents; 0 once done
-	nPages int       // leaves written: the rel of the leaf under construction
+	start  uint64    // first page of the run, once nPages > 0
+	nPages int       // pages the run holds: the rel of the leaf under construction; 0 once done
 	node   page.Page // the one leaf image
 	used   int       // of leafBudget, in the current leaf
 
@@ -176,26 +174,22 @@ func (b *Builder) Add(key, body []byte) error {
 }
 
 // writeLeaf writes the page image as the run's next page — around the pool's
-// frames, through its checked write — taking the run's next extent first if
-// the page opens one.
+// frames, through its checked write.
 func (b *Builder) writeLeaf() error {
-	if b.nPages == b.backed {
-		start, err := b.file.AllocRun(sfile.ExtentPages)
-		if err != nil {
-			return fmt.Errorf("part: segment alloc: %w", err)
-		}
-		if b.backed == 0 {
-			b.start = start
-		} else if start != b.start+uint64(b.backed) {
-			b.file.FreeRun(start, sfile.ExtentPages)
-			return fmt.Errorf("part: segment alloc: pages allocated in %q behind the run under construction", b.file.Name())
-		}
-		b.backed += sfile.ExtentPages
+	no, err := b.file.AllocPage()
+	if err != nil {
+		return fmt.Errorf("part: segment alloc: %w", err)
 	}
-	if err := b.pool.WritePage(b.file, b.start+uint64(b.nPages), b.node.Bytes()); err != nil {
-		return fmt.Errorf("part: segment write-out: %w", err)
+	if b.nPages == 0 {
+		b.start = no
+	} else if no != b.start+uint64(b.nPages) {
+		b.file.FreeRun(no, 1)
+		return fmt.Errorf("part: segment alloc: pages allocated in %q behind the run under construction", b.file.Name())
 	}
 	b.nPages++
+	if err := b.pool.WritePage(b.file, no, b.node.Bytes()); err != nil {
+		return fmt.Errorf("part: segment write-out: %w", err)
+	}
 	return nil
 }
 
@@ -205,12 +199,12 @@ func (b *Builder) fail(err error) error {
 	return err
 }
 
-// Abort abandons the build and returns its extents to the file. It is a
-// no-op after Finish or a failed Add, so callers may defer it.
+// Abort abandons the build and frees its pages. It is a no-op after Finish
+// or a failed Add, so callers may defer it.
 func (b *Builder) Abort() {
-	if b.backed > 0 {
-		b.file.FreeRun(b.start, b.backed)
-		b.backed = 0
+	if b.nPages > 0 {
+		b.file.FreeRun(b.start, b.nPages)
+		b.nPages = 0
 	}
 }
 
@@ -251,7 +245,7 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 		seg.PFilter = bloom.NewPrefix(b.prefixes.len(), b.opts.BloomBitsPerKey+2, p)
 		b.prefixes.each(seg.PFilter.AddHash)
 	}
-	b.backed = 0 // the segment owns the run now
+	b.nPages = 0 // the segment owns the run now
 	return seg, nil
 }
 

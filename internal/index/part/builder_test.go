@@ -167,7 +167,9 @@ func TestBuilderFailureReturnsExtents(t *testing.T) {
 		{"first-page", failWrite(1), storage.ErrIOFault},
 		{"middle-page", failWrite(whole.NumLeaves / 2), storage.ErrIOFault},
 		{"last-leaf", failWrite(whole.NumLeaves), storage.ErrIOFault},
-		{"no-space-mid-run", func(e *env) { e.fm.SetCapacity(e.fm.LiveBytes() + 2*sfile.ExtentBytes) }, storage.ErrNoSpace},
+		// The run packs behind the first build's leaves: it needs two
+		// extents more than the file's open one, and gets one.
+		{"no-space-mid-run", func(e *env) { e.fm.SetCapacity(e.fm.LiveBytes() + sfile.ExtentBytes) }, storage.ErrNoSpace},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := newEnv(16)
@@ -233,20 +235,21 @@ func TestBuilderAbort(t *testing.T) {
 	}
 }
 
-// TestBuilderRefusesForeignAllocation: pages allocated in the file while a
+// TestBuilderRefusesForeignAllocation: a page allocated in the file while a
 // build is under way would leave its run with a hole. The build fails at its
-// next extent and gives back every extent it took — the ones before the
-// foreign pages and the one behind them — but not the foreign ones.
+// next leaf and frees every page it took — the ones before the foreign page
+// and the one behind it — but not the foreign one, whose extent stays live.
 func TestBuilderRefusesForeignAllocation(t *testing.T) {
 	e := newEnv(16)
 	b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
 	var err error
+	var foreign uint64
 	for i, kv := range randomKVs(1, 600, 1024, 1) {
 		if i == 100 { // the first extent is taken, the second is not
 			if e.fm.LiveBytes() != sfile.ExtentBytes {
 				t.Fatalf("%d bytes live after 100 KiB", e.fm.LiveBytes())
 			}
-			if _, err := e.file.AllocRun(1); err != nil {
+			if foreign, err = e.file.AllocRun(1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -261,7 +264,7 @@ func TestBuilderRefusesForeignAllocation(t *testing.T) {
 		t.Fatalf("%d bytes live after the failed build, want the foreign extent only", e.fm.LiveBytes())
 	}
 	buf := make([]byte, storage.PageSize)
-	if err := e.file.ReadPage(sfile.ExtentPages, buf); err != nil {
+	if err := e.file.ReadPage(foreign, buf); err != nil {
 		t.Fatalf("the foreign page was freed with the run: %v", err)
 	}
 	b.Abort()
@@ -319,6 +322,60 @@ func TestReaderMatchesIterator(t *testing.T) {
 	}
 	if n != len(keys) || n != seg.NumRecords {
 		t.Fatalf("reader yielded %d records, iterator %d, segment holds %d", len(keys), n, seg.NumRecords)
+	}
+}
+
+// TestSegmentStartingMidExtent: a segment packed behind another starts
+// inside the file's open extent and straddles its boundary. The reader reads
+// each extent it touches once, and the reader, the iterator and a scan's
+// read-ahead all yield every record in order.
+func TestSegmentStartingMidExtent(t *testing.T) {
+	e := newEnv(64)
+	if _, err := Build(e.pool, e.file, 1, randomKVs(2, 10, 1024, 1), 0, 0, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	kvs := randomKVs(3, 300, 1024, 1)
+	seg, err := Build(e.pool, e.file, 2, kvs, 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := seg.StartPage/sfile.ExtentPages, (seg.StartPage+uint64(seg.NumLeaves)-1)/sfile.ExtentPages
+	if seg.StartPage%sfile.ExtentPages == 0 || last != first+1 {
+		t.Fatalf("segment at pages [%d,%d): want one starting mid-extent and crossing a boundary", seg.StartPage, seg.StartPage+uint64(seg.NumLeaves))
+	}
+	check := func(name string, n int, key, body []byte) {
+		t.Helper()
+		if n >= len(kvs) || !bytes.Equal(key, kvs[n].Key) || !bytes.Equal(body, kvs[n].Body) {
+			t.Fatalf("%s: record %d differs", name, n)
+		}
+	}
+	e.dev.ResetStats()
+	n := 0
+	rd := seg.NewReader()
+	for ; rd.Valid(); rd.Next() {
+		check("reader", n, rd.Key(), rd.Body())
+		n++
+	}
+	if rd.Err() != nil || n != len(kvs) {
+		t.Fatalf("reader: %d of %d records, err %v", n, len(kvs), rd.Err())
+	}
+	if st := e.dev.Stats(); st.Reads != int64(last-first+1) || st.BytesRead != int64(seg.NumLeaves)*storage.PageSize {
+		t.Fatalf("reader: %d device reads of %d bytes, want one per extent touched: %d of %d", st.Reads, st.BytesRead, last-first+1, seg.NumLeaves*storage.PageSize)
+	}
+	for _, scan := range []struct {
+		name       string
+		hi         []byte
+		rows, recs int
+	}{{"iterator", nil, 0, 0}, {"bounded-scan", kvs[len(kvs)-1].Key, 0, 0}, {"sweep", nil, len(kvs), len(kvs)}} {
+		var it Iterator
+		n = 0
+		for it.SeekScan(seg, nil, scan.hi, scan.rows, scan.recs); it.Valid(); it.Next() {
+			check(scan.name, n, it.Record().Key, it.Record().Body)
+			n++
+		}
+		if it.Err() != nil || n != len(kvs) {
+			t.Fatalf("%s: %d of %d records, err %v", scan.name, n, len(kvs), it.Err())
+		}
 	}
 }
 

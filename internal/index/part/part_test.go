@@ -340,6 +340,36 @@ func TestFreeReleasesExtents(t *testing.T) {
 	}
 }
 
+// TestPackedPartitionsShareExtents: small partitions built one after another
+// on one file pack its extents — each starts at the page after the last one's
+// — rather than taking an extent each, and freeing every one of them returns
+// every extent.
+func TestPackedPartitionsShareExtents(t *testing.T) {
+	e := newEnv(64)
+	var segs []*Segment
+	leaves := 0
+	for i := 0; i < 40; i++ {
+		seg, err := Build(e.pool, e.file, i, randomKVs(uint64(i), 10, 1024, 1), 0, 0, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.StartPage != uint64(leaves) {
+			t.Fatalf("segment %d starts at page %d, want %d", i, seg.StartPage, leaves)
+		}
+		segs, leaves = append(segs, seg), leaves+seg.NumLeaves
+	}
+	held := int(e.fm.LiveBytes() / sfile.ExtentBytes)
+	if limit := (leaves+sfile.ExtentPages-1)/sfile.ExtentPages + 1; leaves < 2*len(segs) || held > limit {
+		t.Fatalf("%d partitions of %d leaves hold %d extents, want at most %d", len(segs), leaves, held, limit)
+	}
+	for _, seg := range segs {
+		seg.Free()
+	}
+	if e.fm.LiveBytes() != 0 || e.fm.FreeExtents() != held {
+		t.Fatalf("after freeing every partition: %d bytes live, %d of %d extents free", e.fm.LiveBytes(), e.fm.FreeExtents(), held)
+	}
+}
+
 func TestRandomKeysModel(t *testing.T) {
 	e := newEnv(512)
 	r := util.NewRand(77)

@@ -20,6 +20,7 @@ import (
 type Reader struct {
 	seg   *Segment
 	buf   []byte // the leaf pages of the current leaf's extent (room for one extent's)
+	first int    // rel of the leaf at the start of buf
 	leaf  int    // rel of the current leaf
 	cur   leafCursor
 	valid bool
@@ -61,21 +62,22 @@ func (r *Reader) Next() {
 		if r.leaf++; r.leaf >= r.seg.NumLeaves {
 			return
 		}
-		if r.leaf%sfile.ExtentPages == 0 {
+		if r.leaf == 0 || (r.seg.StartPage+uint64(r.leaf))%sfile.ExtentPages == 0 {
 			if r.err = r.fill(); r.err != nil {
 				return
 			}
 		}
-		off := r.leaf % sfile.ExtentPages * storage.PageSize
+		off := (r.leaf - r.first) * storage.PageSize
 		r.cur.reset(page.Wrap(r.buf[off : off+storage.PageSize]))
 	}
 }
 
-// fill reads the leaves of the extent starting at r.leaf into buf.
+// fill reads the leaves from r.leaf to the end of its extent into buf.
 func (r *Reader) fill() error {
 	s := r.seg
 	var pages [sfile.ExtentPages][]byte // on the stack: the read keeps none of them
-	n := min(sfile.ExtentPages, s.NumLeaves-r.leaf)
+	r.first = r.leaf
+	n := min(sfile.ExtentPages-int((s.StartPage+uint64(r.leaf))%sfile.ExtentPages), s.NumLeaves-r.leaf)
 	for i := range pages[:n] {
 		pages[i] = r.buf[i*storage.PageSize : (i+1)*storage.PageSize]
 	}

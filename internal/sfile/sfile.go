@@ -164,21 +164,16 @@ func (m *Manager) Lookup(id storage.FileID) *File {
 	return m.files[id]
 }
 
-// allocExtent hands out one extent, reusing freed extents first. preferNew
-// forces fresh frontier space (used for partition runs, which want device
-// contiguity for sequential write-out). The allocation is charged against
-// the live-byte budget — reusing a freed extent counts the same as frontier
-// space, since freed extents were discarded and their live bytes released —
-// and checked against the device's armed FaultNoSpace rules. On failure
-// nothing is committed: the free list, frontier, and live count are
-// untouched.
-func (m *Manager) allocExtent(preferNew bool, class Class) (int64, error) {
-	var off int64
-	fromFree := !preferNew && len(m.free) > 0
+// allocExtent hands out one extent, reusing freed extents first. The
+// allocation is charged against the live-byte budget — reusing a freed
+// extent counts the same as frontier space, since freed extents were
+// discarded and their live bytes released — and checked against the
+// device's armed FaultNoSpace rules. On failure nothing is committed: the
+// free list, frontier, and live count are untouched.
+func (m *Manager) allocExtent(class Class) (int64, error) {
+	off, fromFree := m.frontier, len(m.free) > 0
 	if fromFree {
 		off = m.free[len(m.free)-1]
-	} else {
-		off = m.frontier
 	}
 	if cap := m.capacity.Load(); cap > 0 && m.live.Load()+ExtentBytes > cap {
 		return 0, fmt.Errorf("sfile: extent at off=%d: live=%d + extent=%d exceeds capacity=%d: %w",
@@ -216,7 +211,10 @@ func (m *Manager) FreeExtents() int {
 }
 
 // File is a storage object: a growable array of pages mapped onto device
-// extents. Files are safe for concurrent use.
+// extents. Page numbers are handed out in order and never twice; an extent
+// is returned to the manager when the last page handed out in it is freed,
+// so runs of any length pack the file's extents (a segment usage table, as
+// in a log-structured file system). Files are safe for concurrent use.
 type File struct {
 	m     *Manager
 	id    storage.FileID
@@ -224,7 +222,8 @@ type File struct {
 	class Class
 
 	mu      sync.Mutex
-	extents []int64 // device byte offset per extent; -1 = freed
+	extents []int64  // device byte offset per extent; -1 = freed
+	live    []uint32 // per extent, one bit per page handed out and not freed
 	nPages  uint64
 }
 
@@ -237,7 +236,8 @@ func (f *File) Name() string { return f.name }
 // Class returns the file's buffer-statistics class.
 func (f *File) Class() Class { return f.class }
 
-// NumPages returns the number of allocated pages (including freed runs).
+// NumPages returns the number of page numbers handed out (including freed
+// ones).
 func (f *File) NumPages() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -258,98 +258,92 @@ func (f *File) AllocPage() (uint64, error) {
 	return no, err
 }
 
+// allocPageLocked hands out the page after the last one, in the file's open
+// extent, or in a new one if that is full — or was freed under the file, in
+// which case its remaining page numbers stay dead.
 func (f *File) allocPageLocked() (uint64, error) {
 	no := f.nPages
 	ext := int(no / ExtentPages)
+	if ext < len(f.extents) && f.extents[ext] < 0 {
+		ext++
+		no = uint64(ext) * ExtentPages
+	}
 	if ext >= len(f.extents) {
 		f.m.mu.Lock()
-		off, err := f.m.allocExtent(false, f.class)
+		off, err := f.m.allocExtent(f.class)
 		f.m.mu.Unlock()
 		if err != nil {
 			return 0, fmt.Errorf("sfile: file %q: %w", f.name, err)
 		}
-		f.extents = append(f.extents, off)
+		f.extents, f.live = append(f.extents, off), append(f.live, 0)
 	}
-	f.nPages++
+	f.live[ext] |= 1 << (no % ExtentPages)
+	f.nPages = no + 1
 	return no, nil
 }
 
-// AllocRun allocates n pages starting at an extent boundary, backed by
-// freshly allocated (device-contiguous where possible) extents. It returns
-// the first page number. Partition eviction uses this so the subsequent
-// page writes form one long sequential stream. A capacity failure mid-run
-// rolls the whole run back (extents already taken are freed again, the file
-// size is restored) so a failed AllocRun is a no-op.
+// AllocRun allocates n consecutive pages, the file's next, and returns the
+// first page number. Pages are handed out as by AllocPage: the run fills the
+// open extent before it takes new ones. A capacity failure mid-run rolls
+// the whole run back (its pages are freed again, extents it took with them,
+// and the file size is restored) so a failed AllocRun is a no-op.
 func (f *File) AllocRun(n int) (uint64, error) {
 	if n <= 0 {
 		panic("sfile: AllocRun with n <= 0")
 	}
 	f.mu.Lock()
-	savedPages := f.nPages
-	savedExt := len(f.extents)
-	// Align to the next extent boundary; the tail of the current extent is
-	// wasted (dense-packed partitions tolerate this, and it keeps runs
-	// extent-aligned for freeing).
-	if rem := f.nPages % ExtentPages; rem != 0 {
-		f.nPages += ExtentPages - rem
-	}
-	start := f.nPages
-	need := (n + ExtentPages - 1) / ExtentPages
-	var allocErr error
-	f.m.mu.Lock()
-	for i := 0; i < need; i++ {
-		off, err := f.m.allocExtent(true, f.class)
+	savedPages, savedExt := f.nPages, len(f.extents)
+	var start uint64
+	for i := 0; i < n; i++ {
+		no, err := f.allocPageLocked()
 		if err != nil {
-			allocErr = err
-			break
+			f.freeLocked(start, i)
+			f.extents, f.live, f.nPages = f.extents[:savedExt], f.live[:savedExt], savedPages
+			f.mu.Unlock()
+			return 0, fmt.Errorf("sfile: file %q: run of %d pages: %w", f.name, n, err)
 		}
-		f.extents = append(f.extents, off)
-	}
-	if allocErr != nil {
-		for _, off := range f.extents[savedExt:] {
-			f.m.freeExtent(off)
+		if i == 0 {
+			start = no
 		}
-		f.extents = f.extents[:savedExt]
-		f.nPages = savedPages
 	}
-	f.m.mu.Unlock()
-	if allocErr != nil {
-		f.mu.Unlock()
-		return 0, fmt.Errorf("sfile: file %q: run of %d pages: %w", f.name, n, allocErr)
-	}
-	f.nPages = start + uint64(n)
 	f.mu.Unlock()
 	f.m.noteSpace()
 	return start, nil
 }
 
-// FreeRun releases the extents backing pages [start, start+n). start must
-// be extent-aligned (as returned by AllocRun). The page numbers must never
-// be referenced again.
+// FreeRun frees pages [start, start+n), returning to the manager each
+// extent whose last live page is among them. The page numbers must never be
+// referenced again; pages already freed, or never handed out, are skipped.
 func (f *File) FreeRun(start uint64, n int) {
-	if start%ExtentPages != 0 {
-		panic("sfile: FreeRun start not extent-aligned")
-	}
 	f.mu.Lock()
-	first := int(start / ExtentPages)
-	last := int((start + uint64(n) + ExtentPages - 1) / ExtentPages)
-	f.m.mu.Lock()
-	for i := first; i < last && i < len(f.extents); i++ {
-		if f.extents[i] >= 0 {
-			f.m.freeExtent(f.extents[i])
-			f.extents[i] = -1
-		}
-	}
-	f.m.mu.Unlock()
+	f.freeLocked(start, n)
 	f.mu.Unlock()
 	f.m.noteSpace()
 }
 
-func (f *File) offsetOf(pageNo uint64) (int64, error) {
-	ext := int(pageNo / ExtentPages)
+// freeLocked is FreeRun with f.mu held.
+func (f *File) freeLocked(start uint64, n int) {
+	f.m.mu.Lock()
+	defer f.m.mu.Unlock()
+	for p, end := start, min(start+uint64(n), f.nPages); p < end; {
+		ext, k := p/ExtentPages, min(end-p, ExtentPages-p%ExtentPages)
+		if w := &f.live[ext]; *w != 0 {
+			if *w &^= uint32((uint64(1)<<k - 1) << (p % ExtentPages)); *w == 0 {
+				f.m.freeExtent(f.extents[ext])
+				f.extents[ext] = -1
+			}
+		}
+		p += k
+	}
+}
+
+// offsetOf returns the device offset of pageNo, checking that it and the
+// n-1 pages after it, in the same extent, are live.
+func (f *File) offsetOf(pageNo uint64, n int) (int64, error) {
+	ext, mask := int(pageNo/ExtentPages), uint32((uint64(1)<<n-1)<<(pageNo%ExtentPages))
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ext >= len(f.extents) || f.extents[ext] < 0 {
+	if ext >= len(f.extents) || f.live[ext]&mask != mask {
 		return 0, fmt.Errorf("sfile: page %d of file %q: %w", pageNo, f.name, storage.ErrFreedPage)
 	}
 	return f.extents[ext] + int64(pageNo%ExtentPages)*storage.PageSize, nil
@@ -371,7 +365,7 @@ func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
 	if n := len(pages); n == 0 || pageNo/ExtentPages != (pageNo+uint64(n)-1)/ExtentPages {
 		return fmt.Errorf("sfile: file %q: %d pages at %d are not a page run inside one extent", f.name, n, pageNo)
 	}
-	off, err := f.offsetOf(pageNo)
+	off, err := f.offsetOf(pageNo, len(pages))
 	if err != nil {
 		return err
 	}
@@ -380,7 +374,7 @@ func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
 
 // WritePage writes buf to page pageNo. Errors mirror ReadPage.
 func (f *File) WritePage(pageNo uint64, buf []byte) error {
-	off, err := f.offsetOf(pageNo)
+	off, err := f.offsetOf(pageNo, 1)
 	if err != nil {
 		return err
 	}
@@ -396,7 +390,7 @@ func (f *File) WriteSectors(pageNo uint64, off int, buf []byte) error {
 	if off < 0 || len(buf) == 0 || off%ssd.SectorSize != 0 || len(buf)%ssd.SectorSize != 0 || off+len(buf) > storage.PageSize {
 		return fmt.Errorf("sfile: page %d of file %q: range [%d,%d) is not a sector run inside the page", pageNo, f.name, off, off+len(buf))
 	}
-	base, err := f.offsetOf(pageNo)
+	base, err := f.offsetOf(pageNo, 1)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package sfile
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"mvpbt/internal/simclock"
@@ -94,13 +95,13 @@ func TestTwoFilesDoNotOverlap(t *testing.T) {
 	}
 }
 
-func TestAllocRunAlignedAndSequential(t *testing.T) {
+func TestAllocRunPackedAndSequential(t *testing.T) {
 	m := newMgr()
 	f := m.Create("idx", ClassIndex)
 	mustAllocPage(t, f) // leave the file mid-extent
 	start := mustAllocRun(t, f, 100)
-	if start%ExtentPages != 0 {
-		t.Fatalf("run start %d not extent-aligned", start)
+	if start != 1 {
+		t.Fatalf("run start %d, want the page after the last (1)", start)
 	}
 	// Writing the run in order must be sequential on the device.
 	dev := m.Device()
@@ -418,5 +419,138 @@ func TestReadPages(t *testing.T) {
 	f.FreeRun(start, ExtentPages)
 	if err := f.ReadPages(start, pages); !errors.Is(err, storage.ErrFreedPage) {
 		t.Fatalf("ReadPages of a freed extent: %v", err)
+	}
+}
+
+// TestRunsShareAnExtent: two runs packed into one extent. Freeing one keeps
+// the extent live, and only its own pages read as freed; freeing the other
+// returns the extent.
+func TestRunsShareAnExtent(t *testing.T) {
+	m := newMgr()
+	f := m.Create("idx", ClassIndex)
+	a := mustAllocRun(t, f, 10)
+	b := mustAllocRun(t, f, 12)
+	if a != 0 || b != 10 || m.LiveBytes() != ExtentBytes {
+		t.Fatalf("runs at %d and %d over %d live bytes, want 0 and 10 in one extent", a, b, m.LiveBytes())
+	}
+	buf := make([]byte, storage.PageSize)
+	f.FreeRun(a, 10)
+	if m.LiveBytes() != ExtentBytes || m.FreeExtents() != 0 {
+		t.Fatalf("freeing one run released the shared extent: live=%d free=%d", m.LiveBytes(), m.FreeExtents())
+	}
+	for p := uint64(0); p < 22; p++ {
+		err := f.ReadPage(p, buf)
+		if freed := errors.Is(err, storage.ErrFreedPage); freed != (p < 10) {
+			t.Fatalf("page %d after freeing [0,10): %v", p, err)
+		}
+	}
+	pages := make([][]byte, 2)
+	for i := range pages {
+		pages[i] = make([]byte, storage.PageSize)
+	}
+	if err := f.ReadPages(9, pages); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("a run read over a freed page: %v", err)
+	}
+	f.FreeRun(b, 12)
+	if m.LiveBytes() != 0 || m.FreeExtents() != 1 {
+		t.Fatalf("freeing the last run kept the extent: live=%d free=%d", m.LiveBytes(), m.FreeExtents())
+	}
+	f.FreeRun(a, 22) // freed pages are skipped: nothing is released twice
+	if m.FreeExtents() != 1 {
+		t.Fatalf("a second free released %d extents", m.FreeExtents())
+	}
+}
+
+// TestFreedOpenExtentIsSkipped: when every page of the file's open extent is
+// freed under it, the extent goes back, and the next page opens a new one;
+// the dead page numbers are never handed out again.
+func TestFreedOpenExtentIsSkipped(t *testing.T) {
+	m := newMgr()
+	f := m.Create("t", ClassTable)
+	mustAllocRun(t, f, ExtentPages+3)
+	f.FreeRun(ExtentPages, 3)
+	if m.LiveBytes() != ExtentBytes || m.FreeExtents() != 1 {
+		t.Fatalf("open extent not returned: live=%d free=%d", m.LiveBytes(), m.FreeExtents())
+	}
+	if no := mustAllocPage(t, f); no != 2*ExtentPages {
+		t.Fatalf("page %d after the freed open extent, want %d", no, 2*ExtentPages)
+	}
+	if m.LiveBytes() != 2*ExtentBytes || m.FreeExtents() != 0 {
+		t.Fatalf("new extent not taken: live=%d free=%d", m.LiveBytes(), m.FreeExtents())
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := f.WritePage(2*ExtentPages, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadPage(ExtentPages+5, buf); !errors.Is(err, storage.ErrFreedPage) {
+		t.Fatalf("a dead page number of the freed extent: %v", err)
+	}
+}
+
+// TestFailedAllocLeavesFileUnchanged: an AllocPage or AllocRun that fails on
+// capacity or an injected ENOSPC leaves the file's extents, its page bits
+// and its size as they were.
+func TestFailedAllocLeavesFileUnchanged(t *testing.T) {
+	page := func(f *File) error { _, err := f.AllocPage(); return err }
+	run := func(f *File) error { _, err := f.AllocRun(2 * ExtentPages); return err }
+	for _, c := range []struct {
+		name  string
+		fill  int // pages taken in the open extent before the failure
+		arm   func(m *Manager)
+		alloc func(f *File) error
+	}{
+		{"page/capacity", ExtentPages, func(m *Manager) { m.SetCapacity(m.LiveBytes()) }, page},
+		{"run/capacity", ExtentPages - 2, func(m *Manager) { m.SetCapacity(m.LiveBytes() + ExtentBytes) }, run},
+		{"page/fault", ExtentPages, func(m *Manager) {
+			m.Device().ArmFault(ssd.FaultRule{Kind: ssd.FaultNoSpace, Class: ssd.AnyClass, Ops: []uint64{1}})
+		}, page},
+		{"run/fault", ExtentPages - 2, func(m *Manager) {
+			m.Device().ArmFault(ssd.FaultRule{Kind: ssd.FaultNoSpace, Class: ssd.AnyClass, Ops: []uint64{2}})
+		}, run},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMgr()
+			f := m.Create("idx", ClassIndex)
+			mustAllocRun(t, f, 2*ExtentPages+5)
+			f.FreeRun(2*ExtentPages, 2) // a hole in the open extent
+			f.FreeRun(0, ExtentPages)   // and a freed extent
+			mustAllocRun(t, f, c.fill-5)
+			extents, live, pages, liveBytes := slices.Clone(f.extents), slices.Clone(f.live), f.NumPages(), m.LiveBytes()
+			c.arm(m)
+			if err := c.alloc(f); !errors.Is(err, storage.ErrNoSpace) {
+				t.Fatalf("alloc: got %v, want ErrNoSpace", err)
+			}
+			if !slices.Equal(f.extents, extents) || !slices.Equal(f.live, live) || f.NumPages() != pages || m.LiveBytes() != liveBytes {
+				t.Fatalf("failed alloc changed the file: extents %v -> %v, bits %x -> %x, pages %d -> %d, live %d -> %d",
+					extents, f.extents, live, f.live, pages, f.NumPages(), liveBytes, m.LiveBytes())
+			}
+			m.SetCapacity(0)
+			m.Device().DisarmAllFaults()
+			if no := mustAllocPage(t, f); no != pages {
+				t.Fatalf("next page after the failure: %d, want %d", no, pages)
+			}
+		})
+	}
+}
+
+// TestWholeFileFreeAfterPartialFrees: FreeRun(0, NumPages()), as the WAL and
+// a table rebuild drop a whole file, releases every extent still live
+// exactly once, however much of the file was freed before.
+func TestWholeFileFreeAfterPartialFrees(t *testing.T) {
+	m := newMgr()
+	f := m.Create("log", ClassMeta)
+	mustAllocRun(t, f, 4*ExtentPages+9)
+	f.FreeRun(ExtentPages, ExtentPages) // extent 1 goes
+	f.FreeRun(3, 40)                    // extent 0 and 2 lose pages, stay live
+	if m.FreeExtents() != 1 || m.LiveBytes() != 4*ExtentBytes {
+		t.Fatalf("after partial frees: free=%d live=%d", m.FreeExtents(), m.LiveBytes())
+	}
+	f.FreeRun(0, int(f.NumPages()))
+	if m.FreeExtents() != 5 || m.LiveBytes() != 0 {
+		t.Fatalf("after the whole-file free: free=%d live=%d, want 5 and 0", m.FreeExtents(), m.LiveBytes())
+	}
+	f.FreeRun(0, int(f.NumPages()))
+	if m.FreeExtents() != 5 {
+		t.Fatalf("a second whole-file free released %d extents", m.FreeExtents())
 	}
 }

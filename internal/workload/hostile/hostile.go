@@ -739,14 +739,17 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 			// The soft watermark sits inside the envelope the bursts
 			// oscillate through: below the crests the analytical pin
 			// forces (the WAL cannot checkpoint while the snapshot is
-			// live, so ~1.8 MiB accumulates) and above most maintenance
-			// floors, so the gate engages under burst pressure and
-			// commits resume once a window reclaims below it.
+			// live; with partitions packed into shared extents, live
+			// bytes crest between 1 500 and 1 600 KiB) and above the
+			// maintenance floors, so the gate engages under burst
+			// pressure and commits resume once a window reclaims below
+			// it. 1 300 to 1 500 KiB run identically; at 1 200 most of
+			// the run is shed, and at 900 commits never resume.
 			// Deliberately NOT a multiple of the 256 KiB extent size:
 			// live bytes are extent-quantized, and a watermark on the
 			// grid can be hit exactly by a settled floor, pinning
 			// `live >= soft` true forever.
-			SpaceSoftBytes: 1700 << 10,
+			SpaceSoftBytes: 1400 << 10,
 			SpaceHardBytes: 10 << 20,
 		},
 		// A bounded partition count makes merges (and with them garbage
