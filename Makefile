@@ -60,7 +60,9 @@ traffic:
 # (folded into snapshot-pin) nor the bench's copy of the matrix is back.
 # And partitions pack their file's extents: no non-test file under
 # internal/index/ takes a run with AllocRun, and sfile does not round a
-# file's size up to an extent boundary.
+# file's size up to an extent boundary. And the served path reads frames into
+# the buffers its two ends keep: outside internal/server/wire and the
+# benchmark's probe, no non-test file calls the allocating wire.ReadFrame.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -76,6 +78,8 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a second driver of the hostile catalogue is back:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rn 'AllocRun(' --include='*.go' internal/index | grep -v '_test\.go:'; grep -nE 'nPages ?(%|\+=|\+ ?ExtentPages)' internal/sfile/sfile.go); \
 	if [ -n "$$bad" ]; then echo "seams: partition runs are extent-aligned again:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rn 'wire\.ReadFrame(' --include='*.go' . | grep -vE '_test\.go:|^\./(internal/server/wire|benchmarks)/'); \
+	if [ -n "$$bad" ]; then echo "seams: a served path reads frames into fresh buffers (use wire.ReadFrameInto):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -86,11 +90,13 @@ bench-gates:
 	go test ./internal/bench/ -run 'WallClockGates' -count 1 -bench-gates
 
 # Ten-second fuzz smokes over the wire decoders — the first code that
-# touches untrusted network bytes: the frame decoder on both sides, the Scan
-# reply's pair decoder on the client's. The full fuzzer runs with -fuzztime
-# raised; crashers land in internal/server/wire/testdata/fuzz/.
+# touches untrusted network bytes: the frame decoder on both sides, fresh and
+# through one reused buffer, the Scan reply's pair decoder on the client's.
+# The full fuzzer runs with -fuzztime raised; crashers land in
+# internal/server/wire/testdata/fuzz/.
 fuzz-wire:
-	go test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/server/wire/
+	go test -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/server/wire/
+	go test -fuzz='^FuzzReadFrameInto$$' -fuzztime=10s ./internal/server/wire/
 	go test -fuzz=FuzzTakePairs -fuzztime=10s ./internal/server/wire/
 
 # The same for the two decoders that read log bytes off a device: WAL
@@ -100,15 +106,17 @@ fuzz-wal:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
 
-# And for the partition layer's decoders of device bytes: the leaf cursor
+# And for the partition layer's decoders of device bytes: the slotted page's
+# slot directory under Get, Live and LiveCount; the leaf cursor
 # behind part.Iterator and part.Reader, which reads pages where they lie, and
 # the MV-PBT record body inside a leaf; plus the fence search, which must
 # pick the leaf the linear rule picks and seek to the first record at or
 # above the probe, and the prefix filter, which must never skip a range that
 # holds a key; plus the loser tree every k-way merge runs on, which must emit
 # what a stable sort by (key, source) does. Crashers land in
-# internal/index/{part,mvpbt}/testdata/fuzz/ and internal/util/testdata/fuzz/.
+# internal/{page,index/part,index/mvpbt,util}/testdata/fuzz/.
 fuzz-part:
+	go test -fuzz=FuzzPageSlots -fuzztime=10s ./internal/page/
 	go test -fuzz=FuzzLeafCursor -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzFenceSearch -fuzztime=10s ./internal/index/part/
 	go test -fuzz=FuzzPrefixFilter -fuzztime=10s ./internal/index/part/

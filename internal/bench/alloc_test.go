@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -9,7 +10,10 @@ import (
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/db"
 	"mvpbt/internal/index"
+	"mvpbt/internal/server"
+	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/shard"
 	"mvpbt/internal/simclock"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
@@ -122,8 +126,9 @@ func newAllocTable(tb testing.TB) (*db.Engine, *db.Table) {
 	return e, tbl
 }
 
-// TestHotPathAllocGate pins steady-state allocs/op for the write hot path.
-// The limits carry a little slack over the measured values (0 / 1 / 3 / 3; see
+// TestHotPathAllocGate pins steady-state allocs/op for the write hot path
+// and the read path under it, in process and served. The limits carry a
+// little slack over the measured values (0 / 1 / 0 / 3 / 3 in process; see
 // EXPERIMENTS.md) so incidental work — a tall skiplist tower, an amortized
 // partition-buffer eviction — does not flake the gate, while a genuine +1
 // allocation regression still trips it.
@@ -153,6 +158,19 @@ func TestHotPathAllocGate(t *testing.T) {
 	if got > 1.5 {
 		t.Errorf("KV Get: %.2f allocs/op, want <=1 (the returned value copy)", got)
 	}
+	var dst []byte
+	got = testing.AllocsPerRun(runs, func() {
+		tx := e.Begin()
+		v, ok, err := kv.AppendGetTx(tx, dst[:0], key)
+		e.Commit(tx)
+		if err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+		dst = v
+	})
+	if got > 0.25 {
+		t.Errorf("KV AppendGetTx into a reused buffer: %.2f allocs/op, want 0 (the served GET's lookup)", got)
+	}
 	got = testing.AllocsPerRun(runs, func() {
 		if err := kv.Put(key, val); err != nil {
 			t.Fatal(err)
@@ -173,6 +191,65 @@ func TestHotPathAllocGate(t *testing.T) {
 	}
 
 	t.Run("persisted", func(t *testing.T) { persistedReadAllocs(t, runs) })
+	t.Run("served", func(t *testing.T) { servedAllocs(t, runs) })
+}
+
+// servedAllocs gates the served read path: a GET and a SCAN(50) round trip
+// of 1 KiB values through an in-process server and a shardclient.Client over
+// loopback TCP, counting the allocations of both ends. Each end reads frames
+// into a buffer it keeps, the server builds its reply in the session's
+// buffer and the client decodes SCAN pairs into a slice it keeps, so what is
+// left does not grow with the bytes served. Measured: a GET allocates 1 (the
+// transaction id segment wire.U32 encodes for the client's request), a
+// SCAN(50) 4 (the client's two u32 segments; the server's shard.Tx and its
+// per-shard legs, the snapshot the scan runs at).
+func servedAllocs(t *testing.T, runs int) {
+	if raceEnabled {
+		t.Skip("the scan path recycles its state through a sync.Pool, which -race drops at random")
+	}
+	r, err := shard.New(shard.Config{Shards: 2, Engine: db.Config{BufferPages: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	srv := server.New(r, server.Config{})
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop(context.Background())
+	c, err := shardclient.Dial(addr.String(), "alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	val := bytes.Repeat([]byte("v"), 1024)
+	keys := make([][]byte, 512)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%08d", i))
+		if err := c.Set(0, keys[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	get := testing.AllocsPerRun(runs, func() {
+		next++
+		if v, ok, err := c.Get(0, keys[next%len(keys)]); err != nil || !ok || len(v) != len(val) {
+			t.Fatal(len(v), ok, err)
+		}
+	})
+	scan := testing.AllocsPerRun(runs/10, func() {
+		next++
+		if kvs, err := c.Scan(0, keys[next%(len(keys)-50)], 50); err != nil || len(kvs) != 50 {
+			t.Fatal(len(kvs), err)
+		}
+	})
+	if get > 2.5 {
+		t.Errorf("served GET round trip: %.2f allocs/op, want <=2 (measured 1)", get)
+	}
+	if scan > 4.5 {
+		t.Errorf("served SCAN(50) round trip: %.2f allocs/op, want <=4 (measured 4)", scan)
+	}
 }
 
 // TestSealWriteOutAllocGate: the pool's write-out of a full seal queue —

@@ -262,19 +262,22 @@ func (m *MVPBTKV) PutTx(tx *txn.Tx, key, val []byte) error {
 func (m *MVPBTKV) Get(key []byte) ([]byte, bool, error) {
 	tx := m.e.Begin()
 	defer m.e.Commit(tx)
-	return m.GetTx(tx, key)
+	return m.AppendGetTx(tx, nil, key)
 }
 
-// GetTx is Get at the snapshot of a caller-owned transaction.
-func (m *MVPBTKV) GetTx(tx *txn.Tx, key []byte) ([]byte, bool, error) {
-	var out []byte
+// AppendGetTx is the one point lookup: at the snapshot of a caller-owned
+// transaction, it appends key's value to dst and returns the extended
+// buffer, or dst unchanged if the key has no visible value. The value is
+// copied once, out of the leaf or P_N record it lies in; a server builds its
+// reply in dst.
+func (m *MVPBTKV) AppendGetTx(tx *txn.Tx, dst, key []byte) ([]byte, bool, error) {
 	found := false
 	err := m.tree.Lookup(tx, key, func(e index.Entry) bool {
-		out = append([]byte(nil), e.Val...)
+		dst = append(dst, e.Val...)
 		found = true
 		return false
 	})
-	return out, found, err
+	return dst, found, err
 }
 
 // Delete implements KV: a blind tombstone (no predecessor reference

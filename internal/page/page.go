@@ -146,9 +146,10 @@ func (p Page) Get(i int) []byte {
 	return p.b[off : off+l]
 }
 
-// Live reports whether slot i holds a record.
+// Live reports whether slot i holds a record. A slot past the page, which
+// only a damaged slot count names, holds none (see Get).
 func (p Page) Live(i int) bool {
-	if i < 0 || i >= p.numSlots() {
+	if i < 0 || i >= p.numSlots() || slotBase+(i+1)*slotSize > len(p.b) {
 		return false
 	}
 	_, l := p.slot(i)
@@ -333,11 +334,11 @@ func (p Page) Compact() {
 	p.setGarbage(0)
 }
 
-// LiveCount returns the number of live records.
+// LiveCount returns the number of live records (see Live).
 func (p Page) LiveCount() int {
 	c := 0
 	for i, n := 0, p.numSlots(); i < n; i++ {
-		if _, l := p.slot(i); l != 0 {
+		if p.Live(i) {
 			c++
 		}
 	}

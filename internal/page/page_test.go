@@ -305,3 +305,35 @@ func TestChecksumContentChangeDetected(t *testing.T) {
 		t.Fatal("restamped page should verify")
 	}
 }
+
+// FuzzPageSlots reads arbitrary page bytes — a page's two ends, head and
+// tail, with zeros between, as a device might return them damaged — through
+// the slot directory: Get, Live and LiveCount never panic, whatever slot
+// count and entries the bytes declare, and LiveCount counts the slots Live
+// reports.
+func FuzzPageSlots(f *testing.F) {
+	p := newPage()
+	p.Insert([]byte("alpha"))
+	p.Insert([]byte("beta"))
+	f.Add(p.b[:64], p.b[storage.PageSize-64:])
+	f.Add([]byte{0xFF, 0xFF}, []byte(nil))                     // 65535 slots, most past the page
+	f.Add(append([]byte{0x10, 0x08}, p.b[2:64]...), []byte{1}) // 2064 slots: the last ones straddle the end
+	f.Fuzz(func(t *testing.T, head, tail []byte) {
+		b := make([]byte, storage.PageSize)
+		copy(b[storage.PageSize-min(len(tail), storage.PageSize):], tail)
+		copy(b, head)
+		p := Wrap(b)
+		live := 0
+		for i := -1; i <= p.NumSlots(); i++ {
+			if rec := p.Get(i); rec != nil && !p.Live(i) {
+				t.Fatalf("slot %d: Get returns %d bytes of a slot Live calls dead", i, len(rec))
+			}
+			if p.Live(i) {
+				live++
+			}
+		}
+		if n := p.LiveCount(); n != live {
+			t.Fatalf("LiveCount = %d, Live holds for %d slots", n, live)
+		}
+	})
+}

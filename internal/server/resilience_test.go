@@ -359,6 +359,38 @@ func TestRTxExactlyOnceCounter(t *testing.T) {
 	}
 }
 
+// TestRClientResultsOutliveNextCall: a Client's results alias the reply
+// buffer it reuses, but an RClient's are the caller's to keep — a GET value
+// and SCAN pairs held across further GETs on the same session stay intact.
+func TestRClientResultsOutliveNextCall(t *testing.T) {
+	_, _, addr := startServer(t, 2, server.Config{})
+	rc := shardclient.NewRClient(shardclient.RConfig{Addr: addr, Tenant: "t1", Seed: 3})
+	defer rc.Close()
+	for _, kv := range [][2]string{{"hold-a", "first value"}, {"hold-b", "second, longer value"}} {
+		if err := rc.Set([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, ok, err := rc.Get([]byte("hold-a"))
+	if err != nil || !ok {
+		t.Fatalf("get hold-a: %v %v", ok, err)
+	}
+	pairs, err := rc.Scan([]byte("hold-"), 2)
+	if err != nil || len(pairs) != 2 {
+		t.Fatalf("scan: %d pairs, %v", len(pairs), err)
+	}
+	if b, ok, err := rc.Get([]byte("hold-b")); err != nil || !ok || string(b) != "second, longer value" {
+		t.Fatalf("get hold-b: %q %v %v", b, ok, err)
+	}
+	if string(a) != "first value" {
+		t.Fatalf("held GET value reads %q after a second GET, want %q", a, "first value")
+	}
+	if string(pairs[0].Key) != "hold-a" || string(pairs[0].Val) != "first value" ||
+		string(pairs[1].Key) != "hold-b" || string(pairs[1].Val) != "second, longer value" {
+		t.Fatalf("held SCAN pairs read %q after a GET", pairs)
+	}
+}
+
 // TestResolveWaitsForCommitInFlight: a connection that dies under its COMMIT
 // sends the client straight to a new one to resolve the token, while the
 // server may still be executing that commit. The resolution must wait for

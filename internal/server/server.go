@@ -14,6 +14,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -393,12 +394,15 @@ type session struct {
 	// carried (absent for token-less Begins).
 	tokens map[uint32]uint64
 	nextTx uint32
-	// scanReply is the buffer SCAN replies are assembled in, reset rather
-	// than reallocated between requests, and scanPairs the pairs in it; the
-	// request loop is their only user. collect is appendPair bound once: a
-	// callback goes to its target through an interface, where a closure made
-	// per request would escape to the heap with everything it captures.
-	scanReply []byte
+	// req is the buffer request frames are read into and reply the one GET
+	// and SCAN replies are assembled in, each reset rather than reallocated
+	// between requests (and dropped past wire.MaxKeptBuffer); scanPairs
+	// counts the pairs in a SCAN reply. The request loop is their only user.
+	// collect is appendPair bound once: a callback goes to its target
+	// through an interface, where a closure made per request would escape to
+	// the heap with everything it captures.
+	req       []byte
+	reply     []byte
 	scanPairs uint32
 	collect   func(k, v []byte) bool
 	// forcedDL is a drain-imposed read deadline (unix nanos; 0 = none).
@@ -406,11 +410,6 @@ type session struct {
 	// cannot extend its life past the drain grace.
 	forcedDL atomic.Int64
 }
-
-// maxKeptScanReply is the largest SCAN reply buffer a session holds on to
-// between requests: one frame-sized reply must not pin 16 MiB per idle
-// session.
-const maxKeptScanReply = 1 << 20
 
 // readDeadline computes the next request's read deadline from the idle
 // timeout and any drain-forced deadline.
@@ -449,7 +448,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// First frame must be HELLO; it carries the protocol version and the
 	// tenant name admission accounts against.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	op, payload, err := wire.ReadFrame(br)
+	op, payload, req, err := wire.ReadFrameInto(br, nil)
 	if err != nil || op != wire.OpHello {
 		return
 	}
@@ -469,7 +468,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		tenant = "default"
 	}
 
-	sess := &session{conn: conn, tenant: tenant, txs: map[uint32]*shard.Tx{}, tokens: map[uint32]uint64{}}
+	sess := &session{conn: conn, tenant: tenant, txs: map[uint32]*shard.Tx{}, tokens: map[uint32]uint64{}, req: wire.Keep(req)}
 	sess.collect = sess.appendPair
 	status := s.admit(sess)
 	if status != wire.StatusOK {
@@ -487,10 +486,11 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	for {
 		conn.SetReadDeadline(sess.readDeadline(s.cfg.IdleTimeout))
-		op, payload, err := wire.ReadFrame(br)
+		op, payload, req, err := wire.ReadFrameInto(br, sess.req)
 		if err != nil {
 			return // disconnect, idle/drain deadline, or malformed frame
 		}
+		sess.req = wire.Keep(req)
 		if err := s.dispatch(sess, bw, op, payload); err != nil {
 			return
 		}
@@ -581,7 +581,7 @@ func fail(bw *bufio.Writer, err error) error {
 // target is what GET, SET, DEL and SCAN run against: the router itself for
 // tx 0 (autocommit), the session's open transaction otherwise.
 type target interface {
-	Get(key []byte) ([]byte, bool, error)
+	AppendGet(dst, key []byte) ([]byte, bool, error)
 	Put(key, val []byte) error
 	Delete(key []byte) error
 	Scan(lo []byte, limit int, fn func(key, val []byte) bool) error
@@ -608,15 +608,17 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 
 	switch op {
 	case wire.OpGet:
-		v, found, err := t.Get(rest)
+		// The reply, u8 found | val, is assembled in the session's buffer,
+		// which the value is copied into straight from the record.
+		body, found, err := t.AppendGet(append(sess.reply[:0], 0), rest)
+		sess.reply = wire.Keep(body)
 		if err != nil {
 			return fail(bw, err)
 		}
-		f := []byte{0}
 		if found {
-			f[0] = 1
+			body[0] = 1
 		}
-		return wire.WriteFrame(bw, wire.StatusOK, f, v)
+		return wire.WriteFrame(bw, wire.StatusOK, body)
 
 	case wire.OpSet:
 		key, val, err := wire.TakeBytes(rest)
@@ -639,19 +641,18 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 		if err != nil {
 			return wire.WriteFrame(bw, wire.StatusErr, []byte("malformed SCAN"))
 		}
-		// The reply is assembled in the session's buffer, which keeps its
-		// capacity from one SCAN to the next; a session answers one request
-		// at a time.
-		sess.scanPairs, sess.scanReply = 0, sess.scanReply[:0]
+		// The reply, u32 n | n pairs, is assembled in the session's buffer,
+		// which keeps its capacity from one request to the next; a session
+		// answers one request at a time.
+		sess.scanPairs, sess.reply = 0, append(sess.reply[:0], 0, 0, 0, 0)
 		err = t.Scan(lo, int(limit), sess.collect)
-		n, body := sess.scanPairs, sess.scanReply
-		if cap(body) > maxKeptScanReply {
-			sess.scanReply = nil
-		}
+		body := sess.reply
+		sess.reply = wire.Keep(body)
 		if err != nil {
 			return fail(bw, err)
 		}
-		return wire.WriteFrame(bw, wire.StatusOK, wire.U32(n), body)
+		binary.BigEndian.PutUint32(body, sess.scanPairs)
+		return wire.WriteFrame(bw, wire.StatusOK, body)
 
 	case wire.OpBegin:
 		s.mu.Lock()
@@ -750,7 +751,7 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 // appendPair is the SCAN callback: one more pair in the reply, until the
 // frame is full.
 func (sess *session) appendPair(k, v []byte) bool {
-	sess.scanReply = wire.AppendPair(sess.scanReply, k, v)
+	sess.reply = wire.AppendPair(sess.reply, k, v)
 	sess.scanPairs++
-	return len(sess.scanReply) < wire.MaxFrame-64
+	return len(sess.reply) < wire.MaxFrame-64
 }

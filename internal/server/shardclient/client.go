@@ -1,6 +1,12 @@
 // Package shardclient is the Go client for mvpbt-server's wire protocol.
 // A Client owns one TCP connection and issues requests serially (the
 // protocol has no pipelining); use one Client per goroutine.
+//
+// A Client reads every reply into one buffer it keeps, so the value Get
+// returns and the pairs Scan returns, keys and values, alias buffers the
+// Client reuses: they are valid until the next call on the same Client. A
+// caller that keeps one longer copies it. An RClient does that copy for its
+// callers; errors and every other result are the caller's to keep.
 package shardclient
 
 import (
@@ -89,6 +95,10 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// reply is the buffer every reply frame is read into and pairs the one
+	// Scan decodes a reply's pairs into, both kept between calls (wire.Keep).
+	reply []byte
+	pairs []KV
 }
 
 // Dial connects, performs the HELLO handshake as tenant, and returns an
@@ -127,7 +137,8 @@ func (c *Client) call(op byte, segs ...[]byte) ([]byte, error) {
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	status, payload, err := wire.ReadFrame(c.br)
+	status, payload, buf, err := wire.ReadFrameInto(c.br, c.reply)
+	c.reply = wire.Keep(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +187,8 @@ func statusErr(status byte, payload []byte) error {
 }
 
 // Get reads key. tx 0 is an autocommit read of the newest committed
-// version; tx > 0 reads at that transaction's cross-shard snapshot.
+// version; tx > 0 reads at that transaction's cross-shard snapshot. The
+// value is valid until the next call on c.
 func (c *Client) Get(tx uint32, key []byte) ([]byte, bool, error) {
 	payload, err := c.call(wire.OpGet, wire.U32(tx), key)
 	if err != nil {
@@ -205,13 +217,16 @@ func (c *Client) Del(tx uint32, key []byte) error {
 }
 
 // Scan returns up to limit pairs with key >= lo in global key order, at
-// tx's snapshot (tx 0 takes a fresh consistent snapshot for the scan).
+// tx's snapshot (tx 0 takes a fresh consistent snapshot for the scan). The
+// pairs, keys and values, are valid until the next call on c.
 func (c *Client) Scan(tx uint32, lo []byte, limit int) ([]KV, error) {
 	payload, err := c.call(wire.OpScan, wire.U32(tx), wire.U32(uint32(limit)), lo)
 	if err != nil {
 		return nil, err
 	}
-	return wire.TakePairs(payload)
+	kvs, err := wire.TakePairs(payload, c.pairs)
+	c.pairs = wire.Keep(kvs)
+	return kvs, err
 }
 
 // Begin opens a cross-shard transaction and returns its session-local id.

@@ -29,6 +29,7 @@
 package shardclient
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -77,6 +78,8 @@ var ErrTxLost = errors.New("shardclient: transaction lost before commit (not app
 
 // RClient is a self-healing client: one logical session that transparently
 // spans physical connections. Not safe for concurrent use (like Client).
+// Unlike Client's, the values and pairs it returns are the caller's to keep:
+// they are copied out of the connection's reply buffer.
 //
 // An RClient must be the only writer of the keys it writes: its SET and DEL
 // are retried after a transport error, and a retry can land after — and
@@ -210,7 +213,7 @@ func (r *RClient) Get(key []byte) (val []byte, ok bool, err error) {
 		val, ok, err = c.Get(0, key)
 		return err
 	})
-	return val, ok, err
+	return bytes.Clone(val), ok, err
 }
 
 // Scan reads up to limit pairs with key >= lo (idempotent; always retried).
@@ -219,7 +222,16 @@ func (r *RClient) Scan(lo []byte, limit int) (out []KV, err error) {
 		out, err = c.Scan(0, lo, limit)
 		return err
 	})
-	return out, err
+	return clonePairs(out), err
+}
+
+// clonePairs copies a Scan's pairs out of the connection's reply buffer.
+func clonePairs(kvs []KV) []KV {
+	out := make([]KV, len(kvs))
+	for i, kv := range kvs {
+		out[i] = KV{Key: bytes.Clone(kv.Key), Val: bytes.Clone(kv.Val)}
+	}
+	return out
 }
 
 // Set upserts key (autocommit; retried, see RClient).
@@ -312,7 +324,7 @@ func (t *RTx) Get(key []byte) (v []byte, ok bool, err error) {
 		v, ok, err = c.Get(t.id, key)
 		return err
 	})
-	return v, ok, err
+	return bytes.Clone(v), ok, err
 }
 
 // Commit drives the transaction to a definite outcome. On a clean ack the

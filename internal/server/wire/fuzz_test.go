@@ -21,13 +21,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: the malformed/truncated/oversized shapes the unit tests
 	// pin down, plus valid frames of each flavor.
-	valid := func(op byte, segs ...[]byte) []byte {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, op, segs...); err != nil {
-			f.Fatalf("seed frame: %v", err)
-		}
-		return buf.Bytes()
-	}
+	valid := func(op byte, segs ...[]byte) []byte { return frame(f, op, segs...) }
 	f.Add(valid(OpHello, U32(ProtoVersion), []byte("tenant")))
 	f.Add(valid(OpSet, U32(3), []byte("key"), []byte("val")))
 	f.Add(valid(OpCommit, U32(0), U64(0xdeadbeef)))
@@ -71,15 +65,56 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			// Round-trip: re-encoding the decoded frame must reproduce the
 			// consumed bytes exactly.
-			var re bytes.Buffer
-			if err := WriteFrame(&re, op, payload); err != nil {
-				t.Fatalf("re-encoding decoded frame: %v", err)
-			}
+			re := frame(t, op, payload)
 			start := len(data) - before
-			if !bytes.Equal(re.Bytes(), data[start:start+consumed]) {
+			if !bytes.Equal(re, data[start:start+consumed]) {
 				t.Fatalf("round-trip mismatch:\n consumed %x\n re-encoded %x",
-					data[start:start+consumed], re.Bytes())
+					data[start:start+consumed], re)
 			}
+		}
+	})
+}
+
+// FuzzReadFrameInto decodes an arbitrary byte stream frame after frame
+// through one reused buffer, and a fresh ReadFrame over a second reader of the
+// same bytes alongside it: every frame must come out the same from both — op,
+// payload and error class, read on past a refused header — so a short frame
+// after a long one shows no stale bytes of the long one, and a truncated or
+// oversized frame leaves the buffer fit for the next read.
+//
+//	go test -fuzz=FuzzReadFrameInto -fuzztime=30s ./internal/server/wire/
+func FuzzReadFrameInto(f *testing.F) {
+	long, short := frame(f, OpSet, U32(1), bytes.Repeat([]byte("L"), 300)), frame(f, OpGet, []byte("s"))
+	f.Add(append(long, short...))                                   // a short frame after a long one
+	f.Add(append(append(long, 0, 0, 0, 0), short...))               // then a zero-length header
+	f.Add(append(append(short, 0xFF, 0xFF, 0xFF, 0xFF), long...))   // an oversized header between frames
+	f.Add(append(append(long, short...), append(U32(9), OpSet)...)) // ending in a truncated frame
+	f.Add(append(frame(f, OpStats), frame(f, OpBegin)...))          // empty payloads
+	class := func(err error) error {
+		for _, typed := range []error{ErrZeroLengthFrame, ErrFrameTooLarge, ErrTruncatedFrame, io.ErrUnexpectedEOF, io.EOF} {
+			if errors.Is(err, typed) {
+				return typed
+			}
+		}
+		return err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		into, fresh := bytes.NewReader(data), bytes.NewReader(data)
+		var buf []byte
+		for i := 0; ; i++ {
+			op, payload, grown, err := ReadFrameInto(into, buf)
+			wantOp, want, wantErr := ReadFrame(fresh)
+			if class(err) != class(wantErr) || op != wantOp || !bytes.Equal(payload, want) {
+				t.Fatalf("frame %d: ReadFrameInto = %d %x %v, ReadFrame = %d %x %v (input %x)",
+					i, op, payload, err, wantOp, want, wantErr, data)
+			}
+			if into.Len() != fresh.Len() {
+				t.Fatalf("frame %d: ReadFrameInto left %d bytes, ReadFrame %d", i, into.Len(), fresh.Len())
+			}
+			if into.Len() == 0 {
+				return
+			}
+			buf = grown // also after an error: the stream goes on behind a refused header
 		}
 	})
 }
@@ -95,7 +130,7 @@ func FuzzTakePairs(f *testing.F) {
 	f.Add(U32(0xFFFFFFFF))                             // the largest count over an empty body
 	f.Add(append(U32(1), 0, 0, 0, 9, 'k', 0, 0, 0, 0)) // a key length past the end
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pairs, err := TakePairs(data)
+		pairs, err := TakePairs(data, nil)
 		if err != nil {
 			if !errors.Is(err, ErrTruncatedFrame) {
 				t.Fatalf("TakePairs: untyped error %v (input %x)", err, data)

@@ -50,10 +50,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"unsafe"
 )
 
 // ProtoVersion is the protocol revision both sides must speak. Version 2
@@ -123,8 +126,10 @@ var ErrZeroLengthFrame = errors.New("wire: zero-length frame")
 // distinguishes it from transport-level read failures.
 var ErrTruncatedFrame = errors.New("wire: truncated frame")
 
-// WriteFrame sends one frame: opcode/status byte plus payload segments.
-func WriteFrame(w io.Writer, op byte, segs ...[]byte) error {
+// WriteFrame sends one frame, opcode/status byte plus payload segments,
+// into w, the buffered writer both ends keep per connection; the caller
+// flushes it.
+func WriteFrame(w *bufio.Writer, op byte, segs ...[]byte) error {
 	n := 1
 	for _, s := range segs {
 		n += len(s)
@@ -132,10 +137,10 @@ func WriteFrame(w io.Writer, op byte, segs ...[]byte) error {
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = op
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The header is built in w's free space: a local array would escape
+	// through w's io.Writer, one allocation per frame.
+	hdr := append(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(n)), op)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	for _, s := range segs {
@@ -146,29 +151,57 @@ func WriteFrame(w io.Writer, op byte, segs ...[]byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, returning its opcode/status byte and payload.
-func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// MaxKeptBuffer bounds the buffers either end keeps between frames (Keep),
+// so one large frame does not pin up to MaxFrame per idle connection.
+const MaxKeptBuffer = 1 << 20
+
+// Keep returns buf for its owner to reuse for the next frame, or nil if it
+// grew past MaxKeptBuffer bytes.
+func Keep[T any](buf []T) []T {
+	if cap(buf)*int(unsafe.Sizeof(*new(T))) > MaxKeptBuffer {
+		return nil
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return buf
+}
+
+// ReadFrame reads one frame into a fresh buffer, returning its opcode/status
+// byte and payload.
+func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
+	op, payload, _, err = ReadFrameInto(r, nil)
+	return op, payload, err
+}
+
+// ReadFrameInto reads one frame into buf, the caller's buffer, and returns
+// its opcode/status byte, its payload and buf grown to hold it; the payload
+// aliases the grown buffer. A caller that keeps that buffer allocates only
+// for a frame larger than every one before it.
+func ReadFrameInto(r io.Reader, buf []byte) (op byte, payload, grown []byte, err error) {
+	// The header is read into buf too: a local array would escape through
+	// the io.Reader call, one allocation per frame.
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, buf, err
+	}
+	n := binary.BigEndian.Uint32(buf)
 	if n < 1 {
-		return 0, nil, ErrZeroLengthFrame
+		return 0, nil, buf, ErrZeroLengthFrame
 	}
 	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w (declared %d bytes)", ErrFrameTooLarge, n)
+		return 0, nil, buf, fmt.Errorf("%w (declared %d bytes)", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if got, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 			// The header promised n bytes; the stream ended first. A clean
 			// EOF here is still a truncation — the frame had begun.
-			return 0, nil, fmt.Errorf("%w: payload ended at %d of %d declared bytes", ErrTruncatedFrame, got, n)
+			return 0, nil, buf, fmt.Errorf("%w: payload ended at %d of %d declared bytes", ErrTruncatedFrame, got, n)
 		}
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
-	return buf[0], buf[1:], nil
+	return buf[0], buf[1:], buf, nil
 }
 
 // U32 encodes v as a 4-byte big-endian segment.
@@ -226,11 +259,11 @@ func AppendPair(body, key, val []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(body, uint32(len(val))), val...)
 }
 
-// TakePairs decodes a Scan reply's payload, u32 n | n pairs; the pairs alias
-// p. The count is untrusted: a pair takes at least its two length fields, so
-// an n the remaining bytes cannot hold is refused before anything is
-// allocated for it.
-func TakePairs(p []byte) ([]Pair, error) {
+// TakePairs decodes a Scan reply's payload, u32 n | n pairs, into dst's
+// storage grown to hold them; the pairs alias p. The count is untrusted: a
+// pair takes at least its two length fields, so an n the remaining bytes
+// cannot hold is refused before anything is allocated for it.
+func TakePairs(p []byte, dst []Pair) ([]Pair, error) {
 	n, rest, err := TakeU32(p)
 	if err != nil {
 		return nil, err
@@ -238,7 +271,7 @@ func TakePairs(p []byte) ([]Pair, error) {
 	if uint64(n)*8 > uint64(len(rest)) {
 		return nil, fmt.Errorf("%w (%d pairs declared, %d bytes follow)", ErrTruncatedFrame, n, len(rest))
 	}
-	out := make([]Pair, n)
+	out := slices.Grow(dst[:0], int(n))[:n]
 	for i := range out {
 		if out[i].Key, rest, err = TakeBytes(rest); err != nil {
 			return nil, err

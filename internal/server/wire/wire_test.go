@@ -1,18 +1,28 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+// frame returns the bytes WriteFrame puts on the wire for op and segs.
+func frame(tb testing.TB, op byte, segs ...[]byte) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpSet, U32(7), []byte("key"), []byte("value")); err != nil {
-		t.Fatal(err)
+	bw := bufio.NewWriter(&buf)
+	if err := WriteFrame(bw, op, segs...); err != nil {
+		tb.Fatal(err)
 	}
-	op, payload, err := ReadFrame(&buf)
+	bw.Flush()
+	return buf.Bytes()
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	buf := bytes.NewBuffer(frame(t, OpSet, U32(7), []byte("key"), []byte("value")))
+	op, payload, err := ReadFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +39,11 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpBegin); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(frame(t, OpBegin))
 	if buf.Len() != 5 {
 		t.Fatalf("empty frame is %d bytes on the wire, want 5", buf.Len())
 	}
-	op, payload, err := ReadFrame(&buf)
+	op, payload, err := ReadFrame(buf)
 	if err != nil || op != OpBegin || len(payload) != 0 {
 		t.Fatalf("round-trip: op=%d payload=%q err=%v", op, payload, err)
 	}
@@ -44,10 +51,11 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpSet, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	bw := bufio.NewWriter(&buf)
+	if err := WriteFrame(bw, OpSet, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write: %v, want ErrFrameTooLarge", err)
 	}
-	if buf.Len() != 0 {
+	if bw.Buffered() != 0 || buf.Len() != 0 {
 		t.Fatal("oversized frame partially written")
 	}
 	// An oversized length on the read side is rejected before allocation.

@@ -191,16 +191,16 @@ func (r *Router) enter() error {
 func (r *Router) exit() { r.opGate.RUnlock() }
 
 // acquire takes shard i's health gate shared and checks availability. The
-// returned release must be called after the engine call completes; it is
+// returned gate must be released after the engine call completes; it is
 // nil when err is non-nil.
-func (r *Router) acquire(i int) (func(), error) {
+func (r *Router) acquire(i int) (*sync.RWMutex, error) {
 	h := r.health[i]
 	h.gate.RLock()
 	if h.unavailable() {
 		h.gate.RUnlock()
 		return nil, ErrShardUnavailable
 	}
-	return h.gate.RUnlock, nil
+	return &h.gate, nil
 }
 
 // Close shuts every shard engine down. Idempotent; returns the first
@@ -256,25 +256,33 @@ func wrap(shard int, key []byte, err error) error {
 // the leg's engine incarnation for a transaction's (Tx.leg) — then the engine
 // call, whose outcome the supervisor observes and the caller gets as a
 // ShardError naming shard and key.
-func (r *Router) routed(key []byte, gate func(i int) (func(), error), call func(i int) error) error {
+func (r *Router) routed(key []byte, admit func(i int) (*sync.RWMutex, error), call func(i int) error) error {
 	if err := r.enter(); err != nil {
 		return err
 	}
 	defer r.exit()
 	i := r.ShardOf(key)
-	release, err := gate(i)
+	gate, err := admit(i)
 	if err == nil {
 		err = call(i)
-		release()
+		gate.RUnlock()
 		r.observe(i, err)
 	}
 	return wrap(i, key, err)
 }
 
 // Get reads the newest committed version of key (single-shard autocommit).
-func (r *Router) Get(key []byte) (v []byte, ok bool, err error) {
+func (r *Router) Get(key []byte) ([]byte, bool, error) { return r.AppendGet(nil, key) }
+
+// AppendGet is Get appending the value to dst, which it returns extended (or
+// unchanged if key has no visible value).
+func (r *Router) AppendGet(dst, key []byte) (v []byte, ok bool, err error) {
+	v = dst
 	err = r.routed(key, r.acquire, func(i int) (err error) {
-		v, ok, err = r.shards[i].KV.Get(key)
+		s := r.shards[i]
+		tx := s.Engine.Begin()
+		v, ok, err = s.KV.AppendGetTx(tx, dst, key)
+		s.Engine.Commit(tx)
 		return err
 	})
 	return v, ok, err
@@ -306,16 +314,13 @@ func (r *Router) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error
 
 // reachable calls fn on every shard that is not failed or recovering, each
 // under its health gate: what a router-wide reading, or a transaction's
-// begin, covers. (acquire by hand: its release func would cost an allocation
-// a shard.)
+// begin, covers.
 func (r *Router) reachable(fn func(i int, s *Shard)) {
 	for i, s := range r.shards {
-		h := r.health[i]
-		h.gate.RLock()
-		if !h.unavailable() {
+		if gate, err := r.acquire(i); err == nil {
 			fn(i, s)
+			gate.RUnlock()
 		}
-		h.gate.RUnlock()
 	}
 }
 

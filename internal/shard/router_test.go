@@ -148,7 +148,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if err := tx.Put(kb, []byte("vb")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := tx.Get(ka); !ok || string(v) != "va" {
+	if v, ok, _ := tx.AppendGet(nil, ka); !ok || string(v) != "va" {
 		t.Fatalf("tx does not see its own write: %q %v", v, ok)
 	}
 	if _, ok, _ := r.Get(ka); ok {
@@ -158,7 +158,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := other.Get(kb); ok {
+	if _, ok, _ := other.AppendGet(nil, kb); ok {
 		t.Fatal("uncommitted write visible to concurrent snapshot")
 	}
 	other.Commit()
@@ -206,11 +206,11 @@ func TestSnapshotVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Commit()
-	if len(tx.txs) != 3 {
-		t.Fatalf("snapshot vector has %d entries, want 3", len(tx.txs))
+	if len(tx.legs) != 3 {
+		t.Fatalf("snapshot vector has %d entries, want 3", len(tx.legs))
 	}
-	for i, leg := range tx.txs {
-		if leg == nil || leg.ID == 0 {
+	for i, leg := range tx.legs {
+		if leg.tx == nil || leg.tx.ID == 0 {
 			t.Fatalf("shard %d has no begin timestamp", i)
 		}
 	}

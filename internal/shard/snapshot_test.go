@@ -113,8 +113,8 @@ func TestSnapshotNoTornCut(t *testing.T) {
 					errc <- err
 					return
 				}
-				v1, ok1, err1 := tx.Get(p.k1)
-				v2, ok2, err2 := tx.Get(p.k2)
+				v1, ok1, err1 := tx.AppendGet(nil, p.k1)
+				v2, ok2, err2 := tx.AppendGet(nil, p.k2)
 				tx.Commit()
 				if err1 != nil || err2 != nil {
 					errc <- fmt.Errorf("snapshot read: %v / %v", err1, err2)
@@ -268,8 +268,8 @@ func TestSnapshotWithDegradedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Commit()
-	v1, ok1, err1 := s.Get(k1)
-	v2, ok2, err2 := s.Get(k2)
+	v1, ok1, err1 := s.AppendGet(nil, k1)
+	v2, ok2, err2 := s.AppendGet(nil, k2)
 	if err1 != nil || err2 != nil || !ok1 || !ok2 {
 		t.Fatalf("snapshot read with degraded shard: %v %v %v %v", ok1, err1, ok2, err2)
 	}

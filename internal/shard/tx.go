@@ -37,13 +37,18 @@ import (
 // A Tx is owned by one goroutine at a time (the engine pools transaction
 // handles); it must be finished with exactly one Commit or Abort.
 type Tx struct {
-	r       *Router
-	txs     []*txn.Tx     // one per shard, indexed by shard number; nil = no leg
-	engines []*db.Engine  // engine incarnation each leg was begun on
-	kvs     []*db.MVPBTKV // KV incarnation each leg was begun on
-	epochs  []uint64      // health epoch at Begin, per shard
-	dirty   []bool        // shards this transaction wrote
-	done    bool
+	r    *Router
+	legs []txLeg // one per shard, indexed by shard number
+	done bool
+}
+
+// txLeg is one shard's part of a Tx.
+type txLeg struct {
+	tx     *txn.Tx     // nil = no leg
+	engine *db.Engine  // engine incarnation the leg was begun on
+	kv     *db.MVPBTKV // KV incarnation the leg was begun on
+	epoch  uint64      // health epoch at Begin
+	dirty  bool        // the transaction wrote this shard
 }
 
 // BeginCtx starts a multi-shard transaction carrying ctx: the per-shard
@@ -57,21 +62,10 @@ func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 		return nil, err
 	}
 	defer r.exit()
-	n := len(r.shards)
-	t := &Tx{
-		r:       r,
-		txs:     make([]*txn.Tx, n),
-		engines: make([]*db.Engine, n),
-		kvs:     make([]*db.MVPBTKV, n),
-		epochs:  make([]uint64, n),
-		dirty:   make([]bool, n),
-	}
+	t := &Tx{r: r, legs: make([]txLeg, len(r.shards))}
 	r.epoch.Lock()
 	r.reachable(func(i int, s *Shard) {
-		t.txs[i] = s.Engine.BeginCtx(ctx)
-		t.engines[i] = s.Engine
-		t.kvs[i] = s.KV
-		t.epochs[i] = r.health[i].epoch.Load()
+		t.legs[i] = txLeg{tx: s.Engine.BeginCtx(ctx), engine: s.Engine, kv: s.KV, epoch: r.health[i].epoch.Load()}
 	})
 	r.epoch.Unlock()
 	return t, nil
@@ -83,25 +77,28 @@ func (r *Router) Begin() (*Tx, error) { return r.BeginCtx(context.Background()) 
 // leg admits one operation on shard i's leg: the shard must have
 // contributed a leg at Begin, and its engine must still be the same
 // incarnation (a restarted shard invalidates the leg). On success the
-// shard's gate is held shared; the caller releases it after the engine
-// call.
-func (t *Tx) leg(i int) (func(), error) {
-	if t.txs[i] == nil {
+// shard's gate is held shared and returned; the caller releases it after
+// the engine call.
+func (t *Tx) leg(i int) (*sync.RWMutex, error) {
+	if t.legs[i].tx == nil {
 		return nil, ErrShardUnavailable
 	}
 	h := t.r.health[i]
 	h.gate.RLock()
-	if h.epoch.Load() != t.epochs[i] {
+	if h.epoch.Load() != t.legs[i].epoch {
 		h.gate.RUnlock()
 		return nil, ErrShardUnavailable
 	}
-	return h.gate.RUnlock, nil
+	return &h.gate, nil
 }
 
-// Get reads key at the transaction's snapshot (plus its own writes).
-func (t *Tx) Get(key []byte) (v []byte, ok bool, err error) {
+// AppendGet reads key at the transaction's snapshot (plus its own writes),
+// appending the value to dst, which it returns extended (or unchanged if key
+// has no visible value).
+func (t *Tx) AppendGet(dst, key []byte) (v []byte, ok bool, err error) {
+	v = dst
 	err = t.r.routed(key, t.leg, func(i int) (err error) {
-		v, ok, err = t.kvs[i].GetTx(t.txs[i], key)
+		v, ok, err = t.legs[i].kv.AppendGetTx(t.legs[i].tx, dst, key)
 		return err
 	})
 	return v, ok, err
@@ -114,21 +111,21 @@ func (t *Tx) Get(key []byte) (v []byte, ok bool, err error) {
 // chooses between continuing without that key and aborting.
 func (t *Tx) Put(key, val []byte) error {
 	return t.r.routed(key, t.leg, func(i int) error {
-		return t.wrote(i, t.kvs[i].PutTx(t.txs[i], key, val))
+		return t.wrote(i, t.legs[i].kv.PutTx(t.legs[i].tx, key, val))
 	})
 }
 
 // Delete tombstones key inside the transaction.
 func (t *Tx) Delete(key []byte) error {
 	return t.r.routed(key, t.leg, func(i int) error {
-		return t.wrote(i, t.kvs[i].DeleteTx(t.txs[i], key))
+		return t.wrote(i, t.legs[i].kv.DeleteTx(t.legs[i].tx, key))
 	})
 }
 
 // wrote marks shard i's leg written if the write returned no error, which
 // it passes on.
 func (t *Tx) wrote(i int, err error) error {
-	t.dirty[i] = t.dirty[i] || err == nil
+	t.legs[i].dirty = t.legs[i].dirty || err == nil
 	return err
 }
 
@@ -204,10 +201,10 @@ func (t *Tx) Scan(lo []byte, limit int, fn func(key, val []byte) bool) error {
 	defer t.r.exit()
 	st := scanPool.Get().(*scanState)
 	defer scanPool.Put(st)
-	if len(st.streams) < len(t.txs) {
-		st.streams = make(scanStreams, len(t.txs))
+	if len(st.streams) < len(t.legs) {
+		st.streams = make(scanStreams, len(t.legs))
 	}
-	streams := st.streams[:len(t.txs)]
+	streams := st.streams[:len(t.legs)]
 	share := shardShare(limit, len(streams))
 	for i := range streams {
 		if err := t.scanShard(i, &streams[i], lo, share); err != nil {
@@ -242,7 +239,7 @@ func (t *Tx) scanShard(i int, s *scanStream, lo []byte, want int) error {
 	if t.r.onShardScan != nil {
 		t.r.onShardScan(i, want)
 	}
-	release, err := t.leg(i)
+	gate, err := t.leg(i)
 	if err != nil {
 		return wrap(i, lo, err)
 	}
@@ -250,11 +247,11 @@ func (t *Tx) scanShard(i int, s *scanStream, lo []byte, want int) error {
 	// key buffers of the shard's segment iterators, which overwrite them as
 	// the shard's scan moves on and hand them to the next reader when it
 	// returns — long before the merge looks at them.
-	err = t.kvs[i].ScanTx(t.txs[i], lo, want, func(k, v []byte) bool {
+	err = t.legs[i].kv.ScanTx(t.legs[i].tx, lo, want, func(k, v []byte) bool {
 		s.add(k, v)
 		return true
 	})
-	release()
+	gate.RUnlock()
 	t.r.observe(i, err)
 	if err != nil {
 		return wrap(i, lo, err)
@@ -286,9 +283,9 @@ func (t *Tx) Commit() error {
 		return err
 	}
 	defer t.r.exit()
-	written := make([]int, 0, len(t.dirty))
-	for i, d := range t.dirty {
-		if d {
+	var written []int
+	for i, l := range t.legs {
+		if l.dirty {
 			written = append(written, i)
 		}
 	}
@@ -297,9 +294,9 @@ func (t *Tx) Commit() error {
 	// against the barrier is irrelevant, finishing them promptly unpins
 	// each shard's GC horizon, and running them against a superseded
 	// engine incarnation is harmless.
-	for i, tx := range t.txs {
-		if tx != nil && !t.dirty[i] {
-			t.engines[i].Commit(tx)
+	for _, l := range t.legs {
+		if l.tx != nil && !l.dirty {
+			l.engine.Commit(l.tx)
 		}
 	}
 	if len(written) == 0 {
@@ -309,19 +306,19 @@ func (t *Tx) Commit() error {
 		return t.commit2PC(written)
 	}
 	i := written[0]
-	release, err := t.leg(i)
+	gate, err := t.leg(i)
 	if err != nil {
-		t.engines[i].Abort(t.txs[i]) // superseded incarnation; harmless
+		t.legs[i].engine.Abort(t.legs[i].tx) // superseded incarnation; harmless
 		return &ShardError{Shard: i, Err: err}
 	}
-	err = t.engines[i].CommitDurable(t.txs[i])
+	err = t.legs[i].engine.CommitDurable(t.legs[i].tx)
 	if err != nil {
 		// Not committed in memory (durability in doubt, see CommitDurable):
 		// abort the handle so the leg cannot pin the shard's GC horizon. A
 		// supervisor restart resolves the doubt from the log.
-		t.engines[i].Abort(t.txs[i])
+		t.legs[i].engine.Abort(t.legs[i].tx)
 	}
-	release()
+	gate.RUnlock()
 	t.r.observe(i, err)
 	if err != nil {
 		return &ShardError{Shard: i, Err: err}
@@ -365,8 +362,8 @@ func (t *Tx) commit2PC(written []int) error {
 
 	// Phase 1: prepare every leg (durable YES votes). First failure stops
 	// the phase — the group will abort.
-	prepared := make([]bool, len(t.txs)) // leg voted YES (durable)
-	crashed := make([]bool, len(t.txs))  // leg's participant simulated-crashed
+	prepared := make([]bool, len(t.legs)) // leg voted YES (durable)
+	crashed := make([]bool, len(t.legs))  // leg's participant simulated-crashed
 	var firstErr error
 	for _, i := range written {
 		if hooks.BeforePrepare != nil {
@@ -375,13 +372,13 @@ func (t *Tx) commit2PC(written []int) error {
 				break
 			}
 		}
-		release, err := t.leg(i)
+		gate, err := t.leg(i)
 		if err != nil {
 			firstErr = &ShardError{Shard: i, Err: err}
 			break
 		}
-		err = t.engines[i].PrepareDurable(t.txs[i], gid)
-		release()
+		err = t.legs[i].engine.PrepareDurable(t.legs[i].tx, gid)
+		gate.RUnlock()
 		r.observe(i, err)
 		if err != nil {
 			// Not prepared (the prepare's durability is in doubt exactly
@@ -453,16 +450,16 @@ func (t *Tx) commit2PC(written []int) error {
 		if !prepared[i] {
 			// Never voted (abort outcome): the handle is live and not in
 			// the in-doubt registry — plain in-memory abort.
-			t.engines[i].Abort(t.txs[i])
+			t.legs[i].engine.Abort(t.legs[i].tx)
 			continue
 		}
-		release, err := t.leg(i)
+		gate, err := t.leg(i)
 		if err != nil {
 			pendingLegs = append(pendingLegs, i) // superseded incarnation
 			continue
 		}
-		n, err := t.engines[i].ResolveGroup(gid, commit)
-		release()
+		n, err := t.legs[i].engine.ResolveGroup(gid, commit)
+		gate.RUnlock()
 		r.observe(i, err)
 		if err != nil || n == 0 {
 			pendingLegs = append(pendingLegs, i)
@@ -532,11 +529,11 @@ func (t *Tx) resolveLeg(i int, gid uint64, commit bool) legResolution {
 		if r.closed.Load() {
 			return legUnresolved // engines are (being) closed; nothing to converge
 		}
-		release, err := r.acquire(i)
+		gate, err := r.acquire(i)
 		if err == nil {
 			eng := r.shards[i].Engine
 			n, rerr := eng.ResolveGroup(gid, commit)
-			release()
+			gate.RUnlock()
 			r.observe(i, rerr)
 			if rerr == nil {
 				if n > 0 {
@@ -571,9 +568,9 @@ func (t *Tx) Abort() {
 		return // router closed: engines are (being) closed, legs die with them
 	}
 	defer t.r.exit()
-	for i, tx := range t.txs {
-		if tx != nil {
-			t.engines[i].Abort(tx)
+	for _, l := range t.legs {
+		if l.tx != nil {
+			l.engine.Abort(l.tx)
 		}
 	}
 }
