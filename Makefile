@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
+.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
 
 all: build fmt vet test
 
@@ -80,6 +80,8 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: partition runs are extent-aligned again:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rn 'wire\.ReadFrame(' --include='*.go' . | grep -vE '_test\.go:|^\./(internal/server/wire|benchmarks)/'); \
 	if [ -n "$$bad" ]; then echo "seams: a served path reads frames into fresh buffers (use wire.ReadFrameInto):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'groupCommitter|commitWaiter|runLeader|maxCommitBatch|MaxBatched' --include='*.go' . | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: the commit batcher is back (a commit flushes the log through its own record):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -105,6 +107,12 @@ fuzz-wire:
 fuzz-wal:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
+
+# And for the heap's version-record decoder, which reads slots of pages
+# whose checksum held: a short or empty slot must be ErrCorruptPage, not a
+# panic. Crashers land in internal/heap/testdata/fuzz/.
+fuzz-heap:
+	go test -fuzz=FuzzDecodeVersion -fuzztime=10s ./internal/heap/
 
 # And for the partition layer's decoders of device bytes: the slotted page's
 # slot directory under Get, Live and LiveCount; the leaf cursor

@@ -35,7 +35,6 @@ func main() {
 	eng := db.NewEngine(db.Config{
 		BufferPages: 1024, PartitionBufferBytes: *pbuf,
 		EnableWAL: true, DeviceCapacityBytes: *capacity,
-		GroupCommit: db.GroupCommitConfig{Enabled: true},
 	})
 	defer eng.Close()
 	tbl, err := eng.NewTable("demo", db.HeapSIAS, db.IndexDef{
@@ -124,15 +123,15 @@ func main() {
 		io.ChecksumFailures, io.ReadRetries, io.WriteRetries, io.ReadFailures, io.WriteFailures)
 
 	// Commit pipeline: flushes vs commits shows the lazy-begin/read-only
-	// elision and the group-commit batcher's amortization.
+	// elision, and commit flushes vs durable commits how often a commit
+	// found its record already flushed.
 	ws := eng.WALStatsSnapshot()
 	fmt.Printf("\n== commit pipeline ==\n")
 	fmt.Printf("wal: flushes=%d commits=%d read-only-commits=%d flushes/commit=%.2f\n",
 		ws.Flushes, ws.Commits, ws.ReadOnlyCommits, ws.FlushesPerCommit())
 	fmt.Printf("wal: device-bytes=%d logical-bytes=%d device-bytes/log-byte=%.2f checkpoint-errors=%d\n",
 		ws.DeviceBytes, ws.LogicalBytes, ws.DeviceBytesPerLogByte(), eng.CheckpointInfo().Errors)
-	fmt.Printf("group commit: batches=%d commits=%d max-batched=%d\n",
-		ws.Group.Batches, ws.Group.Commits, ws.Group.MaxBatched)
+	fmt.Printf("group commit: batches=%d commits=%d\n", ws.Group.Batches, ws.Group.Commits)
 
 	// Space governance: the capacity budget, the governor's counters, and
 	// the effect of a WAL checkpoint on log size (all transactions are done
@@ -170,7 +169,6 @@ func inspectShards(n, tuples, updates, pbuf int, capacity int64) {
 			PartitionBufferBytes: pbuf,
 			EnableWAL:            true,
 			DeviceCapacityBytes:  capacity,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		Supervise: true,
 	})
@@ -252,7 +250,6 @@ func inspectShards(n, tuples, updates, pbuf int, capacity int64) {
 		return fmt.Sprintf("%.2f %d", stats[i].WAL.DeviceBytesPerLogByte(), stats[i].Checkpoint.Errors)
 	})
 	row("group batches", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Group.Batches) })
-	row("max batched", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Group.MaxBatched) })
 	row("health", func(i int) string { return stats[i].Health.State.String() })
 	row("restarts", func(i int) string { return fmt.Sprintf("%d", stats[i].Health.Restarts) })
 	row("breaker", func(i int) string {

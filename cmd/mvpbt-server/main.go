@@ -7,8 +7,9 @@
 // protocol/concurrency testbed rather than a persistent database: state
 // lives for the process lifetime.
 //
-// Every shard is built as the repository's benchmark measures it: commits
-// go through the WAL group-commit batcher, a supervisor restarts a failed
+// Every shard is built as the repository's benchmark measures it: a commit
+// flushes the WAL through its own record unless a concurrent commit's flush
+// already covered it (DESIGN.md §11), a supervisor restarts a failed
 // shard through WAL recovery, kvOptions gives bloom filters and merges
 // bounding the partitions a read meets, and walCheckpointBytes truncates the
 // log every 12 MiB. None of these is a flag.
@@ -80,7 +81,6 @@ func main() {
 			EnableWAL:            true,
 			DeviceCapacityBytes:  *capacity,
 			WALCheckpointBytes:   walCheckpointBytes,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		KVOptions: kvOptions,
 		Supervise: true,

@@ -299,7 +299,7 @@ var experiments = []Experiment{
 	{ID: "extra-wa", Title: "Write amplification under YCSB A: device bytes written / logical bytes (paper contribution: MV-PBT has much lower write amplification than LSM-Trees)", Run: runExtraWA},
 	{ID: "extra-merge", Title: "Ablation: on-line partition merging — point-lookup and scan cost vs partition count (merging off / on)", Run: runExtraMerge},
 	{ID: "parallel", Title: "Concurrent read path: lookup/scan throughput vs client goroutines (one background writer)", Run: runParallel},
-	{ID: "commit", Title: "Commit pipeline: WAL group commit off vs on (closed-loop committers)", Run: runCommit},
+	{ID: "commit", Title: "Commit pipeline: WAL group commit, batching window 0 vs 50µs (closed-loop committers)", Run: runCommit},
 	{ID: "net", Title: "Sharded network front-end: clients x shards scaling, admission control under overload", Run: runNet},
 }
 

@@ -57,7 +57,7 @@ func netEngine(s Scale) db.Config {
 		cfg.Device = ssd.DeviceSpec{Profile: netProfile()}
 	}
 	cfg.EnableWAL = true
-	cfg.GroupCommit = db.GroupCommitConfig{Enabled: true, MaxDelay: commitMaxDelay}
+	cfg.GroupCommit.MaxDelay = commitMaxDelay
 	return cfg
 }
 

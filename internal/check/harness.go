@@ -190,13 +190,11 @@ func (h *harness) buildEngine() error {
 	h.eng = db.NewEngine(db.Config{
 		BufferPages:          2048,
 		PartitionBufferBytes: 96 << 10,
-		EnableWAL:            true,
-		// Route every commit through the group-commit batcher so the
-		// campaign exercises the production pipeline. The harness is
-		// single-threaded, so each commit is a deterministic batch of one
-		// (MaxDelay 0); multi-member batches are driven explicitly by
-		// OpTornBatch via CommitBatchDurable.
-		GroupCommit: db.GroupCommitConfig{Enabled: true},
+		// Every commit takes the production pipeline, append and flush
+		// through the record (MaxDelay 0). The harness is single-threaded,
+		// so each commit flushes its own record; commits that share a flush
+		// are driven explicitly by OpTornBatch via CommitBatchDurable.
+		EnableWAL: true,
 	})
 	pbRef := db.RefPhysical
 	if h.cfg.Heap == db.HeapSIAS {

@@ -69,7 +69,6 @@ func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.R
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		Supervise: true,
 		TwoPC:     hooks,

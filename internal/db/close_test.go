@@ -118,7 +118,8 @@ func TestEngineCloseAfterCrash(t *testing.T) {
 // durable write may reach the device. Every call that would make a
 // transaction durable — a commit, a batch commit, a prepare, a
 // commit-resolving decision — must return ErrClosed and leave the log image
-// byte for byte as the fence left it, with group commit on and off.
+// byte for byte as the fence left it. group=true opens a batching window:
+// the commit waits it out for a covering flush that cannot come any more.
 func TestCloseAndCrashFenceTheLog(t *testing.T) {
 	// Each case writes its rows before the fence and returns the durable
 	// call to make after it.
@@ -154,7 +155,11 @@ func TestCloseAndCrashFenceTheLog(t *testing.T) {
 		for _, f := range fences {
 			for _, group := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/group=%v", c.name, f.name, group), func(t *testing.T) {
-					e, tbl, _ := walTableKind(t, HeapSIAS, Config{GroupCommit: GroupCommitConfig{Enabled: group}})
+					var cfg Config
+					if group {
+						cfg.GroupCommit.MaxDelay = 50 * time.Microsecond
+					}
+					e, tbl, _ := walTableKind(t, HeapSIAS, cfg)
 					e.Commit(insertOpen(t, e, tbl, "base"))
 					call := c.setup(e, tbl)
 					f.fence(e)

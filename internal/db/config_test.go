@@ -46,7 +46,6 @@ func TestTwoEnginesFromOneConfig(t *testing.T) {
 		BufferPages:          256,
 		PartitionBufferBytes: 64 << 10,
 		EnableWAL:            true,
-		GroupCommit:          GroupCommitConfig{Enabled: true},
 		DeviceCapacityBytes:  32 << 20,
 	}
 	a := NewEngine(cfg)

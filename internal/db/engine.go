@@ -54,9 +54,9 @@ type Config struct {
 	// internal/wal). Off by default: the paper's experiments run without
 	// durability, like the paper's prototype.
 	EnableWAL bool
-	// GroupCommit batches concurrent durable commits into shared log
+	// GroupCommit's MaxDelay lets concurrent durable commits share log
 	// flushes (see GroupCommitConfig and DESIGN.md §11). Only meaningful
-	// with EnableWAL; disabled by default, preserving per-commit flushes.
+	// with EnableWAL; 0 by default, so every commit flushes at once.
 	GroupCommit GroupCommitConfig
 	// WALCheckpointBytes triggers an automatic checkpoint (snapshot + log
 	// truncation, see Engine.Checkpoint) once the current log generation
@@ -112,12 +112,13 @@ type Engine struct {
 	ckptErrs   atomic.Int64
 	autoCkptMu sync.Mutex // the engine's own checkpoints, one at a time: see checkpointFlight
 
-	// gc is the group-commit batcher (nil unless Config.GroupCommit.Enabled
-	// with EnableWAL). walCommits/walROCommits count durable commits that
-	// appended a commit record vs read-only commits elided entirely.
-	gc           *groupCommitter
-	walCommits   atomic.Int64
-	walROCommits atomic.Int64
+	// walCommits/walROCommits count durable commits that appended a commit
+	// record vs read-only commits elided entirely; durableCommits and
+	// commitFlushes are CommitDurable's share (GroupCommitStats).
+	walCommits     atomic.Int64
+	walROCommits   atomic.Int64
+	durableCommits atomic.Int64
+	commitFlushes  atomic.Int64
 
 	// In-doubt registry for cross-shard two-phase commit (twopc.go):
 	// transactions that PREPARED durably and now await the coordinator's
@@ -166,9 +167,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if cfg.EnableWAL {
 		e.log = wal.NewLog(e.FM, "wal")
-		if cfg.GroupCommit.Enabled {
-			e.gc = newGroupCommitter(e, cfg.GroupCommit)
-		}
 	}
 	if cfg.DeviceCapacityBytes > 0 {
 		e.FM.SetCapacity(cfg.DeviceCapacityBytes)
@@ -228,10 +226,11 @@ func (e *Engine) AddCloser(fn func() error) {
 	e.closeMu.Unlock()
 }
 
-// Close shuts the engine down cleanly: the commit pipeline is fenced,
-// registered closers run (flushing LSM memtables), and the WAL tail is
-// flushed to the device and the log fenced — a later commit, prepare or
-// commit decision fails with ErrClosed. Idempotent; returns the first error.
+// Close shuts the engine down cleanly: registered closers run (flushing LSM
+// memtables), and the WAL tail is flushed to the device and the log fenced —
+// a later commit, prepare or commit decision fails with ErrClosed unless the
+// final flush already covered its record. Idempotent; returns the first
+// error.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -240,12 +239,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	var first error
-	if e.gc != nil {
-		// Fence the commit pipeline first: already-enqueued committers are
-		// drained (their leaders flush as usual), later arrivals fail with
-		// ErrClosed instead of racing the final flush below.
-		e.gc.close()
-	}
 	for _, fn := range e.closers {
 		if err := fn(); err != nil && first == nil {
 			first = err
@@ -299,22 +292,24 @@ func (e *Engine) Commit(tx *txn.Tx) {
 // failed page) and crashing.
 //
 // A read-only transaction (no logged row operations) commits without
-// touching the log at all. With Config.GroupCommit the flush is performed
-// by a batch leader on behalf of many committers (see DESIGN.md §11). A
-// commit arriving after Close or Crash fails with ErrClosed.
+// touching the log at all. Otherwise the commit record is appended and the
+// log flushed through it; with Config.GroupCommit.MaxDelay the commit first
+// waits that long for another committer's flush to cover the record (see
+// DESIGN.md §11). A commit arriving after Close or Crash fails with
+// ErrClosed unless a flush before the fence covered its record.
 func (e *Engine) CommitDurable(tx *txn.Tx) error {
 	if e.log != nil && tx.WALLogged() {
-		if e.gc != nil {
-			if err := e.gc.commit(tx); err != nil {
-				return err
-			}
-		} else {
-			e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
-			if err := e.log.Flush(); err != nil {
-				return err
-			}
+		end := e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
+		e.awaitFlush(end)
+		wrote, err := e.log.FlushTo(end)
+		if err != nil {
+			return err
+		}
+		if wrote {
+			e.commitFlushes.Add(1)
 		}
 		e.walCommits.Add(1)
+		e.durableCommits.Add(1)
 	} else if e.log != nil {
 		e.walROCommits.Add(1)
 	}

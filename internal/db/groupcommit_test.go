@@ -16,14 +16,14 @@ import (
 	"mvpbt/internal/wal"
 )
 
-// groupTable is walTable with the commit batcher enabled. MaxDelay 0 keeps
-// single-threaded tests deterministic (every commit is a batch of one
-// through the leader path); concurrency tests override it.
+// groupTable is walTable with batching window delay. At 0 every
+// single-threaded commit flushes its own record; concurrency tests open a
+// window so commits share flushes.
 func groupTable(t *testing.T, delay time.Duration) (*Engine, *Table, *Index) {
 	t.Helper()
 	e := NewEngine(Config{
 		BufferPages: 1024, PartitionBufferBytes: 1 << 22, EnableWAL: true,
-		GroupCommit: GroupCommitConfig{Enabled: true, MaxDelay: delay},
+		GroupCommit: GroupCommitConfig{MaxDelay: delay},
 	})
 	tbl, err := e.NewTable("accounts", HeapSIAS, IndexDef{
 		Name: "pk", Kind: IdxMVPBT, Unique: true, BloomBits: 10, Extract: keyExtract,
@@ -133,8 +133,8 @@ func TestLazyBeginRecordPlacement(t *testing.T) {
 }
 
 // TestGroupCommitConcurrentDurable runs many concurrent committers through
-// the batcher and checks that every commit is durable (recoverable), that
-// flushes were actually shared, and that the batcher's counters add up.
+// a batching window and checks that every commit is durable (recoverable)
+// and that the group-commit counters add up.
 func TestGroupCommitConcurrentDurable(t *testing.T) {
 	e, tbl, _ := groupTable(t, 200*time.Microsecond)
 	const clients, perClient = 8, 40
@@ -166,13 +166,10 @@ func TestGroupCommitConcurrentDurable(t *testing.T) {
 	}
 	s := e.WALStatsSnapshot()
 	if s.Group.Commits != clients*perClient {
-		t.Fatalf("batcher commits = %d, want %d", s.Group.Commits, clients*perClient)
+		t.Fatalf("group commits = %d, want %d", s.Group.Commits, clients*perClient)
 	}
 	if s.Group.Batches <= 0 || s.Group.Batches > s.Group.Commits {
 		t.Fatalf("batches = %d out of range (commits %d)", s.Group.Batches, s.Group.Commits)
-	}
-	if s.Group.MaxBatched < 1 {
-		t.Fatalf("max batched = %d", s.Group.MaxBatched)
 	}
 
 	re, rtbl, rix, applied := recoverInto(t, e.LogImage())
@@ -224,7 +221,7 @@ func TestGroupCommitCloseRace(t *testing.T) {
 	}
 	image := e.LogImage() // pre-close fallback; replaced after Close below
 	close(start)
-	time.Sleep(2 * time.Millisecond) // let commits pile into the batcher
+	time.Sleep(2 * time.Millisecond) // let commits get going
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,12 @@ import (
 
 // newDurableKV builds a WAL-enabled engine with one durable MV-PBT KV
 // store (the per-shard configuration the shard router instantiates).
-func newDurableKV(t *testing.T, group bool) (*Engine, *MVPBTKV) {
+func newDurableKV(t *testing.T) (*Engine, *MVPBTKV) {
 	t.Helper()
 	e := NewEngine(Config{
 		BufferPages:          256,
 		PartitionBufferBytes: 64 << 10,
 		EnableWAL:            true,
-		GroupCommit:          GroupCommitConfig{Enabled: group},
 	})
 	kv, err := NewMVPBTKV(e, "kv", MVPBTKVOptions{})
 	if err != nil {
@@ -27,7 +26,7 @@ func newDurableKV(t *testing.T, group bool) (*Engine, *MVPBTKV) {
 // then replays the surviving log image into a fresh engine and checks the
 // recovered state matches — including deletes and overwrites.
 func TestDurableKVRecovery(t *testing.T) {
-	e, kv := newDurableKV(t, true)
+	e, kv := newDurableKV(t)
 	defer e.Close()
 
 	const n = 300
@@ -51,7 +50,7 @@ func TestDurableKVRecovery(t *testing.T) {
 	}
 
 	img := e.LogImage()
-	e2, kv2 := newDurableKV(t, true)
+	e2, kv2 := newDurableKV(t)
 	defer e2.Close()
 	applied, err := e2.Recover(img)
 	if err != nil {
@@ -64,7 +63,7 @@ func TestDurableKVRecovery(t *testing.T) {
 // log to a KV snapshot generation), keeps writing, and recovers from the
 // authoritative generation.
 func TestDurableKVCheckpointRecovery(t *testing.T) {
-	e, kv := newDurableKV(t, false)
+	e, kv := newDurableKV(t)
 	defer e.Close()
 
 	const n = 300
@@ -92,7 +91,7 @@ func TestDurableKVCheckpointRecovery(t *testing.T) {
 	}
 
 	img := e.LogImage()
-	e2, kv2 := newDurableKV(t, false)
+	e2, kv2 := newDurableKV(t)
 	defer e2.Close()
 	if _, err := e2.Recover(img); err != nil {
 		t.Fatalf("recover: %v", err)

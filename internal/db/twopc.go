@@ -61,8 +61,8 @@ func (e *Engine) PrepareDurable(tx *txn.Tx, gid uint64) error {
 		if !tx.WALLogged() {
 			return fmt.Errorf("db: PrepareDurable on a transaction with no logged writes")
 		}
-		e.log.Append(&wal.Record{Op: wal.OpPrepare, TxID: uint64(tx.ID), Key: wal.GroupKey(gid)})
-		if err := e.log.Flush(); err != nil {
+		end := e.log.Append(&wal.Record{Op: wal.OpPrepare, TxID: uint64(tx.ID), Key: wal.GroupKey(gid)})
+		if _, err := e.log.FlushTo(end); err != nil {
 			return err
 		}
 	}
@@ -108,9 +108,9 @@ func (e *Engine) resolvePrepared(p *preparedTx, commit bool) error {
 		op = wal.OpDecideCommit
 	}
 	if e.log != nil {
-		e.log.Append(&wal.Record{Op: op, TxID: uint64(id), Key: wal.GroupKey(p.gid)})
+		end := e.log.Append(&wal.Record{Op: op, TxID: uint64(id), Key: wal.GroupKey(p.gid)})
 		if commit {
-			if err := e.log.Flush(); err != nil {
+			if _, err := e.log.FlushTo(end); err != nil {
 				return err
 			}
 			e.walCommits.Add(1)

@@ -258,11 +258,11 @@ func TestVersionCodecRoundTrip(t *testing.T) {
 		VID:         424242,
 		Data:        []byte("payload"),
 	}
-	got := decodeVersion(encodeVersion(nil, &v))
-	if got.Tombstone != v.Tombstone || got.SegmentRoot != v.SegmentRoot ||
+	got, err := decodeVersion(encodeVersion(nil, &v))
+	if err != nil || got.Tombstone != v.Tombstone || got.SegmentRoot != v.SegmentRoot ||
 		got.TCreate != v.TCreate || got.TInvalidate != v.TInvalidate ||
 		got.Next != v.Next || got.VID != v.VID || !bytes.Equal(got.Data, v.Data) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, v)
+		t.Fatalf("round trip mismatch: %+v vs %+v (%v)", got, v, err)
 	}
 }
 

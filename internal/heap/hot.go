@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"cmp"
 	"sync"
 
 	"mvpbt/internal/buffer"
@@ -109,19 +110,8 @@ func (h *HotHeap) Update(tx *txn.Tx, prev storage.RecordID, vid uint64, data []b
 func (h *HotHeap) Delete(tx *txn.Tx, prev storage.RecordID, vid uint64) (UpdateResult, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	fr, err := h.pool.Get(h.file, prev.Page.PageNo())
+	fr, p, v, err := h.claim(tx, prev)
 	if err != nil {
-		return UpdateResult{}, err
-	}
-	p := page.Wrap(fr.Data())
-	rec := p.Get(int(prev.Slot))
-	if rec == nil {
-		h.pool.Unpin(fr, false)
-		return UpdateResult{}, ErrWriteConflict
-	}
-	v := decodeVersion(rec)
-	if err := h.checkConflict(&v, tx); err != nil {
-		h.pool.Unpin(fr, false)
 		return UpdateResult{}, err
 	}
 	v.TInvalidate = tx.ID
@@ -135,33 +125,41 @@ func (h *HotHeap) Delete(tx *txn.Tx, prev storage.RecordID, vid uint64) (UpdateR
 	return UpdateResult{}, nil
 }
 
-// checkConflict enforces first-updater-wins: an existing invalidation by a
-// committed or still-running other transaction is a conflict; one by an
-// aborted transaction (or by tx itself) may be overwritten.
-func (h *HotHeap) checkConflict(v *Version, tx *txn.Tx) error {
-	if v.TInvalidate == txn.InvalidTxID || v.TInvalidate == tx.ID {
-		return nil
+// claim pins prev's page and decodes the version tx is about to supersede,
+// enforcing first-updater-wins: a vanished record, or an invalidation by a
+// committed or still-running other transaction, is ErrWriteConflict; one by
+// an aborted transaction (or by tx itself) may be overwritten. The page
+// stays pinned unless an error is returned.
+func (h *HotHeap) claim(tx *txn.Tx, prev storage.RecordID) (*buffer.Frame, page.Page, Version, error) {
+	fr, v, ok, err := h.pinVersion(prev)
+	if !ok {
+		return nil, page.Page{}, v, cmp.Or(err, ErrWriteConflict)
 	}
-	if h.mgr.StatusOf(v.TInvalidate) == txn.Aborted {
-		return nil
+	if v.TInvalidate != txn.InvalidTxID && v.TInvalidate != tx.ID && h.mgr.StatusOf(v.TInvalidate) != txn.Aborted {
+		h.pool.Unpin(fr, false)
+		return nil, page.Page{}, v, ErrWriteConflict
 	}
-	return ErrWriteConflict
+	return fr, page.Wrap(fr.Data()), v, nil
+}
+
+// pinVersion pins rid's page and decodes the version there. ok is false,
+// and nothing stays pinned, when the slot is empty or err is set.
+func (h *HotHeap) pinVersion(rid storage.RecordID) (fr *buffer.Frame, v Version, ok bool, err error) {
+	if fr, err = h.pool.Get(h.file, rid.Page.PageNo()); err != nil {
+		return nil, v, false, err
+	}
+	if rec := page.Wrap(fr.Data()).Get(int(rid.Slot)); rec != nil {
+		if v, err = decodeVersion(rec); err == nil {
+			return fr, v, true, nil
+		}
+	}
+	h.pool.Unpin(fr, false)
+	return nil, Version{}, false, err
 }
 
 func (h *HotHeap) supersede(tx *txn.Tx, prev storage.RecordID, vid uint64, data []byte, hotEligible, tombstone bool) (UpdateResult, error) {
-	fr, err := h.pool.Get(h.file, prev.Page.PageNo())
+	fr, p, old, err := h.claim(tx, prev)
 	if err != nil {
-		return UpdateResult{}, err
-	}
-	p := page.Wrap(fr.Data())
-	rec := p.Get(int(prev.Slot))
-	if rec == nil {
-		h.pool.Unpin(fr, false)
-		return UpdateResult{}, ErrWriteConflict
-	}
-	old := decodeVersion(rec)
-	if err := h.checkConflict(&old, tx); err != nil {
-		h.pool.Unpin(fr, false)
 		return UpdateResult{}, err
 	}
 	old.Data = append([]byte(nil), old.Data...)
@@ -212,17 +210,10 @@ func (h *HotHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleV
 	defer h.mu.RUnlock()
 	rid := candidate
 	for rid.Valid() {
-		fr, err := h.pool.Get(h.file, rid.Page.PageNo())
-		if err != nil {
+		fr, v, ok, err := h.pinVersion(rid)
+		if !ok {
 			return nil, err
 		}
-		p := page.Wrap(fr.Data())
-		rec := p.Get(int(rid.Slot))
-		if rec == nil {
-			h.pool.Unpin(fr, false)
-			return nil, nil
-		}
-		v := decodeVersion(rec)
 		if v.Redirect {
 			// Pruned entry-point: forward to the surviving version.
 			next := v.Next
@@ -262,17 +253,10 @@ func (h *HotHeap) ReadVersion(rid storage.RecordID) (Version, error) {
 
 func (h *HotHeap) readVersionLocked(rid storage.RecordID) (Version, error) {
 	for rid.Valid() {
-		fr, err := h.pool.Get(h.file, rid.Page.PageNo())
-		if err != nil {
-			return Version{}, err
+		fr, v, ok, err := h.pinVersion(rid)
+		if !ok {
+			return Version{}, cmp.Or[error](err, errRecordGone)
 		}
-		p := page.Wrap(fr.Data())
-		rec := p.Get(int(rid.Slot))
-		if rec == nil {
-			h.pool.Unpin(fr, false)
-			return Version{}, errRecordGone
-		}
-		v := decodeVersion(rec)
 		if v.Redirect {
 			next := v.Next
 			h.pool.Unpin(fr, false)
@@ -314,7 +298,11 @@ func (h *HotHeap) ScanVersions(fn func(rid storage.RecordID, v Version) bool) er
 			if rec == nil {
 				continue
 			}
-			v := decodeVersion(rec)
+			v, err := decodeVersion(rec)
+			if err != nil {
+				h.pool.Unpin(fr, false)
+				return err
+			}
 			if !v.SegmentRoot {
 				continue
 			}
@@ -361,9 +349,12 @@ func (h *HotHeap) Vacuum(horizon txn.TxID) (int, error) {
 			return removed, err
 		}
 		p := page.Wrap(fr.Data())
-		n, dirty := h.prunePage(p, h.file.PageID(pageNo), horizon)
+		n, dirty, err := h.prunePage(p, h.file.PageID(pageNo), horizon)
 		removed += n
 		h.pool.Unpin(fr, dirty)
+		if err != nil {
+			return removed, err
+		}
 		if dirty && p.FreeSpace() > storage.PageSize/2 {
 			h.freePages = append(h.freePages, pageNo)
 		}
@@ -380,8 +371,9 @@ func (h *HotHeap) dead(v *Version, horizon txn.TxID) bool {
 }
 
 // prunePage collapses dead same-page chain prefixes. It returns the number
-// of records removed and whether the page was modified.
-func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (int, bool) {
+// of records removed and whether the page was modified; a record it cannot
+// decode stops it there.
+func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (int, bool, error) {
 	removed, dirty := 0, false
 	nSlots := p.NumSlots()
 	inChain := make(map[int]bool)
@@ -395,7 +387,10 @@ func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (
 		if rec == nil {
 			continue
 		}
-		v := decodeVersion(rec)
+		v, err := decodeVersion(rec)
+		if err != nil {
+			return removed, dirty, err
+		}
 		if v.SegmentRoot {
 			roots = append(roots, root{slot: s, v: v})
 		}
@@ -414,7 +409,10 @@ func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (
 			if rec == nil {
 				break
 			}
-			nv := decodeVersion(rec)
+			nv, err := decodeVersion(rec)
+			if err != nil {
+				return removed, dirty, err
+			}
 			if nv.SegmentRoot {
 				break
 			}
@@ -465,14 +463,17 @@ func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (
 		if rec == nil || inChain[s] {
 			continue
 		}
-		v := decodeVersion(rec)
+		v, err := decodeVersion(rec)
+		if err != nil {
+			return removed, dirty, err
+		}
 		if !v.SegmentRoot && h.mgr.StatusOf(v.TCreate) == txn.Aborted {
 			p.Delete(s)
 			removed++
 			dirty = true
 		}
 	}
-	return removed, dirty
+	return removed, dirty, nil
 }
 
 type heapError string

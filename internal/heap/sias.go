@@ -157,10 +157,10 @@ func (h *SiasHeap) readAt(rid storage.RecordID) (Version, bool, error) {
 		h.pool.Unpin(fr, false)
 		return Version{}, false, nil
 	}
-	v := decodeVersion(rec)
+	v, err := decodeVersion(rec)
 	v.Data = append([]byte(nil), v.Data...)
 	h.pool.Unpin(fr, false)
-	return v, true, nil
+	return v, err == nil, err
 }
 
 // ReadVisible implements Heap: it reads the candidate to learn the tuple's
@@ -255,7 +255,11 @@ func (h *SiasHeap) ScanVersions(fn func(rid storage.RecordID, v Version) bool) e
 			if rec == nil {
 				continue
 			}
-			v := decodeVersion(rec)
+			v, err := decodeVersion(rec)
+			if err != nil {
+				h.pool.Unpin(fr, false)
+				return err
+			}
 			if v.Tombstone {
 				continue
 			}
@@ -386,7 +390,11 @@ func (h *SiasHeap) clearNext(rid storage.RecordID) error {
 		h.pool.Unpin(fr, false)
 		return nil
 	}
-	v := decodeVersion(rec)
+	v, err := decodeVersion(rec)
+	if err != nil {
+		h.pool.Unpin(fr, false)
+		return err
+	}
 	v.Next = storage.RecordID{}
 	v.Data = append([]byte(nil), v.Data...)
 	ok := p.Replace(int(rid.Slot), encodeVersion(nil, &v))

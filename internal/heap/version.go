@@ -16,6 +16,8 @@
 package heap
 
 import (
+	"fmt"
+
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/util"
@@ -82,27 +84,40 @@ func encodeVersion(dst []byte, v *Version) []byte {
 	return append(dst, v.Data...)
 }
 
+// errShortVersion is a slot whose bytes end before a version record's fixed
+// fields do. The page's checksum held, so the page is what was written; the
+// record in it is not one.
+var errShortVersion = fmt.Errorf("heap: short version record: %w", storage.ErrCorruptPage)
+
 // decodeVersion parses a record produced by encodeVersion. The Data field
-// aliases src.
-func decodeVersion(src []byte) Version {
+// aliases src. Any input that is not such a record — empty, or cut short
+// before its fixed fields end — is errShortVersion, never a panic.
+func decodeVersion(src []byte) (Version, error) {
 	var v Version
+	if len(src) == 0 {
+		return v, errShortVersion
+	}
 	flags := src[0]
 	v.Tombstone = flags&flagTombstone != 0
 	v.SegmentRoot = flags&flagSegmentRoot != 0
 	v.Redirect = flags&flagRedirect != 0
-	i := 1
-	tc, n := util.Uvarint(src[i:])
-	i += n
+	tc, n := util.Uvarint(src[1:])
+	i := 1 + n
+	if n <= 0 || len(src)-i < 8+storage.RecordIDLen {
+		return Version{}, errShortVersion
+	}
 	ti := util.DecodeUint64(src[i:])
 	i += 8
 	v.TCreate, v.TInvalidate = txn.TxID(tc), txn.TxID(ti)
 	v.Next = storage.DecodeRecordID(src[i:])
 	i += storage.RecordIDLen
 	vid, n := util.Uvarint(src[i:])
-	i += n
+	if n <= 0 {
+		return Version{}, errShortVersion
+	}
 	v.VID = vid
-	v.Data = src[i:]
-	return v
+	v.Data = src[i+n:]
+	return v, nil
 }
 
 // UpdateResult reports the outcome of an update or delete.

@@ -50,7 +50,6 @@ func defaultShardConfig(n int) shard.Config {
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 	}
 }

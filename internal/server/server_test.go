@@ -265,7 +265,6 @@ func TestServerDrain(t *testing.T) {
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 	})
 	if err != nil {

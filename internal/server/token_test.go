@@ -75,7 +75,6 @@ func TestCommitTokenTTLExpiry(t *testing.T) {
 		BufferPages:          256,
 		PartitionBufferBytes: 64 << 10,
 		EnableWAL:            true,
-		GroupCommit:          db.GroupCommitConfig{Enabled: true},
 	}})
 	if err != nil {
 		t.Fatal(err)

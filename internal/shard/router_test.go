@@ -21,7 +21,6 @@ func newRouter(t *testing.T, shards int) *Router {
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 	})
 	if err != nil {

@@ -22,7 +22,6 @@ func newSupervisedRouter(t *testing.T, shards int, sup SupervisorConfig) *Router
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		Supervise:  true,
 		Supervisor: sup,

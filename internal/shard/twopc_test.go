@@ -22,7 +22,6 @@ func newTwoPCRouter(t *testing.T, shards int, hooks TwoPCHooks) *Router {
 			BufferPages:          256,
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 		},
 		Supervise: true,
 		TwoPC:     hooks,

@@ -24,9 +24,15 @@ type refWriter struct {
 	tail     []byte
 	tailPage uint64
 	haveTail bool
+	written  int64
 }
 
-func (w *refWriter) Append(r *Record) { w.pending = encode(w.pending, r) }
+func (w *refWriter) Append(r *Record) int64 {
+	n := len(w.pending)
+	w.pending = encode(w.pending, r)
+	w.written += int64(len(w.pending) - n)
+	return w.written
+}
 
 func (w *refWriter) Flush() error {
 	if len(w.pending) == 0 {
@@ -293,7 +299,7 @@ func TestFlushOnZonedDevice(t *testing.T) {
 	run := func(spec ssd.DeviceSpec, ref bool) (ssd.ZNSStats, int, error) {
 		dev, f := newDevFile(spec)
 		var w interface {
-			Append(*Record)
+			Append(*Record) int64
 			Flush() error
 		} = NewWriter(f)
 		if ref {

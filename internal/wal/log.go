@@ -32,8 +32,8 @@ import (
 // the old pages are freed is the new generation the sole copy, and by then
 // it is durably complete.
 
-// ErrClosed is returned by Flush and Rotate once the log is fenced: nothing
-// more reaches the device. A commit that meets it did not happen.
+// ErrClosed is returned by Flush, FlushTo and Rotate once the log is fenced:
+// nothing more reaches the device. A commit that meets it did not happen.
 var ErrClosed = errors.New("wal: log closed")
 
 // superMagic opens every superblock: "MVPBTWAL".
@@ -149,11 +149,12 @@ func NewLog(fm *sfile.Manager, name string) *Log {
 		meta: fm.Create(name+"meta", sfile.ClassMeta)}
 }
 
-// Append buffers a record in the current generation (no device I/O).
-func (l *Log) Append(r *Record) {
+// Append buffers a record in the current generation (no device I/O) and
+// returns its end offset, counted across generations like LogStats.Written.
+func (l *Log) Append(r *Record) int64 {
 	l.mu.RLock()
-	l.w.Append(r)
-	l.mu.RUnlock()
+	defer l.mu.RUnlock()
+	return l.st.Written + l.w.Append(r)
 }
 
 // Flush forces the buffered records to the device (see Writer.Flush).
@@ -164,6 +165,33 @@ func (l *Log) Flush() error {
 		return ErrClosed
 	}
 	return l.w.Flush()
+}
+
+// FlushTo makes the log durable through end, an offset Append returned (see
+// Writer.FlushTo). Past the fence it returns ErrClosed unless a flush before
+// the fence covered end. A rotation publishes a durable generation, so an
+// end from before it counts as covered: what a generation held unflushed
+// when it was replaced is gone, and the rotating client must have nothing
+// there it still needs (the engine's quiescence check sees to that).
+func (l *Log) FlushTo(end int64) (wrote bool, err error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	end -= l.st.Written
+	if !l.closed {
+		return l.w.FlushTo(end)
+	}
+	if l.w.synced.Load() < end {
+		return false, ErrClosed
+	}
+	return false, nil
+}
+
+// Synced reports whether a flush has covered the log through end, an offset
+// Append returned.
+func (l *Log) Synced(end int64) bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.st.Written+l.w.synced.Load() >= end
 }
 
 // Close fences the log: once it returns, no Flush or Rotate writes the

@@ -47,6 +47,68 @@ func appendFlush(t *testing.T, l *Log, ids ...uint64) {
 	}
 }
 
+// TestFlushToCovers: FlushTo writes only when no flush has covered its end
+// yet, resumes a failed flush like Flush, and keeps the fence's contract —
+// after Close an end a flush covered is durable, any other is ErrClosed.
+func TestFlushToCovers(t *testing.T) {
+	t.Run("covered", func(t *testing.T) {
+		l, _, _ := newTestLog()
+		first := l.Append(&Record{Op: OpCommit, TxID: 1})
+		l.Append(&Record{Op: OpCommit, TxID: 2})
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flushes := l.Stats().Flushes
+		if wrote, err := l.FlushTo(first); wrote || err != nil {
+			t.Fatalf("FlushTo of a covered end: wrote=%v err=%v", wrote, err)
+		}
+		if got := l.Stats().Flushes; got != flushes {
+			t.Fatalf("Flushes %d -> %d for a covered end", flushes, got)
+		}
+	})
+	t.Run("resumes after fault", func(t *testing.T) {
+		l, _, dev := newTestLog()
+		appendFlush(t, l, 1)
+		end := l.Append(&Record{Op: OpCommit, TxID: 2})
+		id := dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: ssd.AnyClass, Sticky: true})
+		if _, err := l.FlushTo(end); !errors.Is(err, storage.ErrIOFault) {
+			t.Fatalf("FlushTo under a sticky write fault: %v", err)
+		}
+		if l.Synced(end) {
+			t.Fatal("a failed flush reported the record synced")
+		}
+		dev.DisarmFault(id)
+		if wrote, err := l.FlushTo(end); !wrote || err != nil {
+			t.Fatalf("resumed FlushTo: wrote=%v err=%v", wrote, err)
+		}
+		if !l.Synced(end) {
+			t.Fatal("resumed FlushTo did not report the record synced")
+		}
+		if got := txids(t, l.Image()); !reflect.DeepEqual(got, []uint64{1, 2}) || l.Stats().DeviceBytes != storage.PageSize {
+			t.Fatalf("log reads %v over %d B, want [1 2] on the failed page", got, l.Stats().DeviceBytes)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		l, _, _ := newTestLog()
+		covered := l.Append(&Record{Op: OpCommit, TxID: 1})
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		late := l.Append(&Record{Op: OpCommit, TxID: 2})
+		l.Close()
+		img := l.Image()
+		if wrote, err := l.FlushTo(covered); wrote || err != nil {
+			t.Fatalf("FlushTo of a covered end after Close: wrote=%v err=%v", wrote, err)
+		}
+		if _, err := l.FlushTo(late); !errors.Is(err, ErrClosed) {
+			t.Fatalf("FlushTo of an uncovered end after Close: %v, want ErrClosed", err)
+		}
+		if !reflect.DeepEqual(l.Image(), img) {
+			t.Fatal("FlushTo after Close changed the image")
+		}
+	})
+}
+
 func fillWith(ids ...uint64) func(*Writer, uint64) error {
 	return func(w *Writer, _ uint64) error {
 		for _, id := range ids {

@@ -224,7 +224,8 @@ type Writer struct {
 	tailPage uint64
 	tailOff  int
 	haveTail bool
-	written  int64 // total logical bytes appended
+	written  int64        // total logical bytes appended
+	synced   atomic.Int64 // written as of the last flush that left nothing buffered
 
 	enc []byte // reused record-body encode buffer, guarded by mu
 
@@ -237,8 +238,9 @@ func NewWriter(file *sfile.File) *Writer {
 	return &Writer{file: file}
 }
 
-// Append adds a record to the log buffer (no device I/O yet).
-func (w *Writer) Append(r *Record) {
+// Append adds a record to the log buffer (no device I/O yet) and returns
+// the log's length after it: the record's end offset, which FlushTo takes.
+func (w *Writer) Append(r *Record) int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.enc = encodeBody(w.enc, r)
@@ -248,8 +250,9 @@ func (w *Writer) Append(r *Record) {
 	if w.spill && len(w.buf) >= sfile.ExtentBytes {
 		// An error leaves the bytes buffered for Flush to meet it again, and
 		// ends the spilling: the owner hears of a fault once, from Flush.
-		w.spill = w.flushTo(len(w.buf)-(w.tailOff+len(w.buf))%storage.PageSize) == nil
+		w.spill = w.writeOut(len(w.buf)-(w.tailOff+len(w.buf))%storage.PageSize) == nil
 	}
+	return w.written
 }
 
 // Written returns the total logical log bytes appended so far.
@@ -280,19 +283,41 @@ var zeroSector [ssd.SectorSize]byte
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.buf) == w.durable {
-		return nil
-	}
-	if err := w.flushTo(len(w.buf)); err != nil {
-		return err
-	}
-	w.flushes.Add(1)
-	return nil
+	_, err := w.flush()
+	return err
 }
 
-// flushTo writes buf[:end] to the device: everything buffered, or a prefix
+// FlushTo makes the log durable through end, an offset Append returned. It
+// returns at once, wrote false, when a flush already covered end: a flush
+// covers every record appended before it, which is all group commit needs.
+// Otherwise it flushes everything buffered, exactly as Flush does; wrote
+// reports whether that reached the device.
+func (w *Writer) FlushTo(end int64) (wrote bool, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.synced.Load() >= end {
+		return false, nil
+	}
+	return w.flush()
+}
+
+// flush writes out everything buffered and advances synced. Called with mu
+// held.
+func (w *Writer) flush() (wrote bool, err error) {
+	if len(w.buf) > w.durable {
+		if err := w.writeOut(len(w.buf)); err != nil {
+			return false, err
+		}
+		w.flushes.Add(1)
+		wrote = true
+	}
+	w.synced.Store(w.written)
+	return wrote, nil
+}
+
+// writeOut writes buf[:end] to the device: everything buffered, or a prefix
 // that ends on a page boundary. Called with mu held.
-func (w *Writer) flushTo(end int) error {
+func (w *Writer) writeOut(end int) error {
 	if w.file == nil {
 		w.file = w.open()
 	}

@@ -238,13 +238,11 @@ type table struct {
 }
 
 // newTable builds the fixture on a fresh engine configured by ec, on cfg's
-// device and heap, with the WAL on and group commit in its deterministic
-// single-threaded regime (batches of one), so scenarios exercise the
-// production commit pipeline.
+// device and heap, with the WAL on, so scenarios exercise the production
+// commit pipeline (single-threaded, each commit flushes its own record).
 func newTable(cfg Config, ec db.Config) (*table, error) {
 	ec.Device = cfg.Device
 	ec.EnableWAL = true
-	ec.GroupCommit = db.GroupCommitConfig{Enabled: true}
 	eng := db.NewEngine(ec)
 	tbl, err := eng.NewTable("t", cfg.Heap, db.IndexDef{
 		Name: "pk", Kind: db.IdxMVPBT, RefMode: db.RefPhysical, Unique: true,
@@ -734,7 +732,6 @@ func runTenantSkew(cfg Config) (Fingerprint, error) {
 			PartitionBufferBytes: 96 << 10,
 			Device:               cfg.Device,
 			EnableWAL:            true,
-			GroupCommit:          db.GroupCommitConfig{Enabled: true},
 			DeviceCapacityBytes:  12 << 20,
 			// The soft watermark sits inside the envelope the bursts
 			// oscillate through: below the crests the analytical pin
