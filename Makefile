@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
+.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-index fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
 
 all: build fmt vet test
 
@@ -63,6 +63,9 @@ traffic:
 # file's size up to an extent boundary. And the served path reads frames into
 # the buffers its two ends keep: outside internal/server/wire and the
 # benchmark's probe, no non-test file calls the allocating wire.ReadFrame.
+# And a batch commits through CommitDurable, the one durable commit path.
+# And a deployment reports itself once, as Router.Report over STATS: the
+# inspector reads a running server and never builds a router of its own.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -82,6 +85,10 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a served path reads frames into fresh buffers (use wire.ReadFrameInto):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'groupCommitter|commitWaiter|runLeader|maxCommitBatch|MaxBatched' --include='*.go' . | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: the commit batcher is back (a commit flushes the log through its own record):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'CommitBatchDurable' --include='*.go' . | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a second durable commit path is back (CommitDurable takes the batch):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'inspectShards|func \(r \*Router\) Degraded' --include='*.go' .; grep -rn 'shard\.New(' --include='*.go' cmd/mvpbt-inspect); \
+	if [ -n "$$bad" ]; then echo "seams: a second dumper of a deployment is back (STATS returns Router.Report; mvpbt-inspect -addr reads it):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -113,6 +120,14 @@ fuzz-wal:
 # panic. Crashers land in internal/heap/testdata/fuzz/.
 fuzz-heap:
 	go test -fuzz=FuzzDecodeVersion -fuzztime=10s ./internal/heap/
+
+# And for the two baseline indexes' decoders, which read records of pages
+# whose checksum held: the B-tree's leaf and internal node records and the
+# LSM tree's entry bodies. A short record must be ErrCorruptPage, not a
+# panic. Crashers land in internal/index/{btree,lsm}/testdata/fuzz/.
+fuzz-index:
+	go test -fuzz=FuzzBTreeRecord -fuzztime=10s ./internal/index/btree/
+	go test -fuzz=FuzzLSMBody -fuzztime=10s ./internal/index/lsm/
 
 # And for the partition layer's decoders of device bytes: the slotted page's
 # slot directory under Get, Live and LiveCount; the leaf cursor

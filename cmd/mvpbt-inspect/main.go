@@ -1,17 +1,20 @@
 // Command mvpbt-inspect runs a small workload against an MV-PBT and dumps
 // the resulting structure: partition metadata, filter statistics, the
 // index records of selected keys (matter/anti-matter, timestamps), and
-// device counters. A teaching and debugging tool.
+// device counters. A teaching and debugging tool. With -addr it instead
+// prints a running mvpbt-server's STATS reply, shard.Report (every shard's
+// health, space, WAL, checkpoint, 2PC, MV-PBT and device counters, and the
+// coordinator log's), as indented JSON.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"strings"
-	"time"
+	"os"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
 	"mvpbt/internal/txn"
 )
@@ -23,12 +26,15 @@ func main() {
 		pbuf     = flag.Int("pbuf", 32<<10, "partition buffer bytes")
 		key      = flag.String("key", "key-000", "key whose index records to dump")
 		capacity = flag.Int64("capacity", 64<<20, "device capacity budget in bytes (0 = unbounded)")
-		shards   = flag.Int("shards", 0, "inspect a sharded deployment with this many engines instead of one engine")
+		addr     = flag.String("addr", "", "print the report of the mvpbt-server at this address instead of running an engine")
 	)
 	flag.Parse()
 
-	if *shards > 0 {
-		inspectShards(*shards, *tuples, *updates, *pbuf, *capacity)
+	if *addr != "" {
+		if err := printReport(*addr); err != nil {
+			fmt.Fprintln(os.Stderr, "mvpbt-inspect:", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -158,136 +164,23 @@ func val(rr *db.RowRef) string {
 	return string(rr.Row[1+int(rr.Row[0]):])
 }
 
-// inspectShards runs a small workload through a shard.Router and prints
-// per-shard statistics side by side: key distribution, space governance,
-// and the commit pipeline, one column per shard.
-func inspectShards(n, tuples, updates, pbuf int, capacity int64) {
-	r, err := shard.New(shard.Config{
-		Shards: n,
-		Engine: db.Config{
-			BufferPages:          1024,
-			PartitionBufferBytes: pbuf,
-			EnableWAL:            true,
-			DeviceCapacityBytes:  capacity,
-		},
-		Supervise: true,
-	})
+// printReport prints the report of the server at addr. The reply is decoded
+// into shard.Report first, so a reply that is not one fails here.
+func printReport(addr string) error {
+	c, err := shardclient.Dial(addr, "mvpbt-inspect")
 	if err != nil {
-		panic(err)
+		return err
 	}
-	defer r.Close()
-
-	for round := 0; round <= updates; round++ {
-		for i := 0; i < tuples; i++ {
-			k := []byte(fmt.Sprintf("key-%05d", i))
-			if err := r.Put(k, []byte(fmt.Sprintf("v%d", round))); err != nil {
-				panic(err)
-			}
-		}
+	defer c.Close()
+	var rep shard.Report
+	st, err := c.Stats()
+	if err == nil {
+		err = json.Unmarshal([]byte(st), &rep)
 	}
-	// A tenth of the keyspace deleted, to exercise anti-matter routing.
-	for i := 0; i < tuples; i += 10 {
-		if err := r.Delete([]byte(fmt.Sprintf("key-%05d", i))); err != nil {
-			panic(err)
-		}
-	}
-	// A few cross-shard transactions, so the commit-protocol section below
-	// has two-phase commit traffic to show.
-	for g := 0; g < 8; g++ {
-		gtx, err := r.Begin()
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 4; i++ {
-			k := []byte(fmt.Sprintf("key-%05d", (g*37+i*11)%tuples))
-			if err := gtx.Put(k, []byte(fmt.Sprintf("g%d", g))); err != nil {
-				panic(err)
-			}
-		}
-		if err := gtx.Commit(); err != nil {
-			panic(err)
-		}
-	}
-
-	// Per-shard live key counts via one consistent cross-shard snapshot.
-	keys := make([]int, n)
-	tx, err := r.Begin()
 	if err != nil {
-		panic(err)
+		return fmt.Errorf("stats: %w", err)
 	}
-	if err := tx.Scan(nil, math.MaxInt32, func(k, v []byte) bool {
-		keys[r.ShardOf(k)]++
-		return true
-	}); err != nil {
-		panic(err)
-	}
-	tx.Commit()
-
-	stats := r.Stats()
-	fmt.Printf("== per-shard stats: %d shards, %d keys x %d rounds (hash-partitioned) ==\n",
-		n, tuples, updates+1)
-	row := func(label string, cell func(i int) string) {
-		fmt.Printf("%-18s", label)
-		for i := range stats {
-			fmt.Printf("  %-14s", cell(i))
-		}
-		fmt.Println()
-	}
-	row("", func(i int) string { return stats[i].Dir })
-	row("live keys", func(i int) string { return fmt.Sprintf("%d", keys[i]) })
-	row("capacity", func(i int) string { return fmt.Sprintf("%d", stats[i].Space.Capacity) })
-	row("live bytes", func(i int) string { return fmt.Sprintf("%d", stats[i].Space.Live) })
-	row("high water", func(i int) string { return fmt.Sprintf("%d", stats[i].Space.HighWater) })
-	row("soft/hard", func(i int) string {
-		return fmt.Sprintf("%d/%d", stats[i].Space.Soft, stats[i].Space.Hard)
-	})
-	row("read-only", func(i int) string { return fmt.Sprintf("%v", stats[i].Space.ReadOnly) })
-	row("reclaims", func(i int) string { return fmt.Sprintf("%d", stats[i].Space.Reclaims) })
-	row("wal flushes", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Flushes) })
-	row("wal commits", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Commits) })
-	row("flushes/commit", func(i int) string { return fmt.Sprintf("%.2f", stats[i].WAL.FlushesPerCommit()) })
-	row("devB/logB ckpt-err", func(i int) string {
-		return fmt.Sprintf("%.2f %d", stats[i].WAL.DeviceBytesPerLogByte(), stats[i].Checkpoint.Errors)
-	})
-	row("group batches", func(i int) string { return fmt.Sprintf("%d", stats[i].WAL.Group.Batches) })
-	row("health", func(i int) string { return stats[i].Health.State.String() })
-	row("restarts", func(i int) string { return fmt.Sprintf("%d", stats[i].Health.Restarts) })
-	row("breaker", func(i int) string {
-		if stats[i].Health.BreakerOpen {
-			return fmt.Sprintf("open (%d fails)", stats[i].Health.RestartFailures)
-		}
-		return "closed"
-	})
-
-	// Commit protocol: the participant side per shard (prepare votes,
-	// resolutions, anything still in doubt) and the coordinator log.
-	twopc := make([]db.TwoPCStats, n)
-	for i := 0; i < n; i++ {
-		twopc[i] = r.Shard(i).Engine.TwoPCInfo()
-	}
-	fmt.Println("\n== commit protocol (two-phase, presumed abort) ==")
-	row("2pc prepares", func(i int) string { return fmt.Sprintf("%d", twopc[i].Prepares) })
-	row("2pc commits", func(i int) string { return fmt.Sprintf("%d", twopc[i].ResolvedCommits) })
-	row("2pc aborts", func(i int) string { return fmt.Sprintf("%d", twopc[i].ResolvedAborts) })
-	row("in doubt", func(i int) string { return fmt.Sprintf("%d", twopc[i].InDoubt) })
-	row("oldest prepared", func(i int) string {
-		if twopc[i].InDoubt == 0 {
-			return "-"
-		}
-		return twopc[i].OldestAge.Round(time.Millisecond).String()
-	})
-	info := r.TwoPCInfo()
-	fmt.Printf("coordinator: %d groups decided, %d retired, %d live decisions, %d inflight, "+
-		"log %d bytes, %d checkpoints, incarnation %d\n",
-		info.Coordinator.Decides, info.Coordinator.Forgets, info.Coordinator.LiveDecisions,
-		info.Coordinator.Inflight, info.Coordinator.LogBytes, info.Coordinator.Checkpoints,
-		info.Coordinator.Incarnation)
-
-	fmt.Println("\n== per-shard devices ==")
-	for _, st := range stats {
-		fmt.Printf("%s: %s\n", st.Dir, strings.TrimSpace(st.Device))
-	}
-	if d := r.Degraded(); len(d) > 0 {
-		fmt.Printf("\ndegraded shards: %v\n", d)
-	}
+	out, err := json.MarshalIndent(rep, "", "  ")
+	fmt.Println(string(out))
+	return err
 }

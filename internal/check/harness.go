@@ -193,7 +193,7 @@ func (h *harness) buildEngine() error {
 		// Every commit takes the production pipeline, append and flush
 		// through the record (MaxDelay 0). The harness is single-threaded,
 		// so each commit flushes its own record; commits that share a flush
-		// are driven explicitly by OpTornBatch via CommitBatchDurable.
+		// are driven explicitly by OpTornBatch through one CommitDurable.
 		EnableWAL: true,
 	})
 	pbRef := db.RefPhysical
@@ -514,7 +514,7 @@ func (h *harness) tornCommit(i int, op Op) *Violation {
 }
 
 // tornBatch drives a batched group commit through a torn WAL flush: every
-// client's open transaction joins one CommitBatchDurable, whose single
+// client's open transaction joins one CommitDurable, whose single
 // flush tears, leaving EVERY logged member of the batch in doubt at once.
 // Commit records were appended in batch order, so the tear typically
 // persists a prefix of the batch: each member is resolved independently
@@ -543,7 +543,7 @@ func (h *harness) tornBatch(i int, op Op) *Violation {
 		Ops:         []uint64{1, 2, 3},
 		TornSectors: op.Key % (storage.PageSize / ssd.SectorSize),
 	})
-	err := h.eng.CommitBatchDurable(txs)
+	err := h.eng.CommitDurable(txs...)
 	h.eng.Dev.DisarmFault(id)
 	if err == nil {
 		// The flush dodged the fault (e.g. every member read-only): a plain

@@ -131,9 +131,10 @@ func TestCloseAndCrashFenceTheLog(t *testing.T) {
 			tx := insertOpen(t, e, tbl, "c")
 			return func() error { return e.CommitDurable(tx) }
 		}},
+		// A batch: two transactions through one CommitDurable.
 		{"CommitBatchDurable", func(e *Engine, tbl *Table) func() error {
-			txs := []*txn.Tx{insertOpen(t, e, tbl, "b1"), insertOpen(t, e, tbl, "b2")}
-			return func() error { return e.CommitBatchDurable(txs) }
+			t1, t2 := insertOpen(t, e, tbl, "b1"), insertOpen(t, e, tbl, "b2")
+			return func() error { return e.CommitDurable(t1, t2) }
 		}},
 		{"PrepareDurable", func(e *Engine, tbl *Table) func() error {
 			tx := insertOpen(t, e, tbl, "p")

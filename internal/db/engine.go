@@ -283,37 +283,49 @@ func (e *Engine) Commit(tx *txn.Tx) {
 	}
 }
 
-// CommitDurable commits tx, returning the WAL flush error instead of
-// panicking. On error the transaction is NOT committed in memory and its
-// durability is IN DOUBT: depending on where the flush tore, the commit
-// record may or may not have reached the device, so after a restart
-// recovery may legitimately resurface the transaction as committed. The
-// caller decides between retrying the flush (the log writer resumes at the
-// failed page) and crashing.
+// CommitDurable commits txs, returning the WAL flush error instead of
+// panicking. On error NONE of them is committed in memory and the
+// durability of every one with a commit record is IN DOUBT: depending on
+// where the flush tore, its commit record may or may not have reached the
+// device, so after a restart recovery may legitimately resurface the
+// transaction as committed. The caller decides between retrying the flush
+// (the log writer resumes at the failed page) and crashing.
 //
 // A read-only transaction (no logged row operations) commits without
-// touching the log at all. Otherwise the commit record is appended and the
-// log flushed through it; with Config.GroupCommit.MaxDelay the commit first
-// waits that long for another committer's flush to cover the record (see
-// DESIGN.md §11). A commit arriving after Close or Crash fails with
-// ErrClosed unless a flush before the fence covered its record.
-func (e *Engine) CommitDurable(tx *txn.Tx) error {
-	if e.log != nil && tx.WALLogged() {
-		end := e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
-		e.awaitFlush(end)
-		wrote, err := e.log.FlushTo(end)
-		if err != nil {
-			return err
+// touching the log at all. Otherwise every commit record is appended and the
+// log flushed once through the last (one deterministic flush for a batch,
+// which the fault campaign's torn batch tears); with GroupCommit.MaxDelay
+// the commit first waits that long for another committer's flush to cover
+// the records (DESIGN.md §11). A commit arriving after Close or Crash fails
+// with ErrClosed unless a flush before the fence covered its records.
+func (e *Engine) CommitDurable(txs ...*txn.Tx) error {
+	if e.log != nil {
+		logged, end := int64(0), int64(0)
+		for _, tx := range txs {
+			if tx.WALLogged() {
+				end = e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
+				logged++
+			}
 		}
-		if wrote {
-			e.commitFlushes.Add(1)
+		if logged > 0 {
+			e.awaitFlush(end)
+			wrote, err := e.log.FlushTo(end)
+			if err != nil {
+				return err
+			}
+			if wrote {
+				e.commitFlushes.Add(1)
+			}
+			e.walCommits.Add(logged)
+			e.durableCommits.Add(logged)
 		}
-		e.walCommits.Add(1)
-		e.durableCommits.Add(1)
-	} else if e.log != nil {
-		e.walROCommits.Add(1)
+		if ro := int64(len(txs)) - logged; ro > 0 {
+			e.walROCommits.Add(ro)
+		}
 	}
-	e.Mgr.Commit(tx)
+	for _, tx := range txs {
+		e.Mgr.Commit(tx)
+	}
 	e.maybeAutoCheckpoint()
 	e.maybeReclaim()
 	return nil

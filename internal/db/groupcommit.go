@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"time"
 
-	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
 )
 
@@ -91,37 +90,4 @@ func (s WALStats) DeviceBytesPerLogByte() float64 {
 		return 0
 	}
 	return float64(s.DeviceBytes) / float64(s.LogicalBytes)
-}
-
-// CommitBatchDurable durably commits txs together under a single log
-// flush: every transaction's commit record (read-only transactions have
-// none) is appended, the log is flushed once, and only then are the
-// transactions committed in memory. On a flush error NONE of them is
-// committed in memory and every one with a commit record is IN DOUBT,
-// exactly as in CommitDurable. The call is deterministic (no goroutines),
-// which is what the fault campaign's torn-batch scenario needs; concurrent
-// committers share flushes the same way through CommitDurable.
-func (e *Engine) CommitBatchDurable(txs []*txn.Tx) error {
-	if e.log != nil {
-		logged, end := 0, int64(0)
-		for _, tx := range txs {
-			if tx.WALLogged() {
-				end = e.log.Append(&wal.Record{Op: wal.OpCommit, TxID: uint64(tx.ID)})
-				logged++
-			}
-		}
-		if logged > 0 {
-			if _, err := e.log.FlushTo(end); err != nil {
-				return err
-			}
-		}
-		e.walCommits.Add(int64(logged))
-		e.walROCommits.Add(int64(len(txs) - logged))
-	}
-	for _, tx := range txs {
-		e.Mgr.Commit(tx)
-	}
-	e.maybeAutoCheckpoint()
-	e.maybeReclaim()
-	return nil
 }

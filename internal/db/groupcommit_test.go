@@ -12,7 +12,6 @@ import (
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
-	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
 )
 
@@ -260,7 +259,8 @@ func TestCommitDurableAfterCloseErrClosed(t *testing.T) {
 }
 
 // TestCommitBatchDurableSingleFlush: a batch of writers plus a read-only
-// transaction commits under exactly one flush, and all of it recovers.
+// transaction commits through one CommitDurable under exactly one flush,
+// and all of it recovers.
 func TestCommitBatchDurableSingleFlush(t *testing.T) {
 	e, tbl, ix := walTable(t)
 	t1 := e.Begin()
@@ -273,7 +273,7 @@ func TestCommitBatchDurableSingleFlush(t *testing.T) {
 	}
 
 	flushes := e.WALStatsSnapshot().Flushes
-	if err := e.CommitBatchDurable([]*txn.Tx{t1, t2, ro}); err != nil {
+	if err := e.CommitDurable(t1, t2, ro); err != nil {
 		t.Fatal(err)
 	}
 	s := e.WALStatsSnapshot()
@@ -293,9 +293,8 @@ func TestCommitBatchDurableSingleFlush(t *testing.T) {
 	}
 }
 
-// TestCommitBatchDurableFlushError: when the shared flush fails, NONE of
-// the batch is committed in memory (all in doubt), matching CommitDurable's
-// contract.
+// TestCommitBatchDurableFlushError: when a batch's shared flush fails, NONE
+// of the batch is committed in memory (all in doubt).
 func TestCommitBatchDurableFlushError(t *testing.T) {
 	e, tbl, ix := walTable(t)
 	t1 := e.Begin()
@@ -306,7 +305,7 @@ func TestCommitBatchDurableFlushError(t *testing.T) {
 	id := e.Dev.ArmFault(ssd.FaultRule{
 		Kind: ssd.FaultWriteErr, Class: int(sfile.ClassMeta), Sticky: true,
 	})
-	err := e.CommitBatchDurable([]*txn.Tx{t1, t2})
+	err := e.CommitDurable(t1, t2)
 	if !errors.Is(err, storage.ErrIOFault) {
 		t.Fatalf("batch commit with sticky WAL fault: %v", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"mvpbt/internal/index"
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
 
@@ -85,10 +86,20 @@ func encodeLeaf(key, body []byte) []byte {
 	return append(out, body...)
 }
 
-func decodeLeaf(rec []byte) (key, body []byte) {
+// errShortRecord is a node record whose bytes end before its fields do: the
+// page's checksum held, so the tree wrote it wrong.
+var errShortRecord = fmt.Errorf("btree: short node record: %w", storage.ErrCorruptPage)
+
+// takeKey splits a record into its length-prefixed key and the rest.
+func takeKey(rec []byte) (key, rest []byte, err error) {
 	kl, n := util.Uvarint(rec)
-	return rec[n : n+int(kl)], rec[n+int(kl):]
+	if n <= 0 || kl > uint64(len(rec)-n) {
+		return nil, nil, errShortRecord
+	}
+	return rec[n : n+int(kl)], rec[n+int(kl):], nil
 }
+
+func decodeLeaf(rec []byte) (key, body []byte, err error) { return takeKey(rec) }
 
 func encodeInternal(key, body []byte, child uint64) []byte {
 	out := util.PutUvarint(nil, uint64(len(key)))
@@ -103,17 +114,19 @@ func encodeInternal(key, body []byte, child uint64) []byte {
 	return append(out, b[:]...)
 }
 
-func decodeInternal(rec []byte) (key, body []byte, child uint64) {
-	kl, n := util.Uvarint(rec)
-	key = rec[n : n+int(kl)]
-	rest := rec[n+int(kl):]
-	bl, n2 := util.Uvarint(rest)
-	body = rest[n2 : n2+int(bl)]
-	cb := rest[n2+int(bl):]
+func decodeInternal(rec []byte) (key, body []byte, child uint64, err error) {
+	key, rest, err := takeKey(rec)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	body, cb, err := takeKey(rest)
+	if err != nil || len(cb) != 8 {
+		return nil, nil, 0, errShortRecord
+	}
 	for i := 0; i < 8; i++ {
 		child = child<<8 | uint64(cb[i])
 	}
-	return key, body, child
+	return key, body, child, nil
 }
 
 // cmpEntry orders entries by (key, body).
@@ -124,29 +137,44 @@ func cmpEntry(k1, b1, k2, b2 []byte) int {
 	return bytes.Compare(b1, b2)
 }
 
-// nodeKey returns the (key, body) of slot i, decoding per node level.
-func nodeKey(p page.Page, i int) (key, body []byte) {
-	rec := p.Get(i)
+// nodeKey decodes slot i per node level: its (key, body), and in an
+// internal node its child.
+func nodeKey(p page.Page, i int) (key, body []byte, child uint64, err error) {
 	if level(p) == 0 {
-		return decodeLeaf(rec)
+		key, body, err = decodeLeaf(p.Get(i))
+		return key, body, 0, err
 	}
-	k, b, _ := decodeInternal(rec)
-	return k, b
+	return decodeInternal(p.Get(i))
 }
 
-// searchNode returns the first slot whose entry is >= (key, body).
-func searchNode(p page.Page, key, body []byte) int {
+// searchNode returns the first slot whose entry is >= (key, body) — with
+// upper, the first whose entry is > it — and whether that slot holds
+// exactly (key, body).
+func searchNode(p page.Page, key, body []byte, upper bool) (pos int, found bool, err error) {
 	lo, hi := 0, p.NumSlots()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k, b := nodeKey(p, mid)
-		if cmpEntry(k, b, key, body) < 0 {
+		k, b, _, err := nodeKey(p, mid)
+		if err != nil {
+			return 0, false, err
+		}
+		if c := cmpEntry(k, b, key, body); c < 0 || upper && c == 0 {
 			lo = mid + 1
 		} else {
-			hi = mid
+			hi, found = mid, c == 0
 		}
 	}
-	return lo
+	return lo, found, nil
+}
+
+// insertSorted inserts rec, the record of (key, body), at its place in p,
+// reporting false when p has no room for it.
+func insertSorted(p page.Page, key, body, rec []byte) (bool, error) {
+	pos, _, err := searchNode(p, key, body, false)
+	if err != nil {
+		return false, err
+	}
+	return p.InsertAt(pos, rec), nil
 }
 
 // childFor returns the slot index of the child to descend into for
@@ -171,25 +199,16 @@ func child0(p page.Page) uint64 {
 	return c
 }
 
-func childFor(p page.Page, key, body []byte) (slot int, child uint64) {
+func childFor(p page.Page, key, body []byte) (slot int, child uint64, err error) {
 	// Upper bound: first separator STRICTLY greater than (key, body); the
 	// child to follow precedes it. A key equal to a separator descends into
 	// that separator's child (its subtree holds keys >= separator).
-	lo, hi := 0, p.NumSlots()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		k, b := nodeKey(p, mid)
-		if cmpEntry(k, b, key, body) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	lo, _, err := searchNode(p, key, body, true)
+	if err != nil || lo == 0 {
+		return -1, child0(p), err
 	}
-	if lo == 0 {
-		return -1, child0(p)
-	}
-	_, _, c := decodeInternal(p.Get(lo - 1))
-	return lo - 1, c
+	_, _, c, err := decodeInternal(p.Get(lo - 1))
+	return lo - 1, c, err
 }
 
 // pathElem records the traversal for split propagation.
@@ -223,8 +242,11 @@ func (t *Tree) InsertEntry(key, body []byte) error {
 			err := t.insertLeaf(fr, p, pageNo, key, body, path)
 			return err
 		}
-		slot, child := childFor(p, key, body)
+		slot, child, err := childFor(p, key, body)
 		t.pool.Unpin(fr, false)
+		if err != nil {
+			return err
+		}
 		path = append(path, pathElem{pageNo: pageNo, slot: slot})
 		pageNo = child
 	}
@@ -233,13 +255,10 @@ func (t *Tree) InsertEntry(key, body []byte) error {
 // insertLeaf places (key, body) in the pinned leaf, splitting as needed.
 // It consumes the pin.
 func (t *Tree) insertLeaf(fr *buffer.Frame, p page.Page, pageNo uint64, key, body []byte, path []pathElem) error {
-	pos := searchNode(p, key, body)
-	if pos < p.NumSlots() {
-		k, b := nodeKey(p, pos)
-		if cmpEntry(k, b, key, body) == 0 {
-			t.pool.Unpin(fr, false)
-			return nil // exact duplicate
-		}
+	pos, dup, err := searchNode(p, key, body, false)
+	if dup || err != nil {
+		t.pool.Unpin(fr, false)
+		return err // nil for an exact duplicate
 	}
 	rec := encodeLeaf(key, body)
 	if p.InsertAt(pos, rec) {
@@ -262,14 +281,15 @@ func (t *Tree) insertLeaf(fr *buffer.Frame, p page.Page, pageNo uint64, key, bod
 		}
 		target, targetNo = rfr, rightNo
 	}
-	tp := page.Wrap(target.Data())
-	pos = searchNode(tp, key, body)
-	ok := tp.InsertAt(pos, rec)
+	ok, err := insertSorted(page.Wrap(target.Data()), key, body, rec)
 	if rfr != nil {
 		t.pool.Unpin(fr, true)
 		t.pool.Unpin(rfr, true)
 	} else {
 		t.pool.Unpin(fr, true)
+	}
+	if err != nil {
+		return err
 	}
 	if !ok {
 		return fmt.Errorf("btree: insert failed after split (page %d)", targetNo)
@@ -305,18 +325,18 @@ func (t *Tree) splitNode(p page.Page) (uint64, []byte, []byte, error) {
 	}
 	p.Compact()
 
-	var sepKey, sepBody []byte
+	k, b, c, err := nodeKey(rp, 0)
+	if err != nil {
+		t.pool.Unpin(rfr, true)
+		return 0, nil, nil, err
+	}
+	sepKey := append([]byte(nil), k...)
+	sepBody := append([]byte(nil), b...)
 	if level(p) == 0 {
-		k, b := decodeLeaf(rp.Get(0))
-		sepKey = append([]byte(nil), k...)
-		sepBody = append([]byte(nil), b...)
 		// Leaf sibling chain.
 		setSibling(rp, sibling(p))
 		setSibling(p, rightNo+1)
 	} else {
-		k, b, c := decodeInternal(rp.Get(0))
-		sepKey = append([]byte(nil), k...)
-		sepBody = append([]byte(nil), b...)
 		setChild0(rp, c)
 		rp.DeleteAt(0)
 	}
@@ -352,11 +372,10 @@ func (t *Tree) insertSeparator(path []pathElem, sepKey, sepBody []byte, rightNo 
 		return err
 	}
 	p := page.Wrap(fr.Data())
-	pos := searchNode(p, sepKey, sepBody)
 	rec := encodeInternal(sepKey, sepBody, rightNo)
-	if p.InsertAt(pos, rec) {
-		t.pool.Unpin(fr, true)
-		return nil
+	if ok, err := insertSorted(p, sepKey, sepBody, rec); ok || err != nil {
+		t.pool.Unpin(fr, ok)
+		return err
 	}
 	prNo, psk, psb, err := t.splitNode(p)
 	if err != nil {
@@ -364,25 +383,24 @@ func (t *Tree) insertSeparator(path []pathElem, sepKey, sepBody []byte, rightNo 
 		return err
 	}
 	// Choose the half that receives the new separator.
+	var ok bool
 	if cmpEntry(sepKey, sepBody, psk, psb) >= 0 {
 		rfr, err2 := t.pool.Get(t.file, prNo)
 		if err2 != nil {
 			t.pool.Unpin(fr, true)
 			return err2
 		}
-		rp := page.Wrap(rfr.Data())
-		ok := rp.InsertAt(searchNode(rp, sepKey, sepBody), rec)
+		ok, err = insertSorted(page.Wrap(rfr.Data()), sepKey, sepBody, rec)
 		t.pool.Unpin(rfr, true)
-		t.pool.Unpin(fr, true)
-		if !ok {
-			return fmt.Errorf("btree: separator insert failed after split")
-		}
 	} else {
-		ok := p.InsertAt(searchNode(p, sepKey, sepBody), rec)
-		t.pool.Unpin(fr, true)
-		if !ok {
-			return fmt.Errorf("btree: separator insert failed after split")
-		}
+		ok, err = insertSorted(p, sepKey, sepBody, rec)
+	}
+	t.pool.Unpin(fr, true)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("btree: separator insert failed after split")
 	}
 	return t.insertSeparator(path[:len(path)-1], psk, psb, prNo)
 }
@@ -400,8 +418,11 @@ func (t *Tree) findLeaf(key, body []byte) (uint64, error) {
 			t.pool.Unpin(fr, false)
 			return pageNo, nil
 		}
-		_, child := childFor(p, key, body)
+		_, child, err := childFor(p, key, body)
 		t.pool.Unpin(fr, false)
+		if err != nil {
+			return 0, err
+		}
 		pageNo = child
 	}
 }
@@ -435,10 +456,17 @@ func (t *Tree) ScanRaw(lo, hi []byte, fn func(key, body []byte) bool) error {
 		}
 		p := page.Wrap(fr.Data())
 		if pos < 0 {
-			pos = searchNode(p, lo, nil)
+			if pos, _, err = searchNode(p, lo, nil, false); err != nil {
+				t.pool.Unpin(fr, false)
+				return err
+			}
 		}
 		for ; pos < p.NumSlots(); pos++ {
-			k, b := decodeLeaf(p.Get(pos))
+			k, b, err := decodeLeaf(p.Get(pos))
+			if err != nil {
+				t.pool.Unpin(fr, false)
+				return err
+			}
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				t.pool.Unpin(fr, false)
 				return nil
@@ -474,17 +502,14 @@ func (t *Tree) Delete(key, body []byte) (bool, error) {
 		return false, err
 	}
 	p := page.Wrap(fr.Data())
-	pos := searchNode(p, key, body)
-	if pos < p.NumSlots() {
-		k, b := decodeLeaf(p.Get(pos))
-		if cmpEntry(k, b, key, body) == 0 {
-			p.DeleteAt(pos)
-			t.pool.Unpin(fr, true)
-			return true, nil
-		}
+	pos, found, err := searchNode(p, key, body, false)
+	if found {
+		p.DeleteAt(pos)
+		t.pool.Unpin(fr, true)
+		return true, nil
 	}
 	t.pool.Unpin(fr, false)
-	return false, nil
+	return false, err
 }
 
 var _ index.Candidates = (*Tree)(nil)

@@ -10,12 +10,14 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/skiplist"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
 
@@ -64,9 +66,16 @@ func encodeBody(dst []byte, e memEntry) []byte {
 	return append(dst, e.val...)
 }
 
-func decodeBody(b []byte) memEntry {
+// errShortBody is a run entry whose body ends before its flags byte: the
+// page's checksum held, so the tree wrote it wrong.
+var errShortBody = fmt.Errorf("lsm: short entry body: %w", storage.ErrCorruptPage)
+
+func decodeBody(b []byte) (memEntry, error) {
 	seq, n := util.Uvarint(b)
-	return memEntry{seq: seq, tomb: b[n]&1 != 0, val: b[n+1:]}
+	if n <= 0 || n >= len(b) {
+		return memEntry{}, errShortBody
+	}
+	return memEntry{seq: seq, tomb: b[n]&1 != 0, val: b[n+1:]}, nil
 }
 
 // Stats aggregates LSM activity.
@@ -218,7 +227,8 @@ func (t *Tree) newestLocked(key []byte) (memEntry, bool, error) {
 				return memEntry{}, false, it.Err()
 			}
 			if it.Valid() && bytes.Equal(it.Record().Key, key) {
-				return decodeBody(it.Record().Body), true, nil
+				e, err := decodeBody(it.Record().Body)
+				return e, err == nil, err
 			}
 		}
 	}
@@ -247,9 +257,9 @@ func (s *source) key() []byte {
 	return s.segIt.Record().Key
 }
 
-func (s *source) entry() memEntry {
+func (s *source) entry() (memEntry, error) {
 	if s.memIt != nil {
-		return s.memIt.Value()
+		return s.memIt.Value(), nil
 	}
 	return decodeBody(s.segIt.Record().Body)
 }
@@ -284,7 +294,14 @@ func (m scanMerge) Exhausted(i int) bool {
 }
 func (m scanMerge) Less(i, j int) bool {
 	c := bytes.Compare(m.srcs[i].key(), m.srcs[j].key())
-	return c < 0 || c == 0 && m.bySeq && m.srcs[i].entry().seq > m.srcs[j].entry().seq
+	if c != 0 || !m.bySeq {
+		return c < 0
+	}
+	// A body that does not decode orders as sequence 0; ScanRawAll hands
+	// every record out through entry, which fails the scan on it.
+	ei, _ := m.srcs[i].entry()
+	ej, _ := m.srcs[j].entry()
+	return ei.seq > ej.seq
 }
 
 // Scan calls fn for every live key in [lo, hi) in key order, newest value
@@ -308,7 +325,10 @@ func (t *Tree) ScanLimit(lo, hi []byte, rows int, fn func(key, val []byte) bool)
 	for w := merge.Winner(); w >= 0; {
 		// The winner is handed out before any source moves: its value lies
 		// in its source's buffers.
-		e := m.srcs[w].entry()
+		e, err := m.srcs[w].entry()
+		if err != nil {
+			return err
+		}
 		key := append([]byte(nil), m.srcs[w].key()...)
 		if !e.tomb && !fn(key, e.val) {
 			return nil
@@ -370,7 +390,10 @@ func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bo
 	var merge util.LoserTree[scanMerge]
 	for merge.Build(m); merge.Winner() >= 0; merge.Fix(m) {
 		s := m.srcs[merge.Winner()]
-		e := s.entry()
+		e, err := s.entry()
+		if err != nil {
+			return err
+		}
 		if !fn(append([]byte(nil), s.key()...), e.seq, e.tomb, e.val) {
 			return nil
 		}
@@ -564,10 +587,13 @@ func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Se
 	var minKey []byte
 	merge.Build(rds)
 	for w := merge.Winner(); w >= 0; {
-		if body := rds[w].Body(); !(dropTombs && decodeBody(body).tomb) {
-			if err := b.Add(rds[w].Key(), body); err != nil {
-				return nil, err
-			}
+		body := rds[w].Body()
+		e, err := decodeBody(body)
+		if err == nil && !(dropTombs && e.tomb) {
+			err = b.Add(rds[w].Key(), body)
+		}
+		if err != nil {
+			return nil, err
 		}
 		minKey = append(minKey[:0], rds[w].Key()...)
 		for ; w >= 0 && bytes.Equal(rds[w].Key(), minKey); w = merge.Winner() {

@@ -15,11 +15,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -735,13 +735,11 @@ func (s *Server) dispatch(sess *session, bw *bufio.Writer, op byte, payload []by
 		return wire.WriteFrame(bw, wire.StatusOK)
 
 	case wire.OpStats:
-		var sb strings.Builder
-		for _, st := range s.r.Stats() {
-			fmt.Fprintf(&sb, "shard %d (%s): live=%d soft=%d hard=%d readonly=%v wal{flushes=%d commits=%d batches=%d} dev{%s}\n",
-				st.Shard, st.Dir, st.Space.Live, st.Space.Soft, st.Space.Hard, st.Space.ReadOnly,
-				st.WAL.Flushes, st.WAL.Commits, st.WAL.Group.Batches, st.Device)
+		rep, err := json.Marshal(s.r.Report())
+		if err != nil {
+			return fail(bw, err)
 		}
-		return wire.WriteFrame(bw, wire.StatusOK, []byte(sb.String()))
+		return wire.WriteFrame(bw, wire.StatusOK, rep)
 
 	default:
 		return wire.WriteFrame(bw, wire.StatusErr, []byte(fmt.Sprintf("unknown opcode %d", op)))

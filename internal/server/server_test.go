@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -113,13 +114,80 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("commit of unknown tx: %v, want ErrNoTx", err)
 	}
 
-	// Stats text mentions every shard.
+	// Stats answers (TestStatsReport reads it).
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st == "" {
 		t.Fatal("empty stats")
+	}
+}
+
+// TestStatsReport: STATS returns the router's report as JSON, one entry per
+// shard with its 2PC and MV-PBT counters, plus the coordinator log's.
+func TestStatsReport(t *testing.T) {
+	r, _, addr := startServer(t, 2, server.Config{})
+	c, err := shardclient.Dial(addr, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// One cross-shard commit, one key on each shard, then one single-key SET.
+	var keys [2][]byte
+	for i := 0; keys[0] == nil || keys[1] == nil; i++ {
+		k := []byte(fmt.Sprintf("x-%d", i))
+		keys[r.ShardOf(k)] = k
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := c.Set(tx, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set(0, []byte("single"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// Over a partition buffer (64 KiB) of 1 KiB values into each shard, so
+	// both have evicted a partition for the MV-PBT counters to show.
+	val := make([]byte, 1<<10)
+	for i := 0; i < 200; i++ {
+		if err := c.Set(0, []byte(fmt.Sprintf("fill-%03d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep shard.Report
+	if err := json.Unmarshal([]byte(st), &rep); err != nil {
+		t.Fatalf("STATS reply is not a shard.Report: %v\n%s", err, st)
+	}
+	if len(rep.Shards) != 2 {
+		t.Fatalf("report has %d shards, want 2", len(rep.Shards))
+	}
+	for i, sh := range rep.Shards {
+		if want := fmt.Sprintf("shard-%d", i); sh.Dir != want || sh.Health.State != shard.Healthy {
+			t.Fatalf("shard %d: dir %q health %v, want %q healthy", i, sh.Dir, sh.Health.State, want)
+		}
+		if sh.TwoPC.Prepares < 1 || sh.Device.Writes == 0 {
+			t.Fatalf("shard %d: %d prepares, %d device writes: want the commit's leg and its flush", i, sh.TwoPC.Prepares, sh.Device.Writes)
+		}
+		if sh.KV.Evictions < 1 || sh.Partitions < 1 {
+			t.Fatalf("shard %d: KV tree stats %+v, %d partitions: want the fill's eviction", i, sh.KV, sh.Partitions)
+		}
+	}
+	if rep.Coordinator.Decides < 1 {
+		t.Fatalf("coordinator decided %d groups, want the cross-shard commit", rep.Coordinator.Decides)
 	}
 }
 

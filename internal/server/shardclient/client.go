@@ -273,7 +273,8 @@ func (c *Client) Abort(tx uint32) error {
 	return err
 }
 
-// Stats returns the server's per-shard health text.
+// Stats returns the server's report of its deployment: a shard.Report as
+// JSON.
 func (c *Client) Stats() (string, error) {
 	payload, err := c.call(wire.OpStats)
 	return string(payload), err

@@ -21,7 +21,7 @@
 //	Begin  | [u64 token]                      → OK | u32 tx
 //	Commit | u32 tx | [u64 token]             → OK
 //	Abort  | u32 tx                           → OK
-//	Stats  |                                  → OK | text…
+//	Stats  |                                  → OK | JSON shard.Report
 //
 // tx = 0 means autocommit (the single operation commits through the owning
 // shard's ordinary durable path); tx > 0 names an entry in the session's
@@ -59,12 +59,13 @@ import (
 	"unsafe"
 )
 
-// ProtoVersion is the protocol revision both sides must speak. Version 2
-// added the Hello version field itself, commit tokens, and the
-// Unavailable/VersionMismatch/NotCommitted/AlreadyCommitted statuses.
-// (Version 1, the PR 7 protocol, had no version field: its Hello payload
-// began directly with the tenant name.)
-const ProtoVersion = 2
+// ProtoVersion is the protocol revision both sides must speak. Version 3
+// made the Stats reply the router's report as JSON (it was one line of text
+// per shard). Version 2 added the Hello version field itself, commit
+// tokens, and the Unavailable/VersionMismatch/NotCommitted/AlreadyCommitted
+// statuses. (Version 1 had no version field: its Hello payload began
+// directly with the tenant name.)
+const ProtoVersion = 3
 
 // Request opcodes.
 const (

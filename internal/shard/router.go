@@ -34,9 +34,10 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/index/mvpbt"
+	"mvpbt/internal/ssd"
 )
 
 // Config describes a sharded deployment. The zero value of Engine is a
@@ -324,18 +325,6 @@ func (r *Router) reachable(fn func(i int, s *Shard)) {
 	}
 }
 
-// Degraded returns the indexes of shards currently degraded to read-only.
-// Failed/recovering shards are not listed (see Health for those).
-func (r *Router) Degraded() []int {
-	var out []int
-	r.reachable(func(_ int, s *Shard) {
-		if s.Engine.ReadOnly() {
-			out = append(out, s.No)
-		}
-	})
-	return out
-}
-
 // PastSoftWatermark reports whether any shard's live bytes have crossed
 // its soft space watermark — the overload signal the server's admission
 // control gates new sessions on.
@@ -348,23 +337,31 @@ func (r *Router) PastSoftWatermark() bool {
 	return past
 }
 
-// Stats returns one entry per shard. A failed/recovering shard reports its
+// Report is one snapshot of a deployment: every shard, and the coordinator
+// log. The server's STATS reply is its JSON.
+type Report struct {
+	Shards      []ShardStats
+	Coordinator CoordStats
+}
+
+// Report snapshots the deployment. A failed/recovering shard reports its
 // health but skips the engine-derived fields (the engine is mid-swap).
-func (r *Router) Stats() []ShardStats {
-	out := make([]ShardStats, len(r.shards))
+func (r *Router) Report() Report {
+	out := Report{Shards: make([]ShardStats, len(r.shards)), Coordinator: r.coord.stats()}
 	for i, s := range r.shards {
-		out[i] = ShardStats{Shard: s.No, Dir: s.Dir, Health: r.Health(i)}
+		out.Shards[i] = ShardStats{Shard: s.No, Dir: s.Dir, Health: r.Health(i)}
 	}
 	r.reachable(func(i int, s *Shard) {
-		out[i].Space = s.Engine.SpaceInfo()
-		out[i].WAL = s.Engine.WALStatsSnapshot()
-		out[i].Checkpoint = s.Engine.CheckpointInfo()
-		out[i].Device = s.Engine.Dev.Stats().String()
+		st, tree := &out.Shards[i], s.KV.Tree()
+		st.Space, st.WAL = s.Engine.SpaceInfo(), s.Engine.WALStatsSnapshot()
+		st.Checkpoint, st.TwoPC = s.Engine.CheckpointInfo(), s.Engine.TwoPCInfo()
+		st.KV, st.Partitions = tree.Stats(), tree.NumPartitions()
+		st.Device = s.Engine.Dev.Stats()
 	})
 	return out
 }
 
-// ShardStats is one shard's externally visible health.
+// ShardStats is one shard's externally visible state.
 type ShardStats struct {
 	Shard int
 	Dir   string
@@ -373,7 +370,12 @@ type ShardStats struct {
 	// Checkpoint is the shard's log-checkpoint view; its Errors count is the
 	// only trace a failed background checkpoint leaves.
 	Checkpoint db.CheckpointStats
-	Device     string
+	TwoPC      db.TwoPCStats
+	// KV is the counters of the shard's MV-PBT (filters, GC phases,
+	// evictions, merges) and Partitions its persisted partition count.
+	KV         mvpbt.Stats
+	Partitions int
+	Device     ssd.Stats
 	Health     HealthInfo
 }
 
@@ -397,34 +399,21 @@ var ErrTxInDoubt = errors.New("shard: transaction in doubt (commit decision dura
 // use only.
 func (r *Router) CrashCoordinator() { r.coord.crashRecover() }
 
-// RouterTwoPCStats aggregates the commit-protocol state across the
-// coordinator log and every reachable shard.
+// RouterTwoPCStats is what the 2pc campaign waits on: the coordinator log,
+// and the prepared-undecided transactions of the reachable shards.
 type RouterTwoPCStats struct {
 	Coordinator CoordStats
-	// Prepares/ResolvedCommits/ResolvedAborts sum the reachable shards'
-	// participant counters (a mid-restart shard is skipped).
-	Prepares, ResolvedCommits, ResolvedAborts int64
-	// InDoubt counts prepared-undecided transactions across reachable
-	// shards; OldestAge is the oldest one's time since prepare.
-	InDoubt   int
-	OldestAge time.Duration
+	InDoubt     int
 }
 
-// TwoPCInfo snapshots the router's commit-protocol health (mvpbt-inspect
-// and the 2pc campaign's quiescence check).
+// TwoPCInfo snapshots the router's commit-protocol health (the 2pc
+// campaign's quiescence check).
 func (r *Router) TwoPCInfo() RouterTwoPCStats {
 	out := RouterTwoPCStats{Coordinator: r.coord.stats()}
 	if err := r.enter(); err != nil {
 		return out
 	}
 	defer r.exit()
-	r.reachable(func(_ int, s *Shard) {
-		st := s.Engine.TwoPCInfo()
-		out.Prepares += st.Prepares
-		out.ResolvedCommits += st.ResolvedCommits
-		out.ResolvedAborts += st.ResolvedAborts
-		out.InDoubt += st.InDoubt
-		out.OldestAge = max(out.OldestAge, st.OldestAge)
-	})
+	r.reachable(func(_ int, s *Shard) { out.InDoubt += s.Engine.TwoPCInfo().InDoubt })
 	return out
 }

@@ -267,9 +267,12 @@ func TestDegradedShardTypedErrors(t *testing.T) {
 		t.Fatal("aborted healthy leg leaked")
 	}
 
-	// Degraded list, and recovery restores writes.
-	if d := r.Degraded(); len(d) != 1 || d[0] != degraded {
-		t.Fatalf("Degraded() = %v, want [%d]", d, degraded)
+	// Only the degraded shard reports read-only, and recovery restores
+	// writes.
+	for i, st := range r.Report().Shards {
+		if st.Space.ReadOnly != (i == degraded) {
+			t.Fatalf("shard %d: Space.ReadOnly = %v, degraded shard is %d", i, st.Space.ReadOnly, degraded)
+		}
 	}
 	r.Shard(degraded).Engine.ForceReadOnly(false)
 	if err := r.Put(kd, []byte("healed")); err != nil {
@@ -292,8 +295,8 @@ func TestRouterCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestRouterStats: per-shard stats carry the per-shard namespaces and
-// independent WAL counters.
+// TestRouterStats: the report's per-shard stats carry the per-shard
+// namespaces.
 func TestRouterStats(t *testing.T) {
 	r := newRouter(t, 2)
 	k0 := keyOnShard(t, r, 0, "s")
@@ -302,7 +305,7 @@ func TestRouterStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
+	st := r.Report().Shards
 	if len(st) != 2 {
 		t.Fatalf("stats for %d shards, want 2", len(st))
 	}

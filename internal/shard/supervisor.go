@@ -16,6 +16,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,18 +49,26 @@ const (
 	Recovering
 )
 
+var healthNames = [...]string{"healthy", "degraded", "failed", "recovering"}
+
 func (s HealthState) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Failed:
-		return "failed"
-	case Recovering:
-		return "recovering"
+	if s >= 0 && int(s) < len(healthNames) {
+		return healthNames[s]
 	}
 	return fmt.Sprintf("HealthState(%d)", int32(s))
+}
+
+// MarshalText names the state, so a JSON report reads "healthy".
+func (s HealthState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a name MarshalText wrote.
+func (s *HealthState) UnmarshalText(b []byte) error {
+	i := slices.Index(healthNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("shard: unknown health state %q", b)
+	}
+	*s = HealthState(i)
+	return nil
 }
 
 // ErrShardUnavailable is the typed cause inside the ShardError returned by

@@ -207,14 +207,20 @@ func TestSupervisorBreaker(t *testing.T) {
 	}
 }
 
-// TestSupervisorStatsHealth: Stats reports supervision state for failed
-// shards while still serving engine-derived fields for healthy ones.
+// TestSupervisorStatsHealth: Report carries supervision state for failed
+// shards while still serving engine-derived fields — here the device
+// counters of a durable write — for healthy ones.
 func TestSupervisorStatsHealth(t *testing.T) {
 	block := make(chan struct{})
 	r := newSupervisedRouter(t, 2, SupervisorConfig{
 		RestartHook: func(shard int) error { <-block; return nil },
 	})
 	defer close(block)
+	// A durable write on shard 0 gives its device counters something to
+	// show.
+	if err := r.Put(keyOnShard(t, r, 0, "d"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.FailShard(1, errors.New("held down")); err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +228,8 @@ func TestSupervisorStatsHealth(t *testing.T) {
 		st := r.Health(1).State
 		return st == Failed || st == Recovering
 	})
-	stats := r.Stats()
-	if stats[0].Health.State != Healthy || stats[0].Device == "" {
+	stats := r.Report().Shards
+	if stats[0].Health.State != Healthy || stats[0].Device.Writes == 0 || stats[0].Device.BytesWritten == 0 {
 		t.Fatalf("healthy shard stats: %+v", stats[0])
 	}
 	if st := stats[1].Health.State; st != Failed && st != Recovering {

@@ -57,31 +57,38 @@ run mvpbt-check diff -heap sias -ops 800 -v
 run mvpbt-check scenarios -seed 1 -seeds 1 -devices zns -kinds hot-key-storm
 refuses mvpbt-check diff -inject-fault 3 -ops 1500
 # The server — the in-process smoke (TCP, sessions, 2PC, checkpoint, drain),
-# then served for real on a loopback port until SIGTERM — and the inspector.
+# then served for real on a loopback port, read by the inspector, until
+# SIGTERM — and the inspector's own engine.
 run mvpbt-server -smoke
-"$bin/mvpbt-server" -addr 127.0.0.1:0 -shards 2 >"$tmp/out/last.txt" 2>&1 &
+"$bin/mvpbt-server" -addr 127.0.0.1:0 -shards 2 >"$tmp/out/server.txt" 2>&1 &
 srv=$!
 # It handles signals from before it prints its address; a SIGTERM sent earlier
 # would kill it outright, with no drain and no coverage counters written.
 i=0
-until grep -q '^mvpbt-server: 2 shards on ' "$tmp/out/last.txt"; do
+until grep -q '^mvpbt-server: 2 shards on ' "$tmp/out/server.txt"; do
 	i=$((i + 1))
 	if [ $i -gt 150 ] || ! kill -0 $srv 2>/dev/null; then
-		cat "$tmp/out/last.txt" >&2
+		cat "$tmp/out/server.txt" >&2
 		echo "traffic.sh: mvpbt-server did not come up" >&2
 		kill $srv 2>/dev/null || true
 		exit 1
 	fi
 	sleep 0.2
 done
+addr="$(sed -n 's/^mvpbt-server: 2 shards on \([^ ]*\) .*/\1/p' "$tmp/out/server.txt")"
+if ! "$bin/mvpbt-inspect" -addr "$addr" >"$tmp/out/last.txt" 2>&1; then
+	tail -n 20 "$tmp/out/last.txt" >&2
+	echo "traffic.sh: mvpbt-inspect -addr $addr failed" >&2
+	kill $srv 2>/dev/null || true
+	exit 1
+fi
 kill -TERM $srv
 if ! wait $srv; then
-	cat "$tmp/out/last.txt" >&2
+	cat "$tmp/out/server.txt" >&2
 	echo "traffic.sh: mvpbt-server did not shut down cleanly on SIGTERM" >&2
 	exit 1
 fi
 run mvpbt-inspect
-run mvpbt-inspect -shards 2
 for ex in quickstart htap ycsb tpcc durability; do
 	run "$ex"
 done
