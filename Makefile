@@ -89,6 +89,13 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a second durable commit path is back (CommitDurable takes the batch):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'inspectShards|func \(r \*Router\) Degraded' --include='*.go' .; grep -rn 'shard\.New(' --include='*.go' cmd/mvpbt-inspect); \
 	if [ -n "$$bad" ]; then echo "seams: a second dumper of a deployment is back (STATS returns Router.Report; mvpbt-inspect -addr reads it):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'ZNSCounters|CloudCounters|ResetFaultCounters|FlushesPerCommit|DeviceBytesPerLogByte' --include='*.go' . | grep -v '_test\.go:'; \
+		grep -rn 'FaultCounters()' --include='*.go' . | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a second counter snapshot is back (ssd.Stats holds every device counter):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -nE '(transition\(|Store\(|CompareAndSwap\().*Degraded' internal/shard/supervisor.go); \
+	if [ -n "$$bad" ]; then echo "seams: the supervisor stores Degraded again (Health reads it from the engine):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'SpaceInfo\(|WALStatsSnapshot\(|IOStats\(|Printf\(.*\.(Space|WAL|Pool|Device)\.' --include='*.go' cmd/mvpbt-inspect | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: the inspector formats counters by hand again (print ShardStats.Fill's report):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -110,10 +117,12 @@ fuzz-wire:
 
 # The same for the two decoders that read log bytes off a device: WAL
 # records (every op, incl. prepare/decide/forget) and the wal.Log
-# superblock. Crashers land in internal/wal/testdata/fuzz/.
+# superblock; and for Engine.Recover, which replays a whole log image.
+# Crashers land in internal/{wal,db}/testdata/fuzz/.
 fuzz-wal:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	go test -fuzz=FuzzSuperblock -fuzztime=10s ./internal/wal/
+	go test -fuzz=FuzzRecover -fuzztime=10s ./internal/db/
 
 # And for the heap's version-record decoder, which reads slots of pages
 # whose checksum held: a short or empty slot must be ErrCorruptPage, not a

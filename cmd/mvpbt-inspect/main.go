@@ -1,10 +1,12 @@
 // Command mvpbt-inspect runs a small workload against an MV-PBT and dumps
-// the resulting structure: partition metadata, filter statistics, the
-// index records of selected keys (matter/anti-matter, timestamps), and
-// device counters. A teaching and debugging tool. With -addr it instead
-// prints a running mvpbt-server's STATS reply, shard.Report (every shard's
-// health, space, WAL, checkpoint, 2PC, MV-PBT and device counters, and the
-// coordinator log's), as indented JSON.
+// the resulting structure: partition metadata, the index records of one key
+// (matter/anti-matter, timestamps), what a fresh and a long-running
+// snapshot see, and the engine's counters as a shard.ShardStats, the
+// report a server gives of each shard. A teaching and debugging tool. With
+// -addr it instead prints a running mvpbt-server's STATS reply,
+// shard.Report (every shard's health, space, WAL, checkpoint, 2PC, MV-PBT,
+// buffer pool and device counters, and the coordinator log's). Both print
+// indented JSON through one printer.
 package main
 
 import (
@@ -96,11 +98,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	st := mv.Stats()
-	fmt.Printf("stats: evictions=%d merges=%d gc(marked=%d sweptPN=%d evict=%d)\n",
-		st.Evictions, st.Merges, st.GCMarked, st.GCSweptPN, st.GCEvict)
-	fmt.Printf("bloom: neg=%d pos=%d falsepos=%d\n",
-		st.Bloom.Negatives, st.Bloom.Positives, st.Bloom.FalsePositives)
 	fmt.Println()
 
 	fmt.Printf("== index records for %q (PN first, partitions newest to oldest) ==\n", *key)
@@ -120,41 +117,19 @@ func main() {
 	eng.Commit(fresh)
 	eng.Commit(long)
 
-	fmt.Printf("\n== device ==\n%v\n", eng.Dev.Stats())
-	io := eng.Pool.IOStats()
-	fmt.Printf("buffer pool: %d pages in %d device reads (%.2f pages/read)\n",
-		io.PagesRead, io.Reads, float64(io.PagesRead)/float64(max(io.Reads, 1)))
-	fmt.Printf("faults injected: [%v]\n", eng.Dev.FaultCounters())
-	fmt.Printf("error path: checksum_failures=%d read_retries=%d write_retries=%d read_failures=%d write_failures=%d\n",
-		io.ChecksumFailures, io.ReadRetries, io.WriteRetries, io.ReadFailures, io.WriteFailures)
-
-	// Commit pipeline: flushes vs commits shows the lazy-begin/read-only
-	// elision, and commit flushes vs durable commits how often a commit
-	// found its record already flushed.
-	ws := eng.WALStatsSnapshot()
-	fmt.Printf("\n== commit pipeline ==\n")
-	fmt.Printf("wal: flushes=%d commits=%d read-only-commits=%d flushes/commit=%.2f\n",
-		ws.Flushes, ws.Commits, ws.ReadOnlyCommits, ws.FlushesPerCommit())
-	fmt.Printf("wal: device-bytes=%d logical-bytes=%d device-bytes/log-byte=%.2f checkpoint-errors=%d\n",
-		ws.DeviceBytes, ws.LogicalBytes, ws.DeviceBytesPerLogByte(), eng.CheckpointInfo().Errors)
-	fmt.Printf("group commit: batches=%d commits=%d\n", ws.Group.Batches, ws.Group.Commits)
-
-	// Space governance: the capacity budget, the governor's counters, and
-	// the effect of a WAL checkpoint on log size (all transactions are done
-	// by now, so the quiescence precondition holds).
-	sp := eng.SpaceInfo()
-	fmt.Printf("\n== space governance ==\n")
-	fmt.Printf("device: capacity=%d live=%d high-water=%d (soft=%d hard=%d)\n",
-		sp.Capacity, sp.Live, sp.HighWater, sp.Soft, sp.Hard)
-	fmt.Printf("read-only: now=%v entries=%d exits=%d reclaims=%d\n",
-		sp.ReadOnly, sp.ROEntries, sp.ROExits, sp.Reclaims)
-	walBefore := eng.WALDeviceBytes()
+	// The counters are the shard report's, filled by the function the
+	// server's STATS uses, after a checkpoint (every transaction is done,
+	// so its quiescence precondition holds) so that Checkpoint shows the
+	// log's size before and after it.
 	if err := eng.Checkpoint(); err != nil {
 		fmt.Printf("checkpoint: %v\n", err)
 	}
-	ck := eng.CheckpointInfo()
-	fmt.Printf("wal: checkpoints=%d size before last checkpoint=%dB after=%dB (device now %dB, was %dB)\n",
-		ck.Count, ck.WALBytesBefore, ck.WALBytesAfter, eng.WALDeviceBytes(), walBefore)
+	var st shard.ShardStats
+	st.Fill(eng, mv)
+	fmt.Printf("\n== report ==\n")
+	if err := printJSON(st); err != nil {
+		panic(err)
+	}
 }
 
 func val(rr *db.RowRef) string {
@@ -180,7 +155,14 @@ func printReport(addr string) error {
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	fmt.Println(string(out))
+	return printJSON(rep)
+}
+
+// printJSON prints v as indented JSON: the one printer of both modes.
+func printJSON(v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		fmt.Println(string(out))
+	}
 	return err
 }

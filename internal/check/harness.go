@@ -676,15 +676,13 @@ func (h *harness) crash(i int) *Violation {
 	return h.audit(i, "crash")
 }
 
-// harvestFaults folds the device's injected-fault counters into the result
-// and resets them. Must run before the device is discarded (crash rebuilds
-// the engine on a fresh device) and once more at the end of the run.
+// harvestFaults folds the device's injected-fault counters into the result.
+// It runs once per device: before a crash discards it (the rebuilt engine
+// gets a fresh device) and once at the end of the run.
 func (h *harness) harvestFaults() {
-	c := h.eng.Dev.FaultCounters()
-	for i, n := range c.Injected {
+	for i, n := range h.eng.Dev.Stats().Faults.Injected {
 		h.res.Faults.Injected[i] += n
 	}
-	h.eng.Dev.ResetFaultCounters()
 	h.res.Rebuilds += h.tbl.Rebuilds()
 }
 

@@ -57,16 +57,6 @@ type WALStats struct {
 	Group           GroupCommitStats
 }
 
-// FlushesPerCommit is Flushes/Commits (1.0 without group commit; below 1
-// when batches amortize the flush, above 1 when maintenance flushes
-// outnumber commits).
-func (s WALStats) FlushesPerCommit() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.Flushes) / float64(s.Commits)
-}
-
 // WALStatsSnapshot returns the engine's commit-pipeline counters; zero
 // values when logging is disabled.
 func (e *Engine) WALStatsSnapshot() WALStats {
@@ -80,14 +70,4 @@ func (e *Engine) WALStatsSnapshot() WALStats {
 	}
 	s.Group = GroupCommitStats{Batches: e.commitFlushes.Load(), Commits: e.durableCommits.Load()}
 	return s
-}
-
-// DeviceBytesPerLogByte is the log's own write amplification: device bytes
-// flushed per record byte appended (1.0 is a pure append; the sector-run
-// flush sits a partial sector above it per commit).
-func (s WALStats) DeviceBytesPerLogByte() float64 {
-	if s.LogicalBytes == 0 {
-		return 0
-	}
-	return float64(s.DeviceBytes) / float64(s.LogicalBytes)
 }

@@ -13,6 +13,7 @@ import (
 	"mvpbt/internal/server"
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/shard"
+	"mvpbt/internal/storage"
 )
 
 // startServer builds a router with n shards and serves it on a random
@@ -125,9 +126,13 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestStatsReport: STATS returns the router's report as JSON, one entry per
-// shard with its 2PC and MV-PBT counters, plus the coordinator log's.
+// shard with its 2PC, MV-PBT, buffer pool and device counters, plus the
+// coordinator log's.
 func TestStatsReport(t *testing.T) {
-	r, _, addr := startServer(t, 2, server.Config{})
+	// A pool of 32 pages, so reading the fill back has to go to the device.
+	scfg := defaultShardConfig(2)
+	scfg.Engine.BufferPages = 32
+	r, _, addr := startServerWith(t, scfg, server.Config{})
 	c, err := shardclient.Dial(addr, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +168,11 @@ func TestStatsReport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 200; i++ {
+		if _, ok, err := c.Get(0, []byte(fmt.Sprintf("fill-%03d", i))); err != nil || !ok {
+			t.Fatalf("fill-%03d: %v %v", i, ok, err)
+		}
+	}
 
 	st, err := c.Stats()
 	if err != nil {
@@ -181,6 +191,10 @@ func TestStatsReport(t *testing.T) {
 		}
 		if sh.TwoPC.Prepares < 1 || sh.Device.Writes == 0 {
 			t.Fatalf("shard %d: %d prepares, %d device writes: want the commit's leg and its flush", i, sh.TwoPC.Prepares, sh.Device.Writes)
+		}
+		if p, d := sh.Pool, sh.Device; p.Reads == 0 || p.PagesRead < p.Reads || d.Reads < p.Reads || d.BytesRead < p.PagesRead*storage.PageSize ||
+			d.BytesWritten < 200<<10/2 || p.ChecksumFailures|p.ReadFailures|p.WriteFailures != 0 {
+			t.Fatalf("shard %d: pool %+v, device %+v: want the fill written and read back through the pool", i, p, d)
 		}
 		if sh.KV.Evictions < 1 || sh.Partitions < 1 {
 			t.Fatalf("shard %d: KV tree stats %+v, %d partitions: want the fill's eviction", i, sh.KV, sh.Partitions)

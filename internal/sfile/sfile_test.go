@@ -339,7 +339,7 @@ func TestInjectedNoSpaceFault(t *testing.T) {
 	if got, want := m.LiveBytes(), int64(2*ExtentBytes); got != want {
 		t.Fatalf("live after injected fault: got %d want %d", got, want)
 	}
-	if c := m.Device().FaultCounters(); c.Injected[ssd.FaultNoSpace] != 1 {
+	if c := m.Device().Stats().Faults; c.Injected[ssd.FaultNoSpace] != 1 {
 		t.Fatalf("no-space fault counter: got %d want 1", c.Injected[ssd.FaultNoSpace])
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mvpbt/internal/buffer"
 	"mvpbt/internal/db"
 	"mvpbt/internal/index/mvpbt"
 	"mvpbt/internal/ssd"
@@ -351,14 +352,17 @@ func (r *Router) Report() Report {
 	for i, s := range r.shards {
 		out.Shards[i] = ShardStats{Shard: s.No, Dir: s.Dir, Health: r.Health(i)}
 	}
-	r.reachable(func(i int, s *Shard) {
-		st, tree := &out.Shards[i], s.KV.Tree()
-		st.Space, st.WAL = s.Engine.SpaceInfo(), s.Engine.WALStatsSnapshot()
-		st.Checkpoint, st.TwoPC = s.Engine.CheckpointInfo(), s.Engine.TwoPCInfo()
-		st.KV, st.Partitions = tree.Stats(), tree.NumPartitions()
-		st.Device = s.Engine.Dev.Stats()
-	})
+	r.reachable(func(i int, s *Shard) { out.Shards[i].Fill(s.Engine, s.KV.Tree()) })
 	return out
+}
+
+// Fill sets st's engine-derived fields from eng and its MV-PBT tree: what
+// Report shows of a reachable shard and mvpbt-inspect of its own engine.
+func (st *ShardStats) Fill(eng *db.Engine, tree *mvpbt.Tree) {
+	st.Space, st.WAL = eng.SpaceInfo(), eng.WALStatsSnapshot()
+	st.Checkpoint, st.TwoPC = eng.CheckpointInfo(), eng.TwoPCInfo()
+	st.KV, st.Partitions = tree.Stats(), tree.NumPartitions()
+	st.Pool, st.Device = eng.Pool.IOStats(), eng.Dev.Stats()
 }
 
 // ShardStats is one shard's externally visible state.
@@ -375,8 +379,11 @@ type ShardStats struct {
 	// evictions, merges) and Partitions its persisted partition count.
 	KV         mvpbt.Stats
 	Partitions int
-	Device     ssd.Stats
-	Health     HealthInfo
+	// Pool is the buffer pool's device I/O (pages per read, checksum and
+	// retry counts) and Device the simulated device's counters.
+	Pool   buffer.IOStats
+	Device ssd.Stats
+	Health HealthInfo
 }
 
 // ErrRouterClosed is returned by operations that arrive at or after Close:

@@ -27,10 +27,12 @@ import (
 
 // HealthState is one shard's position in the supervision state machine:
 //
-//	healthy ──ErrReadOnly──▶ degraded ──writes resume──▶ healthy
-//	healthy/degraded ──fault storm, corruption──▶ failed
+//	healthy ──fault storm, corruption──▶ failed
 //	failed ──restart attempt──▶ recovering ──recovery ok──▶ healthy
 //	recovering ──recovery failed──▶ failed (backoff, breaker)
+//
+// Degraded is not a stored state: Health reports it for a healthy shard
+// whose engine is read-only, for exactly as long as the engine is.
 type HealthState int32
 
 const (
@@ -38,7 +40,7 @@ const (
 	Healthy HealthState = iota
 	// Degraded: the shard's space governor has gone read-only
 	// (db.ErrReadOnly); reads keep working, writes fail per-key. The
-	// governor heals this state itself — the supervisor only reports it.
+	// governor heals this state itself — Health only reports it.
 	Degraded
 	// Failed: the shard hit a fault storm or corruption and has been
 	// taken out of service; operations fail with ErrShardUnavailable
@@ -201,14 +203,12 @@ func (s *supervisor) transition(i int, from, to HealthState) bool {
 }
 
 // observe classifies one operation's outcome on shard i. Nil errors reset
-// the consecutive-fault counter (and heal a reported degradation); typed
-// fault errors count toward the storm threshold; corruption fails the
-// shard immediately.
+// the consecutive-fault counter; typed fault errors count toward the storm
+// threshold; corruption fails the shard immediately.
 func (s *supervisor) observe(i int, err error) {
 	h := s.r.health[i]
 	if err == nil {
 		h.consec.Store(0)
-		s.transition(i, Degraded, Healthy)
 		return
 	}
 	switch {
@@ -220,19 +220,17 @@ func (s *supervisor) observe(i int, err error) {
 		if h.consec.Add(1) >= faultThreshold {
 			s.fail(i)
 		}
-	case errors.Is(err, db.ErrReadOnly):
-		s.transition(i, Healthy, Degraded)
 	}
-	// Everything else (conflicts, context cancellation, ErrShardUnavailable
-	// bounced off the gate) says nothing about the shard's health.
+	// Everything else (db.ErrReadOnly, conflicts, context cancellation,
+	// ErrShardUnavailable bounced off the gate) says nothing about the
+	// shard's health.
 }
 
-// fail moves shard i to Failed from any live state and kicks off the
-// restart goroutine (one at a time per shard).
+// fail moves shard i from Healthy to Failed and kicks off the restart
+// goroutine (one at a time per shard).
 func (s *supervisor) fail(i int) {
 	h := s.r.health[i]
-	moved := s.transition(i, Healthy, Failed) || s.transition(i, Degraded, Failed)
-	if !moved {
+	if !s.transition(i, Healthy, Failed) {
 		return // already failed or recovering
 	}
 	if h.restarting.CompareAndSwap(false, true) {
@@ -355,12 +353,22 @@ func (r *Router) observe(i int, err error) {
 	}
 }
 
-// Health returns shard i's supervision state. Without Config.Supervise the
-// state machine never leaves Healthy.
+// Health returns shard i's supervision state: Degraded when the shard is
+// Healthy and its current engine is read-only. Without Config.Supervise the
+// stored state never leaves Healthy. The caller must not hold the shard's
+// gate.
 func (r *Router) Health(i int) HealthInfo {
 	h := r.health[i]
+	st := HealthState(h.state.Load())
+	if st == Healthy {
+		h.gate.RLock()
+		if r.shards[i].Engine.ReadOnly() {
+			st = Degraded
+		}
+		h.gate.RUnlock()
+	}
 	return HealthInfo{
-		State:           HealthState(h.state.Load()),
+		State:           st,
 		Restarts:        h.restarts.Load(),
 		ConsecFaults:    h.consec.Load(),
 		RestartFailures: h.restartFails.Load(),

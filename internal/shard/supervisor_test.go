@@ -126,9 +126,11 @@ func TestSupervisorRestartUnderFaultStorm(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The hook runs just after the state is published, so wait for both.
 	waitFor(t, "shard 0 healthy", func() bool {
 		h := r.Health(0)
-		return h.State == Healthy && h.Restarts >= 1
+		_, hooked := transitions.Load("recovering→healthy")
+		return h.State == Healthy && h.Restarts >= 1 && hooked
 	})
 	close(stop)
 	wg.Wait()
@@ -238,6 +240,43 @@ func TestSupervisorStatsHealth(t *testing.T) {
 	if stats[1].Health.LastError == "" {
 		t.Fatal("failed shard lost its cause")
 	}
+}
+
+// TestHealthDegradedFollowsEngine: Degraded is read from the shard's
+// current engine. Forcing it read-only degrades the shard before any
+// operation, a successful read keeps it degraded, and re-opening the engine
+// makes it healthy with no operation in between; the report's health and
+// read-only flag agree at every step.
+func TestHealthDegradedFollowsEngine(t *testing.T) {
+	r := newSupervisedRouter(t, 2, SupervisorConfig{})
+	const ro = 1
+	k := keyOnShard(t, r, ro, "ro")
+	if err := r.Put(k, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want HealthState) {
+		t.Helper()
+		if got := r.Health(ro).State; got != want {
+			t.Fatalf("%s: Health = %v, want %v", step, got, want)
+		}
+		for i, st := range r.Report().Shards {
+			if (st.Health.State == Degraded) != st.Space.ReadOnly || st.Space.ReadOnly != (i == ro && want == Degraded) {
+				t.Fatalf("%s: shard %d reports %v with ReadOnly %v", step, i, st.Health.State, st.Space.ReadOnly)
+			}
+		}
+	}
+	r.Shard(ro).Engine.ForceReadOnly(true)
+	check("forced read-only", Degraded)
+	if v, ok, err := r.Get(k); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("read on the read-only shard: %q %v %v", v, ok, err)
+	}
+	check("after a successful read", Degraded)
+	if err := r.Put(k, []byte("w")); !errors.Is(err, db.ErrReadOnly) {
+		t.Fatalf("write on the read-only shard: %v", err)
+	}
+	check("after a refused write", Degraded)
+	r.Shard(ro).Engine.ForceReadOnly(false)
+	check("re-opened", Healthy)
 }
 
 // TestRouterCloseDrainFence hammers Close against concurrent operations:

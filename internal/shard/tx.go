@@ -539,10 +539,10 @@ func (t *Tx) resolveLeg(i int, gid uint64, commit bool) legResolution {
 				if n > 0 {
 					return legResolvedHere
 				}
-				// Nothing in doubt for gid on the current engine. If the
-				// shard is healthy, the restart's resolution beat us; if a
-				// restart is still swapping engines, retry.
-				if r.Health(i).State == Healthy {
+				// Nothing in doubt for gid on the current engine. Unless a
+				// restart is still swapping engines (retry), its
+				// resolution beat us.
+				if !r.health[i].unavailable() {
 					return legResolvedElsewhere
 				}
 			}

@@ -108,7 +108,8 @@ func (r *FaultRule) appliesTo(op Op) bool {
 	}
 }
 
-// FaultCounters counts injected faults per kind since the last reset.
+// FaultCounters counts injected faults per kind since the last reset
+// (Stats.Faults).
 type FaultCounters struct {
 	Injected [NumFaultKinds]int64
 }
@@ -166,20 +167,6 @@ func (d *Device) DisarmAllFaults() {
 	d.faults = nil
 }
 
-// FaultCounters returns a snapshot of the injected-fault counters.
-func (d *Device) FaultCounters() FaultCounters {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.faultStats
-}
-
-// ResetFaultCounters zeroes the injected-fault counters.
-func (d *Device) ResetFaultCounters() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.faultStats = FaultCounters{}
-}
-
 // matchFault is called under d.mu for every I/O. Every rule that scopes the
 // operation advances its match counter; the first rule whose schedule is due
 // fires (at most one fault per operation, in arm order — deterministic).
@@ -221,7 +208,7 @@ func (d *Device) matchFault(op Op, off int64, n int) *armedFault {
 		}
 	}
 	if fired != nil {
-		d.faultStats.Injected[fired.rule.Kind]++
+		d.stats.Faults.Injected[fired.rule.Kind]++
 		if !fired.rule.Sticky {
 			var maxOp uint64
 			for _, k := range fired.rule.Ops {

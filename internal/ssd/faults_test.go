@@ -26,7 +26,7 @@ func TestReadErrorSchedule(t *testing.T) {
 	if err := d.ReadAt(buf, 0); err != nil {
 		t.Fatalf("read 3 should succeed: %v", err)
 	}
-	c := d.FaultCounters()
+	c := d.Stats().Faults
 	if c.Injected[FaultReadErr] != 1 {
 		t.Fatalf("counters wrong: %+v", c)
 	}
@@ -55,7 +55,7 @@ func TestStickyWriteErrorAndDisarm(t *testing.T) {
 	if err := d.WriteAt(buf, 512); err != nil {
 		t.Fatalf("write after disarm should succeed: %v", err)
 	}
-	if c := d.FaultCounters(); c.Injected[FaultWriteErr] != 3 {
+	if c := d.Stats().Faults; c.Injected[FaultWriteErr] != 3 {
 		t.Fatalf("counters wrong: %+v", c)
 	}
 }
@@ -153,7 +153,7 @@ func TestFaultDeterminism(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			d.ReadAt(out[i*1024:(i+1)*1024], int64(i)*1024)
 		}
-		return d.FaultCounters(), out
+		return d.Stats().Faults, out
 	}
 	c1, m1 := run()
 	c2, m2 := run()

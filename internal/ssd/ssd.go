@@ -13,7 +13,6 @@
 package ssd
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -109,24 +108,49 @@ type TraceEntry struct {
 	Seq  bool  // classified as sequential
 }
 
-// Stats aggregates device activity since the last reset.
+// Stats aggregates device activity since the last reset: the I/O every
+// device does, the zone and throttle activity of ZNS and cloud devices
+// (zeros on the others), and the injected faults.
 type Stats struct {
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
 	SeqReads, RandReads     int64
 	SeqWrites, RandWrites   int64
 	ReadTime, WriteTime     time.Duration
+
+	// ZNS (zoo.go): ZoneAppends are writes that landed on a zone write
+	// pointer; ZoneRedirects are in-place overwrites the translation shim
+	// absorbed (each also charged one mapping-block append); ZoneResets
+	// counts zones whose write pointer a whole-zone discard rewound.
+	ZoneAppends, ZoneAppendBytes     int64
+	ZoneRedirects, ZoneRedirectBytes int64
+	ZoneResets                       int64
+
+	// Cloud (zoo.go): ops the throttle served, ops that found the token
+	// bucket empty, and the virtual time those stalls charged.
+	ThrottledOps, Stalls int64
+	StallTime            time.Duration
+
+	Faults FaultCounters
 }
 
 // Sub returns s - o, for windowed measurements.
 func (s Stats) Sub(o Stats) Stats {
-	return Stats{
+	d := Stats{
 		Reads: s.Reads - o.Reads, Writes: s.Writes - o.Writes,
 		BytesRead: s.BytesRead - o.BytesRead, BytesWritten: s.BytesWritten - o.BytesWritten,
 		SeqReads: s.SeqReads - o.SeqReads, RandReads: s.RandReads - o.RandReads,
 		SeqWrites: s.SeqWrites - o.SeqWrites, RandWrites: s.RandWrites - o.RandWrites,
 		ReadTime: s.ReadTime - o.ReadTime, WriteTime: s.WriteTime - o.WriteTime,
+		ZoneAppends: s.ZoneAppends - o.ZoneAppends, ZoneAppendBytes: s.ZoneAppendBytes - o.ZoneAppendBytes,
+		ZoneRedirects: s.ZoneRedirects - o.ZoneRedirects, ZoneRedirectBytes: s.ZoneRedirectBytes - o.ZoneRedirectBytes,
+		ZoneResets:   s.ZoneResets - o.ZoneResets,
+		ThrottledOps: s.ThrottledOps - o.ThrottledOps, Stalls: s.Stalls - o.Stalls, StallTime: s.StallTime - o.StallTime,
 	}
+	for k := range d.Faults.Injected {
+		d.Faults.Injected[k] = s.Faults.Injected[k] - o.Faults.Injected[k]
+	}
+	return d
 }
 
 // IOTime returns the total virtual time spent in I/O.
@@ -147,20 +171,17 @@ type Device struct {
 	tracing   bool
 	trace     []TraceEntry
 
-	// Zoned-device state (zoo.go): per-zone write pointers and counters.
+	// Zoned-device state (zoo.go): per-zone write pointers.
 	zoneWP map[int64]int64
-	zns    ZNSStats
 
 	// Throttled-device state (zoo.go): IOPS token bucket.
 	tokens  float64
 	tokenAt time.Duration
-	cloud   CloudStats
 
 	// Fault injection (faults.go). classifier maps a byte offset to the
 	// sfile class of the extent it falls in, for rule scoping.
 	faults      []*armedFault
 	nextFaultID int
-	faultStats  FaultCounters
 	classifier  func(off int64) int
 }
 
@@ -377,14 +398,15 @@ func (d *Device) newBlock(overwritten bool) []byte {
 	return blk
 }
 
-// Stats returns a snapshot of the device counters.
+// Stats returns a snapshot of every device counter.
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
 }
 
-// ResetStats zeroes the counters (the stored data is kept).
+// ResetStats zeroes every counter (the stored data and armed faults are
+// kept).
 func (d *Device) ResetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -409,12 +431,4 @@ func (d *Device) Trace() []TraceEntry {
 	out := make([]TraceEntry, len(d.trace))
 	copy(out, d.trace)
 	return out
-}
-
-// String summarizes the counters for logs and the inspect tool.
-func (s Stats) String() string {
-	return fmt.Sprintf("reads=%d (seq=%d rand=%d, %.1f MiB) writes=%d (seq=%d rand=%d, %.1f MiB) readTime=%v writeTime=%v",
-		s.Reads, s.SeqReads, s.RandReads, float64(s.BytesRead)/(1<<20),
-		s.Writes, s.SeqWrites, s.RandWrites, float64(s.BytesWritten)/(1<<20),
-		s.ReadTime, s.WriteTime)
 }

@@ -211,45 +211,8 @@ func SpecByName(name string) (DeviceSpec, bool) {
 	return DeviceSpec{}, false
 }
 
-// ZNSStats counts zoned-device activity. Appends are writes that landed on
-// a zone write pointer; Redirects are in-place overwrites the translation
-// shim absorbed (each also charged one mapping-block append); Resets counts
-// zones whose write pointer a whole-zone discard rewound.
-type ZNSStats struct {
-	Appends       int64
-	AppendBytes   int64
-	Redirects     int64
-	RedirectBytes int64
-	Resets        int64
-}
-
-// CloudStats counts throttled-device activity: ops served, ops that found
-// the token bucket empty (Stalls) and the total virtual time those stalls
-// charged.
-type CloudStats struct {
-	Ops       int64
-	Stalls    int64
-	StallTime time.Duration
-}
-
 // Spec returns the device's spec (defaults filled).
 func (d *Device) Spec() DeviceSpec { return d.spec }
-
-// ZNSCounters returns a snapshot of the zoned-device counters (zeros on a
-// non-ZNS device).
-func (d *Device) ZNSCounters() ZNSStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.zns
-}
-
-// CloudCounters returns a snapshot of the throttle counters (zeros on a
-// non-cloud device).
-func (d *Device) CloudCounters() CloudStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cloud
-}
 
 // znsWrite applies zoned-device semantics to a write of n bytes at off,
 // returning its latency charge. Called with d.mu held.
@@ -274,12 +237,12 @@ func (d *Device) znsWrite(off int64, n int) time.Duration {
 			d.zoneWP = make(map[int64]int64)
 		}
 		d.zoneWP[zone] = off + int64(n)
-		d.zns.Appends++
-		d.zns.AppendBytes += int64(n)
+		d.stats.ZoneAppends++
+		d.stats.ZoneAppendBytes += int64(n)
 		return latency(d.spec.Profile.WriteSeq8, d.spec.Profile.WriteSeq64, n)
 	}
-	d.zns.Redirects++
-	d.zns.RedirectBytes += int64(n)
+	d.stats.ZoneRedirects++
+	d.stats.ZoneRedirectBytes += int64(n)
 	// Data re-append plus one mapping-block write in the shim's metadata
 	// zone; the stale copy under the old offset becomes zone garbage a
 	// future reset reclaims.
@@ -304,15 +267,15 @@ func (d *Device) cloudCharge(lat time.Duration) time.Duration {
 		d.tokenAt = now
 	}
 	lat += d.spec.PerOpOverhead
-	d.cloud.Ops++
+	d.stats.ThrottledOps++
 	if d.tokens >= 1 {
 		d.tokens--
 		return lat
 	}
 	wait := time.Duration((1 - d.tokens) / float64(d.spec.BaseIOPS) * float64(time.Second))
 	d.tokens = 0
-	d.cloud.Stalls++
-	d.cloud.StallTime += wait
+	d.stats.Stalls++
+	d.stats.StallTime += wait
 	return lat + wait
 }
 
@@ -325,7 +288,7 @@ func (d *Device) znsDiscard(off, n int64) {
 	for z := first; z < last; z++ {
 		if _, ok := d.zoneWP[z]; ok {
 			delete(d.zoneWP, z)
-			d.zns.Resets++
+			d.stats.ZoneResets++
 		}
 	}
 }

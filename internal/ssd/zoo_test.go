@@ -55,8 +55,8 @@ func TestZNSShimAppendRedirectReset(t *testing.T) {
 	if err := d.WriteAt(buf, 8192); err != nil {
 		t.Fatalf("append 2: %v", err)
 	}
-	z := d.ZNSCounters()
-	if z.Appends != 2 || z.Redirects != 0 {
+	z := d.Stats()
+	if z.ZoneAppends != 2 || z.ZoneRedirects != 0 {
 		t.Fatalf("after appends: %+v", z)
 	}
 
@@ -67,8 +67,8 @@ func TestZNSShimAppendRedirectReset(t *testing.T) {
 		t.Fatalf("overwrite via shim: %v", err)
 	}
 	redirCost := clk.Now() - before
-	z = d.ZNSCounters()
-	if z.Redirects != 1 || z.RedirectBytes != 8192 {
+	z = d.Stats()
+	if z.ZoneRedirects != 1 || z.ZoneRedirectBytes != 8192 {
 		t.Fatalf("after overwrite: %+v", z)
 	}
 	appendCost := latency(ZNSAppend.Profile.WriteSeq8, ZNSAppend.Profile.WriteSeq64, 8192)
@@ -84,21 +84,21 @@ func TestZNSShimAppendRedirectReset(t *testing.T) {
 	// A whole-zone discard rewinds the write pointer: the next write at the
 	// zone base is an append again.
 	d.Discard(0, zb)
-	z = d.ZNSCounters()
-	if z.Resets != 1 {
+	z = d.Stats()
+	if z.ZoneResets != 1 {
 		t.Fatalf("after whole-zone discard: %+v", z)
 	}
 	if err := d.WriteAt(buf, 0); err != nil {
 		t.Fatalf("append after reset: %v", err)
 	}
-	z = d.ZNSCounters()
-	if z.Appends != 3 || z.Redirects != 1 {
+	z = d.Stats()
+	if z.ZoneAppends != 3 || z.ZoneRedirects != 1 {
 		t.Fatalf("after post-reset append: %+v", z)
 	}
 
 	// A partial-zone discard must NOT reset the pointer.
 	d.Discard(0, zb/2)
-	if z := d.ZNSCounters(); z.Resets != 1 {
+	if z := d.Stats(); z.ZoneResets != 1 {
 		t.Fatalf("partial discard reset a zone: %+v", z)
 	}
 
@@ -106,7 +106,7 @@ func TestZNSShimAppendRedirectReset(t *testing.T) {
 	if err := d.WriteAt(buf, zb); err != nil {
 		t.Fatalf("append in second zone: %v", err)
 	}
-	if z := d.ZNSCounters(); z.Appends != 4 || z.Redirects != 1 {
+	if z := d.Stats(); z.ZoneAppends != 4 || z.ZoneRedirects != 1 {
 		t.Fatalf("after second-zone append: %+v", z)
 	}
 }
@@ -125,8 +125,8 @@ func TestCloudThrottleBurstThenStall(t *testing.T) {
 			t.Fatalf("burst write %d: %v", i, err)
 		}
 	}
-	c := d.CloudCounters()
-	if c.Ops != 4 || c.Stalls != 0 {
+	c := d.Stats()
+	if c.ThrottledOps != 4 || c.Stalls != 0 {
 		t.Fatalf("after burst: %+v", c)
 	}
 
@@ -138,7 +138,7 @@ func TestCloudThrottleBurstThenStall(t *testing.T) {
 			t.Fatalf("throttled write %d: %v", i, err)
 		}
 	}
-	c = d.CloudCounters()
+	c = d.Stats()
 	if c.Stalls == 0 || c.StallTime == 0 {
 		t.Fatalf("sustained overload did not stall: %+v", c)
 	}
@@ -156,7 +156,7 @@ func TestCloudThrottleBurstThenStall(t *testing.T) {
 			t.Fatalf("replay write %d: %v", i, err)
 		}
 	}
-	if c2 := d2.CloudCounters(); c2 != c {
+	if c2 := d2.Stats(); c2 != c {
 		t.Fatalf("replay diverged: %+v vs %+v", c2, c)
 	}
 	if clk2.Now() != clk.Now() {
@@ -176,7 +176,7 @@ func TestCloudIdleRefillsBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stalls := d.CloudCounters().Stalls
+	stalls := d.Stats().Stalls
 	if stalls == 0 {
 		t.Fatal("expected stalls before idle period")
 	}
@@ -187,7 +187,7 @@ func TestCloudIdleRefillsBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := d.CloudCounters(); c.Stalls != stalls {
+	if c := d.Stats(); c.Stalls != stalls {
 		t.Fatalf("post-idle burst stalled: %+v (had %d stalls)", c, stalls)
 	}
 }
@@ -208,5 +208,64 @@ func TestZooProfileShapes(t *testing.T) {
 	}
 	if ZNSAppend.Profile.WriteSeq8 != ZNSAppend.Profile.WriteRand8 {
 		t.Fatal("zns media never executes a random write; calibration points must match")
+	}
+}
+
+// TestStatsCountsEveryDeviceKind: the zone, throttle and fault counters live
+// in the one Stats snapshot, Sub windows them like the I/O counters, and a
+// block device reports zeros for the zone and throttle ones.
+func TestStatsCountsEveryDeviceKind(t *testing.T) {
+	buf := make([]byte, 8192)
+
+	zns := NewWithSpec(simclock.New(), ZNSAppend)
+	zns.WriteAt(buf, 0)
+	before := zns.Stats()
+	zns.WriteAt(buf, 8192) // append
+	zns.WriteAt(buf, 0)    // redirect
+	zns.Discard(0, zns.Spec().ZoneBytes)
+	if st := zns.Stats(); st.ZoneAppends != 2 || st.ZoneRedirects != 1 || st.ZoneResets != 1 {
+		t.Fatalf("zns totals: %+v", st)
+	}
+	w := zns.Stats().Sub(before)
+	if w.ZoneAppends != 1 || w.ZoneAppendBytes != 8192 || w.ZoneRedirects != 1 ||
+		w.ZoneRedirectBytes != 8192 || w.ZoneResets != 1 || w.Writes != 2 {
+		t.Fatalf("zns window: %+v", w)
+	}
+
+	spec := CloudBlock
+	spec.BaseIOPS, spec.BurstOps = 100, 2
+	cloud := NewWithSpec(simclock.New(), spec)
+	cloud.WriteAt(buf, 0)
+	before = cloud.Stats()
+	for i := 1; i < 6; i++ {
+		cloud.WriteAt(buf, int64(i)*8192)
+	}
+	w = cloud.Stats().Sub(before)
+	if w.ThrottledOps != 5 || w.Stalls != 4 || w.StallTime <= 0 {
+		t.Fatalf("cloud window: %+v", w)
+	}
+	if total := cloud.Stats(); total.ThrottledOps != 6 || total.StallTime != w.StallTime {
+		t.Fatalf("cloud totals: %+v (window %+v)", total, w)
+	}
+
+	blk := NewWithSpec(simclock.New(), EnterpriseNVMe)
+	blk.WriteAt(buf, 0)
+	blk.WriteAt(buf, 0)
+	blk.ReadAt(buf, 0)
+	if st := blk.Stats(); st.ZoneAppends|st.ZoneRedirects|st.ZoneResets|st.ThrottledOps|st.Stalls != 0 || st.StallTime != 0 {
+		t.Fatalf("block device counts zone or throttle activity: %+v", st)
+	}
+
+	blk.ArmFault(FaultRule{Kind: FaultReadErr, Class: AnyClass, Ops: []uint64{1, 3}})
+	before = blk.Stats()
+	for i := 0; i < 3; i++ {
+		blk.ReadAt(buf, 0)
+	}
+	if f := blk.Stats().Sub(before).Faults; f.Injected[FaultReadErr] != 2 || f.Injected[FaultWriteErr] != 0 {
+		t.Fatalf("fault window: %v", f)
+	}
+	blk.ResetStats()
+	if st := blk.Stats(); st != (Stats{}) {
+		t.Fatalf("ResetStats left %+v", st)
 	}
 }

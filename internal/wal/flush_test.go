@@ -296,7 +296,7 @@ func TestFlushOntoRecycledExtent(t *testing.T) {
 // rejected.
 func TestFlushOnZonedDevice(t *testing.T) {
 	sizes := []int{60, 1100, 60, 700, 9000, 60, 1100, 3000, 60, 20000, 60}
-	run := func(spec ssd.DeviceSpec, ref bool) (ssd.ZNSStats, int, error) {
+	run := func(spec ssd.DeviceSpec, ref bool) (ssd.Stats, int, error) {
 		dev, f := newDevFile(spec)
 		var w interface {
 			Append(*Record) int64
@@ -308,10 +308,10 @@ func TestFlushOnZonedDevice(t *testing.T) {
 		for i, n := range sizes {
 			w.Append(sized(t, uint64(i+1), n))
 			if err := w.Flush(); err != nil {
-				return dev.ZNSCounters(), i, err
+				return dev.Stats(), i, err
 			}
 		}
-		return dev.ZNSCounters(), len(sizes), nil
+		return dev.Stats(), len(sizes), nil
 	}
 
 	got, _, err := run(ssd.ZNSAppend, false)
@@ -319,11 +319,11 @@ func TestFlushOnZonedDevice(t *testing.T) {
 	if err != nil || refErr != nil {
 		t.Fatal(err, refErr)
 	}
-	if got.Redirects == 0 || got.Redirects > want.Redirects ||
-		got.Redirects+got.Appends != want.Redirects+want.Appends {
+	if got.ZoneRedirects == 0 || got.ZoneRedirects > want.ZoneRedirects ||
+		got.ZoneRedirects+got.ZoneAppends != want.ZoneRedirects+want.ZoneAppends {
 		t.Fatalf("redirect shim: %+v, reference %+v: want the same writes and no more redirects", got, want)
 	}
-	if got.RedirectBytes >= want.RedirectBytes/2 {
-		t.Fatalf("redirected bytes %d, reference %d: want far fewer", got.RedirectBytes, want.RedirectBytes)
+	if got.ZoneRedirectBytes >= want.ZoneRedirectBytes/2 {
+		t.Fatalf("redirected bytes %d, reference %d: want far fewer", got.ZoneRedirectBytes, want.ZoneRedirectBytes)
 	}
 }

@@ -289,7 +289,7 @@ func TestLogFillSpills(t *testing.T) {
 	if err := l.Rotate(0, big(nil)); !errors.Is(err, storage.ErrIOFault) {
 		t.Fatalf("Rotate on a failing device: %v", err)
 	}
-	if st := dev.FaultCounters(); st.Injected[ssd.FaultWriteErr] != 6 {
+	if st := dev.Stats().Faults; st.Injected[ssd.FaultWriteErr] != 6 {
 		t.Fatalf("%d write faults injected, want the spill's three tries and the flush's three", st.Injected[ssd.FaultWriteErr])
 	}
 	healthy = true

@@ -213,14 +213,12 @@ func (fp *Fingerprint) captureEngine(e *db.Engine) {
 	fp.SeqWrites += st.SeqWrites
 	fp.RandWrites += st.RandWrites
 	fp.IOTimeNS += int64(st.IOTime())
-	z := e.Dev.ZNSCounters()
-	fp.ZNSAppends += z.Appends
-	fp.ZNSRedirects += z.Redirects
-	fp.ZNSResets += z.Resets
-	c := e.Dev.CloudCounters()
-	fp.CloudOps += c.Ops
-	fp.CloudStalls += c.Stalls
-	fp.CloudStallNS += int64(c.StallTime)
+	fp.ZNSAppends += st.ZoneAppends
+	fp.ZNSRedirects += st.ZoneRedirects
+	fp.ZNSResets += st.ZoneResets
+	fp.CloudOps += st.ThrottledOps
+	fp.CloudStalls += st.Stalls
+	fp.CloudStallNS += int64(st.StallTime)
 	sp := e.SpaceInfo()
 	fp.ROEntries += sp.ROEntries
 	fp.ROExits += sp.ROExits
@@ -657,7 +655,7 @@ func runSnapshotPin(cfg Config) (Fingerprint, error) {
 	}
 	t.Eng.Dev.DisarmFault(rule)
 	t.Eng.Abort(probe)
-	fp.NoSpaceInjected = t.Eng.Dev.FaultCounters().Injected[ssd.FaultNoSpace]
+	fp.NoSpaceInjected = t.Eng.Dev.Stats().Faults.Injected[ssd.FaultNoSpace]
 	switch {
 	case !errors.Is(nospace, storage.ErrNoSpace):
 		return fp, fmt.Errorf("hostile: snapshot-pin: armed FaultNoSpace surfaced as %v, want storage.ErrNoSpace", nospace)
