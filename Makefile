@@ -66,6 +66,11 @@ traffic:
 # And a batch commits through CommitDurable, the one durable commit path.
 # And a deployment reports itself once, as Router.Report over STATS: the
 # inspector reads a running server and never builds a router of its own.
+# And the storage stack has one checksum, page.CRC32C, over pages and log
+# records alike: no non-test file under internal/ runs an FNV-1a loop (the
+# bloom filter's and the zipfian scrambler's are hashes, not checksums), and
+# only the helper's file calls hash/crc32. And TPC-C sets no MaxPartitions: its hot indexes
+# merge by the garbage trigger, the default.
 seams:
 	@bad=$$(grep -rnE 'storage\.Retry\(|page\.(Stamp|Verify)Checksum\(' --include='*.go' . \
 		| grep -vE '_test\.go:|^\./internal/(buffer|page|storage)/|^\./internal/wal/log\.go:'); \
@@ -96,6 +101,11 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: the supervisor stores Degraded again (Health reads it from the engine):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'SpaceInfo\(|WALStatsSnapshot\(|IOStats\(|Printf\(.*\.(Space|WAL|Pool|Device)\.' --include='*.go' cmd/mvpbt-inspect | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: the inspector formats counters by hand again (print ShardStats.Fill's report):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE '1099511628211|0x100000001b3|16777619|0x1000193' --include='*.go' internal | grep -vE '_test\.go:|^internal/bloom/bloom\.go:|^internal/util/rand\.go:'; \
+		grep -rn 'crc32\.' --include='*.go' internal | grep -vE '_test\.go:|^internal/page/page\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a second checksum is back (page.CRC32C checksums pages and log records):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnw 'MaxPartitions' --include='*.go' internal/workload/tpcc | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: TPC-C sets MaxPartitions (its hot indexes merge by the garbage trigger):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -90,9 +90,10 @@ func main() {
 	mv := ix.MV()
 	fmt.Printf("== MV-PBT structure after %d tuples x %d updates ==\n", *tuples, *updates)
 	fmt.Printf("PN: %d bytes in memory\n", mv.PNBytes())
-	for _, p := range mv.Partitions() {
-		fmt.Printf("P%-3d leaves=%-4d fenceB=%-5d records=%-6d keys [%q .. %q] ts [%d..%d]",
-			p.No, p.NumLeaves, p.FenceBytes(), p.NumRecords, p.MinKey, p.MaxKey, p.MinTS, p.MaxTS)
+	collectable := mv.Collectable()
+	for i, p := range mv.Partitions() {
+		fmt.Printf("P%-3d leaves=%-4d fenceB=%-5d records=%-6d collectable=%-6d keys [%q .. %q] ts [%d..%d]",
+			p.No, p.NumLeaves, p.FenceBytes(), p.NumRecords, collectable[i], p.MinKey, p.MaxKey, p.MinTS, p.MaxTS)
 		if p.Filter != nil {
 			fmt.Printf(" bloom=%dB", p.Filter.SizeBytes())
 		}

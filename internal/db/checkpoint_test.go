@@ -58,7 +58,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		// Churn versions so the log is much bigger than the live state (the
 		// snapshot must undercut the history even with the 2-page superblock
 		// overhead the first checkpoint adds).
-		for round := 0; round < 5; round++ {
+		for round := 0; round < 8; round++ {
 			for i := 0; i < 200; i += 4 {
 				tx := e.Begin()
 				key := []byte(fmt.Sprintf("k%04d", i))

@@ -143,3 +143,53 @@ func TestGovernorLateENOSPCFlipsReadOnly(t *testing.T) {
 		t.Fatalf("write after degradation: got %v, want ErrReadOnly", err)
 	}
 }
+
+// TestReclaimMergesHotIndex: a hot-updated table past its soft watermark
+// frees index pages in one reclamation pass once the reader that pinned its
+// old versions through every eviction is gone. No MaxPartitions is set: the
+// pass merges because 7/8 of the index's records are collectable.
+func TestReclaimMergesHotIndex(t *testing.T) {
+	e, tbl, ix := walTableKind(t, HeapSIAS, Config{
+		PartitionBufferBytes: 16 << 10,
+		DeviceCapacityBytes:  64 << 20,
+		SpaceSoftBytes:       1 << 20,
+		SpaceHardBytes:       60 << 20,
+	})
+	insertN(t, e, tbl, 0, 50)
+	reader := e.Begin()
+	for n := 0; n < 2000; n++ {
+		tx := e.Begin()
+		key := fmt.Sprintf("k%04d", n%50)
+		cur, err := tbl.LookupOne(tx, ix, []byte(key), true)
+		if err != nil || cur == nil {
+			t.Fatalf("lookup %s: %v %v", key, cur, err)
+		}
+		if _, err := tbl.Update(tx, *cur, row(key, fmt.Sprintf("u%08d-%s", n, strings.Repeat("x", 240)))); err != nil {
+			t.Fatal(err)
+		}
+		e.Commit(tx)
+	}
+	e.Abort(reader)
+	mv := ix.MV()
+	leaves := func() (n int) {
+		for _, p := range mv.Partitions() {
+			n += p.NumLeaves
+		}
+		return n
+	}
+	st, before := e.SpaceInfo(), leaves()
+	if st.Live < st.Soft || mv.NumPartitions() < 5 || mv.Stats().Merges != 0 {
+		t.Fatalf("set-up: live %d, soft %d, %d partitions, %d merges", st.Live, st.Soft, mv.NumPartitions(), mv.Stats().Merges)
+	}
+	if err := e.ReclaimNow(); err != nil {
+		t.Fatal(err)
+	}
+	if after := leaves(); e.SpaceInfo().Reclaims != st.Reclaims+1 || mv.Stats().Merges != 1 || after >= before {
+		t.Fatalf("one reclamation pass: %d merges, index leaves %d -> %d", mv.Stats().Merges, before, after)
+	}
+	tx := e.Begin()
+	defer e.Abort(tx)
+	if n, err := tbl.Count(tx, ix, nil, nil); err != nil || n != 50 {
+		t.Fatalf("count after reclamation: %d, %v", n, err)
+	}
+}

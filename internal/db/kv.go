@@ -172,7 +172,7 @@ type MVPBTKV struct {
 type MVPBTKVOptions struct {
 	BloomBits int
 	// MaxPartitions: above this many partitions, merge the newer ones or
-	// all of them (0 = never; mvpbt.Options.MaxPartitions).
+	// all of them (0 = only by garbage; mvpbt.Options.MaxPartitions).
 	MaxPartitions int
 }
 

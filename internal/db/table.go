@@ -81,9 +81,9 @@ type IndexDef struct {
 	PrefixLen int
 	// DisableGC turns off MV-PBT partition garbage collection.
 	DisableGC bool
-	// MaxPartitions enables MV-PBT on-line partition merging above this
-	// count (0 = off): the trigger merges the newer partitions, or all of
-	// them (mvpbt.Options.MaxPartitions).
+	// MaxPartitions adds MV-PBT's count-triggered merge above this many
+	// partitions (0 = none; the garbage trigger runs regardless): of the
+	// newer partitions, or all of them (mvpbt.Options.MaxPartitions).
 	MaxPartitions int
 	// NoIdxVC makes an MV-PBT behave version-obliviously for reads (the
 	// Figure 12a ablation): scans return all matter records and the base

@@ -70,7 +70,7 @@ func (t *Tree) EvictPN() error {
 		frozen := make([]*skiplist.List[pnKey, *Record], 0, len(v.frozen)+1)
 		frozen = append(frozen, v.pn)
 		frozen = append(frozen, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts})
+		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, dead: v.dead})
 		t.pnGarbage.Store(0)
 	}
 	t.mu.Unlock()
@@ -79,9 +79,8 @@ func (t *Tree) EvictPN() error {
 
 // buildFrozen drains the frozen list oldest-first, building one partition
 // per frozen PN. Only bgMu is held across a build; mu is taken briefly to
-// pick the next source and to publish the result. When the partition
-// count crosses MaxPartitions afterwards, the merge runs inline, still
-// under bgMu, over the newer partitions or all of them (mergeFrom).
+// pick the next source and to publish the result. When a merge is due
+// afterwards (mergeStart), it runs inline, still under bgMu.
 func (t *Tree) buildFrozen() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -89,19 +88,19 @@ func (t *Tree) buildFrozen() error {
 		t.mu.Lock()
 		v := t.view.Load()
 		if len(v.frozen) == 0 {
-			needMerge := t.opts.MaxPartitions > 0 && len(v.parts) > t.opts.MaxPartitions
+			from := t.mergeStart(v)
 			t.mu.Unlock()
-			if !needMerge {
+			if from < 0 {
 				return nil
 			}
-			return t.mergeBG(mergeFrom(v.parts))
+			return t.mergeBG(from)
 		}
 		src := v.frozen[len(v.frozen)-1] // oldest; new freezes prepend
 		no := t.nextNo
 		t.nextNo++
 		t.mu.Unlock()
 
-		seg, err := t.buildPartition(src, no)
+		seg, dead, err := t.buildPartition(src, no)
 		if err != nil {
 			return err
 		}
@@ -109,13 +108,12 @@ func (t *Tree) buildFrozen() error {
 		t.mu.Lock()
 		v2 := t.view.Load()
 		frozen := append([]*skiplist.List[pnKey, *Record](nil), v2.frozen[:len(v2.frozen)-1]...)
-		parts := v2.parts
+		nv := &treeView{pn: v2.pn, frozen: frozen, parts: v2.parts, dead: v2.dead}
 		if seg != nil {
-			parts = make([]*part.Segment, 0, len(v2.parts)+1)
-			parts = append(parts, v2.parts...)
-			parts = append(parts, seg)
+			nv.parts = append(v2.parts[:len(v2.parts):len(v2.parts)], seg)
+			nv.dead = append(v2.dead[:len(v2.dead):len(v2.dead)], dead)
 		}
-		t.view.Store(&treeView{pn: v2.pn, frozen: frozen, parts: parts})
+		t.view.Store(nv)
 		t.mu.Unlock()
 		if seg != nil {
 			t.stats.evictions.Add(1)
@@ -127,8 +125,9 @@ func (t *Tree) buildFrozen() error {
 // survivors into a partition. Called with bgMu (NOT mu) held: the frozen
 // source receives no more inserts, record flags are read via snapshot
 // copies, and txn.Manager, the segment builder and the stats counters are
-// all thread-safe. Returns (nil, nil) when GC leaves nothing to persist.
-func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, error) {
+// all thread-safe. Returns a nil segment when GC leaves nothing to persist,
+// and the partition's collectable-record estimate.
+func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, int, error) {
 	w := t.newPartWriter(no, false)
 	defer w.b.Abort()
 	for it := src.Min(); it.Valid(); it.Next() {
@@ -136,7 +135,7 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 		// current view while GC rewrites anti-matter chains (OldRID
 		// inheritance), so the mutation must happen on private copies.
 		if err := w.add(it.Key().key, it.Value().snapshot(), nil); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	return w.finish()
@@ -162,6 +161,7 @@ type partWriter struct {
 	enc   []byte
 
 	minTS, maxTS txn.TxID
+	dead         int // the collectable-record estimate (flush)
 }
 
 // groupRec is one record of the current key. body is its encoding as read
@@ -203,21 +203,37 @@ func (w *partWriter) add(key []byte, rec Record, body []byte) error {
 	return nil
 }
 
-// flush garbage-collects the current key's records and hands the survivors
-// to the builder.
+// flush garbage-collects the current key's records, hands the survivors to
+// the builder and adds to the partition's estimate of the records a later
+// merge of every partition could drop, once the partition is below the
+// horizon. In a unique tree that is every survivor but the newest, plus,
+// outside a complete merge, the older version the oldest survivor replaces,
+// if any. In a non-unique tree each survivor's anti-matter target, and a
+// pure anti-matter survivor itself — except, in a complete merge, anti-matter
+// committed below the horizon, whose target is not under this key (a key
+// update's replacement): no merge will collapse it.
 func (w *partWriter) flush() error {
-	if !w.t.opts.DisableGC {
+	gc := !w.t.opts.DisableGC
+	if gc {
 		if w.t.opts.Unique {
 			w.uniqueGC()
 		} else {
 			w.chainGC()
 		}
 	}
+	kept, oldest := 0, RecType(0)
 	for i := range w.recs {
 		g := &w.recs[i]
 		if g.drop {
 			w.t.stats.gcEvict.Add(1)
 			continue
+		}
+		kept, oldest = kept+1, g.rec.Type
+		if gc && !w.t.opts.Unique && g.rec.AntiMatter() && !(w.complete && w.committedBelow(&g.rec)) {
+			w.dead++
+			if !g.rec.Matter() {
+				w.dead++
+			}
 		}
 		if g.body == nil {
 			w.enc = encodeRecord(w.enc[:0], &g.rec)
@@ -228,15 +244,23 @@ func (w *partWriter) flush() error {
 		}
 		w.minTS, w.maxTS = min(w.minTS, g.rec.TS), max(w.maxTS, g.rec.TS)
 	}
+	if gc && w.t.opts.Unique && kept > 0 {
+		w.dead += kept - 1
+		if !w.complete && oldest != Regular {
+			w.dead++
+		}
+	}
 	w.recs, w.arena = w.recs[:0], w.arena[:0]
 	return nil
 }
 
-func (w *partWriter) finish() (*part.Segment, error) {
+// finish completes the partition and returns it with its estimate.
+func (w *partWriter) finish() (*part.Segment, int, error) {
 	if err := w.flush(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return w.b.Finish(uint64(w.minTS), uint64(w.maxTS))
+	seg, err := w.b.Finish(uint64(w.minTS), uint64(w.maxTS))
+	return seg, w.dead, err
 }
 
 // committedBelow reports whether the record is committed with a timestamp

@@ -123,7 +123,7 @@ func (t *Tree) mergeBG(from int) error {
 		// neither complete nor installed.
 		(*hook)()
 	}
-	seg, err := w.finish()
+	seg, dead, err := w.finish()
 	if err != nil {
 		// Nothing was published: readers and future operations keep
 		// the previous, still-intact view.
@@ -135,12 +135,13 @@ func (t *Tree) mergeBG(from int) error {
 	// pn/frozen and rebase defensively around the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
-	parts := append([]*part.Segment(nil), v2.parts[:from]...)
+	nv := &treeView{pn: v2.pn, frozen: v2.frozen, parts: v2.parts[:from:from], dead: v2.dead[:from:from]}
 	if seg != nil {
-		parts = append(parts, seg)
+		nv.parts, nv.dead = append(nv.parts, seg), append(nv.dead, dead)
 	}
-	parts = append(parts, v2.parts[len(v.parts):]...)
-	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts})
+	nv.parts = append(nv.parts, v2.parts[len(v.parts):]...)
+	nv.dead = append(nv.dead, v2.dead[len(v.parts):]...)
+	t.view.Store(nv)
 	t.mu.Unlock()
 	// Grace period: in-flight readers may still hold the old view with the
 	// input segments. Taking the gate's write side waits them out; new

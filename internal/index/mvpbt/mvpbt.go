@@ -62,13 +62,13 @@ type Options struct {
 	// many leading bytes or more skips the partitions that hold no key with
 	// the longest prefix they share. 0 disables them.
 	PrefixLen int
-	// DisableGC turns off partition garbage collection (§4.6) for the
-	// ablations of Figures 12a/12b/14d.
+	// DisableGC turns off partition garbage collection (§4.6), and with it
+	// the garbage-triggered merge, for the ablations of Figures 12a/12b/14d.
 	DisableGC bool
 	// MaxPartitions triggers an on-line merge when the persisted partition
-	// count exceeds it (0 disables merging): of the newer partitions while
-	// they are small beside the oldest, else of all of them. See
-	// MergePartitions.
+	// count exceeds it (0 disables this trigger, not the garbage one): of
+	// the newer partitions while they are small beside the oldest, else of
+	// all of them. See mergeStart.
 	MaxPartitions int
 }
 
@@ -95,8 +95,11 @@ type Stats struct {
 	GCEvict int64
 	// Evictions counts partition evictions.
 	Evictions int64
-	// Merges counts partition reorganizations (MergePartitions, and the
-	// merges MaxPartitions triggers, of all partitions or the newer ones).
+	// Merges counts partition reorganizations. Three things start one: the
+	// count trigger (past MaxPartitions, of the newer partitions or all of
+	// them), the garbage trigger (7/8 of the persisted records collectable
+	// now, of all of them) and reclamation (the space governor's
+	// MergePartitions, when NeedsMerge says either trigger is due).
 	Merges int64
 }
 
@@ -129,7 +132,8 @@ type statCounters struct {
 
 // treeView is the immutable snapshot the read path operates on: the
 // current main-memory partition, the frozen (eviction-pending) PNs newest
-// first, and the persisted partition list, oldest first. All three are
+// first, and the persisted partition list, oldest first, with how many of
+// each partition's records a merge could drop (partWriter.flush). All are
 // published TOGETHER — eviction moves records PN → frozen → partition, so
 // publishing them separately would let a reader observe records twice or
 // not at all.
@@ -144,6 +148,7 @@ type treeView struct {
 	pn     *skiplist.List[pnKey, *Record]
 	frozen []*skiplist.List[pnKey, *Record]
 	parts  []*part.Segment
+	dead   []int // per partition: the collectable-record estimate
 }
 
 // Tree is a Multi-Version Partitioned B-Tree. Safe for concurrent use:
@@ -219,13 +224,37 @@ func (t *Tree) FrozenPNs() int {
 	return len(t.view.Load().frozen)
 }
 
-// NeedsMerge reports whether the persisted partition count exceeds the
-// configured MaxPartitions threshold.
+// NeedsMerge reports whether a merge is due, by either trigger (mergeStart).
+// Eviction and space reclamation both ask it.
 func (t *Tree) NeedsMerge() bool {
-	if t.opts.MaxPartitions <= 0 {
-		return false
+	return t.mergeStart(t.view.Load()) >= 0
+}
+
+// mergeStart is where the merge due over v starts, -1 if none is. The count
+// trigger: past MaxPartitions, from mergeFrom. The garbage trigger: at least
+// 7/8 of the persisted records are records a merge of every partition would
+// drop now, so that merge writes at most one record for every seven it
+// drops. Only partitions wholly below the GC horizon count as garbage, so an
+// open old snapshot defers the merge instead of starting one that keeps all.
+func (t *Tree) mergeStart(v *treeView) int {
+	if len(v.parts) < 2 {
+		return -1
 	}
-	return len(t.view.Load().parts) > t.opts.MaxPartitions
+	if t.opts.MaxPartitions > 0 && len(v.parts) > t.opts.MaxPartitions {
+		return mergeFrom(v.parts)
+	}
+	horizon := uint64(t.mgr.Horizon())
+	dead, all := 0, 0
+	for i, p := range v.parts {
+		all += p.NumRecords
+		if p.MaxTS < horizon {
+			dead += v.dead[i]
+		}
+	}
+	if 8*dead < 7*all {
+		return -1
+	}
+	return 0
 }
 
 // NumPartitions returns the number of persisted partitions.
@@ -237,6 +266,12 @@ func (t *Tree) NumPartitions() int {
 func (t *Tree) Partitions() []*part.Segment {
 	v := t.view.Load()
 	return append([]*part.Segment(nil), v.parts...)
+}
+
+// Collectable returns, in Partitions' order, how many records of each
+// partition the garbage trigger counts as collectable.
+func (t *Tree) Collectable() []int {
+	return append([]int(nil), t.view.Load().dead...)
 }
 
 // Stats returns a snapshot of the counters.

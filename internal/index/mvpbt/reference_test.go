@@ -21,16 +21,27 @@ type refEntry struct {
 	rec *Record
 }
 
-// refEvictPN freezes PN and builds every frozen PN with refBuildPartition.
+// refEvictPN freezes PN, builds every frozen PN with refBuildPartition and
+// then runs the merge mergeStart finds due, with refMerge.
 func (t *Tree) refEvictPN() error {
 	t.mu.Lock()
 	v := t.view.Load()
 	if v.pn.Len() > 0 {
 		frozen := append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts})
+		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, dead: v.dead})
 		t.pnGarbage.Store(0)
 	}
 	t.mu.Unlock()
+	if err := t.refBuildFrozen(); err != nil {
+		return err
+	}
+	if from := t.mergeStart(t.view.Load()); from >= 0 {
+		return t.refMerge(from)
+	}
+	return nil
+}
+
+func (t *Tree) refBuildFrozen() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
 	for {
@@ -44,28 +55,70 @@ func (t *Tree) refEvictPN() error {
 		no := t.nextNo
 		t.nextNo++
 		t.mu.Unlock()
-		seg, err := t.refBuildPartition(src, no)
+		seg, dead, err := t.refBuildPartition(src, no)
 		if err != nil {
 			return err
 		}
 		t.mu.Lock()
 		v2 := t.view.Load()
-		parts := v2.parts
+		parts, deads := v2.parts, v2.dead
 		if seg != nil {
 			parts = append(append([]*part.Segment(nil), v2.parts...), seg)
+			deads = append(append([]int(nil), v2.dead...), dead)
 			t.stats.evictions.Add(1)
 		}
-		t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen[: len(v2.frozen)-1 : len(v2.frozen)-1], parts: parts})
+		t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen[: len(v2.frozen)-1 : len(v2.frozen)-1], parts: parts, dead: deads})
 		t.mu.Unlock()
 	}
+}
+
+// refDead is the collectable-record estimate of a partition written from
+// kvs, whose bodies encode the records GC kept: per key, every record but
+// the newest in a unique tree, plus, outside a complete merge, one for an
+// oldest record that is not Regular; per anti-matter record in a non-unique
+// tree one, two if it is pure anti-matter — none, in a complete merge, for
+// anti-matter committed below the horizon.
+func (t *Tree) refDead(kvs []part.KV, complete bool) int {
+	if t.opts.DisableGC {
+		return 0
+	}
+	horizon := t.mgr.Horizon()
+	dead := 0
+	for i := 0; i < len(kvs); {
+		j := i
+		var last Record
+		for ; j < len(kvs) && bytes.Equal(kvs[j].Key, kvs[i].Key); j++ {
+			rec, err := decodeRecord(kvs[j].Body)
+			if err != nil {
+				panic(err)
+			}
+			settled := complete && rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
+			if !t.opts.Unique && rec.AntiMatter() && !settled {
+				dead++
+				if !rec.Matter() {
+					dead++
+				}
+			}
+			last = rec
+		}
+		if t.opts.Unique {
+			dead += j - i - 1
+			if !complete && last.Type != Regular {
+				dead++
+			}
+		}
+		i = j
+	}
+	return dead
 }
 
 // refBuildPartition runs GC phase 3 over one frozen PN and serializes the
 // survivors into a partition. Called with bgMu (NOT mu) held: the frozen
 // source receives no more inserts, record flags are read via snapshot
 // copies, and txn.Manager, the segment builder and the stats counters are
-// all thread-safe. Returns (nil, nil) when GC leaves nothing to persist.
-func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, error) {
+// all thread-safe. Returns a nil segment when GC leaves nothing to persist,
+// and the partition's refDead.
+func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, int, error) {
 	// Value-copy every record: the frozen PN stays readable through the
 	// current view while GC below rewrites anti-matter chains (OldRID
 	// inheritance), so the mutation must happen on private copies.
@@ -83,7 +136,7 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 		}
 	}
 	if len(entries) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	kvs := make([]part.KV, len(entries))
 	minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
@@ -96,10 +149,11 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 			maxTS = e.rec.TS
 		}
 	}
-	return part.Build(t.pool, t.file, no, kvs, uint64(minTS), uint64(maxTS), part.BuildOptions{
+	seg, err := part.Build(t.pool, t.file, no, kvs, uint64(minTS), uint64(maxTS), part.BuildOptions{
 		BloomBitsPerKey: t.opts.BloomBits,
 		PrefixLen:       t.opts.PrefixLen,
 	})
+	return seg, t.refDead(kvs, false), err
 }
 
 // refEvictGC is phase 3: chain-collapsing garbage collection over the frozen
@@ -426,6 +480,7 @@ func (t *Tree) refMerge(from int) error {
 	}
 
 	var merged []*part.Segment
+	var dead []int
 	if len(out) > 0 {
 		kvs := make([]part.KV, len(out))
 		minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
@@ -448,14 +503,15 @@ func (t *Tree) refMerge(from int) error {
 			return err
 		}
 		if seg != nil {
-			merged = []*part.Segment{seg}
+			merged, dead = []*part.Segment{seg}, []int{t.refDead(kvs, from == 0)}
 		}
 	}
 	// Install the merged partition in place of the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
 	parts := append(append(append([]*part.Segment(nil), v2.parts[:from]...), merged...), v2.parts[len(v.parts):]...)
-	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts})
+	deads := append(append(append([]int(nil), v2.dead[:from]...), dead...), v2.dead[len(v.parts):]...)
+	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts, dead: deads})
 	t.mu.Unlock()
 	t.gate.Lock()
 	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period

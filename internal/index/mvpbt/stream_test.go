@@ -35,8 +35,8 @@ func partImage(t *testing.T, tr *Tree, seg *part.Segment) (pages []byte, meta []
 }
 
 // sameParts fails the test unless both trees hold as many partitions, the
-// newest n of them (all, if n is 0) byte-identical, and have collected the
-// same amount of garbage.
+// newest n of them (all, if n is 0) byte-identical with equal collectable
+// estimates, and have collected the same amount of garbage.
 func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	t.Helper()
 	pg, pw := got.Partitions(), want.Partitions()
@@ -49,6 +49,7 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	for i := len(pg) - n; i < len(pg); i++ {
 		gotPages, gotMeta := partImage(t, got, pg[i])
 		wantPages, wantMeta := partImage(t, want, pw[i])
+		gotMeta, wantMeta = append(gotMeta, got.Collectable()[i]), append(wantMeta, want.Collectable()[i])
 		if !bytes.Equal(gotPages, wantPages) || !reflect.DeepEqual(gotMeta, wantMeta) {
 			t.Fatalf("%s: partition P%d (%d records, %d pages) differs from the reference's (%d records, %d pages)",
 				when, pg[i].No, pg[i].NumRecords, pg[i].NumLeaves, pw[i].NumRecords, pw[i].NumLeaves)
@@ -72,8 +73,9 @@ func (t *Tree) mergeSuffix(from int) error {
 // transactions, scans that flag garbage, a long reader pinning the horizon
 // on and off — evicting and merging one through the streaming path and the
 // other through the materialising reference; merges take every partition or
-// a random suffix of them. Every partition either writes must equal the
-// other's byte for byte.
+// a random suffix of them, and each eviction runs the merge the garbage
+// trigger finds due. Every partition either writes must equal the other's
+// byte for byte, with the same collectable estimate.
 func TestStreamingMatchesReference(t *testing.T) {
 	for _, opts := range []Options{
 		{Name: "non-unique", BloomBits: 10, PrefixLen: 4},
@@ -205,6 +207,12 @@ func TestStreamingMatchesReference(t *testing.T) {
 				sameParts(t, "final merge", got, want, 0)
 				if partial == 0 || merges == partial || got.NumPartitions() != 1 || got.Partitions()[0].NumLeaves < 3 {
 					t.Fatalf("%d merges (%d partial), %d partitions at the end: the history exercised too little", merges, partial, got.NumPartitions())
+				}
+				// Beyond the merges above and the final one, the garbage
+				// trigger ran some: a non-unique history's deletes and key
+				// updates make whole partitions collectable.
+				if !opts.Unique && !opts.DisableGC && got.Stats().Merges <= int64(merges)+1 {
+					t.Fatalf("%d merges, %d of them called: the garbage trigger never ran", got.Stats().Merges, merges)
 				}
 				if opts.DisableGC != (got.Stats().GCEvict == 0) {
 					t.Fatalf("GCEvict = %d with DisableGC = %v", got.Stats().GCEvict, opts.DisableGC)

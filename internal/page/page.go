@@ -41,11 +41,14 @@ const MaxRecordLen = storage.PageSize - slotBase - slotSize
 // ext4 and btrfs; hardware-accelerated by the stdlib on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// CRC32C extends crc, 0 to start, with the CRC32C of b: the one checksum of
+// the storage stack, over pages here and over log records in internal/wal.
+func CRC32C(crc uint32, b []byte) uint32 { return crc32.Update(crc, castagnoli, b) }
+
 // Checksum computes the CRC32C of a page image, excluding the checksum
 // field itself.
 func Checksum(b []byte) uint32 {
-	c := crc32.Update(0, castagnoli, b[:checksumOff])
-	return crc32.Update(c, castagnoli, b[headerEnd:])
+	return CRC32C(CRC32C(0, b[:checksumOff]), b[headerEnd:])
 }
 
 // StampChecksum stores the current content checksum into the page header.

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
@@ -130,35 +131,25 @@ func encodeBody(scratch []byte, r *Record) []byte {
 }
 
 // frame appends a record body with its leading length and trailing
-// checksum: [len varint][body][fnv64(body) 8B].
+// checksum: [len varint][body][CRC32C(body) 4B], the pages' checksum.
 func frame(dst, body []byte) []byte {
 	dst = util.PutUvarint(dst, uint64(len(body)))
 	dst = append(dst, body...)
-	return util.EncodeUint64(dst, checksum(body))
-}
-
-func checksum(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
+	return binary.LittleEndian.AppendUint32(dst, page.CRC32C(0, body))
 }
 
 // decode parses one record from src, returning it and the bytes consumed.
 // ok is false at a torn, truncated or corrupt record. The bytes are
-// untrusted even after the checksum matches — FNV-1a is not a MAC, and a
+// untrusted even after the checksum matches — a CRC is not a MAC, and a
 // mis-framed read can land on a self-consistent region — so every inner
 // length is bounds-checked against the body before it is used.
 func decode(src []byte) (rec Record, n int, ok bool) {
 	l, c := binary.Uvarint(src)
-	if c <= 0 || l == 0 || l > uint64(len(src)) || c+int(l)+8 > len(src) {
+	if c <= 0 || l == 0 || l > uint64(len(src)) || c+int(l)+4 > len(src) {
 		return Record{}, 0, false
 	}
 	body := src[c : c+int(l)]
-	if util.DecodeUint64(src[c+int(l):]) != checksum(body) {
+	if binary.LittleEndian.Uint32(src[c+int(l):]) != page.CRC32C(0, body) {
 		return Record{}, 0, false
 	}
 	rec.Op = Op(body[0])
@@ -182,7 +173,7 @@ func decode(src []byte) (rec Record, n int, ok bool) {
 	rec.Table = string(fields[0])
 	rec.Key = append([]byte(nil), fields[1]...)
 	rec.Row = append([]byte(nil), fields[2]...)
-	return rec, c + int(l) + 8, true
+	return rec, c + int(l) + 4, true
 }
 
 // Writer appends records to a log file. Records buffer in memory and reach
