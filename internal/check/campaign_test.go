@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mvpbt/internal/ssd"
-	"mvpbt/internal/workload/hostile"
 )
 
 // TestCampaignSmoke is the tier-1 slice of every registered campaign
@@ -51,7 +50,7 @@ func TestCampaignSmoke(t *testing.T) {
 			long: true,
 			check: func(t *testing.T, cells []CellResult) {
 				for _, c := range cells {
-					if fp := c.Fp.(hostile.Fingerprint); fp.Committed == 0 || fp.StateHash == 0 {
+					if fp := c.Fp.(ScenarioFingerprint); fp.Committed == 0 || fp.StateHash == 0 {
 						t.Errorf("%v committed nothing or hashed nothing: %+v", c.Cell, fp)
 					}
 				}
@@ -94,7 +93,7 @@ func TestCampaignSmoke(t *testing.T) {
 	// truncate the log on release, resume, degrade and heal again on an
 	// injected ENOSPC, recover from the checkpointed log.
 	exhaust := smokeSlice{
-		sel: Selection{Seeds: []uint64{1}, Filter: map[string][]string{"kind": {hostile.SnapshotPin.String()}}},
+		sel: Selection{Seeds: []uint64{1}, Filter: map[string][]string{"kind": {snapshotPin}}},
 		check: func(t *testing.T, cells []CellResult) {
 			heaps := map[string]int{}
 			for _, c := range cells {
@@ -103,7 +102,7 @@ func TestCampaignSmoke(t *testing.T) {
 						heaps[co.Value]++
 					}
 				}
-				fp := c.Fp.(hostile.Fingerprint)
+				fp := c.Fp.(ScenarioFingerprint)
 				if fp.NoSpaceInjected == 0 {
 					t.Errorf("%v: FaultNoSpace never injected: %+v", c.Cell, fp)
 				}

@@ -139,13 +139,13 @@ func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err erro
 			err = s.set(op)
 		case roll < 65:
 			err = s.get(op)
-		case roll < 75: // SCAN, verified against the oracle
+		case roll < 75: // SCAN, verified against the acked state
 			lo := s.key()
 			got, serr := s.client.Scan([]byte(lo), 20)
 			if serr != nil {
 				return fp, fmt.Errorf("op %d: SCAN %s exhausted retries: %w", op, lo, serr)
 			}
-			if err := matchOracle(got, s.oracleSlice(lo, 20)); err != nil {
+			if err := s.acked.match(pairs(got), lo, 20); err != nil {
 				return fp, fmt.Errorf("op %d: SCAN %s: %w", op, lo, err)
 			}
 			fp.Scans++
@@ -181,7 +181,7 @@ func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err erro
 			}
 			if applied(outcome, cerr) {
 				for _, p := range pending {
-					s.oracle[p[0]] = p[1]
+					s.acked.put(p[0], p[1])
 				}
 			}
 		}

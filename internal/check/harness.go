@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/heap"
@@ -14,7 +13,6 @@ import (
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
-	"mvpbt/internal/workload/hostile"
 )
 
 // RunConfig parameterizes one harness run.
@@ -97,8 +95,8 @@ type Counters struct {
 	// checksum-detected rot in a version-oblivious index repaired in place
 	// from the base table, invisibly to the op that hit it.
 	Rebuilds int64
-	// StateHash fingerprints the oracle's final committed state (FNV-1a
-	// over rows and tuple ids).
+	// StateHash fingerprints the oracle's final committed state (stateHash
+	// over tuple id and row pairs).
 	StateHash uint64
 }
 
@@ -151,13 +149,18 @@ type harness struct {
 // keyExtract reads the length-prefixed key out of a row: [len][key][val].
 func keyExtract(row []byte) []byte { return row[1 : 1+row[0]] }
 
+// kvRow builds the row keyExtract reads: [len(key)][key][val].
+func kvRow(key, val string) []byte {
+	return append(append([]byte{byte(len(key))}, key...), val...)
+}
+
 func keyBytes(ord int) []byte { return []byte(fmt.Sprintf("k%04d", ord)) }
 
 // rowBytes builds the globally unique row payload for (key, step, client):
 // uniqueness lets the harness map any engine row back to its oracle tuple,
 // including across crash-recovery, which reassigns VIDs.
 func rowBytes(key []byte, step, cl int) []byte {
-	return hostile.Row(string(key), fmt.Sprintf("s%d.c%d", step, cl))
+	return kvRow(string(key), fmt.Sprintf("s%d.c%d", step, cl))
 }
 
 // tidKey is the LSM mirror's key for an oracle tuple.
@@ -692,15 +695,12 @@ func (h *harness) finish() Result {
 	if h.eng != nil {
 		h.harvestFaults()
 	}
-	fh := fnv.New64a()
-	var b [8]byte
-	for _, vr := range h.ora.CommittedRows() {
-		binary.BigEndian.PutUint64(b[:], vr.Tuple.ID)
-		fh.Write(b[:])
-		fh.Write(vr.Row)
-		fh.Write([]byte{0})
+	rows := h.ora.CommittedRows()
+	state := make([][2]string, len(rows))
+	for i, vr := range rows {
+		state[i] = [2]string{string(tidKey(vr.Tuple.ID)), string(vr.Row)}
 	}
-	h.res.StateHash = fh.Sum64()
+	h.res.StateHash = stateHash(state)
 	return h.res
 }
 

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"net"
 	"runtime"
-	"sort"
 	"time"
 
 	"mvpbt/internal/db"
@@ -21,9 +20,9 @@ import (
 
 // served is the system under test the chaos and 2PC campaigns share: a
 // 2-shard supervised router behind the REAL TCP server, whose listener
-// injects a chaos schedule, driven by one self-healing client — plus the
-// oracle of what that client has been ACKED, which is exactly the state the
-// final clean scan must show.
+// injects a chaos schedule, driven by one self-healing client — plus what that
+// client has been acked, which is exactly the state the final clean scan must
+// show.
 type served struct {
 	router *shard.Router
 	sched  *chaos.Schedule
@@ -32,7 +31,7 @@ type served struct {
 	client *shardclient.RClient
 	rng    *util.Rand
 	keys   int
-	oracle map[string]string
+	acked  expect
 	fp     servedFingerprint
 	// goroutines is runtime.NumGoroutine() before setup: close must get
 	// back down to it.
@@ -41,11 +40,11 @@ type served struct {
 
 // servedFingerprint is the part of a fingerprint the fixture fills in.
 type servedFingerprint struct {
-	// StateHash fingerprints the final clean scan (FNV-1a over the sorted
-	// key/value pairs); LiveKeys is its length.
+	// StateHash fingerprints the final clean scan (stateHash); LiveKeys is
+	// its length.
 	StateHash uint64
 	LiveKeys  int
-	// Acknowledged single-key operations (these define what the oracle holds).
+	// Acknowledged single-key operations (these define what acked holds).
 	SetsAcked, DelsAcked, GetsOK uint64
 }
 
@@ -61,7 +60,7 @@ func saltSeed(seed uint64, salt string) uint64 {
 // key space of the given size; seed (already salted) drives the client's
 // backoff jitter and commit tokens.
 func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.Rule, hooks shard.TwoPCHooks) (*served, error) {
-	s := &served{rng: rng, keys: keys, oracle: map[string]string{}, goroutines: runtime.NumGoroutine()}
+	s := &served{rng: rng, keys: keys, acked: expect{}, goroutines: runtime.NumGoroutine()}
 	var err error
 	s.router, err = shard.New(shard.Config{
 		Shards: 2,
@@ -119,13 +118,13 @@ func (s *served) key() string { return fmt.Sprintf("c-%04d", s.rng.Intn(s.keys))
 
 // set, get and del are the single-key steps of a history: one operation
 // through the self-healing client, mirrored into (or verified against) the
-// oracle once it is acknowledged.
+// acked state once it is acknowledged.
 func (s *served) set(op int) error {
 	k, v := s.key(), fmt.Sprintf("v-%d-%04x", op, s.rng.Uint64()&0xffff)
 	if err := s.client.Set([]byte(k), []byte(v)); err != nil {
 		return fmt.Errorf("op %d: SET %s exhausted retries: %w", op, k, err)
 	}
-	s.oracle[k] = v
+	s.acked.put(k, v)
 	s.fp.SetsAcked++
 	return nil
 }
@@ -136,9 +135,9 @@ func (s *served) get(op int) error {
 	if err != nil {
 		return fmt.Errorf("op %d: GET %s exhausted retries: %w", op, k, err)
 	}
-	want, wantOK := s.oracle[k]
+	want, wantOK := s.acked.get(k)
 	if ok != wantOK || (ok && string(v) != want) {
-		return fmt.Errorf("op %d: GET %s = %q,%v, oracle %q,%v", op, k, v, ok, want, wantOK)
+		return fmt.Errorf("op %d: GET %s = %q,%v, acked %q,%v", op, k, v, ok, want, wantOK)
 	}
 	if ok {
 		s.fp.GetsOK++
@@ -151,7 +150,7 @@ func (s *served) del(op int) error {
 	if err := s.client.Del([]byte(k)); err != nil {
 		return fmt.Errorf("op %d: DEL %s exhausted retries: %w", op, k, err)
 	}
-	delete(s.oracle, k)
+	s.acked.del(k)
 	s.fp.DelsAcked++
 	return nil
 }
@@ -181,8 +180,7 @@ func applied(outcome shardclient.CommitOutcome, err error) bool {
 }
 
 // verify ends the history: with the schedule disarmed, a clean connection's
-// full scan must show exactly the oracle — no acked write lost, no group
-// half applied, nothing the oracle doesn't know about leaked in.
+// full scan must show exactly the acked state.
 func (s *served) verify() error {
 	s.sched.Disarm()
 	s.client.Close()
@@ -191,52 +189,22 @@ func (s *served) verify() error {
 		return fmt.Errorf("clean dial: %w", err)
 	}
 	defer cc.Close()
-	got, err := cc.Scan(0, nil, len(s.oracle)+16)
+	got, err := cc.Scan(0, nil, len(s.acked)+16)
 	if err != nil {
 		return fmt.Errorf("clean scan: %w", err)
 	}
-	h := fnv.New64a()
-	for _, kv := range got {
-		h.Write(kv.Key)
-		h.Write([]byte{0})
-		h.Write(kv.Val)
-		h.Write([]byte{0})
-	}
-	s.fp.StateHash, s.fp.LiveKeys = h.Sum64(), len(got)
-	if err := matchOracle(got, s.oracleSlice("", len(s.oracle)+1)); err != nil {
+	s.fp.LiveKeys = len(got)
+	if s.fp.StateHash, err = s.acked.state(pairs(got)); err != nil {
 		return fmt.Errorf("final state: %w", err)
 	}
 	return nil
 }
 
-// oracleSlice returns up to limit oracle pairs with key >= lo in key order.
-func (s *served) oracleSlice(lo string, limit int) [][2]string {
-	keys := make([]string, 0, len(s.oracle))
-	for k := range s.oracle {
-		if k >= lo {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) > limit {
-		keys = keys[:limit]
-	}
-	out := make([][2]string, len(keys))
-	for i, k := range keys {
-		out[i] = [2]string{k, s.oracle[k]}
+// pairs copies a scan reply out of the client's reply buffer.
+func pairs(kvs []shardclient.KV) [][2]string {
+	out := make([][2]string, len(kvs))
+	for i, kv := range kvs {
+		out[i] = [2]string{string(kv.Key), string(kv.Val)}
 	}
 	return out
-}
-
-// matchOracle holds a scan result to the oracle's pairs.
-func matchOracle(got []shardclient.KV, want [][2]string) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d pairs, oracle %d", len(got), len(want))
-	}
-	for i := range got {
-		if string(got[i].Key) != want[i][0] || string(got[i].Val) != want[i][1] {
-			return fmt.Errorf("pair %d: %s=%s, oracle %s=%s", i, got[i].Key, got[i].Val, want[i][0], want[i][1])
-		}
-	}
-	return nil
 }

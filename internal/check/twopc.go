@@ -321,11 +321,13 @@ func twoPCCell(seed uint64) (fp TwoPCFingerprint, err error) {
 						op, before, entry.step, outcome, cerr)
 				}
 				fp.GroupsApplied++
-				s.oracle[k0], s.oracle[k1] = v0, v1
+				s.acked.put(k0, v0)
+				s.acked.put(k1, v1)
 			default: // clean group: whatever the wire decided, atomically
 				if landed {
 					fp.GroupsApplied++
-					s.oracle[k0], s.oracle[k1] = v0, v1
+					s.acked.put(k0, v0)
+					s.acked.put(k1, v1)
 				} else {
 					fp.GroupsAborted++
 				}

@@ -15,7 +15,6 @@ import (
 	"bytes"
 
 	"mvpbt/internal/storage"
-	"mvpbt/internal/txn"
 )
 
 // Ref is what an index entry points at: a physical RecordID, a logical VID
@@ -77,26 +76,6 @@ type Candidates interface {
 	// ScanCandidates calls fn for every entry with lo <= key < hi in key
 	// order (ties in arbitrary version order).
 	ScanCandidates(lo, hi []byte, fn func(Entry) bool) error
-}
-
-// VersionAware is the MV-PBT contract: results are already filtered by the
-// index-only visibility check of §4.4 — no base-table access needed.
-type VersionAware interface {
-	// InsertRegular records a newly inserted tuple version.
-	InsertRegular(tx *txn.Tx, key []byte, ref Ref) error
-	// InsertReplacement records a non-key update: newRef supersedes the
-	// version at oldRID (§4.1 replacement record).
-	InsertReplacement(tx *txn.Tx, key []byte, newRef Ref, oldRID storage.RecordID) error
-	// InsertKeyUpdate records an index-key update: an anti-record for
-	// (oldKey, oldRID) plus a replacement record for (newKey, newRef).
-	InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef Ref, oldRID storage.RecordID) error
-	// InsertTombstone records a tuple deletion, extinguishing the chain
-	// whose newest version is oldRID.
-	InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) error
-	// Lookup calls fn for every entry with this key VISIBLE to tx.
-	Lookup(tx *txn.Tx, key []byte, fn func(Entry) bool) error
-	// Scan calls fn for every visible entry with lo <= key < hi.
-	Scan(tx *txn.Tx, lo, hi []byte, fn func(Entry) bool) error
 }
 
 // KeyInRange reports lo <= key < hi, with nil hi meaning +infinity.

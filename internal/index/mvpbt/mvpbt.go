@@ -315,7 +315,8 @@ func (t *Tree) pnPut(key []byte, rec *Record) error {
 	return t.pbuf.MaybeEvict()
 }
 
-// InsertRegular implements index.VersionAware.
+// InsertRegular records a newly inserted tuple version: a regular record
+// (§4.1).
 func (t *Tree) InsertRegular(tx *txn.Tx, key []byte, ref index.Ref) error {
 	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref})
 }
@@ -326,13 +327,14 @@ func (t *Tree) InsertRegularVal(tx *txn.Tx, key []byte, ref index.Ref, val []byt
 	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref, Val: val})
 }
 
-// InsertReplacement implements index.VersionAware.
+// InsertReplacement records a non-key update: a replacement record whose
+// newRef supersedes the version at oldRID (§4.1).
 func (t *Tree) InsertReplacement(tx *txn.Tx, key []byte, newRef index.Ref, oldRID storage.RecordID) error {
 	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
-// InsertKeyUpdate implements index.VersionAware: an anti-record under the
-// old key plus a replacement record under the new key (§4.1).
+// InsertKeyUpdate records an index-key update: an anti-record under the old
+// key plus a replacement record under the new key (§4.1).
 func (t *Tree) InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef index.Ref, oldRID storage.RecordID) error {
 	if err := t.pnPut(oldKey, &Record{Type: Anti, TS: tx.ID, OldRID: oldRID}); err != nil {
 		return err
@@ -340,7 +342,8 @@ func (t *Tree) InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef index.R
 	return t.pnPut(newKey, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
-// InsertTombstone implements index.VersionAware.
+// InsertTombstone records a tuple deletion: a tombstone extinguishing the
+// chain whose newest version is oldRID (§4.1).
 func (t *Tree) InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) error {
 	return t.pnPut(key, &Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
 }
@@ -650,9 +653,10 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 	return nil
 }
 
-// Lookup implements index.VersionAware (Algorithm 1): visible entries for
-// exactly this key, newest version first, PN before persisted partitions.
-// A unique index stops at the record that decides the key (see unique.go).
+// Lookup is the paper's Algorithm 1, the index-only visibility check of a
+// point query (§4.4): the entries visible to tx for exactly this key, newest
+// version first, PN before persisted partitions. A unique index stops at the
+// record that decides the key (see unique.go).
 func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 	if t.opts.Unique {
 		return t.walk(tx, nil, key, nil, true, filterLookup, func(_ walkSrc, _ []byte, rec *Record) bool {
@@ -754,13 +758,13 @@ func (s *scanSource) next(hi []byte) error {
 	return s.load(hi)
 }
 
-// Scan implements index.VersionAware (Algorithm 2): visible entries with
-// lo <= key < hi (hi nil = +inf), streamed in key order. The inputs — PN
-// and every partition — are merged on (key asc, ts desc, partition
-// newest-first), which preserves the §4.3 invariant that a record's
-// suppressor is processed before it, while allowing early termination
-// (LIMIT-style scans stop without draining the range). Unique indexes use
-// the per-key decision rule instead of the anti-matter map (see
+// Scan is the paper's Algorithm 2, the range query (§4.4): the entries
+// visible to tx with lo <= key < hi (hi nil = +inf), streamed in key order.
+// The inputs — PN and every partition — are merged on (key asc, ts desc,
+// partition newest-first), which preserves the §4.3 invariant that a
+// record's suppressor is processed before it, while allowing early
+// termination (LIMIT-style scans stop without draining the range). Unique
+// indexes use the per-key decision rule instead of the anti-matter map (see
 // unique.go). Lock-free against other readers and PN inserts.
 func (t *Tree) Scan(tx *txn.Tx, lo, hi []byte, fn func(index.Entry) bool) error {
 	return t.ScanLimit(tx, lo, hi, 0, fn)
@@ -872,5 +876,3 @@ func (t *Tree) ScanAllMatter(lo, hi []byte, fn func(index.Entry) bool) error {
 		return !rec.Matter() || fn(index.Entry{Key: key, Ref: rec.Ref})
 	})
 }
-
-var _ index.VersionAware = (*Tree)(nil)
