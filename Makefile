@@ -76,11 +76,12 @@ traffic:
 # (a seed, not a state). And no decoder of bytes lands unfuzzed: every
 # non-test decode*/Decode* function over []byte under internal/ is named by
 # a Fuzz* file of its package or by one decode-exempt line below, with the
-# reason it needs no fuzzer.
+# reason it needs no fuzzer. And the differential harness is a campaign like
+# the others: cmd/mvpbt-check has no runDiff and none of its private flags.
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
-# decode-exempt index.DecodeRef: fixed width; mvpbt's fuzzed decodeRecord checks the length, the B-tree and PBT bodies it reads do not yet (ROADMAP item 13)
+# decode-exempt index.DecodeRef: fixed width; every caller checks the length first: mvpbt's fuzzed decodeRecord, and the B-tree's and PBT's candidate scans, which return index.ErrShortRef
 # decode-exempt workload/tpcc.DecodeWarehouse: a row the workload wrote, read back through the heap's fuzzed decodeVersion
 # decode-exempt workload/tpcc.DecodeDistrict: a row the workload wrote, read back through the heap's fuzzed decodeVersion
 # decode-exempt workload/tpcc.DecodeCustomer: a row the workload wrote, read back through the heap's fuzzed decodeVersion
@@ -136,6 +137,8 @@ seams:
 			echo "$$f: $$n"; \
 		done); \
 	if [ -n "$$bad" ]; then echo "seams: a decoder of bytes no Fuzz* file names (add a fuzz target, or a '# decode-exempt <pkg>.<name>: <reason>' line):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'runDiff|inject-fault|no-shrink|audit-every' cmd/mvpbt-check); \
+	if [ -n "$$bad" ]; then echo "seams: mvpbt-check has a second runner again (diff is a campaign on the runner):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -195,7 +198,7 @@ fuzz-part:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
 	go test -fuzz=FuzzLoserTree -fuzztime=10s ./internal/util/
 
-# Differential correctness harness: short smoke (CI) and nightly-length.
+# The differential harness campaign: short smoke (CI) and nightly-length.
 check:
 	go run ./cmd/mvpbt-check diff
 
@@ -203,9 +206,9 @@ check-nightly:
 	go run ./cmd/mvpbt-check diff -ops 50000 -crashes 3
 
 # The seeded verification campaigns, one mvpbt-check subcommand each
-# (DESIGN.md "Verification campaigns" says what each holds): check-faults,
-# check-scenarios, check-chaos, check-2pc, and check-all for the four back
-# to back. Every cell is run twice and must replay
+# (DESIGN.md §8 says what each holds): check-faults, check-scenarios,
+# check-chaos, check-2pc, check-diff, and check-all for the five back to
+# back. Every cell is run twice and must replay
 # byte-identically; a failing cell prints the command that reruns it alone.
 check-%:
 	go run ./cmd/mvpbt-check $*

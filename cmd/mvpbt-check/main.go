@@ -1,22 +1,22 @@
-// Command mvpbt-check runs the verification arsenal of internal/check:
+// Command mvpbt-check runs the verification campaigns of internal/check:
 //
-//	mvpbt-check diff       differential harness: a randomized multi-client
-//	                       history against the engine and a naive MVCC oracle
-//	                       in lockstep, crash-restarts injected; a violation
-//	                       is shrunk to a minimal reproducer
-//	mvpbt-check faults     device faults under the same harness, both heaps
+//	mvpbt-check faults     device faults under the differential harness,
+//	                       both heaps
 //	mvpbt-check scenarios  hostile workloads across the device zoo and both
 //	                       heaps; snapshot-pin fills to read-only, reclaims,
 //	                       resumes, injects ENOSPC and recovers
 //	mvpbt-check chaos      connection resets, truncations, stalls over TCP
 //	mvpbt-check 2pc        crashes at every step of the cross-shard commit
-//	mvpbt-check all        the four campaigns above, back to back
+//	mvpbt-check diff       differential harness: a randomized multi-client
+//	                       history against the engine and a naive MVCC oracle
+//	                       in lockstep, crash-restarts injected, both heaps
+//	mvpbt-check all        the five campaigns above, back to back
 //
 // Every campaign cell is run twice and must replay byte-identically
-// (DESIGN.md "Verification campaigns"). With no flags a subcommand runs what
-// `make check-<name>` runs (`diff`: what `make check` runs); `<subcommand>
-// -h` lists the flags that mean something to it. A failing cell prints the
-// command that reruns exactly that cell.
+// (DESIGN.md §8). With no flags a subcommand runs what `make check-<name>`
+// runs; `<subcommand> -h` lists the flags that mean something to it. A
+// failing cell prints the command that reruns exactly that cell; a harness
+// cell (faults, diff) also prints the shrunk history that still fails.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"mvpbt/internal/check"
-	"mvpbt/internal/db"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -39,8 +38,6 @@ func run(args []string, out, errw io.Writer) int {
 	var campaigns []*check.Campaign
 	switch {
 	case len(args) == 0:
-	case args[0] == "diff":
-		return runDiff(args[1:], out, errw)
 	case args[0] == "all" && len(args) == 1:
 		campaigns = check.Campaigns
 	default:
@@ -49,7 +46,7 @@ func run(args []string, out, errw io.Writer) int {
 		}
 	}
 	if campaigns == nil {
-		names := []string{"diff"}
+		var names []string
 		for _, c := range check.Campaigns {
 			names = append(names, c.Name)
 		}
@@ -113,71 +110,4 @@ func selection(c *check.Campaign, args []string, errw io.Writer) (sel check.Sele
 		}
 	}
 	return sel, true
-}
-
-// runDiff drives the differential harness on each selected heap; on a
-// violation it shrinks the history and prints the exact repro command.
-func runDiff(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("mvpbt-check diff", flag.ContinueOnError)
-	fs.SetOutput(errw)
-	var (
-		seed       = fs.Uint64("seed", 1, "history seed (printed on failure; reruns are deterministic)")
-		ops        = fs.Int("ops", 6000, "history length — the run-length budget knob (nightly: 50000)")
-		clients    = fs.Int("clients", 4, "logical clients interleaved in the history")
-		keys       = fs.Int("keys", 200, "key-space size")
-		crashes    = fs.Int("crashes", 2, "crash-restart points injected into the history")
-		heapSel    = fs.String("heap", "both", "heap layout: hot, sias or both")
-		auditEvery = fs.Int("audit-every", 250, "full audit cadence in ops")
-		fault      = fs.Int("inject-fault", 0, "TEST the harness: invert visibility for tx ids divisible by N")
-		noShrink   = fs.Bool("no-shrink", false, "skip shrinking on failure")
-		verbose    = fs.Bool("v", false, "progress output")
-	)
-	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
-		return 2
-	}
-	if *heapSel != "both" && *heapSel != "hot" && *heapSel != "sias" {
-		fmt.Fprintf(errw, "unknown -heap %q (want hot, sias or both)\n", *heapSel)
-		return 2
-	}
-	for _, hk := range []db.HeapKind{db.HeapHOT, db.HeapSIAS} {
-		if *heapSel != "both" && *heapSel != hk.String() {
-			continue
-		}
-		cfg := check.RunConfig{
-			Heap: hk, Seed: *seed, Ops: *ops, Clients: *clients, Keys: *keys,
-			Crashes: *crashes, AuditEvery: *auditEvery,
-			FaultEvery: *fault,
-		}
-		if *verbose {
-			cfg.Log = func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
-		}
-		fmt.Fprintf(out, "heap=%-4s seed=%d ops=%d clients=%d keys=%d crashes=%d\n",
-			hk, *seed, *ops, *clients, *keys, *crashes)
-		res := check.Run(cfg)
-		if res.Violation == nil {
-			fmt.Fprintf(out, "  OK: %d ops, %d audits, %d crash-recoveries, %d write conflicts — zero invariant violations\n",
-				res.Ops, res.Audits, res.Crashes, res.Conflicts)
-			continue
-		}
-		fmt.Fprintf(out, "  VIOLATION: %v\n", res.Violation)
-		if !*noShrink {
-			history := check.History(cfg)
-			fmt.Fprintf(out, "  shrinking (%d-op history)...\n", len(history))
-			min := check.Shrink(cfg, history, 0)
-			fmt.Fprintf(out, "  minimal failing history (%d ops):\n%s", len(min), check.FormatOps(min))
-			step := cfg
-			step.StepAudit, step.Log = true, nil
-			if r := check.Replay(step, min); r.Violation != nil {
-				fmt.Fprintf(out, "  violation: %v\n", r.Violation)
-			}
-		}
-		fmt.Fprintf(out, "  reproduce: go run ./cmd/mvpbt-check diff -seed %d -ops %d -clients %d -keys %d -crashes %d -heap %s -audit-every %d",
-			*seed, *ops, *clients, *keys, *crashes, hk, *auditEvery)
-		if *fault > 0 {
-			fmt.Fprintf(out, " -inject-fault %d", *fault)
-		}
-		fmt.Fprintln(out)
-		return 1
-	}
-	return 0
 }

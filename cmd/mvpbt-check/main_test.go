@@ -92,27 +92,3 @@ func TestFailingCellRepro(t *testing.T) {
 		t.Fatalf("the repro command did not run exactly the failing cell:\n%s", again.String())
 	}
 }
-
-// TestDiffRepro injects a visibility fault into the differential harness: the
-// run fails on the first heap it tries, and the printed command names that
-// heap and carries the injection.
-func TestDiffRepro(t *testing.T) {
-	var out strings.Builder
-	args := []string{"diff", "-ops", "400", "-clients", "3", "-keys", "40", "-crashes", "0", "-inject-fault", "3", "-no-shrink"}
-	if code := run(args, &out, io.Discard); code != 1 {
-		t.Fatalf("exit code %d, want 1:\n%s", code, out.String())
-	}
-	repro := strings.Join(reproArgs(t, out.String()), " ")
-	for _, want := range []string{"diff -seed 1 -ops 400 -clients 3 -keys 40 -crashes 0 -heap hot ", " -inject-fault 3"} {
-		if !strings.Contains(repro, want) {
-			t.Errorf("repro %q lacks %q", repro, want)
-		}
-	}
-	var again strings.Builder
-	if code := run(append(strings.Fields(repro), "-no-shrink"), &again, io.Discard); code != 1 {
-		t.Fatalf("repro exit code %d, want 1:\n%s", code, again.String())
-	}
-	if strings.Count(again.String(), "heap=") != 1 {
-		t.Errorf("the repro command ran more than one heap:\n%s", again.String())
-	}
-}

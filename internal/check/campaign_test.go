@@ -28,7 +28,7 @@ func TestCampaignSmoke(t *testing.T) {
 		"faults": {
 			sel: Selection{Seeds: []uint64{1, 2, 3}, Size: Size{Ops: 700, Clients: 3, Keys: 60, Crashes: 1}},
 			check: func(t *testing.T, cells []CellResult) {
-				sum := sumFaults(cells)
+				sum := sumCounters(cells)
 				for k := 0; k < ssd.NumFaultKinds; k++ {
 					if ssd.FaultKind(k) == ssd.FaultNoSpace {
 						continue // ENOSPC is exercised by the snapshot-pin scenario
@@ -83,6 +83,16 @@ func TestCampaignSmoke(t *testing.T) {
 			check: func(t *testing.T, cells []CellResult) {
 				if fp := cells[0].Fp.(TwoPCFingerprint); fp.GroupsApplied == 0 || fp.GroupsAborted == 0 || fp.CoordCrashes == 0 {
 					t.Errorf("plan not exercised: %+v", fp)
+				}
+			},
+		},
+		// Fault-free histories with crash-restarts on both heap layouts:
+		// lockstep with the oracle at every audit.
+		"diff": {
+			sel: Selection{Seeds: []uint64{1}, Size: Size{Ops: 800, Clients: 3, Keys: 60, Crashes: 2}},
+			check: func(t *testing.T, cells []CellResult) {
+				if sum := sumCounters(cells); sum.Audits == 0 || sum.Crashes == 0 {
+					t.Errorf("history exercised nothing: %d audits, %d crashes", sum.Audits, sum.Crashes)
 				}
 			},
 		},

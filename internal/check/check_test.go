@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -42,8 +43,9 @@ func TestHarnessSmoke(t *testing.T) {
 
 // TestSeededVisibilityFaultCaughtAndShrunk seeds a deliberate visibility
 // bug through the test-only mutation hook (decisions for records created
-// by every FaultEvery-th transaction are inverted) and asserts that the
-// harness (a) catches it and (b) shrinks the failure to a tiny history.
+// by every FaultEvery-th transaction are inverted) and asserts that a
+// harness cell (a) catches it and (b) returns it shrunk to a tiny history
+// that still fails.
 func TestSeededVisibilityFaultCaughtAndShrunk(t *testing.T) {
 	cfg := RunConfig{
 		Heap:       db.HeapHOT,
@@ -53,19 +55,18 @@ func TestSeededVisibilityFaultCaughtAndShrunk(t *testing.T) {
 		Keys:       40,
 		FaultEvery: 3,
 	}
-	ops := History(cfg)
-	res := Replay(cfg, ops)
-	if res.Violation == nil {
-		t.Fatal("seeded visibility fault was not caught")
+	_, err := harnessCell(cfg)
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("seeded visibility fault was not caught: %v", err)
 	}
-	min := Shrink(cfg, ops[:res.Ops], 0)
-	if len(min) > 25 {
-		t.Fatalf("shrunk history has %d ops, want <= 25:\n%s", len(min), FormatOps(min))
+	if len(v.History) == 0 || len(v.History) > 25 {
+		t.Fatalf("shrunk history has %d ops, want 1..25:\n%s", len(v.History), FormatOps(v.History))
 	}
 	sc := cfg
 	sc.StepAudit = true
-	if r := Replay(sc, min); r.Violation == nil {
-		t.Fatalf("shrunk history no longer fails:\n%s", FormatOps(min))
+	if r := Replay(sc, v.History); r.Violation == nil {
+		t.Fatalf("shrunk history no longer fails:\n%s", FormatOps(v.History))
 	}
 }
 

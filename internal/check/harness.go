@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/heap"
@@ -23,11 +24,9 @@ type RunConfig struct {
 	Clients int
 	Keys    int
 	Crashes int
-	// AuditEvery runs a full audit (every index × every open snapshot vs
-	// the oracle, plus raw-record invariants) every N ops (default 250).
-	AuditEvery int
-	// StepAudit audits after EVERY op — shrink-mode replay, where failures
-	// must reproduce independently of the audit cadence.
+	// StepAudit audits after EVERY op instead of every auditEvery ops —
+	// shrink-mode replay, where failures must reproduce independently of
+	// the audit cadence.
 	StepAudit bool
 	// FaultEvery, when > 0, installs the test-only visibility mutation hook
 	// on both MV-PBTs: decisions for records whose transaction id is a
@@ -40,9 +39,11 @@ type RunConfig struct {
 	// crash-restarts and lockstep with the oracle must still hold. Leave it
 	// false to treat any typed storage error as a violation.
 	Faults bool
-	// Log, when set, receives progress lines.
-	Log func(format string, args ...any)
 }
+
+// auditEvery is the full-audit cadence in ops: every index × every open
+// snapshot against the oracle, plus raw-record invariants.
+const auditEvery = 250
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Ops <= 0 {
@@ -53,9 +54,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Keys <= 0 {
 		c.Keys = 100
-	}
-	if c.AuditEvery <= 0 {
-		c.AuditEvery = 250
 	}
 	return c
 }
@@ -69,14 +67,20 @@ type Violation struct {
 	// fault mode inspects it (errors.Is) to tell injected-fault damage,
 	// which is recoverable by crash-restart, from genuine logic bugs.
 	Err error
+	// History, set by Run, is the shortest failing history Shrink found.
+	History []Op
 }
 
 func (v *Violation) Error() string {
-	return fmt.Sprintf("step %d (%s): %s", v.Step, v.Op, v.Msg)
+	msg := fmt.Sprintf("step %d (%s): %s", v.Step, v.Op, v.Msg)
+	if v.History != nil {
+		msg += fmt.Sprintf("; minimal failing history (%d ops):\n%s", len(v.History), strings.TrimSuffix(FormatOps(v.History), "\n"))
+	}
+	return msg
 }
 
-// Counters is what a run did. It is the fault campaign's fingerprint: two
-// runs of the same fault-punctuated history must agree on every field
+// Counters is what a run did. It is the fingerprint of the harness
+// campaigns: two runs of the same history must agree on every field
 // (maintenance is synchronous there, so the audit count is fixed too).
 type Counters struct {
 	Ops       int // ops executed (≤ len(history) when a violation stopped the run)
@@ -100,7 +104,12 @@ type Counters struct {
 	StateHash uint64
 }
 
+// String renders a fault-free run (the diff campaign's) by what it checked,
+// a fault-punctuated one by what it injected and recovered from.
 func (c Counters) String() string {
+	if c.Faults == (ssd.FaultCounters{}) {
+		return fmt.Sprintf("%d ops, %d audits, %d crashes, %d conflicts", c.Ops, c.Audits, c.Crashes, c.Conflicts)
+	}
 	return fmt.Sprintf("%d ops, %d crashes, %d recoveries, %d rebuilds, faults[%v]",
 		c.Ops, c.Crashes, c.FaultRecoveries, c.Rebuilds, c.Faults)
 }
@@ -736,7 +745,7 @@ func Replay(cfg RunConfig, ops []Op) (res Result) {
 	for i, op := range ops {
 		curStep = i
 		v := h.step(i, op)
-		if v == nil && (cfg.StepAudit || (i+1)%cfg.AuditEvery == 0) &&
+		if v == nil && (cfg.StepAudit || (i+1)%auditEvery == 0) &&
 			op.Kind != OpBarrier && op.Kind != OpCrash { // those just audited
 			v = h.audit(i, op.String())
 		}
@@ -755,10 +764,6 @@ func Replay(cfg RunConfig, ops []Op) (res Result) {
 			h.res.Violation = v
 			return h.finish()
 		}
-		if cfg.Log != nil && (i+1)%10000 == 0 {
-			cfg.Log("  %d/%d ops, %d audits, %d crashes, %d conflicts, %d fault recoveries",
-				i+1, len(ops), h.res.Audits, h.res.Crashes, h.res.Conflicts, h.res.FaultRecoveries)
-		}
 	}
 	h.res.Ops = len(ops)
 	// Armed-but-unfired rules must not leak into the shutdown flushes.
@@ -767,9 +772,15 @@ func Replay(cfg RunConfig, ops []Op) (res Result) {
 	return h.finish()
 }
 
-// Run generates the history for cfg and replays it.
+// Run generates the history for cfg and replays it. A violation comes back
+// with the minimal failing history Shrink finds attached.
 func Run(cfg RunConfig) Result {
-	return Replay(cfg, History(cfg))
+	ops := History(cfg)
+	r := Replay(cfg, ops)
+	if r.Violation != nil {
+		r.Violation.History = Shrink(cfg, ops, 0)
+	}
+	return r
 }
 
 // History returns the ops Run would execute for cfg (for shrinking).

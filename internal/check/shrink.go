@@ -13,7 +13,6 @@ func Shrink(cfg RunConfig, ops []Op, budget int) []Op {
 	}
 	sc := cfg
 	sc.StepAudit = true
-	sc.Log = nil
 	attempts := 0
 	// fails replays cand and, when it fails, returns it truncated to the
 	// failing prefix (dropping everything after the violation for free).
@@ -36,7 +35,6 @@ func Shrink(cfg RunConfig, ops []Op, budget int) []Op {
 		// Not reproducible under step-audit cadence; retry with the
 		// original one before giving up.
 		sc.StepAudit = cfg.StepAudit
-		sc.AuditEvery = cfg.AuditEvery
 		if cur, ok = fails(ops); !ok {
 			return ops
 		}

@@ -434,9 +434,18 @@ func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 
 // ScanCandidates implements index.Candidates: all entries in [lo, hi).
 func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
-	return t.ScanRaw(lo, hi, func(key, body []byte) bool {
+	short := false
+	err := t.ScanRaw(lo, hi, func(key, body []byte) bool {
+		if len(body) < index.RefLen {
+			short = true
+			return false
+		}
 		return fn(index.Entry{Key: key, Ref: index.DecodeRef(body)})
 	})
+	if err == nil && short {
+		err = index.ErrShortRef
+	}
+	return err
 }
 
 // ScanRaw walks entries in [lo, hi) in order, calling fn with key and raw

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -309,5 +310,19 @@ func TestOversizedEntryRejected(t *testing.T) {
 	tr, _ := newTree(t, 64)
 	if err := tr.InsertEntry(make([]byte, MaxEntrySize+1), nil); err == nil {
 		t.Fatal("oversized entry accepted")
+	}
+}
+
+// TestShortBodyIsCorrupt: an entry body too short to hold a Ref, read back
+// from a leaf whose checksum held, is a corrupt page the table rebuilds the
+// index from, not a panic.
+func TestShortBodyIsCorrupt(t *testing.T) {
+	tr, _ := newTree(t, 64)
+	if err := tr.InsertEntry(ik(1), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	err := tr.LookupCandidates(ik(1), func(index.Entry) bool { return true })
+	if !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("short body: err %v, want ErrCorruptPage", err)
 	}
 }

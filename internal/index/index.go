@@ -13,6 +13,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 
 	"mvpbt/internal/storage"
 )
@@ -39,7 +40,13 @@ func EncodeRef(dst []byte, r Ref) []byte {
 // RefLen is the encoded size of a Ref.
 const RefLen = storage.RecordIDLen + 8
 
-// DecodeRef reads a Ref written by EncodeRef.
+// ErrShortRef is a version-oblivious index's entry body too short to hold a
+// Ref. Its page's checksum held, so the index wrote it wrong: the error wraps
+// storage.ErrCorruptPage, and the table quarantines and rebuilds the index.
+var ErrShortRef = fmt.Errorf("index: entry body shorter than a %d-byte ref: %w", RefLen, storage.ErrCorruptPage)
+
+// DecodeRef reads a Ref written by EncodeRef. It reads RefLen bytes
+// unchecked: a caller passing bytes off a page checks the length first.
 func DecodeRef(src []byte) Ref {
 	r := Ref{RID: storage.DecodeRecordID(src)}
 	for i := 0; i < 8; i++ {

@@ -179,6 +179,9 @@ func (t *Tree) walk(lo, hi []byte, point bool, fn func(index.Entry) bool) error 
 			if !has(r.Key) {
 				break
 			}
+			if len(r.Body) < index.RefLen {
+				return index.ErrShortRef
+			}
 			if !fn(index.Entry{Key: r.Key, Ref: index.DecodeRef(r.Body)}) {
 				return nil
 			}

@@ -1,6 +1,7 @@
 package pbt
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -163,5 +164,21 @@ func TestEmptyEviction(t *testing.T) {
 	}
 	if tr.NumPartitions() != 0 {
 		t.Fatal("empty eviction created a partition")
+	}
+}
+
+// TestShortBodyIsCorrupt: an entry body too short to hold a Ref, read back
+// from a built segment, is a corrupt page the table rebuilds the index from,
+// not a panic.
+func TestShortBodyIsCorrupt(t *testing.T) {
+	e := newEnv(64, 1<<20)
+	tr := e.tree(Options{})
+	tr.pn.Set(pnKey{key: []byte("k")}, []byte{1, 2, 3})
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	err := tr.ScanCandidates([]byte("a"), []byte("z"), func(index.Entry) bool { return true })
+	if !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("short body: err %v, want ErrCorruptPage", err)
 	}
 }

@@ -48,17 +48,14 @@ run mvpbt-bench -run fig3 -csv
 run mvpbt-bench -run fig3 -json
 run mvpbt-bench -run fig14d -device zns
 refuses mvpbt-bench -run fig3 -device floppy
-# The verification arsenal: four campaigns, the differential harness on its
-# own, one cell by its repro line, and the harness's self-test (it injects a
-# visibility fault, must find and shrink it, and exits 1).
+# The verification arsenal: the five campaigns, one campaign with a size
+# and an axis filter, and one cell by its repro line.
 run mvpbt-check all
-run mvpbt-check diff
-run mvpbt-check diff -heap sias -ops 800 -v
+run mvpbt-check diff -heap sias -ops 800
 run mvpbt-check scenarios -seed 1 -seeds 1 -devices zns -kinds hot-key-storm
 # A faults cell whose torn log write stops recovery's reader short of the
 # log's end, so the salvage scan runs; no cell of the default grid does.
 run mvpbt-check faults -seed 17 -seeds 1 -heap hot
-refuses mvpbt-check diff -inject-fault 3 -ops 1500
 # The server — the in-process smoke (TCP, sessions, 2PC, checkpoint, drain),
 # then served for real on a loopback port, read by the inspector, until
 # SIGTERM — and the inspector's own engine.
