@@ -14,6 +14,8 @@
 // bounding the partitions a read meets, and walCheckpointBytes truncates the
 // log every 12 MiB. None of these is a flag.
 //
+// -debug-addr serves net/http/pprof on a second, loopback listener.
+//
 // -smoke runs the full lifecycle in-process — start, run client
 // operations through shardclient, enough writes to see the shards evict,
 // filter, merge and checkpoint, drain, verify clean shutdown — and exits
@@ -24,6 +26,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // the -debug-addr listener's handlers
 	"os"
 	"os/signal"
 	"syscall"
@@ -60,6 +65,7 @@ func main() {
 		drainWait    = flag.Duration("drain-wait", 10*time.Second, "how long shutdown waits for sessions to finish")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "reap sessions idle this long (0 = default, <0 = never)")
 		smoke        = flag.Bool("smoke", false, "run the in-process smoke test and exit")
+		debugAddr    = flag.String("debug-addr", "", "loopback address to serve net/http/pprof on (empty = off)")
 	)
 	flag.Parse()
 
@@ -113,6 +119,23 @@ func main() {
 	// for that line (traffic.sh) may send SIGTERM the moment it appears.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if *debugAddr != "" {
+		// Loopback only: pprof's endpoints take no credentials.
+		a, err := net.ResolveTCPAddr("tcp", *debugAddr)
+		if err == nil && !a.IP.IsLoopback() {
+			err = fmt.Errorf("%s is not a loopback address", *debugAddr)
+		}
+		var ln net.Listener
+		if err == nil {
+			ln, err = net.ListenTCP("tcp", a)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "debug-addr: %v\n", err)
+			os.Exit(2)
+		}
+		go http.Serve(ln, nil) //nolint:errcheck // serves until the process exits
+		fmt.Printf("mvpbt-server: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 	srv := server.New(r, cfg)
 	bound, err := srv.Start()
 	if err != nil {

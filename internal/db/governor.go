@@ -185,8 +185,8 @@ func (e *Engine) reclaimSpace() error {
 
 // reclaimTree is one MV-PBT's share of a reclamation pass: garbage in P_N is
 // swept and a due partition merge runs — due by the predicate eviction asks
-// too, past MaxPartitions or 7/8 collectable, so a hot index whose old
-// versions a reader pinned through its evictions merges here.
+// too (mvpbt's mergeStart), so a hot index whose old versions or deletes a
+// reader pinned through its evictions merges here.
 func reclaimTree(t *mvpbt.Tree, name string) error {
 	t.SweepPN()
 	if t.NeedsMerge() {

@@ -183,6 +183,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	if env.pbuf.Used() != tr.PNBytes() {
+		t.Fatalf("partition buffer total %d, PNBytes %d", env.pbuf.Used(), tr.PNBytes())
+	}
 
 	// Ground truth after the storm: every key decides to exactly one
 	// visible version under a fresh snapshot (writers always end keys with

@@ -22,9 +22,11 @@ func (t *Tree) sweepPNLocked(v *treeView) {
 			victims = append(victims, it.Key())
 		}
 	}
+	n := v.pn.Bytes()
 	for _, k := range victims {
 		v.pn.Delete(k)
 	}
+	t.pbuf.Add(v.pn.Bytes() - n)
 	t.stats.gcSweptPN.Add(int64(len(victims)))
 	t.pnGarbage.Store(0)
 }
@@ -70,7 +72,7 @@ func (t *Tree) EvictPN() error {
 		frozen := make([]*skiplist.List[pnKey, *Record], 0, len(v.frozen)+1)
 		frozen = append(frozen, v.pn)
 		frozen = append(frozen, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, dead: v.dead})
+		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
 		t.pnGarbage.Store(0)
 	}
 	t.mu.Unlock()
@@ -100,7 +102,7 @@ func (t *Tree) buildFrozen() error {
 		t.nextNo++
 		t.mu.Unlock()
 
-		seg, dead, err := t.buildPartition(src, no)
+		seg, gc, err := t.buildPartition(src, no)
 		if err != nil {
 			return err
 		}
@@ -108,12 +110,13 @@ func (t *Tree) buildFrozen() error {
 		t.mu.Lock()
 		v2 := t.view.Load()
 		frozen := append([]*skiplist.List[pnKey, *Record](nil), v2.frozen[:len(v2.frozen)-1]...)
-		nv := &treeView{pn: v2.pn, frozen: frozen, parts: v2.parts, dead: v2.dead}
+		nv := &treeView{pn: v2.pn, frozen: frozen, parts: v2.parts, gc: v2.gc}
 		if seg != nil {
 			nv.parts = append(v2.parts[:len(v2.parts):len(v2.parts)], seg)
-			nv.dead = append(v2.dead[:len(v2.dead):len(v2.dead)], dead)
+			nv.gc = append(v2.gc[:len(v2.gc):len(v2.gc)], gc)
 		}
 		t.view.Store(nv)
+		t.pbuf.Add(-src.Bytes())
 		t.mu.Unlock()
 		if seg != nil {
 			t.stats.evictions.Add(1)
@@ -126,8 +129,8 @@ func (t *Tree) buildFrozen() error {
 // source receives no more inserts, record flags are read via snapshot
 // copies, and txn.Manager, the segment builder and the stats counters are
 // all thread-safe. Returns a nil segment when GC leaves nothing to persist,
-// and the partition's collectable-record estimate.
-func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, int, error) {
+// and the partition's counts for the merge triggers.
+func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
 	w := t.newPartWriter(no, false)
 	defer w.b.Abort()
 	for it := src.Min(); it.Valid(); it.Next() {
@@ -135,7 +138,7 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 		// current view while GC rewrites anti-matter chains (OldRID
 		// inheritance), so the mutation must happen on private copies.
 		if err := w.add(it.Key().key, it.Value().snapshot(), nil); err != nil {
-			return nil, 0, err
+			return nil, partGC{}, err
 		}
 	}
 	return w.finish()
@@ -161,7 +164,7 @@ type partWriter struct {
 	enc   []byte
 
 	minTS, maxTS txn.TxID
-	dead         int // the collectable-record estimate (flush)
+	gc           partGC // the counts for the merge triggers (flush)
 }
 
 // groupRec is one record of the current key. body is its encoding as read
@@ -211,7 +214,8 @@ func (w *partWriter) add(key []byte, rec Record, body []byte) error {
 // if any. In a non-unique tree each survivor's anti-matter target, and a
 // pure anti-matter survivor itself — except, in a complete merge, anti-matter
 // committed below the horizon, whose target is not under this key (a key
-// update's replacement): no merge will collapse it.
+// update's replacement): no merge will collapse it. Deleted: unique keys whose
+// newest survivor is pure anti-matter that no complete merge kept (uniqueGC).
 func (w *partWriter) flush() error {
 	gc := !w.t.opts.DisableGC
 	if gc {
@@ -228,11 +232,14 @@ func (w *partWriter) flush() error {
 			w.t.stats.gcEvict.Add(1)
 			continue
 		}
+		if kept == 0 && gc && w.t.opts.Unique && !g.rec.Matter() && !(w.complete && w.committedBelow(&g.rec)) {
+			w.gc.deleted++
+		}
 		kept, oldest = kept+1, g.rec.Type
 		if gc && !w.t.opts.Unique && g.rec.AntiMatter() && !(w.complete && w.committedBelow(&g.rec)) {
-			w.dead++
+			w.gc.dead++
 			if !g.rec.Matter() {
-				w.dead++
+				w.gc.dead++
 			}
 		}
 		if g.body == nil {
@@ -245,22 +252,22 @@ func (w *partWriter) flush() error {
 		w.minTS, w.maxTS = min(w.minTS, g.rec.TS), max(w.maxTS, g.rec.TS)
 	}
 	if gc && w.t.opts.Unique && kept > 0 {
-		w.dead += kept - 1
+		w.gc.dead += kept - 1
 		if !w.complete && oldest != Regular {
-			w.dead++
+			w.gc.dead++
 		}
 	}
 	w.recs, w.arena = w.recs[:0], w.arena[:0]
 	return nil
 }
 
-// finish completes the partition and returns it with its estimate.
-func (w *partWriter) finish() (*part.Segment, int, error) {
+// finish completes the partition and returns it with its counts.
+func (w *partWriter) finish() (*part.Segment, partGC, error) {
 	if err := w.flush(); err != nil {
-		return nil, 0, err
+		return nil, partGC{}, err
 	}
 	seg, err := w.b.Finish(uint64(w.minTS), uint64(w.maxTS))
-	return seg, w.dead, err
+	return seg, w.gc, err
 }
 
 // committedBelow reports whether the record is committed with a timestamp

@@ -80,8 +80,8 @@ func (s *mergeSource) load() (err error) {
 // first (§4.3). Dangling anti-matter (see partWriter) is dropped only when
 // from is 0: the input is then the COMPLETE persisted state — bgMu guarantees
 // that only bgMu holders append to or replace parts, and records in PN or
-// frozen PNs are strictly newer than any persisted record, so they can only
-// suppress, never be required by, the merged partition.
+// frozen PNs were inserted after every persisted record — later, but not
+// always with a newer timestamp (uniqueGC's pnHoldsOlder).
 func (t *Tree) mergeBG(from int) error {
 	t.mu.Lock()
 	v := t.view.Load()
@@ -123,7 +123,7 @@ func (t *Tree) mergeBG(from int) error {
 		// neither complete nor installed.
 		(*hook)()
 	}
-	seg, dead, err := w.finish()
+	seg, gc, err := w.finish()
 	if err != nil {
 		// Nothing was published: readers and future operations keep
 		// the previous, still-intact view.
@@ -135,12 +135,12 @@ func (t *Tree) mergeBG(from int) error {
 	// pn/frozen and rebase defensively around the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
-	nv := &treeView{pn: v2.pn, frozen: v2.frozen, parts: v2.parts[:from:from], dead: v2.dead[:from:from]}
+	nv := &treeView{pn: v2.pn, frozen: v2.frozen, parts: v2.parts[:from:from], gc: v2.gc[:from:from]}
 	if seg != nil {
-		nv.parts, nv.dead = append(nv.parts, seg), append(nv.dead, dead)
+		nv.parts, nv.gc = append(nv.parts, seg), append(nv.gc, gc)
 	}
 	nv.parts = append(nv.parts, v2.parts[len(v.parts):]...)
-	nv.dead = append(nv.dead, v2.dead[len(v.parts):]...)
+	nv.gc = append(nv.gc, v2.gc[len(v.parts):]...)
 	t.view.Store(nv)
 	t.mu.Unlock()
 	// Grace period: in-flight readers may still hold the old view with the

@@ -7,6 +7,7 @@ import (
 
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/skiplist"
 	"mvpbt/internal/txn"
 )
 
@@ -108,6 +109,61 @@ func TestMergeDropsDanglingTombstones(t *testing.T) {
 	defer e.mgr.Commit(r)
 	if rids := lookupRIDs(t, tr, r, []byte("gone")); len(rids) != 0 {
 		t.Fatalf("deleted tuple resurrected after merge: %v", rids)
+	}
+}
+
+// freeze is EvictPN's first step alone: P_N joins the frozen list, and no
+// partition is built from it.
+func (t *Tree) freeze() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view.Load()
+	frozen := append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...)
+	t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
+}
+
+// TestMergeKeepsTombstoneOverOlderPNRecord: a long-running writer inserts a
+// key, with a timestamp older than the tombstone that deleted it meanwhile,
+// after the tombstone was evicted; its record waits in a frozen P_N. A merge
+// of every partition runs with the tombstone committed below the horizon.
+// It keeps the tombstone, so a scan at a fresh snapshot still misses the key
+// (the tombstone is newer than the writer's record), and a lookup, which
+// visits the frozen P_N first, answers as it did before the merge.
+func TestMergeKeepsTombstoneOverOlderPNRecord(t *testing.T) {
+	e := newEnv(1024, 1<<26)
+	tr := e.tree(Options{Unique: true, BloomBits: 10})
+	key, v0, v1 := []byte("k"), e.ref(), e.ref()
+	e.commit(func(tx *txn.Tx) { tr.InsertRegular(tx, key, v0) })
+	tr.EvictPN()
+	w := e.mgr.Begin()
+	e.commit(func(tx *txn.Tx) { tr.InsertTombstone(tx, key, v0.RID) })
+	tr.EvictPN()
+	tr.InsertRegular(w, key, v1)
+	e.mgr.Commit(w)
+	tr.freeze()
+	r := e.mgr.Begin()
+	before := lookupRIDs(t, tr, r, key)
+	e.mgr.Commit(r)
+	if len(before) != 1 || before[0] != v1.RID {
+		t.Fatalf("a fresh lookup before the merge returns %v, want the writer's %v", before, v1.RID)
+	}
+	if err := tr.MergePartitions(); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := tr.DumpKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumPartitions() != 1 || len(dump) != 2 || dump[1].Rec.Type != Tombstone {
+		t.Fatalf("after the merge: %d partitions, records of the key %v; want the writer's and the tombstone", tr.NumPartitions(), dump)
+	}
+	if n := scanKeys(t, e, tr); n != 0 {
+		t.Fatalf("a fresh scan returns %d keys, want none: the deleted key came back", n)
+	}
+	r = e.mgr.Begin()
+	defer e.mgr.Commit(r)
+	if after := lookupRIDs(t, tr, r, key); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("a fresh lookup returns %v after the merge, %v before", after, before)
 	}
 }
 

@@ -95,11 +95,13 @@ type Stats struct {
 	GCEvict int64
 	// Evictions counts partition evictions.
 	Evictions int64
-	// Merges counts partition reorganizations. Three things start one: the
+	// Merges counts partition reorganizations. Four things start one: the
 	// count trigger (past MaxPartitions, of the newer partitions or all of
 	// them), the garbage trigger (7/8 of the persisted records collectable
-	// now, of all of them) and reclamation (the space governor's
-	// MergePartitions, when NeedsMerge says either trigger is due).
+	// now, of all of them), the delete trigger (a unique tree's deleted keys
+	// a quarter of the records a merge would keep, of all of them) and
+	// reclamation (the space governor's MergePartitions, when NeedsMerge says
+	// a trigger is due).
 	Merges int64
 }
 
@@ -132,8 +134,8 @@ type statCounters struct {
 
 // treeView is the immutable snapshot the read path operates on: the
 // current main-memory partition, the frozen (eviction-pending) PNs newest
-// first, and the persisted partition list, oldest first, with how many of
-// each partition's records a merge could drop (partWriter.flush). All are
+// first, and the persisted partition list, oldest first, with what a merge
+// could drop from each partition (partWriter.flush). All are
 // published TOGETHER — eviction moves records PN → frozen → partition, so
 // publishing them separately would let a reader observe records twice or
 // not at all.
@@ -148,8 +150,13 @@ type treeView struct {
 	pn     *skiplist.List[pnKey, *Record]
 	frozen []*skiplist.List[pnKey, *Record]
 	parts  []*part.Segment
-	dead   []int // per partition: the collectable-record estimate
+	gc     []partGC // per partition
 }
+
+// partGC is what partWriter.flush counts in one partition for mergeStart:
+// records a merge of every partition could drop, and a unique tree's keys
+// whose newest record is pure anti-matter.
+type partGC struct{ dead, deleted int }
 
 // Tree is a Multi-Version Partitioned B-Tree. Safe for concurrent use:
 // readers (Lookup, Scan, ScanAllMatter, DumpKey) run in parallel against
@@ -224,7 +231,7 @@ func (t *Tree) FrozenPNs() int {
 	return len(t.view.Load().frozen)
 }
 
-// NeedsMerge reports whether a merge is due, by either trigger (mergeStart).
+// NeedsMerge reports whether a merge is due, by any trigger (mergeStart).
 // Eviction and space reclamation both ask it.
 func (t *Tree) NeedsMerge() bool {
 	return t.mergeStart(t.view.Load()) >= 0
@@ -234,8 +241,9 @@ func (t *Tree) NeedsMerge() bool {
 // trigger: past MaxPartitions, from mergeFrom. The garbage trigger: at least
 // 7/8 of the persisted records are records a merge of every partition would
 // drop now, so that merge writes at most one record for every seven it
-// drops. Only partitions wholly below the GC horizon count as garbage, so an
-// open old snapshot defers the merge instead of starting one that keeps all.
+// drops. The delete trigger: a unique tree's deleted keys reach a quarter of
+// the records that merge keeps (DESIGN.md §7). Only partitions wholly below
+// the GC horizon count, so an old snapshot defers the merge.
 func (t *Tree) mergeStart(v *treeView) int {
 	if len(v.parts) < 2 {
 		return -1
@@ -244,14 +252,14 @@ func (t *Tree) mergeStart(v *treeView) int {
 		return mergeFrom(v.parts)
 	}
 	horizon := uint64(t.mgr.Horizon())
-	dead, all := 0, 0
+	dead, deleted, all := 0, 0, 0
 	for i, p := range v.parts {
 		all += p.NumRecords
 		if p.MaxTS < horizon {
-			dead += v.dead[i]
+			dead, deleted = dead+v.gc[i].dead, deleted+v.gc[i].deleted
 		}
 	}
-	if 8*dead < 7*all {
+	if 8*dead < 7*all && 4*deleted < all-dead-deleted {
 		return -1
 	}
 	return 0
@@ -270,8 +278,11 @@ func (t *Tree) Partitions() []*part.Segment {
 
 // Collectable returns, in Partitions' order, how many records of each
 // partition the garbage trigger counts as collectable.
-func (t *Tree) Collectable() []int {
-	return append([]int(nil), t.view.Load().dead...)
+func (t *Tree) Collectable() (dead []int) {
+	for _, g := range t.view.Load().gc {
+		dead = append(dead, g.dead)
+	}
+	return dead
 }
 
 // Stats returns a snapshot of the counters.
@@ -305,7 +316,9 @@ func (t *Tree) pnPut(key []byte, rec *Record) error {
 	v := t.view.Load()
 	k := pnKey{key: kc, ts: rec.TS, seq: t.pnSeq}
 	t.pnSeq++
+	n := v.pn.Bytes()
 	v.pn.Set(k, rec)
+	t.pbuf.Add(v.pn.Bytes() - n)
 	if !t.opts.DisableGC {
 		if g := t.pnGarbage.Load(); g > 64 && g > int64(v.pn.Len()/8) {
 			t.sweepPNLocked(v)

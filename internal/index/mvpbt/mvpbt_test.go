@@ -619,6 +619,61 @@ func TestPartitionBufferDrivesEviction(t *testing.T) {
 	}
 }
 
+// TestPartitionBufferTotalIsPNBytes: the buffer's running total is the sum
+// of its trees' PNBytes after every kind of change — inserts, phase-2
+// sweeps, freezes, builds and the evictions the buffer runs itself.
+func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
+	e := newEnv(1024, 32<<10)
+	trees := []*Tree{e.tree(Options{Name: "a"}), e.tree(Options{Name: "b", Unique: true})}
+	check := func(when string) {
+		t.Helper()
+		sum := 0
+		for _, tr := range trees {
+			sum += tr.PNBytes()
+		}
+		if e.pbuf.Used() != sum {
+			t.Fatalf("%s: buffer total %d, PNBytes sum %d", when, e.pbuf.Used(), sum)
+		}
+	}
+	refs := make([]index.Ref, 40)
+	for round := 0; round < 30; round++ {
+		e.commit(func(tx *txn.Tx) {
+			for k := range refs {
+				key, ref := []byte(fmt.Sprintf("k%02d", k)), e.ref()
+				if round%2 == 0 { // deleted and inserted again: phase 1 marks the old
+					trees[0].InsertRegular(tx, key, ref)
+				} else {
+					trees[0].InsertTombstone(tx, key, refs[k].RID)
+				}
+				trees[1].InsertRegularVal(tx, key, ref, []byte("value"))
+				refs[k] = ref
+			}
+		})
+		check(fmt.Sprintf("round %d", round))
+		if round%3 == 0 { // phase 1 marks what the next inserts sweep
+			r := e.mgr.Begin()
+			trees[0].Scan(r, nil, nil, func(index.Entry) bool { return true })
+			e.mgr.Commit(r)
+		}
+		if round%7 == 0 {
+			trees[round%2].freeze()
+			check(fmt.Sprintf("freeze in round %d", round))
+		}
+	}
+	if trees[0].Stats().GCSweptPN == 0 || e.pbuf.Evictions() == 0 {
+		t.Fatalf("swept %d, evicted %d: the history exercised too little", trees[0].Stats().GCSweptPN, e.pbuf.Evictions())
+	}
+	for _, tr := range trees {
+		if err := tr.EvictPN(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after the last evictions")
+	if e.pbuf.Used() != 0 {
+		t.Fatalf("buffer total %d with every P_N evicted", e.pbuf.Used())
+	}
+}
+
 // codecRecords is every record shape the codec has: each type, marked and
 // not, with and without an anti-matter RID; matter records carry a value.
 func codecRecords() []Record {

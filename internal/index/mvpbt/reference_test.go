@@ -28,7 +28,7 @@ func (t *Tree) refEvictPN() error {
 	v := t.view.Load()
 	if v.pn.Len() > 0 {
 		frozen := append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, dead: v.dead})
+		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
 		t.pnGarbage.Store(0)
 	}
 	t.mu.Unlock()
@@ -55,38 +55,41 @@ func (t *Tree) refBuildFrozen() error {
 		no := t.nextNo
 		t.nextNo++
 		t.mu.Unlock()
-		seg, dead, err := t.refBuildPartition(src, no)
+		seg, gc, err := t.refBuildPartition(src, no)
 		if err != nil {
 			return err
 		}
 		t.mu.Lock()
 		v2 := t.view.Load()
-		parts, deads := v2.parts, v2.dead
+		parts, gcs := v2.parts, v2.gc
 		if seg != nil {
 			parts = append(append([]*part.Segment(nil), v2.parts...), seg)
-			deads = append(append([]int(nil), v2.dead...), dead)
+			gcs = append(append([]partGC(nil), v2.gc...), gc)
 			t.stats.evictions.Add(1)
 		}
-		t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen[: len(v2.frozen)-1 : len(v2.frozen)-1], parts: parts, dead: deads})
+		t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen[: len(v2.frozen)-1 : len(v2.frozen)-1], parts: parts, gc: gcs})
+		t.pbuf.Add(-src.Bytes())
 		t.mu.Unlock()
 	}
 }
 
-// refDead is the collectable-record estimate of a partition written from
-// kvs, whose bodies encode the records GC kept: per key, every record but
+// refDead returns the trigger counts of a partition written from kvs, whose
+// bodies encode the records GC kept. Collectable: per key, every record but
 // the newest in a unique tree, plus, outside a complete merge, one for an
 // oldest record that is not Regular; per anti-matter record in a non-unique
 // tree one, two if it is pure anti-matter — none, in a complete merge, for
-// anti-matter committed below the horizon.
-func (t *Tree) refDead(kvs []part.KV, complete bool) int {
+// anti-matter committed below the horizon. Deleted: in a unique tree, each
+// key whose newest record is pure anti-matter — none, in a complete merge,
+// whose newest record is committed below the horizon.
+func (t *Tree) refDead(kvs []part.KV, complete bool) partGC {
+	var gc partGC
 	if t.opts.DisableGC {
-		return 0
+		return gc
 	}
 	horizon := t.mgr.Horizon()
-	dead := 0
 	for i := 0; i < len(kvs); {
 		j := i
-		var last Record
+		var first, last Record
 		for ; j < len(kvs) && bytes.Equal(kvs[j].Key, kvs[i].Key); j++ {
 			rec, err := decodeRecord(kvs[j].Body)
 			if err != nil {
@@ -94,22 +97,29 @@ func (t *Tree) refDead(kvs []part.KV, complete bool) int {
 			}
 			settled := complete && rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
 			if !t.opts.Unique && rec.AntiMatter() && !settled {
-				dead++
+				gc.dead++
 				if !rec.Matter() {
-					dead++
+					gc.dead++
 				}
+			}
+			if j == i {
+				first = rec
 			}
 			last = rec
 		}
 		if t.opts.Unique {
-			dead += j - i - 1
+			gc.dead += j - i - 1
 			if !complete && last.Type != Regular {
-				dead++
+				gc.dead++
+			}
+			settled := complete && first.TS < horizon && t.mgr.StatusOf(first.TS) == txn.Committed
+			if !first.Matter() && !settled {
+				gc.deleted++
 			}
 		}
 		i = j
 	}
-	return dead
+	return gc
 }
 
 // refBuildPartition runs GC phase 3 over one frozen PN and serializes the
@@ -118,7 +128,7 @@ func (t *Tree) refDead(kvs []part.KV, complete bool) int {
 // copies, and txn.Manager, the segment builder and the stats counters are
 // all thread-safe. Returns a nil segment when GC leaves nothing to persist,
 // and the partition's refDead.
-func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, int, error) {
+func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
 	// Value-copy every record: the frozen PN stays readable through the
 	// current view while GC below rewrites anti-matter chains (OldRID
 	// inheritance), so the mutation must happen on private copies.
@@ -130,13 +140,13 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 	}
 	if !t.opts.DisableGC {
 		if t.opts.Unique {
-			entries = t.refUniqueEvictGC(entries, false)
+			entries = t.refUniqueEvictGC(entries, nil)
 		} else {
 			entries = t.refEvictGC(entries)
 		}
 	}
 	if len(entries) == 0 {
-		return nil, 0, nil
+		return nil, partGC{}, nil
 	}
 	kvs := make([]part.KV, len(entries))
 	minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
@@ -262,9 +272,13 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 // refUniqueEvictGC is the unique-mode phase-3 GC: per key (entries arrive in
 // key asc, ts desc order) keep every record down to and INCLUDING the
 // first committed-below-horizon one — the all-visible decider — and drop
-// the rest. Tombstone deciders are kept: they may still extinguish the
-// key in older partitions. Aborted records are dropped anywhere.
-func (t *Tree) refUniqueEvictGC(entries []refEntry, dropDecidedTombstones bool) []refEntry {
+// the rest. Aborted records are dropped anywhere. A decider that is a
+// tombstone or anti record is kept in an eviction (pnOldest nil): it may
+// still extinguish the key in older partitions. A merge of every partition
+// passes pnOldest, the oldest timestamp per key in P_N and the frozen P_Ns,
+// and drops such a decider too, unless one of those records is older than
+// it: a long-running writer's, which the decider must keep extinguishing.
+func (t *Tree) refUniqueEvictGC(entries []refEntry, pnOldest map[string]txn.TxID) []refEntry {
 	horizon := t.mgr.Horizon()
 	out := entries[:0]
 	var curKey []byte
@@ -284,11 +298,11 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, dropDecidedTombstones bool) 
 			continue
 		case rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed:
 			anchored = true
-			if dropDecidedTombstones && !rec.Matter() {
-				// Safe only when the GC input is the complete key history
-				// (a full merge with no older records of the key in PN).
-				t.stats.gcEvict.Add(1)
-				continue
+			if pnOldest != nil && !rec.Matter() {
+				if ts, ok := pnOldest[string(curKey)]; !ok || ts >= rec.TS {
+					t.stats.gcEvict.Add(1)
+					continue
+				}
 			}
 		}
 		out = append(out, entries[i])
@@ -296,12 +310,27 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, dropDecidedTombstones bool) 
 	return out
 }
 
+// refPNOldest is the oldest timestamp of each key in P_N and the frozen P_Ns
+// of the current view, read record by record.
+func (t *Tree) refPNOldest() map[string]txn.TxID {
+	v := t.view.Load()
+	oldest := map[string]txn.TxID{}
+	for _, pn := range append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...) {
+		for it := pn.Min(); it.Valid(); it.Next() {
+			k := string(it.Key().key)
+			if ts, ok := oldest[k]; !ok || it.Value().TS < ts {
+				oldest[k] = it.Value().TS
+			}
+		}
+	}
+	return oldest
+}
+
 // refMerge is the merge body over the persisted partitions from from on,
 // with bgMu taken here. Dangling anti-matter is dropped only when from is
 // 0: the merge input is then the COMPLETE persisted state, since bgMu
-// guarantees that only bgMu holders append to or replace parts, and records
-// in PN or frozen PNs are strictly newer than any persisted record, so they
-// can only suppress, never be required by, the merged partition.
+// guarantees that only bgMu holders append to or replace parts; records in
+// PN or frozen PNs were inserted after every persisted record.
 func (t *Tree) refMerge(from int) error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -382,14 +411,17 @@ func (t *Tree) refMerge(from int) error {
 	if t.opts.DisableGC {
 		out = entries
 	} else if t.opts.Unique {
-		// Unique-mode key-based GC. Tombstone deciders are still kept: PN
-		// may hold an older-timestamp record of the key from a
-		// long-running writer, which must stay extinguished.
+		// Unique-mode key-based GC; a merge of every partition also drops
+		// tombstone deciders that no P_N record needs.
 		pn := make([]refEntry, len(entries))
 		for i := range entries {
 			pn[i] = refEntry{key: pnKey{key: entries[i].key, ts: entries[i].rec.TS}, rec: &entries[i].rec}
 		}
-		kept := t.refUniqueEvictGC(pn, false)
+		var pnOldest map[string]txn.TxID
+		if from == 0 {
+			pnOldest = t.refPNOldest()
+		}
+		kept := t.refUniqueEvictGC(pn, pnOldest)
 		out = make([]entry, len(kept))
 		for i := range kept {
 			out[i] = entry{key: kept[i].key.key, rec: *kept[i].rec}
@@ -480,7 +512,7 @@ func (t *Tree) refMerge(from int) error {
 	}
 
 	var merged []*part.Segment
-	var dead []int
+	var gcs []partGC
 	if len(out) > 0 {
 		kvs := make([]part.KV, len(out))
 		minTS, maxTS := ^txn.TxID(0), txn.TxID(0)
@@ -503,15 +535,15 @@ func (t *Tree) refMerge(from int) error {
 			return err
 		}
 		if seg != nil {
-			merged, dead = []*part.Segment{seg}, []int{t.refDead(kvs, from == 0)}
+			merged, gcs = []*part.Segment{seg}, []partGC{t.refDead(kvs, from == 0)}
 		}
 	}
 	// Install the merged partition in place of the inputs.
 	t.mu.Lock()
 	v2 := t.view.Load()
 	parts := append(append(append([]*part.Segment(nil), v2.parts[:from]...), merged...), v2.parts[len(v.parts):]...)
-	deads := append(append(append([]int(nil), v2.dead[:from]...), dead...), v2.dead[len(v.parts):]...)
-	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts, dead: deads})
+	gcs = append(append(append([]partGC(nil), v2.gc[:from]...), gcs...), v2.gc[len(v.parts):]...)
+	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts, gc: gcs})
 	t.mu.Unlock()
 	t.gate.Lock()
 	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period

@@ -35,8 +35,8 @@ func partImage(t *testing.T, tr *Tree, seg *part.Segment) (pages []byte, meta []
 }
 
 // sameParts fails the test unless both trees hold as many partitions, the
-// newest n of them (all, if n is 0) byte-identical with equal collectable
-// estimates, and have collected the same amount of garbage.
+// newest n of them (all, if n is 0) byte-identical with equal merge-trigger
+// counts, and have collected the same amount of garbage.
 func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	t.Helper()
 	pg, pw := got.Partitions(), want.Partitions()
@@ -49,7 +49,7 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	for i := len(pg) - n; i < len(pg); i++ {
 		gotPages, gotMeta := partImage(t, got, pg[i])
 		wantPages, wantMeta := partImage(t, want, pw[i])
-		gotMeta, wantMeta = append(gotMeta, got.Collectable()[i]), append(wantMeta, want.Collectable()[i])
+		gotMeta, wantMeta = append(gotMeta, got.view.Load().gc[i]), append(wantMeta, want.view.Load().gc[i])
 		if !bytes.Equal(gotPages, wantPages) || !reflect.DeepEqual(gotMeta, wantMeta) {
 			t.Fatalf("%s: partition P%d (%d records, %d pages) differs from the reference's (%d records, %d pages)",
 				when, pg[i].No, pg[i].NumRecords, pg[i].NumLeaves, pw[i].NumRecords, pw[i].NumLeaves)

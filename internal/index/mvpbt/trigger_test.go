@@ -237,3 +237,102 @@ func TestGarbageTriggerQuietOnKVIngest(t *testing.T) {
 		t.Fatal("the count trigger never fired: the history is too short")
 	}
 }
+
+// deleteKeys tombstones keys k[from]..k[to-1] of updateRounds in one
+// transaction and evicts them.
+func deleteKeys(t *testing.T, e *env, tr *Tree, cur []index.Ref, from, to int) {
+	t.Helper()
+	e.commit(func(tx *txn.Tx) {
+		for k := from; k < to; k++ {
+			if err := tr.InsertTombstone(tx, []byte(fmt.Sprintf("k%02d", k)), cur[k].RID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanKeys counts the keys a fresh snapshot's scan of the whole tree returns.
+func scanKeys(t *testing.T, e *env, tr *Tree) int {
+	t.Helper()
+	n, err := scanCount(tr, e, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestDeleteTriggerAtAQuarter: a unique tree of 50 keys whose deletes are
+// evicted after the inserts merges all its partitions once its deleted keys
+// reach a quarter of the records that merge would keep — 10 against 40 live
+// keys — and not at 9 against 41. The merge keeps only the live keys.
+func TestDeleteTriggerAtAQuarter(t *testing.T) {
+	e := newEnv(1024, 1<<26)
+	tr := e.tree(Options{Unique: true, BloomBits: 10})
+	cur := updateRounds(t, e, tr, 1, nil)
+	deleteKeys(t, e, tr, cur, 0, 9)
+	if tr.Stats().Merges != 0 || tr.NumPartitions() != 2 {
+		t.Fatalf("9 deleted keys of 50: %d merges, %d partitions", tr.Stats().Merges, tr.NumPartitions())
+	}
+	deleteKeys(t, e, tr, cur, 9, 10)
+	if n, recs := tr.NumPartitions(), tr.Partitions()[0].NumRecords; tr.Stats().Merges != 1 || n != 1 || recs != 40 {
+		t.Fatalf("10 deleted keys of 50: %d merges, %d partitions, %d records; want one merge into the 40 live keys", tr.Stats().Merges, n, recs)
+	}
+	if n := scanKeys(t, e, tr); n != 40 {
+		t.Fatalf("a scan after the merge returns %d keys, want 40", n)
+	}
+}
+
+// TestDeleteTriggerWaitsForHorizon: deletes in a partition that a snapshot
+// still open does not wholly see do not count. Eight deletes below the
+// horizon and eight above it start no merge, though all sixteen would; the
+// first eviction after the snapshot closes merges.
+func TestDeleteTriggerWaitsForHorizon(t *testing.T) {
+	e := newEnv(1024, 1<<26)
+	tr := e.tree(Options{Unique: true, BloomBits: 10})
+	cur := updateRounds(t, e, tr, 1, nil)
+	deleteKeys(t, e, tr, cur, 0, 8)
+	pin := e.mgr.Begin()
+	deleteKeys(t, e, tr, cur, 8, 16)
+	if tr.Stats().Merges != 0 || tr.NumPartitions() != 3 {
+		t.Fatalf("under the snapshot: %d merges, %d partitions", tr.Stats().Merges, tr.NumPartitions())
+	}
+	e.mgr.Commit(pin)
+	evictFresh(t, e, tr, "x", 1)
+	if n, recs := tr.NumPartitions(), tr.Partitions()[0].NumRecords; tr.Stats().Merges != 1 || n != 1 || recs != 35 {
+		t.Fatalf("after the snapshot closed: %d merges, %d partitions, %d records", tr.Stats().Merges, n, recs)
+	}
+}
+
+// TestDeleteTriggerSkipsPinnedTombstones: a long-running writer inserts 20
+// keys, with its older timestamp, after they were deleted and the deletes
+// evicted. A merge of every partition while its records sit in P_N keeps
+// those tombstones, and counts none of them as deleted: no merge is due
+// then, nor after the eviction that persists the writer's records.
+func TestDeleteTriggerSkipsPinnedTombstones(t *testing.T) {
+	e := newEnv(1024, 1<<26)
+	tr := e.tree(Options{Unique: true, BloomBits: 10})
+	cur := updateRounds(t, e, tr, 1, nil)
+	w := e.mgr.Begin()
+	deleteKeys(t, e, tr, cur, 0, 20)
+	for k := 0; k < 20; k++ {
+		if err := tr.InsertRegular(w, []byte(fmt.Sprintf("k%02d", k)), e.ref()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mgr.Commit(w)
+	if err := tr.MergePartitions(); err != nil {
+		t.Fatal(err)
+	}
+	if n, recs := tr.NumPartitions(), tr.Partitions()[0].NumRecords; n != 1 || recs != 50 || tr.NeedsMerge() {
+		t.Fatalf("after the merge: %d partitions, %d records, merge due %v; want the 30 live keys and 20 tombstones, no merge due", n, recs, tr.NeedsMerge())
+	}
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats().Merges != 1 || tr.NumPartitions() != 2 {
+		t.Fatalf("after evicting the writer's records: %d merges, %d partitions", tr.Stats().Merges, tr.NumPartitions())
+	}
+}

@@ -58,10 +58,11 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 // uniqueGC is the unique-mode phase-3 GC for the records of one key (ts
 // desc): keep every record down to and INCLUDING the first
 // committed-below-horizon one — the all-visible decider — and drop the
-// rest. Tombstone deciders are kept, in evictions and merges alike: they may
-// still extinguish the key in older partitions, or in PN, which may hold an
-// older-timestamp record of the key from a long-running writer. Aborted and
-// flagged records are dropped anywhere.
+// rest. Aborted and flagged records are dropped anywhere. A tombstone or anti
+// decider may still extinguish the key in older partitions, so only a
+// complete merge drops it — unless P_N holds an older-timestamp record of
+// the key from a long-running writer (pnHoldsOlder). None can arrive during
+// the merge: every writer active at its start has an id ≥ the horizon.
 func (w *partWriter) uniqueGC() {
 	anchored := false
 	for i := range w.recs {
@@ -71,6 +72,19 @@ func (w *partWriter) uniqueGC() {
 			w.recs[i].drop = true
 		case w.committedBelow(r):
 			anchored = true
+			w.recs[i].drop = w.complete && !r.Matter() && !w.t.pnHoldsOlder(w.key, r.TS)
 		}
 	}
+}
+
+// pnHoldsOlder reports whether P_N or a frozen P_N holds a record of key
+// older than ts. bgMu keeps frozen P_Ns from becoming partitions meanwhile.
+func (t *Tree) pnHoldsOlder(key []byte, ts txn.TxID) bool {
+	v, from := t.view.Load(), pnKey{key: key, ts: ts - 1, seq: ^uint64(0)}
+	for _, pn := range append(v.frozen[:len(v.frozen):len(v.frozen)], v.pn) {
+		if it := pn.Seek(from); it.Valid() && bytes.Equal(it.Key().key, key) {
+			return true
+		}
+	}
+	return false
 }

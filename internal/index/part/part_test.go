@@ -409,9 +409,10 @@ func sortKVs(kvs []KV) {
 	}
 }
 
-// fakeOwner implements Owner for buffer tests.
+// fakeOwner implements Owner of buffer b for buffer tests.
 type fakeOwner struct {
 	name    string
+	b       *PartitionBuffer
 	size    int
 	evicted int
 }
@@ -419,14 +420,15 @@ type fakeOwner struct {
 func (f *fakeOwner) PNBytes() int { return f.size }
 func (f *fakeOwner) EvictPN() error {
 	f.evicted++
+	f.b.Add(-f.size)
 	f.size = 0
 	return nil
 }
 
 func TestPartitionBufferEvictsLargest(t *testing.T) {
 	b := NewPartitionBuffer(100)
-	small := &fakeOwner{name: "small", size: 20}
-	big := &fakeOwner{name: "big", size: 90}
+	small := &fakeOwner{name: "small", b: b, size: 20}
+	big := &fakeOwner{name: "big", b: b, size: 90}
 	b.Register(small)
 	b.Register(big)
 	if err := b.MaybeEvict(); err != nil {
@@ -445,7 +447,7 @@ func TestPartitionBufferEvictsLargest(t *testing.T) {
 
 func TestPartitionBufferUnderLimitNoEviction(t *testing.T) {
 	b := NewPartitionBuffer(1000)
-	o := &fakeOwner{name: "o", size: 500}
+	o := &fakeOwner{name: "o", b: b, size: 500}
 	b.Register(o)
 	b.MaybeEvict()
 	if o.evicted != 0 {
@@ -455,8 +457,8 @@ func TestPartitionBufferUnderLimitNoEviction(t *testing.T) {
 
 func TestPartitionBufferEvictsUntilUnderLimit(t *testing.T) {
 	b := NewPartitionBuffer(100)
-	a := &fakeOwner{name: "a", size: 80}
-	c := &fakeOwner{name: "c", size: 70}
+	a := &fakeOwner{name: "a", b: b, size: 80}
+	c := &fakeOwner{name: "c", b: b, size: 70}
 	b.Register(a)
 	b.Register(c)
 	b.MaybeEvict()

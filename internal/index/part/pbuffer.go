@@ -8,7 +8,8 @@ import (
 )
 
 // Owner is an index holding a main-memory partition PN inside the shared
-// MV-PBT buffer.
+// MV-PBT buffer. While registered, it reports every change of its PNBytes
+// to the buffer's running total (PartitionBuffer.Add).
 type Owner interface {
 	// PNBytes returns the current size of the index's main-memory
 	// partition.
@@ -43,6 +44,7 @@ type PartitionBuffer struct {
 	owners []Owner
 
 	limit int
+	used  atomic.Int64 // the owners' PNBytes, summed as they report changes
 
 	// evictMu serializes evictions; deliberately not b.mu.
 	evictMu sync.Mutex
@@ -65,6 +67,7 @@ func (b *PartitionBuffer) Register(o Owner) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.owners = append(b.owners, o)
+	b.used.Add(int64(o.PNBytes()))
 }
 
 // Unregister removes an index from the buffer's accounting (a quarantined
@@ -75,21 +78,17 @@ func (b *PartitionBuffer) Unregister(o Owner) {
 	for i, own := range b.owners {
 		if own == o {
 			b.owners = append(b.owners[:i], b.owners[i+1:]...)
+			b.used.Add(-int64(o.PNBytes()))
 			return
 		}
 	}
 }
 
 // Used returns the total bytes of all main-memory partitions.
-func (b *PartitionBuffer) Used() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	total := 0
-	for _, o := range b.owners {
-		total += o.PNBytes()
-	}
-	return total
-}
+func (b *PartitionBuffer) Used() int { return int(b.used.Load()) }
+
+// Add adds n bytes, negative when freed, to the running total.
+func (b *PartitionBuffer) Add(n int) { b.used.Add(int64(n)) }
 
 // Limit returns the configured byte limit.
 func (b *PartitionBuffer) Limit() int { return b.limit }

@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-// atomicOwner is a concurrency-safe fake Owner: Grow simulates PN inserts
-// and EvictPN zeroes the size (optionally failing or making no progress).
+// atomicOwner is a concurrency-safe fake Owner of buffer b: Grow simulates
+// PN inserts and EvictPN zeroes the size (optionally failing or making no
+// progress), each reported to b.
 type atomicOwner struct {
 	name     string
+	b        *PartitionBuffer
 	size     atomic.Int64
 	evicted  atomic.Int64
 	evictErr error
@@ -18,14 +20,17 @@ type atomicOwner struct {
 }
 
 func (o *atomicOwner) PNBytes() int { return int(o.size.Load()) }
-func (o *atomicOwner) Grow(n int)   { o.size.Add(int64(n)) }
+func (o *atomicOwner) Grow(n int) {
+	o.size.Add(int64(n))
+	o.b.Add(n)
+}
 func (o *atomicOwner) EvictPN() error {
 	if o.evictErr != nil {
 		return o.evictErr
 	}
 	o.evicted.Add(1)
 	if !o.noop {
-		o.size.Store(0)
+		o.b.Add(-int(o.size.Swap(0)))
 	}
 	return nil
 }
@@ -35,9 +40,9 @@ func TestPartitionBufferNoVictim(t *testing.T) {
 	// (and bump the counter) instead of looping forever or silently
 	// returning nil — the satellite-1 bug.
 	b := NewPartitionBuffer(100)
-	o := &atomicOwner{name: "stuck", noop: true}
-	o.Grow(500)
+	o := &atomicOwner{name: "stuck", b: b, noop: true}
 	b.Register(o)
+	o.Grow(500)
 	if err := b.MaybeEvict(); !errors.Is(err, ErrNoVictim) {
 		t.Fatalf("MaybeEvict = %v, want ErrNoVictim", err)
 	}
@@ -49,12 +54,16 @@ func TestPartitionBufferNoVictim(t *testing.T) {
 // refillOwner is an owner whose writer outruns the evictor: every EvictPN
 // persists the whole PN, and by the time the evictor looks again the writer
 // has refilled it to just under its old size.
-type refillOwner struct{ size, evicted int }
+type refillOwner struct {
+	b             *PartitionBuffer
+	size, evicted int
+}
 
 func (o *refillOwner) PNBytes() int { return o.size }
 func (o *refillOwner) EvictPN() error {
 	o.evicted++
 	o.size-- // shrank to 0, then refilled to one byte short
+	o.b.Add(-1)
 	return nil
 }
 
@@ -64,7 +73,7 @@ func (o *refillOwner) EvictPN() error {
 // inserting writer would otherwise get back from a Put that succeeded.
 func TestPartitionBufferOutrunIsBackpressure(t *testing.T) {
 	b := NewPartitionBuffer(100)
-	o := &refillOwner{size: 500}
+	o := &refillOwner{b: b, size: 500}
 	b.Register(o)
 	if err := b.MaybeEvict(); err != nil {
 		t.Fatalf("MaybeEvict outrun by the writer = %v, want nil", err)
@@ -83,9 +92,9 @@ func TestPartitionBufferNoVictimCounterAccounting(t *testing.T) {
 	// attempts still count as Evictions (the owner WAS asked), and a later
 	// successful eviction neither increments NoVictims nor clears it.
 	b := NewPartitionBuffer(100)
-	stuck := &atomicOwner{name: "stuck", noop: true}
-	stuck.Grow(500)
+	stuck := &atomicOwner{name: "stuck", b: b, noop: true}
 	b.Register(stuck)
+	stuck.Grow(500)
 
 	for i := 1; i <= 3; i++ {
 		if err := b.MaybeEvict(); !errors.Is(err, ErrNoVictim) {
@@ -101,10 +110,10 @@ func TestPartitionBufferNoVictimCounterAccounting(t *testing.T) {
 
 	// A healthy owner larger than the stuck one turns the next call into a
 	// success: Evictions grows, NoVictims stays frozen.
-	healthy := &atomicOwner{name: "healthy"}
-	healthy.Grow(600)
+	healthy := &atomicOwner{name: "healthy", b: b}
 	b.Register(healthy)
-	stuck.size.Store(0)
+	healthy.Grow(600)
+	stuck.Grow(-500)
 	before := b.Evictions()
 	if err := b.MaybeEvict(); err != nil {
 		t.Fatalf("MaybeEvict with healthy victim = %v", err)
@@ -132,9 +141,9 @@ func TestPartitionBufferNoVictimCounterAccounting(t *testing.T) {
 func TestPartitionBufferEvictionError(t *testing.T) {
 	b := NewPartitionBuffer(100)
 	boom := errors.New("device gone")
-	o := &atomicOwner{name: "bad", evictErr: boom}
-	o.Grow(500)
+	o := &atomicOwner{name: "bad", b: b, evictErr: boom}
 	b.Register(o)
+	o.Grow(500)
 	if err := b.MaybeEvict(); !errors.Is(err, boom) {
 		t.Fatalf("MaybeEvict = %v, want injected error", err)
 	}
@@ -151,12 +160,12 @@ func TestPartitionBufferConcurrent(t *testing.T) {
 
 	owners := make([]*atomicOwner, 4)
 	for i := range owners {
-		owners[i] = &atomicOwner{name: string(rune('a' + i))}
+		owners[i] = &atomicOwner{name: string(rune('a' + i)), b: b}
 		b.Register(owners[i])
 	}
 	// One owner occasionally fails its eviction.
 	boom := errors.New("injected")
-	bad := &atomicOwner{name: "bad", evictErr: boom}
+	bad := &atomicOwner{name: "bad", b: b, evictErr: boom}
 	b.Register(bad)
 
 	var wg sync.WaitGroup
@@ -173,7 +182,7 @@ func TestPartitionBufferConcurrent(t *testing.T) {
 				}
 				if i%500 == 0 {
 					// late registration races with the owner scan
-					b.Register(&atomicOwner{name: "late"})
+					b.Register(&atomicOwner{name: "late", b: b})
 				}
 				if i%1000 == 0 {
 					bad.Grow(128) // keep the failing owner in contention

@@ -96,7 +96,9 @@ func (t *Tree) Insert(key []byte, ref index.Ref) error {
 	t.mu.Lock()
 	k := pnKey{key: append([]byte(nil), key...), seq: t.pnSeq}
 	t.pnSeq++
+	n := t.pn.Bytes()
 	t.pn.Set(k, index.EncodeRef(nil, ref))
+	t.pbuf.Add(t.pn.Bytes() - n)
 	t.mu.Unlock()
 	return t.pbuf.MaybeEvict()
 }
@@ -127,6 +129,7 @@ func (t *Tree) EvictPN() error {
 	if seg != nil {
 		t.parts = append(t.parts, seg)
 	}
+	t.pbuf.Add(-t.pn.Bytes())
 	t.pn = newPN()
 	return nil
 }

@@ -43,8 +43,14 @@ func TestInsertLookupAcrossPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if used := e.pbuf.Used(); used == 0 || used != tr.PNBytes() {
+			t.Fatalf("partition buffer total %d, P_N %d bytes", used, tr.PNBytes())
+		}
 		if err := tr.EvictPN(); err != nil {
 			t.Fatal(err)
+		}
+		if e.pbuf.Used() != 0 {
+			t.Fatalf("partition buffer total %d after the eviction", e.pbuf.Used())
 		}
 	}
 	if tr.NumPartitions() != 3 {

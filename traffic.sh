@@ -57,10 +57,10 @@ run mvpbt-check scenarios -seed 1 -seeds 1 -devices zns -kinds hot-key-storm
 # log's end, so the salvage scan runs; no cell of the default grid does.
 run mvpbt-check faults -seed 17 -seeds 1 -heap hot
 # The server — the in-process smoke (TCP, sessions, 2PC, checkpoint, drain),
-# then served for real on a loopback port, read by the inspector, until
-# SIGTERM — and the inspector's own engine.
+# then served for real on a loopback port with its pprof listener, read by the
+# inspector, until SIGTERM — and the inspector's own engine.
 run mvpbt-server -smoke
-"$bin/mvpbt-server" -addr 127.0.0.1:0 -shards 2 >"$tmp/out/server.txt" 2>&1 &
+"$bin/mvpbt-server" -addr 127.0.0.1:0 -shards 2 -debug-addr 127.0.0.1:0 >"$tmp/out/server.txt" 2>&1 &
 srv=$!
 # It handles signals from before it prints its address; a SIGTERM sent earlier
 # would kill it outright, with no drain and no coverage counters written.
@@ -76,6 +76,12 @@ until grep -q '^mvpbt-server: 2 shards on ' "$tmp/out/server.txt"; do
 	sleep 0.2
 done
 addr="$(sed -n 's/^mvpbt-server: 2 shards on \([^ ]*\) .*/\1/p' "$tmp/out/server.txt")"
+if ! grep -q '^mvpbt-server: pprof on http://127.0.0.1:' "$tmp/out/server.txt"; then
+	cat "$tmp/out/server.txt" >&2
+	echo "traffic.sh: mvpbt-server -debug-addr opened no pprof listener" >&2
+	kill $srv 2>/dev/null || true
+	exit 1
+fi
 if ! "$bin/mvpbt-inspect" -addr "$addr" >"$tmp/out/last.txt" 2>&1; then
 	tail -n 20 "$tmp/out/last.txt" >&2
 	echo "traffic.sh: mvpbt-inspect -addr $addr failed" >&2
