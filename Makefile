@@ -78,6 +78,9 @@ traffic:
 # a Fuzz* file of its package or by one decode-exempt line below, with the
 # reason it needs no fuzzer. And the differential harness is a campaign like
 # the others: cmd/mvpbt-check has no runDiff and none of its private flags.
+# And the served stack has one campaign, chaos, whose kind=2pc runs the 2PC
+# crash plan: neither the 2pc campaign, its cell and fingerprint, nor the
+# harness's second generator config is back.
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -139,6 +142,10 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a decoder of bytes no Fuzz* file names (add a fuzz target, or a '# decode-exempt <pkg>.<name>: <reason>' line):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE 'runDiff|inject-fault|no-shrink|audit-every' cmd/mvpbt-check); \
 	if [ -n "$$bad" ]; then echo "seams: mvpbt-check has a second runner again (diff is a campaign on the runner):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'twoPCCampaign|twoPCCell|TwoPCFingerprint|GenConfig' --include='*.go' . | grep -v '_test\.go:'; \
+		grep -nE '^var Campaigns = .*(twoPC|"2pc")' internal/check/campaign.go; \
+		grep -rnE 'Name: *"2pc"' --include='*.go' internal/check | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a second served campaign is back (the 2PC crash plan is chaos -kinds 2pc; Generate takes a RunConfig):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -207,8 +214,8 @@ check-nightly:
 
 # The seeded verification campaigns, one mvpbt-check subcommand each
 # (DESIGN.md §8 says what each holds): check-faults, check-scenarios,
-# check-chaos, check-2pc, check-diff, and check-all for the five back to
-# back. Every cell is run twice and must replay
+# check-chaos, check-diff, and check-all for the four back to back. Every
+# cell is run twice and must replay
 # byte-identically; a failing cell prints the command that reruns it alone.
 check-%:
 	go run ./cmd/mvpbt-check $*

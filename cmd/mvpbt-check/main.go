@@ -5,12 +5,13 @@
 //	mvpbt-check scenarios  hostile workloads across the device zoo and both
 //	                       heaps; snapshot-pin fills to read-only, reclaims,
 //	                       resumes, injects ENOSPC and recovers
-//	mvpbt-check chaos      connection resets, truncations, stalls over TCP
-//	mvpbt-check 2pc        crashes at every step of the cross-shard commit
+//	mvpbt-check chaos      the served stack over TCP: connection resets,
+//	                       truncations, stalls, and (-kinds 2pc) crashes at
+//	                       every step of the cross-shard commit
 //	mvpbt-check diff       differential harness: a randomized multi-client
 //	                       history against the engine and a naive MVCC oracle
 //	                       in lockstep, crash-restarts injected, both heaps
-//	mvpbt-check all        the five campaigns above, back to back
+//	mvpbt-check all        the four campaigns above, back to back
 //
 // Every campaign cell is run twice and must replay byte-identically
 // (DESIGN.md §8). With no flags a subcommand runs what `make check-<name>`

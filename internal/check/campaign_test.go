@@ -59,8 +59,10 @@ func TestCampaignSmoke(t *testing.T) {
 				}
 			},
 		},
+		// The network kinds: seeded resets, truncations and stalls under a
+		// crash plan that crashes nothing.
 		"chaos": {
-			sel:  Selection{Seeds: []uint64{1, 2}, Size: Size{Ops: 120, Keys: 60}},
+			sel:  Selection{Seeds: []uint64{1, 2}, Size: Size{Ops: 120, Keys: 60}, Filter: map[string][]string{"kind": networkKinds}},
 			long: true,
 			check: func(t *testing.T, cells []CellResult) {
 				var injected, reconnects uint64
@@ -74,15 +76,6 @@ func TestCampaignSmoke(t *testing.T) {
 				}
 				if reconnects == 0 {
 					t.Error("client never reconnected: cuts were not exercised")
-				}
-			},
-		},
-		"2pc": {
-			sel:  Selection{Seeds: []uint64{2}},
-			long: true,
-			check: func(t *testing.T, cells []CellResult) {
-				if fp := cells[0].Fp.(TwoPCFingerprint); fp.GroupsApplied == 0 || fp.GroupsAborted == 0 || fp.CoordCrashes == 0 {
-					t.Errorf("plan not exercised: %+v", fp)
 				}
 			},
 		},
@@ -135,6 +128,18 @@ func TestCampaignSmoke(t *testing.T) {
 			}
 		},
 	}
+	// The crash plan (kind=2pc): every protocol step crashes at least twice
+	// (the cell itself fails otherwise), groups both apply and abort, the
+	// coordinator crashes between operations.
+	twoPC := smokeSlice{
+		sel:  Selection{Seeds: []uint64{2}, Filter: map[string][]string{"kind": {"2pc"}}},
+		long: true,
+		check: func(t *testing.T, cells []CellResult) {
+			if fp := cells[0].Fp.(ChaosFingerprint); fp.GroupsApplied == 0 || fp.GroupsAborted == 0 || fp.CoordCrashes == 0 {
+				t.Errorf("plan not exercised: %+v", fp)
+			}
+		},
+	}
 	run := func(t *testing.T, c *Campaign, slice smokeSlice) {
 		if slice.long && testing.Short() {
 			t.Skip("seconds-long")
@@ -156,6 +161,18 @@ func TestCampaignSmoke(t *testing.T) {
 		})
 	}
 	t.Run("exhaust", func(t *testing.T) { run(t, scenarioCampaign, exhaust) })
+	t.Run("2pc", func(t *testing.T) { run(t, chaosCampaign, twoPC) })
+}
+
+var networkKinds = []string{"reset", "truncate", "stall", "mixed"}
+
+// The chaos campaign's grid: the four network kinds and the crash plan at
+// each of eight seeds (TestReproSelectsOneCell in cmd/mvpbt-check holds each
+// cell selectable alone).
+func TestChaosCampaignGrid(t *testing.T) {
+	if n := len(chaosCampaign.Select(Selection{})); n != (len(networkKinds)+1)*8 {
+		t.Fatalf("%d cells, want 40", n)
+	}
 }
 
 // The scenario campaign's grid is the zoo × catalogue cross-product — the

@@ -74,13 +74,13 @@ func TestSeededVisibilityFaultCaughtAndShrunk(t *testing.T) {
 // keep history generation byte-identical to the pre-fault generator, so
 // existing seeds stay reproducible.
 func TestFaultHistoryGenerationBackwardCompatible(t *testing.T) {
-	plain := Generate(GenConfig{Seed: 42, Ops: 500})
+	plain := Generate(RunConfig{Seed: 42, Ops: 500})
 	for _, op := range plain {
 		if op.Kind >= OpFaultRead {
 			t.Fatalf("fault op %v generated without Faults", op.Kind)
 		}
 	}
-	faulty := Generate(GenConfig{Seed: 42, Ops: 500, Faults: true})
+	faulty := Generate(RunConfig{Seed: 42, Ops: 500, Faults: true})
 	n := 0
 	for _, op := range faulty {
 		if op.Kind >= OpFaultRead {
@@ -97,7 +97,7 @@ func TestFaultHistoryGenerationBackwardCompatible(t *testing.T) {
 // input unchanged when the failure is not reproducible.
 func TestShrinkIrreproducibleReturnsInput(t *testing.T) {
 	cfg := RunConfig{Heap: db.HeapHOT, Seed: 2, Ops: 60, Clients: 2, Keys: 10}
-	ops := History(cfg)
+	ops := Generate(cfg)
 	min := Shrink(cfg, ops, 10)
 	if len(min) != len(ops) {
 		t.Fatalf("shrinker altered a non-failing history: %d -> %d ops", len(ops), len(min))

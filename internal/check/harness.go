@@ -775,17 +775,10 @@ func Replay(cfg RunConfig, ops []Op) (res Result) {
 // Run generates the history for cfg and replays it. A violation comes back
 // with the minimal failing history Shrink finds attached.
 func Run(cfg RunConfig) Result {
-	ops := History(cfg)
+	ops := Generate(cfg)
 	r := Replay(cfg, ops)
 	if r.Violation != nil {
 		r.Violation.History = Shrink(cfg, ops, 0)
 	}
 	return r
-}
-
-// History returns the ops Run would execute for cfg (for shrinking).
-func History(cfg RunConfig) []Op {
-	cfg = cfg.withDefaults()
-	return Generate(GenConfig{Seed: cfg.Seed, Ops: cfg.Ops, Clients: cfg.Clients,
-		Keys: cfg.Keys, Crashes: cfg.Crashes, Faults: cfg.Faults})
 }

@@ -29,7 +29,7 @@ const (
 	OpMerge                   // force an MV-PBT partition merge
 	OpBarrier                 // audit everything
 	OpCrash                   // crash the engine, recover from the WAL, re-audit
-	// Fault ops (generated only with GenConfig.Faults). Every fault is
+	// Fault ops (generated only with RunConfig.Faults). Every fault is
 	// armed as a deterministic ssd.FaultRule whose parameters derive from
 	// Op.Key, so a replayed history injects the exact same faults.
 	OpFaultRead  // arm 1-3 consecutive read errors on table/index pages
@@ -93,39 +93,14 @@ func FormatOps(ops []Op) string {
 	return b.String()
 }
 
-// GenConfig parameterizes history generation.
-type GenConfig struct {
-	Seed    uint64
-	Ops     int
-	Clients int
-	Keys    int
-	Crashes int
-	// Faults mixes deterministic device-fault ops into the history
-	// (read/write errors, bit rot, torn commit flushes). Off by default so
-	// legacy (seed, …) tuples keep generating byte-identical histories.
-	Faults bool
-}
-
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Ops <= 0 {
-		c.Ops = 1000
-	}
-	if c.Clients <= 0 {
-		c.Clients = 3
-	}
-	if c.Keys <= 0 {
-		c.Keys = 100
-	}
-	return c
-}
-
 // Generate produces a deterministic randomized history from the seed:
 // a mixed read/write workload across Clients logical clients with
 // commit/abort decisions, forced evictions and merges, audit barriers,
 // heap vacuums, and Crashes crash-restart points spread evenly through the
-// run. The same (seed, ops, clients, keys, crashes) tuple always yields the
-// same history.
-func Generate(cfg GenConfig) []Op {
+// run, and, with cfg.Faults, deterministic device-fault ops. The same
+// (seed, ops, clients, keys, crashes, faults) tuple always yields the same
+// history; Run replays exactly it.
+func Generate(cfg RunConfig) []Op {
 	cfg = cfg.withDefaults()
 	r := util.NewRand(cfg.Seed)
 	crashAt := make(map[int]bool, cfg.Crashes)

@@ -23,18 +23,18 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCampaignSeedsUnderPoison is one seed of the two campaigns whose cells
-// have no size to reduce (the hostile scenarios on one device of the zoo, and
-// the 2PC crash campaign), exactly as `make check-scenarios` and `make
-// check-2pc` run it; TestCampaignSmoke's slices and TestHarnessSmoke are
-// poisoned with the rest of the package.
+// TestCampaignSeedsUnderPoison is one seed of the two slices whose cells are
+// run at their default size (the hostile scenarios on one device of the zoo,
+// and the chaos campaign's crash plan, kind=2pc), exactly as `make
+// check-scenarios` and `make check-chaos` run them; TestCampaignSmoke's
+// slices and TestHarnessSmoke are poisoned with the rest of the package.
 func TestCampaignSeedsUnderPoison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign seeds are seconds-long")
 	}
 	for name, sel := range map[string]Selection{
 		"scenarios": {Seeds: []uint64{1}, Filter: map[string][]string{"device": {ssd.Zoo()[0].Name}}},
-		"2pc":       {Seeds: []uint64{1}},
+		"chaos":     {Seeds: []uint64{1}, Filter: map[string][]string{"kind": {"2pc"}}},
 	} {
 		var out strings.Builder
 		if _, failed := CampaignByName(name).Run(sel, &out); failed {

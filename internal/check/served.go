@@ -18,11 +18,11 @@ import (
 	"mvpbt/internal/util"
 )
 
-// served is the system under test the chaos and 2PC campaigns share: a
-// 2-shard supervised router behind the REAL TCP server, whose listener
-// injects a chaos schedule, driven by one self-healing client — plus what that
-// client has been acked, which is exactly the state the final clean scan must
-// show.
+// served is the chaos campaign's system under test: a 2-shard supervised
+// router behind the REAL TCP server, whose listener injects a chaos schedule
+// and whose 2PC hooks inject a crash plan, driven by one self-healing client
+// — plus what that client has been acked, which is exactly the state every
+// GET, every SCAN and the final clean scan must show.
 type served struct {
 	router *shard.Router
 	sched  *chaos.Schedule
@@ -44,8 +44,9 @@ type servedFingerprint struct {
 	// its length.
 	StateHash uint64
 	LiveKeys  int
-	// Acknowledged single-key operations (these define what acked holds).
-	SetsAcked, DelsAcked, GetsOK uint64
+	// Acknowledged single-key operations (these define what acked holds),
+	// and the reads checked against it.
+	SetsAcked, DelsAcked, GetsOK, Scans uint64
 }
 
 // saltSeed derives a campaign's stream from the user's seed, so the same
@@ -59,7 +60,7 @@ func saltSeed(seed uint64, salt string) uint64 {
 // serve starts the fixture. rng draws the history's keys and values over a
 // key space of the given size; seed (already salted) drives the client's
 // backoff jitter and commit tokens.
-func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.Rule, hooks shard.TwoPCHooks) (*served, error) {
+func serve(seed uint64, rng *util.Rand, keys int, rules []chaos.Rule, hooks shard.TwoPCHooks) (*served, error) {
 	s := &served{rng: rng, keys: keys, acked: expect{}, goroutines: runtime.NumGoroutine()}
 	var err error
 	s.router, err = shard.New(shard.Config{
@@ -92,7 +93,7 @@ func serve(tenant string, seed uint64, rng *util.Rand, keys int, rules []chaos.R
 	// The client's retry budget (12 attempts) outlasts the worst contiguous
 	// injection burst one operation can see (every rule fires at most once),
 	// and it owns every key it writes, as RClient requires.
-	s.client = shardclient.NewRClient(shardclient.RConfig{Addr: s.addr, Tenant: tenant, Seed: seed})
+	s.client = shardclient.NewRClient(shardclient.RConfig{Addr: s.addr, Tenant: "chaos", Seed: seed})
 	return s, nil
 }
 
@@ -116,7 +117,7 @@ func (s *served) close() error {
 
 func (s *served) key() string { return fmt.Sprintf("c-%04d", s.rng.Intn(s.keys)) }
 
-// set, get and del are the single-key steps of a history: one operation
+// set, get, scan and del are the autocommit steps of a history: one operation
 // through the self-healing client, mirrored into (or verified against) the
 // acked state once it is acknowledged.
 func (s *served) set(op int) error {
@@ -142,6 +143,19 @@ func (s *served) get(op int) error {
 	if ok {
 		s.fp.GetsOK++
 	}
+	return nil
+}
+
+func (s *served) scan(op int) error {
+	lo := s.key()
+	got, err := s.client.Scan([]byte(lo), 20)
+	if err != nil {
+		return fmt.Errorf("op %d: SCAN %s exhausted retries: %w", op, lo, err)
+	}
+	if err := s.acked.match(pairs(got), lo, 20); err != nil {
+		return fmt.Errorf("op %d: SCAN %s: %w", op, lo, err)
+	}
+	s.fp.Scans++
 	return nil
 }
 
@@ -177,6 +191,20 @@ func (s *served) stage(op int, pairs [][2]string) (tx *shardclient.RTx, lost boo
 // token after a lost ack.
 func applied(outcome shardclient.CommitOutcome, err error) bool {
 	return err == nil && (outcome == shardclient.CommitApplied || outcome == shardclient.CommitResolvedApplied)
+}
+
+// quiesce waits for every shard to be healthy with zero in-doubt legs: the
+// "recovery finished" barrier after each injected crash.
+func (s *served) quiesce() bool {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		settled := s.router.TwoPCInfo().InDoubt == 0
+		for i := 0; settled && i < s.router.NumShards(); i++ {
+			settled = s.router.Health(i).State == shard.Healthy
+		}
+		if settled || time.Now().After(deadline) {
+			return settled
+		}
+	}
 }
 
 // verify ends the history: with the schedule disarmed, a clean connection's
