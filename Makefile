@@ -233,9 +233,11 @@ bench-figures:
 	go run ./cmd/mvpbt-bench -all -json > bench-figures.json
 
 # Commit-pipeline benchmarks: the group-commit experiment table, the
-# write-hot-path alloc benchmarks, the log's own flush benchmark (device
-# bytes and virtual time per flush), and the two regression gates
-# (TestHotPathAllocGate on allocs/op, TestFlushCostGate on the flush's device
+# hot-path alloc benchmarks (BenchmarkAllocKV* for the KV path,
+# BenchmarkAllocTable* for db.Table's row operations, the path htap runs),
+# the log's own flush benchmark (device bytes and virtual time per flush),
+# and the two regression gates (TestHotPathAllocGate on allocs/op, KV and
+# table path and a partition build; TestFlushCostGate on the flush's device
 # cost; either fails the build). Output lands in bench-commit.txt for
 # publishing as a build artifact.
 bench-commit:

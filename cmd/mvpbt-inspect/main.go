@@ -73,11 +73,11 @@ func main() {
 				}
 				continue
 			}
-			cur, err := tbl.LookupOne(tx, ix, []byte(k), true)
-			if err != nil || cur == nil {
-				panic(fmt.Sprintf("lookup %s: %v %v", k, cur, err))
+			cur, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
+			if err != nil || !found {
+				panic(fmt.Sprintf("lookup %s: %v %v", k, found, err))
 			}
-			if _, err := tbl.Update(tx, *cur, row(k, fmt.Sprintf("v%d", round))); err != nil {
+			if _, err := tbl.Update(tx, cur, row(k, fmt.Sprintf("v%d", round))); err != nil {
 				panic(err)
 			}
 		}
@@ -111,10 +111,8 @@ func main() {
 	}
 
 	fresh := eng.Begin()
-	cur, _ := tbl.LookupOne(fresh, ix, []byte(*key), true)
-	old, _ := tbl.LookupOne(long, ix, []byte(*key), true)
-	fmt.Printf("\nfresh snapshot sees: %s\n", val(cur))
-	fmt.Printf("long-running reader (Figure 1) sees: %s\n", val(old))
+	fmt.Printf("\nfresh snapshot sees: %s\n", val(tbl.LookupOne(fresh, ix, []byte(*key), true)))
+	fmt.Printf("long-running reader (Figure 1) sees: %s\n", val(tbl.LookupOne(long, ix, []byte(*key), true)))
 	eng.Commit(fresh)
 	eng.Commit(long)
 
@@ -133,8 +131,8 @@ func main() {
 	}
 }
 
-func val(rr *db.RowRef) string {
-	if rr == nil {
+func val(rr db.RowRef, found bool, _ error) string {
+	if !found {
 		return "<nothing>"
 	}
 	return string(rr.Row[1+int(rr.Row[0]):])

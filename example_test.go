@@ -33,15 +33,15 @@ func Example() {
 
 	for _, v := range []string{"v1", "v2", "v3"} { // TXU1..TXU3
 		u := eng.Begin()
-		cur, _ := tbl.LookupOne(u, pk, []byte("t"), true)
-		tbl.Update(u, *cur, row("t", v))
+		cur, _, _ := tbl.LookupOne(u, pk, []byte("t"), true)
+		tbl.Update(u, cur, row("t", v))
 		eng.Commit(u)
 	}
 
-	old, _ := tbl.LookupOne(long, pk, []byte("t"), true)
+	old, _, _ := tbl.LookupOne(long, pk, []byte("t"), true)
 	fmt.Println("TXR sees:", string(old.Row[2:]))
 	fresh := eng.Begin()
-	cur, _ := tbl.LookupOne(fresh, pk, []byte("t"), true)
+	cur, _, _ := tbl.LookupOne(fresh, pk, []byte("t"), true)
 	fmt.Println("a new transaction sees:", string(cur.Row[2:]))
 	eng.Commit(long)
 	eng.Commit(fresh)

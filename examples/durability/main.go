@@ -41,8 +41,8 @@ func main() {
 	eng.Commit(tx)
 
 	tx = eng.Begin()
-	cur, _ := ledger.LookupOne(tx, pk, []byte("alice"), true)
-	ledger.Update(tx, *cur, row("alice", "175"))
+	cur, _, _ := ledger.LookupOne(tx, pk, []byte("alice"), true)
+	ledger.Update(tx, cur, row("alice", "175"))
 	eng.Commit(tx)
 
 	// In-flight work that will be lost in the crash: logged but never
@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	if m, _ := ledger2.LookupOne(read, pk2, []byte("mallory"), false); m == nil {
+	if _, found, _ := ledger2.LookupOne(read, pk2, []byte("mallory"), false); !found {
 		fmt.Println("uncommitted transaction correctly discarded")
 	}
 	eng2.Commit(read)

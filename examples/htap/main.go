@@ -65,11 +65,11 @@ func main() {
 		for u := 1; u <= 3; u++ {
 			txu := e.eng.Begin()
 			for i := 0; i < 500; i++ {
-				cur, err := e.tbl.LookupOne(txu, e.ix, []byte(fmt.Sprintf("a%03d", i)), true)
-				if err != nil || cur == nil {
+				cur, found, err := e.tbl.LookupOne(txu, e.ix, []byte(fmt.Sprintf("a%03d", i)), true)
+				if err != nil || !found {
 					panic("update lookup failed")
 				}
-				if _, err := e.tbl.Update(txu, *cur, row(fmt.Sprintf("a%03d", i), fmt.Sprintf("v%d", u))); err != nil {
+				if _, err := e.tbl.Update(txu, cur, row(fmt.Sprintf("a%03d", i), fmt.Sprintf("v%d", u))); err != nil {
 					panic(err)
 				}
 			}

@@ -41,19 +41,19 @@ func main() {
 
 	// Update bob under MVCC: read the visible version, then supersede it.
 	tx = eng.Begin()
-	cur, err := accounts.LookupOne(tx, pk, []byte("bob"), true)
-	if err != nil || cur == nil {
-		panic(fmt.Sprint("lookup bob: ", cur, err))
+	cur, found, err := accounts.LookupOne(tx, pk, []byte("bob"), true)
+	if err != nil || !found {
+		panic(fmt.Sprint("lookup bob: ", found, err))
 	}
-	if _, err := accounts.Update(tx, *cur, row("bob", "balance=250")); err != nil {
+	if _, err := accounts.Update(tx, cur, row("bob", "balance=250")); err != nil {
 		panic(err)
 	}
 	eng.Commit(tx)
 
 	// Delete carol.
 	tx = eng.Begin()
-	cur, _ = accounts.LookupOne(tx, pk, []byte("carol"), true)
-	if err := accounts.Delete(tx, *cur); err != nil {
+	cur, _, _ = accounts.LookupOne(tx, pk, []byte("carol"), true)
+	if err := accounts.Delete(tx, cur); err != nil {
 		panic(err)
 	}
 	eng.Commit(tx)

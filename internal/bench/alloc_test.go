@@ -10,6 +10,7 @@ import (
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/db"
 	"mvpbt/internal/index"
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/server"
 	"mvpbt/internal/server/shardclient"
 	"mvpbt/internal/sfile"
@@ -97,7 +98,7 @@ func BenchmarkAllocKVPutWAL(b *testing.B) {
 // durable commit (commit record + flush through the reused page/stream
 // buffers).
 func BenchmarkAllocTableCommitWAL(b *testing.B) {
-	e, tbl := newAllocTable(b)
+	e, tbl := newAllocTable(b, db.Config{EnableWAL: true}, 0)
 	row := make([]byte, commitRowLen)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -113,17 +114,127 @@ func BenchmarkAllocTableCommitWAL(b *testing.B) {
 	}
 }
 
-func newAllocTable(tb testing.TB) (*db.Engine, *db.Table) {
+// newAllocTable is a SIAS table with one unique MV-PBT index, the shape of
+// every htap table, holding rows allocRow(0) … allocRow(rows-1).
+func newAllocTable(tb testing.TB, cfg db.Config, rows int) (*db.Engine, *db.Table) {
 	tb.Helper()
-	e := db.NewEngine(db.Config{EnableWAL: true})
+	e := db.NewEngine(cfg)
 	tbl, err := e.NewTable("alloc", db.HeapSIAS, db.IndexDef{
-		Name: "pk", Kind: db.IdxMVPBT, Unique: true,
+		Name: "pk", Kind: db.IdxMVPBT, Unique: true, BloomBits: 10, PrefixLen: 8,
 		Extract: func(row []byte) []byte { return row[:commitKeyLen] },
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	row := make([]byte, commitRowLen)
+	for i := 0; i < rows; i++ {
+		tx := e.Begin()
+		if _, _, err := tbl.Insert(tx, allocRow(row, i)); err != nil {
+			tb.Fatal(err)
+		}
+		e.Commit(tx)
+	}
 	return e, tbl
+}
+
+// allocRow writes row i into row: its key, then a payload.
+func allocRow(row []byte, i int) []byte {
+	binary.BigEndian.PutUint64(row, uint64(i))
+	binary.BigEndian.PutUint64(row[8:], uint64(i))
+	for j := commitKeyLen; j < len(row); j++ {
+		row[j] = byte('a' + j%26)
+	}
+	return row
+}
+
+// The table path's gate and benchmarks preload allocTableRows rows through a
+// partition buffer small enough that P_N is evicted many times over.
+const allocTableRows = 20000
+
+var allocTableConfig = db.Config{PartitionBufferBytes: 256 << 10}
+
+// BenchmarkAllocTableLookup is Table.LookupOne of one row with its payload:
+// the row copy it returns is its one allocation.
+func BenchmarkAllocTableLookup(b *testing.B) {
+	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	ix, key := tbl.Indexes()[0], make([]byte, commitRowLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := e.Begin()
+		if _, ok, err := tbl.LookupOne(tx, ix, allocRow(key, i*7919%allocTableRows)[:commitKeyLen], true); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+		e.Commit(tx)
+	}
+}
+
+// BenchmarkAllocTableUpdate is Table.Update of one row in its own
+// transaction: the replacement record, its key copy and its skiplist node in
+// P_N (the heap encodes the version into a buffer it keeps).
+func BenchmarkAllocTableUpdate(b *testing.B) {
+	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	cur := allocUpdateTarget(b, e, tbl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		allocUpdate(b, e, tbl, &cur, 1)
+	}
+}
+
+// BenchmarkAllocTableScan is a 10-row Table.Scan with payloads: the ten row
+// copies it hands out.
+func BenchmarkAllocTableScan(b *testing.B) {
+	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	lo := make([]byte, commitRowLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := allocScan(b, e, tbl, allocRow(lo, i*7919%(allocTableRows-10))[:commitKeyLen], true); n != 10 {
+			b.Fatal(n)
+		}
+	}
+}
+
+// allocUpdateTarget returns row 42 as a LookupOne reads it, its Row a buffer
+// the updates reuse.
+func allocUpdateTarget(tb testing.TB, e *db.Engine, tbl *db.Table) db.RowRef {
+	tb.Helper()
+	tx := e.Begin()
+	defer e.Commit(tx)
+	cur, ok, err := tbl.LookupOne(tx, tbl.Indexes()[0], allocRow(make([]byte, commitRowLen), 42)[:commitKeyLen], true)
+	if err != nil || !ok {
+		tb.Fatal(ok, err)
+	}
+	return cur
+}
+
+// allocUpdate rewrites cur's row in place n times in a transaction of its
+// own and points cur at the version it wrote last. Each update past the
+// first passes the RowRef the transaction read, so the heap walks the chain
+// down from the transaction's own newer version (first-updater-wins).
+func allocUpdate(tb testing.TB, e *db.Engine, tbl *db.Table, cur *db.RowRef, n int) {
+	tx := e.Begin()
+	var rid storage.RecordID
+	for i := 0; i < n; i++ {
+		var err error
+		if rid, err = tbl.Update(tx, *cur, cur.Row); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	e.Commit(tx)
+	cur.RID = rid
+}
+
+// allocScan counts the rows of a Scan from lo that stops after ten.
+func allocScan(tb testing.TB, e *db.Engine, tbl *db.Table, lo []byte, withRows bool) int {
+	tx := e.Begin()
+	defer e.Commit(tx)
+	n := 0
+	if err := tbl.Scan(tx, tbl.Indexes()[0], lo, nil, withRows, func(db.RowRef) bool { n++; return n < 10 }); err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }
 
 // TestHotPathAllocGate pins steady-state allocs/op for the write hot path
@@ -191,7 +302,111 @@ func TestHotPathAllocGate(t *testing.T) {
 	}
 
 	t.Run("persisted", func(t *testing.T) { persistedReadAllocs(t, runs) })
+	t.Run("table", func(t *testing.T) { tableAllocs(t, runs) })
+	t.Run("build", func(t *testing.T) { buildAllocs(t, runs/20) })
 	t.Run("served", func(t *testing.T) { servedAllocs(t, runs) })
+}
+
+// tableAllocs gates the row operations of db.Table, the path htap runs, on a
+// SIAS table with one unique MV-PBT index in steady state (P_N evicted many
+// times over, partitions below it). An operation allocates what it hands
+// out or keeps: a read its row copies, a write its P_N record, key copy and
+// skiplist node. The heap encodes versions into a buffer it keeps, segment
+// builds recycle their leaf image and filter hashes, LookupOne returns its
+// row by value and Update keeps its key pairs on the stack. Measured: Insert
+// 3, LookupOne 1 (0 without rows), 10-row Scan 10 (0), Update 3 (6 for two
+// in one transaction). A read past P_N draws its state from a sync.Pool, which
+// -race empties at random, so the gate says nothing under -race.
+func tableAllocs(t *testing.T, runs int) {
+	if raceEnabled {
+		t.Skip("the read path recycles its state through a sync.Pool, which -race drops at random")
+	}
+	e, tbl := newAllocTable(t, allocTableConfig, allocTableRows)
+	ix := tbl.Indexes()[0]
+	if n := ix.MV().NumPartitions(); n < 2 {
+		t.Fatalf("%d partitions under P_N, want several", n)
+	}
+	row, next := make([]byte, commitRowLen), allocTableRows
+	gate := func(name string, limit float64, op func()) {
+		if got := testing.AllocsPerRun(runs, op); got > limit+0.5 {
+			t.Errorf("Table %s: %.2f allocs/op, want <=%.0f", name, got, limit)
+		}
+	}
+	gate("Insert (P_N record, key copy, skiplist node)", 3, func() {
+		tx := e.Begin()
+		if _, _, err := tbl.Insert(tx, allocRow(row, next)); err != nil {
+			t.Fatal(err)
+		}
+		e.Commit(tx)
+		next++
+	})
+	for _, withRows := range []bool{true, false} {
+		want := 0.0
+		if withRows {
+			want = 1 // the row copy
+		}
+		gate(fmt.Sprintf("LookupOne (rows %v)", withRows), want, func() {
+			next += 7919
+			tx := e.Begin()
+			if _, ok, err := tbl.LookupOne(tx, ix, allocRow(row, next%allocTableRows)[:commitKeyLen], withRows); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			e.Commit(tx)
+		})
+		gate(fmt.Sprintf("10-row Scan (rows %v)", withRows), 10*want, func() {
+			next += 7919
+			if n := allocScan(t, e, tbl, allocRow(row, next%(allocTableRows-10))[:commitKeyLen], withRows); n != 10 {
+				t.Fatal(n)
+			}
+		})
+	}
+	cur := allocUpdateTarget(t, e, tbl)
+	gate("Update (P_N record, key copy, skiplist node)", 3, func() { allocUpdate(t, e, tbl, &cur, 1) })
+	gate("Update twice in one transaction (the second reads only its chain hop's header)", 6, func() { allocUpdate(t, e, tbl, &cur, 2) })
+}
+
+// buildAllocs gates a partition build, what each eviction and merge of a
+// table's MV-PBT index runs: 2 000 records of the allocation table's shape,
+// with its bloom and prefix filters, built and freed over and over. A build
+// allocates the Builder, its last key and what its segment keeps: the
+// Segment, two fence slices and two filters (one allocation for the bloom
+// filter's struct, one for its bits, one more for the prefix filter's). Its
+// leaf image, fences arena and 40 chunks of 512 hashes are recycled from
+// build to build: fresh, they take 59 allocations more, 40 of them the
+// chunks. The device keeps a resident ballast file, so that it recycles the
+// blocks a freed segment released (ssd.Device.Discard keeps no more spare
+// blocks than stored ones). Measured: 10. A sync.Pool says nothing under
+// -race.
+func buildAllocs(t *testing.T, runs int) {
+	if raceEnabled {
+		t.Skip("the builder recycles its buffers through a sync.Pool, which -race drops at random")
+	}
+	fm := sfile.NewManager(ssd.New(simclock.New(), ssd.IntelP3600))
+	pool, f, ballast := buffer.New(64), fm.Create("build", sfile.ClassIndex), fm.Create("ballast", sfile.ClassIndex)
+	for i := 0; i < 4*sfile.ExtentPages; i++ {
+		no, err := ballast.AllocPage()
+		if err == nil {
+			err = pool.WritePage(ballast, no, make([]byte, storage.PageSize))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	kvs := make([]part.KV, 2000)
+	for i := range kvs {
+		row := allocRow(make([]byte, commitRowLen), i)
+		kvs[i] = part.KV{Key: row[:commitKeyLen], Body: row[commitKeyLen:]}
+	}
+	got := testing.AllocsPerRun(runs, func() {
+		seg, err := part.Build(pool, f, 1, kvs, 1, 1, part.BuildOptions{BloomBitsPerKey: 10, PrefixLen: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Free()
+	})
+	if got > 10.5 {
+		t.Errorf("partition build: %.2f allocs, want <=10 (the Builder, its last key and what the segment keeps)", got)
+	}
 }
 
 // servedAllocs gates the served read path: a GET and a SCAN(50) round trip
@@ -406,7 +621,7 @@ func persistedReadAllocs(t *testing.T, runs int) {
 			t.Fatal(n, err)
 		}
 	})
-	gate("Table.Lookup", 1, func() { // the cell ctxCheck keeps a context error in
+	gate("Table.Lookup", 0, func() {
 		next, n = next+997, 0
 		if err := tbl.Lookup(tx, ix, pkey(next), false, func(db.RowRef) bool { n++; return n < 20 }); err != nil || n == 0 {
 			t.Fatal(n, err)

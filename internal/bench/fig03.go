@@ -146,8 +146,8 @@ func chainOf(fe *fig3Engine) int { return fe.chain }
 // fig3Update creates one successor version of key.
 func fig3Update(fe *fig3Engine, key []byte) error {
 	tx := fe.eng.Begin()
-	cur, err := fe.tbl.LookupOne(tx, fe.ix, key, true)
-	if err != nil || cur == nil {
+	cur, found, err := fe.tbl.LookupOne(tx, fe.ix, key, true)
+	if err != nil || !found {
 		fe.eng.Abort(tx)
 		if err == nil {
 			err = fmt.Errorf("fig3: hot tuple lost")
@@ -156,7 +156,7 @@ func fig3Update(fe *fig3Engine, key []byte) error {
 	}
 	buf := make([]byte, 120)
 	fe.r.Letters(buf)
-	if _, err := fe.tbl.Update(tx, *cur, kvRow(string(key), buf)); err != nil {
+	if _, err := fe.tbl.Update(tx, cur, kvRow(string(key), buf)); err != nil {
 		fe.eng.Abort(tx)
 		return err
 	}
@@ -179,7 +179,7 @@ func fig3Batch(fe *fig3Engine, n int, payload []byte) (float64, error) {
 			switch i % 10 {
 			case 0, 1: // point query on the HOT tuple (the Figure 1 query)
 				tx := fe.eng.Begin()
-				if _, err := fe.tbl.LookupOne(tx, fe.ix, fe.hot, false); err != nil {
+				if _, _, err := fe.tbl.LookupOne(tx, fe.ix, fe.hot, false); err != nil {
 					fe.eng.Abort(tx)
 					return err
 				}
@@ -199,7 +199,7 @@ func fig3Batch(fe *fig3Engine, n int, payload []byte) (float64, error) {
 			case 5: // point query on a random tuple
 				k := []byte(fig3Key(fe.r.Intn(fe.records)))
 				tx := fe.eng.Begin()
-				if _, err := fe.tbl.LookupOne(tx, fe.ix, k, false); err != nil {
+				if _, _, err := fe.tbl.LookupOne(tx, fe.ix, k, false); err != nil {
 					fe.eng.Abort(tx)
 					return err
 				}

@@ -89,10 +89,13 @@ func (f *Filter) AddHash(h Hash) {
 
 // MayContain reports whether key might have been added. False positives
 // are possible; false negatives are not.
-func (f *Filter) MayContain(key []byte) bool {
-	h1, h2 := hash2(key)
+func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(HashKey(key)) }
+
+// MayContainHash is MayContain for the key that hashed to h: a read that
+// probes the filters of many partitions hashes its key once.
+func (f *Filter) MayContainHash(h Hash) bool {
 	for i := uint32(0); i < f.k; i++ {
-		bit := (h1 + uint64(i)*h2) % f.m
+		bit := (h.h1 + uint64(i)*h.h2) % f.m
 		if f.bits[bit/64]&(1<<(bit%64)) == 0 {
 			return false
 		}
@@ -127,13 +130,25 @@ func NewPrefix(n, bitsPerKey, prefixLen int) *PrefixFilter {
 // again, and a key shorter than the prefix length gives none.
 func (p *PrefixFilter) AddHash(h Hash) { p.f.AddHash(h) }
 
-// MayContainRange reports whether any key in [lo, hi) might be present. It
-// probes the longest prefix lo and hi share, which every key between them
-// carries; bounds that share less than the prefix length leave it unable to
+// RangeProbe is what a range scan over [lo, hi) asks each prefix filter:
+// the longest prefix lo and hi share, which every key between them carries,
+// as its length and its hash. A scan computes it once for all partitions.
+type RangeProbe struct {
+	n int
+	h Hash
+}
+
+// NewRangeProbe returns the probe for [lo, hi).
+func NewRangeProbe(lo, hi []byte) RangeProbe {
+	n := util.CommonPrefix(lo, hi)
+	return RangeProbe{n: n, h: HashKey(lo[:n])}
+}
+
+// MayContainRange reports whether any key in the probe's range might be
+// present. Bounds that share less than the prefix length leave it unable to
 // decide, and it answers true.
-func (p *PrefixFilter) MayContainRange(lo, hi []byte) bool {
-	l := util.CommonPrefix(lo, hi)
-	return l < p.prefixLen || p.f.MayContain(lo[:l])
+func (p *PrefixFilter) MayContainRange(r RangeProbe) bool {
+	return r.n < p.prefixLen || p.f.MayContainHash(r.h)
 }
 
 // SizeBytes returns the memory footprint of the bit array.

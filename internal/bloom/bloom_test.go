@@ -98,23 +98,23 @@ func TestPrefixFilterRangeSkipping(t *testing.T) {
 	for _, h := range hs {
 		p.AddHash(h)
 	}
-	if !p.MayContainRange([]byte("aaaa-0000"), []byte("aaaa-9999")) || !p.MayContainRange([]byte("bbbb-0120"), []byte("bbbb-0125")) {
+	if !p.MayContainRange(NewRangeProbe([]byte("aaaa-0000"), []byte("aaaa-9999"))) || !p.MayContainRange(NewRangeProbe([]byte("bbbb-0120"), []byte("bbbb-0125"))) {
 		t.Fatal("false negative on present prefix range")
 	}
-	if p.MayContainRange([]byte("cccc-0000"), []byte("cccc-9999")) {
+	if p.MayContainRange(NewRangeProbe([]byte("cccc-0000"), []byte("cccc-9999"))) {
 		t.Fatal("absent prefix range not skipped (could be a false positive, but with 2 prefixes it must not)")
 	}
 	// The bounds share "aaaa-07", longer than the prefix length and held by
 	// no key: skipped too.
-	if p.MayContainRange([]byte("aaaa-0700"), []byte("aaaa-0799")) {
+	if p.MayContainRange(NewRangeProbe([]byte("aaaa-0700"), []byte("aaaa-0799"))) {
 		t.Fatal("absent longer prefix range not skipped")
 	}
 	// Bounds with different prefixes: cannot decide, must answer true.
-	if !p.MayContainRange([]byte("cccc-0000"), []byte("dddd-9999")) {
+	if !p.MayContainRange(NewRangeProbe([]byte("cccc-0000"), []byte("dddd-9999"))) {
 		t.Fatal("cross-prefix range must answer true")
 	}
 	// Short bounds: cannot decide.
-	if !p.MayContainRange([]byte("cc"), []byte("cc")) {
+	if !p.MayContainRange(NewRangeProbe([]byte("cc"), []byte("cc"))) {
 		t.Fatal("short bounds must answer true")
 	}
 }

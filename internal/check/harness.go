@@ -288,24 +288,24 @@ func (h *harness) violE(step int, op string, err error, format string, args ...a
 // When an old snapshot legitimately sees several rows at the key (its own
 // insert next to a predecessor tuple whose delete it cannot see yet), the
 // engine's LookupOne surfaces the newest — mirror that with UniquePerKey.
-// Returns (nil, nil, nil) when both agree the key is absent.
-func (h *harness) lookupTarget(step int, op Op, tx *txn.Tx, key []byte) (*db.RowRef, *Tuple, *Violation) {
-	rr, err := h.tbl.LookupOne(tx, h.tbl.Indexes()[0], key, true)
+// Returns a nil Tuple and Violation when both agree the key is absent.
+func (h *harness) lookupTarget(step int, op Op, tx *txn.Tx, key []byte) (db.RowRef, *Tuple, *Violation) {
+	rr, ok, err := h.tbl.LookupOne(tx, h.tbl.Indexes()[0], key, true)
 	if err != nil {
-		return nil, nil, h.violE(step, op.String(), err, "target lookup: %v", err)
+		return rr, nil, h.violE(step, op.String(), err, "target lookup: %v", err)
 	}
 	want := UniquePerKey(keyExtract, h.ora.LookupVisible(tx.ID, key))
 	switch {
-	case rr == nil && len(want) == 0:
-		return nil, nil, nil
-	case rr == nil:
-		return nil, nil, h.viol(step, op.String(), "engine sees no row at %q, oracle sees %q", key, want[0].Row)
+	case !ok && len(want) == 0:
+		return rr, nil, nil
+	case !ok:
+		return rr, nil, h.viol(step, op.String(), "engine sees no row at %q, oracle sees %q", key, want[0].Row)
 	case len(want) == 0:
-		return nil, nil, h.viol(step, op.String(), "engine sees row %q at %q, oracle sees none", rr.Row, key)
+		return rr, nil, h.viol(step, op.String(), "engine sees row %q at %q, oracle sees none", rr.Row, key)
 	case string(rr.Row) != string(want[0].Row):
-		return nil, nil, h.viol(step, op.String(), "target mismatch at %q: engine %q, oracle %q", key, rr.Row, want[0].Row)
+		return rr, nil, h.viol(step, op.String(), "target mismatch at %q: engine %q, oracle %q", key, rr.Row, want[0].Row)
 	case rr.VID != want[0].Tuple.EngineVID:
-		return nil, nil, h.viol(step, op.String(), "target VID mismatch at %q: engine %d, oracle %d", key, rr.VID, want[0].Tuple.EngineVID)
+		return rr, nil, h.viol(step, op.String(), "target VID mismatch at %q: engine %d, oracle %d", key, rr.VID, want[0].Tuple.EngineVID)
 	}
 	return rr, want[0].Tuple, nil
 }
@@ -609,14 +609,14 @@ func (h *harness) writeAt(i int, op Op, c *client, key, newRow []byte) *Violatio
 	if v != nil {
 		return v
 	}
-	if rr == nil {
+	if t == nil {
 		return nil // key absent for this snapshot on both sides: no-op
 	}
 	var engErr error
 	if newRow == nil {
-		engErr = h.tbl.Delete(c.tx, *rr)
+		engErr = h.tbl.Delete(c.tx, rr)
 	} else {
-		_, engErr = h.tbl.Update(c.tx, *rr, newRow)
+		_, engErr = h.tbl.Update(c.tx, rr, newRow)
 	}
 	engConflict := errors.Is(engErr, heap.ErrWriteConflict)
 	if engErr != nil && !engConflict {

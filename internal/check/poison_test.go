@@ -91,7 +91,7 @@ func TestRetainedRowRefUnderPoison(t *testing.T) {
 		if !bytes.Equal(rr.Row, want) || !bytes.Equal(keys[i], want[:8]) {
 			t.Fatalf("row %d: kept Row %q with copied Key %q, want %q", i, rr.Row, keys[i], want)
 		}
-		if got, err := tbl.LookupOne(tx, pk, keys[i], true); err != nil || got == nil || got.RID != rr.RID || got.VID != rr.VID {
+		if got, found, err := tbl.LookupOne(tx, pk, keys[i], true); err != nil || !found || got.RID != rr.RID || got.VID != rr.VID {
 			t.Fatalf("row %d: lookup by the copied key: %+v, %v; the scan had RID %v VID %d", i, got, err, rr.RID, rr.VID)
 		}
 		if !bytes.Equal(rr.Key, bytes.Repeat([]byte{0xDB}, len(rr.Key))) {

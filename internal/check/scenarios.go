@@ -204,12 +204,12 @@ func (t *table) put(key, val string) error {
 	r := kvRow(key, val)
 	tx := t.eng.Begin()
 	if _, ok := t.acked.get(key); ok {
-		cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
-		if err == nil && cur == nil {
+		cur, found, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
+		if err == nil && !found {
 			err = fmt.Errorf("committed key %q not visible", key)
 		}
 		if err == nil {
-			_, err = t.tbl.Update(tx, *cur, r)
+			_, err = t.tbl.Update(tx, cur, r)
 		}
 		if err != nil {
 			t.eng.Abort(tx)
@@ -230,12 +230,12 @@ func (t *table) put(key, val string) error {
 // del removes key in one committed transaction and acks it.
 func (t *table) del(key string) error {
 	tx := t.eng.Begin()
-	cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
-	if err == nil && cur == nil {
+	cur, found, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
+	if err == nil && !found {
 		err = fmt.Errorf("committed key %q not visible for delete", key)
 	}
 	if err == nil {
-		err = t.tbl.Delete(tx, *cur)
+		err = t.tbl.Delete(tx, cur)
 	}
 	if err != nil {
 		t.eng.Abort(tx)
@@ -255,16 +255,16 @@ func (t *table) lookupNS(key string) (int64, error) {
 	tx := t.eng.Begin()
 	defer t.eng.Abort(tx)
 	before := t.eng.Clock.Now()
-	cur, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
+	cur, found, err := t.tbl.LookupOne(tx, t.ix, []byte(key), true)
 	elapsed := int64(t.eng.Clock.Now() - before)
 	if err != nil {
 		return elapsed, err
 	}
 	want, ok := t.acked.get(key)
 	switch {
-	case !ok && cur != nil:
+	case !ok && found:
 		return elapsed, fmt.Errorf("deleted key %q still visible", key)
-	case ok && cur == nil:
+	case ok && !found:
 		return elapsed, fmt.Errorf("committed key %q not visible", key)
 	case ok && !bytes.Equal(cur.Row, kvRow(key, want)):
 		return elapsed, fmt.Errorf("key %q: got %q, want %q", key, cur.Row, kvRow(key, want))
@@ -546,11 +546,11 @@ func runSnapshotPin(dev ssd.DeviceSpec, heap db.HeapKind, seed uint64) (Scenario
 	// …the pinned snapshot still sees exactly the seed state…
 	for i := 0; i < keys; i += 7 {
 		key := fmt.Sprintf("k%04d", i)
-		cur, err := t.tbl.LookupOne(pinned, t.ix, []byte(key), true)
+		cur, found, err := t.tbl.LookupOne(pinned, t.ix, []byte(key), true)
 		if err != nil {
 			return fp, fmt.Errorf("snapshot-pin: pinned read: %w", err)
 		}
-		if cur == nil || !bytes.Equal(cur.Row, kvRow(key, fmt.Sprintf("seed%d", i))) {
+		if !found || !bytes.Equal(cur.Row, kvRow(key, fmt.Sprintf("seed%d", i))) {
 			return fp, fmt.Errorf("snapshot-pin: pinned snapshot drifted on %q", key)
 		}
 	}

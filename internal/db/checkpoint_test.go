@@ -62,11 +62,11 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 			for i := 0; i < 200; i += 4 {
 				tx := e.Begin()
 				key := []byte(fmt.Sprintf("k%04d", i))
-				cur, err := tbl.LookupOne(tx, ix, key, true)
-				if err != nil || cur == nil {
+				cur, found, err := tbl.LookupOne(tx, ix, key, true)
+				if err != nil || !found {
 					t.Fatalf("lookup: %v %v", cur, err)
 				}
-				if _, err := tbl.Update(tx, *cur, row(string(key), fmt.Sprintf("u%d", round))); err != nil {
+				if _, err := tbl.Update(tx, cur, row(string(key), fmt.Sprintf("u%d", round))); err != nil {
 					t.Fatal(err)
 				}
 				e.Commit(tx)

@@ -59,17 +59,17 @@ func TestConcurrentTransfersSnapshotInvariant(t *testing.T) {
 						}
 						amount := int64(1 + r.Intn(50))
 						tx := e.Begin()
-						src, err := tbl.LookupOne(tx, ix, []byte(fmt.Sprintf("acct-%03d", from)), true)
-						if err != nil || src == nil {
+						src, found, err := tbl.LookupOne(tx, ix, []byte(fmt.Sprintf("acct-%03d", from)), true)
+						if err != nil || !found {
 							e.Abort(tx)
 							continue
 						}
-						dst, err := tbl.LookupOne(tx, ix, []byte(fmt.Sprintf("acct-%03d", to)), true)
-						if err != nil || dst == nil {
+						dst, found, err := tbl.LookupOne(tx, ix, []byte(fmt.Sprintf("acct-%03d", to)), true)
+						if err != nil || !found {
 							e.Abort(tx)
 							continue
 						}
-						if _, err := tbl.Update(tx, *src, acctRow(from, balanceOf(src.Row)-amount)); err != nil {
+						if _, err := tbl.Update(tx, src, acctRow(from, balanceOf(src.Row)-amount)); err != nil {
 							e.Abort(tx)
 							if err == heap.ErrWriteConflict {
 								conflicts.Add(1)
@@ -78,7 +78,7 @@ func TestConcurrentTransfersSnapshotInvariant(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if _, err := tbl.Update(tx, *dst, acctRow(to, balanceOf(dst.Row)+amount)); err != nil {
+						if _, err := tbl.Update(tx, dst, acctRow(to, balanceOf(dst.Row)+amount)); err != nil {
 							e.Abort(tx)
 							if err == heap.ErrWriteConflict {
 								conflicts.Add(1)

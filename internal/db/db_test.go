@@ -71,15 +71,15 @@ func TestInsertLookupAllCombos(t *testing.T) {
 			r := e.Begin()
 			defer e.Commit(r)
 			for i := 0; i < 200; i += 17 {
-				rr, err := tbl.LookupOne(r, ix, []byte(fmt.Sprintf("k%04d", i)), true)
+				rr, found, err := tbl.LookupOne(r, ix, []byte(fmt.Sprintf("k%04d", i)), true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rr == nil || string(kvValue(rr.Row)) != fmt.Sprintf("v%d", i) {
+				if !found || string(kvValue(rr.Row)) != fmt.Sprintf("v%d", i) {
 					t.Fatalf("key %d: %+v", i, rr)
 				}
 			}
-			if rr, _ := tbl.LookupOne(r, ix, []byte("absent"), true); rr != nil {
+			if _, found, _ := tbl.LookupOne(r, ix, []byte("absent"), true); found {
 				t.Fatal("absent key found")
 			}
 		})
@@ -102,21 +102,21 @@ func TestUpdateVisibilityAllCombos(t *testing.T) {
 			// Three committed non-key updates.
 			for i := 1; i <= 3; i++ {
 				u := e.Begin()
-				cur, err := tbl.LookupOne(u, ix, []byte("kA"), true)
-				if err != nil || cur == nil {
+				cur, found, err := tbl.LookupOne(u, ix, []byte("kA"), true)
+				if err != nil || !found {
 					t.Fatalf("update %d: lookup %v %v", i, cur, err)
 				}
-				if _, err := tbl.Update(u, *cur, row("kA", fmt.Sprintf("v%d", i))); err != nil {
+				if _, err := tbl.Update(u, cur, row("kA", fmt.Sprintf("v%d", i))); err != nil {
 					t.Fatal(err)
 				}
 				e.Commit(u)
 			}
 
-			if rr, _ := tbl.LookupOne(long, ix, []byte("kA"), true); rr == nil || string(kvValue(rr.Row)) != "v0" {
+			if rr, found, _ := tbl.LookupOne(long, ix, []byte("kA"), true); !found || string(kvValue(rr.Row)) != "v0" {
 				t.Fatalf("long reader sees %+v, want v0", rr)
 			}
 			fresh := e.Begin()
-			if rr, _ := tbl.LookupOne(fresh, ix, []byte("kA"), true); rr == nil || string(kvValue(rr.Row)) != "v3" {
+			if rr, found, _ := tbl.LookupOne(fresh, ix, []byte("kA"), true); !found || string(kvValue(rr.Row)) != "v3" {
 				t.Fatalf("fresh reader sees %+v, want v3", rr)
 			}
 			e.Commit(long)
@@ -135,23 +135,23 @@ func TestKeyUpdateAllCombos(t *testing.T) {
 			before := e.Begin()
 
 			u := e.Begin()
-			cur, _ := tbl.LookupOne(u, ix, []byte("key7"), true)
-			if _, err := tbl.Update(u, *cur, row("key1", "payload")); err != nil {
+			cur, _, _ := tbl.LookupOne(u, ix, []byte("key7"), true)
+			if _, err := tbl.Update(u, cur, row("key1", "payload")); err != nil {
 				t.Fatal(err)
 			}
 			e.Commit(u)
 
 			after := e.Begin()
-			if rr, _ := tbl.LookupOne(after, ix, []byte("key7"), true); rr != nil {
+			if rr, found, _ := tbl.LookupOne(after, ix, []byte("key7"), true); found {
 				t.Fatalf("old key visible after key update: %+v", rr)
 			}
-			if rr, _ := tbl.LookupOne(after, ix, []byte("key1"), true); rr == nil {
+			if _, found, _ := tbl.LookupOne(after, ix, []byte("key1"), true); !found {
 				t.Fatal("new key invisible after key update")
 			}
-			if rr, _ := tbl.LookupOne(before, ix, []byte("key7"), true); rr == nil {
+			if _, found, _ := tbl.LookupOne(before, ix, []byte("key7"), true); !found {
 				t.Fatal("old snapshot lost old key")
 			}
-			if rr, _ := tbl.LookupOne(before, ix, []byte("key1"), true); rr != nil {
+			if _, found, _ := tbl.LookupOne(before, ix, []byte("key1"), true); found {
 				t.Fatal("old snapshot sees new key")
 			}
 			e.Commit(before)
@@ -169,16 +169,16 @@ func TestDeleteAllCombos(t *testing.T) {
 			e.Commit(tx)
 			before := e.Begin()
 			d := e.Begin()
-			cur, _ := tbl.LookupOne(d, ix, []byte("kD"), true)
-			if err := tbl.Delete(d, *cur); err != nil {
+			cur, _, _ := tbl.LookupOne(d, ix, []byte("kD"), true)
+			if err := tbl.Delete(d, cur); err != nil {
 				t.Fatal(err)
 			}
 			e.Commit(d)
 			after := e.Begin()
-			if rr, _ := tbl.LookupOne(after, ix, []byte("kD"), true); rr != nil {
+			if _, found, _ := tbl.LookupOne(after, ix, []byte("kD"), true); found {
 				t.Fatal("deleted tuple visible")
 			}
-			if rr, _ := tbl.LookupOne(before, ix, []byte("kD"), true); rr == nil {
+			if _, found, _ := tbl.LookupOne(before, ix, []byte("kD"), true); !found {
 				t.Fatal("pre-delete snapshot lost tuple")
 			}
 			e.Commit(before)
@@ -199,12 +199,12 @@ func TestScanCountAllCombos(t *testing.T) {
 			// Update a third, delete a tenth.
 			u := e.Begin()
 			for i := 0; i < 100; i += 3 {
-				cur, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("k%04d", i)), true)
-				tbl.Update(u, *cur, row(fmt.Sprintf("k%04d", i), "v2"))
+				cur, _, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("k%04d", i)), true)
+				tbl.Update(u, cur, row(fmt.Sprintf("k%04d", i), "v2"))
 			}
 			for i := 5; i < 100; i += 10 {
-				cur, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("k%04d", i)), true)
-				tbl.Delete(u, *cur)
+				cur, _, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("k%04d", i)), true)
+				tbl.Delete(u, cur)
 			}
 			e.Commit(u)
 			r := e.Begin()
@@ -229,12 +229,12 @@ func TestWriteConflictSurfaces(t *testing.T) {
 			e.Commit(tx)
 			t1 := e.Begin()
 			t2 := e.Begin()
-			cur1, _ := tbl.LookupOne(t1, ix, []byte("kC"), true)
-			cur2, _ := tbl.LookupOne(t2, ix, []byte("kC"), true)
-			if _, err := tbl.Update(t1, *cur1, row("kC", "a")); err != nil {
+			cur1, _, _ := tbl.LookupOne(t1, ix, []byte("kC"), true)
+			cur2, _, _ := tbl.LookupOne(t2, ix, []byte("kC"), true)
+			if _, err := tbl.Update(t1, cur1, row("kC", "a")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tbl.Update(t2, *cur2, row("kC", "b")); err != heap.ErrWriteConflict {
+			if _, err := tbl.Update(t2, cur2, row("kC", "b")); err != heap.ErrWriteConflict {
 				t.Fatalf("want conflict, got %v", err)
 			}
 			e.Commit(t1)
@@ -266,9 +266,9 @@ func TestSection2CostModel(t *testing.T) {
 		for v := 1; v <= 3; v++ {
 			u := e.Begin()
 			for i := 0; i < 500; i++ {
-				cur, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("a%04d", i)), true)
-				if cur != nil {
-					tbl.Update(u, *cur, row(fmt.Sprintf("a%04d", i), fmt.Sprintf("v%d", v)))
+				cur, found, _ := tbl.LookupOne(u, ix, []byte(fmt.Sprintf("a%04d", i)), true)
+				if found {
+					tbl.Update(u, cur, row(fmt.Sprintf("a%04d", i), fmt.Sprintf("v%d", v)))
 				}
 			}
 			e.Commit(u)
@@ -335,17 +335,17 @@ func TestRandomizedCrossEngineEquivalence(t *testing.T) {
 		op := r.Intn(10)
 		for _, s := range engines {
 			tx := s.e.Begin()
-			cur, err := s.tbl.LookupOne(tx, s.ix, []byte(k), true)
+			cur, found, err := s.tbl.LookupOne(tx, s.ix, []byte(k), true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch {
-			case cur == nil:
+			case !found:
 				s.tbl.Insert(tx, row(k, fmt.Sprintf("s%d", step)))
 			case op == 0:
-				s.tbl.Delete(tx, *cur)
+				s.tbl.Delete(tx, cur)
 			default:
-				s.tbl.Update(tx, *cur, row(k, fmt.Sprintf("s%d", step)))
+				s.tbl.Update(tx, cur, row(k, fmt.Sprintf("s%d", step)))
 			}
 			s.e.Commit(tx)
 		}
@@ -401,8 +401,8 @@ func TestNoIdxVCAblation(t *testing.T) {
 	e.Commit(tx)
 	u := e.Begin()
 	for i := 0; i < 50; i += 2 {
-		cur, _ := tbl.LookupOne(u, tbl.Index("vc"), []byte(fmt.Sprintf("k%03d", i)), true)
-		tbl.Update(u, *cur, row(fmt.Sprintf("k%03d", i), "v2"))
+		cur, _, _ := tbl.LookupOne(u, tbl.Index("vc"), []byte(fmt.Sprintf("k%03d", i)), true)
+		tbl.Update(u, cur, row(fmt.Sprintf("k%03d", i), "v2"))
 	}
 	e.Commit(u)
 	r := e.Begin()
@@ -439,8 +439,8 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	e.Commit(r)
 	// Move one tuple from group g0 to g2 (secondary key update).
 	u := e.Begin()
-	cur, _ := tbl.LookupOne(u, tbl.Index("pk"), []byte("k000"), true)
-	tbl.Update(u, *cur, row("k000", "g2-rest"))
+	cur, _, _ := tbl.LookupOne(u, tbl.Index("pk"), []byte("k000"), true)
+	tbl.Update(u, cur, row("k000", "g2-rest"))
 	e.Commit(u)
 	r2 := e.Begin()
 	defer e.Commit(r2)

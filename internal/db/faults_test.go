@@ -21,19 +21,19 @@ func TestAbortStorm(t *testing.T) {
 				k := fmt.Sprintf("k%03d", r.Intn(120))
 				commit := r.Intn(2) == 0
 				tx := e.Begin()
-				cur, err := tbl.LookupOne(tx, ix, []byte(k), true)
+				cur, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				v := fmt.Sprintf("s%d", step)
 				switch {
-				case cur == nil:
+				case !found:
 					_, _, err = tbl.Insert(tx, row(k, v))
 				case r.Intn(8) == 0:
-					err = tbl.Delete(tx, *cur)
+					err = tbl.Delete(tx, cur)
 					v = ""
 				default:
-					_, err = tbl.Update(tx, *cur, row(k, v))
+					_, err = tbl.Update(tx, cur, row(k, v))
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -84,15 +84,15 @@ func TestAbortStormWithVacuumAndEviction(t *testing.T) {
 		k := fmt.Sprintf("k%03d", r.Intn(80))
 		commit := r.Intn(3) != 0
 		tx := e.Begin()
-		cur, err := tbl.LookupOne(tx, ix, []byte(k), true)
+		cur, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := fmt.Sprintf("s%d", step)
-		if cur == nil {
+		if !found {
 			_, _, err = tbl.Insert(tx, row(k, v))
 		} else {
-			_, err = tbl.Update(tx, *cur, row(k, v))
+			_, err = tbl.Update(tx, cur, row(k, v))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -117,11 +117,11 @@ func TestAbortStormWithVacuumAndEviction(t *testing.T) {
 	tx := e.Begin()
 	defer e.Commit(tx)
 	for k, v := range model {
-		rr, err := tbl.LookupOne(tx, ix, []byte(k), true)
+		rr, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rr == nil || string(kvValue(rr.Row)) != v {
+		if !found || string(kvValue(rr.Row)) != v {
 			t.Fatalf("key %s wrong after GC under aborts: %+v want %q", k, rr, v)
 		}
 	}

@@ -75,13 +75,13 @@ func recoverSeeds(t testing.TB) [][]byte {
 	must(err)
 	must(e.CommitDurable(tx))
 	tx = e.Begin()
-	cur, err := tbl.LookupOne(tx, tbl.Indexes()[0], []byte("k1"), true)
+	cur, _, err := tbl.LookupOne(tx, tbl.Indexes()[0], []byte("k1"), true)
 	must(err)
-	_, err = tbl.Update(tx, *cur, encodeKVRow([]byte("k1"), []byte("v1'")))
+	_, err = tbl.Update(tx, cur, encodeKVRow([]byte("k1"), []byte("v1'")))
 	must(err)
-	cur, err = tbl.LookupOne(tx, tbl.Indexes()[0], []byte("k2"), true)
+	cur, _, err = tbl.LookupOne(tx, tbl.Indexes()[0], []byte("k2"), true)
 	must(err)
-	must(tbl.Delete(tx, *cur))
+	must(tbl.Delete(tx, cur))
 	must(e.CommitDurable(tx))
 	ops := records(e.LogImage())
 	seeds = append(seeds, ops, ops[:len(ops)-3])

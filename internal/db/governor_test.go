@@ -22,17 +22,17 @@ func churnUntilReadOnly(t *testing.T, e *Engine, tbl *Table, ix *Index, keys, ma
 		}
 		key := fmt.Sprintf("k%04d", n%keys)
 		tx := e.Begin()
-		cur, err := tbl.LookupOne(tx, ix, []byte(key), true)
+		cur, found, err := tbl.LookupOne(tx, ix, []byte(key), true)
 		if err != nil {
 			t.Fatalf("lookup during churn: %v", err)
 		}
-		if cur == nil {
+		if !found {
 			t.Fatalf("key %s vanished during churn", key)
 		}
 		// Fat payloads: each update appends a new heap version AND a log
 		// record, so live bytes climb quickly toward the watermarks.
 		val := fmt.Sprintf("u%08d-%s", n, strings.Repeat("x", 240))
-		if _, err := tbl.Update(tx, *cur, row(key, val)); err != nil {
+		if _, err := tbl.Update(tx, cur, row(key, val)); err != nil {
 			e.Abort(tx)
 			if errors.Is(err, ErrReadOnly) || errors.Is(err, storage.ErrNoSpace) {
 				return n
@@ -160,11 +160,11 @@ func TestReclaimMergesHotIndex(t *testing.T) {
 	for n := 0; n < 2000; n++ {
 		tx := e.Begin()
 		key := fmt.Sprintf("k%04d", n%50)
-		cur, err := tbl.LookupOne(tx, ix, []byte(key), true)
-		if err != nil || cur == nil {
+		cur, found, err := tbl.LookupOne(tx, ix, []byte(key), true)
+		if err != nil || !found {
 			t.Fatalf("lookup %s: %v %v", key, cur, err)
 		}
-		if _, err := tbl.Update(tx, *cur, row(key, fmt.Sprintf("u%08d-%s", n, strings.Repeat("x", 240)))); err != nil {
+		if _, err := tbl.Update(tx, cur, row(key, fmt.Sprintf("u%08d-%s", n, strings.Repeat("x", 240)))); err != nil {
 			t.Fatal(err)
 		}
 		e.Commit(tx)

@@ -46,7 +46,7 @@ func TestReadOnlyCommitLeavesWALByteIdentical(t *testing.T) {
 	flushes := e.WALStatsSnapshot().Flushes
 	for i := 0; i < 5; i++ {
 		r := e.Begin()
-		if _, err := tbl.LookupOne(r, ix, []byte("a"), true); err != nil {
+		if _, _, err := tbl.LookupOne(r, ix, []byte("a"), true); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.CommitDurable(r); err != nil {
@@ -54,7 +54,7 @@ func TestReadOnlyCommitLeavesWALByteIdentical(t *testing.T) {
 		}
 	}
 	ab := e.Begin()
-	if _, err := tbl.LookupOne(ab, ix, []byte("a"), true); err != nil {
+	if _, _, err := tbl.LookupOne(ab, ix, []byte("a"), true); err != nil {
 		t.Fatal(err)
 	}
 	e.Abort(ab)
@@ -268,7 +268,7 @@ func TestCommitBatchDurableSingleFlush(t *testing.T) {
 	t2 := e.Begin()
 	tbl.Insert(t2, row("b", "2"))
 	ro := e.Begin()
-	if _, err := tbl.LookupOne(ro, ix, []byte("a"), true); err != nil {
+	if _, _, err := tbl.LookupOne(ro, ix, []byte("a"), true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,7 +315,7 @@ func TestCommitBatchDurableFlushError(t *testing.T) {
 	r := e.Begin()
 	defer e.Commit(r)
 	for _, k := range []string{"a", "b"} {
-		if got, err := tbl.LookupOne(r, ix, []byte(k), true); err != nil || got != nil {
+		if got, found, err := tbl.LookupOne(r, ix, []byte(k), true); err != nil || found {
 			t.Fatalf("in-doubt commit visible in memory: key %s got=%v err=%v", k, got, err)
 		}
 	}

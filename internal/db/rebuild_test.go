@@ -28,17 +28,17 @@ func seedAndPersist(t *testing.T, e *Engine, tbl *Table, ix *Index, n int) map[s
 	tx = e.Begin()
 	for i := 0; i < n; i += 7 {
 		k := fmt.Sprintf("k%04d", i)
-		rr, err := tbl.LookupOne(tx, ix, []byte(k), true)
-		if err != nil || rr == nil {
+		rr, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
+		if err != nil || !found {
 			t.Fatalf("seed lookup %s: %v %v", k, rr, err)
 		}
 		if i%14 == 0 {
-			if err := tbl.Delete(tx, *rr); err != nil {
+			if err := tbl.Delete(tx, rr); err != nil {
 				t.Fatal(err)
 			}
 			delete(want, k)
 		} else {
-			if _, err := tbl.Update(tx, *rr, row(k, "u"+k)); err != nil {
+			if _, err := tbl.Update(tx, rr, row(k, "u"+k)); err != nil {
 				t.Fatal(err)
 			}
 			want[k] = "u" + k

@@ -214,17 +214,17 @@ func (t *Table) replay(tx *txn.Tx, rec wal.Record) error {
 		_, _, err := t.Insert(tx, rec.Row)
 		return err
 	}
-	cur, err := t.LookupOne(tx, t.indexes[0], rec.Key, true)
+	cur, ok, err := t.LookupOne(tx, t.indexes[0], rec.Key, true)
 	if err != nil {
 		return err
 	}
-	if cur == nil {
+	if !ok {
 		return fmt.Errorf("%v target %x missing", rec.Op, rec.Key)
 	}
 	if rec.Op == wal.OpDelete {
-		return t.Delete(tx, *cur)
+		return t.Delete(tx, cur)
 	}
-	_, err = t.Update(tx, *cur, rec.Row)
+	_, err = t.Update(tx, cur, rec.Row)
 	return err
 }
 

@@ -62,8 +62,8 @@ func TestRecoverCommittedOnly(t *testing.T) {
 	tbl.Insert(dangling, row("c", "3"))
 
 	tx = e.Begin()
-	cur, _ := tbl.LookupOne(tx, ix, []byte("a"), true)
-	tbl.Update(tx, *cur, row("a", "1b"))
+	cur, _, _ := tbl.LookupOne(tx, ix, []byte("a"), true)
+	tbl.Update(tx, cur, row("a", "1b"))
 	e.Commit(tx)
 
 	// "Crash": take the durable log image; dangling never committed.
@@ -86,8 +86,8 @@ func TestRecoverDeleteAndReinsert(t *testing.T) {
 	tbl.Insert(tx, row("k", "v1"))
 	e.Commit(tx)
 	tx = e.Begin()
-	cur, _ := tbl.LookupOne(tx, ix, []byte("k"), true)
-	tbl.Delete(tx, *cur)
+	cur, _, _ := tbl.LookupOne(tx, ix, []byte("k"), true)
+	tbl.Delete(tx, cur)
 	e.Commit(tx)
 	tx = e.Begin()
 	tbl.Insert(tx, row("k", "v2"))
@@ -110,8 +110,8 @@ func TestRecoverAbortedDiscarded(t *testing.T) {
 	e.Abort(tx)
 	// Flush the abort record with a follow-up commit.
 	tx = e.Begin()
-	cur, _ := tbl.LookupOne(tx, ix, []byte("keep"), true)
-	tbl.Update(tx, *cur, row("keep", "x2"))
+	cur, _, _ := tbl.LookupOne(tx, ix, []byte("keep"), true)
+	tbl.Update(tx, cur, row("keep", "x2"))
 	e.Commit(tx)
 
 	_, tbl2, ix2, _ := recoverInto(t, e.LogImage())
@@ -158,8 +158,8 @@ func TestRecoveryIsItselfRecoverable(t *testing.T) {
 	tbl.Insert(tx, row("b", "2"))
 	e.Commit(tx)
 	tx = e.Begin()
-	cur, _ := tbl.LookupOne(tx, ix, []byte("b"), true)
-	tbl.Update(tx, *cur, row("b", "2x"))
+	cur, _, _ := tbl.LookupOne(tx, ix, []byte("b"), true)
+	tbl.Update(tx, cur, row("b", "2x"))
 	e.Commit(tx)
 
 	// Recover once; the recovered engine re-logs, so recover AGAIN from the
@@ -186,19 +186,19 @@ func TestRecoverRandomizedHistory(t *testing.T) {
 		k := fmt.Sprintf("k%03d", r.Intn(100))
 		commit := r.Intn(4) != 0
 		tx := e.Begin()
-		cur, err := tbl.LookupOne(tx, ix, []byte(k), true)
+		cur, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := fmt.Sprintf("s%d", step)
 		switch {
-		case cur == nil:
+		case !found:
 			_, _, err = tbl.Insert(tx, row(k, v))
 		case r.Intn(10) == 0:
-			err = tbl.Delete(tx, *cur)
+			err = tbl.Delete(tx, cur)
 			v = ""
 		default:
-			_, err = tbl.Update(tx, *cur, row(k, v))
+			_, err = tbl.Update(tx, cur, row(k, v))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -244,19 +244,19 @@ func TestRecoverCrashDuringBackgroundMerge(t *testing.T) {
 			k := fmt.Sprintf("k%03d", i)
 			v := fmt.Sprintf("r%d", round)
 			tx := e.Begin()
-			cur, err := tbl.LookupOne(tx, ix, []byte(k), true)
+			cur, found, err := tbl.LookupOne(tx, ix, []byte(k), true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch {
-			case cur == nil:
+			case !found:
 				_, _, err = tbl.Insert(tx, row(k, v))
 				model[k] = v
 			case round == 1 && i%5 == 0:
-				err = tbl.Delete(tx, *cur)
+				err = tbl.Delete(tx, cur)
 				delete(model, k)
 			default:
-				_, err = tbl.Update(tx, *cur, row(k, v))
+				_, err = tbl.Update(tx, cur, row(k, v))
 				model[k] = v
 			}
 			if err != nil {
@@ -332,11 +332,11 @@ func TestRecoverCrashDuringBackgroundMerge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		tx := e2.Begin()
-		cur, err := tbl2.LookupOne(tx, ix2, []byte(k), true)
-		if err != nil || cur == nil {
+		cur, found, err := tbl2.LookupOne(tx, ix2, []byte(k), true)
+		if err != nil || !found {
 			t.Fatalf("post-recovery lookup %s: cur=%v err=%v", k, cur, err)
 		}
-		if _, err := tbl2.Update(tx, *cur, row(k, "post")); err != nil {
+		if _, err := tbl2.Update(tx, cur, row(k, "post")); err != nil {
 			t.Fatal(err)
 		}
 		e2.Commit(tx)

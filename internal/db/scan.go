@@ -12,24 +12,16 @@ import (
 	"mvpbt/internal/txn"
 )
 
-// ctxCheck returns a per-entry cancellation probe for tx's context, or nil
-// when the context can never be canceled (the Background fast path — scans
-// then pay nothing). The probe stashes the context error in *stop and tells
-// the index iterator to halt; the scan surfaces *stop as its result so a
-// deadline-bearing Scan returns context.DeadlineExceeded instead of running
-// to completion while the caller has already given up.
-func ctxCheck(tx *txn.Tx, stop *error) func() bool {
-	ctx := tx.Context()
-	if ctx.Done() == nil {
-		return nil
+// ctxDone returns the error a read halts with once tx's context is done; a
+// read checks it at every entry, so a deadline-bearing Scan returns
+// context.DeadlineExceeded instead of running to completion while the caller
+// has already given up. A context that can never be canceled (Background)
+// costs a nil check.
+func ctxDone(tx *txn.Tx) error {
+	if ctx := tx.Context(); ctx.Done() != nil && ctx.Err() != nil {
+		return fmt.Errorf("db: scan: %w", ctx.Err())
 	}
-	return func() bool {
-		if err := ctx.Err(); err != nil {
-			*stop = fmt.Errorf("db: scan: %w", err)
-			return false
-		}
-		return true
-	}
+	return nil
 }
 
 // Scan streams the rows visible to tx whose index key is in [lo, hi)
@@ -69,9 +61,8 @@ func (t *Table) read(tx *txn.Tx, ix *Index, lo, hi []byte, point, withRows bool,
 		return t.readOblivious(tx, ix, lo, hi, point, fn)
 	}
 	var heapErr, ctxErr error
-	check := ctxCheck(tx, &ctxErr)
 	visit := func(e index.Entry) bool {
-		if check != nil && !check() {
+		if ctxErr = ctxDone(tx); ctxErr != nil {
 			return false
 		}
 		rr := RowRef{RID: e.Ref.RID, VID: e.Ref.VID, Key: e.Key}
@@ -109,9 +100,8 @@ func (t *Table) readOblivious(tx *txn.Tx, ix *Index, lo, hi []byte, point bool, 
 	}
 	seen := make(map[storage.RecordID]bool)
 	var heapErr error
-	check := ctxCheck(tx, &heapErr)
 	visit := func(e index.Entry) bool {
-		if check != nil && !check() {
+		if heapErr = ctxDone(tx); heapErr != nil {
 			return false
 		}
 		vv, err := t.resolveVisible(tx, ix, e)
@@ -198,15 +188,17 @@ func (t *Table) resolveVisible(tx *txn.Tx, ix *Index, e index.Entry) (*heap.Visi
 	return t.h.ReadVisible(tx, e.Ref.RID)
 }
 
-// LookupOne returns the single visible row for key (nil when absent) —
-// the point-query path of unique indexes.
-func (t *Table) LookupOne(tx *txn.Tx, ix *Index, key []byte, withRows bool) (*RowRef, error) {
-	var out *RowRef
+// LookupOne returns the single visible row for key, and whether there is
+// one — the point-query path of unique indexes. The row is returned by
+// value: a read allocates only the Row copy it hands out.
+func (t *Table) LookupOne(tx *txn.Tx, ix *Index, key []byte, withRows bool) (RowRef, bool, error) {
+	var out RowRef
+	found := false
 	err := t.Lookup(tx, ix, key, withRows, func(r RowRef) bool {
-		out = &r
+		out, found = r, true
 		return false
 	})
-	return out, err
+	return out, found, err
 }
 
 // Count returns the number of visible rows with key in [lo, hi) — the

@@ -289,12 +289,13 @@ func (t *Table) Update(tx *txn.Tx, old RowRef, newRow []byte) (storage.RecordID,
 		oldKey, newKey []byte
 		changed        bool
 	}
-	pairs := make([]keyPair, len(t.indexes))
+	var small [2]keyPair // on the stack for the usual one or two indexes
+	pairs := small[:0]
 	hotEligible := true
-	for i, ix := range t.indexes {
+	for _, ix := range t.indexes {
 		ok, nk := ix.Def.Extract(old.Row), ix.Def.Extract(newRow)
 		changed := !bytes.Equal(ok, nk)
-		pairs[i] = keyPair{oldKey: ok, newKey: nk, changed: changed}
+		pairs = append(pairs, keyPair{oldKey: ok, newKey: nk, changed: changed})
 		if changed {
 			hotEligible = false
 		}

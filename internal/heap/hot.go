@@ -33,6 +33,9 @@ type HotHeap struct {
 	insertPage uint64
 	hasInsert  bool
 	freePages  []uint64 // pages with reclaimed space (filled by Vacuum)
+
+	enc     encoder
+	oldData []byte // supersede's copy of the payload the successor's Insert may move
 }
 
 // NewHotHeap returns an empty HOT heap stored in file.
@@ -92,7 +95,7 @@ func (h *HotHeap) Insert(tx *txn.Tx, vid uint64, data []byte) (storage.RecordID,
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	v := Version{SegmentRoot: true, TCreate: tx.ID, VID: vid, Data: data}
-	return h.placeRecord(encodeVersion(nil, &v))
+	return h.placeRecord(h.enc.encode(&v))
 }
 
 // Update implements Heap. prev must be the currently visible version of
@@ -116,8 +119,7 @@ func (h *HotHeap) Delete(tx *txn.Tx, prev storage.RecordID, vid uint64) (UpdateR
 	}
 	v.TInvalidate = tx.ID
 	v.Next = storage.RecordID{}
-	v.Data = append([]byte(nil), v.Data...) // rec aliases the page; Replace may move it
-	ok := p.Replace(int(prev.Slot), encodeVersion(nil, &v))
+	ok := p.Replace(int(prev.Slot), h.enc.encode(&v)) // encoded before Replace moves v.Data
 	h.pool.Unpin(fr, ok)
 	if !ok {
 		return UpdateResult{}, errRecordTooLarge
@@ -131,7 +133,7 @@ func (h *HotHeap) Delete(tx *txn.Tx, prev storage.RecordID, vid uint64) (UpdateR
 // an aborted transaction (or by tx itself) may be overwritten. The page
 // stays pinned unless an error is returned.
 func (h *HotHeap) claim(tx *txn.Tx, prev storage.RecordID) (*buffer.Frame, page.Page, Version, error) {
-	fr, v, ok, err := h.pinVersion(prev)
+	fr, v, ok, err := pinVersion(h.pool, h.file, prev)
 	if !ok {
 		return nil, page.Page{}, v, cmp.Or(err, ErrWriteConflict)
 	}
@@ -142,34 +144,20 @@ func (h *HotHeap) claim(tx *txn.Tx, prev storage.RecordID) (*buffer.Frame, page.
 	return fr, page.Wrap(fr.Data()), v, nil
 }
 
-// pinVersion pins rid's page and decodes the version there. ok is false,
-// and nothing stays pinned, when the slot is empty or err is set.
-func (h *HotHeap) pinVersion(rid storage.RecordID) (fr *buffer.Frame, v Version, ok bool, err error) {
-	if fr, err = h.pool.Get(h.file, rid.Page.PageNo()); err != nil {
-		return nil, v, false, err
-	}
-	if rec := page.Wrap(fr.Data()).Get(int(rid.Slot)); rec != nil {
-		if v, err = decodeVersion(rec); err == nil {
-			return fr, v, true, nil
-		}
-	}
-	h.pool.Unpin(fr, false)
-	return nil, Version{}, false, err
-}
-
 func (h *HotHeap) supersede(tx *txn.Tx, prev storage.RecordID, vid uint64, data []byte, hotEligible, tombstone bool) (UpdateResult, error) {
 	fr, p, old, err := h.claim(tx, prev)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	old.Data = append([]byte(nil), old.Data...)
+	h.oldData = append(h.oldData[:0], old.Data...)
+	old.Data = h.oldData
 
 	succ := Version{Tombstone: tombstone, TCreate: tx.ID, VID: vid, Data: data}
 	var newRID storage.RecordID
 	hot := false
 	dirtied := false
 	if hotEligible {
-		if slot, ok := p.Insert(encodeVersion(nil, &succ)); ok {
+		if slot, ok := p.Insert(h.enc.encode(&succ)); ok {
 			newRID = storage.RecordID{Page: prev.Page, Slot: uint16(slot)}
 			hot = true
 			dirtied = true
@@ -180,7 +168,7 @@ func (h *HotHeap) supersede(tx *txn.Tx, prev storage.RecordID, vid uint64, data 
 		// its own index entries.
 		succ.SegmentRoot = true
 		h.pool.Unpin(fr, false)
-		newRID, err = h.placeRecord(encodeVersion(nil, &succ))
+		newRID, err = h.placeRecord(h.enc.encode(&succ))
 		if err != nil {
 			return UpdateResult{}, err
 		}
@@ -193,7 +181,7 @@ func (h *HotHeap) supersede(tx *txn.Tx, prev storage.RecordID, vid uint64, data 
 	// Two-point invalidation: stamp the predecessor in place.
 	old.TInvalidate = tx.ID
 	old.Next = newRID
-	ok := p.Replace(int(prev.Slot), encodeVersion(nil, &old))
+	ok := p.Replace(int(prev.Slot), h.enc.encode(&old))
 	h.pool.Unpin(fr, dirtied || ok)
 	if !ok {
 		return UpdateResult{}, errRecordTooLarge
@@ -210,7 +198,7 @@ func (h *HotHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleV
 	defer h.mu.RUnlock()
 	rid := candidate
 	for rid.Valid() {
-		fr, v, ok, err := h.pinVersion(rid)
+		fr, v, ok, err := pinVersion(h.pool, h.file, rid)
 		if !ok {
 			return nil, err
 		}
@@ -253,7 +241,7 @@ func (h *HotHeap) ReadVersion(rid storage.RecordID) (Version, error) {
 
 func (h *HotHeap) readVersionLocked(rid storage.RecordID) (Version, error) {
 	for rid.Valid() {
-		fr, v, ok, err := h.pinVersion(rid)
+		fr, v, ok, err := pinVersion(h.pool, h.file, rid)
 		if !ok {
 			return Version{}, cmp.Or[error](err, errRecordGone)
 		}
@@ -441,7 +429,7 @@ func (h *HotHeap) prunePage(p page.Page, pid storage.PageID, horizon txn.TxID) (
 		// and only the dead versions between them are deleted.
 		stub := Version{SegmentRoot: true, Redirect: true, VID: rt.v.VID,
 			Next: storage.RecordID{Page: pid, Slot: uint16(slots[keep])}}
-		if !p.Replace(rt.slot, encodeVersion(nil, &stub)) {
+		if !p.Replace(rt.slot, h.enc.encode(&stub)) {
 			continue
 		}
 		if !rt.v.Redirect {

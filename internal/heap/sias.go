@@ -32,6 +32,7 @@ type SiasHeap struct {
 
 	tail    uint64
 	hasTail bool
+	enc     encoder
 }
 
 // NewSiasHeap returns an empty SIAS heap stored in file.
@@ -82,7 +83,7 @@ func (h *SiasHeap) Insert(tx *txn.Tx, v uint64, data []byte) (storage.RecordID, 
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	rec := Version{TCreate: tx.ID, VID: v, Data: data}
-	rid, err := h.append(encodeVersion(nil, &rec))
+	rid, err := h.append(h.enc.encode(&rec))
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -114,9 +115,12 @@ func (h *SiasHeap) supersede(tx *txn.Tx, prev storage.RecordID, v uint64, data [
 	// non-aborted foreign version (the conflict) is found.
 	link := prev
 	for rid, ok := h.vids.Get(v); ok && rid.Valid() && rid != prev; {
-		curV, err := h.readVersionLocked(rid)
+		curV, live, err := h.readAt(rid, false)
 		if err != nil {
 			return UpdateResult{}, err
+		}
+		if !live {
+			return UpdateResult{}, errRecordGone
 		}
 		if curV.TCreate == tx.ID {
 			// Our own earlier write in this transaction: chain onto it.
@@ -129,7 +133,7 @@ func (h *SiasHeap) supersede(tx *txn.Tx, prev storage.RecordID, v uint64, data [
 		rid = curV.Next
 	}
 	rec := Version{Tombstone: tombstone, TCreate: tx.ID, Next: link, VID: v, Data: data}
-	rid, err := h.append(encodeVersion(nil, &rec))
+	rid, err := h.append(h.enc.encode(&rec))
 	if err != nil {
 		return UpdateResult{}, err
 	}
@@ -137,30 +141,20 @@ func (h *SiasHeap) supersede(tx *txn.Tx, prev storage.RecordID, v uint64, data [
 	return UpdateResult{NewRID: rid, NeedsIndexUpdate: true}, nil
 }
 
-// readAt decodes the version at rid; dead slots return ok=false. A freed
-// page also reads as "gone" rather than an error: vacuum only frees extents
-// whose every record was already deleted (invisible to all live snapshots),
-// so a reference leading into one is by construction a dead-version
-// reference — exactly the case SIAS's append-only design already resolves
-// to "record gone" at the slot level.
-func (h *SiasHeap) readAt(rid storage.RecordID) (Version, bool, error) {
-	fr, err := h.pool.Get(h.file, rid.Page.PageNo())
-	if err != nil {
-		if errors.Is(err, storage.ErrFreedPage) {
-			return Version{}, false, nil
-		}
+// readAt decodes the version at rid (see pinVersion). Its Data is a copy
+// when withData is set and nil otherwise: a chain hop needs only the header.
+func (h *SiasHeap) readAt(rid storage.RecordID, withData bool) (Version, bool, error) {
+	fr, v, ok, err := pinVersion(h.pool, h.file, rid)
+	if !ok {
 		return Version{}, false, err
 	}
-	p := page.Wrap(fr.Data())
-	rec := p.Get(int(rid.Slot))
-	if rec == nil {
-		h.pool.Unpin(fr, false)
-		return Version{}, false, nil
+	if withData {
+		v.Data = append([]byte(nil), v.Data...)
+	} else {
+		v.Data = nil
 	}
-	v, err := decodeVersion(rec)
-	v.Data = append([]byte(nil), v.Data...)
 	h.pool.Unpin(fr, false)
-	return v, err == nil, err
+	return v, true, nil
 }
 
 // ReadVisible implements Heap: it reads the candidate to learn the tuple's
@@ -171,7 +165,7 @@ func (h *SiasHeap) readAt(rid storage.RecordID) (Version, bool, error) {
 func (h *SiasHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	v, ok, err := h.readAt(candidate)
+	v, ok, err := h.readAt(candidate, false)
 	if err != nil || !ok {
 		return nil, err
 	}
@@ -192,19 +186,19 @@ func (h *SiasHeap) readVisibleByVIDLocked(tx *txn.Tx, v uint64) (*VisibleVersion
 		return nil, nil
 	}
 	for rid.Valid() {
-		ver, ok, err := h.readAt(rid)
-		if err != nil {
+		fr, ver, ok, err := pinVersion(h.pool, h.file, rid)
+		if !ok {
 			return nil, err
 		}
-		if !ok {
-			return nil, nil
-		}
 		if tx.Sees(ver.TCreate) {
-			if ver.Tombstone {
-				return nil, nil
+			var out *VisibleVersion
+			if !ver.Tombstone {
+				out = &VisibleVersion{RID: rid, VID: ver.VID, Data: append([]byte(nil), ver.Data...)}
 			}
-			return &VisibleVersion{RID: rid, VID: ver.VID, Data: ver.Data}, nil
+			h.pool.Unpin(fr, false)
+			return out, nil
 		}
+		h.pool.Unpin(fr, false)
 		rid = ver.Next
 	}
 	return nil, nil
@@ -214,11 +208,7 @@ func (h *SiasHeap) readVisibleByVIDLocked(tx *txn.Tx, v uint64) (*VisibleVersion
 func (h *SiasHeap) ReadVersion(rid storage.RecordID) (Version, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.readVersionLocked(rid)
-}
-
-func (h *SiasHeap) readVersionLocked(rid storage.RecordID) (Version, error) {
-	v, ok, err := h.readAt(rid)
+	v, ok, err := h.readAt(rid, true)
 	if err != nil {
 		return Version{}, err
 	}
@@ -289,7 +279,7 @@ func (h *SiasHeap) Vacuum(horizon txn.TxID) (int, error) {
 		// committed. Everything strictly older than it is garbage.
 		var anchor storage.RecordID
 		for rid.Valid() {
-			ver, ok, err := h.readAt(rid)
+			ver, ok, err := h.readAt(rid, false)
 			if err != nil {
 				return removed, err
 			}
@@ -312,7 +302,7 @@ func (h *SiasHeap) Vacuum(horizon txn.TxID) (int, error) {
 			return removed, err
 		}
 		for rid.Valid() {
-			ver, ok, err := h.readAt(rid)
+			ver, ok, err := h.readAt(rid, false)
 			if err != nil {
 				return removed, err
 			}
@@ -335,7 +325,7 @@ func (h *SiasHeap) Vacuum(horizon txn.TxID) (int, error) {
 // extent the extent can never gain a live record again — its device space
 // is pure garbage. The extent holding the tail page is exempt, as is any
 // extent with even one live slot (including tombstones, which must remain
-// readable). Freed pages surface as storage.ErrFreedPage, which readAt maps
+// readable). Freed pages surface as storage.ErrFreedPage, which pinVersion maps
 // to "record gone" — the resolution any stale reference into the extent
 // would have gotten anyway. Returns the number of extents freed.
 func (h *SiasHeap) freeDeadExtents() int {
@@ -396,8 +386,7 @@ func (h *SiasHeap) clearNext(rid storage.RecordID) error {
 		return err
 	}
 	v.Next = storage.RecordID{}
-	v.Data = append([]byte(nil), v.Data...)
-	ok := p.Replace(int(rid.Slot), encodeVersion(nil, &v))
+	ok := p.Replace(int(rid.Slot), h.enc.encode(&v)) // encoded before Replace moves rec
 	h.pool.Unpin(fr, ok)
 	return nil
 }

@@ -16,8 +16,12 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
 
+	"mvpbt/internal/buffer"
+	"mvpbt/internal/page"
+	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/util"
@@ -82,6 +86,40 @@ func encodeVersion(dst []byte, v *Version) []byte {
 	dst = storage.EncodeRecordID(dst, v.Next)
 	dst = util.PutUvarint(dst, v.VID)
 	return append(dst, v.Data...)
+}
+
+// pinVersion pins rid's page and decodes the version there; its Data aliases
+// the page until the caller unpins fr. ok is false, and nothing stays
+// pinned, when the slot is empty or err is set. A freed page reads as "gone"
+// rather than an error: SIAS vacuum only frees extents whose every record
+// was already deleted (invisible to all live snapshots), so a reference
+// leading into one is by construction a dead-version reference — the case
+// an append-only heap already resolves to "record gone" at the slot level
+// (a HOT heap frees no page).
+func pinVersion(pool *buffer.Pool, file *sfile.File, rid storage.RecordID) (fr *buffer.Frame, v Version, ok bool, err error) {
+	if fr, err = pool.Get(file, rid.Page.PageNo()); err != nil {
+		if errors.Is(err, storage.ErrFreedPage) {
+			err = nil
+		}
+		return nil, v, false, err
+	}
+	if rec := page.Wrap(fr.Data()).Get(int(rid.Slot)); rec != nil {
+		if v, err = decodeVersion(rec); err == nil {
+			return fr, v, true, nil
+		}
+	}
+	pool.Unpin(fr, false)
+	return nil, Version{}, false, err
+}
+
+// encoder is a heap's version-encoding buffer, reused under the heap's mu:
+// what encode returns is good until the next encode, and page.Insert and
+// page.Replace copy it.
+type encoder []byte
+
+func (e *encoder) encode(v *Version) []byte {
+	*e = encodeVersion((*e)[:0], v)
+	return *e
 }
 
 // errShortVersion is a slot whose bytes end before a version record's fixed

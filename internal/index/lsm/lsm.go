@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
@@ -213,12 +214,13 @@ func (t *Tree) newestLocked(key []byte) (memEntry, bool, error) {
 		}
 	}
 	it := &t.getIt
+	h := bloom.HashKey(key)
 	for _, level := range [...][]*part.Segment{t.l0, t.lower} {
 		for _, seg := range level {
 			if seg == nil {
 				continue
 			}
-			if !seg.MayContainKey(key) {
+			if !seg.MayContainKey(key, h) {
 				t.stats.BloomNegatives++
 				continue
 			}

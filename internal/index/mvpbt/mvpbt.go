@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
@@ -615,6 +616,7 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 		rs = t.newReadState(tx)
 		defer rs.release()
 	}
+	kh, rp := bloom.HashKey(lo), bloom.NewRangeProbe(lo, hi) // hashed once for every partition
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
 		switch filter {
@@ -625,12 +627,12 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 				// just skip this one.
 				continue
 			}
-			if !seg.MayContainKey(lo) {
+			if !seg.MayContainKey(lo, kh) {
 				t.stats.bloom.negatives.Add(1)
 				continue
 			}
 		case filterRange:
-			if !seg.MayContainRange(lo, hi) {
+			if !seg.MayContainRange(lo, hi, rp) {
 				continue
 			}
 		}
@@ -837,10 +839,11 @@ func segInvisible(tx *txn.Tx, seg *part.Segment) bool {
 // how many entries the scan is expected to take; each partition's share of
 // them, by its share of the records under the scan, sizes its leaf reads.
 func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte, rows int) error {
+	rp := bloom.NewRangeProbe(lo, hi)
 	records := 0
 	if rows > 0 {
 		for _, seg := range v.parts {
-			if !segInvisible(tx, seg) && seg.MayContainRange(lo, hi) {
+			if !segInvisible(tx, seg) && seg.MayContainRange(lo, hi, rp) {
 				records += seg.NumRecords
 			}
 		}
@@ -857,7 +860,7 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 		if segInvisible(tx, seg) {
 			continue
 		}
-		if !seg.MayContainRange(lo, hi) {
+		if !seg.MayContainRange(lo, hi, rp) {
 			t.stats.prefix.negatives.Add(1)
 			continue
 		}

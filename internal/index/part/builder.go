@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
@@ -36,15 +37,37 @@ const leafBudget = storage.PageSize - 64
 // leaf of at most 32 records, every 1 KiB-value leaf, encodes as without.
 const restartEvery = 32
 
+// buildScratch is what a build needs only while it runs: the leaf image,
+// the fences arena (Finish copies the fences at their size) and the filter
+// hashes. Builds recycle it through scratchPool, so a build allocates what
+// its segment keeps, not a leaf, its fences and 8 KiB per 512 hashes afresh
+// for every eviction and merge.
+type buildScratch struct {
+	leaf           [storage.PageSize]byte
+	fences         fences   // each leaf's first key, as it is started
+	keys, prefixes hashList // for the bloom and the prefix filter, if enabled
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+const hashChunk = 512 // hashes in one chunk of a hashList
+
 // hashList collects key hashes in fixed-size chunks, so a long build never
-// re-copies what it has collected. A hash equal to its predecessor (another
-// version of the key) is dropped: a filter bit is set or not.
+// re-copies what it has collected; emptied for the next build, it keeps its
+// chunks past its length and fills them again. A hash equal to its
+// predecessor (another version of the key) is dropped: a filter bit is set
+// or not.
 type hashList [][]bloom.Hash
 
 func (l *hashList) add(h bloom.Hash) {
 	n := len(*l)
-	if n == 0 || len((*l)[n-1]) == cap((*l)[n-1]) {
-		*l = append(*l, make([]bloom.Hash, 0, 512))
+	if n == 0 || len((*l)[n-1]) == hashChunk {
+		if n < cap(*l) && cap((*l)[:n+1][n]) == hashChunk {
+			*l = (*l)[:n+1]
+			(*l)[n] = (*l)[n][:0]
+		} else {
+			*l = append(*l, make([]bloom.Hash, 0, hashChunk))
+		}
 		n++
 	}
 	last := &(*l)[n-1]
@@ -93,22 +116,21 @@ type Builder struct {
 	no   int
 	opts BuildOptions
 
-	start  uint64    // first page of the run, once nPages > 0
-	nPages int       // pages the run holds: the rel of the leaf under construction; 0 once done
-	node   page.Page // the one leaf image
-	used   int       // of leafBudget, in the current leaf
+	start  uint64        // first page of the run, once nPages > 0
+	nPages int           // pages the run holds: the rel of the leaf under construction; 0 once done
+	s      *buildScratch // nil once the build is over
+	node   page.Page     // the one leaf image, s.leaf
+	used   int           // of leafBudget, in the current leaf
 
-	lastKey        []byte   // a copy of the previous record's key
-	fences         fences   // each leaf's first key, as it is started
-	keys, prefixes hashList // for the bloom and the prefix filter, if enabled
-	n, size        int      // records added, and their encoded bytes
+	lastKey []byte // a copy of the previous record's key
+	n, size int    // records added, and their encoded bytes
 }
 
 // NewBuilder starts segment number no in file. Nothing touches the file
 // until the first page fills.
 func NewBuilder(pool *buffer.Pool, file *sfile.File, no int, opts BuildOptions) *Builder {
-	b := &Builder{pool: pool, file: file, no: no, opts: opts,
-		node: page.Wrap(make([]byte, storage.PageSize))}
+	s := scratchPool.Get().(*buildScratch)
+	b := &Builder{pool: pool, file: file, no: no, opts: opts, s: s, node: page.Wrap(s.leaf[:])}
 	b.startLeaf()
 	return b
 }
@@ -146,7 +168,7 @@ func (b *Builder) Add(key, body []byte) error {
 		h, n = encode(0)
 	}
 	if b.node.NumSlots() == 0 {
-		b.fences.add(key)
+		b.s.fences.add(key)
 	}
 	rec := b.node.Append(n)
 	if rec == nil {
@@ -159,13 +181,13 @@ func (b *Builder) Add(key, body []byte) error {
 	b.size += n
 
 	if b.opts.BloomBitsPerKey > 0 {
-		b.keys.add(bloom.HashKey(key))
+		b.s.keys.add(bloom.HashKey(key))
 	}
 	if p := b.opts.PrefixLen; p > 0 {
 		// Every prefix of PrefixLen bytes or more that the previous key
 		// does not share (see bloom.PrefixFilter.AddHash).
 		for l := max(p, common+1); l <= len(key); l++ {
-			b.prefixes.add(bloom.HashKey(key[:l]))
+			b.s.prefixes.add(bloom.HashKey(key[:l]))
 		}
 	}
 	b.lastKey = append(b.lastKey[:0], key...)
@@ -199,12 +221,19 @@ func (b *Builder) fail(err error) error {
 	return err
 }
 
-// Abort abandons the build and frees its pages. It is a no-op after Finish
-// or a failed Add, so callers may defer it.
+// Abort abandons the build, frees its pages and returns its scratch to
+// scratchPool. It is a no-op after Finish or a failed Add, so callers may
+// defer it, as Finish does.
 func (b *Builder) Abort() {
 	if b.nPages > 0 {
 		b.file.FreeRun(b.start, b.nPages)
 		b.nPages = 0
+	}
+	if s := b.s; s != nil {
+		s.fences = fences{keys: s.fences.keys[:0], ends: s.fences.ends[:0]}
+		s.keys, s.prefixes = s.keys[:0], s.prefixes[:0]
+		scratchPool.Put(s)
+		b.s, b.node = nil, page.Page{}
 	}
 }
 
@@ -215,6 +244,7 @@ func (b *Builder) Abort() {
 // Minimum Transaction Timestamp partition filter of §4.2); pass 0,0 if
 // unused.
 func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
+	defer b.Abort() // frees nothing once the segment owns the run
 	if b.n == 0 {
 		return nil, nil
 	}
@@ -222,7 +252,7 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 		return nil, b.fail(err)
 	}
 	// Held at their size: the builder's arena grew by doubling.
-	f := fences{keys: bytes.Clone(b.fences.keys), ends: slices.Clone(b.fences.ends)}
+	f := fences{keys: bytes.Clone(b.s.fences.keys), ends: slices.Clone(b.s.fences.ends)}
 	seg := &Segment{
 		No:         b.no,
 		pool:       b.pool,
@@ -239,11 +269,11 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 	}
 	if bits := b.opts.BloomBitsPerKey; bits > 0 {
 		seg.Filter = bloom.New(b.n, bits)
-		b.keys.each(seg.Filter.AddHash)
+		b.s.keys.each(seg.Filter.AddHash)
 	}
 	if p := b.opts.PrefixLen; p > 0 {
-		seg.PFilter = bloom.NewPrefix(b.prefixes.len(), b.opts.BloomBitsPerKey+2, p)
-		b.prefixes.each(seg.PFilter.AddHash)
+		seg.PFilter = bloom.NewPrefix(b.s.prefixes.len(), b.opts.BloomBitsPerKey+2, p)
+		b.s.prefixes.each(seg.PFilter.AddHash)
 	}
 	b.nPages = 0 // the segment owns the run now
 	return seg, nil

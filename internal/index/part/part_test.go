@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/simclock"
@@ -173,18 +174,26 @@ func TestPrefixTruncationSavesSpace(t *testing.T) {
 	}
 }
 
+// mayKey and mayRange ask seg's filters what a read asks them, hashing the
+// key or the bounds' shared prefix for this one partition.
+func mayKey(seg *Segment, key []byte) bool { return seg.MayContainKey(key, bloom.HashKey(key)) }
+
+func mayRange(seg *Segment, lo, hi []byte) bool {
+	return seg.MayContainRange(lo, hi, bloom.NewRangeProbe(lo, hi))
+}
+
 func TestBloomFilterSkipping(t *testing.T) {
 	e := newEnv(256)
 	kvs := sortedKVs(5000)
 	seg, _ := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{BloomBitsPerKey: 10})
 	for i := 0; i < 5000; i += 111 {
-		if !seg.MayContainKey(kvs[i].Key) {
+		if !mayKey(seg, kvs[i].Key) {
 			t.Fatalf("bloom false negative on %q", kvs[i].Key)
 		}
 	}
 	skipped := 0
 	for i := 0; i < 2000; i++ {
-		if !seg.MayContainKey([]byte(fmt.Sprintf("key-1%07d", i))) {
+		if !mayKey(seg, []byte(fmt.Sprintf("key-1%07d", i))) {
 			skipped++
 		}
 	}
@@ -192,7 +201,7 @@ func TestBloomFilterSkipping(t *testing.T) {
 		t.Fatalf("bloom skipped only %d/2000 absent keys", skipped)
 	}
 	// Out-of-bounds keys are skipped by min/max alone.
-	if seg.MayContainKey([]byte("aaa")) || seg.MayContainKey([]byte("zzz")) {
+	if mayKey(seg, []byte("aaa")) || mayKey(seg, []byte("zzz")) {
 		t.Fatal("min/max key filter broken")
 	}
 }
@@ -207,19 +216,19 @@ func TestPrefixFilterRange(t *testing.T) {
 		kvs = append(kvs, KV{Key: []byte(fmt.Sprintf("MMMM%06d", i)), Body: []byte("x")})
 	}
 	seg, _ := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{BloomBitsPerKey: 10, PrefixLen: 4})
-	if !seg.MayContainRange([]byte("AAAA000000"), []byte("AAAA999999")) {
+	if !mayRange(seg, []byte("AAAA000000"), []byte("AAAA999999")) {
 		t.Fatal("present prefix range skipped")
 	}
-	if seg.MayContainRange([]byte("CCCC000000"), []byte("CCCC999999")) {
+	if mayRange(seg, []byte("CCCC000000"), []byte("CCCC999999")) {
 		t.Fatal("absent prefix range not skipped")
 	}
 	// Out of min/max bounds entirely.
-	if seg.MayContainRange([]byte("ZZZZ0"), []byte("ZZZZ9")) {
+	if mayRange(seg, []byte("ZZZZ0"), []byte("ZZZZ9")) {
 		t.Fatal("out-of-bounds range not skipped")
 	}
 	// Bounds sharing more than the prefix length: the filter answers for
 	// all they share, and no key starts "AAAA0010".
-	if seg.MayContainRange([]byte("AAAA001000"), []byte("AAAA001099")) {
+	if mayRange(seg, []byte("AAAA001000"), []byte("AAAA001099")) {
 		t.Fatal("absent longer prefix range not skipped")
 	}
 }
@@ -288,9 +297,9 @@ func TestPrefixFilterHoldsEveryKeyInRange(t *testing.T) {
 			default:
 				hi = word(r.Intn(10))
 			}
-			may := seg.PFilter.MayContainRange(lo, hi)
+			may := seg.PFilter.MayContainRange(bloom.NewRangeProbe(lo, hi))
 			switch {
-			case heldInRange(keys, lo, hi) && (!may || !seg.MayContainRange(lo, hi)):
+			case heldInRange(keys, lo, hi) && (!may || !mayRange(seg, lo, hi)):
 				t.Fatalf("p=%d: [%q, %q) holds a key and is skipped", p, lo, hi)
 			case util.CommonPrefix(lo, hi) < p && !may:
 				t.Fatalf("p=%d: [%q, %q) shares fewer than p bytes and is skipped", p, lo, hi)
@@ -323,7 +332,7 @@ func FuzzPrefixFilter(f *testing.F) {
 		if err != nil {
 			return // a key too large for a leaf
 		}
-		if heldInRange(set, lo, hi) && (!seg.PFilter.MayContainRange(lo, hi) || !seg.MayContainRange(lo, hi)) {
+		if heldInRange(set, lo, hi) && (!seg.PFilter.MayContainRange(bloom.NewRangeProbe(lo, hi)) || !mayRange(seg, lo, hi)) {
 			t.Fatalf("[%q, %q) holds a key and is skipped, prefix length %d", lo, hi, 1+int(p%8))
 		}
 	})

@@ -58,21 +58,22 @@ type Segment struct {
 	sweepEnd int32
 }
 
-// MayContainKey consults the bloom filter (true when absent or filters are
-// disabled means "must search").
-func (s *Segment) MayContainKey(key []byte) bool {
+// MayContainKey consults min/max keys and the bloom filter for key, whose
+// bloom.HashKey is h (true when absent or filters are disabled means "must
+// search").
+func (s *Segment) MayContainKey(key []byte, h bloom.Hash) bool {
 	if bytes.Compare(key, s.MinKey) < 0 || bytes.Compare(key, s.MaxKey) > 0 {
 		return false
 	}
 	if s.Filter != nil {
-		return s.Filter.MayContain(key)
+		return s.Filter.MayContainHash(h)
 	}
 	return true
 }
 
 // MayContainRange consults min/max keys and the prefix bloom filter for a
-// scan over [lo, hi) (hi nil = +inf).
-func (s *Segment) MayContainRange(lo, hi []byte) bool {
+// scan over [lo, hi) (hi nil = +inf), whose bloom.NewRangeProbe is r.
+func (s *Segment) MayContainRange(lo, hi []byte, r bloom.RangeProbe) bool {
 	if hi != nil && bytes.Compare(s.MinKey, hi) >= 0 {
 		return false
 	}
@@ -82,7 +83,7 @@ func (s *Segment) MayContainRange(lo, hi []byte) bool {
 	if s.PFilter != nil && hi != nil {
 		// Every key of [lo, hi) carries the prefix lo and hi share: a
 		// partition without it holds nothing of the range.
-		return s.PFilter.MayContainRange(lo, hi)
+		return s.PFilter.MayContainRange(r)
 	}
 	return true
 }

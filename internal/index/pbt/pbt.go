@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"sync"
 
+	"mvpbt/internal/bloom"
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
@@ -168,13 +169,14 @@ func (t *Tree) walk(lo, hi []byte, point bool, fn func(index.Entry) bool) error 
 	}
 	segIt := &t.it
 	defer segIt.Close()
+	kh, rp := bloom.HashKey(lo), bloom.NewRangeProbe(lo, hi) // hashed once for every partition
 	for i := len(t.parts) - 1; i >= 0; i-- {
 		seg := t.parts[i]
 		if point {
-			if !seg.MayContainKey(lo) {
+			if !seg.MayContainKey(lo, kh) {
 				continue
 			}
-		} else if !seg.MayContainRange(lo, hi) {
+		} else if !seg.MayContainRange(lo, hi, rp) {
 			continue
 		}
 		for segIt.SeekScan(seg, lo, hi, 0, 0); segIt.Valid(); segIt.Next() {

@@ -61,7 +61,8 @@ type Config struct {
 	// Supervisor tunes supervision (ignored unless Supervise is set).
 	Supervisor SupervisorConfig
 	// TwoPC installs crash-injection hooks into the two-phase commit
-	// protocol (tests and the 2pc check campaign only).
+	// protocol (tests and the chaos check campaign only: every kind
+	// installs them, and only chaos -kinds 2pc crashes anything).
 	TwoPC TwoPCHooks
 }
 
@@ -406,14 +407,14 @@ var ErrTxInDoubt = errors.New("shard: transaction in doubt (commit decision dura
 // use only.
 func (r *Router) CrashCoordinator() { r.coord.crashRecover() }
 
-// RouterTwoPCStats is what the 2pc campaign waits on: the coordinator log,
-// and the prepared-undecided transactions of the reachable shards.
+// RouterTwoPCStats is what the chaos campaign waits on: the coordinator
+// log, and the prepared-undecided transactions of the reachable shards.
 type RouterTwoPCStats struct {
 	Coordinator CoordStats
 	InDoubt     int
 }
 
-// TwoPCInfo snapshots the router's commit-protocol health (the 2pc
+// TwoPCInfo snapshots the router's commit-protocol health (the chaos
 // campaign's quiescence check).
 func (r *Router) TwoPCInfo() RouterTwoPCStats {
 	out := RouterTwoPCStats{Coordinator: r.coord.stats()}

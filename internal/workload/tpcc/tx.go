@@ -9,15 +9,12 @@ import (
 // pk returns a table's primary-key index (always the first definition).
 func pk(t *db.Table) *db.Index { return t.Indexes()[0] }
 
-func (b *Bench) lookup(tx *txn.Tx, t *db.Table, key []byte) (*db.RowRef, error) {
-	rr, err := t.LookupOne(tx, pk(t), key, true)
-	if err != nil {
-		return nil, err
+func (b *Bench) lookup(tx *txn.Tx, t *db.Table, key []byte) (db.RowRef, error) {
+	rr, ok, err := t.LookupOne(tx, pk(t), key, true)
+	if err == nil && !ok {
+		err = errRowMissing
 	}
-	if rr == nil {
-		return nil, errRowMissing
-	}
-	return rr, nil
+	return rr, err
 }
 
 func (b *Bench) randWH() uint32 { return uint32(1 + b.r.Intn(b.cfg.Warehouses)) }
@@ -52,7 +49,7 @@ func (b *Bench) NewOrderTx() error {
 	dist := DecodeDistrict(distRef.Row)
 	o := dist.NextOID
 	dist.NextOID++
-	if _, err := b.district.Update(tx, *distRef, dist.Encode()); err != nil {
+	if _, err := b.district.Update(tx, distRef, dist.Encode()); err != nil {
 		return abort(err)
 	}
 	if _, err := b.lookup(tx, b.customer, CustomerKey(w, d, c)); err != nil {
@@ -92,7 +89,7 @@ func (b *Bench) NewOrderTx() error {
 		}
 		st.YTD += int64(qty)
 		st.OrderCnt++
-		if _, err := b.stock.Update(tx, *stRef, st.Encode()); err != nil {
+		if _, err := b.stock.Update(tx, stRef, st.Encode()); err != nil {
 			return abort(err)
 		}
 		ol := OrderLine{W: w, D: d, O: o, Number: num, Item: i, SupplyW: w,
@@ -106,7 +103,7 @@ func (b *Bench) NewOrderTx() error {
 }
 
 // customerByNameOrID implements the 60/40 customer selection rule.
-func (b *Bench) customerByNameOrID(tx *txn.Tx, w, d uint32) (*db.RowRef, error) {
+func (b *Bench) customerByNameOrID(tx *txn.Tx, w, d uint32) (db.RowRef, error) {
 	if b.r.Intn(100) < 60 {
 		// By last name: select the middle matching customer.
 		last := LastName(b.nuRand(255, 0, 999))
@@ -120,14 +117,13 @@ func (b *Bench) customerByNameOrID(tx *txn.Tx, w, d uint32) (*db.RowRef, error) 
 			matches = append(matches, rr)
 			return true
 		}); err != nil {
-			return nil, err
+			return db.RowRef{}, err
 		}
 		if len(matches) == 0 {
 			// Name not populated in a scaled-down district: fall back to id.
 			return b.lookup(tx, b.customer, CustomerKey(w, d, b.randomCustomerID()))
 		}
-		m := matches[len(matches)/2]
-		return &m, nil
+		return matches[len(matches)/2], nil
 	}
 	return b.lookup(tx, b.customer, CustomerKey(w, d, b.randomCustomerID()))
 }
@@ -149,7 +145,7 @@ func (b *Bench) PaymentTx() error {
 	}
 	wh := DecodeWarehouse(whRef.Row)
 	wh.YTD += amount
-	if _, err := b.warehouse.Update(tx, *whRef, wh.Encode()); err != nil {
+	if _, err := b.warehouse.Update(tx, whRef, wh.Encode()); err != nil {
 		return abort(err)
 	}
 
@@ -159,7 +155,7 @@ func (b *Bench) PaymentTx() error {
 	}
 	dist := DecodeDistrict(distRef.Row)
 	dist.YTD += amount
-	if _, err := b.district.Update(tx, *distRef, dist.Encode()); err != nil {
+	if _, err := b.district.Update(tx, distRef, dist.Encode()); err != nil {
 		return abort(err)
 	}
 
@@ -171,7 +167,7 @@ func (b *Bench) PaymentTx() error {
 	cust.Balance -= amount
 	cust.YTDPayment += amount
 	cust.PaymentCnt++
-	if _, err := b.customer.Update(tx, *custRef, cust.Encode()); err != nil {
+	if _, err := b.customer.Update(tx, custRef, cust.Encode()); err != nil {
 		return abort(err)
 	}
 
@@ -249,7 +245,7 @@ func (b *Bench) DeliveryTx() error {
 		}
 		ord := DecodeOrder(ordRef.Row)
 		ord.Carrier = carrier
-		if _, err := b.orders.Update(tx, *ordRef, ord.Encode()); err != nil {
+		if _, err := b.orders.Update(tx, ordRef, ord.Encode()); err != nil {
 			return abort(err)
 		}
 
@@ -279,7 +275,7 @@ func (b *Bench) DeliveryTx() error {
 		}
 		cust := DecodeCustomer(custRef.Row)
 		cust.Balance += total
-		if _, err := b.customer.Update(tx, *custRef, cust.Encode()); err != nil {
+		if _, err := b.customer.Update(tx, custRef, cust.Encode()); err != nil {
 			return abort(err)
 		}
 	}
