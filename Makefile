@@ -192,8 +192,8 @@ fuzz-index:
 # slot directory under Get, Live and LiveCount; the leaf cursor
 # behind part.Iterator and part.Reader, which reads pages where they lie, and
 # the MV-PBT record body inside a leaf; plus the fence search, which must
-# pick the leaf the linear rule picks and seek to the first record at or
-# above the probe, and the prefix filter, which must never skip a range that
+# pick the leaf the linear rule picks, enter the one leaf holding the first
+# record at or above the probe and seek to that record, and the prefix filter, which must never skip a range that
 # holds a key; plus the loser tree every k-way merge runs on, which must emit
 # what a stable sort by (key, source) does. Crashers land in
 # internal/{page,index/part,index/mvpbt,util}/testdata/fuzz/.
@@ -236,12 +236,13 @@ bench-figures:
 # hot-path alloc benchmarks (BenchmarkAllocKV* for the KV path,
 # BenchmarkAllocTable* for db.Table's row operations, the path htap runs),
 # the log's own flush benchmark (device bytes and virtual time per flush),
-# and the two regression gates (TestHotPathAllocGate on allocs/op, KV and
-# table path and a partition build; TestFlushCostGate on the flush's device
-# cost; either fails the build). Output lands in bench-commit.txt for
-# publishing as a build artifact.
+# and the three regression gates (TestHotPathAllocGate on allocs/op, KV and
+# table path and a partition build; TestSeekFetchGate on the leaves a
+# partition seek fetches: one for a present key, none for a range between
+# two leaves; TestFlushCostGate on the flush's device cost; each fails the
+# build). Output lands in bench-commit.txt for publishing as a build artifact.
 bench-commit:
-	go test ./internal/bench/ -run TestHotPathAllocGate -count 1
+	go test ./internal/bench/ -run 'TestHotPathAllocGate|TestSeekFetchGate' -count 1
 	go test ./internal/wal/ -run TestFlushCostGate -count 1
 	go test -bench 'BenchmarkExperiment/commit$$' -benchtime 1x -run xxx . | tee bench-commit.txt
 	go test -bench BenchmarkAlloc -benchmem -benchtime 2000x -run xxx ./internal/bench/ | tee -a bench-commit.txt

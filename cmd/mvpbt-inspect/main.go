@@ -93,7 +93,7 @@ func main() {
 	collectable := mv.Collectable()
 	for i, p := range mv.Partitions() {
 		fmt.Printf("P%-3d leaves=%-4d fenceB=%-5d records=%-6d collectable=%-6d keys [%q .. %q] ts [%d..%d]",
-			p.No, p.NumLeaves, p.FenceBytes(), p.NumRecords, collectable[i], p.MinKey, p.MaxKey, p.MinTS, p.MaxTS)
+			p.No, p.NumLeaves, p.FenceBytes(), p.NumRecords, collectable[i], p.MinKey(), p.MaxKey(), p.MinTS, p.MaxTS)
 		if p.Filter != nil {
 			fmt.Printf(" bloom=%dB", p.Filter.SizeBytes())
 		}

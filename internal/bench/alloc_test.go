@@ -98,7 +98,7 @@ func BenchmarkAllocKVPutWAL(b *testing.B) {
 // durable commit (commit record + flush through the reused page/stream
 // buffers).
 func BenchmarkAllocTableCommitWAL(b *testing.B) {
-	e, tbl := newAllocTable(b, db.Config{EnableWAL: true}, 0)
+	e, tbl := newAllocTable(b, db.Config{EnableWAL: true}, db.IdxMVPBT, 0)
 	row := make([]byte, commitRowLen)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -114,13 +114,13 @@ func BenchmarkAllocTableCommitWAL(b *testing.B) {
 	}
 }
 
-// newAllocTable is a SIAS table with one unique MV-PBT index, the shape of
-// every htap table, holding rows allocRow(0) … allocRow(rows-1).
-func newAllocTable(tb testing.TB, cfg db.Config, rows int) (*db.Engine, *db.Table) {
+// newAllocTable is a SIAS table with one unique index of kind, with MV-PBT
+// the shape of every htap table, holding rows allocRow(0) … allocRow(rows-1).
+func newAllocTable(tb testing.TB, cfg db.Config, kind db.IndexKind, rows int) (*db.Engine, *db.Table) {
 	tb.Helper()
 	e := db.NewEngine(cfg)
 	tbl, err := e.NewTable("alloc", db.HeapSIAS, db.IndexDef{
-		Name: "pk", Kind: db.IdxMVPBT, Unique: true, BloomBits: 10, PrefixLen: 8,
+		Name: "pk", Kind: kind, Unique: true, BloomBits: 10, PrefixLen: 8,
 		Extract: func(row []byte) []byte { return row[:commitKeyLen] },
 	})
 	if err != nil {
@@ -156,7 +156,7 @@ var allocTableConfig = db.Config{PartitionBufferBytes: 256 << 10}
 // BenchmarkAllocTableLookup is Table.LookupOne of one row with its payload:
 // the row copy it returns is its one allocation.
 func BenchmarkAllocTableLookup(b *testing.B) {
-	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	e, tbl := newAllocTable(b, allocTableConfig, db.IdxMVPBT, allocTableRows)
 	ix, key := tbl.Indexes()[0], make([]byte, commitRowLen)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,7 +173,7 @@ func BenchmarkAllocTableLookup(b *testing.B) {
 // transaction: the replacement record, its key copy and its skiplist node in
 // P_N (the heap encodes the version into a buffer it keeps).
 func BenchmarkAllocTableUpdate(b *testing.B) {
-	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	e, tbl := newAllocTable(b, allocTableConfig, db.IdxMVPBT, allocTableRows)
 	cur := allocUpdateTarget(b, e, tbl)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,7 +185,7 @@ func BenchmarkAllocTableUpdate(b *testing.B) {
 // BenchmarkAllocTableScan is a 10-row Table.Scan with payloads: the ten row
 // copies it hands out.
 func BenchmarkAllocTableScan(b *testing.B) {
-	e, tbl := newAllocTable(b, allocTableConfig, allocTableRows)
+	e, tbl := newAllocTable(b, allocTableConfig, db.IdxMVPBT, allocTableRows)
 	lo := make([]byte, commitRowLen)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -315,13 +315,17 @@ func TestHotPathAllocGate(t *testing.T) {
 // builds recycle their leaf image and filter hashes, LookupOne returns its
 // row by value and Update keeps its key pairs on the stack. Measured: Insert
 // 3, LookupOne 1 (0 without rows), 10-row Scan 10 (0), Update 3 (6 for two
-// in one transaction). A read past P_N draws its state from a sync.Pool, which
-// -race empties at random, so the gate says nothing under -race.
+// in one transaction). The version-oblivious read of a B-Tree's or a PBT's
+// table (Fig. 12a's and Fig. 14's other index kinds) verifies its candidates
+// against the heap, which returns the visible version by value: LookupOne
+// with its row 1 on either (8 and 4 before). A read past P_N draws its state
+// from a sync.Pool, which -race empties at random, so the gate says nothing
+// under -race.
 func tableAllocs(t *testing.T, runs int) {
 	if raceEnabled {
 		t.Skip("the read path recycles its state through a sync.Pool, which -race drops at random")
 	}
-	e, tbl := newAllocTable(t, allocTableConfig, allocTableRows)
+	e, tbl := newAllocTable(t, allocTableConfig, db.IdxMVPBT, allocTableRows)
 	ix := tbl.Indexes()[0]
 	if n := ix.MV().NumPartitions(); n < 2 {
 		t.Fatalf("%d partitions under P_N, want several", n)
@@ -363,6 +367,21 @@ func tableAllocs(t *testing.T, runs int) {
 	cur := allocUpdateTarget(t, e, tbl)
 	gate("Update (P_N record, key copy, skiplist node)", 3, func() { allocUpdate(t, e, tbl, &cur, 1) })
 	gate("Update twice in one transaction (the second reads only its chain hop's header)", 6, func() { allocUpdate(t, e, tbl, &cur, 2) })
+	for _, kind := range []struct {
+		name string
+		kind db.IndexKind
+	}{{"B-Tree", db.IdxBTree}, {"PBT", db.IdxPBT}} {
+		e, tbl := newAllocTable(t, allocTableConfig, kind.kind, allocTableRows)
+		ix := tbl.Indexes()[0]
+		gate(fmt.Sprintf("LookupOne over a %s (rows true: the row copy)", kind.name), 1, func() {
+			next += 7919
+			tx := e.Begin()
+			if _, ok, err := tbl.LookupOne(tx, ix, allocRow(row, next%allocTableRows)[:commitKeyLen], true); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			e.Commit(tx)
+		})
+	}
 }
 
 // buildAllocs gates a partition build, what each eviction and merge of a
@@ -373,25 +392,15 @@ func tableAllocs(t *testing.T, runs int) {
 // filter's struct, one for its bits, one more for the prefix filter's). Its
 // leaf image, fences arena and 40 chunks of 512 hashes are recycled from
 // build to build: fresh, they take 59 allocations more, 40 of them the
-// chunks. The device keeps a resident ballast file, so that it recycles the
-// blocks a freed segment released (ssd.Device.Discard keeps no more spare
-// blocks than stored ones). Measured: 10. A sync.Pool says nothing under
-// -race.
+// chunks. The device recycles the blocks a freed segment released, though it
+// stores nothing else (ssd.Device.Discard keeps an extent's worth of spare
+// blocks). Measured: 10. A sync.Pool says nothing under -race.
 func buildAllocs(t *testing.T, runs int) {
 	if raceEnabled {
 		t.Skip("the builder recycles its buffers through a sync.Pool, which -race drops at random")
 	}
 	fm := sfile.NewManager(ssd.New(simclock.New(), ssd.IntelP3600))
-	pool, f, ballast := buffer.New(64), fm.Create("build", sfile.ClassIndex), fm.Create("ballast", sfile.ClassIndex)
-	for i := 0; i < 4*sfile.ExtentPages; i++ {
-		no, err := ballast.AllocPage()
-		if err == nil {
-			err = pool.WritePage(ballast, no, make([]byte, storage.PageSize))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	pool, f := buffer.New(64), fm.Create("build", sfile.ClassIndex)
 	kvs := make([]part.KV, 2000)
 	for i := range kvs {
 		row := allocRow(make([]byte, commitRowLen), i)

@@ -174,9 +174,9 @@ func TestInlineMergeHoldsSecondWriter(t *testing.T) {
 	if len(parts) != 2 || tree.Stats().Merges != 1 {
 		t.Fatalf("%d partitions after %d merges, want 2 after 1", len(parts), tree.Stats().Merges)
 	}
-	if parts[1].No <= parts[0].No || parts[0].MaxKey[0] != 'a' || parts[1].MinKey[0] != 'b' {
+	if parts[1].No <= parts[0].No || parts[0].MaxKey()[0] != 'a' || parts[1].MinKey()[0] != 'b' {
 		t.Errorf("B's keys did not land in a newer partition: P%d [%s..%s], P%d [%s..%s]",
-			parts[0].No, parts[0].MinKey, parts[0].MaxKey, parts[1].No, parts[1].MinKey, parts[1].MaxKey)
+			parts[0].No, parts[0].MinKey(), parts[0].MaxKey(), parts[1].No, parts[1].MinKey(), parts[1].MaxKey())
 	}
 	if got, want := len(scan("after the merge")), aDone.Load()+bDone.Load(); int64(got) != want {
 		t.Errorf("final scan saw %d keys, want %d", got, want)

@@ -94,9 +94,13 @@ func (t *Table) read(tx *txn.Tx, ix *Index, lo, hi []byte, point, withRows bool,
 // readOblivious is read over candidates: each is verified against the base
 // table, deduplicated and rechecked against the predicate. A point read is
 // the range [lo, lo+"\x00") to everything but the index's own point lookup.
+// The bound (for keys under 32 bytes), the set of RIDs seen (a map that does
+// not escape keeps eight on the stack) and the visible versions stay off the
+// heap: a read allocates the row copies it hands out (TestHotPathAllocGate).
 func (t *Table) readOblivious(tx *txn.Tx, ix *Index, lo, hi []byte, point bool, fn func(RowRef) bool) error {
+	var bound [32]byte
 	if point {
-		hi = append(append([]byte(nil), lo...), 0)
+		hi = append(append(bound[:0], lo...), 0)
 	}
 	seen := make(map[storage.RecordID]bool)
 	var heapErr error
@@ -104,12 +108,12 @@ func (t *Table) readOblivious(tx *txn.Tx, ix *Index, lo, hi []byte, point bool, 
 		if heapErr = ctxDone(tx); heapErr != nil {
 			return false
 		}
-		vv, err := t.resolveVisible(tx, ix, e)
+		vv, ok, err := t.resolveVisible(tx, ix, e)
 		if err != nil {
 			heapErr = err
 			return false
 		}
-		if vv == nil || seen[vv.RID] {
+		if !ok || seen[vv.RID] {
 			return true
 		}
 		seen[vv.RID] = true
@@ -181,11 +185,11 @@ func (ix *Index) candidates(lo, hi []byte, point bool, visit func(index.Entry) b
 
 // resolveVisible performs the base-table visibility check for one
 // candidate (logical references resolve through the indirection layer).
-func (t *Table) resolveVisible(tx *txn.Tx, ix *Index, e index.Entry) (*heap.VisibleVersion, error) {
+func (t *Table) resolveVisible(tx *txn.Tx, ix *Index, e index.Entry) (heap.VisibleVersion, bool, error) {
 	if ix.Def.RefMode == RefLogical && t.sias != nil {
-		return t.sias.ReadVisibleByVID(tx, e.Ref.VID)
+		return t.sias.VisibleByVID(tx, e.Ref.VID)
 	}
-	return t.h.ReadVisible(tx, e.Ref.RID)
+	return t.h.Visible(tx, e.Ref.RID)
 }
 
 // LookupOne returns the single visible row for key, and whether there is

@@ -31,12 +31,12 @@ func TestReadVersionOfGoneRecord(t *testing.T) {
 	}
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	if vv, _ := h.ReadVisible(r, rid); vv != nil {
+	if vv, _ := readVisible(h, r, rid); vv != nil {
 		// The candidate slot is dead: ReadVisible resolves nil (the db
 		// layer then skips the candidate).
 		t.Fatalf("dead candidate resolved: %+v", vv)
 	}
-	if vv, _ := h.ReadVisibleByVID(r, 1); vv == nil || !bytes.Equal(vv.Data, []byte("v5")) {
+	if vv, ok, _ := h.VisibleByVID(r, 1); !ok || !bytes.Equal(vv.Data, []byte("v5")) {
 		t.Fatalf("live version lost after vacuum: %+v", vv)
 	}
 }
@@ -90,7 +90,7 @@ func TestHotVacuumReusesFreedPages(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		e.commit(func(tx *txn.Tx) {
 			for i := range rids {
-				cur, _ := h.ReadVisible(tx, rids[i])
+				cur, _ := readVisible(h, tx, rids[i])
 				if cur == nil {
 					t.Fatalf("tuple %d lost", i)
 				}
@@ -141,8 +141,8 @@ func TestSiasDoubleUpdateSameTx(t *testing.T) {
 	e.mgr.Commit(tx)
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisibleByVID(r, 3)
-	if vv == nil || !bytes.Equal(vv.Data, []byte("v2")) {
+	vv, ok, _ := h.VisibleByVID(r, 3)
+	if !ok || !bytes.Equal(vv.Data, []byte("v2")) {
 		t.Fatalf("got %+v want v2", vv)
 	}
 	_ = r1
@@ -157,7 +157,7 @@ func TestVisibleVersionDataIsCopied(t *testing.T) {
 	e.commit(func(tx *txn.Tx) { rid, _ = h.Insert(tx, 1, []byte("stable-payload")) })
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisible(r, rid)
+	vv, _ := readVisible(h, r, rid)
 	// Churn the pool so the frame gets reused.
 	e.commit(func(tx *txn.Tx) {
 		for i := 0; i < 50; i++ {
@@ -183,7 +183,7 @@ func TestHeapsAcceptEmptyData(t *testing.T) {
 			})
 			r := e.mgr.Begin()
 			defer e.mgr.Commit(r)
-			vv, err := h.ReadVisible(r, rid)
+			vv, err := readVisible(h, r, rid)
 			if err != nil || vv == nil {
 				t.Fatalf("empty-payload tuple lost: %+v %v", vv, err)
 			}

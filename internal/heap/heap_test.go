@@ -52,6 +52,15 @@ func heapsUnderTest(e *env) map[string]Heap {
 	return map[string]Heap{"hot": e.hot(), "sias": e.sias()}
 }
 
+// readVisible is h.Visible with nil for no visible version.
+func readVisible(h Heap, tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error) {
+	v, ok, err := h.Visible(tx, candidate)
+	if !ok {
+		return nil, err
+	}
+	return &v, err
+}
+
 func TestInsertAndReadVisible(t *testing.T) {
 	e := newEnv(64)
 	for name, h := range heapsUnderTest(e) {
@@ -66,7 +75,7 @@ func TestInsertAndReadVisible(t *testing.T) {
 			})
 			r := e.mgr.Begin()
 			defer e.mgr.Commit(r)
-			vv, err := h.ReadVisible(r, rid)
+			vv, err := readVisible(h, r, rid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,12 +99,12 @@ func TestUncommittedInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := e.mgr.Begin()
-			vv, _ := h.ReadVisible(r, rid)
+			vv, _ := readVisible(h, r, rid)
 			if vv != nil {
 				t.Fatal("uncommitted version visible to other tx")
 			}
 			// But visible to its own transaction.
-			own, _ := h.ReadVisible(w, rid)
+			own, _ := readVisible(h, w, rid)
 			if own == nil {
 				t.Fatal("own write invisible")
 			}
@@ -114,7 +123,7 @@ func TestAbortedInvisible(t *testing.T) {
 			e.mgr.Abort(w)
 			r := e.mgr.Begin()
 			defer e.mgr.Commit(r)
-			if vv, _ := h.ReadVisible(r, rid); vv != nil {
+			if vv, _ := readVisible(h, r, rid); vv != nil {
 				t.Fatal("aborted insert visible")
 			}
 		})
@@ -144,7 +153,7 @@ func TestUpdateChainSnapshots(t *testing.T) {
 				}
 			}
 
-			vv, err := h.ReadVisible(long, rid)
+			vv, err := readVisible(h, long, rid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +162,7 @@ func TestUpdateChainSnapshots(t *testing.T) {
 			}
 
 			fresh := e.mgr.Begin()
-			vv2, _ := h.ReadVisible(fresh, cur)
+			vv2, _ := readVisible(h, fresh, cur)
 			if vv2 == nil || !bytes.Equal(vv2.Data, []byte("v3")) {
 				t.Fatalf("fresh reader sees %+v, want v3", vv2)
 			}
@@ -183,10 +192,10 @@ func TestDeleteMakesInvisible(t *testing.T) {
 			if del.NewRID.Valid() {
 				entry = del.NewRID
 			}
-			if vv, _ := h.ReadVisible(after, entry); vv != nil {
+			if vv, _ := readVisible(h, after, entry); vv != nil {
 				t.Fatal("deleted tuple visible to later snapshot")
 			}
-			if vv, _ := h.ReadVisible(before, rid); vv == nil || !bytes.Equal(vv.Data, []byte("x")) {
+			if vv, _ := readVisible(h, before, rid); vv == nil || !bytes.Equal(vv.Data, []byte("x")) {
 				t.Fatal("pre-delete snapshot lost the tuple")
 			}
 			e.mgr.Commit(before)
@@ -240,7 +249,7 @@ func TestUpdateAfterAbortSucceeds(t *testing.T) {
 			if res.NewRID.Valid() {
 				entry = res.NewRID
 			}
-			vv, _ := h.ReadVisible(r, entry)
+			vv, _ := readVisible(h, r, entry)
 			if vv == nil || !bytes.Equal(vv.Data, []byte("final")) {
 				t.Fatalf("got %+v want final", vv)
 			}
@@ -316,7 +325,7 @@ func TestHotNonKeyUpdateOverflowsToNewSegment(t *testing.T) {
 	}
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisible(r, cur)
+	vv, _ := readVisible(h, r, cur)
 	if vv == nil {
 		t.Fatal("post-spill version invisible via its own entry")
 	}
@@ -342,10 +351,10 @@ func TestHotKeyUpdateSegmentsIsolated(t *testing.T) {
 	}
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	if vv, _ := h.ReadVisible(r, rid); vv != nil {
+	if vv, _ := readVisible(h, r, rid); vv != nil {
 		t.Fatalf("old entry leaked new segment version: %+v", vv)
 	}
-	if vv, _ := h.ReadVisible(r, res.NewRID); vv == nil {
+	if vv, _ := readVisible(h, r, res.NewRID); vv == nil {
 		t.Fatal("new entry cannot see new version")
 	}
 }
@@ -458,7 +467,7 @@ func TestSiasReadVisibleFromStaleCandidate(t *testing.T) {
 	e.commit(func(tx *txn.Tx) { _, _ = h.Update(tx, rid, 5, []byte("v1"), true) })
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisible(r, rid) // stale candidate
+	vv, _ := readVisible(h, r, rid) // stale candidate
 	if vv == nil || !bytes.Equal(vv.Data, []byte("v1")) {
 		t.Fatalf("stale candidate resolved to %+v, want v1", vv)
 	}
@@ -516,7 +525,7 @@ func TestHotVacuumCollapsesChains(t *testing.T) {
 	// The segment root rid must still resolve to the newest version.
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisible(r, rid)
+	vv, _ := readVisible(h, r, rid)
 	if vv == nil || !bytes.Equal(vv.Data, []byte("v10")) {
 		t.Fatalf("after vacuum root resolves to %+v, want v10", vv)
 	}
@@ -538,7 +547,7 @@ func TestHotVacuumRespectsHorizon(t *testing.T) {
 	if _, err := h.Vacuum(e.mgr.Horizon()); err != nil {
 		t.Fatal(err)
 	}
-	vv, _ := h.ReadVisible(long, rid)
+	vv, _ := readVisible(h, long, rid)
 	if vv == nil || !bytes.Equal(vv.Data, []byte("v0")) {
 		t.Fatalf("vacuum destroyed version visible to long reader: %+v", vv)
 	}
@@ -566,8 +575,8 @@ func TestSiasVacuumTruncatesChains(t *testing.T) {
 	}
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)
-	vv, _ := h.ReadVisibleByVID(r, 1)
-	if vv == nil || !bytes.Equal(vv.Data, []byte("v10")) {
+	vv, ok, _ := h.VisibleByVID(r, 1)
+	if !ok || !bytes.Equal(vv.Data, []byte("v10")) {
 		t.Fatalf("after vacuum chain resolves to %+v, want v10", vv)
 	}
 }
@@ -591,7 +600,7 @@ func TestManyTuplesAcrossEvictions(t *testing.T) {
 			r := e.mgr.Begin()
 			defer e.mgr.Commit(r)
 			for i := 0; i < n; i += 37 {
-				vv, err := h.ReadVisible(r, rids[i])
+				vv, err := readVisible(h, r, rids[i])
 				if err != nil {
 					t.Fatal(err)
 				}

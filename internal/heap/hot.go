@@ -189,18 +189,18 @@ func (h *HotHeap) supersede(tx *txn.Tx, prev storage.RecordID, vid uint64, data 
 	return UpdateResult{NewRID: newRID, NeedsIndexUpdate: !hot}, nil
 }
 
-// ReadVisible implements Heap: it walks the chain segment starting at
+// Visible implements Heap: it walks the chain segment starting at
 // candidate (old-to-new) and returns the version visible to tx, fetching
 // every hop's page — the random-read cost of the standard visibility
 // check.
-func (h *HotHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error) {
+func (h *HotHeap) Visible(tx *txn.Tx, candidate storage.RecordID) (VisibleVersion, bool, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	rid := candidate
 	for rid.Valid() {
 		fr, v, ok, err := pinVersion(h.pool, h.file, rid)
 		if !ok {
-			return nil, err
+			return VisibleVersion{}, false, err
 		}
 		if v.Redirect {
 			// Pruned entry-point: forward to the surviving version.
@@ -213,22 +213,22 @@ func (h *HotHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleV
 			// Crossed into the next segment: that version belongs to its
 			// own index entry.
 			h.pool.Unpin(fr, false)
-			return nil, nil
+			return VisibleVersion{}, false, nil
 		}
 		if tx.Sees(v.TCreate) && (v.TInvalidate == txn.InvalidTxID || !tx.Sees(v.TInvalidate)) {
 			if v.Tombstone {
 				h.pool.Unpin(fr, false)
-				return nil, nil
+				return VisibleVersion{}, false, nil
 			}
-			out := &VisibleVersion{RID: rid, VID: v.VID, Data: append([]byte(nil), v.Data...)}
+			out := VisibleVersion{RID: rid, VID: v.VID, Data: append([]byte(nil), v.Data...)}
 			h.pool.Unpin(fr, false)
-			return out, nil
+			return out, true, nil
 		}
 		next := v.Next
 		h.pool.Unpin(fr, false)
 		rid = next
 	}
-	return nil, nil
+	return VisibleVersion{}, false, nil
 }
 
 // ReadVersion implements Heap. Redirect stubs left behind by pruning are

@@ -157,51 +157,61 @@ func (h *SiasHeap) readAt(rid storage.RecordID, withData bool) (Version, bool, e
 	return v, true, nil
 }
 
-// ReadVisible implements Heap: it reads the candidate to learn the tuple's
+// Visible implements Heap: it reads the candidate to learn the tuple's
 // VID, resolves the chain entry-point through the indirection table, and
 // walks new-to-old until the first version whose creator tx sees — each
 // hop a page fetch. This is the SIAS base-table visibility check whose
 // cost MV-PBT's index-only check eliminates.
-func (h *SiasHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error) {
+func (h *SiasHeap) Visible(tx *txn.Tx, candidate storage.RecordID) (VisibleVersion, bool, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	v, ok, err := h.readAt(candidate, false)
 	if err != nil || !ok {
+		return VisibleVersion{}, false, err
+	}
+	return h.visibleByVIDLocked(tx, v.VID)
+}
+
+// ReadVisible is Visible with nil for no visible version: the allocating
+// form, for callers off the hot paths.
+func (h *SiasHeap) ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error) {
+	v, ok, err := h.Visible(tx, candidate)
+	if !ok {
 		return nil, err
 	}
-	return h.readVisibleByVIDLocked(tx, v.VID)
+	return &v, err
 }
 
-// ReadVisibleByVID performs the visibility walk from the chain entry-point
-// of the given VID (logical-reference indexes start here directly).
-func (h *SiasHeap) ReadVisibleByVID(tx *txn.Tx, v uint64) (*VisibleVersion, error) {
+// VisibleByVID performs the visibility walk from the chain entry-point of
+// the given VID (logical-reference indexes start here directly).
+func (h *SiasHeap) VisibleByVID(tx *txn.Tx, v uint64) (VisibleVersion, bool, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.readVisibleByVIDLocked(tx, v)
+	return h.visibleByVIDLocked(tx, v)
 }
 
-func (h *SiasHeap) readVisibleByVIDLocked(tx *txn.Tx, v uint64) (*VisibleVersion, error) {
+func (h *SiasHeap) visibleByVIDLocked(tx *txn.Tx, v uint64) (VisibleVersion, bool, error) {
 	rid, ok := h.vids.Get(v)
 	if !ok {
-		return nil, nil
+		return VisibleVersion{}, false, nil
 	}
 	for rid.Valid() {
 		fr, ver, ok, err := pinVersion(h.pool, h.file, rid)
 		if !ok {
-			return nil, err
+			return VisibleVersion{}, false, err
 		}
 		if tx.Sees(ver.TCreate) {
-			var out *VisibleVersion
+			var out VisibleVersion
 			if !ver.Tombstone {
-				out = &VisibleVersion{RID: rid, VID: ver.VID, Data: append([]byte(nil), ver.Data...)}
+				out = VisibleVersion{RID: rid, VID: ver.VID, Data: append([]byte(nil), ver.Data...)}
 			}
 			h.pool.Unpin(fr, false)
-			return out, nil
+			return out, !ver.Tombstone, nil
 		}
 		h.pool.Unpin(fr, false)
 		rid = ver.Next
 	}
-	return nil, nil
+	return VisibleVersion{}, false, nil
 }
 
 // ReadVersion implements Heap.

@@ -187,10 +187,11 @@ type Heap interface {
 	Update(tx *txn.Tx, prev storage.RecordID, vid uint64, data []byte, hotEligible bool) (UpdateResult, error)
 	// Delete appends a tombstone version ending the chain.
 	Delete(tx *txn.Tx, prev storage.RecordID, vid uint64) (UpdateResult, error)
-	// ReadVisible performs the base-table visibility check starting from an
-	// index candidate rid; it returns nil when no version of that chain
-	// (segment) is visible to tx.
-	ReadVisible(tx *txn.Tx, candidate storage.RecordID) (*VisibleVersion, error)
+	// Visible performs the base-table visibility check starting from an
+	// index candidate rid; ok is false when no version of that chain
+	// (segment) is visible to tx. The version is returned by value, so that
+	// a check allocates only the payload copy.
+	Visible(tx *txn.Tx, candidate storage.RecordID) (v VisibleVersion, ok bool, err error)
 	// ReadVersion fetches the exact version record at rid.
 	ReadVersion(rid storage.RecordID) (Version, error)
 	// Vacuum reclaims versions invisible to every snapshot below horizon.

@@ -427,15 +427,18 @@ func (t *Tree) findLeaf(key, body []byte) (uint64, error) {
 	}
 }
 
-// LookupCandidates implements index.Candidates.
+// LookupCandidates implements index.Candidates: ScanCandidates up to
+// key+"\x00", a bound on the stack for keys under 32 bytes.
 func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
-	return t.ScanCandidates(key, append(append([]byte(nil), key...), 0), fn)
+	var hi [32]byte
+	return t.ScanCandidates(key, append(append(hi[:0], key...), 0), fn)
 }
 
-// ScanCandidates implements index.Candidates: all entries in [lo, hi).
+// ScanCandidates implements index.Candidates: all entries in [lo, hi), their
+// keys in the pinned leaf (index.Entry's lifetime rule).
 func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 	short := false
-	err := t.ScanRaw(lo, hi, func(key, body []byte) bool {
+	err := t.scan(lo, hi, func(key, body []byte) bool {
 		if len(body) < index.RefLen {
 			short = true
 			return false
@@ -448,9 +451,17 @@ func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 	return err
 }
 
-// ScanRaw walks entries in [lo, hi) in order, calling fn with key and raw
-// body. Returning false stops. nil hi means +infinity.
+// ScanRaw walks entries in [lo, hi) in order, calling fn with copies of key
+// and raw body. Returning false stops. nil hi means +infinity.
 func (t *Tree) ScanRaw(lo, hi []byte, fn func(key, body []byte) bool) error {
+	return t.scan(lo, hi, func(k, b []byte) bool {
+		return fn(append([]byte(nil), k...), append([]byte(nil), b...))
+	})
+}
+
+// scan is ScanRaw with key and body where they lie in the pinned leaf,
+// valid until fn returns.
+func (t *Tree) scan(lo, hi []byte, fn func(key, body []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leafNo, err := t.findLeaf(lo, nil)
@@ -476,13 +487,7 @@ func (t *Tree) ScanRaw(lo, hi []byte, fn func(key, body []byte) bool) error {
 				t.pool.Unpin(fr, false)
 				return err
 			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				t.pool.Unpin(fr, false)
-				return nil
-			}
-			kc := append([]byte(nil), k...)
-			bc := append([]byte(nil), b...)
-			if !fn(kc, bc) {
+			if hi != nil && bytes.Compare(k, hi) >= 0 || !fn(k, b) {
 				t.pool.Unpin(fr, false)
 				return nil
 			}

@@ -30,7 +30,7 @@ func partImage(t *testing.T, tr *Tree, seg *part.Segment) (pages []byte, meta []
 		}
 		pages = append(pages, buf...)
 	}
-	return pages, []any{seg.No, seg.StartPage, seg.NumLeaves, seg.MinKey, seg.MaxKey,
+	return pages, []any{seg.No, seg.StartPage, seg.NumLeaves, seg.MinKey(), seg.MaxKey(),
 		seg.MinTS, seg.MaxTS, seg.NumRecords, seg.SizeBytes, seg.Filter, seg.PFilter}
 }
 

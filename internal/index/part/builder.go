@@ -44,7 +44,7 @@ const restartEvery = 32
 // for every eviction and merge.
 type buildScratch struct {
 	leaf           [storage.PageSize]byte
-	fences         fences   // each leaf's first key, as it is started
+	fences         fences   // each leaf's first key as it is started, its last as it is written
 	keys, prefixes hashList // for the bloom and the prefix filter, if enabled
 }
 
@@ -97,7 +97,7 @@ func (l hashList) each(fn func(bloom.Hash)) {
 // front-coded straight into one page image, which is checksummed and written
 // the moment it fills — one WritePage each, never batched: the Fig. 8 device
 // charges a 64 KiB sequential write more than eight 8 KiB ones. Only each
-// leaf's first key and the keys' filter hashes are kept: the first keys
+// leaf's first and last keys and the keys' filter hashes are kept: the keys
 // become the segment's fences and the hashes its filters, and no page but a
 // leaf is written. A build that fails or is aborted frees its pages; it is
 // over at the first error.
@@ -198,6 +198,7 @@ func (b *Builder) Add(key, body []byte) error {
 // writeLeaf writes the page image as the run's next page — around the pool's
 // frames, through its checked write.
 func (b *Builder) writeLeaf() error {
+	b.s.fences.add(b.lastKey)
 	no, err := b.file.AllocPage()
 	if err != nil {
 		return fmt.Errorf("part: segment alloc: %w", err)
@@ -260,8 +261,6 @@ func (b *Builder) Finish(minTS, maxTS uint64) (*Segment, error) {
 		StartPage:  b.start,
 		NumLeaves:  b.nPages,
 		fences:     f,
-		MinKey:     f.key(0),
-		MaxKey:     b.lastKey,
 		MinTS:      minTS,
 		MaxTS:      maxTS,
 		NumRecords: b.n,

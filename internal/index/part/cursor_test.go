@@ -224,7 +224,7 @@ func TestProbesRequestOnlyLeaves(t *testing.T) {
 	if err != nil || seg.NumLeaves < 2*sfile.ExtentPages {
 		t.Fatalf("%d leaves, %v", seg.NumLeaves, err)
 	}
-	past := append(bytes.Clone(seg.MaxKey), 0)
+	past := append(bytes.Clone(seg.MaxKey()), 0)
 	// drain counts the pool requests of a scan from lo to the segment's end.
 	drain := func(lo, hi []byte) (recs []KV, requests int64) {
 		t.Helper()
@@ -238,7 +238,7 @@ func TestProbesRequestOnlyLeaves(t *testing.T) {
 		}
 		return recs, e.pool.Stats()[sfile.ClassIndex].Requests - before
 	}
-	for _, b := range []struct{ lo, hi []byte }{{seg.MinKey, past}, {nil, nil}, {[]byte("a"), nil}, {seg.MinKey, seg.MaxKey}} {
+	for _, b := range []struct{ lo, hi []byte }{{seg.MinKey(), past}, {nil, nil}, {[]byte("a"), nil}, {seg.MinKey(), seg.MaxKey()}} {
 		got, requests := drain(b.lo, b.hi)
 		if requests != int64(seg.NumLeaves) || !reflect.DeepEqual(got, kvs) {
 			t.Errorf("whole-segment scan [%q, %q): %d pool requests for %d leaves, %d of %d records", b.lo, b.hi, requests, seg.NumLeaves, len(got), len(kvs))
@@ -248,7 +248,7 @@ func TestProbesRequestOnlyLeaves(t *testing.T) {
 		lo := kvs[i].Key
 		want := sort.Search(len(kvs), func(j int) bool { return bytes.Compare(kvs[j].Key, lo) >= 0 })
 		got, requests := drain(lo, kvs[min(i+500, len(kvs)-1)].Key)
-		if leaves := int64(seg.NumLeaves - linearLeaf(seg, lo)); requests != leaves || !reflect.DeepEqual(got, kvs[want:]) {
+		if leaves := int64(seg.NumLeaves - landingLeaf(seg, lo)); requests != leaves || !reflect.DeepEqual(got, kvs[want:]) {
 			t.Errorf("scan from %q: %d pool requests for %d leaves entered, %d records, want %d", lo, requests, leaves, len(got), len(kvs)-want)
 		}
 		if err := e.pool.EvictAll(); err != nil {
@@ -263,8 +263,9 @@ func TestProbesRequestOnlyLeaves(t *testing.T) {
 }
 
 // TestBoundedScanBudgetReachesHi: a scan bounded by a hi hundreds of leaves
-// past lo — more than one internal page would index — expects to read to
-// hi's leaf exactly, the last whose first key is below hi.
+// past lo — more than one internal page would index — expects to read from
+// lo's landing leaf to hi's leaf exactly, the last whose first key is below
+// hi.
 func TestBoundedScanBudgetReachesHi(t *testing.T) {
 	e := newEnv(64)
 	kvs := randomKVs(6, 8000, 1024, 1)
@@ -274,7 +275,7 @@ func TestBoundedScanBudgetReachesHi(t *testing.T) {
 	}
 	for _, c := range []struct{ lo, hi int }{{10, 7000}, {3, 2600}, {100, 7999}} {
 		lo, hi := kvs[c.lo].Key, kvs[c.hi].Key
-		from, to := linearLeaf(seg, lo), linearLeaf(seg, hi)
+		from, to := landingLeaf(seg, lo), linearLeaf(seg, hi)
 		if to-from <= 300 {
 			t.Fatalf("[%d, %d): leaves %d to %d, want more than 300 apart", c.lo, c.hi, from, to)
 		}
@@ -284,6 +285,46 @@ func TestBoundedScanBudgetReachesHi(t *testing.T) {
 		if !it.Valid() || it.leaf != from || it.left != to-from {
 			t.Errorf("scan [%q, %q): in leaf %d with %d more leaves budgeted; want leaf %d and %d", lo, hi, it.leaf, it.left, from, to-from)
 		}
+	}
+}
+
+// TestSeekEntersTheLeafHoldingItsKey: over 1 KiB values, seven records a
+// leaf, a seek to the first key of a leaf makes one pool request, the leaf's
+// own, whether or not the key's versions continue from the leaf before —
+// under the strict fence rule alone the seek to a key that does not continue
+// first read the leaf before, finding nothing. A scan over a range that falls
+// between two leaves makes none.
+func TestSeekEntersTheLeafHoldingItsKey(t *testing.T) {
+	e := newEnv(64)
+	kvs := randomKVs(9, 400, 1024, 3)
+	seg, err := Build(e.pool, e.file, 1, kvs, 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := func() int64 { return e.pool.Stats()[sfile.ClassIndex].Requests }
+	var it Iterator
+	continued := 0
+	for i := 1; i < seg.NumLeaves; i++ {
+		first, prev := seg.fences.key(i), seg.fences.last(i-1)
+		r0 := requests()
+		it.Seek(seg, first)
+		want := i // the leaf holding first's first version
+		if bytes.Equal(prev, first) {
+			want, continued = i-1, continued+1
+		}
+		if r := requests() - r0; !it.Valid() || !bytes.Equal(it.Record().Key, first) || it.leaf != want || r != 1 {
+			t.Fatalf("seek %q: on %q in leaf %d after %d pool requests; want leaf %d after 1", first, it.Record().Key, it.leaf, r, want)
+		}
+		if bytes.Equal(prev, first) {
+			continue
+		}
+		lo, r0 := append(bytes.Clone(prev), 0), requests()
+		if it.SeekScan(seg, lo, first, 0, 0); it.Valid() || it.Err() != nil || requests() != r0 {
+			t.Fatalf("scan [%q, %q) between leaves %d and %d: valid %v, %v, %d pool requests; want none", lo, first, i-1, i, it.Valid(), it.Err(), requests()-r0)
+		}
+	}
+	if continued == 0 || continued == seg.NumLeaves-1 {
+		t.Fatalf("%d of %d leaves open with a key continued from the leaf before; want some, not all", continued, seg.NumLeaves)
 	}
 }
 
@@ -299,16 +340,40 @@ func linearLeaf(seg *Segment, key []byte) int {
 	return leaf
 }
 
+// landingLeaf is the leaf a seek to key enters, read off the leaves one by
+// one: the first whose last key is at or above key, or NumLeaves.
+func landingLeaf(seg *Segment, key []byte) int {
+	leaf := 0
+	for leaf < seg.NumLeaves && bytes.Compare(seg.fences.last(leaf), key) < 0 {
+		leaf++
+	}
+	return leaf
+}
+
 // FuzzFenceSearch: over sorted keys whose versions run across leaves, the
-// fences are the leaves' first keys, findLeaf is the linear rule, and a seek
-// lands on the first record at or above the probe — the first version of a
-// key — as a sorted slice has it.
+// fences are the leaves' first and last keys and findLeaf is the linear
+// rule. A seek enters the landing leaf, the first whose last key is at or
+// above the probe, with one pool request, or makes none when no record is;
+// it lands on the first record at or above the probe — the first version of
+// a key — as a sorted slice has it. A bounded scan over [probe, next key),
+// which holds no record, makes no request when next key opens its leaf.
 func FuzzFenceSearch(f *testing.F) {
 	f.Add(uint64(1), uint16(3000), uint8(200), []byte("user0000000700"))
 	f.Add(uint64(2), uint16(3000), uint8(1), []byte("user"))
 	f.Add(uint64(3), uint16(1), uint8(1), []byte(nil))
 	f.Add(uint64(4), uint16(800), uint8(255), []byte("\xff"))
 	f.Add(uint64(5), uint16(60), uint8(60), []byte("user00000000"))
+	// The cases of the landing rule, over 100-byte bodies (seed 7: leaf 0
+	// ends at key 175, leaf 1 runs from 182 to 364, leaf 2 starts with 364's
+	// later versions): a probe equal to leaf 1's first key, whose versions
+	// do not continue from leaf 0; one equal to leaf 2's, whose do; an
+	// absent key between leaves 0 and 1, and with it the bounded range
+	// [probe, 182), between them too; and (seed 8) key 7, whose versions
+	// span leaves 0 to 2.
+	f.Add(uint64(7), uint16(400), uint8(4), []byte("user0000000182"))
+	f.Add(uint64(7), uint16(400), uint8(4), []byte("user0000000364"))
+	f.Add(uint64(7), uint16(400), uint8(4), []byte("user0000000178"))
+	f.Add(uint64(8), uint16(300), uint8(255), []byte("user0000000007"))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, maxDup uint8, probe []byte) {
 		kvs := randomKVs(seed, 1+int(n)%4000, 100, 1+int(maxDup))
 		e := newEnv(16)
@@ -326,17 +391,42 @@ func FuzzFenceSearch(f *testing.F) {
 			if ok, err := c.next(); !ok || err != nil || !bytes.Equal(c.key, seg.fences.key(i)) {
 				t.Fatalf("leaf %d starts with %q (%v, %v), fence %q", i, c.key, ok, err, seg.fences.key(i))
 			}
+			last := bytes.Clone(c.key)
+			for ok, err := c.next(); ok || err != nil; ok, err = c.next() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = append(last[:0], c.key...)
+			}
+			if !bytes.Equal(last, seg.fences.last(i)) {
+				t.Fatalf("leaf %d ends with %q, fence %q", i, last, seg.fences.last(i))
+			}
 		}
+		requests := func() int64 { return e.pool.Stats()[sfile.ClassIndex].Requests }
 		pick := kvs[int(seed%uint64(len(kvs)))].Key
+		var it Iterator
 		for _, key := range [][]byte{probe, pick, append(bytes.Clone(pick), probe...), pick[:len(pick)/2]} {
 			if got, want := seg.findLeaf(key), linearLeaf(seg, key); got != want {
 				t.Fatalf("findLeaf(%q) = %d, the linear rule %d", key, got, want)
 			}
 			want := sort.Search(len(kvs), func(i int) bool { return bytes.Compare(kvs[i].Key, key) >= 0 })
-			it := seg.Seek(key)
+			leaf, r0 := landingLeaf(seg, key), requests()
+			it.Seek(seg, key)
 			if it.Err() != nil || it.Valid() != (want < len(kvs)) ||
 				(it.Valid() && (!bytes.Equal(it.Record().Key, kvs[want].Key) || !bytes.Equal(it.Record().Body, kvs[want].Body))) {
 				t.Fatalf("seek %q: valid %v on %q, %v; want record %d", key, it.Valid(), it.Record().Key, it.Err(), want)
+			}
+			if r := requests() - r0; it.Valid() && (it.leaf != leaf || r != 1) || !it.Valid() && r != 0 {
+				t.Fatalf("seek %q: in leaf %d after %d pool requests; want leaf %d after %d", key, it.leaf, r, leaf, min(1, seg.NumLeaves-leaf))
+			}
+			if want == len(kvs) || !(bytes.Compare(key, kvs[want].Key) < 0) {
+				continue
+			}
+			hi, r0 := kvs[want].Key, requests()
+			it.SeekScan(seg, key, hi, 0, 0)
+			between := bytes.Equal(seg.fences.key(leaf), hi) // [key, hi) ends where leaf starts
+			if r := requests() - r0; it.Err() != nil || between && (it.Valid() || r != 0) || !between && r != 1 {
+				t.Fatalf("scan [%q, %q): valid %v after %d pool requests, %v; the range opens leaf %d: %v", key, hi, it.Valid(), r, it.Err(), leaf, between)
 			}
 		}
 	})

@@ -35,8 +35,8 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 	}
 
 	type childRef struct {
-		firstKey []byte
-		rel      int
+		firstKey, lastKey []byte
+		rel               int
 	}
 	var leafRefs []childRef
 
@@ -51,6 +51,7 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		}
 		rec := refEncodeLeafRec(prevKey, kvs[i].Key, kvs[i].Body)
 		if used+len(rec)+4 > budget && leaf.NumSlots() > 0 {
+			leafRefs[len(leafRefs)-1].lastKey = kvs[i-1].Key
 			leaf = newNode()
 			leafRefs = append(leafRefs, childRef{firstKey: kvs[i].Key, rel: len(pages) - 1})
 			prevKey = nil
@@ -68,9 +69,11 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		size += len(rec)
 		prevKey = kvs[i].Key
 	}
+	leafRefs[len(leafRefs)-1].lastKey = kvs[len(kvs)-1].Key
 	var fs fences
 	for _, r := range leafRefs {
 		fs.add(r.firstKey)
+		fs.add(r.lastKey)
 	}
 
 	// ---- Filters are computed concurrently with the sequential
@@ -143,8 +146,6 @@ func referenceBuild(pool *buffer.Pool, file *sfile.File, no int, kvs []KV, minTS
 		StartPage:  start,
 		NumLeaves:  len(pages),
 		fences:     fs,
-		MinKey:     append([]byte(nil), kvs[0].Key...),
-		MaxKey:     append([]byte(nil), kvs[len(kvs)-1].Key...),
 		MinTS:      minTS,
 		MaxTS:      maxTS,
 		NumRecords: len(kvs),

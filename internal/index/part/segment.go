@@ -1,8 +1,8 @@
 // Package part provides the partition machinery shared by the Partitioned
 // B-Tree and the Multi-Version Partitioned B-Tree: immutable, bulk-built
 // segments (dense-packed prefix-truncated leaves written strictly
-// sequentially — paper §4.5/4.7 — under fences, each leaf's first key, held
-// in memory in place of internal levels), per-partition bloom and
+// sequentially — paper §4.5/4.7 — under fences, each leaf's first and last
+// keys, held in memory in place of internal levels), per-partition bloom and
 // prefix-bloom filters, and the shared MV-PBT buffer that evicts whole
 // main-memory partitions, largest victim first.
 package part
@@ -45,8 +45,6 @@ type Segment struct {
 	StartPage  uint64
 	NumLeaves  int // the run's pages, all of them leaves
 	fences     fences
-	MinKey     []byte
-	MaxKey     []byte
 	MinTS      uint64
 	MaxTS      uint64
 	NumRecords int
@@ -58,11 +56,16 @@ type Segment struct {
 	sweepEnd int32
 }
 
+// MinKey and MaxKey are the segment's first and last keys, the two ends of
+// its fences.
+func (s *Segment) MinKey() []byte { return s.fences.key(0) }
+func (s *Segment) MaxKey() []byte { return s.fences.last(s.NumLeaves - 1) }
+
 // MayContainKey consults min/max keys and the bloom filter for key, whose
 // bloom.HashKey is h (true when absent or filters are disabled means "must
 // search").
 func (s *Segment) MayContainKey(key []byte, h bloom.Hash) bool {
-	if bytes.Compare(key, s.MinKey) < 0 || bytes.Compare(key, s.MaxKey) > 0 {
+	if bytes.Compare(key, s.MinKey()) < 0 || bytes.Compare(key, s.MaxKey()) > 0 {
 		return false
 	}
 	if s.Filter != nil {
@@ -74,10 +77,10 @@ func (s *Segment) MayContainKey(key []byte, h bloom.Hash) bool {
 // MayContainRange consults min/max keys and the prefix bloom filter for a
 // scan over [lo, hi) (hi nil = +inf), whose bloom.NewRangeProbe is r.
 func (s *Segment) MayContainRange(lo, hi []byte, r bloom.RangeProbe) bool {
-	if hi != nil && bytes.Compare(s.MinKey, hi) >= 0 {
+	if hi != nil && bytes.Compare(s.MinKey(), hi) >= 0 {
 		return false
 	}
-	if bytes.Compare(s.MaxKey, lo) < 0 {
+	if bytes.Compare(s.MaxKey(), lo) < 0 {
 		return false
 	}
 	if s.PFilter != nil && hi != nil {
@@ -94,8 +97,9 @@ func (s *Segment) corrupt(rel int, cause error) error {
 	return fmt.Errorf("part: page %d of %q: %w", s.StartPage+uint64(rel), s.file.Name(), cause)
 }
 
-// fences are a segment's leaves' first keys in leaf order, in one arena: the
-// keys back to back, and where each ends. A segment writes no internal
+// fences are a segment's leaves' first and last keys in leaf order, in one
+// arena: the keys back to back, and where each ends; leaf i's first key is
+// the arena's key 2i and its last key 2i+1. A segment writes no internal
 // levels: no partition is ever reopened from the device (recovery is
 // logical), so finding a leaf is all they would be read for, and a search
 // over the fences does that without a page.
@@ -109,19 +113,23 @@ func (f *fences) add(key []byte) {
 	f.ends = append(f.ends, uint32(len(f.keys)))
 }
 
-// key returns leaf i's first key.
-func (f fences) key(i int) []byte {
+// at returns the arena's key j.
+func (f fences) at(j int) []byte {
 	lo := uint32(0)
-	if i > 0 {
-		lo = f.ends[i-1]
+	if j > 0 {
+		lo = f.ends[j-1]
 	}
-	return f.keys[lo:f.ends[i]:f.ends[i]]
+	return f.keys[lo:f.ends[j]:f.ends[j]]
 }
 
-// findLeaf returns the leaf a seek to key enters: the last whose first key is
-// strictly below key, or leaf 0. Strictly: the versions of a key lie side by
-// side and may run across a leaf boundary, and the seek must land on the
-// first of them (the iterator passes over the leaf's smaller keys).
+// key returns leaf i's first key, last its last key.
+func (f fences) key(i int) []byte  { return f.at(2 * i) }
+func (f fences) last(i int) []byte { return f.at(2*i + 1) }
+
+// findLeaf returns the last leaf whose first key is strictly below key, or
+// leaf 0. Strictly: the versions of a key lie side by side and may run
+// across a leaf boundary, and a seek must reach the first of them. The leaf
+// a seek enters is this one unless its last key is below key too (SeekScan).
 func (s *Segment) findLeaf(key []byte) int {
 	lo, hi := 1, s.NumLeaves
 	for lo < hi {
@@ -184,9 +192,19 @@ func (it *Iterator) Seek(s *Segment, key []byte) { it.SeekScan(s, key, nil, 0, 0
 // of a scan over segments holding records in all — rows x NumLeaves / records
 // to the nearest leaf, plus one for starting inside a leaf. With neither
 // known, leaves are fetched one at a time.
+// The seek enters the first leaf whose last key is at or above lo. With no
+// such leaf, or one that starts at or above hi, it fetches nothing and the
+// iterator is done: a caller passing hi reads nothing at or above it.
 func (it *Iterator) SeekScan(s *Segment, lo, hi []byte, rows, records int) {
 	it.seg, it.ok, it.err, it.left, it.sweep = s, false, nil, 0, hi == nil && rows > 0
 	rel := s.findLeaf(lo)
+	if bytes.Compare(s.fences.last(rel), lo) < 0 {
+		rel++ // every key of leaf rel is below lo
+	}
+	if rel == s.NumLeaves || hi != nil && bytes.Compare(s.fences.key(rel), hi) >= 0 {
+		it.leaf = s.NumLeaves // nothing in [lo, hi)
+		return
+	}
 	if hi != nil || rows > 0 {
 		it.left = s.NumLeaves - rel
 		if rows > 0 && rows < records {

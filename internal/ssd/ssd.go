@@ -164,7 +164,7 @@ type Device struct {
 	prof      Profile
 	spec      DeviceSpec
 	blocks    map[int64][]byte
-	spare     [][]byte // blocks Discard released, reused by copyIn; at most len(blocks)
+	spare     [][]byte // blocks Discard released, reused by copyIn; at most max(len(blocks), 32)
 	lastRdEnd int64
 	lastWrEnd int64
 	stats     Stats
@@ -330,9 +330,11 @@ func (d *Device) Discard(off, n int64) {
 			d.spare = append(d.spare, blk)
 		}
 	}
-	// Never more spare blocks than stored ones: an append-and-trim cycle
-	// recycles everything, a discard of most of the device does not pin it.
-	if n := len(d.blocks); len(d.spare) > n {
+	// Never more spare blocks than stored ones or an extent's worth (32,
+	// sfile.ExtentPages), whichever is more: an append-and-trim cycle, or a
+	// build-and-free one on a near-empty device, recycles everything, and a
+	// discard of most of the device does not pin it.
+	if n := max(len(d.blocks), 32); len(d.spare) > n {
 		clear(d.spare[n:])
 		d.spare = d.spare[:n]
 	}

@@ -238,7 +238,7 @@ func TestDiscardedBlocksAreRecycledZeroed(t *testing.T) {
 	d := newDev()
 	full := bytes.Repeat([]byte{0xAB}, 4*storeBlock)
 	d.WriteAt(full, 0)
-	d.WriteAt(full, 50*storeBlock) // stays: as many blocks are kept for reuse as are stored
+	d.WriteAt(full, 50*storeBlock) // stays
 	d.Discard(0, 4*storeBlock)
 	if len(d.spare) != 4 {
 		t.Fatalf("%d blocks kept for reuse, want 4", len(d.spare))
@@ -292,17 +292,19 @@ func TestWriteDiscardCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestSpareBlocksBounded: the recycling list holds no more blocks than the
-// device stores, so discarding most of a device releases most of its memory.
+// device stores or one extent's worth, whichever is more, so discarding most
+// of a device releases most of its memory, and a device holding little
+// still recycles what a build and free of a partition turn over.
 func TestSpareBlocksBounded(t *testing.T) {
 	d := newDev()
-	buf := make([]byte, 64*storeBlock)
+	buf := make([]byte, 128*storeBlock)
 	d.WriteAt(buf, 0)
-	d.Discard(8*storeBlock, 56*storeBlock)
-	if len(d.blocks) != 8 || len(d.spare) != 8 {
-		t.Fatalf("%d blocks stored, %d spare; want 8 and 8", len(d.blocks), len(d.spare))
+	d.Discard(48*storeBlock, 80*storeBlock)
+	if len(d.blocks) != 48 || len(d.spare) != 48 {
+		t.Fatalf("%d blocks stored, %d spare; want 48 and 48", len(d.blocks), len(d.spare))
 	}
-	d.Discard(0, 8*storeBlock)
-	if len(d.spare) != 0 {
-		t.Fatalf("%d spare blocks on an empty device", len(d.spare))
+	d.Discard(0, 48*storeBlock)
+	if len(d.spare) != 32 {
+		t.Fatalf("%d spare blocks on an empty device, want 32", len(d.spare))
 	}
 }
