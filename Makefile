@@ -80,7 +80,11 @@ traffic:
 # the others: cmd/mvpbt-check has no runDiff and none of its private flags.
 # And the served stack has one campaign, chaos, whose kind=2pc runs the 2PC
 # crash plan: neither the 2pc campaign, its cell and fingerprint, nor the
-# harness's second generator config is back.
+# harness's second generator config is back. And what only tests set stays
+# out: a transaction carries no context (no BeginCtx, Tx.Context or ctxDone
+# in any .go file), admission asks the router alone (no Overloaded probe), a
+# fault rule scopes by file class alone (no MinLBA/MaxLBA), and mvpbt-bench
+# has one machine-readable output, -json (no -csv, no Result.CSV).
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -146,6 +150,9 @@ seams:
 		grep -nE '^var Campaigns = .*(twoPC|"2pc")' internal/check/campaign.go; \
 		grep -rnE 'Name: *"2pc"' --include='*.go' internal/check | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: a second served campaign is back (the 2PC crash plan is chaos -kinds 2pc; Generate takes a RunConfig):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'BeginCtx|ctxDone|Tx\) Context\(|\bOverloaded\b|\b(MinLBA|MaxLBA)\b' --include='*.go' .; \
+		grep -rnE '"csv"|-csv\b|CSV\(\)' --include='*.go' cmd/mvpbt-bench internal/bench); \
+	if [ -n "$$bad" ]; then echo "seams: a setting only tests set is back (transaction context, fake overload probe, LBA-range faults, CSV output):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -11,9 +11,8 @@
 //	mvpbt-bench -all -json > bench-figures.json
 //
 // Every experiment prints the same rows/series the corresponding figure of
-// the paper reports; EXPERIMENTS.md records paper-vs-measured values. -csv
-// prints the tables as comma-separated values; -json prints one JSON array
-// of typed results (every cell's value, precision and kind, and the headline
+// the paper reports; EXPERIMENTS.md records paper-vs-measured values. -json
+// prints one JSON array of typed results (every cell's value, precision and kind, and the headline
 // metrics with units) for programs that diff figures. The
 // -cpuprofile/-memprofile flags write standard pprof profiles covering the
 // experiment run (inspect with `go tool pprof`).
@@ -44,7 +43,6 @@ func run() int {
 		runID      = flag.String("run", "", "run one experiment by id (e.g. fig3)")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.String("scale", "quick", "experiment scale: quick | full")
-		csv        = flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
 		asJSON     = flag.Bool("json", false, "emit one JSON array of typed results instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
@@ -150,8 +148,6 @@ func run() int {
 				end = "]"
 			}
 			fmt.Printf("%s%s%s\n", open, doc, end)
-		case *csv:
-			fmt.Printf("# %s: %s\n%s\n", res.ID, res.Title, res.CSV())
 		default:
 			fmt.Print(res.String())
 			fmt.Printf("# completed in %v (real time)\n\n", time.Since(start).Round(time.Millisecond))

@@ -303,6 +303,7 @@ func TestHotPathAllocGate(t *testing.T) {
 
 	t.Run("persisted", func(t *testing.T) { persistedReadAllocs(t, runs) })
 	t.Run("table", func(t *testing.T) { tableAllocs(t, runs) })
+	t.Run("btree-kv", func(t *testing.T) { btreeKVAllocs(t, runs) })
 	t.Run("build", func(t *testing.T) { buildAllocs(t, runs/20) })
 	t.Run("served", func(t *testing.T) { servedAllocs(t, runs) })
 }
@@ -636,6 +637,41 @@ func persistedReadAllocs(t *testing.T, runs int) {
 			t.Fatal(n, err)
 		}
 	})
+}
+
+// btreeKVAllocs gates the clustered B-Tree KV, Fig. 15a's baseline: a point
+// read bounds its scan at index.PointBound on the stack and copies only the
+// body it keeps. Measured: Get 1 (the value it returns), Put 5; 3 and 7 with
+// the bound on the heap and ScanRaw copying every key and body.
+func btreeKVAllocs(t *testing.T, runs int) {
+	e := db.NewEngine(db.Config{})
+	kv, err := db.NewBTreeKV(e, "alloc-btree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := []byte("value-payload-0123456789")
+	for i := 0; i < 2000; i++ {
+		if err := kv.Put([]byte(fmt.Sprintf("user%08d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("user00000042")
+	got := testing.AllocsPerRun(runs, func() {
+		if _, ok, err := kv.Get(key); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	})
+	if got > 1.5 {
+		t.Errorf("BTreeKV Get: %.2f allocs/op, want <=1 (the returned value copy)", got)
+	}
+	got = testing.AllocsPerRun(runs, func() {
+		if err := kv.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 5.5 {
+		t.Errorf("BTreeKV Put: %.2f allocs/op, want <=5", got)
+	}
 }
 
 func newAllocKVT(t *testing.T, wal bool) (*db.Engine, *db.MVPBTKV) {

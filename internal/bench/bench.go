@@ -95,8 +95,8 @@ type Metric struct {
 }
 
 // Result is an experiment outcome: a table of typed cells, free-form notes
-// and the headline metrics. String, CSV and JSON are the only places a
-// number becomes text.
+// and the headline metrics. String and JSON are the only places a number
+// becomes text.
 type Result struct {
 	ID        string   `json:"id"`
 	Title     string   `json:"title"`
@@ -205,11 +205,10 @@ func (r *Result) Last(col string) (float64, error) {
 	return r.num(cells[len(cells)-1], "last row", col)
 }
 
-// lines returns the header and every row as printed cells; writeNotes
-// ends a rendering with the notes as comment lines. Both text renderers
-// are these two plus their own column separator.
-func (r *Result) lines() [][]string {
-	lines := [][]string{slices.Clone(r.Header)}
+// String renders the result as an aligned text table, the notes as
+// trailing comment lines.
+func (r *Result) String() string {
+	lines := [][]string{r.Header}
 	for _, row := range r.Rows {
 		line := make([]string, len(row))
 		for j, c := range row {
@@ -217,19 +216,6 @@ func (r *Result) lines() [][]string {
 		}
 		lines = append(lines, line)
 	}
-	return lines
-}
-
-func (r *Result) writeNotes(b *strings.Builder) string {
-	for _, n := range r.Notes {
-		fmt.Fprintf(b, "# %s\n", n)
-	}
-	return b.String()
-}
-
-// String renders the result as an aligned text table.
-func (r *Result) String() string {
-	lines := r.lines()
 	widths := make([]int, len(r.Header))
 	for _, line := range lines {
 		for j, c := range line {
@@ -247,22 +233,10 @@ func (r *Result) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	return r.writeNotes(&b)
-}
-
-// CSV renders the result as comma-separated values (header row first,
-// notes as trailing comment lines) for plotting tools.
-func (r *Result) CSV() string {
-	var b strings.Builder
-	for _, line := range r.lines() {
-		for j, c := range line {
-			if strings.ContainsAny(c, ",\"\n") {
-				line[j] = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-		}
-		b.WriteString(strings.Join(line, ",") + "\n")
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "# %s\n", n)
 	}
-	return r.writeNotes(&b)
+	return b.String()
 }
 
 // JSON renders the result as one JSON object on one line — every cell with

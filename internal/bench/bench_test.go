@@ -466,17 +466,6 @@ func TestResultRendering(t *testing.T) {
 	}
 }
 
-func TestResultCSV(t *testing.T) {
-	r := &Result{ID: "x", Title: "t", Header: []string{"a", "b", "c"}}
-	r.Add(count(1, 0), label("has,comma"), count(0.5, 2))
-	r.Note("n")
-	got := r.CSV()
-	want := "a,b,c\n1,\"has,comma\",0.50\n# n\n"
-	if got != want {
-		t.Fatalf("CSV=%q want %q", got, want)
-	}
-}
-
 // TestResultJSON decodes a rendered result back: every cell's value,
 // precision and kind, the notes and the headline metrics with their units
 // survive.

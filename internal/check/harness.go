@@ -486,17 +486,44 @@ func (h *harness) commitMirror(i int, op Op, c *client) *Violation {
 	return nil
 }
 
-// tornCommit commits through a WAL flush whose page writes all tear
-// (persisting only a prefix of each page's sectors), leaving the
-// transaction's durability IN DOUBT. The harness resolves the doubt exactly
-// the way recovery will — is the commit record inside the readable prefix
-// of the durable log bytes? — applies the verdict to the oracle, and
-// crash-restarts. Lockstep after recovery is the assertion: a torn flush
-// may cost the unacknowledged transaction, but never an acknowledged one
-// and never consistency.
+// tornCommit commits client op.Client's transaction (begun if it has none)
+// through a torn WAL flush: tornFlush over that one client.
 func (h *harness) tornCommit(i int, op Op) *Violation {
 	c := h.clients[op.Client]
 	h.ensureTx(c)
+	return h.tornFlush(i, op, []*client{c})
+}
+
+// tornBatch drives a batched group commit through a torn WAL flush: every
+// client's open transaction joins one CommitDurable.
+func (h *harness) tornBatch(i int, op Op) *Violation {
+	var cls []*client
+	for _, c := range h.clients {
+		if c.tx != nil {
+			cls = append(cls, c)
+		}
+	}
+	if len(cls) == 0 {
+		return nil
+	}
+	return h.tornFlush(i, op, cls)
+}
+
+// tornFlush commits cls' transactions through one CommitDurable whose page
+// writes all tear (persisting only a prefix of each page's sectors), leaving
+// EVERY logged member in doubt at once. Commit records were appended in
+// order, so the tear typically persists a prefix of them: each member is
+// resolved independently against the durable bytes — exactly the question
+// recovery will answer — the verdicts are applied to the oracle, and the run
+// crash-restarts. Lockstep after recovery is the assertion: a torn flush may
+// cost unacknowledged transactions, but never an acknowledged one and never
+// consistency.
+func (h *harness) tornFlush(i int, op Op, cls []*client) *Violation {
+	txs := make([]*txn.Tx, len(cls))
+	txids := make([]txn.TxID, len(cls)) // captured before the commit: handles are pooled
+	for j, c := range cls {
+		txs[j], txids[j] = c.tx, c.tx.ID
+	}
 	id := h.eng.Dev.ArmFault(ssd.FaultRule{
 		Kind: ssd.FaultTornWrite, Class: int(sfile.ClassMeta),
 		// The log writer retries a failing page write up to 3 times; tear
@@ -504,62 +531,11 @@ func (h *harness) tornCommit(i int, op Op) *Violation {
 		Ops:         []uint64{1, 2, 3},
 		TornSectors: op.Key % (storage.PageSize / ssd.SectorSize),
 	})
-	txid := c.tx.ID // capture before CommitDurable: the handle is pooled
-	err := h.eng.CommitDurable(c.tx)
-	h.eng.Dev.DisarmFault(id)
-	if err == nil {
-		// The flush dodged the fault (or the transaction was read-only and
-		// never touched the log); a plain successful commit.
-		h.ora.Commit(txid)
-		return h.commitMirror(i, op, c)
-	}
-	if !errors.Is(err, storage.ErrIOFault) {
-		return h.violE(i, op.String(), err, "torn commit flush: %v", err)
-	}
-	if logCommitted(h.eng.LogImage(), txid) {
-		h.ora.Commit(txid)
-	} else {
-		h.ora.Abort(txid)
-	}
-	h.res.FaultRecoveries++
-	return h.crash(i)
-}
-
-// tornBatch drives a batched group commit through a torn WAL flush: every
-// client's open transaction joins one CommitDurable, whose single
-// flush tears, leaving EVERY logged member of the batch in doubt at once.
-// Commit records were appended in batch order, so the tear typically
-// persists a prefix of the batch: each member is resolved independently
-// against the durable bytes — exactly the question recovery will answer —
-// the verdicts are applied to the oracle, and the run crash-restarts.
-// Lockstep after recovery asserts that a torn batched flush can cost
-// unacknowledged transactions, but never consistency.
-func (h *harness) tornBatch(i int, op Op) *Violation {
-	var (
-		txs   []*txn.Tx
-		cls   []*client
-		txids []txn.TxID
-	)
-	for _, c := range h.clients {
-		if c.tx != nil {
-			txs = append(txs, c.tx)
-			cls = append(cls, c)
-			txids = append(txids, c.tx.ID)
-		}
-	}
-	if len(txs) == 0 {
-		return nil
-	}
-	id := h.eng.Dev.ArmFault(ssd.FaultRule{
-		Kind: ssd.FaultTornWrite, Class: int(sfile.ClassMeta),
-		Ops:         []uint64{1, 2, 3},
-		TornSectors: op.Key % (storage.PageSize / ssd.SectorSize),
-	})
 	err := h.eng.CommitDurable(txs...)
 	h.eng.Dev.DisarmFault(id)
 	if err == nil {
-		// The flush dodged the fault (e.g. every member read-only): a plain
-		// successful batch commit, already applied in memory.
+		// The flush dodged the fault (e.g. every member read-only and never
+		// touching the log): a plain successful commit.
 		for j, c := range cls {
 			h.ora.Commit(txids[j])
 			if v := h.commitMirror(i, op, c); v != nil {
@@ -569,7 +545,7 @@ func (h *harness) tornBatch(i int, op Op) *Violation {
 		return nil
 	}
 	if !errors.Is(err, storage.ErrIOFault) {
-		return h.violE(i, op.String(), err, "torn batch flush: %v", err)
+		return h.violE(i, op.String(), err, "torn flush: %v", err)
 	}
 	img := h.eng.LogImage()
 	for j, c := range cls {

@@ -2,11 +2,8 @@ package db
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"mvpbt/internal/heap"
 	"mvpbt/internal/util"
@@ -452,37 +449,3 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 }
 
 var _ = bytes.Equal
-
-// TestScanUnderSpentDeadline: a scan consults its transaction's context at
-// every entry, so under a deadline that has already passed it returns
-// context.DeadlineExceeded instead of running on for a caller who gave up —
-// on every index kind. Writes wait on nothing a context could cancel, so the
-// same transaction still inserts.
-func TestScanUnderSpentDeadline(t *testing.T) {
-	for _, c := range combos() {
-		t.Run(c.name, func(t *testing.T) {
-			e, tbl, ix := newTable(t, c)
-			defer e.Close()
-			tx := e.Begin()
-			for i := 0; i < 50; i++ {
-				if _, _, err := tbl.Insert(tx, row(fmt.Sprintf("k%04d", i), "v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e.Commit(tx)
-
-			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-			defer cancel()
-			late := e.BeginCtx(ctx)
-			defer e.Abort(late)
-			n := 0
-			err := tbl.Scan(late, ix, nil, nil, false, func(RowRef) bool { n++; return true })
-			if !errors.Is(err, context.DeadlineExceeded) || n != 0 {
-				t.Fatalf("scan under the spent deadline delivered %d rows and returned %v, want none and context.DeadlineExceeded", n, err)
-			}
-			if _, _, err := tbl.Insert(late, row("late", "v")); err != nil {
-				t.Fatalf("insert under the spent deadline: %v", err)
-			}
-		})
-	}
-}

@@ -11,7 +11,6 @@
 package db
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -254,22 +253,12 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// Begin starts a transaction (carrying context.Background — see BeginCtx).
+// Begin starts a transaction.
 func (e *Engine) Begin() *txn.Tx {
-	return e.BeginCtx(context.Background())
-}
-
-// BeginCtx starts a transaction carrying ctx. Scans issued through the
-// transaction consult the context at every entry, so a deadline or
-// cancellation bounds how long one can run; writes do not wait on anything
-// a context could cancel (maintenance runs inline on the writer). The
-// context does not abort the transaction by itself; the caller still
-// Commits or Aborts.
-func (e *Engine) BeginCtx(ctx context.Context) *txn.Tx {
 	// The transaction's OpBegin record is emitted LAZILY, together with its
 	// first row operation (Engine.logOp): a read-only transaction therefore
 	// never touches the log — no begin record, no commit record, no flush.
-	return e.Mgr.BeginCtx(ctx)
+	return e.Mgr.Begin()
 }
 
 // Commit commits tx. With logging enabled the commit record and all of the

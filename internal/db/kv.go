@@ -52,9 +52,9 @@ func (b *BTreeKV) Put(key, val []byte) error {
 		return err
 	}
 	var old []byte
-	hi := append(append([]byte(nil), key...), 0)
-	if err := b.t.ScanRaw(key, hi, func(k, body []byte) bool {
-		old = body
+	var hi [32]byte
+	if err := b.t.ScanRaw(key, index.PointBound(&hi, key), func(k, body []byte) bool {
+		old = append([]byte(nil), body...)
 		return false
 	}); err != nil {
 		return err
@@ -70,9 +70,9 @@ func (b *BTreeKV) Put(key, val []byte) error {
 // Get implements KV.
 func (b *BTreeKV) Get(key []byte) ([]byte, bool, error) {
 	var out []byte
-	hi := append(append([]byte(nil), key...), 0)
-	err := b.t.ScanRaw(key, hi, func(k, body []byte) bool {
-		out = body
+	var hi [32]byte
+	err := b.t.ScanRaw(key, index.PointBound(&hi, key), func(k, body []byte) bool {
+		out = append([]byte(nil), body...)
 		return false
 	})
 	return out, out != nil, err

@@ -43,7 +43,8 @@ func (t *Table) pkKey(row []byte) []byte {
 // no data: the caller owns the schema, the log holds the data, and a record
 // finds its store by name among those the engine registered. Only
 // transactions with a commit record are applied, in log order; everything
-// else is discarded.
+// else is discarded. Replay commits through the engine's own log, and a flush
+// that fails returns its error: the caller closes the engine.
 func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 	if e.log == nil {
 		return 0, fmt.Errorf("db: Recover on an engine without EnableWAL")
@@ -119,7 +120,9 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 			}
 		case wal.OpCommit, wal.OpDecideCommit:
 			if tx := open[rec.TxID]; tx != nil {
-				e.Commit(tx)
+				if err := e.CommitDurable(tx); err != nil {
+					return applied, fmt.Errorf("db: committing replayed tx %d: %w", rec.TxID, err)
+				}
 				delete(open, rec.TxID)
 				applied++
 			}
@@ -175,7 +178,9 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 				return applied, fmt.Errorf("db: checkpoint row count mismatch: snapshot has %d, end record says %d: %w",
 					ckptRows, rec.TxID, wal.ErrWALCorrupt)
 			}
-			e.Commit(ckptTx)
+			if err := e.CommitDurable(ckptTx); err != nil {
+				return applied, fmt.Errorf("db: committing the checkpoint snapshot: %w", err)
+			}
 			ckptTx = nil
 			applied++
 		}

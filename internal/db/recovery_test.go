@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 	"mvpbt/internal/wal"
 )
@@ -452,5 +455,36 @@ func TestRecoverTornTailIsNotCorruption(t *testing.T) {
 	}
 	if got := snapshotState(t, e2, tbl2, ix2); got["a"] != "1" {
 		t.Fatalf("state wrong: %v", got)
+	}
+}
+
+// TestRecoverLogFlushFailureIsAnError: replay re-logs every transaction it
+// commits into the fresh engine's own log, so a device that refuses the log's
+// writes fails that commit. Recover returns the failure, wrapping
+// storage.ErrIOFault, instead of panicking: a supervisor's restart attempt
+// fails and the process survives. Both replayed commits are covered: a
+// logged transaction and a checkpoint snapshot at the head of the log.
+func TestRecoverLogFlushFailureIsAnError(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			e, tbl, _ := walTable(t)
+			tx := e.Begin()
+			if _, _, err := tbl.Insert(tx, row("a", "1")); err != nil {
+				t.Fatal(err)
+			}
+			e.Commit(tx)
+			if checkpoint {
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			img := e.LogImage()
+
+			e2, _, _ := walTable(t)
+			e2.Dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: int(sfile.ClassMeta), Sticky: true})
+			if _, err := e2.Recover(img); !errors.Is(err, storage.ErrIOFault) {
+				t.Fatalf("Recover under a failing log device returned %v, want an error wrapping storage.ErrIOFault", err)
+			}
+		})
 	}
 }

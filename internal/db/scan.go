@@ -12,18 +12,6 @@ import (
 	"mvpbt/internal/txn"
 )
 
-// ctxDone returns the error a read halts with once tx's context is done; a
-// read checks it at every entry, so a deadline-bearing Scan returns
-// context.DeadlineExceeded instead of running to completion while the caller
-// has already given up. A context that can never be canceled (Background)
-// costs a nil check.
-func ctxDone(tx *txn.Tx) error {
-	if ctx := tx.Context(); ctx.Done() != nil && ctx.Err() != nil {
-		return fmt.Errorf("db: scan: %w", ctx.Err())
-	}
-	return nil
-}
-
 // Scan streams the rows visible to tx whose index key is in [lo, hi)
 // through fn. withRows controls whether Row payloads are fetched from the
 // heap (counting/existence queries over MV-PBT can skip that entirely —
@@ -60,11 +48,8 @@ func (t *Table) read(tx *txn.Tx, ix *Index, lo, hi []byte, point, withRows bool,
 	if ix.mv == nil || ix.Def.NoIdxVC {
 		return t.readOblivious(tx, ix, lo, hi, point, fn)
 	}
-	var heapErr, ctxErr error
+	var heapErr error
 	visit := func(e index.Entry) bool {
-		if ctxErr = ctxDone(tx); ctxErr != nil {
-			return false
-		}
 		rr := RowRef{RID: e.Ref.RID, VID: e.Ref.VID, Key: e.Key}
 		if withRows {
 			v, err := t.h.ReadVersion(e.Ref.RID)
@@ -85,29 +70,23 @@ func (t *Table) read(tx *txn.Tx, ix *Index, lo, hi []byte, point, withRows bool,
 	if heapErr != nil {
 		return heapErr
 	}
-	if ctxErr != nil {
-		return ctxErr
-	}
 	return err
 }
 
 // readOblivious is read over candidates: each is verified against the base
 // table, deduplicated and rechecked against the predicate. A point read is
 // the range [lo, lo+"\x00") to everything but the index's own point lookup.
-// The bound (for keys under 32 bytes), the set of RIDs seen (a map that does
-// not escape keeps eight on the stack) and the visible versions stay off the
+// The bound (index.PointBound), the set of RIDs seen (a map that does not
+// escape keeps eight on the stack) and the visible versions stay off the
 // heap: a read allocates the row copies it hands out (TestHotPathAllocGate).
 func (t *Table) readOblivious(tx *txn.Tx, ix *Index, lo, hi []byte, point bool, fn func(RowRef) bool) error {
 	var bound [32]byte
 	if point {
-		hi = append(append(bound[:0], lo...), 0)
+		hi = index.PointBound(&bound, lo)
 	}
 	seen := make(map[storage.RecordID]bool)
 	var heapErr error
 	visit := func(e index.Entry) bool {
-		if heapErr = ctxDone(tx); heapErr != nil {
-			return false
-		}
 		vv, ok, err := t.resolveVisible(tx, ix, e)
 		if err != nil {
 			heapErr = err

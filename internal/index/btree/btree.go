@@ -428,17 +428,17 @@ func (t *Tree) findLeaf(key, body []byte) (uint64, error) {
 }
 
 // LookupCandidates implements index.Candidates: ScanCandidates up to
-// key+"\x00", a bound on the stack for keys under 32 bytes.
+// index.PointBound.
 func (t *Tree) LookupCandidates(key []byte, fn func(index.Entry) bool) error {
 	var hi [32]byte
-	return t.ScanCandidates(key, append(append(hi[:0], key...), 0), fn)
+	return t.ScanCandidates(key, index.PointBound(&hi, key), fn)
 }
 
 // ScanCandidates implements index.Candidates: all entries in [lo, hi), their
 // keys in the pinned leaf (index.Entry's lifetime rule).
 func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 	short := false
-	err := t.scan(lo, hi, func(key, body []byte) bool {
+	err := t.ScanRaw(lo, hi, func(key, body []byte) bool {
 		if len(body) < index.RefLen {
 			short = true
 			return false
@@ -451,17 +451,11 @@ func (t *Tree) ScanCandidates(lo, hi []byte, fn func(index.Entry) bool) error {
 	return err
 }
 
-// ScanRaw walks entries in [lo, hi) in order, calling fn with copies of key
-// and raw body. Returning false stops. nil hi means +infinity.
+// ScanRaw walks entries in [lo, hi) in order, calling fn with key and raw
+// body where they lie in the pinned leaf, valid until fn returns (a caller
+// that keeps either copies it). Returning false stops. nil hi means
+// +infinity.
 func (t *Tree) ScanRaw(lo, hi []byte, fn func(key, body []byte) bool) error {
-	return t.scan(lo, hi, func(k, b []byte) bool {
-		return fn(append([]byte(nil), k...), append([]byte(nil), b...))
-	})
-}
-
-// scan is ScanRaw with key and body where they lie in the pinned leaf,
-// valid until fn returns.
-func (t *Tree) scan(lo, hi []byte, fn func(key, body []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leafNo, err := t.findLeaf(lo, nil)

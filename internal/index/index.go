@@ -85,6 +85,13 @@ type Candidates interface {
 	ScanCandidates(lo, hi []byte, fn func(Entry) bool) error
 }
 
+// PointBound returns key+"\x00", the exclusive upper bound of the range
+// that holds key alone, built in buf for keys under 32 bytes: a caller whose
+// buf stays on its stack reads one key without allocating a bound.
+func PointBound(buf *[32]byte, key []byte) []byte {
+	return append(append(buf[:0], key...), 0)
+}
+
 // KeyInRange reports lo <= key < hi, with nil hi meaning +infinity.
 func KeyInRange(key, lo, hi []byte) bool {
 	if bytes.Compare(key, lo) < 0 {

@@ -79,10 +79,6 @@ type Config struct {
 	Admission AdmissionPolicy
 	// QueueTimeout bounds how long AdmitQueue holds a HELLO (default 2s).
 	QueueTimeout time.Duration
-	// Overloaded overrides the overload probe; nil means the router's
-	// PastSoftWatermark (any shard past its soft space watermark). Tests
-	// inject synthetic overload here.
-	Overloaded func() bool
 	// IdleTimeout reaps sessions that go this long without sending a
 	// request (default 5m; negative disables). A reaped session's open
 	// transactions are aborted like any disconnect's, so an abandoned
@@ -514,13 +510,7 @@ func (s *Server) admit(sess *session) int {
 			s.drained.Add(1)
 			return wire.StatusDraining
 		}
-		overloaded := false
-		if s.cfg.Overloaded != nil {
-			overloaded = s.cfg.Overloaded()
-		} else {
-			overloaded = s.r.PastSoftWatermark()
-		}
-		ok := !overloaded &&
+		ok := !s.r.PastSoftWatermark() &&
 			len(s.sessions) < s.cfg.MaxSessions &&
 			s.tenants[sess.tenant] < s.cfg.MaxSessionsPerTenant
 		if ok {

@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,54 +240,91 @@ func TestServerReadOnlyShardStatus(t *testing.T) {
 	}
 }
 
+// serverGoroutines counts the goroutines whose stack holds every one of
+// frames (names as runtime.Stack prints them). It is how the admission
+// tests observe the server without a sleep: a HELLO waiting in the queue
+// sleeps inside admit, and a connection's goroutine stays in handleConn
+// until its session slot is released.
+func serverGoroutines(frames ...string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		all := true
+		for _, f := range frames {
+			all = all && strings.Contains(g, f)
+		}
+		if all {
+			n++
+		}
+	}
+	return n
+}
+
+const (
+	admitFrame = "server.(*Server).admit"
+	connFrame  = "server.(*Server).handleConn"
+)
+
+// holdOnlySlot dials the one session a MaxSessions: 1 server admits.
+func holdOnlySlot(t *testing.T, addr string) *shardclient.Client {
+	t.Helper()
+	c, err := shardclient.Dial(addr, "holder")
+	if err != nil {
+		t.Fatalf("first session: %v", err)
+	}
+	return c
+}
+
 func TestServerAdmissionReject(t *testing.T) {
-	var overloaded atomic.Bool
 	_, srv, addr := startServer(t, 1, server.Config{
-		Admission:  server.AdmitReject,
-		Overloaded: func() bool { return overloaded.Load() },
+		Admission:   server.AdmitReject,
+		MaxSessions: 1,
 	})
 
-	overloaded.Store(true)
+	holder := holdOnlySlot(t, addr)
 	if _, err := shardclient.Dial(addr, "t"); !errors.Is(err, shardclient.ErrAdmission) {
-		t.Fatalf("dial under overload: %v, want ErrAdmission", err)
+		t.Fatalf("dial past the session cap: %v, want ErrAdmission", err)
 	}
-	overloaded.Store(false)
+	holder.Close()
+	poll(t, "the held slot's release", func() bool { return serverGoroutines(connFrame) == 0 })
 	c, err := shardclient.Dial(addr, "t")
 	if err != nil {
-		t.Fatalf("dial after overload cleared: %v", err)
+		t.Fatalf("dial after the slot was released: %v", err)
 	}
 	c.Close()
 	m := srv.Metrics()
-	if m.Rejected != 1 || m.Admitted != 1 {
-		t.Fatalf("metrics %+v, want 1 rejected / 1 admitted", m)
+	if m.Rejected != 1 || m.Admitted != 2 {
+		t.Fatalf("metrics %+v, want 1 rejected / 2 admitted", m)
 	}
 }
 
 func TestServerAdmissionQueue(t *testing.T) {
-	var overloaded atomic.Bool
 	_, srv, addr := startServer(t, 1, server.Config{
 		Admission:    server.AdmitQueue,
-		QueueTimeout: 5 * time.Second,
-		Overloaded:   func() bool { return overloaded.Load() },
+		QueueTimeout: 10 * time.Second,
+		MaxSessions:  1,
 	})
 
-	overloaded.Store(true)
-	// Clear the overload while the HELLO is queued: the session must be
+	holder := holdOnlySlot(t, addr)
+	// Release the slot while the HELLO is queued: the session must be
 	// admitted, not rejected.
+	dialed := make(chan error, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		overloaded.Store(false)
+		c, err := shardclient.Dial(addr, "t")
+		if err == nil {
+			err = c.Set(0, []byte("k"), []byte("v"))
+			c.Close()
+		}
+		dialed <- err
 	}()
-	c, err := shardclient.Dial(addr, "t")
-	if err != nil {
+	poll(t, "the HELLO to queue", func() bool { return serverGoroutines(admitFrame, "time.Sleep") == 1 })
+	holder.Close()
+	if err := <-dialed; err != nil {
 		t.Fatalf("queued dial: %v", err)
 	}
-	if err := c.Set(0, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if m := srv.Metrics(); m.Queued != 1 || m.Admitted != 1 {
-		t.Fatalf("metrics %+v, want 1 queued / 1 admitted", m)
+	if m := srv.Metrics(); m.Queued != 1 || m.Admitted != 2 {
+		t.Fatalf("metrics %+v, want 1 queued / 2 admitted", m)
 	}
 }
 
@@ -294,14 +332,37 @@ func TestServerAdmissionQueueTimeout(t *testing.T) {
 	_, _, addr := startServer(t, 1, server.Config{
 		Admission:    server.AdmitQueue,
 		QueueTimeout: 50 * time.Millisecond,
-		Overloaded:   func() bool { return true },
+		MaxSessions:  1,
 	})
+	holder := holdOnlySlot(t, addr)
+	defer holder.Close()
 	start := time.Now()
 	if _, err := shardclient.Dial(addr, "t"); !errors.Is(err, shardclient.ErrAdmission) {
-		t.Fatalf("dial under permanent overload: %v, want ErrAdmission", err)
+		t.Fatalf("dial while the only slot is held: %v, want ErrAdmission", err)
 	}
 	if time.Since(start) < 50*time.Millisecond {
 		t.Fatal("queue rejected before its timeout")
+	}
+}
+
+// TestAdmissionPastSoftWatermark: with no fake in between, a shard whose
+// live bytes have crossed its soft space watermark is the overload that
+// admission refuses new sessions on.
+func TestAdmissionPastSoftWatermark(t *testing.T) {
+	cfg := defaultShardConfig(1)
+	cfg.Engine.SpaceSoftBytes = 1
+	r, srv, addr := startServerWith(t, cfg, server.Config{Admission: server.AdmitReject})
+	if err := r.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if !r.PastSoftWatermark() {
+		t.Fatalf("one write left the shard under a 1-byte soft watermark: %+v", r.Shard(0).Engine.SpaceInfo())
+	}
+	if _, err := shardclient.Dial(addr, "t"); !errors.Is(err, shardclient.ErrAdmission) {
+		t.Fatalf("dial past the soft watermark: %v, want ErrAdmission", err)
+	}
+	if m := srv.Metrics(); m.Rejected != 1 || m.Admitted != 0 {
+		t.Fatalf("metrics %+v, want 1 rejected / 0 admitted", m)
 	}
 }
 
@@ -443,10 +504,10 @@ func TestWireFrameLimits(t *testing.T) {
 }
 
 // TestAdmissionTimeoutBounded pins BOTH sides of the queue-timeout
-// contract under sustained overload: a queued session must not be
-// rejected before QueueTimeout, and must receive its typed rejection
+// contract while the only session slot stays held: a queued session must
+// not be rejected before QueueTimeout, and must receive its typed rejection
 // within QueueTimeout plus a scheduling epsilon — the queue may not hold
-// connections indefinitely once the overload outlasts it. Several
+// connections indefinitely once the slot stays taken past it. Several
 // concurrent sessions queue at once, so the admit loop's shared state is
 // also exercised under the race detector.
 func TestAdmissionTimeoutBounded(t *testing.T) {
@@ -457,8 +518,10 @@ func TestAdmissionTimeoutBounded(t *testing.T) {
 	_, srv, addr := startServer(t, 1, server.Config{
 		Admission:    server.AdmitQueue,
 		QueueTimeout: queueTimeout,
-		Overloaded:   func() bool { return true },
+		MaxSessions:  1,
 	})
+	holder := holdOnlySlot(t, addr)
+	defer holder.Close()
 	const sessions = 8
 	type outcome struct {
 		err  error

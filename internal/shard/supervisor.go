@@ -221,9 +221,8 @@ func (s *supervisor) observe(i int, err error) {
 			s.fail(i)
 		}
 	}
-	// Everything else (db.ErrReadOnly, conflicts, context cancellation,
-	// ErrShardUnavailable bounced off the gate) says nothing about the
-	// shard's health.
+	// Everything else (db.ErrReadOnly, conflicts, ErrShardUnavailable
+	// bounced off the gate) says nothing about the shard's health.
 }
 
 // fail moves shard i from Healthy to Failed and kicks off the restart

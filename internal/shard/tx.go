@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -51,13 +50,11 @@ type txLeg struct {
 	dirty  bool        // the transaction wrote this shard
 }
 
-// BeginCtx starts a multi-shard transaction carrying ctx: the per-shard
-// begins happen under the epoch barrier's exclusive lock — a few atomic
-// operations per shard, no I/O — giving the snapshot vector its
-// consistency. The context is consulted where a leg can run long: at every
-// entry of its scans. Failed/recovering shards are skipped; their keys fail
-// per-key with ErrShardUnavailable.
-func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
+// Begin starts a multi-shard transaction: the per-shard begins happen under
+// the epoch barrier's exclusive lock — a few atomic operations per shard, no
+// I/O — giving the snapshot vector its consistency. Failed/recovering shards
+// are skipped; their keys fail per-key with ErrShardUnavailable.
+func (r *Router) Begin() (*Tx, error) {
 	if err := r.enter(); err != nil {
 		return nil, err
 	}
@@ -65,14 +62,11 @@ func (r *Router) BeginCtx(ctx context.Context) (*Tx, error) {
 	t := &Tx{r: r, legs: make([]txLeg, len(r.shards))}
 	r.epoch.Lock()
 	r.reachable(func(i int, s *Shard) {
-		t.legs[i] = txLeg{tx: s.Engine.BeginCtx(ctx), engine: s.Engine, kv: s.KV, epoch: r.health[i].epoch.Load()}
+		t.legs[i] = txLeg{tx: s.Engine.Begin(), engine: s.Engine, kv: s.KV, epoch: r.health[i].epoch.Load()}
 	})
 	r.epoch.Unlock()
 	return t, nil
 }
-
-// Begin is BeginCtx with a background context.
-func (r *Router) Begin() (*Tx, error) { return r.BeginCtx(context.Background()) }
 
 // leg admits one operation on shard i's leg: the shard must have
 // contributed a leg at Begin, and its engine must still be the same

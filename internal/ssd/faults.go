@@ -7,7 +7,7 @@ import (
 )
 
 // Fault injection. The device can be armed with deterministic fault rules:
-// each rule scopes a fault kind to a file class and/or LBA range and fires
+// each rule scopes a fault kind to one file class (or every class) and fires
 // on specific scope-matching operation counts (an op-count schedule) or on
 // every match (sticky). Because firing depends only on the sequence of
 // matching operations — never on wall-clock time or randomness — two runs
@@ -62,8 +62,8 @@ func (k FaultKind) String() string {
 // AnyClass in FaultRule.Class matches I/O to every file class.
 const AnyClass = -1
 
-// FaultRule describes one armed fault. The zero LBA bounds mean "whole
-// device"; an empty Ops schedule with Sticky false never fires (arm it with
+// FaultRule describes one armed fault over the whole device (or one file
+// class of it). An empty Ops schedule with Sticky false never fires (arm it with
 // Sticky or at least one op count).
 type FaultRule struct {
 	Kind FaultKind
@@ -73,10 +73,6 @@ type FaultRule struct {
 	// AnyClass. I/O the classifier cannot attribute matches only AnyClass
 	// rules.
 	Class int
-
-	// [MinLBA, MaxLBA) bounds the rule to a 512-byte-sector range; MaxLBA 0
-	// means unbounded.
-	MinLBA, MaxLBA int64
 
 	// Ops is the op-count schedule: the rule fires on its k-th
 	// scope-matching operation for every k listed (1-based). Once the
@@ -179,7 +175,6 @@ func (d *Device) matchFault(op Op, off int64, n int) *armedFault {
 	if d.classifier != nil {
 		cls = d.classifier(off)
 	}
-	lba := off / SectorSize
 	var fired *armedFault
 	for _, f := range d.faults {
 		r := &f.rule
@@ -187,9 +182,6 @@ func (d *Device) matchFault(op Op, off int64, n int) *armedFault {
 			continue
 		}
 		if r.Class != AnyClass && r.Class != cls {
-			continue
-		}
-		if lba < r.MinLBA || (r.MaxLBA > 0 && lba >= r.MaxLBA) {
 			continue
 		}
 		f.matches++

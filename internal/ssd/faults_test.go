@@ -109,7 +109,7 @@ func TestBitFlipIsPersistent(t *testing.T) {
 	}
 }
 
-func TestFaultScopingByLBAAndClass(t *testing.T) {
+func TestFaultScopingByClass(t *testing.T) {
 	d := newDev()
 	// Classify offsets >= 1 MiB as class 1, below as class 0.
 	d.SetClassifier(func(off int64) int {
@@ -125,15 +125,6 @@ func TestFaultScopingByLBAAndClass(t *testing.T) {
 	}
 	if err := d.WriteAt(buf, 1<<20); !errors.Is(err, storage.ErrIOFault) {
 		t.Fatalf("class-1 write should fail, got %v", err)
-	}
-	d.DisarmAllFaults()
-	// LBA scoping: only sectors [16, 32).
-	d.ArmFault(FaultRule{Kind: FaultReadErr, Class: AnyClass, MinLBA: 16, MaxLBA: 32, Sticky: true})
-	if err := d.ReadAt(buf, 0); err != nil {
-		t.Fatalf("out-of-range read should pass: %v", err)
-	}
-	if err := d.ReadAt(buf, 16*SectorSize); !errors.Is(err, storage.ErrIOFault) {
-		t.Fatalf("in-range read should fail, got %v", err)
 	}
 }
 

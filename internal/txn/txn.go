@@ -6,7 +6,6 @@
 package txn
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -73,7 +72,6 @@ type Tx struct {
 	Snap Snapshot
 	mgr  *Manager
 	done bool
-	ctx  context.Context
 
 	// walLogged tracks whether the engine has emitted this transaction's
 	// WAL begin record (begin records are written lazily with the first
@@ -97,16 +95,6 @@ func (t *Tx) FirstWALOp() bool {
 // WAL (i.e. a begin record exists). Read-only transactions never log, so
 // their commit needs neither a commit record nor a flush.
 func (t *Tx) WALLogged() bool { return t.walLogged }
-
-// Context returns the context the transaction was begun with (never nil).
-// Scans issued through the transaction consult it at every entry, so a
-// deadline or cancellation on the caller's context bounds how long one runs.
-func (t *Tx) Context() context.Context {
-	if t.ctx == nil {
-		return context.Background()
-	}
-	return t.ctx
-}
 
 // Commit-log chunking: statuses live in fixed 4096-entry chunks of atomic
 // words. The chunk directory is republished copy-on-write under mu when it
@@ -170,20 +158,8 @@ func (m *Manager) ensureChunkLocked(id TxID) {
 }
 
 // Begin starts a transaction, assigning it the next id and a snapshot of
-// the currently active set. The transaction carries context.Background();
-// use BeginCtx to attach a cancellable context.
+// the currently active set.
 func (m *Manager) Begin() *Tx {
-	return m.BeginCtx(context.Background())
-}
-
-// BeginCtx starts a transaction carrying ctx (see Tx.Context). A nil ctx
-// is treated as context.Background(). The context does NOT abort the
-// transaction by itself — it only unblocks operations waiting inside it;
-// the caller still owns the Commit/Abort decision.
-func (m *Manager) BeginCtx(ctx context.Context) *Tx {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	tx, _ := m.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{}
@@ -203,7 +179,7 @@ func (m *Manager) BeginCtx(ctx context.Context) *Tx {
 			snap.Xmin = snap.Active[0]
 		}
 	}
-	*tx = Tx{ID: id, Snap: snap, mgr: m, ctx: ctx}
+	*tx = Tx{ID: id, Snap: snap, mgr: m}
 	m.active[id] = tx
 	m.recomputeHorizonLocked()
 	return tx

@@ -44,7 +44,6 @@ run benchmarks -all -seed 1 -out "$tmp/out"
 run mvpbt-bench -all
 run mvpbt-bench -list
 run mvpbt-bench -list-devices
-run mvpbt-bench -run fig3 -csv
 run mvpbt-bench -run fig3 -json
 run mvpbt-bench -run fig14d -device zns
 refuses mvpbt-bench -run fig3 -device floppy
