@@ -84,7 +84,10 @@ traffic:
 # out: a transaction carries no context (no BeginCtx, Tx.Context or ctxDone
 # in any .go file), admission asks the router alone (no Overloaded probe), a
 # fault rule scopes by file class alone (no MinLBA/MaxLBA), and mvpbt-bench
-# has one machine-readable output, -json (no -csv, no Result.CSV).
+# has one machine-readable output, -json (no -csv, no Result.CSV). And
+# what no binary observes stays out: the LSM builds a full memtable's run
+# under its one lock (no frozen-memtable list, no FlushPending, no second
+# mutex), and Engine.Close flushes the log and keeps no closer list.
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -153,6 +156,8 @@ seams:
 	@bad=$$(grep -rnE 'BeginCtx|ctxDone|Tx\) Context\(|\bOverloaded\b|\b(MinLBA|MaxLBA)\b' --include='*.go' .; \
 		grep -rnE '"csv"|-csv\b|CSV\(\)' --include='*.go' cmd/mvpbt-bench internal/bench); \
 	if [ -n "$$bad" ]; then echo "seams: a setting only tests set is back (transaction context, fake overload probe, LBA-range faults, CSV output):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'PendingMemtables|FlushPending|freezeLocked|compactMu|AddCloser' --include='*.go' . | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a mechanism no binary observes is back (the LSM flushes under its one lock; Engine.Close keeps no closer list):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -7,7 +7,6 @@
 //	mvpbt-bench -all -scale full
 //	mvpbt-bench -run parallel -cpuprofile cpu.pprof -memprofile mem.pprof
 //	mvpbt-bench -run fig12a -device consumer-tlc
-//	mvpbt-bench -run scenarios
 //	mvpbt-bench -all -json > bench-figures.json
 //
 // Every experiment prints the same rows/series the corresponding figure of

@@ -89,7 +89,6 @@ func main() {
 			WALCheckpointBytes:   walCheckpointBytes,
 		},
 		KVOptions: kvOptions,
-		Supervise: true,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "router: %v\n", err)

@@ -70,8 +70,7 @@ func serve(seed uint64, rng *util.Rand, keys int, rules []chaos.Rule, hooks shar
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
 		},
-		Supervise: true,
-		TwoPC:     hooks,
+		TwoPC: hooks,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)

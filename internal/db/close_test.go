@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 )
 
 // TestEngineCloseConcurrent races Close from several goroutines: every
-// call must return, all calls must agree on the result, and registered
-// closers must run exactly once.
+// call must return, and all calls must agree on the result.
 func TestEngineCloseConcurrent(t *testing.T) {
 	e := NewEngine(Config{
 		BufferPages:          512,
@@ -41,12 +42,6 @@ func TestEngineCloseConcurrent(t *testing.T) {
 		}
 	}
 
-	var closerRuns atomic.Int64
-	e.AddCloser(func() error {
-		closerRuns.Add(1)
-		return nil
-	})
-
 	const callers = 4
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -72,45 +67,41 @@ func TestEngineCloseConcurrent(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatalf("Close = %v", errs[0])
 	}
-	if n := closerRuns.Load(); n != 1 {
-		t.Fatalf("closer ran %d times, want exactly 1", n)
-	}
 	// A straggler call after the race still returns the settled result.
 	if err := e.Close(); err != nil {
 		t.Fatalf("late Close = %v", err)
 	}
 }
 
-// TestEngineCloseReportsFirstError pins the error contract: the first
-// closer error is returned, and repeated Close calls return that SAME
+// TestEngineCloseReportsFirstError pins the error contract: a failed flush
+// of the WAL tail is Close's error, and a repeated Close returns that SAME
 // error instead of retrying the shutdown.
 func TestEngineCloseReportsFirstError(t *testing.T) {
-	e := NewEngine(Config{BufferPages: 64})
-	boom := errors.New("flush failed")
-	e.AddCloser(func() error { return boom })
-	later := errors.New("second")
-	e.AddCloser(func() error { return later })
-	if err := e.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want first closer error", err)
+	e, tbl, _ := walTable(t)
+	insertOpen(t, e, tbl, "tail") // logged, not yet flushed
+	e.Dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: int(sfile.ClassMeta), Sticky: true})
+	first := e.Close()
+	if !errors.Is(first, storage.ErrIOFault) {
+		t.Fatalf("Close = %v, want the tail flush's error wrapping storage.ErrIOFault", first)
 	}
-	if err := e.Close(); !errors.Is(err, boom) {
-		t.Fatalf("second Close = %v, want cached first error", err)
+	if err := e.Close(); err != first {
+		t.Fatalf("second Close = %v, want the first call's %v", err, first)
 	}
 }
 
 // TestEngineCloseAfterCrash: a failure stop already marked the engine
-// closed, so Close must be a clean no-op — closers do NOT run (the crash
-// semantics say nothing is flushed) and no error is reported.
+// closed, so Close must be a clean no-op: the crash semantics say nothing
+// is flushed, and no error is reported.
 func TestEngineCloseAfterCrash(t *testing.T) {
-	e := NewEngine(Config{BufferPages: 64})
-	var ran atomic.Int64
-	e.AddCloser(func() error { ran.Add(1); return nil })
+	e, tbl, _ := walTable(t)
+	insertOpen(t, e, tbl, "tail")
 	e.Crash()
+	before := e.LogImage()
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close after Crash = %v, want nil", err)
 	}
-	if ran.Load() != 0 {
-		t.Fatalf("closer ran after a crash: flush on a failed engine")
+	if after := e.LogImage(); !bytes.Equal(after, before) {
+		t.Fatalf("Close after Crash flushed the log tail: %d -> %d bytes", len(before), len(after))
 	}
 }
 

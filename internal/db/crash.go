@@ -1,10 +1,10 @@
 package db
 
 // Crash-restart support for the correctness harness (internal/check) and
-// recovery tests: a crash is a failure stop — closers do NOT run (no LSM
-// memtable flush), and the WAL tail is NOT flushed. Exactly the bytes
-// already on the device (per-commit flushes, the durability points) survive
-// into LogImage; everything else is lost, like power failure.
+// recovery tests: a crash is a failure stop — the WAL tail is NOT flushed.
+// Exactly the bytes already on the device (per-commit flushes, the
+// durability points) survive into LogImage; everything else is lost, like
+// power failure.
 
 // Crash fails the engine: nothing is flushed, and the log is fenced, so a
 // commit, prepare or commit decision still in flight fails with ErrClosed

@@ -145,7 +145,6 @@ type Engine struct {
 	closeMu  sync.Mutex
 	closed   bool
 	closeErr error
-	closers  []func() error
 }
 
 // NewEngine builds an engine from cfg.
@@ -217,19 +216,10 @@ func (e *Engine) storeList() []store {
 	return out
 }
 
-// AddCloser registers fn to run during Close. Closers run in registration
-// order.
-func (e *Engine) AddCloser(fn func() error) {
-	e.closeMu.Lock()
-	e.closers = append(e.closers, fn)
-	e.closeMu.Unlock()
-}
-
-// Close shuts the engine down cleanly: registered closers run (flushing LSM
-// memtables), and the WAL tail is flushed to the device and the log fenced —
-// a later commit, prepare or commit decision fails with ErrClosed unless the
-// final flush already covered its record. Idempotent; returns the first
-// error.
+// Close shuts the engine down cleanly: the WAL tail is flushed to the device
+// and the log fenced — a later commit, prepare or commit decision fails
+// with ErrClosed unless the final flush already covered its record.
+// Idempotent: every call returns the first call's error.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -237,20 +227,11 @@ func (e *Engine) Close() error {
 		return e.closeErr
 	}
 	e.closed = true
-	var first error
-	for _, fn := range e.closers {
-		if err := fn(); err != nil && first == nil {
-			first = err
-		}
-	}
 	if e.log != nil {
-		if err := e.log.Flush(); err != nil && first == nil {
-			first = err
-		}
+		e.closeErr = e.log.Flush()
 		e.log.Close()
 	}
-	e.closeErr = first
-	return first
+	return e.closeErr
 }
 
 // Begin starts a transaction.

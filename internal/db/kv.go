@@ -111,12 +111,11 @@ type LSMKV struct {
 	t *lsm.Tree
 }
 
-// NewLSMKV creates an LSM KV engine on the engine's storage; Engine.Close
-// flushes its memtable.
+// NewLSMKV creates an LSM KV engine on the engine's storage. The store is
+// not durable: the log records none of its writes, its memtable dies with
+// the engine, and a recovered engine starts it empty.
 func NewLSMKV(e *Engine, name string, opts lsm.Options) *LSMKV {
-	t := lsm.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), opts)
-	e.AddCloser(t.Close)
-	return &LSMKV{e: e, t: t}
+	return &LSMKV{e: e, t: lsm.New(e.Pool, e.FM.Create(name, sfile.ClassIndex), opts)}
 }
 
 // Tree exposes the underlying LSM tree (statistics).

@@ -9,54 +9,17 @@ import (
 	"testing"
 	"time"
 
-	"mvpbt/internal/index/lsm"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 )
 
-// Maintenance at engine level. Eviction, merge, P_N sweep and LSM flush
-// all run inline on the writer that trips the threshold, so what these
-// tests hold is what a second writer and a reader see meanwhile, where a
-// maintenance error comes out, and what Close still has to do.
+// Maintenance at engine level. Eviction, merge and P_N sweep all run inline
+// on the writer that trips the threshold, so what these tests hold is what a
+// second writer and a reader see meanwhile, and where a maintenance error
+// comes out.
 
 func key(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
-
-func TestEngineCloseFlushesLSM(t *testing.T) {
-	e := NewEngine(Config{})
-	kv := NewLSMKV(e, "lsm", lsm.Options{MemtableBytes: 8 << 10})
-	val := make([]byte, 64)
-	n := 800
-	for i := 0; i < n; i++ {
-		if err := kv.Put(key(i), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flushed := kv.Tree().Stats().Flushes
-	if flushed == 0 {
-		t.Fatal("no flush ran")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if kv.Tree().Stats().Flushes != flushed+1 {
-		t.Fatal("Close did not flush the live memtable")
-	}
-	if kv.Tree().PendingMemtables() != 0 {
-		t.Fatalf("Close left %d frozen memtables", kv.Tree().PendingMemtables())
-	}
-	got := 0
-	if err := kv.Scan(nil, n+1, func(k, v []byte) bool { got++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("scan saw %d keys, want %d", got, n)
-	}
-	// Idempotent: a second Close is a no-op with the same result.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestInlineMergeHoldsSecondWriter is the contention the served path has:
 // two sessions of one shard, one of them inside an inline merge. Writer A's

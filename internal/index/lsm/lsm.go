@@ -11,6 +11,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mvpbt/internal/bloom"
@@ -87,30 +88,22 @@ type Stats struct {
 	BloomNegatives int64
 }
 
-// Tree is an LSM tree. Safe for concurrent use.
-//
-// One flush path: the write that fills the memtable freezes it onto the imm
-// list (an O(1) pointer swap) and FlushPending builds the run and runs any
-// due compaction under compactMu only, never holding mu across device I/O;
-// reads cover mem + imm + runs throughout. The writer that filled the
-// memtable calls FlushPending itself, inline (the inserting client pays).
+// Tree is an LSM tree. Safe for concurrent use: one lock, mu, covers every
+// operation, as the B-Tree's and the PBT's do. The write that fills the
+// memtable builds its run and runs every compaction then due, inline (the
+// inserting client pays).
 type Tree struct {
 	mu    sync.Mutex
 	opts  Options
 	pool  *buffer.Pool
 	file  *sfile.File
 	mem   *skiplist.List[[]byte, memEntry]
-	imm   []*skiplist.List[[]byte, memEntry] // frozen, newest first
 	seq   uint64
 	l0    []*part.Segment // newest first
 	lower []*part.Segment // levels[i] = L(i+1); nil slots allowed
 	runNo int
 	stats Stats
-	getIt part.Iterator // Get's segment iterator, reused; guarded by mu
-
-	// compactMu serializes run builds and compactions (FlushPending,
-	// Close) without holding mu across the merge I/O.
-	compactMu sync.Mutex
+	getIt part.Iterator // Get's segment iterator, reused
 }
 
 // New creates an empty LSM tree stored in file.
@@ -159,30 +152,18 @@ func (t *Tree) Delete(key []byte) error {
 
 func (t *Tree) write(key []byte, e memEntry) error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	// A run's body is encodeBody's: sequence number, flags byte, value.
+	if err := part.CheckEntry(len(key) + util.UvarintLen(t.seq+1) + 1 + len(e.val)); err != nil {
+		return err
+	}
 	t.seq++
 	e.seq = t.seq
 	t.mem.Set(append([]byte(nil), key...), e)
 	if t.mem.Bytes() < t.opts.MemtableBytes {
-		t.mu.Unlock()
 		return nil
 	}
-	t.freezeLocked()
-	t.mu.Unlock()
-	return t.FlushPending()
-}
-
-// freezeLocked moves the memtable onto the imm list, newest first, and
-// starts an empty one. Requires mu.
-func (t *Tree) freezeLocked() {
-	t.imm = append([]*skiplist.List[[]byte, memEntry]{t.mem}, t.imm...)
-	t.mem = newMem()
-}
-
-// PendingMemtables returns the number of frozen memtables awaiting flush.
-func (t *Tree) PendingMemtables() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.imm)
+	return t.flushLocked()
 }
 
 // Get returns the newest value for key (nil, false when absent or
@@ -201,17 +182,11 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 }
 
 // newestLocked finds key's newest entry, tombstones included: the memtable,
-// the frozen memtables newest first, then L0 newest first and the levels
-// below (bloom filters skip runs). Requires mu.
+// then L0 newest first and the levels below (bloom filters skip runs).
+// Requires mu.
 func (t *Tree) newestLocked(key []byte) (memEntry, bool, error) {
-	for i := -1; i < len(t.imm); i++ {
-		m := t.mem
-		if i >= 0 {
-			m = t.imm[i]
-		}
-		if e, ok := m.Get(key); ok {
-			return e, true, nil
-		}
+	if e, ok := t.mem.Get(key); ok {
+		return e, true, nil
 	}
 	it := &t.getIt
 	h := bloom.HashKey(key)
@@ -353,10 +328,6 @@ func (t *Tree) sources(lo, hi []byte, rows int) (scanMerge, error) {
 	m := scanMerge{hi: hi}
 	mit := t.mem.Seek(lo)
 	m.srcs = append(m.srcs, &source{memIt: &mit})
-	for _, im := range t.imm {
-		iit := im.Seek(lo)
-		m.srcs = append(m.srcs, &source{memIt: &iit})
-	}
 	runs := append(append([]*part.Segment(nil), t.l0...), t.lower...)
 	records := 0
 	for _, seg := range runs {
@@ -406,149 +377,90 @@ func (t *Tree) ScanRawAll(lo, hi []byte, fn func(key []byte, seq uint64, tomb bo
 	return nil
 }
 
-// Flush forces everything in memory out (tests and shutdown): it freezes
-// the current memtable and drains the whole pipeline via FlushPending.
+// Flush builds the memtable into a run and runs every compaction then due
+// (tests and the extra-wa experiment).
 func (t *Tree) Flush() error {
 	t.mu.Lock()
-	if t.mem.Len() > 0 {
-		t.freezeLocked()
+	defer t.mu.Unlock()
+	if t.mem.Len() == 0 {
+		return nil
 	}
-	t.mu.Unlock()
-	return t.FlushPending()
+	return t.flushLocked()
 }
 
-// Close flushes all in-memory state to disk.
-func (t *Tree) Close() error {
-	return t.Flush()
-}
-
-// buildRun serializes one memtable into run number no. Called WITHOUT mu:
-// the source is frozen (no further inserts) and the builder touches only
-// thread-safe state (pool, file).
-func (t *Tree) buildRun(mem *skiplist.List[[]byte, memEntry], no int) (*part.Segment, error) {
-	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+// flushLocked builds the memtable into the newest L0 run, starts an empty
+// one and runs every compaction then due. A failed build leaves the
+// memtable in place, for the next write to flush again. Requires mu.
+func (t *Tree) flushLocked() error {
+	b := part.NewBuilder(t.pool, t.file, t.runNo, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	t.runNo++
 	var body []byte
-	for it := mem.Min(); it.Valid(); it.Next() {
+	for it := t.mem.Min(); it.Valid(); it.Next() {
 		body = encodeBody(body[:0], it.Value())
 		if err := b.Add(it.Key(), body); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return b.Finish(0, 0)
+	seg, err := b.Finish(0, 0)
+	if err != nil {
+		return err
+	}
+	t.l0 = append([]*part.Segment{seg}, t.l0...)
+	t.mem = newMem()
+	t.stats.Flushes++
+	return t.compactLocked()
 }
 
-// FlushPending builds runs for all frozen memtables, oldest first, then
-// runs any due compactions — the flush job. Serialized by
-// compactMu; mu is held only to pick sources and install results, never
-// across the build I/O.
-func (t *Tree) FlushPending() error {
-	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
+// compactLocked runs every compaction due, one after another: all L0 runs
+// and L1 into L1 while L0 is full, else the first lower level over its size
+// target into the one below it. Requires mu.
+func (t *Tree) compactLocked() error {
 	for {
-		t.mu.Lock()
-		if len(t.imm) == 0 {
-			t.mu.Unlock()
-			break
+		src, inputs := -1, t.l0 // all of L0, or lower[src]
+		if len(t.l0) < t.opts.L0Runs {
+			if src = t.overfullLevel(); src < 0 {
+				return nil
+			}
+			inputs = []*part.Segment{t.lower[src]}
 		}
-		src := t.imm[len(t.imm)-1] // oldest; write() prepends
+		dest := src + 1
+		if dest < len(t.lower) && t.lower[dest] != nil {
+			inputs = append(slices.Clip(inputs), t.lower[dest])
+		}
 		no := t.runNo
 		t.runNo++
-		t.mu.Unlock()
-
-		seg, err := t.buildRun(src, no)
+		merged, err := t.mergeRuns(inputs, t.bottomEmpty(dest), no)
 		if err != nil {
 			return err
 		}
-		t.mu.Lock()
-		t.l0 = append([]*part.Segment{seg}, t.l0...)
-		t.imm = t.imm[:len(t.imm)-1]
-		t.stats.Flushes++
-		t.mu.Unlock()
-	}
-	return t.compactPending()
-}
-
-// compactPending loops plan → merge → install until no level is over
-// threshold. Called with compactMu held; the merge I/O runs outside mu.
-func (t *Tree) compactPending() error {
-	for {
-		t.mu.Lock()
-		inputs, srcLevel, dropTombs, no, ok := t.planCompactionLocked()
-		t.mu.Unlock()
-		if !ok {
-			return nil
+		if src < 0 {
+			t.l0 = nil
+		} else {
+			t.lower[src] = nil
 		}
-		merged, err := t.mergeRuns(inputs, dropTombs, no)
-		if err != nil {
-			return err
+		if dest == len(t.lower) {
+			t.lower = append(t.lower, nil)
 		}
-		t.mu.Lock()
-		t.installCompactionLocked(inputs, srcLevel, merged)
-		t.mu.Unlock()
+		t.lower[dest] = merged // nil if everything compacted away
+		t.stats.Compactions++
 		for _, s := range inputs {
 			s.Free()
 		}
 	}
 }
 
-// planCompactionLocked picks the next due compaction: all L0 runs into L1
-// when L0 is full (srcLevel -1), else the first oversized lower level
-// into the one below it (srcLevel i). Allocates the output run number.
-// Requires mu.
-func (t *Tree) planCompactionLocked() (inputs []*part.Segment, srcLevel int, dropTombs bool, no int, ok bool) {
-	if len(t.l0) >= t.opts.L0Runs {
-		inputs = append([]*part.Segment{}, t.l0...)
-		if len(t.lower) > 0 && t.lower[0] != nil {
-			inputs = append(inputs, t.lower[0])
-		}
-		no = t.runNo
-		t.runNo++
-		return inputs, -1, t.bottomEmpty(0), no, true
-	}
+// overfullLevel returns the index of the first lower level over its size
+// target (L1's is LevelRatio memtables, each level's LevelRatio times the
+// one above), or -1.
+func (t *Tree) overfullLevel() int {
 	target := t.opts.LevelRatio * t.opts.MemtableBytes
-	for i := 0; i < len(t.lower); i++ {
-		if t.lower[i] == nil || t.lower[i].SizeBytes <= target {
-			target *= t.opts.LevelRatio
-			continue
+	for i, seg := range t.lower {
+		if seg != nil && seg.SizeBytes > target {
+			return i
 		}
-		inputs = []*part.Segment{t.lower[i]}
-		if i+1 < len(t.lower) && t.lower[i+1] != nil {
-			inputs = append(inputs, t.lower[i+1])
-		}
-		no = t.runNo
-		t.runNo++
-		return inputs, i, t.bottomEmpty(i + 1), no, true
+		target *= t.opts.LevelRatio
 	}
-	return nil, 0, false, 0, false
-}
-
-// installCompactionLocked swaps the merged run in for its inputs.
-// merged may be nil (everything compacted away). Requires mu.
-func (t *Tree) installCompactionLocked(inputs []*part.Segment, srcLevel int, merged *part.Segment) {
-	dest := 0
-	if srcLevel < 0 {
-		// Remove exactly the consumed runs; another writer's flush cannot
-		// have prepended new ones (compactMu), but filter defensively.
-		consumed := make(map[*part.Segment]bool, len(inputs))
-		for _, s := range inputs {
-			consumed[s] = true
-		}
-		var keep []*part.Segment
-		for _, s := range t.l0 {
-			if !consumed[s] {
-				keep = append(keep, s)
-			}
-		}
-		t.l0 = keep
-	} else {
-		t.lower[srcLevel] = nil
-		dest = srcLevel + 1
-	}
-	for len(t.lower) <= dest {
-		t.lower = append(t.lower, nil)
-	}
-	t.lower[dest] = merged
-	t.stats.Compactions++
+	return -1
 }
 
 // bottomEmpty reports whether no run exists below level index i (tombstones
@@ -572,7 +484,6 @@ func (m runMerge) Less(i, j int) bool   { return bytes.Compare(m[i].Key(), m[j].
 
 // mergeRuns merges runs (newest first) into run number no, newest entry
 // per key winning; dropTombs drops tombstones (safe only at the bottom).
-// Touches no locked state: called without mu.
 func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Segment, error) {
 	// Streamed through the same sequential readers and builder as MV-PBT's
 	// merges (Figure 15 compares the structures, not two write-out paths). A

@@ -6,55 +6,10 @@ import (
 	"testing"
 )
 
-// The freeze → FlushPending pipeline: a full memtable is frozen onto the imm
-// list and its run is built without holding mu, so reads must cover mem +
-// imm + runs at every point in between, concurrent writers may freeze while
-// another flushes, and Close leaves nothing in memory.
-
-// freeze moves the live memtable onto the imm list without flushing it,
-// the state a reader sees while another writer is inside FlushPending.
-func freeze(tr *Tree) {
-	tr.mu.Lock()
-	tr.freezeLocked()
-	tr.mu.Unlock()
-}
-
-func TestAsyncFlushReadsCoverImm(t *testing.T) {
-	tr, _ := newTree(512, Options{MemtableBytes: 1 << 20})
-	val := make([]byte, 64)
-	n := 500
-	for i := 0; i < n; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case i%100 == 99:
-			freeze(tr) // frozen memtables pile up unflushed
-		case i == 250:
-			if err := tr.FlushPending(); err != nil { // some become runs
-				t.Fatal(err)
-			}
-		}
-		// Interleave reads: keys must be visible whether they sit in mem,
-		// a frozen imm, or an already-flushed run.
-		if i%37 == 0 {
-			probe := []byte(fmt.Sprintf("k%06d", i/2))
-			if _, ok, err := tr.Get(probe); err != nil || !ok {
-				t.Fatalf("key %s lost mid-flush: ok=%v err=%v", probe, ok, err)
-			}
-		}
-	}
-	if tr.PendingMemtables() == 0 || tr.Stats().Flushes == 0 {
-		t.Fatalf("want both frozen memtables and runs: pending=%d flushes=%d",
-			tr.PendingMemtables(), tr.Stats().Flushes)
-	}
-	// Every key still readable, and a scan sees all of them exactly once.
-	got := 0
-	tr.Scan(nil, nil, func(k, v []byte) bool { got++; return true })
-	if got != n {
-		t.Fatalf("scan saw %d keys, want %d", got, n)
-	}
-}
+// The inline flush: the write that fills the memtable builds its run and
+// runs every compaction then due under the tree's one lock, so concurrent
+// writers and readers see each key in exactly one place, and Flush leaves
+// nothing in memory.
 
 func TestAsyncFlushCompacts(t *testing.T) {
 	tr, _ := newTree(512, Options{MemtableBytes: 2 << 10, L0Runs: 2})
@@ -64,15 +19,12 @@ func TestAsyncFlushCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Close(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.Stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compactions despite L0Runs=2: %+v", st)
-	}
-	if tr.PendingMemtables() != 0 {
-		t.Fatalf("Close left %d frozen memtables", tr.PendingMemtables())
 	}
 	got := 0
 	tr.Scan(nil, nil, func(k, v []byte) bool { got++; return true })
@@ -81,20 +33,20 @@ func TestAsyncFlushCompacts(t *testing.T) {
 	}
 }
 
-func TestAsyncCloseFlushesMemtable(t *testing.T) {
+func TestFlushWritesLiveMemtable(t *testing.T) {
 	tr, _ := newTree(512, Options{MemtableBytes: 1 << 20})
 	tr.Put([]byte("only"), []byte("v"))
 	if tr.Stats().Flushes != 0 {
 		t.Fatal("small memtable flushed early")
 	}
-	if err := tr.Close(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Stats().Flushes != 1 {
-		t.Fatal("Close did not flush the live memtable")
+		t.Fatal("Flush did not flush the live memtable")
 	}
 	if v, ok, _ := tr.Get([]byte("only")); !ok || string(v) != "v" {
-		t.Fatal("key lost across Close")
+		t.Fatal("key lost across Flush")
 	}
 }
 
@@ -122,7 +74,7 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := tr.Close(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got := 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 )
@@ -200,5 +201,26 @@ func TestScanReturnsReadErrors(t *testing.T) {
 				t.Errorf("%s, fault armed after %d records: %d records and error %v, want an I/O fault", name, armAt, n, err)
 			}
 		}
+	}
+}
+
+// TestOversizedEntryRefused: an entry whose run record (key, sequence
+// number, flags byte, value) would be over part.MaxEntry is refused before
+// it enters the memtable; one at the limit flushes.
+func TestOversizedEntryRefused(t *testing.T) {
+	tr, _ := newTree(64, Options{})
+	key := []byte("key")
+	fits := make([]byte, part.MaxEntry-len(key)-2) // sequence number 1 takes one byte
+	if err := tr.Put(key, append(fits, 0)); !errors.Is(err, part.ErrEntryTooLarge) {
+		t.Fatalf("Put one byte over the limit = %v, want part.ErrEntryTooLarge", err)
+	}
+	if err := tr.Put(key, fits); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("flushing an entry at the limit: %v", err)
+	}
+	if v, ok, err := tr.Get(key); err != nil || !ok || len(v) != len(fits) {
+		t.Fatalf("Get = %d bytes, %v, %v", len(v), ok, err)
 	}
 }

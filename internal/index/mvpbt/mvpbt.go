@@ -302,6 +302,9 @@ func (t *Tree) Stats() Stats {
 // ---- Modification operations (§4.2): all writes go to PN only.
 
 func (t *Tree) pnPut(key []byte, rec *Record) error {
+	if err := part.CheckEntry(len(key) + recordLen(rec)); err != nil {
+		return err
+	}
 	// The record owns copies of the caller's key and inline value; both
 	// live until the partition is evicted, so they are carved from ONE
 	// allocation rather than two (callers pass Val uncopied).

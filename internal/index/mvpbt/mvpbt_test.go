@@ -696,12 +696,16 @@ func codecRecords() []Record {
 	return out
 }
 
-// TestRecordCodecRoundTrip: an encoded record decodes to itself, and —
-// bodies are read where they lie in a page image — every truncation of it,
-// and a value length rewritten to run past its end, is an error.
+// TestRecordCodecRoundTrip: an encoded record decodes to itself and is
+// recordLen bytes long, and — bodies are read where they lie in a page
+// image — every truncation of it, and a value length rewritten to run past
+// its end, is an error.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, r := range codecRecords() {
 		enc := encodeRecord(nil, &r)
+		if n := recordLen(&r); n != len(enc) {
+			t.Fatalf("%+v: recordLen %d, encoded %d bytes", r, n, len(enc))
+		}
 		got, err := decodeRecord(enc)
 		if err != nil {
 			t.Fatal(err)

@@ -127,6 +127,21 @@ func encodeRecord(dst []byte, r *Record) []byte {
 	return dst
 }
 
+// recordLen is len(encodeRecord(nil, r)).
+func recordLen(r *Record) int {
+	n := 1 + util.UvarintLen(uint64(r.TS))
+	if r.Matter() {
+		n += index.RefLen
+	}
+	if r.OldRID.Valid() {
+		n += storage.RecordIDLen
+	}
+	if r.Val != nil {
+		n += util.UvarintLen(uint64(len(r.Val))) + len(r.Val)
+	}
+	return n
+}
+
 var errTruncatedRecord = errors.New("mvpbt: truncated record")
 
 // decodeRecord parses a body produced by encodeRecord. The body is read where

@@ -3,6 +3,7 @@ package part
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -29,6 +30,25 @@ type BuildOptions struct {
 // leafBudget is the bytes (records + slots) a leaf takes before the next is
 // started: leaves are dense-packed (§4.7).
 const leafBudget = storage.PageSize - 64
+
+// MaxEntry is the largest key+body a leaf holds: the one record of an empty
+// leaf, whose header (shared length 0, then the key's length, two bytes for
+// any key a page holds) is at its widest.
+const MaxEntry = page.MaxRecordLen - 3
+
+// ErrEntryTooLarge is an entry over MaxEntry. MV-PBT, the PBT and the LSM
+// refuse it before it is buffered: no leaf could ever hold it, so an
+// eviction or flush that met it would fail every time it ran.
+var ErrEntryTooLarge = errors.New("part: entry too large for a leaf")
+
+// CheckEntry returns ErrEntryTooLarge if an entry of n bytes of key and
+// body is over MaxEntry.
+func CheckEntry(n int) error {
+	if n > MaxEntry {
+		return fmt.Errorf("%w (%d bytes, at most %d)", ErrEntryTooLarge, n, MaxEntry)
+	}
+	return nil
+}
 
 // restartEvery is the leaf's restart interval: slots 0, R, 2R, … hold their
 // whole key (shared length 0), so that a seek binary-searches them and
@@ -172,7 +192,7 @@ func (b *Builder) Add(key, body []byte) error {
 	}
 	rec := b.node.Append(n)
 	if rec == nil {
-		return b.fail(fmt.Errorf("part: record too large for leaf (%d bytes)", n))
+		return b.fail(CheckEntry(len(key) + len(body)))
 	}
 	copy(rec, hdr[:h])
 	copy(rec[h:], key[shared:])

@@ -487,3 +487,29 @@ func BenchmarkBuilder(b *testing.B) {
 	b.ReportMetric(float64(st.Reads), "dev-reads/op")
 	b.ReportMetric(float64(st.IOTime())/1e6, "virtual-ms/op")
 }
+
+// TestMaxEntryIsWhatALeafHolds: a record of MaxEntry bytes of key and body
+// builds, with a short key and with one whose length takes two header
+// bytes; one byte more fails with ErrEntryTooLarge, at CheckEntry and in
+// the builder.
+func TestMaxEntryIsWhatALeafHolds(t *testing.T) {
+	for _, keyLen := range []int{8, 200} {
+		key := bytes.Repeat([]byte("k"), keyLen)
+		e := newEnv(16)
+		b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
+		if err := b.Add(key, make([]byte, MaxEntry-keyLen)); err != nil {
+			t.Fatalf("key of %d bytes: an entry of MaxEntry bytes: %v", keyLen, err)
+		}
+		if _, err := b.Finish(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CheckEntry(MaxEntry + 1); !errors.Is(err, ErrEntryTooLarge) {
+		t.Fatalf("CheckEntry(MaxEntry+1) = %v", err)
+	}
+	e := newEnv(16)
+	b := NewBuilder(e.pool, e.file, 1, BuildOptions{})
+	if err := b.Add(bytes.Repeat([]byte("k"), 200), make([]byte, MaxEntry-199)); !errors.Is(err, ErrEntryTooLarge) {
+		t.Fatalf("builder took an entry of MaxEntry+1 bytes: %v", err)
+	}
+}

@@ -94,11 +94,15 @@ func (t *Tree) NumPartitions() int {
 // Insert implements index.Candidates: the entry goes to PN only — no
 // in-place update of persisted partitions, ever.
 func (t *Tree) Insert(key []byte, ref index.Ref) error {
+	body := index.EncodeRef(nil, ref)
+	if err := part.CheckEntry(len(key) + len(body)); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	k := pnKey{key: append([]byte(nil), key...), seq: t.pnSeq}
 	t.pnSeq++
 	n := t.pn.Bytes()
-	t.pn.Set(k, index.EncodeRef(nil, ref))
+	t.pn.Set(k, body)
 	t.pbuf.Add(t.pn.Bytes() - n)
 	t.mu.Unlock()
 	return t.pbuf.MaybeEvict()

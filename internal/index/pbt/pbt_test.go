@@ -188,3 +188,19 @@ func TestShortBodyIsCorrupt(t *testing.T) {
 		t.Fatalf("short body: err %v, want ErrCorruptPage", err)
 	}
 }
+
+// TestOversizedEntryRefused: a key no partition leaf holds is refused
+// before it enters P_N, and the eviction after it succeeds.
+func TestOversizedEntryRefused(t *testing.T) {
+	e := newEnv(64, 1<<20)
+	tr := e.tree(Options{})
+	if err := tr.Insert(make([]byte, part.MaxEntry), ref(1)); !errors.Is(err, part.ErrEntryTooLarge) {
+		t.Fatalf("Insert = %v, want part.ErrEntryTooLarge", err)
+	}
+	if err := tr.Insert([]byte("k"), ref(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -470,7 +470,6 @@ func TestUnavailableStatusTyped(t *testing.T) {
 	defer release()
 
 	scfg := defaultShardConfig(2)
-	scfg.Supervise = true
 	scfg.Supervisor = shard.SupervisorConfig{
 		RestartHook: func(int) error { <-block; return nil },
 	}

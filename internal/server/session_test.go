@@ -15,19 +15,20 @@ import (
 // TestSessionBuffersBounded: a session reads requests into one buffer and
 // builds GET and SCAN replies in another, both kept between requests, and
 // neither keeps a frame past wire.MaxKeptBuffer: after a SET carrying a
-// 2 MiB value and a SCAN whose reply is larger still, the next small
-// request leaves both under the cap and is answered from them. The session
+// 2 MiB value (refused: no partition leaf holds it) and a SCAN whose reply
+// is larger still, the next small request leaves both under the cap and is
+// answered from them. The session
 // is served over net.Pipe, whose synchronous hand-off orders the session's
 // writes of its buffers before the test reads them.
 func TestSessionBuffersBounded(t *testing.T) {
-	// P_N holds all of it: a 2 MiB value is past what a partition leaf takes.
+	// P_N holds all of it.
 	r, err := shard.New(shard.Config{Shards: 1, Engine: db.Config{BufferPages: 256, PartitionBufferBytes: 8 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	val := bytes.Repeat([]byte("v"), 7000)
-	const keys = 320 // with the 2 MiB value, a SCAN of all of them replies with over 4 MiB
+	const keys = 640 // a SCAN of all of them replies with over 4 MiB
 	for i := 0; i < keys; i++ {
 		if err := r.Put([]byte(fmt.Sprintf("k%04d", i)), val); err != nil {
 			t.Fatal(err)
@@ -40,17 +41,21 @@ func TestSessionBuffersBounded(t *testing.T) {
 	defer s.wg.Wait()
 	defer peer.Close()
 	br, bw := bufio.NewReader(peer), bufio.NewWriter(peer)
-	call := func(op byte, segs ...[]byte) []byte {
+	callWant := func(want, op byte, segs ...[]byte) []byte {
 		t.Helper()
 		if err := wire.WriteFrame(bw, op, segs...); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()
 		status, payload, err := wire.ReadFrame(br)
-		if err != nil || status != wire.StatusOK {
-			t.Fatalf("op %d: status %d %q, %v", op, status, payload, err)
+		if err != nil || status != want {
+			t.Fatalf("op %d: status %d %q, %v; want status %d", op, status, payload, err, want)
 		}
 		return payload
+	}
+	call := func(op byte, segs ...[]byte) []byte {
+		t.Helper()
+		return callWant(wire.StatusOK, op, segs...)
 	}
 	session := func() *session {
 		s.mu.Lock()
@@ -73,7 +78,7 @@ func TestSessionBuffersBounded(t *testing.T) {
 	}
 
 	call(wire.OpHello, wire.U32(wire.ProtoVersion), []byte("t"))
-	call(wire.OpSet, wire.U32(0), wire.U32(4), []byte("huge"), bytes.Repeat([]byte("h"), 2<<20))
+	callWant(wire.StatusErr, wire.OpSet, wire.U32(0), wire.U32(4), []byte("huge"), bytes.Repeat([]byte("h"), 2<<20))
 	if sess := session(); sess.req != nil {
 		t.Fatalf("a %d-byte request buffer was kept after a 2 MiB SET", cap(sess.req))
 	}

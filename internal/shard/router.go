@@ -53,12 +53,11 @@ type Config struct {
 	// KVOptions tunes each shard's MV-PBT store (durable exactly when the
 	// engine template enables the WAL).
 	KVOptions db.MVPBTKVOptions
-	// Supervise enables the per-shard health state machine and automatic
-	// restart-through-recovery of failed shards (supervisor.go). Off by
-	// default: unsupervised routers surface engine errors raw and never
-	// restart anything.
+	// Supervise is ignored: every router runs the per-shard health state
+	// machine and restarts a failed shard through recovery
+	// (supervisor.go). The field stays for callers that still set it.
 	Supervise bool
-	// Supervisor tunes supervision (ignored unless Supervise is set).
+	// Supervisor holds the supervisor's test hooks.
 	Supervisor SupervisorConfig
 	// TwoPC installs crash-injection hooks into the two-phase commit
 	// protocol (tests and the chaos check campaign only: every kind
@@ -125,7 +124,7 @@ type Router struct {
 	cfg    Config
 	shards []*Shard
 	health []*shardHealth // per-shard supervision state, indexed by shard
-	sup    *supervisor    // nil unless Config.Supervise
+	sup    *supervisor    // failure detection and restarts, one per router
 	coord  *coordLog      // 2PC coordinator log, on its own private device
 
 	// epoch is the snapshot barrier. Multi-shard COMMIT groups hold it
@@ -156,6 +155,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{cfg: cfg, coord: coord}
+	r.sup = &supervisor{r: r, cfg: cfg.Supervisor, stop: make(chan struct{})}
 	for i := 0; i < cfg.Shards; i++ {
 		eng := db.NewEngine(cfg.Engine)
 		dir := fmt.Sprintf("shard-%d", i)
@@ -172,9 +172,6 @@ func New(cfg Config) (*Router, error) {
 			KV:     kv,
 		})
 		r.health = append(r.health, &shardHealth{})
-	}
-	if cfg.Supervise {
-		r.sup = newSupervisor(r, cfg.Supervisor)
 	}
 	return r, nil
 }
@@ -216,11 +213,10 @@ func (r *Router) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if r.sup != nil {
-		// Stop restart goroutines first: they take shard gates, not the
-		// opGate, so they must be fully parked before engines close.
-		r.sup.shutdown()
-	}
+	// Stop restart goroutines first: they take shard gates, not the opGate,
+	// so they must have finished or bailed before engines close.
+	close(r.sup.stop)
+	r.sup.wg.Wait()
 	r.opGate.Lock()
 	defer r.opGate.Unlock()
 	var first error
@@ -269,7 +265,7 @@ func (r *Router) routed(key []byte, admit func(i int) (*sync.RWMutex, error), ca
 	if err == nil {
 		err = call(i)
 		gate.RUnlock()
-		r.observe(i, err)
+		r.sup.observe(i, err)
 	}
 	return wrap(i, key, err)
 }

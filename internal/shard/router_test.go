@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/util"
 )
 
@@ -473,5 +474,27 @@ func TestScanPropertyVsSingleShardOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOversizedEntryRefused: a SET whose key and value no partition leaf
+// holds fails with part.ErrEntryTooLarge before it enters P_N or the log,
+// so every eviction after it still succeeds and so does every small SET.
+func TestOversizedEntryRefused(t *testing.T) {
+	r := newRouter(t, 1)
+	if err := r.Put([]byte("huge"), make([]byte, 9000)); !errors.Is(err, part.ErrEntryTooLarge) {
+		t.Fatalf("oversized Put = %v, want part.ErrEntryTooLarge", err)
+	}
+	val := make([]byte, 100)
+	for i := 0; i < 2000; i++ {
+		if err := r.Put([]byte(fmt.Sprintf("k%05d", i)), val); err != nil {
+			t.Fatalf("Put %d after the refused entry: %v", i, err)
+		}
+	}
+	if n := r.Shard(0).KV.Tree().Stats().Evictions; n == 0 {
+		t.Fatal("no eviction ran after the refused entry")
+	}
+	if _, ok, err := r.Get([]byte("huge")); ok || err != nil {
+		t.Fatalf("refused key: found=%v err=%v", ok, err)
 	}
 }

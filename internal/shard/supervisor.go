@@ -98,8 +98,8 @@ const (
 	breakerThreshold = 4
 )
 
-// SupervisorConfig holds the supervisor's test hooks (Config.Supervise
-// enables it; its tuning is the constants above).
+// SupervisorConfig holds the supervisor's test hooks (its tuning is the
+// constants above).
 type SupervisorConfig struct {
 	// OnTransition, if set, observes every state transition. Called from
 	// supervisor goroutines and the data path; keep it fast.
@@ -174,20 +174,8 @@ type supervisor struct {
 	r   *Router
 	cfg SupervisorConfig
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-}
-
-func newSupervisor(r *Router, cfg SupervisorConfig) *supervisor {
-	return &supervisor{r: r, cfg: cfg, stop: make(chan struct{})}
-}
-
-// shutdown stops the supervisor and waits for in-flight restarts to
-// finish or bail. Called by Router.Close before the engines come down.
-func (s *supervisor) shutdown() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	stop chan struct{}  // closed by Router.Close
+	wg   sync.WaitGroup // the restart goroutines
 }
 
 // transition CASes shard i from `from` to `to`, firing the hook on success.
@@ -344,18 +332,9 @@ func (s *supervisor) restartShard(i int) error {
 	return nil
 }
 
-// observe forwards an operation outcome to the supervisor (no-op when
-// supervision is off).
-func (r *Router) observe(i int, err error) {
-	if r.sup != nil {
-		r.sup.observe(i, err)
-	}
-}
-
 // Health returns shard i's supervision state: Degraded when the shard is
-// Healthy and its current engine is read-only. Without Config.Supervise the
-// stored state never leaves Healthy. The caller must not hold the shard's
-// gate.
+// Healthy and its current engine is read-only. The caller must not hold
+// the shard's gate.
 func (r *Router) Health(i int) HealthInfo {
 	h := r.health[i]
 	st := HealthState(h.state.Load())
@@ -377,11 +356,8 @@ func (r *Router) Health(i int) HealthInfo {
 }
 
 // FailShard administratively fails shard i (as if a fault storm had), and
-// the supervisor restarts it through recovery. Requires Config.Supervise.
+// the supervisor restarts it through recovery. The error is always nil.
 func (r *Router) FailShard(i int, cause error) error {
-	if r.sup == nil {
-		return errors.New("shard: FailShard requires Config.Supervise")
-	}
 	if cause == nil {
 		cause = errors.New("shard: administratively failed")
 	}

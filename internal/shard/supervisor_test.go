@@ -23,7 +23,6 @@ func newSupervisedRouter(t *testing.T, shards int, sup SupervisorConfig) *Router
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
 		},
-		Supervise:  true,
 		Supervisor: sup,
 	})
 	if err != nil {

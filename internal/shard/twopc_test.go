@@ -23,8 +23,7 @@ func newTwoPCRouter(t *testing.T, shards int, hooks TwoPCHooks) *Router {
 			PartitionBufferBytes: 64 << 10,
 			EnableWAL:            true,
 		},
-		Supervise: true,
-		TwoPC:     hooks,
+		TwoPC: hooks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,9 +288,8 @@ func TestRouterCloseRacesTwoPC(t *testing.T) {
 // pre-2PC per-leg path committed leg 1 before it found leg 2 dead.
 func TestWALLessGroupIsAllOrNothing(t *testing.T) {
 	r, err := New(Config{
-		Shards:    2,
-		Engine:    db.Config{BufferPages: 256, PartitionBufferBytes: 64 << 10},
-		Supervise: true,
+		Shards: 2,
+		Engine: db.Config{BufferPages: 256, PartitionBufferBytes: 64 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)

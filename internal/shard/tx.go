@@ -246,7 +246,7 @@ func (t *Tx) scanShard(i int, s *scanStream, lo []byte, want int) error {
 		return true
 	})
 	gate.RUnlock()
-	t.r.observe(i, err)
+	t.r.sup.observe(i, err)
 	if err != nil {
 		return wrap(i, lo, err)
 	}
@@ -313,7 +313,7 @@ func (t *Tx) Commit() error {
 		t.legs[i].engine.Abort(t.legs[i].tx)
 	}
 	gate.RUnlock()
-	t.r.observe(i, err)
+	t.r.sup.observe(i, err)
 	if err != nil {
 		return &ShardError{Shard: i, Err: err}
 	}
@@ -373,7 +373,7 @@ func (t *Tx) commit2PC(written []int) error {
 		}
 		err = t.legs[i].engine.PrepareDurable(t.legs[i].tx, gid)
 		gate.RUnlock()
-		r.observe(i, err)
+		r.sup.observe(i, err)
 		if err != nil {
 			// Not prepared (the prepare's durability is in doubt exactly
 			// like a failed CommitDurable; recovery treats a flushed
@@ -454,7 +454,7 @@ func (t *Tx) commit2PC(written []int) error {
 		}
 		n, err := t.legs[i].engine.ResolveGroup(gid, commit)
 		gate.RUnlock()
-		r.observe(i, err)
+		r.sup.observe(i, err)
 		if err != nil || n == 0 {
 			pendingLegs = append(pendingLegs, i)
 			continue
@@ -528,7 +528,7 @@ func (t *Tx) resolveLeg(i int, gid uint64, commit bool) legResolution {
 			eng := r.shards[i].Engine
 			n, rerr := eng.ResolveGroup(gid, commit)
 			gate.RUnlock()
-			r.observe(i, rerr)
+			r.sup.observe(i, rerr)
 			if rerr == nil {
 				if n > 0 {
 					return legResolvedHere

@@ -14,12 +14,12 @@ package ssd
 //     parallelism, and sustained (post-SLC-cache) random writes an order
 //     of magnitude worse than the enterprise part.
 //   - zns: an append-only zoned device. Writes land at a per-zone write
-//     pointer; an in-place overwrite is REJECTED by the media. The default
-//     spec runs a dm-zoned-style translation shim that absorbs overwrites
+//     pointer; an in-place overwrite is REJECTED by the media. The device
+//     runs a dm-zoned-style translation shim that absorbs overwrites
 //     as zone appends plus a mapping update (charged and counted), so
 //     unmodified engines still run — the redirect counter measures exactly
 //     how much of the engine's write traffic a real zoned device would
-//     bounce. Strict mode surfaces the rejection as a typed error instead.
+//     bounce.
 //   - cloud-block: network-attached cloud block storage — a flat per-op
 //     network overhead, no seq/rand asymmetry, and a throttled-IOPS token
 //     bucket with burst credits: I/O beyond the sustained rate drains the

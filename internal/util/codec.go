@@ -1,6 +1,9 @@
 package util
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Order-preserving key codecs: the encoded byte strings compare (with
 // bytes.Compare) in the same order as the source values. Indexes store keys
@@ -36,6 +39,9 @@ func PutUvarint(dst []byte, v uint64) []byte {
 	n := binary.PutUvarint(b[:], v)
 	return append(dst, b[:n]...)
 }
+
+// UvarintLen is the length of PutUvarint's encoding of v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Uvarint reads a varint from src, returning the value and byte count.
 func Uvarint(src []byte) (uint64, int) {

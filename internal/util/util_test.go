@@ -192,10 +192,15 @@ func TestVarintRoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
 		enc := PutUvarint(nil, v)
 		got, n := Uvarint(enc)
-		return got == v && n == len(enc)
+		return got == v && n == len(enc) && UvarintLen(v) == len(enc)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, v := range []uint64{0, 1<<7 - 1, 1 << 7, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63} {
+		if !f(v) {
+			t.Fatalf("varint of %d", v)
+		}
 	}
 }
 
