@@ -87,7 +87,10 @@ traffic:
 # has one machine-readable output, -json (no -csv, no Result.CSV). And
 # what no binary observes stays out: the LSM builds a full memtable's run
 # under its one lock (no frozen-memtable list, no FlushPending, no second
-# mutex), and Engine.Close flushes the log and keeps no closer list.
+# mutex), and Engine.Close flushes the log and keeps no closer list. And
+# MV-PBT evicts P_N under its write lock: no non-test file under
+# internal/index/mvpbt keeps a frozen-P_N list (no frozen field or loop, no
+# buildFrozen, no FrozenPNs).
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -158,6 +161,8 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a setting only tests set is back (transaction context, fake overload probe, LBA-range faults, CSV output):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'PendingMemtables|FlushPending|freezeLocked|compactMu|AddCloser' --include='*.go' . | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: a mechanism no binary observes is back (the LSM flushes under its one lock; Engine.Close keeps no closer list):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'FrozenPNs|buildFrozen|frozen' --include='*.go' internal/index/mvpbt | grep -vE '_test\.go:|^[^:]+:[0-9]+:\s*//'); \
+	if [ -n "$$bad" ]; then echo "seams: the frozen-P_N list is back (EvictPN builds P_N under bgMu and mu):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -101,14 +101,13 @@ func runFig3(s Scale) (*Result, error) {
 		Title:  "Throughput (tx/s) vs version-chain length",
 		Header: []string{"chain", "BTree", "PBT", "MVPBT"},
 	}
-	chain := 1 // the initial insert is version 1
 	for _, target := range lengths {
 		row := []Cell{count(target, 0)}
 		for _, fe := range engines {
 			// Grow the hot tuple's chain to the target length. The growth
 			// interleaves with unrelated updates (as in the combined
 			// workload), so successive versions land on different pages.
-			for chainOf(fe) < target {
+			for fe.chain < target {
 				if err := fig3Update(fe, fe.hot); err != nil {
 					return nil, err
 				}
@@ -127,9 +126,7 @@ func runFig3(s Scale) (*Result, error) {
 			row = append(row, timed(tput, 1))
 		}
 		res.Add(row...)
-		chain = target
 	}
-	_ = chain
 	for _, fe := range engines {
 		fe.eng.Commit(fe.long)
 	}
@@ -139,9 +136,6 @@ func runFig3(s Scale) (*Result, error) {
 	res.Headline("mvpbt_tx/s@50", "tx/s", must(res.Last("MVPBT")))
 	return res, nil
 }
-
-// chain tracking lives on the engine struct.
-func chainOf(fe *fig3Engine) int { return fe.chain }
 
 // fig3Update creates one successor version of key.
 func fig3Update(fe *fig3Engine, key []byte) error {

@@ -196,8 +196,8 @@ func newHarness(cfg RunConfig) (*harness, error) {
 
 // buildEngine constructs a fresh engine + schema (initial start and every
 // crash-restart). The partition buffer is kept deliberately tiny so
-// evictions, frozen PNs, partition builds and merges all happen within
-// even short histories.
+// evictions, partition builds and merges all happen within even short
+// histories.
 func (h *harness) buildEngine() error {
 	h.eng = db.NewEngine(db.Config{
 		BufferPages:          2048,

@@ -168,10 +168,10 @@ func (h *harness) checkMirror(step int, opStr string) *Violation {
 //
 //  1. the visible scan result is a subset of the raw MATTER records —
 //     MV-PBT never fabricates an entry it does not physically hold;
-//  2. within every source (PN, each frozen PN, each partition) keys are
-//     non-decreasing and per-key timestamps non-increasing (§4.3);
+//  2. within every source (PN, each partition) keys are non-decreasing
+//     and per-key timestamps non-increasing (§4.3);
 //  3. the visible scan emits each (key, rid) at most once across
-//     PN/frozen/partitions (anti-matter suppression works).
+//     PN and partitions (anti-matter suppression works).
 //
 // The visible scan runs FIRST: an eviction or merge may
 // garbage-collect invisible records between the two passes but can never

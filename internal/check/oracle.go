@@ -4,7 +4,7 @@
 // index — B-Tree, PBT, MV-PBT and the LSM mirror — agrees with it
 // post-visibility-filter, that MV-PBT never surfaces an invisible
 // version, that scans are key-ordered and duplicate-free across
-// PN/frozen/partitions, and that GC never reclaims a version a live
+// PN and partitions, and that GC never reclaims a version a live
 // snapshot still needs (Larson-style history replay against a sequential
 // model). Histories are generated from a printed seed, replayed
 // deterministically, and shrunk greedily to a minimal failing prefix.

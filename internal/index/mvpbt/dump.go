@@ -9,9 +9,8 @@ import (
 // DumpRange callback Key and Rec.Val follow index.Entry's lifetime rule:
 // good until the callback returns.
 type RawEntry struct {
-	// Source is "PN" for the main-memory partition, "F<i>" for frozen
-	// (eviction-pending) PNs newest first, and "P<no>" for persisted
-	// partitions, newest first — the §4.3 processing order.
+	// Source is "PN" for the main-memory partition and "P<no>" for
+	// persisted partitions, newest first — the §4.3 processing order.
 	Source string
 	Key    []byte
 	Rec    Record
@@ -33,9 +32,9 @@ func (d RawEntry) String() string {
 }
 
 // DumpRange streams every index record with lo <= key < hi (hi nil =
-// +inf), source by source in processing order (PN, frozen PNs newest
-// first, partitions newest to oldest), each source in its internal
-// (key asc, ts desc, seq desc) order. No visibility filtering and no GC
+// +inf), source by source in processing order (PN, then the partitions
+// newest to oldest), each source in its internal (key asc, ts desc, seq
+// desc) order. No visibility filtering and no GC
 // side effects; fn returning false stops. Safe to run concurrently with
 // readers and writers — it sees the view current at call time. A partition
 // it cannot read or decode is an error, not a shorter dump.

@@ -41,102 +41,70 @@ func (t *Tree) SweepPN() error {
 	return nil
 }
 
-// EvictPN implements part.Owner — the partition eviction pipeline of
-// Algorithm 4, restructured so the expensive build never holds the
-// tree's write lock:
+// EvictPN implements part.Owner — the partition eviction of Algorithm 4,
+// run inline by the writer whose insert filled the partition buffer. Under
+// bgMu and mu, P_N's version chains are analysed and obsolete records
+// garbage collected (phase 3 of §4.6): a record superseded below the GC
+// horizon by a committed successor of the same key is invisible to every
+// present and future snapshot and is dropped, with its anti-matter
+// inherited by the successor; aborted and flagged records are dropped;
+// anti and tombstone records whose whole chain lived in P_N vanish
+// entirely. The survivors are dense-packed into leaf pages with prefix
+// truncation, internal levels are built bottom-up, all pages are written
+// out strictly sequentially, and bloom/prefix-bloom filters are computed
+// from the same pass. One view then swaps P_N for a fresh one and the new
+// partition, so a reader sees the records either in P_N (old view) or in
+// the partition (new view) — never both or neither. A failed build
+// publishes nothing: P_N stays, and the next eviction retries it whole.
 //
-//  1. Freeze (under mu, cheap): the current PN is prepended to the view's
-//     frozen list and a fresh PN takes its place; ongoing modifications
-//     and readers are unaffected.
-//  2. Build (under bgMu only): the oldest frozen PN's version chains are
-//     analysed and obsolete records garbage collected (phase 3 of §4.6):
-//     a record superseded below the GC horizon by a committed successor
-//     of the same key is invisible to every present and future snapshot
-//     and is dropped, with its anti-matter inherited by the successor;
-//     aborted and flagged records are dropped; anti and tombstone records
-//     whose whole chain lived in PN vanish entirely. The survivors are
-//     dense-packed into leaf pages with prefix truncation, internal
-//     levels are built bottom-up, all pages are written out strictly
-//     sequentially, and bloom/prefix-bloom filters are computed from the
-//     same pass.
-//  3. Publish (under mu, cheap): the frozen PN is swapped for the new
-//     partition in ONE view, so a reader either sees the frozen PN (old
-//     view) or the new partition (new view) — never both or neither.
-//
-// Foreground inserts therefore only ever contend with the freeze and
-// publish steps; the serialization + device write happens concurrently.
+// Readers never take mu and proceed throughout. When a merge is due
+// afterwards (mergeStart), it runs inline under bgMu alone, so inserts go
+// on into the fresh P_N meanwhile.
 func (t *Tree) EvictPN() error {
+	t.bgMu.Lock()
+	defer t.bgMu.Unlock()
 	t.mu.Lock()
 	v := t.view.Load()
 	if v.pn.Len() > 0 {
-		frozen := make([]*skiplist.List[pnKey, *Record], 0, len(v.frozen)+1)
-		frozen = append(frozen, v.pn)
-		frozen = append(frozen, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
-		t.pnGarbage.Store(0)
-	}
-	t.mu.Unlock()
-	return t.buildFrozen()
-}
-
-// buildFrozen drains the frozen list oldest-first, building one partition
-// per frozen PN. Only bgMu is held across a build; mu is taken briefly to
-// pick the next source and to publish the result. When a merge is due
-// afterwards (mergeStart), it runs inline, still under bgMu.
-func (t *Tree) buildFrozen() error {
-	t.bgMu.Lock()
-	defer t.bgMu.Unlock()
-	for {
-		t.mu.Lock()
-		v := t.view.Load()
-		if len(v.frozen) == 0 {
-			from := t.mergeStart(v)
-			t.mu.Unlock()
-			if from < 0 {
-				return nil
-			}
-			return t.mergeBG(from)
-		}
-		src := v.frozen[len(v.frozen)-1] // oldest; new freezes prepend
 		no := t.nextNo
 		t.nextNo++
-		t.mu.Unlock()
-
-		seg, gc, err := t.buildPartition(src, no)
+		seg, gc, err := t.buildPartition(v.pn, no)
 		if err != nil {
+			t.mu.Unlock()
 			return err
 		}
-
-		t.mu.Lock()
-		v2 := t.view.Load()
-		frozen := append([]*skiplist.List[pnKey, *Record](nil), v2.frozen[:len(v2.frozen)-1]...)
-		nv := &treeView{pn: v2.pn, frozen: frozen, parts: v2.parts, gc: v2.gc}
+		nv := &treeView{pn: newPN(), parts: v.parts, gc: v.gc}
 		if seg != nil {
-			nv.parts = append(v2.parts[:len(v2.parts):len(v2.parts)], seg)
-			nv.gc = append(v2.gc[:len(v2.gc):len(v2.gc)], gc)
-		}
-		t.view.Store(nv)
-		t.pbuf.Add(-src.Bytes())
-		t.mu.Unlock()
-		if seg != nil {
+			nv.parts = append(v.parts[:len(v.parts):len(v.parts)], seg)
+			nv.gc = append(v.gc[:len(v.gc):len(v.gc)], gc)
 			t.stats.evictions.Add(1)
 		}
+		t.view.Store(nv)
+		t.pbuf.Add(-v.pn.Bytes())
+		t.pnGarbage.Store(0)
+		v = nv
 	}
+	from := t.mergeStart(v)
+	t.mu.Unlock()
+	if from < 0 {
+		return nil
+	}
+	return t.mergeBG(from)
 }
 
-// buildPartition runs GC phase 3 over one frozen PN and serializes the
-// survivors into a partition. Called with bgMu (NOT mu) held: the frozen
-// source receives no more inserts, record flags are read via snapshot
-// copies, and txn.Manager, the segment builder and the stats counters are
-// all thread-safe. Returns a nil segment when GC leaves nothing to persist,
-// and the partition's counts for the merge triggers.
+// buildPartition runs GC phase 3 over P_N and serializes the survivors into
+// a partition. Called with bgMu and mu held: src receives no inserts, record
+// flags are read via snapshot copies, and txn.Manager, the segment builder
+// and the stats counters are all thread-safe. Returns a nil segment when GC
+// leaves nothing to persist, and the partition's counts for the merge
+// triggers.
 func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
 	w := t.newPartWriter(no, false)
 	defer w.b.Abort()
 	for it := src.Min(); it.Valid(); it.Next() {
-		// Value-copy every record: the frozen PN stays readable through the
-		// current view while GC rewrites anti-matter chains (OldRID
-		// inheritance), so the mutation must happen on private copies.
+		// Value-copy every record: P_N stays readable through the current
+		// view while GC rewrites anti-matter chains (OldRID inheritance),
+		// so the mutation must happen on private copies.
 		if err := w.add(it.Key().key, it.Value().snapshot(), nil); err != nil {
 			return nil, partGC{}, err
 		}
@@ -145,7 +113,7 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 }
 
 // partWriter is the one path by which records become a persisted
-// partition: evictions feed it a frozen PN, merges the k-way merge of their
+// partition: evictions feed it P_N, merges the k-way merge of their
 // inputs, both in (key asc, ts desc, newer source first) order. Every GC
 // rule looks only within one key, so it holds the records of ONE key,
 // collects their garbage when the next key arrives, and streams the

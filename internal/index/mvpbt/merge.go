@@ -18,8 +18,8 @@ import (
 // has moved past the old view (see the gate in Tree). MaxPartitions's
 // merge may take only the newer partitions instead (mergeFrom).
 //
-// The k-way merge and the build run under bgMu only — foreground inserts,
-// freezes and readers proceed throughout; mu is taken briefly to snapshot
+// The k-way merge and the build run under bgMu only — foreground inserts
+// and readers proceed throughout; mu is taken briefly to snapshot
 // the inputs and to install the result.
 func (t *Tree) MergePartitions() error {
 	t.bgMu.Lock()
@@ -79,9 +79,9 @@ func (s *mergeSource) load() (err error) {
 // the newest, into one partition in their place, so newer records still come
 // first (§4.3). Dangling anti-matter (see partWriter) is dropped only when
 // from is 0: the input is then the COMPLETE persisted state — bgMu guarantees
-// that only bgMu holders append to or replace parts, and records in PN or
-// frozen PNs were inserted after every persisted record — later, but not
-// always with a newer timestamp (uniqueGC's pnHoldsOlder).
+// that only bgMu holders append to or replace parts, and records in P_N were
+// inserted after every persisted record — later, but not always with a newer
+// timestamp (uniqueGC's pnHoldsOlder).
 func (t *Tree) mergeBG(from int) error {
 	t.mu.Lock()
 	v := t.view.Load()
@@ -129,18 +129,13 @@ func (t *Tree) mergeBG(from int) error {
 		// the previous, still-intact view.
 		return err
 	}
-	// Install: re-read the view — PN inserts and freezes may have
-	// published since the snapshot (they don't touch parts; bgMu excludes
-	// every parts mutator for the whole merge), so carry the current
-	// pn/frozen and rebase defensively around the inputs.
+	// Install: bgMu excludes every parts mutator for the whole merge, so
+	// only P_N may have changed since the snapshot; carry the current one.
 	t.mu.Lock()
-	v2 := t.view.Load()
-	nv := &treeView{pn: v2.pn, frozen: v2.frozen, parts: v2.parts[:from:from], gc: v2.gc[:from:from]}
+	nv := &treeView{pn: t.view.Load().pn, parts: v.parts[:from:from], gc: v.gc[:from:from]}
 	if seg != nil {
 		nv.parts, nv.gc = append(nv.parts, seg), append(nv.gc, gc)
 	}
-	nv.parts = append(nv.parts, v2.parts[len(v.parts):]...)
-	nv.gc = append(nv.gc, v2.gc[len(v.parts):]...)
 	t.view.Store(nv)
 	t.mu.Unlock()
 	// Grace period: in-flight readers may still hold the old view with the

@@ -7,7 +7,6 @@ import (
 
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
-	"mvpbt/internal/skiplist"
 	"mvpbt/internal/txn"
 )
 
@@ -112,23 +111,13 @@ func TestMergeDropsDanglingTombstones(t *testing.T) {
 	}
 }
 
-// freeze is EvictPN's first step alone: P_N joins the frozen list, and no
-// partition is built from it.
-func (t *Tree) freeze() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.view.Load()
-	frozen := append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...)
-	t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
-}
-
 // TestMergeKeepsTombstoneOverOlderPNRecord: a long-running writer inserts a
 // key, with a timestamp older than the tombstone that deleted it meanwhile,
-// after the tombstone was evicted; its record waits in a frozen P_N. A merge
+// after the tombstone was evicted; its record waits in P_N. A merge
 // of every partition runs with the tombstone committed below the horizon.
 // It keeps the tombstone, so a scan at a fresh snapshot still misses the key
 // (the tombstone is newer than the writer's record), and a lookup, which
-// visits the frozen P_N first, answers as it did before the merge.
+// visits P_N first, answers as it did before the merge.
 func TestMergeKeepsTombstoneOverOlderPNRecord(t *testing.T) {
 	e := newEnv(1024, 1<<26)
 	tr := e.tree(Options{Unique: true, BloomBits: 10})
@@ -140,7 +129,6 @@ func TestMergeKeepsTombstoneOverOlderPNRecord(t *testing.T) {
 	tr.EvictPN()
 	tr.InsertRegular(w, key, v1)
 	e.mgr.Commit(w)
-	tr.freeze()
 	r := e.mgr.Begin()
 	before := lookupRIDs(t, tr, r, key)
 	e.mgr.Commit(r)

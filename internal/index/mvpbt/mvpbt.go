@@ -134,24 +134,20 @@ type statCounters struct {
 }
 
 // treeView is the immutable snapshot the read path operates on: the
-// current main-memory partition, the frozen (eviction-pending) PNs newest
-// first, and the persisted partition list, oldest first, with what a merge
-// could drop from each partition (partWriter.flush). All are
-// published TOGETHER — eviction moves records PN → frozen → partition, so
-// publishing them separately would let a reader observe records twice or
-// not at all.
+// current main-memory partition and the persisted partition list, oldest
+// first, with what a merge could drop from each partition
+// (partWriter.flush). Both are published TOGETHER — eviction moves records
+// PN → partition, so publishing them separately would let a reader observe
+// records twice or not at all.
 //
 // The pn inside a view is mutable in the SWMR sense: the single writer
-// (under Tree.mu) keeps inserting into it until it is frozen by eviction;
-// readers traverse it lock-free. frozen lists receive no further inserts
-// (that is the point of freezing: the expensive partition build reads
-// them without any lock), and parts is never mutated once published —
+// (under Tree.mu) keeps inserting into it until eviction replaces it;
+// readers traverse it lock-free. parts is never mutated once published —
 // writers publish a whole new view instead.
 type treeView struct {
-	pn     *skiplist.List[pnKey, *Record]
-	frozen []*skiplist.List[pnKey, *Record]
-	parts  []*part.Segment
-	gc     []partGC // per partition
+	pn    *skiplist.List[pnKey, *Record]
+	parts []*part.Segment
+	gc    []partGC // per partition
 }
 
 // partGC is what partWriter.flush counts in one partition for mergeStart:
@@ -174,10 +170,10 @@ type Tree struct {
 	// view is the read-path snapshot, swapped atomically by writers.
 	view atomic.Pointer[treeView]
 
-	// bgMu serializes the heavy reorganizations — frozen-PN partition
-	// builds and partition merges — WITHOUT blocking mu: foreground
-	// inserts and freezes proceed while a build is in flight. Lock order
-	// is always bgMu before mu.
+	// bgMu serializes the reorganizations of the partition list —
+	// evictions and merges. An eviction holds mu too; a merge holds bgMu
+	// alone, so foreground inserts proceed while it is in flight. Lock
+	// order is always bgMu before mu.
 	bgMu sync.Mutex
 
 	// gate tracks readers for segment reclamation: every reader holds the
@@ -214,22 +210,11 @@ func newPN() *skiplist.List[pnKey, *Record] {
 	})
 }
 
-// PNBytes implements part.Owner. Frozen PNs still occupy buffer memory
-// until their partition build publishes, so they count too.
+// PNBytes implements part.Owner.
 func (t *Tree) PNBytes() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.view.Load()
-	total := v.pn.Bytes()
-	for _, fz := range v.frozen {
-		total += fz.Bytes()
-	}
-	return total
-}
-
-// FrozenPNs returns the number of eviction-pending frozen PNs.
-func (t *Tree) FrozenPNs() int {
-	return len(t.view.Load().frozen)
+	return t.view.Load().pn.Bytes()
 }
 
 // NeedsMerge reports whether a merge is due, by any trigger (mergeStart).
@@ -447,7 +432,7 @@ func (t *Tree) newReadState(tx *txn.Tx) *readState {
 // release returns rs to the pool. Everything it borrowed is dropped: Tx
 // handles are themselves pooled by the txn manager and must not be retained
 // past the read that borrowed them, and an iterator or a decoded record left
-// standing would keep a merged-away segment or a frozen PN alive. Closing
+// standing would keep a merged-away segment or an evicted P_N alive. Closing
 // the iterators is also where the lifetime of every Entry.Key and Entry.Val
 // handed to the caller's callback ends (see index.Entry).
 func (rs *readState) release() {
@@ -544,21 +529,17 @@ func (v *visCheck) mark(rec *Record) {
 	}
 }
 
-// walkSrc names the source a walk is in: P_N, a frozen (eviction-pending)
-// PN or a persisted partition.
+// walkSrc names the source a walk is in: P_N or a persisted partition.
 type walkSrc struct {
-	inPN bool // a main-memory partition: its records are shared and may be GC-marked
-	n    int  // 0 = P_N and i+1 = frozen PN i when inPN, the partition number otherwise
+	inPN bool // P_N: its records are shared and may be GC-marked
+	n    int  // the partition number when !inPN
 }
 
 func (s walkSrc) String() string {
-	switch {
-	case !s.inPN:
-		return fmt.Sprintf("P%d", s.n)
-	case s.n == 0:
+	if s.inPN {
 		return "PN"
 	}
-	return fmt.Sprintf("F%d", s.n-1)
+	return fmt.Sprintf("P%d", s.n)
 }
 
 // partFilter selects which persisted partitions a walk enters.
@@ -599,17 +580,9 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 		return index.KeyInRange(key, lo, hi)
 	}
 	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
-	// Frozen PNs are strictly newer than any persisted partition and
-	// strictly older than P_N — §4.3 ordering holds.
-	for i := -1; i < len(v.frozen); i++ {
-		pn := v.pn
-		if i >= 0 {
-			pn = v.frozen[i]
-		}
-		for it := pn.Seek(from); it.Valid() && has(it.Key().key); it.Next() {
-			if !visit(walkSrc{inPN: true, n: i + 1}, it.Key().key, it.Value()) {
-				return nil
-			}
+	for it := v.pn.Seek(from); it.Valid() && has(it.Key().key); it.Next() {
+		if !visit(walkSrc{inPN: true}, it.Key().key, it.Value()) {
+			return nil
 		}
 	}
 	if len(v.parts) == 0 {
@@ -710,7 +683,7 @@ type scanSource struct {
 }
 
 // scanMerge is a scan's merge inputs in the order scanSources adds them:
-// P_N, the frozen P_Ns, then the partitions, each newer than the next. They
+// P_N, then the partitions, each newer than the next. They
 // merge on (key asc, ts desc), and the loser tree's tie rule — the lower
 // index first — puts a newer source's record before an older one's.
 type scanMerge []scanSource
@@ -854,10 +827,6 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
 	s := rs.addSource()
 	s.inPN, s.pnIt = true, v.pn.Seek(from)
-	for _, fz := range v.frozen {
-		s = rs.addSource()
-		s.inPN, s.pnIt = true, fz.Seek(from)
-	}
 	for i := len(v.parts) - 1; i >= 0; i-- {
 		seg := v.parts[i]
 		if segInvisible(tx, seg) {

@@ -621,7 +621,7 @@ func TestPartitionBufferDrivesEviction(t *testing.T) {
 
 // TestPartitionBufferTotalIsPNBytes: the buffer's running total is the sum
 // of its trees' PNBytes after every kind of change — inserts, phase-2
-// sweeps, freezes, builds and the evictions the buffer runs itself.
+// sweeps, explicit evictions and the evictions the buffer runs itself.
 func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 	e := newEnv(1024, 32<<10)
 	trees := []*Tree{e.tree(Options{Name: "a"}), e.tree(Options{Name: "b", Unique: true})}
@@ -656,8 +656,10 @@ func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 			e.mgr.Commit(r)
 		}
 		if round%7 == 0 {
-			trees[round%2].freeze()
-			check(fmt.Sprintf("freeze in round %d", round))
+			if err := trees[round%2].EvictPN(); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("eviction in round %d", round))
 		}
 	}
 	if trees[0].Stats().GCSweptPN == 0 || e.pbuf.Evictions() == 0 {

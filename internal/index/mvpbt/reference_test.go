@@ -21,18 +21,10 @@ type refEntry struct {
 	rec *Record
 }
 
-// refEvictPN freezes PN, builds every frozen PN with refBuildPartition and
-// then runs the merge mergeStart finds due, with refMerge.
+// refEvictPN builds P_N with refBuildPartition under bgMu and mu, as
+// EvictPN does, and then runs the merge mergeStart finds due, with refMerge.
 func (t *Tree) refEvictPN() error {
-	t.mu.Lock()
-	v := t.view.Load()
-	if v.pn.Len() > 0 {
-		frozen := append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...)
-		t.view.Store(&treeView{pn: newPN(), frozen: frozen, parts: v.parts, gc: v.gc})
-		t.pnGarbage.Store(0)
-	}
-	t.mu.Unlock()
-	if err := t.refBuildFrozen(); err != nil {
+	if err := t.refBuildPN(); err != nil {
 		return err
 	}
 	if from := t.mergeStart(t.view.Load()); from >= 0 {
@@ -41,36 +33,31 @@ func (t *Tree) refEvictPN() error {
 	return nil
 }
 
-func (t *Tree) refBuildFrozen() error {
+func (t *Tree) refBuildPN() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
-	for {
-		t.mu.Lock()
-		v := t.view.Load()
-		if len(v.frozen) == 0 {
-			t.mu.Unlock()
-			return nil
-		}
-		src := v.frozen[len(v.frozen)-1]
-		no := t.nextNo
-		t.nextNo++
-		t.mu.Unlock()
-		seg, gc, err := t.refBuildPartition(src, no)
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		v2 := t.view.Load()
-		parts, gcs := v2.parts, v2.gc
-		if seg != nil {
-			parts = append(append([]*part.Segment(nil), v2.parts...), seg)
-			gcs = append(append([]partGC(nil), v2.gc...), gc)
-			t.stats.evictions.Add(1)
-		}
-		t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen[: len(v2.frozen)-1 : len(v2.frozen)-1], parts: parts, gc: gcs})
-		t.pbuf.Add(-src.Bytes())
-		t.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view.Load()
+	if v.pn.Len() == 0 {
+		return nil
 	}
+	no := t.nextNo
+	t.nextNo++
+	seg, gc, err := t.refBuildPartition(v.pn, no)
+	if err != nil {
+		return err
+	}
+	parts, gcs := v.parts, v.gc
+	if seg != nil {
+		parts = append(append([]*part.Segment(nil), v.parts...), seg)
+		gcs = append(append([]partGC(nil), v.gc...), gc)
+		t.stats.evictions.Add(1)
+	}
+	t.view.Store(&treeView{pn: newPN(), parts: parts, gc: gcs})
+	t.pbuf.Add(-v.pn.Bytes())
+	t.pnGarbage.Store(0)
+	return nil
 }
 
 // refDead returns the trigger counts of a partition written from kvs, whose
@@ -122,16 +109,15 @@ func (t *Tree) refDead(kvs []part.KV, complete bool) partGC {
 	return gc
 }
 
-// refBuildPartition runs GC phase 3 over one frozen PN and serializes the
-// survivors into a partition. Called with bgMu (NOT mu) held: the frozen
-// source receives no more inserts, record flags are read via snapshot
-// copies, and txn.Manager, the segment builder and the stats counters are
-// all thread-safe. Returns a nil segment when GC leaves nothing to persist,
-// and the partition's refDead.
+// refBuildPartition runs GC phase 3 over P_N and serializes the survivors
+// into a partition. Called with bgMu and mu held: the source receives no
+// inserts, record flags are read via snapshot copies, and txn.Manager, the
+// segment builder and the stats counters are all thread-safe. Returns a nil
+// segment when GC leaves nothing to persist, and the partition's refDead.
 func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
-	// Value-copy every record: the frozen PN stays readable through the
-	// current view while GC below rewrites anti-matter chains (OldRID
-	// inheritance), so the mutation must happen on private copies.
+	// Value-copy every record: P_N stays readable through the current view
+	// while GC below rewrites anti-matter chains (OldRID inheritance), so
+	// the mutation must happen on private copies.
 	entries := make([]refEntry, 0, src.Len())
 	recs := make([]Record, 0, src.Len())
 	for it := src.Min(); it.Valid(); it.Next() {
@@ -166,8 +152,8 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 	return seg, t.refDead(kvs, false), err
 }
 
-// refEvictGC is phase 3: chain-collapsing garbage collection over the frozen
-// PN contents. entries are in (key asc, ts desc) order; the returned slice
+// refEvictGC is phase 3: chain-collapsing garbage collection over the PN
+// contents. entries are in (key asc, ts desc) order; the returned slice
 // preserves that order.
 func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 	horizon := t.mgr.Horizon()
@@ -275,9 +261,9 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 // the rest. Aborted records are dropped anywhere. A decider that is a
 // tombstone or anti record is kept in an eviction (pnOldest nil): it may
 // still extinguish the key in older partitions. A merge of every partition
-// passes pnOldest, the oldest timestamp per key in P_N and the frozen P_Ns,
-// and drops such a decider too, unless one of those records is older than
-// it: a long-running writer's, which the decider must keep extinguishing.
+// passes pnOldest, the oldest timestamp per key in P_N, and drops such a
+// decider too, unless one of those records is older than it: a
+// long-running writer's, which the decider must keep extinguishing.
 func (t *Tree) refUniqueEvictGC(entries []refEntry, pnOldest map[string]txn.TxID) []refEntry {
 	horizon := t.mgr.Horizon()
 	out := entries[:0]
@@ -310,17 +296,14 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, pnOldest map[string]txn.TxID
 	return out
 }
 
-// refPNOldest is the oldest timestamp of each key in P_N and the frozen P_Ns
-// of the current view, read record by record.
+// refPNOldest is the oldest timestamp of each key in P_N of the current
+// view, read record by record.
 func (t *Tree) refPNOldest() map[string]txn.TxID {
-	v := t.view.Load()
 	oldest := map[string]txn.TxID{}
-	for _, pn := range append([]*skiplist.List[pnKey, *Record]{v.pn}, v.frozen...) {
-		for it := pn.Min(); it.Valid(); it.Next() {
-			k := string(it.Key().key)
-			if ts, ok := oldest[k]; !ok || it.Value().TS < ts {
-				oldest[k] = it.Value().TS
-			}
+	for it := t.view.Load().pn.Min(); it.Valid(); it.Next() {
+		k := string(it.Key().key)
+		if ts, ok := oldest[k]; !ok || it.Value().TS < ts {
+			oldest[k] = it.Value().TS
 		}
 	}
 	return oldest
@@ -330,7 +313,7 @@ func (t *Tree) refPNOldest() map[string]txn.TxID {
 // with bgMu taken here. Dangling anti-matter is dropped only when from is
 // 0: the merge input is then the COMPLETE persisted state, since bgMu
 // guarantees that only bgMu holders append to or replace parts; records in
-// PN or frozen PNs were inserted after every persisted record.
+// PN were inserted after every persisted record.
 func (t *Tree) refMerge(from int) error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -543,7 +526,7 @@ func (t *Tree) refMerge(from int) error {
 	v2 := t.view.Load()
 	parts := append(append(append([]*part.Segment(nil), v2.parts[:from]...), merged...), v2.parts[len(v.parts):]...)
 	gcs = append(append(append([]partGC(nil), v2.gc[:from]...), gcs...), v2.gc[len(v.parts):]...)
-	t.view.Store(&treeView{pn: v2.pn, frozen: v2.frozen, parts: parts, gc: gcs})
+	t.view.Store(&treeView{pn: v2.pn, parts: parts, gc: gcs})
 	t.mu.Unlock()
 	t.gate.Lock()
 	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period

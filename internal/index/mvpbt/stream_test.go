@@ -60,7 +60,7 @@ func sameParts(t *testing.T, when string, got, want *Tree, n int) {
 	}
 }
 
-// mergeSuffix is mergeBG(from) with bgMu taken, as buildFrozen runs it.
+// mergeSuffix is mergeBG(from) with bgMu taken, as EvictPN runs it.
 func (t *Tree) mergeSuffix(from int) error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -360,18 +360,23 @@ func TestFailedBuildPublishesNothing(t *testing.T) {
 		e.dev.ArmFault(ssd.FaultRule{Kind: kind, Class: int(sfile.ClassIndex), Ops: ops, ByteOffset: 3*storage.PageSize + 77})
 	}
 
+	// A failed eviction leaves P_N as it was, records, bytes and the
+	// buffer's total alike; the retry persists it whole.
+	pnRecs, pnBytes := tr.view.Load().pn.Len(), tr.PNBytes()
 	index(ssd.FaultWriteErr, 40, 41, 42) // the 40th page of 300 KiB: in the second extent
 	check("eviction with a failing write", tr.EvictPN, storage.ErrIOFault, 2)
-	if tr.FrozenPNs() != 1 {
-		t.Fatalf("%d frozen PNs after the failed eviction", tr.FrozenPNs())
+	if n, b := tr.view.Load().pn.Len(), tr.PNBytes(); n != pnRecs || b != pnBytes || e.pbuf.Used() != b {
+		t.Fatalf("after the failed eviction: P_N holds %d records in %d bytes, before %d in %d; the buffer's total is %d",
+			n, b, pnRecs, pnBytes, e.pbuf.Used())
 	}
 	// The retry meets one transient write fault: retried in line, and counted.
-	retries := e.pool.IOStats().WriteRetries
+	retries, evictions := e.pool.IOStats().WriteRetries, tr.Stats().Evictions
 	index(ssd.FaultWriteErr, 5)
 	check("eviction retried", tr.EvictPN, nil, 3)
-	if io := e.pool.IOStats(); tr.FrozenPNs() != 0 || tr.Stats().Evictions != 3 || io.WriteRetries != retries+1 {
-		t.Fatalf("after the retry: %d frozen PNs, %d evictions, the pool's WriteRetries %d -> %d",
-			tr.FrozenPNs(), tr.Stats().Evictions, retries, io.WriteRetries)
+	if io := e.pool.IOStats(); tr.Partitions()[2].NumRecords != pnRecs || tr.PNBytes() != 0 || e.pbuf.Used() != 0 ||
+		tr.Stats().Evictions != evictions+1 || io.WriteRetries != retries+1 {
+		t.Fatalf("after the retry: the new partition holds %d of P_N's %d records, P_N %d bytes, the buffer's total %d, evictions %d -> %d, the pool's WriteRetries %d -> %d",
+			tr.Partitions()[2].NumRecords, pnRecs, tr.PNBytes(), e.pbuf.Used(), evictions, tr.Stats().Evictions, retries, io.WriteRetries)
 	}
 
 	index(ssd.FaultWriteErr, 35, 36, 37) // in the merged run's second extent

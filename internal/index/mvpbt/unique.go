@@ -77,14 +77,9 @@ func (w *partWriter) uniqueGC() {
 	}
 }
 
-// pnHoldsOlder reports whether P_N or a frozen P_N holds a record of key
-// older than ts. bgMu keeps frozen P_Ns from becoming partitions meanwhile.
+// pnHoldsOlder reports whether P_N holds a record of key older than ts. The
+// merge's bgMu keeps P_N from becoming a partition meanwhile.
 func (t *Tree) pnHoldsOlder(key []byte, ts txn.TxID) bool {
-	v, from := t.view.Load(), pnKey{key: key, ts: ts - 1, seq: ^uint64(0)}
-	for _, pn := range append(v.frozen[:len(v.frozen):len(v.frozen)], v.pn) {
-		if it := pn.Seek(from); it.Valid() && bytes.Equal(it.Key().key, key) {
-			return true
-		}
-	}
-	return false
+	it := t.view.Load().pn.Seek(pnKey{key: key, ts: ts - 1, seq: ^uint64(0)})
+	return it.Valid() && bytes.Equal(it.Key().key, key)
 }

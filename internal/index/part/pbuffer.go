@@ -14,8 +14,7 @@ type Owner interface {
 	// PNBytes returns the current size of the index's main-memory
 	// partition.
 	PNBytes() int
-	// EvictPN freezes and persists the main-memory partition (paper
-	// Algorithm 4).
+	// EvictPN persists the main-memory partition (paper Algorithm 4).
 	EvictPN() error
 }
 

@@ -1,9 +1,12 @@
 package tpcc
 
 import (
+	"errors"
 	"testing"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
 
@@ -135,6 +138,31 @@ func TestDeliveryDrainsNewOrders(t *testing.T) {
 	}
 	if pending != 0 {
 		t.Fatalf("%d new-orders undelivered after 30 delivery rounds", pending)
+	}
+}
+
+// TestReadOnlyTxReturnsReadErrors: Order-Status and Stock-Level tolerate a
+// row missing from a scaled-down load, not a failed read. With every page
+// evicted and every device read failing, both return the error instead of
+// committing.
+func TestReadOnlyTxReturnsReadErrors(t *testing.T) {
+	for name, cfg := range engines() {
+		t.Run(name, func(t *testing.T) {
+			b := load(t, cfg)
+			if err := b.eng.Pool.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			b.eng.Dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultReadErr, Class: ssd.AnyClass, Sticky: true})
+			defer b.eng.Dev.DisarmAllFaults()
+			for _, tx := range []struct {
+				name string
+				run  func() error
+			}{{"Order-Status", b.OrderStatusTx}, {"Stock-Level", b.StockLevelTx}} {
+				if err := tx.run(); !errors.Is(err, storage.ErrIOFault) {
+					t.Errorf("%s with every read failing: %v, want %v", tx.name, err, storage.ErrIOFault)
+				}
+			}
+		})
 	}
 }
 

@@ -187,8 +187,11 @@ func (b *Bench) OrderStatusTx() error {
 	defer b.eng.Commit(tx)
 
 	custRef, err := b.customerByNameOrID(tx, w, d)
-	if err != nil {
+	if err == errRowMissing {
 		return nil // read-only; tolerate scaled-down misses
+	}
+	if err != nil {
+		return err
 	}
 	cust := DecodeCustomer(custRef.Row)
 
@@ -292,9 +295,14 @@ func (b *Bench) StockLevelTx() error {
 	tx := b.eng.Begin()
 	defer b.eng.Commit(tx)
 
+	// Read-only: a row missing from a scaled-down load is tolerated, a
+	// failed read is not.
 	distRef, err := b.lookup(tx, b.district, DistrictKey(w, d))
-	if err != nil {
+	if err == errRowMissing {
 		return nil
+	}
+	if err != nil {
+		return err
 	}
 	dist := DecodeDistrict(distRef.Row)
 	loOID := uint32(1)
@@ -313,8 +321,11 @@ func (b *Bench) StockLevelTx() error {
 	low := 0
 	for i := range items {
 		stRef, err := b.lookup(tx, b.stock, StockKey(w, i))
-		if err != nil {
+		if err == errRowMissing {
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		if DecodeStock(stRef.Row).Quantity < threshold {
 			low++
