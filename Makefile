@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-index fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full smoke-server examples cover
+.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-index fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full examples cover
 
 all: build fmt vet test
 
@@ -90,7 +90,11 @@ traffic:
 # mutex), and Engine.Close flushes the log and keeps no closer list. And
 # MV-PBT evicts P_N under its write lock: no non-test file under
 # internal/index/mvpbt keeps a frozen-P_N list (no frozen field or loop, no
-# buildFrozen, no FrozenPNs).
+# buildFrozen, no FrozenPNs). And the served stack keeps one of each: the
+# server's lifecycle is tested by go test (no in-binary smoke suite, no
+# "smoke" under cmd/mvpbt-server, no smoke-server target), QueueTimeout alone
+# says whether a session waits (no reject/queue switch), and the restart
+# backoff alone paces a failing shard's restarts (no circuit breaker).
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -163,6 +167,9 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a mechanism no binary observes is back (the LSM flushes under its one lock; Engine.Close keeps no closer list):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'FrozenPNs|buildFrozen|frozen' --include='*.go' internal/index/mvpbt | grep -vE '_test\.go:|^[^:]+:[0-9]+:\s*//'); \
 	if [ -n "$$bad" ]; then echo "seams: the frozen-P_N list is back (EvictPN builds P_N under bgMu and mu):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'runSmoke|AdmissionPolicy|AdmitQueue|AdmitReject|breakerOpen|BreakerOpen|breakerThreshold' --include='*.go' . | grep -v '_test\.go:'; \
+		grep -rn '"smoke"' --include='*.go' cmd/mvpbt-server; grep -nE '^smoke-server:' Makefile); \
+	if [ -n "$$bad" ]; then echo "seams: a second copy in the served stack is back (the server's smoke suite, the reject/queue switch, the restart breaker):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net
@@ -326,14 +333,6 @@ bench-ledger:
 # local convenience; CI publishes bench-figures.json).
 bench-net:
 	go run ./cmd/mvpbt-bench -run net | tee bench-net.txt
-
-# mvpbt-server end-to-end smoke: start, run client ops over TCP via
-# shardclient — twelve partition buffers of SETs into one shard among them,
-# which must leave it evicted with bloom filters and merged back under ten
-# partitions, the configuration the server ships — drain, verify clean
-# shutdown. Exits non-zero on failure.
-smoke-server:
-	go run ./cmd/mvpbt-server -smoke
 
 # Regenerate every figure at full scale (minutes).
 bench-full:

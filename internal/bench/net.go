@@ -174,7 +174,6 @@ func runNet(s Scale) (*Result, error) {
 		if mode == "on" {
 			cfg.MaxSessions = cap
 			cfg.MaxSessionsPerTenant = cap
-			cfg.Admission = server.AdmitQueue
 			cfg.QueueTimeout = 30 * time.Second
 		}
 		rate, p99, m, err := netRun(s, 1, cfg, workers, per, netBatchOps,

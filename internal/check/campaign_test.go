@@ -65,11 +65,16 @@ func TestCampaignSmoke(t *testing.T) {
 			sel:  Selection{Seeds: []uint64{1, 2}, Size: Size{Ops: 120, Keys: 60}, Filter: map[string][]string{"kind": networkKinds}},
 			long: true,
 			check: func(t *testing.T, cells []CellResult) {
-				var injected, reconnects uint64
+				var injected, reconnects, aborted, dels uint64
 				for _, c := range cells {
 					fp := c.Fp.(ChaosFingerprint)
 					injected += fp.Chaos.Cuts + fp.Chaos.Truncations + fp.Chaos.Stalls
 					reconnects += fp.Client.Reconnects
+					aborted += fp.TxAborted
+					dels += fp.TxDeletes
+				}
+				if aborted == 0 || dels == 0 {
+					t.Errorf("%d aborted transactions, %d transactional deletes: want both", aborted, dels)
 				}
 				if injected == 0 {
 					t.Error("no chaos was injected across the whole campaign")

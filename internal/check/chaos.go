@@ -18,8 +18,10 @@ import (
 // through the served fixture — a self-healing client over TCP into a
 // 2-shard router that commits cross-shard transactions by presumed-abort
 // two-phase commit. The history mixes single-key SET, GET and DEL, SCANs,
-// keyspace transactions (single- and cross-shard) and fresh-key group
-// transactions with one key on each shard. The kind says what is injected:
+// keyspace transactions (single- and cross-shard: SETs, a read of the last
+// staged key, a DEL of an acked key; a seeded quarter of them ABORT) and
+// fresh-key group transactions with one key on each shard. The kind says
+// what is injected:
 //
 //   - reset, truncate, stall, mixed: a seeded schedule of connection resets,
 //     mid-frame truncations or read/write stalls (mixed draws all three) on
@@ -34,6 +36,9 @@ import (
 //     schedule disarmed, a clean connection's full scan equals it exactly:
 //     no acked write is lost, nothing unacked or aborted leaks in, and every
 //     group is there both-or-neither;
+//   - a transaction reads its own staged write, and the key it deleted reads
+//     as the acked state right after it ends: gone once it committed, as
+//     before once it aborted or was lost;
 //   - every commit whose answer was lost resolves one way through its token;
 //   - every transaction that opened a 2PC group ends as its plan entry says:
 //     a crash before the decision never applies (presumed abort), and a
@@ -75,6 +80,8 @@ var chaosCampaign = &Campaign{
 			}
 			sum.CoordCrashes += f.CoordCrashes
 			groups += f.GroupsApplied + f.GroupsAborted
+			sum.TxAborted += f.TxAborted
+			sum.TxDeletes += f.TxDeletes
 			sum.Client.Reconnects += f.Client.Reconnects
 			sum.Client.Resolves += f.Client.Resolves
 		}
@@ -83,9 +90,9 @@ var chaosCampaign = &Campaign{
 			steps = append(steps, fmt.Sprintf("%v=%d", st, sum.Crashes[st]))
 		}
 		return fmt.Sprintf("injected: %d cuts, %d truncations, %d stalls, %d coordinator crashes, protocol-step crashes [%s] "+
-			"across %d commit groups in %d runs; %d reconnects, %d commit resolutions outside kind=2pc",
+			"across %d commit groups in %d runs; %d aborted transactions, %d transactional deletes; %d reconnects, %d commit resolutions outside kind=2pc",
 			sum.Chaos.Cuts, sum.Chaos.Truncations, sum.Chaos.Stalls, sum.CoordCrashes, strings.Join(steps, " "),
-			groups, len(cells), sum.Client.Reconnects, sum.Client.Resolves)
+			groups, len(cells), sum.TxAborted, sum.TxDeletes, sum.Client.Reconnects, sum.Client.Resolves)
 	},
 }
 
@@ -94,9 +101,11 @@ type ChaosFingerprint struct {
 	servedFingerprint
 	// Wire outcomes of the transactions no plan entry crashed: directly
 	// acked, resolved as applied after a lost ack, resolved as lost after a
-	// lost request, and lost before the commit was ever issued
-	// (deterministically not applied).
-	TxApplied, TxResolvedApplied, TxResolvedLost, TxLost uint64
+	// lost request, lost before the commit or abort was ever issued
+	// (deterministically not applied), and aborted by the client.
+	TxApplied, TxResolvedApplied, TxResolvedLost, TxLost, TxAborted uint64
+	// TxDeletes counts the transactional DELs that applied.
+	TxDeletes uint64
 	// Outcomes of the transactions that opened a 2PC group, whatever path
 	// the answer took to the client.
 	GroupsApplied, GroupsAborted uint64
@@ -119,10 +128,10 @@ type ChaosFingerprint struct {
 
 func (fp ChaosFingerprint) String() string {
 	return fmt.Sprintf("cuts=%d truncs=%d stalls=%d reconnects=%d "+
-		"tx[acked=%d resolved-applied=%d resolved-lost=%d lost=%d] groups[applied=%d aborted=%d] "+
+		"tx[acked=%d resolved-applied=%d resolved-lost=%d lost=%d aborted=%d dels=%d] groups[applied=%d aborted=%d] "+
 		"crashes=%v coord-crashes=%d live-decisions=%d live=%d hash=%016x",
 		fp.Chaos.Cuts, fp.Chaos.Truncations, fp.Chaos.Stalls, fp.Client.Reconnects, fp.TxApplied,
-		fp.TxResolvedApplied, fp.TxResolvedLost, fp.TxLost, fp.GroupsApplied, fp.GroupsAborted,
+		fp.TxResolvedApplied, fp.TxResolvedLost, fp.TxLost, fp.TxAborted, fp.TxDeletes, fp.GroupsApplied, fp.GroupsAborted,
 		fp.Crashes[stepBeforePrepare:], fp.CoordCrashes, fp.LiveDecisions, fp.LiveKeys, fp.StateHash)
 }
 
@@ -322,17 +331,28 @@ func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err erro
 			}
 		}
 	}
-	// commit stages pending in one transaction and commits it under its
-	// token. A transaction that opened a 2PC group must end as its plan
-	// entry says; one the plan did not crash must reach a definite outcome
-	// on the wire.
-	commit := func(op int, pending [][2]string) error {
-		tx, lost, err := s.stage(op, pending)
+	// commit stages pending and del in one transaction (see stage) and
+	// commits it under its token, or aborts it. A transaction that opened a
+	// 2PC group must end as its plan entry says; one the plan did not crash
+	// must reach a definite outcome on the wire.
+	commit := func(op int, pending [][2]string, del string, abort bool) error {
+		tx, lost, err := s.stage(op, pending, del)
 		if err != nil {
 			return err
 		}
+		if abort && !lost {
+			aerr := tx.Abort()
+			if aerr != nil && !errors.Is(aerr, shardclient.ErrTxLost) {
+				return fmt.Errorf("op %d: ABORT: %w", op, aerr)
+			}
+			lost = aerr != nil
+		}
 		if lost {
 			fp.TxLost++
+			return nil
+		}
+		if abort {
+			fp.TxAborted++
 			return nil
 		}
 		before := plan.groups()
@@ -367,6 +387,10 @@ func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err erro
 		if landed {
 			for _, p := range pending {
 				s.acked.put(p[0], p[1])
+			}
+			if del != "" {
+				s.acked.del(del)
+				fp.TxDeletes++
 			}
 		}
 		if step != stepNone {
@@ -411,17 +435,23 @@ func chaosCell(kind string, seed uint64, sz Size) (fp ChaosFingerprint, err erro
 			err = s.scan(op)
 		case roll < 72:
 			err = s.del(op)
-		case roll < 86: // keyspace transaction: 2-4 SETs
+		case roll < 86: // keyspace transaction: 2-4 SETs, a DEL; a quarter abort
 			pending := make([][2]string, 2+rng.Intn(3))
 			for i := range pending {
 				pending[i] = [2]string{s.key(), fmt.Sprintf("t-%d-%d-%04x", op, i, rng.Uint64()&0xffff)}
 			}
-			err = commit(op, pending)
+			del := s.key()
+			if _, ok := s.acked.get(del); !ok {
+				del = ""
+			}
+			if err = commit(op, pending, del, rng.Intn(4) == 0); err == nil && del != "" {
+				err = s.getKey(op, del) // gone if the transaction applied, as acked if not
+			}
 		default: // group transaction: one fresh key on each shard
 			err = commit(op, [][2]string{
 				{groupKey(op, 0), fmt.Sprintf("t0-%d-%04x", op, rng.Uint64()&0xffff)},
 				{groupKey(op, 1), fmt.Sprintf("t1-%d-%04x", op, rng.Uint64()&0xffff)},
-			})
+			}, "", false)
 		}
 		if err != nil {
 			return fp, err

@@ -129,8 +129,10 @@ func (s *served) set(op int) error {
 	return nil
 }
 
-func (s *served) get(op int) error {
-	k := s.key()
+func (s *served) get(op int) error { return s.getKey(op, s.key()) }
+
+// getKey reads k through the client and holds it to the acked state.
+func (s *served) getKey(op int, k string) error {
 	v, ok, err := s.client.Get([]byte(k))
 	if err != nil {
 		return fmt.Errorf("op %d: GET %s exhausted retries: %w", op, k, err)
@@ -168,19 +170,35 @@ func (s *served) del(op int) error {
 	return nil
 }
 
-// stage opens a transaction and writes pairs into it. lost means its
-// connection died before the commit was issued: the server aborts the orphan
-// with the session, so it deterministically did not apply.
-func (s *served) stage(op int, pairs [][2]string) (tx *shardclient.RTx, lost bool, err error) {
+// stage opens a transaction, writes pairs into it, reads the last pair's
+// key back (it must see the value just staged) and deletes del ("" skips
+// it). lost means its connection died before the commit was issued: the
+// server aborts the orphan with the session, so it deterministically did not
+// apply.
+func (s *served) stage(op int, pairs [][2]string, del string) (tx *shardclient.RTx, lost bool, err error) {
 	if tx, err = s.client.BeginTx(); err != nil {
 		return nil, false, fmt.Errorf("op %d: BEGIN exhausted retries: %w", op, err)
 	}
+	fail := func(what, k string, err error) (*shardclient.RTx, bool, error) {
+		if errors.Is(err, shardclient.ErrTxLost) {
+			return nil, true, nil
+		}
+		return nil, false, fmt.Errorf("op %d: tx %s %s: %w", op, what, k, err)
+	}
 	for _, p := range pairs {
 		if err := tx.Set([]byte(p[0]), []byte(p[1])); err != nil {
-			if errors.Is(err, shardclient.ErrTxLost) {
-				return nil, true, nil
-			}
-			return nil, false, fmt.Errorf("op %d: tx SET %s: %w", op, p[0], err)
+			return fail("SET", p[0], err)
+		}
+	}
+	last := pairs[len(pairs)-1]
+	if v, ok, err := tx.Get([]byte(last[0])); err != nil {
+		return fail("GET", last[0], err)
+	} else if !ok || string(v) != last[1] {
+		return nil, false, fmt.Errorf("op %d: tx GET %s = %q,%v, staged %q", op, last[0], v, ok, last[1])
+	}
+	if del != "" {
+		if err := tx.Del([]byte(del)); err != nil {
+			return fail("DEL", del, err)
 		}
 	}
 	return tx, false, nil

@@ -32,7 +32,8 @@ func key(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 // the hold finds every committed key exactly once. (Evictions during a merge, ROADMAP
 // item 1(b), would change exactly these assertions.)
 func TestInlineMergeHoldsSecondWriter(t *testing.T) {
-	e := NewEngine(Config{BufferPages: 512, PartitionBufferBytes: 16 << 10})
+	const limit = 16 << 10
+	e := NewEngine(Config{BufferPages: 512, PartitionBufferBytes: limit})
 	defer e.Close()
 	kv, err := NewMVPBTKV(e, "mv", MVPBTKVOptions{BloomBits: 10, MaxPartitions: 2})
 	if err != nil {
@@ -76,7 +77,7 @@ func TestInlineMergeHoldsSecondWriter(t *testing.T) {
 	var released atomic.Bool
 	wg.Add(1)
 	go put("b", &bDone, released.Load) // B stops once its blocked Put is let go
-	for deadline := time.Now().Add(30 * time.Second); e.PBuf.Used() <= e.PBuf.Limit(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(30 * time.Second); e.PBuf.Used() <= limit; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("writer B never filled P_N past the limit")
 		}

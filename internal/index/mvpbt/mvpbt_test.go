@@ -597,7 +597,8 @@ func TestBloomFilterStats(t *testing.T) {
 }
 
 func TestPartitionBufferDrivesEviction(t *testing.T) {
-	e := newEnv(1024, 16<<10) // tiny partition buffer
+	const limit = 16 << 10 // tiny partition buffer
+	e := newEnv(1024, limit)
 	tr := e.tree(Options{})
 	e.commit(func(tx *txn.Tx) {
 		for i := 0; i < 2000; i++ {
@@ -607,8 +608,8 @@ func TestPartitionBufferDrivesEviction(t *testing.T) {
 	if tr.NumPartitions() == 0 {
 		t.Fatal("partition buffer never evicted")
 	}
-	if e.pbuf.Used() > e.pbuf.Limit() {
-		t.Fatalf("buffer over limit: %d > %d", e.pbuf.Used(), e.pbuf.Limit())
+	if e.pbuf.Used() > limit {
+		t.Fatalf("buffer over limit: %d > %d", e.pbuf.Used(), limit)
 	}
 	r := e.mgr.Begin()
 	defer e.mgr.Commit(r)

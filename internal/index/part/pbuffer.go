@@ -89,9 +89,6 @@ func (b *PartitionBuffer) Used() int { return int(b.used.Load()) }
 // Add adds n bytes, negative when freed, to the running total.
 func (b *PartitionBuffer) Add(n int) { b.used.Add(int64(n)) }
 
-// Limit returns the configured byte limit.
-func (b *PartitionBuffer) Limit() int { return b.limit }
-
 // Evictions returns the number of partition evictions so far.
 func (b *PartitionBuffer) Evictions() int64 { return b.evictions.Load() }
 

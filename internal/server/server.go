@@ -30,21 +30,6 @@ import (
 	"mvpbt/internal/storage"
 )
 
-// AdmissionPolicy selects what happens to a new session that arrives while
-// the server is overloaded (a shard past its soft space watermark) or at a
-// session cap.
-type AdmissionPolicy int
-
-const (
-	// AdmitReject refuses the session immediately with StatusAdmission.
-	// The client decides whether to back off and retry.
-	AdmitReject AdmissionPolicy = iota
-	// AdmitQueue holds the HELLO until load clears or QueueTimeout
-	// expires, then refuses. Bounds in-server concurrency at the cost of
-	// connection-open latency.
-	AdmitQueue
-)
-
 const (
 	// maxTxPerSession caps a session's open transaction table.
 	maxTxPerSession = 64
@@ -64,10 +49,12 @@ const (
 	// writeTimeout bounds each response write: a peer that stops draining
 	// its socket cannot wedge the connection goroutine.
 	writeTimeout = 30 * time.Second
+	// helloTimeout bounds the wait for a new connection's HELLO.
+	helloTimeout = 5 * time.Second
 )
 
-// Config tunes the server. The zero value serves on a random port with
-// reject-on-overload admission.
+// Config tunes the server. The zero value serves on a random port and
+// refuses a session at once under overload.
 type Config struct {
 	// Addr is the TCP listen address (default "127.0.0.1:0").
 	Addr string
@@ -75,9 +62,9 @@ type Config struct {
 	MaxSessions int
 	// MaxSessionsPerTenant caps sessions per tenant name (default 64).
 	MaxSessionsPerTenant int
-	// Admission picks reject-vs-queue behavior under overload.
-	Admission AdmissionPolicy
-	// QueueTimeout bounds how long AdmitQueue holds a HELLO (default 2s).
+	// QueueTimeout is how long a new session waits for admission while a
+	// shard is past its soft space watermark or a session cap is reached;
+	// 0 refuses it at once with StatusAdmission.
 	QueueTimeout time.Duration
 	// IdleTimeout reaps sessions that go this long without sending a
 	// request (default 5m; negative disables). A reaped session's open
@@ -100,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessionsPerTenant <= 0 {
 		c.MaxSessionsPerTenant = 64
 	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
@@ -112,8 +96,8 @@ func (c Config) withDefaults() Config {
 // Metrics counts session-level admission outcomes.
 type Metrics struct {
 	Admitted uint64 // sessions admitted (including after queueing)
-	Rejected uint64 // sessions refused with StatusAdmission
-	Queued   uint64 // sessions that waited in the admission queue
+	Rejected uint64 // sessions refused with StatusAdmission (including after queueing)
+	Queued   uint64 // sessions that waited in the admission queue, admitted or refused after
 	Drained  uint64 // sessions refused with StatusDraining
 }
 
@@ -122,8 +106,12 @@ type Server struct {
 	r   *shard.Router
 	cfg Config
 
-	mu       sync.Mutex
-	ln       net.Listener
+	mu sync.Mutex
+	ln net.Listener
+	// conns holds every accepted connection, admitted or not: Drain
+	// deadlines and closes them all. sessions holds the admitted ones,
+	// which the session caps count.
+	conns    map[*session]struct{}
 	sessions map[*session]struct{}
 	tenants  map[string]int
 	draining bool
@@ -161,6 +149,7 @@ func New(r *shard.Router, cfg Config) *Server {
 	s := &Server{
 		r:          r,
 		cfg:        cfg.withDefaults(),
+		conns:      map[*session]struct{}{},
 		sessions:   map[*session]struct{}{},
 		tenants:    map[string]int{},
 		tokens:     map[uint64]time.Time{},
@@ -290,8 +279,12 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
+		sess := &session{conn: conn}
+		s.mu.Lock()
+		s.conns[sess] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.handleConn(conn)
+		go s.handleConn(sess)
 	}
 }
 
@@ -340,9 +333,9 @@ func (s *Server) Metrics() Metrics {
 
 // Drain gracefully shuts the server down: stop accepting, let admitted
 // sessions keep working for the drain grace (or until ctx's deadline if
-// sooner), then deadline their connections out. Open transactions of
-// sessions that do not finish in time are aborted. Returns nil once every
-// session has exited.
+// sooner), then deadline every connection out, admitted or not, and close
+// them all if ctx ends first. Open transactions of sessions that do not
+// finish in time are aborted. Returns nil once every connection has exited.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -355,7 +348,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	deadline := time.Now().Add(grace)
-	for sess := range s.sessions {
+	for sess := range s.conns {
 		sess.forcedDL.Store(deadline.UnixNano())
 		sess.conn.SetReadDeadline(deadline)
 	}
@@ -370,7 +363,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for sess := range s.sessions {
+		for sess := range s.conns {
 			sess.conn.Close()
 		}
 		s.mu.Unlock()
@@ -379,9 +372,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// session is one admitted connection: its tenant accounting slot and its
-// private transaction table. Owned by the connection goroutine; forcedDL
-// is the one field another goroutine (Drain) writes.
+// session is one accepted connection and, once admitted, its tenant
+// accounting slot and its private transaction table. Owned by the
+// connection goroutine; forcedDL is the one field another goroutine (Drain)
+// writes.
 type session struct {
 	conn   net.Conn
 	tenant string
@@ -407,8 +401,9 @@ type session struct {
 	forcedDL atomic.Int64
 }
 
-// readDeadline computes the next request's read deadline from the idle
-// timeout and any drain-forced deadline.
+// readDeadline computes the next frame's read deadline from the idle
+// timeout (the HELLO's timeout, before admission) and any drain-forced
+// deadline.
 func (sess *session) readDeadline(idle time.Duration) time.Time {
 	var dl time.Time
 	if idle > 0 {
@@ -426,9 +421,15 @@ func (sess *session) readDeadline(idle time.Duration) time.Time {
 // handleConn speaks the protocol on one connection: HELLO + admission,
 // then a serial request loop. Always releases the session slot and aborts
 // leftover transactions on the way out.
-func (s *Server) handleConn(conn net.Conn) {
+func (s *Server) handleConn(sess *session) {
 	defer s.wg.Done()
-	defer conn.Close()
+	conn := sess.conn
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, sess)
+		s.mu.Unlock()
+	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
@@ -443,7 +444,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// First frame must be HELLO; it carries the protocol version and the
 	// tenant name admission accounts against.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	conn.SetReadDeadline(sess.readDeadline(helloTimeout))
 	op, payload, req, err := wire.ReadFrameInto(br, nil)
 	if err != nil || op != wire.OpHello {
 		return
@@ -464,7 +465,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		tenant = "default"
 	}
 
-	sess := &session{conn: conn, tenant: tenant, txs: map[uint32]*shard.Tx{}, tokens: map[uint32]uint64{}, req: wire.Keep(req)}
+	sess.tenant, sess.req = tenant, wire.Keep(req)
+	sess.txs, sess.tokens = map[uint32]*shard.Tx{}, map[uint32]uint64{}
 	sess.collect = sess.appendPair
 	status := s.admit(sess)
 	if status != wire.StatusOK {
@@ -497,13 +499,14 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // admit applies admission control to a new session and, on success,
-// registers it. Queue mode polls: load changes are driven by other
-// sessions finishing and by the governors' background accounting, neither
-// of which has a wakeup hook, so a short poll keeps this simple.
+// registers it. A session that finds the server overloaded or full waits
+// up to QueueTimeout, polling: load changes are driven by other sessions
+// finishing and by the governors' background accounting, neither of which
+// has a wakeup hook, so a short poll keeps this simple. It counts as queued
+// from its first wait, whatever the outcome.
 func (s *Server) admit(sess *session) int {
 	deadline := time.Now().Add(s.cfg.QueueTimeout)
-	waited := false
-	for {
+	for waited := false; ; waited = true {
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -518,17 +521,16 @@ func (s *Server) admit(sess *session) int {
 			s.tenants[sess.tenant]++
 			s.mu.Unlock()
 			s.admitted.Add(1)
-			if waited {
-				s.queued.Add(1)
-			}
 			return wire.StatusOK
 		}
 		s.mu.Unlock()
-		if s.cfg.Admission != AdmitQueue || time.Now().After(deadline) {
+		if s.cfg.QueueTimeout <= 0 || time.Now().After(deadline) {
 			s.rejected.Add(1)
 			return wire.StatusAdmission
 		}
-		waited = true
+		if !waited {
+			s.queued.Add(1)
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }

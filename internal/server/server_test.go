@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -276,11 +277,10 @@ func holdOnlySlot(t *testing.T, addr string) *shardclient.Client {
 	return c
 }
 
+// TestServerAdmissionReject: with no QueueTimeout, a session past the cap
+// is refused at once.
 func TestServerAdmissionReject(t *testing.T) {
-	_, srv, addr := startServer(t, 1, server.Config{
-		Admission:   server.AdmitReject,
-		MaxSessions: 1,
-	})
+	_, srv, addr := startServer(t, 1, server.Config{MaxSessions: 1})
 
 	holder := holdOnlySlot(t, addr)
 	if _, err := shardclient.Dial(addr, "t"); !errors.Is(err, shardclient.ErrAdmission) {
@@ -294,14 +294,13 @@ func TestServerAdmissionReject(t *testing.T) {
 	}
 	c.Close()
 	m := srv.Metrics()
-	if m.Rejected != 1 || m.Admitted != 2 {
-		t.Fatalf("metrics %+v, want 1 rejected / 2 admitted", m)
+	if m.Rejected != 1 || m.Admitted != 2 || m.Queued != 0 {
+		t.Fatalf("metrics %+v, want 1 rejected / 2 admitted / 0 queued", m)
 	}
 }
 
 func TestServerAdmissionQueue(t *testing.T) {
 	_, srv, addr := startServer(t, 1, server.Config{
-		Admission:    server.AdmitQueue,
 		QueueTimeout: 10 * time.Second,
 		MaxSessions:  1,
 	})
@@ -328,9 +327,10 @@ func TestServerAdmissionQueue(t *testing.T) {
 	}
 }
 
+// TestServerAdmissionQueueTimeout: a session that queued and was refused at
+// its timeout counts as queued and as rejected.
 func TestServerAdmissionQueueTimeout(t *testing.T) {
-	_, _, addr := startServer(t, 1, server.Config{
-		Admission:    server.AdmitQueue,
+	_, srv, addr := startServer(t, 1, server.Config{
 		QueueTimeout: 50 * time.Millisecond,
 		MaxSessions:  1,
 	})
@@ -343,6 +343,9 @@ func TestServerAdmissionQueueTimeout(t *testing.T) {
 	if time.Since(start) < 50*time.Millisecond {
 		t.Fatal("queue rejected before its timeout")
 	}
+	if m := srv.Metrics(); m.Queued != 1 || m.Rejected != 1 || m.Admitted != 1 {
+		t.Fatalf("metrics %+v, want 1 queued / 1 rejected / 1 admitted", m)
+	}
 }
 
 // TestAdmissionPastSoftWatermark: with no fake in between, a shard whose
@@ -351,7 +354,7 @@ func TestServerAdmissionQueueTimeout(t *testing.T) {
 func TestAdmissionPastSoftWatermark(t *testing.T) {
 	cfg := defaultShardConfig(1)
 	cfg.Engine.SpaceSoftBytes = 1
-	r, srv, addr := startServerWith(t, cfg, server.Config{Admission: server.AdmitReject})
+	r, srv, addr := startServerWith(t, cfg, server.Config{})
 	if err := r.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -427,6 +430,15 @@ func TestServerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A second session, admitted before the drain, reads the commit.
+	c2, err := shardclient.Dial(addr.String(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if r.ShardOf([]byte("drain-a")) == r.ShardOf([]byte("drain-b")) {
+		t.Fatal("drain-a and drain-b share a shard: the commit would not be cross-shard")
+	}
 	tx, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -451,15 +463,20 @@ func TestServerDrain(t *testing.T) {
 	if _, err := shardclient.DialTimeout(addr.String(), "t2", 200*time.Millisecond); err == nil {
 		t.Fatal("new session admitted during drain")
 	}
-	// The admitted session finishes its in-flight transaction.
+	// The admitted session finishes its in-flight cross-shard transaction,
+	// and the other admitted session sees it.
 	if err := c.Commit(tx); err != nil {
 		t.Fatalf("in-flight commit during drain: %v", err)
+	}
+	if v, ok, err := c2.Get(0, []byte("drain-b")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("committed write on a second session during drain: %q %v %v", v, ok, err)
 	}
 	// New transactions are refused.
 	if _, err := c.Begin(); !errors.Is(err, shardclient.ErrDraining) {
 		t.Fatalf("begin during drain: %v, want ErrDraining", err)
 	}
 	c.Close()
+	c2.Close()
 
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
@@ -473,6 +490,32 @@ func TestServerDrain(t *testing.T) {
 	}
 	if v, ok, _ := r.Get([]byte("drain-b")); !ok || string(v) != "v" {
 		t.Fatalf("drained commit lost: %q %v", v, ok)
+	}
+	if m := srv.Metrics(); m.Admitted != 2 {
+		t.Fatalf("metrics %+v, want exactly the 2 sessions admitted before the drain", m)
+	}
+}
+
+// TestDrainBoundsConnBeforeHello: a connection that never sends its HELLO is
+// not admitted yet, and Drain still deadlines and closes it: Drain under a
+// 50 ms context returns in well under the HELLO timeout.
+func TestDrainBoundsConnBeforeHello(t *testing.T) {
+	_, srv, addr := startServer(t, 1, server.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	poll(t, "the connection to be accepted", func() bool { return serverGoroutines(connFrame) == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err = srv.Drain(ctx)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Drain returned after %v (%v), want within 1s of its 50ms context", took, err)
+	}
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain: %v", err)
 	}
 }
 
@@ -516,7 +559,6 @@ func TestAdmissionTimeoutBounded(t *testing.T) {
 	// the intrinsic slack is tiny.
 	const epsilon = 900 * time.Millisecond
 	_, srv, addr := startServer(t, 1, server.Config{
-		Admission:    server.AdmitQueue,
 		QueueTimeout: queueTimeout,
 		MaxSessions:  1,
 	})
@@ -548,8 +590,8 @@ func TestAdmissionTimeoutBounded(t *testing.T) {
 		}
 	}
 	m := srv.Metrics()
-	if m.Rejected != sessions {
-		t.Fatalf("metrics: %d rejections, want %d", m.Rejected, sessions)
+	if m.Rejected != sessions || m.Queued != sessions {
+		t.Fatalf("metrics %+v, want %d rejected, all of them queued first", m, sessions)
 	}
 }
 

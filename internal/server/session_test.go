@@ -37,7 +37,7 @@ func TestSessionBuffersBounded(t *testing.T) {
 	s := New(r, Config{})
 	conn, peer := net.Pipe()
 	s.wg.Add(1)
-	go s.handleConn(conn)
+	go s.handleConn(&session{conn: conn})
 	defer s.wg.Wait()
 	defer peer.Close()
 	br, bw := bufio.NewReader(peer), bufio.NewWriter(peer)

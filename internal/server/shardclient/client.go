@@ -143,10 +143,17 @@ func (c *Client) call(op byte, segs ...[]byte) ([]byte, error) {
 		return nil, err
 	}
 	if status != wire.StatusOK {
-		return nil, statusErr(status, payload)
+		return nil, serverStatus{statusErr(status, payload)}
 	}
 	return payload, nil
 }
+
+// serverStatus wraps every error a status frame carried: the server
+// answered, so the connection is healthy. Every other error of a call is a
+// transport error.
+type serverStatus struct{ error }
+
+func (e serverStatus) Unwrap() error { return e.error }
 
 // statusErr maps a non-OK status frame to a typed error.
 func statusErr(status byte, payload []byte) error {

@@ -109,27 +109,11 @@ func (r *RClient) Close() error {
 	return nil
 }
 
-// transport reports whether err is a connection-level failure (as opposed
-// to a server status, which arrived on a healthy connection).
+// transport reports whether err is a connection-level failure (net.OpError,
+// io.EOF, deadline, malformed frame, ...) as opposed to a server status,
+// which arrived on a healthy connection.
 func transport(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrAdmission) || errors.Is(err, ErrDraining) ||
-		errors.Is(err, ErrNoTx) || errors.Is(err, ErrNotCommitted) ||
-		errors.Is(err, ErrAlreadyCommitted) {
-		return false
-	}
-	var ro *ReadOnlyError
-	var un *UnavailableError
-	var vm *VersionMismatchError
-	var se *ServerError
-	var ind *InDoubtError
-	if errors.As(err, &ro) || errors.As(err, &un) || errors.As(err, &vm) ||
-		errors.As(err, &se) || errors.As(err, &ind) {
-		return false
-	}
-	return true // net.OpError, io.EOF, deadline, malformed frame, ...
+	return err != nil && !errors.As(err, new(serverStatus))
 }
 
 // retriable reports whether err is worth another attempt at all.
@@ -267,10 +251,9 @@ const (
 // dies with the session. What survives is the commit DECISION, via the
 // token. A transport error before Commit returns ErrTxLost (deterministically
 // not applied — the server aborts orphans); a transport error during Commit
-// triggers token resolution. There is no Abort: a transaction abandoned
-// after a non-transport error (ReadOnlyError, ServerError) stays in its
-// session's table, which holds 64, until RClient.Close or a reconnect ends
-// the session and the server aborts it.
+// triggers token resolution. Abort ends it unapplied; a transaction
+// abandoned without one stays in its session's table, which holds 64, until
+// RClient.Close or a reconnect ends the session and the server aborts it.
 type RTx struct {
 	r     *RClient
 	id    uint32
@@ -316,6 +299,17 @@ func (t *RTx) on(op func(c *Client) error) error {
 // Set buffers an upsert in the transaction (ErrTxLost: see on).
 func (t *RTx) Set(key, val []byte) error {
 	return t.on(func(c *Client) error { return c.Set(t.id, key, val) })
+}
+
+// Del buffers a delete in the transaction (ErrTxLost: see on).
+func (t *RTx) Del(key []byte) error {
+	return t.on(func(c *Client) error { return c.Del(t.id, key) })
+}
+
+// Abort ends the transaction without applying it. ErrTxLost means the
+// session died first, and the server aborted the transaction with it.
+func (t *RTx) Abort() error {
+	return t.on(func(c *Client) error { return c.Abort(t.id) })
 }
 
 // Get reads key at the transaction's snapshot.

@@ -1,8 +1,8 @@
 // Shard supervision: a per-shard health state machine driven by the typed
 // errors the engine already surfaces (storage.ErrIOFault storms,
 // storage.ErrCorruptPage, failed WAL flushes), automatic restart of a
-// failed shard through WAL crash recovery on its own goroutine, and a
-// circuit breaker bounding restart churn (DESIGN.md §12).
+// failed shard through WAL crash recovery on its own goroutine, with a
+// capped exponential backoff between failed attempts (DESIGN.md §12).
 //
 // The supervisor never blocks the router's data path: health observation
 // is a handful of atomics on the existing error-return path, and the only
@@ -29,7 +29,7 @@ import (
 //
 //	healthy ──fault storm, corruption──▶ failed
 //	failed ──restart attempt──▶ recovering ──recovery ok──▶ healthy
-//	recovering ──recovery failed──▶ failed (backoff, breaker)
+//	recovering ──recovery failed──▶ failed (backoff)
 //
 // Degraded is not a stored state: Health reports it for a healthy shard
 // whose engine is read-only, for exactly as long as the engine is.
@@ -88,15 +88,21 @@ const (
 	// restartBackoff is the delay before the second restart attempt; later
 	// attempts back off exponentially. The first attempt runs immediately.
 	restartBackoff = 10 * time.Millisecond
-	// maxBackoff caps the exponential backoff and sets the half-open probe
-	// cadence once the breaker is open.
+	// maxBackoff caps the exponential backoff: a shard that keeps failing
+	// to restart is retried once a second.
 	maxBackoff = time.Second
-	// breakerThreshold is how many consecutive failed restart attempts open
-	// the circuit breaker. An open breaker stops the exponential escalation
-	// and probes half-open at maxBackoff cadence; the first successful probe
-	// closes it again.
-	breakerThreshold = 4
 )
+
+// restartDelay is the wait before restart attempt n: none before the first
+// (n = 0), then restartBackoff doubled per further failure, stopping at
+// maxBackoff, so no attempt count overflows it to zero or below.
+func restartDelay(n int) time.Duration {
+	var d time.Duration
+	for ; n > 0 && d < maxBackoff; n-- {
+		d = max(2*d, restartBackoff)
+	}
+	return min(d, maxBackoff)
+}
 
 // SupervisorConfig holds the supervisor's test hooks (its tuning is the
 // constants above).
@@ -106,7 +112,7 @@ type SupervisorConfig struct {
 	OnTransition func(shard int, from, to HealthState)
 	// RestartHook, if set, runs at the start of every restart attempt
 	// (before the old engine is crashed). An error fails the attempt —
-	// the test seam for driving the breaker.
+	// the test seam for driving the backoff.
 	RestartHook func(shard int) error
 }
 
@@ -121,10 +127,6 @@ type HealthInfo struct {
 	// RestartFailures counts failed restart attempts since the last
 	// successful one.
 	RestartFailures uint64
-	// BreakerOpen reports an open circuit breaker: restart attempts have
-	// failed breakerThreshold times in a row and the supervisor is down
-	// to half-open probes at maxBackoff cadence.
-	BreakerOpen bool
 	// LastError is the most recent error that failed the shard or a
 	// restart attempt ("" when none).
 	LastError string
@@ -143,7 +145,6 @@ type shardHealth struct {
 	consec       atomic.Int32
 	restarts     atomic.Uint64
 	restartFails atomic.Uint64
-	breakerOpen  atomic.Bool
 	restarting   atomic.Bool
 
 	errMu   sync.Mutex
@@ -227,23 +228,15 @@ func (s *supervisor) fail(i int) {
 }
 
 // restartLoop drives shard i failed → recovering → healthy: immediate
-// first attempt, exponential backoff between failures, breaker after
-// breakerThreshold consecutive failures (half-open probes at maxBackoff
-// cadence), until an attempt succeeds or the router closes.
+// first attempt, restartDelay between failures, until an attempt succeeds
+// or the router closes.
 func (s *supervisor) restartLoop(i int) {
 	defer s.wg.Done()
 	h := s.r.health[i]
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			d := min(restartBackoff<<(attempt-1), maxBackoff)
-			if attempt >= breakerThreshold {
-				h.breakerOpen.Store(true)
-				d = maxBackoff
-			}
+		if d := restartDelay(attempt); d > 0 {
 			select {
 			case <-s.stop:
-				h.restarting.Store(false)
-				return
 			case <-time.After(d):
 			}
 		}
@@ -258,7 +251,6 @@ func (s *supervisor) restartLoop(i int) {
 		if err == nil {
 			h.consec.Store(0)
 			h.restartFails.Store(0)
-			h.breakerOpen.Store(false)
 			h.restarts.Add(1)
 			// Clear restarting BEFORE publishing Healthy: a failure observed
 			// in the gap then either sees Recovering (ignored) or spawns a
@@ -350,7 +342,6 @@ func (r *Router) Health(i int) HealthInfo {
 		Restarts:        h.restarts.Load(),
 		ConsecFaults:    h.consec.Load(),
 		RestartFailures: h.restartFails.Load(),
-		BreakerOpen:     h.breakerOpen.Load(),
 		LastError:       h.lastError(),
 	}
 }

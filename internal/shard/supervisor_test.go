@@ -156,11 +156,12 @@ func TestSupervisorRestartUnderFaultStorm(t *testing.T) {
 	}
 }
 
-// TestSupervisorBreaker drives restart failures through the RestartHook
-// seam: the breaker opens after breakerThreshold consecutive failed
-// attempts and closes on the first successful half-open probe, maxBackoff
-// later.
-func TestSupervisorBreaker(t *testing.T) {
+// TestSupervisorRestartBackoff drives restart failures through the
+// RestartHook seam: refused attempts keep being retried and RestartFailures
+// counts them, and the first attempt the hook allows brings the shard back
+// to Healthy with the count cleared.
+func TestSupervisorRestartBackoff(t *testing.T) {
+	const refusals = 3
 	var allow atomic.Bool
 	var attempts atomic.Int64
 	r := newSupervisedRouter(t, 2, SupervisorConfig{
@@ -176,12 +177,9 @@ func TestSupervisorBreaker(t *testing.T) {
 	if err := r.FailShard(0, errors.New("test-induced failure")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "breaker open", func() bool {
-		h := r.Health(0)
-		return h.BreakerOpen && h.RestartFailures >= breakerThreshold
-	})
+	waitFor(t, "refused restarts", func() bool { return r.Health(0).RestartFailures >= refusals })
 	if st := r.Health(0).State; st != Failed && st != Recovering {
-		t.Fatalf("breaker-open shard state = %v", st)
+		t.Fatalf("shard state after refused restarts = %v", st)
 	}
 
 	// While failed, operations bounce with the typed retriable cause.
@@ -194,17 +192,48 @@ func TestSupervisorBreaker(t *testing.T) {
 		t.Fatalf("failed-shard Put err = %v, want ShardError{Shard: 0}", err)
 	}
 
-	// Let the next half-open probe succeed: breaker closes, shard heals.
+	// Let the next attempt succeed: the shard heals.
 	allow.Store(true)
-	waitFor(t, "shard healthy after probe", func() bool {
+	waitFor(t, "shard healthy after an allowed restart", func() bool {
 		h := r.Health(0)
-		return h.State == Healthy && !h.BreakerOpen && h.RestartFailures == 0
+		return h.State == Healthy && h.RestartFailures == 0
 	})
+	if h := r.Health(0); h.Restarts != 1 {
+		t.Fatalf("health after the allowed restart: %+v, want 1 restart", h)
+	}
 	if err := r.Put(k, []byte("healed")); err != nil {
 		t.Fatalf("post-heal write: %v", err)
 	}
-	if attempts.Load() <= breakerThreshold {
+	if attempts.Load() <= refusals {
 		t.Fatalf("only %d restart attempts recorded", attempts.Load())
+	}
+}
+
+// TestRestartDelayCapped: the wait before every restart attempt after the
+// first is above zero and at most maxBackoff, however many attempts failed
+// — a doubling that overflowed would go to zero or below and spin the
+// restart loop.
+func TestRestartDelayCapped(t *testing.T) {
+	for _, c := range []struct {
+		attempt int
+		want    time.Duration
+	}{
+		{0, 0},
+		{1, restartBackoff},
+		{2, 2 * restartBackoff},
+		{3, 4 * restartBackoff},
+		{8, maxBackoff},
+		{41, maxBackoff},
+		{100, maxBackoff},
+	} {
+		if got := restartDelay(c.attempt); got != c.want {
+			t.Errorf("restartDelay(%d) = %v, want %v", c.attempt, got, c.want)
+		}
+	}
+	for n := 1; n <= 100; n++ {
+		if d := restartDelay(n); d <= 0 || d > maxBackoff {
+			t.Fatalf("restartDelay(%d) = %v, want in (0, %v]", n, d, maxBackoff)
+		}
 	}
 }
 
