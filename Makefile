@@ -90,7 +90,10 @@ traffic:
 # mutex), and Engine.Close flushes the log and keeps no closer list. And
 # MV-PBT evicts P_N under its write lock: no non-test file under
 # internal/index/mvpbt keeps a frozen-P_N list (no frozen field or loop, no
-# buildFrozen, no FrozenPNs). And the served stack keeps one of each: the
+# buildFrozen, no FrozenPNs). And MV-PBT reads a key in one order: neither
+# k-way merge's Less compares a timestamp (a tie goes to the newer source, the
+# order Tree.walk meets a key's records in), and no pnHoldsOlder or
+# scanSource.ts is back. And the served stack keeps one of each: the
 # server's lifecycle is tested by go test (no in-binary smoke suite, no
 # "smoke" under cmd/mvpbt-server, no smoke-server target), QueueTimeout alone
 # says whether a session waits (no reject/queue switch), and the restart
@@ -167,6 +170,10 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a mechanism no binary observes is back (the LSM flushes under its one lock; Engine.Close keeps no closer list):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'FrozenPNs|buildFrozen|frozen' --include='*.go' internal/index/mvpbt | grep -vE '_test\.go:|^[^:]+:[0-9]+:\s*//'); \
 	if [ -n "$$bad" ]; then echo "seams: the frozen-P_N list is back (EvictPN builds P_N under bgMu and mu):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'pnHoldsOlder|func \(s \*scanSource\) ts\(' --include='*.go' internal/index/mvpbt | grep -v '_test\.go:'; \
+		awk '/^func \(s (scanMerge|mergeSources)\) Less\(/ {f=1} f {print FILENAME ":" FNR ": " $$0} f && (/^}/ || /\{.*}$$/) {f=0}' \
+			$$(ls internal/index/mvpbt/*.go | grep -v '_test\.go$$') | grep -E '\.TS\b|\.ts\('); \
+	if [ -n "$$bad" ]; then echo "seams: MV-PBT orders a key's records by timestamp across sources again (a tie goes to the newer source):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'runSmoke|AdmissionPolicy|AdmitQueue|AdmitReject|breakerOpen|BreakerOpen|breakerThreshold' --include='*.go' . | grep -v '_test\.go:'; \
 		grep -rn '"smoke"' --include='*.go' cmd/mvpbt-server; grep -nE '^smoke-server:' Makefile); \
 	if [ -n "$$bad" ]; then echo "seams: a second copy in the served stack is back (the server's smoke suite, the reject/queue switch, the restart breaker):"; echo "$$bad"; exit 1; fi

@@ -169,7 +169,10 @@ func (h *harness) checkMirror(step int, opStr string) *Violation {
 //  1. the visible scan result is a subset of the raw MATTER records —
 //     MV-PBT never fabricates an entry it does not physically hold;
 //  2. within every source (PN, each partition) keys are non-decreasing
-//     and per-key timestamps non-increasing (§4.3);
+//     and per-key timestamps non-increasing (§4.3). A merge keeps the
+//     latter only while no insert lands below a newer record of its key:
+//     none at the default sizes, but keyTaken lets through an insert whose
+//     snapshot missed a newer insert and its delete (diff -keys 16);
 //  3. the visible scan emits each (key, rid) at most once across
 //     PN and partitions (anti-matter suppression works).
 //

@@ -64,8 +64,8 @@ func (e *Engine) ReadOnly() bool { return e.readOnly.Load() }
 // ForceReadOnly manually degrades (on=true) or restores (on=false) the
 // engine, through the same state machine the space governor drives: writes
 // fail fast with ErrReadOnly while reads, scans, commits and aborts keep
-// working. An administrative/testing seam — the shard router uses it to
-// exercise degraded-shard behaviour deterministically. On an engine with
+// working. A testing seam: the server, shard and db tests use it to put a
+// shard into degraded read-only deterministically. On an engine with
 // capacity watermarks configured the governor may independently re-evaluate
 // the state on the next space event (a forced degradation below the soft
 // watermark heals on the next allocation); on an unbounded engine the

@@ -214,10 +214,10 @@ func (m *MVPBTKV) nextRef() index.Ref {
 }
 
 // Put implements KV: a BLIND upsert — a regular record with the value
-// inline, no read-before-write. The unique-index visibility rule (the
-// newest snapshot-visible record per key decides) makes the predecessor
-// reference unnecessary; this is the LSM-like write path of §5: "Updates
-// in MV-PBT hit PN".
+// inline, no read-before-write. The unique-index visibility rule (the first
+// snapshot-visible record of the key in processing order decides) makes the
+// predecessor reference unnecessary; this is the LSM-like write path of §5:
+// "Updates in MV-PBT hit PN".
 func (m *MVPBTKV) Put(key, val []byte) error {
 	return m.autocommit(func(tx *txn.Tx) error { return m.PutTx(tx, key, val) })
 }

@@ -114,10 +114,10 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 
 // partWriter is the one path by which records become a persisted
 // partition: evictions feed it P_N, merges the k-way merge of their
-// inputs, both in (key asc, ts desc, newer source first) order. Every GC
-// rule looks only within one key, so it holds the records of ONE key,
-// collects their garbage when the next key arrives, and streams the
-// survivors into the segment builder (DESIGN.md §7).
+// inputs, both in §4.3 processing order. Every GC rule looks only within
+// one key, so it holds the records of ONE key, collects their garbage when
+// the next key arrives, and streams the survivors into the segment builder
+// (DESIGN.md §7).
 type partWriter struct {
 	t       *Tree
 	b       *part.Builder
@@ -127,7 +127,7 @@ type partWriter struct {
 	complete bool
 
 	key   []byte     // the current key (a copy)
-	recs  []groupRec // its records, newest first
+	recs  []groupRec // its records, in processing order
 	arena []byte     // backs the bodies (and through them the Vals) in recs
 	enc   []byte
 
@@ -177,13 +177,13 @@ func (w *partWriter) add(key []byte, rec Record, body []byte) error {
 // flush garbage-collects the current key's records, hands the survivors to
 // the builder and adds to the partition's estimate of the records a later
 // merge of every partition could drop, once the partition is below the
-// horizon. In a unique tree that is every survivor but the newest, plus,
+// horizon. In a unique tree that is every survivor but the first, plus,
 // outside a complete merge, the older version the oldest survivor replaces,
 // if any. In a non-unique tree each survivor's anti-matter target, and a
 // pure anti-matter survivor itself — except, in a complete merge, anti-matter
 // committed below the horizon, whose target is not under this key (a key
 // update's replacement): no merge will collapse it. Deleted: unique keys whose
-// newest survivor is pure anti-matter that no complete merge kept (uniqueGC).
+// first survivor is pure anti-matter.
 func (w *partWriter) flush() error {
 	gc := !w.t.opts.DisableGC
 	if gc {
@@ -200,7 +200,7 @@ func (w *partWriter) flush() error {
 			w.t.stats.gcEvict.Add(1)
 			continue
 		}
-		if kept == 0 && gc && w.t.opts.Unique && !g.rec.Matter() && !(w.complete && w.committedBelow(&g.rec)) {
+		if kept == 0 && gc && w.t.opts.Unique && !g.rec.Matter() {
 			w.gc.deleted++
 		}
 		kept, oldest = kept+1, g.rec.Type
@@ -245,7 +245,7 @@ func (w *partWriter) committedBelow(r *Record) bool {
 	return r.TS < w.horizon && w.t.mgr.StatusOf(r.TS) == txn.Committed
 }
 
-// chainGC is phase 3 for the records of one key (ts desc): the
+// chainGC is phase 3 for the records of one key, in processing order: the
 // chain-collapsing garbage collection of partition eviction, and — when the
 // input is the complete persisted state — the removal of dangling pure
 // anti-matter on top.
@@ -260,10 +260,10 @@ func (w *partWriter) chainGC() {
 	}
 
 	// matchAfter resolves an anti-matter record's OldRID to the record it
-	// suppresses: the first matter record after position from (records are
-	// ts desc, so "after" = newest among strictly older) whose validated
-	// version is rid. Both scopes — this key only, this position onward —
-	// are load-bearing: heap vacuum recycles slots, so a bare RecordID may
+	// suppresses: the first matter record after position from (a chain's
+	// records are ts desc, so "after" = newest among strictly older) whose
+	// validated version is rid. Both scopes — this key only, this position
+	// onward — are load-bearing: heap vacuum recycles slots, so a bare RecordID may
 	// alias records of a different key, or of the same key at a different
 	// chain position — a tombstone whose deleted version's slot was reused
 	// by a later re-insert must not consume its own successor. Positional

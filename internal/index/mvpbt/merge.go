@@ -53,18 +53,13 @@ type mergeSource struct {
 }
 
 // mergeSources are a merge's inputs, newest partition first: they merge on
-// (key asc, ts desc), and the loser tree's tie rule puts the newer
-// partition's record first.
+// the key alone, and the loser tree's tie rule puts the newer partition's
+// records of a key first (§4.3 processing order).
 type mergeSources []*mergeSource
 
 func (s mergeSources) Len() int             { return len(s) }
 func (s mergeSources) Exhausted(i int) bool { return !s[i].rd.Valid() }
-func (s mergeSources) Less(i, j int) bool {
-	if c := bytes.Compare(s[i].rd.Key(), s[j].rd.Key()); c != 0 {
-		return c < 0
-	}
-	return s[i].rec.TS > s[j].rec.TS
-}
+func (s mergeSources) Less(i, j int) bool   { return bytes.Compare(s[i].rd.Key(), s[j].rd.Key()) < 0 }
 
 // load decodes the head record, if there is one.
 func (s *mergeSource) load() (err error) {
@@ -76,12 +71,11 @@ func (s *mergeSource) load() (err error) {
 }
 
 // mergeBG is the merge body; called with bgMu held. It merges parts[from:],
-// the newest, into one partition in their place, so newer records still come
-// first (§4.3). Dangling anti-matter (see partWriter) is dropped only when
+// the newest, into one partition in their place, keeping their processing
+// order (§4.3). Dangling anti-matter (see partWriter) is dropped only when
 // from is 0: the input is then the COMPLETE persisted state — bgMu guarantees
-// that only bgMu holders append to or replace parts, and records in P_N were
-// inserted after every persisted record — later, but not always with a newer
-// timestamp (uniqueGC's pnHoldsOlder).
+// that only bgMu holders append to or replace parts, and every reader meets
+// P_N's records before any persisted one.
 func (t *Tree) mergeBG(from int) error {
 	t.mu.Lock()
 	v := t.view.Load()
@@ -93,10 +87,10 @@ func (t *Tree) mergeBG(from int) error {
 	t.nextNo++
 	t.mu.Unlock()
 
-	// K-way merge in (key asc, ts desc, newer partition first) order,
-	// streamed: the inputs are read an extent at a time while the output is
-	// written a page at a time. On any error the output run is given back
-	// and the inputs stay installed.
+	// K-way merge by key, newer partition first, streamed: the inputs are
+	// read an extent at a time while the output is written a page at a
+	// time. On any error the output run is given back and the inputs stay
+	// installed.
 	w := t.newPartWriter(no, from == 0)
 	defer w.b.Abort()
 	srcs := make(mergeSources, 0, len(v.parts)-from)

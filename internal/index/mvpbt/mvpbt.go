@@ -152,7 +152,7 @@ type treeView struct {
 
 // partGC is what partWriter.flush counts in one partition for mergeStart:
 // records a merge of every partition could drop, and a unique tree's keys
-// whose newest record is pure anti-matter.
+// whose first record is pure anti-matter.
 type partGC struct{ dead, deleted int }
 
 // Tree is a Multi-Version Partitioned B-Tree. Safe for concurrent use:
@@ -560,9 +560,9 @@ const (
 // path"): every record with key == lo (point) or lo <= key < hi (hi nil =
 // +inf), source by source in §4.3 processing order, each source in its own
 // (key asc, ts desc) order, until visit returns false. All records of ONE
-// key are met newest first this way; a range must interleave its sources
-// per key, which is Scan's k-way merge. Lock-free against other readers and
-// PN inserts; it sees the view current at call time.
+// key are met in processing order this way; a range must interleave its
+// sources per key, which is Scan's k-way merge. Lock-free against other
+// readers and PN inserts; it sees the view current at call time.
 //
 // The visited record is good until visit returns. A partition's record is
 // decoded into the pooled read state — a local handed to visit by address
@@ -683,19 +683,14 @@ type scanSource struct {
 }
 
 // scanMerge is a scan's merge inputs in the order scanSources adds them:
-// P_N, then the partitions, each newer than the next. They
-// merge on (key asc, ts desc), and the loser tree's tie rule — the lower
-// index first — puts a newer source's record before an older one's.
+// P_N, then the partitions, each newer than the next. They merge on the key
+// alone, and the loser tree's tie rule — the lower index first — hands out a
+// key's records source by source, in the walk's §4.3 processing order.
 type scanMerge []scanSource
 
 func (s scanMerge) Len() int             { return len(s) }
 func (s scanMerge) Exhausted(i int) bool { return !s[i].valid }
-func (s scanMerge) Less(i, j int) bool {
-	if c := bytes.Compare(s[i].key, s[j].key); c != 0 {
-		return c < 0
-	}
-	return s[i].ts() > s[j].ts()
-}
+func (s scanMerge) Less(i, j int) bool   { return bytes.Compare(s[i].key, s[j].key) < 0 }
 
 func (s *scanSource) load(hi []byte) error {
 	if s.inPN {
@@ -733,13 +728,6 @@ func (s *scanSource) record() *Record {
 	return &s.rec
 }
 
-func (s *scanSource) ts() txn.TxID {
-	if s.inPN {
-		return s.pnIt.Key().ts
-	}
-	return s.rec.TS
-}
-
 func (s *scanSource) next(hi []byte) error {
 	if s.inPN {
 		s.pnIt.Next()
@@ -751,9 +739,8 @@ func (s *scanSource) next(hi []byte) error {
 
 // Scan is the paper's Algorithm 2, the range query (§4.4): the entries
 // visible to tx with lo <= key < hi (hi nil = +inf), streamed in key order.
-// The inputs — PN and every partition — are merged on (key asc, ts desc,
-// partition newest-first), which preserves the §4.3 invariant that a
-// record's suppressor is processed before it, while allowing early
+// The inputs — PN and every partition — are merged by key, a key's records
+// in the §4.3 processing order Lookup meets them in, which allows early
 // termination (LIMIT-style scans stop without draining the range). Unique
 // indexes use the per-key decision rule instead of the anti-matter map (see
 // unique.go). Lock-free against other readers and PN inserts.

@@ -126,7 +126,7 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 	}
 	if !t.opts.DisableGC {
 		if t.opts.Unique {
-			entries = t.refUniqueEvictGC(entries, nil)
+			entries = t.refUniqueEvictGC(entries, false)
 		} else {
 			entries = t.refEvictGC(entries)
 		}
@@ -256,15 +256,13 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 }
 
 // refUniqueEvictGC is the unique-mode phase-3 GC: per key (entries arrive in
-// key asc, ts desc order) keep every record down to and INCLUDING the
-// first committed-below-horizon one — the all-visible decider — and drop
-// the rest. Aborted records are dropped anywhere. A decider that is a
-// tombstone or anti record is kept in an eviction (pnOldest nil): it may
-// still extinguish the key in older partitions. A merge of every partition
-// passes pnOldest, the oldest timestamp per key in P_N, and drops such a
-// decider too, unless one of those records is older than it: a
-// long-running writer's, which the decider must keep extinguishing.
-func (t *Tree) refUniqueEvictGC(entries []refEntry, pnOldest map[string]txn.TxID) []refEntry {
+// key asc order, a key's records in processing order) keep every record
+// down to and INCLUDING the first committed-below-horizon one — the
+// all-visible decider — and drop the rest. Aborted records are dropped
+// anywhere. A decider that is a tombstone or anti record is kept unless the
+// input is complete (a merge of every partition): otherwise it may still
+// extinguish the key in older partitions.
+func (t *Tree) refUniqueEvictGC(entries []refEntry, complete bool) []refEntry {
 	horizon := t.mgr.Horizon()
 	out := entries[:0]
 	var curKey []byte
@@ -284,29 +282,14 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, pnOldest map[string]txn.TxID
 			continue
 		case rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed:
 			anchored = true
-			if pnOldest != nil && !rec.Matter() {
-				if ts, ok := pnOldest[string(curKey)]; !ok || ts >= rec.TS {
-					t.stats.gcEvict.Add(1)
-					continue
-				}
+			if complete && !rec.Matter() {
+				t.stats.gcEvict.Add(1)
+				continue
 			}
 		}
 		out = append(out, entries[i])
 	}
 	return out
-}
-
-// refPNOldest is the oldest timestamp of each key in P_N of the current
-// view, read record by record.
-func (t *Tree) refPNOldest() map[string]txn.TxID {
-	oldest := map[string]txn.TxID{}
-	for it := t.view.Load().pn.Min(); it.Valid(); it.Next() {
-		k := string(it.Key().key)
-		if ts, ok := oldest[k]; !ok || it.Value().TS < ts {
-			oldest[k] = it.Value().TS
-		}
-	}
-	return oldest
 }
 
 // refMerge is the merge body over the persisted partitions from from on,
@@ -331,7 +314,7 @@ func (t *Tree) refMerge(from int) error {
 		return rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
 	}
 
-	// K-way merge in (key asc, ts desc, newer partition first) order.
+	// K-way merge by key, a key's records newer partition first.
 	type src struct {
 		it   *part.Iterator
 		prio int
@@ -348,22 +331,12 @@ func (t *Tree) refMerge(from int) error {
 	for {
 		best := -1
 		var bestKey []byte
-		var bestTS txn.TxID
 		for i, s := range srcs {
 			if !s.it.Valid() {
 				continue
 			}
-			r := s.it.Record()
-			rec, err := decodeRecord(r.Body)
-			if err != nil {
-				return err
-			}
-			if best < 0 {
-				best, bestKey, bestTS = i, r.Key, rec.TS
-				continue
-			}
-			if c := bytes.Compare(r.Key, bestKey); c < 0 || (c == 0 && rec.TS > bestTS) {
-				best, bestKey, bestTS = i, r.Key, rec.TS
+			if r := s.it.Record(); best < 0 || bytes.Compare(r.Key, bestKey) < 0 {
+				best, bestKey = i, r.Key
 			}
 		}
 		if best < 0 {
@@ -395,16 +368,12 @@ func (t *Tree) refMerge(from int) error {
 		out = entries
 	} else if t.opts.Unique {
 		// Unique-mode key-based GC; a merge of every partition also drops
-		// tombstone deciders that no P_N record needs.
+		// tombstone deciders.
 		pn := make([]refEntry, len(entries))
 		for i := range entries {
 			pn[i] = refEntry{key: pnKey{key: entries[i].key, ts: entries[i].rec.TS}, rec: &entries[i].rec}
 		}
-		var pnOldest map[string]txn.TxID
-		if from == 0 {
-			pnOldest = t.refPNOldest()
-		}
-		kept := t.refUniqueEvictGC(pn, pnOldest)
+		kept := t.refUniqueEvictGC(pn, from == 0)
 		out = make([]entry, len(kept))
 		for i := range kept {
 			out[i] = entry{key: kept[i].key.key, rec: *kept[i].rec}

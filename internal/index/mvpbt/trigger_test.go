@@ -306,33 +306,54 @@ func TestDeleteTriggerWaitsForHorizon(t *testing.T) {
 	}
 }
 
-// TestDeleteTriggerSkipsPinnedTombstones: a long-running writer inserts 20
+// TestMergeDropsTombstonesUnderPNWrites: a long-running writer inserts 20
 // keys, with its older timestamp, after they were deleted and the deletes
-// evicted. A merge of every partition while its records sit in P_N keeps
-// those tombstones, and counts none of them as deleted: no merge is due
-// then, nor after the eviction that persists the writer's records.
-func TestDeleteTriggerSkipsPinnedTombstones(t *testing.T) {
+// evicted. A merge of every partition while its records sit in P_N drops
+// those tombstones, and the rows they deleted: every reader meets the
+// writer's records first. No merge is due then, nor after the eviction that
+// persists the writer's records, and a lookup and a scan both return the
+// writer's rows.
+func TestMergeDropsTombstonesUnderPNWrites(t *testing.T) {
 	e := newEnv(1024, 1<<26)
 	tr := e.tree(Options{Unique: true, BloomBits: 10})
 	cur := updateRounds(t, e, tr, 1, nil)
 	w := e.mgr.Begin()
 	deleteKeys(t, e, tr, cur, 0, 20)
 	for k := 0; k < 20; k++ {
-		if err := tr.InsertRegular(w, []byte(fmt.Sprintf("k%02d", k)), e.ref()); err != nil {
+		cur[k] = e.ref()
+		if err := tr.InsertRegular(w, []byte(fmt.Sprintf("k%02d", k)), cur[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.mgr.Commit(w)
+	reads := func(when string) {
+		t.Helper()
+		r := e.mgr.Begin()
+		defer e.mgr.Commit(r)
+		for k := 0; k < 20; k++ {
+			key := []byte(fmt.Sprintf("k%02d", k))
+			lookupIsPointScan(t, tr, r, key)
+			if got := lookupRIDs(t, tr, r, key); len(got) != 1 || got[0] != cur[k].RID {
+				t.Fatalf("%s: key %s returns %v, want the writer's %v", when, key, got, cur[k].RID)
+			}
+		}
+		if n := scanKeys(t, e, tr); n != 50 {
+			t.Fatalf("%s: a scan returns %d keys, want 50", when, n)
+		}
+	}
+	reads("before the merge")
 	if err := tr.MergePartitions(); err != nil {
 		t.Fatal(err)
 	}
-	if n, recs := tr.NumPartitions(), tr.Partitions()[0].NumRecords; n != 1 || recs != 50 || tr.NeedsMerge() {
-		t.Fatalf("after the merge: %d partitions, %d records, merge due %v; want the 30 live keys and 20 tombstones, no merge due", n, recs, tr.NeedsMerge())
+	if n, recs := tr.NumPartitions(), tr.Partitions()[0].NumRecords; n != 1 || recs != 30 || tr.NeedsMerge() {
+		t.Fatalf("after the merge: %d partitions, %d records, merge due %v; want the 30 keys not deleted, no merge due", n, recs, tr.NeedsMerge())
 	}
+	reads("after the merge")
 	if err := tr.EvictPN(); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Stats().Merges != 1 || tr.NumPartitions() != 2 {
 		t.Fatalf("after evicting the writer's records: %d merges, %d partitions", tr.Stats().Merges, tr.NumPartitions())
 	}
+	reads("after the eviction")
 }

@@ -7,18 +7,18 @@ import (
 	"mvpbt/internal/txn"
 )
 
-// Unique-index visibility: with at most one live tuple per key, the
-// NEWEST record whose transaction the caller sees decides the key — a
-// visible matter record yields the key's current version, a visible
-// tombstone (or anti-record) means the key is absent, and everything
-// older is superseded without inspecting anti-matter at all. This enables
+// Unique-index visibility: with at most one live tuple per key, the FIRST
+// record in processing order whose transaction the caller sees decides the
+// key — a visible matter record yields the key's current version, a visible
+// tombstone (or anti-record) means the key is absent, and everything after
+// it is superseded without inspecting anti-matter at all. This enables
 // BLIND writes (replacements and tombstones without predecessor
 // recordIDs), which is how the KV integration of §5 achieves LSM-like
 // write behaviour: updates just hit PN.
 //
-// Correctness rests on the paper's §4.3 ordering guarantee: within a
-// partition and across partitions, newer records of a key are always
-// encountered before older ones.
+// Correctness rests on the paper's §4.3 processing order (P_N, then the
+// partitions newest first; inside a source key asc, ts desc), which every
+// read, eviction and merge follows: all meet a key's records in one sequence.
 
 // decides is the unique-index decision rule, for the point path (Lookup's
 // visitor, which stops the walk there) and the range path (uniqueScan)
@@ -28,8 +28,8 @@ func (t *Tree) decides(tx *txn.Tx, rec *Record) bool {
 	return !rec.GCMarked() && t.applyVisFault(rec.TS, tx.Sees(rec.TS))
 }
 
-// uniqueScan is the range-scan path for unique indexes: the merged
-// (key asc, ts desc) stream with per-key decisions; once a key is decided
+// uniqueScan is the range-scan path for unique indexes: the merged stream
+// with per-key decisions; once a key is decided
 // its remaining records are skipped without visibility checks. Runs
 // lock-free over the merge inputs scanSources positioned in rs.
 func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.Entry) bool) error {
@@ -55,14 +55,13 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 	return nil
 }
 
-// uniqueGC is the unique-mode phase-3 GC for the records of one key (ts
-// desc): keep every record down to and INCLUDING the first
+// uniqueGC is the unique-mode phase-3 GC for the records of one key, in
+// processing order: keep every record down to and INCLUDING the first
 // committed-below-horizon one — the all-visible decider — and drop the
 // rest. Aborted and flagged records are dropped anywhere. A tombstone or anti
 // decider may still extinguish the key in older partitions, so only a
-// complete merge drops it — unless P_N holds an older-timestamp record of
-// the key from a long-running writer (pnHoldsOlder). None can arrive during
-// the merge: every writer active at its start has an id ≥ the horizon.
+// complete merge drops it; a record of the key in P_N, whatever its
+// timestamp, comes before it for every reader anyway.
 func (w *partWriter) uniqueGC() {
 	anchored := false
 	for i := range w.recs {
@@ -72,14 +71,7 @@ func (w *partWriter) uniqueGC() {
 			w.recs[i].drop = true
 		case w.committedBelow(r):
 			anchored = true
-			w.recs[i].drop = w.complete && !r.Matter() && !w.t.pnHoldsOlder(w.key, r.TS)
+			w.recs[i].drop = w.complete && !r.Matter()
 		}
 	}
-}
-
-// pnHoldsOlder reports whether P_N holds a record of key older than ts. The
-// merge's bgMu keeps P_N from becoming a partition meanwhile.
-func (t *Tree) pnHoldsOlder(key []byte, ts txn.TxID) bool {
-	it := t.view.Load().pn.Seek(pnKey{key: key, ts: ts - 1, seq: ^uint64(0)})
-	return it.Valid() && bytes.Equal(it.Key().key, key)
 }

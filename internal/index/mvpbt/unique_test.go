@@ -269,3 +269,67 @@ func TestUniqueRandomizedModel(t *testing.T) {
 		e.mgr.Commit(s.tx)
 	}
 }
+
+// TestUniqueLongWritersReadAlike: long-running transactions make blind
+// writes and deletes over 8 keys while partitions are evicted and merged, so
+// a transaction's record often reaches the tree after a newer-timestamp
+// record of its key was persisted. At a fresh snapshot after every step, a
+// lookup of each key hands out what a scan of that key does; an eviction
+// or merge changes no fresh snapshot's lookups.
+func TestUniqueLongWritersReadAlike(t *testing.T) {
+	const keys, steps = 8, 120
+	for seed := uint64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			e := newEnv(64, 1<<26)
+			tr := e.tree(Options{Unique: true, BloomBits: 10})
+			r := util.NewRand(seed)
+			key := func(k int) []byte { return []byte(fmt.Sprintf("k%d", k)) }
+			lookups := func() string {
+				rd := e.mgr.Begin()
+				defer e.mgr.Commit(rd)
+				var out []string
+				for k := 0; k < keys; k++ {
+					lookupIsPointScan(t, tr, rd, key(k))
+					out = append(out, fmt.Sprint(lookupRIDs(t, tr, rd, key(k))))
+				}
+				return fmt.Sprint(out)
+			}
+			var open []*txn.Tx
+			for step := 0; step < steps; step++ {
+				var err error
+				switch op := r.Intn(10); {
+				case op < 2 || len(open) == 0:
+					open = append(open, e.mgr.Begin())
+				case op < 6:
+					tx, k := open[r.Intn(len(open))], key(r.Intn(keys))
+					if r.Intn(3) == 0 {
+						err = tr.InsertTombstone(tx, k, storage.RecordID{})
+					} else {
+						err = tr.InsertRegular(tx, k, e.ref())
+					}
+				case op < 8:
+					i := r.Intn(len(open))
+					e.mgr.Commit(open[i])
+					open = append(open[:i], open[i+1:]...)
+				default:
+					before, what := lookups(), "eviction"
+					if op == 8 {
+						err = tr.EvictPN()
+					} else {
+						what, err = "merge", tr.MergePartitions()
+					}
+					if after := lookups(); err == nil && after != before {
+						t.Fatalf("step %d: the %s changed a fresh snapshot's lookups from %s to %s", step, what, before, after)
+					}
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				lookups()
+			}
+			for _, tx := range open {
+				e.mgr.Commit(tx)
+			}
+		})
+	}
+}

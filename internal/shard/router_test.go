@@ -498,3 +498,57 @@ func TestOversizedEntryRefused(t *testing.T) {
 		t.Fatalf("refused key: found=%v err=%v", ok, err)
 	}
 }
+
+// TestWriteAfterEvictedDeleteReadsAlike: a transaction that began before a
+// key's autocommitted DEL writes the key after the DEL was evicted, and
+// commits. The transaction's write is the later one, so GET and SCAN both
+// return it, and still do after the next eviction.
+func TestWriteAfterEvictedDeleteReadsAlike(t *testing.T) {
+	r := newRouter(t, 1)
+	tree := r.Shard(0).KV.Tree()
+	key := []byte("k")
+	evict := func() {
+		t.Helper()
+		if err := tree.EvictPN(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Put(key, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	tx, err := r.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	if err := tx.Put(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reads := func(when string) {
+		t.Helper()
+		v, ok, err := r.Get(key)
+		if err != nil || !ok || string(v) != "v1" {
+			t.Fatalf("%s: GET = %q found=%v err=%v, want v1", when, v, ok, err)
+		}
+		var got []string
+		if err := r.Scan(nil, 10, func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[k=v1]" {
+			t.Fatalf("%s: SCAN = %v, want [k=v1]", when, got)
+		}
+	}
+	reads("before the eviction")
+	evict()
+	reads("after the eviction")
+}
