@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt vet test race stress loc traffic seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-index fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full examples cover
+.PHONY: all build fmt vet test race stress loc traffic mutants seams bench-gates fuzz-wire fuzz-wal fuzz-heap fuzz-index fuzz-part check check-nightly bench bench-figures bench-commit bench-evict bench-scan bench-pool bench-ledger bench-net bench-full examples cover
 
 all: build fmt vet test
 
@@ -44,6 +44,14 @@ loc:
 # nobody runs (ROADMAP aim 2). ~2 min.
 traffic:
 	sh traffic.sh
+
+# Do the checks catch the bugs they are there for? Each entry of
+# mutants.list plants one bug in a copy of the checkout and runs the check
+# that must fail on it; a mutant that survives, does not compile or no longer
+# applies fails the target. `make mutants M=<name>` runs one entry. Nightly
+# in CI. ~20 s.
+mutants:
+	sh mutants.sh $(M)
 
 # The folds stay folded (ROADMAP item 7), the way traffic keeps dead code
 # out. A page is checked — stamped, verified, retried — by the buffer pool
@@ -93,7 +101,8 @@ traffic:
 # buildFrozen, no FrozenPNs). And MV-PBT reads a key in one order: neither
 # k-way merge's Less compares a timestamp (a tie goes to the newer source, the
 # order Tree.walk meets a key's records in), and no pnHoldsOlder or
-# scanSource.ts is back. And the served stack keeps one of each: the
+# scanSource.ts is back; nor is a timestamp in pnKey or cmpPNKey: P_N lists a
+# key's records in reverse write order, as every partition does. And the served stack keeps one of each: the
 # server's lifecycle is tested by go test (no in-binary smoke suite, no
 # "smoke" under cmd/mvpbt-server, no smoke-server target), QueueTimeout alone
 # says whether a session waits (no reject/queue switch), and the restart
@@ -174,6 +183,8 @@ seams:
 		awk '/^func \(s (scanMerge|mergeSources)\) Less\(/ {f=1} f {print FILENAME ":" FNR ": " $$0} f && (/^}/ || /\{.*}$$/) {f=0}' \
 			$$(ls internal/index/mvpbt/*.go | grep -v '_test\.go$$') | grep -E '\.TS\b|\.ts\('); \
 	if [ -n "$$bad" ]; then echo "seams: MV-PBT orders a key's records by timestamp across sources again (a tie goes to the newer source):"; echo "$$bad"; exit 1; fi
+	@bad=$$(awk '/^type pnKey struct|^func cmpPNKey\(/ {f=1} f {print FILENAME ":" FNR ": " $$0} f && /^}/ {f=0}' internal/index/mvpbt/mvpbt.go | grep -iE '\bts\b|TxID'); \
+	if [ -n "$$bad" ]; then echo "seams: P_N orders a key's records by timestamp again (pnKey is {key, seq}: write order):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'runSmoke|AdmissionPolicy|AdmitQueue|AdmitReject|breakerOpen|BreakerOpen|breakerThreshold' --include='*.go' . | grep -v '_test\.go:'; \
 		grep -rn '"smoke"' --include='*.go' cmd/mvpbt-server; grep -nE '^smoke-server:' Makefile); \
 	if [ -n "$$bad" ]; then echo "seams: a second copy in the served stack is back (the server's smoke suite, the reject/queue switch, the restart breaker):"; echo "$$bad"; exit 1; fi
@@ -236,12 +247,16 @@ fuzz-part:
 	go test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/index/mvpbt/
 	go test -fuzz=FuzzLoserTree -fuzztime=10s ./internal/util/
 
-# The differential harness campaign: short smoke (CI) and nightly-length.
+# The differential harness campaign: short smoke (CI) and nightly-length,
+# the latter with the hot-key sweep (16 keys, 8 clients, 30 seeds; ~30 s):
+# long-running writers of a few keys, where a blind write lands after a
+# newer transaction's write of its key.
 check:
 	go run ./cmd/mvpbt-check diff
 
 check-nightly:
 	go run ./cmd/mvpbt-check diff -ops 50000 -crashes 3
+	go run ./cmd/mvpbt-check diff -keys 16 -clients 8 -seeds 30
 
 # The seeded verification campaigns, one mvpbt-check subcommand each
 # (DESIGN.md §8 says what each holds): check-faults, check-scenarios,

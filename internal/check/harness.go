@@ -153,6 +153,7 @@ type harness struct {
 	ora     *Oracle
 	clients []*client
 	res     Result
+	order   map[string]map[string][]string // checkRawMV's last dump: index → key → records
 }
 
 // keyExtract reads the length-prefixed key out of a row: [len][key][val].
@@ -199,6 +200,7 @@ func newHarness(cfg RunConfig) (*harness, error) {
 // evictions, partition builds and merges all happen within even short
 // histories.
 func (h *harness) buildEngine() error {
+	h.order = make(map[string]map[string][]string)
 	h.eng = db.NewEngine(db.Config{
 		BufferPages:          2048,
 		PartitionBufferBytes: 96 << 10,

@@ -43,7 +43,7 @@ func isVersionAware(ix *db.Index) bool {
 // diffRows compares the engine's result against the oracle's, including
 // per-row tuple identity (VID) and key-extraction agreement. Both sides
 // are compared in row-byte order: the oracle sorts that way, and engine
-// emission order within one key is timestamp-based (and for oblivious
+// emission order within one key is write order (and for oblivious
 // indexes arbitrary), so only the cross-key ordering — asserted separately
 // in compareScan — is meaningful.
 func (h *harness) diffRows(step int, opStr string, ix *db.Index, got []engRow, want []VisRow) *Violation {
@@ -168,11 +168,9 @@ func (h *harness) checkMirror(step int, opStr string) *Violation {
 //
 //  1. the visible scan result is a subset of the raw MATTER records —
 //     MV-PBT never fabricates an entry it does not physically hold;
-//  2. within every source (PN, each partition) keys are non-decreasing
-//     and per-key timestamps non-increasing (§4.3). A merge keeps the
-//     latter only while no insert lands below a newer record of its key:
-//     none at the default sizes, but keyTaken lets through an insert whose
-//     snapshot missed a newer insert and its delete (diff -keys 16);
+//  2. within every source (PN, each partition) keys are non-decreasing,
+//     and a key's records keep their processing order from audit to audit,
+//     new ones first (keptOrder): no eviction, merge or sweep reorders them;
 //  3. the visible scan emits each (key, rid) at most once across
 //     PN and partitions (anti-matter suppression works).
 //
@@ -207,25 +205,19 @@ func (h *harness) checkRawMV(step int, opStr string, tx *txn.Tx, name string) *V
 		return vv
 	}
 	matter := make(map[kr]bool)
+	order := make(map[string][]string)
 	var src string
 	var prevKey []byte
-	var prevTS txn.TxID
 	err = tree.DumpRange(lo, nil, func(re mvpbt.RawEntry) bool {
 		if re.Source != src {
-			src, prevKey, prevTS = re.Source, nil, 0
+			src, prevKey = re.Source, nil
 		}
-		if prevKey != nil {
-			switch c := bytes.Compare(prevKey, re.Key); {
-			case c > 0:
-				vv = h.viol(step, opStr, "%s %s: raw keys out of order: %q after %q", name, re.Source, re.Key, prevKey)
-				return false
-			case c == 0 && re.Rec.TS > prevTS:
-				vv = h.viol(step, opStr, "%s %s: key %q: ts %d after newer ts %d", name, re.Source, re.Key, re.Rec.TS, prevTS)
-				return false
-			}
+		if prevKey != nil && bytes.Compare(prevKey, re.Key) > 0 {
+			vv = h.viol(step, opStr, "%s %s: raw keys out of order: %q after %q", name, re.Source, re.Key, prevKey)
+			return false
 		}
 		prevKey = append(prevKey[:0], re.Key...)
-		prevTS = re.Rec.TS
+		order[string(re.Key)] = append(order[string(re.Key)], fmt.Sprint(re.Rec.TS, re.Rec.Type, re.Rec.Ref)) // not OldRID: GC inheritance rewrites it
 		if re.Rec.Matter() {
 			matter[kr{key: string(re.Key), rid: re.Rec.Ref.RID}] = true
 		}
@@ -237,12 +229,43 @@ func (h *harness) checkRawMV(step int, opStr string, tx *txn.Tx, name string) *V
 	if vv != nil {
 		return vv
 	}
+	for k, recs := range order {
+		if prev := h.order[name][k]; !keptOrder(prev, recs) {
+			return h.viol(step, opStr, "%s: key %q: records %v reordered since the last audit's %v", name, k, recs, prev)
+		}
+	}
+	h.order[name] = order
 	for _, p := range visible {
 		if !matter[p] {
 			return h.viol(step, opStr, "%s: visible entry key %q rid %v has no backing matter record (GC reclaimed a needed version?)", name, p.key, p.rid)
 		}
 	}
 	return nil
+}
+
+// keptOrder reports whether cur, a key's records in processing order, lists
+// the ones of prev (the last audit's) it kept in prev's order, after every
+// new one: one cur has more copies of than prev (a writer may repeat one).
+func keptOrder(prev, cur []string) bool {
+	i := len(cur) - 1
+	for j := len(prev) - 1; i >= 0 && j >= 0; j-- { // cur's tail as a subsequence of prev
+		if prev[j] == cur[i] {
+			i--
+		}
+	}
+	n := make(map[string]int)
+	for _, r := range cur {
+		n[r]++
+	}
+	for _, r := range prev {
+		n[r]--
+	}
+	for _, r := range cur[:i+1] {
+		if n[r] <= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkRawLSM asserts that the LSM mirror's Scan output equals what its

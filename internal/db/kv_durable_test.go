@@ -126,3 +126,63 @@ func verifyKVState(t *testing.T, kv *MVPBTKV, n int) {
 		}
 	}
 }
+
+// TestOlderWriterAfterDeleteWins holds the durable KV store to DESIGN.md
+// §12's rule, the write inserted last wins: a transaction that began before
+// a Put and a Delete of its key puts the key after both and commits. Get and
+// Scan return its value whether or not P_N was evicted between the delete
+// and its write, and again after a crash and a replay of the log (which
+// gives the writer the newest timestamp).
+func TestOlderWriterAfterDeleteWins(t *testing.T) {
+	for _, evict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("evict=%v", evict), func(t *testing.T) {
+			e, kv := newDurableKV(t)
+			defer e.Close()
+			key := kvKey(7)
+			old := e.Begin()
+			if err := kv.Put(key, []byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Delete(key); err != nil {
+				t.Fatal(err)
+			}
+			if evict {
+				if err := kv.Tree().EvictPN(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := kv.PutTx(old, key, []byte("b")); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CommitDurable(old); err != nil {
+				t.Fatal(err)
+			}
+			readsB := func(kv *MVPBTKV, when string) {
+				t.Helper()
+				v, ok, err := kv.Get(key)
+				if err != nil || !ok || string(v) != "b" {
+					t.Fatalf("%s: Get = %q, %v, %v; want b", when, v, ok, err)
+				}
+				var pairs []string
+				if err := kv.Scan(nil, 10, func(k, v []byte) bool {
+					pairs = append(pairs, string(k)+"="+string(v))
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if want := string(key) + "=b"; len(pairs) != 1 || pairs[0] != want {
+					t.Fatalf("%s: Scan = %v; want [%s]", when, pairs, want)
+				}
+			}
+			readsB(kv, "before the crash")
+			img := e.LogImage()
+			e.Crash()
+			e2, kv2 := newDurableKV(t)
+			defer e2.Close()
+			if _, err := e2.Recover(img); err != nil {
+				t.Fatal(err)
+			}
+			readsB(kv2, "after recovery")
+		})
+	}
+}

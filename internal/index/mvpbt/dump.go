@@ -33,8 +33,8 @@ func (d RawEntry) String() string {
 
 // DumpRange streams every index record with lo <= key < hi (hi nil =
 // +inf), source by source in processing order (PN, then the partitions
-// newest to oldest), each source in its internal (key asc, ts desc, seq
-// desc) order. No visibility filtering and no GC
+// newest to oldest), each source in key order, a key's records
+// last-written first. No visibility filtering and no GC
 // side effects; fn returning false stops. Safe to run concurrently with
 // readers and writers — it sees the view current at call time. A partition
 // it cannot read or decode is an error, not a shorter dump.

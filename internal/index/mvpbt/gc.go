@@ -260,16 +260,15 @@ func (w *partWriter) chainGC() {
 	}
 
 	// matchAfter resolves an anti-matter record's OldRID to the record it
-	// suppresses: the first matter record after position from (a chain's
-	// records are ts desc, so "after" = newest among strictly older) whose
-	// validated version is rid. Both scopes — this key only, this position
-	// onward — are load-bearing: heap vacuum recycles slots, so a bare RecordID may
-	// alias records of a different key, or of the same key at a different
-	// chain position — a tombstone whose deleted version's slot was reused
-	// by a later re-insert must not consume its own successor. Positional
-	// matching is exact because slot reuse follows creation order: the
-	// newest matter record older than the anti record with that rid IS its
-	// predecessor (or an aborted aliased generation, which callers skip).
+	// suppresses: the first matter record after position from (records are
+	// last-written first, so "after" = written earlier) whose validated
+	// version is rid. Both scopes — this key, this position onward — are
+	// load-bearing: heap vacuum recycles slots, so a bare RecordID may alias
+	// records of another key, or of this key at another chain position — a
+	// re-insert into the slot of a tombstone's deleted version was written
+	// after the tombstone, so it comes before it and is never its target.
+	// Exact, because slot reuse follows creation order: the latest record
+	// written before with that rid IS the predecessor (or an aborted alias).
 	matchAfter := func(from int, rid storage.RecordID) int {
 		for k := from + 1; k < len(recs); k++ {
 			if r := &recs[k].rec; r.Matter() && r.Ref.RID == rid {

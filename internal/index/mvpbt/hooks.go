@@ -4,9 +4,9 @@ import "mvpbt/internal/txn"
 
 // Test-only mutation hooks for the differential correctness harness
 // (internal/check), which asserts the structural invariants — per-source key
-// ordering, ts-descending within a key (see check.checkRawMV for when a
-// merge keeps it), and that the visible result set is a subset of the raw
-// matter records — over DumpRange (dump.go). The fault
+// ordering, a key's records kept in write order from audit to audit, and
+// that the visible result set is a subset of the raw matter records — over
+// DumpRange (dump.go). The fault
 // hook lets the harness verify its own teeth: a deliberately corrupted
 // visibility decision must be caught and shrunk to a minimal history.
 

@@ -17,27 +17,19 @@ import (
 	"mvpbt/internal/util"
 )
 
-// pnKey orders PN records per §4.3: primary sort on the search key
-// (ascending), secondary on the transaction timestamp DESCENDING, so that
-// within one partition the records of newer versions always precede those
-// of older versions of the same tuple. seq (descending) breaks ties among
-// records of the same transaction: its later operations supersede earlier
-// ones.
+// pnKey orders PN records by search key ascending, then write sequence
+// descending: a key's records last-written first, the order partitions
+// inherit and merges keep, whatever the eviction timing. On a version chain
+// it is the paper's (ts desc): a predecessor is written first (DESIGN.md
+// "Read path").
 type pnKey struct {
 	key []byte
-	ts  txn.TxID
 	seq uint64
 }
 
 func cmpPNKey(a, b pnKey) int {
 	if c := bytes.Compare(a.key, b.key); c != 0 {
 		return c
-	}
-	switch {
-	case a.ts > b.ts:
-		return -1
-	case a.ts < b.ts:
-		return 1
 	}
 	switch {
 	case a.seq > b.seq:
@@ -303,7 +295,7 @@ func (t *Tree) pnPut(key []byte, rec *Record) error {
 	}
 	t.mu.Lock()
 	v := t.view.Load()
-	k := pnKey{key: kc, ts: rec.TS, seq: t.pnSeq}
+	k := pnKey{key: kc, seq: t.pnSeq}
 	t.pnSeq++
 	n := v.pn.Bytes()
 	v.pn.Set(k, rec)
@@ -361,8 +353,8 @@ func (t *Tree) newBuilder(no int) *part.Builder {
 // ---- Index-only visibility check (§4.4, Algorithm 3).
 
 // visCheck carries the per-scan anti-matter map. Records are processed
-// newest-first per chain (guaranteed by §4.3 ordering), so a record's
-// suppressor is always seen before it.
+// last-written first (pnKey), so a record's suppressor, written after it,
+// is always seen before it.
 //
 // The map is scoped to ONE index key: anti-matter always lives under the
 // same key as the record it extinguishes (replacements and tombstones by
@@ -558,10 +550,10 @@ const (
 
 // walk is the read of Algorithms 1–3 that needs no merge (DESIGN.md "Read
 // path"): every record with key == lo (point) or lo <= key < hi (hi nil =
-// +inf), source by source in §4.3 processing order, each source in its own
-// (key asc, ts desc) order, until visit returns false. All records of ONE
-// key are met in processing order this way; a range must interleave its
-// sources per key, which is Scan's k-way merge. Lock-free against other
+// +inf), source by source in §4.3 processing order, each in key order and a
+// key's records last-written first, until visit returns false. All records
+// of ONE key are met in processing order this way; a range must interleave
+// its sources per key, which is Scan's k-way merge. Lock-free against other
 // readers and PN inserts; it sees the view current at call time.
 //
 // The visited record is good until visit returns. A partition's record is
@@ -579,7 +571,7 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 		}
 		return index.KeyInRange(key, lo, hi)
 	}
-	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
+	from := pnKey{key: lo, seq: ^uint64(0)} // before every record of lo
 	for it := v.pn.Seek(from); it.Valid() && has(it.Key().key); it.Next() {
 		if !visit(walkSrc{inPN: true}, it.Key().key, it.Value()) {
 			return nil
@@ -669,7 +661,7 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 }
 
 // scanSource is one merge input: the main-memory partition or a persisted
-// partition, both already ordered (key asc, ts desc). key — and, for a
+// partition, both already in pnKey's order. key — and, for a
 // segment source, rec.Val — point into the source's iterator and are good
 // until the source advances.
 type scanSource struct {
@@ -811,7 +803,7 @@ func (t *Tree) scanSources(rs *readState, tx *txn.Tx, v *treeView, lo, hi []byte
 			}
 		}
 	}
-	from := pnKey{key: lo, ts: ^txn.TxID(0), seq: ^uint64(0)}
+	from := pnKey{key: lo, seq: ^uint64(0)} // before every record of lo
 	s := rs.addSource()
 	s.inPN, s.pnIt = true, v.pn.Seek(from)
 	for i := len(v.parts) - 1; i >= 0; i-- {

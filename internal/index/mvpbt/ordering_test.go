@@ -13,8 +13,10 @@ import (
 
 // TestPersistedPartitionOrderingInvariant verifies §4.3 on disk: within
 // every persisted partition, records are sorted by search key ascending,
-// and records with equal keys appear newest-timestamp first. The whole
-// visibility check depends on this invariant.
+// and records with equal keys appear newest-timestamp first. Partitions keep
+// a key's records last-written first; the transactions here run one after
+// another, so that is timestamp order too. The whole visibility check
+// depends on this invariant.
 func TestPersistedPartitionOrderingInvariant(t *testing.T) {
 	e := newEnv(2048, 1<<26)
 	tr := e.tree(Options{BloomBits: 10, DisableGC: true}) // keep every record

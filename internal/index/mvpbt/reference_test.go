@@ -153,8 +153,8 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 }
 
 // refEvictGC is phase 3: chain-collapsing garbage collection over the PN
-// contents. entries are in (key asc, ts desc) order; the returned slice
-// preserves that order.
+// contents. entries are in pnKey order (a key's records last-written first);
+// the returned slice preserves that order.
 func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 	horizon := t.mgr.Horizon()
 	drop := make([]bool, len(entries))
@@ -175,15 +175,15 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 
 	// matchAfter resolves an anti-matter record's OldRID to the entry it
 	// suppresses: the first matter record after position from (entries are
-	// ts desc within a key, so "after" = newest among strictly older) under
+	// last-written first within a key, so "after" = written earlier) under
 	// entry i's key whose validated version is rid. Both scopes are
 	// load-bearing: heap vacuum recycles slots, so a bare RecordID may alias
 	// records of a different key, or of the same key at a different chain
 	// position — a tombstone whose deleted version's slot was reused by a
 	// later re-insert must not consume its own successor. Positional
 	// matching is exact because slot reuse follows creation order: the
-	// newest matter record older than the anti record with that rid IS its
-	// predecessor (or an aborted aliased generation, which callers skip).
+	// latest matter record written before the anti record with that rid IS
+	// its predecessor (or an aborted aliased generation, which callers skip).
 	matchAfter := func(from, i int, rid storage.RecordID) int {
 		for k := from + 1; k < len(entries); k++ {
 			if !bytes.Equal(entries[k].key.key, entries[i].key.key) {
@@ -371,7 +371,7 @@ func (t *Tree) refMerge(from int) error {
 		// tombstone deciders.
 		pn := make([]refEntry, len(entries))
 		for i := range entries {
-			pn[i] = refEntry{key: pnKey{key: entries[i].key, ts: entries[i].rec.TS}, rec: &entries[i].rec}
+			pn[i] = refEntry{key: pnKey{key: entries[i].key}, rec: &entries[i].rec}
 		}
 		kept := t.refUniqueEvictGC(pn, from == 0)
 		out = make([]entry, len(kept))
@@ -393,8 +393,8 @@ func (t *Tree) refMerge(from int) error {
 		// Positional predecessor resolution, exactly as in evictGC: heap
 		// slot reuse means a bare RecordID may alias records of a different
 		// key or a different chain position, so an anti record's target is
-		// the first matter record AFTER it (= newest strictly older, since
-		// entries are ts desc within a key) under the same key with that
+		// the first matter record AFTER it (= the latest written earlier,
+		// entries being last-written first within a key) under the same key with that
 		// rid, skipping aborted aliased generations.
 		matchAfter := func(from, i int, rid storage.RecordID) int {
 			for k := from + 1; k < len(entries); k++ {

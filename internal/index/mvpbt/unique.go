@@ -16,9 +16,9 @@ import (
 // recordIDs), which is how the KV integration of §5 achieves LSM-like
 // write behaviour: updates just hit PN.
 //
-// Correctness rests on the paper's §4.3 processing order (P_N, then the
-// partitions newest first; inside a source key asc, ts desc), which every
-// read, eviction and merge follows: all meet a key's records in one sequence.
+// Correctness rests on one order: a key's records last-written first (P_N,
+// then the partitions newest first, §4.3; pnKey inside each), which every
+// read, eviction and merge meets them in, whatever the eviction timing.
 
 // decides is the unique-index decision rule, for the point path (Lookup's
 // visitor, which stops the walk there) and the range path (uniqueScan)
@@ -57,11 +57,11 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 
 // uniqueGC is the unique-mode phase-3 GC for the records of one key, in
 // processing order: keep every record down to and INCLUDING the first
-// committed-below-horizon one — the all-visible decider — and drop the
-// rest. Aborted and flagged records are dropped anywhere. A tombstone or anti
-// decider may still extinguish the key in older partitions, so only a
-// complete merge drops it; a record of the key in P_N, whatever its
-// timestamp, comes before it for every reader anyway.
+// committed-below-horizon one — every reader decides there or before, the
+// order being the same for all — and drop the rest. Aborted and flagged
+// records are dropped anywhere. A tombstone or anti decider may still
+// extinguish the key in older partitions, so only a complete merge drops it;
+// the key's records in P_N were written later and come first anyway.
 func (w *partWriter) uniqueGC() {
 	anchored := false
 	for i := range w.recs {

@@ -277,59 +277,83 @@ func TestUniqueRandomizedModel(t *testing.T) {
 // lookup of each key hands out what a scan of that key does; an eviction
 // or merge changes no fresh snapshot's lookups.
 func TestUniqueLongWritersReadAlike(t *testing.T) {
-	const keys, steps = 8, 120
+	for seed := uint64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { longWriters(t, seed, true) })
+	}
+}
+
+// TestEvictionTimingChoosesNoWinner runs each history of
+// TestUniqueLongWritersReadAlike twice, with its evictions and with them
+// left out: a key's records are in write order wherever they lie, so the
+// final lookups are the same. Under a timestamp order in P_N a blind write
+// by an older transaction after a newer one's loses while both sit in P_N
+// and wins once the newer one was evicted first.
+func TestEvictionTimingChoosesNoWinner(t *testing.T) {
 	for seed := uint64(1); seed <= 32; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newEnv(64, 1<<26)
-			tr := e.tree(Options{Unique: true, BloomBits: 10})
-			r := util.NewRand(seed)
-			key := func(k int) []byte { return []byte(fmt.Sprintf("k%d", k)) }
-			lookups := func() string {
-				rd := e.mgr.Begin()
-				defer e.mgr.Commit(rd)
-				var out []string
-				for k := 0; k < keys; k++ {
-					lookupIsPointScan(t, tr, rd, key(k))
-					out = append(out, fmt.Sprint(lookupRIDs(t, tr, rd, key(k))))
-				}
-				return fmt.Sprint(out)
-			}
-			var open []*txn.Tx
-			for step := 0; step < steps; step++ {
-				var err error
-				switch op := r.Intn(10); {
-				case op < 2 || len(open) == 0:
-					open = append(open, e.mgr.Begin())
-				case op < 6:
-					tx, k := open[r.Intn(len(open))], key(r.Intn(keys))
-					if r.Intn(3) == 0 {
-						err = tr.InsertTombstone(tx, k, storage.RecordID{})
-					} else {
-						err = tr.InsertRegular(tx, k, e.ref())
-					}
-				case op < 8:
-					i := r.Intn(len(open))
-					e.mgr.Commit(open[i])
-					open = append(open[:i], open[i+1:]...)
-				default:
-					before, what := lookups(), "eviction"
-					if op == 8 {
-						err = tr.EvictPN()
-					} else {
-						what, err = "merge", tr.MergePartitions()
-					}
-					if after := lookups(); err == nil && after != before {
-						t.Fatalf("step %d: the %s changed a fresh snapshot's lookups from %s to %s", step, what, before, after)
-					}
-				}
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				lookups()
-			}
-			for _, tx := range open {
-				e.mgr.Commit(tx)
+			if with, without := longWriters(t, seed, true), longWriters(t, seed, false); with != without {
+				t.Fatalf("final lookups %s with the evictions, %s without", with, without)
 			}
 		})
 	}
+}
+
+// longWriters runs one random history of long-running blind writers over a
+// unique tree, holding every fresh snapshot's lookups to its point scans and
+// across every eviction and merge, and returns the final lookups. Without
+// evict its eviction steps do nothing.
+func longWriters(t *testing.T, seed uint64, evict bool) string {
+	const keys, steps = 8, 120
+	e := newEnv(64, 1<<26)
+	tr := e.tree(Options{Unique: true, BloomBits: 10})
+	r := util.NewRand(seed)
+	key := func(k int) []byte { return []byte(fmt.Sprintf("k%d", k)) }
+	lookups := func() string {
+		rd := e.mgr.Begin()
+		defer e.mgr.Commit(rd)
+		var out []string
+		for k := 0; k < keys; k++ {
+			lookupIsPointScan(t, tr, rd, key(k))
+			out = append(out, fmt.Sprint(lookupRIDs(t, tr, rd, key(k))))
+		}
+		return fmt.Sprint(out)
+	}
+	var open []*txn.Tx
+	for step := 0; step < steps; step++ {
+		var err error
+		switch op := r.Intn(10); {
+		case op < 2 || len(open) == 0:
+			open = append(open, e.mgr.Begin())
+		case op < 6:
+			tx, k := open[r.Intn(len(open))], key(r.Intn(keys))
+			if r.Intn(3) == 0 {
+				err = tr.InsertTombstone(tx, k, storage.RecordID{})
+			} else {
+				err = tr.InsertRegular(tx, k, e.ref())
+			}
+		case op < 8:
+			i := r.Intn(len(open))
+			e.mgr.Commit(open[i])
+			open = append(open[:i], open[i+1:]...)
+		default:
+			before, what := lookups(), "eviction"
+			switch {
+			case op == 9:
+				what, err = "merge", tr.MergePartitions()
+			case evict:
+				err = tr.EvictPN()
+			}
+			if after := lookups(); err == nil && after != before {
+				t.Fatalf("step %d: the %s changed a fresh snapshot's lookups from %s to %s", step, what, before, after)
+			}
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		lookups()
+	}
+	for _, tx := range open {
+		e.mgr.Commit(tx)
+	}
+	return lookups()
 }

@@ -1,7 +1,7 @@
 // Package skiplist provides an ordered in-memory map with a caller-supplied
 // comparator. It backs the LSM memtable and the MV-PBT main-memory
-// partition PN, whose ordering (search key ascending, transaction
-// timestamp descending — paper §4.3) is not a plain byte ordering.
+// partition PN, whose ordering (search key ascending, write sequence
+// descending) is not a plain byte ordering.
 //
 // Concurrency: the list is single-writer multi-reader (SWMR). Readers
 // (Get, Seek, Min, iteration) may run lock-free and concurrently with one
