@@ -49,7 +49,7 @@ traffic:
 # mutants.list plants one bug in a copy of the checkout and runs the check
 # that must fail on it; a mutant that survives, does not compile or no longer
 # applies fails the target. `make mutants M=<name>` runs one entry. Nightly
-# in CI. ~20 s.
+# in CI; every push runs the two visibility entries. ~70 s.
 mutants:
 	sh mutants.sh $(M)
 
@@ -106,7 +106,9 @@ mutants:
 # server's lifecycle is tested by go test (no in-binary smoke suite, no
 # "smoke" under cmd/mvpbt-server, no smoke-server target), QueueTimeout alone
 # says whether a session waits (no reject/queue switch), and the restart
-# backoff alone paces a failing shard's restarts (no circuit breaker).
+# backoff alone paces a failing shard's restarts (no circuit breaker). And a
+# planted bug lives in mutants.list, behind no hook: no visibility-fault hook
+# in MV-PBT and no FaultEvery in the harness.
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -188,6 +190,8 @@ seams:
 	@bad=$$(grep -rnwE 'runSmoke|AdmissionPolicy|AdmitQueue|AdmitReject|breakerOpen|BreakerOpen|breakerThreshold' --include='*.go' . | grep -v '_test\.go:'; \
 		grep -rn '"smoke"' --include='*.go' cmd/mvpbt-server; grep -nE '^smoke-server:' Makefile); \
 	if [ -n "$$bad" ]; then echo "seams: a second copy in the served stack is back (the server's smoke suite, the reject/queue switch, the restart breaker):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnwE 'VisFaultFn|SetVisibilityFaultForTest|applyVisFault|FaultEvery' --include='*.go' . | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then echo "seams: a bug-planting hook is back (planted bugs live in mutants.list):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

@@ -3,6 +3,11 @@ package main
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"mvpbt/internal/sfile"
+	"mvpbt/internal/shard"
+	"mvpbt/internal/ssd"
 )
 
 // TestShippedConfiguration builds the router the way main does, at the
@@ -54,4 +59,55 @@ func TestShippedConfiguration(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailedWriteDoesNotCommit: a transactional SET whose record reached P_N
+// but whose eviction then failed (index writes fault past the retries) was
+// reported as failed, so the transaction's Commit must not publish it — it
+// was never logged either. Commit fails, and the key stays absent, before
+// and after a restart through recovery.
+func TestFailedWriteDoesNotCommit(t *testing.T) {
+	r, err := newRouter(1, 64<<10, 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tx, err := r.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := r.Shard(0).Engine.Dev
+	fault := dev.ArmFault(ssd.FaultRule{Kind: ssd.FaultWriteErr, Class: int(sfile.ClassIndex), Sticky: true})
+	val := make([]byte, 1<<10)
+	var failed []byte
+	for i := 0; failed == nil; i++ {
+		if i == 1000 {
+			t.Fatal("no write failed with every index write faulting")
+		}
+		k := []byte(fmt.Sprintf("k%06d", i))
+		if err := tx.Put(k, val); err != nil {
+			failed = k
+		}
+	}
+	dev.DisarmFault(fault)
+	if err := tx.Commit(); err == nil {
+		t.Error("Commit of a transaction with a failed write returned nil")
+	}
+	absent := func(when string) {
+		t.Helper()
+		if _, ok, err := r.Get(failed); err != nil || ok {
+			t.Fatalf("%s: Get(%s) = found %v, err %v; want the failed write absent", when, failed, ok, err)
+		}
+	}
+	absent("after Commit")
+	r.FailShard(0, nil)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if h := r.Health(0); h.State == shard.Healthy && h.Restarts >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 0 did not come back: %+v", r.Health(0))
+		}
+	}
+	absent("after the restart")
 }

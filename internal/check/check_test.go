@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -38,35 +37,6 @@ func TestHarnessSmoke(t *testing.T) {
 				t.Fatalf("run exercised nothing: %d audits, %d conflicts", res.Audits, res.Conflicts)
 			}
 		})
-	}
-}
-
-// TestSeededVisibilityFaultCaughtAndShrunk seeds a deliberate visibility
-// bug through the test-only mutation hook (decisions for records created
-// by every FaultEvery-th transaction are inverted) and asserts that a
-// harness cell (a) catches it and (b) returns it shrunk to a tiny history
-// that still fails.
-func TestSeededVisibilityFaultCaughtAndShrunk(t *testing.T) {
-	cfg := RunConfig{
-		Heap:       db.HeapHOT,
-		Seed:       1,
-		Ops:        400,
-		Clients:    3,
-		Keys:       40,
-		FaultEvery: 3,
-	}
-	_, err := harnessCell(cfg)
-	var v *Violation
-	if !errors.As(err, &v) {
-		t.Fatalf("seeded visibility fault was not caught: %v", err)
-	}
-	if len(v.History) == 0 || len(v.History) > 25 {
-		t.Fatalf("shrunk history has %d ops, want 1..25:\n%s", len(v.History), FormatOps(v.History))
-	}
-	sc := cfg
-	sc.StepAudit = true
-	if r := Replay(sc, v.History); r.Violation == nil {
-		t.Fatalf("shrunk history no longer fails:\n%s", FormatOps(v.History))
 	}
 }
 

@@ -28,10 +28,6 @@ type RunConfig struct {
 	// shrink-mode replay, where failures must reproduce independently of
 	// the audit cadence.
 	StepAudit bool
-	// FaultEvery, when > 0, installs the test-only visibility mutation hook
-	// on both MV-PBTs: decisions for records whose transaction id is a
-	// multiple of FaultEvery are inverted. Used by the harness's self-test.
-	FaultEvery int
 	// Faults punctuates the generated history with deterministic device
 	// faults (read/write errors, bit rot, torn commit flushes) and enables
 	// the typed-error recovery path: a storage fault that escapes to the
@@ -228,16 +224,6 @@ func (h *harness) buildEngine() error {
 	}
 	h.tbl = tbl
 	h.mirror = db.NewLSMKV(h.eng, "mirror", lsm.Options{MemtableBytes: 16 << 10, L0Runs: 3})
-	if n := h.cfg.FaultEvery; n > 0 {
-		fault := func(ts txn.TxID, visible bool) bool {
-			if uint64(ts)%uint64(n) == 0 {
-				return !visible
-			}
-			return visible
-		}
-		tbl.Index("mv").MV().SetVisibilityFaultForTest(fault)
-		tbl.Index("mvu").MV().SetVisibilityFaultForTest(fault)
-	}
 	return nil
 }
 

@@ -182,8 +182,7 @@ type Tree struct {
 	pnGarbage atomic.Int64
 	stats     statCounters
 
-	// Test-only hooks (see hooks.go); nil in production.
-	visFault  atomic.Pointer[VisFaultFn]
+	// Test-only hook (see hooks.go); nil in production.
 	mergeHook atomic.Pointer[func()]
 }
 
@@ -466,10 +465,6 @@ func (rs *readState) addSource() *scanSource {
 // suppression test, which makes suppression transitive across chains of
 // three and more versions (see DESIGN.md "Read path").
 func (v *visCheck) check(rec *Record, inPN bool) bool {
-	return v.tree.applyVisFault(rec.TS, v.checkInner(rec, inPN))
-}
-
-func (v *visCheck) checkInner(rec *Record, inPN bool) bool {
 	if rec.GCMarked() {
 		return false
 	}
@@ -643,7 +638,7 @@ func (t *Tree) walk(tx *txn.Tx, rs *readState, lo, hi []byte, point bool, filter
 func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 	if t.opts.Unique {
 		return t.walk(tx, nil, key, nil, true, filterLookup, func(_ walkSrc, _ []byte, rec *Record) bool {
-			if !t.decides(tx, rec) {
+			if !decides(tx, rec) {
 				return true
 			}
 			if rec.Matter() {

@@ -24,8 +24,8 @@ import (
 // visitor, which stops the walk there) and the range path (uniqueScan)
 // alike: the first record of a key, in processing order, that is not
 // flagged garbage and whose transaction tx sees decides the key.
-func (t *Tree) decides(tx *txn.Tx, rec *Record) bool {
-	return !rec.GCMarked() && t.applyVisFault(rec.TS, tx.Sees(rec.TS))
+func decides(tx *txn.Tx, rec *Record) bool {
+	return !rec.GCMarked() && tx.Sees(rec.TS)
 }
 
 // uniqueScan is the range-scan path for unique indexes: the merged stream
@@ -37,7 +37,7 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 	for w := rs.merge.Winner(); w >= 0; w = rs.merge.Winner() {
 		s := &rs.srcs[w]
 		if !haveDecided || !bytes.Equal(s.key, rs.decided) {
-			if rec := s.record(); t.decides(tx, rec) {
+			if rec := s.record(); decides(tx, rec) {
 				rs.decided = append(rs.decided[:0], s.key...)
 				haveDecided = true
 				if rec.Matter() {

@@ -2,12 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"time"
 
 	"mvpbt/internal/db"
+	"mvpbt/internal/index/part"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/util"
 )
@@ -38,7 +40,11 @@ import (
 type Tx struct {
 	r    *Router
 	legs []txLeg // one per shard, indexed by shard number
-	done bool
+	// failed is the first write error after which the write may still be in
+	// its engine, unlogged (a P_N insert whose eviction then failed): such a
+	// transaction can only abort, and Commit returns this error.
+	failed error
+	done   bool
 }
 
 // txLeg is one shard's part of a Tx.
@@ -101,25 +107,34 @@ func (t *Tx) AppendGet(dst, key []byte) (v []byte, ok bool, err error) {
 // Put upserts key inside the transaction. The write is invisible to other
 // transactions until Commit. A degraded owning shard fails with a
 // ShardError wrapping db.ErrReadOnly, an unavailable one with
-// ErrShardUnavailable; the transaction remains usable — the caller
-// chooses between continuing without that key and aborting.
+// ErrShardUnavailable, an entry too large for a leaf with
+// part.ErrEntryTooLarge; these refusals leave no trace and the transaction
+// remains usable — the caller chooses between continuing without that key
+// and aborting. After any other error the transaction can only abort:
+// Commit aborts it and returns that error.
 func (t *Tx) Put(key, val []byte) error {
 	return t.r.routed(key, t.leg, func(i int) error {
-		return t.wrote(i, t.legs[i].kv.PutTx(t.legs[i].tx, key, val))
+		return t.wrote(i, key, t.legs[i].kv.PutTx(t.legs[i].tx, key, val))
 	})
 }
 
-// Delete tombstones key inside the transaction.
+// Delete tombstones key inside the transaction; errors as for Put.
 func (t *Tx) Delete(key []byte) error {
 	return t.r.routed(key, t.leg, func(i int) error {
-		return t.wrote(i, t.legs[i].kv.DeleteTx(t.legs[i].tx, key))
+		return t.wrote(i, key, t.legs[i].kv.DeleteTx(t.legs[i].tx, key))
 	})
 }
 
-// wrote marks shard i's leg written if the write returned no error, which
-// it passes on.
-func (t *Tx) wrote(i int, err error) error {
-	t.legs[i].dirty = t.legs[i].dirty || err == nil
+// wrote marks shard i's leg written if the write of key returned no error,
+// records the first error that is not a traceless refusal, and passes err
+// on.
+func (t *Tx) wrote(i int, key []byte, err error) error {
+	switch {
+	case err == nil:
+		t.legs[i].dirty = true
+	case t.failed == nil && !errors.Is(err, db.ErrReadOnly) && !errors.Is(err, part.ErrEntryTooLarge):
+		t.failed = wrap(i, key, err)
+	}
 	return err
 }
 
@@ -267,7 +282,8 @@ func (t *Tx) scanShard(i int, s *scanStream, lo []byte, want int) error {
 // ErrTxInDoubt when the COMMIT decision is durable but a failed
 // participant could not be resolved synchronously — the transaction WILL
 // commit; the server surfaces this as a distinct status so clients can
-// confirm through their commit token.
+// confirm through their commit token. After a failed write (see Put) it
+// aborts every leg and returns that write's error.
 func (t *Tx) Commit() error {
 	if t.done {
 		panic("shard: double finish of multi-shard transaction")
@@ -277,6 +293,10 @@ func (t *Tx) Commit() error {
 		return err
 	}
 	defer t.r.exit()
+	if t.failed != nil {
+		t.abortLegs()
+		return t.failed
+	}
 	var written []int
 	for i, l := range t.legs {
 		if l.dirty {
@@ -562,6 +582,11 @@ func (t *Tx) Abort() {
 		return // router closed: engines are (being) closed, legs die with them
 	}
 	defer t.r.exit()
+	t.abortLegs()
+}
+
+// abortLegs aborts every leg the transaction has.
+func (t *Tx) abortLegs() {
 	for _, l := range t.legs {
 		if l.tx != nil {
 			l.engine.Abort(l.tx)

@@ -6,8 +6,8 @@
 # it) and runs the check that must catch it. Exits non-zero when a mutant
 # survives (its check passes), when a mutant does not compile (it would die
 # for the wrong reason), or when its pattern does not occur in its file
-# exactly once (the list went stale). `sh mutants.sh NAME` (`make mutants
-# M=NAME`) runs one entry.
+# exactly once, counting occurrences, not lines (the list went stale).
+# `sh mutants.sh NAME` (`make mutants M=NAME`) runs one entry.
 set -eu
 if [ ! -f go.mod ] || [ ! -f mutants.list ]; then
 	echo "mutants.sh: run it from the root of a checkout of the repository" >&2
@@ -42,7 +42,9 @@ while IFS="$us" read -r name file from to kill; do
 	rm -rf "$src"
 	mkdir -p "$src"
 	(cd "$root" && tar --exclude=./.git --exclude=./.bench_build --exclude=./benchmarks/out -cf - .) | tar -xf - -C "$src"
-	n="$(FROM="$from" awk 'index($0, ENVIRON["FROM"]) { n++ } END { print n + 0 }' "$src/$file")"
+	n="$(FROM="$from" awk '{
+		for (s = $0; (i = index(s, ENVIRON["FROM"])) > 0; s = substr(s, i + length(ENVIRON["FROM"]))) n++
+	} END { print n + 0 }' "$src/$file")"
 	if [ "$n" -ne 1 ]; then
 		echo "mutants: $name: the pattern occurs $n times in $file, not once (stale entry): $from"
 		status=1
