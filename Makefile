@@ -108,7 +108,9 @@ mutants:
 # says whether a session waits (no reject/queue switch), and the restart
 # backoff alone paces a failing shard's restarts (no circuit breaker). And a
 # planted bug lives in mutants.list, behind no hook: no visibility-fault hook
-# in MV-PBT and no FaultEvery in the harness.
+# in MV-PBT and no FaultEvery in the harness. And recovery flushes once, by
+# its closing checkpoint: no CommitDurable( or maybeAutoCheckpoint in
+# internal/db/recovery.go.
 # decode-exempt util.DecodeUint64: fixed width, 8 bytes; its callers (storage.DecodeRecordID, the heap's fuzzed decodeVersion) hand it a checked slice
 # decode-exempt util.DecodeUint32: fixed width, 4 bytes; its one caller, chbench, passes it a 4-byte slice
 # decode-exempt storage.DecodeRecordID: fixed width; the fuzzed decodeRecord (mvpbt) and decodeVersion (heap) check the length first
@@ -192,6 +194,8 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a second copy in the served stack is back (the server's smoke suite, the reject/queue switch, the restart breaker):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnwE 'VisFaultFn|SetVisibilityFaultForTest|applyVisFault|FaultEvery' --include='*.go' . | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then echo "seams: a bug-planting hook is back (planted bugs live in mutants.list):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -nE 'CommitDurable\(|maybeAutoCheckpoint' internal/db/recovery.go); \
+	if [ -n "$$bad" ]; then echo "seams: recovery flushes per transaction again (it commits in memory; its closing checkpoint is its one write):"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

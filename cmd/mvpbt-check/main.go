@@ -89,9 +89,11 @@ func selection(c *check.Campaign, args []string, errw io.Writer) (sel check.Sele
 			csv[axis] = fs.String(name, "", "comma-separated subset of "+strings.Join(values[axis], ", ")+" (empty = all)")
 		}
 	}
+	sz := c.Size
+	sel.Size = &sz
 	for i, def := range c.Size {
 		if def > 0 {
-			fs.IntVar(&sel.Size[i], check.SizeFlags[i], def, "history size")
+			fs.IntVar(&sz[i], check.SizeFlags[i], def, "history size")
 		}
 	}
 	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {

@@ -81,8 +81,8 @@ type Selection struct {
 	// Filter, per axis of AxisFlags, keeps only the cells that have a
 	// coordinate on that axis with one of the listed values.
 	Filter map[string][]string
-	// Size overrides the default history size field by field (0 = default).
-	Size
+	// Size replaces the campaign's default history size (nil = the default).
+	Size *Size
 }
 
 // Campaign is one registered verification campaign.
@@ -112,15 +112,12 @@ func CampaignByName(name string) *Campaign {
 	return nil
 }
 
-// size merges sel's overrides into the campaign's default history size.
+// size is the history size sel runs c at.
 func (c *Campaign) size(sel Selection) Size {
-	sz := c.Size
-	for i, v := range sel.Size {
-		if v > 0 {
-			sz[i] = v
-		}
+	if sel.Size != nil {
+		return *sel.Size
 	}
-	return sz
+	return c.Size
 }
 
 // Select returns the cells sel picks, in run order.

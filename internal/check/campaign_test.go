@@ -26,7 +26,7 @@ func TestCampaignSmoke(t *testing.T) {
 		// masked (retry, checksum quarantine-rebuild) or absorbed by a
 		// crash-recovery, never silent corruption.
 		"faults": {
-			sel: Selection{Seeds: []uint64{1, 2, 3}, Size: Size{Ops: 700, Clients: 3, Keys: 60, Crashes: 1}},
+			sel: Selection{Seeds: []uint64{1, 2, 3}, Size: &Size{Ops: 700, Clients: 3, Keys: 60, Crashes: 1}},
 			check: func(t *testing.T, cells []CellResult) {
 				sum := sumCounters(cells)
 				for k := 0; k < ssd.NumFaultKinds; k++ {
@@ -62,7 +62,7 @@ func TestCampaignSmoke(t *testing.T) {
 		// The network kinds: seeded resets, truncations and stalls under a
 		// crash plan that crashes nothing.
 		"chaos": {
-			sel:  Selection{Seeds: []uint64{1, 2}, Size: Size{Ops: 120, Keys: 60}, Filter: map[string][]string{"kind": networkKinds}},
+			sel:  Selection{Seeds: []uint64{1, 2}, Size: &Size{Ops: 120, Keys: 60}, Filter: map[string][]string{"kind": networkKinds}},
 			long: true,
 			check: func(t *testing.T, cells []CellResult) {
 				var injected, reconnects, aborted, dels uint64
@@ -87,7 +87,7 @@ func TestCampaignSmoke(t *testing.T) {
 		// Fault-free histories with crash-restarts on both heap layouts:
 		// lockstep with the oracle at every audit.
 		"diff": {
-			sel: Selection{Seeds: []uint64{1}, Size: Size{Ops: 800, Clients: 3, Keys: 60, Crashes: 2}},
+			sel: Selection{Seeds: []uint64{1}, Size: &Size{Ops: 800, Clients: 3, Keys: 60, Crashes: 2}},
 			check: func(t *testing.T, cells []CellResult) {
 				if sum := sumCounters(cells); sum.Audits == 0 || sum.Crashes == 0 {
 					t.Errorf("history exercised nothing: %d audits, %d crashes", sum.Audits, sum.Crashes)
@@ -225,7 +225,7 @@ func TestRunnerVerdicts(t *testing.T) {
 		},
 	}
 	var out strings.Builder
-	results, failed := c.Run(Selection{Size: Size{Ops: 20}}, &out)
+	results, failed := c.Run(Selection{Size: &Size{Ops: 20}}, &out)
 	if !failed {
 		t.Fatalf("campaign with failing cells passed:\n%s", out.String())
 	}

@@ -12,7 +12,7 @@ import (
 // replays all of it. A checkpoint bounds both: it writes a snapshot of the
 // committed visible state as a NEW log generation (CkptBegin / one CkptRow
 // per row / CkptEnd) and rotates the log onto it, which frees the old
-// generation's device pages. Recovery then replays snapshot + suffix
+// generation's device pages. Recovery then reads snapshot + suffix
 // instead of history-since-birth, and the device space held by dead log
 // prefix is reclaimed — the reclamation lever the space governor pulls
 // first when the device fills up. How a generation is published atomically,

@@ -12,6 +12,7 @@ package db
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,15 +181,21 @@ type store interface {
 	storeName() string
 	// replay applies one logged row operation or checkpoint row (OpInsert,
 	// OpUpdate, OpDelete, OpCkptRow) inside tx through the store's ordinary
-	// write path. Replay deliberately re-logs: the recovered engine ends up
-	// with a fresh, self-contained log of the recovered state, so recovery
-	// can itself be recovered from.
+	// write path, which logs it again: what recovery replays after its
+	// closing checkpoint (an in-doubt leg) must be in the new log.
 	replay(tx *txn.Tx, rec wal.Record) error
 	// snapshot streams the rows visible to tx in primary-key order, while
 	// emit returns true; key and row are good until it returns.
 	snapshot(tx *txn.Tx, emit func(key, row []byte) bool) error
 	// reclaim is the store's share of a reclamation pass (reclaimSpace).
 	reclaim() error
+}
+
+// loader is a store that recovery builds in one pass instead of replaying:
+// load writes rows (live, keys strictly ascending) as its whole state under
+// tx. A Table is not one: each of its secondary indexes would need a sort.
+type loader interface {
+	load(tx *txn.Tx, rows iter.Seq2[[]byte, []byte]) error
 }
 
 // register enters s under its name, which no other store of the engine may

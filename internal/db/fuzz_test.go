@@ -1,6 +1,7 @@
 package db
 
 import (
+	"strings"
 	"testing"
 
 	"mvpbt/internal/wal"
@@ -45,7 +46,8 @@ func fuzzSchema(t testing.TB) (*Engine, *Table, *MVPBTKV) {
 
 // recoverSeeds returns real log images: KV puts and deletes with a table
 // insert, update and delete; a checkpoint generation; a prepared leg whose
-// decision never reached the log; and the first image cut mid-record.
+// decision never reached the log; the same with KV writes over the
+// checkpoint's rows; and the first image cut mid-record.
 func recoverSeeds(t testing.TB) [][]byte {
 	must := func(err error) {
 		t.Helper()
@@ -93,21 +95,36 @@ func recoverSeeds(t testing.TB) [][]byte {
 	must(err)
 	must(e.PrepareDurable(tx, 1<<32|7))
 	seeds = append(seeds, records(e.LogImage()))
+	// The checkpoint's KV rows, then a tail that overwrites one, deletes and
+	// reinserts one and deletes one: the load folds them.
+	must(kv.Put([]byte("b"), []byte("2'")))
+	must(kv.Delete([]byte("c")))
+	must(kv.Put([]byte("c"), []byte("3'")))
+	must(kv.Delete([]byte("b")))
+	seeds = append(seeds, records(e.LogImage()))
 	e.Crash()
 	return seeds
 }
 
 // TestRecoverSeeds: the seeds recover what they hold. The cut image loses
-// its last commit as a torn tail, not as corruption, and the prepared leg is
-// back in doubt.
+// its last commit as a torn tail, not as corruption, the prepared leg is
+// back in doubt, and the KV store holds each key's last write.
 func TestRecoverSeeds(t *testing.T) {
-	wantApplied, wantInDoubt := []int{5, 4, 2, 2}, []int{0, 0, 0, 1}
+	wantApplied, wantInDoubt := []int{5, 4, 2, 2, 6}, []int{0, 0, 0, 1, 1}
+	wantKV := []string{"b=2", "b=2", "b=2 c=3", "b=2 c=3", "c=3'"}
 	for i, img := range recoverSeeds(t) {
-		e, _, _ := fuzzSchema(t)
+		e, _, kv := fuzzSchema(t)
 		applied, err := e.Recover(img)
 		if err != nil || applied != wantApplied[i] || e.TwoPCInfo().InDoubt != wantInDoubt[i] {
 			t.Errorf("seed %d: applied %d, %d in doubt, %v; want %d, %d, nil",
 				i, applied, e.TwoPCInfo().InDoubt, err, wantApplied[i], wantInDoubt[i])
+		}
+		var pairs []string
+		if err := kv.Scan(nil, 10, func(k, v []byte) bool {
+			pairs = append(pairs, string(k)+"="+string(v))
+			return true
+		}); err != nil || strings.Join(pairs, " ") != wantKV[i] {
+			t.Errorf("seed %d: KV store holds %v (%v), want %s", i, pairs, err, wantKV[i])
 		}
 		e.Crash()
 	}

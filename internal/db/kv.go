@@ -179,7 +179,7 @@ type MVPBTKVOptions struct {
 // On an engine with Config.EnableWAL the store is durable: every Put/Delete
 // is logged, so KV commits go through the engine's durable commit pipeline
 // — per-commit flushes or group commit — exactly like table row operations,
-// Recover replays the store, and checkpoints stream its visible pairs into
+// Recover loads the store, and checkpoints stream its visible pairs into
 // the snapshot generation alongside table rows. name must then be
 // unique among the engine's KV stores and tables (it keys WAL records and
 // checkpoint snapshots).

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -184,5 +185,128 @@ func TestOlderWriterAfterDeleteWins(t *testing.T) {
 			}
 			readsB(kv2, "after recovery")
 		})
+	}
+}
+
+// kvRows reads every live pair of kv.
+func kvRows(t *testing.T, kv *MVPBTKV) map[string]string {
+	t.Helper()
+	rows := map[string]string{}
+	if err := kv.Scan(nil, 1<<30, func(k, v []byte) bool {
+		rows[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// recoverKV crashes e and recovers its log image into a fresh engine.
+func recoverKV(t *testing.T, e *Engine) (*Engine, *MVPBTKV) {
+	t.Helper()
+	img := e.LogImage()
+	e.Crash()
+	e2, kv2 := newDurableKV(t)
+	if _, err := e2.Recover(img); err != nil {
+		e2.Close()
+		t.Fatalf("recover: %v", err)
+	}
+	return e2, kv2
+}
+
+// TestRecoverLoadsOnePartition: recovery folds the checkpoint rows and the
+// committed tail into each key's last write and builds the KV store as one
+// partition. After the checkpoint the history overwrites a checkpointed key,
+// deletes one, deletes and reinserts one, and writes one key twice. A
+// second crash with no write in between recovers the same rows, again as
+// one partition: the closing checkpoint made the new log self-contained.
+func TestRecoverLoadsOnePartition(t *testing.T) {
+	e, kv := newDurableKV(t)
+	model := map[string]string{}
+	put := func(i int, v string) {
+		t.Helper()
+		val := fmt.Sprintf("%s-%d-%0200d", v, i, 0)
+		if err := kv.Put(kvKey(i), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		model[string(kvKey(i))] = val
+	}
+	del := func(i int) {
+		t.Helper()
+		if err := kv.Delete(kvKey(i)); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, string(kvKey(i)))
+	}
+	for i := 0; i < 600; i++ {
+		put(i, "v0")
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	put(10, "over")
+	del(20)
+	del(30)
+	put(30, "again")
+	put(700, "new")
+	put(700, "twice")
+	if kv.Tree().NumPartitions() < 2 {
+		t.Fatalf("the history left %d partitions, want several", kv.Tree().NumPartitions())
+	}
+	for round := 1; round <= 2; round++ {
+		e, kv = recoverKV(t, e)
+		if got := kvRows(t, kv); !maps.Equal(got, model) {
+			t.Fatalf("recovery %d: %d rows, model %d (key 10 %.8q, 20 %v, 30 %.8q, 700 %.8q)", round, len(got), len(model),
+				got[string(kvKey(10))], got[string(kvKey(20))] != "", got[string(kvKey(30))], got[string(kvKey(700))])
+		}
+		if n := kv.Tree().NumPartitions(); n != 1 || kv.Tree().PNBytes() != 0 {
+			t.Fatalf("recovery %d: %d partitions and %d P_N bytes, want one partition", round, n, kv.Tree().PNBytes())
+		}
+	}
+	e.Close()
+}
+
+// TestRecoverInDoubtLegsKeepWriteOrder: leg A writes k before a committed
+// overwrite of k, leg B after it, and both stay in doubt across a crash.
+// Recovery drops A's write of k (the committed one followed it, so it can
+// never win) and keeps B's. Each leg resolves to commit: k reads the
+// committed value after A, B's after B, and A's other write is visible.
+func TestRecoverInDoubtLegsKeepWriteOrder(t *testing.T) {
+	e, kv := newDurableKV(t)
+	k, k2 := kvKey(1), kvKey(2)
+	leg := func(gid uint64, writes ...[]byte) {
+		t.Helper()
+		tx := e.Begin()
+		for i := 0; i < len(writes); i += 2 {
+			if err := kv.PutTx(tx, writes[i], writes[i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.PrepareDurable(tx, gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leg(1, k, []byte("a"), k2, []byte("a2"))
+	if err := kv.Put(k, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	leg(2, k, []byte("b"))
+	e2, kv2 := recoverKV(t, e)
+	defer e2.Close()
+	if n := len(e2.InDoubtList()); n != 2 {
+		t.Fatalf("%d legs in doubt after recovery, want 2", n)
+	}
+	for _, step := range []struct {
+		gid   uint64
+		k, k2 string
+	}{{0, "c", ""}, {1, "c", "a2"}, {2, "b", "a2"}} {
+		if step.gid != 0 {
+			if n, err := e2.ResolveGroup(step.gid, true); err != nil || n != 1 {
+				t.Fatalf("ResolveGroup(%d) = %d, %v", step.gid, n, err)
+			}
+		}
+		if got := kvRows(t, kv2); got[string(k)] != step.k || got[string(k2)] != step.k2 {
+			t.Fatalf("after resolving group %d: k=%q k2=%q, want %q and %q", step.gid, got[string(k)], got[string(k2)], step.k, step.k2)
+		}
 	}
 }

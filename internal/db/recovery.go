@@ -2,6 +2,9 @@ package db
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 
 	"mvpbt/internal/txn"
 	"mvpbt/internal/wal"
@@ -10,9 +13,9 @@ import (
 // WAL integration: with Config.EnableWAL the engine appends a logical
 // redo record for every row operation and a commit/abort marker per
 // transaction, flushing the log at commit (the transaction's durability
-// point). Recovery (Engine.Recover) replays committed transactions in log
-// order through the normal table interfaces into a freshly built engine,
-// reconstructing heaps, indexes and indirection state.
+// point). Recovery (Engine.Recover) rebuilds the committed state in a
+// freshly built engine: tables replay their transactions through the normal
+// table interfaces, durable KV stores are bulk-loaded.
 
 // logOp appends a row-operation record for the table or durable KV store
 // called name when logging is enabled. The transaction's OpBegin record is
@@ -37,14 +40,16 @@ func (t *Table) pkKey(row []byte) []byte {
 	return t.indexes[0].Def.Extract(row)
 }
 
-// Recover replays a write-ahead log image into the engine. Call it on a
-// FRESHLY CONSTRUCTED engine whose tables and durable KV stores have been
-// re-created (NewTable and NewMVPBTKV, same names and definitions) but hold
-// no data: the caller owns the schema, the log holds the data, and a record
-// finds its store by name among those the engine registered. Only
+// Recover rebuilds the engine's state from a write-ahead log image. Call it
+// on a FRESHLY CONSTRUCTED engine whose tables and durable KV stores have
+// been re-created (NewTable and NewMVPBTKV, same names and definitions) but
+// hold no data: the caller owns the schema, the log holds the data, and a
+// record finds its store by name among those the engine registered. Only
 // transactions with a commit record are applied, in log order; everything
-// else is discarded. Replay commits through the engine's own log, and a flush
-// that fails returns its error: the caller closes the engine.
+// else is discarded. A KV store is loaded (loader), a table replayed, with
+// no flush on the way: one checkpoint at the end makes the new log
+// self-contained, its failure Recover's error (the caller closes the
+// engine). Legs whose 2PC decision never reached the log follow it.
 func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 	if e.log == nil {
 		return 0, fmt.Errorf("db: Recover on an engine without EnableWAL")
@@ -96,64 +101,53 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 				r.Offset(), len(dropped), wal.ErrWALCorrupt)
 		}
 	}
-	// Pass 2: replay committed row operations in log order. Original
-	// transaction ids are remapped to fresh ones; commit order follows the
-	// log, so the final visible state matches. A checkpoint snapshot at the
-	// head of the log replays as one synthetic committed transaction; its
-	// CkptEnd record carries the row count, which replay verifies so a torn
+	// Pass 2, in log order: fold every store's checkpoint rows and committed
+	// writes into the last write of each key, replay a table's as they come,
+	// and keep the undecided legs for after the checkpoint. Fresh
+	// transaction ids replace the logged ones; commit order follows the log.
+	// A checkpoint snapshot at the head of the log counts as one committed
+	// transaction, and its CkptEnd record's row count is verified, so a torn
 	// snapshot is rejected rather than silently half-applied.
 	open := map[uint64]*txn.Tx{}
+	folds := map[string]map[string]logged{} // store → key → last committed write
+	var doubt []logged
 	var ckptTx *txn.Tx
 	var ckptRows uint64
 	r = wal.NewReaderFromBytes(logImage)
-	for {
+	for pos := 0; ; pos++ {
 		rec, ok := r.Next()
 		if !ok {
 			break
 		}
 		switch rec.Op {
 		case wal.OpBegin:
-			// Prepared-undecided: replay its operations too; the prepare
-			// record below re-parks it in doubt.
-			if _, isPrepared := prepared[rec.TxID]; isPrepared || committed[rec.TxID] {
+			if committed[rec.TxID] && open[rec.TxID] == nil {
 				open[rec.TxID] = e.Begin()
 			}
 		case wal.OpCommit, wal.OpDecideCommit:
 			if tx := open[rec.TxID]; tx != nil {
-				if err := e.CommitDurable(tx); err != nil {
-					return applied, fmt.Errorf("db: committing replayed tx %d: %w", rec.TxID, err)
-				}
+				e.Mgr.Commit(tx)
 				delete(open, rec.TxID)
 				applied++
 			}
 		case wal.OpPrepare:
-			// Re-prepare an undecided transaction through the normal prepare
-			// path (re-logging, like all of replay): the recovered engine's
-			// fresh log carries its own prepare record and the in-doubt
-			// registry holds the open handle for later resolution against
-			// the coordinator log.
-			gid, isPrepared := prepared[rec.TxID]
-			tx := open[rec.TxID]
-			if tx == nil || !isPrepared {
-				continue // decided later in the log, or uncommitted garbage
+			if _, isPrepared := prepared[rec.TxID]; isPrepared && open[rec.TxID] == nil {
+				doubt = append(doubt, logged{rec: rec, pos: pos})
 			}
-			if err := e.PrepareDurable(tx, gid); err != nil {
-				return applied, fmt.Errorf("db: re-preparing in-doubt tx %d: %w", rec.TxID, err)
-			}
-			delete(open, rec.TxID)
 		case wal.OpAbort, wal.OpDecideAbort:
 			// Aborted/decided-abort transactions were never opened.
 		case wal.OpForget:
 			// Coordinator-side bookkeeping; nothing to replay.
 		case wal.OpInsert, wal.OpUpdate, wal.OpDelete, wal.OpCkptRow:
 			tx := open[rec.TxID]
+			_, isPrepared := prepared[rec.TxID]
 			if rec.Op == wal.OpCkptRow {
 				if ckptTx == nil {
 					return applied, fmt.Errorf("db: checkpoint row outside a snapshot: %w", wal.ErrWALCorrupt)
 				}
 				tx = ckptTx
 				ckptRows++
-			} else if tx == nil {
+			} else if tx == nil && !isPrepared {
 				continue // uncommitted: skip
 			}
 			e.storesMu.Lock()
@@ -162,8 +156,18 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 			if st == nil {
 				return applied, fmt.Errorf("db: log references unknown table %q", rec.Table)
 			}
-			if err := st.replay(tx, rec); err != nil {
-				return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
+			if tx == nil {
+				doubt = append(doubt, logged{rec, pos, st})
+				continue
+			}
+			if folds[rec.Table] == nil {
+				folds[rec.Table] = map[string]logged{}
+			}
+			folds[rec.Table][string(rec.Key)] = logged{rec: rec, pos: pos}
+			if _, ok := st.(loader); !ok {
+				if err := st.replay(tx, rec); err != nil {
+					return applied, fmt.Errorf("db: replaying %v: %w", rec, err)
+				}
 			}
 		case wal.OpCkptBegin:
 			if ckptTx != nil {
@@ -178,9 +182,7 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 				return applied, fmt.Errorf("db: checkpoint row count mismatch: snapshot has %d, end record says %d: %w",
 					ckptRows, rec.TxID, wal.ErrWALCorrupt)
 			}
-			if err := e.CommitDurable(ckptTx); err != nil {
-				return applied, fmt.Errorf("db: committing the checkpoint snapshot: %w", err)
-			}
+			e.Mgr.Commit(ckptTx)
 			ckptTx = nil
 			applied++
 		}
@@ -197,12 +199,77 @@ func (e *Engine) Recover(logImage []byte) (applied int, err error) {
 	for _, tx := range open {
 		e.Abort(tx)
 	}
+	// One synthetic transaction writes every loaded store.
+	tx := e.Begin()
+	for _, st := range e.storeList() {
+		if ld, ok := st.(loader); ok {
+			if err := ld.load(tx, liveRows(folds[st.storeName()])); err != nil {
+				e.Abort(tx)
+				return applied, fmt.Errorf("db: loading %q: %w", st.storeName(), err)
+			}
+		}
+	}
+	e.Mgr.Commit(tx)
+	if err := e.Checkpoint(); err != nil {
+		return applied, fmt.Errorf("db: recovery's checkpoint: %w", err)
+	}
+	// The undecided legs replay into the new log and are prepared again, for
+	// resolution against the coordinator log. A leg's write that a committed
+	// write of its key followed is dropped: it can never win, and written now,
+	// after that write, it would overtake it once the leg commits. A leg left
+	// with no write is not prepared.
+	legs := map[uint64]*txn.Tx{}
+	for _, d := range doubt {
+		id := d.rec.TxID
+		switch {
+		case d.rec.Op == wal.OpPrepare && legs[id] != nil:
+			if err := e.PrepareDurable(legs[id], prepared[id]); err != nil {
+				return applied, fmt.Errorf("db: re-preparing in-doubt tx %d: %w", id, err)
+			}
+			delete(legs, id)
+		case d.rec.Op == wal.OpPrepare, folds[d.rec.Table][string(d.rec.Key)].pos > d.pos:
+			// No write survived, or a committed write of the key followed.
+		default:
+			if legs[id] == nil {
+				legs[id] = e.Begin()
+			}
+			if err := d.st.replay(legs[id], d.rec); err != nil {
+				return applied, fmt.Errorf("db: replaying %v: %w", d.rec, err)
+			}
+		}
+	}
+	for _, tx := range legs {
+		e.Abort(tx) // writes but no prepare record after them
+	}
 	return applied, corruptErr
+}
+
+// logged is a log record, its number in the log and (an in-doubt write) its store.
+type logged struct {
+	rec wal.Record
+	pos int
+	st  store
+}
+
+// liveRows yields a fold's last writes that are not deletes, in key order.
+func liveRows(fold map[string]logged) iter.Seq2[[]byte, []byte] {
+	return func(yield func(key, row []byte) bool) {
+		for _, k := range slices.Sorted(maps.Keys(fold)) {
+			if w := fold[k].rec; w.Op != wal.OpDelete && !yield(w.Key, w.Row) {
+				return
+			}
+		}
+	}
 }
 
 func (m *MVPBTKV) storeName() string { return m.name }
 
-// replay implements store: an upsert or a tombstone.
+// load implements loader.
+func (m *MVPBTKV) load(tx *txn.Tx, rows iter.Seq2[[]byte, []byte]) error {
+	return m.tree.Load(tx, rows, m.nextRef)
+}
+
+// replay implements store: an upsert or a tombstone of an in-doubt leg.
 func (m *MVPBTKV) replay(tx *txn.Tx, rec wal.Record) error {
 	if rec.Op == wal.OpDelete {
 		return m.DeleteTx(tx, rec.Key)

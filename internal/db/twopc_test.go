@@ -125,6 +125,28 @@ func TestRecoverInDoubt(t *testing.T) {
 	}
 }
 
+// TestRecoverInDoubtInsertOvertaken: an in-doubt leg inserts a row, then a
+// committed transaction inserts a row of the same key (an insert does not
+// conflict with an undecided one). The committed row was written later, so
+// it stays visible when the leg commits after a crash, as it would have
+// without one: recovery does not replay the leg's insert after it.
+func TestRecoverInDoubtInsertOvertaken(t *testing.T) {
+	e, tbl, _ := walTable(t)
+	prepareOne(t, e, tbl, "x", "leg", 42)
+	tx := e.Begin()
+	if _, _, err := tbl.Insert(tx, row("x", "committed")); err != nil {
+		t.Fatal(err)
+	}
+	e.Commit(tx)
+	e2, tbl2, ix2, _ := recoverInto(t, e.LogImage())
+	if n, err := e2.ResolveGroup(42, true); err != nil || n != 0 {
+		t.Fatalf("ResolveGroup = %d, %v; want 0 (the leg kept no write)", n, err)
+	}
+	if got := snapshotState(t, e2, tbl2, ix2); len(got) != 1 || got["x"] != "committed" {
+		t.Fatalf("after the leg's commit: %v, want x=committed", got)
+	}
+}
+
 // TestRecoverInDoubtTwice: recovery re-logs the prepare, so a second crash
 // before the decision lands must recover the same in-doubt leg from the
 // NEW log — replay of replay, still resolvable.

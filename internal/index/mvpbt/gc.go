@@ -2,7 +2,10 @@ package mvpbt
 
 import (
 	"bytes"
+	"fmt"
+	"iter"
 
+	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/skiplist"
 	"mvpbt/internal/storage"
@@ -110,6 +113,36 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 		}
 	}
 	return w.finish()
+}
+
+// Load bulk-builds an empty tree's one partition (§4.5) from rows, keys
+// strictly ascending: regular records of tx, versions named by ref. It is
+// how recovery writes a store it holds in key order, each leaf once and in
+// order, instead of through P_N, evictions and merges. A failed build
+// publishes nothing.
+func (t *Tree) Load(tx *txn.Tx, rows iter.Seq2[[]byte, []byte], ref func() index.Ref) error {
+	t.bgMu.Lock()
+	defer t.bgMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view.Load()
+	if v.pn.Len() > 0 || len(v.parts) > 0 {
+		return fmt.Errorf("mvpbt: Load into the non-empty tree %q", t.opts.Name)
+	}
+	w := t.newPartWriter(t.nextNo, true)
+	defer w.b.Abort()
+	for key, val := range rows {
+		if err := w.add(key, Record{Type: Regular, TS: tx.ID, Ref: ref(), Val: val}, nil); err != nil {
+			return err
+		}
+	}
+	seg, gc, err := w.finish()
+	if err != nil || seg == nil {
+		return err
+	}
+	t.nextNo++
+	t.view.Store(&treeView{pn: v.pn, parts: []*part.Segment{seg}, gc: []partGC{gc}})
+	return nil
 }
 
 // partWriter is the one path by which records become a persisted

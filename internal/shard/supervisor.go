@@ -267,7 +267,7 @@ func (s *supervisor) restartLoop(i int) {
 
 // restartShard replaces shard i's engine with a freshly recovered one:
 // capture the WAL image, failure-stop the old engine, build a new engine
-// from the router's template, and replay every committed transaction into
+// from the router's template, and recover every committed transaction into
 // it. The shard's gate is held exclusively only across the capture and the
 // swap — no other shard is touched. Exactly the acknowledged (durably
 // flushed) commits survive, per the crash-recovery contract; the fresh
