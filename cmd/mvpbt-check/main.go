@@ -99,6 +99,12 @@ func selection(c *check.Campaign, args []string, errw io.Writer) (sel check.Sele
 	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
 		return sel, false
 	}
+	for i, def := range c.Size { // a history needs an op, a client and a key
+		if def > 0 && (sz[i] < 0 || sz[i] == 0 && i != check.Crashes) {
+			fmt.Fprintf(errw, "-%s %d: want a positive size (-crashes 0: no crash)\n", check.SizeFlags[i], sz[i])
+			return sel, false
+		}
+	}
 	for i := 0; i < *seeds; i++ {
 		sel.Seeds = append(sel.Seeds, *seed+uint64(i))
 	}

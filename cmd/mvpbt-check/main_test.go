@@ -92,3 +92,23 @@ func TestFailingCellRepro(t *testing.T) {
 		t.Fatalf("the repro command did not run exactly the failing cell:\n%s", again.String())
 	}
 }
+
+// TestSizeFlagsRefuseEmptyHistories: -ops, -clients and -keys of 0 or less,
+// and a negative -crashes, are usage errors (exit 2) that run nothing; they
+// used to run the harness's default sizes. -crashes 0 is a crash-free cell.
+func TestSizeFlagsRefuseEmptyHistories(t *testing.T) {
+	for _, args := range [][]string{
+		{"diff", "-ops", "0"}, {"diff", "-clients", "0"}, {"diff", "-keys", "0"},
+		{"diff", "-ops", "-5"}, {"faults", "-clients", "-1"}, {"diff", "-crashes", "-1"},
+	} {
+		var out, errw strings.Builder
+		if code := run(args, &out, &errw); code != 2 || out.Len() > 0 || !strings.Contains(errw.String(), args[1]) {
+			t.Errorf("%q: exit code %d, output %q, errors %q; want 2, nothing run and the flag named", args, code, out.String(), errw.String())
+		}
+	}
+	c := check.CampaignByName("diff")
+	sel, ok := selection(c, []string{"-crashes", "0", "-ops", "1", "-clients", "1", "-keys", "1"}, io.Discard)
+	if !ok || *sel.Size != (check.Size{1, 1, 1, 0}) {
+		t.Fatalf("-crashes 0 with sizes of 1: selected %v (ok %v), want sizes {1 1 1 0}", sel.Size, ok)
+	}
+}

@@ -44,13 +44,13 @@ func TestHarnessSmoke(t *testing.T) {
 // keep history generation byte-identical to the pre-fault generator, so
 // existing seeds stay reproducible.
 func TestFaultHistoryGenerationBackwardCompatible(t *testing.T) {
-	plain := Generate(RunConfig{Seed: 42, Ops: 500})
+	plain := Generate(RunConfig{Seed: 42, Ops: 500, Clients: 3, Keys: 100})
 	for _, op := range plain {
 		if op.Kind >= OpFaultRead {
 			t.Fatalf("fault op %v generated without Faults", op.Kind)
 		}
 	}
-	faulty := Generate(RunConfig{Seed: 42, Ops: 500, Faults: true})
+	faulty := Generate(RunConfig{Seed: 42, Ops: 500, Clients: 3, Keys: 100, Faults: true})
 	n := 0
 	for _, op := range faulty {
 		if op.Kind >= OpFaultRead {

@@ -41,19 +41,6 @@ type RunConfig struct {
 // snapshot against the oracle, plus raw-record invariants.
 const auditEvery = 250
 
-func (c RunConfig) withDefaults() RunConfig {
-	if c.Ops <= 0 {
-		c.Ops = 1000
-	}
-	if c.Clients <= 0 {
-		c.Clients = 3
-	}
-	if c.Keys <= 0 {
-		c.Keys = 100
-	}
-	return c
-}
-
 // Violation reports the first invariant breach of a run.
 type Violation struct {
 	Step int    // index into the history (len(history) for the final audit)
@@ -689,7 +676,6 @@ func faultDamage(v *Violation) bool {
 // converted into violations so a seeded fault that trips an internal
 // assertion still yields a shrinkable failure instead of killing the run.
 func Replay(cfg RunConfig, ops []Op) (res Result) {
-	cfg = cfg.withDefaults()
 	h, err := newHarness(cfg)
 	if err != nil {
 		return Result{Violation: &Violation{Step: 0, Op: "setup", Msg: err.Error()}}

@@ -101,7 +101,6 @@ func FormatOps(ops []Op) string {
 // (seed, ops, clients, keys, crashes, faults) tuple always yields the same
 // history; Run replays exactly it.
 func Generate(cfg RunConfig) []Op {
-	cfg = cfg.withDefaults()
 	r := util.NewRand(cfg.Seed)
 	crashAt := make(map[int]bool, cfg.Crashes)
 	for i := 1; i <= cfg.Crashes; i++ {

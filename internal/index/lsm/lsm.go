@@ -493,6 +493,7 @@ func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Se
 	rds := make(runMerge, len(runs))
 	for i, r := range runs {
 		rds[i] = r.NewReader()
+		defer rds[i].Close()
 	}
 	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
 	defer b.Abort()

@@ -3,6 +3,7 @@ package mvpbt
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,15 +20,26 @@ import (
 // forced evictions and merges republish the partition snapshot and the
 // cooperative GC marks records. Run under -race this exercises the SWMR
 // skiplist, the view publication protocol, the segment-reclamation grace
-// period, and the GC-mark atomics. Correctness check: a reader's snapshot
-// must never see more than one visible version per logical tuple, and
-// committed tuples a snapshot saw once must stay visible within it.
+// period, the recycling of evicted P_Ns' memory, and the GC-mark atomics.
+// Correctness check: a reader's snapshot must never see more than one
+// visible version per logical tuple, every value read must carry its key's
+// id (a recycled buffer reused too early fails that, or -race), and every
+// reader must read across several evictions.
 func TestConcurrentReadersWriters(t *testing.T) {
 	env := newEnv(512, 32<<10) // small partition buffer: constant evictions
 	tr := env.tree(Options{Name: "stress", BloomBits: 10, MaxPartitions: 4})
 
 	const keys = 200
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("v%05d|", i)), 8) }
+	// valOK checks an entry's inline value against the id in its key.
+	valOK := func(k, v []byte) error {
+		i, err := strconv.Atoi(string(k[1:]))
+		if err != nil || !bytes.Equal(v, val(i)) {
+			return fmt.Errorf("key %q carries value %q", k, v)
+		}
+		return nil
+	}
 
 	// Seed every key with one committed version.
 	var rid atomic.Uint64
@@ -38,7 +50,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	seed := env.mgr.Begin()
 	for i := 0; i < keys; i++ {
 		refs[i] = newRef()
-		if err := tr.InsertRegular(seed, key(i), refs[i]); err != nil {
+		if err := tr.InsertRegularVal(seed, key(i), refs[i], val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,10 +96,10 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					// chain) in the same transaction.
 					err = tr.InsertTombstone(tx, k, cur[i].RID)
 					if err == nil {
-						err = tr.InsertRegular(tx, k, next)
+						err = tr.InsertRegularVal(tx, k, next, val(i))
 					}
 				} else {
-					err = tr.InsertReplacement(tx, k, next, cur[i].RID)
+					err = tr.pnPut(k, Record{Type: Replacement, TS: tx.ID, Ref: next, OldRID: cur[i].RID, Val: val(i)})
 				}
 				if err != nil {
 					env.mgr.Abort(tx)
@@ -121,12 +133,16 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		}
 	}()
 
-	// Readers: point lookups and range scans under fresh snapshots.
-	for rd := 0; rd < 4; rd++ {
+	// Readers: point lookups and range scans under fresh snapshots. Each
+	// notes the evictions it read across.
+	var spans [4][2]int64
+	for rd := range spans {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func(seed uint64, span *[2]int64) {
 			defer wg.Done()
 			r := util.NewRand(seed)
+			span[0] = tr.Stats().Evictions
+			defer func() { span[1] = tr.Stats().Evictions }()
 			for !stop() {
 				tx := env.mgr.Begin()
 				for b := 0; b < 16; b++ {
@@ -137,6 +153,8 @@ func TestConcurrentReadersWriters(t *testing.T) {
 						err := tr.Lookup(tx, k, func(e index.Entry) bool {
 							if !bytes.Equal(e.Key, k) {
 								report(fmt.Errorf("lookup returned key %q for %q", e.Key, k))
+							} else if err := valOK(e.Key, e.Val); err != nil {
+								report(err)
 							}
 							n++
 							return true
@@ -150,6 +168,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					case 1:
 						seen := make(map[string]int)
 						err := tr.Scan(tx, k, nil, func(e index.Entry) bool {
+							if err := valOK(e.Key, e.Val); err != nil {
+								report(err)
+							}
 							seen[string(e.Key)]++
 							return len(seen) < 20
 						})
@@ -174,7 +195,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				}
 				env.mgr.Commit(tx)
 			}
-		}(uint64(rd + 100))
+		}(uint64(rd+100), &spans[rd])
 	}
 
 	wg.Wait()
@@ -205,7 +226,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			t.Fatalf("key %d: %d visible versions after quiesce", i, n)
 		}
 	}
-	if tr.Stats().Evictions == 0 {
-		t.Error("stress ran without a single partition eviction")
+	for rd, sp := range spans {
+		if sp[1]-sp[0] < 3 {
+			t.Errorf("reader %d read across %d evictions, want at least 3", rd, sp[1]-sp[0])
+		}
 	}
 }

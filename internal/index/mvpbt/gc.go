@@ -10,6 +10,7 @@ import (
 	"mvpbt/internal/skiplist"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
+	"mvpbt/internal/util"
 )
 
 // sweepPNLocked is garbage-collection phase 2 (§4.6): remove the records
@@ -17,7 +18,9 @@ import (
 // space before the next insert. Called with t.mu held when the garbage
 // ratio crosses the threshold. Deleting from the SWMR skiplist is safe
 // against concurrent readers; a reader parked on a removed node continues
-// into the surviving suffix.
+// into the surviving suffix. Removed records stay in P_N's slabs until an
+// eviction recycles them; once they outweigh the live ones, the live are
+// copied to fresh slabs under a new view and the old P_N left to the Go GC.
 func (t *Tree) sweepPNLocked(v *treeView) {
 	var victims []pnKey
 	for it := v.pn.Min(); it.Valid(); it.Next() {
@@ -30,6 +33,14 @@ func (t *Tree) sweepPNLocked(v *treeView) {
 		v.pn.Delete(k)
 	}
 	t.pbuf.Add(v.pn.Bytes() - n)
+	if t.pnSwept += n - v.pn.Bytes(); t.pnSwept > v.pn.Bytes() {
+		nv := &treeView{pn: newPN(), parts: v.parts, gc: v.gc}
+		t.recs, t.kvs, t.pnSwept = util.Slab[Record]{}, util.Slab[byte]{}, 0
+		for it := v.pn.Min(); it.Valid(); it.Next() {
+			nv.pn.Set(t.carve(it.Key(), it.Value().snapshot()))
+		}
+		t.view.Store(nv)
+	}
 	t.stats.gcSweptPN.Add(int64(len(victims)))
 	t.pnGarbage.Store(0)
 }
@@ -60,9 +71,9 @@ func (t *Tree) SweepPN() error {
 // the partition (new view) — never both or neither. A failed build
 // publishes nothing: P_N stays, and the next eviction retries it whole.
 //
-// Readers never take mu and proceed throughout. When a merge is due
-// afterwards (mergeStart), it runs inline under bgMu alone, so inserts go
-// on into the fresh P_N meanwhile.
+// Readers never take mu and proceed throughout. Under bgMu alone, the
+// eviction then waits them out to recycle P_N's memory, and a due merge
+// (mergeStart) runs inline, so inserts go on into the fresh P_N meanwhile.
 func (t *Tree) EvictPN() error {
 	t.bgMu.Lock()
 	defer t.bgMu.Unlock()
@@ -85,7 +96,15 @@ func (t *Tree) EvictPN() error {
 		t.view.Store(nv)
 		t.pbuf.Add(-v.pn.Bytes())
 		t.pnGarbage.Store(0)
-		v = nv
+		evicted, recs, kvs := v.pn, t.recs, t.kvs
+		t.recs, t.kvs, t.pnSwept = util.Slab[Record]{}, util.Slab[byte]{}, 0
+		t.mu.Unlock()
+		t.waitReaders() // then the evicted P_N's memory is the current P_N's
+		t.mu.Lock()
+		v = t.view.Load() // nv, or a sweep's copy of it
+		v.pn.Recycle(evicted)
+		t.recs.Recycle(&recs)
+		t.kvs.Recycle(&kvs)
 	}
 	from := t.mergeStart(v)
 	t.mu.Unlock()

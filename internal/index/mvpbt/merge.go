@@ -96,6 +96,7 @@ func (t *Tree) mergeBG(from int) error {
 	srcs := make(mergeSources, 0, len(v.parts)-from)
 	for i := len(v.parts) - 1; i >= from; i-- {
 		srcs = append(srcs, &mergeSource{rd: v.parts[i].NewReader()})
+		defer srcs[len(srcs)-1].rd.Close()
 		if err := srcs[len(srcs)-1].load(); err != nil {
 			return err
 		}
@@ -132,15 +133,16 @@ func (t *Tree) mergeBG(from int) error {
 	}
 	t.view.Store(nv)
 	t.mu.Unlock()
-	// Grace period: in-flight readers may still hold the old view with the
-	// input segments. Taking the gate's write side waits them out; new
-	// readers entering afterwards can only load the merged view. Only then
-	// is freeing the inputs safe.
-	t.gate.Lock()
-	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period
+	t.waitReaders()
 	for _, p := range v.parts[from:] {
 		p.Free()
 	}
 	t.stats.merges.Add(1)
 	return nil
+}
+
+// waitReaders waits out the readers of every view replaced before the call.
+func (t *Tree) waitReaders() {
+	t.gate.Lock()
+	t.gate.Unlock() //nolint:staticcheck // empty critical section IS the grace period
 }

@@ -165,7 +165,7 @@ func TestMergeWithValuesPreserved(t *testing.T) {
 	}()
 	e.mgr.Commit(r0)
 	e.commit(func(tx *txn.Tx) {
-		tr.pnPut([]byte("k"), &Record{Type: Replacement, TS: tx.ID, Ref: e.ref(), OldRID: prevRID.RID, Val: []byte("v2")})
+		tr.pnPut([]byte("k"), Record{Type: Replacement, TS: tx.ID, Ref: e.ref(), OldRID: prevRID.RID, Val: []byte("v2")})
 	})
 	tr.EvictPN()
 	if err := tr.MergePartitions(); err != nil {

@@ -168,17 +168,20 @@ type Tree struct {
 	// order is always bgMu before mu.
 	bgMu sync.Mutex
 
-	// gate tracks readers for segment reclamation: every reader holds the
-	// read side for its whole operation; MergePartitions — the only writer
-	// that destroys segments — acquires the write side after publishing
-	// the merged view and before freeing the inputs, so no reader can
-	// still hold the freed segments. Eviction publishes new views without
-	// the gate: its superseded views are reclaimed by the garbage collector,
-	// not destroyed.
+	// gate is the grace period of everything a new view retires: every
+	// reader holds the read side for its whole operation, and a writer
+	// takes the write side after publishing a view and before reusing what
+	// only the old one reached — a merge before freeing its inputs, an
+	// eviction before recycling the evicted P_N's memory.
 	gate sync.RWMutex
 
-	pnSeq     uint64 // guarded by mu
-	nextNo    int    // guarded by mu
+	pnSeq  uint64 // guarded by mu
+	nextNo int    // guarded by mu
+	// P_N's records and key+value copies (its skiplist has its nodes), and the
+	// recordSize sum of those swept since they came, all guarded by mu.
+	recs      util.Slab[Record]
+	kvs       util.Slab[byte]
+	pnSwept   int
 	pnGarbage atomic.Int64
 	stats     statCounters
 
@@ -277,27 +280,16 @@ func (t *Tree) Stats() Stats {
 
 // ---- Modification operations (§4.2): all writes go to PN only.
 
-func (t *Tree) pnPut(key []byte, rec *Record) error {
-	if err := part.CheckEntry(len(key) + recordLen(rec)); err != nil {
+func (t *Tree) pnPut(key []byte, rec Record) error {
+	if err := part.CheckEntry(len(key) + recordLen(&rec)); err != nil {
 		return err
-	}
-	// The record owns copies of the caller's key and inline value; both
-	// live until the partition is evicted, so they are carved from ONE
-	// allocation rather than two (callers pass Val uncopied).
-	buf := make([]byte, len(key)+len(rec.Val))
-	kc := buf[:len(key):len(key)]
-	copy(kc, key)
-	if len(rec.Val) > 0 {
-		vc := buf[len(key):]
-		copy(vc, rec.Val)
-		rec.Val = vc
 	}
 	t.mu.Lock()
 	v := t.view.Load()
-	k := pnKey{key: kc, seq: t.pnSeq}
+	k, r := t.carve(pnKey{key: key, seq: t.pnSeq}, rec)
 	t.pnSeq++
 	n := v.pn.Bytes()
-	v.pn.Set(k, rec)
+	v.pn.Set(k, r)
 	t.pbuf.Add(v.pn.Bytes() - n)
 	if !t.opts.DisableGC {
 		if g := t.pnGarbage.Load(); g > 64 && g > int64(v.pn.Len()/8) {
@@ -308,37 +300,51 @@ func (t *Tree) pnPut(key []byte, rec *Record) error {
 	return t.pbuf.MaybeEvict()
 }
 
+// carve copies k's key and rec, its inline value included (callers pass Val
+// uncopied), into P_N's slabs. Called with mu held.
+func (t *Tree) carve(k pnKey, rec Record) (pnKey, *Record) {
+	buf := t.kvs.Alloc(len(k.key) + len(rec.Val))
+	copy(buf, k.key)
+	if len(rec.Val) > 0 {
+		copy(buf[len(k.key):], rec.Val)
+		rec.Val = buf[len(k.key):]
+	}
+	r := &t.recs.Alloc(1)[0]
+	*r = rec
+	return pnKey{key: buf[:len(k.key):len(k.key)], seq: k.seq}, r
+}
+
 // InsertRegular records a newly inserted tuple version: a regular record
 // (§4.1).
 func (t *Tree) InsertRegular(tx *txn.Tx, key []byte, ref index.Ref) error {
-	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref})
+	return t.pnPut(key, Record{Type: Regular, TS: tx.ID, Ref: ref})
 }
 
 // InsertRegularVal is InsertRegular with an inline payload — MV-PBT as a
 // clustered multi-version store (the WiredTiger integration of §5).
 func (t *Tree) InsertRegularVal(tx *txn.Tx, key []byte, ref index.Ref, val []byte) error {
-	return t.pnPut(key, &Record{Type: Regular, TS: tx.ID, Ref: ref, Val: val})
+	return t.pnPut(key, Record{Type: Regular, TS: tx.ID, Ref: ref, Val: val})
 }
 
 // InsertReplacement records a non-key update: a replacement record whose
 // newRef supersedes the version at oldRID (§4.1).
 func (t *Tree) InsertReplacement(tx *txn.Tx, key []byte, newRef index.Ref, oldRID storage.RecordID) error {
-	return t.pnPut(key, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
+	return t.pnPut(key, Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
 // InsertKeyUpdate records an index-key update: an anti-record under the old
 // key plus a replacement record under the new key (§4.1).
 func (t *Tree) InsertKeyUpdate(tx *txn.Tx, oldKey, newKey []byte, newRef index.Ref, oldRID storage.RecordID) error {
-	if err := t.pnPut(oldKey, &Record{Type: Anti, TS: tx.ID, OldRID: oldRID}); err != nil {
+	if err := t.pnPut(oldKey, Record{Type: Anti, TS: tx.ID, OldRID: oldRID}); err != nil {
 		return err
 	}
-	return t.pnPut(newKey, &Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
+	return t.pnPut(newKey, Record{Type: Replacement, TS: tx.ID, Ref: newRef, OldRID: oldRID})
 }
 
 // InsertTombstone records a tuple deletion: a tombstone extinguishing the
 // chain whose newest version is oldRID (§4.1).
 func (t *Tree) InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) error {
-	return t.pnPut(key, &Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
+	return t.pnPut(key, Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
 }
 
 // newBuilder starts partition number no in the tree's file.

@@ -115,7 +115,7 @@ func TestLookupAcrossRestartSlots(t *testing.T) {
 			}
 			e.commit(func(tx *txn.Tx) {
 				rec.TS = tx.ID
-				if err := tr.pnPut(hot, rec); err != nil {
+				if err := tr.pnPut(hot, *rec); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,6 +1,8 @@
 package part
 
 import (
+	"math/bits"
+
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/storage"
@@ -15,8 +17,8 @@ import (
 // device copy is the truth; the read is the pool's checked one all the same
 // (Pool.ReadPages: retried, verified, counted).
 //
-// Key and Body alias the reader's buffers and are valid only until the next
-// call to Next.
+// Its buffer is borrowed from a free list that Close gives it back to. Key and
+// Body alias the reader's buffers and are valid until the next Next or Close.
 type Reader struct {
 	seg   *Segment
 	buf   []byte // the leaf pages of the current leaf's extent (room for one extent's)
@@ -29,9 +31,35 @@ type Reader struct {
 
 // NewReader returns a reader positioned on the segment's first record.
 func (s *Segment) NewReader() *Reader {
-	r := &Reader{seg: s, leaf: -1, buf: make([]byte, min(sfile.ExtentPages, s.NumLeaves)*storage.PageSize)}
+	r, n := &Reader{seg: s, leaf: -1}, min(sfile.ExtentPages, s.NumLeaves)*storage.PageSize
+	select {
+	case r.buf = <-extentBufs:
+	default:
+	}
+	if cap(r.buf) < n { // room for a power of two of pages, to fit later readers
+		r.buf = make([]byte, n, storage.PageSize<<bits.Len(uint(n/storage.PageSize-1)))
+	}
+	r.buf = r.buf[:n]
 	r.Next()
 	return r
+}
+
+// extentBufs is the free list of Readers' buffers: 32 (8 MiB), three 10-way merges.
+var extentBufs = make(chan []byte, 32)
+
+// Close gives the buffer back, poisoned under SetPoison. The reader must not
+// be used afterwards; closing it again does nothing.
+func (r *Reader) Close() {
+	for i := 0; poison.Load() && i < len(r.buf); i++ {
+		r.buf[i] = 0xDB
+	}
+	if r.buf != nil {
+		select {
+		case extentBufs <- r.buf:
+		default:
+		}
+	}
+	r.buf = nil
 }
 
 // Valid reports whether the reader is on a record.

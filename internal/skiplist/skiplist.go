@@ -9,7 +9,8 @@
 // serialized externally. Links are atomic pointers: Set publishes a new
 // node bottom-up after its forward pointers are set, Delete unlinks
 // top-down and leaves the victim's forward pointers intact, so a reader
-// parked on either keeps a consistent view of the remaining list.
+// parked on either keeps a consistent view of the remaining list. Nodes come
+// from a slab and back only all together (Recycle), never under a reader.
 package skiplist
 
 import (
@@ -31,11 +32,12 @@ type List[K any, V any] struct {
 	rnd   *util.Rand
 	bytes int
 	size  func(k K, v V) int
+	nodes util.Slab[node[K, V]] // Set's nodes; see Recycle
 }
 
 // inlineLevels is the tower height stored inside the node itself. With the
 // 1/4 level promotion probability, ~99.6% of nodes fit (P[lvl>4] = 4^-4),
-// so the common-case insert is one allocation: node and tower together.
+// so the common-case node is one run of the list's slab, tower included.
 const inlineLevels = 4
 
 type node[K any, V any] struct {
@@ -45,8 +47,8 @@ type node[K any, V any] struct {
 	inline [inlineLevels]atomic.Pointer[node[K, V]]
 }
 
-func newNode[K any, V any](k K, v V, lvl int) *node[K, V] {
-	n := &node[K, V]{key: k, val: v}
+func initNode[K any, V any](n *node[K, V], k K, v V, lvl int) *node[K, V] {
+	n.key, n.val = k, v
 	if lvl <= inlineLevels {
 		n.next = n.inline[:lvl:inlineLevels]
 	} else {
@@ -60,7 +62,7 @@ func newNode[K any, V any](k K, v V, lvl int) *node[K, V] {
 func New[K any, V any](cmp func(a, b K) int, size func(k K, v V) int) *List[K, V] {
 	l := &List[K, V]{
 		cmp:  cmp,
-		head: newNode[K, V](*new(K), *new(V), maxLevel),
+		head: &node[K, V]{next: make([]atomic.Pointer[node[K, V]], maxLevel)},
 		rnd:  util.NewRand(0x5EEDF00D),
 		size: size,
 	}
@@ -109,7 +111,8 @@ func (l *List[K, V]) Set(k K, v V) {
 		if l.size != nil {
 			l.bytes += l.size(k, v) - l.size(x.key, x.val)
 		}
-		nd := newNode(k, v, len(x.next))
+		// Not from the slab, which keeps what it carves: x goes to the Go GC.
+		nd := initNode(new(node[K, V]), k, v, len(x.next))
 		for i := 0; i < len(x.next); i++ {
 			nd.next[i].Store(x.next[i].Load())
 		}
@@ -125,7 +128,7 @@ func (l *List[K, V]) Set(k K, v V) {
 		}
 		l.level.Store(int32(lvl))
 	}
-	nd := newNode(k, v, lvl)
+	nd := initNode(&l.nodes.Alloc(1)[0], k, v, lvl)
 	// Link bottom-up: once level 0 is published the node is reachable in
 	// full; higher levels only add shortcuts.
 	for i := 0; i < lvl; i++ {
@@ -137,6 +140,9 @@ func (l *List[K, V]) Set(k K, v V) {
 		l.bytes += l.size(k, v)
 	}
 }
+
+// Recycle gives every node old held to l's inserts; nothing may reach old now.
+func (l *List[K, V]) Recycle(old *List[K, V]) { l.nodes.Recycle(&old.nodes) }
 
 // Get returns the value for k.
 func (l *List[K, V]) Get(k K) (V, bool) {

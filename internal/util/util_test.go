@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -266,5 +267,32 @@ func TestQuantileNearestRank(t *testing.T) {
 		if got, want := Quantile(seq(n), 0.99), int64((n*99+99)/100); got != want {
 			t.Fatalf("n=%d: p99 rank %d, integer formula %d", n, got, want)
 		}
+	}
+}
+
+// TestSlabRecycle: runs are carved one after another from a chunk, a run
+// longer than a chunk gets a chunk of its own, and after Recycle the next
+// runs are carved from the recycled chunks, allocating nothing. A chunk
+// passed on and not carved from is not passed on again.
+func TestSlabRecycle(t *testing.T) {
+	var old Slab[byte]
+	a, b := old.Alloc(100), old.Alloc(200)
+	if uintptr(unsafe.Pointer(&b[0]))-uintptr(unsafe.Pointer(&a[0])) != 100 || cap(a) != 100 {
+		t.Fatal("two short runs are not carved one after the other")
+	}
+	big := old.Alloc(1 << 20)
+	var s Slab[byte]
+	s.Recycle(&old)
+	if len(old.used)+len(old.free)+len(old.cur) != 0 {
+		t.Fatal("Recycle left chunks behind")
+	}
+	runs := make([]*byte, 0, 16)
+	if n := testing.AllocsPerRun(10, func() { runs = append(runs, &s.Alloc(1000)[0]) }); n != 0 || runs[0] != &big[0] {
+		t.Fatalf("after Recycle: %.0f allocations a run; the first run is at %p, the recycled chunk at %p", n, runs[0], &big[0])
+	}
+	var next Slab[byte]
+	next.Recycle(&s)
+	if len(next.free) != 1 || &next.free[0][0] != &big[0] {
+		t.Fatalf("the next Recycle passed on %d chunks, want the one carved from", len(next.free))
 	}
 }
