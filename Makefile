@@ -258,7 +258,9 @@ fuzz-part:
 # The differential harness campaign: short smoke (CI) and nightly-length,
 # the latter with the hot-key sweep (16 keys, 8 clients, 30 seeds; ~30 s):
 # long-running writers of a few keys, where a blind write lands after a
-# newer transaction's write of its key.
+# newer transaction's write of its key. CI runs 3 seeds of the sweep after
+# `make check` on every push (`go run ./cmd/mvpbt-check diff -keys 16
+# -clients 8 -seeds 3`, ~3 s).
 check:
 	go run ./cmd/mvpbt-check diff
 

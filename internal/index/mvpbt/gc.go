@@ -13,14 +13,13 @@ import (
 	"mvpbt/internal/util"
 )
 
-// sweepPNLocked is garbage-collection phase 2 (§4.6): remove the records
-// that scans flagged (phase 1) from the main-memory partition, reclaiming
-// space before the next insert. Called with t.mu held when the garbage
-// ratio crosses the threshold. Deleting from the SWMR skiplist is safe
-// against concurrent readers; a reader parked on a removed node continues
-// into the surviving suffix. Removed records stay in P_N's slabs until an
-// eviction recycles them; once they outweigh the live ones, the live are
-// copied to fresh slabs under a new view and the old P_N left to the Go GC.
+// sweepPNLocked is garbage-collection phase 2 (§4.6) of a non-unique tree:
+// remove the records that scans flagged (phase 1) from the main-memory
+// partition, reclaiming space before the next insert. Called with t.mu held
+// when the garbage ratio crosses the threshold. Deleting from the SWMR
+// skiplist is safe against concurrent readers; a reader parked on a removed
+// node continues into the surviving suffix. (A unique tree collects at
+// insert instead: dropSupersededLocked.)
 func (t *Tree) sweepPNLocked(v *treeView) {
 	var victims []pnKey
 	for it := v.pn.Min(); it.Valid(); it.Next() {
@@ -32,8 +31,19 @@ func (t *Tree) sweepPNLocked(v *treeView) {
 	for _, k := range victims {
 		v.pn.Delete(k)
 	}
-	t.pbuf.Add(v.pn.Bytes() - n)
-	if t.pnSwept += n - v.pn.Bytes(); t.pnSwept > v.pn.Bytes() {
+	t.sweptLocked(v, n-v.pn.Bytes(), len(victims))
+	t.pnGarbage.Store(0)
+}
+
+// sweptLocked accounts the n bytes of records a phase-2 pass just removed
+// from v's P_N: they go back to the partition buffer. Removed records stay in
+// P_N's slabs until an eviction recycles them; once they outweigh both the
+// live ones and pnCopyFloor, the live are copied to fresh slabs under a new
+// view and the old P_N left to the Go GC. Called with t.mu held.
+func (t *Tree) sweptLocked(v *treeView, n, records int) {
+	t.pbuf.Add(-n)
+	t.stats.gcSweptPN.Add(int64(records))
+	if t.pnSwept += n; t.pnSwept > max(v.pn.Bytes(), pnCopyFloor) {
 		nv := &treeView{pn: newPN(), parts: v.parts, gc: v.gc}
 		t.recs, t.kvs, t.pnSwept = util.Slab[Record]{}, util.Slab[byte]{}, 0
 		for it := v.pn.Min(); it.Valid(); it.Next() {
@@ -41,9 +51,11 @@ func (t *Tree) sweepPNLocked(v *treeView) {
 		}
 		t.view.Store(nv)
 	}
-	t.stats.gcSweptPN.Add(int64(len(victims)))
-	t.pnGarbage.Store(0)
 }
+
+// pnCopyFloor keeps a small P_N that overwrites keep small (a TPC-C
+// warehouse's) from being copied out every few inserts.
+const pnCopyFloor = 64 << 10
 
 // SweepPN runs garbage-collection phase 2 on demand (the space
 // governor's reclaim pass; inserts sweep by themselves once the PN garbage

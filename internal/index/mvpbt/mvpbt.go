@@ -82,7 +82,8 @@ type Stats struct {
 	Prefix FilterStats
 	// GCMarked counts records flagged by scans (phase 1).
 	GCMarked int64
-	// GCSweptPN counts records removed from PN by phase 2.
+	// GCSweptPN counts records removed from PN by phase 2: a sweep of the
+	// records scans flagged, or in a unique tree the key's next insert.
 	GCSweptPN int64
 	// GCEvict counts records removed during partition eviction (phase 3).
 	GCEvict int64
@@ -291,7 +292,9 @@ func (t *Tree) pnPut(key []byte, rec Record) error {
 	n := v.pn.Bytes()
 	v.pn.Set(k, r)
 	t.pbuf.Add(v.pn.Bytes() - n)
-	if !t.opts.DisableGC {
+	if t.opts.Unique && !t.opts.DisableGC {
+		t.dropSupersededLocked(v, k)
+	} else if !t.opts.DisableGC {
 		if g := t.pnGarbage.Load(); g > 64 && g > int64(v.pn.Len()/8) {
 			t.sweepPNLocked(v)
 		}

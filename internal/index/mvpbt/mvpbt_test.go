@@ -646,7 +646,8 @@ func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 				} else {
 					trees[0].InsertTombstone(tx, key, refs[k].RID)
 				}
-				trees[1].InsertRegularVal(tx, key, ref, []byte("value"))
+				// Distinct keys: a unique tree's overwrites leave P_N at insert.
+				trees[1].InsertRegularVal(tx, fmt.Appendf(nil, "%s-%02d", key, round), ref, []byte("value"))
 				refs[k] = ref
 			}
 		})

@@ -55,23 +55,46 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 	return nil
 }
 
-// uniqueGC is the unique-mode phase-3 GC for the records of one key, in
-// processing order: keep every record down to and INCLUDING the first
-// committed-below-horizon one — every reader decides there or before, the
-// order being the same for all — and drop the rest. Aborted and flagged
-// records are dropped anywhere. A tombstone or anti decider may still
-// extinguish the key in older partitions, so only a complete merge drops it;
-// the key's records in P_N were written later and come first anyway.
+// uniqueDrop is the unique-tree GC rule (§4.6), fed one key's records in
+// processing order: keep every record down to and INCLUDING the first one
+// committed below horizon, the anchor — every reader decides there or before,
+// the order being the same for all — and drop the rest. Aborted and flagged
+// records are dropped anywhere. *anchored turns true at the anchor.
+func (t *Tree) uniqueDrop(r *Record, horizon txn.TxID, anchored *bool) bool {
+	if *anchored || r.GCMarked() {
+		return true
+	}
+	st := t.mgr.StatusOf(r.TS)
+	*anchored = r.TS < horizon && st == txn.Committed
+	return st == txn.Aborted
+}
+
+// uniqueGC is the unique-mode phase-3 GC for the records of one key. A
+// tombstone or anti anchor may still extinguish the key in older partitions,
+// so only a complete merge drops it; the key's records in P_N were written
+// later and come first anyway.
 func (w *partWriter) uniqueGC() {
 	anchored := false
 	for i := range w.recs {
 		r := &w.recs[i].rec
-		switch {
-		case anchored, r.GCMarked(), w.t.mgr.StatusOf(r.TS) == txn.Aborted:
-			w.recs[i].drop = true
-		case w.committedBelow(r):
-			anchored = true
-			w.recs[i].drop = w.complete && !r.Matter()
+		w.recs[i].drop = w.t.uniqueDrop(r, w.horizon, &anchored) || anchored && w.complete && !r.Matter()
+	}
+}
+
+// dropSupersededLocked is phase 2 of a unique tree, run by the insert of k
+// under mu: the key's older records, which follow k in P_N, go by uniqueDrop,
+// so a key overwritten with no old snapshot open keeps its new record and
+// the anchor. Readers need no record past the anchor, and one parked on a
+// removed record walks on from it, as in sweepPNLocked.
+func (t *Tree) dropSupersededLocked(v *treeView, k pnKey) {
+	n, dropped, anchored, horizon := v.pn.Bytes(), 0, false, t.mgr.Horizon()
+	for it := v.pn.Seek(pnKey{key: k.key, seq: k.seq - 1}); it.Valid() && bytes.Equal(it.Key().key, k.key); it.Next() {
+		if t.uniqueDrop(it.Value(), horizon, &anchored) {
+			v.pn.Delete(it.Key())
+			dropped++
 		}
+	}
+	if dropped > 0 {
+		t.sweptLocked(v, n-v.pn.Bytes(), dropped)
 	}
 }
