@@ -196,6 +196,10 @@ seams:
 	if [ -n "$$bad" ]; then echo "seams: a bug-planting hook is back (planted bugs live in mutants.list):"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -nE 'CommitDurable\(|maybeAutoCheckpoint' internal/db/recovery.go); \
 	if [ -n "$$bad" ]; then echo "seams: recovery flushes per transaction again (it commits in memory; its closing checkpoint is its one write):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE 'MarkGC|GCMarked\(|SweepPN|sweepPNLocked|pnGarbage|flagGC' --include='*.go' .); \
+	if [ -n "$$bad" ]; then echo "seams: MV-PBT's GC phases 1-2 are back (a read marks nothing; P_N loses records at a unique tree's insert and at eviction):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -oE '^- PR [0-9]+:' CHANGES.md | sort | uniq -d); \
+	if [ -n "$$bad" ]; then echo "seams: CHANGES.md holds an entry twice:"; echo "$$bad"; exit 1; fi
 	@echo "seams: ok"
 
 # Gates that compare wall-clock measurements between two runs: the net

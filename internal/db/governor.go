@@ -183,12 +183,11 @@ func (e *Engine) reclaimSpace() error {
 	return errs
 }
 
-// reclaimTree is one MV-PBT's share of a reclamation pass: garbage in P_N is
-// swept and a due partition merge runs — due by the predicate eviction asks
-// too (mvpbt's mergeStart), so a hot index whose old versions or deletes a
-// reader pinned through its evictions merges here.
+// reclaimTree is one MV-PBT's share of a reclamation pass: a due partition
+// merge runs — due by the predicate eviction asks too (mvpbt's mergeStart),
+// so a hot index whose old versions or deletes a reader pinned through its
+// evictions merges here. P_N's garbage is eviction's to drop.
 func reclaimTree(t *mvpbt.Tree, name string) error {
-	t.SweepPN()
 	if t.NeedsMerge() {
 		if err := t.MergePartitions(); err != nil {
 			return fmt.Errorf("db: reclaim: merging %s: %w", name, err)

@@ -14,7 +14,7 @@ import (
 	"mvpbt/internal/storage"
 )
 
-// Maintenance at engine level. Eviction, merge and P_N sweep all run inline
+// Maintenance at engine level. Eviction, merge and P_N's GC all run inline
 // on the writer that trips the threshold, so what these tests hold is what a
 // second writer and a reader see meanwhile, and where a maintenance error
 // comes out.

@@ -17,10 +17,10 @@ import (
 // TestConcurrentReadersWriters is the race-focused stress test for the
 // lock-free read path: parallel Lookup/Scan/ScanAllMatter/DumpKey readers
 // run against concurrent writers (inserts, tombstones, key updates) while
-// forced evictions and merges republish the partition snapshot and the
-// cooperative GC marks records. Run under -race this exercises the SWMR
-// skiplist, the view publication protocol, the segment-reclamation grace
-// period, the recycling of evicted P_Ns' memory, and the GC-mark atomics.
+// forced evictions and merges republish the partition snapshot. Run under
+// -race this exercises the SWMR skiplist, the view publication protocol,
+// the segment-reclamation grace period and the recycling of evicted P_Ns'
+// memory.
 // Correctness check: a reader's snapshot must never see more than one
 // visible version per logical tuple, every value read must carry its key's
 // id (a recycled buffer reused too early fails that, or -race), and every

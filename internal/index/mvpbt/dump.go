@@ -25,19 +25,16 @@ func (d RawEntry) String() string {
 	if d.Rec.OldRID.Valid() {
 		s += fmt.Sprintf(" old=%v", d.Rec.OldRID)
 	}
-	if d.Rec.GCMarked() {
-		s += " GC"
-	}
 	return s
 }
 
 // DumpRange streams every index record with lo <= key < hi (hi nil =
 // +inf), source by source in processing order (PN, then the partitions
 // newest to oldest), each source in key order, a key's records
-// last-written first. No visibility filtering and no GC
-// side effects; fn returning false stops. Safe to run concurrently with
-// readers and writers — it sees the view current at call time. A partition
-// it cannot read or decode is an error, not a shorter dump.
+// last-written first. No visibility filtering; fn returning false stops.
+// Safe to run concurrently with readers and writers — it sees the view
+// current at call time. A partition it cannot read or decode is an error,
+// not a shorter dump.
 func (t *Tree) DumpRange(lo, hi []byte, fn func(RawEntry) bool) error {
 	return t.dump(lo, hi, false, fn)
 }
@@ -62,6 +59,6 @@ func (t *Tree) dump(lo, hi []byte, point bool, fn func(RawEntry) bool) error {
 		if src != at {
 			at, name = src, src.String()
 		}
-		return fn(RawEntry{Source: name, Key: key, Rec: rec.snapshot()})
+		return fn(RawEntry{Source: name, Key: key, Rec: *rec})
 	})
 }

@@ -13,33 +13,12 @@ import (
 	"mvpbt/internal/util"
 )
 
-// sweepPNLocked is garbage-collection phase 2 (§4.6) of a non-unique tree:
-// remove the records that scans flagged (phase 1) from the main-memory
-// partition, reclaiming space before the next insert. Called with t.mu held
-// when the garbage ratio crosses the threshold. Deleting from the SWMR
-// skiplist is safe against concurrent readers; a reader parked on a removed
-// node continues into the surviving suffix. (A unique tree collects at
-// insert instead: dropSupersededLocked.)
-func (t *Tree) sweepPNLocked(v *treeView) {
-	var victims []pnKey
-	for it := v.pn.Min(); it.Valid(); it.Next() {
-		if it.Value().GCMarked() {
-			victims = append(victims, it.Key())
-		}
-	}
-	n := v.pn.Bytes()
-	for _, k := range victims {
-		v.pn.Delete(k)
-	}
-	t.sweptLocked(v, n-v.pn.Bytes(), len(victims))
-	t.pnGarbage.Store(0)
-}
-
-// sweptLocked accounts the n bytes of records a phase-2 pass just removed
-// from v's P_N: they go back to the partition buffer. Removed records stay in
-// P_N's slabs until an eviction recycles them; once they outweigh both the
-// live ones and pnCopyFloor, the live are copied to fresh slabs under a new
-// view and the old P_N left to the Go GC. Called with t.mu held.
+// sweptLocked accounts the n bytes of records a unique tree's insert just
+// removed from v's P_N (dropSupersededLocked): they go back to the partition
+// buffer. Removed records stay in P_N's slabs until an eviction recycles
+// them; once they outweigh both the live ones and pnCopyFloor, the live are
+// copied to fresh slabs under a new view and the old P_N left to the Go GC.
+// Called with t.mu held.
 func (t *Tree) sweptLocked(v *treeView, n, records int) {
 	t.pbuf.Add(-n)
 	t.stats.gcSweptPN.Add(int64(records))
@@ -47,7 +26,7 @@ func (t *Tree) sweptLocked(v *treeView, n, records int) {
 		nv := &treeView{pn: newPN(), parts: v.parts, gc: v.gc}
 		t.recs, t.kvs, t.pnSwept = util.Slab[Record]{}, util.Slab[byte]{}, 0
 		for it := v.pn.Min(); it.Valid(); it.Next() {
-			nv.pn.Set(t.carve(it.Key(), it.Value().snapshot()))
+			nv.pn.Set(t.carve(it.Key(), *it.Value()))
 		}
 		t.view.Store(nv)
 	}
@@ -57,31 +36,21 @@ func (t *Tree) sweptLocked(v *treeView, n, records int) {
 // warehouse's) from being copied out every few inserts.
 const pnCopyFloor = 64 << 10
 
-// SweepPN runs garbage-collection phase 2 on demand (the space
-// governor's reclaim pass; inserts sweep by themselves once the PN garbage
-// ratio trips).
-func (t *Tree) SweepPN() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepPNLocked(t.view.Load())
-	return nil
-}
-
 // EvictPN implements part.Owner — the partition eviction of Algorithm 4,
 // run inline by the writer whose insert filled the partition buffer. Under
 // bgMu and mu, P_N's version chains are analysed and obsolete records
 // garbage collected (phase 3 of §4.6): a record superseded below the GC
 // horizon by a committed successor of the same key is invisible to every
 // present and future snapshot and is dropped, with its anti-matter
-// inherited by the successor; aborted and flagged records are dropped;
-// anti and tombstone records whose whole chain lived in P_N vanish
-// entirely. The survivors are dense-packed into leaf pages with prefix
-// truncation, internal levels are built bottom-up, all pages are written
-// out strictly sequentially, and bloom/prefix-bloom filters are computed
-// from the same pass. One view then swaps P_N for a fresh one and the new
-// partition, so a reader sees the records either in P_N (old view) or in
-// the partition (new view) — never both or neither. A failed build
-// publishes nothing: P_N stays, and the next eviction retries it whole.
+// inherited by the successor; aborted records are dropped; anti and
+// tombstone records whose whole chain lived in P_N vanish entirely. The
+// survivors are dense-packed into leaf pages with prefix truncation,
+// internal levels are built bottom-up, all pages are written out strictly
+// sequentially, and bloom/prefix-bloom filters are computed from the same
+// pass. One view then swaps P_N for a fresh one and the new partition, so a
+// reader sees the records either in P_N (old view) or in the partition (new
+// view) — never both or neither. A failed build publishes nothing: P_N
+// stays, and the next eviction retries it whole.
 //
 // Readers never take mu and proceed throughout. Under bgMu alone, the
 // eviction then waits them out to recycle P_N's memory, and a due merge
@@ -107,13 +76,12 @@ func (t *Tree) EvictPN() error {
 		}
 		t.view.Store(nv)
 		t.pbuf.Add(-v.pn.Bytes())
-		t.pnGarbage.Store(0)
 		evicted, recs, kvs := v.pn, t.recs, t.kvs
 		t.recs, t.kvs, t.pnSwept = util.Slab[Record]{}, util.Slab[byte]{}, 0
 		t.mu.Unlock()
 		t.waitReaders() // then the evicted P_N's memory is the current P_N's
 		t.mu.Lock()
-		v = t.view.Load() // nv, or a sweep's copy of it
+		v = t.view.Load() // nv, or a copy-out of it (sweptLocked)
 		v.pn.Recycle(evicted)
 		t.recs.Recycle(&recs)
 		t.kvs.Recycle(&kvs)
@@ -127,11 +95,10 @@ func (t *Tree) EvictPN() error {
 }
 
 // buildPartition runs GC phase 3 over P_N and serializes the survivors into
-// a partition. Called with bgMu and mu held: src receives no inserts, record
-// flags are read via snapshot copies, and txn.Manager, the segment builder
-// and the stats counters are all thread-safe. Returns a nil segment when GC
-// leaves nothing to persist, and the partition's counts for the merge
-// triggers.
+// a partition. Called with bgMu and mu held: src receives no inserts, readers
+// never write a record, and txn.Manager, the segment builder and the stats
+// counters are all thread-safe. Returns a nil segment when GC leaves nothing
+// to persist, and the partition's counts for the merge triggers.
 func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
 	w := t.newPartWriter(no, false)
 	defer w.b.Abort()
@@ -139,7 +106,7 @@ func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part
 		// Value-copy every record: P_N stays readable through the current
 		// view while GC rewrites anti-matter chains (OldRID inheritance),
 		// so the mutation must happen on private copies.
-		if err := w.add(it.Key().key, it.Value().snapshot(), nil); err != nil {
+		if err := w.add(it.Key().key, *it.Value(), nil); err != nil {
 			return nil, partGC{}, err
 		}
 	}
@@ -316,9 +283,9 @@ func (w *partWriter) committedBelow(r *Record) bool {
 func (w *partWriter) chainGC() {
 	recs, mgr := w.recs, w.t.mgr
 
-	// Aborted and phase-1-flagged records are dropped outright.
+	// Aborted records are dropped outright.
 	for i := range recs {
-		if r := &recs[i].rec; r.GCMarked() || mgr.StatusOf(r.TS) == txn.Aborted {
+		if mgr.StatusOf(recs[i].rec.TS) == txn.Aborted {
 			recs[i].drop = true
 		}
 	}
@@ -370,8 +337,8 @@ func (w *partWriter) chainGC() {
 			// The collapsing record inherits the predecessor's anti-matter
 			// so that suppression of still older (possibly on-disk)
 			// records is preserved. Inherit even when the predecessor is
-			// already dropped (phase-1 flagged): breaking here would leave
-			// an OldRID pointing at a freed — and possibly reused — slot.
+			// already dropped: breaking here would leave an OldRID pointing
+			// at a freed — and possibly reused — slot.
 			recs[j].drop = true
 			r.OldRID = pred.OldRID
 			recs[i].body = nil // rewritten: the encoding as read is stale

@@ -80,10 +80,11 @@ type FilterStats struct {
 type Stats struct {
 	Bloom  FilterStats
 	Prefix FilterStats
-	// GCMarked counts records flagged by scans (phase 1).
+	// GCMarked is always 0: readers mark nothing (DESIGN.md §7). It goes in
+	// a benchmark-scoped PR, since benchmarks/sut.go reads it.
 	GCMarked int64
-	// GCSweptPN counts records removed from PN by phase 2: a sweep of the
-	// records scans flagged, or in a unique tree the key's next insert.
+	// GCSweptPN counts records a unique tree's insert removed from PN: the
+	// key's versions no snapshot can see any more.
 	GCSweptPN int64
 	// GCEvict counts records removed during partition eviction (phase 3).
 	GCEvict int64
@@ -119,7 +120,6 @@ func (f *filterCounters) snapshot() FilterStats {
 type statCounters struct {
 	bloom     filterCounters
 	prefix    filterCounters
-	gcMarked  atomic.Int64
 	gcSweptPN atomic.Int64
 	gcEvict   atomic.Int64
 	evictions atomic.Int64
@@ -180,11 +180,10 @@ type Tree struct {
 	nextNo int    // guarded by mu
 	// P_N's records and key+value copies (its skiplist has its nodes), and the
 	// recordSize sum of those swept since they came, all guarded by mu.
-	recs      util.Slab[Record]
-	kvs       util.Slab[byte]
-	pnSwept   int
-	pnGarbage atomic.Int64
-	stats     statCounters
+	recs    util.Slab[Record]
+	kvs     util.Slab[byte]
+	pnSwept int
+	stats   statCounters
 
 	// Test-only hook (see hooks.go); nil in production.
 	mergeHook atomic.Pointer[func()]
@@ -271,7 +270,6 @@ func (t *Tree) Stats() Stats {
 	return Stats{
 		Bloom:     t.stats.bloom.snapshot(),
 		Prefix:    t.stats.prefix.snapshot(),
-		GCMarked:  t.stats.gcMarked.Load(),
 		GCSweptPN: t.stats.gcSweptPN.Load(),
 		GCEvict:   t.stats.gcEvict.Load(),
 		Evictions: t.stats.evictions.Load(),
@@ -294,10 +292,6 @@ func (t *Tree) pnPut(key []byte, rec Record) error {
 	t.pbuf.Add(v.pn.Bytes() - n)
 	if t.opts.Unique && !t.opts.DisableGC {
 		t.dropSupersededLocked(v, k)
-	} else if !t.opts.DisableGC {
-		if g := t.pnGarbage.Load(); g > 64 && g > int64(v.pn.Len()/8) {
-			t.sweepPNLocked(v)
-		}
 	}
 	t.mu.Unlock()
 	return t.pbuf.MaybeEvict()
@@ -373,8 +367,6 @@ func (t *Tree) newBuilder(no int) *part.Builder {
 // key's anti-matter suppress another key's matter.
 type visCheck struct {
 	t       *txn.Tx
-	tree    *Tree
-	horizon txn.TxID
 	anti    map[storage.RecordID]txn.TxID
 	key     []byte
 	haveKey bool
@@ -420,7 +412,7 @@ var readPool = sync.Pool{
 func (t *Tree) newReadState(tx *txn.Tx) *readState {
 	rs := readPool.Get().(*readState)
 	v := &rs.vis
-	v.t, v.tree, v.horizon = tx, t, t.mgr.Horizon()
+	v.t = tx
 	v.haveKey = false
 	v.key = v.key[:0]
 	if len(v.anti) > 0 {
@@ -436,7 +428,7 @@ func (t *Tree) newReadState(tx *txn.Tx) *readState {
 // the iterators is also where the lifetime of every Entry.Key and Entry.Val
 // handed to the caller's callback ends (see index.Entry).
 func (rs *readState) release() {
-	rs.vis.t, rs.vis.tree = nil, nil
+	rs.vis.t = nil
 	rs.it.Close()
 	rs.rec = Record{}
 	for i := range rs.srcs {
@@ -465,24 +457,16 @@ func (rs *readState) addSource() *scanSource {
 	return s
 }
 
-// check classifies one record. inPN enables cooperative GC phase-1 marking
-// (only main-memory records are mutable). It returns true when the record
-// is VISIBLE to the calling transaction.
+// check classifies one record: true when it is VISIBLE to the calling
+// transaction. It writes nothing but the map; a dead record waits for
+// eviction's GC (phase 3, §4.6).
 //
 // Deviation from the paper's Algorithm 3 as printed: anti-matter is
 // registered for every committed snapshot-visible record BEFORE the
 // suppression test, which makes suppression transitive across chains of
 // three and more versions (see DESIGN.md "Read path").
-func (v *visCheck) check(rec *Record, inPN bool) bool {
-	if rec.GCMarked() {
-		return false
-	}
+func (v *visCheck) check(rec *Record) bool {
 	if !v.t.Sees(rec.TS) {
-		// Aborted records are garbage regardless of snapshots.
-		if inPN && !v.tree.opts.DisableGC && rec.TS < v.horizon &&
-			v.tree.mgr.StatusOf(rec.TS) == txn.Aborted {
-			v.mark(rec)
-		}
 		return false
 	}
 	// The suppression test runs BEFORE this record's own anti-matter is
@@ -493,16 +477,7 @@ func (v *visCheck) check(rec *Record, inPN bool) bool {
 	visible := true
 	if rec.Matter() {
 		if ts, ok := v.anti[rec.Ref.RID]; ok && rec.TS <= ts {
-			// Superseded. If the suppressor is below the horizon the record
-			// is invisible to every present and future snapshot: GC victim
-			// (phase 1, §4.6) — but ONLY pure-matter records may be marked.
-			// Records carrying anti-matter (replacements) are still required
-			// to invalidate their predecessors in older partitions; they are
-			// purged with inheritance during partition eviction (phase 3).
-			if inPN && !v.tree.opts.DisableGC && ts < v.horizon && !rec.AntiMatter() {
-				v.mark(rec)
-			}
-			visible = false
+			visible = false // superseded
 		}
 	}
 	if rec.AntiMatter() {
@@ -516,18 +491,9 @@ func (v *visCheck) check(rec *Record, inPN bool) bool {
 	return visible
 }
 
-// mark is GC phase 1. Readers run concurrently, so the flag is a CAS: only
-// the reader that actually flips it accounts the record as new garbage.
-func (v *visCheck) mark(rec *Record) {
-	if rec.MarkGC() {
-		v.tree.pnGarbage.Add(1)
-		v.tree.stats.gcMarked.Add(1)
-	}
-}
-
 // walkSrc names the source a walk is in: P_N or a persisted partition.
 type walkSrc struct {
-	inPN bool // P_N: its records are shared and may be GC-marked
+	inPN bool // P_N, not a partition
 	n    int  // the partition number when !inPN
 }
 
@@ -659,8 +625,8 @@ func (t *Tree) Lookup(tx *txn.Tx, key []byte, fn func(index.Entry) bool) error {
 	rs := t.newReadState(tx)
 	defer rs.release()
 	vis := &rs.vis
-	return t.walk(tx, rs, key, nil, true, filterLookup, func(src walkSrc, _ []byte, rec *Record) bool {
-		return !vis.check(rec, src.inPN) || fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val})
+	return t.walk(tx, rs, key, nil, true, filterLookup, func(_ walkSrc, _ []byte, rec *Record) bool {
+		return !vis.check(rec) || fn(index.Entry{Key: key, Ref: rec.Ref, Val: rec.Val})
 	})
 }
 
@@ -764,7 +730,7 @@ func (t *Tree) ScanLimit(tx *txn.Tx, lo, hi []byte, rows int, fn func(index.Entr
 		s := &rs.srcs[w]
 		rec := s.record()
 		vis.atKey(s.key)
-		if vis.check(rec, s.inPN) {
+		if vis.check(rec) {
 			if !fn(index.Entry{Key: s.key, Ref: rec.Ref, Val: rec.Val}) {
 				return nil
 			}

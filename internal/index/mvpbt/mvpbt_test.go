@@ -3,6 +3,7 @@ package mvpbt
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mvpbt/internal/buffer"
@@ -473,76 +474,74 @@ func TestTombstoneSuppressingOlderPartitionSurvivesGC(t *testing.T) {
 	}
 }
 
-func TestPhase1MarkingAndPhase2Sweep(t *testing.T) {
+// TestReadsWriteNothing: a non-unique tree's P_N holds aborted records and
+// records superseded below the horizon. Lookup, Scan and ScanAllMatter leave
+// its dump and its counters as they were: a read collects no garbage. The
+// eviction that follows drops exactly those records.
+func TestReadsWriteNothing(t *testing.T) {
 	e := newEnv(256, 1<<26)
 	tr := e.tree(Options{})
-	// Insert/delete/re-insert cycles: the superseded REGULAR records are
-	// pure matter and thus phase-1 markable (replacements are not — their
-	// anti-matter is still needed, §4.6).
-	cur := map[int]index.Ref{}
-	for round := 0; round < 40; round++ {
-		e.commit(func(tx *txn.Tx) {
-			for k := 0; k < 30; k++ {
-				key := []byte(fmt.Sprintf("t%02d", k))
-				if p, ok := cur[k]; ok {
-					tr.InsertTombstone(tx, key, p.RID)
-					delete(cur, k)
-				} else {
-					nr := e.ref()
-					tr.InsertRegular(tx, key, nr)
-					cur[k] = nr
-				}
-			}
-		})
-	}
-	// End on a live generation.
-	if len(cur) == 0 {
-		e.commit(func(tx *txn.Tx) {
-			for k := 0; k < 30; k++ {
-				nr := e.ref()
-				tr.InsertRegular(tx, []byte(fmt.Sprintf("t%02d", k)), nr)
-				cur[k] = nr
-			}
-		})
-	}
-	r := e.mgr.Begin()
-	tr.Scan(r, []byte("t00"), []byte("t99"), func(index.Entry) bool { return true })
-	e.mgr.Commit(r)
-	st := tr.Stats()
-	if st.GCMarked == 0 {
-		t.Fatal("phase 1 marked nothing on a heavily versioned scan")
-	}
-	// More modifications trigger the phase-2 sweep.
-	before := tr.PNBytes()
+	a0, a1, b0, b1, b2, d0 := e.ref(), e.ref(), e.ref(), e.ref(), e.ref(), e.ref()
 	e.commit(func(tx *txn.Tx) {
-		for k := 0; k < 30; k++ {
-			key := []byte(fmt.Sprintf("t%02d", k))
-			nr := e.ref()
-			tr.InsertReplacement(tx, key, nr, cur[k].RID)
-			cur[k] = nr
-		}
+		tr.InsertRegular(tx, []byte("a"), a0)
+		tr.InsertRegular(tx, []byte("b"), b0)
+		tr.InsertRegular(tx, []byte("d"), d0)
 	})
-	if st2 := tr.Stats(); st2.GCSweptPN == 0 {
-		t.Fatal("phase 2 swept nothing")
-	}
-	if tr.PNBytes() >= before {
-		t.Fatalf("sweep did not shrink PN: %d -> %d", before, tr.PNBytes())
-	}
-	// Correctness preserved.
-	r2 := e.mgr.Begin()
-	defer e.mgr.Commit(r2)
-	for k := 0; k < 30; k++ {
-		key := []byte(fmt.Sprintf("t%02d", k))
-		if rids := lookupRIDs(t, tr, r2, key); len(rids) != 1 || rids[0] != cur[k].RID {
-			t.Fatalf("tuple %d wrong after sweep: %v want %v", k, rids, cur[k].RID)
+	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("a"), a1, a0.RID) })
+	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("b"), b1, b0.RID) })
+	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("b"), b2, b1.RID) })
+	tx := e.mgr.Begin()
+	tr.InsertReplacement(tx, []byte("a"), e.ref(), a1.RID)
+	tr.InsertRegular(tx, []byte("c"), e.ref())
+	e.mgr.Abort(tx)
+	state := func() string {
+		var out []string
+		if err := tr.DumpRange(nil, nil, func(en RawEntry) bool {
+			out = append(out, en.String())
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
+		return fmt.Sprintf("%+v\n%s", tr.Stats(), strings.Join(out, "\n"))
+	}
+	before := state()
+	r := e.mgr.Begin()
+	for key, want := range map[string][]storage.RecordID{"a": {a1.RID}, "b": {b2.RID}, "c": nil, "d": {d0.RID}} {
+		if rids := lookupRIDs(t, tr, r, []byte(key)); fmt.Sprint(rids) != fmt.Sprint(want) {
+			t.Fatalf("key %s reads %v, want %v", key, rids, want)
+		}
+	}
+	n := 0
+	all := func(index.Entry) bool { n++; return true }
+	if err := tr.Scan(r, nil, nil, all); err != nil || n != 3 {
+		t.Fatalf("the scan read %d entries (%v), want 3", n, err)
+	}
+	e.mgr.Commit(r)
+	if err := tr.ScanAllMatter(nil, nil, all); err != nil {
+		t.Fatal(err)
+	}
+	if after := state(); after != before {
+		t.Fatalf("the reads changed the tree:\n%s\nthen\n%s", before, after)
+	}
+	if err := tr.EvictPN(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.GCEvict != 5 || st.GCSweptPN != 0 {
+		t.Fatalf("eviction dropped %d records and P_N lost %d, want 5 (a0, b0, b1, both aborted) and 0", st.GCEvict, st.GCSweptPN)
+	}
+	var kept []index.Ref
+	if err := tr.ScanAllMatter(nil, nil, func(en index.Entry) bool { kept = append(kept, en.Ref); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(kept) != fmt.Sprint([]index.Ref{a1, b2, d0}) {
+		t.Fatalf("the partition holds %v, want a1, b2, d0", kept)
 	}
 }
 
 func TestPhase1NeverMarksAntiMatterCarriers(t *testing.T) {
 	// A replacement record superseded below the horizon still carries the
-	// anti-matter that extinguishes an on-disk predecessor; phase 1 must
-	// leave it alone or the predecessor would resurrect (§4.6).
+	// anti-matter that extinguishes an on-disk predecessor; no read may drop
+	// it, or the predecessor would resurrect (§4.6).
 	e := newEnv(256, 1<<26)
 	tr := e.tree(Options{})
 	v0, v1, v2 := e.ref(), e.ref(), e.ref()
@@ -550,8 +549,7 @@ func TestPhase1NeverMarksAntiMatterCarriers(t *testing.T) {
 	tr.EvictPN() // regular on disk
 	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("t"), v1, v0.RID) })
 	e.commit(func(tx *txn.Tx) { tr.InsertReplacement(tx, []byte("t"), v2, v1.RID) })
-	// Scan marks; inserts trigger sweeps. The v1 replacement is suppressed
-	// by v2 but must survive in PN.
+	// The v1 replacement is suppressed by v2 but must survive the scans.
 	for i := 0; i < 5; i++ {
 		r := e.mgr.Begin()
 		tr.Scan(r, []byte("s"), []byte("u"), func(index.Entry) bool { return true })
@@ -621,8 +619,9 @@ func TestPartitionBufferDrivesEviction(t *testing.T) {
 }
 
 // TestPartitionBufferTotalIsPNBytes: the buffer's running total is the sum
-// of its trees' PNBytes after every kind of change — inserts, phase-2
-// sweeps, explicit evictions and the evictions the buffer runs itself.
+// of its trees' PNBytes after every kind of change — inserts, a unique
+// tree's drops at insert, explicit evictions and the evictions the buffer
+// runs itself.
 func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 	e := newEnv(1024, 32<<10)
 	trees := []*Tree{e.tree(Options{Name: "a"}), e.tree(Options{Name: "b", Unique: true})}
@@ -641,22 +640,17 @@ func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 		e.commit(func(tx *txn.Tx) {
 			for k := range refs {
 				key, ref := []byte(fmt.Sprintf("k%02d", k)), e.ref()
-				if round%2 == 0 { // deleted and inserted again: phase 1 marks the old
+				if round%2 == 0 { // deleted and inserted again
 					trees[0].InsertRegular(tx, key, ref)
 				} else {
 					trees[0].InsertTombstone(tx, key, refs[k].RID)
 				}
-				// Distinct keys: a unique tree's overwrites leave P_N at insert.
-				trees[1].InsertRegularVal(tx, fmt.Appendf(nil, "%s-%02d", key, round), ref, []byte("value"))
+				// Overwritten keys: the unique tree drops the older versions.
+				trees[1].InsertRegularVal(tx, key, ref, bytes.Repeat([]byte{'v'}, 100))
 				refs[k] = ref
 			}
 		})
 		check(fmt.Sprintf("round %d", round))
-		if round%3 == 0 { // phase 1 marks what the next inserts sweep
-			r := e.mgr.Begin()
-			trees[0].Scan(r, nil, nil, func(index.Entry) bool { return true })
-			e.mgr.Commit(r)
-		}
 		if round%7 == 0 {
 			if err := trees[round%2].EvictPN(); err != nil {
 				t.Fatal(err)
@@ -664,8 +658,8 @@ func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 			check(fmt.Sprintf("eviction in round %d", round))
 		}
 	}
-	if trees[0].Stats().GCSweptPN == 0 || e.pbuf.Evictions() == 0 {
-		t.Fatalf("swept %d, evicted %d: the history exercised too little", trees[0].Stats().GCSweptPN, e.pbuf.Evictions())
+	if trees[1].Stats().GCSweptPN == 0 || e.pbuf.Evictions() == 0 {
+		t.Fatalf("swept %d, evicted %d: the history exercised too little", trees[1].Stats().GCSweptPN, e.pbuf.Evictions())
 	}
 	for _, tr := range trees {
 		if err := tr.EvictPN(); err != nil {
@@ -678,32 +672,31 @@ func TestPartitionBufferTotalIsPNBytes(t *testing.T) {
 	}
 }
 
-// codecRecords is every record shape the codec has: each type, marked and
-// not, with and without an anti-matter RID; matter records carry a value.
+// codecRecords is every record shape the codec has: each type, with and
+// without an anti-matter RID; matter records carry a value.
 func codecRecords() []Record {
 	var out []Record
 	for _, typ := range []RecType{Regular, Replacement, Anti, Tombstone} {
-		for _, gc := range []bool{false, true} {
-			for _, old := range []storage.RecordID{{}, {Page: storage.NewPageID(7, 99), Slot: 3}} {
-				r := Record{Type: typ, TS: 123456, OldRID: old}
-				if gc {
-					r.MarkGC()
-				}
-				if r.Matter() {
-					r.Ref = index.Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 5), Slot: 9}, VID: 42}
-					r.Val = []byte("inline-value")
-				}
-				out = append(out, r)
+		for _, old := range []storage.RecordID{{}, {Page: storage.NewPageID(7, 99), Slot: 3}} {
+			r := Record{Type: typ, TS: 123456, OldRID: old}
+			if r.Matter() {
+				r.Ref = index.Ref{RID: storage.RecordID{Page: storage.NewPageID(2, 5), Slot: 9}, VID: 42}
+				r.Val = []byte("inline-value")
 			}
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
+// retiredFlagGC is the flag bit that once marked a record as garbage. Bodies
+// written then still carry it; decoding ignores it.
+const retiredFlagGC = 1 << 2
+
 // TestRecordCodecRoundTrip: an encoded record decodes to itself and is
-// recordLen bytes long, and — bodies are read where they lie in a page
-// image — every truncation of it, and a value length rewritten to run past
-// its end, is an error.
+// recordLen bytes long, also with the retired garbage bit set, and — bodies
+// are read where they lie in a page image — every truncation of it, and a
+// value length rewritten to run past its end, is an error.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, r := range codecRecords() {
 		enc := encodeRecord(nil, &r)
@@ -714,9 +707,15 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != r.Type || got.GCMarked() != r.GCMarked() || got.TS != r.TS ||
+		if got.Type != r.Type || got.TS != r.TS ||
 			got.Ref != r.Ref || got.OldRID != r.OldRID || !bytes.Equal(got.Val, r.Val) {
 			t.Fatalf("round trip: %+v != %+v", got, r)
+		}
+		old := bytes.Clone(enc)
+		old[0] |= retiredFlagGC
+		if got, err := decodeRecord(old); err != nil || got.Type != r.Type || got.TS != r.TS ||
+			got.Ref != r.Ref || got.OldRID != r.OldRID || !bytes.Equal(got.Val, r.Val) {
+			t.Fatalf("with the retired garbage bit set: %+v (%v) != %+v", got, err, r)
 		}
 		for cut := 0; cut < len(enc); cut++ {
 			if _, err := decodeRecord(enc[:cut]); err == nil {
@@ -739,6 +738,12 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range codecRecords() {
 		f.Add(encodeRecord(nil, &r))
+	}
+	// Bodies written while flag bit 2 marked garbage: the bit is unused now.
+	for _, r := range codecRecords() {
+		enc := encodeRecord(nil, &r)
+		enc[0] |= retiredFlagGC
+		f.Add(enc)
 	}
 	f.Add([]byte{byte(Regular) | flagVal, 1, 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {

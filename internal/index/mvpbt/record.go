@@ -9,7 +9,6 @@ package mvpbt
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"mvpbt/internal/index"
 	"mvpbt/internal/storage"
@@ -53,10 +52,6 @@ func (t RecType) String() string {
 // separately).
 type Record struct {
 	Type RecType
-	// gc marks the record as garbage (cooperative GC phase 1, §4.6).
-	// Accessed atomically via GCMarked/MarkGC: records living in PN are
-	// shared with lock-free readers, which mark them concurrently.
-	gc uint32
 	// TS is the logical timestamp of the creating transaction.
 	TS txn.TxID
 	// Ref is the matter: the reference of the tuple-version this record
@@ -72,31 +67,14 @@ type Record struct {
 	Val []byte
 }
 
-// GCMarked reports whether the record has been flagged as garbage.
-func (r *Record) GCMarked() bool { return atomic.LoadUint32(&r.gc) != 0 }
-
-// MarkGC flags the record as garbage, reporting whether this call was the
-// one that flipped the flag (so concurrent markers account it once).
-func (r *Record) MarkGC() bool { return atomic.CompareAndSwapUint32(&r.gc, 0, 1) }
-
-// snapshot returns a value copy that is safe to take while concurrent
-// readers may be marking the record.
-func (r *Record) snapshot() Record {
-	c := Record{Type: r.Type, TS: r.TS, Ref: r.Ref, OldRID: r.OldRID, Val: r.Val}
-	if r.GCMarked() {
-		c.gc = 1
-	}
-	return c
-}
-
 // Matter reports whether the record validates a tuple-version.
 func (r *Record) Matter() bool { return r.Type == Regular || r.Type == Replacement }
 
 // AntiMatter reports whether the record invalidates a predecessor.
 func (r *Record) AntiMatter() bool { return r.Type != Regular && r.OldRID.Valid() }
 
+// Flag bits after the type's two; bits 2 and 5–7 are unused.
 const (
-	flagGC     = 1 << 2
 	flagOldRID = 1 << 3
 	flagVal    = 1 << 4
 )
@@ -104,9 +82,6 @@ const (
 // encodeRecord appends the body encoding of r (without the key).
 func encodeRecord(dst []byte, r *Record) []byte {
 	flags := byte(r.Type)
-	if r.GCMarked() {
-		flags |= flagGC
-	}
 	if r.OldRID.Valid() {
 		flags |= flagOldRID
 	}
@@ -154,9 +129,6 @@ func decodeRecord(src []byte) (Record, error) {
 	var r Record
 	flags := src[0]
 	r.Type = RecType(flags & 3)
-	if flags&flagGC != 0 {
-		r.gc = 1
-	}
 	i := 1
 	ts, n := util.Uvarint(src[i:])
 	if n <= 0 {

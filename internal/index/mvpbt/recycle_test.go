@@ -146,14 +146,14 @@ func TestEvictionRecyclesPNMemory(t *testing.T) {
 	}
 }
 
-// TestSweptPNMemoryIsFreed: hot-key updates that abort, with scans that
-// mark them, keep P_N small by sweeps alone, so no eviction comes to recycle
+// TestSweptPNMemoryIsFreed: hot-key updates that abort keep a unique tree's
+// P_N small by the next insert's drop alone, so no eviction comes to recycle
 // its memory. The swept records' memory is freed all the same: across 80 000
 // updates of about 300 bytes each, the live heap stays flat, and the
 // committed versions read back.
 func TestSweptPNMemoryIsFreed(t *testing.T) {
 	e := newEnv(256, 64<<20)
-	tr := e.tree(Options{})
+	tr := e.tree(Options{Unique: true})
 	key := func(k int) []byte { return []byte{'h', byte('a' + k)} }
 	update := func(tx *txn.Tx, b byte) {
 		for k := 0; k < 16; k++ {
@@ -205,13 +205,13 @@ func TestSweptPNMemoryIsFreed(t *testing.T) {
 	}
 }
 
-// TestSweepCopiesPNUnderReaders: a writer's aborted updates, marked by the
-// readers' scans, are swept and P_N copied out again and again while the
-// readers scan it. Every value they read is its key's committed one, and
-// every key reads once.
+// TestSweepCopiesPNUnderReaders: a writer's aborted updates to a unique
+// tree's hot keys are dropped by its next inserts, and P_N copied out again
+// and again while readers scan it. Every value they read is its key's
+// committed one, and every key reads once.
 func TestSweepCopiesPNUnderReaders(t *testing.T) {
 	e := newEnv(256, 64<<20)
-	tr := e.tree(Options{})
+	tr := e.tree(Options{Unique: true})
 	key := func(k int) []byte { return []byte(fmt.Sprintf("h%02d", k)) }
 	val := func(k []byte, b byte) []byte { return append(bytes.Repeat([]byte{b}, 100), k...) }
 	update := func(tx *txn.Tx, b byte) {

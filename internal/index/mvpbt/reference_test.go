@@ -56,7 +56,6 @@ func (t *Tree) refBuildPN() error {
 	}
 	t.view.Store(&treeView{pn: newPN(), parts: parts, gc: gcs})
 	t.pbuf.Add(-v.pn.Bytes())
-	t.pnGarbage.Store(0)
 	return nil
 }
 
@@ -111,9 +110,9 @@ func (t *Tree) refDead(kvs []part.KV, complete bool) partGC {
 
 // refBuildPartition runs GC phase 3 over P_N and serializes the survivors
 // into a partition. Called with bgMu and mu held: the source receives no
-// inserts, record flags are read via snapshot copies, and txn.Manager, the
-// segment builder and the stats counters are all thread-safe. Returns a nil
-// segment when GC leaves nothing to persist, and the partition's refDead.
+// inserts, readers never write a record, and txn.Manager, the segment
+// builder and the stats counters are all thread-safe. Returns a nil segment
+// when GC leaves nothing to persist, and the partition's refDead.
 func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
 	// Value-copy every record: P_N stays readable through the current view
 	// while GC below rewrites anti-matter chains (OldRID inheritance), so
@@ -121,7 +120,7 @@ func (t *Tree) refBuildPartition(src *skiplist.List[pnKey, *Record], no int) (*p
 	entries := make([]refEntry, 0, src.Len())
 	recs := make([]Record, 0, src.Len())
 	for it := src.Min(); it.Valid(); it.Next() {
-		recs = append(recs, it.Value().snapshot())
+		recs = append(recs, *it.Value())
 		entries = append(entries, refEntry{key: it.Key(), rec: &recs[len(recs)-1]})
 	}
 	if !t.opts.DisableGC {
@@ -166,9 +165,9 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 		return rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed
 	}
 
-	// Aborted and phase-1-flagged records are dropped outright.
+	// Aborted records are dropped outright.
 	for i, e := range entries {
-		if e.rec.GCMarked() || t.mgr.StatusOf(e.rec.TS) == txn.Aborted {
+		if t.mgr.StatusOf(e.rec.TS) == txn.Aborted {
 			drop[i] = true
 		}
 	}
@@ -224,7 +223,7 @@ func (t *Tree) refEvictGC(entries []refEntry) []refEntry {
 			// The collapsing record inherits the predecessor's anti-matter
 			// so that suppression of still older (possibly on-disk)
 			// records is preserved. Inherit even when the predecessor is
-			// already dropped (phase-1 flagged): breaking here would leave
+			// already dropped: breaking here would leave
 			// an OldRID pointing at a freed — and possibly reused — slot.
 			drop[j] = true
 			r.OldRID = pred.OldRID
@@ -277,7 +276,7 @@ func (t *Tree) refUniqueEvictGC(entries []refEntry, complete bool) []refEntry {
 		case anchored:
 			t.stats.gcEvict.Add(1)
 			continue
-		case rec.GCMarked() || t.mgr.StatusOf(rec.TS) == txn.Aborted:
+		case t.mgr.StatusOf(rec.TS) == txn.Aborted:
 			t.stats.gcEvict.Add(1)
 			continue
 		case rec.TS < horizon && t.mgr.StatusOf(rec.TS) == txn.Committed:
@@ -386,7 +385,7 @@ func (t *Tree) refMerge(from int) error {
 		drop := make([]bool, len(entries))
 		for i := range entries {
 			rec := &entries[i].rec
-			if rec.GCMarked() || t.mgr.StatusOf(rec.TS) == txn.Aborted {
+			if t.mgr.StatusOf(rec.TS) == txn.Aborted {
 				drop[i] = true
 			}
 		}

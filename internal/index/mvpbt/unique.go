@@ -22,10 +22,10 @@ import (
 
 // decides is the unique-index decision rule, for the point path (Lookup's
 // visitor, which stops the walk there) and the range path (uniqueScan)
-// alike: the first record of a key, in processing order, that is not
-// flagged garbage and whose transaction tx sees decides the key.
+// alike: the first record of a key, in processing order, whose transaction
+// tx sees decides the key.
 func decides(tx *txn.Tx, rec *Record) bool {
-	return !rec.GCMarked() && tx.Sees(rec.TS)
+	return tx.Sees(rec.TS)
 }
 
 // uniqueScan is the range-scan path for unique indexes: the merged stream
@@ -58,10 +58,10 @@ func (t *Tree) uniqueScan(tx *txn.Tx, rs *readState, hi []byte, fn func(index.En
 // uniqueDrop is the unique-tree GC rule (§4.6), fed one key's records in
 // processing order: keep every record down to and INCLUDING the first one
 // committed below horizon, the anchor — every reader decides there or before,
-// the order being the same for all — and drop the rest. Aborted and flagged
-// records are dropped anywhere. *anchored turns true at the anchor.
+// the order being the same for all — and drop the rest. Aborted records are
+// dropped anywhere. *anchored turns true at the anchor.
 func (t *Tree) uniqueDrop(r *Record, horizon txn.TxID, anchored *bool) bool {
-	if *anchored || r.GCMarked() {
+	if *anchored {
 		return true
 	}
 	st := t.mgr.StatusOf(r.TS)
@@ -81,11 +81,12 @@ func (w *partWriter) uniqueGC() {
 	}
 }
 
-// dropSupersededLocked is phase 2 of a unique tree, run by the insert of k
+// dropSupersededLocked is a unique tree's P_N GC, run by the insert of k
 // under mu: the key's older records, which follow k in P_N, go by uniqueDrop,
 // so a key overwritten with no old snapshot open keeps its new record and
-// the anchor. Readers need no record past the anchor, and one parked on a
-// removed record walks on from it, as in sweepPNLocked.
+// the anchor. Readers need no record past the anchor; deleting from the SWMR
+// skiplist is safe against them, and one parked on a removed record walks on
+// from it into the surviving suffix.
 func (t *Tree) dropSupersededLocked(v *treeView, k pnKey) {
 	n, dropped, anchored, horizon := v.pn.Bytes(), 0, false, t.mgr.Horizon()
 	for it := v.pn.Seek(pnKey{key: k.key, seq: k.seq - 1}); it.Valid() && bytes.Equal(it.Key().key, k.key); it.Next() {
