@@ -49,7 +49,7 @@ traffic:
 # mutants.list plants one bug in a copy of the checkout and runs the check
 # that must fail on it; a mutant that survives, does not compile or no longer
 # applies fails the target. `make mutants M=<name>` runs one entry. Nightly
-# in CI; every push runs the two visibility entries. ~70 s.
+# in CI; every push runs the two visibility entries and merge-ratio-fifth. ~95 s.
 mutants:
 	sh mutants.sh $(M)
 

@@ -20,6 +20,7 @@ import (
 
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 )
 
@@ -335,11 +336,11 @@ func (p *Pool) ReadPages(f *sfile.File, pageNo uint64, bufs [][]byte) error {
 
 // WritePage is the one checked write, for the frames and around them (a
 // partition under construction, see part.Builder): buf gets its checksum
-// stamped and goes to page pageNo of f with bounded tries, and the outcome
-// lands in IOStats.
-func (p *Pool) WritePage(f *sfile.File, pageNo uint64, buf []byte) error {
+// stamped and goes to page pageNo of f with bounded tries, booked to cause
+// c, and the outcome lands in IOStats.
+func (p *Pool) WritePage(f *sfile.File, pageNo uint64, buf []byte, c ssd.Cause) error {
 	page.StampChecksum(buf)
-	retries, err := storage.Retry(func() error { return f.WritePage(pageNo, buf) })
+	retries, err := storage.Retry(func() error { return f.WriteSectors(pageNo, 0, buf, c) })
 	p.writeRetries.Add(int64(retries))
 	if err != nil {
 		p.writeFailures.Add(1)
@@ -461,11 +462,15 @@ func (p *Pool) writeSealed() {
 	p.sealed = p.sealed[:0]
 }
 
-// writeBack writes a dirty frame's page to the device. If that fails even
-// after retries the frame stays dirty — the data is still only in memory —
-// and the fault is surfaced.
+// writeBack writes a dirty frame's page to the device, a table's for
+// ssd.CauseHeap. If that fails even after retries the frame stays dirty — the
+// data is still only in memory — and the fault is surfaced.
 func (p *Pool) writeBack(fr *Frame) error {
-	err := p.WritePage(fr.file, fr.pid.PageNo(), fr.data)
+	cause := ssd.CauseOther
+	if fr.file.Class() == sfile.ClassTable {
+		cause = ssd.CauseHeap
+	}
+	err := p.WritePage(fr.file, fr.pid.PageNo(), fr.data, cause)
 	fr.dirty = err != nil
 	return err
 }

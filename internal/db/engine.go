@@ -165,7 +165,7 @@ func NewEngine(cfg Config) *Engine {
 		inDoubt: map[txn.TxID]*preparedTx{},
 	}
 	if cfg.EnableWAL {
-		e.log = wal.NewLog(e.FM, "wal")
+		e.log = wal.NewLog(e.FM, "wal", ssd.CauseWAL, ssd.CauseCheckpoint)
 	}
 	if cfg.DeviceCapacityBytes > 0 {
 		e.FM.SetCapacity(cfg.DeviceCapacityBytes)

@@ -19,6 +19,7 @@ import (
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/skiplist"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
@@ -392,7 +393,7 @@ func (t *Tree) Flush() error {
 // one and runs every compaction then due. A failed build leaves the
 // memtable in place, for the next write to flush again. Requires mu.
 func (t *Tree) flushLocked() error {
-	b := part.NewBuilder(t.pool, t.file, t.runNo, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	b := part.NewBuilder(t.pool, t.file, t.runNo, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits, Cause: ssd.CauseEvict})
 	t.runNo++
 	var body []byte
 	for it := t.mem.Min(); it.Valid(); it.Next() {
@@ -495,7 +496,7 @@ func (t *Tree) mergeRuns(runs []*part.Segment, dropTombs bool, no int) (*part.Se
 		rds[i] = r.NewReader()
 		defer rds[i].Close()
 	}
-	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits})
+	b := part.NewBuilder(t.pool, t.file, no, part.BuildOptions{BloomBitsPerKey: t.opts.BloomBits, Cause: ssd.CauseMerge})
 	defer b.Abort()
 	var merge util.LoserTree[runMerge]
 	var minKey []byte

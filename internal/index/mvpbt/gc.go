@@ -8,6 +8,7 @@ import (
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/skiplist"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/util"
@@ -100,7 +101,7 @@ func (t *Tree) EvictPN() error {
 // counters are all thread-safe. Returns a nil segment when GC leaves nothing
 // to persist, and the partition's counts for the merge triggers.
 func (t *Tree) buildPartition(src *skiplist.List[pnKey, *Record], no int) (*part.Segment, partGC, error) {
-	w := t.newPartWriter(no, false)
+	w := t.newPartWriter(no, false, ssd.CauseEvict)
 	defer w.b.Abort()
 	for it := src.Min(); it.Valid(); it.Next() {
 		// Value-copy every record: P_N stays readable through the current
@@ -127,7 +128,7 @@ func (t *Tree) Load(tx *txn.Tx, rows iter.Seq2[[]byte, []byte], ref func() index
 	if v.pn.Len() > 0 || len(v.parts) > 0 {
 		return fmt.Errorf("mvpbt: Load into the non-empty tree %q", t.opts.Name)
 	}
-	w := t.newPartWriter(t.nextNo, true)
+	w := t.newPartWriter(t.nextNo, true, ssd.CauseLoad)
 	defer w.b.Abort()
 	for key, val := range rows {
 		if err := w.add(key, Record{Type: Regular, TS: tx.ID, Ref: ref(), Val: val}, nil); err != nil {
@@ -175,8 +176,8 @@ type groupRec struct {
 	drop bool
 }
 
-func (t *Tree) newPartWriter(no int, complete bool) *partWriter {
-	return &partWriter{t: t, b: t.newBuilder(no), horizon: t.mgr.Horizon(), complete: complete, minTS: ^txn.TxID(0)}
+func (t *Tree) newPartWriter(no int, complete bool, cause ssd.Cause) *partWriter {
+	return &partWriter{t: t, b: t.newBuilder(no, cause), horizon: t.mgr.Horizon(), complete: complete, minTS: ^txn.TxID(0)}
 }
 
 // add takes the next record in order; body is its encoding if the caller

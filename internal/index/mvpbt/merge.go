@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/util"
 )
 
@@ -31,9 +32,11 @@ func (t *Tree) MergePartitions() error {
 // at 1, past the oldest partition, while the newer ones are at least two and
 // hold less than a tierRatio-th of its bytes, else at 0. An evicted record is
 // then rewritten about tierRatio times before it joins the oldest, not once
-// per merge of every partition.
+// per merge of every partition. Per evicted byte the merges write about
+// T − ½ + B/(2TΔ) (B the oldest's bytes, Δ what arrives between two
+// triggers), least at T = √(B/2Δ), about 2.2 on the kv shards (DESIGN.md §7).
 func mergeFrom(parts []*part.Segment) int {
-	const tierRatio = 5
+	const tierRatio = 3
 	newer := 0
 	for _, p := range parts[1:] {
 		newer += p.SizeBytes
@@ -91,7 +94,7 @@ func (t *Tree) mergeBG(from int) error {
 	// read an extent at a time while the output is written a page at a
 	// time. On any error the output run is given back and the inputs stay
 	// installed.
-	w := t.newPartWriter(no, from == 0)
+	w := t.newPartWriter(no, from == 0, ssd.CauseMerge)
 	defer w.b.Abort()
 	srcs := make(mergeSources, 0, len(v.parts)-from)
 	for i := len(v.parts) - 1; i >= from; i-- {

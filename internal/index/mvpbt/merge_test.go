@@ -7,6 +7,8 @@ import (
 
 	"mvpbt/internal/index"
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/ssd"
+	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 )
 
@@ -351,14 +353,78 @@ func TestMergeFrom(t *testing.T) {
 	}{
 		{[]int{1000, 1}, 0},              // fewer than 3: merge both
 		{[]int{1000}, 0},                 //
-		{[]int{1000, 100, 99}, 1},        // 5 x 199 < 1000
-		{[]int{1000, 100, 100}, 0},       // exactly ratio 5
-		{[]int{1000, 101, 99}, 0},        // past it
-		{[]int{1000, 50, 50, 50, 49}, 1}, //
+		{[]int{1000, 166, 167}, 1},       // 3 x 333 < 1000
+		{[]int{1000, 167, 167}, 0},       // 3 x 334 past it
+		{[]int{1000, 100, 100}, 1},       // a fifth, well inside a third
+		{[]int{1000, 80, 80, 80, 93}, 1}, // 3 x 333
+		{[]int{1000, 80, 80, 80, 94}, 0}, //
 	} {
 		if got := mergeFrom(parts(c.sizes...)); got != c.want {
 			t.Errorf("mergeFrom(%v) = %d, want %d", c.sizes, got, c.want)
 		}
+	}
+}
+
+// TestCountMergeWriteCost holds the count trigger to its write-cost model
+// (DESIGN.md §7). A unique tree under MaxPartitions 10 takes rounds of
+// overwrites over a fixed key set, each round every key once in key order,
+// so that no key is written twice between two full merges. Then, with B the
+// oldest partition's bytes and e one eviction's: at the first count trigger
+// after a full merge the newer partitions hold D = 10e, and 9e more at each
+// later one; they merge alone while tierRatio·D < B, and the full merge
+// that follows writes B, every older version dropped. Merge bytes per
+// evicted byte over a cycle are then (ΣD of the partial merges + B) / D of
+// the last trigger; T − ½ + B/(2TΔ), Δ = 9e, is its continuous form. Here
+// B/Δ is about 9.7, as on the kv shards. The measured ratio over three
+// cycles past the fill must be within 15 % of the model at tierRatio 3, and
+// under 0.85 of it at 5, which a tree merging at a fifth reaches.
+func TestCountMergeWriteCost(t *testing.T) {
+	const keys, maxParts = 38000, 10
+	e := newEnv(1024, 64<<10)
+	tr := e.tree(Options{Unique: true, BloomBits: 10, MaxPartitions: maxParts})
+	val := make([]byte, 100)
+	put := func(k int) {
+		e.commit(func(tx *txn.Tx) {
+			if err := tr.InsertRegularVal(tx, []byte(fmt.Sprintf("user%06d", k)), e.ref(), val); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	var (
+		dev0                 ssd.Stats
+		evictions0           int64
+		full, oldest, merges int
+	)
+	for n := 0; full < 4; n++ { // the fill, then to the fourth full merge past it
+		put(n % keys)
+		if m := int(tr.Stats().Merges); m != merges && n >= keys && tr.NumPartitions() == 1 {
+			if full == 0 {
+				dev0, evictions0 = e.dev.Stats(), tr.Stats().Evictions
+			} else {
+				oldest += tr.Partitions()[0].NumLeaves * storage.PageSize
+			}
+			full++
+		}
+		merges = int(tr.Stats().Merges)
+	}
+	d := e.dev.Stats().Sub(dev0)
+	evicted, merged := float64(d.Written[ssd.CauseEvict].Bytes), float64(d.Written[ssd.CauseMerge].Bytes)
+	b, one := float64(oldest)/3, evicted/float64(tr.Stats().Evictions-evictions0)
+	model := func(ratio float64) float64 {
+		sum, newer := 0.0, maxParts*one
+		for ; ratio*newer < b; newer += (maxParts - 1) * one {
+			sum += newer
+		}
+		return (sum + b) / newer
+	}
+	got := merged / evicted
+	t.Logf("B %.0f KiB, e %.1f KiB: %.3f merge bytes per evicted byte; model %.3f at a third, %.3f at a fifth",
+		b/1024, one/1024, got, model(3), model(5))
+	if got < 0.85*model(3) || got > 1.15*model(3) {
+		t.Errorf("merge bytes per evicted byte %.3f, want within 15 %% of the model's %.3f at a third", got, model(3))
+	}
+	if got >= 0.85*model(5) {
+		t.Errorf("merge bytes per evicted byte %.3f, want under 0.85 of the model's %.3f at a fifth", got, model(5))
 	}
 }
 

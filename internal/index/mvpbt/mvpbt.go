@@ -12,6 +12,7 @@ import (
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/skiplist"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/txn"
 	"mvpbt/internal/util"
@@ -344,11 +345,13 @@ func (t *Tree) InsertTombstone(tx *txn.Tx, key []byte, oldRID storage.RecordID) 
 	return t.pnPut(key, Record{Type: Tombstone, TS: tx.ID, OldRID: oldRID})
 }
 
-// newBuilder starts partition number no in the tree's file.
-func (t *Tree) newBuilder(no int) *part.Builder {
+// newBuilder starts partition number no in the tree's file, its writes
+// booked to cause.
+func (t *Tree) newBuilder(no int, cause ssd.Cause) *part.Builder {
 	return part.NewBuilder(t.pool, t.file, no, part.BuildOptions{
 		BloomBitsPerKey: t.opts.BloomBits,
 		PrefixLen:       t.opts.PrefixLen,
+		Cause:           cause,
 	})
 }
 

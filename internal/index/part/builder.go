@@ -12,6 +12,7 @@ import (
 	"mvpbt/internal/buffer"
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 	"mvpbt/internal/util"
 )
@@ -25,6 +26,8 @@ type BuildOptions struct {
 	// leading bytes or more asks it for the longest prefix they share. 0
 	// disables it.
 	PrefixLen int
+	// Cause is what the device books the leaves' writes to.
+	Cause ssd.Cause
 }
 
 // leafBudget is the bytes (records + slots) a leaf takes before the next is
@@ -230,7 +233,7 @@ func (b *Builder) writeLeaf() error {
 		return fmt.Errorf("part: segment alloc: pages allocated in %q behind the run under construction", b.file.Name())
 	}
 	b.nPages++
-	if err := b.pool.WritePage(b.file, no, b.node.Bytes()); err != nil {
+	if err := b.pool.WritePage(b.file, no, b.node.Bytes(), b.opts.Cause); err != nil {
 		return fmt.Errorf("part: segment write-out: %w", err)
 	}
 	return nil

@@ -18,6 +18,7 @@ import (
 	"mvpbt/internal/index/part"
 	"mvpbt/internal/sfile"
 	"mvpbt/internal/skiplist"
+	"mvpbt/internal/ssd"
 )
 
 // pnKey orders PN entries by (key asc, insertion sequence asc).
@@ -120,6 +121,7 @@ func (t *Tree) EvictPN() error {
 	b := part.NewBuilder(t.pool, t.file, t.nextNo, part.BuildOptions{
 		BloomBitsPerKey: t.opts.BloomBits,
 		PrefixLen:       t.opts.PrefixLen,
+		Cause:           ssd.CauseEvict,
 	})
 	for it := t.pn.Min(); it.Valid(); it.Next() {
 		if err := b.Add(it.Key().key, it.Value()); err != nil {

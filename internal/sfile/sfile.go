@@ -372,21 +372,18 @@ func (f *File) ReadPages(pageNo uint64, pages [][]byte) error {
 	return f.m.dev.ReadvAt(pages, off)
 }
 
-// WritePage writes buf to page pageNo. Errors mirror ReadPage.
+// WritePage writes buf, one page, to page pageNo for ssd.CauseOther. Errors
+// mirror ReadPage.
 func (f *File) WritePage(pageNo uint64, buf []byte) error {
-	off, err := f.offsetOf(pageNo, 1)
-	if err != nil {
-		return err
-	}
-	return f.m.dev.WriteAt(buf, off)
+	return f.WriteSectors(pageNo, 0, buf, ssd.CauseOther)
 }
 
 // WriteSectors writes buf into page pageNo starting at in-page byte offset
-// off. The range must be a non-empty run of whole device sectors that stays
-// inside the page: the sector is the unit a torn write preserves, so this is
-// the smallest write that cannot damage neighbouring bytes. Errors mirror
-// WritePage.
-func (f *File) WriteSectors(pageNo uint64, off int, buf []byte) error {
+// off, booked to cause c. The range must be a non-empty run of whole device
+// sectors that stays inside the page (a whole page is one): the sector is
+// the unit a torn write preserves, so this is the smallest write that cannot
+// damage neighbouring bytes. Errors mirror ReadPage.
+func (f *File) WriteSectors(pageNo uint64, off int, buf []byte, c ssd.Cause) error {
 	if off < 0 || len(buf) == 0 || off%ssd.SectorSize != 0 || len(buf)%ssd.SectorSize != 0 || off+len(buf) > storage.PageSize {
 		return fmt.Errorf("sfile: page %d of file %q: range [%d,%d) is not a sector run inside the page", pageNo, f.name, off, off+len(buf))
 	}
@@ -394,7 +391,7 @@ func (f *File) WriteSectors(pageNo uint64, off int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return f.m.dev.WriteAt(buf, base+int64(off))
+	return f.m.dev.WriteFor(c, buf, base+int64(off))
 }
 
 // PageID returns the global page id of pageNo in this file.

@@ -171,7 +171,7 @@ func TestWriteSectors(t *testing.T) {
 	}
 	before := m.Device().Stats()
 	run := bytes.Repeat([]byte{0x5C}, 3*ssd.SectorSize)
-	if err := f.WriteSectors(1, 2*ssd.SectorSize, run); err != nil {
+	if err := f.WriteSectors(1, 2*ssd.SectorSize, run, ssd.CauseOther); err != nil {
 		t.Fatal(err)
 	}
 	if io := m.Device().Stats().Sub(before); io.Writes != 1 || io.BytesWritten != int64(len(run)) {
@@ -200,21 +200,21 @@ func TestWriteSectors(t *testing.T) {
 		{"negative offset", -ssd.SectorSize, ssd.SectorSize},
 		{"empty run", 0, 0},
 	} {
-		if err := f.WriteSectors(1, bad.off, make([]byte, bad.len)); err == nil {
+		if err := f.WriteSectors(1, bad.off, make([]byte, bad.len), ssd.CauseOther); err == nil {
 			t.Errorf("%s: accepted", bad.name)
 		}
 	}
 	if io := m.Device().Stats().Sub(before); io.Writes != 0 {
 		t.Fatalf("%d refused ranges reached the device", io.Writes)
 	}
-	if err := f.WriteSectors(1, storage.PageSize-ssd.SectorSize, run[:ssd.SectorSize]); err != nil {
+	if err := f.WriteSectors(1, storage.PageSize-ssd.SectorSize, run[:ssd.SectorSize], ssd.CauseOther); err != nil {
 		t.Fatalf("the page's last sector: %v", err)
 	}
 
 	g := m.Create("idx", ClassIndex)
 	start := mustAllocRun(t, g, ExtentPages)
 	g.FreeRun(start, ExtentPages)
-	if err := g.WriteSectors(start, 0, run); !errors.Is(err, storage.ErrFreedPage) {
+	if err := g.WriteSectors(start, 0, run, ssd.CauseOther); !errors.Is(err, storage.ErrFreedPage) {
 		t.Fatalf("sector run into a freed page: got %v, want ErrFreedPage", err)
 	}
 }

@@ -54,7 +54,7 @@ const coordCkptBytes = 32 << 10
 func newCoordLog() (*coordLog, error) {
 	dev := ssd.NewWithSpec(simclock.New(), ssd.DeviceSpec{})
 	c := &coordLog{
-		log:       wal.NewLog(sfile.NewManager(dev), "coord"),
+		log:       wal.NewLog(sfile.NewManager(dev), "coord", ssd.CauseCoordLog, ssd.CauseCoordLog),
 		inflight:  map[uint64]bool{},
 		decisions: map[uint64]bool{},
 		pending:   map[uint64]int{},

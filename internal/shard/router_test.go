@@ -11,6 +11,7 @@ import (
 
 	"mvpbt/internal/db"
 	"mvpbt/internal/index/part"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/util"
 )
 
@@ -312,6 +313,61 @@ func TestRouterStats(t *testing.T) {
 	}
 	if st[0].Dir != "shard-0" || st[1].Dir != "shard-1" {
 		t.Fatalf("shard dirs %q %q", st[0].Dir, st[1].Dir)
+	}
+}
+
+// TestDeviceWritesByCause: durable KV puts through evictions, merges and one
+// checkpoint book every device write to its cause. In the report's device
+// stats the causes sum exactly to the writes, bytes and write time, none
+// is left to other, and each cause the puts exercise has writes: the WAL,
+// the checkpoint, evictions and merges. The commits after the checkpoint
+// flush to the WAL, not to the checkpoint's generation.
+func TestDeviceWritesByCause(t *testing.T) {
+	r, err := New(Config{
+		Shards:    1,
+		Engine:    db.Config{BufferPages: 256, PartitionBufferBytes: 64 << 10, EnableWAL: true},
+		KVOptions: db.MVPBTKVOptions{BloomBits: 10, MaxPartitions: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	val := make([]byte, 1<<10)
+	var atCkpt [ssd.NumCauses]ssd.CauseStats
+	for i := 0; i < 1500; i++ {
+		if err := r.Put([]byte(fmt.Sprintf("k%04d", i%600)), val); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1000 {
+			if err := r.Shard(0).Engine.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			atCkpt = r.Report().Shards[0].Device.Written
+		}
+	}
+	st := r.Report().Shards[0]
+	if st.Checkpoint.Count != 1 || st.KV.Evictions == 0 || st.KV.Merges == 0 {
+		t.Fatalf("%d checkpoints, %d evictions, %d merges: want 1 and some of each", st.Checkpoint.Count, st.KV.Evictions, st.KV.Merges)
+	}
+	d := st.Device
+	var sum ssd.CauseStats
+	for _, w := range d.Written {
+		sum.Ops, sum.Bytes, sum.Time = sum.Ops+w.Ops, sum.Bytes+w.Bytes, sum.Time+w.Time
+	}
+	if sum != (ssd.CauseStats{Ops: d.Writes, Bytes: d.BytesWritten, Time: d.WriteTime}) {
+		t.Fatalf("causes sum to %+v, the device wrote %d ops, %d bytes in %v", sum, d.Writes, d.BytesWritten, d.WriteTime)
+	}
+	if d.Written[ssd.CauseOther] != (ssd.CauseStats{}) {
+		t.Fatalf("other: %+v, want none", d.Written[ssd.CauseOther])
+	}
+	for _, c := range []ssd.Cause{ssd.CauseWAL, ssd.CauseCheckpoint, ssd.CauseEvict, ssd.CauseMerge} {
+		if d.Written[c].Bytes == 0 {
+			t.Fatalf("cause %d wrote nothing: %+v", c, d.Written)
+		}
+	}
+	if d.Written[ssd.CauseCheckpoint] != atCkpt[ssd.CauseCheckpoint] || d.Written[ssd.CauseWAL].Ops <= atCkpt[ssd.CauseWAL].Ops {
+		t.Fatalf("after the checkpoint: WAL %+v → %+v, checkpoint %+v → %+v; want WAL writes alone",
+			atCkpt[ssd.CauseWAL], d.Written[ssd.CauseWAL], atCkpt[ssd.CauseCheckpoint], d.Written[ssd.CauseCheckpoint])
 	}
 }
 

@@ -108,6 +108,30 @@ type TraceEntry struct {
 	Seq  bool  // classified as sequential
 }
 
+// Cause says why a write reached the device: the index of its row in
+// Stats.Written.
+type Cause uint8
+
+// The write causes, in Stats.Written's order. The zero Cause is CauseOther,
+// so a write no caller named is never booked to a cause it does not have.
+const (
+	CauseOther      Cause = iota // the rest: WriteAt, index and meta pages written back
+	CauseWAL                     // a commit's log flush
+	CauseCheckpoint              // the log generation a checkpoint fills, and its superblock
+	CauseEvict                   // a partition built from a write buffer (MV-PBT's P_N, PBT, LSM memtable)
+	CauseMerge                   // a partition merged from others
+	CauseLoad                    // a partition bulk-loaded by recovery
+	CauseHeap                    // a table page written back from the buffer pool
+	CauseCoordLog                // the 2PC coordinator's log
+	NumCauses
+)
+
+// CauseStats is the writes of one cause.
+type CauseStats struct {
+	Ops, Bytes int64
+	Time       time.Duration
+}
+
 // Stats aggregates device activity since the last reset: the I/O every
 // device does, the zone and throttle activity of ZNS and cloud devices
 // (zeros on the others), and the injected faults.
@@ -117,6 +141,9 @@ type Stats struct {
 	SeqReads, RandReads     int64
 	SeqWrites, RandWrites   int64
 	ReadTime, WriteTime     time.Duration
+
+	// Written splits Writes, BytesWritten and WriteTime by Cause.
+	Written [NumCauses]CauseStats
 
 	// ZNS (zoo.go): ZoneAppends are writes that landed on a zone write
 	// pointer; ZoneRedirects are in-place overwrites the translation shim
@@ -149,6 +176,9 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 	for k := range d.Faults.Injected {
 		d.Faults.Injected[k] = s.Faults.Injected[k] - o.Faults.Injected[k]
+	}
+	for c, w := range s.Written {
+		d.Written[c] = CauseStats{w.Ops - o.Written[c].Ops, w.Bytes - o.Written[c].Bytes, w.Time - o.Written[c].Time}
 	}
 	return d
 }
@@ -264,11 +294,15 @@ func (d *Device) ReadvAt(ps [][]byte, off int64) error {
 	return ioErr
 }
 
-// WriteAt writes len(p) bytes at byte offset off. An armed write-error
-// fault persists nothing and fails with an error wrapping
-// storage.ErrIOFault; a torn-write fault persists only the leading sectors
-// (the rest of the range keeps its previous media contents) and then fails.
-func (d *Device) WriteAt(p []byte, off int64) error {
+// WriteAt writes len(p) bytes at byte offset off, for CauseOther.
+func (d *Device) WriteAt(p []byte, off int64) error { return d.WriteFor(CauseOther, p, off) }
+
+// WriteFor writes len(p) bytes at byte offset off and books them to cause c.
+// An armed write-error fault persists nothing and fails with an error
+// wrapping storage.ErrIOFault; a torn-write fault persists only the leading
+// sectors (the rest of the range keeps its previous media contents) and then
+// fails.
+func (d *Device) WriteFor(c Cause, p []byte, off int64) error {
 	if len(p) == 0 {
 		return nil
 	}
@@ -292,6 +326,8 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(len(p))
 	d.stats.WriteTime += lat
+	w := &d.stats.Written[c]
+	w.Ops, w.Bytes, w.Time = w.Ops+1, w.Bytes+int64(len(p)), w.Time+lat
 	var ioErr error
 	if f := d.matchFault(OpWrite, off, len(p)); f != nil {
 		if f.rule.Kind == FaultTornWrite {

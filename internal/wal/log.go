@@ -9,6 +9,7 @@ import (
 
 	"mvpbt/internal/page"
 	"mvpbt/internal/sfile"
+	"mvpbt/internal/ssd"
 	"mvpbt/internal/storage"
 )
 
@@ -74,8 +75,8 @@ func decodeSuper(buf []byte) (seq uint64, id storage.FileID, aux uint64, ok bool
 // The log's device I/O goes through storage.Retry: transient faults are the
 // device's normal behaviour under the fault campaigns.
 
-func writeSectors(f *sfile.File, pageNo uint64, off int, buf []byte) error {
-	_, err := storage.Retry(func() error { return f.WriteSectors(pageNo, off, buf) })
+func writeSectors(f *sfile.File, pageNo uint64, off int, buf []byte, c ssd.Cause) error {
+	_, err := storage.Retry(func() error { return f.WriteSectors(pageNo, off, buf, c) })
 	return err
 }
 
@@ -118,8 +119,9 @@ type LogStats struct {
 
 // Log is a checkpointable generational log. Safe for concurrent use.
 type Log struct {
-	fm   *sfile.Manager
-	name string
+	fm       *sfile.Manager
+	name     string
+	rotation ssd.Cause // what the device books a rotation's writes to; commit flushes go to w's
 
 	// mu orders appends against rotation: Append and Flush hold it shared
 	// (the Writer serialises them), Rotate holds it exclusive while it swaps
@@ -142,10 +144,11 @@ type Log struct {
 	BeforeSuper, AfterSuper, AfterFree func(img []byte, aux uint64)
 }
 
-// NewLog creates an empty log in generation 0. Nothing touches the device
-// until the first Flush.
-func NewLog(fm *sfile.Manager, name string) *Log {
-	return &Log{fm: fm, name: name, w: NewWriter(fm.Create(name, sfile.ClassMeta)),
+// NewLog creates an empty log in generation 0, its flushes booked to cause
+// flush and its rotations to cause rotation. Nothing touches the device until
+// the first Flush.
+func NewLog(fm *sfile.Manager, name string, flush, rotation ssd.Cause) *Log {
+	return &Log{fm: fm, name: name, rotation: rotation, w: &Writer{file: fm.Create(name, sfile.ClassMeta), cause: flush},
 		meta: fm.Create(name+"meta", sfile.ClassMeta)}
 }
 
@@ -247,7 +250,7 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 		return ErrClosed
 	}
 	seq := l.st.Seq + 1
-	w := &Writer{spill: true, open: func() *sfile.File {
+	w := &Writer{spill: true, cause: l.rotation, open: func() *sfile.File {
 		return l.fm.Create(fmt.Sprintf("%s.%d", l.name, seq), sfile.ClassMeta)
 	}}
 	published := false
@@ -276,7 +279,7 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 
 	buf := make([]byte, storage.PageSize)
 	encodeSuper(buf, seq, w.file.ID(), aux)
-	if err := writeSectors(l.meta, seq%2, 0, buf); err != nil {
+	if err := writeSectors(l.meta, seq%2, 0, buf, l.rotation); err != nil {
 		return fmt.Errorf("wal: rotate: superblock write: %w", err)
 	}
 	published = true
@@ -288,7 +291,7 @@ func (l *Log) Rotate(aux uint64, fill func(w *Writer, seq uint64) error) error {
 	l.st.Flushes += l.w.Flushes()
 	l.st.FlushedBytes += l.w.FlushedBytes()
 	l.st.Written += l.w.Written()
-	l.w, l.base = w, w.Written()
+	w.cause, l.w, l.base = l.w.cause, w, w.Written()
 	l.st.Seq, l.st.Aux, l.st.BytesBefore, l.st.BytesAfter = seq, aux, before, l.deviceBytes()
 	l.hook(l.AfterFree)
 	return nil

@@ -15,7 +15,7 @@ import (
 func newTestLog() (*Log, *sfile.Manager, *ssd.Device) {
 	dev := ssd.New(simclock.New(), ssd.IntelP3600)
 	fm := sfile.NewManager(dev)
-	return NewLog(fm, "log"), fm, dev
+	return NewLog(fm, "log", ssd.CauseWAL, ssd.CauseCheckpoint), fm, dev
 }
 
 // txids decodes an image into the TxIDs of its records — the tests tell

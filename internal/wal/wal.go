@@ -206,6 +206,7 @@ type Writer struct {
 	file  *sfile.File
 	open  func() *sfile.File // creates file at the first flush, when file is nil
 	spill bool               // Append flushes whole pages, an extent at a time
+	cause ssd.Cause          // what the device books the writes to
 	// buf holds the log bytes from the last sector boundary at or below the
 	// durable frontier: buf[:durable] is the already durable head of a
 	// partially filled sector, buf[durable:] what Append added since. buf[0]
@@ -224,9 +225,10 @@ type Writer struct {
 	flushedBytes atomic.Int64 // device bytes those flushes' sector runs wrote
 }
 
-// NewWriter creates a writer logging to file.
+// NewWriter creates a writer logging to file, its flushes booked to
+// ssd.CauseWAL.
 func NewWriter(file *sfile.File) *Writer {
-	return &Writer{file: file}
+	return &Writer{file: file, cause: ssd.CauseWAL}
 }
 
 // Append adds a record to the log buffer (no device I/O yet) and returns
@@ -329,7 +331,7 @@ func (w *Writer) writeOut(end int) error {
 		}
 		n := min(end-pos, storage.PageSize-w.tailOff) // log bytes this page takes
 		run := (n + ssd.SectorSize - 1) &^ (ssd.SectorSize - 1)
-		if err = writeSectors(w.file, w.tailPage, w.tailOff, w.buf[pos:pos+run]); err != nil {
+		if err = writeSectors(w.file, w.tailPage, w.tailOff, w.buf[pos:pos+run], w.cause); err != nil {
 			break
 		}
 		w.flushedBytes.Add(int64(run))
